@@ -10,9 +10,10 @@
 //
 // The server-side hot path — testing one SWP trapdoor against every
 // cipherword of every tuple — runs on a zero-allocation, multi-core search
-// engine: crypto.PRF carries a reusable HMAC state with SumInto /
-// ChecksumInto variants, swp.Matcher precomputes per-trapdoor state so
-// each match test costs 0 allocs/op, core.Evaluate shards table scans
+// engine: SWP's checksum function F is crypto.BlockPRF, one AES-256 block
+// per cipherword for stream widths up to 16 bytes, swp.Matcher precomputes
+// per-trapdoor state (the expanded key, shared by every clone) so each
+// match test costs 0 allocs/op, core.Evaluate shards table scans
 // across a GOMAXPROCS worker pool (one Matcher clone per worker, hits
 // merged in table order), and storage.Store locks per table so concurrent
 // clients' queries never serialise on unrelated tables. See DESIGN.md

@@ -83,12 +83,9 @@ func New(master crypto.Key, schema *relation.Schema, opts Options) (*PH, error) 
 }
 
 // checksumFor clamps the requested checksum width to what a word length
-// admits (SWP needs 1 <= m < n).
+// and SWP's checksum function admit (1 <= m < n, m <= swp.MaxChecksumLen).
 func checksumFor(wordLen, m int) int {
-	if m >= wordLen {
-		return wordLen - 1
-	}
-	return m
+	return min(m, wordLen-1, swp.MaxChecksumLen)
 }
 
 // params collects the public per-length SWP parameters, sorted by word
@@ -452,14 +449,21 @@ func EvaluateOn(et *ph.EncryptedTable, q *ph.EncryptedQuery, candidates []int) (
 // reusing one Matcher across the pass.
 func scanCandidates(tuples []ph.EncryptedTuple, candidates []int, m *swp.Matcher, hits []int) []int {
 	for _, p := range candidates {
-		for _, cw := range tuples[p].Words {
-			if m.Match(cw) {
-				hits = append(hits, p)
-				break
-			}
+		if matchTuple(&tuples[p], m) {
+			hits = append(hits, p)
 		}
 	}
 	return hits
+}
+
+// matchTuple is ψ on one tuple: whether any of its cipherwords matches.
+func matchTuple(tp *ph.EncryptedTuple, m *swp.Matcher) bool {
+	for _, cw := range tp.Words {
+		if m.Match(cw) {
+			return true
+		}
+	}
+	return false
 }
 
 // MatchTuples appends base+i to hits for every tuple in tuples whose
@@ -471,11 +475,8 @@ func scanCandidates(tuples []ph.EncryptedTuple, candidates []int, m *swp.Matcher
 // EvaluateSerial per rider.
 func MatchTuples(tuples []ph.EncryptedTuple, base int, m *swp.Matcher, hits []int) []int {
 	for i := range tuples {
-		for _, cw := range tuples[i].Words {
-			if m.Match(cw) {
-				hits = append(hits, base+i)
-				break
-			}
+		if matchTuple(&tuples[i], m) {
+			hits = append(hits, base+i)
 		}
 	}
 	return hits
@@ -493,8 +494,11 @@ func init() {
 	ph.RegisterNarrower(SchemeID, EvaluateOn)
 }
 
-// metaVersion tags the table-metadata encoding.
-const metaVersion = 2
+// metaVersion tags the table-metadata encoding and, with it, the
+// instantiation of the SWP primitives the ciphertext was written under:
+// a change to either bumps it, so that ciphertext no trapdoor of this
+// build can match is refused instead of silently matching nothing.
+const metaVersion = 3
 
 // encodeMeta serialises the public per-length SWP parameters carried on
 // every encrypted table: version, count, then (wordLen, checksumLen) pairs.
@@ -519,7 +523,7 @@ func metaPairs(meta []byte) (int, error) {
 		return 0, fmt.Errorf("core: table meta of %d bytes too short", len(meta))
 	}
 	if meta[0] != metaVersion {
-		return 0, fmt.Errorf("core: unsupported table meta version %d", meta[0])
+		return 0, fmt.Errorf("core: table meta version %d, this build reads only version %d: re-encrypt the table", meta[0], metaVersion)
 	}
 	n := int(meta[1])
 	if len(meta) != 2+4*n {

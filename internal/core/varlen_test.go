@@ -1,11 +1,13 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/crypto"
 	"repro/internal/ph"
 	"repro/internal/relation"
+	"repro/internal/swp"
 )
 
 // newVarlenPH builds a PH in per-column-width mode.
@@ -143,8 +145,9 @@ func TestVarlenLeaksOnlyColumnIdentity(t *testing.T) {
 }
 
 func TestVarlenNarrowColumnClampsChecksum(t *testing.T) {
-	// A width-1 int column yields 3-byte words (sign allowance + id);
-	// the default m=2 must be clamped to fit, and everything still works.
+	// A width-1 int column yields 3-byte words (sign allowance + id), so a
+	// requested m must be clamped to fit; on the wide column it is clamped
+	// to F's one-block output instead. Everything still works.
 	s := relation.MustSchema("t",
 		relation.Column{Name: "flag", Type: relation.TypeInt, Width: 1},
 		relation.Column{Name: "note", Type: relation.TypeString, Width: 20},
@@ -153,32 +156,39 @@ func TestVarlenNarrowColumnClampsChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(key, s, Options{PerColumnWidth: true, ChecksumLen: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := relation.NewTable(s)
-	tab.MustInsert(relation.Int(1), relation.String("hello world"))
-	tab.MustInsert(relation.Int(2), relation.String("goodbye"))
-	ct, err := p.EncryptTable(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := relation.Eq{Column: "flag", Value: relation.Int(2)}
-	eq, err := p.EncryptQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ph.Apply(ct, eq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.DecryptResult(q, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 1 || got.Tuple(0)[1].Str() != "goodbye" {
-		t.Fatalf("narrow-column select wrong: %v", got)
+	for _, m := range []int{4, 20} {
+		p, err := New(key, s, Options{PerColumnWidth: true, ChecksumLen: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range p.Params() {
+			if want := min(m, sp.WordLen-1, swp.MaxChecksumLen); sp.ChecksumLen != want {
+				t.Fatalf("m=%d: %d-byte words got checksum width %d, want %d", m, sp.WordLen, sp.ChecksumLen, want)
+			}
+		}
+		tab := relation.NewTable(s)
+		tab.MustInsert(relation.Int(1), relation.String("hello world"))
+		tab.MustInsert(relation.Int(2), relation.String("goodbye"))
+		ct, err := p.EncryptTable(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := relation.Eq{Column: "flag", Value: relation.Int(2)}
+		eq, err := p.EncryptQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ph.Apply(ct, eq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.DecryptResult(q, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != 1 || got.Tuple(0)[1].Str() != "goodbye" {
+			t.Fatalf("m=%d: narrow-column select wrong: %v", m, got)
+		}
 	}
 }
 
@@ -199,20 +209,34 @@ func TestMetaCodecRoundTrip(t *testing.T) {
 }
 
 func TestMetaDecodeErrors(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{metaVersion},
-		{99, 1, 0, 11, 0, 2},         // bad version
-		{metaVersion, 0},             // zero lengths
-		{metaVersion, 1, 0, 11},      // truncated pair
-		{metaVersion, 1, 0, 2, 0, 5}, // checksum >= wordLen
-		{metaVersion, 2, 0, 11, 0, 2, 0, 11, 0, 2}, // duplicate length
+	cases := []struct {
+		meta []byte
+		want string // substring the error must carry; "" = any error
+	}{
+		{nil, ""},
+		{[]byte{metaVersion}, ""},
+		{[]byte{99, 1, 0, 11, 0, 2}, "version 99"},
+		// A well-formed table written before F moved from HMAC-SHA256 to
+		// AES: same layout, but no trapdoor of this build can match it.
+		{[]byte{2, 1, 0, 11, 0, 2}, "re-encrypt"},
+		{[]byte{metaVersion, 0}, ""},                                  // zero lengths
+		{[]byte{metaVersion, 1, 0, 11}, ""},                           // truncated pair
+		{[]byte{metaVersion, 1, 0, 2, 0, 5}, ""},                      // checksum >= wordLen
+		{[]byte{metaVersion, 1, 0, 40, 0, 17}, "one AES block"},       // checksum wider than F's output
+		{[]byte{metaVersion, 2, 0, 11, 0, 2, 0, 11, 0, 2}, "repeats"}, // duplicate length
 	}
 	token := make([]byte, 11+crypto.KeySize) // matches the 11-byte pairs above
-	for i, m := range cases {
-		if _, _, err := decodeQueryToken(m, token); err == nil {
-			t.Errorf("case %d: malformed meta %v accepted", i, m)
+	for i, c := range cases {
+		_, _, err := decodeQueryToken(c.meta, token)
+		if err == nil {
+			t.Errorf("case %d: malformed meta %v accepted", i, c.meta)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: meta %v refused with %q, want a mention of %q", i, c.meta, err, c.want)
 		}
+	}
+	// The same bytes under the current version are a valid table.
+	if _, _, err := decodeQueryToken([]byte{metaVersion, 1, 0, 11, 0, 2}, token); err != nil {
+		t.Errorf("current-version meta refused: %v", err)
 	}
 }
 

@@ -1,14 +1,17 @@
 // Package crypto provides the cryptographic substrate for the reproduction:
-// pseudorandom functions (HMAC-SHA256), a pseudorandom generator (AES-CTR),
-// a length-preserving pseudorandom permutation (a four-round Feistel network
-// in the style of Luby–Rackoff), key derivation, and an AEAD wrapper for the
-// strong tuple encryption used by the comparator schemes.
+// a variable-length pseudorandom function (HMAC-SHA256), a fixed-input-
+// length one (AES-256 CBC-MAC, one block for short inputs), a pseudorandom
+// generator (AES-CTR), a length-preserving pseudorandom permutation (a
+// four-round Feistel network in the style of Luby–Rackoff), key
+// derivation, and an AEAD wrapper for the strong tuple encryption used by
+// the comparator schemes.
 //
 // Everything is built on the Go standard library. The constructions are the
 // textbook ones the paper's building blocks assume: Song–Wagner–Perrig's
 // searchable encryption (internal/swp) is specified in terms of a
-// pseudorandom generator G, pseudorandom functions f and F, and a
-// deterministic pre-encryption E; this package supplies all four.
+// pseudorandom generator G (PRG), pseudorandom functions f (PRF) and F
+// (BlockPRF), and a deterministic pre-encryption E (PRP); this package
+// supplies all four.
 package crypto
 
 import (
@@ -37,9 +40,7 @@ type Key [KeySize]byte
 // safe for concurrent use: an uncontended caller takes the zero-alloc fast
 // path, while a caller that finds the state busy falls back to a fresh
 // one-shot HMAC (allocating, but fully parallel — the old stateless
-// behaviour). Hot paths that need zero allocations under concurrency hand
-// each goroutine its own instance via Clone (which is what swp.Matcher
-// does).
+// behaviour).
 type PRF struct {
 	key     Key
 	mu      sync.Mutex        // guards mac, ctr and scratch
@@ -52,10 +53,6 @@ type PRF struct {
 func NewPRF(key Key) *PRF {
 	return &PRF{key: key, mac: hmac.New(sha256.New, key[:])}
 }
-
-// Clone returns an independent PRF with the same key. Use it to hand each
-// worker goroutine its own evaluation state.
-func (p *PRF) Clone() *PRF { return NewPRF(p.key) }
 
 // SumInto computes the PRF of input and writes exactly len(dst) bytes of
 // output into dst. It is the zero-allocation core of the PRF: the HMAC
@@ -103,11 +100,6 @@ func sumOneShot(mac hash.Hash, dst, input []byte) {
 		off += copy(dst[off:], s)
 	}
 }
-
-// ChecksumInto writes the m-byte SWP-style checksum F_k(input) into dst
-// (m = len(dst)). It is SumInto under the name the searchable-encryption
-// layer uses for it; the distinct name keeps call sites self-describing.
-func (p *PRF) ChecksumInto(dst, input []byte) { p.SumInto(dst, input) }
 
 // Sum computes the PRF of input truncated or expanded to n bytes. It is a
 // thin allocating wrapper over SumInto.

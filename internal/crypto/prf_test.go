@@ -131,25 +131,6 @@ func TestSumIntoZeroValuePRF(t *testing.T) {
 	}
 }
 
-func TestChecksumIntoAliasesSumInto(t *testing.T) {
-	p := NewPRF(testKey(9))
-	a := make([]byte, 2)
-	b := make([]byte, 2)
-	p.ChecksumInto(a, []byte("stream"))
-	p.SumInto(b, []byte("stream"))
-	if !bytes.Equal(a, b) {
-		t.Fatal("ChecksumInto disagrees with SumInto")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	p := NewPRF(testKey(10))
-	c := p.Clone()
-	if !bytes.Equal(p.Sum([]byte("x"), 32), c.Sum([]byte("x"), 32)) {
-		t.Fatal("clone computes a different function")
-	}
-}
-
 func TestSumIntoZeroAllocs(t *testing.T) {
 	p := NewPRF(testKey(11))
 	input := []byte("some fourteen-byte-ish input")

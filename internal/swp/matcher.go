@@ -2,6 +2,7 @@ package swp
 
 import (
 	"crypto/hmac"
+	"crypto/subtle"
 
 	"repro/internal/crypto"
 )
@@ -15,17 +16,16 @@ import (
 // tests one trapdoor against every cipherword of every tuple.
 //
 // A Matcher is NOT safe for concurrent use (the scratch buffers and the
-// PRF state are reused across calls); hand each worker goroutine its own
-// instance via Clone.
+// PRF's chaining block are reused across calls); hand each worker
+// goroutine its own instance via Clone.
 type Matcher struct {
 	p     Params
-	x     []byte      // trapdoor pre-encryption, WordLen bytes
-	kprf  *crypto.PRF // checksum PRF keyed by the trapdoor word key
-	valid bool        // geometry checks passed at construction
+	x     []byte           // trapdoor pre-encryption, WordLen bytes
+	kprf  *crypto.BlockPRF // checksum PRF F keyed by the trapdoor word key
+	valid bool             // geometry checks passed at construction
 
-	stream []byte // scratch: candidate stream chunk, n-m bytes
-	want   []byte // scratch: checksum implied by the cipherword, m bytes
-	got    []byte // scratch: recomputed checksum, m bytes
+	t   []byte // scratch: C ⊕ X = ⟨candidate stream chunk, implied checksum⟩
+	got []byte // scratch: recomputed checksum, m bytes
 }
 
 // NewMatcher builds a Matcher for the trapdoor. An ill-formed pair (bad
@@ -38,25 +38,23 @@ func NewMatcher(p Params, td Trapdoor) *Matcher {
 	}
 	m.valid = true
 	m.x = td.X
-	m.kprf = crypto.NewPRF(crypto.KeyFromBytes(td.K))
 	nm := p.streamLen()
-	m.stream = make([]byte, nm)
-	m.want = make([]byte, p.ChecksumLen)
+	m.kprf = crypto.NewBlockPRF(crypto.KeyFromBytes(td.K), nm)
+	m.t = make([]byte, p.WordLen)
 	m.got = make([]byte, p.ChecksumLen)
 	return m
 }
 
-// Clone returns an independent Matcher for the same trapdoor, with its own
-// scratch buffers and PRF state. Use it to run one table scan per worker
-// goroutine.
+// Clone returns an independent Matcher for the same trapdoor. It shares the
+// trapdoor's expanded AES key and allocates only its own scratch, so
+// provisioning one per worker goroutine of a table scan is nearly free.
 func (m *Matcher) Clone() *Matcher {
 	c := &Matcher{p: m.p, x: m.x, valid: m.valid}
 	if !m.valid {
 		return c
 	}
 	c.kprf = m.kprf.Clone()
-	c.stream = make([]byte, len(m.stream))
-	c.want = make([]byte, len(m.want))
+	c.t = make([]byte, len(m.t))
 	c.got = make([]byte, len(m.got))
 	return c
 }
@@ -69,14 +67,9 @@ func (m *Matcher) Match(cipherword []byte) bool {
 	if !m.valid || len(cipherword) != m.p.WordLen {
 		return false
 	}
-	nm := len(m.stream)
-	for i := 0; i < nm; i++ {
-		m.stream[i] = cipherword[i] ^ m.x[i]
-	}
-	for i := range m.want {
-		m.want[i] = cipherword[nm+i] ^ m.x[nm+i]
-	}
-	m.kprf.ChecksumInto(m.got, m.stream)
+	subtle.XORBytes(m.t, cipherword, m.x)
+	nm := len(m.t) - len(m.got)
+	m.kprf.SumInto(m.got, m.t[:nm])
 	// The checksum comparison must be constant-time: got is PRF output
 	// derived from trapdoor key material, and an early-exit bytes.Equal
 	// would leak how many leading checksum bytes a crafted cipherword
@@ -84,7 +77,7 @@ func (m *Matcher) Match(cipherword []byte) bool {
 	// against F_k. hmac.Equal (crypto/subtle underneath) examines every
 	// byte regardless of where the first mismatch falls, and allocates
 	// nothing, preserving Match's 0 allocs/op contract.
-	return hmac.Equal(m.got, m.want)
+	return hmac.Equal(m.got, m.t[nm:])
 }
 
 // Search appends the positions of all cipherwords matching the trapdoor to

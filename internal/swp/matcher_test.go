@@ -2,8 +2,10 @@ package swp
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -96,41 +98,54 @@ func TestMatcherRejectsBadGeometry(t *testing.T) {
 	}
 }
 
+// TestMatcherCloneConcurrent scans with clones that share one expanded AES
+// key, on a one-block and on a CBC-MAC stream width. Run under -race.
 func TestMatcherCloneConcurrent(t *testing.T) {
-	p := Params{WordLen: 12, ChecksumLen: 3}
-	_, cws, td := matcherFixture(t, p)
-	base := NewMatcher(p, td)
-	want := base.Search(cws, nil)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := base.Clone()
-			for rep := 0; rep < 20; rep++ {
-				got := m.Search(cws, nil)
-				if len(got) != len(want) {
-					t.Errorf("concurrent clone found %v, want %v", got, want)
-					return
+	for _, p := range []Params{{WordLen: 12, ChecksumLen: 3}, {WordLen: 42, ChecksumLen: 2}} {
+		_, cws, td := matcherFixture(t, p)
+		base := NewMatcher(p, td)
+		want := base.Search(cws, nil)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				m := base.Clone()
+				for rep := 0; rep < 20; rep++ {
+					if got := m.Search(cws, nil); !slices.Equal(got, want) {
+						t.Errorf("%+v: concurrent clone found %v, want %v", p, got, want)
+						return
+					}
 				}
-			}
-		}()
+			}()
+		}
+		// The base keeps scanning while its clones do.
+		if got := base.Search(cws, nil); !slices.Equal(got, want) {
+			t.Errorf("%+v: base found %v beside its clones, want %v", p, got, want)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
+// benchStreamWidths are the stream widths n−m BenchmarkMatch records and
+// TestMatchZeroAllocs gates: 9 (the emp table's) and 16 take one AES block,
+// 17 two, 40 three.
+var benchStreamWidths = []int{9, 16, 17, 40}
+
 func TestMatchZeroAllocs(t *testing.T) {
-	p := Params{WordLen: 16, ChecksumLen: 2}
-	_, cws, td := matcherFixture(t, p)
-	m := NewMatcher(p, td)
-	m.Match(cws[0]) // warm up
-	allocs := testing.AllocsPerRun(500, func() {
-		for _, cw := range cws[:32] {
-			m.Match(cw)
+	for _, nm := range benchStreamWidths {
+		p := Params{WordLen: nm + 2, ChecksumLen: 2}
+		_, cws, td := matcherFixture(t, p)
+		m := NewMatcher(p, td)
+		m.Match(cws[0]) // warm up
+		allocs := testing.AllocsPerRun(500, func() {
+			for _, cw := range cws[:32] {
+				m.Match(cw)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("stream width %d: Matcher.Match allocates %v objects per 32-word scan, want 0", nm, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Matcher.Match allocates %v objects per 32-word scan, want 0", allocs)
 	}
 }
 
@@ -155,26 +170,19 @@ func TestFalsePositiveRatePinned(t *testing.T) {
 
 // BenchmarkMatch measures the per-cipherword cost of the server-side test
 // through a reused Matcher — the unit the table-scan engine multiplies by
-// (tuples × words). The headline figure is 0 allocs/op.
+// (tuples × words) — at each of benchStreamWidths. Every width must report
+// 0 allocs/op.
 func BenchmarkMatch(b *testing.B) {
-	p := Params{WordLen: 16, ChecksumLen: 2}
-	_, cws, td := matcherFixture(b, p)
-	m := NewMatcher(p, td)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Match(cws[i%len(cws)])
-	}
-}
-
-// BenchmarkMatchLegacy is the pre-Matcher path (fresh trapdoor state per
-// call) kept as the before-side of the allocs/op comparison.
-func BenchmarkMatchLegacy(b *testing.B) {
-	p := Params{WordLen: 16, ChecksumLen: 2}
-	_, cws, td := matcherFixture(b, p)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Match(p, cws[i%len(cws)], td)
+	for _, nm := range benchStreamWidths {
+		b.Run(fmt.Sprintf("stream=%d", nm), func(b *testing.B) {
+			p := Params{WordLen: nm + 2, ChecksumLen: 2}
+			_, cws, td := matcherFixture(b, p)
+			m := NewMatcher(p, td)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Match(cws[i%len(cws)])
+			}
+		})
 	}
 }

@@ -22,6 +22,20 @@
 // Decryption needs no search: the client regenerates S_i from the document
 // seed, recovers L_i = C_i^L ⊕ S_i, recomputes k_i and the checksum, recovers
 // R_i, and inverts the pre-encryption.
+//
+// Instantiation. SWP asks only that F be a pseudorandom function on the
+// fixed-width chunk S_i, and F is the one primitive the server evaluates —
+// once per stored cipherword per query — so it is the cheapest PRF the
+// repository's assumptions already pay for: crypto.BlockPRF, AES-256
+// CBC-MAC over the zero-padded chunk truncated to m <= 16 bytes, keyed
+// directly by the 32-byte k_i. That rests on AES-256 being a pseudorandom
+// permutation (which G, AES-256-CTR, assumes anyway), the PRP/PRF
+// switching lemma, and CBC-MAC being a PRF on inputs of one fixed length;
+// the length n−m is fixed by Params and enforced by the BlockPRF. The
+// floor of a match test is ⌈(n−m)/16⌉ AES blocks per cipherword — one for
+// every stream width up to 16 bytes. G is AES-256-CTR; f, the Feistel
+// rounds of E and key derivation are HMAC-SHA256: they run on the client
+// only, never in the server's scan.
 package swp
 
 import (
@@ -37,10 +51,15 @@ type Params struct {
 	// WordLen is the word length n in bytes. Every plaintext word must be
 	// exactly this long; internal/core pads with '#'.
 	WordLen int
-	// ChecksumLen is the checksum width m in bytes, 1 <= m < n. The
-	// false-positive probability per word slot is 2^(-8m).
+	// ChecksumLen is the checksum width m in bytes, 1 <= m < n and
+	// m <= MaxChecksumLen. The false-positive probability per word slot
+	// is 2^(-8m).
 	ChecksumLen int
 }
+
+// MaxChecksumLen is the widest checksum F produces: one AES block, a
+// false-positive rate of 2^-128.
+const MaxChecksumLen = crypto.BlockPRFSize
 
 // Validate checks the parameter constraints.
 func (p Params) Validate() error {
@@ -49,6 +68,9 @@ func (p Params) Validate() error {
 	}
 	if p.ChecksumLen < 1 || p.ChecksumLen >= p.WordLen {
 		return fmt.Errorf("swp: checksum length must be in [1, %d), got %d", p.WordLen, p.ChecksumLen)
+	}
+	if p.ChecksumLen > MaxChecksumLen {
+		return fmt.Errorf("swp: checksum length must be at most %d bytes (one AES block), got %d", MaxChecksumLen, p.ChecksumLen)
 	}
 	return nil
 }
@@ -103,9 +125,12 @@ func (s *Scheme) wordKey(left []byte) crypto.Key {
 	return crypto.KeyFromBytes(s.fPRF.Sum(left, crypto.KeySize))
 }
 
-// checksum computes F_{k}(s) of m bytes.
+// checksum computes F_{k}(s) of m bytes, through the same crypto.BlockPRF
+// the server-side Matcher evaluates.
 func checksum(k crypto.Key, stream []byte, m int) []byte {
-	return crypto.NewPRF(k).Sum(stream, m)
+	f := make([]byte, m)
+	crypto.NewBlockPRF(k, len(stream)).SumInto(f, stream)
+	return f
 }
 
 // EncryptWord encrypts the word at position pos of the document identified

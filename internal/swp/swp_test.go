@@ -37,6 +37,8 @@ func TestParamsValidate(t *testing.T) {
 		{Params{WordLen: 8, ChecksumLen: 8}, false},
 		{Params{WordLen: 8, ChecksumLen: 9}, false},
 		{Params{WordLen: 0, ChecksumLen: 0}, false},
+		{Params{WordLen: 40, ChecksumLen: MaxChecksumLen}, true},
+		{Params{WordLen: 40, ChecksumLen: MaxChecksumLen + 1}, false}, // F outputs one AES block
 	}
 	for _, c := range cases {
 		err := c.p.Validate()
@@ -114,6 +116,57 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEveryGeometryRoundTripsAndMatches sweeps every admissible (n, m) up to
+// 48-byte words: a word decrypts to itself, its own trapdoor matches it,
+// and another word's trapdoor does not (m >= 4 only, where a false
+// positive is a 2^-32 event). The sweep must cross F's block boundaries.
+func TestEveryGeometryRoundTripsAndMatches(t *testing.T) {
+	boundaries := map[int]bool{15: false, 16: false, 17: false, 32: false, 33: false}
+	docID := []byte("geometry")
+	for n := 2; n <= 48; n++ {
+		word, other := make([]byte, n), make([]byte, n)
+		for i := range word {
+			word[i], other[i] = byte(7*i+n), byte(7*i+n)
+		}
+		other[0] ^= 1
+		for m := 1; m <= min(MaxChecksumLen, n-1); m++ {
+			p := Params{WordLen: n, ChecksumLen: m}
+			if _, tracked := boundaries[p.streamLen()]; tracked {
+				boundaries[p.streamLen()] = true
+			}
+			s := newTestScheme(t, p)
+			cw, err := s.EncryptWord(docID, 5, word)
+			if err != nil {
+				t.Fatalf("%+v: %v", p, err)
+			}
+			if pt, err := s.DecryptWord(docID, 5, cw); err != nil || !bytes.Equal(pt, word) {
+				t.Fatalf("%+v: decrypted %x (%v), want %x", p, pt, err, word)
+			}
+			td, err := s.NewTrapdoor(word)
+			if err != nil {
+				t.Fatalf("%+v: %v", p, err)
+			}
+			if !Match(p, cw, td) {
+				t.Fatalf("%+v: a word's own trapdoor does not match its cipherword", p)
+			}
+			if m < 4 {
+				continue
+			}
+			if td, err = s.NewTrapdoor(other); err != nil {
+				t.Fatalf("%+v: %v", p, err)
+			}
+			if Match(p, cw, td) {
+				t.Fatalf("%+v: another word's trapdoor matched", p)
+			}
+		}
+	}
+	for nm, seen := range boundaries {
+		if !seen {
+			t.Errorf("sweep never reached stream width %d", nm)
+		}
 	}
 }
 
