@@ -18,10 +18,9 @@
 // store is in-memory and the sync flags are ignored.
 //
 // With -replica-of the server runs as a read replica: it bootstraps
-// from the primary's state snapshot (falling back to full log replay
-// against primaries that predate CmdShipSnapshot), tails the primary's
-// write-ahead log over the wire, and serves reads from the replayed
-// store; mutations are rejected with a message naming the primary.
+// from the primary's state snapshot, tails the primary's write-ahead
+// log over the wire, and serves reads from the replayed store;
+// mutations are rejected with a message naming the primary.
 // Until the replica has a consistent cut to serve it refuses reads too
 // (clients quarantine it and fail over). Replicas hold no trusted
 // state — clients verify replica answers against their pinned root

@@ -126,26 +126,25 @@ func main() {
 		fmt.Printf("%s\n%s(%d tuples)\n\n", sql, res.Sorted(), res.Len())
 	}
 
-	// The pushdown must agree with the legacy client-side intersection
-	// (SelectMany per conjunct + relation.Intersect after decryption) —
-	// the equivalence the E17 gate also enforces.
+	// The pushdown must agree with the selection run on the plaintext
+	// (Definition 1.1) — the equivalence the E17 gate also enforces.
 	conj := []relation.Eq{
 		{Column: "dept", Value: relation.String("HR")},
 		{Column: "salary", Value: relation.Int(pickSalary(emp))},
+	}
+	plain, err := relation.Select(emp, relation.And{Preds: []relation.Pred{conj[0], conj[1]}})
+	if err != nil {
+		log.Fatal(err)
 	}
 	pushed, err := payroll.SelectConj(conj)
 	if err != nil {
 		log.Fatal(err)
 	}
-	legacy, err := payroll.SelectConjLegacy(conj)
-	if err != nil {
-		log.Fatal(err)
+	if pushed.Sorted().String() != plain.Sorted().String() {
+		log.Fatalf("pushdown diverged from the plaintext scan:\n%s\nvs\n%s",
+			pushed.Sorted(), plain.Sorted())
 	}
-	if pushed.Sorted().String() != legacy.Sorted().String() {
-		log.Fatalf("pushdown diverged from client-side intersection:\n%s\nvs\n%s",
-			pushed.Sorted(), legacy.Sorted())
-	}
-	fmt.Printf("pushdown == legacy intersection for %v ∧ %v (%d tuples)\n\n",
+	fmt.Printf("pushdown == plaintext scan for %v ∧ %v (%d tuples)\n\n",
 		conj[0], conj[1], pushed.Len())
 
 	// And the server will happily explain what it would do.
@@ -215,32 +214,16 @@ func main() {
 		}
 	}
 
-	// Three-way equivalence on the sharded tier: the scattered
-	// conjunctive pushdown, the scattered legacy client-side
-	// intersection, and a plaintext scan of the original table must all
-	// return the same rows.
+	// The same equivalence on the sharded tier: the scattered
+	// conjunctive pushdown must return the rows of the plaintext scan.
 	shardPushed, err := spayroll.SelectConj(conj)
 	if err != nil {
 		log.Fatal(err)
 	}
-	shardLegacy, err := spayroll.SelectConjLegacy(conj)
-	if err != nil {
-		log.Fatal(err)
+	if shardPushed.Sorted().String() != plain.Sorted().String() {
+		log.Fatalf("sharded pushdown diverged from the plaintext scan:\npushdown:\n%s\nplaintext:\n%s",
+			shardPushed.Sorted(), plain.Sorted())
 	}
-	plain := relation.NewTable(emp.Schema())
-	deptIdx, salaryIdx := emp.Schema().ColumnIndex("dept"), emp.Schema().ColumnIndex("salary")
-	for _, tp := range emp.Tuples() {
-		if tp[deptIdx].Equal(conj[0].Value) && tp[salaryIdx].Equal(conj[1].Value) {
-			if err := plain.Insert(tp); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	if shardPushed.Sorted().String() != shardLegacy.Sorted().String() ||
-		shardPushed.Sorted().String() != plain.Sorted().String() {
-		log.Fatalf("sharded three-way equivalence broken:\npushdown:\n%s\nlegacy:\n%s\nplaintext:\n%s",
-			shardPushed.Sorted(), shardLegacy.Sorted(), plain.Sorted())
-	}
-	fmt.Printf("\n2-shard pushdown == legacy intersection == plaintext scan for %v ∧ %v (%d tuples)\n",
+	fmt.Printf("\n2-shard pushdown == plaintext scan for %v ∧ %v (%d tuples)\n",
 		conj[0], conj[1], shardPushed.Len())
 }

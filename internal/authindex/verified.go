@@ -12,10 +12,9 @@ import (
 // proofs, root, leaf count and store version of the *same* table
 // snapshot, taken under a single lock acquisition server-side. Because
 // everything is cut from one snapshot, proofs always verify against the
-// root they travel with — the Root-then-Prove TOCTOU of the legacy
-// two-round protocol is impossible by construction. The client still
-// decides whether to trust the snapshot by comparing Root against its
-// pinned root.
+// root they travel with — a mutation racing the query cannot separate
+// them. The client still decides whether to trust the snapshot by
+// comparing Root against its pinned root.
 type VerifiedResult struct {
 	// Result holds the matching positions and encrypted tuples.
 	Result *ph.Result

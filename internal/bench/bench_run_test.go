@@ -408,7 +408,7 @@ func TestE15Shapes(t *testing.T) {
 
 func TestE17Shapes(t *testing.T) {
 	// RunE17 self-gates hard: it errors unless the pushdown answers are
-	// byte-identical to the legacy intersection AND the plaintext
+	// byte-identical to the client-side intersection AND the plaintext
 	// reference, and unless both the bytes-over-wire and the end-to-end
 	// latency improvements reach 5x. The shape asserted here is just
 	// that both rows exist with positive, sane cells.
@@ -416,9 +416,9 @@ func TestE17Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := findRow(t, tab, "legacy: SelectMany + client Intersect")
+	clientSide := findRow(t, tab, "client-side: SelectMany + Intersect")
 	push := findRow(t, tab, "pushdown: CmdQueryConj planner")
-	for _, row := range []int{legacy, push} {
+	for _, row := range []int{clientSide, push} {
 		if ns := cell(t, tab, row, 2); ns <= 0 {
 			t.Errorf("E17 row %d: non-positive ns/op %v", row, ns)
 		}
@@ -426,8 +426,8 @@ func TestE17Shapes(t *testing.T) {
 			t.Errorf("E17 row %d: non-positive bytes/op %v", row, by)
 		}
 	}
-	if cell(t, tab, legacy, 3) <= cell(t, tab, push, 3) {
-		t.Error("E17: legacy path should move more bytes than pushdown")
+	if cell(t, tab, clientSide, 3) <= cell(t, tab, push, 3) {
+		t.Error("E17: client-side path should move more bytes than pushdown")
 	}
 }
 

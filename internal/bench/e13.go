@@ -132,8 +132,7 @@ func RunE13(tuples int, seed int64) (*Table, error) {
 	}
 	// The seed evaluator was the seed match test applied single-threaded to
 	// every cipherword; its whole-table cost is estimated from the measured
-	// per-word seed cost times the table's word count (the direct
-	// measurement lives in core's BenchmarkEvaluateSeedBaseline).
+	// per-word seed cost times the table's word count.
 	totalWords := 0
 	for _, tp := range ct.Tuples {
 		totalWords += len(tp.Words)

@@ -61,14 +61,31 @@ func e17Table(n int, seed int64) (*relation.Table, error) {
 	return t, nil
 }
 
+// selectConjClientSide is E17's "before" arm: one batched round trip
+// fetching every conjunct's full match set, then decryption and
+// relation.Intersect client-side. It transfers and decrypts work
+// proportional to the LEAST selective conjunct.
+func selectConjClientSide(db *client.DB, eqs []relation.Eq) (*relation.Table, error) {
+	parts, err := db.SelectMany(eqs)
+	if err != nil {
+		return nil, err
+	}
+	out := parts[0]
+	for _, part := range parts[1:] {
+		if out, err = relation.Intersect(out, part); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // RunE17 regenerates experiment E17: the conjunctive pushdown. On a
 // 2-conjunct query whose predicates match ~50% and ~0.5% of a ≥10k-tuple
 // table, it measures bytes-over-wire and end-to-end latency of
 //
-//   - the legacy path: one CmdQueryBatch shipping every conjunct's full
-//     match set, decryption and relation.Intersect client-side
-//     (DB.SelectConjLegacy — what every conjunctive query did before the
-//     planner); against
+//   - the client-side path: one CmdQueryBatch shipping every conjunct's
+//     full match set, decryption and relation.Intersect client-side
+//     (selectConjClientSide above); against
 //   - the pushdown path: one CmdQueryConj, the server's
 //     selectivity-ordered planner narrowing survivors, only the
 //     intersection shipped (DB.SelectConj).
@@ -90,9 +107,9 @@ func RunE17(tuples int, seed int64) (*Table, error) {
 			tuples),
 		Header: []string{"path", "unit", "ns/op", "bytes/op", "allocs/op"},
 		Notes: []string{
-			"'legacy' ships every conjunct's full match set (CmdQueryBatch) and intersects after decryption — transfer and client CPU scale with the LEAST selective conjunct",
+			"'client-side' ships every conjunct's full match set (CmdQueryBatch) and intersects after decryption — transfer and client CPU scale with the LEAST selective conjunct",
 			"'pushdown' plans by estimated selectivity server-side (CmdQueryConj) and ships only the intersection",
-			"both paths measured warm against the same server: the result cache accelerates legacy and pushdown alike, so the gap is pure transfer+decrypt+intersect",
+			"both paths measured warm against the same server: the result cache accelerates both alike, so the gap is pure transfer+decrypt+intersect",
 		},
 	}
 
@@ -132,7 +149,7 @@ func RunE17(tuples int, seed int64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	legacyOut, err := db.SelectConjLegacy(conj)
+	clientOut, err := selectConjClientSide(db, conj)
 	if err != nil {
 		return nil, err
 	}
@@ -140,8 +157,8 @@ func RunE17(tuples int, seed int64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if legacyOut.Sorted().String() != pushOut.Sorted().String() {
-		return nil, fmt.Errorf("bench: e17 gate: pushdown result differs from legacy intersection")
+	if clientOut.Sorted().String() != pushOut.Sorted().String() {
+		return nil, fmt.Errorf("bench: e17 gate: pushdown result differs from client-side intersection")
 	}
 	if pushOut.Sorted().String() != want.Sorted().String() {
 		return nil, fmt.Errorf("bench: e17 gate: pushdown result differs from plaintext evaluation (%d vs %d tuples)",
@@ -153,8 +170,8 @@ func RunE17(tuples int, seed int64) (*Table, error) {
 		run   func() error
 	}
 	sides := []side{
-		{"legacy: SelectMany + client Intersect", func() error {
-			_, err := db.SelectConjLegacy(conj)
+		{"client-side: SelectMany + Intersect", func() error {
+			_, err := selectConjClientSide(db, conj)
 			return err
 		}},
 		{"pushdown: CmdQueryConj planner", func() error {
@@ -188,13 +205,13 @@ func RunE17(tuples int, seed int64) (*Table, error) {
 	latencyX := nsPerOp[0] / nsPerOp[1]
 	bytesX := bytesPerOp[0] / bytesPerOp[1]
 	t.Notes = append(t.Notes, fmt.Sprintf(
-		"pushdown vs legacy: %.1fx lower end-to-end latency, %.1fx fewer bytes over the wire (%d matching tuples shipped instead of every conjunct's match set)",
+		"pushdown vs client-side: %.1fx lower end-to-end latency, %.1fx fewer bytes over the wire (%d matching tuples shipped instead of every conjunct's match set)",
 		latencyX, bytesX, pushOut.Len()))
 	if latencyX < 5 || bytesX < 5 {
 		return nil, fmt.Errorf("bench: e17 gate: improvements below 5x (latency %.2fx, bytes %.2fx)", latencyX, bytesX)
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(
-		"correctness gate: pushdown, legacy intersection and plaintext σ∧σ evaluation all agree (%d tuples); ≥5x gate passed",
+		"correctness gate: pushdown, client-side intersection and plaintext σ∧σ evaluation all agree (%d tuples); ≥5x gate passed",
 		pushOut.Len()))
 	return t, nil
 }

@@ -9,13 +9,9 @@
 // CmdQueryConj, and the server's selectivity-ordered planner
 // (internal/query) intersects the scheme-opaque position sets where the
 // data lives, returning only the tuples in the intersection — with
-// inclusion proofs from the same snapshot when a root is pinned. The old
-// client-side evaluation (SelectMany per conjunct, relation.Intersect
-// after decryption) survives as the documented legacy fallback
-// (SelectConjLegacy) and is used automatically when the server predates
-// CmdQueryConj. Pushdown changes where the intersection happens, not
-// what the server learns: per-conjunct access patterns are on the wire
-// either way.
+// inclusion proofs from the same snapshot when a root is pinned.
+// Pushdown changes where the intersection happens, not what the server
+// learns: per-conjunct access patterns are on the wire either way.
 //
 // The transport is allowed to fail: DialWithConfig retries dials with
 // jittered backoff, connections take per-round-trip I/O deadlines, and
@@ -136,8 +132,8 @@ type InsertAck struct {
 	Version uint64
 }
 
-// Insert appends encrypted tuples to a stored table via the legacy
-// CmdInsert (bare RespOK ack).
+// Insert appends encrypted tuples to a stored table via CmdInsert (bare
+// RespOK ack) — what a DB without a pinned root sends.
 func (c *Conn) Insert(name string, tuples []ph.EncryptedTuple) error {
 	payload := wire.AppendString(nil, name)
 	payload = wire.AppendU32(payload, uint32(len(tuples)))
@@ -270,35 +266,6 @@ func (c *Conn) List() ([]wire.TableInfo, error) {
 	return wire.DecodeList(wire.NewBuffer(resp.Payload))
 }
 
-// Root fetches the server's authenticated-index root, tuple count and
-// version stamp for a table (extension). Caveat: a root fetched here and
-// proofs fetched by a later Prove are separate snapshots — a mutation
-// between the two calls makes honest proofs fail against this root. Use
-// QueryVerified for a race-free verified read.
-func (c *Conn) Root(name string) (root []byte, tuples int, version uint64, err error) {
-	resp, err := c.roundTrip(wire.Frame{Type: wire.CmdRoot, Payload: wire.AppendString(nil, name)})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if resp.Type != wire.RespRoot {
-		return nil, 0, 0, fmt.Errorf("client: unexpected response %#x to root", resp.Type)
-	}
-	r := wire.NewBuffer(resp.Payload)
-	root, err = r.Bytes()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	n, err := r.U32()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	version, err = r.U64()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return root, int(n), version, nil
-}
-
 // QueryVerified evaluates an encrypted query server-side and returns the
 // result with inclusion proofs, root, leaf count and version cut from
 // one server-side snapshot (extension). Proofs always verify against the
@@ -321,9 +288,6 @@ func (c *Conn) QueryVerified(name string, q *ph.EncryptedQuery) (*authindex.Veri
 // one round trip through the selectivity-ordered planner (CmdQueryConj)
 // and returns the intersection — plain, or with snapshot-consistent
 // proofs when verified is set — together with the executed plan summary.
-// Servers predating the command answer with an unknown-command error;
-// IsUnsupported recognises it so callers can fall back to the legacy
-// client-side intersection.
 func (c *Conn) QueryConj(name string, qs []*ph.EncryptedQuery, verified bool) (*query.Response, error) {
 	var flags byte
 	if verified {
@@ -355,37 +319,11 @@ func (c *Conn) queryConj(name string, flags byte, qs []*ph.EncryptedQuery) (*que
 	return query.DecodeResponse(wire.NewBuffer(resp.Payload))
 }
 
-// IsUnsupported reports whether a server error says the command does not
-// exist there — the signal to fall back to a legacy protocol path when
-// talking to a server predating an extension.
-func IsUnsupported(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "unknown command")
-}
-
 // IsRemote reports whether the error is an answer the server gave
 // (RespError) rather than a transport failure: the connection is
 // healthy, and redialing would change nothing.
 func IsRemote(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "server error:")
-}
-
-// Prove fetches inclusion proofs for result positions (extension). Same
-// caveat as Root: the proofs describe the table as of this call, not as
-// of any earlier Root fetch.
-func (c *Conn) Prove(name string, positions []int) ([]authindex.Proof, error) {
-	payload := wire.AppendString(nil, name)
-	payload = wire.AppendU32(payload, uint32(len(positions)))
-	for _, p := range positions {
-		payload = wire.AppendU32(payload, uint32(p))
-	}
-	resp, err := c.roundTrip(wire.Frame{Type: wire.CmdProve, Payload: payload})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Type != wire.RespProofs {
-		return nil, fmt.Errorf("client: unexpected response %#x to prove", resp.Type)
-	}
-	return authindex.DecodeProofs(wire.NewBuffer(resp.Payload))
 }
 
 // DB is the high-level secure-outsourcing client: a scheme instance (keys
@@ -538,8 +476,8 @@ func (db *DB) ensureFrontier() error {
 // tuples into the pinned root. The server appends batches in the order
 // sent, so the leaves are known locally; the ack only has to confirm
 // *where* they landed. A base that is not the frontier's leaf count means
-// someone else moved the table (or a pre-placement server answered) —
-// the pin is stale and the caller must decide (RepinRoot) rather than
+// someone else moved the table — the pin is stale and the caller must
+// decide (RepinRoot) rather than
 // have the client silently adopt foreign leaves it cannot hash.
 func (db *DB) advanceRoot(ack InsertAck, tuples []ph.EncryptedTuple) error {
 	if ack.Base != db.frontier.Count() {
@@ -772,10 +710,10 @@ func (db *DB) Select(q relation.Eq) (*relation.Table, error) {
 // verified against the *pinned* root before decryption; any mismatch —
 // wrong root, wrong count, missing or misplaced proof, failed hash chain
 // — refuses the answer. Because proofs travel with the root they belong
-// to, a mutation racing the query can never make an honest answer fail
-// (the legacy Root-then-Prove TOCTOU); what a mismatch now means is that
-// the *table* no longer matches the client's pin — tampering, or a
-// foreign writer the client must acknowledge via RepinRoot.
+// to, a mutation racing the query can never make an honest answer fail;
+// what a mismatch means is that the *table* no longer matches the
+// client's pin — tampering, or a foreign writer the client must
+// acknowledge via RepinRoot.
 func (db *DB) VerifiedQuery(q relation.Eq) (*relation.Table, error) {
 	if !db.pinned() {
 		return nil, fmt.Errorf("client: VerifiedQuery without a pinned root (CreateTable or PinRoot first)")
@@ -812,25 +750,24 @@ func (db *DB) VerifiedQuery(q relation.Eq) (*relation.Table, error) {
 // filtered result per query (order preserved). With a pinned root each
 // select runs through the same one-round verified-read discipline as
 // Select — replica-routed (withRead), result and proofs from one server
-// snapshot — at the cost of one round trip per query; only against
-// servers predating CmdQueryVerified does it fall back to the legacy
-// batched two-round path (batch + Prove, with verifyResult's caveat),
-// mirroring how SelectConj falls back to SelectConjLegacy. Without a
-// pin it stays a single batched round trip, now routed through withRead
-// so replicas serve it and a dead one costs a failover, not the query.
-// On a sharded DB every select scatters to all shards.
+// snapshot — at the cost of one round trip per query. Without a pin it
+// is a single batched round trip, routed through withRead so replicas
+// serve it and a dead one costs a failover, not the query. On a sharded
+// DB every select scatters to all shards.
 func (db *DB) SelectMany(qs []relation.Eq) ([]*relation.Table, error) {
 	if len(qs) == 0 {
 		return nil, nil
 	}
+	out := make([]*relation.Table, len(qs))
 	if db.pinned() {
-		out, err := db.selectManyVerified(qs)
-		if !IsUnsupported(err) {
-			return out, err
+		for i, q := range qs {
+			t, err := db.VerifiedQuery(q)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = t
 		}
-		// The server predates the one-round verified protocol: fall
-		// through to the legacy batch whose results verify via the
-		// two-round Prove path inside the same routed attempt.
+		return out, nil
 	}
 	eqs := make([]*ph.EncryptedQuery, len(qs))
 	for i, q := range qs {
@@ -852,23 +789,11 @@ func (db *DB) SelectMany(qs []relation.Eq) ([]*relation.Table, error) {
 		if err != nil {
 			return err
 		}
-		if db.root != nil {
-			// Verification runs inside the routed attempt, against the
-			// same connection that served the batch: a stale or lying
-			// replica fails here and is quarantined, and the batch is
-			// retried elsewhere rather than poisoning the answer.
-			for _, res := range rs {
-				if err := db.verifyResult(c, res); err != nil {
-					return err
-				}
-			}
-		}
 		results = rs
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	out := make([]*relation.Table, len(results))
 	var err error
 	for i, res := range results {
 		if out[i], err = db.scheme.DecryptResult(qs[i], res); err != nil {
@@ -876,55 +801,6 @@ func (db *DB) SelectMany(qs []relation.Eq) ([]*relation.Table, error) {
 		}
 	}
 	return out, nil
-}
-
-// selectManyVerified serves SelectMany through one VerifiedQuery per
-// select: each answer is snapshot-consistent and replica-routed.
-func (db *DB) selectManyVerified(qs []relation.Eq) ([]*relation.Table, error) {
-	out := make([]*relation.Table, len(qs))
-	for i, q := range qs {
-		t, err := db.VerifiedQuery(q)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = t
-	}
-	return out, nil
-}
-
-// verifyResult checks inclusion proofs for every returned tuple against
-// the pinned root, via the legacy two-round protocol (the result arrived
-// earlier; the proofs are fetched now, over the same connection). Caveat,
-// by construction of the two rounds: a mutation landing between result
-// and proofs yields proofs for a tree the pinned root does not describe,
-// so an *honest* answer can fail verification under concurrent writes.
-// The legacy SelectMany fallback accepts this for the sake of the batched
-// round trip; everything else uses the race-free VerifiedQuery instead.
-func (db *DB) verifyResult(c *Conn, res *ph.Result) error {
-	if len(res.Positions) == 0 {
-		return nil
-	}
-	proofs, err := c.Prove(db.table, res.Positions)
-	if err != nil {
-		return err
-	}
-	if len(proofs) != len(res.Tuples) {
-		return fmt.Errorf("client: %d proofs for %d result tuples", len(proofs), len(res.Tuples))
-	}
-	for i, p := range proofs {
-		// Same strictly-ascending discipline as checkVerified: a repeated
-		// position with a valid proof must not inflate the result.
-		if i > 0 && res.Positions[i] <= res.Positions[i-1] {
-			return fmt.Errorf("client: verification failed: result positions not strictly ascending (%d after %d) — duplicated or reordered tuples", res.Positions[i], res.Positions[i-1])
-		}
-		if p.Position != res.Positions[i] {
-			return fmt.Errorf("client: proof %d speaks about position %d, want %d", i, p.Position, res.Positions[i])
-		}
-		if err := authindex.Verify(db.root, db.rootTuples, res.Tuples[i], p); err != nil {
-			return fmt.Errorf("client: result tuple %d failed verification: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // SelectAll downloads and decrypts the whole table (every shard's
@@ -947,10 +823,8 @@ func (db *DB) SelectAll() (*relation.Table, error) {
 // as one CmdQueryConj: the server's planner intersects the per-conjunct
 // position sets and returns only the matching tuples (verified against
 // the pinned root when one is set; see SelectConj for what conjunctive
-// verification does and does not promise). Servers predating the
-// pushdown are detected by their unknown-command error and served via
-// the legacy SelectConjLegacy intersection. An absent WHERE clause falls
-// back to a full download; projections apply after decryption.
+// verification does and does not promise). An absent WHERE clause is a
+// full download; projections apply after decryption.
 func (db *DB) Query(sql string) (*relation.Table, error) {
 	q, err := sqlmini.Parse(sql)
 	if err != nil {
@@ -968,9 +842,6 @@ func (db *DB) Query(sql string) (*relation.Table, error) {
 		out, err = db.Select(eqs[0])
 	default:
 		out, err = db.SelectConj(eqs)
-		if IsUnsupported(err) {
-			out, err = db.SelectConjLegacy(eqs)
-		}
 	}
 	if err != nil {
 		return nil, err
@@ -1022,8 +893,8 @@ func (db *DB) encryptConj(eqs []relation.Eq) ([]*ph.EncryptedQuery, error) {
 // of the intersection: a malicious server may still withhold matches
 // (for conjunctions as for single selects; see authindex's scope note).
 // Decryption filters checksum false positives by re-evaluating the full
-// conjunction on the plaintext, so pushdown answers are exactly the
-// legacy path's answers.
+// conjunction on the plaintext, so the answer is exactly the plaintext
+// selection (Definition 1.1).
 func (db *DB) SelectConj(eqs []relation.Eq) (*relation.Table, error) {
 	if len(eqs) == 0 {
 		return nil, fmt.Errorf("client: empty conjunction")
@@ -1086,32 +957,6 @@ func (db *DB) decryptConj(eqs []relation.Eq, res *ph.Result) (*relation.Table, e
 		rest[i] = eq
 	}
 	return relation.Select(out, relation.And{Preds: rest})
-}
-
-// SelectConjLegacy evaluates a conjunction the pre-pushdown way: one
-// batched round trip fetching every conjunct's full match set, then
-// decryption and relation.Intersect client-side. It remains only as the
-// compatibility fallback for servers without CmdQueryConj (and as the
-// before-side of experiment E17); it transfers and decrypts work
-// proportional to the *least* selective conjunct, and with a pinned root
-// it verifies through the legacy two-round Prove path with the caveat
-// documented on verifyResult.
-func (db *DB) SelectConjLegacy(eqs []relation.Eq) (*relation.Table, error) {
-	if len(eqs) == 0 {
-		return nil, fmt.Errorf("client: empty conjunction")
-	}
-	parts, err := db.SelectMany(eqs)
-	if err != nil {
-		return nil, err
-	}
-	out := parts[0]
-	for _, part := range parts[1:] {
-		out, err = relation.Intersect(out, part)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // checkVerified verifies a one-round verified answer against the pinned

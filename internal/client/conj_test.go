@@ -2,6 +2,8 @@ package client
 
 import (
 	"bufio"
+	"bytes"
+	"fmt"
 	"log"
 	"net"
 	"strings"
@@ -53,11 +55,16 @@ func sortedRows(t *testing.T, tbl *relation.Table) string {
 	return tbl.Sorted().String()
 }
 
-// TestQueryConjPushdownMatchesLegacy: the pushdown path must answer
-// byte-identically to the legacy SelectMany+Intersect path, for
-// overlapping, disjoint and triple conjunctions.
-func TestQueryConjPushdownMatchesLegacy(t *testing.T) {
+// TestQueryConjPushdownMatchesPlaintext: the pushdown path must answer
+// exactly what relation.Select with relation.And answers on the
+// plaintext (Definition 1.1), for overlapping, disjoint and triple
+// conjunctions.
+func TestQueryConjPushdownMatchesPlaintext(t *testing.T) {
 	db, fc := conjDB(t, false)
+	plain, err := db.SelectAll()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, sql := range []string{
 		"SELECT * FROM emp WHERE dept = 'HR' AND salary = 7500",
 		"SELECT * FROM emp WHERE dept = 'IT' AND salary = 8800",
@@ -67,38 +74,34 @@ func TestQueryConjPushdownMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		parsed, err := parseEqs(t, db, sql)
+		parsed, err := sqlmini.Parse(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := db.SelectConjLegacy(parsed)
+		eqs, err := db.bindWhere(parsed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := legacy
-		if strings.Contains(sql, "SELECT name ") {
-			want, err = relation.Project(legacy, "name")
-			if err != nil {
+		preds := make([]relation.Pred, len(eqs))
+		for i, eq := range eqs {
+			preds[i] = eq
+		}
+		want, err := relation.Select(plain, relation.And{Preds: preds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if parsed.Projection != nil {
+			if want, err = relation.Project(want, parsed.Projection...); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if sortedRows(t, q) != sortedRows(t, want) {
-			t.Fatalf("%s:\npushdown:\n%slegacy:\n%s", sql, sortedRows(t, q), sortedRows(t, want))
+			t.Fatalf("%s:\npushdown:\n%splaintext:\n%s", sql, sortedRows(t, q), sortedRows(t, want))
 		}
 	}
 	if n := fc.count(wire.CmdQueryConj); n == 0 {
 		t.Fatal("conjunctive queries did not use CmdQueryConj")
 	}
-}
-
-// parseEqs binds a statement's WHERE clause for the legacy comparison.
-func parseEqs(t *testing.T, db *DB, sql string) ([]relation.Eq, error) {
-	t.Helper()
-	q, err := sqlmini.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return db.bindWhere(q)
 }
 
 // TestQuerySingleEqualityUsesVerifiedPath: with a pinned root, a
@@ -123,7 +126,8 @@ func TestQuerySingleEqualityUsesVerifiedPath(t *testing.T) {
 }
 
 // TestQueryConjVerifiedWhenPinned: a pinned conjunctive query runs the
-// verified conjunctive protocol and still matches the legacy answer.
+// verified conjunctive protocol and still answers the plaintext
+// selection.
 func TestQueryConjVerifiedWhenPinned(t *testing.T) {
 	db, fc := conjDB(t, true)
 	out, err := db.Query("SELECT * FROM emp WHERE dept = 'HR' AND salary = 7500")
@@ -198,9 +202,10 @@ func TestCheckVerifiedRejectsDuplicatedPositions(t *testing.T) {
 	}
 }
 
-// legacyProxy forwards frames to a real server but answers CmdQueryConj
-// with the unknown-command error a pre-pushdown server would produce.
-func legacyProxy(t *testing.T, store *storage.Store) *Conn {
+// refusingProxy forwards frames to a real server but answers the given
+// commands with the server's unknown-command error. The returned
+// counter tallies every frame the client sends.
+func refusingProxy(t *testing.T, store *storage.Store, refuse ...byte) (*Conn, *frameCounter) {
 	t.Helper()
 	srv := server.New(store, log.New(testWriter{t}, "", 0))
 	srvCli, srvSide := net.Pipe()
@@ -217,9 +222,9 @@ func legacyProxy(t *testing.T, store *storage.Store) *Conn {
 			if err != nil {
 				return
 			}
-			if f.Type == wire.CmdQueryConj {
+			if bytes.IndexByte(refuse, f.Type) >= 0 {
 				resp := wire.Frame{Type: wire.RespError,
-					Payload: wire.AppendString(nil, "server: unknown command 0x0c")}
+					Payload: wire.AppendString(nil, fmt.Sprintf("server: unknown command %#x", f.Type))}
 				if err := wire.WriteFrame(pw, resp); err != nil {
 					return
 				}
@@ -237,28 +242,71 @@ func legacyProxy(t *testing.T, store *storage.Store) *Conn {
 			}
 		}
 	}()
-	conn := NewConn(cliSide)
+	fc := &frameCounter{Conn: cliSide, counts: make(map[byte]int)}
+	conn := NewConn(fc)
 	t.Cleanup(func() { conn.Close() })
-	return conn
+	return conn, fc
 }
 
-// TestQueryConjFallsBackOnOldServer: against a server without
-// CmdQueryConj the client transparently runs the documented legacy
-// intersection and still answers correctly.
-func TestQueryConjFallsBackOnOldServer(t *testing.T) {
-	store := storage.NewMemory()
-	conn := legacyProxy(t, store)
-	db := NewDB(conn, newScheme(t), "emp")
-	if err := db.CreateTable(empTable()); err != nil {
-		t.Fatal(err)
-	}
-	db.PinRoot(nil, 0)
-	out, err := db.Query("SELECT * FROM emp WHERE dept = 'HR' AND salary = 7500")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 1 {
-		t.Fatalf("fallback answered %d tuples, want 1 (Montgomery):\n%s", out.Len(), sortedRows(t, out))
+// TestQueryConjUnknownCommandSurfaces: a server error is the caller's to
+// see, whatever its text. A server answering "unknown command" to
+// CmdQueryConj or CmdQueryVerified — or any error that merely contains
+// those words, like a missing table named "unknown command" — must
+// surface after exactly one frame: no second request on another path
+// (ship-everything conjunctions, unverified batches) may follow it.
+func TestQueryConjUnknownCommandSurfaces(t *testing.T) {
+	hr := relation.Eq{Column: "dept", Value: relation.String("HR")}
+	it := relation.Eq{Column: "dept", Value: relation.String("IT")}
+	for _, tc := range []struct {
+		name  string
+		table string // the table the reads address; "emp" exists
+		pin   bool
+		read  func(db *DB) error
+		cmd   byte
+		want  string
+	}{
+		{"conjunction", "emp", false, func(db *DB) error {
+			_, err := db.Query("SELECT * FROM emp WHERE dept = 'HR' AND salary = 7500")
+			return err
+		}, wire.CmdQueryConj, "unknown command 0xc"},
+		{"pinned SelectMany", "emp", true, func(db *DB) error {
+			_, err := db.SelectMany([]relation.Eq{hr, it})
+			return err
+		}, wire.CmdQueryVerified, "unknown command 0xa"},
+		{"pinned SelectMany, error text only", "unknown command", true, func(db *DB) error {
+			_, err := db.SelectMany([]relation.Eq{hr, it})
+			return err
+		}, wire.CmdQueryVerified, `unknown table "unknown command"`},
+		{"conjunction, error text only", "unknown command", false, func(db *DB) error {
+			_, err := db.SelectConj([]relation.Eq{hr, it})
+			return err
+		}, wire.CmdQueryConj, `unknown table "unknown command"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := storage.NewMemory()
+			var refuse []byte
+			if tc.table == "emp" {
+				refuse = []byte{tc.cmd}
+			}
+			conn, fc := refusingProxy(t, store, refuse...)
+			db := NewDB(conn, newScheme(t), "emp")
+			if err := db.CreateTable(empTable()); err != nil {
+				t.Fatal(err)
+			}
+			root, tuples := db.Root()
+			db = NewDB(conn, db.Scheme(), tc.table)
+			if tc.pin {
+				db.PinRoot(root, tuples)
+			}
+			before := fc.total()
+			err := tc.read(db)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error = %v, want the server's %q surfaced", err, tc.want)
+			}
+			if sent := fc.total() - before; sent != 1 || fc.count(tc.cmd) != 1 {
+				t.Fatalf("client sent %d frames (%d of command %#x) for one refused read, want exactly 1: %v", sent, fc.count(tc.cmd), tc.cmd, fc.counts)
+			}
+		})
 	}
 }
 

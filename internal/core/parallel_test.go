@@ -1,14 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/crypto"
 	"repro/internal/ph"
 	"repro/internal/relation"
-	"repro/internal/swp"
 	"repro/internal/workload"
 )
 
@@ -160,75 +158,10 @@ func benchEvaluate(b *testing.B, eval func(*ph.EncryptedTable, *ph.EncryptedQuer
 	}
 }
 
-// decodeMeta and decodeTrapdoor below are the seed implementation's
-// two-step token decode (metadata → word-length map → trapdoor lookup),
-// kept verbatim here so evaluateSeedBaseline measures the true before
-// shape; production code parses with decodeQueryToken instead.
-func decodeMeta(meta []byte) (map[int]swp.Params, error) {
-	n, err := metaPairs(meta)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]swp.Params, n)
-	for i := 0; i < n; i++ {
-		p := metaParam(meta, i)
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
-		if _, dup := out[p.WordLen]; dup {
-			return nil, fmt.Errorf("core: table meta repeats word length %d", p.WordLen)
-		}
-		out[p.WordLen] = p
-	}
-	return out, nil
-}
-
-func decodeTrapdoor(byLen map[int]swp.Params, token []byte) (swp.Trapdoor, swp.Params, error) {
-	xLen := len(token) - crypto.KeySize
-	if xLen < 2 {
-		return swp.Trapdoor{}, swp.Params{}, fmt.Errorf("core: trapdoor token of %d bytes too short", len(token))
-	}
-	params, ok := byLen[xLen]
-	if !ok {
-		return swp.Trapdoor{}, swp.Params{}, fmt.Errorf("core: trapdoor word length %d unknown to this table", xLen)
-	}
-	return swp.Trapdoor{X: token[:xLen], K: token[xLen:]}, params, nil
-}
-
-// evaluateSeedBaseline replicates the pre-engine seed implementation of
-// Evaluate — single-threaded, a fresh HMAC state and two scratch slices
-// per swp.Match call, positions grown from nil — as the before-side of the
-// speedup comparison.
-func evaluateSeedBaseline(et *ph.EncryptedTable, q *ph.EncryptedQuery) (*ph.Result, error) {
-	byLen, err := decodeMeta(et.Meta)
-	if err != nil {
-		return nil, err
-	}
-	td, params, err := decodeTrapdoor(byLen, q.Token)
-	if err != nil {
-		return nil, err
-	}
-	var positions []int
-	for i, etp := range et.Tuples {
-		for _, cw := range etp.Words {
-			if len(cw) == params.WordLen && swp.Match(params, cw, td) {
-				positions = append(positions, i)
-				break
-			}
-		}
-	}
-	return ph.SelectPositions(et, positions), nil
-}
-
 // BenchmarkEvaluateParallel is the sharded worker-pool scan; compare
-// against BenchmarkEvaluateSeedBaseline for the engine's total speedup and
 // against BenchmarkEvaluateSerial for the share parallelism contributes.
 func BenchmarkEvaluateParallel(b *testing.B) { benchEvaluate(b, Evaluate) }
 
-// BenchmarkEvaluateSerial is the single-threaded scan on the new Matcher
-// engine (the allocation win without the parallelism win).
+// BenchmarkEvaluateSerial is the single-threaded scan on the Matcher
+// engine — the reference the equivalence tests compare against.
 func BenchmarkEvaluateSerial(b *testing.B) { benchEvaluate(b, EvaluateSerial) }
-
-// BenchmarkEvaluateSeedBaseline is the seed implementation kept verbatim
-// for before/after reporting.
-func BenchmarkEvaluateSeedBaseline(b *testing.B) { benchEvaluate(b, evaluateSeedBaseline) }

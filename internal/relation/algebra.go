@@ -9,9 +9,8 @@ import (
 // preserves exact selects only, so the predicate language is deliberately
 // small: equality tests and conjunctions of them. Conjunctions are pushed
 // down to the server's planner (internal/query), which intersects the
-// per-conjunct position sets; client-side, And doubles as the
-// false-positive filter after decryption and as the legacy
-// intersection fallback for pre-pushdown servers.
+// per-conjunct position sets; client-side, And is the false-positive
+// filter after decryption.
 type Pred interface {
 	// Eval reports whether the tuple satisfies the predicate.
 	Eval(s *Schema, t Tuple) (bool, error)
@@ -63,8 +62,7 @@ func (e Eq) String() string {
 // And is a conjunction of predicates. The homomorphism itself only handles
 // a single Eq; a conjunctive query ships one token per conjunct and the
 // server intersects their position sets. And is the plaintext-side mirror:
-// the client re-evaluates it to filter checksum false positives, and the
-// legacy fallback path uses it over Intersect.
+// the client re-evaluates it to filter checksum false positives.
 type And struct {
 	// Preds are the conjuncts; And is satisfied iff all of them are.
 	Preds []Pred
@@ -157,9 +155,9 @@ func Project(t *Table, cols ...string) (*Table, error) {
 }
 
 // Intersect returns the multiset intersection of two tables over the same
-// schema. It evaluates conjunctive selects client-side on the legacy
-// fallback path (servers without the conjunctive pushdown), and powers the
-// paper's intersection attacks (§2).
+// schema: the relational-algebra counterpart of the server's
+// position-set intersection, and the client-side arm experiment E17
+// measures the conjunctive pushdown against.
 func Intersect(a, b *Table) (*Table, error) {
 	if !a.Schema().Equal(b.Schema()) {
 		return nil, fmt.Errorf("relation: intersect over different schemas %q and %q",

@@ -2,10 +2,8 @@ package relation
 
 import "testing"
 
-// These cases are the regression net under the client's legacy
-// conjunctive fallback (SelectConjLegacy): the pushdown path bypasses
-// Intersect entirely, so its edge behaviour must stay pinned for the
-// servers that still need it.
+// Edge behaviour of Intersect: multiset semantics on duplicates and
+// empty operands.
 
 func TestIntersectDuplicateTuplesBothSides(t *testing.T) {
 	s := MustSchema("t", Column{Name: "a", Type: TypeInt, Width: 3})

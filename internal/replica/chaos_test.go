@@ -144,12 +144,13 @@ func TestChaosPartitionMidBootstrap(t *testing.T) {
 	}
 }
 
-// TestChaosResetWindowUnverifiedReads is the resetting-follower read
-// window, repro and fix. Repro: an unverified Select routed to a
-// replica whose store holds a partially replayed prefix returns a
-// near-empty answer with no error. Fix: the follower's Ready signal,
-// wired into the replica server, turns that window into refusals the
-// client fails over from — zero accepted-but-wrong reads.
+// TestChaosResetWindowUnverifiedReads is the not-yet-caught-up follower
+// read window, repro and fix. Repro: an unverified Select routed to a
+// replica whose store is behind the primary returns a short answer with
+// no error. Fix: the follower's Ready signal, wired into the replica
+// server, turns that window into refusals the client fails over from —
+// zero accepted-but-wrong reads. A virgin follower (never caught up,
+// empty store) is the live case of that window.
 func TestChaosResetWindowUnverifiedReads(t *testing.T) {
 	s := newScheme(t)
 	full := relation.NewTable(empSchema())
@@ -171,9 +172,8 @@ func TestChaosResetWindowUnverifiedReads(t *testing.T) {
 	if err := pstore.Put("emp", ctFull); err != nil {
 		t.Fatal(err)
 	}
-	// The replica mid-replay: same table name, only a prefix of the rows
-	// — exactly what sits in a follower's store between Reset and
-	// catch-up.
+	// The replica behind the primary: same table name, only a prefix of
+	// the rows.
 	rstore := storage.NewMemory()
 	if err := rstore.Put("emp", ctPrefix); err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestChaosResetWindowUnverifiedReads(t *testing.T) {
 		t.Fatalf("repro read was not served by the replica: %+v", st)
 	}
 
-	// --- Fix: the same mid-reset store behind a Ready-gated server. The
+	// --- Fix: the same stale store behind a Ready-gated server. The
 	// replica refuses, the client quarantines it and fails over, and the
 	// answer is the full correct one.
 	conn2, err := srvDial(psrv)()
@@ -224,79 +224,39 @@ func TestChaosResetWindowUnverifiedReads(t *testing.T) {
 	if st := db2.ReadStats(); st.ReplicaFailures != 1 || st.Failovers != 1 || st.PrimaryReads != 1 {
 		t.Fatalf("gated read did not refuse-and-fail-over: %+v", st)
 	}
-}
 
-// TestChaosResetWindowLive drives the same window end to end: a live
-// follower on the record-0 replay path is forced to reset by a primary
-// compaction, and while it is mid-replay an unverified Select must
-// come back correct — served by the primary via failover, never from
-// the half-replayed store.
-func TestChaosResetWindowLive(t *testing.T) {
-	p := newPrimary(t)
-	s := newScheme(t)
-	seed(t, p, s, "emp", 40)
-	// Many small tables so the compacted log is long and the replay
-	// window wide (compaction collapses each table to one record).
-	for i := 0; i < 60; i++ {
-		seed(t, p, s, fmt.Sprintf("t%02d", i), 2)
+	// --- The live case: a virgin follower that cannot reach its primary
+	// has an empty store and is not Ready; gated by its own signal it
+	// refuses, and the read fails over instead of answering zero rows.
+	virgin := New(func() (*client.Conn, error) { return nil, fmt.Errorf("primary unreachable") },
+		Options{PollInterval: time.Millisecond})
+	defer virgin.Close()
+	if virgin.Ready() {
+		t.Fatal("a follower that never caught up reports Ready")
 	}
-
-	f := New(dialFaulty(p, fault.ConnPlan{Delay: time.Millisecond}),
-		Options{PollInterval: time.Millisecond, MaxBytes: 1, DisableSnapshot: true})
-	defer f.Close()
-	waitConverged(t, p, f)
-
-	fsrv := server.NewWithOptions(f.Store(), nil, server.Options{ReadOnly: true, Ready: f.Ready})
-	conn, err := p.dial()
+	conn3, err := srvDial(psrv)()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	db := client.NewDB(conn, s, "emp")
-	db.AddReplica(srvDial(fsrv))
-	hr := relation.Eq{Column: "dept", Value: relation.String("HR")}
-
-	// Healthy read first: served by the ready follower.
-	got, err := db.Select(hr)
+	defer conn3.Close()
+	db3 := client.NewDB(conn3, s, "emp")
+	db3.AddReplica(srvDial(server.NewWithOptions(virgin.Store(), nil, server.Options{ReadOnly: true, Ready: virgin.Ready})))
+	got, err = db3.Select(hr)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("virgin-follower select: %v", err)
 	}
-	if got.Len() != 40 {
-		t.Fatalf("healthy replica read returned %d rows, want 40", got.Len())
+	if got.Len() != 3 {
+		t.Fatalf("virgin-follower select returned %d rows, want the primary's 3", got.Len())
 	}
-	if st := db.ReadStats(); st.ReplicaReads != 1 {
-		t.Fatalf("healthy read was not served by the follower: %+v", st)
-	}
-
-	// Rotate the epoch out from under the follower and catch it mid-reset.
-	if err := p.store.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	appendOne(t, p, s, "emp", 0)
-	waitFor(t, "the reset window", func() bool {
-		return f.Status().Resets >= 1 && !f.Ready()
-	})
-	got, err = db.Select(hr)
-	if err != nil {
-		t.Fatalf("mid-reset select: %v", err)
-	}
-	if got.Len() != 40 {
-		t.Fatalf("mid-reset select returned %d rows, want 40: an accepted-but-wrong read", got.Len())
-	}
-	if st := db.ReadStats(); st.ReplicaFailures == 0 || st.PrimaryReads == 0 {
-		t.Fatalf("mid-reset read was not refused-and-failed-over: %+v", st)
-	}
-
-	waitConverged(t, p, f)
-	if !f.Ready() {
-		t.Fatal("caught-up follower reports not ready")
+	if st := db3.ReadStats(); st.ReplicaFailures != 1 || st.PrimaryReads != 1 {
+		t.Fatalf("virgin follower's read was not refused-and-failed-over: %+v", st)
 	}
 }
 
 // TestChaosDurableFollowerResume: a durable follower survives its own
 // restart. The ship-base sidecar makes the reopened store a consistent
 // cut with a known cursor, so the new follower is Ready immediately
-// and resumes tailing — no snapshot, no reset, no record-0 replay.
+// and resumes tailing — no snapshot, no re-bootstrap.
 func TestChaosDurableFollowerResume(t *testing.T) {
 	p := newPrimary(t)
 	s := newScheme(t)

@@ -11,18 +11,13 @@
 // compacted its log, restarted into a fresh one, or never saw this
 // follower — the follower's history is gone and it must re-bootstrap.
 //
-// Bootstrap has two paths. The preferred one fetches a checksummed
-// state snapshot in resumable chunks (CmdShipSnapshot) and installs it
-// atomically: O(state) work however long the primary's log is, and the
-// follower keeps serving its previous consistent state until the
-// install swaps — there is no window of emptiness. Against primaries
-// that predate the snapshot command (or with Options.DisableSnapshot)
-// the follower falls back to the original discipline: discard
-// everything and replay the shipped log from record 0. The log is a
-// total order from the empty store, so that replay is always sound —
-// just O(log) — and while it runs the follower reports itself not
-// Ready, which a fronting server surfaces as refusals so no client
-// reads a half-empty store.
+// Bootstrap fetches a checksummed state snapshot in resumable chunks
+// (CmdShipSnapshot) and installs it atomically: O(state) work however
+// long the primary's log is, and the follower keeps serving its
+// previous consistent state until the install swaps — there is no
+// window of emptiness. A follower that has never caught up has no such
+// state: it reports itself not Ready, which a fronting server surfaces
+// as refusals so no client reads an empty or far-behind store.
 //
 // Followers may run durable (Options.Store over a WAL-backed store):
 // applied records land in the local log, and the store's ship-base
@@ -71,10 +66,6 @@ type Options struct {
 	// in-memory store. The store must not be mutated by anyone but the
 	// follower.
 	Store *storage.Store
-	// DisableSnapshot forces the record-0 replay bootstrap path even
-	// against primaries that can ship snapshots. For tests and
-	// experiments (E19 measures the two paths against each other).
-	DisableSnapshot bool
 	// Logf, when set, receives progress and error lines.
 	Logf func(format string, args ...any)
 }
@@ -101,8 +92,8 @@ type Status struct {
 	CaughtUp bool
 	// Ready reports whether the follower's store is a consistent cut of
 	// the primary's history, safe to serve reads from (possibly stale).
-	// It is false from a reset or apply failure until the follower
-	// catches back up; a snapshot bootstrap keeps the previous state
+	// It is false until the follower first catches up (or resumes a
+	// persisted cursor); a later re-bootstrap keeps the previous state
 	// serving, so Ready stays true across it.
 	Ready bool
 	// Resets counts re-bootstraps (primary compactions/restarts, apply
@@ -142,14 +133,11 @@ type Follower struct {
 	// invalidated and a snapshot fetch is in progress (or pending);
 	// snapEpoch/snapSeq identify the snapshot mid-transfer and snapBuf
 	// accumulates its bytes — kept across redials, voided when the
-	// primary answers under a different identity. snapUnsupported
-	// latches when the primary rejects CmdShipSnapshot, switching this
-	// follower to the record-0 replay path for its lifetime.
-	bootstrapping   bool
-	snapEpoch       uint64
-	snapSeq         uint64
-	snapBuf         []byte
-	snapUnsupported bool
+	// primary answers under a different identity.
+	bootstrapping bool
+	snapEpoch     uint64
+	snapSeq       uint64
+	snapBuf       []byte
 
 	snapshots   uint64
 	appliedRecs uint64
@@ -197,7 +185,8 @@ func (f *Follower) Store() *storage.Store { return f.store }
 // Ready reports whether the follower is serving a consistent cut of the
 // primary's history. Wire it into server.Options.Ready so a fronting
 // read-only server refuses requests — and the client quarantines and
-// fails over — instead of answering from a store that is mid-reset.
+// fails over — instead of answering from a store that has not caught up
+// yet.
 func (f *Follower) Ready() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -273,7 +262,7 @@ func (f *Follower) setErr(err error) {
 // error. Transport errors drop the connection and redial; the cursor
 // and any partial snapshot transfer survive, so a restarted primary
 // (same log) resumes where shipping stopped, a mid-transfer partition
-// resumes the transfer, and a rotated primary resets the follower
+// resumes the transfer, and a rotated primary re-bootstraps the follower
 // through the epoch check.
 func (f *Follower) run() {
 	defer close(f.done)
@@ -332,13 +321,10 @@ func isProtocolError(err error) bool {
 
 // needsBootstrap reports whether the next round should fetch a snapshot
 // chunk instead of polling the log: an explicit bootstrap is pending,
-// or the cursor is virgin — and the snapshot path is available at all.
+// or the cursor is virgin.
 func (f *Follower) needsBootstrap() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.opts.DisableSnapshot || f.snapUnsupported {
-		return false
-	}
 	return f.bootstrapping || (f.epoch == 0 && f.seq == 0)
 }
 
@@ -366,18 +352,6 @@ func (f *Follower) bootstrap(conn *client.Conn) (behind bool, err error) {
 	f.mu.Unlock()
 	ch, err := conn.ShipSnapshot(e, q, off, f.opts.MaxBytes)
 	if err != nil {
-		if client.IsUnsupported(err) {
-			// Pre-snapshot primary: latch the fallback and re-bootstrap
-			// by record-0 replay on the next round.
-			f.logf("replica: primary does not ship snapshots, falling back to record-0 replay")
-			f.mu.Lock()
-			f.snapUnsupported = true
-			f.bootstrapping = false
-			f.snapBuf = nil
-			f.epoch, f.seq = 0, 0
-			f.mu.Unlock()
-			return true, nil
-		}
 		return false, fmt.Errorf("replica: fetching snapshot chunk at %d: %w", off, err)
 	}
 	f.mu.Lock()
@@ -435,47 +409,23 @@ func (f *Follower) bootstrap(conn *client.Conn) (behind bool, err error) {
 // apply folds one shipped chunk into the store. It returns whether the
 // follower is still behind (poll again immediately). A chunk whose
 // epoch or start disagrees with the cursor means the follower's history
-// is gone on the primary: with snapshots available the follower flags a
-// bootstrap (keeping its consistent state serving until the install);
-// otherwise the store is reset and the chunk applied from the stream's
-// start. A record that fails to apply re-bootstraps too — a partially
-// applied log is the one state shipping must never hold.
+// is gone on the primary: the follower flags a snapshot bootstrap and
+// keeps its consistent state serving until the install. A record that
+// fails to apply re-bootstraps too — a partially applied log is the one
+// state shipping must never hold.
 func (f *Follower) apply(epoch, seq uint64, ch *client.LogChunk) (behind bool, err error) {
 	if ch.Epoch != epoch || ch.Start != seq {
+		f.invalidate()
 		if ch.Start != 0 {
-			// The primary answered from a cursor this follower never held;
-			// force a clean bootstrap on the next poll.
-			f.invalidate(0)
 			return true, fmt.Errorf("replica: primary answered from (%d,%d) to cursor (%d,%d); re-bootstrapping",
 				ch.Epoch, ch.Start, epoch, seq)
 		}
-		if f.snapshotsAvailable() {
-			// Never apply a record-0 stream over existing state: flag a
-			// snapshot bootstrap and keep serving the old consistent cut.
-			f.logf("replica: cursor (%d,%d) rotated away (primary at epoch %d); snapshot bootstrap", epoch, seq, ch.Epoch)
-			f.invalidate(0)
-			return true, nil
-		}
-		if epoch == 0 && seq == 0 && !f.dirty() {
-			// Virgin cursor adopting the primary's epoch: the first poll
-			// of a fresh follower, not a discard of applied state.
-			f.mu.Lock()
-			f.epoch = ch.Epoch
-			f.mu.Unlock()
-			f.setBase(ch.Epoch, 0)
-		} else {
-			f.logf("replica: cursor (%d,%d) rotated away (primary at epoch %d); re-bootstrapping", epoch, seq, ch.Epoch)
-			f.reset(ch.Epoch, 0)
-		}
-		epoch, seq = ch.Epoch, 0
+		f.logf("replica: cursor (%d,%d) rotated away (primary at epoch %d); snapshot bootstrap", epoch, seq, ch.Epoch)
+		return true, nil
 	}
 	for i, rec := range ch.Records {
 		if aerr := f.store.ApplyShipped(rec); aerr != nil {
-			if f.snapshotsAvailable() {
-				f.invalidate(0)
-			} else {
-				f.reset(0, 0)
-			}
+			f.invalidate()
 			return true, fmt.Errorf("replica: applying record %d of (%d,%d): %w", i, ch.Epoch, ch.Start, aerr)
 		}
 		seq++
@@ -495,60 +445,15 @@ func (f *Follower) apply(epoch, seq uint64, ch *client.LogChunk) (behind bool, e
 	return behind, nil
 }
 
-// snapshotsAvailable reports whether the snapshot bootstrap path is
-// open (enabled and not rejected by this primary).
-func (f *Follower) snapshotsAvailable() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return !f.opts.DisableSnapshot && !f.snapUnsupported
-}
-
-// dirty reports whether the store holds any state — a record-0 replay
-// onto it would diverge. A durable follower restarting without a valid
-// ship base lands here.
-func (f *Follower) dirty() bool {
-	return len(f.store.List()) > 0
-}
-
 // invalidate voids the cursor and flags a snapshot bootstrap; the store
 // is untouched (it keeps serving the old consistent cut until the
-// install swaps it). A reset for accounting purposes.
-func (f *Follower) invalidate(epoch uint64) {
+// install swaps it).
+func (f *Follower) invalidate() {
 	f.mu.Lock()
-	f.epoch, f.seq, f.head = epoch, 0, 0
+	f.epoch, f.seq, f.head = 0, 0, 0
 	f.caughtUp = false
 	f.bootstrapping = true
 	f.snapEpoch, f.snapSeq, f.snapBuf = 0, 0, nil
 	f.resets++
 	f.mu.Unlock()
-}
-
-// reset discards the replayed state and moves the cursor: the record-0
-// replay bootstrap. Until the follower catches back up it is not Ready
-// — its store is empty, and serving unverified reads from it would
-// return confidently wrong (near-empty) answers.
-func (f *Follower) reset(epoch, seq uint64) {
-	f.mu.Lock()
-	f.ready = false
-	f.mu.Unlock()
-	if err := f.store.Reset(); err != nil {
-		f.logf("replica: resetting store: %v", err)
-	}
-	f.mu.Lock()
-	f.epoch, f.seq, f.head = epoch, seq, 0
-	f.caughtUp = false
-	f.resets++
-	f.mu.Unlock()
-	if epoch != 0 {
-		f.setBase(epoch, seq)
-	}
-}
-
-// setBase records the store's correspondence to a primary cursor (for
-// durable followers, persistently). Failure only costs a re-bootstrap
-// after the next restart.
-func (f *Follower) setBase(epoch, seq uint64) {
-	if err := f.store.SetShipBase(epoch, seq); err != nil {
-		f.logf("replica: recording ship base (%d,%d): %v", epoch, seq, err)
-	}
 }

@@ -287,8 +287,10 @@ func TestPrimaryRestartMidShip(t *testing.T) {
 }
 
 // TestCompactionResetsFollower: compaction rotates the primary's log
-// epoch; the follower must notice, reset, and re-bootstrap to the
-// compacted state instead of silently diverging.
+// epoch; the follower must notice and re-bootstrap from a snapshot of
+// the compacted state instead of silently diverging — and because the
+// install swaps atomically, it stays Ready and keeps serving a
+// consistent cut (the old one, then the new one) the whole way.
 func TestCompactionResetsFollower(t *testing.T) {
 	p := newPrimary(t)
 	s := newScheme(t)
@@ -301,13 +303,28 @@ func TestCompactionResetsFollower(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		appendOne(t, p, s, "emp", i)
 	}
+	waitConverged(t, p, f)
 	if err := p.store.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	appendOne(t, p, s, "emp", 99)
+	for deadline := time.Now().Add(10 * time.Second); !sameState(p.store, f.Store()); {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never converged; status %+v", f.Status())
+		}
+		if !f.Ready() {
+			t.Fatal("follower went not-Ready while re-bootstrapping from a snapshot")
+		}
+		// Mid-bootstrap the store still holds the whole pre-compaction
+		// cut (25 tuples), never an empty or partial table.
+		if infos := f.Store().List(); len(infos) != 1 || infos[0].Tuples < 25 {
+			t.Fatalf("follower serves %v mid-bootstrap, want the previous cut of emp", infos)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	waitConverged(t, p, f)
-	if st := f.Status(); st.Resets == 0 {
-		t.Fatal("compaction rotated the epoch but the follower never reset")
+	if st := f.Status(); st.Resets == 0 || st.Snapshots != 2 {
+		t.Fatalf("compaction rotated the epoch but the follower did not re-bootstrap once: %d resets, %d snapshots", st.Resets, st.Snapshots)
 	}
 }
 

@@ -123,7 +123,8 @@ func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 			return wire.Frame{}, err
 		}
 		if f.Type == wire.CmdInsert {
-			// Legacy ack, so pre-extension clients keep working.
+			// The unpinned client's ack: it keeps no root to advance, so
+			// it needs no placement.
 			return wire.Frame{Type: wire.RespOK}, nil
 		}
 		// The placement ack lets a verifying client advance its pinned
@@ -202,53 +203,6 @@ func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 	case wire.CmdList:
 		return wire.Frame{Type: wire.RespList, Payload: wire.EncodeList(scratch, b.store.List())}, nil
 
-	case wire.CmdRoot:
-		// Legacy command, kept working: the root now comes from the
-		// store's incremental index (no per-request deep copy or tree
-		// rebuild) and is version-stamped. Caveat: a root fetched here
-		// and proofs fetched by a later CmdProve may straddle a mutation;
-		// CmdQueryVerified is the race-free path.
-		name, err := r.String()
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		root, tuples, version, err := b.store.Root(name)
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		payload := wire.AppendBytes(scratch, root)
-		payload = wire.AppendU32(payload, uint32(tuples))
-		payload = wire.AppendU64(payload, version)
-		return wire.Frame{Type: wire.RespRoot, Payload: payload}, nil
-
-	case wire.CmdProve:
-		// Legacy command, kept working; same caveat as CmdRoot. Proofs
-		// are cut from the incremental index under one lock acquisition.
-		name, err := r.String()
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		n, err := r.U32()
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		// The preallocation is clamped by what the payload could
-		// possibly hold (4 bytes per position) — a hostile count in a
-		// small frame must not force a count-proportional allocation.
-		positions := make([]int, 0, wire.ClampCount(n, r.Remaining()/4))
-		for i := uint32(0); i < n; i++ {
-			p, err := r.U32()
-			if err != nil {
-				return wire.Frame{}, err
-			}
-			positions = append(positions, int(p))
-		}
-		proofs, _, _, _, err := b.store.Prove(name, positions)
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		return wire.Frame{Type: wire.RespProofs, Payload: authindex.EncodeProofs(scratch, proofs)}, nil
-
 	case wire.CmdQueryVerified:
 		name, err := r.String()
 		if err != nil {
@@ -312,8 +266,8 @@ func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 		// Log shipping for read replicas: answer with records of the
 		// current log file from the follower's cursor. The store clamps
 		// everything hostile — an unknown epoch or a sequence past the
-		// head serves the bootstrap stream, and the byte budget caps the
-		// answer regardless of what the peer asked for.
+		// head is answered from the log's origin, and the byte budget caps
+		// the answer regardless of what the peer asked for.
 		reqEpoch, err := r.U64()
 		if err != nil {
 			return wire.Frame{}, err

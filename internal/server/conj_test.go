@@ -141,7 +141,7 @@ func TestDispatchQueryConjVerified(t *testing.T) {
 
 // TestHostileConjCountAllocation: a small frame declaring 2^32-1
 // conjuncts must fail cleanly without a count-proportional allocation
-// (same clamp discipline as CmdQueryBatch and CmdProve).
+// (same clamp discipline as CmdQueryBatch).
 func TestHostileConjCountAllocation(t *testing.T) {
 	conjScheme()
 	s := New(testStore(t), nil)

@@ -14,12 +14,7 @@
 // CmdQueryVerified answers with (result, proofs, root, leaf count,
 // version) cut from one read-locked store snapshot — the proofs always
 // verify against the root they travel with, so a mutation racing the
-// request can never make an honest answer look tampered. The legacy
-// CmdRoot/CmdProve pair is kept working (now served from the store's
-// incremental index instead of a per-request deep copy and rebuild), but
-// it remains two round trips: a mutation landing between them yields
-// proofs for a newer tree than the fetched root, which a verifying
-// client must treat as a mismatch. New code should use CmdQueryVerified.
+// request can never make an honest answer look tampered.
 //
 // Conjunctive queries (CmdQueryConj) run through the selectivity-ordered
 // planner (internal/query) under one read-locked snapshot: the server

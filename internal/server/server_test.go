@@ -92,58 +92,11 @@ func TestDispatchUnknownCommand(t *testing.T) {
 func TestDispatchMalformedPayload(t *testing.T) {
 	s := New(testStore(t), nil)
 	for _, cmd := range []byte{wire.CmdStore, wire.CmdInsert, wire.CmdQuery, wire.CmdFetchAll,
-		wire.CmdDrop, wire.CmdRoot, wire.CmdProve} {
+		wire.CmdDrop, wire.CmdQueryVerified} {
 		resp := s.dispatch(wire.Frame{Type: cmd, Payload: []byte{0xFF}}, nil)
 		if resp.Type != wire.RespError {
 			t.Errorf("command %#x with garbage payload returned %#x, want error", cmd, resp.Type)
 		}
-	}
-}
-
-func TestDispatchRootAndProve(t *testing.T) {
-	s := New(testStore(t), nil)
-	et := encTable(5)
-	if resp := s.dispatch(storeFrame("emp", et), nil); resp.Type != wire.RespOK {
-		t.Fatal("store failed")
-	}
-	resp := s.dispatch(wire.Frame{Type: wire.CmdRoot, Payload: wire.AppendString(nil, "emp")}, nil)
-	if resp.Type != wire.RespRoot {
-		t.Fatalf("root response %#x", resp.Type)
-	}
-	r := wire.NewBuffer(resp.Payload)
-	root, err := r.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	count, err := r.U32()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 5 || len(root) != authindex.HashSize {
-		t.Fatalf("root payload: %d leaves, %d-byte root", count, len(root))
-	}
-	if _, err := r.U64(); err != nil {
-		t.Fatalf("root payload missing version stamp: %v", err)
-	}
-
-	payload := wire.AppendString(nil, "emp")
-	payload = wire.AppendU32(payload, 1)
-	payload = wire.AppendU32(payload, 2)
-	resp = s.dispatch(wire.Frame{Type: wire.CmdProve, Payload: payload}, nil)
-	if resp.Type != wire.RespProofs {
-		t.Fatalf("prove response %#x: %s", resp.Type, resp.Payload)
-	}
-	proofs, err := authindex.DecodeProofs(wire.NewBuffer(resp.Payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(proofs) != 1 {
-		t.Fatalf("got %d proofs", len(proofs))
-	}
-	// The proof must verify against the served root. The server stores a
-	// copy of what we sent, so hash our local tuple.
-	if err := authindex.Verify(root, 5, et.Tuples[2], proofs[0]); err != nil {
-		t.Fatalf("served proof rejected: %v", err)
 	}
 }
 
@@ -305,40 +258,13 @@ func TestHostileCountsDoNotAllocate(t *testing.T) {
 	if resp := s.dispatch(storeFrame("emp", encTable(1)), nil); resp.Type != wire.RespOK {
 		t.Fatalf("store: %#x", resp.Type)
 	}
-	// CmdProve was the one handler that skipped the clamp (make([]int, n)
-	// from the wire-declared count): a 10-byte frame could force a
-	// multi-GB allocation. Regression: it must behave like the others.
-	for _, cmd := range []byte{wire.CmdQueryBatch, wire.CmdInsert, wire.CmdProve} {
+	for _, cmd := range []byte{wire.CmdQueryBatch, wire.CmdInsert} {
 		payload := wire.AppendString(nil, "emp")
 		payload = wire.AppendU32(payload, 0xFFFFFFFF) // declared count
 		resp := s.dispatch(wire.Frame{Type: cmd, Payload: payload}, nil)
 		if resp.Type != wire.RespError {
 			t.Fatalf("cmd %#x with hostile count: response %#x, want error", cmd, resp.Type)
 		}
-	}
-}
-
-// TestHostileProveCountAllocation pins the CmdProve fix quantitatively: a
-// hostile frame declaring 2^32-1 positions over a 4-byte body must not
-// allocate count-proportional memory (the seed preallocated a ~32 GiB
-// []int for it).
-func TestHostileProveCountAllocation(t *testing.T) {
-	s := New(testStore(t), nil)
-	if resp := s.dispatch(storeFrame("emp", encTable(1)), nil); resp.Type != wire.RespOK {
-		t.Fatalf("store: %#x", resp.Type)
-	}
-	payload := wire.AppendString(nil, "emp")
-	payload = wire.AppendU32(payload, 0xFFFFFFFF)
-	payload = wire.AppendU32(payload, 0) // one real position, 2^32-1 declared
-	allocs := testing.AllocsPerRun(20, func() {
-		if resp := s.dispatch(wire.Frame{Type: wire.CmdProve, Payload: payload}, nil); resp.Type != wire.RespError {
-			t.Fatalf("hostile prove count answered %#x, want error", resp.Type)
-		}
-	})
-	// The whole dispatch costs a handful of allocations; a
-	// count-proportional preallocation would show up as one huge one.
-	if allocs > 64 {
-		t.Fatalf("hostile prove frame cost %.0f allocs — count-proportional preallocation suspected", allocs)
 	}
 }
 
@@ -389,18 +315,17 @@ func insertFrame(name string, tuples []ph.EncryptedTuple) wire.Frame {
 	return wire.Frame{Type: wire.CmdInsertStamped, Payload: payload}
 }
 
-// TestInsertAckCompat: legacy CmdInsert must keep answering bare RespOK
-// (pre-extension clients reject anything else), while CmdInsertStamped
-// carries the placement ack.
+// TestInsertAckCompat: CmdInsert answers bare RespOK (the unpinned
+// client's ack), while CmdInsertStamped carries the placement ack.
 func TestInsertAckCompat(t *testing.T) {
 	s := New(testStore(t), nil)
 	if resp := s.dispatch(storeFrame("emp", encTable(2)), nil); resp.Type != wire.RespOK {
 		t.Fatal("store failed")
 	}
-	legacy := insertFrame("emp", encTable(1).Tuples)
-	legacy.Type = wire.CmdInsert
-	if resp := s.dispatch(legacy, nil); resp.Type != wire.RespOK {
-		t.Fatalf("legacy CmdInsert answered %#x, want bare RespOK", resp.Type)
+	plain := insertFrame("emp", encTable(1).Tuples)
+	plain.Type = wire.CmdInsert
+	if resp := s.dispatch(plain, nil); resp.Type != wire.RespOK {
+		t.Fatalf("CmdInsert answered %#x, want bare RespOK", resp.Type)
 	}
 	resp := s.dispatch(insertFrame("emp", encTable(1).Tuples), nil)
 	if resp.Type != wire.RespInserted {
@@ -412,72 +337,6 @@ func TestInsertAckCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	if base != 3 {
-		t.Fatalf("stamped insert base %d, want 3 (2 stored + 1 legacy insert)", base)
-	}
-}
-
-// TestRootProveTOCTOURegression is the regression test for the
-// verification race the one-round protocol closes. Legacy sequence: the
-// client fetches the root, a mutation lands, the client asks for proofs
-// — the proofs describe a tree the fetched root does not, so an honest
-// answer fails verification (the documented caveat on CmdRoot/CmdProve,
-// asserted here so the failure mode stays understood). New sequence: the
-// same interleaved mutation, but the verified query returns proofs and
-// root from one snapshot — verification must succeed.
-func TestRootProveTOCTOURegression(t *testing.T) {
-	s := New(testStore(t), nil)
-	et := encTable(6)
-	if resp := s.dispatch(storeFrame("emp", et), nil); resp.Type != wire.RespOK {
-		t.Fatal("store failed")
-	}
-
-	// --- Legacy two-round path: fetch root, then mutate, then prove. ---
-	resp := s.dispatch(wire.Frame{Type: wire.CmdRoot, Payload: wire.AppendString(nil, "emp")}, nil)
-	if resp.Type != wire.RespRoot {
-		t.Fatalf("root response %#x", resp.Type)
-	}
-	r := wire.NewBuffer(resp.Payload)
-	pinnedRoot, _ := r.Bytes()
-	pinnedCount, _ := r.U32()
-
-	// The interleaved mutation.
-	if resp := s.dispatch(insertFrame("emp", encTable(3).Tuples), nil); resp.Type != wire.RespInserted {
-		t.Fatalf("insert response %#x", resp.Type)
-	}
-
-	provePayload := wire.AppendString(nil, "emp")
-	provePayload = wire.AppendU32(provePayload, 1)
-	provePayload = wire.AppendU32(provePayload, 0)
-	resp = s.dispatch(wire.Frame{Type: wire.CmdProve, Payload: provePayload}, nil)
-	if resp.Type != wire.RespProofs {
-		t.Fatalf("prove response %#x", resp.Type)
-	}
-	proofs, err := authindex.DecodeProofs(wire.NewBuffer(resp.Payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := authindex.Verify(pinnedRoot, int(pinnedCount), et.Tuples[0], proofs[0]); err == nil {
-		t.Fatal("legacy two-round path verified across a mutation — the TOCTOU this PR documents should have made it fail")
-	}
-
-	// --- One-round path: mutate again, then query verified. ---
-	if resp := s.dispatch(insertFrame("emp", encTable(2).Tuples), nil); resp.Type != wire.RespInserted {
-		t.Fatalf("insert response %#x", resp.Type)
-	}
-	resp = s.dispatch(verifiedQueryFrame("emp", &ph.EncryptedQuery{SchemeID: "server-test", Token: []byte{1}}), nil)
-	if resp.Type != wire.RespResultVerified {
-		t.Fatalf("verified query response %#x: %s", resp.Type, resp.Payload)
-	}
-	vr, err := authindex.DecodeVerifiedResult(wire.NewBuffer(resp.Payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vr.Proofs) == 0 {
-		t.Fatal("verified query returned no proofs to check")
-	}
-	for i, p := range vr.Proofs {
-		if err := authindex.Verify(vr.Root, vr.Leaves, vr.Result.Tuples[i], p); err != nil {
-			t.Fatalf("one-round answer failed verification after interleaved mutations: %v", err)
-		}
+		t.Fatalf("stamped insert base %d, want 3 (2 stored + 1 plain insert)", base)
 	}
 }

@@ -19,16 +19,15 @@ import (
 //     native surface: per-shard sub-answers framed by shard id, which is
 //     what a verifying client needs to check each against its pinned
 //     root vector.
-//   - The legacy single-server commands keep working unchanged for
-//     unverified clients: the coordinator scatters them and merges the
-//     answers into the single-server shape. Merged results renumber
-//     positions synthetically (merge order) — real coordinates are
-//     (shard, offset) pairs that the merged shape cannot carry — which
-//     is sound only because nothing verifies against them; the verified
-//     legacy commands (CmdRoot / CmdProve / CmdQueryVerified, verified
-//     conjunctions) are therefore *refused* with an error naming the
-//     shard-framed alternative, rather than answered with proofs that
-//     could never verify.
+//   - The single-server commands work unchanged for unverified
+//     clients: the coordinator scatters them and merges the answers into
+//     the single-server shape. Merged results renumber positions
+//     synthetically (merge order) — real coordinates are (shard, offset)
+//     pairs that the merged shape cannot carry — which is sound only
+//     because nothing verifies against them; the verified single-server
+//     commands (CmdQueryVerified, verified conjunctions) are therefore
+//     *refused* with an error naming the shard-framed alternative,
+//     rather than answered with proofs that could never verify.
 func (co *Coordinator) Sync() error { return nil }
 
 // HandleFrame serves one command frame against the sharded cluster.
@@ -186,7 +185,7 @@ func (co *Coordinator) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 	case wire.CmdInsertStamped:
 		return wire.Frame{}, fmt.Errorf("coordinator: a single placement ack cannot describe a sharded append; use CmdShardInsert for per-shard acks")
 
-	case wire.CmdRoot, wire.CmdProve, wire.CmdQueryVerified:
+	case wire.CmdQueryVerified:
 		return wire.Frame{}, fmt.Errorf("coordinator: each shard keeps its own authenticated index; use CmdShardQuery with ShardFlagVerified and verify against the per-shard root vector")
 
 	case wire.CmdShipLog, wire.CmdShipSnapshot:

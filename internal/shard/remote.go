@@ -44,8 +44,8 @@ func (rc *Remote) Split(tuples []ph.EncryptedTuple) [][]ph.EncryptedTuple {
 	return rc.m.Split(tuples)
 }
 
-// Store uploads the table through the coordinator's legacy store path
-// (the coordinator partitions it server-side with the same map).
+// Store uploads the table through the coordinator's CmdStore (the
+// coordinator partitions it server-side with the same map).
 func (rc *Remote) Store(name string, t *ph.EncryptedTable) error {
 	return rc.conn.Store(name, t)
 }
@@ -193,8 +193,9 @@ func (rc *Remote) QueryConj(name string, qs []*ph.EncryptedQuery, verified bool,
 	return out, nil
 }
 
-// ExplainConj asks the coordinator for the merged per-shard plan (the
-// legacy explain path; the coordinator scatters and merges).
+// ExplainConj asks the coordinator for the merged per-shard plan
+// (CmdQueryConj with the explain flag; the coordinator scatters and
+// merges).
 func (rc *Remote) ExplainConj(name string, qs []*ph.EncryptedQuery) (*query.PlanInfo, error) {
 	return rc.conn.ExplainConj(name, qs)
 }

@@ -172,12 +172,9 @@ func TestProxyLegacyClient(t *testing.T) {
 		t.Fatalf("merged directory wrong: %+v", infos)
 	}
 
-	// Verified legacy commands are refused, not faked.
-	if _, _, _, err := conn.Root("emp"); err == nil || !strings.Contains(err.Error(), "CmdShardQuery") {
-		t.Fatalf("legacy root fetch not refused with guidance: %v", err)
-	}
-	if _, err := conn.QueryVerified("emp", mustEncrypt(t, scheme, "dept", "HR")); err == nil {
-		t.Fatal("legacy verified query not refused")
+	// The single-server verified command is refused, not faked.
+	if _, err := conn.QueryVerified("emp", mustEncrypt(t, scheme, "dept", "HR")); err == nil || !strings.Contains(err.Error(), "CmdShardQuery") {
+		t.Fatalf("single-server verified query not refused with guidance: %v", err)
 	}
 }
 

@@ -234,62 +234,38 @@ func TestRecoveryCorruptLengthDetected(t *testing.T) {
 	reopenExpect(t, path, want)
 }
 
-// TestRecoveryMixedV0V1Log: a log whose prefix predates the checksummed
-// format (hand-written v0 records) replays alongside v1 records
-// appended by the current code.
-func TestRecoveryMixedV0V1Log(t *testing.T) {
+// TestRecoveryRejectsRecordWithoutMagic: a record boundary that does not
+// start with the magic byte ends the log like any other corrupt record.
+// The log holds v1, v1, bytes in the unchecksummed len|op|payload shape,
+// v1: the first two records survive and the file is truncated at the
+// third, taking the valid record behind it along.
+func TestRecoveryRejectsRecordWithoutMagic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.log")
-	// Hand-write a v0 log: store("emp", 2 tuples) + insert(1 tuple).
-	v0 := func(op byte, payload []byte) []byte {
-		hdr := []byte{
-			byte(len(payload) >> 24), byte(len(payload) >> 16),
-			byte(len(payload) >> 8), byte(len(payload)), op,
-		}
-		return append(hdr, payload...)
-	}
-	base := fakeTable(2)
 	storePayload := wire.AppendString(nil, "emp")
-	storePayload = wire.EncodeTable(storePayload, base)
-	insPayload := wire.AppendString(nil, "emp")
-	insPayload = wire.AppendU32(insPayload, 1)
-	insPayload = wire.EncodeTuple(insPayload, fakeTable(1).Tuples[0])
-	var legacy []byte
-	legacy = append(legacy, v0(opStore, storePayload)...)
-	legacy = append(legacy, v0(opInsert, insPayload)...)
-	if err := os.WriteFile(path, legacy, 0o600); err != nil {
+	storePayload = wire.EncodeTable(storePayload, fakeTable(2))
+	insPayload := fuzzInsertPayload("emp", 1)
+	log := appendWALRecord(nil, opStore, storePayload)
+	log = appendWALRecord(log, opInsert, insPayload)
+	keep := len(log)
+	log = append(log, v0Record(opInsert, insPayload)...)
+	log = appendWALRecord(log, opInsert, insPayload)
+	if err := os.WriteFile(path, log, 0o600); err != nil {
 		t.Fatal(err)
 	}
-
 	s, err := Open(path)
 	if err != nil {
-		t.Fatalf("v0 log did not replay: %v", err)
-	}
-	got, err := s.Get("emp")
-	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Tuples) != 3 {
-		t.Fatalf("v0 replay produced %d tuples, want 3", len(got.Tuples))
+	if _, head := s.LogHead(); head != 2 {
+		t.Fatalf("replay kept %d records, want 2", head)
 	}
-	// Appends from the current code land as v1 records after the v0 prefix.
-	if err := s.Append("emp", fakeTable(2).Tuples); err != nil {
-		t.Fatal(err)
+	if size, _ := s.LogSize(); size != int64(keep) {
+		t.Fatalf("log is %d bytes after replay, want it truncated to %d", size, keep)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatalf("mixed v0+v1 log did not replay: %v", err)
-	}
-	defer s2.Close()
-	got, err = s2.Get("emp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Tuples) != 5 {
-		t.Fatalf("mixed replay produced %d tuples, want 5", len(got.Tuples))
-	}
+	reopenExpect(t, path, 3)
 }
 
 // TestConcurrentMutationsReplayConsistent is the -race ordering test for

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -26,7 +27,8 @@ func fuzzInsertPayload(name string, tuples int) []byte {
 	return p
 }
 
-// v0Record frames a legacy (no-CRC) record: len:u32 | op:u8 | payload.
+// v0Record frames bytes in the shape len:u32 | op:u8 | payload — no
+// magic, no checksum. The log reader must reject them at the boundary.
 func v0Record(op byte, payload []byte) []byte {
 	rec := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
 	rec = append(rec, op)
@@ -34,11 +36,14 @@ func v0Record(op byte, payload []byte) []byte {
 }
 
 // FuzzReplay feeds arbitrary bytes to the WAL replay path. Whatever the
-// file holds — torn headers, corrupt CRCs, hostile length fields, mixed
-// v0/v1 generations, pure junk — replay must never panic, and must
-// stop-and-truncate at the first record it cannot vouch for: after a
-// successful open, a reopen must reproduce exactly the same state, and
-// the on-disk tail it truncated must stay truncated.
+// file holds — torn headers, corrupt CRCs, hostile length fields,
+// records without the magic byte, pure junk — replay must never panic,
+// and must stop-and-truncate at the first record it cannot vouch for:
+// after a successful open, a reopen must reproduce exactly the same
+// state, and the on-disk tail it truncated must stay truncated. And
+// because replay and log shipping read the log through one iterator,
+// the records Open keeps must be exactly — count, op, payload — the
+// records ReadLog then ships from sequence 0.
 func FuzzReplay(f *testing.F) {
 	store := fuzzStorePayload("emp", 3)
 	insert := fuzzInsertPayload("emp", 2)
@@ -47,26 +52,31 @@ func FuzzReplay(f *testing.F) {
 	valid := appendWALRecord(nil, opStore, store)
 	valid = appendWALRecord(valid, opInsert, insert)
 
-	// Clean logs, both generations and mixed.
+	// Clean logs.
 	f.Add([]byte{})
 	f.Add(valid)
 	f.Add(append(appendWALRecord(nil, opStore, store), appendWALRecord(nil, opDrop, drop)...))
+
+	// Records without the magic byte are rejected wherever they sit: the
+	// whole log, its head, or behind a valid record.
 	f.Add(v0Record(opStore, store))
 	f.Add(append(v0Record(opStore, store), appendWALRecord(nil, opInsert, insert)...))
 	f.Add(append(appendWALRecord(nil, opStore, store), v0Record(opInsert, insert)...))
+	f.Add(v0Record(opStore, store)[:3])
+	f.Add(v0Record(0x7F, []byte("junk")))
 
 	// Torn tails: a prefix of a valid record at every interesting cut.
-	f.Add(valid[:3])                                // mid v1 header
-	f.Add(valid[:walV1HdrLen])                      // header only, payload missing
-	f.Add(valid[:len(valid)-1])                     // last payload byte missing
-	f.Add(v0Record(opStore, store)[:walV0HdrLen-2]) // torn v0 header
+	f.Add(valid[:3])            // mid header
+	f.Add(valid[:walV1HdrLen])  // header only, payload missing
+	f.Add(valid[:len(valid)-1]) // last payload byte missing
 
 	// Corrupt CRC: flip a payload byte under a valid header.
 	corrupt := append([]byte(nil), valid...)
 	corrupt[walV1HdrLen+4] ^= 0xFF
 	f.Add(corrupt)
 
-	// Hostile lengths: v1 and v0 headers claiming absurd sizes.
+	// Hostile lengths: a header claiming an absurd size, with and
+	// without the magic byte.
 	huge := []byte{walMagic, opStore, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}
 	f.Add(huge)
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, opStore})
@@ -80,10 +90,12 @@ func FuzzReplay(f *testing.F) {
 	// truncate the garbage.
 	f.Add(append(append([]byte(nil), valid...), 0xDE, 0xAD, 0xBE, 0xEF))
 
-	// An unknown op behind a valid CRC (v1 apply failure is a hard error,
-	// not corruption) and behind a v0 frame (treated as corruption).
+	// Behind a valid CRC, a record that fails to apply is a hard error,
+	// not corruption: an unknown op, and an insert whose declared tuple
+	// count (4 billion) exceeds what its payload could hold.
 	f.Add(appendWALRecord(nil, 0x7F, []byte("junk")))
-	f.Add(v0Record(0x7F, []byte("junk")))
+	hostile := wire.AppendU32(wire.AppendString(nil, "emp"), 0xFFFFFFFF)
+	f.Add(append(appendWALRecord(nil, opStore, store), appendWALRecord(nil, opInsert, hostile)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "wal.log")
@@ -95,7 +107,31 @@ func FuzzReplay(f *testing.F) {
 			return // refused loudly: acceptable, as long as nothing panicked
 		}
 		list1 := s.List()
-		_, head1 := s.LogHead()
+		epoch, head1 := s.LogHead()
+		// Replay truncated the file to exactly the records it kept, so
+		// re-framing what ReadLog ships must reproduce the file.
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var shipped []byte
+		var seq uint64
+		for seq < head1 {
+			recs, _, start, _, err := s.ReadLog(epoch, seq, 1<<20)
+			if err != nil {
+				t.Fatalf("ReadLog at %d: %v", seq, err)
+			}
+			if start != seq || len(recs) == 0 {
+				t.Fatalf("ReadLog at %d of %d answered from %d with %d records", seq, head1, start, len(recs))
+			}
+			for _, rec := range recs {
+				shipped = appendWALRecord(shipped, rec.Op, rec.Payload)
+			}
+			seq += uint64(len(recs))
+		}
+		if seq != head1 || !bytes.Equal(shipped, kept) {
+			t.Fatalf("replay kept %d records (%d bytes), shipping served %d (%d bytes): the two readers disagree", head1, len(kept), seq, len(shipped))
+		}
 		if err := s.Close(); err != nil {
 			t.Fatalf("close after replay: %v", err)
 		}

@@ -10,8 +10,6 @@ import (
 	"os"
 	"sort"
 
-	"repro/internal/cache"
-	"repro/internal/ph"
 	"repro/internal/wire"
 )
 
@@ -27,11 +25,10 @@ import (
 // meaningless, so it rotates the epoch; a follower presenting a cursor
 // from a rotated (or otherwise unknown) epoch is answered from
 // (currentEpoch, 0), telling it to re-bootstrap instead of silently
-// diverging. Bootstrapping itself has two paths: replaying the shipped
-// stream from record 0, or — O(state) instead of O(log) — installing a
-// checksummed snapshot that embeds the cursor it corresponds to (see
-// snapshot.go). A durable follower additionally persists its cursor's
-// provenance in a ship-base sidecar (SetShipBase) so a restart resumes
+// diverging. A follower bootstraps by installing a checksummed snapshot
+// that embeds the cursor it corresponds to (see snapshot.go) — O(state)
+// work however long the log is. A durable follower additionally persists
+// its cursor's provenance in a ship-base sidecar so a restart resumes
 // tailing where it left off.
 //
 // Trust model: replication adds nothing for Eve to learn — shipped
@@ -45,7 +42,7 @@ import (
 const epochSuffix = ".epoch"
 
 // shipBaseSuffix names the sidecar recording where a follower's local
-// log sits in its primary's shipping stream (see SetShipBase).
+// log sits in its primary's shipping stream (see setShipBaseLocked).
 const shipBaseSuffix = ".shipbase"
 
 // maxShipRecords bounds the records one ReadLog answer carries,
@@ -70,13 +67,10 @@ func randomEpoch() (uint64, error) {
 // CRC covering magic+epoch. The checksum is what distinguishes a
 // half-written or bit-flipped sidecar from a legitimate rotation: a
 // corrupt sidecar mints a FRESH epoch (below), so no follower cursor
-// ever resumes against an epoch the disk merely resembles. The v1
-// format (8 raw epoch bytes) is still accepted on read for logs
-// written before the checksum existed.
+// ever resumes against an epoch the disk merely resembles.
 const (
 	epochMagic   = "EPC2"
 	epochV2Len   = 4 + 8 + 4
-	epochV1Len   = 8
 	epochTmpName = ".tmp"
 )
 
@@ -129,20 +123,10 @@ func writeEpoch(path string, epoch uint64) error {
 // under an epoch the store cannot vouch for.
 func loadEpoch(path string) (uint64, error) {
 	b, err := os.ReadFile(path + epochSuffix)
-	if err == nil {
-		switch {
-		case len(b) == epochV2Len && string(b[:4]) == epochMagic:
-			if crc32.Checksum(b[:12], castagnoli) == binary.BigEndian.Uint32(b[12:]) {
-				if e := binary.BigEndian.Uint64(b[4:12]); e != 0 {
-					return e, nil
-				}
-			}
-		case len(b) == epochV1Len:
-			// Legacy unchecksummed sidecar: accept nonzero values so
-			// pre-v2 deployments keep their followers' cursors.
-			if e := binary.BigEndian.Uint64(b); e != 0 {
-				return e, nil
-			}
+	if err == nil && len(b) == epochV2Len && string(b[:4]) == epochMagic &&
+		crc32.Checksum(b[:12], castagnoli) == binary.BigEndian.Uint32(b[12:]) {
+		if e := binary.BigEndian.Uint64(b[4:12]); e != 0 {
+			return e, nil
 		}
 	}
 	if err != nil && !os.IsNotExist(err) {
@@ -167,8 +151,8 @@ func loadEpoch(path string) (uint64, error) {
 // logged record past localRecs is exactly one applied shipped record,
 // so after a restart the cursor resumes at primarySeq + (recs -
 // localRecs). ownEpoch binds the sidecar to the local log file it
-// describes: any swap of the local log (Reset, InstallSnapshot,
-// Compact) rotates the local epoch, so a sidecar from a crashed,
+// describes: any swap of the local log (InstallSnapshot, Compact)
+// rotates the local epoch, so a sidecar from a crashed,
 // half-finished swap fails the binding check and the follower
 // re-bootstraps instead of resuming a cursor that matches neither file.
 const (
@@ -216,30 +200,20 @@ func loadShipBase(path string, ownEpoch uint64) (shipBase, bool) {
 	}, true
 }
 
-// SetShipBase records that this store's current contents correspond to
-// the primary cursor (primaryEpoch, primarySeq). Followers call it when
-// they adopt an epoch at sequence 0; InstallSnapshot records the
-// snapshot's embedded cursor itself. For durable stores the base is
-// persisted in a checksummed sidecar bound to the local log's epoch, so
-// a restarted follower resumes tailing instead of re-bootstrapping.
-func (s *Store) SetShipBase(primaryEpoch, primarySeq uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//phlint:ignore lockio the sidecar fsync must run while s.mu freezes the base/log state it records
-	return s.setShipBaseLocked(primaryEpoch, primarySeq)
-}
-
-// setShipBaseLocked is SetShipBase under a held store lock.
+// setShipBaseLocked records that this store's current contents
+// correspond to the primary cursor (primaryEpoch, primarySeq) —
+// InstallSnapshot calls it with the snapshot's embedded cursor, holding
+// the store lock. For durable stores the base is also persisted in a
+// checksummed sidecar bound to the local log's epoch, so a restarted
+// follower resumes tailing instead of re-bootstrapping; the in-memory
+// base is set whether or not that write succeeds.
 func (s *Store) setShipBaseLocked(primaryEpoch, primarySeq uint64) error {
-	b := shipBase{primaryEpoch: primaryEpoch, primarySeq: primarySeq}
-	if s.wal != nil {
-		b.localRecs = s.wal.records()
-		if err := writeShipBase(s.path, s.epoch, b); err != nil {
-			return err
-		}
+	s.base, s.baseValid = shipBase{primaryEpoch: primaryEpoch, primarySeq: primarySeq}, true
+	if s.wal == nil {
+		return nil
 	}
-	s.base, s.baseValid = b, true
-	return nil
+	s.base.localRecs = s.wal.records()
+	return writeShipBase(s.path, s.epoch, s.base)
 }
 
 // ResumeCursor returns the shipping cursor this store's contents are
@@ -294,19 +268,19 @@ func (s *Store) LogHead() (epoch, head uint64) {
 // epoch and start sequence actually served, plus the log's record head.
 // A cursor ReadLog cannot honour — a rotated epoch, or a sequence past
 // the head — is answered from (currentEpoch, 0), telling the follower
-// to re-bootstrap; a follower therefore resets whenever the reply's
-// epoch or start differs from its cursor.
+// to re-bootstrap; a follower therefore fetches a snapshot whenever the
+// reply's epoch or start differs from its cursor.
 //
 // Concurrency: the epoch is read under the store's read lock before and
 // after the file scan. Compact holds the store lock exclusively across
 // its file swap and epoch bump, so equal epochs either side of the scan
 // prove the bytes scanned all belong to the file the cursor names; on a
-// mismatch the scan is discarded and the follower told to reset. The
-// scan itself runs on a private read handle with no store lock held, so
-// shipping never blocks queries or mutations. Racing appends are safe:
-// the scanner stops at the first torn or CRC-failing record, and the
-// head it reports never exceeds what the writer had accepted at lock
-// time.
+// mismatch the scan is discarded and the follower told to re-bootstrap.
+// The scan itself runs on a private read handle with no store lock
+// held, so shipping never blocks queries or mutations. Racing appends
+// are safe: the scanner stops at the first torn or CRC-failing record,
+// and the head it reports never exceeds what the writer had accepted at
+// lock time.
 func (s *Store) ReadLog(reqEpoch, from uint64, maxBytes uint32) (recs []wire.LogRecord, epoch, start, head uint64, err error) {
 	s.mu.RLock()
 	if s.wal == nil {
@@ -316,7 +290,7 @@ func (s *Store) ReadLog(reqEpoch, from uint64, maxBytes uint32) (recs []wire.Log
 	e1 := s.epoch
 	head = s.wal.records()
 	if reqEpoch != e1 || from > head {
-		from = 0 // rotated or bogus cursor: serve the bootstrap stream
+		from = 0 // rotated or bogus cursor: answer from the log's origin
 	}
 	start = from
 	f, err := os.Open(s.path)
@@ -360,76 +334,31 @@ func (s *Store) ReadLog(reqEpoch, from uint64, maxBytes uint32) (recs []wire.Log
 	return recs, e1, start, head, nil
 }
 
-// scanShipRecords parses up to want records from the log file starting
+// scanShipRecords reads up to want records from the log file starting
 // at byte offset off, first skipping skip records, stopping early once
 // maxBytes of payload are exceeded (but never before the first record).
-// Anything unparsable — a torn header, a CRC mismatch, a concurrent
-// append's half-written tail — ends the scan; the follower just gets a
-// shorter chunk and polls again. nextOff is the byte offset one past
-// the last record returned.
+// The log reader ends the scan at anything it cannot vouch for — a torn
+// header, a CRC mismatch, a concurrent append's half-written tail; the
+// follower just gets a shorter chunk and polls again. nextOff is the
+// byte offset one past the last record returned.
 func scanShipRecords(f *os.File, off int64, skip, want uint64, maxBytes uint32) (recs []wire.LogRecord, nextOff int64) {
-	if want == 0 {
-		return nil, off
-	}
-	budget := int64(maxBytes)
-	if budget <= 0 {
-		budget = 1
-	}
+	budget := max(int64(maxBytes), 1)
 	br := bufio.NewReaderSize(io.NewSectionReader(f, off, 1<<62), 1<<16)
 	nextOff = off
 	var spent int64
 	for uint64(len(recs)) < want {
-		first, err := br.ReadByte()
-		if err != nil {
-			return recs, nextOff
+		op, payload, ok := readWALRecord(br)
+		if !ok {
+			break
 		}
-		var op byte
-		var payload []byte
-		var recLen int64
-		if first == walMagic {
-			var hdr [walV1HdrLen - 1]byte // op, len, crc
-			if _, err := io.ReadFull(br, hdr[:]); err != nil {
-				return recs, nextOff
-			}
-			n := binary.BigEndian.Uint32(hdr[1:5])
-			if n > wire.MaxFrameSize {
-				return recs, nextOff
-			}
-			payload = make([]byte, n)
-			if _, err := io.ReadFull(br, payload); err != nil {
-				return recs, nextOff
-			}
-			crc := crc32.Update(0, castagnoli, hdr[:5])
-			crc = crc32.Update(crc, castagnoli, payload)
-			if crc != binary.BigEndian.Uint32(hdr[5:9]) {
-				return recs, nextOff
-			}
-			op = hdr[0]
-			recLen = walV1HdrLen + int64(n)
-		} else {
-			// Legacy v0: first is the leading byte of the length.
-			var rest [walV0HdrLen - 1]byte // len[1:4], op
-			if _, err := io.ReadFull(br, rest[:]); err != nil {
-				return recs, nextOff
-			}
-			n := uint32(first)<<24 | uint32(rest[0])<<16 | uint32(rest[1])<<8 | uint32(rest[2])
-			if n > wire.MaxFrameSize {
-				return recs, nextOff
-			}
-			op = rest[3]
-			payload = make([]byte, n)
-			if _, err := io.ReadFull(br, payload); err != nil {
-				return recs, nextOff
-			}
-			recLen = walV0HdrLen + int64(n)
-		}
+		recLen := walV1HdrLen + int64(len(payload))
 		if skip > 0 {
 			skip--
 			nextOff += recLen
 			continue
 		}
 		if len(recs) > 0 && spent+recLen > budget {
-			return recs, nextOff
+			break
 		}
 		recs = append(recs, wire.LogRecord{Op: op, Payload: payload})
 		spent += recLen
@@ -447,88 +376,18 @@ func scanShipRecords(f *os.File, off int64, skip, want uint64, maxBytes uint32) 
 // payload, insert into a table the follower does not have) means the
 // follower's view has diverged and it must re-bootstrap.
 func (s *Store) ApplyShipped(rec wire.LogRecord) error {
-	r := wire.NewBuffer(rec.Payload)
+	m, err := decodeRecord(rec.Op, rec.Payload)
+	if err != nil {
+		return fmt.Errorf("storage: shipped record: %w", err)
+	}
 	switch rec.Op {
 	case opStore:
-		name, err := r.String()
-		if err != nil {
-			return fmt.Errorf("storage: shipped store record: %w", err)
-		}
-		t, err := wire.DecodeTable(r)
-		if err != nil {
-			return fmt.Errorf("storage: shipped store record: %w", err)
-		}
-		return s.Put(name, t)
+		return s.Put(m.name, m.table)
 	case opInsert:
-		name, err := r.String()
-		if err != nil {
-			return fmt.Errorf("storage: shipped insert record: %w", err)
-		}
-		n, err := r.U32()
-		if err != nil {
-			return fmt.Errorf("storage: shipped insert record: %w", err)
-		}
-		if int(n) > r.Remaining() {
-			return fmt.Errorf("storage: shipped insert record: tuple count %d exceeds payload", n)
-		}
-		tuples := make([]ph.EncryptedTuple, 0, wire.ClampCount(n, r.Remaining()/8))
-		for i := uint32(0); i < n; i++ {
-			tp, err := wire.DecodeTuple(r)
-			if err != nil {
-				return fmt.Errorf("storage: shipped insert record tuple %d: %w", i, err)
-			}
-			tuples = append(tuples, tp)
-		}
-		return s.Append(name, tuples)
-	case opDrop:
-		name, err := r.String()
-		if err != nil {
-			return fmt.Errorf("storage: shipped drop record: %w", err)
-		}
-		return s.Drop(name)
+		return s.Append(m.name, m.tuples)
 	default:
-		return fmt.Errorf("storage: shipped record has unknown op %#x", rec.Op)
+		return s.Drop(m.name)
 	}
-}
-
-// Reset drops every table and cached result, returning the store to
-// empty. It exists for replica stores that must re-bootstrap after a
-// primary log rotation. For a durable store the log is reset with it —
-// an empty replacement file is fsynced and renamed over the old log
-// under Compact's crash discipline (the local epoch rotates, so a stale
-// ship-base sidecar fails its binding check) — because resetting memory
-// without the log would fork the two.
-func (s *Store) Reset() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Quiesce and retire every entry: write-locking an entry excludes
-	// in-flight appends past their catalogue lookup, so no log write is
-	// in flight when the file is swapped, and marking it stale sends
-	// those appends back to the (new, empty) catalogue.
-	entries := s.lockAllEntries()
-	if s.wal != nil {
-		tmpPath := s.path + ".reset"
-		tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o600)
-		if err != nil {
-			unlockEntries(entries, false)
-			return fmt.Errorf("storage: creating reset log: %w", err)
-		}
-		//phlint:ignore lockio log rotation is stop-the-world by design: every table is quiesced and the swap must be atomic with the catalogue
-		if err := s.rotateLog(tmp, tmpPath, 0, 0); err != nil {
-			unlockEntries(entries, false)
-			return err
-		}
-	}
-	unlockEntries(entries, true)
-	s.tables = make(map[string]*tableEntry)
-	if s.cache != nil {
-		s.cache = cache.New(0)
-	}
-	s.baseValid = false
-	if s.wal != nil {
-		os.Remove(s.path + shipBaseSuffix)
-	}
-	return nil
 }
 
 // lockAllEntries write-locks every catalogued entry in sorted name

@@ -16,9 +16,10 @@ type shipCursor struct {
 	epoch, seq uint64
 }
 
-// tailOnce runs one follower poll: read a chunk at the cursor, reset on
-// rotation, apply, advance. Returns whether the follower is caught up
-// with the head the poll observed.
+// tailOnce runs one follower poll: read a chunk at the cursor and apply
+// it; on rotation (or first contact) bootstrap from a snapshot the way
+// the real follower does and resume from its embedded cursor. Returns
+// whether the follower is caught up with the head the poll observed.
 func tailOnce(t *testing.T, primary, follower *Store, cur *shipCursor, maxBytes uint32) bool {
 	t.Helper()
 	recs, epoch, start, head, err := primary.ReadLog(cur.epoch, cur.seq, maxBytes)
@@ -26,16 +27,20 @@ func tailOnce(t *testing.T, primary, follower *Store, cur *shipCursor, maxBytes 
 		t.Fatalf("ReadLog: %v", err)
 	}
 	if epoch != cur.epoch || start != cur.seq {
-		// Rotation (or first contact): restart from the served origin.
-		if err := follower.Reset(); err != nil {
-			t.Fatalf("Reset: %v", err)
+		var snap bytes.Buffer
+		if _, err := primary.WriteSnapshot(&snap); err != nil {
+			t.Fatalf("WriteSnapshot: %v", err)
 		}
-		cur.epoch, cur.seq = epoch, start
+		sc, err := follower.InstallSnapshot(snap.Bytes())
+		if err != nil {
+			t.Fatalf("InstallSnapshot: %v", err)
+		}
+		cur.epoch, cur.seq = sc.Epoch, sc.Seq
+		return false
 	}
 	for _, rec := range recs {
 		if err := follower.ApplyShipped(rec); err != nil {
-			// Divergence: drop everything and re-bootstrap next poll.
-			follower.Reset()
+			// Divergence: void the cursor and re-bootstrap next poll.
 			cur.epoch, cur.seq = 0, 0
 			return false
 		}
@@ -137,13 +142,14 @@ func TestShipSmallBudgetResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	f := NewMemory()
+	var cur shipCursor
+	catchUp(t, p, f, &cur) // bootstrap first, so the records below are tailed
 	for i := 0; i < 8; i++ {
 		if err := p.Put(fmt.Sprintf("t%d", i), fakeTable(2)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	f := NewMemory()
-	var cur shipCursor
 	polls := 0
 	for !tailOnce(t, p, f, &cur, 1) { // 1-byte budget: one record per poll
 		polls++
@@ -273,52 +279,6 @@ func TestShipLostSidecarRotates(t *testing.T) {
 	defer p2.Close()
 	if p2.LogEpoch() == e1 {
 		t.Fatal("lost sidecar reused the old epoch; stale cursors could resolve wrongly")
-	}
-}
-
-// TestResetDurable pins the lifted memory-only restriction: Reset on a
-// durable store resets the log together with memory (no fork), rotates
-// the shipping epoch so stale cursors cannot resolve into the new file,
-// and leaves a store that accepts writes and reopens to exactly what
-// was written after the reset.
-func TestResetDurable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	p, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Put("emp", fakeTable(3)); err != nil {
-		t.Fatal(err)
-	}
-	oldEpoch := p.LogEpoch()
-	if err := p.Reset(); err != nil {
-		t.Fatalf("durable Reset: %v", err)
-	}
-	if n := len(p.List()); n != 0 {
-		t.Fatalf("after Reset, %d tables remain", n)
-	}
-	if size, _ := p.LogSize(); size != 0 {
-		t.Fatalf("after Reset, log holds %d bytes; memory and log forked", size)
-	}
-	if p.LogEpoch() == oldEpoch {
-		t.Fatal("Reset kept the shipping epoch; stale cursors would resolve into the new file")
-	}
-	if err := p.Put("dept", fakeTable(2)); err != nil {
-		t.Fatalf("write after Reset: %v", err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(path)
-	if err != nil {
-		t.Fatalf("reopen after Reset: %v", err)
-	}
-	defer r.Close()
-	if got := len(r.List()); got != 1 {
-		t.Fatalf("reopened store has %d tables, want just the post-Reset one", got)
-	}
-	if _, err := r.Get("dept"); err != nil {
-		t.Fatalf("post-Reset table lost across reopen: %v", err)
 	}
 }
 

@@ -1,11 +1,11 @@
 package storage
 
-// Snapshot shipping: the O(state) bootstrap path for followers (the
-// O(log) alternative is replaying the shipped WAL from record 0, see
-// ship.go). A snapshot is a self-verifying byte string — every field
-// that steers decoding is checksummed before it is believed — that
-// captures the catalogue at one shipping cursor and embeds that cursor,
-// so the installer knows exactly where to resume tailing.
+// Snapshot shipping: how followers bootstrap, in O(state) work however
+// long the primary's log is. A snapshot is a self-verifying byte string
+// — every field that steers decoding is checksummed before it is
+// believed — that captures the catalogue at one shipping cursor and
+// embeds that cursor, so the installer knows exactly where to resume
+// tailing.
 //
 // Format (all integers big-endian):
 //
@@ -329,15 +329,9 @@ func (s *Store) InstallSnapshot(data []byte) (ShipCursor, error) {
 		s.snapBuf = nil
 		s.snapMu.Unlock()
 	}
+	// A failed sidecar write only costs a re-bootstrap after the next
+	// restart; the in-memory base is sound for this process.
 	//phlint:ignore lockio the sidecar fsync must run while s.mu freezes the base/log state it records
-	if err := s.setShipBaseLocked(cur.Epoch, cur.Seq); err != nil {
-		// A failed sidecar write only costs a re-bootstrap after the next
-		// restart; the in-memory base is sound for this process.
-		b := shipBase{primaryEpoch: cur.Epoch, primarySeq: cur.Seq}
-		if s.wal != nil {
-			b.localRecs = s.wal.records()
-		}
-		s.base, s.baseValid = b, true
-	}
+	_ = s.setShipBaseLocked(cur.Epoch, cur.Seq)
 	return cur, nil
 }

@@ -357,12 +357,13 @@ func TestEpochSidecarBitFlip(t *testing.T) {
 	}
 }
 
-// TestEpochSidecarLegacy pins v1 acceptance: an 8-byte unchecksummed
-// sidecar from a pre-v2 deployment keeps its epoch.
-func TestEpochSidecarLegacy(t *testing.T) {
+// TestEpochSidecarUnchecksummed: an 8-byte sidecar of raw epoch bytes
+// carries no checksum to vouch for it, so it mints a fresh epoch — the
+// same outcome as a torn one.
+func TestEpochSidecarUnchecksummed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	legacy := []byte{0, 0, 0, 0, 0, 0, 0xBE, 0xEF}
-	if err := os.WriteFile(path+epochSuffix, legacy, 0o600); err != nil {
+	raw := []byte{0, 0, 0, 0, 0, 0, 0xBE, 0xEF}
+	if err := os.WriteFile(path+epochSuffix, raw, 0o600); err != nil {
 		t.Fatal(err)
 	}
 	p, err := Open(path)
@@ -370,8 +371,11 @@ func TestEpochSidecarLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if got := p.LogEpoch(); got != 0xBEEF {
-		t.Fatalf("legacy sidecar epoch = %#x, want 0xbeef", got)
+	if got := p.LogEpoch(); got == 0xBEEF || got == 0 {
+		t.Fatalf("unchecksummed sidecar: epoch = %#x, want a fresh nonzero one", got)
+	}
+	if b, _ := os.ReadFile(path + epochSuffix); len(b) != epochV2Len {
+		t.Fatalf("sidecar is %d bytes after open, want it rewritten as %d", len(b), epochV2Len)
 	}
 }
 
@@ -384,7 +388,10 @@ func TestShipBaseSidecarCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SetShipBase(42, 7); err != nil {
+	p.mu.Lock()
+	err = p.setShipBaseLocked(42, 7)
+	p.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if e, s, ok := p.ResumeCursor(); !ok || e != 42 || s != 7 {

@@ -4,16 +4,17 @@
 // here is exactly what the wire protocol delivered.
 //
 // Durability model: each mutation (store, insert, drop) is framed as a
-// checksummed log record (format v1: magic, op, length, CRC32C; legacy
-// v0 records without a checksum replay too) and appended through a
-// dedicated log writer before it is applied in memory and acknowledged.
+// checksummed log record (format v1: magic, op, length, CRC32C) and
+// appended through a dedicated log writer before it is applied in memory
+// and acknowledged.
 // The sync policy decides what "acknowledged" promises: under SyncAlways
 // (the default) the record is fsynced first, with concurrent writers
 // sharing one fsync through group commit; SyncInterval fsyncs in the
 // background every interval; SyncNever leaves flushing to the OS. Close
 // always syncs, so a clean shutdown is durable under every policy. On
 // open the log is replayed: a torn trailing record (crash mid-append)
-// and anything after a corrupt record (CRC mismatch) is truncated away,
+// and anything after a corrupt record (CRC mismatch, or a record
+// boundary that does not start with the magic byte) is truncated away,
 // so replay never silently misapplies bytes the CRC disowns.
 //
 // Degradation under write failure (disk full, I/O error, failed fsync):
@@ -71,7 +72,7 @@
 //
 // Authenticated index: each table entry owns a version-stamped Merkle
 // tree (internal/authindex) over its tuples, built lazily on the first
-// Root/Prove/QueryVerified and from then on extended incrementally —
+// Root/QueryVerified and from then on extended incrementally —
 // Append hashes just the new tuples and repairs the tree in O(k + log n)
 // under the table's write lock (only if the tree was ever materialised;
 // unauthenticated workloads pay nothing). Readers catch the tree up
@@ -90,19 +91,16 @@
 // records through the normal Put/Append/Drop, producing bit-identical
 // tuples and therefore the primary's Merkle roots. A follower whose
 // cursor no longer resolves bootstraps from a checksummed snapshot of
-// the live state (snapshot.go) instead of replaying from record 0, and
-// a durable follower persists its shipping base in a sidecar so it
-// resumes tailing across its own restarts. See ship.go, snapshot.go and
+// the live state (snapshot.go), and a durable follower persists its
+// shipping base in a sidecar so it resumes tailing across its own
+// restarts. See ship.go, snapshot.go and
 // internal/replica for the follower side.
 package storage
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"sort"
 	"sync"
@@ -129,7 +127,7 @@ type tableEntry struct {
 	mu sync.RWMutex
 	t  *ph.EncryptedTable
 	// tree is the table's authenticated index (Merkle tree over the
-	// tuples), built lazily on the first Root/Prove/QueryVerified and
+	// tuples), built lazily on the first Root/QueryVerified and
 	// extended incrementally on Append. treeN is the tuple count the tree
 	// covers; treeMu serialises catch-up between concurrent readers.
 	// Invariant: the tree is only ever a prefix view (treeN <=
@@ -225,7 +223,7 @@ type Store struct {
 	shipOff   int64
 
 	// wrapLog is Options.WrapLog, retained so every replacement log
-	// handle installed by Compact, Reset or InstallSnapshot passes
+	// handle installed by Compact or InstallSnapshot passes
 	// through the same fault seam as the handle opened at OpenOptions.
 	wrapLog func(LogFile) LogFile
 
@@ -388,15 +386,13 @@ func (s *Store) CacheStats() cache.Stats {
 }
 
 // replay loads the log at path into memory. Replay stops at the first
-// record that fails integrity checks — a torn header or payload (crash
-// mid-append) or a v1 record whose CRC does not match its bytes — and
-// truncates the log there, so nothing after a corrupt length or flipped
-// byte is ever misapplied. v1 records that verify but fail to apply are
-// a hard error (they indicate a format from a newer version, not
-// corruption); unverifiable legacy v0 records that fail to apply are
-// treated as corruption and truncated. The returned count — how many
-// records survived — seeds the log-shipping sequence (a follower's cursor
-// indexes records of the current file).
+// record the log reader cannot vouch for (see readWALRecord) and
+// truncates the log there, so nothing after a torn record, a corrupt
+// length or a flipped byte is ever misapplied. A record that verifies
+// but fails to apply is a hard error: its bytes are what was written, so
+// it indicates a format this build does not know, not corruption. The
+// returned count — how many records survived — seeds the log-shipping
+// sequence (a follower's cursor indexes records of the current file).
 func (s *Store) replay(path string) (uint64, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -409,59 +405,15 @@ func (s *Store) replay(path string) (uint64, error) {
 	br := bufio.NewReaderSize(f, 1<<16)
 	var validOffset int64
 	var recs uint64
-scan:
 	for {
-		first, err := br.ReadByte()
-		if err != nil {
-			break // io.EOF: clean end of log
+		op, payload, ok := readWALRecord(br)
+		if !ok {
+			break
 		}
-		var op byte
-		var payload []byte
-		var recLen int64
-		if first == walMagic {
-			var hdr [walV1HdrLen - 1]byte // op, len, crc
-			if _, err := io.ReadFull(br, hdr[:]); err != nil {
-				break // torn v1 header
-			}
-			n := binary.BigEndian.Uint32(hdr[1:5])
-			if n > wire.MaxFrameSize {
-				break // corrupt length (CRC would fail anyway)
-			}
-			payload = make([]byte, n)
-			if _, err := io.ReadFull(br, payload); err != nil {
-				break // torn payload
-			}
-			crc := crc32.Update(0, castagnoli, hdr[:5])
-			crc = crc32.Update(crc, castagnoli, payload)
-			if crc != binary.BigEndian.Uint32(hdr[5:9]) {
-				break // corrupt record
-			}
-			op = hdr[0]
-			recLen = walV1HdrLen + int64(n)
-			if err := s.applyRecord(op, payload); err != nil {
-				return 0, fmt.Errorf("storage: replaying log %s at offset %d: %w", path, validOffset, err)
-			}
-		} else {
-			// Legacy v0: first is the leading byte of the length.
-			var rest [walV0HdrLen - 1]byte // len[1:4], op
-			if _, err := io.ReadFull(br, rest[:]); err != nil {
-				break // torn v0 header
-			}
-			n := uint32(first)<<24 | uint32(rest[0])<<16 | uint32(rest[1])<<8 | uint32(rest[2])
-			if n > wire.MaxFrameSize {
-				break // corrupt length
-			}
-			op = rest[3]
-			payload = make([]byte, n)
-			if _, err := io.ReadFull(br, payload); err != nil {
-				break // torn payload
-			}
-			recLen = walV0HdrLen + int64(n)
-			if err := s.applyRecord(op, payload); err != nil {
-				break scan // unverifiable legacy record: treat as corruption
-			}
+		if err := s.applyRecord(op, payload); err != nil {
+			return 0, fmt.Errorf("storage: replaying log %s at offset %d: %w", path, validOffset, err)
 		}
-		validOffset += recLen
+		validOffset += walV1HdrLen + int64(len(payload))
 		recs++
 	}
 	// Truncate any torn or corrupt tail so the next append starts at a
@@ -478,51 +430,67 @@ scan:
 	return recs, nil
 }
 
-// applyRecord applies one replayed record to the in-memory state. Replay
-// runs before the store is shared, so no table locks are needed.
-func (s *Store) applyRecord(op byte, payload []byte) error {
+// mutation is one decoded log record: the table it names, plus the
+// table stored (opStore) or the tuples appended (opInsert).
+type mutation struct {
+	name   string
+	table  *ph.EncryptedTable
+	tuples []ph.EncryptedTuple
+}
+
+// decodeRecord decodes one log record payload. Replay and ApplyShipped
+// both go through it, so a record means the same mutation whether it is
+// read back from the local log or shipped from a primary's.
+func decodeRecord(op byte, payload []byte) (m mutation, err error) {
+	if op != opStore && op != opInsert && op != opDrop {
+		return m, fmt.Errorf("storage: unknown log op %#x", op)
+	}
 	r := wire.NewBuffer(payload)
+	if m.name, err = r.String(); err != nil {
+		return m, err
+	}
 	switch op {
 	case opStore:
-		name, err := r.String()
-		if err != nil {
-			return err
-		}
-		t, err := wire.DecodeTable(r)
-		if err != nil {
-			return err
-		}
-		v := s.clock.Add(1)
-		s.tables[name] = newTableEntry(t, v)
+		m.table, err = wire.DecodeTable(r)
 	case opInsert:
-		name, err := r.String()
-		if err != nil {
-			return err
+		var n uint32
+		if n, err = r.U32(); err != nil {
+			return m, err
 		}
-		e, ok := s.tables[name]
-		if !ok {
-			return fmt.Errorf("storage: insert into unknown table %q", name)
+		if int(n) > r.Remaining() {
+			return m, fmt.Errorf("storage: insert record: tuple count %d exceeds payload", n)
 		}
-		n, err := r.U32()
-		if err != nil {
-			return err
-		}
+		m.tuples = make([]ph.EncryptedTuple, 0, wire.ClampCount(n, r.Remaining()/8))
 		for i := uint32(0); i < n; i++ {
 			tp, err := wire.DecodeTuple(r)
 			if err != nil {
-				return err
+				return m, fmt.Errorf("storage: insert record tuple %d: %w", i, err)
 			}
-			e.t.Tuples = append(e.t.Tuples, tp)
+			m.tuples = append(m.tuples, tp)
 		}
+	}
+	return m, err
+}
+
+// applyRecord applies one replayed record to the in-memory state. Replay
+// runs before the store is shared, so no table locks are needed.
+func (s *Store) applyRecord(op byte, payload []byte) error {
+	m, err := decodeRecord(op, payload)
+	if err != nil {
+		return err
+	}
+	switch op {
+	case opStore:
+		s.tables[m.name] = newTableEntry(m.table, s.clock.Add(1))
+	case opInsert:
+		e, ok := s.tables[m.name]
+		if !ok {
+			return fmt.Errorf("storage: insert into unknown table %q", m.name)
+		}
+		e.t.Tuples = append(e.t.Tuples, m.tuples...)
 		e.version = s.clock.Add(1)
 	case opDrop:
-		name, err := r.String()
-		if err != nil {
-			return err
-		}
-		delete(s.tables, name)
-	default:
-		return fmt.Errorf("storage: unknown log op %#x", op)
+		delete(s.tables, m.name)
 	}
 	return nil
 }
@@ -926,8 +894,7 @@ func (s *Store) ExplainConj(name string, qs []*ph.EncryptedQuery) (*query.PlanIn
 // Root returns the named table's authenticated-index root, tuple count
 // and version, all from one read-locked snapshot. The tree is built on
 // first use and extended incrementally afterwards, so this is O(1)
-// hashing on a quiescent table and O(tail) after appends — never the
-// seed's deep-copy-and-rebuild.
+// hashing on a quiescent table and O(tail) after appends.
 func (s *Store) Root(name string) (root []byte, tuples int, version uint64, err error) {
 	e, _, _, err := s.entry(name)
 	if err != nil {
@@ -938,32 +905,11 @@ func (s *Store) Root(name string) (root []byte, tuples int, version uint64, err 
 	return e.authTree().Root(), len(e.t.Tuples), e.version, nil
 }
 
-// Prove returns inclusion proofs for the given positions plus the root,
-// tuple count and version of the snapshot that produced them, under one
-// read-lock acquisition. Note that the legacy two-round protocol
-// (CmdRoot, then CmdProve) still races mutations *between* the two calls
-// — these proofs verify against the root returned here, not necessarily
-// against one fetched earlier; QueryVerified is the race-free path.
-func (s *Store) Prove(name string, positions []int) (proofs []authindex.Proof, root []byte, tuples int, version uint64, err error) {
-	e, _, _, err := s.entry(name)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	tree := e.authTree()
-	proofs, err = tree.Prove(positions)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	return proofs, tree.Root(), len(e.t.Tuples), e.version, nil
-}
-
 // QueryVerified evaluates the encrypted query and builds inclusion
 // proofs for every matching tuple from the same table snapshot, under a
 // single read-lock acquisition: the result, proofs, root, leaf count and
-// version are mutually consistent by construction, which is what
-// eliminates the Root/Prove TOCTOU of the legacy protocol. The
+// version are mutually consistent by construction, so a mutation racing
+// the request can never make an honest answer fail verification. The
 // evaluation itself goes through the same result-cache path as Query, so
 // a verified hot-word query costs the cache hit plus O(matches · log n)
 // proof hashes.
@@ -1093,8 +1039,8 @@ func (s *Store) Compact() error {
 }
 
 // rotateLog swaps a fully written replacement log file into place under
-// Compact's crash discipline, shared by Compact, Reset and
-// InstallSnapshot. The caller holds s.mu exclusively and has quiesced
+// Compact's crash discipline, shared by Compact and InstallSnapshot.
+// The caller holds s.mu exclusively and has quiesced
 // every table (so the log writer has nothing in flight), and has
 // written tmp's records but not synced them. On any failure before the
 // rename the temp file is removed and the old log — still valid — stays

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -76,7 +77,7 @@ type Options struct {
 	SyncInterval time.Duration
 	// WrapLog, when set, wraps every append handle the store opens over
 	// its log — the one opened at OpenOptions and every replacement
-	// installed by Compact, Reset or InstallSnapshot. It is the fault
+	// installed by Compact or InstallSnapshot. It is the fault
 	// seam: internal/fault's File threads ENOSPC, fsync failures, torn
 	// writes and crash points through it. Replay and shipping read the
 	// log through separate read-only handles that are not wrapped.
@@ -92,25 +93,49 @@ type LogStats struct {
 	Syncs uint64
 }
 
-// Log record format. Two generations coexist in one log:
+// Log record format v1:
 //
-//	v0 (legacy):  len:u32 | op:u8 | payload          — no integrity check
-//	v1:           magic:0xD1 | op:u8 | len:u32 | crc32c:u32 | payload
+//	magic:0xD1 | op:u8 | len:u32 | crc32c:u32 | payload
 //
-// The v1 CRC (Castagnoli) covers op, len and payload, so a corrupt
-// length or flipped payload byte is detected instead of silently
-// misapplying the record or truncating everything after it. The two are
-// distinguishable at any record boundary because a v0 length is capped
-// at MaxFrameSize (64 MiB), so its first byte is at most 0x04 and can
-// never equal the v1 magic. New records are always written as v1; v0 is
-// replay-only, for logs written before the format existed.
+// The CRC (Castagnoli) covers op, len and payload, so a corrupt length
+// or flipped payload byte is detected instead of silently misapplying
+// the record or truncating everything after it.
 const (
 	walMagic    = 0xD1
 	walV1HdrLen = 10
-	walV0HdrLen = 5
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// readWALRecord returns the next record of a log byte stream. It is the
+// one place log framing is parsed: replay and log shipping both iterate
+// with it, so they can differ in what they do with a record but never in
+// what they take a record to be. ok is false at the end of the log: a
+// clean EOF, or the first record the format cannot vouch for — a byte
+// that is not walMagic at a record boundary, a torn header or payload
+// (crash mid-append, or a concurrent append's half-written tail), a
+// length above the frame cap, or a CRC that disowns its bytes. A record
+// occupies walV1HdrLen + len(payload) bytes of the stream.
+func readWALRecord(br *bufio.Reader) (op byte, payload []byte, ok bool) {
+	var hdr [walV1HdrLen]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil || hdr[0] != walMagic {
+		return 0, nil, false
+	}
+	n := binary.BigEndian.Uint32(hdr[2:6])
+	if n > wire.MaxFrameSize {
+		return 0, nil, false
+	}
+	payload = make([]byte, n)
+	if _, err := io.ReadFull(br, payload); err != nil {
+		return 0, nil, false
+	}
+	crc := crc32.Update(0, castagnoli, hdr[1:6])
+	crc = crc32.Update(crc, castagnoli, payload)
+	if crc != binary.BigEndian.Uint32(hdr[6:10]) {
+		return 0, nil, false
+	}
+	return hdr[1], payload, true
+}
 
 // appendWALRecord appends one v1 record to dst and returns the grown
 // slice. Staging into a reused buffer is the allocation-free replacement

@@ -45,24 +45,18 @@ const (
 	CmdDrop byte = 0x05
 	// CmdList enumerates stored tables.
 	CmdList byte = 0x06
-	// CmdRoot requests the authenticated-index root for a table
-	// (extension; see internal/authindex).
-	CmdRoot byte = 0x07
-	// CmdProve requests inclusion proofs for result positions
-	// (extension).
-	CmdProve byte = 0x08
 	// CmdQueryBatch evaluates several encrypted queries against one
 	// table in a single round trip.
 	CmdQueryBatch byte = 0x09
 	// CmdQueryVerified evaluates an encrypted query and returns the
 	// result together with inclusion proofs, root, leaf count and
-	// version cut from the same table snapshot (extension; the race-free
-	// replacement for the CmdRoot + CmdProve pair).
+	// version cut from the same table snapshot (extension; see
+	// internal/authindex). Proofs travel with the root they belong to,
+	// so a mutation racing the request cannot make an honest answer fail.
 	CmdQueryVerified byte = 0x0A
 	// CmdInsertStamped is CmdInsert answered with a RespInserted
-	// placement ack instead of a bare RespOK (extension). It is a
-	// separate command so pre-extension clients sending CmdInsert keep
-	// receiving the RespOK they expect.
+	// placement ack instead of a bare RespOK (extension): a client with
+	// a pinned root sends this one, a client without sends CmdInsert.
 	CmdInsertStamped byte = 0x0B
 	// CmdQueryConj evaluates a conjunction of encrypted queries
 	// server-side through the selectivity-ordered planner
@@ -118,10 +112,6 @@ const (
 	RespTable byte = 0x84
 	// RespList carries the table directory.
 	RespList byte = 0x85
-	// RespRoot carries a Merkle root (extension).
-	RespRoot byte = 0x86
-	// RespProofs carries Merkle inclusion proofs (extension).
-	RespProofs byte = 0x87
 	// RespResults carries several ph.Results (answer to CmdQueryBatch).
 	RespResults byte = 0x88
 	// RespInserted acknowledges CmdInsertStamped with the append's
