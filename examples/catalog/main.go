@@ -113,7 +113,7 @@ func main() {
 
 	// SQL routed by FROM clause: "payroll" by remote name, "patients" by
 	// schema name. The multi-predicate statement runs through the
-	// server-side conjunctive planner (one CmdQueryConj; only the
+	// server-side conjunctive planner (one read request; only the
 	// intersection crosses the wire).
 	for _, sql := range []string{
 		"SELECT name, salary FROM payroll WHERE dept = 'HR'",

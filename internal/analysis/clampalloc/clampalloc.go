@@ -1,7 +1,7 @@
 // Package clampalloc flags allocations sized by wire-decoded integers
 // that reach make() without a clamp — the hostile-count allocation-bomb
-// class fixed by hand in PRs 4, 5 and 7 (CmdProve counts, CmdQueryConj
-// counts, snapshot table counts). A count field read off the wire is
+// class fixed by hand in PRs 4, 5 and 7 (proof counts, conjunct counts,
+// snapshot table counts). A count field read off the wire is
 // attacker-controlled: a 10-byte frame declaring 2^32 elements must not
 // force a multi-gigabyte allocation before the decode loop notices the
 // payload is short.

@@ -126,7 +126,7 @@ func TestFrontierOf(t *testing.T) {
 	}
 }
 
-// TestVerifiedResultCodecRoundTrip round-trips the one-round verified
+// TestVerifiedResultCodecRoundTrip round-trips the verified
 // answer.
 func TestVerifiedResultCodecRoundTrip(t *testing.T) {
 	tab := tableOf(9)

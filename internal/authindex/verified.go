@@ -7,8 +7,8 @@ import (
 	"repro/internal/wire"
 )
 
-// VerifiedResult is the answer to a one-round verified query
-// (wire.CmdQueryVerified): the query result together with the inclusion
+// VerifiedResult is the answer to one plan of a verified read
+// (wire.ReadFlagVerified): the plan's result together with the inclusion
 // proofs, root, leaf count and store version of the *same* table
 // snapshot, taken under a single lock acquisition server-side. Because
 // everything is cut from one snapshot, proofs always verify against the

@@ -417,7 +417,7 @@ func TestE17Shapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	clientSide := findRow(t, tab, "client-side: SelectMany + Intersect")
-	push := findRow(t, tab, "pushdown: CmdQueryConj planner")
+	push := findRow(t, tab, "pushdown: one-plan planner")
 	for _, row := range []int{clientSide, push} {
 		if ns := cell(t, tab, row, 2); ns <= 0 {
 			t.Errorf("E17 row %d: non-positive ns/op %v", row, ns)

@@ -83,12 +83,13 @@ func selectConjClientSide(db *client.DB, eqs []relation.Eq) (*relation.Table, er
 // 2-conjunct query whose predicates match ~50% and ~0.5% of a ≥10k-tuple
 // table, it measures bytes-over-wire and end-to-end latency of
 //
-//   - the client-side path: one CmdQueryBatch shipping every conjunct's
-//     full match set, decryption and relation.Intersect client-side
-//     (selectConjClientSide above); against
-//   - the pushdown path: one CmdQueryConj, the server's
-//     selectivity-ordered planner narrowing survivors, only the
-//     intersection shipped (DB.SelectConj).
+//   - the client-side path: one read request of one-conjunct plans
+//     shipping every conjunct's full match set, decryption and
+//     relation.Intersect client-side (selectConjClientSide above);
+//     against
+//   - the pushdown path: one read request of one plan holding every
+//     conjunct, the server's selectivity-ordered planner narrowing
+//     survivors, only the intersection shipped (DB.SelectConj).
 //
 // Both run against the same live server over an in-memory pipe with a
 // byte counter on the client side, both warmed once (the server's
@@ -107,8 +108,8 @@ func RunE17(tuples int, seed int64) (*Table, error) {
 			tuples),
 		Header: []string{"path", "unit", "ns/op", "bytes/op", "allocs/op"},
 		Notes: []string{
-			"'client-side' ships every conjunct's full match set (CmdQueryBatch) and intersects after decryption — transfer and client CPU scale with the LEAST selective conjunct",
-			"'pushdown' plans by estimated selectivity server-side (CmdQueryConj) and ships only the intersection",
+			"'client-side' ships every conjunct's full match set (one plan per conjunct) and intersects after decryption — transfer and client CPU scale with the LEAST selective conjunct",
+			"'pushdown' plans by estimated selectivity server-side (one plan of all conjuncts) and ships only the intersection",
 			"both paths measured warm against the same server: the result cache accelerates both alike, so the gap is pure transfer+decrypt+intersect",
 		},
 	}
@@ -174,7 +175,7 @@ func RunE17(tuples int, seed int64) (*Table, error) {
 			_, err := selectConjClientSide(db, conj)
 			return err
 		}},
-		{"pushdown: CmdQueryConj planner", func() error {
+		{"pushdown: one-plan planner", func() error {
 			_, err := db.SelectConj(conj)
 			return err
 		}},

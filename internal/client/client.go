@@ -4,14 +4,16 @@
 // terms — plaintext tables in, plaintext results out — while nothing but
 // ciphertext ever crosses the connection.
 //
-// Conjunctions (`WHERE a = x AND b = y`) are pushed down to the server:
-// DB.Query encrypts one token per conjunct and sends a single
-// CmdQueryConj, and the server's selectivity-ordered planner
-// (internal/query) intersects the scheme-opaque position sets where the
-// data lives, returning only the tuples in the intersection — with
-// inclusion proofs from the same snapshot when a root is pinned.
-// Pushdown changes where the intersection happens, not what the server
-// learns: per-conjunct access patterns are on the wire either way.
+// Every read is the same message. A select is a plan of one conjunct, a
+// conjunction (`WHERE a = x AND b = y`) a plan of several, a SelectMany
+// a list of plans; DB encrypts one token per conjunct and sends them all
+// as a single request (Conn.Read), and the server's selectivity-ordered
+// planner (internal/query) intersects the scheme-opaque position sets
+// where the data lives, returning only the tuples in each plan's
+// intersection — with inclusion proofs from the same snapshot when a
+// root is pinned. Pushdown changes where the intersection happens, not
+// what the server learns: per-conjunct access patterns are on the wire
+// either way.
 //
 // The transport is allowed to fail: DialWithConfig retries dials with
 // jittered backoff, connections take per-round-trip I/O deadlines, and
@@ -135,12 +137,7 @@ type InsertAck struct {
 // Insert appends encrypted tuples to a stored table via CmdInsert (bare
 // RespOK ack) — what a DB without a pinned root sends.
 func (c *Conn) Insert(name string, tuples []ph.EncryptedTuple) error {
-	payload := wire.AppendString(nil, name)
-	payload = wire.AppendU32(payload, uint32(len(tuples)))
-	for _, tp := range tuples {
-		payload = wire.EncodeTuple(payload, tp)
-	}
-	resp, err := c.roundTrip(wire.Frame{Type: wire.CmdInsert, Payload: payload})
+	resp, err := c.roundTrip(wire.Frame{Type: wire.CmdInsert, Payload: wire.EncodeInsert(nil, name, tuples)})
 	if err != nil {
 		return err
 	}
@@ -156,12 +153,7 @@ func (c *Conn) Insert(name string, tuples []ph.EncryptedTuple) error {
 // (the leaves are the client's own tuples; the ack says where they
 // went).
 func (c *Conn) InsertStamped(name string, tuples []ph.EncryptedTuple) (InsertAck, error) {
-	payload := wire.AppendString(nil, name)
-	payload = wire.AppendU32(payload, uint32(len(tuples)))
-	for _, tp := range tuples {
-		payload = wire.EncodeTuple(payload, tp)
-	}
-	resp, err := c.roundTrip(wire.Frame{Type: wire.CmdInsertStamped, Payload: payload})
+	resp, err := c.roundTrip(wire.Frame{Type: wire.CmdInsertStamped, Payload: wire.EncodeInsert(nil, name, tuples)})
 	if err != nil {
 		return InsertAck{}, err
 	}
@@ -184,50 +176,37 @@ func (c *Conn) InsertStamped(name string, tuples []ph.EncryptedTuple) (InsertAck
 	return InsertAck{Base: int(base), Count: int(count), Version: version}, nil
 }
 
-// Query evaluates an encrypted query server-side.
-func (c *Conn) Query(name string, q *ph.EncryptedQuery) (*ph.Result, error) {
-	payload := wire.AppendString(nil, name)
-	payload = wire.EncodeQuery(payload, q)
+// Read sends the one read request: every plan — a conjunction of one or
+// more encrypted queries; a single select is a one-conjunct plan, a
+// batch is several plans — is evaluated server-side against one table in
+// a single round trip, and answered in order. flags (wire.ReadFlag*)
+// selects the answers' shape: matching tuples; with ReadFlagVerified the
+// tuples with inclusion proofs, root, leaf count and version cut from
+// the snapshot that evaluated the plan (proofs always verify against the
+// returned root; trusting that root is the caller's decision — DB
+// compares it against the pinned one); with ReadFlagExplain the plan
+// without executing it. Read returns only answers of the shape asked
+// for, one per plan.
+func (c *Conn) Read(name string, flags byte, plans [][]*ph.EncryptedQuery) ([]query.Response, error) {
+	payload, err := query.EncodeRequest(nil, name, flags, plans)
+	if err != nil {
+		return nil, err
+	}
 	resp, err := c.roundTrip(wire.Frame{Type: wire.CmdQuery, Payload: payload})
 	if err != nil {
 		return nil, err
 	}
 	if resp.Type != wire.RespResult {
-		return nil, fmt.Errorf("client: unexpected response %#x to query", resp.Type)
+		return nil, fmt.Errorf("client: unexpected response %#x to read", resp.Type)
 	}
-	return wire.DecodeResult(wire.NewBuffer(resp.Payload))
-}
-
-// QueryBatch evaluates several encrypted queries against one table in a
-// single round trip, in order.
-func (c *Conn) QueryBatch(name string, qs []*ph.EncryptedQuery) ([]*ph.Result, error) {
-	payload := wire.AppendString(nil, name)
-	payload = wire.AppendU32(payload, uint32(len(qs)))
-	for _, q := range qs {
-		payload = wire.EncodeQuery(payload, q)
-	}
-	resp, err := c.roundTrip(wire.Frame{Type: wire.CmdQueryBatch, Payload: payload})
+	got, resps, err := query.DecodeResponses(resp.Payload)
 	if err != nil {
 		return nil, err
 	}
-	if resp.Type != wire.RespResults {
-		return nil, fmt.Errorf("client: unexpected response %#x to query batch", resp.Type)
+	if got != flags || len(resps) != len(plans) {
+		return nil, fmt.Errorf("client: read of %d plans with flags %#x answered with %d answers, flags %#x", len(plans), flags, len(resps), got)
 	}
-	r := wire.NewBuffer(resp.Payload)
-	n, err := r.U32()
-	if err != nil {
-		return nil, err
-	}
-	if int(n) != len(qs) {
-		return nil, fmt.Errorf("client: batch returned %d results for %d queries", n, len(qs))
-	}
-	out := make([]*ph.Result, n)
-	for i := range out {
-		if out[i], err = wire.DecodeResult(r); err != nil {
-			return nil, fmt.Errorf("client: batch result %d: %w", i, err)
-		}
-	}
-	return out, nil
+	return resps, nil
 }
 
 // FetchAll downloads a complete encrypted table.
@@ -264,59 +243,6 @@ func (c *Conn) List() ([]wire.TableInfo, error) {
 		return nil, fmt.Errorf("client: unexpected response %#x to list", resp.Type)
 	}
 	return wire.DecodeList(wire.NewBuffer(resp.Payload))
-}
-
-// QueryVerified evaluates an encrypted query server-side and returns the
-// result with inclusion proofs, root, leaf count and version cut from
-// one server-side snapshot (extension). Proofs always verify against the
-// returned root; trusting that root is the caller's decision (DB
-// compares it against the pinned one).
-func (c *Conn) QueryVerified(name string, q *ph.EncryptedQuery) (*authindex.VerifiedResult, error) {
-	payload := wire.AppendString(nil, name)
-	payload = wire.EncodeQuery(payload, q)
-	resp, err := c.roundTrip(wire.Frame{Type: wire.CmdQueryVerified, Payload: payload})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Type != wire.RespResultVerified {
-		return nil, fmt.Errorf("client: unexpected response %#x to verified query", resp.Type)
-	}
-	return authindex.DecodeVerifiedResult(wire.NewBuffer(resp.Payload))
-}
-
-// QueryConj evaluates a conjunction of encrypted queries server-side in
-// one round trip through the selectivity-ordered planner (CmdQueryConj)
-// and returns the intersection — plain, or with snapshot-consistent
-// proofs when verified is set — together with the executed plan summary.
-func (c *Conn) QueryConj(name string, qs []*ph.EncryptedQuery, verified bool) (*query.Response, error) {
-	var flags byte
-	if verified {
-		flags |= wire.ConjFlagVerified
-	}
-	return c.queryConj(name, flags, qs)
-}
-
-// ExplainConj asks the server to plan — but not execute — a conjunctive
-// query: conjunct order, selectivity estimates, cache state.
-func (c *Conn) ExplainConj(name string, qs []*ph.EncryptedQuery) (*query.PlanInfo, error) {
-	resp, err := c.queryConj(name, wire.ConjFlagExplain, qs)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Plan, nil
-}
-
-// queryConj sends one CmdQueryConj with the given flags.
-func (c *Conn) queryConj(name string, flags byte, qs []*ph.EncryptedQuery) (*query.Response, error) {
-	payload := query.EncodeRequest(nil, name, flags, qs)
-	resp, err := c.roundTrip(wire.Frame{Type: wire.CmdQueryConj, Payload: payload})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Type != wire.RespResultConj {
-		return nil, fmt.Errorf("client: unexpected response %#x to conjunctive query", resp.Type)
-	}
-	return query.DecodeResponse(wire.NewBuffer(resp.Payload))
 }
 
 // IsRemote reports whether the error is an answer the server gave
@@ -674,133 +600,159 @@ func (db *DB) advanceRootBatch(chunks [][]ph.EncryptedTuple, acks []InsertAck, a
 }
 
 // Select runs one exact select end to end: encrypt the query, evaluate it
-// at the server, decrypt, filter false positives. If a root is pinned, it
-// runs as a VerifiedQuery: one round trip whose result, proofs and root
-// come from the same server snapshot (extension). With read replicas
-// configured, the query is served from a replica when one answers
-// (withRead), failing over to the primary otherwise.
+// at the server, decrypt, filter false positives. If a root is pinned,
+// the answer is verified against it exactly as VerifiedQuery describes.
+// With read replicas configured, the query is served from a replica when
+// one answers, failing over to the primary otherwise.
 func (db *DB) Select(q relation.Eq) (*relation.Table, error) {
-	if db.pinned() {
-		return db.VerifiedQuery(q)
-	}
-	eq, err := db.scheme.EncryptQuery(q)
+	out, err := db.selectPlans([][]relation.Eq{{q}})
 	if err != nil {
 		return nil, err
 	}
-	if db.cluster != nil {
-		return db.selectSharded(q, eq)
-	}
-	var res *ph.Result
-	if err := db.withRead(func(c *Conn) error {
-		r, err := c.Query(db.table, eq)
-		if err != nil {
-			return err
-		}
-		res = r
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return db.scheme.DecryptResult(q, res)
+	return out[0], nil
 }
 
-// VerifiedQuery runs one exact select through the one-round verified
-// protocol: the server answers with (result, proofs, root, leaf count,
-// version) cut from a single table snapshot. Every returned tuple is
-// verified against the *pinned* root before decryption; any mismatch —
-// wrong root, wrong count, missing or misplaced proof, failed hash chain
-// — refuses the answer. Because proofs travel with the root they belong
-// to, a mutation racing the query can never make an honest answer fail;
-// what a mismatch means is that the *table* no longer matches the
-// client's pin — tampering, or a foreign writer the client must
-// acknowledge via RepinRoot.
+// VerifiedQuery is Select for callers that must not run unverified: it
+// refuses without a pinned root. The server answers with (result,
+// proofs, root, leaf count, version) cut from a single table snapshot,
+// in the same round trip. Every returned tuple is verified against the
+// *pinned* root before decryption; any mismatch — wrong root, wrong
+// count, missing or misplaced proof, failed hash chain — refuses the
+// answer. Because proofs travel with the root they belong to, a mutation
+// racing the query can never make an honest answer fail; what a mismatch
+// means is that the *table* no longer matches the client's pin —
+// tampering, or a foreign writer the client must acknowledge via
+// RepinRoot.
 func (db *DB) VerifiedQuery(q relation.Eq) (*relation.Table, error) {
 	if !db.pinned() {
 		return nil, fmt.Errorf("client: VerifiedQuery without a pinned root (CreateTable or PinRoot first)")
 	}
-	eq, err := db.scheme.EncryptQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	if db.cluster != nil {
-		return db.verifiedQuerySharded(q, eq)
-	}
-	// The whole read — round trip AND pinned-root verification — runs
-	// inside withRead, so a stale or Byzantine replica fails like a dead
-	// one: quarantined, and the query retried elsewhere.
-	var vr *authindex.VerifiedResult
-	if err := db.withRead(func(c *Conn) error {
-		r, err := c.QueryVerified(db.table, eq)
-		if err != nil {
-			return err
-		}
-		if err := db.checkVerified(r); err != nil {
-			return err
-		}
-		vr = r
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	db.rootVersion = vr.Version
-	return db.scheme.DecryptResult(q, vr.Result)
+	return db.Select(q)
 }
 
 // SelectMany runs several exact selects and returns the decrypted,
-// filtered result per query (order preserved). With a pinned root each
-// select runs through the same one-round verified-read discipline as
-// Select — replica-routed (withRead), result and proofs from one server
-// snapshot — at the cost of one round trip per query. Without a pin it
-// is a single batched round trip, routed through withRead so replicas
-// serve it and a dead one costs a failover, not the query. On a sharded
-// DB every select scatters to all shards.
+// filtered result per query (order preserved). Against a single server
+// it is one round trip — one read request carrying one plan per select —
+// pinned or not, with every answer verified against the pin when there
+// is one. On a sharded DB every select scatters to all shards.
 func (db *DB) SelectMany(qs []relation.Eq) ([]*relation.Table, error) {
 	if len(qs) == 0 {
 		return nil, nil
 	}
-	out := make([]*relation.Table, len(qs))
+	plans := make([][]relation.Eq, len(qs))
+	for i := range qs {
+		plans[i] = qs[i : i+1]
+	}
+	return db.selectPlans(plans)
+}
+
+// SelectConj runs a conjunctive exact select through the server-side
+// planner: one round trip, and only the tuples in the intersection come
+// back. With a pinned root every returned tuple travels with an
+// inclusion proof cut from the same snapshot as the result, checked
+// against the pinned root before decryption exactly like VerifiedQuery.
+// As everywhere in the authenticated extension, the proofs authenticate
+// *inclusion* of what was returned, not completeness of the
+// intersection: a malicious server may still withhold matches (for
+// conjunctions as for single selects; see authindex's scope note).
+// Decryption filters checksum false positives by re-evaluating the full
+// conjunction on the plaintext, so the answer is exactly the plaintext
+// selection (Definition 1.1).
+func (db *DB) SelectConj(eqs []relation.Eq) (*relation.Table, error) {
+	if len(eqs) == 0 {
+		return nil, fmt.Errorf("client: empty conjunction")
+	}
+	out, err := db.selectPlans([][]relation.Eq{eqs})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// selectPlans answers each plan — a conjunction of one or more exact
+// selects — with its plaintext selection: one read, verified when a root
+// is pinned, then per plan decrypt every node's matches, filter false
+// positives against every conjunct (DecryptResult re-evaluates the
+// first, relation.Select the rest) and union.
+func (db *DB) selectPlans(plans [][]relation.Eq) ([]*relation.Table, error) {
+	var flags byte
 	if db.pinned() {
-		for i, q := range qs {
-			t, err := db.VerifiedQuery(q)
+		flags = wire.ReadFlagVerified
+	}
+	nodes, err := db.read(flags, plans)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*relation.Table, len(plans))
+	for j, eqs := range plans {
+		for _, resps := range nodes {
+			t, err := db.scheme.DecryptResult(eqs[0], resps[j].Matches())
 			if err != nil {
 				return nil, err
 			}
-			out[i] = t
+			if len(eqs) > 1 {
+				rest := make([]relation.Pred, len(eqs)-1)
+				for i, eq := range eqs[1:] {
+					rest[i] = eq
+				}
+				if t, err = relation.Select(t, relation.And{Preds: rest}); err != nil {
+					return nil, err
+				}
+			}
+			if out[j] == nil {
+				out[j] = t
+			} else if err := union(out[j], t); err != nil {
+				return nil, err
+			}
 		}
-		return out, nil
 	}
-	eqs := make([]*ph.EncryptedQuery, len(qs))
-	for i, q := range qs {
-		eq, err := db.scheme.EncryptQuery(q)
-		if err != nil {
-			return nil, err
+	return out, nil
+}
+
+// read is the one read path behind every select and Explain: encrypt one
+// token per conjunct, send all plans as one request, and hold every
+// answer to the pin. It returns the answers as [node][plan] — a single
+// server is one node, a cluster one per shard (see readSharded). The
+// whole read — round trip AND pinned-root verification — runs inside
+// withRead, so a stale or Byzantine replica fails like a dead one:
+// quarantined, and the read retried elsewhere.
+func (db *DB) read(flags byte, plans [][]relation.Eq) ([][]query.Response, error) {
+	tokens := make([][]*ph.EncryptedQuery, len(plans))
+	for i, eqs := range plans {
+		tokens[i] = make([]*ph.EncryptedQuery, len(eqs))
+		for j, eq := range eqs {
+			q, err := db.scheme.EncryptQuery(eq)
+			if err != nil {
+				return nil, err
+			}
+			tokens[i][j] = q
 		}
-		eqs[i] = eq
 	}
-	var results []*ph.Result
 	if db.cluster != nil {
-		merged, err := db.queryBatchSharded(eqs)
-		if err != nil {
-			return nil, err
-		}
-		results = merged
-	} else if err := db.withRead(func(c *Conn) error {
-		rs, err := c.QueryBatch(db.table, eqs)
+		return db.readSharded(flags, tokens)
+	}
+	var resps []query.Response
+	if err := db.withRead(func(c *Conn) error {
+		rs, err := c.Read(db.table, flags, tokens)
 		if err != nil {
 			return err
 		}
-		results = rs
+		if flags == wire.ReadFlagVerified {
+			for _, r := range rs {
+				if err := checkVerifiedAgainst(db.root, db.rootTuples, r.Verified); err != nil {
+					return err
+				}
+			}
+		}
+		resps = rs
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	var err error
-	for i, res := range results {
-		if out[i], err = db.scheme.DecryptResult(qs[i], res); err != nil {
-			return nil, err
-		}
+	if flags == wire.ReadFlagVerified {
+		db.rootVersion = resps[len(resps)-1].Verified.Version
 	}
-	return out, nil
+	return [][]query.Response{resps}, nil
 }
 
 // SelectAll downloads and decrypts the whole table (every shard's
@@ -817,12 +769,11 @@ func (db *DB) SelectAll() (*relation.Table, error) {
 }
 
 // Query executes a mini-SQL statement. A single equality runs as one
-// homomorphic select through Select — which, with a pinned root, is the
-// one-round verified protocol, so Query never silently downgrades a
-// verified client to the unverified path. A conjunction is pushed down
-// as one CmdQueryConj: the server's planner intersects the per-conjunct
-// position sets and returns only the matching tuples (verified against
-// the pinned root when one is set; see SelectConj for what conjunctive
+// homomorphic select through Select, a conjunction through SelectConj —
+// the server's planner intersects the per-conjunct position sets and
+// returns only the matching tuples. Both are verified against the
+// pinned root when one is set, so Query never silently downgrades a
+// verified client to an unverified path (see SelectConj for what conjunctive
 // verification does and does not promise). An absent WHERE clause is a
 // full download; projections apply after decryption.
 func (db *DB) Query(sql string) (*relation.Table, error) {
@@ -870,104 +821,10 @@ func (db *DB) bindWhere(q *sqlmini.Query) ([]relation.Eq, error) {
 	return eqs, nil
 }
 
-// encryptConj encrypts one token per conjunct.
-func (db *DB) encryptConj(eqs []relation.Eq) ([]*ph.EncryptedQuery, error) {
-	qs := make([]*ph.EncryptedQuery, len(eqs))
-	for i, eq := range eqs {
-		q, err := db.scheme.EncryptQuery(eq)
-		if err != nil {
-			return nil, err
-		}
-		qs[i] = q
-	}
-	return qs, nil
-}
-
-// SelectConj runs a conjunctive exact select through the server-side
-// planner: one round trip, and only the tuples in the intersection come
-// back. With a pinned root the request is verified — every returned
-// tuple travels with an inclusion proof cut from the same snapshot as
-// the result, checked against the pinned root before decryption exactly
-// like VerifiedQuery. As everywhere in the authenticated extension, the
-// proofs authenticate *inclusion* of what was returned, not completeness
-// of the intersection: a malicious server may still withhold matches
-// (for conjunctions as for single selects; see authindex's scope note).
-// Decryption filters checksum false positives by re-evaluating the full
-// conjunction on the plaintext, so the answer is exactly the plaintext
-// selection (Definition 1.1).
-func (db *DB) SelectConj(eqs []relation.Eq) (*relation.Table, error) {
-	if len(eqs) == 0 {
-		return nil, fmt.Errorf("client: empty conjunction")
-	}
-	qs, err := db.encryptConj(eqs)
-	if err != nil {
-		return nil, err
-	}
-	if db.cluster != nil {
-		return db.selectConjSharded(eqs, qs)
-	}
-	// As in VerifiedQuery, verification runs inside withRead so replica
-	// answers are held to the pinned root before they count as served.
-	var res *ph.Result
-	var version uint64
-	if err := db.withRead(func(c *Conn) error {
-		resp, err := c.QueryConj(db.table, qs, db.root != nil)
-		if err != nil {
-			return err
-		}
-		r := resp.Result
-		if db.root != nil {
-			vr := resp.Verified
-			if vr == nil {
-				return fmt.Errorf("client: server answered a verified conjunctive query without proofs")
-			}
-			if err := db.checkVerified(vr); err != nil {
-				return err
-			}
-			version = vr.Version
-			r = vr.Result
-		}
-		if r == nil {
-			return fmt.Errorf("client: conjunctive query answered without a result")
-		}
-		res = r
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if db.root != nil {
-		db.rootVersion = version
-	}
-	return db.decryptConj(eqs, res)
-}
-
-// decryptConj decrypts an intersection result and filters false
-// positives against every conjunct: DecryptResult re-evaluates the
-// first, relation.Select the rest.
-func (db *DB) decryptConj(eqs []relation.Eq, res *ph.Result) (*relation.Table, error) {
-	out, err := db.scheme.DecryptResult(eqs[0], res)
-	if err != nil {
-		return nil, err
-	}
-	if len(eqs) == 1 {
-		return out, nil
-	}
-	rest := make([]relation.Pred, len(eqs)-1)
-	for i, eq := range eqs[1:] {
-		rest[i] = eq
-	}
-	return relation.Select(out, relation.And{Preds: rest})
-}
-
-// checkVerified verifies a one-round verified answer against the pinned
-// root: root and leaf count must match the pin, and every returned tuple
-// must carry a proof for its position that hashes back to the root.
-func (db *DB) checkVerified(vr *authindex.VerifiedResult) error {
-	return checkVerifiedAgainst(db.root, db.rootTuples, vr)
-}
-
-// checkVerifiedAgainst verifies a one-round verified answer against an
-// explicit (root, leaf count) pin. It is the single verification
+// checkVerifiedAgainst verifies a verified answer against an explicit
+// (root, leaf count) pin: root and leaf count must match the pin, and
+// every returned tuple must carry a proof for its position that hashes
+// back to the root. It is the single verification
 // discipline behind both anchors the client can hold: DB's one pinned
 // root, and — in sharded mode — each entry of the pinned root *vector*,
 // where every shard's sub-answer is checked against that shard's own
@@ -1018,31 +875,20 @@ func (db *DB) Explain(sql string) (string, error) {
 	case 0:
 		return fmt.Sprintf("plan for %s: full table download (no WHERE clause)\n", db.table), nil
 	case 1:
-		path := "single select (CmdQuery)"
+		path := "single select"
 		if db.pinned() {
-			path = "one-round verified select (CmdQueryVerified)"
+			path = "verified single select (proofs cut from the answering snapshot)"
 		}
 		if db.cluster != nil {
 			path += fmt.Sprintf(", scattered to %d shards", db.cluster.NumShards())
 		}
 		return fmt.Sprintf("plan for %s: %s on %s\n", db.table, path, eqs[0]), nil
 	}
-	qs, err := db.encryptConj(eqs)
+	nodes, err := db.read(wire.ReadFlagExplain, [][]relation.Eq{eqs})
 	if err != nil {
 		return "", err
 	}
-	var info *query.PlanInfo
-	if db.cluster != nil {
-		// Each shard plans against its own sketch (conjunct order adapts
-		// to per-shard skew); the merged summary adds the coordinator-side
-		// merge view of their costs.
-		info, err = db.cluster.ExplainConj(db.table, qs)
-	} else {
-		info, err = db.conn.ExplainConj(db.table, qs)
-	}
-	if err != nil {
-		return "", err
-	}
+	info := nodes[0][0].Plan
 	labels := make([]string, len(eqs))
 	for i, eq := range eqs {
 		labels[i] = eq.String()

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ph"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/wire"
 )
 
 // Sharded serving: a DB can replace its single connection with a
@@ -35,7 +36,10 @@ type VerifyCheck func(shard int, vr *authindex.VerifiedResult) error
 // reads scatter to every shard (search tokens are deliberately not
 // routable — routing one would leak which partition a value hashes to
 // beyond what result positions already reveal); answers come back one
-// per shard, in shard order, for the caller to merge and verify.
+// per shard, in shard order, for the caller to merge and verify. The
+// five read methods are shapes of one scatter — a list of plans, each a
+// conjunction of one or more selects, sent whole to every shard — and
+// internal/shard implements them as such.
 // Implementations must be safe for the DB's single-threaded use;
 // internal/shard's coordinator is additionally safe for concurrent use.
 type Cluster interface {
@@ -54,15 +58,17 @@ type Cluster interface {
 	// shard's group-commit write path, returning one placement ack per
 	// shard (zero-valued, Count 0, for shards that received nothing).
 	Insert(name string, tuples []ph.EncryptedTuple) ([]InsertAck, error)
-	// Query scatters one query; answers are per shard, in shard order.
+	// Query scatters one select; answers are per shard, in shard order.
 	Query(name string, q *ph.EncryptedQuery) ([]*ph.Result, error)
-	// QueryBatch scatters a query batch; answers are [shard][query].
+	// QueryBatch scatters several selects at once; answers are
+	// [shard][query].
 	QueryBatch(name string, qs []*ph.EncryptedQuery) ([][]*ph.Result, error)
-	// QueryVerified scatters one verified query; check, when non-nil,
+	// QueryVerified scatters one verified select; check, when non-nil,
 	// runs inside each shard's read routing (see VerifyCheck).
 	QueryVerified(name string, q *ph.EncryptedQuery, check VerifyCheck) ([]*authindex.VerifiedResult, error)
-	// QueryConj scatters one conjunction to every shard's
-	// selectivity-ordered planner. A conjunction distributes over a
+	// QueryConj scatters one plan — a conjunction of one or more
+	// selects — to every shard's selectivity-ordered planner, verified
+	// (and checked) when asked. A conjunction distributes over a
 	// disjoint partition: the answer is the union of the per-shard
 	// intersections.
 	QueryConj(name string, qs []*ph.EncryptedQuery, verified bool, check VerifyCheck) ([]*query.Response, error)
@@ -277,108 +283,89 @@ func union(dst, src *relation.Table) error {
 	return nil
 }
 
-// selectSharded serves one unverified select: scatter, decrypt each
-// shard's matches, union.
-func (db *DB) selectSharded(q relation.Eq, eq *ph.EncryptedQuery) (*relation.Table, error) {
-	results, err := db.cluster.Query(db.table, eq)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.NewTable(db.scheme.Schema())
-	for i, res := range results {
-		if res == nil {
-			return nil, fmt.Errorf("client: shard %d answered no result", i)
-		}
-		t, err := db.scheme.DecryptResult(q, res)
+// readSharded is read's routing over a Cluster: answers come back as
+// [shard][plan], every verified sub-answer checked against its entry in
+// the pinned vector — authoritatively, whatever the cluster ran through
+// the VerifyCheck callback. The Cluster surface still splits reads by
+// shape, so the request is mapped onto it: unverified single-conjunct
+// plans scatter together as one QueryBatch, anything else one QueryConj
+// per plan (a select is its one-conjunct case; every shard's planner
+// runs the plan against its own sketch, and because the partition is
+// disjoint the answer is the union of the per-shard intersections). An
+// explain is one plan, answered as a single node: the cluster's merged
+// summary.
+func (db *DB) readSharded(flags byte, tokens [][]*ph.EncryptedQuery) ([][]query.Response, error) {
+	if flags == wire.ReadFlagExplain {
+		info, err := db.cluster.ExplainConj(db.table, tokens[0])
 		if err != nil {
 			return nil, err
 		}
-		if err := union(out, t); err != nil {
-			return nil, err
-		}
+		return [][]query.Response{{{Plan: info}}}, nil
 	}
-	return out, nil
-}
-
-// verifiedQuerySharded serves one verified select: scatter, verify each
-// shard's sub-answer against its entry in the pinned vector, decrypt,
-// union. Verification here is authoritative regardless of what the
-// cluster ran through the VerifyCheck callback.
-func (db *DB) verifiedQuerySharded(q relation.Eq, eq *ph.EncryptedQuery) (*relation.Table, error) {
-	if len(db.pins) == 0 {
-		return nil, fmt.Errorf("client: sharded verified read without a pinned root vector (CreateTable or PinShardRoots first)")
-	}
-	vrs, err := db.cluster.QueryVerified(db.table, eq, db.checkShard)
-	if err != nil {
-		return nil, err
-	}
-	if len(vrs) != len(db.pins) {
-		return nil, fmt.Errorf("client: verified scatter answered by %d shards, pinned vector covers %d", len(vrs), len(db.pins))
-	}
-	out := relation.NewTable(db.scheme.Schema())
-	for i, vr := range vrs {
-		if vr == nil {
-			return nil, fmt.Errorf("client: shard %d answered no verified result", i)
-		}
-		if err := db.checkShard(i, vr); err != nil {
-			return nil, fmt.Errorf("client: %w", err)
-		}
-		db.pins[i].version = vr.Version
-		t, err := db.scheme.DecryptResult(q, vr.Result)
-		if err != nil {
-			return nil, err
-		}
-		if err := union(out, t); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// selectConjSharded serves one conjunction: every shard's planner runs
-// it against that shard's own sketch (conjunct order adapts to
-// per-shard skew), and because the partition is disjoint the answer is
-// the union of the per-shard intersections — verified per shard when
-// the vector is pinned.
-func (db *DB) selectConjSharded(eqs []relation.Eq, qs []*ph.EncryptedQuery) (*relation.Table, error) {
-	verified := len(db.pins) > 0
+	verified := flags == wire.ReadFlagVerified
 	var check VerifyCheck
 	if verified {
+		if len(db.pins) == 0 {
+			return nil, fmt.Errorf("client: sharded verified read without a pinned root vector (CreateTable or PinShardRoots first)")
+		}
 		check = db.checkShard
 	}
-	resps, err := db.cluster.QueryConj(db.table, qs, verified, check)
-	if err != nil {
-		return nil, err
+	batch := !verified && len(tokens) > 1
+	for _, qs := range tokens {
+		batch = batch && len(qs) == 1
 	}
-	if n := db.cluster.NumShards(); len(resps) != n {
-		return nil, fmt.Errorf("client: conjunctive scatter answered by %d shards, map has %d", len(resps), n)
+	out := make([][]query.Response, db.cluster.NumShards())
+	for i := range out {
+		out[i] = make([]query.Response, len(tokens))
 	}
-	out := relation.NewTable(db.scheme.Schema())
-	for i, resp := range resps {
-		if resp == nil {
-			return nil, fmt.Errorf("client: shard %d answered no conjunctive response", i)
+	if batch {
+		flat := make([]*ph.EncryptedQuery, len(tokens))
+		for j, qs := range tokens {
+			flat[j] = qs[0]
 		}
-		r := resp.Result
-		if verified {
-			vr := resp.Verified
-			if vr == nil {
-				return nil, fmt.Errorf("client: shard %d answered a verified conjunction without proofs", i)
-			}
-			if err := db.checkShard(i, vr); err != nil {
-				return nil, fmt.Errorf("client: %w", err)
-			}
-			db.pins[i].version = vr.Version
-			r = vr.Result
-		}
-		if r == nil {
-			return nil, fmt.Errorf("client: shard %d answered a conjunction without a result", i)
-		}
-		t, err := db.decryptConj(eqs, r)
+		perShard, err := db.cluster.QueryBatch(db.table, flat)
 		if err != nil {
 			return nil, err
 		}
-		if err := union(out, t); err != nil {
-			return nil, err
+		if len(perShard) != len(out) {
+			return nil, fmt.Errorf("client: scatter answered by %d shards, map has %d", len(perShard), len(out))
+		}
+		for i, rs := range perShard {
+			if len(rs) != len(flat) {
+				return nil, fmt.Errorf("client: shard %d answered %d batch results for %d queries", i, len(rs), len(flat))
+			}
+			for j, res := range rs {
+				out[i][j].Result = res
+			}
+		}
+	} else {
+		for j, qs := range tokens {
+			resps, err := db.cluster.QueryConj(db.table, qs, verified, check)
+			if err != nil {
+				return nil, err
+			}
+			if len(resps) != len(out) {
+				return nil, fmt.Errorf("client: scatter answered by %d shards, map has %d", len(resps), len(out))
+			}
+			for i, resp := range resps {
+				if resp == nil {
+					return nil, fmt.Errorf("client: shard %d answered nothing", i)
+				}
+				out[i][j] = *resp
+			}
+		}
+	}
+	for i, resps := range out {
+		for _, resp := range resps {
+			if resp.Matches() == nil || verified != (resp.Verified != nil) {
+				return nil, fmt.Errorf("client: shard %d answered without a result, or without the proofs asked for", i)
+			}
+			if verified {
+				if err := db.checkShard(i, resp.Verified); err != nil {
+					return nil, fmt.Errorf("client: %w", err)
+				}
+				db.pins[i].version = resp.Verified.Version
+			}
 		}
 	}
 	return out, nil
@@ -400,34 +387,6 @@ func (db *DB) selectAllSharded() (*relation.Table, error) {
 		if err := union(out, t); err != nil {
 			return nil, err
 		}
-	}
-	return out, nil
-}
-
-// queryBatchSharded scatters a query batch and merges each query's
-// per-shard answers into one result. Merged positions are synthetic
-// (renumbered in merge order): the partition's real coordinates are
-// (shard, offset) pairs, which only the per-shard framing preserves —
-// decryption never reads positions, verified reads never take this
-// path.
-func (db *DB) queryBatchSharded(eqs []*ph.EncryptedQuery) ([]*ph.Result, error) {
-	perShard, err := db.cluster.QueryBatch(db.table, eqs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*ph.Result, len(eqs))
-	for j := range eqs {
-		merged := &ph.Result{}
-		for i, rs := range perShard {
-			if rs == nil || len(rs) != len(eqs) || rs[j] == nil {
-				return nil, fmt.Errorf("client: shard %d answered %d batch results for %d queries", i, len(rs), len(eqs))
-			}
-			for _, tp := range rs[j].Tuples {
-				merged.Positions = append(merged.Positions, len(merged.Positions))
-				merged.Tuples = append(merged.Tuples, tp)
-			}
-		}
-		out[j] = merged
 	}
 	return out, nil
 }

@@ -20,7 +20,7 @@ import (
 
 // conjDB uploads a slightly larger employee table and returns a DB over
 // a frame-counting pipe.
-func conjDB(t *testing.T, pin bool) (*DB, *frameCounter) {
+func conjDB(t *testing.T, pin bool) (*DB, *frameCounter, *storage.Store) {
 	t.Helper()
 	store := storage.NewMemory()
 	conn, fc := startCountingPipe(t, store)
@@ -46,7 +46,7 @@ func conjDB(t *testing.T, pin bool) (*DB, *frameCounter) {
 	if !pin {
 		db.PinRoot(nil, 0)
 	}
-	return db, fc
+	return db, fc, store
 }
 
 // sortedRows renders a table in a deterministic order for comparison.
@@ -60,7 +60,7 @@ func sortedRows(t *testing.T, tbl *relation.Table) string {
 // plaintext (Definition 1.1), for overlapping, disjoint and triple
 // conjunctions.
 func TestQueryConjPushdownMatchesPlaintext(t *testing.T) {
-	db, fc := conjDB(t, false)
+	db, fc, _ := conjDB(t, false)
 	plain, err := db.SelectAll()
 	if err != nil {
 		t.Fatal(err)
@@ -99,70 +99,69 @@ func TestQueryConjPushdownMatchesPlaintext(t *testing.T) {
 			t.Fatalf("%s:\npushdown:\n%splaintext:\n%s", sql, sortedRows(t, q), sortedRows(t, want))
 		}
 	}
-	if n := fc.count(wire.CmdQueryConj); n == 0 {
-		t.Fatal("conjunctive queries did not use CmdQueryConj")
+	if n := fc.count(wire.CmdQuery); n != 3 {
+		t.Fatalf("3 conjunctive queries sent %d read requests, want one each", n)
 	}
 }
 
-// TestQuerySingleEqualityUsesVerifiedPath: with a pinned root, a
-// one-conjunct db.Query must go through CmdQueryVerified — the silent
-// downgrade to the unverified CmdQueryBatch path is the regression this
-// test pins down.
-func TestQuerySingleEqualityUsesVerifiedPath(t *testing.T) {
-	db, fc := conjDB(t, true)
-	out, err := db.Query("SELECT * FROM emp WHERE dept = 'IT'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 2 {
-		t.Fatalf("got %d tuples, want 2", out.Len())
-	}
-	if n := fc.count(wire.CmdQueryVerified); n != 1 {
-		t.Fatalf("pinned single-equality Query sent %d CmdQueryVerified frames, want 1", n)
-	}
-	if n := fc.count(wire.CmdQueryBatch); n != 0 {
-		t.Fatalf("pinned single-equality Query leaked %d CmdQueryBatch frames", n)
-	}
-}
-
-// TestQueryConjVerifiedWhenPinned: a pinned conjunctive query runs the
-// verified conjunctive protocol and still answers the plaintext
-// selection.
-func TestQueryConjVerifiedWhenPinned(t *testing.T) {
-	db, fc := conjDB(t, true)
-	out, err := db.Query("SELECT * FROM emp WHERE dept = 'HR' AND salary = 7500")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 2 { // Montgomery, Barbara
-		t.Fatalf("got %d tuples, want 2:\n%s", out.Len(), sortedRows(t, out))
-	}
-	if n := fc.count(wire.CmdQueryConj); n != 1 {
-		t.Fatalf("sent %d CmdQueryConj frames, want 1", n)
-	}
-}
-
-// TestQueryConjVerifiedDetectsTampering: replacing the table behind the
-// pin must make a verified conjunctive query fail before decryption.
-func TestQueryConjVerifiedDetectsTampering(t *testing.T) {
-	store := storage.NewMemory()
-	conn := startPipe(t, store)
-	db := NewDB(conn, newScheme(t), "emp")
-	if err := db.CreateTable(empTable()); err != nil {
-		t.Fatal(err)
-	}
-	// Eve swaps the table for a different ciphertext (re-encryption of
-	// the same rows under the same scheme, different randomness).
-	evil, err := db.scheme.EncryptTable(empTable())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Put("emp", evil); err != nil {
-		t.Fatal(err)
-	}
-	_, err = db.Query("SELECT * FROM emp WHERE dept = 'HR' AND salary = 7500")
-	if err == nil || !strings.Contains(err.Error(), "verification failed") {
-		t.Fatalf("tampered conjunctive answer accepted: %v", err)
+// TestPinnedReadsAreOneVerifiedRoundTrip: with a pinned root, every
+// read shape — a one-conjunct db.Query, a conjunction, a SelectMany of k
+// selects — is exactly one frame on the connection, and it is held to
+// the pin: the same read fails, before decryption, once Eve swaps the
+// table for a re-encryption of the same rows. (Before the one read
+// request, a pinned SelectMany cost k round trips, one verified read per
+// select.)
+func TestPinnedReadsAreOneVerifiedRoundTrip(t *testing.T) {
+	hr := relation.Eq{Column: "dept", Value: relation.String("HR")}
+	it := relation.Eq{Column: "dept", Value: relation.String("IT")}
+	ops := relation.Eq{Column: "dept", Value: relation.String("OPS")}
+	for _, tc := range []struct {
+		name string
+		read func(db *DB) ([]*relation.Table, error)
+		want []int
+	}{
+		{"single equality", func(db *DB) ([]*relation.Table, error) {
+			out, err := db.Query("SELECT * FROM emp WHERE dept = 'IT'")
+			return []*relation.Table{out}, err
+		}, []int{2}},
+		{"conjunction", func(db *DB) ([]*relation.Table, error) {
+			out, err := db.Query("SELECT * FROM emp WHERE dept = 'HR' AND salary = 7500")
+			return []*relation.Table{out}, err
+		}, []int{2}}, // Montgomery, Barbara
+		{"SelectMany", func(db *DB) ([]*relation.Table, error) {
+			return db.SelectMany([]relation.Eq{hr, it, ops})
+		}, []int{3, 2, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, fc, store := conjDB(t, true)
+			before := fc.total()
+			out, err := tc.read(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range tc.want {
+				if out[i].Len() != want {
+					t.Fatalf("answer %d has %d tuples, want %d:\n%s", i, out[i].Len(), want, sortedRows(t, out[i]))
+				}
+			}
+			if sent, reads := fc.total()-before, fc.count(wire.CmdQuery); sent != 1 || reads != 1 {
+				t.Fatalf("pinned read sent %d frames, %d of them read requests; want exactly 1: %v", sent, reads, fc.counts)
+			}
+			plain, err := db.SelectAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			evil, err := db.scheme.EncryptTable(plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Put("emp", evil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tc.read(db); err == nil || !strings.Contains(err.Error(), "verification failed") {
+				t.Fatalf("answer from a swapped table accepted: %v", err)
+			}
+		})
 	}
 }
 
@@ -181,22 +180,23 @@ func TestCheckVerifiedRejectsDuplicatedPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vr, err := conn.QueryVerified("emp", eq)
+	resps, err := conn.Read("emp", wire.ReadFlagVerified, [][]*ph.EncryptedQuery{{eq}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	vr := resps[0].Verified
 	if len(vr.Result.Positions) < 1 {
 		t.Fatal("fixture query matched nothing")
 	}
 	// Sanity: the honest answer verifies.
-	if err := db.checkVerified(vr); err != nil {
+	if err := checkVerifiedAgainst(db.root, db.rootTuples, vr); err != nil {
 		t.Fatalf("honest answer rejected: %v", err)
 	}
 	// Malicious inflation: repeat the first tuple, position and proof.
 	vr.Result.Positions = append([]int{vr.Result.Positions[0]}, vr.Result.Positions...)
 	vr.Result.Tuples = append([]ph.EncryptedTuple{vr.Result.Tuples[0]}, vr.Result.Tuples...)
 	vr.Proofs = append([]authindex.Proof{vr.Proofs[0]}, vr.Proofs...)
-	err = db.checkVerified(vr)
+	err = checkVerifiedAgainst(db.root, db.rootTuples, vr)
 	if err == nil || !strings.Contains(err.Error(), "strictly ascending") {
 		t.Fatalf("duplicated position accepted: %v", err)
 	}
@@ -248,13 +248,12 @@ func refusingProxy(t *testing.T, store *storage.Store, refuse ...byte) (*Conn, *
 	return conn, fc
 }
 
-// TestQueryConjUnknownCommandSurfaces: a server error is the caller's to
-// see, whatever its text. A server answering "unknown command" to
-// CmdQueryConj or CmdQueryVerified — or any error that merely contains
-// those words, like a missing table named "unknown command" — must
-// surface after exactly one frame: no second request on another path
-// (ship-everything conjunctions, unverified batches) may follow it.
-func TestQueryConjUnknownCommandSurfaces(t *testing.T) {
+// TestReadErrorSurfaces: a server error is the caller's to see,
+// whatever its text. A server answering "unknown command" to the read
+// request — or any error that merely contains those words, like a
+// missing table named "unknown command" — must surface after exactly one
+// frame: no second request on some other path may follow it.
+func TestReadErrorSurfaces(t *testing.T) {
 	hr := relation.Eq{Column: "dept", Value: relation.String("HR")}
 	it := relation.Eq{Column: "dept", Value: relation.String("IT")}
 	for _, tc := range []struct {
@@ -262,31 +261,30 @@ func TestQueryConjUnknownCommandSurfaces(t *testing.T) {
 		table string // the table the reads address; "emp" exists
 		pin   bool
 		read  func(db *DB) error
-		cmd   byte
 		want  string
 	}{
 		{"conjunction", "emp", false, func(db *DB) error {
 			_, err := db.Query("SELECT * FROM emp WHERE dept = 'HR' AND salary = 7500")
 			return err
-		}, wire.CmdQueryConj, "unknown command 0xc"},
+		}, "unknown command 0x3"},
 		{"pinned SelectMany", "emp", true, func(db *DB) error {
 			_, err := db.SelectMany([]relation.Eq{hr, it})
 			return err
-		}, wire.CmdQueryVerified, "unknown command 0xa"},
+		}, "unknown command 0x3"},
 		{"pinned SelectMany, error text only", "unknown command", true, func(db *DB) error {
 			_, err := db.SelectMany([]relation.Eq{hr, it})
 			return err
-		}, wire.CmdQueryVerified, `unknown table "unknown command"`},
+		}, `unknown table "unknown command"`},
 		{"conjunction, error text only", "unknown command", false, func(db *DB) error {
 			_, err := db.SelectConj([]relation.Eq{hr, it})
 			return err
-		}, wire.CmdQueryConj, `unknown table "unknown command"`},
+		}, `unknown table "unknown command"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := storage.NewMemory()
 			var refuse []byte
 			if tc.table == "emp" {
-				refuse = []byte{tc.cmd}
+				refuse = []byte{wire.CmdQuery}
 			}
 			conn, fc := refusingProxy(t, store, refuse...)
 			db := NewDB(conn, newScheme(t), "emp")
@@ -303,8 +301,8 @@ func TestQueryConjUnknownCommandSurfaces(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error = %v, want the server's %q surfaced", err, tc.want)
 			}
-			if sent := fc.total() - before; sent != 1 || fc.count(tc.cmd) != 1 {
-				t.Fatalf("client sent %d frames (%d of command %#x) for one refused read, want exactly 1: %v", sent, fc.count(tc.cmd), tc.cmd, fc.counts)
+			if sent := fc.total() - before; sent != 1 || fc.count(wire.CmdQuery) != 1 {
+				t.Fatalf("client sent %d frames (%d read requests) for one refused read, want exactly 1: %v", sent, fc.count(wire.CmdQuery), fc.counts)
 			}
 		})
 	}
@@ -313,7 +311,7 @@ func TestQueryConjUnknownCommandSurfaces(t *testing.T) {
 // TestExplainRendersPlan: -explain surfaces the server's plan without
 // executing the query.
 func TestExplainRendersPlan(t *testing.T) {
-	db, fc := conjDB(t, false)
+	db, fc, _ := conjDB(t, false)
 	out, err := db.Explain("SELECT * FROM emp WHERE dept = 'HR' AND salary = 7500")
 	if err != nil {
 		t.Fatal(err)
@@ -323,8 +321,8 @@ func TestExplainRendersPlan(t *testing.T) {
 			t.Fatalf("explain output missing %q:\n%s", want, out)
 		}
 	}
-	if n := fc.count(wire.CmdQueryConj); n != 1 {
-		t.Fatalf("explain sent %d CmdQueryConj frames, want 1", n)
+	if n := fc.count(wire.CmdQuery); n != 1 {
+		t.Fatalf("explain sent %d read requests, want 1", n)
 	}
 	// Single-equality and bare statements are described locally.
 	out, err = db.Explain("SELECT * FROM emp WHERE dept = 'HR'")

@@ -11,8 +11,8 @@ import (
 // SelectMany used to bypass the replica-aware read routing and talk
 // straight to the primary connection. These tests pin the fix: the
 // batch rides withRead like every other read — replicas serve it,
-// failures quarantine and fail over — and a pinned client gets the
-// one-round verified discipline instead of an unverified batch.
+// failures quarantine and fail over. (That a pinned client's batch is
+// verified is TestPinnedReadsAreOneVerifiedRoundTrip's.)
 
 // TestSelectManyRoutedThroughReplicas: with a healthy replica attached,
 // the batch is served by the replica, not the primary.
@@ -74,38 +74,5 @@ func TestSelectManyFailsOverToPrimary(t *testing.T) {
 	stats := db.ReadStats()
 	if stats.Failovers == 0 || stats.PrimaryReads == 0 {
 		t.Fatalf("dead replica did not fail over: %+v", stats)
-	}
-}
-
-// TestSelectManyPinnedUsesVerifiedReads: with a root pinned, SelectMany
-// serves each select through the one-round verified protocol, so a
-// mutated table fails the batch.
-func TestSelectManyPinnedUsesVerifiedReads(t *testing.T) {
-	store := storage.NewMemory()
-	conn := startPipe(t, store)
-	db := NewDB(conn, newScheme(t), "emp")
-	if err := db.CreateTable(empTable()); err != nil {
-		t.Fatal(err)
-	}
-
-	tables, err := db.SelectMany([]relation.Eq{{Column: "dept", Value: relation.String("HR")}})
-	if err != nil {
-		t.Fatalf("verified batch: %v", err)
-	}
-	if len(tables) != 1 || tables[0].Len() != 2 {
-		t.Fatalf("verified batch results wrong: %v", tables)
-	}
-
-	ct, err := store.Get("emp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutated := ct.Clone()
-	mutated.Tuples[0].ID[0] ^= 0xFF
-	if err := store.Put("emp", mutated); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.SelectMany([]relation.Eq{{Column: "dept", Value: relation.String("HR")}}); err == nil {
-		t.Fatal("pinned SelectMany accepted a mutated table")
 	}
 }

@@ -120,24 +120,6 @@ func TestInsertAdvancesRootIncrementally(t *testing.T) {
 	}
 }
 
-// TestSelectUsesOneRoundVerifiedQuery: a verified select must be a
-// single CmdQueryVerified round trip and nothing else.
-func TestSelectUsesOneRoundVerifiedQuery(t *testing.T) {
-	st := storage.NewMemory()
-	conn, fc := startCountingPipe(t, st)
-	db := NewDB(conn, newScheme(t), "emp")
-	if err := db.CreateTable(empTable()); err != nil {
-		t.Fatal(err)
-	}
-	before := fc.total()
-	if _, err := db.Select(relation.Eq{Column: "dept", Value: relation.String("HR")}); err != nil {
-		t.Fatal(err)
-	}
-	if n, sent := fc.count(wire.CmdQueryVerified), fc.total()-before; n != 1 || sent != 1 {
-		t.Fatalf("verified select sent %d frames, %d of them CmdQueryVerified; want exactly 1", sent, n)
-	}
-}
-
 // TestVerifiedQueryRequiresRoot: the explicit verified entry point must
 // refuse to run unpinned rather than silently skip verification.
 func TestVerifiedQueryRequiresRoot(t *testing.T) {
@@ -153,7 +135,7 @@ func TestVerifiedQueryRequiresRoot(t *testing.T) {
 }
 
 // TestVerifiedQueryDetectsTampering: a server-side substitution of the
-// ciphertext must be refused by the one-round path.
+// ciphertext must be refused by a verified read.
 func TestVerifiedQueryDetectsTampering(t *testing.T) {
 	st := storage.NewMemory()
 	conn := startPipe(t, st)

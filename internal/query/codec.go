@@ -10,7 +10,7 @@ import (
 	"repro/internal/wire"
 )
 
-// StepInfo is one plan step as it travels in a RespResultConj: which
+// StepInfo is one plan step as it travels in an explain answer: which
 // request conjunct ran, how it was served, and what it cost.
 type StepInfo struct {
 	// Index is the conjunct's position in the request.
@@ -35,43 +35,188 @@ type PlanInfo struct {
 	Steps []StepInfo
 }
 
-// Response is the payload of RespResultConj.
+// Response is the answer to one plan of a read request. Exactly one
+// field is set, selected by the request's flags.
 type Response struct {
-	// Plan summarises the executed (or, in explain mode, planned)
-	// conjunct order.
+	// Plan is the planned conjunct order (wire.ReadFlagExplain).
 	Plan *PlanInfo
-	// Result holds the intersection for a plain execution; nil in
-	// explain mode and in verified responses.
+	// Result holds the plan's matching tuples (no flag).
 	Result *ph.Result
-	// Verified holds the intersection with proofs, root, leaf count and
-	// version for a verified execution; nil otherwise.
+	// Verified holds them with proofs, root, leaf count and version
+	// (wire.ReadFlagVerified).
 	Verified *authindex.VerifiedResult
 }
 
-// respFlag bits in the encoded response.
-const (
-	respFlagVerified byte = 1 << 0
-	respFlagExplain  byte = 1 << 1
-)
+// Matches returns the answer's result, plain or verified (nil for an
+// explain answer).
+func (resp Response) Matches() *ph.Result {
+	if resp.Verified != nil {
+		return resp.Verified.Result
+	}
+	return resp.Result
+}
+
+// maxCount is the largest plan or conjunct count the u16 fields carry.
+const maxCount = 1<<16 - 1
+
+// EncodeRequest serialises a read request (wire.CmdQuery,
+// wire.CmdShardQuery): table name, flags (wire.ReadFlag*), plan count,
+// then per plan its conjunct count and encrypted queries.
+func EncodeRequest(dst []byte, name string, flags byte, plans [][]*ph.EncryptedQuery) ([]byte, error) {
+	if len(plans) > maxCount {
+		return nil, fmt.Errorf("query: %d plans exceed the %d a request carries", len(plans), maxCount)
+	}
+	dst = wire.AppendString(dst, name)
+	dst = wire.AppendU8(dst, flags)
+	dst = wire.AppendU16(dst, uint16(len(plans)))
+	for _, qs := range plans {
+		if len(qs) > maxCount {
+			return nil, fmt.Errorf("query: %d conjuncts exceed the %d a plan carries", len(qs), maxCount)
+		}
+		dst = wire.AppendU16(dst, uint16(len(qs)))
+		for _, q := range qs {
+			dst = wire.EncodeQuery(dst, q)
+		}
+	}
+	return dst, nil
+}
+
+// DecodeRequest parses a read request, which must fill the payload
+// exactly. Flags must be known and mutually exclusive; a fetch carries no
+// plans, every other request at least one, and every plan at least one
+// conjunct. Counts are clamped against what the payload could hold
+// before anything is allocated.
+func DecodeRequest(payload []byte) (name string, flags byte, plans [][]*ph.EncryptedQuery, err error) {
+	r := wire.NewBuffer(payload)
+	if name, err = r.String(); err != nil {
+		return "", 0, nil, fmt.Errorf("query: request table name: %w", err)
+	}
+	if flags, err = r.U8(); err != nil {
+		return "", 0, nil, fmt.Errorf("query: request flags: %w", err)
+	}
+	switch flags {
+	case 0, wire.ReadFlagVerified, wire.ReadFlagExplain, wire.ReadFlagFetch:
+	default:
+		return "", 0, nil, fmt.Errorf("query: request flags %#x: unknown or combined", flags)
+	}
+	n, err := r.U16()
+	if err != nil {
+		return "", 0, nil, fmt.Errorf("query: request plan count: %w", err)
+	}
+	if (n == 0) != (flags == wire.ReadFlagFetch) {
+		return "", 0, nil, fmt.Errorf("query: request with flags %#x carries %d plans", flags, n)
+	}
+	// A plan is at least its conjunct count and one query of two
+	// length-prefixed fields.
+	plans = make([][]*ph.EncryptedQuery, 0, wire.ClampCount(uint32(n), r.Remaining()/10))
+	for i := 0; i < int(n); i++ {
+		k, err := r.U16()
+		if err != nil {
+			return "", 0, nil, fmt.Errorf("query: plan %d conjunct count: %w", i, err)
+		}
+		if k == 0 {
+			return "", 0, nil, fmt.Errorf("query: plan %d is an empty conjunction", i)
+		}
+		qs := make([]*ph.EncryptedQuery, 0, wire.ClampCount(uint32(k), r.Remaining()/8))
+		for j := 0; j < int(k); j++ {
+			q, err := wire.DecodeQuery(r)
+			if err != nil {
+				return "", 0, nil, fmt.Errorf("query: plan %d conjunct %d: %w", i, j, err)
+			}
+			qs = append(qs, q)
+		}
+		plans = append(plans, qs)
+	}
+	return name, flags, plans, r.Err()
+}
+
+// EncodeResponses serialises the answer to a read request
+// (wire.RespResult, and each shard's sub-answer in a
+// wire.RespResultShard): the request's flags, then one answer per plan
+// in request order, in the shape the flags select.
+func EncodeResponses(dst []byte, flags byte, resps []Response) []byte {
+	dst = wire.AppendU8(dst, flags)
+	dst = wire.AppendU16(dst, uint16(len(resps)))
+	for _, resp := range resps {
+		switch flags {
+		case wire.ReadFlagExplain:
+			dst = encodePlan(dst, resp.Plan)
+		case wire.ReadFlagVerified:
+			dst = authindex.EncodeVerifiedResult(dst, resp.Verified)
+		default:
+			dst = wire.EncodeResult(dst, resp.Result)
+		}
+	}
+	return dst
+}
+
+// DecodeResponses parses the answer to a read request, which must fill
+// the payload exactly. Counts are clamped and validated like every
+// other decoder in the protocol — a hostile frame can make decoding
+// fail, never allocate unboundedly — and result positions must be
+// non-negative and strictly ascending: they are coordinates into the
+// table (or, behind a coordinator, into one shard of it), and an answer
+// that repeats or reorders them is malformed, not something for the
+// caller to sort into shape.
+func DecodeResponses(payload []byte) (flags byte, resps []Response, err error) {
+	r := wire.NewBuffer(payload)
+	if flags, err = r.U8(); err != nil {
+		return 0, nil, fmt.Errorf("query: response flags: %w", err)
+	}
+	if flags != 0 && flags != wire.ReadFlagVerified && flags != wire.ReadFlagExplain {
+		return 0, nil, fmt.Errorf("query: response flags %#x: unknown or combined", flags)
+	}
+	n, err := r.U16()
+	if err != nil {
+		return 0, nil, fmt.Errorf("query: response plan count: %w", err)
+	}
+	// The smallest answer is a plain result's two zero counts.
+	resps = make([]Response, 0, wire.ClampCount(uint32(n), r.Remaining()/8))
+	for i := 0; i < int(n); i++ {
+		var resp Response
+		switch flags {
+		case wire.ReadFlagExplain:
+			resp.Plan, err = decodePlan(r)
+		case wire.ReadFlagVerified:
+			resp.Verified, err = authindex.DecodeVerifiedResult(r)
+		default:
+			resp.Result, err = wire.DecodeResult(r)
+		}
+		if err == nil && resp.Plan == nil {
+			err = checkPositions(resp.Matches().Positions)
+		}
+		if err != nil {
+			return 0, nil, fmt.Errorf("query: plan %d answer: %w", i, err)
+		}
+		resps = append(resps, resp)
+	}
+	return flags, resps, r.Err()
+}
+
+// checkPositions rejects positions that are negative or not strictly
+// ascending.
+func checkPositions(positions []int) error {
+	for i, p := range positions {
+		if p < 0 {
+			return fmt.Errorf("negative result position %d", p)
+		}
+		if i > 0 && p <= positions[i-1] {
+			return fmt.Errorf("result positions not strictly ascending (%d after %d)", p, positions[i-1])
+		}
+	}
+	return nil
+}
 
 // maxPlanSteps caps the decoded plan length; a conjunction is a handful
 // of predicates, never thousands, and a hostile count must not force a
 // large allocation.
 const maxPlanSteps = 1 << 16
 
-// EncodeResponse serialises a Response for the wire.
-func EncodeResponse(dst []byte, resp *Response) []byte {
-	var flags byte
-	switch {
-	case resp.Verified != nil:
-		flags |= respFlagVerified
-	case resp.Result == nil:
-		flags |= respFlagExplain
-	}
-	dst = wire.AppendU8(dst, flags)
-	dst = wire.AppendU32(dst, uint32(resp.Plan.Tuples))
-	dst = wire.AppendU32(dst, uint32(len(resp.Plan.Steps)))
-	for _, st := range resp.Plan.Steps {
+// encodePlan serialises a plan summary.
+func encodePlan(dst []byte, info *PlanInfo) []byte {
+	dst = wire.AppendU32(dst, uint32(info.Tuples))
+	dst = wire.AppendU32(dst, uint32(len(info.Steps)))
+	for _, st := range info.Steps {
 		dst = wire.AppendU32(dst, uint32(st.Index))
 		dst = wire.AppendU8(dst, byte(st.Source))
 		dst = wire.AppendU64(dst, math.Float64bits(st.Est))
@@ -83,26 +228,14 @@ func EncodeResponse(dst []byte, resp *Response) []byte {
 		dst = wire.AppendU32(dst, uint32(st.Tested))
 		dst = wire.AppendU32(dst, uint32(st.Hits))
 	}
-	switch {
-	case resp.Verified != nil:
-		dst = authindex.EncodeVerifiedResult(dst, resp.Verified)
-	case resp.Result != nil:
-		dst = wire.EncodeResult(dst, resp.Result)
-	}
 	return dst
 }
 
-// DecodeResponse parses a Response from a wire buffer. Counts are
-// clamped and validated like every other decoder in the protocol; a
-// hostile frame can make decoding fail, never allocate unboundedly.
-func DecodeResponse(r *wire.Buffer) (*Response, error) {
-	flags, err := r.U8()
-	if err != nil {
-		return nil, fmt.Errorf("query: response flags: %w", err)
-	}
+// decodePlan parses a plan summary.
+func decodePlan(r *wire.Buffer) (*PlanInfo, error) {
 	tuples, err := r.U32()
 	if err != nil {
-		return nil, fmt.Errorf("query: response tuple count: %w", err)
+		return nil, fmt.Errorf("query: plan tuple count: %w", err)
 	}
 	n, err := r.U32()
 	if err != nil {
@@ -158,20 +291,7 @@ func DecodeResponse(r *wire.Buffer) (*Response, error) {
 			Hits:     int(hits),
 		}
 	}
-	resp := &Response{Plan: info}
-	switch {
-	case flags&respFlagVerified != 0:
-		if resp.Verified, err = authindex.DecodeVerifiedResult(r); err != nil {
-			return nil, err
-		}
-	case flags&respFlagExplain != 0:
-		// plan only
-	default:
-		if resp.Result, err = wire.DecodeResult(r); err != nil {
-			return nil, err
-		}
-	}
-	return resp, nil
+	return info, nil
 }
 
 // Render formats the plan for humans (phclient's -explain). labels, when
@@ -198,16 +318,4 @@ func (p *PlanInfo) Render(table string, labels []string) string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// EncodeRequest serialises a CmdQueryConj payload: table name, flags
-// (wire.ConjFlag*), query count, queries.
-func EncodeRequest(dst []byte, name string, flags byte, qs []*ph.EncryptedQuery) []byte {
-	dst = wire.AppendString(dst, name)
-	dst = wire.AppendU8(dst, flags)
-	dst = wire.AppendU32(dst, uint32(len(qs)))
-	for _, q := range qs {
-		dst = wire.EncodeQuery(dst, q)
-	}
-	return dst
 }

@@ -30,93 +30,139 @@ func sampleResult() *ph.Result {
 	}
 }
 
-func TestResponseCodecRoundTrip(t *testing.T) {
-	cases := []*Response{
-		{Plan: sampleInfo(), Result: sampleResult()},
-		{Plan: sampleInfo()}, // explain: plan only
-		{Plan: sampleInfo(), Verified: &authindex.VerifiedResult{
-			Result:  sampleResult(),
-			Root:    []byte("0123456789abcdef0123456789abcdef"),
-			Leaves:  10,
-			Version: 42,
-			Proofs: []authindex.Proof{
-				{Position: 3, Siblings: [][]byte{[]byte("0123456789abcdef0123456789abcdef")}},
-				{Position: 9, Siblings: nil},
-			},
-		}},
-	}
-	for ci, resp := range cases {
-		enc := EncodeResponse(nil, resp)
-		dec, err := DecodeResponse(wire.NewBuffer(enc))
-		if err != nil {
-			t.Fatalf("case %d: decode: %v", ci, err)
-		}
-		re := EncodeResponse(nil, dec)
-		if !reflect.DeepEqual(enc, re) {
-			t.Fatalf("case %d: re-encoding differs", ci)
-		}
-		if !reflect.DeepEqual(dec.Plan, resp.Plan) {
-			t.Fatalf("case %d: plan = %+v, want %+v", ci, dec.Plan, resp.Plan)
-		}
-		if (dec.Result == nil) != (resp.Result == nil) || (dec.Verified == nil) != (resp.Verified == nil) {
-			t.Fatalf("case %d: payload kind mismatch", ci)
-		}
+func sampleVerified() *authindex.VerifiedResult {
+	return &authindex.VerifiedResult{
+		Result:  sampleResult(),
+		Root:    []byte("0123456789abcdef0123456789abcdef"),
+		Leaves:  10,
+		Version: 42,
+		Proofs: []authindex.Proof{
+			{Position: 3, Siblings: [][]byte{[]byte("0123456789abcdef0123456789abcdef")}},
+			{Position: 9, Siblings: nil},
+		},
 	}
 }
 
-func TestEncodeRequestDecodable(t *testing.T) {
-	qs := []*ph.EncryptedQuery{
+func sampleQueries() []*ph.EncryptedQuery {
+	return []*ph.EncryptedQuery{
 		{SchemeID: "swp-ph", Token: []byte("tok-a")},
 		{SchemeID: "swp-ph", Token: []byte("tok-b")},
 	}
-	payload := EncodeRequest(nil, "emp", wire.ConjFlagVerified, qs)
-	r := wire.NewBuffer(payload)
-	name, err := r.String()
-	if err != nil || name != "emp" {
-		t.Fatalf("name = %q, %v", name, err)
-	}
-	flags, err := r.U8()
-	if err != nil || flags != wire.ConjFlagVerified {
-		t.Fatalf("flags = %v, %v", flags, err)
-	}
-	n, err := r.U32()
-	if err != nil || n != 2 {
-		t.Fatalf("count = %d, %v", n, err)
-	}
-	for i := uint32(0); i < n; i++ {
-		q, err := wire.DecodeQuery(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q.SchemeID != qs[i].SchemeID || string(q.Token) != string(qs[i].Token) {
-			t.Fatalf("query %d round-trip mismatch", i)
-		}
-	}
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
+}
+
+// sampleResponses is one two-plan answer per response shape, by flags.
+func sampleResponses() map[byte][]Response {
+	return map[byte][]Response{
+		0:                     {{Result: sampleResult()}, {Result: &ph.Result{}}},
+		wire.ReadFlagVerified: {{Verified: sampleVerified()}, {Verified: sampleVerified()}},
+		wire.ReadFlagExplain:  {{Plan: sampleInfo()}, {Plan: &PlanInfo{Tuples: 3, Steps: []StepInfo{{Index: 0, Source: SourceSkipped, Est: 1}}}}},
 	}
 }
 
-func TestDecodeResponseRejectsHostileCounts(t *testing.T) {
-	// A tiny frame declaring a huge plan must fail cleanly, not allocate.
-	payload := wire.AppendU8(nil, 0)
-	payload = wire.AppendU32(payload, 100)
-	payload = wire.AppendU32(payload, 0xFFFFFFFF)
-	if _, err := DecodeResponse(wire.NewBuffer(payload)); err == nil {
-		t.Fatal("hostile step count must be rejected")
+func TestResponseCodecRoundTrip(t *testing.T) {
+	for flags, resps := range sampleResponses() {
+		enc := EncodeResponses(nil, flags, resps)
+		got, dec, err := DecodeResponses(enc)
+		if err != nil {
+			t.Fatalf("flags %#x: decode: %v", flags, err)
+		}
+		if got != flags || len(dec) != len(resps) {
+			t.Fatalf("flags %#x: decoded flags %#x, %d answers", flags, got, len(dec))
+		}
+		if re := EncodeResponses(nil, got, dec); !reflect.DeepEqual(enc, re) {
+			t.Fatalf("flags %#x: re-encoding differs", flags)
+		}
+		for i := range dec {
+			if !reflect.DeepEqual(dec[i].Plan, resps[i].Plan) {
+				t.Fatalf("flags %#x: plan %d = %+v, want %+v", flags, i, dec[i].Plan, resps[i].Plan)
+			}
+			if (dec[i].Result == nil) != (resps[i].Result == nil) || (dec[i].Verified == nil) != (resps[i].Verified == nil) {
+				t.Fatalf("flags %#x: answer %d shape mismatch", flags, i)
+			}
+		}
 	}
-	// An estimate outside [0,1] (or NaN) is a protocol violation.
-	payload = wire.AppendU8(nil, 0)
-	payload = wire.AppendU32(payload, 100)
-	payload = wire.AppendU32(payload, 1)
-	payload = wire.AppendU32(payload, 0)                  // index
-	payload = wire.AppendU8(payload, 0)                   // source
-	payload = wire.AppendU64(payload, 0x7FF8000000000001) // NaN
-	payload = wire.AppendU8(payload, 0)
-	payload = wire.AppendU32(payload, 0)
-	payload = wire.AppendU32(payload, 0)
-	if _, err := DecodeResponse(wire.NewBuffer(payload)); err == nil {
-		t.Fatal("NaN estimate must be rejected")
+}
+
+func TestRequestCodecRoundTrip(t *testing.T) {
+	qs := sampleQueries()
+	plans := [][]*ph.EncryptedQuery{qs, qs[:1]}
+	payload, err := EncodeRequest(nil, "emp", wire.ReadFlagVerified, plans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name, flags, got, err := DecodeRequest(payload)
+	if err != nil || name != "emp" || flags != wire.ReadFlagVerified || !reflect.DeepEqual(got, plans) {
+		t.Fatalf("decoded %q, flags %#x, %d plans, %v", name, flags, len(got), err)
+	}
+	// A select costs 5 bytes over name | query: flags and the two counts.
+	single, _ := EncodeRequest(nil, "emp", 0, plans[1:])
+	if want := len(wire.EncodeQuery(wire.AppendString(nil, "emp"), qs[0])) + 5; len(single) != want {
+		t.Fatalf("single-select request is %d bytes, want %d", len(single), want)
+	}
+	if _, err := EncodeRequest(nil, "emp", 0, make([][]*ph.EncryptedQuery, 1<<16)); err == nil {
+		t.Fatal("a plan count past the u16 field must be refused, not truncated")
+	}
+}
+
+// TestDecodeRejectsMalformed: every structurally wrong request or
+// response fails cleanly — and, for the count bombs, without a
+// count-proportional allocation.
+func TestDecodeRejectsMalformed(t *testing.T) {
+	head := func(flags byte, plans uint16) []byte {
+		return wire.AppendU16(wire.AppendU8(wire.AppendString(nil, "emp"), flags), plans)
+	}
+	good, _ := EncodeRequest(nil, "emp", 0, [][]*ph.EncryptedQuery{sampleQueries()})
+	requests := map[string][]byte{
+		"trailing byte":      append(append([]byte(nil), good...), 0),
+		"truncated":          good[:len(good)-1],
+		"unknown flag":       append(head(1<<5, 1), good[len(head(0, 1)):]...),
+		"combined flags":     append(head(wire.ReadFlagVerified|wire.ReadFlagExplain, 1), good[len(head(0, 1)):]...),
+		"no plans":           head(0, 0),
+		"fetch with a plan":  append(head(wire.ReadFlagFetch, 1), good[len(head(0, 1)):]...),
+		"empty conjunction":  wire.AppendU16(head(0, 1), 0),
+		"plan-count bomb":    head(0, 0xFFFF),
+		"conjunct-count bom": wire.AppendU16(head(0, 1), 0xFFFF),
+	}
+	for name, payload := range requests {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, _, _, err := DecodeRequest(payload); err == nil {
+				t.Fatalf("request with %s accepted", name)
+			}
+		})
+		if allocs > 50 {
+			t.Fatalf("request with %s cost %.0f allocations", name, allocs)
+		}
+	}
+	if _, flags, plans, err := DecodeRequest(head(wire.ReadFlagFetch, 0)); err != nil || flags != wire.ReadFlagFetch || len(plans) != 0 {
+		t.Fatalf("bare fetch request: flags %#x, %d plans, %v", flags, len(plans), err)
+	}
+
+	explain := func(steps uint32, est uint64) []byte {
+		p := wire.AppendU16(wire.AppendU8(nil, wire.ReadFlagExplain), 1)
+		p = wire.AppendU32(wire.AppendU32(p, 100), steps) // tuples, step count
+		p = wire.AppendU8(wire.AppendU32(p, 0), 0)        // index, source
+		p = wire.AppendU8(wire.AppendU64(p, est), 0)      // estimate, known
+		return wire.AppendU32(wire.AppendU32(p, 0), 0)    // tested, hits
+	}
+	plain := EncodeResponses(nil, 0, sampleResponses()[0])
+	responses := map[string][]byte{
+		"trailing byte":       append(append([]byte(nil), plain...), 0),
+		"truncated":           plain[:len(plain)/2],
+		"unknown flag":        append([]byte{1 << 5}, plain[1:]...),
+		"fetch flag":          append([]byte{wire.ReadFlagFetch}, plain[1:]...),
+		"answer-count bomb":   wire.AppendU16(wire.AppendU8(nil, 0), 0xFFFF),
+		"step-count bomb":     explain(0xFFFFFFFF, 0),
+		"NaN estimate":        explain(1, 0x7FF8000000000001),
+		"repeated position":   EncodeResponses(nil, 0, []Response{{Result: &ph.Result{Positions: []int{4, 4}}}}),
+		"descending position": EncodeResponses(nil, 0, []Response{{Result: &ph.Result{Positions: []int{4, 2}}}}),
+	}
+	for name, payload := range responses {
+		if _, _, err := DecodeResponses(payload); err == nil {
+			t.Fatalf("response with %s accepted", name)
+		}
+	}
+	if _, _, err := DecodeResponses(explain(1, 0)); err != nil {
+		t.Fatalf("well-formed explain answer rejected: %v", err)
 	}
 }
 

@@ -8,94 +8,78 @@ import (
 	"repro/internal/wire"
 )
 
-// FuzzDecodeConjResponse drives the CmdQueryConj response decoder with
-// arbitrary bytes: it must never panic or over-allocate, and anything it
-// accepts must re-encode stably. Seeds cover all three response kinds
-// plus hostile shapes (huge step counts, NaN estimates, truncation).
-func FuzzDecodeConjResponse(f *testing.F) {
+// FuzzDecodeResponses drives the read-response decoder — what a client
+// runs on every RespResult, and on every shard's sub-answer — with
+// arbitrary bytes: it must never panic or over-allocate, anything it
+// accepts must survive re-encoding unchanged, and accepted positions are
+// strictly ascending. Seeds cover the three answer shapes plus hostile
+// ones (count bombs, NaN estimates, truncation, trailing bytes).
+func FuzzDecodeResponses(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeResponse(nil, &Response{Plan: sampleInfo(), Result: sampleResult()}))
-	f.Add(EncodeResponse(nil, &Response{Plan: sampleInfo()}))
-	f.Add(EncodeResponse(nil, &Response{Plan: &PlanInfo{Tuples: 3, Steps: []StepInfo{{Index: 0, Source: SourceSkipped, Est: 1}}}}))
-	// Hostile: tiny frame declaring 2^32-1 plan steps.
-	hostile := wire.AppendU8(nil, 0)
-	hostile = wire.AppendU32(hostile, 10)
-	hostile = wire.AppendU32(hostile, 0xFFFFFFFF)
-	f.Add(hostile)
-	// Hostile: NaN estimate.
-	nan := wire.AppendU8(nil, 0)
-	nan = wire.AppendU32(nan, 10)
-	nan = wire.AppendU32(nan, 1)
-	nan = wire.AppendU32(nan, 0)
-	nan = wire.AppendU8(nan, 0)
-	nan = wire.AppendU64(nan, 0x7FF8000000000001)
-	nan = wire.AppendU8(nan, 0)
-	nan = wire.AppendU32(nan, 0)
-	nan = wire.AppendU32(nan, 0)
-	f.Add(nan)
-	// Truncated valid response.
-	full := EncodeResponse(nil, &Response{Plan: sampleInfo(), Result: sampleResult()})
-	f.Add(full[:len(full)/2])
+	for flags, resps := range sampleResponses() {
+		full := EncodeResponses(nil, flags, resps)
+		f.Add(full)
+		f.Add(full[:len(full)/2])
+		f.Add(append(full, 0))
+	}
+	f.Add(wire.AppendU16(wire.AppendU8(nil, 0), 0xFFFF))
+	// A tiny frame declaring 2^32-1 plan steps.
+	f.Add(wire.AppendU32(wire.AppendU32(wire.AppendU16(wire.AppendU8(nil, wire.ReadFlagExplain), 1), 10), 0xFFFFFFFF))
+	// A NaN selectivity estimate.
+	nan := wire.AppendU32(wire.AppendU32(wire.AppendU16(wire.AppendU8(nil, wire.ReadFlagExplain), 1), 10), 1)
+	nan = wire.AppendU8(wire.AppendU32(nan, 0), 0)
+	nan = wire.AppendU8(wire.AppendU64(nan, 0x7FF8000000000001), 0)
+	f.Add(wire.AppendU32(wire.AppendU32(nan, 0), 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		resp, err := DecodeResponse(wire.NewBuffer(data))
+		flags, resps, err := DecodeResponses(data)
 		if err != nil {
 			return
 		}
-		re := EncodeResponse(nil, resp)
-		resp2, err := DecodeResponse(wire.NewBuffer(re))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded response failed: %v", err)
+		flags2, resps2, err := DecodeResponses(EncodeResponses(nil, flags, resps))
+		if err != nil || flags2 != flags || !reflect.DeepEqual(resps2, resps) {
+			t.Fatalf("accepted answers do not survive re-encoding (%v)", err)
 		}
-		if !reflect.DeepEqual(resp2.Plan, resp.Plan) {
-			t.Fatal("plan not stable across re-encoding")
-		}
-	})
-}
-
-// FuzzDecodeConjRequest drives the server-side request fields the same
-// way the server's handler reads them (name, flags, count, queries).
-func FuzzDecodeConjRequest(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(EncodeRequest(nil, "emp", 0, sampleQueries()))
-	f.Add(EncodeRequest(nil, "emp", wire.ConjFlagVerified, sampleQueries()))
-	f.Add(EncodeRequest(nil, "", wire.ConjFlagExplain, nil))
-	// Hostile count in a small frame.
-	hostile := wire.AppendString(nil, "emp")
-	hostile = wire.AppendU8(hostile, 0)
-	hostile = wire.AppendU32(hostile, 0xFFFFFFFF)
-	f.Add(hostile)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := wire.NewBuffer(data)
-		if _, err := r.String(); err != nil {
-			return
-		}
-		if _, err := r.U8(); err != nil {
-			return
-		}
-		n, err := r.U32()
-		if err != nil {
-			return
-		}
-		// Mirror the server's clamp: preallocation bounded by what the
-		// payload could hold, decode loop reads the declared count.
-		capHint := r.Remaining() / 8
-		if uint64(n) < uint64(capHint) {
-			capHint = int(n)
-		}
-		if capHint > 1<<20 {
-			t.Fatalf("clamp admitted %d preallocated queries from a %d-byte payload", capHint, len(data))
-		}
-		for i := uint32(0); i < n; i++ {
-			if _, err := wire.DecodeQuery(r); err != nil {
-				return
+		for _, resp := range resps {
+			if resp.Plan == nil && checkPositions(resp.Matches().Positions) != nil {
+				t.Fatal("accepted positions that are not strictly ascending")
 			}
 		}
 	})
 }
 
-func sampleQueries() []*ph.EncryptedQuery {
-	return []*ph.EncryptedQuery{
-		{SchemeID: "swp-ph", Token: []byte("tok-a")},
-		{SchemeID: "swp-ph", Token: []byte("tok-b")},
+// FuzzDecodeRequest drives the read-request decoder — the one every
+// backend runs on CmdQuery and CmdShardQuery — the same way.
+func FuzzDecodeRequest(f *testing.F) {
+	f.Add([]byte{})
+	qs := sampleQueries()
+	for flags, plans := range map[byte][][]*ph.EncryptedQuery{
+		0:                     {qs[:1]},
+		wire.ReadFlagVerified: {qs, qs[:1], qs[1:]},
+		wire.ReadFlagExplain:  {qs},
+		wire.ReadFlagFetch:    nil,
+	} {
+		full, _ := EncodeRequest(nil, "emp", flags, plans)
+		f.Add(full)
+		f.Add(full[:len(full)-1])
+		f.Add(append(full, 0))
 	}
+	head := wire.AppendU8(wire.AppendString(nil, "emp"), 0)
+	f.Add(wire.AppendU16(head, 0xFFFF))                         // plan-count bomb
+	f.Add(wire.AppendU16(wire.AppendU16(head, 1), 0xFFFF))      // conjunct-count bomb
+	f.Add(wire.AppendU32(wire.AppendString(nil, "emp"), 1<<31)) // the retired u32 count where the flags now sit
+	f.Fuzz(func(t *testing.T, data []byte) {
+		name, flags, plans, err := DecodeRequest(data)
+		if err != nil {
+			return
+		}
+		re, err := EncodeRequest(nil, name, flags, plans)
+		if err != nil || !reflect.DeepEqual(re, data) {
+			t.Fatalf("accepted %d bytes that re-encode to %d different ones (%v)", len(data), len(re), err)
+		}
+		for _, qs := range plans {
+			if len(qs) == 0 {
+				t.Fatal("accepted an empty conjunction")
+			}
+		}
+	})
 }

@@ -18,9 +18,15 @@
 //     later conjunct is tested only at the surviving positions through
 //     ph.ApplyOn, so a k-conjunct query costs O(n + Σ|survivors|) match
 //     tests instead of k·O(n) scans plus k result transfers;
-//   - the executed plan reports, per conjunct, where its positions came
-//     from and how many tests it ran, which is what CmdQueryConj returns
-//     to the client and what phclient's -explain renders.
+//   - a plan reports, per conjunct, where its positions come from and
+//     how many tests it runs, which is what a read request with
+//     wire.ReadFlagExplain returns and what phclient's -explain renders.
+//
+// A single select is the one-conjunct plan: its only step is the driver,
+// which is exactly the cache hit / tail delta / shared-pass miss decision
+// — so every read the server answers, batched or not, verified or not,
+// is a Plan. This package also owns the codec of the one read request
+// and its answer (codec.go).
 //
 // The storage layer owns the locks, the cache and the sketch; it
 // gathers the per-conjunct cache state into Conjunct values, calls
@@ -132,13 +138,7 @@ type Plan struct {
 	// Tuples is the snapshot's tuple count.
 	Tuples int
 	// Conjuncts are the predicates in execution order.
-	Conjuncts []*Conjunct
-	// FullScan, when non-nil, serves the driver conjunct's uncached
-	// full-table positions-only scan — the storage layer points it at
-	// the scan-sharing layer, so a cold driver rides a shared pass
-	// instead of starting its own. ok=false means the hook cannot serve
-	// the query's scheme and Run falls back to ph.ApplyOn.
-	FullScan func(q *ph.EncryptedQuery) (positions []int, ok bool, err error)
+	Conjuncts []Conjunct
 }
 
 // scanCost approximates the positions this conjunct must test to
@@ -164,17 +164,21 @@ func (c *Conjunct) scanCost(tuples int) int {
 // conjuncts this reduces to ordering by selectivity; a cached prefix
 // needing only a small tail scan beats a marginally more selective
 // uncached conjunct that would full-scan. The sort is stable, so ties
-// keep request order and plans are deterministic.
-func Build(table string, tuples int, conjs []*Conjunct) (*Plan, error) {
+// keep request order and plans are deterministic. A one-conjunct plan —
+// a single select — has nothing to order and takes conjs as it is.
+func Build(table string, tuples int, conjs []Conjunct) (*Plan, error) {
 	if len(conjs) == 0 {
 		return nil, fmt.Errorf("query: empty conjunction")
 	}
 	cost := func(c *Conjunct) float64 {
 		return float64(c.scanCost(tuples)) + c.Est*float64(tuples)
 	}
-	ordered := append([]*Conjunct(nil), conjs...)
+	if len(conjs) == 1 {
+		return &Plan{Table: table, Tuples: tuples, Conjuncts: conjs}, nil
+	}
+	ordered := append([]Conjunct(nil), conjs...)
 	sort.SliceStable(ordered, func(i, j int) bool {
-		a, b := ordered[i], ordered[j]
+		a, b := &ordered[i], &ordered[j]
 		if (a.Cached == CachedFull) != (b.Cached == CachedFull) {
 			return a.Cached == CachedFull
 		}
@@ -187,15 +191,24 @@ func Build(table string, tuples int, conjs []*Conjunct) (*Plan, error) {
 }
 
 // Run executes the plan against the snapshot it was built for. The
-// returned positions are the conjunction's intersection, ascending. The
-// caller holds whatever lock makes et stable; Run itself takes none.
-func (p *Plan) Run(et *ph.EncryptedTable) ([]int, error) {
+// returned positions are the conjunction's intersection, ascending, and
+// may alias a conjunct's Positions or FullPositions: the caller must not
+// write to them. The caller holds whatever lock makes et stable; Run
+// itself takes none.
+//
+// fullScan, when non-nil, serves the driver conjunct's uncached
+// full-table positions-only scan — the storage layer points it at the
+// scan-sharing layer, so a cold driver rides a shared pass instead of
+// starting its own. ok=false means the hook cannot serve the query's
+// scheme and Run falls back to ph.ApplyOn.
+func (p *Plan) Run(et *ph.EncryptedTable, fullScan func(q *ph.EncryptedQuery) (positions []int, ok bool, err error)) ([]int, error) {
 	if len(et.Tuples) != p.Tuples {
 		return nil, fmt.Errorf("query: plan built for %d tuples run against %d", p.Tuples, len(et.Tuples))
 	}
 	n := p.Tuples
 	var surv []int
-	for step, cj := range p.Conjuncts {
+	for step := range p.Conjuncts {
+		cj := &p.Conjuncts[step]
 		if step > 0 && len(surv) == 0 {
 			cj.Source = SourceSkipped
 			continue
@@ -204,48 +217,53 @@ func (p *Plan) Run(et *ph.EncryptedTable) ([]int, error) {
 		case cj.Cached == CachedFull:
 			cj.Source = SourceHit
 			if step == 0 {
-				surv = append([]int(nil), cj.Positions...)
+				surv = cj.Positions
 			} else {
 				surv = ph.IntersectPositions(surv, cj.Positions)
 			}
 		case step == 0:
 			// Driver: this conjunct must produce a full-table position
 			// set. A cached prefix means only the appended tail needs
-			// scanning; the completed set is cacheable either way. Both
+			// scanning — every evaluator is a tuple-local scan, so
+			// evaluating Tuples[Scanned:] and offsetting the positions is
+			// exact; the completed set is cacheable either way. Both
 			// shapes go through ApplyOn rather than Apply: only the
 			// positions are needed here, and Apply would deep-clone every
-			// matching tuple just for them to be discarded.
+			// matching tuple just for them to be discarded. Nil candidates
+			// = whole table (the Narrower contract): a positions-only
+			// scan, no candidate list built.
 			var full []int
 			if cj.Cached == CachedPrefix {
-				tail, err := ph.ApplyOn(et, cj.Q, ascending(cj.Scanned, n))
+				tail := &ph.EncryptedTable{SchemeID: et.SchemeID, Meta: et.Meta, Tuples: et.Tuples[cj.Scanned:]}
+				hits, err := ph.ApplyOn(tail, cj.Q, nil)
 				if err != nil {
 					return nil, err
 				}
-				full = make([]int, 0, len(cj.Positions)+len(tail))
-				full = append(full, cj.Positions...)
-				full = append(full, tail...)
+				full = cj.Positions
+				for _, p := range hits {
+					full = append(full, p+cj.Scanned)
+				}
 				cj.Source = SourceDelta
 				cj.Tested = n - cj.Scanned
 			} else {
-				// Nil candidates = whole table (the Narrower contract):
-				// a positions-only full scan, no candidate list built.
 				// Prefer the shared-scan hook when the storage layer
 				// installed one — same positions, one coalesced pass.
-				positions, served, err := p.fullScan(cj.Q)
+				var served bool
+				var err error
+				if fullScan != nil {
+					full, served, err = fullScan(cj.Q)
+				}
+				if err == nil && !served {
+					full, err = ph.ApplyOn(et, cj.Q, nil)
+				}
 				if err != nil {
 					return nil, err
 				}
-				if !served {
-					if positions, err = ph.ApplyOn(et, cj.Q, nil); err != nil {
-						return nil, err
-					}
-				}
-				full = positions
 				cj.Source = SourceScan
 				cj.Tested = n
 			}
 			cj.FullPositions = full
-			surv = append([]int(nil), full...)
+			surv = full
 		default:
 			// Narrow: test this conjunct only at the survivors. A cached
 			// prefix splits the work — survivors inside the prefix
@@ -285,7 +303,8 @@ func (p *Plan) Run(et *ph.EncryptedTable) ([]int, error) {
 // path without evaluating anything — the explain-mode counterpart of
 // Run. Tested and Hits stay zero: estimates, not measurements.
 func (p *Plan) Annotate() {
-	for step, cj := range p.Conjuncts {
+	for step := range p.Conjuncts {
+		cj := &p.Conjuncts[step]
 		switch {
 		case cj.Cached == CachedFull:
 			cj.Source = SourceHit
@@ -303,28 +322,6 @@ func (p *Plan) Annotate() {
 			}
 		}
 	}
-}
-
-// fullScan consults the plan's shared-scan hook, if any.
-func (p *Plan) fullScan(q *ph.EncryptedQuery) ([]int, bool, error) {
-	if p.FullScan == nil {
-		return nil, false, nil
-	}
-	return p.FullScan(q)
-}
-
-// ascending returns the positions [lo, hi) as an ascending slice. The
-// result is never nil — in the Narrower contract nil means "the whole
-// table", which an empty range must not accidentally request.
-func ascending(lo, hi int) []int {
-	if hi <= lo {
-		return []int{}
-	}
-	out := make([]int, hi-lo)
-	for i := range out {
-		out[i] = lo + i
-	}
-	return out
 }
 
 // Info summarises the plan for the wire: one step per conjunct, in

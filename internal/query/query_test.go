@@ -120,13 +120,13 @@ func naiveConj(et *ph.EncryptedTable, qs []*ph.EncryptedQuery) []int {
 	return out
 }
 
-func runPlan(t *testing.T, et *ph.EncryptedTable, conjs []*Conjunct) ([]int, *Plan) {
+func runPlan(t *testing.T, et *ph.EncryptedTable, conjs []Conjunct) ([]int, *Plan) {
 	t.Helper()
 	plan, err := Build("t", len(et.Tuples), conjs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plan.Run(et)
+	got, err := plan.Run(et, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func runPlan(t *testing.T, et *ph.EncryptedTable, conjs []*Conjunct) ([]int, *Pl
 }
 
 func TestBuildOrdersBySelectivity(t *testing.T) {
-	conjs := []*Conjunct{
+	conjs := []Conjunct{
 		{Index: 0, Q: q("a"), Est: 0.5},
 		{Index: 1, Q: q("b"), Est: 0.01},
 		{Index: 2, Q: q("c"), Est: 0.25},
@@ -153,7 +153,7 @@ func TestBuildOrdersBySelectivity(t *testing.T) {
 }
 
 func TestBuildPutsCachedFirst(t *testing.T) {
-	conjs := []*Conjunct{
+	conjs := []Conjunct{
 		{Index: 0, Q: q("a"), Est: 0.001},
 		{Index: 1, Q: q("b"), Est: 0.9, Cached: CachedFull, Positions: []int{1, 2, 3}},
 		{Index: 2, Q: q("c"), Est: 0.9, Cached: CachedFull, Positions: []int{1}},
@@ -177,7 +177,7 @@ func TestBuildPutsCachedFirst(t *testing.T) {
 // costs only a small tail scan beats a marginally more selective
 // uncached conjunct that would have to scan the whole table.
 func TestBuildPrefersCheapPrefixDriver(t *testing.T) {
-	conjs := []*Conjunct{
+	conjs := []Conjunct{
 		{Index: 0, Q: q("a"), Est: 0.009},                                     // uncached: driver cost 1000 + 9
 		{Index: 1, Q: q("b"), Est: 0.010, Cached: CachedPrefix, Scanned: 990}, // tail cost 10 + 10
 	}
@@ -206,9 +206,9 @@ func TestRunMatchesNaiveIntersection(t *testing.T) {
 		{q("even"), q("x"), q("rare")},
 	}
 	for ci, qs := range cases {
-		conjs := make([]*Conjunct, len(qs))
+		conjs := make([]Conjunct, len(qs))
 		for i, qq := range qs {
-			conjs[i] = &Conjunct{Index: i, Q: qq, Est: 0.5}
+			conjs[i] = Conjunct{Index: i, Q: qq, Est: 0.5}
 		}
 		got, _ := runPlan(t, et, conjs)
 		if want := naiveConj(et, qs); !reflect.DeepEqual(got, want) {
@@ -223,7 +223,7 @@ func TestRunMatchesNaiveIntersection(t *testing.T) {
 // full-table evaluator.
 func TestRunScansOnceAndNarrows(t *testing.T) {
 	et := fixture(1000)
-	conjs := []*Conjunct{
+	conjs := []Conjunct{
 		{Index: 0, Q: q("even"), Est: 0.5},
 		{Index: 1, Q: q("rare"), Est: 0.001},
 	}
@@ -261,7 +261,7 @@ func TestRunUsesCachedPositions(t *testing.T) {
 	et := fixture(100)
 	evens := naiveConj(et, []*ph.EncryptedQuery{q("even")})
 	rare := naiveConj(et, []*ph.EncryptedQuery{q("rare")})
-	conjs := []*Conjunct{
+	conjs := []Conjunct{
 		{Index: 0, Q: q("even"), Cached: CachedFull, Positions: evens, Scanned: 100, Est: 0.5, EstKnown: true},
 		{Index: 1, Q: q("rare"), Cached: CachedFull, Positions: rare, Scanned: 100, Est: 0.01, EstKnown: true},
 	}
@@ -293,7 +293,7 @@ func TestRunCachedPrefixDriver(t *testing.T) {
 			rarePrefix = append(rarePrefix, p)
 		}
 	}
-	conjs := []*Conjunct{
+	conjs := []Conjunct{
 		{Index: 0, Q: q("rare"), Cached: CachedPrefix, Positions: rarePrefix, Scanned: 90, Est: 0.01, EstKnown: true},
 		{Index: 1, Q: q("even"), Est: 0.5},
 	}
@@ -330,7 +330,7 @@ func TestRunDeltaNarrowReportsTailHits(t *testing.T) {
 	}
 	// Est 0.95 keeps the prefix conjunct's cost (10 tail + 95 survivors)
 	// above the rare driver's (100 + 0.1), so it narrows second.
-	conjs := []*Conjunct{
+	conjs := []Conjunct{
 		{Index: 0, Q: q("rare"), Est: 0.001},
 		{Index: 1, Q: q("even"), Est: 0.95, Cached: CachedPrefix, Positions: evensPrefix, Scanned: 90},
 	}
@@ -353,7 +353,7 @@ func TestRunDeltaNarrowReportsTailHits(t *testing.T) {
 // conjuncts are never evaluated.
 func TestRunSkipsAfterEmpty(t *testing.T) {
 	et := fixture(50)
-	conjs := []*Conjunct{
+	conjs := []Conjunct{
 		{Index: 0, Q: q("nothing-matches"), Est: 0.001},
 		{Index: 1, Q: q("even"), Est: 0.5},
 	}
@@ -373,17 +373,17 @@ func TestRunSkipsAfterEmpty(t *testing.T) {
 
 func TestRunRejectsStaleSnapshot(t *testing.T) {
 	et := fixture(10)
-	plan, err := Build("t", 12, []*Conjunct{{Index: 0, Q: q("even")}})
+	plan, err := Build("t", 12, []Conjunct{{Index: 0, Q: q("even")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.Run(et); err == nil {
+	if _, err := plan.Run(et, nil); err == nil {
 		t.Fatal("plan for a different tuple count must refuse to run")
 	}
 }
 
 func TestAnnotatePredictsSources(t *testing.T) {
-	conjs := []*Conjunct{
+	conjs := []Conjunct{
 		{Index: 0, Q: q("a"), Est: 0.9, Cached: CachedFull},
 		{Index: 1, Q: q("b"), Est: 0.1},
 		{Index: 2, Q: q("c"), Est: 0.5, Cached: CachedPrefix},

@@ -3,7 +3,7 @@
 // process draws its workers from.
 //
 // Before the budget existed, core.Evaluate sized a worker pool at
-// GOMAXPROCS *per query* and server.queryBatch put several queries in
+// GOMAXPROCS *per query* and the server put several queries of a batch in
 // flight per frame, so C concurrent clients could stack C×GOMAXPROCS scan
 // goroutines. The runtime still bounds CPU at GOMAXPROCS threads, but the
 // oversubscription inflates scheduling latency and tail latency under

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/authindex"
 	"repro/internal/ph"
 	"repro/internal/query"
 	"repro/internal/sched"
@@ -23,41 +22,37 @@ type storeBackend struct {
 
 func (b *storeBackend) Sync() error { return b.store.Sync() }
 
-// maxBatchFanout caps the goroutines one CmdQueryBatch frame may put in
+// maxReadFanout caps the goroutines one CmdQuery frame may put in
 // flight. The cap bounds per-frame goroutine count against hostile
 // frames; it deliberately exceeds the scheduler budget's capacity — see
-// queryBatch.
-const maxBatchFanout = 64
+// read.
+const maxReadFanout = 64
 
-// queryBatch evaluates a batch of queries against one table. The fanout
-// is sized well above the scheduler budget's capacity on purpose: with
-// the scan-sharing layer (internal/scanshare) in the store, cold queries
-// on the same table coalesce into one shared ψ pass, so most of these
+// read evaluates the plans of one read request against one table, each
+// plan under its own read-locked snapshot. The fanout over plans is
+// sized well above the scheduler budget's capacity on purpose: with the
+// scan-sharing layer (internal/scanshare) in the store, cold plans on
+// the same table coalesce into one shared ψ pass, so most of these
 // goroutines just ride a pass (blocked on its completion) rather than
 // scanning — capping fanout at CPU count would *serialise* riders that
 // could have shared one pass. Actual scan parallelism stays bounded by
 // the sched budget, which the shared pass (and every solo scan) draws
-// its workers from. The workers pull query indices from a channel, so
+// its workers from. The workers pull plan indices from a channel, so
 // one stalled evaluation occupies only its own worker and never wedges
-// dispatch of later queries behind it; pulling also bounds live
+// dispatch of later plans behind it; pulling also bounds live
 // goroutines per frame at the fanout, so a hostile frame declaring
-// millions of queries cannot spawn millions of goroutines. Results keep
+// thousands of plans cannot spawn thousands of goroutines. Answers keep
 // the request order; on failure the lowest-index error wins and the
-// batch fails as a unit, exactly as the serial loop behaved.
-func (b *storeBackend) queryBatch(name string, queries []*ph.EncryptedQuery) ([]*ph.Result, error) {
-	results := make([]*ph.Result, len(queries))
-	if len(queries) <= 1 {
-		for i, q := range queries {
-			res, err := b.store.Query(name, q)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
-		}
-		return results, nil
+// request fails as a unit.
+func (b *storeBackend) read(name string, flags byte, plans [][]*ph.EncryptedQuery) ([]query.Response, error) {
+	resps := make([]query.Response, len(plans))
+	if len(plans) == 1 {
+		var err error
+		resps[0], _, err = b.store.Read(name, plans[0], flags)
+		return resps, err
 	}
-	errs := make([]error, len(queries))
-	workers := min(len(queries), max(maxBatchFanout, sched.Process().Capacity()))
+	errs := make([]error, len(plans))
+	workers := min(len(plans), max(maxReadFanout, sched.Process().Capacity()))
 	work := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -65,11 +60,11 @@ func (b *storeBackend) queryBatch(name string, queries []*ph.EncryptedQuery) ([]
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				results[i], errs[i] = b.store.Query(name, queries[i])
+				resps[i], _, errs[i] = b.store.Read(name, plans[i], flags)
 			}
 		}()
 	}
-	for i := range queries {
+	for i := range plans {
 		work <- i
 	}
 	close(work)
@@ -79,7 +74,7 @@ func (b *storeBackend) queryBatch(name string, queries []*ph.EncryptedQuery) ([]
 			return nil, err
 		}
 	}
-	return results, nil
+	return resps, nil
 }
 
 // HandleFrame implements the command set. Response payloads build on
@@ -88,11 +83,7 @@ func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 	r := wire.NewBuffer(f.Payload)
 	switch f.Type {
 	case wire.CmdStore:
-		name, err := r.String()
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		t, err := wire.DecodeTable(r)
+		name, t, err := wire.DecodeStore(f.Payload)
 		if err != nil {
 			return wire.Frame{}, err
 		}
@@ -102,21 +93,9 @@ func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 		return wire.Frame{Type: wire.RespOK}, nil
 
 	case wire.CmdInsert, wire.CmdInsertStamped:
-		name, err := r.String()
+		name, tuples, err := wire.DecodeInsert(f.Payload)
 		if err != nil {
 			return wire.Frame{}, err
-		}
-		n, err := r.U32()
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		tuples := make([]ph.EncryptedTuple, 0, wire.ClampCount(n, r.Remaining()/8))
-		for i := uint32(0); i < n; i++ {
-			tp, err := wire.DecodeTuple(r)
-			if err != nil {
-				return wire.Frame{}, err
-			}
-			tuples = append(tuples, tp)
 		}
 		base, version, err := b.store.AppendStamped(name, tuples)
 		if err != nil {
@@ -135,52 +114,21 @@ func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 		return wire.Frame{Type: wire.RespInserted, Payload: payload}, nil
 
 	case wire.CmdQuery:
-		name, err := r.String()
+		name, flags, plans, err := query.DecodeRequest(f.Payload)
 		if err != nil {
 			return wire.Frame{}, err
 		}
-		q, err := wire.DecodeQuery(r)
+		if flags == wire.ReadFlagFetch {
+			return wire.Frame{}, fmt.Errorf("server: a partition fetch is a coordinator's CmdShardQuery; use CmdFetchAll")
+		}
+		resps, err := b.read(name, flags, plans)
 		if err != nil {
 			return wire.Frame{}, err
 		}
-		res, err := b.store.Query(name, q)
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		return wire.Frame{Type: wire.RespResult, Payload: wire.EncodeResult(scratch, res)}, nil
-
-	case wire.CmdQueryBatch:
-		name, err := r.String()
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		n, err := r.U32()
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		// Capacity is clamped by what the payload could possibly encode
-		// (a query is at least two length-prefixed fields), so a declared
-		// count in a hostile frame cannot force a huge allocation.
-		queries := make([]*ph.EncryptedQuery, 0, wire.ClampCount(n, r.Remaining()/8))
-		for i := uint32(0); i < n; i++ {
-			q, err := wire.DecodeQuery(r)
-			if err != nil {
-				return wire.Frame{}, err
-			}
-			queries = append(queries, q)
-		}
-		results, err := b.queryBatch(name, queries)
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		payload := wire.AppendU32(scratch, n)
-		for _, res := range results {
-			payload = wire.EncodeResult(payload, res)
-		}
-		return wire.Frame{Type: wire.RespResults, Payload: payload}, nil
+		return wire.Frame{Type: wire.RespResult, Payload: query.EncodeResponses(scratch, flags, resps)}, nil
 
 	case wire.CmdFetchAll:
-		name, err := r.String()
+		name, err := wire.DecodeName(f.Payload)
 		if err != nil {
 			return wire.Frame{}, err
 		}
@@ -191,7 +139,7 @@ func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 		return wire.Frame{Type: wire.RespTable, Payload: wire.EncodeTable(scratch, t)}, nil
 
 	case wire.CmdDrop:
-		name, err := r.String()
+		name, err := wire.DecodeName(f.Payload)
 		if err != nil {
 			return wire.Frame{}, err
 		}
@@ -201,66 +149,10 @@ func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 		return wire.Frame{Type: wire.RespOK}, nil
 
 	case wire.CmdList:
+		if err := r.Err(); err != nil {
+			return wire.Frame{}, err
+		}
 		return wire.Frame{Type: wire.RespList, Payload: wire.EncodeList(scratch, b.store.List())}, nil
-
-	case wire.CmdQueryVerified:
-		name, err := r.String()
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		q, err := wire.DecodeQuery(r)
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		vr, err := b.store.QueryVerified(name, q)
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		return wire.Frame{Type: wire.RespResultVerified, Payload: authindex.EncodeVerifiedResult(scratch, vr)}, nil
-
-	case wire.CmdQueryConj:
-		// The conjunctive pushdown: plan by estimated selectivity, narrow
-		// survivors, answer with only the intersection. Executed (and, for
-		// the verified flag, proof-cut) under one read-locked store
-		// snapshot; the explain flag returns the plan without running it.
-		name, err := r.String()
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		flags, err := r.U8()
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		n, err := r.U32()
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		// Clamped like CmdQueryBatch: a declared count in a hostile frame
-		// cannot force a huge allocation.
-		queries := make([]*ph.EncryptedQuery, 0, wire.ClampCount(n, r.Remaining()/8))
-		for i := uint32(0); i < n; i++ {
-			q, err := wire.DecodeQuery(r)
-			if err != nil {
-				return wire.Frame{}, err
-			}
-			queries = append(queries, q)
-		}
-		resp := &query.Response{}
-		switch {
-		case flags&wire.ConjFlagExplain != 0:
-			if resp.Plan, err = b.store.ExplainConj(name, queries); err != nil {
-				return wire.Frame{}, err
-			}
-		case flags&wire.ConjFlagVerified != 0:
-			if resp.Verified, resp.Plan, err = b.store.QueryConjVerified(name, queries); err != nil {
-				return wire.Frame{}, err
-			}
-		default:
-			if resp.Result, resp.Plan, err = b.store.QueryConj(name, queries); err != nil {
-				return wire.Frame{}, err
-			}
-		}
-		return wire.Frame{Type: wire.RespResultConj, Payload: query.EncodeResponse(scratch, resp)}, nil
 
 	case wire.CmdShipLog:
 		// Log shipping for read replicas: answer with records of the
@@ -277,6 +169,9 @@ func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 			return wire.Frame{}, err
 		}
 		maxBytes, err := r.U32()
+		if err == nil {
+			err = r.Err()
+		}
 		if err != nil {
 			return wire.Frame{}, err
 		}
@@ -313,6 +208,9 @@ func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 			return wire.Frame{}, err
 		}
 		maxBytes, err := r.U32()
+		if err == nil {
+			err = r.Err()
+		}
 		if err != nil {
 			return wire.Frame{}, err
 		}

@@ -9,20 +9,23 @@
 // according to protocol"), while everything it learns is available for
 // offline analysis via the storage log.
 //
-// Beyond the paper, the server also serves the authenticated-index
-// extension (internal/authindex) so clients need not extend that trust:
-// CmdQueryVerified answers with (result, proofs, root, leaf count,
-// version) cut from one read-locked store snapshot — the proofs always
-// verify against the root they travel with, so a mutation racing the
-// request can never make an honest answer look tampered.
+// There is one read command. CmdQuery carries a list of plans, each a
+// conjunction of one or more encrypted selects (a single select is the
+// one-conjunct plan, a batch is several plans), and every plan runs
+// through the selectivity-ordered planner (internal/query) under one
+// read-locked store snapshot: the server intersects the scheme-opaque
+// per-conjunct position sets and returns only the tuples in the
+// intersection. This moves *where* the intersection happens, not what
+// Eve learns: per-conjunct access patterns are her view either way.
 //
-// Conjunctive queries (CmdQueryConj) run through the selectivity-ordered
-// planner (internal/query) under one read-locked snapshot: the server
-// intersects the scheme-opaque per-conjunct position sets and returns
-// only the tuples in the intersection — optionally with proofs from the
-// same snapshot, or just the plan (explain). This moves *where* the
-// intersection happens, not what Eve learns: per-conjunct access
-// patterns are her view either way.
+// Beyond the paper, the same command serves the authenticated-index
+// extension (internal/authindex) so clients need not extend that trust:
+// with wire.ReadFlagVerified every plan is answered with (result,
+// proofs, root, leaf count, version) cut from the snapshot that
+// evaluated it — the proofs always verify against the root they travel
+// with, so a mutation racing the request can never make an honest
+// answer look tampered. wire.ReadFlagExplain returns the plans instead
+// of running them.
 //
 // Operationally the server takes Options for robustness under hostile
 // or flaky peers — per-connection idle and write deadlines, a

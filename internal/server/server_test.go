@@ -6,25 +6,18 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/authindex"
 	"repro/internal/ph"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
 
-var registerOnce sync.Once
-
 func testStore(t *testing.T) *storage.Store {
 	t.Helper()
-	registerOnce.Do(func() {
-		ph.RegisterEvaluator("server-test", func(et *ph.EncryptedTable, q *ph.EncryptedQuery) (*ph.Result, error) {
-			return ph.SelectPositions(et, []int{0}), nil
-		})
-	})
 	return storage.NewMemory()
 }
 
-// dispatchTable builds a store-able table payload for CmdStore.
+// encTable builds a table to store; its scheme has no evaluator, so it
+// serves the tests that never read.
 func encTable(n int) *ph.EncryptedTable {
 	et := &ph.EncryptedTable{SchemeID: "server-test"}
 	for i := 0; i < n; i++ {
@@ -61,26 +54,6 @@ func TestDispatchStoreAndFetch(t *testing.T) {
 	}
 }
 
-func TestDispatchQuery(t *testing.T) {
-	s := New(testStore(t), nil)
-	if resp := s.dispatch(storeFrame("emp", encTable(2)), nil); resp.Type != wire.RespOK {
-		t.Fatal("store failed")
-	}
-	payload := wire.AppendString(nil, "emp")
-	payload = wire.EncodeQuery(payload, &ph.EncryptedQuery{SchemeID: "server-test", Token: []byte{1}})
-	resp := s.dispatch(wire.Frame{Type: wire.CmdQuery, Payload: payload}, nil)
-	if resp.Type != wire.RespResult {
-		t.Fatalf("query response %#x: %s", resp.Type, resp.Payload)
-	}
-	res, err := wire.DecodeResult(wire.NewBuffer(resp.Payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Positions) != 1 || res.Positions[0] != 0 {
-		t.Fatalf("result: %+v", res)
-	}
-}
-
 func TestDispatchUnknownCommand(t *testing.T) {
 	s := New(testStore(t), nil)
 	resp := s.dispatch(wire.Frame{Type: 0x7F}, nil)
@@ -92,7 +65,7 @@ func TestDispatchUnknownCommand(t *testing.T) {
 func TestDispatchMalformedPayload(t *testing.T) {
 	s := New(testStore(t), nil)
 	for _, cmd := range []byte{wire.CmdStore, wire.CmdInsert, wire.CmdQuery, wire.CmdFetchAll,
-		wire.CmdDrop, wire.CmdQueryVerified} {
+		wire.CmdDrop, wire.CmdShardQuery} {
 		resp := s.dispatch(wire.Frame{Type: cmd, Payload: []byte{0xFF}}, nil)
 		if resp.Type != wire.RespError {
 			t.Errorf("command %#x with garbage payload returned %#x, want error", cmd, resp.Type)
@@ -190,117 +163,6 @@ func TestConcurrentClients(t *testing.T) {
 	for err := range errs {
 		if err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-func batchFrame(name string, qs []*ph.EncryptedQuery) wire.Frame {
-	payload := wire.AppendString(nil, name)
-	payload = wire.AppendU32(payload, uint32(len(qs)))
-	for _, q := range qs {
-		payload = wire.EncodeQuery(payload, q)
-	}
-	return wire.Frame{Type: wire.CmdQueryBatch, Payload: payload}
-}
-
-func TestQueryBatchParallelKeepsOrder(t *testing.T) {
-	store := testStore(t)
-	s := New(store, nil)
-	if resp := s.dispatch(storeFrame("emp", encTable(3)), nil); resp.Type != wire.RespOK {
-		t.Fatalf("store: %#x %s", resp.Type, resp.Payload)
-	}
-	// More queries than the scheduler budget's capacity so the dispatch
-	// semaphore path is exercised.
-	qs := make([]*ph.EncryptedQuery, 9)
-	for i := range qs {
-		qs[i] = &ph.EncryptedQuery{SchemeID: "server-test", Token: []byte{byte(i)}}
-	}
-	resp := s.dispatch(batchFrame("emp", qs), nil)
-	if resp.Type != wire.RespResults {
-		t.Fatalf("batch response %#x: %s", resp.Type, resp.Payload)
-	}
-	r := wire.NewBuffer(resp.Payload)
-	n, err := r.U32()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(n) != len(qs) {
-		t.Fatalf("batch returned %d results, want %d", n, len(qs))
-	}
-	for i := uint32(0); i < n; i++ {
-		res, err := wire.DecodeResult(r)
-		if err != nil {
-			t.Fatalf("result %d: %v", i, err)
-		}
-		if len(res.Positions) != 1 || res.Positions[0] != 0 {
-			t.Fatalf("result %d positions %v, want [0]", i, res.Positions)
-		}
-	}
-}
-
-func TestQueryBatchUnknownTableFailsAsUnit(t *testing.T) {
-	s := New(testStore(t), nil)
-	qs := []*ph.EncryptedQuery{
-		{SchemeID: "server-test", Token: []byte{1}},
-		{SchemeID: "server-test", Token: []byte{2}},
-	}
-	resp := s.dispatch(batchFrame("nope", qs), nil)
-	if resp.Type != wire.RespError {
-		t.Fatalf("batch on unknown table: response %#x, want error", resp.Type)
-	}
-}
-
-func TestHostileCountsDoNotAllocate(t *testing.T) {
-	// A frame may declare a huge element count with a tiny payload; the
-	// decode loop must fail on the short buffer instead of preallocating
-	// count-proportional memory (a remote OOM otherwise).
-	s := New(testStore(t), nil)
-	if resp := s.dispatch(storeFrame("emp", encTable(1)), nil); resp.Type != wire.RespOK {
-		t.Fatalf("store: %#x", resp.Type)
-	}
-	for _, cmd := range []byte{wire.CmdQueryBatch, wire.CmdInsert} {
-		payload := wire.AppendString(nil, "emp")
-		payload = wire.AppendU32(payload, 0xFFFFFFFF) // declared count
-		resp := s.dispatch(wire.Frame{Type: cmd, Payload: payload}, nil)
-		if resp.Type != wire.RespError {
-			t.Fatalf("cmd %#x with hostile count: response %#x, want error", cmd, resp.Type)
-		}
-	}
-}
-
-// verifiedQueryFrame builds a CmdQueryVerified frame.
-func verifiedQueryFrame(name string, q *ph.EncryptedQuery) wire.Frame {
-	payload := wire.AppendString(nil, name)
-	payload = wire.EncodeQuery(payload, q)
-	return wire.Frame{Type: wire.CmdQueryVerified, Payload: payload}
-}
-
-// TestDispatchQueryVerified: the one-round verified answer must be
-// internally consistent — proofs verify the returned tuples against the
-// returned root and leaf count.
-func TestDispatchQueryVerified(t *testing.T) {
-	s := New(testStore(t), nil)
-	et := encTable(7)
-	if resp := s.dispatch(storeFrame("emp", et), nil); resp.Type != wire.RespOK {
-		t.Fatal("store failed")
-	}
-	resp := s.dispatch(verifiedQueryFrame("emp", &ph.EncryptedQuery{SchemeID: "server-test", Token: []byte{1}}), nil)
-	if resp.Type != wire.RespResultVerified {
-		t.Fatalf("verified query response %#x: %s", resp.Type, resp.Payload)
-	}
-	vr, err := authindex.DecodeVerifiedResult(wire.NewBuffer(resp.Payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vr.Leaves != 7 || len(vr.Root) != authindex.HashSize || vr.Version == 0 {
-		t.Fatalf("snapshot metadata: %d leaves, %d-byte root, version %d", vr.Leaves, len(vr.Root), vr.Version)
-	}
-	if len(vr.Proofs) != len(vr.Result.Tuples) {
-		t.Fatalf("%d proofs for %d tuples", len(vr.Proofs), len(vr.Result.Tuples))
-	}
-	for i, p := range vr.Proofs {
-		if err := authindex.Verify(vr.Root, vr.Leaves, vr.Result.Tuples[i], p); err != nil {
-			t.Fatalf("proof %d rejected: %v", i, err)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 
-	"repro/internal/authindex"
 	"repro/internal/ph"
 	"repro/internal/query"
 	"repro/internal/wire"
@@ -15,43 +14,34 @@ import (
 // against its own entry of the pinned root vector; a pre-merged answer
 // would have nothing to verify against. Every count decoded here is
 // clamped against what the payload could possibly hold *before* any
-// allocation, shard ids must be strictly ascending (duplicates and
-// reordering are protocol errors, not merge inputs), and result
-// positions must be strictly ascending within their shard — the merge
-// operates on (shard, offset) pairs and refuses malformed coordinates
-// rather than sorting a hostile answer into shape.
+// allocation, and shard ids must be strictly ascending (duplicates and
+// reordering are protocol errors, not merge inputs). A read sub-answer
+// is the very payload a single server answers CmdQuery with, through
+// the same decoder, so it gets the same checks — among them strictly
+// ascending result positions: the merge operates on (shard, offset)
+// pairs and refuses malformed coordinates rather than sorting a hostile
+// answer into shape.
 
 // Sub-payload kinds in a RespResultShard entry.
 const (
-	// KindResults is a vector of plain results, one per request query:
-	// count:u32 | results.
-	KindResults byte = 0
-	// KindVerified is a vector of verified results, one per request
-	// query: count:u32 | verified results.
-	KindVerified byte = 1
-	// KindConj is one conjunctive query.Response.
-	KindConj byte = 2
+	// KindRead is the shard's answer to the read request: a RespResult
+	// payload (query.EncodeResponses), one answer per plan.
+	KindRead byte = 0
 	// KindTable is the shard's full partition as one ph.EncryptedTable.
 	KindTable byte = 3
 )
 
-// maxQueriesPerShard caps the declared result count inside one shard's
-// sub-payload: a batch is a statement's predicate list, never thousands.
-const maxQueriesPerShard = 1 << 16
-
-// Sub is one shard's sub-answer in a RespResultShard. Exactly one of
-// the payload fields is set, selected by Kind.
+// Sub is one shard's sub-answer in a RespResultShard. Kind selects
+// which payload fields are set.
 type Sub struct {
 	// Shard is the answering shard's index in the partition map.
 	Shard int
 	// Kind selects the sub-payload codec (Kind*).
 	Kind byte
-	// Results holds the plain per-query results (KindResults).
-	Results []*ph.Result
-	// Verified holds the verified per-query results (KindVerified).
-	Verified []*authindex.VerifiedResult
-	// Conj holds the conjunctive response (KindConj).
-	Conj *query.Response
+	// Flags are the read flags the answers are shaped by (KindRead).
+	Flags byte
+	// Reads holds the shard's answer per request plan (KindRead).
+	Reads []query.Response
 	// Table holds the shard's partition (KindTable).
 	Table *ph.EncryptedTable
 }
@@ -68,56 +58,6 @@ type Ack struct {
 	Version uint64
 }
 
-// EncodeQueryRequest serialises a CmdShardQuery payload: table name,
-// flags (wire.ShardFlag*), query count, queries — the same layout as a
-// conjunctive request, because a scatter *is* the same question asked
-// of every shard.
-func EncodeQueryRequest(dst []byte, name string, flags byte, qs []*ph.EncryptedQuery) []byte {
-	return query.EncodeRequest(dst, name, flags, qs)
-}
-
-// DecodeQueryRequest parses a CmdShardQuery payload.
-func DecodeQueryRequest(payload []byte) (name string, flags byte, qs []*ph.EncryptedQuery, err error) {
-	r := wire.NewBuffer(payload)
-	if name, err = r.String(); err != nil {
-		return "", 0, nil, fmt.Errorf("shard: request name: %w", err)
-	}
-	if flags, err = r.U8(); err != nil {
-		return "", 0, nil, fmt.Errorf("shard: request flags: %w", err)
-	}
-	n, err := r.U32()
-	if err != nil {
-		return "", 0, nil, fmt.Errorf("shard: request query count: %w", err)
-	}
-	// A query is at least two length-prefixed fields, so the remaining
-	// payload bounds how many a non-hostile count can declare.
-	qs = make([]*ph.EncryptedQuery, 0, wire.ClampCount(n, r.Remaining()/8))
-	for i := uint32(0); i < n; i++ {
-		q, err := wire.DecodeQuery(r)
-		if err != nil {
-			return "", 0, nil, fmt.Errorf("shard: request query %d: %w", i, err)
-		}
-		qs = append(qs, q)
-	}
-	return name, flags, qs, nil
-}
-
-// checkPositions rejects results whose positions are not strictly
-// ascending: merge coordinates are (shard, offset) pairs, and a shard
-// that answers duplicate or descending offsets is malformed (or lying),
-// not merge input.
-func checkPositions(res *ph.Result) error {
-	for i, p := range res.Positions {
-		if p < 0 {
-			return fmt.Errorf("shard: negative result position %d", p)
-		}
-		if i > 0 && p <= res.Positions[i-1] {
-			return fmt.Errorf("shard: result positions not strictly ascending (%d after %d)", p, res.Positions[i-1])
-		}
-	}
-	return nil
-}
-
 // EncodeResponse serialises a RespResultShard payload: the partition
 // map version and the sub-answers in ascending shard order.
 func EncodeResponse(dst []byte, mapVersion uint64, subs []Sub) []byte {
@@ -128,18 +68,8 @@ func EncodeResponse(dst []byte, mapVersion uint64, subs []Sub) []byte {
 		dst = wire.AppendU8(dst, sub.Kind)
 		var body []byte
 		switch sub.Kind {
-		case KindResults:
-			body = wire.AppendU32(body, uint32(len(sub.Results)))
-			for _, res := range sub.Results {
-				body = wire.EncodeResult(body, res)
-			}
-		case KindVerified:
-			body = wire.AppendU32(body, uint32(len(sub.Verified)))
-			for _, vr := range sub.Verified {
-				body = authindex.EncodeVerifiedResult(body, vr)
-			}
-		case KindConj:
-			body = query.EncodeResponse(body, sub.Conj)
+		case KindRead:
+			body = query.EncodeResponses(body, sub.Flags, sub.Reads)
 		case KindTable:
 			body = wire.EncodeTable(body, sub.Table)
 		}
@@ -186,73 +116,21 @@ func DecodeResponse(payload []byte, maxShards int) (mapVersion uint64, subs []Su
 			return 0, nil, fmt.Errorf("shard: sub-answer %d payload: %w", i, err)
 		}
 		sub := Sub{Shard: int(id), Kind: kind}
-		br := wire.NewBuffer(body)
 		switch kind {
-		case KindResults:
-			cnt, err := br.U32()
-			if err != nil {
-				return 0, nil, fmt.Errorf("shard: shard %d result count: %w", id, err)
+		case KindRead:
+			if sub.Flags, sub.Reads, err = query.DecodeResponses(body); err != nil {
+				return 0, nil, fmt.Errorf("shard: shard %d: %w", id, err)
 			}
-			if cnt > maxQueriesPerShard {
-				return 0, nil, fmt.Errorf("shard: shard %d declares %d results", id, cnt)
-			}
-			sub.Results = make([]*ph.Result, 0, wire.ClampCount(cnt, br.Remaining()/8))
-			for j := uint32(0); j < cnt; j++ {
-				res, err := wire.DecodeResult(br)
-				if err != nil {
-					return 0, nil, fmt.Errorf("shard: shard %d result %d: %w", id, j, err)
-				}
-				if err := checkPositions(res); err != nil {
-					return 0, nil, fmt.Errorf("shard %d result %d: %w", id, j, err)
-				}
-				sub.Results = append(sub.Results, res)
-			}
-		case KindVerified:
-			cnt, err := br.U32()
-			if err != nil {
-				return 0, nil, fmt.Errorf("shard: shard %d verified count: %w", id, err)
-			}
-			if cnt > maxQueriesPerShard {
-				return 0, nil, fmt.Errorf("shard: shard %d declares %d verified results", id, cnt)
-			}
-			sub.Verified = make([]*authindex.VerifiedResult, 0, wire.ClampCount(cnt, br.Remaining()/8))
-			for j := uint32(0); j < cnt; j++ {
-				vr, err := authindex.DecodeVerifiedResult(br)
-				if err != nil {
-					return 0, nil, fmt.Errorf("shard: shard %d verified result %d: %w", id, j, err)
-				}
-				if err := checkPositions(vr.Result); err != nil {
-					return 0, nil, fmt.Errorf("shard %d verified result %d: %w", id, j, err)
-				}
-				sub.Verified = append(sub.Verified, vr)
-			}
-		case KindConj:
-			resp, err := query.DecodeResponse(br)
-			if err != nil {
-				return 0, nil, fmt.Errorf("shard: shard %d conjunctive response: %w", id, err)
-			}
-			if resp.Result != nil {
-				if err := checkPositions(resp.Result); err != nil {
-					return 0, nil, fmt.Errorf("shard %d conjunction: %w", id, err)
-				}
-			}
-			if resp.Verified != nil && resp.Verified.Result != nil {
-				if err := checkPositions(resp.Verified.Result); err != nil {
-					return 0, nil, fmt.Errorf("shard %d verified conjunction: %w", id, err)
-				}
-			}
-			sub.Conj = resp
 		case KindTable:
-			t, err := wire.DecodeTable(br)
+			br := wire.NewBuffer(body)
+			if sub.Table, err = wire.DecodeTable(br); err == nil {
+				err = br.Err()
+			}
 			if err != nil {
 				return 0, nil, fmt.Errorf("shard: shard %d partition: %w", id, err)
 			}
-			sub.Table = t
 		default:
 			return 0, nil, fmt.Errorf("shard: shard %d sub-answer has unknown kind %#x", id, kind)
-		}
-		if br.Remaining() != 0 {
-			return 0, nil, fmt.Errorf("shard: shard %d sub-answer has %d trailing bytes", id, br.Remaining())
 		}
 		subs = append(subs, sub)
 	}

@@ -19,17 +19,24 @@ func sampleTuple(id byte) ph.EncryptedTuple {
 	}
 }
 
-func sampleResponse() (uint64, []Sub) {
-	return 7, []Sub{
-		{Shard: 0, Kind: KindResults, Results: []*ph.Result{{
-			Positions: []int{0, 2},
-			Tuples:    []ph.EncryptedTuple{sampleTuple(1), sampleTuple(2)},
-		}}},
-		{Shard: 2, Kind: KindResults, Results: []*ph.Result{{
-			Positions: []int{1},
-			Tuples:    []ph.EncryptedTuple{sampleTuple(3)},
-		}}},
+// readSub is one shard's plain answer to a one-plan read.
+func readSub(shard int, positions []int, ids ...byte) Sub {
+	res := &ph.Result{Positions: positions}
+	for _, id := range ids {
+		res.Tuples = append(res.Tuples, sampleTuple(id))
 	}
+	return Sub{Shard: shard, Kind: KindRead, Reads: []query.Response{{Result: res}}}
+}
+
+func sampleResponse() (uint64, []Sub) {
+	return 7, []Sub{readSub(0, []int{0, 2}, 1, 2), readSub(2, []int{1}, 3)}
+}
+
+// subFrame hand-frames one shard-0 sub-answer of the given kind and body.
+func subFrame(version uint64, kind byte, body []byte) []byte {
+	payload := wire.AppendU32(wire.AppendU64(nil, version), 1)
+	payload = wire.AppendU8(wire.AppendU32(payload, 0), kind)
+	return wire.AppendBytes(payload, body)
 }
 
 func TestShardResponseRoundTrip(t *testing.T) {
@@ -49,7 +56,7 @@ func TestShardResponseRoundTrip(t *testing.T) {
 		if gotSubs[i].Shard != subs[i].Shard || gotSubs[i].Kind != subs[i].Kind {
 			t.Fatalf("sub %d framing: %+v vs %+v", i, gotSubs[i], subs[i])
 		}
-		want, got := subs[i].Results[0], gotSubs[i].Results[0]
+		want, got := subs[i].Reads[0].Result, gotSubs[i].Reads[0].Result
 		if len(got.Positions) != len(want.Positions) || len(got.Tuples) != len(want.Tuples) {
 			t.Fatalf("sub %d result shape differs", i)
 		}
@@ -61,7 +68,7 @@ func TestShardResponseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestShardResponseVerifiedAndConjAndTableKinds(t *testing.T) {
+func TestShardResponseVerifiedExplainAndTable(t *testing.T) {
 	vr := &authindex.VerifiedResult{
 		Result:  &ph.Result{Positions: []int{0}, Tuples: []ph.EncryptedTuple{sampleTuple(9)}},
 		Root:    bytes.Repeat([]byte{0x42}, 32),
@@ -70,11 +77,10 @@ func TestShardResponseVerifiedAndConjAndTableKinds(t *testing.T) {
 		Proofs:  []authindex.Proof{},
 	}
 	subs := []Sub{
-		{Shard: 0, Kind: KindVerified, Verified: []*authindex.VerifiedResult{vr}},
-		{Shard: 1, Kind: KindConj, Conj: &query.Response{
-			Plan:   &query.PlanInfo{Tuples: 5, Steps: []query.StepInfo{{Index: 0, Tested: 5, Hits: 2}}},
-			Result: &ph.Result{Positions: []int{1, 3}, Tuples: []ph.EncryptedTuple{sampleTuple(4), sampleTuple(5)}},
-		}},
+		{Shard: 0, Kind: KindRead, Flags: wire.ReadFlagVerified, Reads: []query.Response{{Verified: vr}, {Verified: vr}}},
+		{Shard: 1, Kind: KindRead, Flags: wire.ReadFlagExplain, Reads: []query.Response{{
+			Plan: &query.PlanInfo{Tuples: 5, Steps: []query.StepInfo{{Index: 0, Source: query.SourceScan}}},
+		}}},
 		{Shard: 2, Kind: KindTable, Table: &ph.EncryptedTable{
 			SchemeID: "swp-ph",
 			Meta:     []byte{0x01},
@@ -86,11 +92,11 @@ func TestShardResponseVerifiedAndConjAndTableKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].Verified[0].Leaves != 3 || got[0].Verified[0].Version != 11 {
-		t.Fatalf("verified sub decoded wrong: %+v", got[0].Verified[0])
+	if got[0].Flags != wire.ReadFlagVerified || len(got[0].Reads) != 2 || got[0].Reads[1].Verified.Leaves != 3 || got[0].Reads[1].Verified.Version != 11 {
+		t.Fatalf("verified sub decoded wrong: %+v", got[0])
 	}
-	if got[1].Conj == nil || got[1].Conj.Plan.Tuples != 5 {
-		t.Fatalf("conj sub decoded wrong: %+v", got[1].Conj)
+	if got[1].Flags != wire.ReadFlagExplain || got[1].Reads[0].Plan.Tuples != 5 {
+		t.Fatalf("explain sub decoded wrong: %+v", got[1])
 	}
 	if got[2].Table == nil || got[2].Table.SchemeID != "swp-ph" {
 		t.Fatalf("table sub decoded wrong: %+v", got[2].Table)
@@ -140,47 +146,29 @@ func TestShardResponseHostile(t *testing.T) {
 		}
 	})
 
-	t.Run("result length bomb", func(t *testing.T) {
-		body := wire.AppendU32(nil, 0xFFFFFFFF) // declared result count
-		payload := wire.AppendU64(nil, version)
-		payload = wire.AppendU32(payload, 1)
-		payload = wire.AppendU32(payload, 0)
-		payload = wire.AppendU8(payload, KindResults)
-		payload = wire.AppendBytes(payload, body)
-		if _, _, err := DecodeResponse(payload, 4); err == nil {
-			t.Fatal("length-bomb result count accepted")
+	t.Run("answer length bomb", func(t *testing.T) {
+		body := wire.AppendU16(wire.AppendU8(nil, 0), 0xFFFF) // declared answer count
+		if _, _, err := DecodeResponse(subFrame(version, KindRead, body), 4); err == nil {
+			t.Fatal("length-bomb answer count accepted")
 		}
 	})
 
 	t.Run("duplicate positions", func(t *testing.T) {
-		bad := []Sub{{Shard: 0, Kind: KindResults, Results: []*ph.Result{{
-			Positions: []int{2, 2},
-			Tuples:    []ph.EncryptedTuple{sampleTuple(1), sampleTuple(2)},
-		}}}}
-		payload := EncodeResponse(nil, version, bad)
+		payload := EncodeResponse(nil, version, []Sub{readSub(0, []int{2, 2}, 1, 2)})
 		if _, _, err := DecodeResponse(payload, 4); err == nil || !strings.Contains(err.Error(), "ascending") {
 			t.Fatalf("duplicate positions accepted: %v", err)
 		}
 	})
 
 	t.Run("descending positions", func(t *testing.T) {
-		bad := []Sub{{Shard: 0, Kind: KindResults, Results: []*ph.Result{{
-			Positions: []int{3, 1},
-			Tuples:    []ph.EncryptedTuple{sampleTuple(1), sampleTuple(2)},
-		}}}}
-		payload := EncodeResponse(nil, version, bad)
+		payload := EncodeResponse(nil, version, []Sub{readSub(0, []int{3, 1}, 1, 2)})
 		if _, _, err := DecodeResponse(payload, 4); err == nil || !strings.Contains(err.Error(), "ascending") {
 			t.Fatalf("descending positions accepted: %v", err)
 		}
 	})
 
 	t.Run("unknown kind", func(t *testing.T) {
-		payload := wire.AppendU64(nil, version)
-		payload = wire.AppendU32(payload, 1)
-		payload = wire.AppendU32(payload, 0)
-		payload = wire.AppendU8(payload, 0x7F)
-		payload = wire.AppendBytes(payload, nil)
-		if _, _, err := DecodeResponse(payload, 4); err == nil || !strings.Contains(err.Error(), "kind") {
+		if _, _, err := DecodeResponse(subFrame(version, 0x7F, nil), 4); err == nil || !strings.Contains(err.Error(), "kind") {
 			t.Fatalf("unknown kind accepted: %v", err)
 		}
 	})
@@ -193,15 +181,14 @@ func TestShardResponseHostile(t *testing.T) {
 	})
 
 	t.Run("sub-payload trailing bytes", func(t *testing.T) {
-		body := wire.AppendU32(nil, 0) // zero results...
-		body = append(body, 0xAB)      // ...then junk
-		payload := wire.AppendU64(nil, version)
-		payload = wire.AppendU32(payload, 1)
-		payload = wire.AppendU32(payload, 0)
-		payload = wire.AppendU8(payload, KindResults)
-		payload = wire.AppendBytes(payload, body)
-		if _, _, err := DecodeResponse(payload, 4); err == nil || !strings.Contains(err.Error(), "trailing") {
-			t.Fatalf("sub-payload trailing bytes accepted: %v", err)
+		for kind, body := range map[byte][]byte{
+			KindRead:  query.EncodeResponses(nil, 0, nil),                       // zero answers...
+			KindTable: wire.EncodeTable(nil, &ph.EncryptedTable{SchemeID: "x"}), // ...or an empty partition...
+		} {
+			payload := subFrame(version, kind, append(body, 0xAB)) // ...then junk
+			if _, _, err := DecodeResponse(payload, 4); err == nil || !strings.Contains(err.Error(), "trailing") {
+				t.Fatalf("kind %#x sub-payload trailing bytes accepted: %v", kind, err)
+			}
 		}
 	})
 }
@@ -236,30 +223,6 @@ func TestShardAcksRoundTripAndHostile(t *testing.T) {
 	bomb = wire.AppendU32(bomb, 0xFFFFFFFF)
 	if _, _, err := DecodeAcks(bomb, 4); err == nil {
 		t.Fatal("length-bomb ack count accepted")
-	}
-}
-
-func TestQueryRequestRoundTrip(t *testing.T) {
-	qs := []*ph.EncryptedQuery{
-		{SchemeID: "swp-ph", Token: []byte{1, 2, 3}},
-		{SchemeID: "swp-ph", Token: []byte{4, 5}},
-	}
-	payload := EncodeQueryRequest(nil, "emp", wire.ShardFlagVerified, qs)
-	name, flags, got, err := DecodeQueryRequest(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "emp" || flags != wire.ShardFlagVerified || len(got) != 2 {
-		t.Fatalf("request decoded wrong: %q %#x %d", name, flags, len(got))
-	}
-	if !bytes.Equal(got[1].Token, qs[1].Token) {
-		t.Fatal("query token differs after round trip")
-	}
-	bomb := wire.AppendString(nil, "emp")
-	bomb = wire.AppendU8(bomb, 0)
-	bomb = wire.AppendU32(bomb, 0xFFFFFFFF)
-	if _, _, _, err := DecodeQueryRequest(bomb); err == nil {
-		t.Fatal("length-bomb query count accepted")
 	}
 }
 

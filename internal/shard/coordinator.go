@@ -28,6 +28,7 @@ import (
 // per-shard serialisation lives in the pools, which is the capacity
 // model (one in-flight request per connection).
 type Coordinator struct {
+	reads
 	m     Map
 	pools []*client.ReadPool
 }
@@ -48,7 +49,9 @@ func NewCoordinator(m Map, pools []*client.ReadPool) (*Coordinator, error) {
 	if len(pools) != m.Count {
 		return nil, fmt.Errorf("shard: %d pools for a %d-shard map", len(pools), m.Count)
 	}
-	return &Coordinator{m: m, pools: pools}, nil
+	co := &Coordinator{m: m, pools: pools}
+	co.reads = co.read
+	return co, nil
 }
 
 // FromConfig builds a coordinator from a client shards config: one
@@ -172,16 +175,26 @@ func (co *Coordinator) Insert(name string, tuples []ph.EncryptedTuple) ([]client
 	return acks, nil
 }
 
-// Query scatters one query to every shard.
-func (co *Coordinator) Query(name string, q *ph.EncryptedQuery) ([]*ph.Result, error) {
-	out := make([]*ph.Result, co.m.Count)
+// read is the coordinator's one scatter: the whole read request goes to
+// every shard — each plans against its own sketch — and the answers
+// come back as [shard][plan]. The check callback runs *inside* each
+// shard's read routing: a sub-answer that fails verification is treated
+// exactly like a transport failure — the answering follower is
+// quarantined and the shard's read retried on another node — so one
+// Byzantine follower degrades one shard's capacity, not the cluster's
+// correctness.
+func (co *Coordinator) read(name string, flags byte, plans [][]*ph.EncryptedQuery, check client.VerifyCheck) ([][]query.Response, error) {
+	out := make([][]query.Response, co.m.Count)
 	err := co.scatter(func(i int, pool *client.ReadPool) error {
 		return pool.Do(func(c *client.Conn) error {
-			res, err := c.Query(name, q)
+			resps, err := c.Read(name, flags, plans)
 			if err != nil {
 				return err
 			}
-			out[i] = res
+			if err := checkAll(check, i, flags, resps); err != nil {
+				return err
+			}
+			out[i] = resps
 			return nil
 		})
 	})
@@ -191,101 +204,106 @@ func (co *Coordinator) Query(name string, q *ph.EncryptedQuery) ([]*ph.Result, e
 	return out, nil
 }
 
-// QueryBatch scatters a query batch; answers are [shard][query].
-func (co *Coordinator) QueryBatch(name string, qs []*ph.EncryptedQuery) ([][]*ph.Result, error) {
-	out := make([][]*ph.Result, co.m.Count)
-	err := co.scatter(func(i int, pool *client.ReadPool) error {
-		return pool.Do(func(c *client.Conn) error {
-			rs, err := c.QueryBatch(name, qs)
-			if err != nil {
-				return err
-			}
-			out[i] = rs
-			return nil
-		})
-	})
+// reads is one scatter of a read request — [shard][plan] answers, check
+// applied to every verified one — and, as methods, client.Cluster's read
+// surface over it. Coordinator and Remote each supply their scatter and
+// embed the rest.
+type reads func(name string, flags byte, plans [][]*ph.EncryptedQuery, check client.VerifyCheck) ([][]query.Response, error)
+
+// checkAll runs the verification callback over one shard's verified
+// answers.
+func checkAll(check client.VerifyCheck, shard int, flags byte, resps []query.Response) error {
+	if check == nil || flags != wire.ReadFlagVerified {
+		return nil
+	}
+	for _, resp := range resps {
+		if err := check(shard, resp.Verified); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// QueryBatch scatters a batch of single selects; answers are
+// [shard][query].
+func (read reads) QueryBatch(name string, qs []*ph.EncryptedQuery) ([][]*ph.Result, error) {
+	plans := make([][]*ph.EncryptedQuery, len(qs))
+	for j := range qs {
+		plans[j] = qs[j : j+1]
+	}
+	perShard, err := read(name, 0, plans, nil)
 	if err != nil {
 		return nil, err
+	}
+	out := make([][]*ph.Result, len(perShard))
+	for i, resps := range perShard {
+		out[i] = make([]*ph.Result, len(resps))
+		for j, resp := range resps {
+			out[i][j] = resp.Result
+		}
 	}
 	return out, nil
 }
 
-// QueryVerified scatters one verified query. The check callback runs
-// *inside* each shard's read routing: a sub-answer that fails
-// verification is treated exactly like a transport failure — the
-// answering follower is quarantined and the shard's read retried on
-// another node — so one Byzantine follower degrades one shard's
-// capacity, not the cluster's correctness.
-func (co *Coordinator) QueryVerified(name string, q *ph.EncryptedQuery, check client.VerifyCheck) ([]*authindex.VerifiedResult, error) {
-	out := make([]*authindex.VerifiedResult, co.m.Count)
-	err := co.scatter(func(i int, pool *client.ReadPool) error {
-		return pool.Do(func(c *client.Conn) error {
-			vr, err := c.QueryVerified(name, q)
-			if err != nil {
-				return err
-			}
-			if check != nil {
-				if err := check(i, vr); err != nil {
-					return err
-				}
-			}
-			out[i] = vr
-			return nil
-		})
-	})
+// QueryConj scatters one plan; answers are per shard, verified (and
+// checked) when asked.
+func (read reads) QueryConj(name string, qs []*ph.EncryptedQuery, verified bool, check client.VerifyCheck) ([]*query.Response, error) {
+	var flags byte
+	if verified {
+		flags = wire.ReadFlagVerified
+	}
+	return read.one(name, flags, qs, check)
+}
+
+// one scatters a single plan and returns its answer per shard.
+func (read reads) one(name string, flags byte, qs []*ph.EncryptedQuery, check client.VerifyCheck) ([]*query.Response, error) {
+	perShard, err := read(name, flags, [][]*ph.EncryptedQuery{qs}, check)
 	if err != nil {
 		return nil, err
+	}
+	out := make([]*query.Response, len(perShard))
+	for i, resps := range perShard {
+		out[i] = &resps[0]
 	}
 	return out, nil
 }
 
-// QueryConj scatters one conjunction to every shard's planner; each
-// shard plans against its own sketch. The check callback runs inside
-// the routing like QueryVerified's.
-func (co *Coordinator) QueryConj(name string, qs []*ph.EncryptedQuery, verified bool, check client.VerifyCheck) ([]*query.Response, error) {
-	out := make([]*query.Response, co.m.Count)
-	err := co.scatter(func(i int, pool *client.ReadPool) error {
-		return pool.Do(func(c *client.Conn) error {
-			resp, err := c.QueryConj(name, qs, verified)
-			if err != nil {
-				return err
-			}
-			if verified {
-				if resp.Verified == nil {
-					return fmt.Errorf("shard: verified conjunction answered without proofs")
-				}
-				if check != nil {
-					if err := check(i, resp.Verified); err != nil {
-						return err
-					}
-				}
-			}
-			out[i] = resp
-			return nil
-		})
-	})
+// Query scatters one select.
+func (read reads) Query(name string, q *ph.EncryptedQuery) ([]*ph.Result, error) {
+	resps, err := read.one(name, 0, []*ph.EncryptedQuery{q}, nil)
 	if err != nil {
 		return nil, err
+	}
+	out := make([]*ph.Result, len(resps))
+	for i, resp := range resps {
+		out[i] = resp.Result
+	}
+	return out, nil
+}
+
+// QueryVerified scatters one verified select.
+func (read reads) QueryVerified(name string, q *ph.EncryptedQuery, check client.VerifyCheck) ([]*authindex.VerifiedResult, error) {
+	resps, err := read.one(name, wire.ReadFlagVerified, []*ph.EncryptedQuery{q}, check)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*authindex.VerifiedResult, len(resps))
+	for i, resp := range resps {
+		out[i] = resp.Verified
 	}
 	return out, nil
 }
 
 // ExplainConj plans the conjunction on every shard and merges the
 // per-shard summaries (see query.MergePlans).
-func (co *Coordinator) ExplainConj(name string, qs []*ph.EncryptedQuery) (*query.PlanInfo, error) {
-	plans := make([]*query.PlanInfo, co.m.Count)
-	err := co.scatter(func(i int, pool *client.ReadPool) error {
-		return pool.Do(func(c *client.Conn) error {
-			pi, err := c.ExplainConj(name, qs)
-			if err != nil {
-				return err
-			}
-			plans[i] = pi
-			return nil
-		})
-	})
+func (read reads) ExplainConj(name string, qs []*ph.EncryptedQuery) (*query.PlanInfo, error) {
+	resps, err := read.one(name, wire.ReadFlagExplain, qs, nil)
 	if err != nil {
 		return nil, err
+	}
+	plans := make([]*query.PlanInfo, len(resps))
+	for i, resp := range resps {
+		plans[i] = resp.Plan
 	}
 	return query.MergePlans(plans), nil
 }

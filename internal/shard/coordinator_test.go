@@ -113,73 +113,119 @@ func sameRows(t *testing.T, label string, got, want *relation.Table) {
 	}
 }
 
-// TestShardedEquivalence: every read path over a 4-shard cluster
-// answers exactly what a single-server oracle answers.
-func TestShardedEquivalence(t *testing.T) {
-	co, _ := newCluster(t, 4)
+// TestReadEquivalence is Definition 1.1 over the whole read matrix:
+// every request shape {single select, batch, conjunction} in both modes
+// {plain, verified} on every topology {one server, in-process
+// coordinator, remote coordinator} decrypts to exactly relation.Select
+// on the plaintext — before and after inserts that advance the pins.
+func TestReadEquivalence(t *testing.T) {
 	scheme := shardScheme(t)
-	db := client.NewShardedDB(co, scheme, "emp")
-	oracle := client.NewDB(startShardConn(t, storage.NewMemory()), scheme, "emp")
-
-	src := shardTable()
-	if err := db.CreateTable(src); err != nil {
-		t.Fatal(err)
+	topologies := map[string]func(t *testing.T) *client.DB{
+		"one server": func(t *testing.T) *client.DB {
+			return client.NewDB(startShardConn(t, storage.NewMemory()), scheme, "emp")
+		},
+		"in-process coordinator": func(t *testing.T) *client.DB {
+			co, _ := newCluster(t, 4)
+			return client.NewShardedDB(co, scheme, "emp")
+		},
+		"remote coordinator": func(t *testing.T) *client.DB {
+			co, _ := newCluster(t, 4)
+			remote, err := NewRemote(startProxy(t, co), Map{Version: 1, Count: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return client.NewShardedDB(remote, scheme, "emp")
+		},
 	}
-	if err := oracle.CreateTable(src); err != nil {
-		t.Fatal(err)
+	eq := func(col string, v relation.Value) relation.Eq { return relation.Eq{Column: col, Value: v} }
+	plans := [][]relation.Eq{
+		{eq("dept", relation.String("HR"))},
+		{eq("name", relation.String("emp07"))},
+		{eq("dept", relation.String("NONE"))},
+		{eq("dept", relation.String("IT")), eq("salary", relation.Int(5100))},
+		{eq("dept", relation.String("HR")), eq("salary", relation.Int(5100))}, // empty intersection
+		{eq("dept", relation.String("OPS")), eq("salary", relation.Int(5200)), eq("name", relation.String("emp02"))},
 	}
-
-	queries := []string{
-		"SELECT * FROM emp WHERE dept = 'HR'",
-		"SELECT * FROM emp WHERE dept = 'IT' AND salary = 5100",
-		"SELECT * FROM emp",
-		"SELECT * FROM emp WHERE name = 'emp07'",
-		"SELECT * FROM emp WHERE dept = 'NONE'",
-	}
-	for _, q := range queries {
-		got, err := db.Query(q)
-		if err != nil {
-			t.Fatalf("sharded %q: %v", q, err)
+	for name, open := range topologies {
+		for _, verified := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/verified=%v", name, verified), func(t *testing.T) {
+				db := open(t)
+				plain := shardTable()
+				if err := db.CreateTable(plain); err != nil {
+					t.Fatal(err)
+				}
+				check := func(label string) {
+					t.Helper()
+					if !verified { // CreateTable pins; a plain client holds no root
+						db.PinRoot(nil, 0)
+						if db.Cluster() != nil {
+							if err := db.PinShardRoots(nil, nil); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					var singles []relation.Eq
+					for _, eqs := range plans {
+						preds := make([]relation.Pred, len(eqs))
+						for i, e := range eqs {
+							preds[i] = e
+						}
+						want, err := relation.Select(plain, relation.And{Preds: preds})
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := db.SelectConj(eqs)
+						if err != nil {
+							t.Fatalf("%s: conjunction %v: %v", label, eqs, err)
+						}
+						sameRows(t, fmt.Sprintf("%s: conjunction %v", label, eqs), got, want)
+						if len(eqs) == 1 {
+							singles = append(singles, eqs[0])
+							if got, err = db.Select(eqs[0]); err != nil {
+								t.Fatalf("%s: select %v: %v", label, eqs[0], err)
+							}
+							sameRows(t, fmt.Sprintf("%s: select %v", label, eqs[0]), got, want)
+						}
+					}
+					batch, err := db.SelectMany(singles)
+					if err != nil || len(batch) != len(singles) {
+						t.Fatalf("%s: batch: %d answers, %v", label, len(batch), err)
+					}
+					for i, got := range batch {
+						want, err := relation.Select(plain, singles[i])
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameRows(t, fmt.Sprintf("%s: batch[%d] %v", label, i, singles[i]), got, want)
+					}
+				}
+				check("fresh")
+				extra := []relation.Tuple{
+					{relation.String("newhire1"), relation.String("HR"), relation.Int(5100)},
+					{relation.String("newhire2"), relation.String("IT"), relation.Int(5100)},
+					{relation.String("emp07"), relation.String("OPS"), relation.Int(4200)},
+				}
+				if err := db.Insert(extra...); err != nil {
+					t.Fatal(err)
+				}
+				for _, tp := range extra {
+					plain.MustInsert(tp...)
+				}
+				check("after insert")
+				if all, err := db.SelectAll(); err != nil {
+					t.Fatal(err)
+				} else {
+					sameRows(t, "select all", all, plain)
+				}
+				info, err := db.Explain("SELECT * FROM emp WHERE dept = 'HR'")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if db.Cluster() != nil && !strings.Contains(info, "scattered to 4 shards") {
+					t.Fatalf("explain does not mention the scatter: %q", info)
+				}
+			})
 		}
-		want, err := oracle.Query(q)
-		if err != nil {
-			t.Fatalf("oracle %q: %v", q, err)
-		}
-		sameRows(t, q, got, want)
-	}
-
-	// Inserts advance the per-shard pinned vector; reads stay verified
-	// and equivalent.
-	extra := []relation.Tuple{
-		{relation.String("newhire1"), relation.String("HR"), relation.Int(4000)},
-		{relation.String("newhire2"), relation.String("IT"), relation.Int(4100)},
-		{relation.String("newhire3"), relation.String("OPS"), relation.Int(4200)},
-	}
-	if err := db.Insert(extra...); err != nil {
-		t.Fatal(err)
-	}
-	if err := oracle.Insert(extra...); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{"SELECT * FROM emp WHERE dept = 'HR'", "SELECT * FROM emp"} {
-		got, err := db.Query(q)
-		if err != nil {
-			t.Fatalf("sharded %q after insert: %v", q, err)
-		}
-		want, err := oracle.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRows(t, q+" after insert", got, want)
-	}
-
-	// Explain reports the scatter.
-	info, err := db.Explain("SELECT * FROM emp WHERE dept = 'HR'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(info, "scattered to 4 shards") {
-		t.Fatalf("explain does not mention the scatter: %q", info)
 	}
 }
 

@@ -3,7 +3,7 @@ package shard
 import (
 	"testing"
 
-	"repro/internal/ph"
+	"repro/internal/query"
 	"repro/internal/wire"
 )
 
@@ -22,8 +22,10 @@ func FuzzDecodeShardResponse(f *testing.F) {
 	}
 	valid := EncodeResponse(nil, version, subs)
 	f.Add(append([]byte(nil), valid...))
-	// Truncations at every structural boundary.
-	for _, cut := range []int{0, 4, 8, 12, 16, 17, 21, len(valid) / 2, len(valid) - 1} {
+	// Truncations at every structural boundary: map version, shard count,
+	// shard id, kind, body length, then inside the read sub-answer its
+	// flags, answer count and the first result's position count.
+	for _, cut := range []int{0, 4, 8, 12, 16, 17, 21, 22, 24, 28, len(valid) / 2, len(valid) - 1} {
 		if cut <= len(valid) {
 			f.Add(append([]byte(nil), valid[:cut]...))
 		}
@@ -33,30 +35,18 @@ func FuzzDecodeShardResponse(f *testing.F) {
 	f.Add(EncodeResponse(nil, version, []Sub{subs[0], subs[0]}))
 	// Duplicate and descending positions inside one shard's result.
 	for _, positions := range [][]int{{2, 2}, {3, 1}} {
-		bad := Sub{Shard: 0, Kind: KindResults, Results: []*ph.Result{{
-			Positions: positions,
-			Tuples:    []ph.EncryptedTuple{sampleTuple(1), sampleTuple(2)},
-		}}}
-		f.Add(EncodeResponse(nil, version, []Sub{bad}))
+		f.Add(EncodeResponse(nil, version, []Sub{readSub(0, positions, 1, 2)}))
 	}
 	// Length bombs: hostile declared counts over tiny payloads.
 	bomb := wire.AppendU64(nil, version)
 	bomb = wire.AppendU32(bomb, 0xFFFFFFFF)
 	f.Add(bomb)
-	inner := wire.AppendU64(nil, version)
-	inner = wire.AppendU32(inner, 1)
-	inner = wire.AppendU32(inner, 0)
-	inner = wire.AppendU8(inner, KindResults)
-	inner = wire.AppendBytes(inner, wire.AppendU32(nil, 0xFFFFFFFF))
-	f.Add(inner)
-	// Unknown kind byte and trailing garbage.
-	unknown := wire.AppendU64(nil, version)
-	unknown = wire.AppendU32(unknown, 1)
-	unknown = wire.AppendU32(unknown, 0)
-	unknown = wire.AppendU8(unknown, 0x7F)
-	unknown = wire.AppendBytes(unknown, nil)
-	f.Add(unknown)
+	f.Add(subFrame(version, KindRead, wire.AppendU16(wire.AppendU8(nil, 0), 0xFFFF)))
+	// Unknown kind byte and trailing garbage, after the frame and inside
+	// a sub-answer.
+	f.Add(subFrame(version, 0x7F, nil))
 	f.Add(append(append([]byte(nil), valid...), 0xFF))
+	f.Add(subFrame(version, KindRead, append(query.EncodeResponses(nil, 0, nil), 0xAB)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, subs, err := DecodeResponse(data, 8)
@@ -69,10 +59,14 @@ func FuzzDecodeShardResponse(f *testing.F) {
 				t.Fatalf("decoder admitted out-of-order shard id %d", sub.Shard)
 			}
 			prev = sub.Shard
-			for _, res := range sub.Results {
-				for i, p := range res.Positions {
-					if p < 0 || (i > 0 && p <= res.Positions[i-1]) {
-						t.Fatalf("decoder admitted malformed positions %v", res.Positions)
+			for _, resp := range sub.Reads {
+				if resp.Plan != nil {
+					continue
+				}
+				positions := resp.Matches().Positions
+				for i, p := range positions {
+					if p < 0 || (i > 0 && p <= positions[i-1]) {
+						t.Fatalf("decoder admitted malformed positions %v", positions)
 					}
 				}
 			}

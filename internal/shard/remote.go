@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 
-	"repro/internal/authindex"
 	"repro/internal/client"
 	"repro/internal/ph"
 	"repro/internal/query"
@@ -19,6 +18,7 @@ import (
 // full shard coverage, ascending framing) only turn a lying coordinator
 // into a loud failure instead of a wrong answer.
 type Remote struct {
+	reads
 	conn *client.Conn
 	m    Map
 }
@@ -30,7 +30,9 @@ func NewRemote(conn *client.Conn, m Map) (*Remote, error) {
 	if m.Count < 1 {
 		return nil, fmt.Errorf("shard: partition map must have at least 1 shard, got %d", m.Count)
 	}
-	return &Remote{conn: conn, m: m}, nil
+	rc := &Remote{conn: conn, m: m}
+	rc.reads = rc.read
+	return rc, nil
 }
 
 // NumShards returns the partition map's shard count.
@@ -53,12 +55,7 @@ func (rc *Remote) Store(name string, t *ph.EncryptedTable) error {
 // Insert appends tuples through CmdShardInsert and expands the wire
 // acks (touched shards only) into the full per-shard vector.
 func (rc *Remote) Insert(name string, tuples []ph.EncryptedTuple) ([]client.InsertAck, error) {
-	payload := wire.AppendString(nil, name)
-	payload = wire.AppendU32(payload, uint32(len(tuples)))
-	for _, tp := range tuples {
-		payload = wire.EncodeTuple(payload, tp)
-	}
-	resp, err := rc.conn.RoundTrip(wire.Frame{Type: wire.CmdShardInsert, Payload: payload})
+	resp, err := rc.conn.RoundTrip(wire.Frame{Type: wire.CmdShardInsert, Payload: wire.EncodeInsert(nil, name, tuples)})
 	if err != nil {
 		return nil, err
 	}
@@ -80,11 +77,16 @@ func (rc *Remote) Insert(name string, tuples []ph.EncryptedTuple) ([]client.Inse
 }
 
 // roundTripShard sends one shard-framed read and decodes the per-shard
-// sub-answers, requiring the map version to match and — for query reads
-// — every shard to answer (a verifying client cannot merge a partial
-// scatter: a missing shard's matches would silently vanish).
-func (rc *Remote) roundTripShard(name string, flags byte, qs []*ph.EncryptedQuery) ([]Sub, error) {
-	resp, err := rc.conn.RoundTrip(wire.Frame{Type: wire.CmdShardQuery, Payload: EncodeQueryRequest(nil, name, flags, qs)})
+// sub-answers, requiring the map version to match, every shard to
+// answer (a verifying client cannot merge a partial scatter: a missing
+// shard's matches would silently vanish) and every sub-answer to be of
+// the kind asked for.
+func (rc *Remote) roundTripShard(name string, flags byte, plans [][]*ph.EncryptedQuery, kind byte) ([]Sub, error) {
+	payload, err := query.EncodeRequest(nil, name, flags, plans)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := rc.conn.RoundTrip(wire.Frame{Type: wire.CmdShardQuery, Payload: payload})
 	if err != nil {
 		return nil, err
 	}
@@ -105,113 +107,43 @@ func (rc *Remote) roundTripShard(name string, flags byte, qs []*ph.EncryptedQuer
 		if sub.Shard != i {
 			return nil, fmt.Errorf("shard: sub-answer %d claims shard %d", i, sub.Shard)
 		}
+		if sub.Kind != kind {
+			return nil, fmt.Errorf("shard %d answered kind %#x, want %#x", i, sub.Kind, kind)
+		}
 	}
 	return subs, nil
 }
 
-// Query scatters one query through the coordinator.
-func (rc *Remote) Query(name string, q *ph.EncryptedQuery) ([]*ph.Result, error) {
-	subs, err := rc.roundTripShard(name, 0, []*ph.EncryptedQuery{q})
+// read is the remote scatter: one CmdShardQuery round trip; every
+// shard's sub-answer must hold one answer per plan, in the shape asked
+// for, and carries that shard's proofs and root for check to verify.
+func (rc *Remote) read(name string, flags byte, plans [][]*ph.EncryptedQuery, check client.VerifyCheck) ([][]query.Response, error) {
+	subs, err := rc.roundTripShard(name, flags, plans, KindRead)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*ph.Result, len(subs))
+	out := make([][]query.Response, len(subs))
 	for i, sub := range subs {
-		if sub.Kind != KindResults || len(sub.Results) != 1 {
-			return nil, fmt.Errorf("shard %d answered kind %#x with %d results to a single query", i, sub.Kind, len(sub.Results))
+		if sub.Flags != flags || len(sub.Reads) != len(plans) {
+			return nil, fmt.Errorf("shard %d answered %d plans with flags %#x to a read of %d with flags %#x", i, len(sub.Reads), sub.Flags, len(plans), flags)
 		}
-		out[i] = sub.Results[0]
+		if err := checkAll(check, i, flags, sub.Reads); err != nil {
+			return nil, err
+		}
+		out[i] = sub.Reads
 	}
 	return out, nil
-}
-
-// QueryBatch scatters a query batch through the coordinator.
-func (rc *Remote) QueryBatch(name string, qs []*ph.EncryptedQuery) ([][]*ph.Result, error) {
-	subs, err := rc.roundTripShard(name, 0, qs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]*ph.Result, len(subs))
-	for i, sub := range subs {
-		if sub.Kind != KindResults || len(sub.Results) != len(qs) {
-			return nil, fmt.Errorf("shard %d answered kind %#x with %d results to a %d-query batch", i, sub.Kind, len(sub.Results), len(qs))
-		}
-		out[i] = sub.Results
-	}
-	return out, nil
-}
-
-// QueryVerified scatters one verified query; each shard's sub-answer
-// carries that shard's proofs and root for the caller to check.
-func (rc *Remote) QueryVerified(name string, q *ph.EncryptedQuery, check client.VerifyCheck) ([]*authindex.VerifiedResult, error) {
-	subs, err := rc.roundTripShard(name, wire.ShardFlagVerified, []*ph.EncryptedQuery{q})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*authindex.VerifiedResult, len(subs))
-	for i, sub := range subs {
-		if sub.Kind != KindVerified || len(sub.Verified) != 1 {
-			return nil, fmt.Errorf("shard %d answered kind %#x with %d verified results to a single query", i, sub.Kind, len(sub.Verified))
-		}
-		if check != nil {
-			if err := check(i, sub.Verified[0]); err != nil {
-				return nil, err
-			}
-		}
-		out[i] = sub.Verified[0]
-	}
-	return out, nil
-}
-
-// QueryConj scatters one conjunction through the coordinator.
-func (rc *Remote) QueryConj(name string, qs []*ph.EncryptedQuery, verified bool, check client.VerifyCheck) ([]*query.Response, error) {
-	flags := wire.ShardFlagConj
-	if verified {
-		flags |= wire.ShardFlagVerified
-	}
-	subs, err := rc.roundTripShard(name, flags, qs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*query.Response, len(subs))
-	for i, sub := range subs {
-		if sub.Kind != KindConj || sub.Conj == nil {
-			return nil, fmt.Errorf("shard %d answered kind %#x to a conjunction", i, sub.Kind)
-		}
-		if verified {
-			if sub.Conj.Verified == nil {
-				return nil, fmt.Errorf("shard %d answered a verified conjunction without proofs", i)
-			}
-			if check != nil {
-				if err := check(i, sub.Conj.Verified); err != nil {
-					return nil, err
-				}
-			}
-		}
-		out[i] = sub.Conj
-	}
-	return out, nil
-}
-
-// ExplainConj asks the coordinator for the merged per-shard plan
-// (CmdQueryConj with the explain flag; the coordinator scatters and
-// merges).
-func (rc *Remote) ExplainConj(name string, qs []*ph.EncryptedQuery) (*query.PlanInfo, error) {
-	return rc.conn.ExplainConj(name, qs)
 }
 
 // Fetch downloads every shard's partition, framed per shard so the
 // caller can rebuild per-shard Merkle frontiers.
 func (rc *Remote) Fetch(name string) ([]*ph.EncryptedTable, error) {
-	subs, err := rc.roundTripShard(name, wire.ShardFlagFetch, nil)
+	subs, err := rc.roundTripShard(name, wire.ReadFlagFetch, nil, KindTable)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*ph.EncryptedTable, len(subs))
 	for i, sub := range subs {
-		if sub.Kind != KindTable || sub.Table == nil {
-			return nil, fmt.Errorf("shard %d answered kind %#x to a fetch", i, sub.Kind)
-		}
 		out[i] = sub.Table
 	}
 	return out, nil

@@ -10,6 +10,7 @@ import (
 	"repro/internal/ph"
 	"repro/internal/relation"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // startProxy serves a coordinator behind server.NewProxy over a pipe —
@@ -172,9 +173,15 @@ func TestProxyLegacyClient(t *testing.T) {
 		t.Fatalf("merged directory wrong: %+v", infos)
 	}
 
-	// The single-server verified command is refused, not faked.
-	if _, err := conn.QueryVerified("emp", mustEncrypt(t, scheme, "dept", "HR")); err == nil || !strings.Contains(err.Error(), "CmdShardQuery") {
-		t.Fatalf("single-server verified query not refused with guidance: %v", err)
+	// A verified read in the single-server envelope is refused, not faked.
+	plans := [][]*ph.EncryptedQuery{{mustEncrypt(t, scheme, "dept", "HR")}}
+	if _, err := conn.Read("emp", wire.ReadFlagVerified, plans); err == nil || !strings.Contains(err.Error(), "CmdShardQuery") {
+		t.Fatalf("single-server verified read not refused with guidance: %v", err)
+	}
+	// Explain is served merged: the per-shard tuple counts add up.
+	resps, err := conn.Read("emp", wire.ReadFlagExplain, plans)
+	if err != nil || resps[0].Plan.Tuples != 24 || len(resps[0].Plan.Steps) != 1 {
+		t.Fatalf("merged explain through proxy: %+v, %v", resps, err)
 	}
 }
 

@@ -7,12 +7,11 @@
 // The grammar is deliberately exactly the paper's query class — the
 // homomorphism preserves single-attribute exact selects. A conjunction
 // is executed as one encrypted token per conjunct: the client pushes all
-// of them down in a single CmdQueryConj and the server's
+// of them down as one plan of a single read request and the server's
 // selectivity-ordered planner (internal/query) intersects the
 // scheme-opaque position sets where the data lives, so only tuples
-// satisfying the whole conjunction cross the wire (against pre-pushdown
-// servers the client falls back to intersecting per-equality results
-// after decryption). Projection is applied after decryption either way.
+// satisfying the whole conjunction cross the wire. Projection is applied
+// after decryption.
 // Range predicates, joins, OR and aggregation are rejected at parse time
 // with a pointer to the paper's scope (§3, "a privacy homomorphism
 // preserving exact selects").

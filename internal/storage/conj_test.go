@@ -12,6 +12,7 @@ import (
 	"repro/internal/ph"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -204,20 +205,18 @@ func TestQueryConjDeltaAfterAppend(t *testing.T) {
 	}
 }
 
-// TestQueryConjVerifiedSnapshotConsistent: the verified variant's
+// TestVerifiedConjSnapshotConsistent: the verified variant's
 // proofs always verify against the root they travel with, and the
 // result equals the plain conjunctive result.
-func TestQueryConjVerifiedSnapshotConsistent(t *testing.T) {
+func TestVerifiedConjSnapshotConsistent(t *testing.T) {
 	s, _, token := conjFixture(t, 200)
 	qs := []*ph.EncryptedQuery{token("dept", relation.String("HR")), token("salary", relation.Int(1234))}
 	want := naiveConjPositions(t, s, qs)
-	vr, info, err := s.QueryConjVerified("emp", qs)
+	resp, _, err := s.Read("emp", qs, wire.ReadFlagVerified)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info == nil {
-		t.Fatal("verified conjunctive query must report its plan")
-	}
+	vr := resp.Verified
 	if !reflect.DeepEqual(vr.Result.Positions, want) {
 		t.Fatalf("verified positions %v, want %v", vr.Result.Positions, want)
 	}
@@ -238,14 +237,15 @@ func TestQueryConjVerifiedSnapshotConsistent(t *testing.T) {
 	}
 }
 
-func TestExplainConjDoesNotExecute(t *testing.T) {
+func TestExplainDoesNotExecute(t *testing.T) {
 	s, _, token := conjFixture(t, 256)
 	qs := []*ph.EncryptedQuery{token("dept", relation.String("HR")), token("salary", relation.Int(1234))}
-	info, err := s.ExplainConj("emp", qs)
+	resp, _, err := s.Read("emp", qs, wire.ReadFlagExplain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(info.Steps) != 2 || info.Tuples != 256 {
+	info := resp.Plan
+	if resp.Result != nil || resp.Verified != nil || len(info.Steps) != 2 || info.Tuples != 256 {
 		t.Fatalf("explain info %+v", info)
 	}
 	for _, st := range info.Steps {
@@ -277,7 +277,7 @@ func TestQueryConjErrors(t *testing.T) {
 	if _, _, err := s.QueryConj("emp", nil); err == nil {
 		t.Fatal("empty conjunction must error")
 	}
-	if _, err := s.ExplainConj("emp", nil); err == nil {
+	if _, _, err := s.Read("emp", nil, wire.ReadFlagExplain); err == nil {
 		t.Fatal("empty explain must error")
 	}
 }
@@ -332,11 +332,12 @@ func TestConcurrentAppendConjQuery(t *testing.T) {
 						return
 					}
 				} else {
-					vr, _, err := s.QueryConjVerified("emp", qs)
+					resp, _, err := s.Read("emp", qs, wire.ReadFlagVerified)
 					if err != nil {
 						t.Error(err)
 						return
 					}
+					vr := resp.Verified
 					for i, p := range vr.Proofs {
 						if err := authindex.Verify(vr.Root, vr.Leaves, vr.Result.Tuples[i], p); err != nil {
 							t.Errorf("racing verified proof %d rejected: %v", i, err)

@@ -50,7 +50,7 @@
 // Versioning and the result cache: every table carries a monotonic
 // version drawn from a store-wide clock, bumped on Put, Append and Drop,
 // plus the lineage base — the version at which the current table object
-// was installed. Query consults a bounded LRU result cache
+// was installed. Read consults a bounded LRU result cache
 // (internal/cache) keyed by (table, trapdoor digest) under the table's
 // read lock: a current entry answers without scanning; an entry that
 // covers a prefix (the table has only been appended to since) triggers a
@@ -61,24 +61,25 @@
 // per trapdoor are exactly the access pattern every query already reveals
 // to the server by construction.
 //
-// Conjunctive queries: QueryConj (and its verified and explain
-// variants) plans a conjunction through internal/query under the same
-// single read-lock acquisition — per-conjunct cache state and the
-// entry's selectivity sketch (stats.QuerySketch, fed by every scan)
-// order the conjuncts, at most one full-width pass runs, and later
-// conjuncts only test surviving positions via ph.ApplyOn.
-// Fresh full-table position sets are written back to the cache per
-// conjunct, so a repeated conjunct hits even inside a new combination.
+// One read path: Read evaluates a plan — a conjunction of one or more
+// encrypted selects — through internal/query under a single read-lock
+// acquisition. Per-conjunct cache state and the entry's selectivity
+// sketch (stats.QuerySketch, fed by every scan) order the conjuncts, at
+// most one full-width pass runs (the driver's, which for a one-conjunct
+// plan is the whole read), and later conjuncts only test surviving
+// positions via ph.ApplyOn. Fresh full-table position sets are written
+// back to the cache per conjunct, so a repeated conjunct hits even
+// inside a new combination.
 //
 // Authenticated index: each table entry owns a version-stamped Merkle
 // tree (internal/authindex) over its tuples, built lazily on the first
-// Root/QueryVerified and from then on extended incrementally —
+// Root or verified Read and from then on extended incrementally —
 // Append hashes just the new tuples and repairs the tree in O(k + log n)
 // under the table's write lock (only if the tree was ever materialised;
 // unauthenticated workloads pay nothing). Readers catch the tree up
 // under the table's read lock (serialised on a small internal mutex), so
-// the tree served always covers exactly the tuples served, and
-// QueryVerified cuts (result, proofs, root, count, version) from one
+// the tree served always covers exactly the tuples served, and a
+// verified Read cuts (result, proofs, root, count, version) from one
 // read-locked snapshot — mutually consistent by construction. Put and
 // Drop retire the tree with the entry they retire; Compact leaves tuples
 // (and therefore trees) untouched.
@@ -127,7 +128,7 @@ type tableEntry struct {
 	mu sync.RWMutex
 	t  *ph.EncryptedTable
 	// tree is the table's authenticated index (Merkle tree over the
-	// tuples), built lazily on the first Root/QueryVerified and
+	// tuples), built lazily on the first Root or verified Read and
 	// extended incrementally on Append. treeN is the tuple count the tree
 	// covers; treeMu serialises catch-up between concurrent readers.
 	// Invariant: the tree is only ever a prefix view (treeN <=
@@ -442,32 +443,15 @@ type mutation struct {
 // both go through it, so a record means the same mutation whether it is
 // read back from the local log or shipped from a primary's.
 func decodeRecord(op byte, payload []byte) (m mutation, err error) {
-	if op != opStore && op != opInsert && op != opDrop {
-		return m, fmt.Errorf("storage: unknown log op %#x", op)
-	}
-	r := wire.NewBuffer(payload)
-	if m.name, err = r.String(); err != nil {
-		return m, err
-	}
 	switch op {
 	case opStore:
-		m.table, err = wire.DecodeTable(r)
+		m.name, m.table, err = wire.DecodeStore(payload)
 	case opInsert:
-		var n uint32
-		if n, err = r.U32(); err != nil {
-			return m, err
-		}
-		if int(n) > r.Remaining() {
-			return m, fmt.Errorf("storage: insert record: tuple count %d exceeds payload", n)
-		}
-		m.tuples = make([]ph.EncryptedTuple, 0, wire.ClampCount(n, r.Remaining()/8))
-		for i := uint32(0); i < n; i++ {
-			tp, err := wire.DecodeTuple(r)
-			if err != nil {
-				return m, fmt.Errorf("storage: insert record tuple %d: %w", i, err)
-			}
-			m.tuples = append(m.tuples, tp)
-		}
+		m.name, m.tuples, err = wire.DecodeInsert(payload)
+	case opDrop:
+		m.name, err = wire.DecodeName(payload)
+	default:
+		err = fmt.Errorf("storage: unknown log op %#x", op)
 	}
 	return m, err
 }
@@ -573,11 +557,7 @@ func (s *Store) Append(name string, tuples []ph.EncryptedTuple) error {
 func (s *Store) AppendStamped(name string, tuples []ph.EncryptedTuple) (base int, version uint64, err error) {
 	var payload []byte
 	if s.wal != nil {
-		payload = wire.AppendString(nil, name)
-		payload = wire.AppendU32(payload, uint32(len(tuples)))
-		for _, tp := range tuples {
-			payload = wire.EncodeTuple(payload, tp)
-		}
+		payload = wire.EncodeInsert(nil, name, tuples)
 	}
 	for {
 		s.mu.RLock()
@@ -642,94 +622,6 @@ func (s *Store) Get(name string) (*ph.EncryptedTable, error) {
 	return snap.Clone(), nil
 }
 
-// Query evaluates the encrypted query against the named table via the
-// key-free evaluator registry. It holds only the table's read lock for the
-// duration of the evaluation, so queries on distinct tables — and multiple
-// queries on the same table — run fully in parallel, and none of them
-// block the catalogue.
-//
-// With caching enabled, the cache is consulted under that same read lock.
-// A Hit answers from the cached positions without touching the tuples. A
-// Delta — the table has only been appended to since the entry was stored —
-// evaluates just the appended tail through the scheme's own evaluator
-// (every registered evaluator is a tuple-local scan, so evaluating
-// Tuples[scanned:] and offsetting the positions is exact) and merges. A
-// Miss runs the full scan. Hot and delta results are written back so the
-// next query starts warm.
-func (s *Store) Query(name string, q *ph.EncryptedQuery) (*ph.Result, error) {
-	e, c, sh, err := s.entry(name)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return queryLocked(e, c, sh, name, q)
-}
-
-// queryLocked is Query's body, factored out so QueryVerified can run it
-// under the same single read-lock acquisition that cuts its proofs.
-// Callers hold e.mu (read suffices). Every scan it runs is fed back into
-// the entry's selectivity sketch, which is how the conjunctive planner
-// learns from ordinary single selects.
-//
-// A cache miss is a full-table scan, and full-table scans are where
-// concurrent cold queries duplicate work — so the miss path goes through
-// the scan-sharing layer (when installed): the query rides the table's
-// in-flight ψ pass, or starts one for later arrivals to ride. The
-// writeback happens here, under THIS query's read lock, with the tuple
-// count and version of the snapshot the rider was admitted against —
-// every rider of a pass holds its table read lock across the whole wait,
-// so appends (which need the write lock) cannot move the version under a
-// rider, and no writeback can be stale. Delta tail scans stay per-query:
-// tails are short and sharing them would serialise on pass admission.
-func queryLocked(e *tableEntry, c *cache.Cache, sh *scanshare.Sharer, name string, q *ph.EncryptedQuery) (*ph.Result, error) {
-	n := len(e.t.Tuples)
-	ent, outcome := cache.Entry{}, cache.Miss
-	if c != nil {
-		ent, outcome = c.Lookup(name, q, e.base, n)
-	}
-	switch outcome {
-	case cache.Hit:
-		return ph.SelectPositions(e.t, ent.Positions), nil
-	case cache.Delta:
-		tail := &ph.EncryptedTable{SchemeID: e.t.SchemeID, Meta: e.t.Meta, Tuples: e.t.Tuples[ent.Scanned:]}
-		res, err := ph.Apply(tail, q)
-		if err != nil {
-			return nil, err
-		}
-		e.observeScan(q, len(res.Positions), len(tail.Tuples))
-		positions := ent.Positions // Lookup returned a private copy
-		for _, p := range res.Positions {
-			positions = append(positions, p+ent.Scanned)
-		}
-		c.Store(name, q, cache.Entry{Positions: positions, Scanned: n, Version: e.version})
-		return ph.SelectPositions(e.t, positions), nil
-	default:
-		if sh != nil {
-			positions, ok, err := sh.Scan(e, e.shareSnapshot(), q)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				e.observeScan(q, len(positions), n)
-				if c != nil {
-					c.Store(name, q, cache.Entry{Positions: positions, Scanned: n, Version: e.version})
-				}
-				return ph.SelectPositions(e.t, positions), nil
-			}
-		}
-		res, err := ph.Apply(e.t, q)
-		if err != nil {
-			return nil, err
-		}
-		e.observeScan(q, len(res.Positions), n)
-		if c != nil {
-			c.Store(name, q, cache.Entry{Positions: res.Positions, Scanned: n, Version: e.version})
-		}
-		return res, nil
-	}
-}
-
 // shareSnapshot cuts the entry's immutable scan view for the sharing
 // layer. Callers hold e.mu (read suffices); the slice header stays valid
 // after release because stored tuples are immutable once appended.
@@ -745,15 +637,16 @@ func (e *tableEntry) observeScan(q *ph.EncryptedQuery, hits, scanned int) {
 	e.sketch.Observe(stats.TokenDigest(q.SchemeID, q.Token), len(q.Token), hits, scanned)
 }
 
-// planConj gathers the planner inputs for one conjunctive query under
-// the caller's read lock: per conjunct, the result-cache state (a hit
-// makes the conjunct free; a prefix entry halves its cost) and the
-// sketch's selectivity estimate, then orders everything into a Plan.
+// planConj gathers the planner inputs for one plan under the caller's
+// read lock: per conjunct, the result-cache state (a hit makes the
+// conjunct free; a prefix entry halves its cost) and the sketch's
+// selectivity estimate, then orders everything into a Plan.
 func (e *tableEntry) planConj(c *cache.Cache, name string, qs []*ph.EncryptedQuery) (*query.Plan, error) {
 	n := len(e.t.Tuples)
-	conjs := make([]*query.Conjunct, len(qs))
+	conjs := make([]query.Conjunct, len(qs))
 	for i, q := range qs {
-		cj := &query.Conjunct{Index: i, Q: q}
+		cj := &conjs[i]
+		cj.Index, cj.Q = i, q
 		outcome := cache.Miss
 		var ent cache.Entry
 		if c != nil {
@@ -777,32 +670,65 @@ func (e *tableEntry) planConj(c *cache.Cache, name string, qs []*ph.EncryptedQue
 		default:
 			cj.Est, cj.EstKnown = e.sketch.Estimate(stats.TokenDigest(q.SchemeID, q.Token), len(q.Token))
 		}
-		conjs[i] = cj
 	}
 	return query.Build(name, n, conjs)
 }
 
-// conjLocked plans and executes one conjunctive query under the caller's
-// read lock and feeds the results back: every full-table position set
-// the run produced goes into the result cache (per-conjunct — a repeated
-// conjunct is a cache hit even inside a new combination), and every
-// evaluation feeds the selectivity sketch (narrowed passes record the
-// conditional selectivity the planner's ordering actually wants).
-func conjLocked(e *tableEntry, c *cache.Cache, sh *scanshare.Sharer, name string, qs []*ph.EncryptedQuery) ([]int, *query.Plan, error) {
+// Read evaluates one plan — a conjunction of one or more encrypted
+// queries; a single select is the one-conjunct plan — against the named
+// table. It is the store's only read path. Everything happens under one
+// acquisition of the table's read lock, so reads on distinct tables, and
+// any number of reads on one table, run fully in parallel and never
+// block the catalogue.
+//
+// The plan is built from each conjunct's cache state and selectivity
+// estimate and run through internal/query: its driver step is a cache
+// hit (no tuple touched), a delta (only the tail appended since the
+// entry was stored is scanned) or a miss, and later steps narrow the
+// survivors. A miss is a full-table scan, and full-table scans are where
+// concurrent cold reads duplicate work — so it rides the table's
+// in-flight shared ψ pass (internal/scanshare, when installed) or starts
+// one for later arrivals to ride. Every full-table position set the run
+// produced is then written back to the result cache, per conjunct and
+// under THIS read's lock with the snapshot's tuple count and version —
+// every rider of a pass holds its table read lock across the whole wait,
+// so appends cannot move the version under it and no writeback can be
+// stale — and every evaluation feeds the selectivity sketch (narrowed
+// steps record the conditional selectivity the ordering actually wants).
+//
+// flags (wire.ReadFlag*) shapes the answer. With none it is the matching
+// tuples. With ReadFlagVerified they travel with inclusion proofs, root,
+// leaf count and version cut under the same lock acquisition that
+// evaluated the plan — mutually consistent by construction, so a
+// mutation racing the request can never make an honest answer fail
+// verification. With ReadFlagExplain nothing is evaluated: the answer is
+// the plan's conjunct order, estimates and predicted serving paths (the
+// cache is consulted, which counts in its statistics, but no tuple is
+// scanned). The plan itself is returned for callers that report on it.
+func (s *Store) Read(name string, qs []*ph.EncryptedQuery, flags byte) (query.Response, *query.Plan, error) {
+	e, c, sh, err := s.entry(name)
+	if err != nil {
+		return query.Response{}, nil, err
+	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	plan, err := e.planConj(c, name, qs)
 	if err != nil {
-		return nil, nil, err
+		return query.Response{}, nil, err
 	}
+	if flags&wire.ReadFlagExplain != 0 {
+		plan.Annotate()
+		return query.Response{Plan: plan.Info()}, plan, nil
+	}
+	var shared func(q *ph.EncryptedQuery) ([]int, bool, error)
 	if sh != nil {
-		// The driver conjunct's uncached full scan rides the table's
-		// shared pass, exactly like a single cold Query.
-		plan.FullScan = func(q *ph.EncryptedQuery) ([]int, bool, error) {
+		shared = func(q *ph.EncryptedQuery) ([]int, bool, error) {
 			return sh.Scan(e, e.shareSnapshot(), q)
 		}
 	}
-	positions, err := plan.Run(e.t)
+	positions, err := plan.Run(e.t, shared)
 	if err != nil {
-		return nil, nil, err
+		return query.Response{}, nil, err
 	}
 	n := len(e.t.Tuples)
 	for _, cj := range plan.Conjuncts {
@@ -812,83 +738,56 @@ func conjLocked(e *tableEntry, c *cache.Cache, sh *scanshare.Sharer, name string
 			}
 			e.observeScan(cj.Q, len(cj.FullPositions), n)
 		} else if cj.Tested > 0 {
-			// Narrowed pass — plain or over a cached prefix's tail: its
+			// Narrowed step — plain or over a cached prefix's tail: its
 			// hits among the tested positions are the conjunct's
 			// selectivity conditioned on the predicates before it.
 			e.observeScan(cj.Q, cj.NarrowHits, cj.Tested)
 		}
 	}
-	return positions, plan, nil
-}
-
-// QueryConj evaluates a conjunction of encrypted queries against the
-// named table through the selectivity-ordered planner, under one
-// read-locked snapshot, and returns only the tuples in the intersection
-// together with the executed plan's summary. Intersecting position sets
-// server-side reveals nothing beyond the per-conjunct access pattern a
-// batched query already shows the server.
-func (s *Store) QueryConj(name string, qs []*ph.EncryptedQuery) (*ph.Result, *query.PlanInfo, error) {
-	e, c, sh, err := s.entry(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	positions, plan, err := conjLocked(e, c, sh, name, qs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ph.SelectPositions(e.t, positions), plan.Info(), nil
-}
-
-// QueryConjVerified is QueryConj with the one-round verified-read
-// discipline of QueryVerified extended to conjunctions: the
-// intersection's tuples travel with inclusion proofs, root, leaf count
-// and version cut from the same read-locked snapshot that planned and
-// executed the conjunction.
-func (s *Store) QueryConjVerified(name string, qs []*ph.EncryptedQuery) (*authindex.VerifiedResult, *query.PlanInfo, error) {
-	e, c, sh, err := s.entry(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	positions, plan, err := conjLocked(e, c, sh, name, qs)
-	if err != nil {
-		return nil, nil, err
+	res := ph.SelectPositions(e.t, positions)
+	if flags&wire.ReadFlagVerified == 0 {
+		return query.Response{Result: res}, plan, nil
 	}
 	tree := e.authTree()
 	proofs, err := tree.Prove(positions)
 	if err != nil {
-		return nil, nil, err
+		return query.Response{}, nil, err
 	}
-	return &authindex.VerifiedResult{
-		Result:  ph.SelectPositions(e.t, positions),
+	return query.Response{Verified: &authindex.VerifiedResult{
+		Result:  res,
 		Root:    tree.Root(),
-		Leaves:  len(e.t.Tuples),
+		Leaves:  n,
 		Version: e.version,
 		Proofs:  proofs,
-	}, plan.Info(), nil
+	}}, plan, nil
 }
 
-// ExplainConj builds — but does not execute — the plan for a
-// conjunctive query: conjunct order, selectivity estimates, and each
-// conjunct's predicted serving path. The cache is consulted exactly as
-// execution would (which counts in its statistics), but no tuple is
-// scanned.
-func (s *Store) ExplainConj(name string, qs []*ph.EncryptedQuery) (*query.PlanInfo, error) {
-	e, c, _, err := s.entry(name)
+// Query is Read for a single select.
+func (s *Store) Query(name string, q *ph.EncryptedQuery) (*ph.Result, error) {
+	resp, _, err := s.Read(name, []*ph.EncryptedQuery{q}, 0)
 	if err != nil {
 		return nil, err
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	plan, err := e.planConj(c, name, qs)
+	return resp.Result, nil
+}
+
+// QueryVerified is Read for a single verified select.
+func (s *Store) QueryVerified(name string, q *ph.EncryptedQuery) (*authindex.VerifiedResult, error) {
+	resp, _, err := s.Read(name, []*ph.EncryptedQuery{q}, wire.ReadFlagVerified)
 	if err != nil {
 		return nil, err
 	}
-	plan.Annotate()
-	return plan.Info(), nil
+	return resp.Verified, nil
+}
+
+// QueryConj is Read for a conjunction, returning the executed plan's
+// summary beside the intersection.
+func (s *Store) QueryConj(name string, qs []*ph.EncryptedQuery) (*ph.Result, *query.PlanInfo, error) {
+	resp, plan, err := s.Read(name, qs, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	return resp.Result, plan.Info(), nil
 }
 
 // Root returns the named table's authenticated-index root, tuple count
@@ -903,39 +802,6 @@ func (s *Store) Root(name string) (root []byte, tuples int, version uint64, err 
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.authTree().Root(), len(e.t.Tuples), e.version, nil
-}
-
-// QueryVerified evaluates the encrypted query and builds inclusion
-// proofs for every matching tuple from the same table snapshot, under a
-// single read-lock acquisition: the result, proofs, root, leaf count and
-// version are mutually consistent by construction, so a mutation racing
-// the request can never make an honest answer fail verification. The
-// evaluation itself goes through the same result-cache path as Query, so
-// a verified hot-word query costs the cache hit plus O(matches · log n)
-// proof hashes.
-func (s *Store) QueryVerified(name string, q *ph.EncryptedQuery) (*authindex.VerifiedResult, error) {
-	e, c, sh, err := s.entry(name)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	res, err := queryLocked(e, c, sh, name, q)
-	if err != nil {
-		return nil, err
-	}
-	tree := e.authTree()
-	proofs, err := tree.Prove(res.Positions)
-	if err != nil {
-		return nil, err
-	}
-	return &authindex.VerifiedResult{
-		Result:  res,
-		Root:    tree.Root(),
-		Leaves:  len(e.t.Tuples),
-		Version: e.version,
-		Proofs:  proofs,
-	}, nil
 }
 
 // Drop removes the named table. Like Put, the record is staged while

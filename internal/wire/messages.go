@@ -79,6 +79,67 @@ func DecodeTable(r *Buffer) (*ph.EncryptedTable, error) {
 	return t, nil
 }
 
+// DecodeName parses a payload that is exactly one table name (CmdFetchAll,
+// CmdDrop, the storage log's drop record).
+func DecodeName(payload []byte) (string, error) {
+	r := NewBuffer(payload)
+	name, err := r.String()
+	if err != nil {
+		return "", fmt.Errorf("wire: table name: %w", err)
+	}
+	return name, r.Err()
+}
+
+// DecodeStore parses a payload that is exactly name | table (CmdStore,
+// the storage log's store record).
+func DecodeStore(payload []byte) (string, *ph.EncryptedTable, error) {
+	r := NewBuffer(payload)
+	name, err := r.String()
+	if err != nil {
+		return "", nil, fmt.Errorf("wire: store table name: %w", err)
+	}
+	t, err := DecodeTable(r)
+	if err != nil {
+		return "", nil, err
+	}
+	return name, t, r.Err()
+}
+
+// EncodeInsert serialises the insert payload shared by CmdInsert,
+// CmdInsertStamped, CmdShardInsert and the storage log's insert record:
+// name | count:u32 | tuples.
+func EncodeInsert(dst []byte, name string, tuples []ph.EncryptedTuple) []byte {
+	dst = AppendString(dst, name)
+	dst = AppendU32(dst, uint32(len(tuples)))
+	for _, tp := range tuples {
+		dst = EncodeTuple(dst, tp)
+	}
+	return dst
+}
+
+// DecodeInsert parses an insert payload, which must hold nothing else.
+func DecodeInsert(payload []byte) (string, []ph.EncryptedTuple, error) {
+	r := NewBuffer(payload)
+	name, err := r.String()
+	if err != nil {
+		return "", nil, fmt.Errorf("wire: insert table name: %w", err)
+	}
+	n, err := r.U32()
+	if err != nil {
+		return "", nil, fmt.Errorf("wire: insert tuple count: %w", err)
+	}
+	// A tuple is at least two length-prefixed fields and a word count.
+	tuples := make([]ph.EncryptedTuple, 0, ClampCount(n, r.Remaining()/12))
+	for i := uint32(0); i < n; i++ {
+		tp, err := DecodeTuple(r)
+		if err != nil {
+			return "", nil, fmt.Errorf("wire: insert tuple %d: %w", i, err)
+		}
+		tuples = append(tuples, tp)
+	}
+	return name, tuples, r.Err()
+}
+
 // EncodeQuery serialises an encrypted query.
 func EncodeQuery(dst []byte, q *ph.EncryptedQuery) []byte {
 	dst = AppendString(dst, q.SchemeID)

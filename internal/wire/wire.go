@@ -9,7 +9,19 @@
 //
 // where length counts type+payload and is capped at MaxFrameSize. All
 // integers are big-endian. Variable-length byte strings inside payloads are
-// u32-length-prefixed.
+// u32-length-prefixed. A request payload must be consumed exactly: every
+// request decoder ends with Buffer.Err, so trailing bytes are a protocol
+// error.
+//
+// There is one read message. CmdQuery carries a list of plans, each a
+// conjunction of one or more encrypted selects, and ReadFlag* bits that
+// shape the answer (verified, explain); RespResult answers every plan in
+// order. Through a shard coordinator the same request travels as
+// CmdShardQuery and comes back framed per shard. Its codec lives in
+// internal/query, next to the planner and above internal/authindex,
+// whose types the answers carry; this package holds the pieces it is
+// built from (EncodeQuery, EncodeResult) and the mutation payloads
+// (EncodeInsert, DecodeStore, DecodeName).
 //
 // The protocol deliberately carries only ciphertext-domain objects —
 // encrypted tables, encrypted queries, result position sets. The server
@@ -37,7 +49,13 @@ const (
 	CmdStore byte = 0x01
 	// CmdInsert appends encrypted tuples to an existing table.
 	CmdInsert byte = 0x02
-	// CmdQuery evaluates an encrypted query against a named table.
+	// CmdQuery is the one read request: name | flags:u8 (ReadFlag*) |
+	// plans:u16 | per plan conjuncts:u16 | queries. A plan is a
+	// conjunction of one or more encrypted exact selects — a single
+	// select is a one-conjunct plan, a batch is a list of plans — and the
+	// server evaluates each plan under one read-locked snapshot of the
+	// table through the selectivity-ordered planner (internal/query),
+	// which also owns the codec. The answer is a RespResult.
 	CmdQuery byte = 0x03
 	// CmdFetchAll downloads a complete encrypted table.
 	CmdFetchAll byte = 0x04
@@ -45,27 +63,10 @@ const (
 	CmdDrop byte = 0x05
 	// CmdList enumerates stored tables.
 	CmdList byte = 0x06
-	// CmdQueryBatch evaluates several encrypted queries against one
-	// table in a single round trip.
-	CmdQueryBatch byte = 0x09
-	// CmdQueryVerified evaluates an encrypted query and returns the
-	// result together with inclusion proofs, root, leaf count and
-	// version cut from the same table snapshot (extension; see
-	// internal/authindex). Proofs travel with the root they belong to,
-	// so a mutation racing the request cannot make an honest answer fail.
-	CmdQueryVerified byte = 0x0A
 	// CmdInsertStamped is CmdInsert answered with a RespInserted
 	// placement ack instead of a bare RespOK (extension): a client with
 	// a pinned root sends this one, a client without sends CmdInsert.
 	CmdInsertStamped byte = 0x0B
-	// CmdQueryConj evaluates a conjunction of encrypted queries
-	// server-side through the selectivity-ordered planner
-	// (internal/query) and returns only the tuples in the intersection.
-	// Payload: name, flags (ConjFlag*), query count, queries. With
-	// ConjFlagExplain the plan is built and returned without executing;
-	// with ConjFlagVerified the intersection travels with inclusion
-	// proofs, root, leaf count and version from the same snapshot.
-	CmdQueryConj byte = 0x0C
 	// CmdShipLog tails the server's write-ahead log (replication;
 	// internal/replica). Payload: epoch:u64 | from:u64 | maxBytes:u32 —
 	// the follower's cursor (log epoch and record sequence) plus a byte
@@ -87,13 +88,13 @@ const (
 	// under the new identity, and the follower restarts reassembly.
 	CmdShipSnapshot byte = 0x0E
 	// CmdShardQuery asks a shard coordinator (internal/shard) to scatter
-	// a read to every shard and answer with the per-shard sub-results,
-	// framed by shard id, instead of a merged whole. Payload: name |
-	// flags:u8 (ShardFlag*) | count:u32 | queries. The per-shard framing
-	// exists for the trust model: each shard keeps its own authenticated
-	// index, so a verifying client needs each shard's (result, proofs,
-	// root) separately to check it against its pinned root *vector* —
-	// a merged answer would have no root to verify against.
+	// a read to every shard and answer with the per-shard sub-answers,
+	// framed by shard id, instead of a merged whole. The payload is
+	// CmdQuery's. The per-shard framing exists for the trust model: each
+	// shard keeps its own authenticated index, so a verifying client
+	// needs each shard's (result, proofs, root) separately to check it
+	// against its pinned root *vector* — a merged answer would have no
+	// root to verify against.
 	CmdShardQuery byte = 0x0F
 	// CmdShardInsert appends encrypted tuples through a shard
 	// coordinator, which hash-partitions them over its shards, and
@@ -106,26 +107,22 @@ const (
 	RespOK byte = 0x81
 	// RespError carries an error string.
 	RespError byte = 0x82
-	// RespResult carries a ph.Result.
+	// RespResult answers CmdQuery: flags:u8 (the request's, echoed) |
+	// plans:u16 | one answer per plan in request order — a ph.Result,
+	// or with ReadFlagVerified an authindex.VerifiedResult (the result
+	// with inclusion proofs, root, leaf count and version cut from the
+	// same snapshot, so a mutation racing the request cannot make an
+	// honest answer fail), or with ReadFlagExplain the plan summary.
 	RespResult byte = 0x83
 	// RespTable carries a ph.EncryptedTable.
 	RespTable byte = 0x84
 	// RespList carries the table directory.
 	RespList byte = 0x85
-	// RespResults carries several ph.Results (answer to CmdQueryBatch).
-	RespResults byte = 0x88
 	// RespInserted acknowledges CmdInsertStamped with the append's
 	// placement: base tuple index, appended count and the table version
 	// installed — exactly what a client needs to advance an
 	// authenticated root incrementally (extension).
 	RespInserted byte = 0x89
-	// RespResultVerified carries an authindex.VerifiedResult (answer to
-	// CmdQueryVerified; extension).
-	RespResultVerified byte = 0x8A
-	// RespResultConj carries a query.Response — the executed plan's
-	// summary plus the conjunction's result (plain or verified), or the
-	// plan alone in explain mode (answer to CmdQueryConj).
-	RespResultConj byte = 0x8B
 	// RespLogChunk answers CmdShipLog with a slice of the log:
 	// epoch:u64 | start:u64 | head:u64 | count:u32 | records, each
 	// record op:u8 | payload (u32-length-prefixed). start is the
@@ -144,11 +141,11 @@ const (
 	// transfer corruption can fail an install but never corrupt one.
 	RespSnapshotChunk byte = 0x8D
 	// RespResultShard answers CmdShardQuery with the partition-map
-	// version and one sub-result per shard in strictly ascending shard
+	// version and one sub-answer per shard in strictly ascending shard
 	// order: mapVersion:u64 | count:u32 | per shard shard:u32 | kind:u8 |
 	// payload (u32-length-prefixed). kind selects the sub-payload codec:
-	// a plain ph.Result, an authindex.VerifiedResult, or a
-	// query.Response (conjunctive). See internal/shard for the codec.
+	// a RespResult payload, or (ReadFlagFetch) the shard's partition as
+	// a ph.EncryptedTable. See internal/shard for the codec.
 	RespResultShard byte = 0x8E
 	// RespInsertedShard answers CmdShardInsert with the partition-map
 	// version and one placement ack per shard that received tuples, in
@@ -169,31 +166,21 @@ type LogRecord struct {
 	Payload []byte
 }
 
-// CmdShardQuery request flag bits.
+// Read request flag bits (CmdQuery, CmdShardQuery). A request carries at
+// most one of them.
 const (
-	// ShardFlagVerified asks each shard for a verified sub-result
-	// (result, proofs, root, leaf count, version from one snapshot of
-	// that shard's table) instead of a plain one.
-	ShardFlagVerified byte = 1 << 0
-	// ShardFlagConj treats the queries as one conjunction, scattered to
-	// every shard's selectivity-ordered planner (a conjunction over a
-	// disjoint partition is the union of the per-shard intersections).
-	ShardFlagConj byte = 1 << 1
-	// ShardFlagFetch downloads each shard's full partition (no queries
-	// in the payload); sub-payloads carry EncryptedTables. Clients use
-	// it to rebuild per-shard Merkle frontiers against a pinned root
-	// vector, so partitions must come back whole and in shard order.
-	ShardFlagFetch byte = 1 << 2
-)
-
-// CmdQueryConj request flag bits.
-const (
-	// ConjFlagVerified requests the verified variant: the intersection
-	// is answered with proofs, root, leaf count and version cut from the
-	// same snapshot (the conjunctive extension of CmdQueryVerified).
-	ConjFlagVerified byte = 1 << 0
-	// ConjFlagExplain requests the plan without executing it.
-	ConjFlagExplain byte = 1 << 1
+	// ReadFlagVerified asks for every plan's answer as a verified
+	// result: tuples, proofs, root, leaf count and version cut from the
+	// one snapshot that evaluated the plan.
+	ReadFlagVerified byte = 1 << 0
+	// ReadFlagExplain asks for every plan's conjunct order, estimates
+	// and predicted serving paths without executing anything.
+	ReadFlagExplain byte = 1 << 1
+	// ReadFlagFetch (CmdShardQuery only; no plans in the payload)
+	// downloads each shard's full partition. Clients use it to rebuild
+	// per-shard Merkle frontiers against a pinned root vector, so
+	// partitions must come back whole and in shard order.
+	ReadFlagFetch byte = 1 << 2
 )
 
 // Frame is one protocol message.
@@ -341,6 +328,16 @@ func (r *Buffer) U8() (byte, error) {
 	return v, nil
 }
 
+// U16 reads a big-endian uint16.
+func (r *Buffer) U16() (uint16, error) {
+	if r.off+2 > len(r.b) {
+		return 0, fmt.Errorf("wire: truncated payload reading u16")
+	}
+	v := binary.BigEndian.Uint16(r.b[r.off:])
+	r.off += 2
+	return v, nil
+}
+
 // U32 reads a big-endian uint32.
 func (r *Buffer) U32() (uint32, error) {
 	if r.off+4 > len(r.b) {
@@ -384,6 +381,11 @@ func (r *Buffer) String() (string, error) {
 
 // AppendU8 appends one byte.
 func AppendU8(dst []byte, v byte) []byte { return append(dst, v) }
+
+// AppendU16 appends a big-endian uint16.
+func AppendU16(dst []byte, v uint16) []byte {
+	return append(dst, byte(v>>8), byte(v))
+}
 
 // AppendU32 appends a big-endian uint32.
 func AppendU32(dst []byte, v uint32) []byte {

@@ -95,6 +95,7 @@ func TestFrameTruncatedPayload(t *testing.T) {
 func TestBufferPrimitives(t *testing.T) {
 	var b []byte
 	b = AppendU8(b, 7)
+	b = AppendU16(b, 0xBEEF)
 	b = AppendU32(b, 1<<20)
 	b = AppendU64(b, 1<<40)
 	b = AppendBytes(b, []byte("raw"))
@@ -102,6 +103,9 @@ func TestBufferPrimitives(t *testing.T) {
 	r := NewBuffer(b)
 	if v, err := r.U8(); err != nil || v != 7 {
 		t.Fatalf("U8: %v %v", v, err)
+	}
+	if v, err := r.U16(); err != nil || v != 0xBEEF {
+		t.Fatalf("U16: %#x %v", v, err)
 	}
 	if v, err := r.U32(); err != nil || v != 1<<20 {
 		t.Fatalf("U32: %v %v", v, err)
@@ -124,6 +128,9 @@ func TestBufferUnderflow(t *testing.T) {
 	r := NewBuffer([]byte{1})
 	if _, err := r.U32(); err == nil {
 		t.Fatal("U32 underflow accepted")
+	}
+	if _, err := r.U16(); err == nil {
+		t.Fatal("U16 underflow accepted")
 	}
 	r2 := NewBuffer(AppendU32(nil, 100))
 	if _, err := r2.Bytes(); err == nil {
@@ -228,6 +235,37 @@ func TestTupleCodecProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMutationPayloadsRoundTrip: the store, insert and name payloads
+// decode to what was encoded, and to nothing when a byte trails.
+func TestMutationPayloadsRoundTrip(t *testing.T) {
+	et := sampleTable()
+	insert := EncodeInsert(nil, "emp", et.Tuples)
+	name, tuples, err := DecodeInsert(insert)
+	if err != nil || !bytes.Equal(EncodeInsert(nil, name, tuples), insert) {
+		t.Fatalf("insert round trip: %q, %d tuples, %v", name, len(tuples), err)
+	}
+	store := EncodeTable(AppendString(nil, "emp"), et)
+	name, got, err := DecodeStore(store)
+	if err != nil || !bytes.Equal(EncodeTable(AppendString(nil, name), got), store) {
+		t.Fatalf("store round trip: %q, %v", name, err)
+	}
+	if name, err := DecodeName(AppendString(nil, "emp")); err != nil || name != "emp" {
+		t.Fatalf("name round trip: %q, %v", name, err)
+	}
+	if _, _, err := DecodeInsert(append(insert, 0)); err == nil {
+		t.Fatal("insert payload with a trailing byte accepted")
+	}
+	if _, _, err := DecodeStore(append(store, 0)); err == nil {
+		t.Fatal("store payload with a trailing byte accepted")
+	}
+	if _, err := DecodeName(append(AppendString(nil, "emp"), 0)); err == nil {
+		t.Fatal("name payload with a trailing byte accepted")
+	}
+	if _, _, err := DecodeInsert(AppendU32(AppendString(nil, "emp"), 0xFFFFFFFF)); err == nil {
+		t.Fatal("absurd tuple count accepted")
 	}
 }
 
