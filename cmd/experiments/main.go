@@ -1,5 +1,5 @@
 // Command experiments regenerates every evaluation artifact of the
-// reproduction (experiments E1–E21 of DESIGN.md) and prints the result
+// reproduction (experiments E1–E20 of DESIGN.md) and prints the result
 // tables, optionally as markdown for EXPERIMENTS.md.
 //
 // Usage:
@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		expFlag  = flag.String("exp", "", "comma-separated experiment ids (e1..e21); empty = all")
+		expFlag  = flag.String("exp", "", "comma-separated experiment ids (e1..e20); empty = all")
 		outPath  = flag.String("o", "", "also write the output to this file")
 		trials   = flag.Int("trials", 200, "game trials per cell (E1, E4)")
 		patients = flag.Int("patients", 400, "patients per hospital table (E2, E3)")
@@ -49,7 +49,6 @@ func main() {
 	e18Tuples, e18Window := 2000, 400*time.Millisecond
 	e19Tuples := 400
 	e20Tuples, e20Window := 2000, 400*time.Millisecond
-	e21Tuples, e21Riders := 10000, 64
 	if *quick {
 		sizes = []int{100, 1000}
 		e8sizes = []int{100, 1000}
@@ -58,7 +57,6 @@ func main() {
 		e18Tuples, e18Window = 1000, 250*time.Millisecond
 		e19Tuples = 200
 		e20Tuples, e20Window = 1000, 250*time.Millisecond
-		e21Tuples, e21Riders = 4096, 16
 	}
 
 	want := map[string]bool{}
@@ -96,7 +94,6 @@ func main() {
 		{"e18", func() (*bench.Table, error) { return bench.RunE18(e18Tuples, 6, e18Window, *seed) }},
 		{"e19", func() (*bench.Table, error) { return bench.RunE19(e19Tuples, *seed) }},
 		{"e20", func() (*bench.Table, error) { return bench.RunE20(e20Tuples, 6, e20Window, *seed) }},
-		{"e21", func() (*bench.Table, error) { return bench.RunE21(e21Tuples, e21Riders, *seed) }},
 	}
 	var out io.Writer = os.Stdout
 	if *outPath != "" {

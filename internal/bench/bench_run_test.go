@@ -486,32 +486,6 @@ func TestE20Shapes(t *testing.T) {
 	}
 }
 
-func TestE21Shapes(t *testing.T) {
-	// RunE21 self-gates hard: it errors unless every rider's answer is
-	// byte-identical to core.EvaluateSerial (and matches the plaintext
-	// selection as a multiset), unless the shared storm finishes within
-	// 2x a single cold scan while the per-query storm takes at least 4x
-	// the shared one, and unless the shared arm drew exactly one
-	// scheduler-budget allotment per pass. The shape asserted here is
-	// that all three arms report positive wall times in the expected
-	// order.
-	tab, err := RunE21(4096, 16, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := findRow(t, tab, "single cold scan")
-	shared := findRow(t, tab, "16-rider storm: shared pass")
-	perQuery := findRow(t, tab, "16-rider storm: per-query scans")
-	for _, row := range []int{single, shared, perQuery} {
-		if ns := cell(t, tab, row, 2); ns <= 0 {
-			t.Errorf("E21 row %d: non-positive wall time %v", row, ns)
-		}
-	}
-	if cell(t, tab, perQuery, 2) <= cell(t, tab, shared, 2) {
-		t.Error("E21: per-query storm not slower than the shared storm")
-	}
-}
-
 func TestTableJSON(t *testing.T) {
 	tab := &Table{ID: "EX", Title: "t", Header: []string{"a"}, Notes: []string{"n"}}
 	tab.AddRow("1")

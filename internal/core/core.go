@@ -267,46 +267,38 @@ func (p *PH) DecryptResult(q relation.Eq, r *ph.Result) (*relation.Table, error)
 	return t, nil
 }
 
-// parallelThreshold is the tuple count below which Evaluate stays
-// single-threaded: sharding a small scan across goroutines costs more than
-// the scan itself.
+// parallelThreshold is the tuple count below which a scan stays on its
+// caller's goroutine without consulting the budget: at ~0.12 µs per
+// tuple, forking and joining a smaller scan costs more than it saves.
 const parallelThreshold = 1024
 
 // Evaluate is ψ: the key-free server-side search. It is exported for direct
 // use and also registered as the package's ph.Evaluator. A tuple matches if
 // any of its cipherwords of the trapdoor's length matches the trapdoor.
-//
-// Large tables are sharded into contiguous chunks across a worker pool
-// drawn from the process-wide scheduler budget (internal/sched), one
-// allocation-free swp.Matcher clone per worker. The calling goroutine is
-// always the first worker — so a query on a saturated server degrades to a
-// single-threaded scan instead of blocking — and extra workers, up to
-// GOMAXPROCS per query, come from the budget's spare capacity, which
-// bounds total scan parallelism across all concurrent queries. Chunk
-// results merge in table order, so the output is byte-identical to the
-// serial scan.
+// The scan runs through shardScan, so the output is byte-identical to
+// EvaluateSerial's.
 func Evaluate(et *ph.EncryptedTable, q *ph.EncryptedQuery) (*ph.Result, error) {
-	td, params, err := decodeQueryToken(et.Meta, q.Token)
+	positions, err := EvaluateOn(et, q, nil)
 	if err != nil {
 		return nil, err
 	}
-	positions := shardScan(len(et.Tuples), swp.NewMatcher(params, td),
-		func(lo, hi int, m *swp.Matcher) []int {
-			return MatchTuples(et.Tuples[lo:hi], lo, m, make([]int, 0, PositionsCap(hi-lo)))
-		})
 	return ph.SelectPositions(et, positions), nil
 }
 
-// shardScan runs scan over contiguous chunks of [0, n) and merges the
-// per-chunk hit lists in chunk order, so the output is byte-identical
-// to scan(0, n, base). Small inputs (or a single-CPU process) stay
-// single-threaded; larger ones shard across a worker pool drawn from
-// the process-wide scheduler budget. The calling goroutine is always
-// the first worker — a query on a saturated server degrades to a
-// single-threaded scan instead of blocking — scanning chunk 0 with the
-// base Matcher; each extra worker gets its own allocation-free clone.
+// shardScan is the package's one scan driver: it runs scan over
+// contiguous chunks of [0, n) and merges the per-chunk hit lists in chunk
+// order, so the output is byte-identical to scan(0, n, base). Small
+// inputs stay on the caller's goroutine. Larger ones draw an allotment
+// from the process-wide scheduler budget (internal/sched), which counts
+// the caller: a scan that finds the budget idle shards across up to
+// GOMAXPROCS goroutines, one that finds it taken by concurrent scans is
+// granted only itself and runs exactly the serial loop — no goroutine,
+// no join, never blocked. The caller scans chunk 0 with the base
+// Matcher; every other chunk gets its own goroutine and its own
+// allocation-free clone, whose mutable state shares no cache line with
+// any other worker's (see swp.Matcher).
 func shardScan(n int, base *swp.Matcher, scan func(lo, hi int, m *swp.Matcher) []int) []int {
-	if n < parallelThreshold || runtime.GOMAXPROCS(0) < 2 {
+	if n < parallelThreshold {
 		return scan(0, n, base)
 	}
 	budget := sched.Process()
@@ -315,15 +307,18 @@ func shardScan(n int, base *swp.Matcher, scan func(lo, hi int, m *swp.Matcher) [
 	if workers < 2 {
 		return scan(0, n, base)
 	}
+	chunk := (n + workers - 1) / workers
 	results := make([][]int, workers)
-	matchers := make([]*swp.Matcher, workers)
-	matchers[0] = base
+	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
-		matchers[w] = base.Clone()
+		wg.Add(1)
+		go func(w int, m *swp.Matcher) {
+			defer wg.Done()
+			results[w] = scan(min(w*chunk, n), min((w+1)*chunk, n), m)
+		}(w, base.Clone())
 	}
-	ShardWindow(workers, 0, n, func(lo, hi, slot int) {
-		results[slot] = scan(lo, hi, matchers[slot])
-	})
+	results[0] = scan(0, chunk, base)
+	wg.Wait()
 	total := 0
 	for _, r := range results {
 		total += len(r)
@@ -335,57 +330,12 @@ func shardScan(n int, base *swp.Matcher, scan func(lo, hi int, m *swp.Matcher) [
 	return hits
 }
 
-// ShardWindow splits the tuple window [lo, hi) into up to workers
-// contiguous chunks and runs scan(chunkLo, chunkHi, slot) on each, slot 0
-// on the calling goroutine and every other slot on its own goroutine. It
-// returns when all chunks are done. Slots are dense in [0, workers): a
-// caller can pre-provision one Matcher (or result buffer) per slot and
-// know exactly which goroutine touches it, which is how scans stay
-// allocation-free and data-race-free without locks.
-//
-// ShardWindow deliberately performs NO scheduler-budget accounting — the
-// caller owns the worker allotment. That split is what lets a shared scan
-// pass (internal/scanshare) amortise ONE budget Acquire over an entire
-// multi-rider pass instead of drawing per query, while core's own
-// shardScan keeps its draw-per-scan behaviour on top of the same
-// primitive.
-func ShardWindow(workers, lo, hi int, scan func(lo, hi, slot int)) {
-	n := hi - lo
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		scan(lo, hi, 0)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		clo := lo + w*chunk
-		if clo >= hi {
-			break
-		}
-		chi := min(clo+chunk, hi)
-		wg.Add(1)
-		go func(clo, chi, slot int) {
-			defer wg.Done()
-			scan(clo, chi, slot)
-		}(clo, chi, w)
-	}
-	scan(lo, lo+chunk, 0)
-	wg.Wait()
-}
-
 // TokenMatcher decodes an encrypted query's token against a table's
 // metadata and returns the ready-to-scan ψ matcher. The matcher (like the
 // trapdoor it wraps) aliases the token, so the caller must keep the token
 // alive for the matcher's life; a Matcher is not goroutine-safe — Clone
-// per extra worker. This is the admission-side half of Evaluate, exported
-// for the scan-sharing layer, which decodes once per rider and then scans
-// many riders inside one pass.
+// per extra worker. Every scan in this package starts here; it is
+// exported so a benchmark can time the kernel under the same matcher.
 func TokenMatcher(meta, token []byte) (*swp.Matcher, error) {
 	td, params, err := decodeQueryToken(meta, token)
 	if err != nil {
@@ -398,11 +348,10 @@ func TokenMatcher(meta, token []byte) (*swp.Matcher, error) {
 // Evaluate. It exists for differential tests and as the before-side of the
 // parallel-speedup benchmarks; Evaluate must always produce the same result.
 func EvaluateSerial(et *ph.EncryptedTable, q *ph.EncryptedQuery) (*ph.Result, error) {
-	td, params, err := decodeQueryToken(et.Meta, q.Token)
+	m, err := TokenMatcher(et.Meta, q.Token)
 	if err != nil {
 		return nil, err
 	}
-	m := swp.NewMatcher(params, td)
 	positions := MatchTuples(et.Tuples, 0, m, make([]int, 0, PositionsCap(len(et.Tuples))))
 	return ph.SelectPositions(et, positions), nil
 }
@@ -415,18 +364,16 @@ func EvaluateSerial(et *ph.EncryptedTable, q *ph.EncryptedQuery) (*ph.Result, er
 // plus narrowing passes over the survivors. Nil candidates select the
 // whole table (the Narrower contract): a positions-only scan with no
 // candidate list materialised or validated — Evaluate's scan without
-// the tuple cloning its Result carries. Large inputs shard across the
-// same scheduler-budget worker pool as Evaluate, one allocation-free
-// Matcher clone per worker, and chunk results merge in order, so the
-// output is deterministic.
+// the tuple cloning its Result carries. Both shapes run through
+// shardScan, so the output is deterministic.
 func EvaluateOn(et *ph.EncryptedTable, q *ph.EncryptedQuery, candidates []int) ([]int, error) {
-	td, params, err := decodeQueryToken(et.Meta, q.Token)
+	base, err := TokenMatcher(et.Meta, q.Token)
 	if err != nil {
 		return nil, err
 	}
 	n := len(et.Tuples)
 	if candidates == nil {
-		return shardScan(n, swp.NewMatcher(params, td),
+		return shardScan(n, base,
 			func(lo, hi int, m *swp.Matcher) []int {
 				return MatchTuples(et.Tuples[lo:hi], lo, m, make([]int, 0, PositionsCap(hi-lo)))
 			}), nil
@@ -439,7 +386,7 @@ func EvaluateOn(et *ph.EncryptedTable, q *ph.EncryptedQuery, candidates []int) (
 			return nil, fmt.Errorf("core: candidate positions not strictly ascending at index %d", i)
 		}
 	}
-	return shardScan(len(candidates), swp.NewMatcher(params, td),
+	return shardScan(len(candidates), base,
 		func(lo, hi int, m *swp.Matcher) []int {
 			return scanCandidates(et.Tuples, candidates[lo:hi], m, make([]int, 0, (hi-lo)/2+4))
 		}), nil
@@ -470,9 +417,8 @@ func matchTuple(tp *ph.EncryptedTuple, m *swp.Matcher) bool {
 // document matches, reusing one Matcher across the whole chunk. The
 // Matcher rejects cipherwords of other lengths itself, which is how
 // mixed-width documents (PerColumnWidth layouts) skip non-candidate
-// words. Exported for the scan-sharing layer, whose pass runs this exact
-// loop once per (rider, chunk) so shared results stay byte-identical to
-// EvaluateSerial per rider.
+// words. It is the loop under every full-width scan — serial, sharded or
+// a benchmark's — which is what keeps them byte-identical.
 func MatchTuples(tuples []ph.EncryptedTuple, base int, m *swp.Matcher, hits []int) []int {
 	for i := range tuples {
 		if matchTuple(&tuples[i], m) {

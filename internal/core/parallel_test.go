@@ -1,12 +1,15 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/crypto"
 	"repro/internal/ph"
 	"repro/internal/relation"
+	"repro/internal/sched"
+	"repro/internal/swp"
 	"repro/internal/workload"
 )
 
@@ -97,6 +100,53 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 		for i := 1; i < len(parallel.Positions); i++ {
 			if parallel.Positions[i] <= parallel.Positions[i-1] {
 				t.Fatalf("%s: positions not strictly increasing: %v", q, parallel.Positions)
+			}
+		}
+	}
+}
+
+// TestShardScanCoversEveryIndexOnce drives the scan driver with every
+// worker count a budget can grant — up to more workers than some inputs
+// have chunks for — and checks the chunks tile [0, n) exactly, in order,
+// each on its own Matcher, with one allotment drawn and returned.
+func TestShardScanCoversEveryIndexOnce(t *testing.T) {
+	const procs = 64
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	base := swp.NewMatcher(swp.Params{WordLen: 11, ChecksumLen: 2}, swp.Trapdoor{})
+	for _, n := range []int{0, 1, parallelThreshold - 1, parallelThreshold, 1100, 4099} {
+		for _, capacity := range []int{1, 2, 3, procs} {
+			budget := sched.NewBudget(capacity)
+			old := sched.SetProcess(budget)
+			var mu sync.Mutex
+			matchers := map[*swp.Matcher]bool{}
+			got := shardScan(n, base, func(lo, hi int, m *swp.Matcher) []int {
+				mu.Lock()
+				defer mu.Unlock()
+				if matchers[m] {
+					t.Errorf("n=%d capacity=%d: two chunks share a Matcher", n, capacity)
+				}
+				matchers[m] = true
+				idx := make([]int, 0, hi-lo)
+				for i := lo; i < hi; i++ {
+					idx = append(idx, i)
+				}
+				return idx
+			})
+			sched.SetProcess(old)
+			if len(got) != n {
+				t.Fatalf("n=%d capacity=%d: %d indices scanned", n, capacity, len(got))
+			}
+			for i, p := range got {
+				if p != i {
+					t.Fatalf("n=%d capacity=%d: merged index %d is %d", n, capacity, i, p)
+				}
+			}
+			want := sched.Stats{}
+			if n >= parallelThreshold {
+				want = sched.Stats{Acquires: 1, Extras: uint64(capacity - 1), Releases: 1}
+			}
+			if st := budget.Stats(); st != want || budget.Idle() != capacity {
+				t.Fatalf("n=%d capacity=%d: budget stats %+v idle %d, want %+v and everything returned", n, capacity, st, budget.Idle(), want)
 			}
 		}
 	}

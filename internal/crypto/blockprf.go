@@ -24,7 +24,10 @@ const BlockPRFSize = aes.BlockSize
 //
 // A BlockPRF is NOT safe for concurrent use (SumInto chains through a
 // struct-held block so it performs no heap allocations); Clone hands each
-// goroutine its own, sharing the key schedule.
+// goroutine its own, sharing the key schedule. It is a value so that a
+// caller who evaluates it side by side with other goroutines can place
+// it — and with it the chaining block every call rewrites — on memory of
+// its own choosing (swp.Matcher keeps it off its neighbours' cache lines).
 type BlockPRF struct {
 	block    cipher.Block // stateless, shared between clones
 	inputLen int
@@ -32,18 +35,18 @@ type BlockPRF struct {
 }
 
 // NewBlockPRF builds the PRF for one key and one input length.
-func NewBlockPRF(key Key, inputLen int) *BlockPRF {
+func NewBlockPRF(key Key, inputLen int) BlockPRF {
 	b, err := aes.NewCipher(key[:])
 	if err != nil {
 		panic(fmt.Sprintf("crypto: blockprf: %v", err)) // unreachable: KeySize is an AES-256 key length
 	}
-	return &BlockPRF{block: b, inputLen: inputLen}
+	return BlockPRF{block: b, inputLen: inputLen}
 }
 
-// Clone returns an independent evaluator of the same function. It shares
-// the expanded key and allocates only the new chaining block.
-func (f *BlockPRF) Clone() *BlockPRF {
-	return &BlockPRF{block: f.block, inputLen: f.inputLen}
+// Clone returns an independent evaluator of the same function, sharing
+// the expanded key.
+func (f *BlockPRF) Clone() BlockPRF {
+	return BlockPRF{block: f.block, inputLen: f.inputLen}
 }
 
 // SumInto writes the first len(dst) <= BlockPRFSize bytes of the PRF of

@@ -82,12 +82,14 @@ func TestBlockPRFCloneComputesTheSameFunction(t *testing.T) {
 	input := bytes.Repeat([]byte{0x5c}, 40)
 	a, b := make([]byte, 16), make([]byte, 16)
 	f.SumInto(a, input)
-	f.Clone().SumInto(b, input)
+	c := f.Clone()
+	c.SumInto(b, input)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("clone computed %x, original %x", b, a)
 	}
 	other := make([]byte, 16)
-	NewBlockPRF(testKey(23), 40).SumInto(other, input)
+	g := NewBlockPRF(testKey(23), 40)
+	g.SumInto(other, input)
 	if bytes.Equal(a, other) {
 		t.Fatal("two keys computed the same output")
 	}

@@ -23,7 +23,7 @@
 //     wire.ReadFlagExplain returns and what phclient's -explain renders.
 //
 // A single select is the one-conjunct plan: its only step is the driver,
-// which is exactly the cache hit / tail delta / shared-pass miss decision
+// which is exactly the cache hit / tail delta / full-scan miss decision
 // — so every read the server answers, batched or not, verified or not,
 // is a Plan. This package also owns the codec of the one read request
 // and its answer (codec.go).
@@ -196,12 +196,11 @@ func Build(table string, tuples int, conjs []Conjunct) (*Plan, error) {
 // write to them. The caller holds whatever lock makes et stable; Run
 // itself takes none.
 //
-// fullScan, when non-nil, serves the driver conjunct's uncached
-// full-table positions-only scan — the storage layer points it at the
-// scan-sharing layer, so a cold driver rides a shared pass instead of
-// starting its own. ok=false means the hook cannot serve the query's
-// scheme and Run falls back to ph.ApplyOn.
-func (p *Plan) Run(et *ph.EncryptedTable, fullScan func(q *ph.EncryptedQuery) (positions []int, ok bool, err error)) ([]int, error) {
+// fullScan, when non-nil, stands in for ph.ApplyOn(et, q, nil) on the
+// driver conjunct's uncached full-table scan — the storage layer points
+// it at the scan-sharing layer, so identical cold drivers in flight at
+// once cost one scan.
+func (p *Plan) Run(et *ph.EncryptedTable, fullScan func(q *ph.EncryptedQuery) ([]int, error)) ([]int, error) {
 	if len(et.Tuples) != p.Tuples {
 		return nil, fmt.Errorf("query: plan built for %d tuples run against %d", p.Tuples, len(et.Tuples))
 	}
@@ -246,14 +245,10 @@ func (p *Plan) Run(et *ph.EncryptedTable, fullScan func(q *ph.EncryptedQuery) (p
 				cj.Source = SourceDelta
 				cj.Tested = n - cj.Scanned
 			} else {
-				// Prefer the shared-scan hook when the storage layer
-				// installed one — same positions, one coalesced pass.
-				var served bool
 				var err error
 				if fullScan != nil {
-					full, served, err = fullScan(cj.Q)
-				}
-				if err == nil && !served {
+					full, err = fullScan(cj.Q)
+				} else {
 					full, err = ph.ApplyOn(et, cj.Q, nil)
 				}
 				if err != nil {

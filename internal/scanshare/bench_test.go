@@ -5,37 +5,33 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/ph"
 )
 
-// benchRiders measures R simultaneous cold queries against one table,
-// either riding a shared pass or each running its own core.Evaluate —
-// the per-query baseline the batch fanout used to force.
-func benchRiders(b *testing.B, riders int, shared bool) {
+// benchRiders measures 16 simultaneous cold queries against one table
+// through a fresh sharer: the same trapdoor 16 times (one scan, 15
+// waiters) or 16 different ones (16 scans under the scheduler budget).
+func benchRiders(b *testing.B, identical bool) {
 	f := newFixture(b, 4096, 42)
-	queries := make([]*ph.EncryptedQuery, riders)
+	queries := make([]*ph.EncryptedQuery, 16)
 	for i := range queries {
-		queries[i] = f.nameQuery(b, fmt.Sprintf("Bench%03d", i))
+		name := "Bench000"
+		if !identical {
+			name = fmt.Sprintf("Bench%03d", i)
+		}
+		queries[i] = f.query(b, "name", name)
 	}
-	snap := Snapshot{SchemeID: f.et.SchemeID, Meta: f.et.Meta, Tuples: f.et.Tuples}
-	key := new(int)
+	table := new(int)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := New(0)
+		s := New()
 		var wg sync.WaitGroup
 		for _, q := range queries {
 			wg.Add(1)
 			go func(q *ph.EncryptedQuery) {
 				defer wg.Done()
-				if shared {
-					if _, ok, err := s.Scan(key, snap, q); err != nil || !ok {
-						b.Errorf("shared scan: ok=%v err=%v", ok, err)
-					}
-				} else {
-					if _, err := core.Evaluate(f.et, q); err != nil {
-						b.Error(err)
-					}
+				if _, err := f.scan(s, table, q, nil); err != nil {
+					b.Error(err)
 				}
 			}(q)
 		}
@@ -43,10 +39,5 @@ func benchRiders(b *testing.B, riders int, shared bool) {
 	}
 }
 
-func BenchmarkSharedScan2Riders(b *testing.B)  { benchRiders(b, 2, true) }
-func BenchmarkSharedScan16Riders(b *testing.B) { benchRiders(b, 16, true) }
-func BenchmarkSharedScan64Riders(b *testing.B) { benchRiders(b, 64, true) }
-
-func BenchmarkPerQueryScan2Riders(b *testing.B)  { benchRiders(b, 2, false) }
-func BenchmarkPerQueryScan16Riders(b *testing.B) { benchRiders(b, 16, false) }
-func BenchmarkPerQueryScan64Riders(b *testing.B) { benchRiders(b, 64, false) }
+func BenchmarkIdenticalTrapdoors16(b *testing.B) { benchRiders(b, true) }
+func BenchmarkDistinctTrapdoors16(b *testing.B)  { benchRiders(b, false) }

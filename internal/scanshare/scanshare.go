@@ -1,122 +1,83 @@
-// Package scanshare implements cooperative scan sharing (layer 14 of
-// DESIGN.md): one ψ pass over a table serves every trapdoor that is
-// waiting on it. The paper's server-side search is inherently a full
-// pass per query token, so N concurrent cold queries on one table pay
-// N scans of the same tuples — the last super-linear cost under heavy
-// traffic once the result cache absorbs repeats. This layer coalesces
-// them: the first cold query on a table starts a pass; every further
-// cold query that arrives while the pass runs is admitted as a *rider*
-// at the next shard boundary.
+// Package scanshare deduplicates identical scans in flight (layer 14 of
+// DESIGN.md). The paper's server-side search is a full pass per query
+// token, and the result cache only absorbs a repeat once the first
+// answer has been written back — so a herd of N cold queries carrying
+// the *same* trapdoor would pay N scans of the same tuples for the same
+// positions. This layer is the single-flight in front of the scan: the
+// first arrival runs it, on its own goroutine, and identical arrivals
+// while it runs wait and share its position slice.
 //
-// Admission protocol: a pass walks the table in fixed-size shards with
-// a cyclic cursor. A rider admitted at cursor c is scanned over shards
-// c, c+1, …, then wraps to 0, …, c−1 — a classic cooperative-scan
-// late join — so every rider sees each of its tuples exactly once, in
-// two ascending runs that reassemble into one ascending position list
-// byte-identical to core.EvaluateSerial's. Riders carrying the *same*
-// trapdoor bytes over the same snapshot don't even ride twice: the
-// second query attaches to the first rider's group and shares its
-// result (trapdoors are deterministic per plaintext word, so this is
-// pure recomputation avoidance, same argument as the result cache).
-//
-// Budget accounting: the pass goroutine draws ONE allotment from the
-// process-wide scheduler budget (internal/sched) for its whole
-// lifetime, however many riders it serves — where the per-query path
-// drew one per query. Within a shard, the pass fans each chunk out via
-// core.ShardWindow with one matcher clone per (rider, worker slot), so
-// a single-rider pass is exactly as parallel as core.Evaluate.
-//
-// Snapshot discipline: a rider hands the pass an immutable snapshot
-// (slice header + meta). Stored tuples are append-only — storage never
-// mutates Tuples[0:len] in place — so the pass scans without locks.
-// Riders of different snapshot lengths of the same table may share a
-// pass: each rider's coverage is clipped to its own n, and the cursor
-// domain is the maximum over active riders.
+// Identical means the same table entry, the same scheme and token bytes
+// and the same snapshot length: trapdoors are deterministic per plaintext
+// word, so this is pure recomputation avoidance, the same argument as
+// the result cache. Queries with *distinct* trapdoors share nothing — ψ
+// is one PRF evaluation per (trapdoor, cipherword), so there is no work
+// to share — and each scans on its caller's goroutine under
+// internal/sched's budget like any other scan.
 //
 // Leakage: sharing reveals nothing to the server it could not already
-// see. Which trapdoors are in flight at once — co-arrival timing — is
-// observable from the request stream by construction; the per-rider
-// position sets a pass produces are exactly the access pattern each
-// query reveals on its own.
+// see. Which trapdoors are in flight at once — co-arrival of identical
+// tokens — is observable from the request stream by construction; the
+// position set a scan produces is exactly the access pattern each query
+// reveals on its own.
 package scanshare
 
 import (
 	"crypto/sha256"
-	"runtime"
+	"errors"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/ph"
-	"repro/internal/sched"
-	"repro/internal/swp"
 )
-
-// DefaultShardSize is the pass's admission granularity in tuples: small
-// enough that a late joiner waits at most one shard scan before riding,
-// large enough that the per-boundary bookkeeping (one mutex acquisition)
-// is noise. It matches core's parallelThreshold, which is also the
-// inline-scan cutoff below which sharing a pass cannot pay for itself.
-const DefaultShardSize = 1024
-
-// Snapshot is the immutable view of a table a rider scans: the slice
-// header and metadata cut under whatever lock makes them stable. The
-// tuples must not be mutated in place for the life of the scan (storage
-// guarantees this: appends only grow or reallocate the slice).
-type Snapshot struct {
-	SchemeID string
-	Meta     []byte
-	Tuples   []ph.EncryptedTuple
-}
 
 // Stats are the sharer's monotonic counters.
 type Stats struct {
-	// Passes counts scan passes started (one goroutine, one budget
-	// allotment each).
+	// Passes counts scans started.
 	Passes uint64
-	// Riders counts rider groups registered — distinct (trapdoor,
-	// snapshot-length) admissions, whether the group started its own
-	// pass or joined a running one.
+	// Riders counts distinct scans registered in the in-flight map; every
+	// one starts its own scan, so it moves with Passes.
 	Riders uint64
-	// Attached counts queries answered by attaching to an existing
-	// rider group carrying the same trapdoor (no extra scan work).
+	// Attached counts queries answered by waiting on an identical scan
+	// already in flight (no scan of their own).
 	Attached uint64
-	// LateJoins counts rider groups admitted after their pass had
-	// already scanned at least one shard (they wrap around).
-	LateJoins uint64
-	// Shards counts shard scans performed (each tests one shard of
-	// tuples against all active matchers).
+	// Shards and Inline counted work of the retired shard-cursor pass and
+	// stay zero; the benchmark's trace still subtracts them.
 	Shards uint64
-	// Inline counts queries served by a direct inline scan because the
-	// snapshot was below the sharing threshold.
 	Inline uint64
-	// Declined counts queries the sharer could not serve (scheme not
-	// shareable); the caller falls back to the per-query path.
-	Declined uint64
 }
 
-// Sharer coalesces concurrent full-table scans per table. One Sharer
-// serves a whole store; passes are keyed by an opaque per-table key
-// (pointer identity of the store's table entry).
+// flightKey identifies one scan: who asks what of which snapshot.
+type flightKey struct {
+	table  any
+	scheme string
+	token  [sha256.Size]byte
+	n      int
+}
+
+// errAborted is what waiters read if the leader's scan panics: they must
+// not take its never-written outcome for an empty answer.
+var errAborted = errors.New("scanshare: the scan this query was waiting on did not complete")
+
+// flight is one scan in progress; positions and err are written by the
+// leader before done is closed.
+type flight struct {
+	done      chan struct{}
+	positions []int
+	err       error
+}
+
+// Sharer is a single-flight over full-table scans. One Sharer serves a
+// whole store; tables are told apart by an opaque key (pointer identity
+// of the store's table entry).
 type Sharer struct {
-	shardSize int
-
-	mu     sync.Mutex
-	passes map[any]*pass
-	stats  Stats
-
-	// boundary, when non-nil, runs on the pass goroutine at every shard
-	// boundary before admission, outside the sharer lock — a test seam
-	// for choreographing late joins. Immutable after construction.
-	boundary func(key any, visited int)
+	mu       sync.Mutex
+	inflight map[flightKey]*flight
+	stats    Stats
 }
 
-// New creates a Sharer with the given shard size; sizes below 1 select
-// DefaultShardSize.
-func New(shardSize int) *Sharer {
-	if shardSize < 1 {
-		shardSize = DefaultShardSize
-	}
-	return &Sharer{shardSize: shardSize, passes: make(map[any]*pass)}
+// New creates a Sharer.
+func New() *Sharer {
+	return &Sharer{inflight: make(map[flightKey]*flight)}
 }
 
 // Stats returns a snapshot of the sharer's counters.
@@ -126,298 +87,36 @@ func (s *Sharer) Stats() Stats {
 	return s.stats
 }
 
-// rider is one trapdoor riding a pass: a matcher per worker slot, its
-// own coverage bookkeeping, and the waiters sharing its result. All
-// fields except done/result are touched only by the pass goroutine
-// after admission; registration fields are written before the rider is
-// published under the sharer lock.
-type rider struct {
-	digest [sha256.Size]byte
-	tuples []ph.EncryptedTuple
-	n      int
-	base   *swp.Matcher
-
-	// shards is ceil(n/shardSize): the number of in-domain shards this
-	// rider must cover. seen guards against double-scanning a shard.
-	shards  int
-	seen    []bool
-	covered int
-	// joined is the cursor at admission; hits from shards below it land
-	// in hitsLow (they are scanned after the wrap), the rest in
-	// hitsHigh. The final result is hitsLow ++ hitsHigh — ascending.
-	joined   int
-	hitsLow  []int
-	hitsHigh []int
-	// matchers[slot] scans worker slot's chunks (slot 0 is base);
-	// slotHits[slot] is that slot's reusable per-shard hit buffer.
-	matchers []*swp.Matcher
-	slotHits [][]int
-
-	result []int
-	done   chan struct{}
-}
-
-// pass is one table's running shared scan. pending and the group map are
-// guarded by the Sharer's mutex; active and all rider scan state belong
-// to the pass goroutine alone.
-type pass struct {
-	sh  *Sharer
-	key any
-
-	pending []*rider
-	// groups indexes incomplete riders by trapdoor digest for dedup
-	// attach; entries are removed (under the sharer lock) when the
-	// rider's result is ready.
-	groups map[[sha256.Size]byte]*rider
-
-	active []*rider
-}
-
-// Scan evaluates q against the snapshot through the table's shared pass,
-// returning the ascending match positions. ok=false means the sharer
-// cannot serve this scheme and the caller must fall back to the
-// per-query evaluator; err is definitive (the per-query path would fail
-// the same way). Scan blocks until the rider's coverage completes; the
-// returned slice is shared between attached queries and must not be
-// mutated by callers.
-func (s *Sharer) Scan(key any, snap Snapshot, q *ph.EncryptedQuery) ([]int, bool, error) {
-	if key == nil || q == nil || snap.SchemeID != core.SchemeID || q.SchemeID != snap.SchemeID {
-		s.mu.Lock()
-		s.stats.Declined++
-		s.mu.Unlock()
-		return nil, false, nil
-	}
-	base, err := core.TokenMatcher(snap.Meta, q.Token)
-	if err != nil {
-		return nil, true, err
-	}
-	n := len(snap.Tuples)
-	if n < s.shardSize {
-		// Below the sharing threshold a pass cannot pay for itself (core
-		// would not even parallelise a scan this small): serve inline on
-		// the caller's goroutine, like core's small-table path.
-		hits := core.MatchTuples(snap.Tuples, 0, base, make([]int, 0, core.PositionsCap(n)))
-		s.mu.Lock()
-		s.stats.Inline++
-		s.mu.Unlock()
-		return hits, true, nil
-	}
-	d := sha256.Sum256(q.Token)
-
+// Scan returns scan()'s ascending match positions of q over the first n
+// tuples of the table, running scan on the calling goroutine unless an
+// identical one is in flight, in which case it waits for that one and
+// returns its outcome — positions or error alike. The slice is shared
+// between the leader and every attached query and must not be mutated.
+//
+// A flight leaves the map before its waiters are released, so a query
+// that arrives once an answer exists always starts afresh and can never
+// be handed a scan of an older snapshot.
+func (s *Sharer) Scan(table any, n int, q *ph.EncryptedQuery, scan func() ([]int, error)) ([]int, error) {
+	k := flightKey{table: table, scheme: q.SchemeID, token: sha256.Sum256(q.Token), n: n}
 	s.mu.Lock()
-	p := s.passes[key]
-	if p != nil {
-		if g := p.groups[d]; g != nil && g.n == n {
-			s.stats.Attached++
-			s.mu.Unlock()
-			<-g.done
-			return g.result, true, nil
-		}
+	if f := s.inflight[k]; f != nil {
+		s.stats.Attached++
+		s.mu.Unlock()
+		<-f.done
+		return f.positions, f.err
 	}
-	r := &rider{
-		digest: d,
-		tuples: snap.Tuples,
-		n:      n,
-		base:   base,
-		shards: (n + s.shardSize - 1) / s.shardSize,
-		done:   make(chan struct{}),
-	}
-	r.seen = make([]bool, r.shards)
+	f := &flight{done: make(chan struct{}), err: errAborted}
+	s.inflight[k] = f
+	s.stats.Passes++
 	s.stats.Riders++
-	start := false
-	if p == nil {
-		p = &pass{sh: s, key: key, groups: make(map[[sha256.Size]byte]*rider)}
-		s.passes[key] = p
-		s.stats.Passes++
-		start = true
-	}
-	p.pending = append(p.pending, r)
-	p.groups[d] = r
 	s.mu.Unlock()
 
-	if start {
-		go p.run()
-	}
-	<-r.done
-	return r.result, true, nil
-}
-
-// run is the pass goroutine: admit at boundaries, scan one shard for
-// all active riders, retire covered riders, exit when idle. It draws
-// one scheduler-budget allotment for its whole lifetime — THE property
-// that makes N coalesced queries cost one query's worth of workers.
-func (p *pass) run() {
-	budget := sched.Process()
-	workers := budget.Acquire(runtime.GOMAXPROCS(0))
-	defer budget.Release(workers)
-
-	cursor, visited := 0, 0
-	var finished []*rider
-	var shardsDone uint64
-	for {
-		if p.sh.boundary != nil {
-			p.sh.boundary(p.key, visited)
-		}
-		// Yield once per boundary, while every worker slot is parked: a
-		// shard scan monopolises the Ps with short-lived chunk goroutines
-		// (each lives in a P's runnext slot), which can starve queued
-		// queries out of ever reaching registration — serialising the
-		// very herd this layer exists to coalesce. One Gosched here hands
-		// the free Ps to whoever went runnable during the last shard, so
-		// co-arrived queries register (and attach or late-join) instead
-		// of waiting for the whole pass to retire.
-		runtime.Gosched()
-		p.sh.mu.Lock()
-		p.sh.stats.Shards += shardsDone
-		shardsDone = 0
-		// Publish results of riders that completed during the last
-		// shard: unlink their groups so a same-trapdoor query arriving
-		// from now on starts fresh against the current snapshot.
-		for _, r := range finished {
-			if p.groups[r.digest] == r {
-				delete(p.groups, r.digest)
-			}
-			close(r.done)
-		}
-		finished = finished[:0]
-		// Admit pending riders at this shard boundary.
-		for _, r := range p.pending {
-			r.joined = cursor
-			if visited > 0 {
-				p.sh.stats.LateJoins++
-			}
-			r.admit(workers)
-			p.active = append(p.active, r)
-		}
-		p.pending = p.pending[:0]
-		if len(p.active) == 0 {
-			// Idle: no active riders and (checked under the same lock)
-			// no pending ones — the pass retires. A query racing this
-			// either found the pass in the map and appended to pending
-			// before we took the lock, or finds the map empty and
-			// starts a fresh pass; it can never enqueue on a retired
-			// pass.
-			delete(p.sh.passes, p.key)
-			p.sh.mu.Unlock()
-			return
-		}
-		// The cursor cycles over the widest active rider's shard count;
-		// narrower riders simply skip out-of-domain boundaries.
-		domain := 0
-		for _, r := range p.active {
-			domain = max(domain, r.shards)
-		}
-		p.sh.mu.Unlock()
-
-		if cursor >= domain {
-			cursor = 0
-		}
-		if p.scanShard(cursor, workers) {
-			shardsDone++
-		}
-		visited++
-
-		rest := p.active[:0]
-		for _, r := range p.active {
-			if r.covered == r.shards {
-				r.finish()
-				finished = append(finished, r)
-			} else {
-				rest = append(rest, r)
-			}
-		}
-		p.active = rest
-		cursor++
-	}
-}
-
-// admit provisions a rider's per-slot scan state for a pass running
-// with the given worker count. Called by the pass goroutine (under the
-// sharer lock, but the state is pass-private).
-func (r *rider) admit(workers int) {
-	r.matchers = make([]*swp.Matcher, workers)
-	r.matchers[0] = r.base
-	for w := 1; w < workers; w++ {
-		r.matchers[w] = r.base.Clone()
-	}
-	r.slotHits = make([][]int, workers)
-	for w := range r.slotHits {
-		r.slotHits[w] = make([]int, 0, 8)
-	}
-	r.hitsHigh = make([]int, 0, core.PositionsCap(r.n))
-}
-
-// scanShard tests shard `cursor` of every active rider that still needs
-// it against all that rider's matchers, fanning chunks across the
-// pass's worker slots. Chunk hits are collected per (rider, slot) and
-// appended in slot order, so each rider's per-shard hits are ascending.
-// It reports whether any rider was actually scanned.
-func (p *pass) scanShard(cursor, workers int) bool {
-	size := p.sh.shardSize
-	lo := cursor * size
-	var elig []*rider
-	hi := lo
-	for _, r := range p.active {
-		if cursor < r.shards && !r.seen[cursor] {
-			elig = append(elig, r)
-			hi = max(hi, min(r.n, lo+size))
-		}
-	}
-	if len(elig) == 0 {
-		return false
-	}
-	if workers < 2 {
-		for _, r := range elig {
-			rhi := min(hi, r.n)
-			r.appendShard(cursor, core.MatchTuples(r.tuples[lo:rhi], lo, r.matchers[0], r.slotHits[0][:0]))
-		}
-	} else {
-		// A short final shard may use fewer slots than workers; clear
-		// every buffer first so unvisited slots contribute nothing.
-		for _, r := range elig {
-			for slot := range r.slotHits {
-				r.slotHits[slot] = r.slotHits[slot][:0]
-			}
-		}
-		core.ShardWindow(workers, lo, hi, func(clo, chi, slot int) {
-			for _, r := range elig {
-				rhi := min(chi, r.n)
-				if clo >= rhi {
-					continue
-				}
-				r.slotHits[slot] = core.MatchTuples(r.tuples[clo:rhi], clo, r.matchers[slot], r.slotHits[slot][:0])
-			}
-		})
-		for _, r := range elig {
-			for slot := 0; slot < workers; slot++ {
-				r.appendShard(cursor, r.slotHits[slot])
-			}
-		}
-	}
-	for _, r := range elig {
-		r.seen[cursor] = true
-		r.covered++
-	}
-	return true
-}
-
-// appendShard files one shard's (or chunk's) ascending hits into the
-// rider's pre- or post-wrap run.
-func (r *rider) appendShard(cursor int, hits []int) {
-	if cursor < r.joined {
-		r.hitsLow = append(r.hitsLow, hits...)
-	} else {
-		r.hitsHigh = append(r.hitsHigh, hits...)
-	}
-}
-
-// finish assembles the rider's final ascending position list. The low
-// run (shards before the admission cursor, scanned after the wrap) goes
-// first; never-nil so callers and caches see the same shape
-// EvaluateSerial produces.
-func (r *rider) finish() {
-	out := make([]int, 0, len(r.hitsLow)+len(r.hitsHigh))
-	out = append(out, r.hitsLow...)
-	out = append(out, r.hitsHigh...)
-	r.result = out
+	defer func() {
+		s.mu.Lock()
+		delete(s.inflight, k)
+		s.mu.Unlock()
+		close(f.done)
+	}()
+	f.positions, f.err = scan()
+	return f.positions, f.err
 }

@@ -43,424 +43,337 @@ func newFixture(t testing.TB, tuples int, seed int64) *fixture {
 	return &fixture{scheme: scheme, et: et}
 }
 
-// deptQuery returns the encrypted select for one department value.
-func (f *fixture) deptQuery(t testing.TB, dept string) *ph.EncryptedQuery {
+func (f *fixture) query(t testing.TB, col, val string) *ph.EncryptedQuery {
 	t.Helper()
-	q, err := f.scheme.EncryptQuery(relation.Eq{Column: "dept", Value: relation.String(dept)})
+	q, err := f.scheme.EncryptQuery(relation.Eq{Column: col, Value: relation.String(val)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return q
 }
 
-// nameQuery returns the encrypted select for a name value; names are
-// near-distinct, so this mints many distinct trapdoors.
-func (f *fixture) nameQuery(t testing.TB, name string) *ph.EncryptedQuery {
-	t.Helper()
-	q, err := f.scheme.EncryptQuery(relation.Eq{Column: "name", Value: relation.String(name)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return q
+// scan runs q through the sharer the way storage does: over the whole
+// fixture table, the scan itself being ph.ApplyOn. before, when non-nil,
+// runs first on whichever goroutine leads — the tests' handle for holding
+// a leader while followers arrive.
+func (f *fixture) scan(s *Sharer, table any, q *ph.EncryptedQuery, before func()) ([]int, error) {
+	return s.Scan(table, len(f.et.Tuples), q, func() ([]int, error) {
+		if before != nil {
+			before()
+		}
+		return ph.ApplyOn(f.et, q, nil)
+	})
 }
 
-// serialPositions is the ground truth: EvaluateSerial over a snapshot
-// prefix of n tuples.
-func serialPositions(t testing.TB, et *ph.EncryptedTable, q *ph.EncryptedQuery, n int) []int {
+// serialPositions is the ground truth: EvaluateSerial over the table.
+func serialPositions(t testing.TB, et *ph.EncryptedTable, q *ph.EncryptedQuery) []int {
 	t.Helper()
-	snap := &ph.EncryptedTable{SchemeID: et.SchemeID, Meta: et.Meta, Tuples: et.Tuples[:n]}
-	res, err := core.EvaluateSerial(snap, q)
+	res, err := core.EvaluateSerial(et, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res.Positions
 }
 
-// waitIdle polls until the sharer has no live pass (the rider's Scan
-// returns at result publication, one boundary before the pass retires).
-func waitIdle(t *testing.T, s *Sharer) {
+// assertIdle checks that no flight outlives its Scan calls.
+func assertIdle(t *testing.T, s *Sharer) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		n := len(s.passes)
-		s.mu.Unlock()
-		if n == 0 {
-			return
-		}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.inflight); n != 0 {
+		t.Fatalf("sharer still holds %d flights with no scan running", n)
+	}
+}
+
+// waitAttached polls until want queries are parked on a leader's flight.
+func waitAttached(t *testing.T, s *Sharer, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Stats().Attached < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("sharer still has %d live passes", n)
+			t.Fatalf("only %d of %d queries attached", s.Stats().Attached, want)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// waitRiders polls until the sharer has registered want rider groups.
-func waitRiders(t *testing.T, s *Sharer, want uint64) {
+// swapBudget installs a fresh GOMAXPROCS-sized process budget for the
+// test, so its counters see this test's scans only.
+func swapBudget(t *testing.T) *sched.Budget {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Riders < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d riders registered", s.Stats().Riders, want)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	budget := sched.NewBudget(runtime.GOMAXPROCS(0))
+	old := sched.SetProcess(budget)
+	t.Cleanup(func() { sched.SetProcess(old) })
+	return budget
 }
 
 func TestSingleRiderMatchesSerial(t *testing.T) {
 	f := newFixture(t, 2000, 1)
-	s := New(256)
-	key := new(int)
+	s := New()
+	table := new(int)
 	for _, dept := range []string{"HR", "FIN", "IT"} {
-		q := f.deptQuery(t, dept)
-		got, ok, err := s.Scan(key, Snapshot{SchemeID: f.et.SchemeID, Meta: f.et.Meta, Tuples: f.et.Tuples}, q)
-		if err != nil || !ok {
-			t.Fatalf("Scan(%s) = ok=%v err=%v", dept, ok, err)
+		q := f.query(t, "dept", dept)
+		got, err := f.scan(s, table, q, nil)
+		if err != nil {
+			t.Fatalf("Scan(%s): %v", dept, err)
 		}
-		want := serialPositions(t, f.et, q, len(f.et.Tuples))
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("dept %s: shared positions diverge from serial (%d vs %d hits)", dept, len(got), len(want))
+		if want := serialPositions(t, f.et, q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("dept %s: positions diverge from serial (%d vs %d hits)", dept, len(got), len(want))
 		}
+		assertIdle(t, s)
 	}
-	// The zero-rider degenerate path: with no rider pending, every pass
-	// must have retired and unkeyed itself.
-	waitIdle(t, s)
-	if st := s.Stats(); st.Riders != 3 || st.Passes == 0 {
-		t.Fatalf("stats = %+v, want 3 riders over >=1 passes", st)
+	if st := s.Stats(); st != (Stats{Passes: 3, Riders: 3}) {
+		t.Fatalf("stats = %+v, want 3 scans and nothing else", st)
 	}
 }
 
 func TestManyRidersMatchSerial(t *testing.T) {
 	f := newFixture(t, 3000, 2)
-	s := New(256)
-	key := new(int)
+	s := New()
+	table := new(int)
 	queries := make([]*ph.EncryptedQuery, 24)
 	for i := range queries {
-		if i%3 == 0 {
-			queries[i] = f.deptQuery(t, workload.Departments[i%len(workload.Departments)])
+		if i%3 == 0 { // departments repeat, so some of these are identical
+			queries[i] = f.query(t, "dept", workload.Departments[i%len(workload.Departments)])
 		} else {
-			queries[i] = f.nameQuery(t, fmt.Sprintf("Ada%03d", i))
+			queries[i] = f.query(t, "name", fmt.Sprintf("Ada%03d", i))
 		}
 	}
-	snap := Snapshot{SchemeID: f.et.SchemeID, Meta: f.et.Meta, Tuples: f.et.Tuples}
 	results := make([][]int, len(queries))
 	var wg sync.WaitGroup
 	for i, q := range queries {
 		wg.Add(1)
 		go func(i int, q *ph.EncryptedQuery) {
 			defer wg.Done()
-			got, ok, err := s.Scan(key, snap, q)
-			if err != nil || !ok {
-				t.Errorf("rider %d: ok=%v err=%v", i, ok, err)
-				return
+			got, err := f.scan(s, table, q, nil)
+			if err != nil {
+				t.Errorf("rider %d: %v", i, err)
 			}
 			results[i] = got
 		}(i, q)
 	}
 	wg.Wait()
 	for i, q := range queries {
-		want := serialPositions(t, f.et, q, len(f.et.Tuples))
-		if !reflect.DeepEqual(results[i], want) {
+		if want := serialPositions(t, f.et, q); !reflect.DeepEqual(results[i], want) {
 			t.Fatalf("rider %d diverges from serial (%d vs %d hits)", i, len(results[i]), len(want))
 		}
 	}
-	waitIdle(t, s)
+	assertIdle(t, s)
+	if st := s.Stats(); st.Passes+st.Attached != uint64(len(queries)) {
+		t.Fatalf("stats = %+v, want every query to have scanned or attached", st)
+	}
 }
 
+// TestAttachedRidersShareOneScan holds a leader inside its scan until an
+// identical query has attached: one scan, one budget allotment, one
+// position slice for both. A query for the same token over a different
+// snapshot length must not attach — it completes while the leader is
+// still held.
 func TestAttachedRidersShareOneScan(t *testing.T) {
 	f := newFixture(t, 2000, 3)
-	s := New(256)
-	key := new(int)
-	q := f.deptQuery(t, "SALES")
-	snap := Snapshot{SchemeID: f.et.SchemeID, Meta: f.et.Meta, Tuples: f.et.Tuples}
+	s := New()
+	table := new(int)
+	q := f.query(t, "dept", "SALES")
+	budget := swapBudget(t)
 
-	// Hold the pass at its first boundary until both queries are in, so
-	// the second deterministically attaches to the first rider's group.
-	release := make(chan struct{})
-	s.boundary = func(any, int) {
-		<-release
-	}
-	var wg sync.WaitGroup
+	started, release := make(chan struct{}), make(chan struct{})
 	results := make([][]int, 2)
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got, ok, err := s.Scan(key, snap, q)
-			if err != nil || !ok {
-				t.Errorf("query %d: ok=%v err=%v", i, ok, err)
-			}
-			results[i] = got
-		}(i)
-	}
-	waitRiders(t, s, 1)
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Attached < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("second query never attached")
+	var wg sync.WaitGroup
+	run := func(i int, before func()) {
+		defer wg.Done()
+		got, err := f.scan(s, table, q, before)
+		if err != nil {
+			t.Errorf("query %d: %v", i, err)
 		}
-		time.Sleep(time.Millisecond)
+		results[i] = got
+	}
+	wg.Add(1)
+	go run(0, func() { close(started); <-release })
+	<-started
+	wg.Add(1)
+	go run(1, func() { t.Error("an identical query in flight scanned again") })
+	waitAttached(t, s, 1)
+
+	shorter := len(f.et.Tuples) - 1
+	if _, err := s.Scan(table, shorter, q, func() ([]int, error) { return []int{}, nil }); err != nil {
+		t.Fatal(err)
 	}
 	close(release)
 	wg.Wait()
-	want := serialPositions(t, f.et, q, len(f.et.Tuples))
+
+	want := serialPositions(t, f.et, q)
 	for i := range results {
 		if !reflect.DeepEqual(results[i], want) {
 			t.Fatalf("query %d diverges from serial", i)
 		}
 	}
-	st := s.Stats()
-	if st.Riders != 1 || st.Attached != 1 || st.Passes != 1 {
-		t.Fatalf("stats = %+v, want 1 rider, 1 attached, 1 pass", st)
+	if st := s.Stats(); st != (Stats{Passes: 2, Riders: 2, Attached: 1}) {
+		t.Fatalf("stats = %+v, want the leader's and the shorter snapshot's scans and 1 attached", st)
 	}
-	waitIdle(t, s)
+	if bst := budget.Stats(); bst.Acquires != 1 || bst.Releases != 1 {
+		t.Fatalf("budget stats = %+v, want one allotment for leader and follower together", bst)
+	}
+	assertIdle(t, s)
 }
 
-func TestLateJoinWrapsAround(t *testing.T) {
-	f := newFixture(t, 1300, 4) // shard 256 -> 6 shards
-	s := New(256)
-	key := new(int)
-	qA := f.deptQuery(t, "OPS")
-	qB := f.deptQuery(t, "R&D")
-	snap := Snapshot{SchemeID: f.et.SchemeID, Meta: f.et.Meta, Tuples: f.et.Tuples}
-
-	atShard2 := make(chan struct{})
-	joinedB := make(chan struct{})
-	var once sync.Once
-	s.boundary = func(_ any, visited int) {
-		if visited == 2 {
-			once.Do(func() {
-				close(atShard2)
-				<-joinedB
-			})
-		}
+// TestBadTokenFailsLikeEvaluate: a leader failing the way the evaluator
+// fails hands each attached query that same error and leaves nothing
+// behind — the next identical query scans afresh.
+func TestBadTokenFailsLikeEvaluate(t *testing.T) {
+	f := newFixture(t, 1200, 4)
+	s := New()
+	table := new(int)
+	bad := &ph.EncryptedQuery{SchemeID: core.SchemeID, Token: []byte{1, 2, 3}}
+	_, wantErr := core.EvaluateSerial(f.et, bad)
+	if wantErr == nil {
+		t.Fatal("bad token evaluated")
 	}
+
+	const waiters = 3
+	started, release := make(chan struct{}), make(chan struct{})
+	errs := make([]error, 1+waiters)
 	var wg sync.WaitGroup
-	var gotA, gotB []int
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var ok bool
-		var err error
-		gotA, ok, err = s.Scan(key, snap, qA)
-		if err != nil || !ok {
-			t.Errorf("rider A: ok=%v err=%v", ok, err)
-		}
+		_, errs[0] = f.scan(s, table, bad, func() { close(started); <-release })
 	}()
-	<-atShard2 // pass has scanned shards 0 and 1 for A
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var ok bool
-		var err error
-		gotB, ok, err = s.Scan(key, snap, qB)
-		if err != nil || !ok {
-			t.Errorf("rider B: ok=%v err=%v", ok, err)
-		}
-	}()
-	waitRiders(t, s, 2)
-	close(joinedB) // admit B at cursor 2: shards 2..5 now, 0..1 after wrap
+	<-started
+	for i := 1; i <= waiters; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = f.scan(s, table, bad, nil)
+		}(i)
+	}
+	waitAttached(t, s, waiters)
+	close(release)
 	wg.Wait()
+	for i, err := range errs {
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("query %d: error %v, want the evaluator's %q", i, err, wantErr)
+		}
+		if err != errs[0] {
+			t.Fatalf("query %d got its own error value, not the leader's", i)
+		}
+	}
+	assertIdle(t, s)
 
-	if want := serialPositions(t, f.et, qA, len(f.et.Tuples)); !reflect.DeepEqual(gotA, want) {
-		t.Fatalf("rider A diverges from serial (%d vs %d hits)", len(gotA), len(want))
+	ran := false
+	if _, err := f.scan(s, table, bad, func() { ran = true }); err == nil || !ran {
+		t.Fatalf("identical query after the failure: ran=%v err=%v, want a fresh failing scan", ran, err)
 	}
-	if want := serialPositions(t, f.et, qB, len(f.et.Tuples)); !reflect.DeepEqual(gotB, want) {
-		t.Fatalf("late rider B diverges from serial (%d vs %d hits)", len(gotB), len(want))
+	if st := s.Stats(); st != (Stats{Passes: 2, Riders: 2, Attached: waiters}) {
+		t.Fatalf("stats = %+v", st)
 	}
-	st := s.Stats()
-	if st.LateJoins != 1 || st.Passes != 1 {
-		t.Fatalf("stats = %+v, want exactly 1 late join on 1 pass", st)
-	}
-	waitIdle(t, s)
 }
 
-func TestMixedSnapshotLengthsShareOnePass(t *testing.T) {
-	f := newFixture(t, 1500, 5) // shard 256: A sees 4 shards, B sees 6
-	s := New(256)
-	key := new(int)
-	qA := f.deptQuery(t, "LEGAL")
-	qB := f.deptQuery(t, "HR")
-	nA := 1024
-	snapA := Snapshot{SchemeID: f.et.SchemeID, Meta: f.et.Meta, Tuples: f.et.Tuples[:nA]}
-	snapB := Snapshot{SchemeID: f.et.SchemeID, Meta: f.et.Meta, Tuples: f.et.Tuples}
+// TestFlightRemovedBeforeWaitersReleased: the moment a waiter has its
+// answer, an identical query must start a scan of its own — it may never
+// attach to the finished one, whose snapshot is by then history.
+func TestFlightRemovedBeforeWaitersReleased(t *testing.T) {
+	f := newFixture(t, 1200, 5)
+	s := New()
+	table := new(int)
+	q := f.query(t, "dept", "OPS")
 
-	release := make(chan struct{})
-	s.boundary = func(any, int) {
-		<-release
-	}
+	started, release := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
-	var gotA, gotB []int
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		var ok bool
-		var err error
-		gotA, ok, err = s.Scan(key, snapA, qA)
-		if err != nil || !ok {
-			t.Errorf("rider A: ok=%v err=%v", ok, err)
+		if _, err := f.scan(s, table, q, func() { close(started); <-release }); err != nil {
+			t.Error(err)
 		}
 	}()
+	<-started
+	rescanned := false
 	go func() {
 		defer wg.Done()
-		var ok bool
-		var err error
-		gotB, ok, err = s.Scan(key, snapB, qB)
-		if err != nil || !ok {
-			t.Errorf("rider B: ok=%v err=%v", ok, err)
+		if _, err := f.scan(s, table, q, nil); err != nil {
+			t.Error(err)
+		}
+		if _, err := f.scan(s, table, q, func() { rescanned = true }); err != nil {
+			t.Error(err)
 		}
 	}()
-	waitRiders(t, s, 2)
+	waitAttached(t, s, 1)
 	close(release)
 	wg.Wait()
-
-	if want := serialPositions(t, f.et, qA, nA); !reflect.DeepEqual(gotA, want) {
-		t.Fatalf("short-snapshot rider diverges from serial (%d vs %d hits)", len(gotA), len(want))
+	if st := s.Stats(); !rescanned || st.Attached != 1 {
+		t.Fatalf("rescanned=%v, stats %+v: the waiter's next query attached to a finished scan", rescanned, st)
 	}
-	if want := serialPositions(t, f.et, qB, len(f.et.Tuples)); !reflect.DeepEqual(gotB, want) {
-		t.Fatalf("full-snapshot rider diverges from serial (%d vs %d hits)", len(gotB), len(want))
-	}
-	if st := s.Stats(); st.Passes != 1 {
-		t.Fatalf("stats = %+v, want one shared pass", st)
-	}
-	waitIdle(t, s)
 }
 
+// TestSmallTableServedInline: a table too small to shard takes the same
+// single-flight and core keeps its scan on the caller's goroutine — no
+// budget allotment.
 func TestSmallTableServedInline(t *testing.T) {
 	f := newFixture(t, 200, 6)
-	s := New(0) // default shard size 1024 > 200 tuples
-	key := new(int)
-	q := f.deptQuery(t, "IT")
-	got, ok, err := s.Scan(key, Snapshot{SchemeID: f.et.SchemeID, Meta: f.et.Meta, Tuples: f.et.Tuples}, q)
-	if err != nil || !ok {
-		t.Fatalf("Scan = ok=%v err=%v", ok, err)
+	s := New()
+	budget := swapBudget(t)
+	q := f.query(t, "dept", "IT")
+	got, err := f.scan(s, new(int), q, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if want := serialPositions(t, f.et, q, len(f.et.Tuples)); !reflect.DeepEqual(got, want) {
-		t.Fatalf("inline scan diverges from serial")
+	if want := serialPositions(t, f.et, q); !reflect.DeepEqual(got, want) {
+		t.Fatalf("small-table scan diverges from serial")
 	}
-	st := s.Stats()
-	if st.Inline != 1 || st.Passes != 0 {
-		t.Fatalf("stats = %+v, want inline serve with no pass", st)
+	if bst := budget.Stats(); bst.Acquires != 0 {
+		t.Fatalf("budget stats = %+v, want no allotment for a 200-tuple scan", bst)
 	}
 }
 
 func TestEmptySnapshot(t *testing.T) {
 	f := newFixture(t, 10, 7)
-	s := New(0)
-	q := f.deptQuery(t, "FIN")
-	got, ok, err := s.Scan(new(int), Snapshot{SchemeID: f.et.SchemeID, Meta: f.et.Meta, Tuples: nil}, q)
-	if err != nil || !ok {
-		t.Fatalf("Scan on empty snapshot = ok=%v err=%v", ok, err)
+	f.et.Tuples = nil
+	got, err := f.scan(New(), new(int), f.query(t, "dept", "FIN"), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got == nil || len(got) != 0 {
 		t.Fatalf("empty snapshot positions = %v, want empty non-nil", got)
 	}
 }
 
-func TestDeclinesForeignScheme(t *testing.T) {
-	s := New(0)
-	q := &ph.EncryptedQuery{SchemeID: "other", Token: []byte{1, 2, 3}}
-	_, ok, err := s.Scan(new(int), Snapshot{SchemeID: "other"}, q)
-	if ok || err != nil {
-		t.Fatalf("foreign scheme: ok=%v err=%v, want declined", ok, err)
-	}
-	if st := s.Stats(); st.Declined != 1 {
-		t.Fatalf("stats = %+v, want 1 declined", st)
-	}
-}
-
-func TestBadTokenFailsLikeEvaluate(t *testing.T) {
-	f := newFixture(t, 1200, 8)
-	s := New(256)
-	q := &ph.EncryptedQuery{SchemeID: core.SchemeID, Token: []byte{1, 2, 3}}
-	_, ok, err := s.Scan(new(int), Snapshot{SchemeID: f.et.SchemeID, Meta: f.et.Meta, Tuples: f.et.Tuples}, q)
-	if !ok || err == nil {
-		t.Fatalf("bad token: ok=%v err=%v, want handled error", ok, err)
-	}
-	if _, serialErr := core.EvaluateSerial(f.et, q); serialErr == nil || serialErr.Error() != err.Error() {
-		t.Fatalf("sharer error %q does not match evaluator error %q", err, serialErr)
-	}
-}
-
-// TestSixteenRidersOneAllotment is the budget-discipline gate: a pass
-// serving 16 simultaneously admitted riders draws exactly ONE allotment
-// from the scheduler budget — the per-query path would have drawn 16.
+// TestSixteenRidersOneAllotment is the budget-discipline gate for
+// distinct trapdoors: 16 concurrent riders are 16 scans, and each scan
+// draws exactly one allotment from the scheduler budget and returns it.
 func TestSixteenRidersOneAllotment(t *testing.T) {
 	f := newFixture(t, 2048, 9)
-	s := New(256)
-	key := new(int)
-	queries := make([]*ph.EncryptedQuery, 16)
-	wants := make([][]int, 16)
-	for i := range queries {
-		queries[i] = f.nameQuery(t, fmt.Sprintf("Grace%02d", i))
-		wants[i] = serialPositions(t, f.et, queries[i], len(f.et.Tuples))
-	}
-	snap := Snapshot{SchemeID: f.et.SchemeID, Meta: f.et.Meta, Tuples: f.et.Tuples}
-
-	release := make(chan struct{})
-	s.boundary = func(any, int) {
-		<-release
-	}
-	budget := sched.NewBudget(runtime.GOMAXPROCS(0))
-	old := sched.SetProcess(budget)
-	defer sched.SetProcess(old)
-
-	results := make([][]int, 16)
+	s := New()
+	table := new(int)
+	budget := swapBudget(t)
+	const riders = 16
+	results := make([][]int, riders)
+	queries := make([]*ph.EncryptedQuery, riders)
 	var wg sync.WaitGroup
 	for i := range queries {
+		queries[i] = f.query(t, "name", fmt.Sprintf("Grace%02d", i))
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got, ok, err := s.Scan(key, snap, queries[i])
-			if err != nil || !ok {
-				t.Errorf("rider %d: ok=%v err=%v", i, ok, err)
+			got, err := f.scan(s, table, queries[i], nil)
+			if err != nil {
+				t.Errorf("rider %d: %v", i, err)
 			}
 			results[i] = got
 		}(i)
 	}
-	waitRiders(t, s, 16)
-	close(release)
 	wg.Wait()
-	waitIdle(t, s) // the pass releases its allotment on retirement
-
 	for i := range results {
-		if !reflect.DeepEqual(results[i], wants[i]) {
+		if !reflect.DeepEqual(results[i], serialPositions(t, f.et, queries[i])) {
 			t.Fatalf("rider %d diverges from serial", i)
 		}
 	}
-	st := s.Stats()
-	if st.Riders != 16 || st.Passes != 1 {
-		t.Fatalf("stats = %+v, want 16 riders on 1 pass", st)
+	if st := s.Stats(); st != (Stats{Passes: riders, Riders: riders}) {
+		t.Fatalf("stats = %+v, want %d scans and none attached", st, riders)
 	}
-	bst := budget.Stats()
-	if bst.Acquires != 1 {
-		t.Fatalf("budget acquires = %d, want exactly 1 for a 16-rider pass", bst.Acquires)
+	if bst := budget.Stats(); bst.Acquires != riders || bst.Releases != riders {
+		t.Fatalf("budget stats = %+v, want %d allotments drawn and returned", bst, riders)
 	}
 	if idle := budget.Idle(); idle != budget.Capacity() {
 		t.Fatalf("budget idle = %d, want full capacity %d back", idle, budget.Capacity())
-	}
-}
-
-func TestShardWindowCoversEverySlotOnce(t *testing.T) {
-	for _, tc := range []struct{ workers, lo, hi int }{
-		{1, 0, 100}, {4, 0, 100}, {8, 0, 3}, {4, 50, 60}, {4, 10, 10}, {3, 0, 1024},
-	} {
-		var mu sync.Mutex
-		covered := make(map[int]int)
-		core.ShardWindow(tc.workers, tc.lo, tc.hi, func(lo, hi, slot int) {
-			mu.Lock()
-			defer mu.Unlock()
-			for i := lo; i < hi; i++ {
-				covered[i]++
-			}
-		})
-		for i := tc.lo; i < tc.hi; i++ {
-			if covered[i] != 1 {
-				t.Fatalf("%+v: index %d covered %d times", tc, i, covered[i])
-			}
-		}
-		if len(covered) != tc.hi-tc.lo {
-			t.Fatalf("%+v: covered %d indices, want %d", tc, len(covered), tc.hi-tc.lo)
-		}
 	}
 }

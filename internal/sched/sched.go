@@ -1,19 +1,16 @@
 // Package sched provides the server-wide parallelism budget: a weighted
-// semaphore sized to runtime.GOMAXPROCS that every multi-core scan in the
-// process draws its workers from.
+// semaphore sized to runtime.GOMAXPROCS that every scan in the process
+// that is large enough to shard draws its goroutines from.
 //
-// Before the budget existed, core.Evaluate sized a worker pool at
-// GOMAXPROCS *per query* and the server put several queries of a batch in
-// flight per frame, so C concurrent clients could stack C×GOMAXPROCS scan
-// goroutines. The runtime still bounds CPU at GOMAXPROCS threads, but the
-// oversubscription inflates scheduling latency and tail latency under
-// load. With the budget, the total number of *extra* scan workers across
-// all concurrent queries never exceeds the budget's capacity.
+// The budget counts scanning goroutines, the caller's included: a scan
+// that finds the budget untouched fans out over every core, and one that
+// arrives while another scan holds the budget runs on its caller's
+// goroutine alone, with no fork and no join — so k concurrent scans run
+// on about GOMAXPROCS goroutines, not k + GOMAXPROCS.
 //
-// Deadlock freedom: Acquire never blocks. The calling goroutine itself is
-// always granted as the first worker — it exists anyway, so letting it
-// scan costs no new goroutine — and only the extra workers are drawn from
-// spare capacity. A query therefore always makes progress (worst case:
+// Deadlock freedom: Acquire never blocks. The calling goroutine exists
+// anyway, so it is always granted — overdrawing the budget when nothing
+// is left — and a query therefore always makes progress (worst case:
 // single-threaded), no matter how saturated the budget is.
 package sched
 
@@ -26,7 +23,9 @@ import (
 // is not usable; construct with NewBudget.
 type Budget struct {
 	capacity int64
-	avail    atomic.Int64
+	// avail is capacity minus the workers granted and not yet released;
+	// negative while callers granted on a drained budget are scanning.
+	avail atomic.Int64
 
 	acquires atomic.Uint64
 	extras   atomic.Uint64
@@ -34,17 +33,16 @@ type Budget struct {
 }
 
 // Stats are a budget's monotonic accounting counters. They exist so tests
-// can assert allotment discipline — most importantly that a shared scan
-// pass serving many riders draws ONE allotment, not one per rider.
+// can assert allotment discipline: one allotment per scan, none for a
+// query that shares another's scan. Acquires == Releases at quiescence.
 type Stats struct {
 	// Acquires counts Acquire calls (each is one allotment, whatever its
 	// size).
 	Acquires uint64
-	// Extras counts the extra workers granted beyond the guaranteed
-	// caller across all acquires.
+	// Extras counts the workers granted beyond the caller across all
+	// acquires.
 	Extras uint64
-	// Releases counts Release calls that returned extras (Release of a
-	// minimum grant of 1 is a no-op and is not counted).
+	// Releases counts Release calls.
 	Releases uint64
 }
 
@@ -75,54 +73,34 @@ func (b *Budget) Capacity() int { return int(b.capacity) }
 
 // Idle returns how many workers are currently unclaimed (for tests and
 // introspection; the value may be stale by the time it is read).
-func (b *Budget) Idle() int { return int(b.avail.Load()) }
+func (b *Budget) Idle() int { return int(max(b.avail.Load(), 0)) }
 
-// Acquire grants between 1 and want workers without blocking. The caller
-// itself is the first worker — the guaranteed minimum that makes the
-// scheme deadlock-free — and up to want-1 extras are claimed from spare
-// capacity. The return value must be handed back via Release.
+// Acquire grants between 1 and want workers without blocking: as many of
+// want as the budget has left, the caller itself being the first, and 1
+// when it has none — the guaranteed minimum that makes the scheme
+// deadlock-free. The return value must be handed back via Release.
+// Lock-free: a CAS loop against the available count.
 func (b *Budget) Acquire(want int) int {
-	if want < 1 {
-		want = 1
-	}
-	extra := b.tryAcquire(int64(want - 1))
-	b.acquires.Add(1)
-	if extra > 0 {
-		b.extras.Add(uint64(extra))
-	}
-	return 1 + extra
-}
-
-// Release returns the extra workers of an Acquire(…) = granted grant.
-func (b *Budget) Release(granted int) {
-	if granted <= 1 {
-		return
-	}
-	b.avail.Add(int64(granted - 1))
-	b.releases.Add(1)
-}
-
-// tryAcquire claims up to want units, returning how many it got (possibly
-// zero). Lock-free: a CAS loop against the available count.
-func (b *Budget) tryAcquire(want int64) int {
-	if want <= 0 {
-		return 0
-	}
 	for {
 		cur := b.avail.Load()
-		if cur <= 0 {
-			return 0
-		}
-		got := min(want, cur)
+		got := max(1, min(int64(want), cur))
 		if b.avail.CompareAndSwap(cur, cur-got) {
+			b.acquires.Add(1)
+			b.extras.Add(uint64(got - 1))
 			return int(got)
 		}
 	}
 }
 
+// Release returns the workers of an Acquire(…) = granted grant.
+func (b *Budget) Release(granted int) {
+	b.avail.Add(int64(granted))
+	b.releases.Add(1)
+}
+
 // process is the shared process-wide budget. Everything that scans in
-// parallel — core.Evaluate today — takes workers from here, which is what
-// bounds total scan parallelism across concurrent clients.
+// parallel — core's shardScan today — takes workers from here, which is
+// what bounds total scan parallelism across concurrent clients.
 var process atomic.Pointer[Budget]
 
 func init() {

@@ -9,19 +9,25 @@ import (
 
 func TestAcquireMinimumOne(t *testing.T) {
 	b := NewBudget(2)
-	// Drain the budget entirely.
+	// Drain the budget entirely: the caller counts against capacity.
 	got := b.Acquire(8)
-	if got != 3 { // caller + 2 extras
-		t.Fatalf("Acquire(8) on fresh budget of 2 = %d, want 3", got)
+	if got != 2 {
+		t.Fatalf("Acquire(8) on fresh budget of 2 = %d, want 2", got)
 	}
 	if idle := b.Idle(); idle != 0 {
 		t.Fatalf("Idle after drain = %d, want 0", idle)
 	}
-	// A saturated budget still grants the guaranteed minimum, immediately.
+	// A saturated budget still grants the guaranteed minimum, immediately,
+	// to any number of callers at once.
 	for i := 0; i < 4; i++ {
 		if g := b.Acquire(8); g != 1 {
 			t.Fatalf("Acquire on saturated budget = %d, want 1", g)
 		}
+	}
+	if idle := b.Idle(); idle != 0 {
+		t.Fatalf("Idle on an overdrawn budget = %d, want 0", idle)
+	}
+	for i := 0; i < 4; i++ {
 		b.Release(1)
 	}
 	b.Release(got)
@@ -35,8 +41,8 @@ func TestAcquireClampsToWant(t *testing.T) {
 	if got := b.Acquire(3); got != 3 {
 		t.Fatalf("Acquire(3) = %d, want 3", got)
 	}
-	if idle := b.Idle(); idle != 14 {
-		t.Fatalf("Idle = %d, want 14", idle)
+	if idle := b.Idle(); idle != 13 {
+		t.Fatalf("Idle = %d, want 13", idle)
 	}
 	if got := b.Acquire(0); got != 1 {
 		t.Fatalf("Acquire(0) = %d, want 1 (clamped)", got)
@@ -54,7 +60,8 @@ func TestNewBudgetClamps(t *testing.T) {
 
 // TestConcurrentExtrasNeverExceedCapacity hammers the budget from many
 // goroutines and asserts the invariant the whole design rests on: the sum
-// of extra workers in flight never exceeds the capacity.
+// of extra workers in flight stays below the capacity (a holder of extras
+// counts itself too).
 func TestConcurrentExtrasNeverExceedCapacity(t *testing.T) {
 	const capacity = 4
 	b := NewBudget(capacity)
@@ -67,8 +74,8 @@ func TestConcurrentExtrasNeverExceedCapacity(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				got := b.Acquire(capacity)
-				if got < 1 || got > capacity+1 {
-					t.Errorf("Acquire = %d outside [1, %d]", got, capacity+1)
+				if got < 1 || got > capacity {
+					t.Errorf("Acquire = %d outside [1, %d]", got, capacity)
 				}
 				cur := extras.Add(int64(got - 1))
 				for {
@@ -83,8 +90,8 @@ func TestConcurrentExtrasNeverExceedCapacity(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if p := peak.Load(); p > capacity {
-		t.Fatalf("peak extra workers %d exceeds capacity %d", p, capacity)
+	if p := peak.Load(); p >= capacity {
+		t.Fatalf("peak extra workers %d reaches capacity %d", p, capacity)
 	}
 	if idle := b.Idle(); idle != capacity {
 		t.Fatalf("Idle after all releases = %d, want %d", idle, capacity)
@@ -120,26 +127,19 @@ func TestStatsCountAllotments(t *testing.T) {
 	if s := b.Stats(); s != (Stats{}) {
 		t.Fatalf("fresh budget stats = %+v, want zero", s)
 	}
-	g1 := b.Acquire(8) // caller + all 4 extras
+	g1 := b.Acquire(8) // caller + the 3 extras a budget of 4 has for it
 	g2 := b.Acquire(8) // saturated: caller only
-	if g1 != 5 || g2 != 1 {
-		t.Fatalf("grants = %d, %d, want 5, 1", g1, g2)
+	if g1 != 4 || g2 != 1 {
+		t.Fatalf("grants = %d, %d, want 4, 1", g1, g2)
 	}
-	s := b.Stats()
-	if s.Acquires != 2 {
-		t.Fatalf("Acquires = %d, want 2", s.Acquires)
+	if s := b.Stats(); s != (Stats{Acquires: 2, Extras: 3}) {
+		t.Fatalf("stats = %+v, want 2 acquires, 3 extras, nothing released", s)
 	}
-	if s.Extras != 4 {
-		t.Fatalf("Extras = %d, want 4", s.Extras)
-	}
-	if s.Releases != 0 {
-		t.Fatalf("Releases = %d, want 0", s.Releases)
-	}
-	b.Release(g2) // minimum grant: not counted
+	b.Release(g2)
 	b.Release(g1)
-	s = b.Stats()
-	if s.Releases != 1 {
-		t.Fatalf("Releases after returning extras = %d, want 1", s.Releases)
+	// Every release counts, minimum grants included: the counters balance.
+	if s := b.Stats(); s.Releases != s.Acquires {
+		t.Fatalf("stats at quiescence = %+v, want Acquires == Releases", s)
 	}
 	if idle := b.Idle(); idle != 4 {
 		t.Fatalf("Idle = %d, want 4", idle)

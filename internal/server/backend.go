@@ -30,14 +30,14 @@ const maxReadFanout = 64
 
 // read evaluates the plans of one read request against one table, each
 // plan under its own read-locked snapshot. The fanout over plans is
-// sized well above the scheduler budget's capacity on purpose: with the
-// scan-sharing layer (internal/scanshare) in the store, cold plans on
-// the same table coalesce into one shared ψ pass, so most of these
-// goroutines just ride a pass (blocked on its completion) rather than
-// scanning — capping fanout at CPU count would *serialise* riders that
-// could have shared one pass. Actual scan parallelism stays bounded by
-// the sched budget, which the shared pass (and every solo scan) draws
-// its workers from. The workers pull plan indices from a channel, so
+// sized well above the scheduler budget's capacity on purpose: most
+// plans of a batch do not scan — cache hits copy, and identical cold
+// plans wait on one scan (internal/scanshare) — so capping fanout at CPU
+// count would queue them behind the few that do. A plan that does scan
+// runs the scan on its own worker here, and the sched budget, which
+// counts that worker, decides whether it may fork any further: the
+// first cold plan of a batch takes the idle cores, the rest scan
+// serially. The workers pull plan indices from a channel, so
 // one stalled evaluation occupies only its own worker and never wedges
 // dispatch of later plans behind it; pulling also bounds live
 // goroutines per frame at the fanout, so a hostile frame declaring

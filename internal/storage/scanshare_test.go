@@ -3,20 +3,23 @@ package storage
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/ph"
 	"repro/internal/relation"
-	"repro/internal/scanshare"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
 // shareFixture builds an encrypted employees table plus the scheme to
 // mint trapdoors with.
 type shareFixture struct {
+	table  *relation.Table
 	scheme *core.PH
 	et     *ph.EncryptedTable
 }
@@ -39,7 +42,7 @@ func newShareFixture(t testing.TB, tuples int, seed int64) *shareFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &shareFixture{scheme: scheme, et: et}
+	return &shareFixture{table: table, scheme: scheme, et: et}
 }
 
 func (f *shareFixture) query(t testing.TB, col, val string) *ph.EncryptedQuery {
@@ -61,8 +64,9 @@ func serialGroundTruth(t testing.TB, et *ph.EncryptedTable, q *ph.EncryptedQuery
 }
 
 // TestQuerySharedScanMatchesSerial drives repeated cold queries through
-// the store's shared-scan miss path (cache disabled so every query is a
-// miss) and checks each answer against the serial evaluator.
+// the store's single-flight miss path (cache disabled so every query is
+// a miss; one per department in flight at once) and checks each answer
+// against the serial evaluator.
 func TestQuerySharedScanMatchesSerial(t *testing.T) {
 	f := newShareFixture(t, 2000, 11)
 	s := NewMemory()
@@ -90,8 +94,8 @@ func TestQuerySharedScanMatchesSerial(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	if st := s.ShareStats(); st.Riders+st.Attached+st.Inline == 0 {
-		t.Fatalf("share stats = %+v, miss path never reached the sharer", st)
+	if st := s.ShareStats(); st.Passes+st.Attached != uint64(3*len(workload.Departments)) {
+		t.Fatalf("share stats = %+v, want every miss to have scanned or attached", st)
 	}
 }
 
@@ -118,8 +122,9 @@ func stripedEmployees(t testing.TB, n, stride int) (*relation.Table, error) {
 	return tab, nil
 }
 
-// TestSharedScanDuringAppends runs cold queries through the shared pass
-// while the table is being appended to, under -race. The evaluator is
+// TestSharedScanDuringAppends runs eight streams of the same cold query —
+// leaders and attached waiters by turns — while the table is being
+// appended to, under -race. The evaluator is
 // deterministic and tuple-local, so the match set of any snapshot prefix
 // of n tuples is exactly the full-table match set truncated below n —
 // every answer must therefore be a prefix of the full-table serial scan,
@@ -211,7 +216,7 @@ func TestSharedScanDuringAppends(t *testing.T) {
 	wg.Wait()
 
 	// Post-quiesce staleness probe: after all appends have landed, the
-	// cache entry written back by whichever pass ran last must reconcile
+	// cache entry written back by whichever scan ran last must reconcile
 	// (via hit or delta) to the full-table answer.
 	res, err := s.Query("emp", q)
 	if err != nil {
@@ -230,8 +235,9 @@ func TestSharedScanDuringAppends(t *testing.T) {
 }
 
 // TestConjDriverRidesSharedPass checks that a cold conjunctive query's
-// driver-conjunct full scan goes through the sharer, and that the
-// answer matches the intersection of the serial per-conjunct scans.
+// driver-conjunct full scan — and no narrowing step — goes through the
+// sharer, and that the answer matches the intersection of the serial
+// per-conjunct scans.
 func TestConjDriverRidesSharedPass(t *testing.T) {
 	f := newShareFixture(t, 2000, 13)
 	s := NewMemory()
@@ -262,13 +268,13 @@ func TestConjDriverRidesSharedPass(t *testing.T) {
 	if len(res.Positions) != len(want) || (want != nil && !reflect.DeepEqual(res.Positions, want)) {
 		t.Fatalf("conj positions = %v, want %v", res.Positions, want)
 	}
-	if st := s.ShareStats(); st.Riders == 0 {
-		t.Fatalf("share stats = %+v, conj driver scan bypassed the sharer", st)
+	if st := s.ShareStats(); st.Passes != 1 {
+		t.Fatalf("share stats = %+v, want the driver's scan — and only it — through the sharer", st)
 	}
 }
 
 // TestQueryVerifiedThroughSharer checks the verified-read path still
-// answers correctly when its miss goes through the shared pass.
+// answers correctly when its miss goes through the sharer.
 func TestQueryVerifiedThroughSharer(t *testing.T) {
 	f := newShareFixture(t, 1500, 17)
 	s := NewMemory()
@@ -285,50 +291,124 @@ func TestQueryVerifiedThroughSharer(t *testing.T) {
 	if !reflect.DeepEqual(vr.Result.Positions, want) {
 		t.Fatalf("verified positions diverge from serial (%d vs %d)", len(vr.Result.Positions), len(want))
 	}
-	if st := s.ShareStats(); st.Riders+st.Inline == 0 {
+	if st := s.ShareStats(); st.Passes != 1 {
 		t.Fatalf("share stats = %+v, verified miss bypassed the sharer", st)
 	}
 }
 
-// TestForeignSchemeFallsBack checks a table the sharer cannot serve
-// (unknown scheme) declines cleanly and surfaces the evaluator
-// registry's error exactly as the unshared path would.
-func TestForeignSchemeFallsBack(t *testing.T) {
-	s := NewMemory()
-	s.SetResultCache(nil)
-	et := &ph.EncryptedTable{SchemeID: "no-such-scheme", Tuples: make([]ph.EncryptedTuple, 2000)}
-	if err := s.Put("x", et); err != nil {
-		t.Fatal(err)
-	}
-	q := &ph.EncryptedQuery{SchemeID: "no-such-scheme", Token: []byte{1}}
-	if _, err := s.Query("x", q); err == nil {
-		t.Fatal("query against unknown scheme succeeded")
-	}
-	if st := s.ShareStats(); st.Declined == 0 {
-		t.Fatalf("share stats = %+v, want a declined scan", st)
-	}
+// heldScheme is the paper's construction under another name, with one
+// difference: while hold is set, a scan announces itself on entered and
+// then waits for release. Only a scan gets here — a query that attaches to
+// one never calls the scheme — which is what lets TestColdHerdCounts park
+// a leader until its whole herd has attached. That a relabelled scheme is
+// served at all is the single-flight working for any registered scheme.
+const heldScheme = "storage-held"
+
+var hold *struct{ entered, release chan struct{} }
+
+func init() {
+	ph.RegisterNarrower(heldScheme, func(et *ph.EncryptedTable, q *ph.EncryptedQuery, candidates []int) ([]int, error) {
+		if h := hold; h != nil {
+			h.entered <- struct{}{}
+			<-h.release
+		}
+		return core.EvaluateOn(
+			&ph.EncryptedTable{SchemeID: core.SchemeID, Meta: et.Meta, Tuples: et.Tuples},
+			&ph.EncryptedQuery{SchemeID: core.SchemeID, Token: q.Token}, candidates)
+	})
 }
 
-// TestSetSharerNilDisablesSharing pins the escape hatch: with the
-// sharer removed, queries still answer via the per-query scan.
-func TestSetSharerNilDisablesSharing(t *testing.T) {
-	f := newShareFixture(t, 1500, 19)
+// TestColdHerdCounts is the count gate that replaced E21's wall-clock
+// one. 64 identical cold queries, the leader held until the other 63 have
+// attached: exactly one scan, one scheduler allotment, 64 answers
+// byte-identical to core.EvaluateSerial that decrypt to relation.Select's.
+// Then 16 distinct concurrent cold queries: 16 scans, one allotment each.
+func TestColdHerdCounts(t *testing.T) {
+	f := newShareFixture(t, 4096, 23)
+	table, scheme, et := f.table, f.scheme, f.et
 	s := NewMemory()
-	s.SetResultCache(nil)
-	s.SetSharer(nil)
-	if err := s.Put("emp", f.et); err != nil {
+	if err := s.Put("emp", &ph.EncryptedTable{SchemeID: heldScheme, Meta: et.Meta, Tuples: et.Tuples}); err != nil {
 		t.Fatal(err)
 	}
-	q := f.query(t, "dept", "HR")
-	res, err := s.Query("emp", q)
-	if err != nil {
-		t.Fatal(err)
+	budget := sched.NewBudget(runtime.GOMAXPROCS(0))
+	defer sched.SetProcess(sched.SetProcess(budget))
+
+	// herd sends every query at once and checks every answer.
+	herd := func(eqs []relation.Eq) {
+		t.Helper()
+		results := make([]*ph.Result, len(eqs))
+		errs := make([]error, len(eqs))
+		qs := make([]*ph.EncryptedQuery, len(eqs))
+		for i, eq := range eqs {
+			var err error
+			if qs[i], err = scheme.EncryptQuery(eq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for i, q := range qs {
+			wg.Add(1)
+			go func(i int, q *ph.EncryptedQuery) {
+				defer wg.Done()
+				results[i], errs[i] = s.Query("emp", q)
+			}(i, &ph.EncryptedQuery{SchemeID: heldScheme, Token: q.Token})
+			if hold != nil && i == 0 {
+				<-hold.entered // the leader is inside its scan; the rest can only attach
+			}
+		}
+		if hold != nil {
+			deadline := time.Now().Add(10 * time.Second)
+			for s.ShareStats().Attached < uint64(len(eqs)-1) {
+				if time.Now().After(deadline) {
+					t.Fatalf("only %d of %d queries attached", s.ShareStats().Attached, len(eqs)-1)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			close(hold.release)
+		}
+		wg.Wait()
+		for i, eq := range eqs {
+			if errs[i] != nil {
+				t.Fatalf("query %d: %v", i, errs[i])
+			}
+			want, err := core.EvaluateSerial(et, qs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(results[i], want) {
+				t.Fatalf("query %d (%s) is not byte-identical to the serial scan", i, eq)
+			}
+			dec, err := scheme.DecryptResult(eq, results[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sel, err := relation.Select(table, eq); err != nil || !dec.Equal(sel) {
+				t.Fatalf("query %d (%s) does not decrypt to the plaintext selection (%v)", i, eq, err)
+			}
+		}
 	}
-	want := serialGroundTruth(t, f.et, q)
-	if !reflect.DeepEqual(res.Positions, want) {
-		t.Fatal("unshared query diverges from serial")
+
+	identical := make([]relation.Eq, 64)
+	for i := range identical {
+		identical[i] = relation.Eq{Column: "dept", Value: relation.String("FIN")}
 	}
-	if st := s.ShareStats(); st != (scanshare.Stats{}) {
-		t.Fatalf("share stats = %+v after SetSharer(nil), want all zero", st)
+	hold = &struct{ entered, release chan struct{} }{make(chan struct{}), make(chan struct{})}
+	herd(identical)
+	hold = nil
+	if st := s.ShareStats(); st.Passes != 1 || st.Attached != 63 {
+		t.Fatalf("share stats = %+v, want 1 scan and 63 attached", st)
+	}
+	if bst := budget.Stats(); bst.Acquires != 1 || bst.Releases != 1 {
+		t.Fatalf("budget stats = %+v, want the herd to cost one allotment", bst)
+	}
+
+	distinct := make([]relation.Eq, 16)
+	for i := range distinct {
+		distinct[i] = relation.Eq{Column: "name", Value: table.Tuple(i * 100)[0]}
+	}
+	herd(distinct)
+	st, bst := s.ShareStats(), budget.Stats()
+	if st.Passes+st.Attached != 1+63+16 || bst.Acquires != st.Passes || bst.Releases != bst.Acquires {
+		t.Fatalf("share stats %+v, budget stats %+v: want every query scanned or attached, one allotment per scan", st, bst)
 	}
 }

@@ -207,9 +207,9 @@ type Store struct {
 	path   string
 	clock  atomic.Uint64 // monotonic version source for all tables
 	cache  *cache.Cache  // nil disables result caching
-	// share coalesces concurrent cold full-table scans (layer 14): a
-	// cache-miss query rides the table's in-flight ψ pass instead of
-	// starting its own. nil disables sharing (every query scans alone).
+	// share deduplicates identical cold full-table scans in flight
+	// (layer 14): a cache-miss query waits on an identical scan already
+	// running instead of starting its own. Immutable after construction.
 	share *scanshare.Sharer
 
 	// epoch identifies the current log file's record sequence space for
@@ -249,7 +249,7 @@ type Store struct {
 // NewMemory creates a volatile in-memory store with result caching
 // enabled at the default size.
 func NewMemory() *Store {
-	return &Store{tables: make(map[string]*tableEntry), cache: cache.New(0), share: scanshare.New(0)}
+	return &Store{tables: make(map[string]*tableEntry), cache: cache.New(0), share: scanshare.New()}
 }
 
 // Open creates a durable store backed by the write-ahead log at path
@@ -267,7 +267,7 @@ func OpenOptions(path string, opts Options) (*Store, error) {
 	default:
 		return nil, fmt.Errorf("storage: invalid sync policy %v", opts.Sync)
 	}
-	s := &Store{tables: make(map[string]*tableEntry), path: path, cache: cache.New(0), share: scanshare.New(0)}
+	s := &Store{tables: make(map[string]*tableEntry), path: path, cache: cache.New(0), share: scanshare.New()}
 	recs, err := s.replay(path)
 	if err != nil {
 		return nil, err
@@ -330,18 +330,17 @@ func (s *Store) LogStats() LogStats {
 // entry looks up a table's entry under the store read lock. The returned
 // entry stays valid after the store lock is released: a concurrent Drop or
 // Put only unlinks it from the map, and readers still holding it finish
-// against the snapshot they found. The result cache and scan sharer
-// pointers are read under the same lock so Query sees a consistent set.
-func (s *Store) entry(name string) (*tableEntry, *cache.Cache, *scanshare.Sharer, error) {
+// against the snapshot they found. The result cache pointer is read
+// under the same lock so Read sees a consistent pair.
+func (s *Store) entry(name string) (*tableEntry, *cache.Cache, error) {
 	s.mu.RLock()
 	e, ok := s.tables[name]
 	c := s.cache
-	sh := s.share
 	s.mu.RUnlock()
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("storage: unknown table %q", name)
+		return nil, nil, fmt.Errorf("storage: unknown table %q", name)
 	}
-	return e, c, sh, nil
+	return e, c, nil
 }
 
 // SetResultCache installs (or, with nil, disables) the query result
@@ -353,26 +352,8 @@ func (s *Store) SetResultCache(c *cache.Cache) {
 	s.mu.Unlock()
 }
 
-// SetSharer installs (or, with nil, disables) the scan-sharing layer.
-// Intended for tests and benchmarks that need the per-query scan path;
-// stores come with a default sharer out of the box.
-func (s *Store) SetSharer(sh *scanshare.Sharer) {
-	s.mu.Lock()
-	s.share = sh
-	s.mu.Unlock()
-}
-
-// ShareStats returns the scan sharer's counters (zero if sharing is
-// disabled).
-func (s *Store) ShareStats() scanshare.Stats {
-	s.mu.RLock()
-	sh := s.share
-	s.mu.RUnlock()
-	if sh == nil {
-		return scanshare.Stats{}
-	}
-	return sh.Stats()
-}
+// ShareStats returns the scan sharer's counters.
+func (s *Store) ShareStats() scanshare.Stats { return s.share.Stats() }
 
 // CacheStats returns the result cache's counters (zero if caching is
 // disabled).
@@ -612,7 +593,7 @@ func (e *tableEntry) extendTreeLocked() {
 // the snapshotted length (or reallocates), Put installs a fresh entry,
 // and nothing ever mutates Tuples[0:len] in place.
 func (s *Store) Get(name string) (*ph.EncryptedTable, error) {
-	e, _, _, err := s.entry(name)
+	e, _, err := s.entry(name)
 	if err != nil {
 		return nil, err
 	}
@@ -620,13 +601,6 @@ func (s *Store) Get(name string) (*ph.EncryptedTable, error) {
 	snap := ph.EncryptedTable{SchemeID: e.t.SchemeID, Meta: e.t.Meta, Tuples: e.t.Tuples}
 	e.mu.RUnlock()
 	return snap.Clone(), nil
-}
-
-// shareSnapshot cuts the entry's immutable scan view for the sharing
-// layer. Callers hold e.mu (read suffices); the slice header stays valid
-// after release because stored tuples are immutable once appended.
-func (e *tableEntry) shareSnapshot() scanshare.Snapshot {
-	return scanshare.Snapshot{SchemeID: e.t.SchemeID, Meta: e.t.Meta, Tuples: e.t.Tuples}
 }
 
 // observeScan feeds one scan's outcome into the entry's selectivity
@@ -685,16 +659,18 @@ func (e *tableEntry) planConj(c *cache.Cache, name string, qs []*ph.EncryptedQue
 // estimate and run through internal/query: its driver step is a cache
 // hit (no tuple touched), a delta (only the tail appended since the
 // entry was stored is scanned) or a miss, and later steps narrow the
-// survivors. A miss is a full-table scan, and full-table scans are where
-// concurrent cold reads duplicate work — so it rides the table's
-// in-flight shared ψ pass (internal/scanshare, when installed) or starts
-// one for later arrivals to ride. Every full-table position set the run
-// produced is then written back to the result cache, per conjunct and
-// under THIS read's lock with the snapshot's tuple count and version —
-// every rider of a pass holds its table read lock across the whole wait,
-// so appends cannot move the version under it and no writeback can be
-// stale — and every evaluation feeds the selectivity sketch (narrowed
-// steps record the conditional selectivity the ordering actually wants).
+// survivors. A miss is a full-table scan on this goroutine (ph.ApplyOn,
+// fanned out over whatever the scheduler budget has idle), unless an
+// identical scan — same entry, token and tuple count — is already in
+// flight, in which case this read waits for it and shares its positions
+// (internal/scanshare). Every full-table position set the run produced
+// is then written back to the result cache, per conjunct and under THIS
+// read's lock with the snapshot's tuple count and version — whoever ran
+// the scan, each reader holds its own table read lock across the scan or
+// the wait, so appends cannot move the version under it and no writeback
+// can be stale — and every evaluation feeds the selectivity sketch
+// (narrowed steps record the conditional selectivity the ordering
+// actually wants).
 //
 // flags (wire.ReadFlag*) shapes the answer. With none it is the matching
 // tuples. With ReadFlagVerified they travel with inclusion proofs, root,
@@ -706,7 +682,7 @@ func (e *tableEntry) planConj(c *cache.Cache, name string, qs []*ph.EncryptedQue
 // cache is consulted, which counts in its statistics, but no tuple is
 // scanned). The plan itself is returned for callers that report on it.
 func (s *Store) Read(name string, qs []*ph.EncryptedQuery, flags byte) (query.Response, *query.Plan, error) {
-	e, c, sh, err := s.entry(name)
+	e, c, err := s.entry(name)
 	if err != nil {
 		return query.Response{}, nil, err
 	}
@@ -720,17 +696,13 @@ func (s *Store) Read(name string, qs []*ph.EncryptedQuery, flags byte) (query.Re
 		plan.Annotate()
 		return query.Response{Plan: plan.Info()}, plan, nil
 	}
-	var shared func(q *ph.EncryptedQuery) ([]int, bool, error)
-	if sh != nil {
-		shared = func(q *ph.EncryptedQuery) ([]int, bool, error) {
-			return sh.Scan(e, e.shareSnapshot(), q)
-		}
-	}
-	positions, err := plan.Run(e.t, shared)
+	n := len(e.t.Tuples)
+	positions, err := plan.Run(e.t, func(q *ph.EncryptedQuery) ([]int, error) {
+		return s.share.Scan(e, n, q, func() ([]int, error) { return ph.ApplyOn(e.t, q, nil) })
+	})
 	if err != nil {
 		return query.Response{}, nil, err
 	}
-	n := len(e.t.Tuples)
 	for _, cj := range plan.Conjuncts {
 		if cj.FullPositions != nil {
 			if c != nil {
@@ -795,7 +767,7 @@ func (s *Store) QueryConj(name string, qs []*ph.EncryptedQuery) (*ph.Result, *qu
 // first use and extended incrementally afterwards, so this is O(1)
 // hashing on a quiescent table and O(tail) after appends.
 func (s *Store) Root(name string) (root []byte, tuples int, version uint64, err error) {
-	e, _, _, err := s.entry(name)
+	e, _, err := s.entry(name)
 	if err != nil {
 		return nil, 0, 0, err
 	}

@@ -17,7 +17,10 @@ import (
 //
 // A Matcher is NOT safe for concurrent use (the scratch buffers and the
 // PRF's chaining block are reused across calls); hand each worker
-// goroutine its own instance via Clone.
+// goroutine its own instance via Clone. Everything Match writes — t, got
+// and the PRF's chaining block — sits on cache lines no other Matcher
+// touches (see newScratch and isolate), so workers scanning side by side
+// never take a line from each other.
 type Matcher struct {
 	p     Params
 	x     []byte           // trapdoor pre-encryption, WordLen bytes
@@ -39,10 +42,38 @@ func NewMatcher(p Params, td Trapdoor) *Matcher {
 	m.valid = true
 	m.x = td.X
 	nm := p.streamLen()
-	m.kprf = crypto.NewBlockPRF(crypto.KeyFromBytes(td.K), nm)
-	m.t = make([]byte, p.WordLen)
-	m.got = make([]byte, p.ChecksumLen)
+	m.kprf = isolate(crypto.NewBlockPRF(crypto.KeyFromBytes(td.K), nm))
+	m.t, m.got = newScratch(p)
 	return m
+}
+
+// cacheLine is the coherence granule per-worker state is padded to: 64
+// bytes on amd64 and arm64.
+const cacheLine = 64
+
+// isolate moves a PRF — whose chaining block every Match rewrites — to
+// the middle of an allocation with a cache line of padding on each side.
+// The allocator packs small objects back to back, so without the pads one
+// worker's chaining block lands on the line its neighbour reads its own
+// PRF from, and every AES call takes that line away from the other core.
+// A full line on each side keeps every line the PRF occupies inside this
+// allocation however the allocator aligns it.
+func isolate(f crypto.BlockPRF) *crypto.BlockPRF {
+	p := &struct {
+		_ [cacheLine]byte
+		f crypto.BlockPRF
+		_ [cacheLine]byte
+	}{f: f}
+	return &p.f
+}
+
+// newScratch allocates one Matcher's t and got out of a single buffer
+// padded the same way.
+func newScratch(p Params) (t, got []byte) {
+	buf := make([]byte, cacheLine+p.WordLen+p.ChecksumLen+cacheLine)
+	t = buf[cacheLine : cacheLine+p.WordLen : cacheLine+p.WordLen]
+	got = buf[cacheLine+p.WordLen:][:p.ChecksumLen:p.ChecksumLen]
+	return t, got
 }
 
 // Clone returns an independent Matcher for the same trapdoor. It shares the
@@ -53,9 +84,8 @@ func (m *Matcher) Clone() *Matcher {
 	if !m.valid {
 		return c
 	}
-	c.kprf = m.kprf.Clone()
-	c.t = make([]byte, len(m.t))
-	c.got = make([]byte, len(m.got))
+	c.kprf = isolate(m.kprf.Clone())
+	c.t, c.got = newScratch(m.p)
 	return c
 }
 

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/crypto"
 )
@@ -136,15 +138,69 @@ func TestMatchZeroAllocs(t *testing.T) {
 	for _, nm := range benchStreamWidths {
 		p := Params{WordLen: nm + 2, ChecksumLen: 2}
 		_, cws, td := matcherFixture(t, p)
-		m := NewMatcher(p, td)
-		m.Match(cws[0]) // warm up
-		allocs := testing.AllocsPerRun(500, func() {
-			for _, cw := range cws[:32] {
-				m.Match(cw)
+		base := NewMatcher(p, td)
+		for name, m := range map[string]*Matcher{"base": base, "clone": base.Clone()} {
+			m.Match(cws[0]) // warm up
+			allocs := testing.AllocsPerRun(500, func() {
+				for _, cw := range cws[:32] {
+					m.Match(cw)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("stream width %d: %s Matcher.Match allocates %v objects per 32-word scan, want 0", nm, name, allocs)
 			}
-		})
-		if allocs != 0 {
-			t.Fatalf("stream width %d: Matcher.Match allocates %v objects per 32-word scan, want 0", nm, allocs)
+		}
+	}
+}
+
+// TestWorkerStateCacheLineDisjoint pins the layout the scan's worker pool
+// depends on: nothing Match writes on one worker's Matcher — t, got, the
+// PRF's chaining block — shares a 64-byte line with what it writes on
+// another's, nor with the structs another worker reads its own fields from.
+// Otherwise every Match on one core invalidates a line the other core
+// needs for its next one, and two workers scan slower than one.
+func TestWorkerStateCacheLineDisjoint(t *testing.T) {
+	type span struct{ lo, hi uintptr } // [lo, hi) in bytes
+	bytesOf := func(b []byte) span {
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+		return span{lo, lo + uintptr(len(b))}
+	}
+	lines := func(spans ...span) map[uintptr]bool {
+		out := map[uintptr]bool{}
+		for _, s := range spans {
+			for l := s.lo / cacheLine; l <= (s.hi-1)/cacheLine; l++ {
+				out[l] = true
+			}
+		}
+		return out
+	}
+	for _, p := range []Params{{WordLen: 11, ChecksumLen: 2}, {WordLen: 42, ChecksumLen: 16}} {
+		_, _, td := matcherFixture(t, p)
+		base := NewMatcher(p, td)
+		workers := []*Matcher{base, base.Clone(), base.Clone(), base.Clone()}
+		written := make([]map[uintptr]bool, len(workers))
+		header := make([]map[uintptr]bool, len(workers))
+		for i, m := range workers {
+			state := reflect.ValueOf(m.kprf).Elem().FieldByName("state")
+			written[i] = lines(bytesOf(m.t), bytesOf(m.got),
+				span{state.UnsafeAddr(), state.UnsafeAddr() + state.Type().Size()})
+			lo, prf := uintptr(unsafe.Pointer(m)), uintptr(unsafe.Pointer(m.kprf))
+			header[i] = lines(span{lo, lo + unsafe.Sizeof(*m)}, span{prf, prf + unsafe.Sizeof(*m.kprf)})
+		}
+		for i := range workers {
+			for j := range workers {
+				if i == j {
+					continue
+				}
+				for l := range written[i] {
+					if written[j][l] {
+						t.Errorf("%+v: workers %d and %d both write cache line %#x", p, i, j, l*cacheLine)
+					}
+					if header[j][l] {
+						t.Errorf("%+v: worker %d writes cache line %#x, which holds worker %d's Matcher or PRF struct", p, i, l*cacheLine, j)
+					}
+				}
+			}
 		}
 	}
 }

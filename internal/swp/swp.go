@@ -129,7 +129,8 @@ func (s *Scheme) wordKey(left []byte) crypto.Key {
 // the server-side Matcher evaluates.
 func checksum(k crypto.Key, stream []byte, m int) []byte {
 	f := make([]byte, m)
-	crypto.NewBlockPRF(k, len(stream)).SumInto(f, stream)
+	prf := crypto.NewBlockPRF(k, len(stream))
+	prf.SumInto(f, stream)
 	return f
 }
 

@@ -11,7 +11,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/relation"
 )
@@ -183,72 +182,6 @@ func UniformInts(n int, domain int64, seed int64) (*relation.Table, error) {
 		}
 	}
 	return t, nil
-}
-
-// StormConfig tunes the open-loop cold-query storm generator: queries
-// arrive on a Poisson schedule at a fixed rate regardless of how fast
-// the server answers (open-loop — the arrival process never backs off,
-// which is what exposes coordinated-omission-free tail behaviour),
-// with a hot-key skew knob concentrating arrivals on few keys.
-type StormConfig struct {
-	// Arrivals is the total number of query arrivals.
-	Arrivals int
-	// Rate is the mean arrival rate in queries per second. Zero or
-	// negative collapses the schedule: every arrival lands at t=0 (a
-	// pure thundering herd).
-	Rate float64
-	// Keys is the number of distinct hot keys arrivals are spread over;
-	// values below 1 select a single key.
-	Keys int
-	// Skew is the Zipf exponent over the keys: 0 (or anything <= 1,
-	// the math/rand Zipf domain bound) means uniform; larger values
-	// concentrate the storm on the lowest-numbered keys.
-	Skew float64
-}
-
-// Arrival is one scheduled query of a storm.
-type Arrival struct {
-	// At is the arrival's offset from the storm's start.
-	At time.Duration
-	// Key is the hot-key index in [0, Keys).
-	Key int
-}
-
-// Storm generates a deterministic open-loop arrival schedule from the
-// config and seed: interarrival gaps are exponential (a Poisson process
-// at cfg.Rate), keys are Zipf- or uniform-distributed, and the returned
-// schedule is ascending in At. Drivers replay it by sleeping until each
-// At and firing the query for Key, whether or not earlier queries have
-// completed.
-func Storm(cfg StormConfig, seed int64) ([]Arrival, error) {
-	if cfg.Arrivals < 0 {
-		return nil, fmt.Errorf("workload: storm arrival count must be non-negative, got %d", cfg.Arrivals)
-	}
-	keys := cfg.Keys
-	if keys < 1 {
-		keys = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var zipf *rand.Zipf
-	if cfg.Skew > 1 && keys > 1 {
-		zipf = rand.NewZipf(rng, cfg.Skew, 1, uint64(keys-1))
-	}
-	out := make([]Arrival, cfg.Arrivals)
-	var at time.Duration
-	for i := range out {
-		if cfg.Rate > 0 {
-			at += time.Duration(rng.ExpFloat64() / cfg.Rate * float64(time.Second))
-		}
-		k := 0
-		switch {
-		case zipf != nil:
-			k = int(zipf.Uint64())
-		case keys > 1:
-			k = rng.Intn(keys)
-		}
-		out[i] = Arrival{At: at, Key: k}
-	}
-	return out, nil
 }
 
 // QueryMix generates a workload of exact selects against a table: each

@@ -184,101 +184,3 @@ func TestQueryMixHasHits(t *testing.T) {
 		}
 	}
 }
-
-func TestStormDeterministicAndOrdered(t *testing.T) {
-	cfg := StormConfig{Arrivals: 500, Rate: 1000, Keys: 16, Skew: 1.2}
-	a, err := Storm(cfg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Storm(cfg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != cfg.Arrivals {
-		t.Fatalf("got %d arrivals, want %d", len(a), cfg.Arrivals)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("arrival %d differs across identically-seeded runs: %+v vs %+v", i, a[i], b[i])
-		}
-		if i > 0 && a[i].At < a[i-1].At {
-			t.Fatalf("arrival %d at %v precedes arrival %d at %v", i, a[i].At, i-1, a[i-1].At)
-		}
-		if a[i].Key < 0 || a[i].Key >= cfg.Keys {
-			t.Fatalf("arrival %d key %d outside [0,%d)", i, a[i].Key, cfg.Keys)
-		}
-	}
-	c, err := Storm(cfg, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical storms")
-	}
-}
-
-func TestStormThunderingHerd(t *testing.T) {
-	a, err := Storm(StormConfig{Arrivals: 100, Rate: 0, Keys: 1}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ar := range a {
-		if ar.At != 0 {
-			t.Fatalf("arrival %d at %v, want t=0 for the rate-0 herd", i, ar.At)
-		}
-		if ar.Key != 0 {
-			t.Fatalf("arrival %d key %d, want 0 for a single-key storm", i, ar.Key)
-		}
-	}
-}
-
-func TestStormSkewConcentratesHotKey(t *testing.T) {
-	const n = 4000
-	hot := func(skew float64) int {
-		a, err := Storm(StormConfig{Arrivals: n, Rate: 100, Keys: 32, Skew: skew}, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		count := 0
-		for _, ar := range a {
-			if ar.Key == 0 {
-				count++
-			}
-		}
-		return count
-	}
-	uniform := hot(0)
-	skewed := hot(2.0)
-	if skewed <= 2*uniform {
-		t.Fatalf("skew 2.0 put %d arrivals on key 0 vs %d uniform; want strong concentration", skewed, uniform)
-	}
-	if skewed < n/2 {
-		t.Fatalf("skew 2.0 put only %d/%d arrivals on key 0", skewed, n)
-	}
-}
-
-func TestStormRejectsNegativeArrivals(t *testing.T) {
-	if _, err := Storm(StormConfig{Arrivals: -1}, 1); err == nil {
-		t.Fatal("negative arrival count accepted")
-	}
-}
-
-func TestStormRateSetsMeanGap(t *testing.T) {
-	const n = 20000
-	a, err := Storm(StormConfig{Arrivals: n, Rate: 500}, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := a[n-1].At.Seconds() / float64(n-1)
-	if want := 1.0 / 500; math.Abs(mean-want)/want > 0.1 {
-		t.Fatalf("mean interarrival %.6fs, want within 10%% of %.6fs", mean, want)
-	}
-}
