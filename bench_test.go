@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/attacks"
@@ -202,21 +203,48 @@ func BenchmarkDecryptResult(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(len(res.Tuples)), "tuples/op")
 }
 
-func BenchmarkSWPEncryptWord(b *testing.B) {
+// benchCodec returns a codec positioned once on one document, the way
+// internal/core holds one per tuple, and a word of its length.
+func benchCodec(b *testing.B) (c *swp.Codec, word []byte) {
+	b.Helper()
 	key, _ := crypto.RandomKey()
 	s, err := swp.New(key, swp.Params{WordLen: 11, ChecksumLen: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	word := []byte("MontgomeryN")
-	docID := []byte("doc")
+	c = s.NewCodec()
+	c.SetDocument([]byte("doc"))
+	return c, []byte("MontgomeryN")
+}
+
+func BenchmarkSWPEncryptWord(b *testing.B) {
+	c, word := benchCodec(b)
+	cw := make([]byte, len(word))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.EncryptWord(docID, uint64(i), word); err != nil {
+		if err := c.EncryptWordInto(cw, uint64(i), word); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func BenchmarkSWPDecryptWord(b *testing.B) {
+	c, word := benchCodec(b)
+	cw, got := make([]byte, len(word)), make([]byte, len(word))
+	if err := c.EncryptWordInto(cw, 5, word); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.DecryptWordInto(got, 5, cw); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if !bytes.Equal(got, word) {
+		b.Fatalf("decrypted %q, want %q", got, word)
 	}
 }
 

@@ -1,0 +1,401 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/crypto"
+	"repro/internal/ph"
+	"repro/internal/relation"
+	"repro/internal/workload"
+)
+
+// answerFixture is a PH under a fixed key, the employee table and the
+// server's answer to σ_dept:"HR" over it (Montgomery and Grace, in
+// ciphertext order).
+type answerFixture struct {
+	p      *PH
+	q      relation.Eq
+	answer []ph.EncryptedTuple
+	want   *relation.Table // the answer decrypted
+	other  ph.EncryptedTuple
+}
+
+func newAnswerFixture(t testing.TB) *answerFixture {
+	t.Helper()
+	var key crypto.Key
+	for i := range key {
+		key[i] = byte(3 * i)
+	}
+	p, err := New(key, empSchema(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := relation.NewTable(empSchema())
+	tab.MustInsert(relation.String("Montgomery"), relation.String("HR"), relation.Int(7500))
+	tab.MustInsert(relation.String("Ada"), relation.String("IT"), relation.Int(9100))
+	tab.MustInsert(relation.String("Grace"), relation.String("HR"), relation.Int(-88))
+	ct, err := p.EncryptTable(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fix := &answerFixture{p: p, q: relation.Eq{Column: "dept", Value: relation.String("HR")}}
+	eq, err := p.EncryptQuery(fix.q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := EvaluateSerial(ct, eq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tuples) != 2 {
+		t.Fatalf("fixture answer has %d tuples, want 2", len(res.Tuples))
+	}
+	fix.answer = res.Tuples
+	if fix.want, err = p.DecryptResult(fix.q, res); err != nil {
+		t.Fatal(err)
+	}
+	for i, pos := 0, 0; i < len(ct.Tuples); i++ {
+		if pos < len(res.Positions) && res.Positions[pos] == i {
+			pos++
+			continue
+		}
+		fix.other = ct.Tuples[i] // Ada: not in the answer
+	}
+	return fix
+}
+
+// forge encrypts arbitrary 11-byte words as one document, the way only a
+// key holder can: what a hostile server cannot do, and what the decoder
+// must still survive.
+func (fix *answerFixture) forge(t testing.TB, words ...string) ph.EncryptedTuple {
+	t.Helper()
+	etp := ph.EncryptedTuple{ID: bytes.Repeat([]byte{0xd0}, docIDLen)}
+	c := fix.p.schemes[11].NewCodec()
+	c.SetDocument(etp.ID)
+	for pos, w := range words {
+		cw := make([]byte, len(w))
+		if err := c.EncryptWordInto(cw, uint64(pos), []byte(w)); err != nil {
+			t.Fatal(err)
+		}
+		etp.Words = append(etp.Words, cw)
+	}
+	return etp
+}
+
+// hostileTuple is one row of the decoder's robustness table.
+type hostileTuple struct {
+	name    string
+	tuple   ph.EncryptedTuple
+	wantErr string // substring of the error; "" = an error or a dropped tuple
+}
+
+func (fix *answerFixture) hostileTuples(t testing.TB) []hostileTuple {
+	good := fix.answer[0]
+	junk := func(n, salt int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(salt + 37*i)
+		}
+		return b
+	}
+	return []hostileTuple{
+		{"too few words", ph.EncryptedTuple{ID: good.ID, Words: good.Words[:2]}, "document has 2 words"},
+		{"too many words", ph.EncryptedTuple{ID: good.ID, Words: append(good.Words[:3:3], good.Words[0])}, "document has 4 words"},
+		{"the same column twice", fix.forge(t, "Eve#######N", "HR########D", "IT########D"), `column "dept" twice`},
+		{"a word of a length no scheme has", ph.EncryptedTuple{ID: good.ID, Words: [][]byte{junk(12, 1), junk(12, 2), junk(12, 3)}}, "no scheme for word length 12"},
+		{"an empty word", ph.EncryptedTuple{ID: good.ID, Words: [][]byte{good.Words[0], nil, good.Words[2]}}, "no scheme for word length 0"},
+		{"an unknown attribute id", fix.forge(t, "Eve#######N", "HR########D", "7500######Z"), "unknown attribute identifier"},
+		{"a non-numeric value in an int column", fix.forge(t, "Eve#######N", "HR########D", "75x0######S"), `int column "salary" holds "75x0"`},
+		{"an int wider than its column", fix.forge(t, "Eve#######N", "HR########D", "1234567890S"), "overflows column"},
+		{"an ID of another length", ph.EncryptedTuple{ID: good.ID[:5], Words: good.Words}, ""},
+		{"no ID", ph.EncryptedTuple{Words: good.Words}, ""},
+		{"random cipherwords", ph.EncryptedTuple{ID: good.ID, Words: [][]byte{junk(11, 4), junk(11, 5), junk(11, 6)}}, ""},
+	}
+}
+
+// checkHostile decrypts the fixture's answer with one hostile tuple in the
+// middle: the outcome is an error naming tuple 1 and no table, or the
+// honest answer with the hostile tuple filtered out — never a panic, a
+// partially filled table or a tuple that fails the predicate.
+func (fix *answerFixture) checkHostile(t *testing.T, h ph.EncryptedTuple, wantErr string) {
+	t.Helper()
+	res := &ph.Result{Tuples: []ph.EncryptedTuple{fix.answer[0], h, fix.answer[1]}}
+	got, err := fix.p.DecryptResult(fix.q, res)
+	if err != nil {
+		if got != nil {
+			t.Errorf("an error (%v) came with a table of %d tuples", err, got.Len())
+		}
+		if !strings.Contains(err.Error(), "tuple 1") || !strings.Contains(err.Error(), wantErr) {
+			t.Errorf("error %q does not name tuple 1 and %q", err, wantErr)
+		}
+		return
+	}
+	if wantErr != "" {
+		t.Fatalf("accepted; want an error mentioning %q", wantErr)
+	}
+	if got.Len() == 3 { // the hostile tuple decrypted to an HR employee: fine, but then all three must be
+		for i := 0; i < got.Len(); i++ {
+			if ok, err := fix.q.Eval(got.Schema(), got.Tuple(i)); err != nil || !ok {
+				t.Fatalf("tuple %d of the result, %v, fails the predicate (%v)", i, got.Tuple(i), err)
+			}
+		}
+		return
+	}
+	if !sameTuples(got, fix.want) {
+		t.Fatalf("got\n%v, want the honest answer\n%v", got, fix.want)
+	}
+}
+
+// sameTuples is Table.Equal with the order of tuples mattering too.
+func sameTuples(a, b *relation.Table) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		if !a.Tuple(i).Equal(b.Tuple(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestDecryptResultHostileAnswers(t *testing.T) {
+	fix := newAnswerFixture(t)
+	for _, h := range fix.hostileTuples(t) {
+		t.Run(h.name, func(t *testing.T) {
+			fix.checkHostile(t, h.tuple, h.wantErr)
+			if h.wantErr == "" {
+				return
+			}
+			// The error is about this tuple alone: the same whether the
+			// scratch it was parsed into is fresh or holds a good tuple.
+			_, first := fix.p.DecryptResult(fix.q, &ph.Result{Tuples: []ph.EncryptedTuple{h.tuple}})
+			_, second := fix.p.DecryptResult(fix.q, &ph.Result{Tuples: []ph.EncryptedTuple{fix.answer[0], h.tuple}})
+			if first == nil || second == nil || strings.Replace(second.Error(), "tuple 1", "tuple 0", 1) != first.Error() {
+				t.Errorf("alone: %v\nafter a good tuple: %v", first, second)
+			}
+			// DecryptTable runs the same decoder.
+			if got, err := fix.p.DecryptTable(&ph.EncryptedTable{SchemeID: SchemeID, Tuples: []ph.EncryptedTuple{fix.answer[0], h.tuple}}); err == nil || got != nil || !strings.Contains(err.Error(), "tuple 1") {
+				t.Errorf("DecryptTable returned (%v, %v), want no table and an error naming tuple 1", got, err)
+			}
+		})
+	}
+}
+
+// TestDecryptResultDropsFalsePositives: a tuple the server returned that
+// does not satisfy the predicate — which is all a checksum false positive
+// is to the client — decrypts fine and is filtered out.
+func TestDecryptResultDropsFalsePositives(t *testing.T) {
+	fix := newAnswerFixture(t)
+	res := &ph.Result{Tuples: []ph.EncryptedTuple{fix.other, fix.answer[0], fix.other, fix.answer[1], fix.other}}
+	got, err := fix.p.DecryptResult(fix.q, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameTuples(got, fix.want) {
+		t.Fatalf("got\n%v, want\n%v", got, fix.want)
+	}
+}
+
+// TestDecryptOrderIndependent: every tuple of a table decrypts to the same
+// value alone, after its predecessor and after its successor — the scratch
+// one call reuses from tuple to tuple carries nothing over. Both layouts,
+// so a per-length codec is repositioned between words of other lengths.
+func TestDecryptOrderIndependent(t *testing.T) {
+	for _, perCol := range []bool{false, true} {
+		p := newTestPH(t, Options{PerColumnWidth: perCol})
+		ct, err := p.EncryptTable(empTable(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(ct.Tuples)
+		alone := relation.NewTable(empSchema())
+		for _, etp := range ct.Tuples {
+			one, err := p.DecryptTable(&ph.EncryptedTable{SchemeID: SchemeID, Tuples: []ph.EncryptedTuple{etp}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			alone.MustInsert(one.Tuple(0)...)
+		}
+		reversed := &ph.EncryptedTable{SchemeID: SchemeID}
+		for i := n - 1; i >= 0; i-- {
+			reversed.Tuples = append(reversed.Tuples, ct.Tuples[i])
+		}
+		fwd, err := p.DecryptTable(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rev, err := p.DecryptTable(reversed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if !fwd.Tuple(i).Equal(alone.Tuple(i)) || !rev.Tuple(n-1-i).Equal(alone.Tuple(i)) {
+				t.Fatalf("perColumn=%v tuple %d: alone %v, in order %v, in reverse order %v",
+					perCol, i, alone.Tuple(i), fwd.Tuple(i), rev.Tuple(n-1-i))
+			}
+		}
+	}
+}
+
+// FuzzDecryptResult feeds the decoder one arbitrary tuple between two good
+// ones: id, and words cut from one byte string every wordLen bytes. The
+// seeds are the rows of TestDecryptResultHostileAnswers.
+func FuzzDecryptResult(f *testing.F) {
+	fix := newAnswerFixture(f)
+	for _, h := range fix.hostileTuples(f) {
+		wordLen := 11
+		if len(h.tuple.Words[0]) == 12 {
+			wordLen = 12
+		}
+		f.Add(h.tuple.ID, bytes.Join(h.tuple.Words, nil), uint8(wordLen))
+	}
+	f.Fuzz(func(t *testing.T, id, words []byte, wordLen uint8) {
+		h := ph.EncryptedTuple{ID: id}
+		for n := int(wordLen); n > 0 && len(words) > 0; {
+			n = min(n, len(words))
+			h.Words = append(h.Words, words[:n])
+			words = words[n:]
+		}
+		fix.checkHostile(t, h, "")
+	})
+}
+
+// TestPHConcurrentUse drives one PH from 8 goroutines mixing EncryptQuery,
+// EncryptTable (4 tuples) and DecryptResult (100 tuples); every result
+// must equal the serial one. Since no mutex serialises E, f and G any
+// more, what this proves under -race is that each call's state is its own.
+func TestPHConcurrentUse(t *testing.T) {
+	tab, err := workload.Employees(400, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var key crypto.Key
+	p, err := New(key, tab.Schema(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := p.EncryptTable(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The widest answer is the most frequent department's.
+	q := relation.Eq{Column: "dept", Value: relation.String(workload.Departments[0])}
+	wantToken, err := p.EncryptQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := EvaluateSerial(ct, wantToken)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tuples) < 100 {
+		t.Fatalf("answer has %d tuples, want at least 100", len(res.Tuples))
+	}
+	res.Tuples = res.Tuples[:100]
+	wantAnswer, err := p.DecryptResult(q, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	four := relation.NewTable(tab.Schema())
+	for i := 0; i < 4; i++ {
+		four.MustInsert(tab.Tuple(i)...)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if err := func() error {
+				for rep := 0; rep < 12; rep++ {
+					switch (g + rep) % 3 {
+					case 0:
+						token, err := p.EncryptQuery(q)
+						if err != nil {
+							return err
+						}
+						if !bytes.Equal(token.Token, wantToken.Token) {
+							return fmt.Errorf("EncryptQuery gave %x, serially %x", token.Token, wantToken.Token)
+						}
+					case 1:
+						enc, err := p.EncryptTable(four)
+						if err != nil {
+							return err
+						}
+						dec, err := p.DecryptTable(enc)
+						if err != nil {
+							return err
+						}
+						if !dec.Equal(four) {
+							return fmt.Errorf("EncryptTable round trip gave\n%v, want\n%v", dec, four)
+						}
+					case 2:
+						got, err := p.DecryptResult(q, res)
+						if err != nil {
+							return err
+						}
+						if !sameTuples(got, wantAnswer) {
+							return fmt.Errorf("DecryptResult differs from the serial answer")
+						}
+					}
+				}
+				return nil
+			}(); err != nil {
+				t.Errorf("goroutine %d: %v", g, err)
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestClientCodecAllocs gates what a tuple costs the client in either
+// direction on the employee table: SWP's AES key schedules (one per word
+// and one per document), the values and cipherwords that are the output,
+// and crypto/rand's permutation — not scratch per word.
+func TestClientCodecAllocs(t *testing.T) {
+	tab, err := workload.Employees(1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var key crypto.Key
+	p, err := New(key, tab.Schema(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ct *ph.EncryptedTable
+	perTuple := testing.AllocsPerRun(3, func() {
+		if ct, err = p.EncryptTable(tab); err != nil {
+			t.Fatal(err)
+		}
+	}) / float64(tab.Len())
+	if perTuple > 30 {
+		t.Errorf("EncryptTable allocates %.1f objects per tuple, want at most 30", perTuple)
+	}
+
+	q := relation.Eq{Column: "dept", Value: relation.String(workload.Departments[0])}
+	eq, err := p.EncryptQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := EvaluateSerial(ct, eq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *relation.Table
+	perCall := testing.AllocsPerRun(10, func() {
+		if got, err = p.DecryptResult(q, res); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got.Len() < 100 {
+		t.Fatalf("answer has %d tuples, want at least 100", got.Len())
+	}
+	if perTuple = perCall / float64(got.Len()); perTuple > 16 {
+		t.Errorf("DecryptResult allocates %.1f objects per returned tuple, want at most 16", perTuple)
+	}
+}

@@ -113,13 +113,42 @@ func (p *PH) schemeForCol(col int) *swp.Scheme {
 	return p.schemes[p.layout.wordLenFor(col)]
 }
 
-// schemeForWord returns the SWP instance handling a cipherword, by length.
-func (p *PH) schemeForWord(w []byte) (*swp.Scheme, error) {
-	s, ok := p.schemes[len(w)]
-	if !ok {
-		return nil, fmt.Errorf("core: no scheme for word length %d", len(w))
+// tupleCodec is the state one EncryptTable, DecryptTable or DecryptResult
+// call carries from tuple to tuple: an swp.Codec per word length plus the
+// scratch a tuple is assembled in, so that a tuple costs the allocations
+// its output needs and SWP's key schedules, nothing per word. A codec is
+// single-goroutine; each call makes its own, which is what keeps one PH
+// safe for concurrent use.
+type tupleCodec struct {
+	l      *layout
+	codecs map[int]*swp.Codec // word length -> codec
+	word   []byte             // one plaintext word, as wide as the widest
+	tuple  relation.Tuple     // the tuple being decrypted
+	seen   []bool             // the columns of tuple already written
+}
+
+func (p *PH) newTupleCodec() *tupleCodec {
+	cols := p.layout.schema.NumColumns()
+	tc := &tupleCodec{
+		l:      p.layout,
+		codecs: make(map[int]*swp.Codec, len(p.schemes)),
+		tuple:  make(relation.Tuple, cols),
+		seen:   make([]bool, cols),
 	}
-	return s, nil
+	widest := 0
+	for n, s := range p.schemes {
+		tc.codecs[n] = s.NewCodec()
+		widest = max(widest, n)
+	}
+	tc.word = make([]byte, widest)
+	return tc
+}
+
+// setDocument positions every codec on one tuple's document.
+func (tc *tupleCodec) setDocument(docID []byte) {
+	for _, c := range tc.codecs {
+		c.SetDocument(docID)
+	}
 }
 
 // EncryptTable implements E of Definition 1.1: tuple-by-tuple encryption.
@@ -142,8 +171,9 @@ func (p *PH) EncryptTable(t *relation.Table) (*ph.EncryptedTable, error) {
 	if err != nil {
 		return nil, err
 	}
+	tc := p.newTupleCodec()
 	for _, ti := range order {
-		etp, err := p.encryptTuple(t.Tuple(ti))
+		etp, err := tc.encryptTuple(t.Tuple(ti))
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +183,7 @@ func (p *PH) EncryptTable(t *relation.Table) (*ph.EncryptedTable, error) {
 }
 
 // encryptTuple maps one tuple to its encrypted document.
-func (p *PH) encryptTuple(tp relation.Tuple) (ph.EncryptedTuple, error) {
+func (tc *tupleCodec) encryptTuple(tp relation.Tuple) (ph.EncryptedTuple, error) {
 	docID := make([]byte, docIDLen)
 	if _, err := rand.Read(docID); err != nil {
 		return ph.EncryptedTuple{}, fmt.Errorf("core: drawing document id: %w", err)
@@ -162,17 +192,17 @@ func (p *PH) encryptTuple(tp relation.Tuple) (ph.EncryptedTuple, error) {
 	if err != nil {
 		return ph.EncryptedTuple{}, err
 	}
+	tc.setDocument(docID)
 	cipherwords := make([][]byte, len(tp))
 	for pos, col := range perm {
-		w, err := p.layout.makeWord(col, tp[col])
+		w, err := tc.l.makeWord(tc.word, col, tp[col])
 		if err != nil {
 			return ph.EncryptedTuple{}, err
 		}
-		cw, err := p.schemeForCol(col).EncryptWord(docID, uint64(pos), w)
-		if err != nil {
+		cipherwords[pos] = make([]byte, len(w))
+		if err := tc.codecs[len(w)].EncryptWordInto(cipherwords[pos], uint64(pos), w); err != nil {
 			return ph.EncryptedTuple{}, err
 		}
-		cipherwords[pos] = cw
 	}
 	return ph.EncryptedTuple{ID: docID, Words: cipherwords}, nil
 }
@@ -184,7 +214,7 @@ func (p *PH) EncryptQuery(q relation.Eq) (*ph.EncryptedQuery, error) {
 		return nil, err
 	}
 	col := p.layout.schema.ColumnIndex(q.Column)
-	w, err := p.layout.makeWord(col, q.Value)
+	w, err := p.layout.makeWord(nil, col, q.Value)
 	if err != nil {
 		return nil, err
 	}
@@ -196,33 +226,37 @@ func (p *PH) EncryptQuery(q relation.Eq) (*ph.EncryptedQuery, error) {
 }
 
 // decryptTuple reconstructs a plaintext tuple from its encrypted document.
-func (p *PH) decryptTuple(etp ph.EncryptedTuple) (relation.Tuple, error) {
-	if len(etp.Words) != p.layout.schema.NumColumns() {
+// The tuple it returns is the codec's scratch, valid until the next call;
+// relation.Table.Insert copies it.
+func (tc *tupleCodec) decryptTuple(etp ph.EncryptedTuple) (relation.Tuple, error) {
+	if len(etp.Words) != len(tc.tuple) {
 		return nil, fmt.Errorf("core: document has %d words, schema has %d columns",
-			len(etp.Words), p.layout.schema.NumColumns())
+			len(etp.Words), len(tc.tuple))
 	}
-	tp := make(relation.Tuple, p.layout.schema.NumColumns())
-	seen := make([]bool, len(tp))
+	tc.setDocument(etp.ID)
+	clear(tc.seen)
 	for pos, cw := range etp.Words {
-		s, err := p.schemeForWord(cw)
+		c, ok := tc.codecs[len(cw)]
+		if !ok {
+			return nil, fmt.Errorf("core: no scheme for word length %d", len(cw))
+		}
+		w := tc.word[:len(cw)]
+		if err := c.DecryptWordInto(w, uint64(pos), cw); err != nil {
+			return nil, err
+		}
+		col, v, err := tc.l.parseWord(w)
 		if err != nil {
 			return nil, err
 		}
-		w, err := s.DecryptWord(etp.ID, uint64(pos), cw)
-		if err != nil {
-			return nil, err
+		if tc.seen[col] {
+			return nil, fmt.Errorf("core: document contains column %q twice", tc.l.schema.Columns[col].Name)
 		}
-		col, v, err := p.layout.parseWord(w)
-		if err != nil {
-			return nil, err
-		}
-		if seen[col] {
-			return nil, fmt.Errorf("core: document contains column %q twice", p.layout.schema.Columns[col].Name)
-		}
-		seen[col] = true
-		tp[col] = v
+		tc.seen[col] = true
+		tc.tuple[col] = v
 	}
-	return tp, nil
+	// As many words as columns and no column twice: every slot was
+	// written, so nothing of the previous tuple is left in the scratch.
+	return tc.tuple, nil
 }
 
 // DecryptTable implements D of Definition 1.1 on whole tables.
@@ -231,8 +265,9 @@ func (p *PH) DecryptTable(ct *ph.EncryptedTable) (*relation.Table, error) {
 		return nil, fmt.Errorf("core: cannot decrypt table of scheme %q", ct.SchemeID)
 	}
 	t := relation.NewTable(p.layout.schema)
+	tc := p.newTupleCodec()
 	for i, etp := range ct.Tuples {
-		tp, err := p.decryptTuple(etp)
+		tp, err := tc.decryptTuple(etp)
 		if err != nil {
 			return nil, fmt.Errorf("core: decrypting tuple %d: %w", i, err)
 		}
@@ -248,20 +283,21 @@ func (p *PH) DecryptTable(ct *ph.EncryptedTable) (*relation.Table, error) {
 // prescribes ("Alex needs to run a filter on the output").
 func (p *PH) DecryptResult(q relation.Eq, r *ph.Result) (*relation.Table, error) {
 	t := relation.NewTable(p.layout.schema)
+	tc := p.newTupleCodec()
 	for i, etp := range r.Tuples {
-		tp, err := p.decryptTuple(etp)
+		tp, err := tc.decryptTuple(etp)
 		if err != nil {
 			return nil, fmt.Errorf("core: decrypting result tuple %d: %w", i, err)
 		}
 		ok, err := q.Eval(p.layout.schema, tp)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: filtering result tuple %d: %w", i, err)
 		}
 		if !ok {
 			continue // false positive from the SWP checksum; drop it
 		}
 		if err := t.Insert(tp); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: decrypted result tuple %d invalid: %w", i, err)
 		}
 	}
 	return t, nil
@@ -444,7 +480,7 @@ func init() {
 // instantiation of the SWP primitives the ciphertext was written under:
 // a change to either bumps it, so that ciphertext no trapdoor of this
 // build can match is refused instead of silently matching nothing.
-const metaVersion = 3
+const metaVersion = 4
 
 // encodeMeta serialises the public per-length SWP parameters carried on
 // every encrypted table: version, count, then (wordLen, checksumLen) pairs.

@@ -139,8 +139,9 @@ func (l *layout) pickID(name string) (byte, error) {
 }
 
 // makeWord builds the word value|padding|id for column col, padded to the
-// column's word length under the layout mode.
-func (l *layout) makeWord(col int, v relation.Value) ([]byte, error) {
+// column's word length under the layout mode. The word is written into buf
+// when buf is wide enough to hold it and into a fresh slice otherwise.
+func (l *layout) makeWord(buf []byte, col int, v relation.Value) ([]byte, error) {
 	enc := v.Encode()
 	width := l.valueWidthFor(col)
 	if len(enc) > width {
@@ -151,7 +152,10 @@ func (l *layout) makeWord(col int, v relation.Value) ([]byte, error) {
 			return nil, fmt.Errorf("core: value %s contains the padding symbol %q", v, PadByte)
 		}
 	}
-	w := make([]byte, width+idWidth)
+	if len(buf) < width+idWidth {
+		buf = make([]byte, width+idWidth)
+	}
+	w := buf[:width+idWidth]
 	copy(w, enc)
 	for i := len(enc); i < width; i++ {
 		w[i] = PadByte
@@ -179,14 +183,15 @@ func (l *layout) parseWord(w []byte) (col int, v relation.Value, err error) {
 	for end > 0 && w[end-1] == PadByte {
 		end--
 	}
-	enc := string(w[:end])
 	switch c := l.schema.Columns[col]; c.Type {
 	case relation.TypeString:
-		v = relation.String(enc)
+		v = relation.String(string(w[:end]))
 	case relation.TypeInt:
-		i, perr := strconv.ParseInt(enc, 10, 64)
+		// ParseInt keeps no reference to its argument, so the conversion
+		// stays off the heap.
+		i, perr := strconv.ParseInt(string(w[:end]), 10, 64)
 		if perr != nil {
-			return 0, relation.Value{}, fmt.Errorf("core: word for int column %q holds %q: %w", c.Name, enc, perr)
+			return 0, relation.Value{}, fmt.Errorf("core: word for int column %q holds %q: %w", c.Name, w[:end], perr)
 		}
 		v = relation.Int(i)
 	default:

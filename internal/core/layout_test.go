@@ -31,7 +31,7 @@ func TestLayoutPaperExample(t *testing.T) {
 		{2, relation.Int(7500), "7500######S"},
 	}
 	for _, c := range cases {
-		w, err := l.makeWord(c.col, c.v)
+		w, err := l.makeWord(nil, c.col, c.v)
 		if err != nil {
 			t.Fatalf("makeWord(%d, %v): %v", c.col, c.v, err)
 		}
@@ -58,7 +58,7 @@ func TestLayoutParseWordInverts(t *testing.T) {
 		{2, relation.Int(0)},
 	}
 	for _, c := range cases {
-		w, err := l.makeWord(c.col, c.v)
+		w, err := l.makeWord(nil, c.col, c.v)
 		if err != nil {
 			t.Fatalf("makeWord: %v", err)
 		}
@@ -111,7 +111,7 @@ func TestLayoutRejectsWideValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.makeWord(0, relation.String("ElevenChars")); err == nil {
+	if _, err := l.makeWord(nil, 0, relation.String("ElevenChars")); err == nil {
 		t.Fatal("over-wide value accepted")
 	}
 }
@@ -130,7 +130,7 @@ func TestLayoutParseErrors(t *testing.T) {
 		t.Fatal("unknown identifier parsed")
 	}
 	// Garbage in an int column.
-	w, err := l.makeWord(2, relation.Int(1))
+	w, err := l.makeWord(nil, 2, relation.Int(1))
 	if err != nil {
 		t.Fatal(err)
 	}

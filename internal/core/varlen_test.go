@@ -219,6 +219,8 @@ func TestMetaDecodeErrors(t *testing.T) {
 		// A well-formed table written before F moved from HMAC-SHA256 to
 		// AES: same layout, but no trapdoor of this build can match it.
 		{[]byte{2, 1, 0, 11, 0, 2}, "re-encrypt"},
+		// Likewise one written before E's round functions and f did.
+		{[]byte{3, 1, 0, 11, 0, 2}, "re-encrypt"},
 		{[]byte{metaVersion, 0}, ""},                                  // zero lengths
 		{[]byte{metaVersion, 1, 0, 11}, ""},                           // truncated pair
 		{[]byte{metaVersion, 1, 0, 2, 0, 5}, ""},                      // checksum >= wordLen

@@ -99,15 +99,21 @@ func TestBlockPRFCloneComputesTheSameFunction(t *testing.T) {
 // raw CBC-MAC a PRF, so the type enforces it instead of trusting callers.
 func TestBlockPRFRejectsOtherLengths(t *testing.T) {
 	f := NewBlockPRF(testKey(24), 9)
-	for name, call := range map[string]func(){
+	expectPanics(t, map[string]func(){
 		"short input": func() { f.SumInto(make([]byte, 2), make([]byte, 8)) },
 		"long input":  func() { f.SumInto(make([]byte, 2), make([]byte, 10)) },
 		"wide output": func() { f.SumInto(make([]byte, 17), make([]byte, 9)) },
-	} {
+	})
+}
+
+// expectPanics runs every call and fails the test for each that returns.
+func expectPanics(t *testing.T, calls map[string]func()) {
+	t.Helper()
+	for name, call := range calls {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: SumInto did not panic", name)
+					t.Errorf("%s: no panic", name)
 				}
 			}()
 			call()

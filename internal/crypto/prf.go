@@ -1,17 +1,21 @@
 // Package crypto provides the cryptographic substrate for the reproduction:
-// a variable-length pseudorandom function (HMAC-SHA256), a fixed-input-
-// length one (AES-256 CBC-MAC, one block for short inputs), a pseudorandom
-// generator (AES-CTR), a length-preserving pseudorandom permutation (a
-// four-round Feistel network in the style of Luby–Rackoff), key
-// derivation, and an AEAD wrapper for the strong tuple encryption used by
-// the comparator schemes.
+// a variable-length pseudorandom function (HMAC-SHA256), fixed-length ones
+// (AES-256 CBC-MAC: one block for short inputs, concatenated tags for wide
+// outputs), a pseudorandom generator (AES-CTR), a length-preserving
+// pseudorandom permutation (a four-round Feistel network in the style of
+// Luby–Rackoff over those CBC-MAC round functions), key derivation, and an
+// AEAD wrapper for the strong tuple encryption used by the comparator
+// schemes.
 //
 // Everything is built on the Go standard library. The constructions are the
 // textbook ones the paper's building blocks assume: Song–Wagner–Perrig's
 // searchable encryption (internal/swp) is specified in terms of a
-// pseudorandom generator G (PRG), pseudorandom functions f (PRF) and F
+// pseudorandom generator G (PRG), pseudorandom functions f (WidePRF) and F
 // (BlockPRF), and a deterministic pre-encryption E (PRP); this package
-// supplies all four.
+// supplies all four, all on AES-256 — it is assumed a pseudorandom
+// permutation, and every CBC-MAC instance fixes its message length, which
+// is where CBC-MAC is a PRF. HMAC (PRF) is for inputs of no fixed length
+// and for work done once: key derivation and per-document seeds.
 package crypto
 
 import (

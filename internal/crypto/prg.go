@@ -11,12 +11,16 @@ import (
 
 // PRG is a seekable pseudorandom generator built from AES-256 in counter
 // mode. It plays the role of the stream generator G in the Song–Wagner–
-// Perrig scheme: Block(i, n) returns the i-th n-byte chunk of the keystream,
-// and chunks for different indices can be generated independently (needed
-// because decryption must regenerate the stream value S_i for arbitrary
-// word positions).
+// Perrig scheme: chunk i of the keystream can be generated independently
+// of every other (needed because decryption must regenerate the stream
+// value S_i for arbitrary word positions).
+//
+// A PRG is NOT safe for concurrent use: the counter and keystream blocks
+// live in the struct so that BlockInto allocates nothing (a local handed
+// to cipher.Block escapes).
 type PRG struct {
-	block cipher.Block
+	block    cipher.Block
+	ctr, out [aes.BlockSize]byte
 }
 
 // NewPRG constructs a PRG seeded with the given key.
@@ -28,22 +32,25 @@ func NewPRG(seed Key) (*PRG, error) {
 	return &PRG{block: b}, nil
 }
 
-// Block returns the chunk of n pseudorandom bytes at logical index i.
-// Chunks at distinct indices are computed from disjoint counter ranges, so
-// Block(i, n) never overlaps Block(j, n) for i != j as long as n is the same
-// across calls for a given PRG, which is how internal/swp uses it (n is the
-// per-scheme stream width).
+// BlockInto fills dst with the chunk of len(dst) pseudorandom bytes at
+// logical index i, without allocating. Chunks at distinct indices are
+// computed from disjoint counter ranges, so chunk i never overlaps chunk
+// j != i as long as the chunk length is the same across calls for a given
+// PRG, which is how internal/swp uses it (the per-scheme stream width).
+func (g *PRG) BlockInto(dst []byte, i uint64) {
+	nBlocks := uint64((len(dst) + aes.BlockSize - 1) / aes.BlockSize)
+	for b := i * nBlocks; len(dst) > 0; b++ {
+		binary.BigEndian.PutUint64(g.ctr[8:], b)
+		g.block.Encrypt(g.out[:], g.ctr[:])
+		dst = dst[copy(dst, g.out[:]):]
+	}
+}
+
+// Block returns the chunk of n pseudorandom bytes at logical index i in a
+// fresh slice.
 func (g *PRG) Block(i uint64, n int) []byte {
 	out := make([]byte, n)
-	var ctr [aes.BlockSize]byte
-	nBlocks := uint64((n + aes.BlockSize - 1) / aes.BlockSize)
-	base := i * nBlocks
-	var tmp [aes.BlockSize]byte
-	for b := uint64(0); b < nBlocks; b++ {
-		binary.BigEndian.PutUint64(ctr[8:], base+b)
-		g.block.Encrypt(tmp[:], ctr[:])
-		copy(out[b*aes.BlockSize:], tmp[:])
-	}
+	g.BlockInto(out, i)
 	return out
 }
 

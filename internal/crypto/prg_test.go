@@ -61,6 +61,19 @@ func TestPRGLengths(t *testing.T) {
 	}
 }
 
+// TestPRGBlockIntoZeroAllocs: Block is BlockInto into a fresh slice, so
+// the tests above cover what it computes; this one that it allocates
+// nothing of its own.
+func TestPRGBlockIntoZeroAllocs(t *testing.T) {
+	g, _ := NewPRG(testKey(6))
+	for _, n := range []int{1, 9, 16, 17, 40} {
+		dst := make([]byte, n)
+		if allocs := testing.AllocsPerRun(100, func() { g.BlockInto(dst, 7) }); allocs != 0 {
+			t.Fatalf("BlockInto of %d bytes allocates %v objects per run, want 0", n, allocs)
+		}
+	}
+}
+
 func TestRandomKeyDistinct(t *testing.T) {
 	a, err := RandomKey()
 	if err != nil {

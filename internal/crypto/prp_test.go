@@ -7,7 +7,9 @@ import (
 )
 
 func TestPRPRoundTrip(t *testing.T) {
-	for _, n := range []int{2, 3, 4, 7, 11, 16, 32, 64} {
+	// 40, 64 and 100 put halves beyond one and two AES blocks, where the
+	// round functions concatenate tags.
+	for _, n := range []int{2, 3, 4, 7, 11, 16, 32, 33, 40, 64, 100} {
 		p, err := NewPRP(testKey(1), n)
 		if err != nil {
 			t.Fatalf("NewPRP(%d): %v", n, err)
@@ -128,4 +130,48 @@ func TestPRPAvalanche(t *testing.T) {
 	if diff < 4 {
 		t.Fatalf("PRP avalanche too weak: only %d/16 bytes differ", diff)
 	}
+}
+
+// TestPRPIntoMatchesWrappersWithoutAllocating: EncryptInto and DecryptInto
+// are the permutation Encrypt and Decrypt wrap, in place or not, on a clone
+// or not, and allocate nothing.
+func TestPRPIntoMatchesWrappersWithoutAllocating(t *testing.T) {
+	for _, n := range []int{2, 11, 17, 40, 100} {
+		p, err := NewPRP(testKey(9), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := make([]byte, n)
+		for i := range src {
+			src[i] = byte(11*i + n)
+		}
+		want, err := p.Encrypt(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := p.Clone()
+		dst := make([]byte, n)
+		c.EncryptInto(dst, src)
+		if !bytes.Equal(dst, want) {
+			t.Fatalf("n=%d: a clone's EncryptInto gave %x, Encrypt %x", n, dst, want)
+		}
+		c.DecryptInto(dst, dst) // in place
+		if !bytes.Equal(dst, src) {
+			t.Fatalf("n=%d: in-place DecryptInto gave %x, want %x", n, dst, src)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			c.EncryptInto(dst, src)
+			c.DecryptInto(dst, dst)
+		}); allocs != 0 {
+			t.Fatalf("n=%d: EncryptInto+DecryptInto allocate %v objects per run, want 0", n, allocs)
+		}
+	}
+}
+
+func TestPRPIntoRejectsOtherLengths(t *testing.T) {
+	p, _ := NewPRP(testKey(10), 8)
+	expectPanics(t, map[string]func(){
+		"short src": func() { p.EncryptInto(make([]byte, 8), make([]byte, 7)) },
+		"short dst": func() { p.DecryptInto(make([]byte, 7), make([]byte, 8)) },
+	})
 }

@@ -23,24 +23,41 @@
 // seed, recovers L_i = C_i^L ⊕ S_i, recomputes k_i and the checksum, recovers
 // R_i, and inverts the pre-encryption.
 //
-// Instantiation. SWP asks only that F be a pseudorandom function on the
-// fixed-width chunk S_i, and F is the one primitive the server evaluates —
-// once per stored cipherword per query — so it is the cheapest PRF the
-// repository's assumptions already pay for: crypto.BlockPRF, AES-256
-// CBC-MAC over the zero-padded chunk truncated to m <= 16 bytes, keyed
-// directly by the 32-byte k_i. That rests on AES-256 being a pseudorandom
-// permutation (which G, AES-256-CTR, assumes anyway), the PRP/PRF
-// switching lemma, and CBC-MAC being a PRF on inputs of one fixed length;
-// the length n−m is fixed by Params and enforced by the BlockPRF. The
+// Instantiation. Everything evaluated per word is AES-256. F is the one
+// primitive the server evaluates — once per stored cipherword per query —
+// and SWP asks only that it be a pseudorandom function on the fixed-width
+// chunk S_i: it is crypto.BlockPRF, AES-256 CBC-MAC over the zero-padded
+// chunk truncated to m <= 16 bytes, keyed directly by the 32-byte k_i. The
 // floor of a match test is ⌈(n−m)/16⌉ AES blocks per cipherword — one for
-// every stream width up to 16 bytes. G is AES-256-CTR; f, the Feistel
-// rounds of E and key derivation are HMAC-SHA256: they run on the client
-// only, never in the server's scan.
+// every stream width up to 16 bytes. G is AES-256-CTR. f is
+// crypto.WidePRF: the same CBC-MAC over L_i‖⟨j⟩, j = 1, 2, whose two tags
+// are k_i. E is a four-round Luby–Rackoff Feistel network (crypto.PRP)
+// whose four round functions are WidePRFs under independent keys. The
+// assumptions are those G already makes plus the textbook reductions:
+// AES-256 is a pseudorandom permutation; the PRP/PRF switching lemma;
+// CBC-MAC is a PRF on messages of one fixed length (Bellare–Kilian–
+// Rogaway) — every BlockPRF and WidePRF instance fixes its input length,
+// n−m for F and f and a Feistel half for E's rounds, and a WidePRF its
+// output length too, so each key MACs messages of exactly one length, and
+// both types refuse any other; and four Feistel rounds over PRFs are a
+// strong PRP. E on a short word keeps the small-domain bound a Feistel
+// network always had: its advantage bound grows with q²/2^(4n) for n-byte
+// words, whatever the round function.
+//
+// HMAC-SHA256 (crypto.PRF) remains where the input has no fixed length or
+// the work is done once: deriving the three subkeys and E's round keys at
+// construction, the per-document stream seed (Codec.SetDocument — a
+// document identifier may have any length), and the word-key functions of
+// the three precursor schemes in variants.go. None of it runs per word,
+// and nothing but F ever runs in the server's scan.
 package swp
 
 import (
+	"crypto/subtle"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/crypto"
 )
@@ -84,12 +101,15 @@ func (p Params) FalsePositiveRate() float64 {
 	return math.Ldexp(1, -8*p.ChecksumLen)
 }
 
-// Scheme holds the secret keys and parameters of one SWP instance.
+// Scheme holds the secret keys and parameters of one SWP instance. It is
+// safe for concurrent use: pre and f are only ever cloned (NewCodec), never
+// evaluated in place, and seed guards its own state.
 type Scheme struct {
 	params Params
-	pre    *crypto.PRP // E_{k''}: deterministic pre-encryption
-	fPRF   *crypto.PRF // f_{k'}: derives per-word keys from L_i
-	seed   *crypto.PRF // derives per-document stream seeds
+	pre    *crypto.PRP     // E_{k''}: deterministic pre-encryption
+	f      *crypto.WidePRF // f_{k'}: derives per-word keys from L_i
+	seed   *crypto.PRF     // derives per-document stream seeds
+	idle   sync.Pool       // *Codec between two NewTrapdoor calls
 }
 
 // New derives an SWP instance from a master key. The three internal keys
@@ -107,7 +127,7 @@ func New(master crypto.Key, p Params) (*Scheme, error) {
 	return &Scheme{
 		params: p,
 		pre:    pre,
-		fPRF:   crypto.NewPRF(root.DeriveKey("swp/f", nil)),
+		f:      crypto.NewWidePRF(root.DeriveKey("swp/f", nil), p.streamLen(), crypto.KeySize),
 		seed:   crypto.NewPRF(root.DeriveKey("swp/seed", nil)),
 	}, nil
 }
@@ -115,78 +135,123 @@ func New(master crypto.Key, p Params) (*Scheme, error) {
 // Params returns the public parameters.
 func (s *Scheme) Params() Params { return s.params }
 
-// docPRG builds the per-document stream generator.
-func (s *Scheme) docPRG(docID []byte) (*crypto.PRG, error) {
-	return crypto.NewPRG(s.seed.DeriveKey("swp/stream", docID))
+// Codec encrypts and decrypts the words of one document at a time. It is
+// the scheme's only implementation of both directions: SetDocument is the
+// one place a document's stream key is derived from its identifier, and
+// the word methods run over scratch the codec owns, so a word costs no
+// heap allocation beyond the AES key schedule of its k_i, which the
+// scheme's definition forces (k_i differs per word).
+//
+// A Codec is NOT safe for concurrent use; a Scheme is, and NewCodec hands
+// each goroutine its own, sharing the expanded keys of E and f.
+type Codec struct {
+	s      *Scheme
+	pre    *crypto.PRP
+	f      *crypto.WidePRF
+	prg    *crypto.PRG     // G of the current document; nil before SetDocument
+	ki     crypto.Key      // k_i = f_{k'}(L_i)
+	kprf   crypto.BlockPRF // F_{k_i}; a field, because a local would escape
+	seedIn []byte          // DeriveKey("swp/stream", docID)'s PRF input
+	x      []byte          // X_i = ⟨L_i, R_i⟩, WordLen bytes
+	t      []byte          // T_i = ⟨S_i, F_{k_i}(S_i)⟩, WordLen bytes
 }
 
-// wordKey computes k_i = f_{k'}(L_i).
-func (s *Scheme) wordKey(left []byte) crypto.Key {
-	return crypto.KeyFromBytes(s.fPRF.Sum(left, crypto.KeySize))
+// streamLabel domain-separates the per-document stream key.
+const streamLabel = "swp/stream"
+
+// NewCodec returns a codec for the scheme, not yet on any document.
+func (s *Scheme) NewCodec() *Codec {
+	n := s.params.WordLen
+	buf := make([]byte, 2*n)
+	return &Codec{s: s, pre: s.pre.Clone(), f: s.f.Clone(), x: buf[:n:n], t: buf[n:]}
 }
 
-// checksum computes F_{k}(s) of m bytes, through the same crypto.BlockPRF
-// the server-side Matcher evaluates.
-func checksum(k crypto.Key, stream []byte, m int) []byte {
-	f := make([]byte, m)
-	prf := crypto.NewBlockPRF(k, len(stream))
-	prf.SumInto(f, stream)
-	return f
+// SetDocument positions the codec on the document identified by docID:
+// it derives that document's stream key — one HMAC, because a document
+// identifier has no fixed length — and expands it. The word methods then
+// address the document's words by position.
+func (c *Codec) SetDocument(docID []byte) {
+	// PRF.DeriveKey(streamLabel, docID), with its injective encoding
+	// built in the codec's buffer instead of a fresh one.
+	in := binary.BigEndian.AppendUint32(c.seedIn[:0], uint32(len(streamLabel)))
+	in = append(in, streamLabel...)
+	in = binary.BigEndian.AppendUint32(in, uint32(len(docID)))
+	in = append(in, docID...)
+	c.seedIn = in
+	var key crypto.Key
+	c.s.seed.SumInto(key[:], in)
+	prg, err := crypto.NewPRG(key)
+	if err != nil {
+		panic(fmt.Sprintf("swp: document stream: %v", err)) // unreachable: a crypto.Key is an AES-256 key
+	}
+	c.prg = prg
+}
+
+// EncryptWordInto encrypts the word at position pos of the current
+// document into dst. Both must be exactly WordLen bytes.
+func (c *Codec) EncryptWordInto(dst []byte, pos uint64, word []byte) error {
+	stream, err := c.stream(dst, pos, word)
+	if err != nil {
+		return err
+	}
+	c.pre.EncryptInto(c.x, word)
+	c.mask(stream)
+	subtle.XORBytes(dst, c.x, c.t)
+	return nil
+}
+
+// DecryptWordInto decrypts the cipherword at position pos of the current
+// document into dst. Both must be exactly WordLen bytes.
+func (c *Codec) DecryptWordInto(dst []byte, pos uint64, cipherword []byte) error {
+	stream, err := c.stream(dst, pos, cipherword)
+	if err != nil {
+		return err
+	}
+	nm := len(stream)
+	subtle.XORBytes(c.x[:nm], cipherword[:nm], stream) // L_i
+	c.mask(stream)
+	subtle.XORBytes(c.x[nm:], cipherword[nm:], c.t[nm:]) // R_i
+	c.pre.DecryptInto(dst, c.x)
+	return nil
+}
+
+// stream validates one word call and generates S_i into the left part of
+// c.t.
+func (c *Codec) stream(dst []byte, pos uint64, src []byte) ([]byte, error) {
+	if n := c.s.params.WordLen; len(src) != n || len(dst) != n {
+		return nil, fmt.Errorf("swp: word must be %d bytes, got %d (into %d)", n, len(src), len(dst))
+	}
+	if c.prg == nil {
+		return nil, fmt.Errorf("swp: codec used before SetDocument")
+	}
+	stream := c.t[:c.s.params.streamLen()]
+	c.prg.BlockInto(stream, pos)
+	return stream, nil
+}
+
+// mask completes T_i = ⟨S_i, F_{k_i}(S_i)⟩ in c.t: k_i from the L_i in
+// c.x, then F over the stream chunk already there.
+func (c *Codec) mask(stream []byte) {
+	nm := len(stream)
+	c.f.SumInto(c.ki[:], c.x[:nm])
+	c.kprf = crypto.NewBlockPRF(c.ki, nm)
+	c.kprf.SumInto(c.t[nm:], stream)
+}
+
+// codecOn returns a fresh codec positioned on docID, for the one-shot
+// methods below; callers with more than one document should hold a Codec.
+func (s *Scheme) codecOn(docID []byte) *Codec {
+	c := s.NewCodec()
+	c.SetDocument(docID)
+	return c
 }
 
 // EncryptWord encrypts the word at position pos of the document identified
 // by docID. The word must be exactly WordLen bytes.
 func (s *Scheme) EncryptWord(docID []byte, pos uint64, word []byte) ([]byte, error) {
-	if len(word) != s.params.WordLen {
-		return nil, fmt.Errorf("swp: word must be %d bytes, got %d", s.params.WordLen, len(word))
-	}
-	x, err := s.pre.Encrypt(word)
-	if err != nil {
-		return nil, fmt.Errorf("swp: pre-encrypting word: %w", err)
-	}
-	prg, err := s.docPRG(docID)
-	if err != nil {
-		return nil, err
-	}
-	return s.encryptPre(prg, pos, x), nil
-}
-
-// encryptPre finishes encryption of a pre-encrypted word X at position pos
-// using the given per-document stream.
-func (s *Scheme) encryptPre(prg *crypto.PRG, pos uint64, x []byte) []byte {
-	nm := s.params.streamLen()
-	left, right := x[:nm], x[nm:]
-	stream := prg.Block(pos, nm)
-	ki := s.wordKey(left)
-	f := checksum(ki, stream, s.params.ChecksumLen)
 	out := make([]byte, s.params.WordLen)
-	for i := 0; i < nm; i++ {
-		out[i] = left[i] ^ stream[i]
-	}
-	for i := 0; i < s.params.ChecksumLen; i++ {
-		out[nm+i] = right[i] ^ f[i]
-	}
-	return out
-}
-
-// EncryptDocument encrypts all words of a document. Positions are the slice
-// indices; all words must be exactly WordLen bytes.
-func (s *Scheme) EncryptDocument(docID []byte, words [][]byte) ([][]byte, error) {
-	prg, err := s.docPRG(docID)
-	if err != nil {
+	if err := s.codecOn(docID).EncryptWordInto(out, pos, word); err != nil {
 		return nil, err
-	}
-	out := make([][]byte, len(words))
-	for i, w := range words {
-		if len(w) != s.params.WordLen {
-			return nil, fmt.Errorf("swp: document %x word %d: must be %d bytes, got %d",
-				docID, i, s.params.WordLen, len(w))
-		}
-		x, err := s.pre.Encrypt(w)
-		if err != nil {
-			return nil, fmt.Errorf("swp: pre-encrypting word %d: %w", i, err)
-		}
-		out[i] = s.encryptPre(prg, uint64(i), x)
 	}
 	return out, nil
 }
@@ -194,57 +259,35 @@ func (s *Scheme) EncryptDocument(docID []byte, words [][]byte) ([][]byte, error)
 // DecryptWord decrypts the ciphertext word at position pos of document
 // docID.
 func (s *Scheme) DecryptWord(docID []byte, pos uint64, cipherword []byte) ([]byte, error) {
-	if len(cipherword) != s.params.WordLen {
-		return nil, fmt.Errorf("swp: cipherword must be %d bytes, got %d", s.params.WordLen, len(cipherword))
-	}
-	prg, err := s.docPRG(docID)
-	if err != nil {
+	out := make([]byte, s.params.WordLen)
+	if err := s.codecOn(docID).DecryptWordInto(out, pos, cipherword); err != nil {
 		return nil, err
 	}
-	return s.decryptWith(prg, pos, cipherword)
+	return out, nil
 }
 
-// decryptWith decrypts one word given the per-document stream generator.
-func (s *Scheme) decryptWith(prg *crypto.PRG, pos uint64, cipherword []byte) ([]byte, error) {
-	nm := s.params.streamLen()
-	stream := prg.Block(pos, nm)
-	left := make([]byte, nm)
-	for i := range left {
-		left[i] = cipherword[i] ^ stream[i]
+// document runs one of a codec's word methods over a whole document.
+func (s *Scheme) document(docID []byte, words [][]byte, word func(c *Codec, dst []byte, pos uint64, src []byte) error) ([][]byte, error) {
+	c := s.codecOn(docID)
+	out := make([][]byte, len(words))
+	for i, w := range words {
+		out[i] = make([]byte, s.params.WordLen)
+		if err := word(c, out[i], uint64(i), w); err != nil {
+			return nil, fmt.Errorf("swp: document %x word %d: %w", docID, i, err)
+		}
 	}
-	ki := s.wordKey(left)
-	f := checksum(ki, stream, s.params.ChecksumLen)
-	x := make([]byte, s.params.WordLen)
-	copy(x, left)
-	for i := 0; i < s.params.ChecksumLen; i++ {
-		x[nm+i] = cipherword[nm+i] ^ f[i]
-	}
-	w, err := s.pre.Decrypt(x)
-	if err != nil {
-		return nil, fmt.Errorf("swp: inverting pre-encryption: %w", err)
-	}
-	return w, nil
+	return out, nil
+}
+
+// EncryptDocument encrypts all words of a document. Positions are the slice
+// indices; all words must be exactly WordLen bytes.
+func (s *Scheme) EncryptDocument(docID []byte, words [][]byte) ([][]byte, error) {
+	return s.document(docID, words, (*Codec).EncryptWordInto)
 }
 
 // DecryptDocument decrypts all words of a document.
 func (s *Scheme) DecryptDocument(docID []byte, cipherwords [][]byte) ([][]byte, error) {
-	prg, err := s.docPRG(docID)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(cipherwords))
-	for i, cw := range cipherwords {
-		if len(cw) != s.params.WordLen {
-			return nil, fmt.Errorf("swp: document %x cipherword %d: must be %d bytes, got %d",
-				docID, i, s.params.WordLen, len(cw))
-		}
-		w, err := s.decryptWith(prg, uint64(i), cw)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = w
-	}
-	return out, nil
+	return s.document(docID, cipherwords, (*Codec).DecryptWordInto)
 }
 
 // Trapdoor is the search token for one word: the deterministic
@@ -264,12 +307,17 @@ func (s *Scheme) NewTrapdoor(word []byte) (Trapdoor, error) {
 	if len(word) != s.params.WordLen {
 		return Trapdoor{}, fmt.Errorf("swp: trapdoor word must be %d bytes, got %d", s.params.WordLen, len(word))
 	}
-	x, err := s.pre.Encrypt(word)
-	if err != nil {
-		return Trapdoor{}, fmt.Errorf("swp: pre-encrypting trapdoor word: %w", err)
+	// A trapdoor is the first half of encrypting the word, so it runs on a
+	// codec's E and f; one select makes one, hence the pool.
+	c, _ := s.idle.Get().(*Codec)
+	if c == nil {
+		c = s.NewCodec()
 	}
-	k := s.wordKey(x[:s.params.streamLen()])
-	return Trapdoor{X: x, K: k[:]}, nil
+	x, k := make([]byte, s.params.WordLen), make([]byte, crypto.KeySize)
+	c.pre.EncryptInto(x, word)
+	c.f.SumInto(k, x[:s.params.streamLen()])
+	s.idle.Put(c)
+	return Trapdoor{X: x, K: k}, nil
 }
 
 // Match is the server-side test: it reports whether the ciphertext word

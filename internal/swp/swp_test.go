@@ -120,13 +120,20 @@ func TestRoundTripProperty(t *testing.T) {
 }
 
 // TestEveryGeometryRoundTripsAndMatches sweeps every admissible (n, m) up to
-// 48-byte words: a word decrypts to itself, its own trapdoor matches it,
-// and another word's trapdoor does not (m >= 4 only, where a false
-// positive is a 2^-32 event). The sweep must cross F's block boundaries.
+// 48-byte words, then 64 and 100 bytes: a word decrypts to itself, its own
+// trapdoor matches it, and another word's trapdoor does not (m >= 4 only,
+// where a false positive is a 2^-32 event). The sweep must cross F's block
+// boundaries, and E's: Feistel halves of 20, 32 and 50 bytes (n = 40, 64,
+// 100) take more than one tag per round function, the last two more than
+// two.
 func TestEveryGeometryRoundTripsAndMatches(t *testing.T) {
 	boundaries := map[int]bool{15: false, 16: false, 17: false, 32: false, 33: false}
 	docID := []byte("geometry")
+	lengths := []int{64, 100}
 	for n := 2; n <= 48; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
 		word, other := make([]byte, n), make([]byte, n)
 		for i := range word {
 			word[i], other[i] = byte(7*i+n), byte(7*i+n)

@@ -29,6 +29,15 @@ import (
 // study and ablation only — the construction in internal/core always uses
 // the final scheme.
 
+// checksum computes F_{k}(s) of m bytes, through the same crypto.BlockPRF
+// the final scheme's Codec and the server-side Matcher evaluate.
+func checksum(k crypto.Key, stream []byte, m int) []byte {
+	f := make([]byte, m)
+	prf := crypto.NewBlockPRF(k, len(stream))
+	prf.SumInto(f, stream)
+	return f
+}
+
 // BasicScheme is SWP Scheme I. Encryption XORs the word with
 // ⟨S_i, F_k(S_i)⟩ under a single global checksum key; a search hands the
 // server the plaintext word and that key.
@@ -193,7 +202,8 @@ func ControlledMatch(p Params, cipherword []byte, td ControlledTrapdoor) bool {
 // mask the client would need k_X = f'(X), but X is exactly what it no
 // longer knows for a stored ciphertext. RecoverStreamPart shows how far
 // the client gets — the first n−m bytes of X — which is the gap the final
-// scheme's ⟨L, R⟩ split closes.
+// scheme's ⟨L, R⟩ split closes. It evaluates its PRP in place, so unlike
+// Scheme it is not safe for concurrent use.
 type HiddenScheme struct {
 	params Params
 	pre    *crypto.PRP
