@@ -2,6 +2,8 @@ package repro
 
 import (
 	"bytes"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/attacks"
@@ -302,6 +304,50 @@ func BenchmarkMerkleVerify(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// answerFixture is a verified answer at the benchmark's shape: 100
+// positions scattered uniformly over a 20,000-tuple table.
+func answerFixture(b *testing.B) (*authindex.Tree, *ph.Result) {
+	b.Helper()
+	const n, k = 20_000, 100
+	ct, err := benchScheme(b).EncryptTable(benchTable(b, n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	positions := rand.New(rand.NewSource(1)).Perm(n)[:k]
+	sort.Ints(positions)
+	return authindex.Build(ct), ph.SelectPositions(ct, positions)
+}
+
+func BenchmarkProveAnswer(b *testing.B) {
+	tree, res := answerFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tree.ProveAnswer(res.Positions); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(res.Positions)), "tuples/op")
+}
+
+func BenchmarkVerifyAnswer(b *testing.B) {
+	tree, res := answerFixture(b)
+	root := tree.Root()
+	proof, err := tree.ProveAnswer(res.Positions)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := authindex.VerifyAnswer(root, 20_000, res.Positions, res.Tuples, proof); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(res.Tuples)), "tuples/op")
+	b.ReportMetric(float64(len(proof))/float64(len(res.Tuples)), "proof-B/tuple")
 }
 
 func BenchmarkDef21GameTrial(b *testing.B) {

@@ -7,8 +7,23 @@
 // construction protects *confidentiality* only. If Eve turns actively
 // malicious she could substitute or corrupt ciphertexts. With an
 // authenticated index Alex remembers only the 32-byte root of the table he
-// uploaded; every returned tuple comes with an inclusion proof of
-// O(log n) hashes that he checks against the root.
+// uploaded; every answer comes with one inclusion proof for all of its
+// tuples, which he checks against the root.
+//
+// A verified answer carries its result (positions and tuples), the root,
+// leaf count and version of the snapshot it was cut from, and one
+// MultiProof: the minimal set of sibling hashes that, with the answer's
+// own leaf hashes, recomputes the root once. The siblings travel as raw
+// 32-byte hashes in one canonical order — level by level bottom-up, left
+// to right within a level; a promoted odd node contributes nothing — so
+// (positions, leaf count) alone determine which sibling is consumed
+// where. The proof therefore needs no positions or lengths of its own,
+// and its shape tells Eve nothing she did not already choose: she picked
+// the positions and she holds the tree. Tree.ProveAnswer cuts it,
+// VerifyAnswer checks it, and the single-leaf Proof/Prove/Verify are the
+// one-position case of the same walk (for one position the canonical
+// order is the bottom-up audit path), so the package recomputes a root
+// in exactly one place.
 //
 // The tree shape is RFC-6962-compatible: leaves in table order, each
 // level pairing left-to-right with an odd trailing node promoted
@@ -33,9 +48,7 @@
 package authindex
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"fmt"
 
 	"repro/internal/ph"
 	"repro/internal/wire"
@@ -53,14 +66,13 @@ const (
 
 // Tree is a Merkle tree over the tuples of one encrypted table, leaves in
 // table order. Odd nodes are promoted unchanged to the next level, so the
-// proof shape is fully determined by (position, leaf count) and proofs can
-// consist of bare sibling hashes.
+// proof shape is fully determined by (positions, leaf count) and proofs
+// can consist of bare sibling hashes.
 //
 // A Tree is not safe for concurrent mutation: callers interleaving Extend
-// with Root/Prove must serialise externally (internal/storage does, under
-// the table lock). Hash values handed out by Root and Prove are never
-// mutated in place by later Extends, so proofs taken before an Extend
-// stay internally consistent.
+// with Root/ProveAnswer must serialise externally (internal/storage does,
+// under the table lock). Root and the provers hand out copies, so a proof
+// taken before an Extend stays valid for the snapshot it was cut from.
 type Tree struct {
 	n      int        // real leaf count (0 for an empty table's sentinel tree)
 	levels [][][]byte // levels[0] = leaf hashes, last level = [root]
@@ -69,26 +81,38 @@ type Tree struct {
 // LeafHash hashes one encrypted tuple into its leaf. Every field is
 // length-prefixed so the encoding is injective.
 func LeafHash(t ph.EncryptedTuple) []byte {
-	h := sha256.New()
-	h.Write([]byte{leafPrefix})
-	var buf []byte
-	buf = wire.AppendBytes(buf, t.ID)
-	buf = wire.AppendBytes(buf, t.Blob)
-	buf = wire.AppendU32(buf, uint32(len(t.Words)))
-	for _, w := range t.Words {
-		buf = wire.AppendBytes(buf, w)
-	}
-	h.Write(buf)
-	return h.Sum(nil)
+	var enc [256]byte // a typical tuple's encoding fits; longer ones spill to the heap
+	h := sha256.Sum256(appendLeaf(enc[:0], t))
+	return h[:]
 }
 
-// interiorHash combines two child hashes.
-func interiorHash(left, right []byte) []byte {
-	h := sha256.New()
-	h.Write([]byte{interiorPrefix})
-	h.Write(left)
-	h.Write(right)
-	return h.Sum(nil)
+// appendLeaf appends the preimage of a tuple's leaf hash.
+func appendLeaf(dst []byte, t ph.EncryptedTuple) []byte {
+	dst = append(dst, leafPrefix)
+	dst = wire.AppendBytes(dst, t.ID)
+	dst = wire.AppendBytes(dst, t.Blob)
+	dst = wire.AppendU32(dst, uint32(len(t.Words)))
+	for _, w := range t.Words {
+		dst = wire.AppendBytes(dst, w)
+	}
+	return dst
+}
+
+// interiorHash combines two child hashes. It returns an array so that a
+// caller folding hashes in place (VerifyAnswer) allocates nothing; one
+// that stores the node (Build, Extend, Frontier) pays the one slice.
+func interiorHash(left, right []byte) [HashSize]byte {
+	var buf [1 + 2*HashSize]byte
+	buf[0] = interiorPrefix
+	copy(buf[1:1+HashSize], left)
+	copy(buf[1+HashSize:], right)
+	return sha256.Sum256(buf[:])
+}
+
+// interiorNode is interiorHash as a stored tree node.
+func interiorNode(left, right []byte) []byte {
+	h := interiorHash(left, right)
+	return h[:]
 }
 
 // Build constructs the tree for an encrypted table. An empty table yields a
@@ -104,9 +128,8 @@ func Build(t *ph.EncryptedTable) *Tree {
 // emptyRoot is the root of a zero-leaf tree: the hash of the empty string
 // under the leaf prefix.
 func emptyRoot() []byte {
-	h := sha256.New()
-	h.Write([]byte{leafPrefix})
-	return h.Sum(nil)
+	h := sha256.Sum256([]byte{leafPrefix})
+	return h[:]
 }
 
 // fromLeaves builds the level structure bottom-up.
@@ -121,7 +144,7 @@ func fromLeaves(leaves [][]byte) *Tree {
 		next := make([][]byte, 0, (len(cur)+1)/2)
 		for i := 0; i < len(cur); i += 2 {
 			if i+1 < len(cur) {
-				next = append(next, interiorHash(cur[i], cur[i+1]))
+				next = append(next, interiorNode(cur[i], cur[i+1]))
 			} else {
 				next = append(next, cur[i]) // odd node promoted
 			}
@@ -170,7 +193,7 @@ func (t *Tree) Extend(leaves [][]byte) {
 		// previously a promoted odd node.
 		for j := first / 2; j < parentW; j++ {
 			if 2*j+1 < len(cur) {
-				next[j] = interiorHash(cur[2*j], cur[2*j+1])
+				next[j] = interiorNode(cur[2*j], cur[2*j+1])
 			} else {
 				next[j] = cur[2*j] // odd node promoted
 			}
@@ -188,129 +211,3 @@ func (t *Tree) Root() []byte {
 
 // LeafCount returns the number of leaves.
 func (t *Tree) LeafCount() int { return len(t.levels[0]) }
-
-// Proof is the inclusion proof for one leaf: the sibling hashes from the
-// leaf level upward. Levels where the node is promoted without sibling
-// contribute no hash; the verifier reconstructs the shape from
-// (Position, leaf count).
-type Proof struct {
-	// Position is the leaf index the proof speaks about.
-	Position int
-	// Siblings are the sibling hashes, bottom-up.
-	Siblings [][]byte
-}
-
-// Prove produces inclusion proofs for the given leaf positions.
-func (t *Tree) Prove(positions []int) ([]Proof, error) {
-	out := make([]Proof, len(positions))
-	height := len(t.levels) - 1
-	for k, pos := range positions {
-		if pos < 0 || pos >= t.LeafCount() {
-			return nil, fmt.Errorf("authindex: position %d out of range [0, %d)", pos, t.LeafCount())
-		}
-		p := Proof{Position: pos, Siblings: make([][]byte, 0, height)}
-		idx := pos
-		for lvl := 0; lvl < len(t.levels)-1; lvl++ {
-			width := len(t.levels[lvl])
-			if idx == width-1 && width%2 == 1 {
-				// promoted: no sibling at this level
-			} else if idx%2 == 0 {
-				p.Siblings = append(p.Siblings, t.levels[lvl][idx+1])
-			} else {
-				p.Siblings = append(p.Siblings, t.levels[lvl][idx-1])
-			}
-			idx /= 2
-		}
-		out[k] = p
-	}
-	return out, nil
-}
-
-// Verify checks that tuple is the leaf at proof.Position of the tree with
-// the given root and leaf count.
-func Verify(root []byte, leafCount int, tuple ph.EncryptedTuple, proof Proof) error {
-	if proof.Position < 0 || proof.Position >= leafCount {
-		return fmt.Errorf("authindex: proof position %d out of range [0, %d)", proof.Position, leafCount)
-	}
-	cur := LeafHash(tuple)
-	idx := proof.Position
-	width := leafCount
-	s := 0
-	for width > 1 {
-		if idx == width-1 && width%2 == 1 {
-			// promoted unchanged
-		} else {
-			if s >= len(proof.Siblings) {
-				return fmt.Errorf("authindex: proof too short (%d siblings)", len(proof.Siblings))
-			}
-			sib := proof.Siblings[s]
-			s++
-			if len(sib) != HashSize {
-				return fmt.Errorf("authindex: sibling hash has %d bytes, want %d", len(sib), HashSize)
-			}
-			if idx%2 == 0 {
-				cur = interiorHash(cur, sib)
-			} else {
-				cur = interiorHash(sib, cur)
-			}
-		}
-		idx /= 2
-		width = (width + 1) / 2
-	}
-	if s != len(proof.Siblings) {
-		return fmt.Errorf("authindex: proof has %d unused siblings", len(proof.Siblings)-s)
-	}
-	//phlint:ignore ctcompare Merkle roots are public commitments published to every client, not secrets
-	if !bytes.Equal(cur, root) {
-		return fmt.Errorf("authindex: root mismatch: computed %x, want %x", cur, root)
-	}
-	return nil
-}
-
-// EncodeProofs serialises proofs for the wire.
-func EncodeProofs(dst []byte, proofs []Proof) []byte {
-	dst = wire.AppendU32(dst, uint32(len(proofs)))
-	for _, p := range proofs {
-		dst = wire.AppendU32(dst, uint32(p.Position))
-		dst = wire.AppendU32(dst, uint32(len(p.Siblings)))
-		for _, s := range p.Siblings {
-			dst = wire.AppendBytes(dst, s)
-		}
-	}
-	return dst
-}
-
-// DecodeProofs parses proofs from a wire buffer.
-func DecodeProofs(r *wire.Buffer) ([]Proof, error) {
-	n, err := r.U32()
-	if err != nil {
-		return nil, fmt.Errorf("authindex: proof count: %w", err)
-	}
-	// The preallocation hint is clamped by what the remaining payload
-	// could possibly encode (a proof is at least position + sibling
-	// count), so a hostile declared count cannot force a huge allocation;
-	// the loop still reads exactly the declared count and fails on a
-	// short buffer.
-	proofs := make([]Proof, 0, wire.ClampCount(n, r.Remaining()/8))
-	for i := uint32(0); i < n; i++ {
-		var p Proof
-		pos, err := r.U32()
-		if err != nil {
-			return nil, fmt.Errorf("authindex: proof %d position: %w", i, err)
-		}
-		p.Position = int(pos)
-		ns, err := r.U32()
-		if err != nil {
-			return nil, fmt.Errorf("authindex: proof %d sibling count: %w", i, err)
-		}
-		for j := uint32(0); j < ns; j++ {
-			s, err := r.Bytes()
-			if err != nil {
-				return nil, fmt.Errorf("authindex: proof %d sibling %d: %w", i, j, err)
-			}
-			p.Siblings = append(p.Siblings, s)
-		}
-		proofs = append(proofs, p)
-	}
-	return proofs, nil
-}

@@ -167,28 +167,33 @@ func TestLeafHashInjectiveAcrossFieldBoundaries(t *testing.T) {
 	}
 }
 
+// TestProofCodecRoundTrip: the multiproof a store cuts and the fold of
+// the per-leaf proofs for the same positions are the same bytes on the
+// wire, and decoding yields that block and never per-leaf proofs.
 func TestProofCodecRoundTrip(t *testing.T) {
-	tree := Build(tableOf(9))
-	in, err := tree.Prove([]int{0, 4, 8})
+	tab := tableOf(9)
+	tree := Build(tab)
+	positions := []int{0, 4, 8}
+	proof, err := tree.ProveAnswer(positions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeProofs(wire.NewBuffer(EncodeProofs(nil, in)))
+	perLeaf, err := tree.Prove(positions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(in) {
-		t.Fatalf("proof count: %d vs %d", len(out), len(in))
+	res := ph.SelectPositions(tab, positions)
+	direct := EncodeVerifiedResult(nil, &VerifiedResult{Result: res, Root: tree.Root(), Leaves: 9, Multiproof: proof})
+	folded := EncodeVerifiedResult(nil, &VerifiedResult{Result: res, Root: tree.Root(), Leaves: 9, Proofs: perLeaf})
+	if !bytes.Equal(direct, folded) {
+		t.Fatal("folded per-leaf proofs encode differently from the cut multiproof")
 	}
-	for i := range in {
-		if out[i].Position != in[i].Position || len(out[i].Siblings) != len(in[i].Siblings) {
-			t.Fatalf("proof %d shape mismatch", i)
-		}
-		for j := range in[i].Siblings {
-			if !bytes.Equal(out[i].Siblings[j], in[i].Siblings[j]) {
-				t.Fatalf("proof %d sibling %d mismatch", i, j)
-			}
-		}
+	out, err := DecodeVerifiedResult(wire.NewBuffer(direct))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Multiproof, proof) || out.Proofs != nil {
+		t.Fatalf("decoded %d proof bytes and %d per-leaf proofs, want %d and none", len(out.Multiproof), len(out.Proofs), len(proof))
 	}
 }
 

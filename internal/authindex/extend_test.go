@@ -132,16 +132,16 @@ func TestVerifiedResultCodecRoundTrip(t *testing.T) {
 	tab := tableOf(9)
 	tree := Build(tab)
 	positions := []int{1, 5, 8}
-	proofs, err := tree.Prove(positions)
+	proof, err := tree.ProveAnswer(positions)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := &VerifiedResult{
-		Result:  ph.SelectPositions(tab, positions),
-		Root:    tree.Root(),
-		Leaves:  9,
-		Version: 42,
-		Proofs:  proofs,
+		Result:     ph.SelectPositions(tab, positions),
+		Root:       tree.Root(),
+		Leaves:     9,
+		Version:    42,
+		Multiproof: proof,
 	}
 	out, err := DecodeVerifiedResult(wire.NewBuffer(EncodeVerifiedResult(nil, in)))
 	if err != nil {
@@ -150,13 +150,11 @@ func TestVerifiedResultCodecRoundTrip(t *testing.T) {
 	if !bytes.Equal(out.Root, in.Root) || out.Leaves != 9 || out.Version != 42 {
 		t.Fatalf("snapshot metadata mangled: %+v", out)
 	}
-	if len(out.Proofs) != len(positions) || len(out.Result.Tuples) != len(positions) {
-		t.Fatalf("shape mangled: %d proofs, %d tuples", len(out.Proofs), len(out.Result.Tuples))
+	if len(out.Result.Tuples) != len(positions) {
+		t.Fatalf("shape mangled: %d tuples", len(out.Result.Tuples))
 	}
-	for i, p := range out.Proofs {
-		if err := Verify(out.Root, out.Leaves, out.Result.Tuples[i], p); err != nil {
-			t.Fatalf("decoded proof %d rejected: %v", i, err)
-		}
+	if err := VerifyAnswer(out.Root, out.Leaves, out.Result.Positions, out.Result.Tuples, out.Multiproof); err != nil {
+		t.Fatalf("decoded answer rejected: %v", err)
 	}
 }
 

@@ -49,7 +49,7 @@ func (f *Frontier) AppendLeaf(h []byte) {
 	f.sizes = append(f.sizes, 1)
 	f.n++
 	for k := len(f.sizes); k >= 2 && f.sizes[k-1] == f.sizes[k-2]; k = len(f.sizes) {
-		f.roots[k-2] = interiorHash(f.roots[k-2], f.roots[k-1])
+		f.roots[k-2] = interiorNode(f.roots[k-2], f.roots[k-1])
 		f.sizes[k-2] *= 2
 		f.roots = f.roots[:k-1]
 		f.sizes = f.sizes[:k-1]
@@ -63,9 +63,10 @@ func (f *Frontier) Root() []byte {
 	if f.n == 0 {
 		return emptyRoot()
 	}
-	acc := f.roots[len(f.roots)-1]
+	var acc [HashSize]byte
+	copy(acc[:], f.roots[len(f.roots)-1])
 	for i := len(f.roots) - 2; i >= 0; i-- {
-		acc = interiorHash(f.roots[i], acc)
+		acc = interiorHash(f.roots[i], acc[:])
 	}
-	return append([]byte(nil), acc...)
+	return append([]byte(nil), acc[:]...)
 }

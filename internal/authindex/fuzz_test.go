@@ -8,59 +8,65 @@ import (
 )
 
 // FuzzDecodeProofsVerify drives attacker-controlled bytes through the
-// proof decoder and the verifier: whatever DecodeProofs accepts must
-// never panic Verify, must never allocate count-proportional memory for
-// a lying declared count, and — the soundness property — must only
-// verify when it is byte-for-byte the honest proof for the claimed
-// (tuple, position, root, leaf count).
+// verified-answer decoder and the multiproof verifier: whatever
+// DecodeVerifiedResult accepts must never panic VerifyAnswer, must never
+// allocate beyond the remaining payload for a lying declared length, and
+// — the soundness property — must only verify when its tuples are the
+// tree's own at strictly ascending in-range positions and its sibling
+// block is byte for byte the honest proof for that position set. (The
+// name predates the multiproof; the test floor lists it and its seeds.)
 func FuzzDecodeProofsVerify(f *testing.F) {
-	// Honest encodings at odd and even leaf counts seed the corpus, plus
-	// targeted mutants: swapped positions, truncated and extra siblings,
-	// flipped sibling bytes, malformed sibling widths, hostile counts.
-	for _, n := range []int{1, 2, 3, 5, 8, 9, 16, 17} {
+	// Honest answers at odd and even leaf counts seed the corpus, plus
+	// targeted mutants: truncated, extended and flipped sibling blocks,
+	// lengths off the hash grid, another set's siblings, an empty answer
+	// carrying siblings, bad position sets, a substituted tuple.
+	for _, n := range []int{1, 2, 3, 5, 8, 9, 16, 17, 33} {
 		tab := tableOf(n)
 		tree := Build(tab)
-		positions := make([]int, n)
-		for i := range positions {
-			positions[i] = i
+		root := tree.Root()
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
 		}
-		proofs, err := tree.Prove(positions)
+		f.Add(encodeAnswer(tab, root, n, all, nil), uint16(n-1))
+		positions, other := []int{0, n - 1}, []int{1, n - 1}
+		if n < 3 {
+			positions, other = []int{0}, []int{n - 1}
+		}
+		proof, err := tree.ProveAnswer(positions)
 		if err != nil {
 			f.Fatal(err)
 		}
-		honest := EncodeProofs(nil, proofs)
-		f.Add(honest, uint16(n))
-
-		// Swapped positions: proof i claims proof (i+1)'s position.
-		swapped := make([]Proof, len(proofs))
-		copy(swapped, proofs)
-		if n >= 2 {
-			swapped[0], swapped[1] = swapped[1], swapped[0]
-			f.Add(EncodeProofs(nil, swapped), uint16(n))
+		otherProof, err := tree.ProveAnswer(other)
+		if err != nil {
+			f.Fatal(err)
 		}
-		// Truncated siblings on the first proof.
-		if len(proofs[0].Siblings) > 0 {
-			trunc := Proof{Position: proofs[0].Position, Siblings: proofs[0].Siblings[1:]}
-			f.Add(EncodeProofs(nil, []Proof{trunc}), uint16(n))
+		add := func(positions []int, proof []byte) {
+			f.Add(encodeAnswer(tab, root, n, positions, proof), uint16(n-1))
 		}
-		// Extra sibling appended.
-		extra := Proof{Position: proofs[0].Position,
-			Siblings: append(append([][]byte{}, proofs[0].Siblings...), make([]byte, HashSize))}
-		f.Add(EncodeProofs(nil, []Proof{extra}), uint16(n))
-		// Flipped sibling byte.
-		if len(proofs[0].Siblings) > 0 {
-			mut := Proof{Position: proofs[0].Position,
-				Siblings: append([][]byte{}, proofs[0].Siblings...)}
-			mut.Siblings[0] = append([]byte(nil), mut.Siblings[0]...)
-			mut.Siblings[0][0] ^= 1
-			f.Add(EncodeProofs(nil, []Proof{mut}), uint16(n))
+		add(positions, proof)
+		add(positions, otherProof)
+		add(positions, append(append([]byte(nil), proof...), make([]byte, HashSize)...))
+		add(positions, append(append([]byte(nil), proof...), 0xAB))
+		add(nil, make([]byte, HashSize))
+		add([]int{0, 0}, proof)
+		add([]int{n - 1, 0}, proof)
+		add([]int{0, n}, proof)
+		if len(proof) > 0 {
+			add(positions, proof[HashSize:])
+			flipped := append([]byte(nil), proof...)
+			flipped[0] ^= 1
+			add(positions, flipped)
 		}
-		// Malformed sibling width.
-		f.Add(EncodeProofs(nil, []Proof{{Position: 0, Siblings: [][]byte{{1, 2, 3}}}}), uint16(n))
+		// A genuine tuple of the table served at a position it is not at.
+		swapped := encodeAnswer(tab, root, n, positions, proof)
+		f.Add(bytes.Replace(swapped, tab.Tuples[0].Blob, tab.Tuples[n-1].Blob, 1), uint16(n-1))
 	}
-	// Hostile declared counts over tiny payloads.
+	// Hostile declared lengths over tiny payloads.
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}, uint16(8))
-	f.Add(wire.AppendU32(wire.AppendU32(nil, 1), 0xFFFFFFFF), uint16(8))
+	empty := wire.AppendU64(wire.AppendU32(wire.AppendBytes(wire.AppendU32(wire.AppendU32(nil, 0), 0), make([]byte, HashSize)), 8), 1)
+	f.Add(wire.AppendU32(empty, 0xFFFFFFFF), uint16(8))
+	f.Add(wire.AppendU32(empty, 0), uint16(8))
 	f.Add([]byte{}, uint16(8))
 
 	f.Fuzz(func(t *testing.T, data []byte, leafRaw uint16) {
@@ -69,39 +75,27 @@ func FuzzDecodeProofsVerify(f *testing.F) {
 		tree := Build(tab)
 		root := tree.Root()
 
-		proofs, err := DecodeProofs(wire.NewBuffer(data))
+		vr, err := DecodeVerifiedResult(wire.NewBuffer(data))
 		if err != nil {
 			return // malformed encodings must be rejected, never panic
 		}
-		for _, p := range proofs {
-			if p.Position < 0 || p.Position >= n {
-				if Verify(root, n, tab.Tuples[0], p) == nil {
-					t.Fatalf("out-of-range position %d verified", p.Position)
-				}
-				continue
-			}
-			err := Verify(root, n, tab.Tuples[p.Position], p)
-			// Soundness: a decoded proof may only verify if it is exactly
-			// the honest proof for (position, n).
-			honest, herr := tree.Prove([]int{p.Position})
-			if herr != nil {
-				t.Fatalf("Prove(%d) on honest tree: %v", p.Position, herr)
-			}
-			same := len(p.Siblings) == len(honest[0].Siblings)
-			if same {
-				for i := range p.Siblings {
-					if !bytes.Equal(p.Siblings[i], honest[0].Siblings[i]) {
-						same = false
-						break
-					}
-				}
-			}
-			if same && err != nil {
-				t.Fatalf("honest proof for position %d rejected: %v", p.Position, err)
-			}
-			if !same && err == nil {
-				t.Fatalf("forged proof for position %d accepted (siblings differ from honest)", p.Position)
-			}
+		if len(vr.Multiproof) > len(data) {
+			t.Fatalf("decoded %d proof bytes out of a %d-byte payload", len(vr.Multiproof), len(data))
+		}
+		positions, tuples := vr.Result.Positions, vr.Result.Tuples
+		err = VerifyAnswer(root, n, positions, tuples, vr.Multiproof)
+		// Soundness: a decoded answer may only verify if it is exactly the
+		// honest one for its position set.
+		honest, herr := tree.ProveAnswer(positions)
+		genuine := herr == nil && len(tuples) == len(positions) && bytes.Equal(vr.Multiproof, honest)
+		for i := 0; genuine && i < len(tuples); i++ {
+			genuine = bytes.Equal(LeafHash(tuples[i]), tree.levels[0][positions[i]])
+		}
+		if genuine && err != nil {
+			t.Fatalf("honest answer at %v of %d leaves rejected: %v", positions, n, err)
+		}
+		if !genuine && err == nil {
+			t.Fatalf("forged answer at %v of %d leaves accepted (%d proof bytes, honest %d, prover: %v)", positions, n, len(vr.Multiproof), len(honest), herr)
 		}
 	})
 }

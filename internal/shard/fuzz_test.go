@@ -3,6 +3,7 @@ package shard
 import (
 	"testing"
 
+	"repro/internal/authindex"
 	"repro/internal/query"
 	"repro/internal/wire"
 )
@@ -47,6 +48,13 @@ func FuzzDecodeShardResponse(f *testing.F) {
 	f.Add(subFrame(version, 0x7F, nil))
 	f.Add(append(append([]byte(nil), valid...), 0xFF))
 	f.Add(subFrame(version, KindRead, append(query.EncodeResponses(nil, 0, nil), 0xAB)))
+	// A verified sub-answer: its sibling block whole, then off the hash
+	// grid, then longer than its one position of 3 leaves can need.
+	for _, block := range []int{2 * authindex.HashSize, authindex.HashSize + 1, 3 * authindex.HashSize} {
+		vr := &authindex.VerifiedResult{Result: readSub(0, []int{1}, 1).Reads[0].Result,
+			Root: make([]byte, authindex.HashSize), Leaves: 3, Version: 1, Multiproof: make([]byte, block)}
+		f.Add(subFrame(version, KindRead, query.EncodeResponses(nil, wire.ReadFlagVerified, []query.Response{{Verified: vr}})))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, subs, err := DecodeResponse(data, 8)

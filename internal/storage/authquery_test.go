@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -124,16 +125,8 @@ func TestQueryVerifiedConsistentSnapshot(t *testing.T) {
 	if len(vr.Result.Positions) == 0 {
 		t.Fatal("query matched nothing; test table broken")
 	}
-	if len(vr.Proofs) != len(vr.Result.Tuples) {
-		t.Fatalf("%d proofs for %d tuples", len(vr.Proofs), len(vr.Result.Tuples))
-	}
-	for i, p := range vr.Proofs {
-		if p.Position != vr.Result.Positions[i] {
-			t.Fatalf("proof %d speaks about %d, want %d", i, p.Position, vr.Result.Positions[i])
-		}
-		if err := authindex.Verify(vr.Root, vr.Leaves, vr.Result.Tuples[i], p); err != nil {
-			t.Fatalf("proof %d rejected: %v", i, err)
-		}
+	if err := authindex.VerifyAnswer(vr.Root, vr.Leaves, vr.Result.Positions, vr.Result.Tuples, vr.Multiproof); err != nil {
+		t.Fatalf("answer of %d tuples rejected: %v", len(vr.Result.Tuples), err)
 	}
 }
 
@@ -226,11 +219,13 @@ func TestConcurrentAppendVerifiedQuery(t *testing.T) {
 					errs <- err
 					return
 				}
-				for j, p := range vr.Proofs {
-					if err := authindex.Verify(vr.Root, vr.Leaves, vr.Result.Tuples[j], p); err != nil {
-						errs <- err
-						return
-					}
+				if len(vr.Result.Tuples) == 0 {
+					errs <- fmt.Errorf("query %d matched nothing; nothing was verified", i)
+					return
+				}
+				if err := authindex.VerifyAnswer(vr.Root, vr.Leaves, vr.Result.Positions, vr.Result.Tuples, vr.Multiproof); err != nil {
+					errs <- err
+					return
 				}
 			}
 		}(r)

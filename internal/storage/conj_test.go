@@ -210,7 +210,17 @@ func TestQueryConjDeltaAfterAppend(t *testing.T) {
 // result equals the plain conjunctive result.
 func TestVerifiedConjSnapshotConsistent(t *testing.T) {
 	s, _, token := conjFixture(t, 200)
-	qs := []*ph.EncryptedQuery{token("dept", relation.String("HR")), token("salary", relation.Int(1234))}
+	// A conjunction that matches — HR and the salary of one of its own
+	// employees — so there are tuples for the proof to authenticate.
+	plain, err := workload.Employees(200, 5) // conjFixture's table
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := relation.Select(plain, relation.Eq{Column: "dept", Value: relation.String("HR")})
+	if err != nil || hr.Len() == 0 {
+		t.Fatalf("fixture has no HR employee (%v)", err)
+	}
+	qs := []*ph.EncryptedQuery{token("dept", relation.String("HR")), token("salary", hr.Tuples()[0][2])}
 	want := naiveConjPositions(t, s, qs)
 	resp, _, err := s.Read("emp", qs, wire.ReadFlagVerified)
 	if err != nil {
@@ -220,13 +230,11 @@ func TestVerifiedConjSnapshotConsistent(t *testing.T) {
 	if !reflect.DeepEqual(vr.Result.Positions, want) {
 		t.Fatalf("verified positions %v, want %v", vr.Result.Positions, want)
 	}
-	if len(vr.Proofs) != len(vr.Result.Tuples) {
-		t.Fatalf("%d proofs for %d tuples", len(vr.Proofs), len(vr.Result.Tuples))
+	if len(vr.Result.Tuples) == 0 {
+		t.Fatal("the conjunction matched nothing; nothing to verify")
 	}
-	for i, p := range vr.Proofs {
-		if err := authindex.Verify(vr.Root, vr.Leaves, vr.Result.Tuples[i], p); err != nil {
-			t.Fatalf("proof %d rejected: %v", i, err)
-		}
+	if err := authindex.VerifyAnswer(vr.Root, vr.Leaves, vr.Result.Positions, vr.Result.Tuples, vr.Multiproof); err != nil {
+		t.Fatalf("answer of %d tuples rejected: %v", len(vr.Result.Tuples), err)
 	}
 	et, err := s.Get("emp")
 	if err != nil {
@@ -338,11 +346,13 @@ func TestConcurrentAppendConjQuery(t *testing.T) {
 						return
 					}
 					vr := resp.Verified
-					for i, p := range vr.Proofs {
-						if err := authindex.Verify(vr.Root, vr.Leaves, vr.Result.Tuples[i], p); err != nil {
-							t.Errorf("racing verified proof %d rejected: %v", i, err)
-							return
-						}
+					if len(vr.Result.Tuples) == 0 {
+						t.Error("racing verified answer is empty; nothing was verified")
+						return
+					}
+					if err := authindex.VerifyAnswer(vr.Root, vr.Leaves, vr.Result.Positions, vr.Result.Tuples, vr.Multiproof); err != nil {
+						t.Errorf("racing verified answer of %d tuples rejected: %v", len(vr.Result.Tuples), err)
+						return
 					}
 				}
 			}

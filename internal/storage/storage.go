@@ -79,7 +79,7 @@
 // unauthenticated workloads pay nothing). Readers catch the tree up
 // under the table's read lock (serialised on a small internal mutex), so
 // the tree served always covers exactly the tuples served, and a
-// verified Read cuts (result, proofs, root, count, version) from one
+// verified Read cuts (result, multiproof, root, count, version) from one
 // read-locked snapshot — mutually consistent by construction. Put and
 // Drop retire the tree with the entry they retire; Compact leaves tuples
 // (and therefore trees) untouched.
@@ -673,7 +673,7 @@ func (e *tableEntry) planConj(c *cache.Cache, name string, qs []*ph.EncryptedQue
 // actually wants).
 //
 // flags (wire.ReadFlag*) shapes the answer. With none it is the matching
-// tuples. With ReadFlagVerified they travel with inclusion proofs, root,
+// tuples. With ReadFlagVerified they travel with one multiproof, root,
 // leaf count and version cut under the same lock acquisition that
 // evaluated the plan — mutually consistent by construction, so a
 // mutation racing the request can never make an honest answer fail
@@ -721,16 +721,16 @@ func (s *Store) Read(name string, qs []*ph.EncryptedQuery, flags byte) (query.Re
 		return query.Response{Result: res}, plan, nil
 	}
 	tree := e.authTree()
-	proofs, err := tree.Prove(positions)
+	proof, err := tree.ProveAnswer(positions)
 	if err != nil {
 		return query.Response{}, nil, err
 	}
 	return query.Response{Verified: &authindex.VerifiedResult{
-		Result:  res,
-		Root:    tree.Root(),
-		Leaves:  n,
-		Version: e.version,
-		Proofs:  proofs,
+		Result:     res,
+		Root:       tree.Root(),
+		Leaves:     n,
+		Version:    e.version,
+		Multiproof: proof,
 	}}, plan, nil
 }
 

@@ -109,10 +109,12 @@ const (
 	RespError byte = 0x82
 	// RespResult answers CmdQuery: flags:u8 (the request's, echoed) |
 	// plans:u16 | one answer per plan in request order — a ph.Result,
-	// or with ReadFlagVerified an authindex.VerifiedResult (the result
-	// with inclusion proofs, root, leaf count and version cut from the
-	// same snapshot, so a mutation racing the request cannot make an
-	// honest answer fail), or with ReadFlagExplain the plan summary.
+	// or with ReadFlagVerified an authindex.VerifiedResult (result |
+	// root | leaves:u32 | version:u64 | one length-prefixed block of raw
+	// 32-byte sibling hashes — the answer's multiproof, whose positions
+	// are the result's — all cut from the same snapshot, so a mutation
+	// racing the request cannot make an honest answer fail), or with
+	// ReadFlagExplain the plan summary.
 	RespResult byte = 0x83
 	// RespTable carries a ph.EncryptedTable.
 	RespTable byte = 0x84
@@ -170,7 +172,7 @@ type LogRecord struct {
 // most one of them.
 const (
 	// ReadFlagVerified asks for every plan's answer as a verified
-	// result: tuples, proofs, root, leaf count and version cut from the
+	// result: tuples, one multiproof, root, leaf count and version cut from the
 	// one snapshot that evaluated the plan.
 	ReadFlagVerified byte = 1 << 0
 	// ReadFlagExplain asks for every plan's conjunct order, estimates
