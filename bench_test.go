@@ -183,29 +183,54 @@ func BenchmarkServerSearch1k(b *testing.B) {
 	}
 }
 
+// BenchmarkDecryptResult times D and §3's filter on two answer shapes: a
+// department of 1,000 employees, and a salary band — hot_read's shape:
+// 100 tuples of one salary, the generator's departments and names.
 func BenchmarkDecryptResult(b *testing.B) {
 	s := benchScheme(b)
-	t := benchTable(b, 1000)
-	ct, err := s.EncryptTable(t)
-	if err != nil {
-		b.Fatal(err)
+	emp := benchTable(b, 1000)
+	band := relation.NewTable(emp.Schema())
+	for i := 0; i < 100; i++ {
+		tp := emp.Tuple(i)
+		band.MustInsert(tp[0], tp[1], relation.Int(7500))
 	}
-	q := relation.Eq{Column: "dept", Value: relation.String("HR")}
-	eq, err := s.EncryptQuery(q)
-	if err != nil {
-		b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		t    *relation.Table
+		q    relation.Eq
+	}{
+		{"dept", emp, relation.Eq{Column: "dept", Value: relation.String("HR")}},
+		{"band", band, relation.Eq{Column: "salary", Value: relation.Int(7500)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ct, err := s.EncryptTable(c.t)
+			if err != nil {
+				b.Fatal(err)
+			}
+			eq, err := s.EncryptQuery(c.q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := ph.Apply(ct, eq)
+			if err != nil {
+				b.Fatal(err)
+			}
+			decrypt := func() {
+				if _, err := s.DecryptResult(c.q, res); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				decrypt()
+			}
+			n := float64(len(res.Tuples))
+			b.ReportMetric(n, "tuples/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/tuple")
+			b.StopTimer()
+			b.ReportMetric(testing.AllocsPerRun(5, decrypt)/n, "allocs/tuple")
+		})
 	}
-	res, err := ph.Apply(ct, eq)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.DecryptResult(q, res); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(res.Tuples)), "tuples/op")
 }
 
 // benchCodec returns a codec positioned once on one document, the way

@@ -16,10 +16,11 @@
 // cmd/go probes the tool with -V=full (identity/version handshake) and
 // -flags (supported flag listing), then invokes it once per package
 // with a JSON .cfg describing the files, import map, and export data.
-// Dependency-only invocations (VetxOnly) and test variants write their
-// facts file and exit; real packages are type-checked from the config's
-// export data and analyzed, with diagnostics on stderr and exit status
-// 2 — the unitchecker convention cmd/go maps to a failed vet run.
+// Dependency-only invocations (VetxOnly) and units of test files alone
+// write their facts file and exit; every other unit's non-test files are
+// type-checked from the config's export data and analyzed, with
+// diagnostics on stderr and exit status 2 — the unitchecker convention
+// cmd/go maps to a failed vet run.
 package main
 
 import (
@@ -142,17 +143,23 @@ func unitcheck(cfgFile string) int {
 			return 3
 		}
 	}
-	// Dependency-only passes exist to produce facts; test variants —
-	// recognisable by _test.go files in the compilation — are exempt
-	// from the invariants (benchmarks sleep, fixtures compare with
-	// bytes.Equal) and their base packages are analyzed anyway.
+	// Dependency-only passes exist to produce facts. Test files are
+	// exempt from the invariants (benchmarks sleep, fixtures compare with
+	// bytes.Equal), but go vet hands a package that has in-package tests
+	// over as ONE unit, its test files included, so the unit's other
+	// files are analyzed and only a unit with none (an external _test
+	// package) is skipped.
 	if cfg.VetxOnly {
 		return 0
 	}
+	var files []string
 	for _, f := range cfg.GoFiles {
-		if strings.HasSuffix(f, "_test.go") {
-			return 0
+		if !strings.HasSuffix(f, "_test.go") {
+			files = append(files, f)
 		}
+	}
+	if len(files) == 0 {
+		return 0
 	}
 
 	fset := token.NewFileSet()
@@ -163,7 +170,7 @@ func unitcheck(cfgFile string) int {
 		f, ok := cfg.PackageFile[path]
 		return f, ok
 	})
-	target, err := load.Check(cfg.ImportPath, fset, cfg.GoFiles, imp)
+	target, err := load.Check(cfg.ImportPath, fset, files, imp)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "phlint: %v\n", err)
 		return 3

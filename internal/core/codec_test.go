@@ -267,8 +267,10 @@ func FuzzDecryptResult(f *testing.F) {
 
 // TestPHConcurrentUse drives one PH from 8 goroutines mixing EncryptQuery,
 // EncryptTable (4 tuples) and DecryptResult (100 tuples); every result
-// must equal the serial one. Since no mutex serialises E, f and G any
-// more, what this proves under -race is that each call's state is its own.
+// must equal the serial one, and EncryptTable's ciphertexts must decrypt
+// under a fresh PH of the same key too. Since no mutex serialises E, f
+// and G, and each call's codecs memoise word keys, what this proves under
+// -race is that each call's state — memo included — is its own.
 func TestPHConcurrentUse(t *testing.T) {
 	tab, err := workload.Employees(400, 3)
 	if err != nil {
@@ -305,6 +307,12 @@ func TestPHConcurrentUse(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		four.MustInsert(tab.Tuple(i)...)
 	}
+	// A PH that never saw the answer, so nothing any codec memoised
+	// while encrypting can be what decrypts its ciphertexts.
+	fresh, err := New(key, tab.Schema(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -327,12 +335,14 @@ func TestPHConcurrentUse(t *testing.T) {
 						if err != nil {
 							return err
 						}
-						dec, err := p.DecryptTable(enc)
-						if err != nil {
-							return err
-						}
-						if !dec.Equal(four) {
-							return fmt.Errorf("EncryptTable round trip gave\n%v, want\n%v", dec, four)
+						for _, d := range []*PH{p, fresh} {
+							dec, err := d.DecryptTable(enc)
+							if err != nil {
+								return err
+							}
+							if !dec.Equal(four) {
+								return fmt.Errorf("EncryptTable round trip gave\n%v, want\n%v", dec, four)
+							}
 						}
 					case 2:
 						got, err := p.DecryptResult(q, res)
@@ -395,7 +405,44 @@ func TestClientCodecAllocs(t *testing.T) {
 	if got.Len() < 100 {
 		t.Fatalf("answer has %d tuples, want at least 100", got.Len())
 	}
-	if perTuple = perCall / float64(got.Len()); perTuple > 16 {
-		t.Errorf("DecryptResult allocates %.1f objects per returned tuple, want at most 16", perTuple)
+	if perTuple = perCall / float64(got.Len()); perTuple > 10 {
+		t.Errorf("DecryptResult allocates %.1f objects per returned tuple, want at most 10", perTuple)
+	}
+}
+
+// TestDecryptBandAllocs gates the hot read's answer shape — one salary,
+// seven departments, unique names — where the codec's memo leaves a tuple
+// its document's stream key schedule, its name's k_i, and the values and
+// row that are the output. A one-tuple answer, where the memo saves
+// nothing, may cost no more than before the memo (32 allocations).
+func TestDecryptBandAllocs(t *testing.T) {
+	var key crypto.Key
+	p, err := New(key, workload.EmployeeSchema(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := p.EncryptTable(bandTable(t, 100, 7500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := relation.Eq{Column: "salary", Value: relation.Int(7500)}
+	for _, c := range []struct {
+		tuples   int
+		perTuple float64
+	}{{100, 6}, {1, 32}} {
+		res := &ph.Result{Tuples: ct.Tuples[:c.tuples]}
+		var got *relation.Table
+		perCall := testing.AllocsPerRun(20, func() {
+			if got, err = p.DecryptResult(q, res); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got.Len() != c.tuples {
+			t.Fatalf("answer of %d tuples decrypted to %d", c.tuples, got.Len())
+		}
+		t.Logf("%d-tuple band answer: %.2f allocations per tuple", c.tuples, perCall/float64(c.tuples))
+		if perCall/float64(c.tuples) > c.perTuple {
+			t.Errorf("a %d-tuple band answer allocates %.2f objects per tuple, want at most %v", c.tuples, perCall/float64(c.tuples), c.perTuple)
+		}
 	}
 }

@@ -1,0 +1,157 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/crypto"
+	"repro/internal/ph"
+	"repro/internal/relation"
+	"repro/internal/workload"
+)
+
+// bandTable is the shape of a hot salary-band answer: n unique names,
+// departments drawn in turn from workload.Departments, and salaries from
+// the given few.
+func bandTable(t testing.TB, n int, salaries ...int64) *relation.Table {
+	t.Helper()
+	tab := relation.NewTable(workload.EmployeeSchema())
+	for i := 0; i < n; i++ {
+		err := tab.Insert(relation.Tuple{
+			relation.String(fmt.Sprintf("Emp%05d", i)),
+			relation.String(workload.Departments[i%len(workload.Departments)]),
+			relation.Int(salaries[i%len(salaries)]),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tab
+}
+
+// refDecrypt is decryptTuple without a codec, and so without a memo: every
+// word through the one-shot Scheme.DecryptWord on a codec of its own.
+func refDecrypt(p *PH, etp ph.EncryptedTuple) (relation.Tuple, error) {
+	cols := p.layout.schema.NumColumns()
+	if len(etp.Words) != cols {
+		return nil, fmt.Errorf("document has %d words", len(etp.Words))
+	}
+	tp := make(relation.Tuple, cols)
+	seen := make([]bool, cols)
+	for pos, cw := range etp.Words {
+		s, ok := p.schemes[len(cw)]
+		if !ok {
+			return nil, fmt.Errorf("no scheme for word length %d", len(cw))
+		}
+		w, err := s.DecryptWord(etp.ID, uint64(pos), cw)
+		if err != nil {
+			return nil, err
+		}
+		col, v, err := p.layout.parseWord(w)
+		if err != nil {
+			return nil, err
+		}
+		if seen[col] {
+			return nil, fmt.Errorf("column %q twice", p.layout.schema.Columns[col].Name)
+		}
+		seen[col] = true
+		tp[col] = v
+	}
+	return tp, nil
+}
+
+// checkAgainstRef decrypts tuples as a table and as the answer to q and
+// compares both, tuple for tuple, with the memo-free reference: the same
+// tuples, or an error wherever the reference fails, naming what it names.
+func checkAgainstRef(t *testing.T, p *PH, q relation.Eq, tuples []ph.EncryptedTuple) {
+	t.Helper()
+	table := relation.NewTable(p.Schema())
+	answer := relation.NewTable(p.Schema())
+	var refErr error
+	for _, etp := range tuples {
+		tp, err := refDecrypt(p, etp)
+		if err != nil {
+			refErr = err
+			break
+		}
+		table.MustInsert(tp...)
+		if ok, err := q.Eval(p.Schema(), tp); err != nil {
+			t.Fatal(err)
+		} else if ok {
+			answer.MustInsert(tp...)
+		}
+	}
+	gotTable, errTable := p.DecryptTable(&ph.EncryptedTable{SchemeID: SchemeID, Tuples: tuples})
+	gotAnswer, errAnswer := p.DecryptResult(q, &ph.Result{Tuples: tuples})
+	if refErr != nil {
+		for name, err := range map[string]error{"DecryptTable": errTable, "DecryptResult": errAnswer} {
+			if err == nil || !strings.Contains(err.Error(), refErr.Error()) {
+				t.Fatalf("%s: %v, the memo-free reference fails with %q", name, err, refErr)
+			}
+		}
+		return
+	}
+	if errTable != nil || errAnswer != nil {
+		t.Fatalf("DecryptTable: %v, DecryptResult: %v; the reference decrypts", errTable, errAnswer)
+	}
+	if !sameTuples(gotTable, table) || !sameTuples(gotAnswer, answer) {
+		t.Fatalf("decrypted\n%v\nand answer\n%v\ndiffer from the memo-free reference\n%v\nand\n%v", gotTable, gotAnswer, table, answer)
+	}
+}
+
+// TestMemoNeverChangesAnAnswer: a codec's word memo is invisible in the
+// output. Answers of 0 to 300 tuples, in both layouts, repeat salaries and
+// departments (slot hits) and hold up to 300 unique names (more distinct
+// values than memoSlots, so slots collide and are overwritten); each
+// decrypts exactly as the memo-free reference does.
+func TestMemoNeverChangesAnAnswer(t *testing.T) {
+	for _, perCol := range []bool{false, true} {
+		var key crypto.Key
+		p, err := New(key, workload.EmployeeSchema(), Options{PerColumnWidth: perCol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := p.EncryptTable(bandTable(t, 300, 7500, 8800, 9100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := relation.Eq{Column: "dept", Value: relation.String("HR")}
+		for _, k := range []int{0, 1, 2, 65, 300} {
+			t.Run(fmt.Sprintf("perColumn=%v/%d tuples", perCol, k), func(t *testing.T) {
+				checkAgainstRef(t, p, q, ct.Tuples[:k])
+			})
+		}
+	}
+}
+
+// TestMemoTamperedWord: a cipherword whose R part is flipped keeps its
+// L_i — and so hits the slot an honest copy of the same value filled
+// earlier in the answer — but not its X_i. It must come out as the
+// memo-free reference has it (E⁻¹ of the tampered X_i: an error or some
+// other value), never as the memoised plaintext.
+func TestMemoTamperedWord(t *testing.T) {
+	var key crypto.Key
+	p, err := New(key, workload.EmployeeSchema(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := p.EncryptTable(bandTable(t, 40, 7500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := relation.Eq{Column: "salary", Value: relation.Int(7500)}
+	last := len(ct.Tuples) - 1
+	for pos := range ct.Tuples[last].Words {
+		for _, bit := range []byte{0x01, 0x80} {
+			tuples := append([]ph.EncryptedTuple(nil), ct.Tuples...)
+			honest := tuples[last]
+			tampered := ph.EncryptedTuple{ID: honest.ID, Words: append([][]byte(nil), honest.Words...)}
+			cw := append([]byte(nil), honest.Words[pos]...)
+			cw[len(cw)-1] ^= bit // the last byte is always in R_i
+			tampered.Words[pos] = cw
+			tuples[last] = tampered
+			checkAgainstRef(t, p, q, tuples)
+		}
+	}
+}

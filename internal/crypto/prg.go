@@ -17,7 +17,7 @@ import (
 //
 // A PRG is NOT safe for concurrent use: the counter and keystream blocks
 // live in the struct so that BlockInto allocates nothing (a local handed
-// to cipher.Block escapes).
+// to cipher.Block escapes). The zero PRG has no seed until Rekey.
 type PRG struct {
 	block    cipher.Block
 	ctr, out [aes.BlockSize]byte
@@ -25,11 +25,23 @@ type PRG struct {
 
 // NewPRG constructs a PRG seeded with the given key.
 func NewPRG(seed Key) (*PRG, error) {
+	g := &PRG{}
+	if err := g.Rekey(seed); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// Rekey re-seeds the generator in place, so a caller that moves one PRG
+// from seed to seed (swp.Codec, document to document) pays only the new
+// key schedule.
+func (g *PRG) Rekey(seed Key) error {
 	b, err := aes.NewCipher(seed[:])
 	if err != nil {
-		return nil, fmt.Errorf("crypto: prg: %w", err)
+		return fmt.Errorf("crypto: prg: %w", err)
 	}
-	return &PRG{block: b}, nil
+	g.block = b
+	return nil
 }
 
 // BlockInto fills dst with the chunk of len(dst) pseudorandom bytes at

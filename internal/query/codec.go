@@ -36,7 +36,10 @@ type PlanInfo struct {
 }
 
 // Response is the answer to one plan of a read request. Exactly one
-// field is set, selected by the request's flags.
+// field is set, selected by the request's flags. An answer from
+// storage.Store.Read is a read-only view whose tuple bytes (and
+// positions, which may be a cached entry's) belong to the store; one
+// decoded by DecodeResponses owns its memory.
 type Response struct {
 	// Plan is the planned conjunct order (wire.ReadFlagExplain).
 	Plan *PlanInfo

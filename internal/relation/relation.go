@@ -255,10 +255,16 @@ func (v Value) CheckAgainst(c Column) error {
 	if v.typ != c.Type {
 		return fmt.Errorf("relation: column %q expects %s, got %s", c.Name, c.Type, v.typ)
 	}
-	enc := v.Encode()
-	if len(enc) > c.EncodedWidth() {
+	n := len(v.s)
+	if v.typ == TypeInt {
+		// len(v.Encode()), without allocating the digits: Table.Insert
+		// checks every value it stores.
+		var digits [20]byte // "-9223372036854775808"
+		n = len(strconv.AppendInt(digits[:0], v.i, 10))
+	}
+	if n > c.EncodedWidth() {
 		return fmt.Errorf("relation: value %s overflows column %s (encoded %d bytes, max %d)",
-			v, c, len(enc), c.EncodedWidth())
+			v, c, n, c.EncodedWidth())
 	}
 	return nil
 }

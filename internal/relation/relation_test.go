@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -107,8 +108,22 @@ func TestValueCheckAgainst(t *testing.T) {
 		t.Fatalf("signed value within width rejected: %v", err)
 	}
 	// EncodedWidth is Width+1 (sign allowance), so the byte budget is 3.
-	if err := Int(1000).CheckAgainst(icol); err == nil {
-		t.Fatal("4-byte value accepted in width-2 (3-byte budget) column")
+	if err := Int(1000).CheckAgainst(icol); err == nil || !strings.Contains(err.Error(), "encoded 4 bytes, max 3") {
+		t.Fatalf("4-byte value in width-2 (3-byte budget) column: %v", err)
+	}
+	if err := Int(-100).CheckAgainst(icol); err == nil {
+		t.Fatal("4-byte negative value accepted in a 3-byte budget")
+	}
+	wide := Column{Name: "w", Type: TypeInt, Width: 19}
+	for _, v := range []int64{math.MinInt64, math.MaxInt64, 0, 75000} {
+		if err := Int(v).CheckAgainst(wide); err != nil {
+			t.Fatalf("%d rejected by a 20-byte budget: %v", v, err)
+		}
+	}
+	// Table.Insert checks every value it stores: measuring an int must not
+	// allocate its digits.
+	if allocs := testing.AllocsPerRun(100, func() { _ = Int(75000).CheckAgainst(wide) }); allocs != 0 {
+		t.Fatalf("CheckAgainst on an int allocates %v times", allocs)
 	}
 }
 

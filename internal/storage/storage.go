@@ -681,6 +681,13 @@ func (e *tableEntry) planConj(c *cache.Cache, name string, qs []*ph.EncryptedQue
 // the plan's conjunct order, estimates and predicted serving paths (the
 // cache is consulted, which counts in its statistics, but no tuple is
 // scanned). The plan itself is returned for callers that report on it.
+//
+// The answer is a read-only view: its tuples are the stored headers
+// copied by value under the read lock, sharing their ID, Blob and word
+// bytes with the table. That is safe after the lock drops — the server
+// encodes the answer then — for the reason Get's snapshot is: nothing
+// ever writes Tuples[0:len] in place, so bytes a view holds never change.
+// A caller that wants to modify an answer must copy it first.
 func (s *Store) Read(name string, qs []*ph.EncryptedQuery, flags byte) (query.Response, *query.Plan, error) {
 	e, c, err := s.entry(name)
 	if err != nil {
@@ -716,7 +723,10 @@ func (s *Store) Read(name string, qs []*ph.EncryptedQuery, flags byte) (query.Re
 			e.observeScan(cj.Q, cj.NarrowHits, cj.Tested)
 		}
 	}
-	res := ph.SelectPositions(e.t, positions)
+	res := &ph.Result{Positions: positions, Tuples: make([]ph.EncryptedTuple, len(positions))}
+	for i, p := range positions {
+		res.Tuples[i] = e.t.Tuples[p]
+	}
 	if flags&wire.ReadFlagVerified == 0 {
 		return query.Response{Result: res}, plan, nil
 	}

@@ -63,10 +63,11 @@ func TestCodecIsTheWrappers(t *testing.T) {
 	}
 }
 
-// TestCodecWordAllocs: in steady state a word costs one allocation in
-// either direction — the AES key schedule of its k_i, which no scratch can
-// absorb because k_i differs per word — at one-block and CBC-MAC stream
-// widths alike.
+// TestCodecWordAllocs: a word costs at most one allocation in either
+// direction — the AES key schedule of its k_i, which no scratch can absorb
+// because k_i differs per word value — at one-block and CBC-MAC stream
+// widths alike, and a word value the codec's memo already holds costs
+// none.
 func TestCodecWordAllocs(t *testing.T) {
 	for _, nm := range benchStreamWidths {
 		p := Params{WordLen: nm + 2, ChecksumLen: 2}
@@ -88,6 +89,61 @@ func TestCodecWordAllocs(t *testing.T) {
 			}
 		}); allocs > float64(len(words)) {
 			t.Errorf("stream width %d: DecryptWordInto allocates %v objects per %d words, want at most one each", nm, allocs, len(words))
+		}
+		// On its second document a codec's memo is up: a word value it
+		// has met comes out of it.
+		c = s.NewCodec()
+		c.SetDocument(docIDs[0])
+		c.SetDocument(docIDs[1])
+		if err := c.EncryptWordInto(cw, 3, words[3]); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.DecryptWordInto(pt, 3, cw); err != nil || !bytes.Equal(pt, words[3]) {
+			t.Fatalf("stream width %d: decrypted %x (%v), want %x", nm, pt, err, words[3])
+		}
+		if allocs := testing.AllocsPerRun(200, func() { _ = c.DecryptWordInto(pt, 3, cw) }); allocs != 0 {
+			t.Errorf("stream width %d: a memo-hit DecryptWordInto allocates %v objects, want none", nm, allocs)
+		}
+	}
+}
+
+// TestCodecMemoTamperedWord: a cipherword of a value the codec has
+// decrypted before, with its R part flipped, keeps that value's L_i — the
+// memo's k_i is right for it — but not its X_i, so it decrypts to E⁻¹ of
+// the tampered X_i exactly as a codec that never saw the value does, not
+// to the memoised word.
+func TestCodecMemoTamperedWord(t *testing.T) {
+	for _, nm := range benchStreamWidths {
+		p := Params{WordLen: nm + 2, ChecksumLen: 2}
+		s, docIDs, docs := codecFixture(t, p)
+		word := docs[0][0]
+		tampered, err := s.EncryptWord(docIDs[1], 2, word)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tampered[len(tampered)-1] ^= 1 // in R_i
+		want, err := s.DecryptWord(docIDs[1], 2, tampered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := s.NewCodec()
+		pt := make([]byte, p.WordLen)
+		for _, d := range []int{0, 2} { // the memo starts with the second document
+			honest, err := s.EncryptWord(docIDs[d], 0, word)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.SetDocument(docIDs[d])
+			if err := c.DecryptWordInto(pt, 0, honest); err != nil || !bytes.Equal(pt, word) {
+				t.Fatalf("stream width %d: honest word decrypted to %x (%v)", nm, pt, err)
+			}
+		}
+		c.SetDocument(docIDs[1])
+		if err := c.DecryptWordInto(pt, 2, tampered); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pt, want) || bytes.Equal(pt, word) {
+			t.Fatalf("stream width %d: tampered word decrypted to %x, memo-free %x, memoised %x", nm, pt, want, word)
 		}
 	}
 }

@@ -140,7 +140,22 @@ func (s *Scheme) Params() Params { return s.params }
 // one place a document's stream key is derived from its identifier, and
 // the word methods run over scratch the codec owns, so a word costs no
 // heap allocation beyond the AES key schedule of its k_i, which the
-// scheme's definition forces (k_i differs per word).
+// scheme's definition forces for every distinct word value.
+//
+// Only for distinct values: k_i = f_{k'}(L_i) and W_i = E⁻¹(X_i) are
+// functions of the word value alone (L_i and X_i are E's output on it),
+// so a codec remembers, in a fixed direct-mapped memo of memoSlots slots
+// indexed by L_i's first byte — uniform, since L_i is part of a PRP
+// output — each L_i it met with its expanded F_{k_i}, and the last X_i it
+// decrypted under it with W_i. A word whose L_i is in its slot skips f and
+// the key schedule in either direction; a decrypted word whose whole X_i
+// is there skips E⁻¹ too. Slots are compared in constant time and
+// overwritten on collision. Values repeat across documents, not within
+// one (core's words each carry their column), so a codec's first
+// document runs on one slot of its own and the memo is allocated when a
+// second document begins: a one-tuple answer pays nothing for it. The memo changes no output bit,
+// lives as long as the codec (core makes one per call) and never leaves
+// Alex's side.
 //
 // A Codec is NOT safe for concurrent use; a Scheme is, and NewCodec hands
 // each goroutine its own, sharing the expanded keys of E and f.
@@ -148,12 +163,28 @@ type Codec struct {
 	s      *Scheme
 	pre    *crypto.PRP
 	f      *crypto.WidePRF
-	prg    *crypto.PRG     // G of the current document; nil before SetDocument
-	ki     crypto.Key      // k_i = f_{k'}(L_i)
-	kprf   crypto.BlockPRF // F_{k_i}; a field, because a local would escape
-	seedIn []byte          // DeriveKey("swp/stream", docID)'s PRF input
-	x      []byte          // X_i = ⟨L_i, R_i⟩, WordLen bytes
-	t      []byte          // T_i = ⟨S_i, F_{k_i}(S_i)⟩, WordLen bytes
+	prg    crypto.PRG           // G of the current document
+	onDoc  bool                 // SetDocument has keyed prg
+	doc    crypto.Key           // the current document's stream key
+	ki     crypto.Key           // k_i = f_{k'}(L_i)
+	seedIn []byte               // DeriveKey("swp/stream", docID)'s PRF input
+	x      []byte               // X_i = ⟨L_i, R_i⟩, WordLen bytes
+	t      []byte               // T_i = ⟨S_i, F_{k_i}(S_i)⟩, WordLen bytes
+	first  memoSlot             // the only slot until a second document
+	memo   *[memoSlots]memoSlot // nil until a second document
+}
+
+// memoSlots is the size of a codec's word memo: a power of two up to 256,
+// so that L_i's first byte modulo it is a uniform index.
+const memoSlots = 64
+
+// memoSlot is one word value a codec has met: its L_i (x's left part),
+// F_{k_i}, and the last X_i decrypted under that L_i with its W_i.
+type memoSlot struct {
+	x, w []byte
+	kprf crypto.BlockPRF
+	used bool // x's L_i and kprf hold a word value
+	hasW bool // all of x, and w, hold a decryption under it
 }
 
 // streamLabel domain-separates the per-document stream key.
@@ -162,8 +193,10 @@ const streamLabel = "swp/stream"
 // NewCodec returns a codec for the scheme, not yet on any document.
 func (s *Scheme) NewCodec() *Codec {
 	n := s.params.WordLen
-	buf := make([]byte, 2*n)
-	return &Codec{s: s, pre: s.pre.Clone(), f: s.f.Clone(), x: buf[:n:n], t: buf[n:]}
+	buf := make([]byte, 4*n)
+	c := &Codec{s: s, pre: s.pre.Clone(), f: s.f.Clone(), x: buf[:n:n], t: buf[n : 2*n : 2*n]}
+	c.first.x, c.first.w = buf[2*n:3*n:3*n], buf[3*n:]
+	return c
 }
 
 // SetDocument positions the codec on the document identified by docID:
@@ -178,13 +211,14 @@ func (c *Codec) SetDocument(docID []byte) {
 	in = binary.BigEndian.AppendUint32(in, uint32(len(docID)))
 	in = append(in, docID...)
 	c.seedIn = in
-	var key crypto.Key
-	c.s.seed.SumInto(key[:], in)
-	prg, err := crypto.NewPRG(key)
-	if err != nil {
+	c.s.seed.SumInto(c.doc[:], in)
+	if err := c.prg.Rekey(c.doc); err != nil {
 		panic(fmt.Sprintf("swp: document stream: %v", err)) // unreachable: a crypto.Key is an AES-256 key
 	}
-	c.prg = prg
+	if c.onDoc && c.memo == nil {
+		c.memo = newMemo(len(c.x))
+	}
+	c.onDoc = true
 }
 
 // EncryptWordInto encrypts the word at position pos of the current
@@ -209,9 +243,16 @@ func (c *Codec) DecryptWordInto(dst []byte, pos uint64, cipherword []byte) error
 	}
 	nm := len(stream)
 	subtle.XORBytes(c.x[:nm], cipherword[:nm], stream) // L_i
-	c.mask(stream)
+	slot := c.mask(stream)
 	subtle.XORBytes(c.x[nm:], cipherword[nm:], c.t[nm:]) // R_i
+	if slot.hasW && subtle.ConstantTimeCompare(slot.x, c.x) == 1 {
+		copy(dst, slot.w)
+		return nil
+	}
 	c.pre.DecryptInto(dst, c.x)
+	copy(slot.x, c.x)
+	copy(slot.w, dst)
+	slot.hasW = true
 	return nil
 }
 
@@ -221,7 +262,7 @@ func (c *Codec) stream(dst []byte, pos uint64, src []byte) ([]byte, error) {
 	if n := c.s.params.WordLen; len(src) != n || len(dst) != n {
 		return nil, fmt.Errorf("swp: word must be %d bytes, got %d (into %d)", n, len(src), len(dst))
 	}
-	if c.prg == nil {
+	if !c.onDoc {
 		return nil, fmt.Errorf("swp: codec used before SetDocument")
 	}
 	stream := c.t[:c.s.params.streamLen()]
@@ -229,13 +270,37 @@ func (c *Codec) stream(dst []byte, pos uint64, src []byte) ([]byte, error) {
 	return stream, nil
 }
 
-// mask completes T_i = ⟨S_i, F_{k_i}(S_i)⟩ in c.t: k_i from the L_i in
-// c.x, then F over the stream chunk already there.
-func (c *Codec) mask(stream []byte) {
+// mask completes T_i = ⟨S_i, F_{k_i}(S_i)⟩ in c.t: F_{k_i} from the memo
+// slot of the L_i in c.x — derived there first if the slot holds another
+// word value — then F over the stream chunk already in c.t. It returns
+// the slot.
+func (c *Codec) mask(stream []byte) *memoSlot {
 	nm := len(stream)
-	c.f.SumInto(c.ki[:], c.x[:nm])
-	c.kprf = crypto.NewBlockPRF(c.ki, nm)
-	c.kprf.SumInto(c.t[nm:], stream)
+	l := c.x[:nm]
+	slot := &c.first
+	if c.memo != nil {
+		slot = &c.memo[l[0]%memoSlots]
+	}
+	if !slot.used || subtle.ConstantTimeCompare(slot.x[:nm], l) != 1 {
+		c.f.SumInto(c.ki[:], l)
+		slot.kprf = crypto.NewBlockPRF(c.ki, nm)
+		copy(slot.x, l)
+		slot.used, slot.hasW = true, false
+	}
+	slot.kprf.SumInto(c.t[nm:], stream)
+	return slot
+}
+
+// newMemo allocates a word memo for words of n bytes: the slots, and one
+// buffer their byte fields are cut from.
+func newMemo(n int) *[memoSlots]memoSlot {
+	memo := new([memoSlots]memoSlot)
+	buf := make([]byte, 2*n*memoSlots)
+	for i := range memo {
+		b := buf[2*n*i : 2*n*(i+1) : 2*n*(i+1)]
+		memo[i].x, memo[i].w = b[:n:n], b[n:]
+	}
+	return memo
 }
 
 // codecOn returns a fresh codec positioned on docID, for the one-shot

@@ -19,28 +19,91 @@ func EncodeTuple(dst []byte, t ph.EncryptedTuple) []byte {
 
 // DecodeTuple parses one encrypted tuple from the buffer.
 func DecodeTuple(r *Buffer) (ph.EncryptedTuple, error) {
-	var t ph.EncryptedTuple
-	var err error
-	if t.ID, err = r.Bytes(); err != nil {
-		return t, fmt.Errorf("wire: tuple id: %w", err)
-	}
-	if t.Blob, err = r.Bytes(); err != nil {
-		return t, fmt.Errorf("wire: tuple blob: %w", err)
-	}
-	n, err := r.U32()
+	tuples, err := decodeTuples(r, 1)
 	if err != nil {
-		return t, fmt.Errorf("wire: tuple word count: %w", err)
+		return ph.EncryptedTuple{}, err
 	}
-	if int(n) > r.Remaining() {
-		return t, fmt.Errorf("wire: word count %d exceeds remaining payload", n)
+	return tuples[0], nil
+}
+
+// decodeTuples parses a run of n encrypted tuples — the body of every
+// message that carries tuples — in two walks of one loop. The first
+// validates the whole run against the payload and measures it, so a
+// hostile count or length fails before anything is allocated; the second
+// copies the run's byte strings, without their length prefixes, into one
+// allocation and its word headers into a second. Every slice handed out
+// is a three-index slice of those two, so an append to one tuple's ID or
+// Words can never write into its neighbour's, and none aliases the
+// payload (ReadFrameReuse's contract).
+func decodeTuples(r *Buffer, n uint32) ([]ph.EncryptedTuple, error) {
+	start := r.off
+	size, words, err := walkTuples(r, n, nil, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	t.Words = make([][]byte, n)
-	for i := range t.Words {
-		if t.Words[i], err = r.Bytes(); err != nil {
-			return t, fmt.Errorf("wire: tuple word %d: %w", i, err)
+	// The walk read n tuples of at least 12 bytes each out of the
+	// payload, so n, size and words are all bounded by its length.
+	tuples := make([]ph.EncryptedTuple, n)
+	r.off = start
+	if _, _, err := walkTuples(r, n, tuples, make([]byte, size), make([][]byte, words)); err != nil {
+		return nil, err
+	}
+	return tuples, nil
+}
+
+// walkTuples reads n encoded tuples from r: id, blob, word count, words.
+// With tuples nil it only validates them and returns the bytes their
+// strings hold and their total word count; otherwise it also fills
+// tuples, carving the strings out of region and the word lists out of
+// words, which a measuring walk over the same bytes sized.
+func walkTuples(r *Buffer, n uint32, tuples []ph.EncryptedTuple, region []byte, words [][]byte) (size, nwords int, err error) {
+	for i := uint32(0); i < n; i++ {
+		id, err := r.span()
+		if err != nil {
+			return 0, 0, fmt.Errorf("wire: tuple %d id: %w", i, err)
 		}
+		blob, err := r.span()
+		if err != nil {
+			return 0, 0, fmt.Errorf("wire: tuple %d blob: %w", i, err)
+		}
+		k, err := r.U32()
+		if err != nil {
+			return 0, 0, fmt.Errorf("wire: tuple %d word count: %w", i, err)
+		}
+		// A word is at least its length prefix.
+		if int64(k) > int64(r.Remaining()/4) {
+			return 0, 0, fmt.Errorf("wire: tuple %d word count %d exceeds remaining payload", i, k)
+		}
+		var t *ph.EncryptedTuple
+		if tuples != nil {
+			t = &tuples[i]
+			t.ID, size = carve(region, size, id)
+			t.Blob, size = carve(region, size, blob)
+			t.Words = words[nwords : nwords+int(k) : nwords+int(k)]
+		} else {
+			size += len(id) + len(blob)
+		}
+		for j := 0; j < int(k); j++ {
+			w, err := r.span()
+			if err != nil {
+				return 0, 0, fmt.Errorf("wire: tuple %d word %d: %w", i, j, err)
+			}
+			if t != nil {
+				t.Words[j], size = carve(region, size, w)
+			} else {
+				size += len(w)
+			}
+		}
+		nwords += int(k)
 	}
-	return t, nil
+	return size, nwords, nil
+}
+
+// carve copies src into region at off and returns the copy, capped at
+// its own length, and the offset past it.
+func carve(region []byte, off int, src []byte) ([]byte, int) {
+	end := off + copy(region[off:], src)
+	return region[off:end:end], end
 }
 
 // EncodeTable serialises an encrypted table.
@@ -68,13 +131,8 @@ func DecodeTable(r *Buffer) (*ph.EncryptedTable, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: table tuple count: %w", err)
 	}
-	t.Tuples = make([]ph.EncryptedTuple, 0, ClampCount(n, 1024))
-	for i := uint32(0); i < n; i++ {
-		tp, err := DecodeTuple(r)
-		if err != nil {
-			return nil, fmt.Errorf("wire: table tuple %d: %w", i, err)
-		}
-		t.Tuples = append(t.Tuples, tp)
+	if t.Tuples, err = decodeTuples(r, n); err != nil {
+		return nil, fmt.Errorf("wire: table: %w", err)
 	}
 	return t, nil
 }
@@ -128,14 +186,9 @@ func DecodeInsert(payload []byte) (string, []ph.EncryptedTuple, error) {
 	if err != nil {
 		return "", nil, fmt.Errorf("wire: insert tuple count: %w", err)
 	}
-	// A tuple is at least two length-prefixed fields and a word count.
-	tuples := make([]ph.EncryptedTuple, 0, ClampCount(n, r.Remaining()/12))
-	for i := uint32(0); i < n; i++ {
-		tp, err := DecodeTuple(r)
-		if err != nil {
-			return "", nil, fmt.Errorf("wire: insert tuple %d: %w", i, err)
-		}
-		tuples = append(tuples, tp)
+	tuples, err := decodeTuples(r, n)
+	if err != nil {
+		return "", nil, fmt.Errorf("wire: insert: %w", err)
 	}
 	return name, tuples, r.Err()
 }
@@ -172,7 +225,9 @@ func EncodeResult(dst []byte, res *ph.Result) []byte {
 	return dst
 }
 
-// DecodeResult parses a query result from the buffer.
+// DecodeResult parses a query result from the buffer. Its positions and
+// tuples are aligned, so a result that carries more of one than of the
+// other is refused.
 func DecodeResult(r *Buffer) (*ph.Result, error) {
 	res := &ph.Result{}
 	np, err := r.U32()
@@ -194,13 +249,11 @@ func DecodeResult(r *Buffer) (*ph.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: result tuple count: %w", err)
 	}
-	res.Tuples = make([]ph.EncryptedTuple, 0, ClampCount(nt, 1024))
-	for i := uint32(0); i < nt; i++ {
-		tp, err := DecodeTuple(r)
-		if err != nil {
-			return nil, fmt.Errorf("wire: result tuple %d: %w", i, err)
-		}
-		res.Tuples = append(res.Tuples, tp)
+	if nt != np {
+		return nil, fmt.Errorf("wire: result carries %d positions and %d tuples", np, nt)
+	}
+	if res.Tuples, err = decodeTuples(r, nt); err != nil {
+		return nil, fmt.Errorf("wire: result: %w", err)
 	}
 	return res, nil
 }

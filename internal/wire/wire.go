@@ -232,8 +232,9 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // and the possibly-grown buffer for the next call; the frame's payload
 // aliases that buffer, so the caller must be done with the frame — and
 // with anything that aliases its payload — before reusing the buffer.
-// Decoders defend this discipline by copying what they keep
-// (Buffer.Bytes copies out of the payload).
+// Decoders defend this discipline by copying what they keep: one copy
+// per message, never an alias (Buffer.Bytes copies out of the payload,
+// and a run of tuples is copied into one region of its own).
 func ReadFrameReuse(r io.Reader, buf []byte) (Frame, []byte, error) {
 	// The header is read through the reusable buffer too: a local array
 	// would escape through the io.Reader interface call and cost one heap
@@ -360,19 +361,26 @@ func (r *Buffer) U64() (uint64, error) {
 	return v, nil
 }
 
-// Bytes reads a u32-length-prefixed byte string.
+// Bytes reads a u32-length-prefixed byte string into a fresh slice.
 func (r *Buffer) Bytes() ([]byte, error) {
+	b, err := r.span()
+	return append(make([]byte, 0, len(b)), b...), err
+}
+
+// span reads a u32-length-prefixed byte string as a slice of the payload
+// itself. Nothing a decoder returns may alias the payload, so callers
+// copy what they keep.
+func (r *Buffer) span() ([]byte, error) {
 	n, err := r.U32()
 	if err != nil {
 		return nil, err
 	}
-	if int(n) > r.Remaining() {
+	if int64(n) > int64(r.Remaining()) {
 		return nil, fmt.Errorf("wire: byte string of %d exceeds remaining payload %d", n, r.Remaining())
 	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:])
+	b := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
-	return out, nil
+	return b, nil
 }
 
 // String reads a u32-length-prefixed string.
