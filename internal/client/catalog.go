@@ -9,25 +9,30 @@ import (
 	"repro/internal/sqlmini"
 )
 
-// Catalog manages several outsourced tables over one connection, routing
-// SQL statements to the right table's scheme by the FROM clause. Like Conn,
-// a Catalog is not safe for concurrent use.
+// Catalog manages several outsourced tables over one connection — or
+// one sharded serving tier — routing SQL statements to the right
+// table's scheme by the FROM clause. Like Conn, a Catalog is not safe for
+// concurrent use.
 type Catalog struct {
-	conn    *Conn
-	cluster Cluster
-	tables  map[string]*DB
+	open   func(scheme ph.Scheme, remote string) *DB // NewDB or NewShardedDB, bound to the transport
+	tables map[string]*DB
 }
 
 // NewCatalog creates an empty catalog over the connection.
 func NewCatalog(conn *Conn) *Catalog {
-	return &Catalog{conn: conn, tables: make(map[string]*DB)}
+	return newCatalog(func(scheme ph.Scheme, remote string) *DB { return NewDB(conn, scheme, remote) })
 }
 
 // NewShardedCatalog creates an empty catalog over a sharded serving
 // tier: every attached table routes through the cluster's scatter-gather
 // instead of a single connection.
 func NewShardedCatalog(cl Cluster) *Catalog {
-	return &Catalog{cluster: cl, tables: make(map[string]*DB)}
+	return newCatalog(func(scheme ph.Scheme, remote string) *DB { return NewShardedDB(cl, scheme, remote) })
+}
+
+// newCatalog creates an empty catalog whose tables open with open.
+func newCatalog(open func(scheme ph.Scheme, remote string) *DB) *Catalog {
+	return &Catalog{open: open, tables: make(map[string]*DB)}
 }
 
 // Attach registers a scheme for a remote table name and returns its DB
@@ -37,12 +42,7 @@ func (c *Catalog) Attach(remote string, scheme ph.Scheme) (*DB, error) {
 	if remote == "" {
 		return nil, fmt.Errorf("client: catalog table name must not be empty")
 	}
-	var db *DB
-	if c.cluster != nil {
-		db = NewShardedDB(c.cluster, scheme, remote)
-	} else {
-		db = NewDB(c.conn, scheme, remote)
-	}
+	db := c.open(scheme, remote)
 	c.tables[remote] = db
 	return db, nil
 }

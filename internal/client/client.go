@@ -22,14 +22,21 @@
 // the primary — replica answers are verified against the pinned root
 // exactly like the primary's, so replication never loosens the trust
 // model. See net.go.
+//
+// The trust anchor is one vector of pinned Merkle roots, an entry per
+// node the table lives on: a single server is its one-node case, a
+// sharded table (cluster.go) has one entry per shard. Pinning, frontier
+// rebuild, insert write-back and verification are each written once
+// over that vector.
 package client
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -259,21 +266,6 @@ type DB struct {
 	scheme ph.Scheme
 	table  string
 
-	// root pins the authenticated-index root after CreateTable /
-	// PinRoot; nil disables verification.
-	root       []byte
-	rootTuples int
-	// rootVersion is the last server version stamp observed for a
-	// snapshot matching the pinned root (informational: version stamps
-	// are server-asserted and carry no authentication).
-	rootVersion uint64
-	// frontier is the O(log n) Merkle frontier behind the pinned root.
-	// While present, the client's own inserts advance the root from
-	// their local leaf hashes — no re-download. It is nil after PinRoot
-	// (only the 32-byte anchor was persisted); the first insert then
-	// rebuilds it from a fetch *verified against the pinned root*.
-	frontier *authindex.Frontier
-
 	// pool routes single-round reads: round-robin over registered read
 	// replicas with quarantine backoff, failover to the primary
 	// (net.go). A replica whose answer fails the pinned-root check is
@@ -283,13 +275,29 @@ type DB struct {
 
 	// cluster, when set, replaces the single connection with a sharded
 	// serving tier (internal/shard): tuples hash-partition over N
-	// backends, reads scatter to every shard, and the trust anchor
-	// becomes a *vector* of per-shard roots (pins). conn and pool are
-	// nil in this mode. See cluster.go.
+	// backends and reads scatter to every shard. conn and pool are nil
+	// in this mode. See cluster.go.
 	cluster Cluster
-	// pins holds one pinned root (and its frontier) per shard while
-	// cluster is set and verification is enabled.
-	pins []shardPin
+
+	// pins is the trust anchor: one pinned root per node the table lives
+	// on — one for a single server, one per shard on a cluster (the
+	// root-of-roots vector); nil disables verification. Only the
+	// node-access helpers (nodes, split, store, insert, read, fetch) tell
+	// a single server from a cluster.
+	pins []pin
+}
+
+// pin is one entry of the pinned root vector: a node's
+// authenticated-index root and leaf count, and the O(log n) Merkle
+// frontier behind them. While the frontier is present, the client's own
+// inserts advance the root from their local leaf hashes — no
+// re-download. The frontier is nil after PinRoot / PinShardRoots (only
+// the 32-byte anchor was persisted); the first insert then rebuilds it
+// from a fetch *verified against the pinned root* (ensureFrontiers).
+type pin struct {
+	root     []byte
+	tuples   int
+	frontier *authindex.Frontier
 }
 
 // NewDB binds a scheme to a connection and remote table name.
@@ -300,47 +308,98 @@ func NewDB(conn *Conn, scheme ph.Scheme, table string) *DB {
 // Scheme returns the underlying privacy homomorphism.
 func (db *DB) Scheme() ph.Scheme { return db.scheme }
 
-// Root returns the currently pinned authenticated-index root and tuple
-// count (nil if none is pinned). Applications persist this across restarts
-// — it is the only trust anchor needed to verify future answers.
+// pinned reports whether verification is enabled.
+func (db *DB) pinned() bool { return len(db.pins) > 0 }
+
+// Root returns the pinned authenticated-index root and tuple count of a
+// single-server DB — the one entry of its vector — or nil if none is
+// pinned (a sharded DB pins one root per shard: see ShardRoots).
+// Applications persist this across restarts — it is the only trust
+// anchor needed to verify future answers.
 func (db *DB) Root() (root []byte, tuples int) {
-	return append([]byte(nil), db.root...), db.rootTuples
+	if len(db.pins) != 1 {
+		return nil, 0
+	}
+	return bytes.Clone(db.pins[0].root), db.pins[0].tuples
 }
 
 // PinRoot installs a previously persisted root (e.g. after a client
-// restart). Passing a nil root disables verification. Only the anchor is
-// installed: the Merkle frontier behind it is rebuilt lazily — and
-// verified against this root — on the first insert that needs it.
+// restart) as a single-server DB's vector; a sharded DB reinstalls its
+// vector with PinShardRoots. Passing a nil root disables verification.
+// Only the anchor is installed: the Merkle frontier behind it is rebuilt
+// lazily — and verified against this root — on the first insert that
+// needs it.
 func (db *DB) PinRoot(root []byte, tuples int) {
-	db.frontier = nil
-	db.rootVersion = 0
-	if root == nil {
-		db.root, db.rootTuples = nil, 0
-		return
+	db.pins = nil
+	if root != nil {
+		db.pins = []pin{{root: bytes.Clone(root), tuples: tuples}}
 	}
-	db.root = append([]byte(nil), root...)
-	db.rootTuples = tuples
+}
+
+// pinsOf pins the root of every node's table, keeping each frontier.
+func pinsOf(parts []*ph.EncryptedTable) []pin {
+	pins := make([]pin, len(parts))
+	for i, part := range parts {
+		f := authindex.FrontierOf(part)
+		pins[i] = pin{root: f.Root(), tuples: f.Count(), frontier: f}
+	}
+	return pins
+}
+
+// node names pin i in an error: the shard on a cluster, nothing on a
+// single server, whose vector has one entry.
+func (db *DB) node(i int) string {
+	if len(db.pins) < 2 {
+		return ""
+	}
+	return fmt.Sprintf("shard %d: ", i)
 }
 
 // CreateTable encrypts and uploads the plaintext table, pinning the
-// authenticated-index root of the uploaded ciphertext and keeping its
-// frontier so later inserts advance the root incrementally.
+// authenticated-index root of every node's share of the ciphertext and
+// keeping the frontiers so later inserts advance the roots incrementally.
 func (db *DB) CreateTable(t *relation.Table) error {
 	ct, err := db.scheme.EncryptTable(t)
 	if err != nil {
 		return err
 	}
-	if db.cluster != nil {
-		return db.createTableSharded(ct)
-	}
-	if err := db.conn.Store(db.table, ct); err != nil {
+	if err := db.store(ct); err != nil {
 		return err
 	}
-	db.frontier = authindex.FrontierOf(ct)
-	db.root = db.frontier.Root()
-	db.rootTuples = db.frontier.Count()
-	db.rootVersion = 0
+	db.pins = pinsOf(db.split(ct))
 	return nil
+}
+
+// nodes is the number of nodes the table lives on: the length of a full
+// pinned vector.
+func (db *DB) nodes() int {
+	if db.cluster == nil {
+		return 1
+	}
+	return db.cluster.NumShards()
+}
+
+// store uploads the encrypted table — partitioned over the shards on a
+// cluster.
+func (db *DB) store(ct *ph.EncryptedTable) error {
+	if db.cluster == nil {
+		return db.conn.Store(db.table, ct)
+	}
+	return db.cluster.Store(db.table, ct)
+}
+
+// split is how a table's tuples lie on the nodes: the whole table on a
+// single server, the cluster's deterministic partition otherwise.
+func (db *DB) split(ct *ph.EncryptedTable) []*ph.EncryptedTable {
+	if db.cluster == nil {
+		return []*ph.EncryptedTable{ct}
+	}
+	parts := db.cluster.Split(ct.Tuples)
+	out := make([]*ph.EncryptedTable, len(parts))
+	for i, part := range parts {
+		out[i] = &ph.EncryptedTable{SchemeID: ct.SchemeID, Meta: ct.Meta, Tuples: part}
+	}
+	return out
 }
 
 // encryptTuples builds a single-use table from the plaintext tuples and
@@ -355,92 +414,108 @@ func (db *DB) encryptTuples(tuples []relation.Tuple) (*ph.EncryptedTable, error)
 	return db.scheme.EncryptTable(t)
 }
 
-// RepinRoot re-pins the authenticated-index root (and rebuilds the
-// frontier) from a full fetch of the server's current table. This is the
-// explicit recovery path — it *trusts* the fetched ciphertext exactly as
-// CreateTable trusts the upload — for when the client knowingly lost
-// sync with the table (another writer appended, a partial batch failure,
-// a deliberate server-side reload). Routine inserts never call it: they
-// advance the root incrementally from their own leaf hashes.
+// RepinRoot re-pins the authenticated-index root vector (and rebuilds
+// the frontiers) from a full fetch of the server's current table — every
+// shard's partition on a sharded DB. This is the explicit recovery path
+// — it *trusts* the fetched ciphertext exactly as CreateTable trusts the
+// upload — for when the client knowingly lost sync with the table
+// (another writer appended, a partial batch failure, a deliberate
+// server-side reload). Routine inserts never call it: they advance the
+// roots incrementally from their own leaf hashes.
 func (db *DB) RepinRoot() error {
-	if db.cluster != nil {
-		return db.repinShardRoots()
-	}
-	full, err := db.conn.FetchAll(db.table)
+	parts, err := db.fetch()
 	if err != nil {
 		return err
 	}
-	db.frontier = authindex.FrontierOf(full)
-	db.root = db.frontier.Root()
-	db.rootTuples = db.frontier.Count()
-	db.rootVersion = 0
+	db.pins = pinsOf(parts)
 	return nil
 }
 
-// ensureFrontier makes the frontier behind the pinned root available,
-// rebuilding it from a full fetch when only the anchor was persisted
-// (PinRoot after a restart). Unlike RepinRoot, the rebuild is *verified*:
-// the fetched table must hash back to the pinned root, so a tampering
-// server cannot use the rebuild to swap the anchor from under the client.
-func (db *DB) ensureFrontier() error {
-	if db.frontier != nil {
+// ensureFrontiers makes the frontier behind every pinned root available,
+// rebuilding them from one full fetch when only the anchors were
+// persisted (PinRoot / PinShardRoots after a restart). Unlike RepinRoot,
+// the rebuild is *verified*: every node's fetched table must hash back
+// to its pinned root, so a tampering server cannot use the rebuild to
+// swap the anchor from under the client.
+func (db *DB) ensureFrontiers() error {
+	if !slices.ContainsFunc(db.pins, func(p pin) bool { return p.frontier == nil }) {
 		return nil
 	}
-	full, err := db.conn.FetchAll(db.table)
+	parts, err := db.fetch()
 	if err != nil {
 		return err
 	}
-	f := authindex.FrontierOf(full)
-	if !bytes.Equal(f.Root(), db.root) || f.Count() != db.rootTuples {
-		return fmt.Errorf("client: server table does not match the pinned root (%d tuples fetched, %d pinned) — verification failed; RepinRoot only if the mismatch is expected", f.Count(), db.rootTuples)
+	if len(parts) != len(db.pins) {
+		return fmt.Errorf("client: fetched %d partitions, pinned vector covers %d", len(parts), len(db.pins))
 	}
-	db.frontier = f
+	fresh := pinsOf(parts)
+	for i, p := range fresh {
+		if !bytes.Equal(p.root, db.pins[i].root) || p.tuples != db.pins[i].tuples {
+			return fmt.Errorf("client: %sserver table does not match the pinned root (%d tuples fetched, %d pinned) — verification failed; RepinRoot only if the mismatch is expected", db.node(i), p.tuples, db.pins[i].tuples)
+		}
+	}
+	db.pins = fresh
 	return nil
 }
 
-// advanceRoot folds an insert's placement ack and the locally encrypted
-// tuples into the pinned root. The server appends batches in the order
-// sent, so the leaves are known locally; the ack only has to confirm
-// *where* they landed. A base that is not the frontier's leaf count means
-// someone else moved the table — the pin is stale and the caller must
-// decide (RepinRoot) rather than
-// have the client silently adopt foreign leaves it cannot hash.
-func (db *DB) advanceRoot(ack InsertAck, tuples []ph.EncryptedTuple) error {
-	if ack.Base != db.frontier.Count() {
-		return fmt.Errorf("client: insert landed at tuple %d but the pinned root covers %d — concurrent external writes; call RepinRoot to resync (or pin a fresh root)", ack.Base, db.frontier.Count())
+// placement is one acknowledged part of an insert: the tuples sent to a
+// node, in the order sent, and that node's placement ack.
+type placement struct {
+	node   int
+	tuples []ph.EncryptedTuple
+	ack    InsertAck
+}
+
+// writeBack folds an insert's placements into the pinned vector. A node
+// appends each batch in the order sent, so the leaves are known locally;
+// an ack only has to confirm *where* they landed. Every placement is
+// validated before any pin moves: its ack must count exactly the tuples
+// sent (an untouched shard's is zero-valued), and per node the bases, in
+// landing order, must tile the frontier from its leaf count. Anything
+// else — a foreign writer, an unacked chunk landed between acked ones,
+// an ack claiming tuples never sent — leaves the caller's explicit
+// RepinRoot as the only sound continuation: re-pinning silently would
+// let a misbehaving server swap the trust anchor under a call that then
+// reports success.
+func (db *DB) writeBack(placed []placement) error {
+	slices.SortFunc(placed, func(a, b placement) int {
+		return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.ack.Base, b.ack.Base))
+	})
+	next := make([]int, len(db.pins))
+	for i, p := range db.pins {
+		next[i] = p.frontier.Count()
 	}
-	for _, tp := range tuples {
-		db.frontier.AppendTuple(tp)
+	for _, p := range placed {
+		switch {
+		case p.node >= len(next):
+			return fmt.Errorf("client: insert placed on node %d, pinned vector covers %d — call RepinRoot to resync", p.node, len(next))
+		case p.ack.Count != len(p.tuples):
+			return fmt.Errorf("client: %sinsert of %d tuples acked as %d — call RepinRoot to resync", db.node(p.node), len(p.tuples), p.ack.Count)
+		case len(p.tuples) > 0 && p.ack.Base != next[p.node]:
+			return fmt.Errorf("client: %sinsert landed at tuple %d where the pinned root expects %d — concurrent external writes; call RepinRoot to resync", db.node(p.node), p.ack.Base, next[p.node])
+		}
+		next[p.node] += len(p.tuples)
 	}
-	db.root = db.frontier.Root()
-	db.rootTuples = db.frontier.Count()
-	db.rootVersion = ack.Version
+	for _, p := range placed {
+		if len(p.tuples) == 0 {
+			continue
+		}
+		f := db.pins[p.node].frontier
+		for _, tp := range p.tuples {
+			f.AppendTuple(tp)
+		}
+		db.pins[p.node] = pin{root: f.Root(), tuples: f.Count(), frontier: f}
+	}
 	return nil
 }
 
 // Insert encrypts and appends plaintext tuples. With a pinned root, the
 // root advances incrementally from the placement ack and the local leaf
 // hashes — O(k log n) hashing and zero extra round trips, against the
-// old full-table re-download per insert.
+// old full-table re-download per insert. On a sharded DB every touched
+// shard's root advances from its own ack.
 func (db *DB) Insert(tuples ...relation.Tuple) error {
-	ct, err := db.encryptTuples(tuples)
-	if err != nil {
-		return err
-	}
-	if db.cluster != nil {
-		return db.insertSharded(ct.Tuples)
-	}
-	if db.root == nil {
-		return db.conn.Insert(db.table, ct.Tuples)
-	}
-	if err := db.ensureFrontier(); err != nil {
-		return err
-	}
-	ack, err := db.conn.InsertStamped(db.table, ct.Tuples)
-	if err != nil {
-		return err
-	}
-	return db.advanceRoot(ack, ct.Tuples)
+	return db.InsertBatch(nil, 0, 0, tuples...)
 }
 
 // InsertBatch encrypts the tuples once and appends them to the remote
@@ -457,51 +532,92 @@ func (db *DB) Insert(tuples ...relation.Tuple) error {
 // hashes. When that reconstruction is impossible — a worker failed (its
 // chunk may or may not have landed) or a foreign writer interleaved —
 // the pin is left untouched and the returned error says to call
-// RepinRoot: re-pinning silently would extend full-fetch trust to the
-// server on a call that reports success.
+// RepinRoot (see writeBack).
 //
 // workers <= 0 defaults to 4; chunk <= 0 defaults to 256. A nil dial
-// falls back to a serial Insert over the DB's own connection.
+// sends the batch as one insert over the DB's own connection, and a
+// sharded DB ignores dial: its insert already fans out.
 func (db *DB) InsertBatch(dial func() (*Conn, error), workers, chunk int, tuples ...relation.Tuple) error {
-	if dial == nil || db.cluster != nil {
+	ct, err := db.encryptTuples(tuples)
+	if err != nil {
+		return err
+	}
+	if db.pinned() {
+		if err := db.ensureFrontiers(); err != nil {
+			return err
+		}
+	}
+	placed, err := db.insert(ct.Tuples, dial, workers, chunk)
+	if !db.pinned() || len(placed) == 0 {
+		return err
+	}
+	if werr := db.writeBack(placed); werr != nil {
+		if err == nil {
+			return werr
+		}
+		return fmt.Errorf("%w; additionally: %v", err, werr)
+	}
+	return err
+}
+
+// insert is the write transport: it appends tuples on the nodes they
+// belong to and reports what landed where — one placement per shard on a
+// cluster, one per acked chunk on a single server. A single server
+// without a pin takes the bare-ack CmdInsert and reports nothing.
+func (db *DB) insert(tuples []ph.EncryptedTuple, dial func() (*Conn, error), workers, chunk int) ([]placement, error) {
+	switch {
+	case db.cluster != nil:
 		// A sharded insert already fans out: the coordinator scatters
 		// the partitioned batch to every shard's group-commit write path.
-		return db.Insert(tuples...)
+		acks, err := db.cluster.Insert(db.table, tuples)
+		if err != nil {
+			return nil, err
+		}
+		parts := db.cluster.Split(tuples)
+		if len(acks) != len(parts) {
+			return nil, fmt.Errorf("client: insert acked by %d shards over %d parts — call RepinRoot to resync", len(acks), len(parts))
+		}
+		placed := make([]placement, len(parts))
+		for i, part := range parts {
+			placed[i] = placement{node: i, tuples: part, ack: acks[i]}
+		}
+		return placed, nil
+	case dial != nil:
+		return db.insertChunks(tuples, dial, workers, chunk)
+	case !db.pinned():
+		return nil, db.conn.Insert(db.table, tuples)
 	}
+	ack, err := db.conn.InsertStamped(db.table, tuples)
+	if err != nil {
+		return nil, err
+	}
+	return []placement{{tuples: tuples, ack: ack}}, nil
+}
+
+// insertChunks is InsertBatch's fan-out to a single server: one
+// placement per acked chunk, returned beside the first worker error
+// (an unacked chunk may or may not have landed). The chunks are queued
+// up front, so a worker that fails leaves the rest to the others.
+func (db *DB) insertChunks(tuples []ph.EncryptedTuple, dial func() (*Conn, error), workers, chunk int) ([]placement, error) {
 	if workers <= 0 {
 		workers = 4
 	}
 	if chunk <= 0 {
 		chunk = 256
 	}
-	ct, err := db.encryptTuples(tuples)
-	if err != nil {
-		return err
-	}
-	if db.root != nil {
-		if err := db.ensureFrontier(); err != nil {
-			return err
-		}
-	}
 	var chunks [][]ph.EncryptedTuple
-	for off := 0; off < len(ct.Tuples); off += chunk {
-		end := min(off+chunk, len(ct.Tuples))
-		chunks = append(chunks, ct.Tuples[off:end])
+	for off := 0; off < len(tuples); off += chunk {
+		end := min(off+chunk, len(tuples))
+		chunks = append(chunks, tuples[off:end])
 	}
-	if len(chunks) == 0 {
-		return nil
+	workers = min(workers, len(chunks))
+	work := make(chan int, len(chunks))
+	for i := range chunks {
+		work <- i
 	}
-	if w := len(chunks); w < workers {
-		workers = w
-	}
-	type job struct {
-		idx   int
-		batch []ph.EncryptedTuple
-	}
-	work := make(chan job)
+	close(work)
 	errs := make([]error, workers)
-	acks := make([]InsertAck, len(chunks))
-	acked := make([]bool, len(chunks))
+	placed := make([]placement, len(chunks))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -510,93 +626,23 @@ func (db *DB) InsertBatch(dial func() (*Conn, error), workers, chunk int, tuples
 			conn, err := dial()
 			if err != nil {
 				errs[w] = fmt.Errorf("client: batch insert worker %d: %w", w, err)
-				// Keep draining so the feeder never blocks on a dead worker.
-				for range work {
-				}
 				return
 			}
 			defer conn.Close()
-			for j := range work {
-				ack, err := conn.InsertStamped(db.table, j.batch)
+			for i := range work {
+				ack, err := conn.InsertStamped(db.table, chunks[i])
 				if err != nil {
 					errs[w] = fmt.Errorf("client: batch insert worker %d: %w", w, err)
-					for range work {
-					}
 					return
 				}
-				acks[j.idx], acked[j.idx] = ack, true
+				placed[i] = placement{tuples: chunks[i], ack: ack}
 			}
 		}(w)
 	}
-	for i, c := range chunks {
-		work <- job{idx: i, batch: c}
-	}
-	close(work)
 	wg.Wait()
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			firstErr = err
-			break
-		}
-	}
-	if db.root == nil {
-		return firstErr
-	}
-	// Advance the pinned root from the placement acks: sort the acked
-	// chunks by landing position and append their leaf hashes in server
-	// order. The bases must tile [frontier.Count(), …) exactly; any gap
-	// means an unacked chunk may have landed inside it or a foreign
-	// writer interleaved, and the only sound continuation is the
-	// caller's explicit RepinRoot — re-pinning silently here would let a
-	// misbehaving server swap the trust anchor under a call that then
-	// reports success. Until the caller resyncs, verified selects fail
-	// with a root mismatch naming the same recovery path.
-	if err := db.advanceRootBatch(chunks, acks, acked); err != nil {
-		err = fmt.Errorf("client: batch inserted but the pinned root could not be advanced (%v) — call RepinRoot to resync", err)
-		if firstErr == nil {
-			firstErr = err
-		} else {
-			firstErr = fmt.Errorf("%w; additionally: %v", firstErr, err)
-		}
-	}
-	return firstErr
-}
-
-// advanceRootBatch folds the acked chunks of one InsertBatch into the
-// pinned root, in server-side landing order. It fails (without touching
-// the pin) when the acks do not contiguously extend the frontier.
-func (db *DB) advanceRootBatch(chunks [][]ph.EncryptedTuple, acks []InsertAck, acked []bool) error {
-	idx := make([]int, 0, len(chunks))
-	for i := range chunks {
-		if acked[i] {
-			idx = append(idx, i)
-		}
-	}
-	sort.Slice(idx, func(a, b int) bool { return acks[idx[a]].Base < acks[idx[b]].Base })
-	next := db.frontier.Count()
-	for _, i := range idx {
-		if acks[i].Base != next {
-			return fmt.Errorf("client: chunk landed at %d, frontier at %d", acks[i].Base, next)
-		}
-		next += len(chunks[i])
-	}
-	// Contiguity proven; now actually advance.
-	var version uint64
-	for _, i := range idx {
-		for _, tp := range chunks[i] {
-			db.frontier.AppendTuple(tp)
-		}
-		if acks[i].Version > version {
-			version = acks[i].Version
-		}
-	}
-	db.root = db.frontier.Root()
-	db.rootTuples = db.frontier.Count()
-	if version != 0 {
-		db.rootVersion = version
-	}
-	return nil
+	// A chunk is never empty, so an unacked one is the zero placement.
+	acked := slices.DeleteFunc(placed, func(p placement) bool { return p.tuples == nil })
+	return acked, cmp.Or(errs...)
 }
 
 // Select runs one exact select end to end: encrypt the query, evaluate it
@@ -740,7 +786,7 @@ func (db *DB) read(flags byte, plans [][]relation.Eq) ([][]query.Response, error
 		}
 		if flags == wire.ReadFlagVerified {
 			for _, r := range rs {
-				if err := checkVerifiedAgainst(db.root, db.rootTuples, r.Verified); err != nil {
+				if err := db.check(0, r.Verified); err != nil {
 					return err
 				}
 			}
@@ -750,23 +796,59 @@ func (db *DB) read(flags byte, plans [][]relation.Eq) ([][]query.Response, error
 	}); err != nil {
 		return nil, err
 	}
-	if flags == wire.ReadFlagVerified {
-		db.rootVersion = resps[len(resps)-1].Verified.Version
-	}
 	return [][]query.Response{resps}, nil
 }
 
-// SelectAll downloads and decrypts the whole table (every shard's
-// partition, concatenated, on a sharded DB).
-func (db *DB) SelectAll() (*relation.Table, error) {
+// check is the one verification site: it holds a verified answer from
+// node i to pin i (checkVerifiedAgainst). A single server's reads call it
+// inside withRead; on a cluster it is the VerifyCheck the scatter runs
+// inside every shard's routing, and readSharded calls it again only for
+// a sub-answer the scatter did not pass through it (see VerifyCheck).
+func (db *DB) check(node int, vr *authindex.VerifiedResult) error {
+	if node < 0 || node >= len(db.pins) {
+		return fmt.Errorf("client: verified answer from node %d, pinned vector covers %d", node, len(db.pins))
+	}
+	if vr == nil {
+		return fmt.Errorf("client: %sverified read answered without proofs", db.node(node))
+	}
+	if err := checkVerifiedAgainst(db.pins[node].root, db.pins[node].tuples, vr); err != nil {
+		return fmt.Errorf("%s%w", db.node(node), err)
+	}
+	return nil
+}
+
+// fetch downloads the table as it lies on the nodes: one table per node.
+func (db *DB) fetch() ([]*ph.EncryptedTable, error) {
 	if db.cluster != nil {
-		return db.selectAllSharded()
+		return db.cluster.Fetch(db.table)
 	}
 	ct, err := db.conn.FetchAll(db.table)
 	if err != nil {
 		return nil, err
 	}
-	return db.scheme.DecryptTable(ct)
+	return []*ph.EncryptedTable{ct}, nil
+}
+
+// SelectAll downloads and decrypts the whole table (every shard's
+// partition, concatenated, on a sharded DB).
+func (db *DB) SelectAll() (*relation.Table, error) {
+	parts, err := db.fetch()
+	if err != nil {
+		return nil, err
+	}
+	out := relation.NewTable(db.scheme.Schema())
+	for _, part := range parts {
+		t, err := db.scheme.DecryptTable(part)
+		if err != nil {
+			return nil, err
+		}
+		if out.Len() == 0 {
+			out = t // nothing to copy into yet: take the node's table as is
+		} else if err := union(out, t); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Query executes a mini-SQL statement. A single equality runs as one
@@ -826,13 +908,10 @@ func (db *DB) bindWhere(q *sqlmini.Query) ([]relation.Eq, error) {
 // (root, leaf count) pin: root and leaf count must match the pin, and
 // the returned tuples, at their strictly ascending positions, must
 // recompute that root with the answer's multiproof — one recomputation
-// per answer. It is the single verification
-// discipline behind both anchors the client can hold: DB's one pinned
-// root, and — in sharded mode — each entry of the pinned root *vector*,
-// where every shard's sub-answer is checked against that shard's own
-// root (the root-of-roots argument: trusting the vector is trusting
-// every shard's tree, so one mutated tuple on one shard fails its entry
-// and with it the whole read).
+// per answer. DB.check holds every node's answer to that node's entry of
+// the pinned vector this way (the root-of-roots argument: trusting the
+// vector is trusting every shard's tree, so one mutated tuple on one
+// shard fails its entry and with it the whole read).
 func checkVerifiedAgainst(root []byte, tuples int, vr *authindex.VerifiedResult) error {
 	if !bytes.Equal(vr.Root, root) || vr.Leaves != tuples {
 		return fmt.Errorf("client: verification failed: server root does not match the pinned root (server %d tuples, pinned %d) — tampering or unacknowledged external writes", vr.Leaves, tuples)

@@ -183,24 +183,18 @@ func (tc TableConfig) BuildScheme(master crypto.Key) (ph.Scheme, error) {
 // AttachAll builds every table in the config and attaches it to a catalog
 // over the connection.
 func (c *Config) AttachAll(conn *Conn, master crypto.Key) (*Catalog, error) {
-	cat := NewCatalog(conn)
-	for _, tc := range c.Tables {
-		scheme, err := tc.BuildScheme(master)
-		if err != nil {
-			return nil, fmt.Errorf("client: table %q: %w", tc.Remote, err)
-		}
-		if _, err := cat.Attach(tc.Remote, scheme); err != nil {
-			return nil, err
-		}
-	}
-	return cat, nil
+	return c.attachAll(NewCatalog(conn), master)
 }
 
 // AttachAllSharded builds every table in the config and attaches it to a
 // catalog over a sharded serving tier (built from the config's Shards
 // section, e.g. with shard.FromConfig).
 func (c *Config) AttachAllSharded(cl Cluster, master crypto.Key) (*Catalog, error) {
-	cat := NewShardedCatalog(cl)
+	return c.attachAll(NewShardedCatalog(cl), master)
+}
+
+// attachAll builds every table in the config and attaches it to cat.
+func (c *Config) attachAll(cat *Catalog, master crypto.Key) (*Catalog, error) {
 	for _, tc := range c.Tables {
 		scheme, err := tc.BuildScheme(master)
 		if err != nil {

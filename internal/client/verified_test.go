@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"log"
@@ -366,5 +367,89 @@ func TestInsertBatchAdvancesRootWithoutFetch(t *testing.T) {
 	}
 	if _, err := db.Select(relation.Eq{Column: "dept", Value: relation.String("HR")}); err != nil {
 		t.Fatalf("verified select after batch: %v", err)
+	}
+}
+
+// overcountingDialer returns a dial function whose connections reach srv
+// through a proxy that adds one to the Count of every placement ack: a
+// server claiming more tuples landed than the client sent.
+func overcountingDialer(srv *server.Server) func() (*Conn, error) {
+	return func() (*Conn, error) {
+		srvCli, srvSide := net.Pipe()
+		go srv.ServeConn(srvSide)
+		cliSide, proxySide := net.Pipe()
+		go func() {
+			defer srvCli.Close()
+			pr, pw := bufio.NewReader(proxySide), bufio.NewWriter(proxySide)
+			sr, sw := bufio.NewReader(srvCli), bufio.NewWriter(srvCli)
+			for {
+				f, err := wire.ReadFrame(pr)
+				if err != nil || wire.WriteFrame(sw, f) != nil {
+					return
+				}
+				resp, err := wire.ReadFrame(sr)
+				if err != nil {
+					return
+				}
+				if resp.Type == wire.RespInserted {
+					count := binary.BigEndian.Uint32(resp.Payload[4:8])
+					binary.BigEndian.PutUint32(resp.Payload[4:8], count+1)
+				}
+				if wire.WriteFrame(pw, resp) != nil {
+					return
+				}
+			}
+		}()
+		return NewConn(cliSide), nil
+	}
+}
+
+// TestInsertRefusesOvercountedAck: a placement ack must count exactly
+// the tuples sent. An ack claiming one more is refused — the client
+// cannot hash a leaf it never sent — naming RepinRoot, with the pin left
+// where it was.
+func TestInsertRefusesOvercountedAck(t *testing.T) {
+	st := storage.NewMemory()
+	conn, err := overcountingDialer(server.New(st, nil))()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	db := NewDB(conn, newScheme(t), "emp")
+	if err := db.CreateTable(empTable()); err != nil {
+		t.Fatal(err)
+	}
+	pinned, n := db.Root()
+	err = db.Insert(relation.Tuple{relation.String("extra"), relation.String("OPS"), relation.Int(1)})
+	if err == nil || !strings.Contains(err.Error(), "RepinRoot") {
+		t.Fatalf("overcounted ack accepted: %v", err)
+	}
+	if root, m := db.Root(); !bytes.Equal(root, pinned) || m != n {
+		t.Fatal("a refused ack moved the pin")
+	}
+	if err := db.RepinRoot(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Select(relation.Eq{Column: "dept", Value: relation.String("OPS")}); err != nil {
+		t.Fatalf("verified select after RepinRoot: %v", err)
+	}
+}
+
+// TestInsertBatchRefusesOvercountedAck: the same rule per chunk — chunks
+// whose bases tile the frontier exactly are still refused when their
+// acks claim more tuples than were sent.
+func TestInsertBatchRefusesOvercountedAck(t *testing.T) {
+	st := storage.NewMemory()
+	db := NewDB(startPipe(t, st), newScheme(t), "emp")
+	if err := db.CreateTable(empTable()); err != nil {
+		t.Fatal(err)
+	}
+	pinned, n := db.Root()
+	err := db.InsertBatch(overcountingDialer(server.New(st, nil)), 2, 5, bigEmpTuples(20)...)
+	if err == nil || !strings.Contains(err.Error(), "RepinRoot") {
+		t.Fatalf("overcounted chunk acks accepted: %v", err)
+	}
+	if root, m := db.Root(); !bytes.Equal(root, pinned) || m != n {
+		t.Fatal("refused chunk acks moved the pin")
 	}
 }

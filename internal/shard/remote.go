@@ -13,9 +13,10 @@ import (
 // process (`phserver -coordinator`), speaking the shard-framed commands
 // so per-shard sub-answers — and with them per-shard verifiability —
 // survive the extra hop. The remote coordinator is exactly as untrusted
-// as a single server: the client re-verifies every sub-answer against
-// its pinned root vector, and Remote's own checks (map version echo,
-// full shard coverage, ascending framing) only turn a lying coordinator
+// as a single server: every sub-answer is held to the client's pinned
+// root vector — by the VerifyCheck Remote runs on it, which is the
+// client's own check — and Remote's own checks (map version echo, full
+// shard coverage, ascending framing) only turn a lying coordinator
 // into a loud failure instead of a wrong answer.
 type Remote struct {
 	reads

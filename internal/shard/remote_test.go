@@ -114,7 +114,7 @@ func TestRemoteMapVersionMismatch(t *testing.T) {
 	}
 	scheme := shardScheme(t)
 	db := client.NewShardedDB(remote, scheme, "emp")
-	// The upload itself travels the legacy store path (no version echo);
+	// The upload itself travels the single-server store path (no version echo);
 	// the first shard-framed read detects the stale map.
 	if err := db.CreateTable(shardTable()); err != nil {
 		t.Fatal(err)
@@ -128,10 +128,11 @@ func TestRemoteMapVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestProxyLegacyClient: an unverified legacy client talks to the
-// coordinator proxy with the single-server command set and gets merged
-// answers; the verified legacy commands are refused with errors naming
-// the shard-aware path instead of unverifiable merged proofs.
+// TestProxyLegacyClient: an unverified single-server client talks to
+// the coordinator proxy with the single-server command set and gets
+// merged answers; the verified single-server read is refused with an
+// error naming the shard-aware path instead of unverifiable merged
+// proofs.
 func TestProxyLegacyClient(t *testing.T) {
 	co, _ := newCluster(t, 3)
 	conn := startProxy(t, co)
@@ -141,29 +142,29 @@ func TestProxyLegacyClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	// CreateTable pinned a single root the coordinator can never serve
-	// proofs for; a legacy client must run unverified.
+	// proofs for; a single-server client must run unverified.
 	db.PinRoot(nil, 0)
 
 	got, err := db.Select(relation.Eq{Column: "dept", Value: relation.String("HR")})
 	if err != nil {
-		t.Fatalf("legacy select through proxy: %v", err)
+		t.Fatalf("single-server select through proxy: %v", err)
 	}
 	if got.Len() != 8 {
-		t.Fatalf("legacy select returned %d rows, want 8", got.Len())
+		t.Fatalf("single-server select returned %d rows, want 8", got.Len())
 	}
 	got, err = db.Query("SELECT * FROM emp WHERE dept = 'IT' AND salary = 5100")
 	if err != nil {
-		t.Fatalf("legacy conjunction through proxy: %v", err)
+		t.Fatalf("single-server conjunction through proxy: %v", err)
 	}
 	if got.Len() != 1 {
-		t.Fatalf("legacy conjunction returned %d rows, want 1", got.Len())
+		t.Fatalf("single-server conjunction returned %d rows, want 1", got.Len())
 	}
 	all, err := db.SelectAll()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if all.Len() != 24 {
-		t.Fatalf("legacy select-all returned %d rows, want 24", all.Len())
+		t.Fatalf("single-server select-all returned %d rows, want 24", all.Len())
 	}
 	infos, err := conn.List()
 	if err != nil {
