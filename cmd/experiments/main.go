@@ -15,7 +15,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/bench"
 )
@@ -46,17 +45,17 @@ func main() {
 	e13Tuples := 10000
 	e14Clients := 8
 	e15Writers, e15Ops := 8, 60
-	e18Tuples, e18Window := 2000, 400*time.Millisecond
+	e18Tuples := 2000
 	e19Tuples := 400
-	e20Tuples, e20Window := 2000, 400*time.Millisecond
+	e20Tuples := 2000
 	if *quick {
 		sizes = []int{100, 1000}
 		e8sizes = []int{100, 1000}
 		e13Tuples = 2048
 		e15Ops = 15
-		e18Tuples, e18Window = 1000, 250*time.Millisecond
+		e18Tuples = 1000
 		e19Tuples = 200
-		e20Tuples, e20Window = 1000, 250*time.Millisecond
+		e20Tuples = 1000
 	}
 
 	want := map[string]bool{}
@@ -91,9 +90,9 @@ func main() {
 		// E17 ignores -quick sizing: its ≥5x gate is specified at ≥10k
 		// tuples and RunE17 clamps up to that floor anyway.
 		{"e17", func() (*bench.Table, error) { return bench.RunE17(10000, *seed) }},
-		{"e18", func() (*bench.Table, error) { return bench.RunE18(e18Tuples, 6, e18Window, *seed) }},
+		{"e18", func() (*bench.Table, error) { return bench.RunE18(e18Tuples, *seed) }},
 		{"e19", func() (*bench.Table, error) { return bench.RunE19(e19Tuples, *seed) }},
-		{"e20", func() (*bench.Table, error) { return bench.RunE20(e20Tuples, 6, e20Window, *seed) }},
+		{"e20", func() (*bench.Table, error) { return bench.RunE20(e20Tuples, *seed) }},
 	}
 	var out io.Writer = os.Stdout
 	if *outPath != "" {

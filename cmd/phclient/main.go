@@ -12,6 +12,9 @@
 //
 //	phclient -addr localhost:7632 -config client.json -passphrase 'my secret'
 //
+// The config's "net" section sets the dial and I/O knobs for -addr, and
+// its "replicas" list attaches read replicas to every table.
+//
 // If the config carries a "shards" section the shell runs against the
 // sharded serving tier instead: it builds an in-process scatter-gather
 // coordinator over the listed shard backends (the list order is the
@@ -116,7 +119,13 @@ func main() {
 		return
 	}
 
-	conn, err := client.Dial(*addr)
+	var conn *client.Conn
+	var err error
+	if cfg != nil {
+		conn, err = client.DialWithConfig(*addr, cfg.Net.DialConfig())
+	} else {
+		conn, err = client.Dial(*addr)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "phclient: %v\n", err)
 		os.Exit(1)

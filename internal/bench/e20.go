@@ -2,59 +2,30 @@ package bench
 
 import (
 	"fmt"
-	"net"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/relation"
-	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/storage"
 )
 
-// E20 capacity model, disclosed in the table notes: the service floor is
-// proportional to the partition a node serves. The single-process oracle
-// holds the whole table and gets the full floor; each of the four shards
-// holds ~a quarter of it and gets a quarter of the floor. As in E18 the
-// floor is slept, not burned (MaxInflight=1 enforces one request at a
-// time per node), so the measured scaling is pure protocol routing: it
-// shows up only if the coordinator actually scatters to all shards
-// concurrently.
+// e20Shards is the sharded tier's partition count; e20Codes is how
+// many distinct codes the equivalence sweep selects.
 const (
-	e20Shards      = 4
-	e20ShardFloor  = 2 * time.Millisecond
-	e20OracleFloor = e20Shards * e20ShardFloor
+	e20Shards = 4
+	e20Codes  = 20
 )
-
-// startFloorNode is startNode with an explicit service floor.
-func startFloorNode(st *storage.Store, floor time.Duration, readOnly bool) (*e18Node, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv := server.NewWithOptions(st, nil, server.Options{
-		ReadOnly:       readOnly,
-		MaxInflight:    1,
-		MinServiceTime: floor,
-	})
-	go srv.Serve(l)
-	return &e18Node{addr: l.Addr().String(), srv: srv}, nil
-}
 
 // RunE20 regenerates experiment E20: the scatter-gather sharded serving
 // tier. The same encrypted table is served two ways — by one
 // single-process oracle node, and hash-partitioned over four shard
-// nodes behind a shard.Coordinator — and a fleet of verified-read
-// clients measures aggregate cold-query throughput against both (every
-// iteration queries a different code, so no node answers from a warm
-// result). The built-in gates require:
+// nodes behind a shard.Coordinator — and verified reads against both
+// are compared. Every gate is a count:
 //
 //   - every sharded answer bit-identical to the oracle's (and to a
 //     plaintext evaluation) across a sweep of codes;
-//   - ≥2.5x aggregate throughput for 4 shards vs the oracle under the
-//     disclosed capacity model;
 //   - the Byzantine-shard drill: a follower serving a tampered copy of
 //     one shard's partition is detected by the pinned root vector
 //     *inside* that shard's read routing and quarantined while every
@@ -62,26 +33,20 @@ func startFloorNode(st *storage.Store, floor time.Duration, readOnly bool) (*e18
 //     tampered shard *primary* (no honest node left for that shard)
 //     must fail the whole read — one mutated tuple on one shard cannot
 //     poison the merge.
-func RunE20(tuples, clients int, window time.Duration, seed int64) (*Table, error) {
+//
+// That the scatter reaches the shards concurrently is pinned by
+// internal/shard's TestScatterRunsShardsConcurrently, not timed here.
+func RunE20(tuples int, seed int64) (*Table, error) {
 	if tuples <= 0 {
 		tuples = 2000
 	}
-	if clients <= 0 {
-		clients = 6
-	}
-	if window <= 0 {
-		window = 400 * time.Millisecond
-	}
 	t := &Table{
-		ID: "E20",
-		Title: fmt.Sprintf("sharded scatter-gather: cold-query throughput vs a single-process oracle (table: %d tuples, %d clients, %s window)",
-			tuples, clients, window),
-		Header: []string{"config", "nodes", "reads", "reads/s", "speedup"},
+		ID:     "E20",
+		Title:  fmt.Sprintf("sharded scatter-gather: verified reads vs a single-process oracle (table: %d tuples, %d shards)", tuples, e20Shards),
+		Header: []string{"phase", "sharded reads", "oracle-identical", "refused", "replica failures"},
 		Notes: []string{
-			fmt.Sprintf("per-node capacity is EMULATED as in E18: MaxInflight=1 with a slept service floor proportional to partition size — %s for the oracle (whole table), %s per shard (~1/%d of it) — so speedup measures scatter routing, not host parallelism",
-				e20OracleFloor, e20ShardFloor, e20Shards),
 			"every read is verified: the oracle client pins one root, the sharded client pins a per-shard root vector (root-of-roots) and checks each sub-answer",
-			"cold queries: every iteration selects a different code, so neither side answers from a warm result",
+			"every sweep read selects a different code, so neither side answers from a warm result",
 		},
 	}
 
@@ -98,7 +63,7 @@ func RunE20(tuples, clients int, window time.Duration, seed int64) (*Table, erro
 	if err != nil {
 		return nil, err
 	}
-	codes := make([]string, 200)
+	codes := make([]string, e20Codes)
 	want := make(map[string]string, len(codes))
 	for i := range codes {
 		codes[i] = fmt.Sprintf("c%03d", i)
@@ -109,8 +74,8 @@ func RunE20(tuples, clients int, window time.Duration, seed int64) (*Table, erro
 		want[codes[i]] = plain.Sorted().String()
 	}
 
-	// The oracle: one node, full table, full floor.
-	onode, err := startFloorNode(storage.NewMemory(), e20OracleFloor, false)
+	// The oracle: one node holding the whole table.
+	onode, err := startNode(storage.NewMemory(), false)
 	if err != nil {
 		return nil, err
 	}
@@ -124,15 +89,13 @@ func RunE20(tuples, clients int, window time.Duration, seed int64) (*Table, erro
 	if err := odb.CreateTable(table); err != nil {
 		return nil, err
 	}
-	oroot, orootTuples := odb.Root()
 
-	// The sharded tier: four nodes, a quarter floor each, one
-	// coordinator scattering over them.
+	// The sharded tier: four nodes, one coordinator scattering over them.
 	stores := make([]*storage.Store, e20Shards)
 	shardsCfg := &client.ShardsConfig{Version: 1}
 	for i := range stores {
 		stores[i] = storage.NewMemory()
-		n, err := startFloorNode(stores[i], e20ShardFloor, false)
+		n, err := startNode(stores[i], false)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +111,6 @@ func RunE20(tuples, clients int, window time.Duration, seed int64) (*Table, erro
 	if err := sdb.CreateTable(table); err != nil {
 		return nil, err
 	}
-	sroots, srootTuples := sdb.ShardRoots()
 
 	// Bit-identical equivalence sweep: oracle vs sharded vs plaintext.
 	oracleAnswer := func(code string) (string, error) {
@@ -158,7 +120,7 @@ func RunE20(tuples, clients int, window time.Duration, seed int64) (*Table, erro
 		}
 		return got.Sorted().String(), nil
 	}
-	for _, code := range codes[:20] {
+	for _, code := range codes {
 		ostr, err := oracleAnswer(code)
 		if err != nil {
 			return nil, fmt.Errorf("bench: e20 oracle %s: %w", code, err)
@@ -171,106 +133,8 @@ func RunE20(tuples, clients int, window time.Duration, seed int64) (*Table, erro
 			return nil, fmt.Errorf("bench: e20: sharded answer for %s differs from the oracle's", code)
 		}
 	}
-	t.Notes = append(t.Notes, "equivalence sweep passed: 20 codes, sharded == oracle == plaintext, bit-identical")
-
-	// measure runs `clients` goroutines of back-to-back verified cold
-	// reads for one window; mkDB builds one independent client per
-	// goroutine (its own connections, its own pinned trust anchor).
-	measure := func(mkDB func() (*client.DB, func(), error)) (ops int64, err error) {
-		results := make(chan error, clients)
-		counts := make(chan int64, clients)
-		deadline := time.Now().Add(window)
-		for c := 0; c < clients; c++ {
-			go func(c int) {
-				db, done, err := mkDB()
-				if err != nil {
-					counts <- 0
-					results <- err
-					return
-				}
-				defer done()
-				var n int64
-				for time.Now().Before(deadline) {
-					code := codes[(c*37+int(n))%len(codes)]
-					got, err := db.Select(relation.Eq{Column: "code", Value: relation.String(code)})
-					if err != nil {
-						counts <- n
-						results <- err
-						return
-					}
-					if got.Sorted().String() != want[code] {
-						counts <- n
-						results <- fmt.Errorf("bench: e20: verified read returned a wrong answer for %s", code)
-						return
-					}
-					n++
-				}
-				counts <- n
-				results <- nil
-			}(c)
-		}
-		for c := 0; c < clients; c++ {
-			ops += <-counts
-			if rerr := <-results; rerr != nil && err == nil {
-				err = rerr
-			}
-		}
-		return ops, err
-	}
-
-	oracleDB := func() (*client.DB, func(), error) {
-		conn, err := client.DialWithConfig(onode.addr, e18Dial())
-		if err != nil {
-			return nil, nil, err
-		}
-		db := client.NewDB(conn, scheme, "pairs")
-		db.PinRoot(oroot, orootTuples)
-		return db, func() { conn.Close() }, nil
-	}
-	shardedDB := func() (*client.DB, func(), error) {
-		co, err := shard.FromConfig(shardsCfg, e18Dial())
-		if err != nil {
-			return nil, nil, err
-		}
-		db := client.NewShardedDB(co, scheme, "pairs")
-		if err := db.PinShardRoots(sroots, srootTuples); err != nil {
-			co.Close()
-			return nil, nil, err
-		}
-		return db, func() { co.Close() }, nil
-	}
-
-	oops, err := measure(oracleDB)
-	if err != nil {
-		return nil, fmt.Errorf("bench: e20 oracle: %w", err)
-	}
-	orate := float64(oops) / window.Seconds()
-	t.AddRow("single-process oracle", "1", fmt.Sprintf("%d", oops), fmt.Sprintf("%.0f", orate), "1.00x")
-
-	sops, err := measure(shardedDB)
-	if err != nil {
-		return nil, fmt.Errorf("bench: e20 sharded: %w", err)
-	}
-	srate := float64(sops) / window.Seconds()
-	speedup := srate / orate
-	t.AddRow(fmt.Sprintf("%d-shard scatter-gather", e20Shards), fmt.Sprintf("%d", e20Shards),
-		fmt.Sprintf("%d", sops), fmt.Sprintf("%.0f", srate), fmt.Sprintf("%.2fx", speedup))
-	// The scaling gate presumes the slept floors dominate the real CPU
-	// per read; the race detector multiplies that real CPU (a sharded
-	// read does 4x the client-side proof verification of an oracle read)
-	// several-fold while the floors stay fixed, so under race on a small
-	// box the detector becomes the bottleneck. The full gate holds for
-	// the regular test and experiment runs; under race we only require
-	// the sharded tier not be slower than the oracle.
-	gate := 2.5
-	if raceEnabled {
-		gate = 1.0
-		t.Notes = append(t.Notes, "race detector enabled: scaling gate relaxed to 1.0x (detector overhead on the 4x-verification sharded path swamps the emulated floors)")
-	}
-	if speedup < gate {
-		return nil, fmt.Errorf("bench: e20 gate: %d-shard speedup %.2fx, want >= %.1fx", e20Shards, speedup, gate)
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf("scaling gate passed: %.2fx aggregate cold-query throughput at %d shards (>= %.1fx required)", speedup, e20Shards, gate))
+	t.AddRow("equivalence sweep", fmt.Sprintf("%d", len(codes)), fmt.Sprintf("%d", len(codes)), "0", "0")
+	t.Notes = append(t.Notes, fmt.Sprintf("equivalence sweep passed: %d codes, sharded == oracle == plaintext, bit-identical", len(codes)))
 
 	// Byzantine-shard drill, part 1: a follower on one shard serves a
 	// tampered copy of that shard's partition. The pinned root vector
@@ -292,7 +156,7 @@ func RunE20(tuples, clients int, window time.Duration, seed int64) (*Table, erro
 		if err := evil.Put("pairs", mutated); err != nil {
 			return nil, err
 		}
-		enode, err := startFloorNode(evil, e20ShardFloor, true)
+		enode, err := startNode(evil, true)
 		if err != nil {
 			return nil, err
 		}
@@ -324,9 +188,8 @@ func RunE20(tuples, clients int, window time.Duration, seed int64) (*Table, erro
 	if stats[evilShard].ReplicaFailures == 0 {
 		return nil, fmt.Errorf("bench: e20: tampered follower on shard %d was never rejected (stats %+v)", evilShard, stats[evilShard])
 	}
-	t.Notes = append(t.Notes, fmt.Sprintf(
-		"Byzantine-follower drill passed: a tampered replica on shard %d failed root-vector verification %d time(s), was quarantined, and every read stayed bit-identical to the oracle",
-		evilShard, stats[evilShard].ReplicaFailures))
+	t.AddRow("Byzantine-follower drill", "4", "4", "0", fmt.Sprintf("%d", stats[evilShard].ReplicaFailures))
+	t.Notes = append(t.Notes, fmt.Sprintf("Byzantine-follower drill passed: a tampered replica on shard %d failed root-vector verification, was quarantined, and every read stayed bit-identical to the oracle", evilShard))
 
 	// Part 2: the shard *primary* itself turns Byzantine — no honest
 	// node is left for that shard, so the read must fail outright
@@ -358,6 +221,7 @@ func RunE20(tuples, clients int, window time.Duration, seed int64) (*Table, erro
 	if got.Sorted().String() != ostr {
 		return nil, fmt.Errorf("bench: e20 post-restore read: answer differs from the oracle's")
 	}
+	t.AddRow("Byzantine-primary drill", "2", "1", "1", "0")
 	t.Notes = append(t.Notes,
 		"Byzantine-primary drill passed: one flipped ciphertext byte on one shard failed the whole read (no silent partial merge); restoring the partition restored bit-identical service")
 	return t, nil

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,7 +10,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/crypto"
+	"repro/internal/relation"
 	"repro/internal/schemes/bucket"
+	"repro/internal/server"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -138,6 +142,70 @@ func TestConfigRoundTripAndAttach(t *testing.T) {
 	if res.Len() != 1 || res.Tuple(0)[0].Str() != "Ada" {
 		t.Fatalf("config-built catalog query: %v", res)
 	}
+}
+
+// TestConfigReplicasServeReads: the config's net.replicas attach to every
+// DB AttachAll builds, so a verified read is served by the read-only
+// replica, not the primary.
+func TestConfigReplicasServeReads(t *testing.T) {
+	store := storage.NewMemory()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := server.NewWithOptions(store, nil, server.Options{ReadOnly: true})
+	go replica.Serve(l)
+	t.Cleanup(func() { replica.Close() })
+
+	cfg := &Config{
+		Tables: []TableConfig{{Remote: "emp", Scheme: core.SchemeID, Schema: SchemaConfigOf(empSchema())}},
+		Net:    NetConfig{DialAttempts: 1, Replicas: []string{l.Addr().String()}},
+	}
+	cat, err := cfg.AttachAll(startPipe(t, store), crypto.KeyFromBytes([]byte("replica-passphrase")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := cat.DB("emp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable(empTable()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := db.Select(hrQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := relation.Select(empTable(), hrQuery()); !got.Equal(want) {
+		t.Fatalf("replica-served select:\n%v", got)
+	}
+	if st := db.ReadStats(); st.ReplicaReads != 1 || st.PrimaryReads != 0 {
+		t.Fatalf("stats %+v: want the one read served by the config's replica", st)
+	}
+}
+
+// TestShardedDBRefusesReplicas: a sharded DB has no single primary pool
+// to put replicas beside, so AddReplica/AddReplicas return an error
+// naming the per-shard path instead of panicking, and a config setting
+// both shards and net.replicas fails to attach.
+func TestShardedDBRefusesReplicas(t *testing.T) {
+	var cl struct{ Cluster } // no method is called: attaching touches no shard
+	db := NewShardedDB(cl, newScheme(t), "emp")
+	refused := func(label string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "AddShardReplicas") {
+			t.Fatalf("%s on a sharded DB: %v, want an error naming AddShardReplicas", label, err)
+		}
+	}
+	refused("AddReplica", db.AddReplica(func() (*Conn, error) { return nil, fmt.Errorf("never dialed") }))
+	refused("AddReplicas", db.AddReplicas(DialConfig{}, "127.0.0.1:1"))
+
+	cfg := &Config{
+		Tables: []TableConfig{{Remote: "emp", Scheme: core.SchemeID, Schema: SchemaConfigOf(empSchema())}},
+		Net:    NetConfig{Replicas: []string{"127.0.0.1:1"}},
+	}
+	_, err := cfg.AttachAllSharded(cl, crypto.KeyFromBytes([]byte("sharded-passphrase")))
+	refused("AttachAllSharded with net.replicas", err)
 }
 
 func TestConfigKeysAreDeterministicAndSeparated(t *testing.T) {

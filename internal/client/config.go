@@ -29,8 +29,9 @@ type Config struct {
 	Net NetConfig `json:"net,omitempty"`
 	// Shards, when present, describes a sharded serving tier: the catalog
 	// scatters to these backends through an in-process coordinator
-	// instead of talking to one server. Net.Replicas is ignored in
-	// sharded mode — followers attach per shard.
+	// instead of talking to one server. Followers attach per shard
+	// (ShardConfig.Replicas): attaching a config that sets both Shards
+	// and Net.Replicas fails.
 	Shards *ShardsConfig `json:"shards,omitempty"`
 }
 
@@ -70,8 +71,8 @@ type NetConfig struct {
 	DialBackoffMaxMS int `json:"dial_backoff_max_ms,omitempty"`
 	// IOTimeoutMS bounds every round trip on established connections.
 	IOTimeoutMS int `json:"io_timeout_ms,omitempty"`
-	// Replicas lists read-replica addresses; pass them to DB.AddReplicas
-	// to spread verified reads with primary failover.
+	// Replicas lists read-replica addresses; AttachAll attaches them to
+	// every table's DB to spread verified reads with primary failover.
 	Replicas []string `json:"replicas,omitempty"`
 }
 
@@ -193,15 +194,22 @@ func (c *Config) AttachAllSharded(cl Cluster, master crypto.Key) (*Catalog, erro
 	return c.attachAll(NewShardedCatalog(cl), master)
 }
 
-// attachAll builds every table in the config and attaches it to cat.
+// attachAll builds every table in the config, attaches it to cat and
+// gives its DB the config's read replicas.
 func (c *Config) attachAll(cat *Catalog, master crypto.Key) (*Catalog, error) {
 	for _, tc := range c.Tables {
 		scheme, err := tc.BuildScheme(master)
 		if err != nil {
 			return nil, fmt.Errorf("client: table %q: %w", tc.Remote, err)
 		}
-		if _, err := cat.Attach(tc.Remote, scheme); err != nil {
+		db, err := cat.Attach(tc.Remote, scheme)
+		if err != nil {
 			return nil, err
+		}
+		if len(c.Net.Replicas) > 0 {
+			if err := db.AddReplicas(c.Net.DialConfig(), c.Net.Replicas...); err != nil {
+				return nil, fmt.Errorf("client: table %q: net.replicas: %w", tc.Remote, err)
+			}
 		}
 	}
 	return cat, nil

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -303,12 +304,10 @@ func (r *replicaState) ok() {
 // concurrent use so a shard coordinator (internal/shard) can keep one
 // pool per shard and scatter to them from concurrently served requests.
 //
-// The pool's mutex is held for the whole attempt, round trip included:
-// a Conn is not safe for concurrent use, so one pool serves exactly one
-// request at a time and concurrent callers queue. That is deliberate —
-// a pool models one node's serving capacity, and per-node queueing is
-// exactly the capacity model the scaling experiments (E18/E20) measure.
-// Independent pools (different shards) proceed in parallel.
+// The pool's mutex is held for the whole attempt, round trip included,
+// because a Conn is single-user: it is not safe for concurrent use, so
+// one pool serves exactly one request at a time and concurrent callers
+// queue. Independent pools (different shards) proceed in parallel.
 type ReadPool struct {
 	mu sync.Mutex
 	// fixed is a caller-owned primary connection (DB mode); the pool
@@ -466,15 +465,27 @@ func (p *ReadPool) DoPrimary(fn func(c *Conn) error) error {
 
 // AddReplica registers a read replica by dial function (the seam tests
 // and in-memory transports use). Like the rest of DB, not safe for
-// concurrent use.
-func (db *DB) AddReplica(dial func() (*Conn, error)) {
+// concurrent use. A sharded DB has no single primary to stand beside:
+// its followers attach per shard, so it refuses.
+func (db *DB) AddReplica(dial func() (*Conn, error)) error {
+	if db.cluster != nil {
+		return errShardedReplicas
+	}
 	db.pool.AddReplica(dial)
+	return nil
 }
 
-// AddReplicas registers TCP read replicas dialed with cfg.
-func (db *DB) AddReplicas(cfg DialConfig, addrs ...string) {
+// AddReplicas registers TCP read replicas dialed with cfg; a sharded DB
+// refuses, as AddReplica does.
+func (db *DB) AddReplicas(cfg DialConfig, addrs ...string) error {
+	if db.cluster != nil {
+		return errShardedReplicas
+	}
 	db.pool.AddReplicas(cfg, addrs...)
+	return nil
 }
+
+var errShardedReplicas = errors.New("client: a sharded DB attaches read replicas per shard (Coordinator.AddShardReplicas)")
 
 // ReadStats returns the DB's read-routing counters. For a sharded DB
 // the per-shard counters live with the cluster (e.g. the coordinator's

@@ -203,25 +203,3 @@ func TestShipLogCommand(t *testing.T) {
 		t.Fatalf("truncated ship request answered %#x", resp.Type)
 	}
 }
-
-// TestInflightFloorBoundsThroughput pins the capacity model E18 leans
-// on: with MaxInflight=1 and a service-time floor, N requests take at
-// least N*floor, however fast the machine is.
-func TestInflightFloorBoundsThroughput(t *testing.T) {
-	s := NewWithOptions(testStore(t), nil, Options{MaxInflight: 1, MinServiceTime: 10 * time.Millisecond})
-	start := time.Now()
-	const n = 5
-	done := make(chan struct{}, n)
-	for i := 0; i < n; i++ {
-		go func() {
-			s.serveRequest(wire.Frame{Type: wire.CmdList}, nil)
-			done <- struct{}{}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		<-done
-	}
-	if elapsed := time.Since(start); elapsed < n*10*time.Millisecond {
-		t.Fatalf("%d requests finished in %v; the floor should force >= %v", n, elapsed, n*10*time.Millisecond)
-	}
-}

@@ -28,15 +28,14 @@
 // of running them.
 //
 // Operationally the server takes Options for robustness under hostile
-// or flaky peers — per-connection idle and write deadlines, a
-// connection cap, an inflight cap with a service-time floor (the
-// capacity model experiment E18 leans on) — and for running as a read
-// replica: ReadOnly rejects mutations, CmdShipLog serves the store's
-// write-ahead log to followers (internal/replica) so read capacity
-// scales out without adding trusted parties, CmdShipSnapshot serves
-// them chunked state snapshots for O(state) bootstrap, and Ready lets
-// a follower refuse every request while it is catching up rather than
-// answer from a half-installed store.
+// or flaky peers — per-connection idle and write deadlines and a
+// connection cap — and for running as a read replica: ReadOnly rejects
+// mutations, CmdShipLog serves the store's write-ahead log to followers
+// (internal/replica) so read capacity scales out without adding trusted
+// parties, CmdShipSnapshot serves them chunked state snapshots for
+// O(state) bootstrap, and Ready lets a follower refuse every request
+// while it is catching up rather than answer from a half-installed
+// store.
 package server
 
 import (
@@ -75,17 +74,6 @@ type Options struct {
 	// retry elsewhere — failing fast beats queueing behind a full house).
 	// Zero means no cap.
 	MaxConns int
-	// MaxInflight caps requests executing concurrently across all
-	// connections; excess requests queue at the semaphore in arrival
-	// order. Zero means no cap.
-	MaxInflight int
-	// MinServiceTime, when positive, is a per-request service-time floor
-	// applied inside the inflight slot. With MaxInflight it turns the
-	// server into a fixed-capacity node — requests/sec is bounded by
-	// MaxInflight/MinServiceTime regardless of how fast the host CPU is —
-	// which is what lets capacity experiments (E18) measure scaling
-	// deterministically on any machine. Not for production serving.
-	MinServiceTime time.Duration
 	// Ready, when set, gates every command: while it reports false the
 	// server answers each request with an error instead of serving it.
 	// Replicas set it to their follower's catch-up signal so a store
@@ -115,10 +103,9 @@ type Backend interface {
 
 // Server is one service-provider instance.
 type Server struct {
-	backend  Backend
-	logger   *log.Logger
-	opts     Options
-	inflight chan struct{} // MaxInflight semaphore; nil when uncapped
+	backend Backend
+	logger  *log.Logger
+	opts    Options
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -146,11 +133,7 @@ func NewProxy(backend Backend, logger *log.Logger, opts Options) *Server {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
-	s := &Server{backend: backend, logger: logger, opts: opts, conns: make(map[net.Conn]struct{})}
-	if opts.MaxInflight > 0 {
-		s.inflight = make(chan struct{}, opts.MaxInflight)
-	}
-	return s
+	return &Server{backend: backend, logger: logger, opts: opts, conns: make(map[net.Conn]struct{})}
 }
 
 // Serve accepts connections on l until Close is called. It blocks.
@@ -260,7 +243,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 			}
 			return
 		}
-		resp := s.serveRequest(f, encBuf[:0])
+		resp := s.dispatch(f, encBuf[:0])
 		if s.opts.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
 		}
@@ -279,26 +262,6 @@ func (s *Server) ServeConn(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// serveRequest wraps dispatch with the capacity controls: the inflight
-// semaphore (requests past MaxInflight queue here in arrival order) and
-// the MinServiceTime floor, which is slept inside the slot so a node's
-// throughput ceiling is MaxInflight/MinServiceTime by construction.
-func (s *Server) serveRequest(f wire.Frame, scratch []byte) wire.Frame {
-	if s.inflight != nil {
-		s.inflight <- struct{}{}
-		defer func() { <-s.inflight }()
-	}
-	if s.opts.MinServiceTime <= 0 {
-		return s.dispatch(f, scratch)
-	}
-	start := time.Now()
-	resp := s.dispatch(f, scratch)
-	if d := time.Since(start); d < s.opts.MinServiceTime {
-		time.Sleep(s.opts.MinServiceTime - d)
-	}
-	return resp
 }
 
 // dispatch applies the server-side policy gates — the Ready gate and

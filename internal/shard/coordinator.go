@@ -25,8 +25,8 @@ import (
 // verification callback *inside* the routing and handled exactly like a
 // dead one: quarantined, read retried elsewhere, surviving shards
 // unaffected. The coordinator holds no locks of its own across I/O —
-// per-shard serialisation lives in the pools, which is the capacity
-// model (one in-flight request per connection).
+// per-shard serialisation lives in the pools (one in-flight request per
+// connection).
 type Coordinator struct {
 	reads
 	m     Map

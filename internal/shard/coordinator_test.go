@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/core"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/relation"
 	"repro/internal/server"
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 // startShardConn serves store over an in-memory pipe and returns the
@@ -486,5 +488,73 @@ func TestByzantineFollowerQuarantinedShardKeepsServing(t *testing.T) {
 	stats := co.ShardStats()
 	if stats[target].ReplicaFailures == 0 {
 		t.Fatalf("Byzantine follower was not detected: %+v", stats[target])
+	}
+}
+
+// barrier releases its waiters once want of them have arrived.
+type barrier struct {
+	mu      sync.Mutex
+	arrived int
+	want    int
+	all     chan struct{}
+}
+
+// wait reports whether every expected waiter arrived within timeout.
+func (b *barrier) wait(timeout time.Duration) bool {
+	b.mu.Lock()
+	if b.arrived++; b.arrived == b.want {
+		close(b.all)
+	}
+	b.mu.Unlock()
+	select {
+	case <-b.all:
+		return true
+	case <-time.After(timeout):
+		return false
+	}
+}
+
+// barrierBackend answers a directory listing only once every shard's
+// request is in flight.
+type barrierBackend struct{ b *barrier }
+
+func (bb barrierBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, error) {
+	if !bb.b.wait(2 * time.Second) {
+		return wire.Frame{}, fmt.Errorf("barrier: not every shard's request was in flight within 2s")
+	}
+	infos := []wire.TableInfo{{Name: "t", SchemeID: core.SchemeID, Tuples: 1}}
+	return wire.Frame{Type: wire.RespList, Payload: wire.EncodeList(scratch, infos)}, nil
+}
+
+func (barrierBackend) Sync() error { return nil }
+
+// TestScatterRunsShardsConcurrently: every shard's backend answers only
+// once all four shards' requests are in flight, so a scatter succeeds
+// only if it has them in flight at once. This is the timing-free form of
+// the claim that a sharded read costs the slowest shard, not the sum.
+// With scatter rewritten as a serial loop the test fails: the first
+// shard's request waits out the barrier alone.
+func TestScatterRunsShardsConcurrently(t *testing.T) {
+	const n = 4
+	b := &barrier{want: n, all: make(chan struct{})}
+	pools := make([]*client.ReadPool, n)
+	for i := range pools {
+		srv := server.NewProxy(barrierBackend{b}, log.New(shardTestWriter{t}, "", 0), server.Options{})
+		cliSide, srvSide := net.Pipe()
+		go srv.ServeConn(srvSide)
+		conn := client.NewConn(cliSide)
+		t.Cleanup(func() { conn.Close() })
+		pools[i] = client.NewReadPool(conn)
+	}
+	co, err := NewCoordinator(Map{Version: 1, Count: n}, pools)
+	if err != nil {
+		t.Fatal(err)
+	}
+	infos, err := co.List()
+	if err != nil {
+		t.Fatalf("scatter: %v", err)
+	}
+	if len(infos) != 1 || infos[0].Tuples != n {
+		t.Fatalf("merged listing %+v, want one table with %d tuples", infos, n)
 	}
 }
