@@ -113,7 +113,7 @@ func TestShardScanCoversEveryIndexOnce(t *testing.T) {
 	const procs = 64
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	base := swp.NewMatcher(swp.Params{WordLen: 11, ChecksumLen: 2}, swp.Trapdoor{})
-	for _, n := range []int{0, 1, parallelThreshold - 1, parallelThreshold, 1100, 4099} {
+	for _, n := range []int{0, 1, parallelThreshold - 1, parallelThreshold, parallelThreshold + 76, 2*parallelThreshold + 3} {
 		for _, capacity := range []int{1, 2, 3, procs} {
 			budget := sched.NewBudget(capacity)
 			old := sched.SetProcess(budget)

@@ -67,3 +67,19 @@ func (f *BlockPRF) SumInto(dst, input []byte) {
 	}
 	copy(dst, s)
 }
+
+// SumBlocks evaluates a PRF of one-block inputs on every block, in place:
+// each block holds an input zero-padded to BlockPRFSize bytes and receives
+// the full-width output, the value SumInto truncates. Nothing chains from
+// one block to the next, so the AES calls run back to back and the CPU
+// overlaps them; the caller's blocks are the only memory written, and
+// nothing is allocated. It panics on an instance whose inputs take more
+// than one block.
+func (f *BlockPRF) SumBlocks(blocks [][BlockPRFSize]byte) {
+	if f.inputLen > BlockPRFSize {
+		panic(fmt.Sprintf("crypto: blockprf: SumBlocks on a PRF of %d-byte inputs, which take more than one block", f.inputLen))
+	}
+	for i := range blocks {
+		f.block.Encrypt(blocks[i][:], blocks[i][:])
+	}
+}

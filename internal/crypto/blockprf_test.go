@@ -121,6 +121,39 @@ func expectPanics(t *testing.T, calls map[string]func()) {
 	}
 }
 
+// TestBlockPRFSumBlocksIsSumInto: on every one-block input length, each
+// block SumBlocks encrypts in place is SumInto's full-width output on that
+// block's zero-padded input, without allocating; a multi-block instance
+// refuses.
+func TestBlockPRFSumBlocksIsSumInto(t *testing.T) {
+	for n := 0; n <= BlockPRFSize; n++ {
+		f := NewBlockPRF(testKey(26), n)
+		blocks := make([][BlockPRFSize]byte, 5)
+		inputs := make([][]byte, len(blocks))
+		for i := range blocks {
+			for j := 0; j < n; j++ {
+				blocks[i][j] = byte(7*i + 3*j + n)
+			}
+			inputs[i] = bytes.Clone(blocks[i][:n])
+		}
+		f.SumBlocks(blocks)
+		for i, in := range inputs {
+			want := make([]byte, BlockPRFSize)
+			f.SumInto(want, in)
+			if !bytes.Equal(blocks[i][:], want) {
+				t.Fatalf("input %d bytes, block %d: SumBlocks %x, SumInto %x", n, i, blocks[i], want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(200, func() { f.SumBlocks(blocks) }); allocs != 0 {
+			t.Fatalf("SumBlocks on %d-byte inputs allocates %v objects per run, want 0", n, allocs)
+		}
+	}
+	f := NewBlockPRF(testKey(26), BlockPRFSize+1)
+	expectPanics(t, map[string]func(){
+		"two-block instance": func() { f.SumBlocks(make([][BlockPRFSize]byte, 1)) },
+	})
+}
+
 func TestBlockPRFSumIntoZeroAllocs(t *testing.T) {
 	for _, n := range []int{9, 16, 17, 40} {
 		f := NewBlockPRF(testKey(25), n)

@@ -108,7 +108,7 @@ func swapBudget(t *testing.T) *sched.Budget {
 }
 
 func TestSingleRiderMatchesSerial(t *testing.T) {
-	f := newFixture(t, 2000, 1)
+	f := newFixture(t, 2100, 1)
 	s := New()
 	table := new(int)
 	for _, dept := range []string{"HR", "FIN", "IT"} {
@@ -170,7 +170,7 @@ func TestManyRidersMatchSerial(t *testing.T) {
 // snapshot length must not attach — it completes while the leader is
 // still held.
 func TestAttachedRidersShareOneScan(t *testing.T) {
-	f := newFixture(t, 2000, 3)
+	f := newFixture(t, 2100, 3)
 	s := New()
 	table := new(int)
 	q := f.query(t, "dept", "SALES")

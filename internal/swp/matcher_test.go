@@ -2,6 +2,9 @@ package swp
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/hmac"
+	"crypto/subtle"
 	"fmt"
 	"math"
 	"math/rand"
@@ -149,15 +152,175 @@ func TestMatchZeroAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Fatalf("stream width %d: %s Matcher.Match allocates %v objects per 32-word scan, want 0", nm, name, allocs)
 			}
+			allocs = testing.AllocsPerRun(500, func() {
+				for i := 0; i+3 <= 32; i += 3 {
+					m.MatchAny(cws[i : i+3])
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("stream width %d: %s Matcher.MatchAny allocates %v objects per ten 3-word tuples, want 0", nm, name, allocs)
+			}
 		}
 	}
 }
 
+// TestMatcherSetupAllocs holds a scan's per-trapdoor setup to what it cost
+// before the one-block kernel, on both paths: NewMatcher is the Matcher,
+// AES's key schedule, the isolated PRF and the scratch; Clone shares the
+// key schedule. The batch blocks live in the scratch allocation, not
+// beside it.
+func TestMatcherSetupAllocs(t *testing.T) {
+	const newMatcherAllocs, cloneAllocs = 4, 3
+	for _, nm := range benchStreamWidths {
+		p := Params{WordLen: nm + 2, ChecksumLen: 2}
+		_, _, td := matcherFixture(t, p)
+		base := NewMatcher(p, td)
+		if got := testing.AllocsPerRun(200, func() { NewMatcher(p, td) }); got > newMatcherAllocs {
+			t.Errorf("stream width %d: NewMatcher allocates %v objects, want at most %d", nm, got, newMatcherAllocs)
+		}
+		if got := testing.AllocsPerRun(200, func() { base.Clone() }); got > cloneAllocs {
+			t.Errorf("stream width %d: Clone allocates %v objects, want at most %d", nm, got, cloneAllocs)
+		}
+	}
+}
+
+// refChecksum is F straight from crypto/aes: CBC-MAC under key over the
+// stream chunk s zero-padded to whole blocks, truncated to m bytes — for a
+// chunk of at most one block, AES_k(pad(s))[:m].
+func refChecksum(t *testing.T, key, s []byte, m int) []byte {
+	t.Helper()
+	b, err := aes.NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := make([]byte, (len(s)+15)/16*16)
+	copy(padded, s)
+	state := make([]byte, aes.BlockSize)
+	for ; len(padded) > 0; padded = padded[aes.BlockSize:] {
+		subtle.XORBytes(state, state, padded)
+		b.Encrypt(state, state)
+	}
+	return state[:m]
+}
+
+// refMatch is the match test by definition: a word of the trapdoor's
+// length matches iff C ⊕ X = ⟨s, F_k(s)⟩.
+func refMatch(t *testing.T, p Params, td Trapdoor, w []byte) bool {
+	if len(w) != p.WordLen {
+		return false
+	}
+	c := make([]byte, len(w))
+	subtle.XORBytes(c, w, td.X)
+	nm := p.streamLen()
+	return hmac.Equal(refChecksum(t, td.K, c[:nm], p.ChecksumLen), c[nm:])
+}
+
+// TestMatchKernelDifferential holds both kernels — one AES block for every
+// stream width 1..16, CBC-MAC at 17 and 40 — to refMatch, at every
+// checksum width m: genuine words match, a flip of any one checksum byte
+// never does, random words agree with the reference, words of another
+// length never match, and MatchAny on tuples of 0..9 mixed-length words
+// (across the batch boundary) is exactly "any word matches".
+func TestMatchKernelDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	randBytes := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	widths := []int{17, 40}
+	for nm := 1; nm <= crypto.BlockPRFSize; nm++ {
+		widths = append(widths, nm)
+	}
+	for _, nm := range widths {
+		for cs := 1; cs <= MaxChecksumLen; cs++ {
+			p := Params{WordLen: nm + cs, ChecksumLen: cs}
+			td := Trapdoor{X: randBytes(p.WordLen), K: randBytes(crypto.KeySize)}
+			m := NewMatcher(p, td)
+			genuine := func() []byte {
+				s := randBytes(nm)
+				w := append(s, refChecksum(t, td.K, s, cs)...)
+				subtle.XORBytes(w, w, td.X)
+				return w
+			}
+			var hits, misses [][]byte
+			for i := 0; i < 4; i++ {
+				w := genuine()
+				if !m.Match(w) || !refMatch(t, p, td, w) {
+					t.Fatalf("%+v: a genuine word does not match", p)
+				}
+				hits = append(hits, w)
+				for j := nm; j < p.WordLen; j++ {
+					f := slices.Clone(w)
+					f[j] ^= byte(1 + rng.Intn(255))
+					if m.Match(f) {
+						t.Fatalf("%+v: a word with checksum byte %d flipped matches", p, j-nm)
+					}
+					misses = append(misses, f)
+				}
+			}
+			for i := 0; i < 8; i++ {
+				w := randBytes(p.WordLen)
+				want := refMatch(t, p, td, w)
+				if m.Match(w) != want {
+					t.Fatalf("%+v: Match(%x) disagrees with the reference", p, w)
+				}
+				if !want {
+					misses = append(misses, w)
+				}
+			}
+			for _, n := range []int{0, 1, p.WordLen - 1, p.WordLen + 1, 2 * p.WordLen} {
+				w := genuine()
+				w = append(w, w...)[:n]
+				if m.Match(w) {
+					t.Fatalf("%+v: a %d-byte word matches", p, n)
+				}
+				misses = append(misses, w)
+			}
+			// Every tuple size and every position of its one genuine word
+			// (or none), the other words drawn from every kind of miss.
+			for size := 0; size <= 9; size++ {
+				for hit := -1; hit < size; hit++ {
+					tuple := make([][]byte, size)
+					for i := range tuple {
+						tuple[i] = misses[rng.Intn(len(misses))]
+					}
+					if hit >= 0 {
+						tuple[hit] = hits[rng.Intn(len(hits))]
+					}
+					anyMatch := slices.ContainsFunc(tuple, m.Match)
+					if anyMatch != (hit >= 0) || m.MatchAny(tuple) != anyMatch {
+						t.Fatalf("%+v: %d words, genuine at %d: any Match %v, MatchAny %v", p, size, hit, anyMatch, m.MatchAny(tuple))
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkMatchTuple measures ψ on one tuple of the emp table's shape —
+// three words, n = 11, m = 2 — through MatchAny, the unit MatchTuples
+// multiplies by the table size. BenchmarkMatch times single words and
+// cannot see the batch. Must report 0 allocs/op.
+func BenchmarkMatchTuple(b *testing.B) {
+	p := Params{WordLen: 11, ChecksumLen: 2}
+	_, cws, td := matcherFixture(b, p)
+	m := NewMatcher(p, td)
+	tuples := len(cws) / 3
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := 3 * (i % tuples)
+		m.MatchAny(cws[j : j+3])
+	}
+}
+
 // TestWorkerStateCacheLineDisjoint pins the layout the scan's worker pool
-// depends on: nothing Match writes on one worker's Matcher — t, got, the
-// PRF's chaining block — shares a 64-byte line with what it writes on
+// depends on: nothing a match writes on one worker's Matcher — the batch
+// blocks of the one-block kernel, or t, got and the PRF's chaining block
+// of the CBC-MAC path — shares a 64-byte line with what it writes on
 // another's, nor with the structs another worker reads its own fields from.
-// Otherwise every Match on one core invalidates a line the other core
+// Otherwise every match on one core invalidates a line the other core
 // needs for its next one, and two workers scan slower than one.
 func TestWorkerStateCacheLineDisjoint(t *testing.T) {
 	type span struct{ lo, hi uintptr } // [lo, hi) in bytes
@@ -168,7 +331,7 @@ func TestWorkerStateCacheLineDisjoint(t *testing.T) {
 	lines := func(spans ...span) map[uintptr]bool {
 		out := map[uintptr]bool{}
 		for _, s := range spans {
-			for l := s.lo / cacheLine; l <= (s.hi-1)/cacheLine; l++ {
+			for l := s.lo / cacheLine; s.hi > s.lo && l <= (s.hi-1)/cacheLine; l++ {
 				out[l] = true
 			}
 		}
@@ -177,12 +340,20 @@ func TestWorkerStateCacheLineDisjoint(t *testing.T) {
 	for _, p := range []Params{{WordLen: 11, ChecksumLen: 2}, {WordLen: 42, ChecksumLen: 16}} {
 		_, _, td := matcherFixture(t, p)
 		base := NewMatcher(p, td)
+		if oneBlock := p.streamLen() <= crypto.BlockPRFSize; (base.blocks != nil) != oneBlock || (base.t != nil) == oneBlock {
+			t.Fatalf("%+v: matcher has blocks %v, t %v; want the one-block kernel's scratch %v", p, base.blocks != nil, base.t != nil, oneBlock)
+		}
 		workers := []*Matcher{base, base.Clone(), base.Clone(), base.Clone()}
 		written := make([]map[uintptr]bool, len(workers))
 		header := make([]map[uintptr]bool, len(workers))
 		for i, m := range workers {
 			state := reflect.ValueOf(m.kprf).Elem().FieldByName("state")
-			written[i] = lines(bytesOf(m.t), bytesOf(m.got),
+			var blocks span
+			if m.blocks != nil {
+				blocks.lo = uintptr(unsafe.Pointer(m.blocks))
+				blocks.hi = blocks.lo + unsafe.Sizeof(*m.blocks)
+			}
+			written[i] = lines(bytesOf(m.t), bytesOf(m.got), blocks,
 				span{state.UnsafeAddr(), state.UnsafeAddr() + state.Type().Size()})
 			lo, prf := uintptr(unsafe.Pointer(m)), uintptr(unsafe.Pointer(m.kprf))
 			header[i] = lines(span{lo, lo + unsafe.Sizeof(*m)}, span{prf, prf + unsafe.Sizeof(*m.kprf)})
