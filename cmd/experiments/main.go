@@ -51,7 +51,7 @@ func main() {
 	if *quick {
 		sizes = []int{100, 1000}
 		e8sizes = []int{100, 1000}
-		e13Tuples = 2048
+		e13Tuples = 8192
 		e15Ops = 15
 		e18Tuples = 1000
 		e19Tuples = 200

@@ -284,10 +284,10 @@ func TestE12Shapes(t *testing.T) {
 }
 
 func TestE13Shapes(t *testing.T) {
-	// 2048 tuples: big enough to engage core.Evaluate's parallel path,
+	// 8192 tuples: big enough to engage core.Evaluate's parallel path,
 	// small enough for a test. Timing cells are machine noise and stay
 	// unasserted; the allocation shape is the regression being pinned.
-	tab, err := RunE13(2048, 13)
+	tab, err := RunE13(8192, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,14 +311,14 @@ func TestE13Shapes(t *testing.T) {
 }
 
 func TestE14Shapes(t *testing.T) {
-	// 2048 tuples, 4 clients: big enough to engage the parallel scan and
+	// 8192 tuples, 4 clients: big enough to engage the parallel scan and
 	// genuine concurrency, small enough for a test. Absolute timings are
 	// machine noise; the asserted shape is the ordering the cache must
 	// produce (cached ≪ uncached, delta ≪ full rescan, engine median
 	// below PR 1 median) with a noise margin, plus the internal correctness gate
 	// (RunE14 errors if cached results diverge from EvaluateSerial or the
 	// delta path is never taken).
-	tab, err := RunE14(2048, 4, 14)
+	tab, err := RunE14(8192, 4, 14)
 	if err != nil {
 		t.Fatal(err)
 	}

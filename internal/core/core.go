@@ -304,13 +304,13 @@ func (p *PH) DecryptResult(q relation.Eq, r *ph.Result) (*relation.Table, error)
 }
 
 // parallelThreshold is the tuple count below which a scan stays on its
-// caller's goroutine without consulting the budget. At ~0.1 µs per emp
-// tuple (three one-block match tests, batched), serial against two-way
-// sharded EvaluateOn on a 2-vCPU box measured 0.92–0.95× at 512 tuples,
-// 1.02–1.10× at 1024, 0.83–0.85× at 2048 and 0.68–0.72× at 4096 (medians
-// of 15 interleaved runs, measured three times): below 2048, forking and
-// joining saves nothing a scan can count on.
-const parallelThreshold = 2048
+// caller's goroutine without consulting the budget. At ~0.025 µs per emp
+// tuple (the run kernel), two-way sharded EvaluateOn against serial on a
+// 2-vCPU box measured 1.05–1.15× at 2048 tuples, 0.95–1.07× at 4096,
+// 0.74–1.05× at 8192 and 0.57–0.84× at 16384 (medians of 15 interleaved
+// runs, three sets of three taken while the box had a second core free):
+// below 8192, forking and joining saves nothing a scan can count on.
+const parallelThreshold = 8192
 
 // Evaluate is ψ: the key-free server-side search. It is exported for direct
 // use and also registered as the package's ph.Evaluator. A tuple matches if
@@ -432,29 +432,30 @@ func EvaluateOn(et *ph.EncryptedTable, q *ph.EncryptedQuery, candidates []int) (
 		}), nil
 }
 
-// scanCandidates appends every candidate position whose tuple matches,
-// reusing one Matcher across the pass.
+// scanCandidates appends every candidate position whose tuple matches:
+// one kernel run over the candidates' documents, whose indices map back
+// through candidates.
 func scanCandidates(tuples []ph.EncryptedTuple, candidates []int, m *swp.Matcher, hits []int) []int {
-	for _, p := range candidates {
-		if m.MatchAny(tuples[p].Words) {
-			hits = append(hits, p)
-		}
+	from := len(hits)
+	hits = m.MatchRun(len(candidates), func(i int) [][]byte { return tuples[candidates[i]].Words }, hits)
+	for j, i := range hits[from:] {
+		hits[from+j] = candidates[i]
 	}
 	return hits
 }
 
 // MatchTuples appends base+i to hits for every tuple in tuples whose
-// document matches (ψ on a tuple is one Matcher.MatchAny, which sends
-// its words through AES back to back), reusing one Matcher across the
-// whole chunk. The Matcher skips cipherwords of other lengths itself,
-// which is how mixed-width documents (PerColumnWidth layouts) skip
-// non-candidate words. It is the loop under every full-width scan — serial, sharded or
-// a benchmark's — which is what keeps them byte-identical.
+// document matches: one Matcher.MatchRun over the chunk, which batches
+// words across tuple boundaries through AES. The Matcher skips
+// cipherwords of other lengths itself, which is how mixed-width documents
+// (PerColumnWidth layouts) skip non-candidate words. It is the loop under
+// every full-width scan — serial, sharded or a benchmark's — which is
+// what keeps them byte-identical.
 func MatchTuples(tuples []ph.EncryptedTuple, base int, m *swp.Matcher, hits []int) []int {
-	for i := range tuples {
-		if m.MatchAny(tuples[i].Words) {
-			hits = append(hits, base+i)
-		}
+	from := len(hits)
+	hits = m.MatchRun(len(tuples), func(i int) [][]byte { return tuples[i].Words }, hits)
+	for j := range hits[from:] {
+		hits[from+j] += base
 	}
 	return hits
 }

@@ -60,7 +60,7 @@ func bigTable(tb testing.TB, n int) *bigFixture {
 	return bigFix
 }
 
-// benchTuples exceeds parallelThreshold by an order of magnitude — the
+// benchTuples exceeds parallelThreshold, so Evaluate shards it — the
 // ≥10k-tuple table the acceptance criteria name.
 const benchTuples = 10000
 

@@ -121,37 +121,34 @@ func expectPanics(t *testing.T, calls map[string]func()) {
 	}
 }
 
-// TestBlockPRFSumBlocksIsSumInto: on every one-block input length, each
-// block SumBlocks encrypts in place is SumInto's full-width output on that
-// block's zero-padded input, without allocating; a multi-block instance
-// refuses.
+// TestBlockPRFSumBlocksIsSumInto: F summed over a run of blocks — each
+// input zero-padded to a block and encrypted in place by AES256 under F's
+// key, the one-block instance ψ's scan evaluates — is SumInto's
+// full-width output on every one-block input length, on every path
+// AES256 can take, so the scan and the codec compute the same F.
 func TestBlockPRFSumBlocksIsSumInto(t *testing.T) {
+	key := testKey(26)
 	for n := 0; n <= BlockPRFSize; n++ {
-		f := NewBlockPRF(testKey(26), n)
-		blocks := make([][BlockPRFSize]byte, 5)
-		inputs := make([][]byte, len(blocks))
-		for i := range blocks {
-			for j := 0; j < n; j++ {
-				blocks[i][j] = byte(7*i + 3*j + n)
+		f := NewBlockPRF(key, n)
+		for name, a := range kernels(key) {
+			blocks := make([][BlockPRFSize]byte, 11)
+			inputs := make([][]byte, len(blocks))
+			for i := range blocks {
+				for j := 0; j < n; j++ {
+					blocks[i][j] = byte(7*i + 3*j + n)
+				}
+				inputs[i] = bytes.Clone(blocks[i][:n])
 			}
-			inputs[i] = bytes.Clone(blocks[i][:n])
-		}
-		f.SumBlocks(blocks)
-		for i, in := range inputs {
-			want := make([]byte, BlockPRFSize)
-			f.SumInto(want, in)
-			if !bytes.Equal(blocks[i][:], want) {
-				t.Fatalf("input %d bytes, block %d: SumBlocks %x, SumInto %x", n, i, blocks[i], want)
+			a.EncryptBlocks(blocks)
+			for i, in := range inputs {
+				want := make([]byte, BlockPRFSize)
+				f.SumInto(want, in)
+				if !bytes.Equal(blocks[i][:], want) {
+					t.Fatalf("%s, input %d bytes, block %d: EncryptBlocks %x, SumInto %x", name, n, i, blocks[i], want)
+				}
 			}
-		}
-		if allocs := testing.AllocsPerRun(200, func() { f.SumBlocks(blocks) }); allocs != 0 {
-			t.Fatalf("SumBlocks on %d-byte inputs allocates %v objects per run, want 0", n, allocs)
 		}
 	}
-	f := NewBlockPRF(testKey(26), BlockPRFSize+1)
-	expectPanics(t, map[string]func(){
-		"two-block instance": func() { f.SumBlocks(make([][BlockPRFSize]byte, 1)) },
-	})
 }
 
 func TestBlockPRFSumIntoZeroAllocs(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 // through a fresh sharer: the same trapdoor 16 times (one scan, 15
 // waiters) or 16 different ones (16 scans under the scheduler budget).
 func benchRiders(b *testing.B, identical bool) {
-	f := newFixture(b, 4096, 42)
+	f := newFixture(b, 8192, 42)
 	queries := make([]*ph.EncryptedQuery, 16)
 	for i := range queries {
 		name := "Bench000"

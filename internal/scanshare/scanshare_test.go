@@ -108,7 +108,7 @@ func swapBudget(t *testing.T) *sched.Budget {
 }
 
 func TestSingleRiderMatchesSerial(t *testing.T) {
-	f := newFixture(t, 2100, 1)
+	f := newFixture(t, 8300, 1)
 	s := New()
 	table := new(int)
 	for _, dept := range []string{"HR", "FIN", "IT"} {
@@ -128,7 +128,7 @@ func TestSingleRiderMatchesSerial(t *testing.T) {
 }
 
 func TestManyRidersMatchSerial(t *testing.T) {
-	f := newFixture(t, 3000, 2)
+	f := newFixture(t, 8300, 2)
 	s := New()
 	table := new(int)
 	queries := make([]*ph.EncryptedQuery, 24)
@@ -170,7 +170,7 @@ func TestManyRidersMatchSerial(t *testing.T) {
 // snapshot length must not attach — it completes while the leader is
 // still held.
 func TestAttachedRidersShareOneScan(t *testing.T) {
-	f := newFixture(t, 2100, 3)
+	f := newFixture(t, 8300, 3)
 	s := New()
 	table := new(int)
 	q := f.query(t, "dept", "SALES")
@@ -341,7 +341,7 @@ func TestEmptySnapshot(t *testing.T) {
 // distinct trapdoors: 16 concurrent riders are 16 scans, and each scan
 // draws exactly one allotment from the scheduler budget and returns it.
 func TestSixteenRidersOneAllotment(t *testing.T) {
-	f := newFixture(t, 2048, 9)
+	f := newFixture(t, 8192, 9)
 	s := New()
 	table := new(int)
 	budget := swapBudget(t)

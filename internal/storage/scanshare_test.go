@@ -324,7 +324,7 @@ func init() {
 // byte-identical to core.EvaluateSerial that decrypt to relation.Select's.
 // Then 16 distinct concurrent cold queries: 16 scans, one allotment each.
 func TestColdHerdCounts(t *testing.T) {
-	f := newShareFixture(t, 4096, 23)
+	f := newShareFixture(t, 8192, 23)
 	table, scheme, et := f.table, f.scheme, f.et
 	s := NewMemory()
 	if err := s.Put("emp", &ph.EncryptedTable{SchemeID: heldScheme, Meta: et.Meta, Tuples: et.Tuples}); err != nil {

@@ -152,23 +152,24 @@ func TestMatchZeroAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Fatalf("stream width %d: %s Matcher.Match allocates %v objects per 32-word scan, want 0", nm, name, allocs)
 			}
+			hits := make([]int, 0, len(cws))
 			allocs = testing.AllocsPerRun(500, func() {
-				for i := 0; i+3 <= 32; i += 3 {
-					m.MatchAny(cws[i : i+3])
-				}
+				hits = m.MatchRun(len(cws)/3, func(i int) [][]byte { return cws[3*i : 3*i+3] }, hits[:0])
 			})
 			if allocs != 0 {
-				t.Fatalf("stream width %d: %s Matcher.MatchAny allocates %v objects per ten 3-word tuples, want 0", nm, name, allocs)
+				t.Fatalf("stream width %d: %s Matcher.MatchRun allocates %v objects per %d-tuple run, want 0", nm, name, allocs, len(cws)/3)
 			}
 		}
 	}
 }
 
-// TestMatcherSetupAllocs holds a scan's per-trapdoor setup to what it cost
-// before the one-block kernel, on both paths: NewMatcher is the Matcher,
-// AES's key schedule, the isolated PRF and the scratch; Clone shares the
-// key schedule. The batch blocks live in the scratch allocation, not
-// beside it.
+// TestMatcherSetupAllocs holds a scan's per-trapdoor setup to its budget
+// on both paths. On the CBC-MAC path NewMatcher is the Matcher, AES's key
+// schedule, the isolated PRF and the scratch, and Clone shares the key
+// schedule. On the run kernel it is the Matcher and the kernel, which
+// holds the key schedule (plus crypto/aes's cipher where AES256 falls
+// back to it) beside the run's blocks and owners, not in allocations of
+// their own.
 func TestMatcherSetupAllocs(t *testing.T) {
 	const newMatcherAllocs, cloneAllocs = 4, 3
 	for _, nm := range benchStreamWidths {
@@ -219,8 +220,8 @@ func refMatch(t *testing.T, p Params, td Trapdoor, w []byte) bool {
 // stream width 1..16, CBC-MAC at 17 and 40 — to refMatch, at every
 // checksum width m: genuine words match, a flip of any one checksum byte
 // never does, random words agree with the reference, words of another
-// length never match, and MatchAny on tuples of 0..9 mixed-length words
-// (across the batch boundary) is exactly "any word matches".
+// length never match, and MatchRun on one document of 0..9 mixed-length
+// words reports it exactly when any word matches.
 func TestMatchKernelDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	randBytes := func(n int) []byte {
@@ -289,8 +290,9 @@ func TestMatchKernelDifferential(t *testing.T) {
 						tuple[hit] = hits[rng.Intn(len(hits))]
 					}
 					anyMatch := slices.ContainsFunc(tuple, m.Match)
-					if anyMatch != (hit >= 0) || m.MatchAny(tuple) != anyMatch {
-						t.Fatalf("%+v: %d words, genuine at %d: any Match %v, MatchAny %v", p, size, hit, anyMatch, m.MatchAny(tuple))
+					got := m.MatchRun(1, func(int) [][]byte { return tuple }, nil)
+					if anyMatch != (hit >= 0) || slices.Equal(got, []int{0}) != anyMatch {
+						t.Fatalf("%+v: %d words, genuine at %d: any Match %v, one-document MatchRun %v", p, size, hit, anyMatch, got)
 					}
 				}
 			}
@@ -298,35 +300,188 @@ func TestMatchKernelDifferential(t *testing.T) {
 	}
 }
 
+// TestMatchRunDifferential holds the run kernel to refMatch over runs of
+// documents that fill many flushes, as a full scan and through candidate
+// lists, at every stream width 1..16 (words of 2 to 32 bytes) and every
+// checksum width m, and at 17 and 40 on the CBC-MAC path. Documents hold
+// 0..9 words: genuine ones, misses and words of other lengths. Each run
+// puts a genuine word on the last block of a flush and another on the
+// first block of the next, once in two documents and once in one, and
+// gives documents two genuine words inside one flush; a document is
+// reported once however many of its words match.
+func TestMatchRunDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	randBytes := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	widths := []int{17, 40}
+	for nm := 1; nm <= crypto.BlockPRFSize; nm++ {
+		widths = append(widths, nm)
+	}
+	for _, nm := range widths {
+		for cs := 1; cs <= MaxChecksumLen; cs++ {
+			p := Params{WordLen: nm + cs, ChecksumLen: cs}
+			td := Trapdoor{X: randBytes(p.WordLen), K: randBytes(crypto.KeySize)}
+			genuine := func() []byte {
+				s := randBytes(nm)
+				w := append(s, refChecksum(t, td.K, s, cs)...)
+				subtle.XORBytes(w, w, td.X)
+				return w
+			}
+			miss := func() []byte { return randBytes(p.WordLen) }
+			other := func() []byte { // 1..2n bytes, never n
+				l := 1 + rng.Intn(2*p.WordLen-1)
+				if l >= p.WordLen {
+					l++
+				}
+				return randBytes(l)
+			}
+
+			// blocks counts the trapdoor-length words so far: the word a
+			// document adds next lands on block blocks%runBlocks of a flush.
+			var docs [][][]byte
+			blocks := 0
+			push := func(doc ...[]byte) {
+				docs = append(docs, doc)
+				for _, w := range doc {
+					if len(w) == p.WordLen {
+						blocks++
+					}
+				}
+			}
+			fillTo := func(slot int) { // misses until the next word lands on slot
+				for blocks%runBlocks != slot {
+					push(miss(), other())
+				}
+			}
+			for round := 0; round < 3; round++ {
+				for i := 0; i < 8; i++ {
+					doc := make([][]byte, rng.Intn(10))
+					for j := range doc {
+						switch r := rng.Intn(10); {
+						case r == 0:
+							doc[j] = genuine()
+						case r < 7:
+							doc[j] = miss()
+						default:
+							doc[j] = other()
+						}
+					}
+					push(doc...)
+				}
+				fillTo(runBlocks - 2)
+				push(miss(), genuine())            // the last block of a flush …
+				push(genuine(), other(), miss())   // … and the first of the next
+				push(genuine(), miss(), genuine()) // two in one flush
+				fillTo(runBlocks - 1)
+				push(other(), genuine(), genuine(), miss()) // one document across the flush
+			}
+			push()
+
+			var want []int
+			for i, doc := range docs {
+				if slices.ContainsFunc(doc, func(w []byte) bool { return refMatch(t, p, td, w) }) {
+					want = append(want, i)
+				}
+			}
+			m := NewMatcher(p, td).Clone()
+			// Both word loads are held to the reference: the two-load one
+			// exactly where its fields lie in the first and last eight
+			// bytes, the field loads everywhere else.
+			if short := nm <= crypto.BlockPRFSize && p.WordLen >= 8 && p.WordLen <= 16 && cs <= 8; m.short != short {
+				t.Fatalf("%+v: two-load path %v, want %v", p, m.short, short)
+			}
+			got := m.MatchRun(len(docs), func(i int) [][]byte { return docs[i] }, nil)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%+v: full run of %d documents found %v, want %v", p, len(docs), got, want)
+			}
+			// What hits already holds is the caller's: the kernel appends
+			// after it, even a document index equal to its last entry.
+			prefix := []int{-1, want[0]}
+			if got := m.MatchRun(len(docs), func(i int) [][]byte { return docs[i] }, slices.Clone(prefix)); !slices.Equal(got, append(prefix, want...)) {
+				t.Fatalf("%+v: run appended to %v found %v, want %v after it", p, prefix, got, want)
+			}
+			var cands, wantCands []int
+			for i := range docs {
+				if rng.Intn(3) > 0 {
+					cands = append(cands, i)
+					if slices.Contains(want, i) {
+						wantCands = append(wantCands, i)
+					}
+				}
+			}
+			got = m.MatchRun(len(cands), func(i int) [][]byte { return docs[cands[i]] }, nil)
+			for j, i := range got {
+				got[j] = cands[i]
+			}
+			if !slices.Equal(got, wantCands) {
+				t.Fatalf("%+v: run over %d candidates found %v, want %v", p, len(cands), got, wantCands)
+			}
+		}
+	}
+}
+
+// BenchmarkMatchRun measures ψ per tuple over a 10,000-tuple run of the
+// emp table's shape — three words each, n = 11, m = 2, every word its own
+// allocation as EncryptTable lays them out — through one MatchRun, the
+// call MatchTuples makes per scan chunk. Must report 0 allocs/op.
+func BenchmarkMatchRun(b *testing.B) {
+	p := Params{WordLen: 11, ChecksumLen: 2}
+	_, cws, td := matcherFixture(b, p)
+	rng := rand.New(rand.NewSource(31))
+	docs := make([][][]byte, 10000)
+	for i := range docs {
+		docs[i] = make([][]byte, 3)
+		for j := range docs[i] {
+			docs[i][j] = slices.Clone(cws[rng.Intn(len(cws))])
+		}
+	}
+	m := NewMatcher(p, td)
+	doc := func(i int) [][]byte { return docs[i] }
+	hits := m.MatchRun(len(docs), doc, nil)
+	b.ReportAllocs()
+	for b.Loop() {
+		hits = m.MatchRun(len(docs), doc, hits[:0])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(docs)), "ns/tuple")
+}
+
 // BenchmarkMatchTuple measures ψ on one tuple of the emp table's shape —
-// three words, n = 11, m = 2 — through MatchAny, the unit MatchTuples
-// multiplies by the table size. BenchmarkMatch times single words and
-// cannot see the batch. Must report 0 allocs/op.
+// three words, n = 11, m = 2 — through MatchRun on one document: three
+// blocks in one AES256 call. BenchmarkMatchRun is the per-tuple cost a
+// scan pays. Must report 0 allocs/op.
 func BenchmarkMatchTuple(b *testing.B) {
 	p := Params{WordLen: 11, ChecksumLen: 2}
 	_, cws, td := matcherFixture(b, p)
 	m := NewMatcher(p, td)
 	tuples := len(cws) / 3
+	hits := make([]int, 0, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j := 3 * (i % tuples)
-		m.MatchAny(cws[j : j+3])
+		tuple := cws[3*(i%tuples):][:3]
+		hits = m.MatchRun(1, func(int) [][]byte { return tuple }, hits[:0])
 	}
 }
 
 // TestWorkerStateCacheLineDisjoint pins the layout the scan's worker pool
-// depends on: nothing a match writes on one worker's Matcher — the batch
-// blocks of the one-block kernel, or t, got and the PRF's chaining block
-// of the CBC-MAC path — shares a 64-byte line with what it writes on
-// another's, nor with the structs another worker reads its own fields from.
-// Otherwise every match on one core invalidates a line the other core
-// needs for its next one, and two workers scan slower than one.
+// depends on: nothing a match writes on one worker's Matcher — the run's
+// blocks and owners on the run kernel, or t, got and the PRF's chaining
+// block on the CBC-MAC path — shares a 64-byte line with what it writes on
+// another's, nor with what another worker reads on every match: its
+// Matcher and PRF structs and its AES key schedule. Otherwise every match
+// on one core invalidates a line the other core needs for its next one,
+// and two workers scan slower than one.
 func TestWorkerStateCacheLineDisjoint(t *testing.T) {
 	type span struct{ lo, hi uintptr } // [lo, hi) in bytes
 	bytesOf := func(b []byte) span {
 		lo := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
 		return span{lo, lo + uintptr(len(b))}
+	}
+	spanOf := func(p unsafe.Pointer, size uintptr) span {
+		return span{uintptr(p), uintptr(p) + size}
 	}
 	lines := func(spans ...span) map[uintptr]bool {
 		out := map[uintptr]bool{}
@@ -340,23 +495,25 @@ func TestWorkerStateCacheLineDisjoint(t *testing.T) {
 	for _, p := range []Params{{WordLen: 11, ChecksumLen: 2}, {WordLen: 42, ChecksumLen: 16}} {
 		_, _, td := matcherFixture(t, p)
 		base := NewMatcher(p, td)
-		if oneBlock := p.streamLen() <= crypto.BlockPRFSize; (base.blocks != nil) != oneBlock || (base.t != nil) == oneBlock {
-			t.Fatalf("%+v: matcher has blocks %v, t %v; want the one-block kernel's scratch %v", p, base.blocks != nil, base.t != nil, oneBlock)
+		if oneBlock := p.streamLen() <= crypto.BlockPRFSize; (base.k != nil) != oneBlock || (base.t != nil) == oneBlock {
+			t.Fatalf("%+v: matcher has run kernel %v, t %v; want the run kernel %v", p, base.k != nil, base.t != nil, oneBlock)
 		}
 		workers := []*Matcher{base, base.Clone(), base.Clone(), base.Clone()}
 		written := make([]map[uintptr]bool, len(workers))
-		header := make([]map[uintptr]bool, len(workers))
+		read := make([]map[uintptr]bool, len(workers))
 		for i, m := range workers {
-			state := reflect.ValueOf(m.kprf).Elem().FieldByName("state")
-			var blocks span
-			if m.blocks != nil {
-				blocks.lo = uintptr(unsafe.Pointer(m.blocks))
-				blocks.hi = blocks.lo + unsafe.Sizeof(*m.blocks)
+			var w, r []span
+			if k := m.k; k != nil {
+				w = append(w, spanOf(unsafe.Pointer(&k.blocks), unsafe.Sizeof(k.blocks)),
+					spanOf(unsafe.Pointer(&k.owner), unsafe.Sizeof(k.owner)))
+				r = append(r, spanOf(unsafe.Pointer(&k.aes), unsafe.Sizeof(k.aes)))
+			} else {
+				state := reflect.ValueOf(m.kprf).Elem().FieldByName("state")
+				w = append(w, bytesOf(m.t), bytesOf(m.got), span{state.UnsafeAddr(), state.UnsafeAddr() + state.Type().Size()})
+				r = append(r, spanOf(unsafe.Pointer(m.kprf), unsafe.Sizeof(*m.kprf)))
 			}
-			written[i] = lines(bytesOf(m.t), bytesOf(m.got), blocks,
-				span{state.UnsafeAddr(), state.UnsafeAddr() + state.Type().Size()})
-			lo, prf := uintptr(unsafe.Pointer(m)), uintptr(unsafe.Pointer(m.kprf))
-			header[i] = lines(span{lo, lo + unsafe.Sizeof(*m)}, span{prf, prf + unsafe.Sizeof(*m.kprf)})
+			written[i] = lines(w...)
+			read[i] = lines(append(r, spanOf(unsafe.Pointer(m), unsafe.Sizeof(*m)))...)
 		}
 		for i := range workers {
 			for j := range workers {
@@ -367,8 +524,8 @@ func TestWorkerStateCacheLineDisjoint(t *testing.T) {
 					if written[j][l] {
 						t.Errorf("%+v: workers %d and %d both write cache line %#x", p, i, j, l*cacheLine)
 					}
-					if header[j][l] {
-						t.Errorf("%+v: worker %d writes cache line %#x, which holds worker %d's Matcher or PRF struct", p, i, l*cacheLine, j)
+					if read[j][l] {
+						t.Errorf("%+v: worker %d writes cache line %#x, which holds worker %d's Matcher, PRF or key schedule", p, i, l*cacheLine, j)
 					}
 				}
 			}

@@ -30,13 +30,14 @@
 // chunk truncated to m <= 16 bytes, keyed directly by the 32-byte k_i. The
 // floor of a match test is ⌈(n−m)/16⌉ AES blocks per cipherword — one for
 // every stream width up to 16 bytes, and there the Matcher does nothing
-// else: two 64-bit loads of the cipherword's stream part XORed with X's
-// (zero padding is F's), one AES call in place, an OR-accumulated compare
-// of the m checksum bytes. An AES block is a chain of dependent rounds,
-// so its latency exceeds its throughput (through crypto/aes on a 2-vCPU
-// Xeon: ~17 ns a block chained, ~8 ns when four independent calls
-// overlap), and ψ asks for independent blocks: MatchAny fills one per
-// word of a tuple, up to four, and encrypts them back to back. G is
+// else: 64-bit loads of the cipherword's stream part XORed with X's (zero
+// padding is F's), one AES block, a whole-word compare of the m checksum
+// bytes. An AES block is a chain of 14 dependent rounds, so its latency
+// far exceeds its throughput (on a 2-vCPU Xeon: ~17 ns a block alone,
+// ~3 ns a block when eight go through AES-NI interleaved), and ψ asks
+// only for independent blocks: Matcher.MatchRun fills a run of 32 from
+// the words of consecutive tuples and encrypts it in one
+// crypto.AES256.EncryptBlocks call, ~25 ns per three-word tuple. G is
 // AES-256-CTR. f is crypto.WidePRF: the same CBC-MAC over L_i‖⟨j⟩,
 // j = 1, 2, whose two tags are k_i. E is a four-round Luby–Rackoff Feistel network (crypto.PRP)
 // whose four round functions are WidePRFs under independent keys. The
