@@ -4,8 +4,8 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"math/big"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/crypto"
@@ -51,6 +51,7 @@ type PH struct {
 	layout  *layout
 	schemes map[int]*swp.Scheme // one SWP instance per distinct word length
 	meta    []byte
+	idle    sync.Pool // *tupleCodec between two calls
 }
 
 // New derives a PH instance for the schema from a master key. One SWP
@@ -116,39 +117,59 @@ func (p *PH) schemeForCol(col int) *swp.Scheme {
 // tupleCodec is the state one EncryptTable, DecryptTable or DecryptResult
 // call carries from tuple to tuple: an swp.Codec per word length plus the
 // scratch a tuple is assembled in, so that a tuple costs the allocations
-// its output needs and SWP's key schedules, nothing per word. A codec is
-// single-goroutine; each call makes its own, which is what keeps one PH
-// safe for concurrent use.
+// its output needs, nothing per word. A codec is single-goroutine; each
+// call takes one of its own from the PH's pool and resets it, so its
+// word memo lives for exactly that call, and one PH stays safe for
+// concurrent use.
 type tupleCodec struct {
 	l      *layout
-	codecs map[int]*swp.Codec // word length -> codec
-	word   []byte             // one plaintext word, as wide as the widest
-	tuple  relation.Tuple     // the tuple being decrypted
-	seen   []bool             // the columns of tuple already written
+	codecs []*swp.Codec   // word length -> codec; nil where no scheme has it
+	word   []byte         // one plaintext word, as wide as the widest
+	tuple  relation.Tuple // the tuple being decrypted
+	seen   []bool         // the columns of tuple already written
 }
 
-func (p *PH) newTupleCodec() *tupleCodec {
+// codec takes a reset tuple codec from the pool, or builds one. Callers
+// hand it back with p.idle.Put when done.
+func (p *PH) codec() *tupleCodec {
+	if tc, ok := p.idle.Get().(*tupleCodec); ok {
+		for _, c := range tc.codecs {
+			if c != nil {
+				c.Reset()
+			}
+		}
+		return tc
+	}
 	cols := p.layout.schema.NumColumns()
+	widest := slices.Max(p.layout.wordLengths())
 	tc := &tupleCodec{
 		l:      p.layout,
-		codecs: make(map[int]*swp.Codec, len(p.schemes)),
+		codecs: make([]*swp.Codec, widest+1),
+		word:   make([]byte, widest),
 		tuple:  make(relation.Tuple, cols),
 		seen:   make([]bool, cols),
 	}
-	widest := 0
 	for n, s := range p.schemes {
 		tc.codecs[n] = s.NewCodec()
-		widest = max(widest, n)
 	}
-	tc.word = make([]byte, widest)
 	return tc
 }
 
 // setDocument positions every codec on one tuple's document.
 func (tc *tupleCodec) setDocument(docID []byte) {
 	for _, c := range tc.codecs {
-		c.SetDocument(docID)
+		if c != nil {
+			c.SetDocument(docID)
+		}
 	}
+}
+
+// codecFor returns the codec for words of n bytes, or nil.
+func (tc *tupleCodec) codecFor(n int) *swp.Codec {
+	if n < len(tc.codecs) {
+		return tc.codecs[n]
+	}
+	return nil
 }
 
 // EncryptTable implements E of Definition 1.1: tuple-by-tuple encryption.
@@ -171,7 +192,8 @@ func (p *PH) EncryptTable(t *relation.Table) (*ph.EncryptedTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	tc := p.newTupleCodec()
+	tc := p.codec()
+	defer p.idle.Put(tc)
 	for _, ti := range order {
 		etp, err := tc.encryptTuple(t.Tuple(ti))
 		if err != nil {
@@ -200,7 +222,7 @@ func (tc *tupleCodec) encryptTuple(tp relation.Tuple) (ph.EncryptedTuple, error)
 			return ph.EncryptedTuple{}, err
 		}
 		cipherwords[pos] = make([]byte, len(w))
-		if err := tc.codecs[len(w)].EncryptWordInto(cipherwords[pos], uint64(pos), w); err != nil {
+		if err := tc.codecFor(len(w)).EncryptWordInto(cipherwords[pos], uint64(pos), w); err != nil {
 			return ph.EncryptedTuple{}, err
 		}
 	}
@@ -236,8 +258,8 @@ func (tc *tupleCodec) decryptTuple(etp ph.EncryptedTuple) (relation.Tuple, error
 	tc.setDocument(etp.ID)
 	clear(tc.seen)
 	for pos, cw := range etp.Words {
-		c, ok := tc.codecs[len(cw)]
-		if !ok {
+		c := tc.codecFor(len(cw))
+		if c == nil {
 			return nil, fmt.Errorf("core: no scheme for word length %d", len(cw))
 		}
 		w := tc.word[:len(cw)]
@@ -265,7 +287,8 @@ func (p *PH) DecryptTable(ct *ph.EncryptedTable) (*relation.Table, error) {
 		return nil, fmt.Errorf("core: cannot decrypt table of scheme %q", ct.SchemeID)
 	}
 	t := relation.NewTable(p.layout.schema)
-	tc := p.newTupleCodec()
+	tc := p.codec()
+	defer p.idle.Put(tc)
 	for i, etp := range ct.Tuples {
 		tp, err := tc.decryptTuple(etp)
 		if err != nil {
@@ -283,7 +306,8 @@ func (p *PH) DecryptTable(ct *ph.EncryptedTable) (*relation.Table, error) {
 // prescribes ("Alex needs to run a filter on the output").
 func (p *PH) DecryptResult(q relation.Eq, r *ph.Result) (*relation.Table, error) {
 	t := relation.NewTable(p.layout.schema)
-	tc := p.newTupleCodec()
+	tc := p.codec()
+	defer p.idle.Put(tc)
 	for i, etp := range r.Tuples {
 		tp, err := tc.decryptTuple(etp)
 		if err != nil {
@@ -570,17 +594,31 @@ func decodeQueryToken(meta, token []byte) (swp.Trapdoor, swp.Params, error) {
 // randomPerm draws a uniformly random permutation of [0, n) using
 // crypto/rand (Fisher–Yates). Encryption-side randomness must not come from
 // a seedable generator, or ciphertext order would become a side channel.
+// It reads the randomness for every swap in one call, a uint64 per swap,
+// and maps each to [0, i] by rejection: v is kept only at or above
+// 2^64 mod (i+1), so that v mod (i+1) is exactly uniform. A rejection —
+// probability below (i+1)/2^64 — redraws that uint64.
 func randomPerm(n int) ([]int, error) {
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
+	if n < 2 {
+		return perm, nil
+	}
+	buf := make([]byte, 8*(n-1))
+	if _, err := rand.Read(buf); err != nil {
+		return nil, fmt.Errorf("core: drawing permutation: %w", err)
+	}
 	for i := n - 1; i > 0; i-- {
-		jBig, err := rand.Int(rand.Reader, big.NewInt(int64(i+1)))
-		if err != nil {
-			return nil, fmt.Errorf("core: drawing permutation: %w", err)
+		bound := uint64(i + 1)
+		v := buf[8*(i-1) : 8*i]
+		for binary.LittleEndian.Uint64(v) < -bound%bound {
+			if _, err := rand.Read(v); err != nil {
+				return nil, fmt.Errorf("core: drawing permutation: %w", err)
+			}
 		}
-		j := int(jBig.Int64())
+		j := binary.LittleEndian.Uint64(v) % bound
 		perm[i], perm[j] = perm[j], perm[i]
 	}
 	return perm, nil

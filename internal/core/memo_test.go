@@ -129,7 +129,9 @@ func TestMemoNeverChangesAnAnswer(t *testing.T) {
 // L_i — and so hits the slot an honest copy of the same value filled
 // earlier in the answer — but not its X_i. It must come out as the
 // memo-free reference has it (E⁻¹ of the tampered X_i: an error or some
-// other value), never as the memoised plaintext.
+// other value), never as the memoised plaintext. The same holds when the
+// honest copy was decrypted by the previous call on the PH, whose pooled
+// codec the tampered answer's call takes over.
 func TestMemoTamperedWord(t *testing.T) {
 	var key crypto.Key
 	p, err := New(key, workload.EmployeeSchema(), Options{})
@@ -152,6 +154,10 @@ func TestMemoTamperedWord(t *testing.T) {
 			tampered.Words[pos] = cw
 			tuples[last] = tampered
 			checkAgainstRef(t, p, q, tuples)
+			if _, err := p.DecryptResult(q, &ph.Result{Tuples: ct.Tuples}); err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstRef(t, p, q, []ph.EncryptedTuple{tampered})
 		}
 	}
 }

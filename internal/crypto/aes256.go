@@ -11,9 +11,12 @@ import (
 const aes256RoundKeys = 15
 
 // AES256 is an expanded AES-256 key that encrypts many independent blocks
-// in one call. It is the one-block instance of F in ψ's scan: every
-// block the scan encrypts is independent of the others, and AES's
-// throughput on independent blocks is several times its latency on one.
+// in one call. It is the one AES under every primitive of this package
+// but the AEAD: G (PRG), F (BlockPRF) and through F the word-key function
+// f (WidePRF) and the pre-encryption E (PRP), and the one-block instance
+// of F in ψ's scan. Every block ψ encrypts is independent of the others,
+// and AES's throughput on independent blocks is several times its
+// latency on one.
 //
 // On amd64 with AES-NI it holds its own round keys, expanded with
 // AESKEYGENASSIST, and EncryptBlocks runs eight blocks at a time through
@@ -27,7 +30,9 @@ const aes256RoundKeys = 15
 //
 // It is a value, so a caller decides where the schedule lives
 // (swp.Matcher keeps it beside the blocks it encrypts, inside one
-// cache-line-padded allocation). EncryptBlocks only reads it.
+// cache-line-padded allocation), and Rekey expands a new key into it in
+// place: on the AES-NI path neither allocates. EncryptBlocks only reads
+// it.
 type AES256 struct {
 	rk    [aes256RoundKeys * aes.BlockSize]byte // round keys, AES-NI path
 	block cipher.Block                          // the crypto/aes path; nil on the AES-NI one
@@ -35,21 +40,24 @@ type AES256 struct {
 
 // NewAES256 expands the key, on the AES-NI path when the CPU has it.
 func NewAES256(key Key) AES256 {
-	return newAES256(key, aesni)
+	var a AES256
+	a.Rekey(key)
+	return a
 }
 
-func newAES256(key Key, asm bool) AES256 {
-	var a AES256
-	if asm {
+// Rekey expands key in place of the current one. On the AES-NI path it
+// allocates nothing; on the crypto/aes path it is aes.NewCipher.
+func (a *AES256) Rekey(key Key) {
+	if aesni {
+		a.block = nil
 		expandKey256(&a.rk, &key)
-		return a
+		return
 	}
 	b, err := aes.NewCipher(key[:])
 	if err != nil {
 		panic(fmt.Sprintf("crypto: aes256: %v", err)) // unreachable: KeySize is an AES-256 key length
 	}
 	a.block = b
-	return a
 }
 
 // EncryptBlocks encrypts every block in place, without allocating.

@@ -6,7 +6,8 @@ import "crypto/fips140"
 
 // aesni reports whether AES256 runs on the assembly kernel: the CPU has
 // the AES-NI instructions it needs, and the process is not in FIPS 140-3
-// mode, which keeps every AES call inside Go's validated module.
+// mode, which keeps every AES call inside Go's validated module. Tests
+// pin it to false to run the crypto/aes path; nothing else writes it.
 var aesni = hasAESNI() && !fips140.Enabled()
 
 // hasAESNI is CPUID leaf 1, ECX bit 25.

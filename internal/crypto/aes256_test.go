@@ -1,6 +1,7 @@
 package crypto
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/fips140"
 	"fmt"
@@ -8,16 +9,33 @@ import (
 	"testing"
 )
 
-// kernels returns every path NewAES256 can take on this machine for the
-// key: the crypto/aes loop always, the AES-NI kernel where the build and
-// the CPU have it.
+// paths names every path AES256 can take on this machine: the crypto/aes
+// loop always, the AES-NI kernel where the build and the CPU have it.
+func paths() map[string]bool {
+	out := map[string]bool{"crypto/aes": false}
+	if aesni {
+		out["aes-ni"] = true
+	}
+	return out
+}
+
+// onPath runs f with every AES256 expanded inside it — NewAES256, and
+// with it every PRG, BlockPRF, WidePRF and PRP built or re-keyed there —
+// on the path asm names. asm must be one of paths().
+func onPath(asm bool, f func()) {
+	defer func(was bool) { aesni = was }(aesni)
+	aesni = asm
+	f()
+}
+
+// kernels returns the key expanded on every path of paths().
 func kernels(key Key) map[string]*AES256 {
 	out := map[string]*AES256{}
-	fallback := newAES256(key, false)
-	out["crypto/aes"] = &fallback
-	if aesni {
-		asm := newAES256(key, true)
-		out["aes-ni"] = &asm
+	for name, asm := range paths() {
+		onPath(asm, func() {
+			a := NewAES256(key)
+			out[name] = &a
+		})
 	}
 	return out
 }
@@ -81,6 +99,40 @@ func TestEncryptBlocksFIPS197(t *testing.T) {
 		if allocs := testing.AllocsPerRun(200, func() { reset(); a.EncryptBlocks(blocks) }); allocs != 0 {
 			t.Fatalf("%s: EncryptBlocks allocates %v objects per run, want 0", name, allocs)
 		}
+	}
+}
+
+// TestRekeyZeroAllocs: on the AES-NI path every key expansion G and F
+// perform is in place — AES256.Rekey, PRG.Rekey, NewBlockPRF and
+// BlockPRF.Rekey allocate nothing — and a re-keyed instance computes what
+// a fresh one does. On the crypto/aes path each is one cipher at most.
+func TestRekeyZeroAllocs(t *testing.T) {
+	for name, asm := range paths() {
+		onPath(asm, func() {
+			want := 0.0
+			if !asm {
+				want = 1
+			}
+			g, f := NewPRG(testKey(1)), NewBlockPRF(testKey(1), 9)
+			var a AES256
+			for op, call := range map[string]func(){
+				"AES256.Rekey":   func() { a.Rekey(testKey(2)) },
+				"PRG.Rekey":      func() { g.Rekey(testKey(2)) },
+				"NewBlockPRF":    func() { f = NewBlockPRF(testKey(2), 9) },
+				"BlockPRF.Rekey": func() { f.Rekey(testKey(2)) },
+			} {
+				if allocs := testing.AllocsPerRun(100, call); allocs > want {
+					t.Errorf("%s: %s allocates %v objects, want at most %v", name, op, allocs, want)
+				}
+			}
+			fresh := NewBlockPRF(testKey(2), 9)
+			in, got, wantSum := make([]byte, 9), make([]byte, 16), make([]byte, 16)
+			f.SumInto(got, in)
+			fresh.SumInto(wantSum, in)
+			if !bytes.Equal(got, wantSum) || !bytes.Equal(g.Block(3, 9), NewPRG(testKey(2)).Block(3, 9)) {
+				t.Errorf("%s: a re-keyed F or G differs from a fresh one", name)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package crypto
 
 import (
 	"crypto/aes"
-	"crypto/cipher"
 	"crypto/subtle"
 	"fmt"
 )
@@ -22,31 +21,39 @@ const BlockPRFSize = aes.BlockSize
 // other length is a bug, not an input: zero padding would let inputs of
 // different lengths collide.
 //
+// Its AES is an AES256 value held in the struct, so NewBlockPRF and Rekey
+// expand the key in place: on the AES-NI path neither allocates, and
+// under FIPS 140-3 mode, purego and on other architectures each key is one
+// crypto/aes cipher (see AES256).
+//
 // A BlockPRF is NOT safe for concurrent use (SumInto chains through a
 // struct-held block so it performs no heap allocations); Clone hands each
-// goroutine its own, sharing the key schedule. It is a value so that a
-// caller who evaluates it side by side with other goroutines can place
-// it — and with it the chaining block every call rewrites — on memory of
-// its own choosing (swp.Matcher keeps it off its neighbours' cache lines).
+// goroutine its own, with a copy of the key schedule. It is a value so
+// that a caller who evaluates it side by side with other goroutines can
+// place it — and with it the chaining block every call rewrites — on
+// memory of its own choosing (swp.Matcher keeps it off its neighbours'
+// cache lines).
 type BlockPRF struct {
-	block    cipher.Block // stateless, shared between clones
+	aes      AES256
 	inputLen int
-	state    [BlockPRFSize]byte
+	state    [1][BlockPRFSize]byte // the chaining block, as a run of one
 }
 
 // NewBlockPRF builds the PRF for one key and one input length.
 func NewBlockPRF(key Key, inputLen int) BlockPRF {
-	b, err := aes.NewCipher(key[:])
-	if err != nil {
-		panic(fmt.Sprintf("crypto: blockprf: %v", err)) // unreachable: KeySize is an AES-256 key length
-	}
-	return BlockPRF{block: b, inputLen: inputLen}
+	f := BlockPRF{inputLen: inputLen}
+	f.aes.Rekey(key)
+	return f
 }
 
-// Clone returns an independent evaluator of the same function, sharing
-// the expanded key.
+// Rekey re-keys the PRF in place, keeping its input length: a caller that
+// moves one F from key to key (swp.Codec's word memo, from k_i to k_i)
+// pays only the key expansion.
+func (f *BlockPRF) Rekey(key Key) { f.aes.Rekey(key) }
+
+// Clone returns an independent evaluator of the same function.
 func (f *BlockPRF) Clone() BlockPRF {
-	return BlockPRF{block: f.block, inputLen: f.inputLen}
+	return BlockPRF{aes: f.aes, inputLen: f.inputLen}
 }
 
 // SumInto writes the first len(dst) <= BlockPRFSize bytes of the PRF of
@@ -56,11 +63,11 @@ func (f *BlockPRF) SumInto(dst, input []byte) {
 		panic(fmt.Sprintf("crypto: blockprf: %d-byte input, %d-byte output on a PRF of %d-byte inputs and at most %d-byte outputs",
 			len(input), len(dst), f.inputLen, BlockPRFSize))
 	}
-	s := f.state[:]
+	s := f.state[0][:]
 	clear(s)
 	for {
 		n := subtle.XORBytes(s, s, input)
-		f.block.Encrypt(s, s)
+		f.aes.EncryptBlocks(f.state[:])
 		if input = input[n:]; len(input) == 0 {
 			break
 		}

@@ -16,6 +16,15 @@
 // permutation, and every CBC-MAC instance fixes its message length, which
 // is where CBC-MAC is a PRF. HMAC (PRF) is for inputs of no fixed length
 // and for work done once: key derivation and per-document seeds.
+//
+// All four run on one AES: AES256, an expanded key held by value. On
+// amd64 with AES-NI it is this package's assembly — the key expanded in
+// place with AESKEYGENASSIST, independent blocks encrypted eight at a
+// time — so re-keying G per document or F per word allocates nothing.
+// That path lies outside Go's FIPS 140-3 module; in FIPS 140-3 mode
+// (GODEBUG=fips140=on), under the purego build tag and on other
+// architectures AES256 is a loop over a crypto/aes cipher, one allocation
+// per key. crypto/cipher appears elsewhere only in the AEAD.
 package crypto
 
 import (

@@ -2,7 +2,6 @@ package crypto
 
 import (
 	"crypto/aes"
-	"crypto/cipher"
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
@@ -15,34 +14,30 @@ import (
 // of every other (needed because decryption must regenerate the stream
 // value S_i for arbitrary word positions).
 //
-// A PRG is NOT safe for concurrent use: the counter and keystream blocks
-// live in the struct so that BlockInto allocates nothing (a local handed
-// to cipher.Block escapes). The zero PRG has no seed until Rekey.
+// Its AES is an AES256 value, and Rekey expands a new seed in place: on
+// the AES-NI path a PRG moved from seed to seed allocates nothing; under
+// FIPS 140-3 mode, purego and on other architectures each seed is one
+// crypto/aes cipher (see AES256).
+//
+// A PRG is NOT safe for concurrent use: the counter block, encrypted in
+// place into keystream, lives in the struct so that BlockInto allocates
+// nothing. The zero PRG has no seed until Rekey.
 type PRG struct {
-	block    cipher.Block
-	ctr, out [aes.BlockSize]byte
+	aes   AES256
+	block [1][aes.BlockSize]byte // the counter block, as a run of one
 }
 
 // NewPRG constructs a PRG seeded with the given key.
-func NewPRG(seed Key) (*PRG, error) {
+func NewPRG(seed Key) *PRG {
 	g := &PRG{}
-	if err := g.Rekey(seed); err != nil {
-		return nil, err
-	}
-	return g, nil
+	g.Rekey(seed)
+	return g
 }
 
 // Rekey re-seeds the generator in place, so a caller that moves one PRG
 // from seed to seed (swp.Codec, document to document) pays only the new
-// key schedule.
-func (g *PRG) Rekey(seed Key) error {
-	b, err := aes.NewCipher(seed[:])
-	if err != nil {
-		return fmt.Errorf("crypto: prg: %w", err)
-	}
-	g.block = b
-	return nil
-}
+// key expansion.
+func (g *PRG) Rekey(seed Key) { g.aes.Rekey(seed) }
 
 // BlockInto fills dst with the chunk of len(dst) pseudorandom bytes at
 // logical index i, without allocating. Chunks at distinct indices are
@@ -52,9 +47,10 @@ func (g *PRG) Rekey(seed Key) error {
 func (g *PRG) BlockInto(dst []byte, i uint64) {
 	nBlocks := uint64((len(dst) + aes.BlockSize - 1) / aes.BlockSize)
 	for b := i * nBlocks; len(dst) > 0; b++ {
-		binary.BigEndian.PutUint64(g.ctr[8:], b)
-		g.block.Encrypt(g.out[:], g.ctr[:])
-		dst = dst[copy(dst, g.out[:]):]
+		g.block[0] = [aes.BlockSize]byte{}
+		binary.BigEndian.PutUint64(g.block[0][8:], b)
+		g.aes.EncryptBlocks(g.block[:])
+		dst = dst[copy(dst, g.block[0][:]):]
 	}
 }
 

@@ -6,29 +6,22 @@ import (
 )
 
 func TestPRGDeterministic(t *testing.T) {
-	g1, err := NewPRG(testKey(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := NewPRG(testKey(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g1, g2 := NewPRG(testKey(1)), NewPRG(testKey(1))
 	if !bytes.Equal(g1.Block(7, 20), g2.Block(7, 20)) {
 		t.Fatal("PRG not deterministic across instances with the same seed")
 	}
 }
 
 func TestPRGSeedSeparation(t *testing.T) {
-	g1, _ := NewPRG(testKey(1))
-	g2, _ := NewPRG(testKey(2))
+	g1 := NewPRG(testKey(1))
+	g2 := NewPRG(testKey(2))
 	if bytes.Equal(g1.Block(0, 32), g2.Block(0, 32)) {
 		t.Fatal("PRG blocks identical under different seeds")
 	}
 }
 
 func TestPRGBlocksDisjoint(t *testing.T) {
-	g, _ := NewPRG(testKey(3))
+	g := NewPRG(testKey(3))
 	seen := make(map[string]uint64)
 	for i := uint64(0); i < 1000; i++ {
 		b := g.Block(i, 9)
@@ -41,8 +34,8 @@ func TestPRGBlocksDisjoint(t *testing.T) {
 
 func TestPRGRandomAccess(t *testing.T) {
 	// Block(i, n) must not depend on previously generated blocks.
-	g1, _ := NewPRG(testKey(4))
-	g2, _ := NewPRG(testKey(4))
+	g1 := NewPRG(testKey(4))
+	g2 := NewPRG(testKey(4))
 	_ = g1.Block(0, 16)
 	_ = g1.Block(1, 16)
 	want := g1.Block(42, 16)
@@ -53,7 +46,7 @@ func TestPRGRandomAccess(t *testing.T) {
 }
 
 func TestPRGLengths(t *testing.T) {
-	g, _ := NewPRG(testKey(5))
+	g := NewPRG(testKey(5))
 	for _, n := range []int{1, 15, 16, 17, 32, 100} {
 		if got := len(g.Block(3, n)); got != n {
 			t.Fatalf("Block(_, %d) returned %d bytes", n, got)
@@ -65,7 +58,7 @@ func TestPRGLengths(t *testing.T) {
 // the tests above cover what it computes; this one that it allocates
 // nothing of its own.
 func TestPRGBlockIntoZeroAllocs(t *testing.T) {
-	g, _ := NewPRG(testKey(6))
+	g := NewPRG(testKey(6))
 	for _, n := range []int{1, 9, 16, 17, 40} {
 		dst := make([]byte, n)
 		if allocs := testing.AllocsPerRun(100, func() { g.BlockInto(dst, 7) }); allocs != 0 {

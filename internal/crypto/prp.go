@@ -20,8 +20,8 @@ import (
 //
 // A PRP is NOT safe for concurrent use (the halves and the round output
 // live in scratch the instance owns, so EncryptInto and DecryptInto
-// allocate nothing); Clone hands each goroutine its own, sharing the four
-// key schedules.
+// allocate nothing); Clone hands each goroutine its own, with copies of
+// the four key schedules.
 type PRP struct {
 	rounds [4]*WidePRF
 	n      int // permuted string length in bytes
@@ -58,8 +58,7 @@ func (p *PRP) newScratch() {
 	p.a, p.b, p.f = buf[:half:half], buf[half:2*half:2*half], buf[2*half:]
 }
 
-// Clone returns an independent evaluator of the same permutation, sharing
-// the expanded round keys.
+// Clone returns an independent evaluator of the same permutation.
 func (p *PRP) Clone() *PRP {
 	c := &PRP{n: p.n, lsize: p.lsize}
 	for i, r := range p.rounds {

@@ -46,8 +46,7 @@ func NewWidePRF(key Key, inputLen, outputLen int) *WidePRF {
 	}
 }
 
-// Clone returns an independent evaluator of the same function, sharing
-// the expanded key.
+// Clone returns an independent evaluator of the same function.
 func (w *WidePRF) Clone() *WidePRF {
 	c := &WidePRF{f: w.f.Clone(), outLen: w.outLen}
 	if w.msg != nil {

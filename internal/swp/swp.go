@@ -40,8 +40,11 @@
 // crypto.AES256.EncryptBlocks call, ~25 ns per three-word tuple. G is
 // AES-256-CTR. f is crypto.WidePRF: the same CBC-MAC over L_i‖⟨j⟩,
 // j = 1, 2, whose two tags are k_i. E is a four-round Luby–Rackoff Feistel network (crypto.PRP)
-// whose four round functions are WidePRFs under independent keys. The
-// assumptions are those G already makes plus the textbook reductions:
+// whose four round functions are WidePRFs under independent keys. All of
+// them — the client's G, f, F and E as much as the server's F — run on
+// crypto.AES256, so the codec's per-document and per-word key expansions
+// happen in place. The assumptions are those G already makes plus the
+// textbook reductions:
 // AES-256 is a pseudorandom permutation; the PRP/PRF switching lemma;
 // CBC-MAC is a PRF on messages of one fixed length (Bellare–Kilian–
 // Rogaway) — every BlockPRF and WidePRF instance fixes its input length,
@@ -146,9 +149,13 @@ func (s *Scheme) Params() Params { return s.params }
 // Codec encrypts and decrypts the words of one document at a time. It is
 // the scheme's only implementation of both directions: SetDocument is the
 // one place a document's stream key is derived from its identifier, and
-// the word methods run over scratch the codec owns, so a word costs no
-// heap allocation beyond the AES key schedule of its k_i, which the
-// scheme's definition forces for every distinct word value.
+// the word methods run over scratch the codec owns. Every AES key it
+// meets — the document's stream key, each word's k_i — is expanded in
+// place into a crypto.AES256 the codec already holds, so on the AES-NI
+// path a word costs no heap allocation at all, and on the crypto/aes path
+// (FIPS 140-3 mode, purego, other architectures) one: the cipher of its
+// k_i, which the scheme's definition forces for every distinct word
+// value.
 //
 // Only for distinct values: k_i = f_{k'}(L_i) and W_i = E⁻¹(X_i) are
 // functions of the word value alone (L_i and X_i are E's output on it),
@@ -156,17 +163,17 @@ func (s *Scheme) Params() Params { return s.params }
 // indexed by L_i's first byte — uniform, since L_i is part of a PRP
 // output — each L_i it met with its expanded F_{k_i}, and the last X_i it
 // decrypted under it with W_i. A word whose L_i is in its slot skips f and
-// the key schedule in either direction; a decrypted word whose whole X_i
+// the key expansion in either direction; a decrypted word whose whole X_i
 // is there skips E⁻¹ too. Slots are compared in constant time and
 // overwritten on collision. Values repeat across documents, not within
 // one (core's words each carry their column), so a codec's first
 // document runs on one slot of its own and the memo is allocated when a
-// second document begins: a one-tuple answer pays nothing for it. The memo changes no output bit,
-// lives as long as the codec (core makes one per call) and never leaves
-// Alex's side.
+// second document begins. The memo changes no output bit, lives until
+// Reset (core resets a pooled codec at the start of every call, so it
+// lives for one call) and never leaves Alex's side.
 //
 // A Codec is NOT safe for concurrent use; a Scheme is, and NewCodec hands
-// each goroutine its own, sharing the expanded keys of E and f.
+// each goroutine its own, with copies of the expanded keys of E and f.
 type Codec struct {
 	s      *Scheme
 	pre    *crypto.PRP
@@ -190,9 +197,9 @@ const memoSlots = 64
 // F_{k_i}, and the last X_i decrypted under that L_i with its W_i.
 type memoSlot struct {
 	x, w []byte
-	kprf crypto.BlockPRF
-	used bool // x's L_i and kprf hold a word value
-	hasW bool // all of x, and w, hold a decryption under it
+	kprf crypto.BlockPRF // re-keyed in place when the slot takes a word value
+	used bool            // x's L_i and kprf hold a word value
+	hasW bool            // all of x, and w, hold a decryption under it
 }
 
 // streamLabel domain-separates the per-document stream key.
@@ -204,13 +211,27 @@ func (s *Scheme) NewCodec() *Codec {
 	buf := make([]byte, 4*n)
 	c := &Codec{s: s, pre: s.pre.Clone(), f: s.f.Clone(), x: buf[:n:n], t: buf[n : 2*n : 2*n]}
 	c.first.x, c.first.w = buf[2*n:3*n:3*n], buf[3*n:]
+	c.first.kprf = crypto.NewBlockPRF(crypto.Key{}, s.params.streamLen())
 	return c
+}
+
+// Reset takes the codec off its document and empties its memo, keeping
+// every buffer: afterwards it answers exactly as a fresh codec does,
+// which is what lets core pool codecs across calls.
+func (c *Codec) Reset() {
+	c.onDoc = false
+	c.first.used, c.first.hasW = false, false
+	if c.memo != nil {
+		for i := range c.memo {
+			c.memo[i].used, c.memo[i].hasW = false, false
+		}
+	}
 }
 
 // SetDocument positions the codec on the document identified by docID:
 // it derives that document's stream key — one HMAC, because a document
-// identifier has no fixed length — and expands it. The word methods then
-// address the document's words by position.
+// identifier has no fixed length — and expands it in place. The word
+// methods then address the document's words by position.
 func (c *Codec) SetDocument(docID []byte) {
 	// PRF.DeriveKey(streamLabel, docID), with its injective encoding
 	// built in the codec's buffer instead of a fresh one.
@@ -220,11 +241,9 @@ func (c *Codec) SetDocument(docID []byte) {
 	in = append(in, docID...)
 	c.seedIn = in
 	c.s.seed.SumInto(c.doc[:], in)
-	if err := c.prg.Rekey(c.doc); err != nil {
-		panic(fmt.Sprintf("swp: document stream: %v", err)) // unreachable: a crypto.Key is an AES-256 key
-	}
+	c.prg.Rekey(c.doc)
 	if c.onDoc && c.memo == nil {
-		c.memo = newMemo(len(c.x))
+		c.memo = newMemo(len(c.x), &c.first.kprf)
 	}
 	c.onDoc = true
 }
@@ -291,7 +310,7 @@ func (c *Codec) mask(stream []byte) *memoSlot {
 	}
 	if !slot.used || subtle.ConstantTimeCompare(slot.x[:nm], l) != 1 {
 		c.f.SumInto(c.ki[:], l)
-		slot.kprf = crypto.NewBlockPRF(c.ki, nm)
+		slot.kprf.Rekey(c.ki)
 		copy(slot.x, l)
 		slot.used, slot.hasW = true, false
 	}
@@ -299,14 +318,16 @@ func (c *Codec) mask(stream []byte) *memoSlot {
 	return slot
 }
 
-// newMemo allocates a word memo for words of n bytes: the slots, and one
-// buffer their byte fields are cut from.
-func newMemo(n int) *[memoSlots]memoSlot {
+// newMemo allocates a word memo for words of n bytes: the slots, one
+// buffer their byte fields are cut from, and in each slot a copy of kprf,
+// an F of the codec's input length for the slot to re-key.
+func newMemo(n int, kprf *crypto.BlockPRF) *[memoSlots]memoSlot {
 	memo := new([memoSlots]memoSlot)
 	buf := make([]byte, 2*n*memoSlots)
 	for i := range memo {
 		b := buf[2*n*i : 2*n*(i+1) : 2*n*(i+1)]
 		memo[i].x, memo[i].w = b[:n:n], b[n:]
+		memo[i].kprf = kprf.Clone()
 	}
 	return memo
 }

@@ -65,10 +65,7 @@ func (s *BasicScheme) Params() Params { return s.params }
 
 // EncryptDocument encrypts the words of one document.
 func (s *BasicScheme) EncryptDocument(docID []byte, words [][]byte) ([][]byte, error) {
-	prg, err := crypto.NewPRG(s.seed.DeriveKey("swp1/stream", docID))
-	if err != nil {
-		return nil, err
-	}
+	prg := crypto.NewPRG(s.seed.DeriveKey("swp1/stream", docID))
 	nm := s.params.streamLen()
 	out := make([][]byte, len(words))
 	for i, w := range words {
@@ -149,10 +146,7 @@ func (s *ControlledScheme) wordKey(word []byte) crypto.Key {
 
 // EncryptDocument encrypts the words of one document.
 func (s *ControlledScheme) EncryptDocument(docID []byte, words [][]byte) ([][]byte, error) {
-	prg, err := crypto.NewPRG(s.seed.DeriveKey("swp2/stream", docID))
-	if err != nil {
-		return nil, err
-	}
+	prg := crypto.NewPRG(s.seed.DeriveKey("swp2/stream", docID))
 	nm := s.params.streamLen()
 	out := make([][]byte, len(words))
 	for i, w := range words {
@@ -239,10 +233,7 @@ func (s *HiddenScheme) xKey(x []byte) crypto.Key {
 
 // EncryptDocument encrypts the words of one document.
 func (s *HiddenScheme) EncryptDocument(docID []byte, words [][]byte) ([][]byte, error) {
-	prg, err := crypto.NewPRG(s.seed.DeriveKey("swp3/stream", docID))
-	if err != nil {
-		return nil, err
-	}
+	prg := crypto.NewPRG(s.seed.DeriveKey("swp3/stream", docID))
 	nm := s.params.streamLen()
 	out := make([][]byte, len(words))
 	for i, w := range words {
@@ -295,10 +286,7 @@ func (s *HiddenScheme) RecoverStreamPart(docID []byte, pos uint64, cipherword []
 	if len(cipherword) != s.params.WordLen {
 		return nil, fmt.Errorf("swp: hidden: cipherword must be %d bytes", s.params.WordLen)
 	}
-	prg, err := crypto.NewPRG(s.seed.DeriveKey("swp3/stream", docID))
-	if err != nil {
-		return nil, err
-	}
+	prg := crypto.NewPRG(s.seed.DeriveKey("swp3/stream", docID))
 	nm := s.params.streamLen()
 	stream := prg.Block(pos, nm)
 	left := make([]byte, nm)
