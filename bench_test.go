@@ -243,7 +243,9 @@ func benchCodec(b *testing.B) (c *swp.Codec, word []byte) {
 		b.Fatal(err)
 	}
 	c = s.NewCodec()
-	c.SetDocument([]byte("doc"))
+	if err := c.SetDocument(make([]byte, swp.DocIDLen)); err != nil {
+		b.Fatal(err)
+	}
 	return c, []byte("MontgomeryN")
 }
 
@@ -283,7 +285,7 @@ func BenchmarkSWPMatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	word := []byte("MontgomeryN")
-	cw, err := s.EncryptWord([]byte("doc"), 0, word)
+	cw, err := s.EncryptWord(make([]byte, swp.DocIDLen), 0, word)
 	if err != nil {
 		b.Fatal(err)
 	}

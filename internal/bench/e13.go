@@ -52,7 +52,7 @@ func RunE13(tuples int, seed int64) (*Table, error) {
 		}
 		words[i] = w
 	}
-	cws, err := scheme.EncryptDocument([]byte("e13"), words)
+	cws, err := scheme.EncryptDocument(make([]byte, swp.DocIDLen), words)
 	if err != nil {
 		return nil, err
 	}

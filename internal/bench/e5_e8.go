@@ -57,7 +57,7 @@ func RunE5(slots int, seed int64) (*Table, error) {
 		falseHits := 0
 		const docSize = 64
 		for probed := 0; probed < slots; probed += docSize {
-			docID := make([]byte, 8)
+			docID := make([]byte, swp.DocIDLen)
 			if _, err := rand.Read(docID); err != nil {
 				return nil, err
 			}

@@ -18,8 +18,9 @@ import (
 // SchemeID is the evaluator-registry name of the paper's construction.
 const SchemeID = "swp-ph"
 
-// docIDLen is the length of the random per-tuple document identifier.
-const docIDLen = 16
+// docIDLen is the length of the random per-tuple document identifier:
+// the one length SWP's stream function accepts.
+const docIDLen = swp.DocIDLen
 
 // Options tunes the construction.
 type Options struct {
@@ -51,7 +52,12 @@ type PH struct {
 	layout  *layout
 	schemes map[int]*swp.Scheme // one SWP instance per distinct word length
 	meta    []byte
-	idle    sync.Pool // *tupleCodec between two calls
+
+	// idle holds the tuple codecs between two calls, as many as calls
+	// have run at once. Unlike a sync.Pool's, they survive garbage
+	// collection: a codec's scratch and memo, grown once, stay grown.
+	mu   sync.Mutex
+	idle []*tupleCodec
 }
 
 // New derives a PH instance for the schema from a master key. One SWP
@@ -118,28 +124,54 @@ func (p *PH) schemeForCol(col int) *swp.Scheme {
 // call carries from tuple to tuple: an swp.Codec per word length plus the
 // scratch a tuple is assembled in, so that a tuple costs the allocations
 // its output needs, nothing per word. A codec is single-goroutine; each
-// call takes one of its own from the PH's pool and resets it, so its
+// call takes one of its own from the PH's idle list and resets it, so its
 // word memo lives for exactly that call, and one PH stays safe for
 // concurrent use.
 type tupleCodec struct {
 	l      *layout
 	codecs []*swp.Codec   // word length -> codec; nil where no scheme has it
 	word   []byte         // one plaintext word, as wide as the widest
-	tuple  relation.Tuple // the tuple being decrypted
+	tuple  relation.Tuple // the tuple being parsed
 	seen   []bool         // the columns of tuple already written
+
+	// A decryption run: its plaintext words, cut back to back from plain
+	// and listed in queue order in words, cols per tuple; at[n] is the
+	// tuple the codec for words of n bytes was last positioned on.
+	plain []byte
+	words [][]byte
+	at    []int
 }
 
-// codec takes a reset tuple codec from the pool, or builds one. Callers
-// hand it back with p.idle.Put when done.
+// codec takes an idle tuple codec and resets it, or builds one. Callers
+// hand it back with p.release when done.
 func (p *PH) codec() *tupleCodec {
-	if tc, ok := p.idle.Get().(*tupleCodec); ok {
-		for _, c := range tc.codecs {
-			if c != nil {
-				c.Reset()
-			}
-		}
-		return tc
+	p.mu.Lock()
+	n := len(p.idle)
+	if n == 0 {
+		p.mu.Unlock()
+		return p.newTupleCodec()
 	}
+	tc := p.idle[n-1]
+	p.idle = p.idle[:n-1]
+	p.mu.Unlock()
+	for _, c := range tc.codecs {
+		if c != nil {
+			c.Reset()
+		}
+	}
+	return tc
+}
+
+// release hands a tuple codec back for the next call.
+func (p *PH) release(tc *tupleCodec) {
+	p.mu.Lock()
+	p.idle = append(p.idle, tc)
+	p.mu.Unlock()
+}
+
+// newTupleCodec builds a tuple codec with a fresh swp.Codec per word
+// length.
+func (p *PH) newTupleCodec() *tupleCodec {
 	cols := p.layout.schema.NumColumns()
 	widest := slices.Max(p.layout.wordLengths())
 	tc := &tupleCodec{
@@ -148,6 +180,9 @@ func (p *PH) codec() *tupleCodec {
 		word:   make([]byte, widest),
 		tuple:  make(relation.Tuple, cols),
 		seen:   make([]bool, cols),
+		plain:  make([]byte, swp.RunDocs*cols*widest),
+		words:  make([][]byte, 0, swp.RunDocs*cols),
+		at:     make([]int, widest+1),
 	}
 	for n, s := range p.schemes {
 		tc.codecs[n] = s.NewCodec()
@@ -156,12 +191,15 @@ func (p *PH) codec() *tupleCodec {
 }
 
 // setDocument positions every codec on one tuple's document.
-func (tc *tupleCodec) setDocument(docID []byte) {
+func (tc *tupleCodec) setDocument(docID []byte) error {
 	for _, c := range tc.codecs {
 		if c != nil {
-			c.SetDocument(docID)
+			if err := c.SetDocument(docID); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 // codecFor returns the codec for words of n bytes, or nil.
@@ -193,7 +231,7 @@ func (p *PH) EncryptTable(t *relation.Table) (*ph.EncryptedTable, error) {
 		return nil, err
 	}
 	tc := p.codec()
-	defer p.idle.Put(tc)
+	defer p.release(tc)
 	for _, ti := range order {
 		etp, err := tc.encryptTuple(t.Tuple(ti))
 		if err != nil {
@@ -214,7 +252,9 @@ func (tc *tupleCodec) encryptTuple(tp relation.Tuple) (ph.EncryptedTuple, error)
 	if err != nil {
 		return ph.EncryptedTuple{}, err
 	}
-	tc.setDocument(docID)
+	if err := tc.setDocument(docID); err != nil {
+		return ph.EncryptedTuple{}, err
+	}
 	cipherwords := make([][]byte, len(tp))
 	for pos, col := range perm {
 		w, err := tc.l.makeWord(tc.word, col, tp[col])
@@ -247,84 +287,136 @@ func (p *PH) EncryptQuery(q relation.Eq) (*ph.EncryptedQuery, error) {
 	return &ph.EncryptedQuery{SchemeID: SchemeID, Token: encodeTrapdoor(td)}, nil
 }
 
-// decryptTuple reconstructs a plaintext tuple from its encrypted document.
-// The tuple it returns is the codec's scratch, valid until the next call;
-// relation.Table.Insert copies it.
-func (tc *tupleCodec) decryptTuple(etp ph.EncryptedTuple) (relation.Tuple, error) {
-	if len(etp.Words) != len(tc.tuple) {
-		return nil, fmt.Errorf("core: document has %d words, schema has %d columns",
-			len(etp.Words), len(tc.tuple))
-	}
-	tc.setDocument(etp.ID)
-	clear(tc.seen)
-	for pos, cw := range etp.Words {
-		c := tc.codecFor(len(cw))
-		if c == nil {
-			return nil, fmt.Errorf("core: no scheme for word length %d", len(cw))
-		}
-		w := tc.word[:len(cw)]
-		if err := c.DecryptWordInto(w, uint64(pos), cw); err != nil {
-			return nil, err
-		}
-		col, v, err := tc.l.parseWord(w)
-		if err != nil {
-			return nil, err
-		}
-		if tc.seen[col] {
-			return nil, fmt.Errorf("core: document contains column %q twice", tc.l.schema.Columns[col].Name)
-		}
-		tc.seen[col] = true
-		tc.tuple[col] = v
-	}
-	// As many words as columns and no column twice: every slot was
-	// written, so nothing of the previous tuple is left in the scratch.
-	return tc.tuple, nil
-}
-
 // DecryptTable implements D of Definition 1.1 on whole tables.
 func (p *PH) DecryptTable(ct *ph.EncryptedTable) (*relation.Table, error) {
 	if ct.SchemeID != SchemeID {
 		return nil, fmt.Errorf("core: cannot decrypt table of scheme %q", ct.SchemeID)
 	}
-	t := relation.NewTable(p.layout.schema)
 	tc := p.codec()
-	defer p.idle.Put(tc)
-	for i, etp := range ct.Tuples {
-		tp, err := tc.decryptTuple(etp)
-		if err != nil {
-			return nil, fmt.Errorf("core: decrypting tuple %d: %w", i, err)
-		}
-		if err := t.Insert(tp); err != nil {
-			return nil, fmt.Errorf("core: decrypted tuple %d invalid: %w", i, err)
-		}
-	}
-	return t, nil
+	defer p.release(tc)
+	return tc.decrypt(ct.Tuples, nil, "tuple")
 }
 
 // DecryptResult decrypts the server's answer to query q and filters false
 // positives by re-evaluating the plaintext predicate, exactly as §3
 // prescribes ("Alex needs to run a filter on the output").
 func (p *PH) DecryptResult(q relation.Eq, r *ph.Result) (*relation.Table, error) {
-	t := relation.NewTable(p.layout.schema)
 	tc := p.codec()
-	defer p.idle.Put(tc)
-	for i, etp := range r.Tuples {
-		tp, err := tc.decryptTuple(etp)
-		if err != nil {
-			return nil, fmt.Errorf("core: decrypting result tuple %d: %w", i, err)
+	defer p.release(tc)
+	return tc.decrypt(r.Tuples, &q, "result tuple")
+}
+
+// decrypt is D over tuples, keeping those that satisfy q (all of them if
+// q is nil); what names a tuple in errors. It cuts the tuples into runs of
+// swp.RunDocs: it queues every word of a run on the codec for its length
+// and decrypts each codec's words as one swp run, then parses, filters
+// and adds the run's tuples in order. A kept tuple is copied into a slab
+// of values allocated at the first one for all that may follow, and the
+// table takes it from there with no further copy, so an answer of false
+// positives alone allocates neither. A tuple's shape — its word count,
+// identifier and word lengths — is checked before any of its words is
+// queued, and an error about tuple i comes only after tuples 0 … i−1 have
+// been parsed and found sound, so the first bad tuple is the one named,
+// and no table comes with an error.
+func (tc *tupleCodec) decrypt(tuples []ph.EncryptedTuple, q *relation.Eq, what string) (*relation.Table, error) {
+	schema := tc.l.schema
+	cols := schema.NumColumns()
+	t := relation.NewTable(schema)
+	var slab []relation.Value
+	for lo := 0; lo < len(tuples); lo += swp.RunDocs {
+		run := tuples[lo:min(lo+swp.RunDocs, len(tuples))]
+		queued, qerr := tc.queue(run)
+		for _, c := range tc.codecs {
+			if c != nil {
+				c.DecryptRun()
+			}
 		}
-		ok, err := q.Eval(p.layout.schema, tp)
-		if err != nil {
-			return nil, fmt.Errorf("core: filtering result tuple %d: %w", i, err)
+		for i := 0; i < queued; i++ {
+			if err := tc.parse(tc.words[i*cols : (i+1)*cols]); err != nil {
+				return nil, fmt.Errorf("core: decrypting %s %d: %w", what, lo+i, err)
+			}
+			if q != nil {
+				ok, err := q.Eval(schema, tc.tuple)
+				if err != nil {
+					return nil, fmt.Errorf("core: filtering %s %d: %w", what, lo+i, err)
+				}
+				if !ok {
+					continue // false positive from the SWP checksum; drop it
+				}
+			}
+			if len(slab) == 0 {
+				rest := len(tuples) - lo - i
+				slab = make([]relation.Value, rest*cols)
+				t.Grow(rest)
+			}
+			tp := relation.Tuple(slab[:cols:cols])
+			copy(tp, tc.tuple)
+			if err := t.Adopt(tp); err != nil {
+				return nil, fmt.Errorf("core: decrypted %s %d invalid: %w", what, lo+i, err)
+			}
+			slab = slab[cols:]
 		}
-		if !ok {
-			continue // false positive from the SWP checksum; drop it
-		}
-		if err := t.Insert(tp); err != nil {
-			return nil, fmt.Errorf("core: decrypted result tuple %d invalid: %w", i, err)
+		if qerr != nil {
+			return nil, fmt.Errorf("core: decrypting %s %d: %w", what, lo+queued, qerr)
 		}
 	}
 	return t, nil
+}
+
+// queue queues every word of the run's tuples on the codec for its
+// length, into plaintext slots cut from tc.plain, and returns how many
+// tuples it queued: all of them, or those before the first whose shape is
+// wrong, with that tuple's error.
+func (tc *tupleCodec) queue(run []ph.EncryptedTuple) (int, error) {
+	cols := len(tc.seen)
+	tc.words = tc.words[:0]
+	off := 0
+	clear(tc.at)
+	for i, etp := range run {
+		if len(etp.Words) != cols {
+			return i, fmt.Errorf("core: document has %d words, schema has %d columns", len(etp.Words), cols)
+		}
+		for _, cw := range etp.Words {
+			if tc.codecFor(len(cw)) == nil {
+				return i, fmt.Errorf("core: no scheme for word length %d", len(cw))
+			}
+		}
+		for pos, cw := range etp.Words {
+			c := tc.codecFor(len(cw))
+			if tc.at[len(cw)] != i+1 {
+				if err := c.SetDocument(etp.ID); err != nil {
+					return i, err // the tuple's first word: nothing of it is queued
+				}
+				tc.at[len(cw)] = i + 1
+			}
+			w := tc.plain[off : off+len(cw) : off+len(cw)]
+			off += len(cw)
+			if err := c.QueueWord(w, uint64(pos), cw); err != nil {
+				return i, err // unreachable: the codec was chosen by the word's length
+			}
+			tc.words = append(tc.words, w)
+		}
+	}
+	return len(run), nil
+}
+
+// parse fills tc.tuple from one decrypted tuple's words. As many words as
+// columns and no column twice: every slot is written, so nothing of the
+// previous tuple is left.
+func (tc *tupleCodec) parse(words [][]byte) error {
+	clear(tc.seen)
+	for _, w := range words {
+		col, v, err := tc.l.parseWord(w)
+		if err != nil {
+			return err
+		}
+		if tc.seen[col] {
+			return fmt.Errorf("core: document contains column %q twice", tc.l.schema.Columns[col].Name)
+		}
+		tc.seen[col] = true
+		tc.tuple[col] = v
+	}
+	return nil
 }
 
 // parallelThreshold is the tuple count below which a scan stays on its
@@ -500,7 +592,7 @@ func init() {
 // instantiation of the SWP primitives the ciphertext was written under:
 // a change to either bumps it, so that ciphertext no trapdoor of this
 // build can match is refused instead of silently matching nothing.
-const metaVersion = 4
+const metaVersion = 5
 
 // encodeMeta serialises the public per-length SWP parameters carried on
 // every encrypted table: version, count, then (wordLen, checksumLen) pairs.

@@ -49,9 +49,9 @@ const idWidth = 1
 type layout struct {
 	schema     *relation.Schema
 	perColumn  bool
-	valueWidth int          // widest encoded attribute value (fixed mode)
-	ids        []byte       // column index -> identifier byte
-	colOf      map[byte]int // identifier byte -> column index
+	valueWidth int      // widest encoded attribute value (fixed mode)
+	ids        []byte   // column index -> identifier byte
+	colOf      [256]int // identifier byte -> column index + 1; 0: no column
 }
 
 // newLayout derives the word layout from a schema. Identifier bytes are
@@ -63,7 +63,7 @@ func newLayout(s *relation.Schema, perColumn bool) (*layout, error) {
 	if s.NumColumns() > 255 {
 		return nil, fmt.Errorf("core: schema %q has %d columns; at most 255 supported", s.Name, s.NumColumns())
 	}
-	l := &layout{schema: s, perColumn: perColumn, colOf: make(map[byte]int, s.NumColumns())}
+	l := &layout{schema: s, perColumn: perColumn}
 	for _, c := range s.Columns {
 		if w := c.EncodedWidth(); w > l.valueWidth {
 			l.valueWidth = w
@@ -81,7 +81,7 @@ func newLayout(s *relation.Schema, perColumn bool) (*layout, error) {
 			return nil, err
 		}
 		l.ids[i] = id
-		l.colOf[id] = i
+		l.colOf[id] = i + 1
 	}
 	return l, nil
 }
@@ -122,7 +122,7 @@ func (l *layout) pickID(name string) (byte, error) {
 		if first >= 'a' && first <= 'z' {
 			first -= 'a' - 'A'
 		}
-		if _, taken := l.colOf[first]; !taken && first != PadByte {
+		if l.colOf[first] == 0 && first != PadByte {
 			return first, nil
 		}
 	}
@@ -131,7 +131,7 @@ func (l *layout) pickID(name string) (byte, error) {
 		if id == PadByte {
 			continue
 		}
-		if _, taken := l.colOf[id]; !taken {
+		if l.colOf[id] == 0 {
 			return id, nil
 		}
 	}
@@ -171,8 +171,8 @@ func (l *layout) parseWord(w []byte) (col int, v relation.Value, err error) {
 		return 0, relation.Value{}, fmt.Errorf("core: word of %d bytes too short", len(w))
 	}
 	id := w[len(w)-idWidth]
-	col, ok := l.colOf[id]
-	if !ok {
+	col = l.colOf[id] - 1
+	if col < 0 {
 		return 0, relation.Value{}, fmt.Errorf("core: unknown attribute identifier %#x", id)
 	}
 	if len(w) != l.wordLenFor(col) {

@@ -221,6 +221,8 @@ func TestMetaDecodeErrors(t *testing.T) {
 		{[]byte{2, 1, 0, 11, 0, 2}, "re-encrypt"},
 		// Likewise one written before E's round functions and f did.
 		{[]byte{3, 1, 0, 11, 0, 2}, "re-encrypt"},
+		// And one written before the stream became CBC-MAC under one key.
+		{[]byte{4, 1, 0, 11, 0, 2}, "re-encrypt"},
 		{[]byte{metaVersion, 0}, ""},                                  // zero lengths
 		{[]byte{metaVersion, 1, 0, 11}, ""},                           // truncated pair
 		{[]byte{metaVersion, 1, 0, 2, 0, 5}, ""},                      // checksum >= wordLen

@@ -2,7 +2,7 @@ package crypto
 
 import (
 	"crypto/aes"
-	"crypto/subtle"
+	"encoding/binary"
 	"fmt"
 )
 
@@ -16,27 +16,33 @@ const BlockPRFSize = aes.BlockSize
 // Song–Wagner–Perrig, whose input is always the fixed-width stream chunk
 // S_i — which is exactly the case where raw CBC-MAC is a PRF (Bellare,
 // Kilian, Rogaway): it assumes only that AES-256 is a pseudorandom
-// permutation (as PRG already does) plus the PRP/PRF switching lemma. The
-// input length is therefore part of the instance, and a SumInto of any
-// other length is a bug, not an input: zero padding would let inputs of
-// different lengths collide.
+// permutation plus the PRP/PRF switching lemma. The input length is
+// therefore part of the instance, and a SumInto of any other length is a
+// bug, not an input: zero padding would let inputs of different lengths
+// collide.
+//
+// SumAllInto evaluates it on k inputs at once: the k chains advance
+// together, each chaining step one AES256.EncryptBlocks call over all k
+// blocks, so a batch runs at AES's throughput rather than its latency.
+// SumInto is its k = 1 case.
 //
 // Its AES is an AES256 value held in the struct, so NewBlockPRF and Rekey
 // expand the key in place: on the AES-NI path neither allocates, and
 // under FIPS 140-3 mode, purego and on other architectures each key is one
 // crypto/aes cipher (see AES256).
 //
-// A BlockPRF is NOT safe for concurrent use (SumInto chains through a
-// struct-held block so it performs no heap allocations); Clone hands each
-// goroutine its own, with a copy of the key schedule. It is a value so
-// that a caller who evaluates it side by side with other goroutines can
-// place it — and with it the chaining block every call rewrites — on
-// memory of its own choosing (swp.Matcher keeps it off its neighbours'
-// cache lines).
+// A BlockPRF is NOT safe for concurrent use (the chaining blocks live in
+// the struct so that a call performs no heap allocation once they have
+// grown to its batch); Clone hands each goroutine its own, with a copy of
+// the key schedule. It is a value so that a caller who evaluates it side
+// by side with other goroutines can place it — and with it the chaining
+// block every call rewrites — on memory of its own choosing (swp.Matcher
+// keeps it off its neighbours' cache lines).
 type BlockPRF struct {
 	aes      AES256
 	inputLen int
-	state    [1][BlockPRFSize]byte // the chaining block, as a run of one
+	state    [2][BlockPRFSize]byte // the chaining blocks of a call on up to two inputs (f's k_i is two tags)
+	many     [][BlockPRFSize]byte  // the chaining blocks of a batch, grown to the largest met
 }
 
 // NewBlockPRF builds the PRF for one key and one input length.
@@ -57,20 +63,64 @@ func (f *BlockPRF) Clone() BlockPRF {
 }
 
 // SumInto writes the first len(dst) <= BlockPRFSize bytes of the PRF of
-// input into dst, without allocating.
-func (f *BlockPRF) SumInto(dst, input []byte) {
-	if len(input) != f.inputLen || len(dst) > BlockPRFSize {
-		panic(fmt.Sprintf("crypto: blockprf: %d-byte input, %d-byte output on a PRF of %d-byte inputs and at most %d-byte outputs",
-			len(input), len(dst), f.inputLen, BlockPRFSize))
+// input into dst, without allocating: SumAllInto on one input.
+func (f *BlockPRF) SumInto(dst, input []byte) { f.SumAllInto(dst, input, 1) }
+
+// SumAllInto evaluates the PRF on the k inputs packed back to back in in,
+// the instance's input length apiece, and writes the first w <=
+// BlockPRFSize bytes of output i to out[i·w:(i+1)·w], where w =
+// len(out)/k. It allocates only to grow its chaining blocks to a k larger
+// than any it met before.
+func (f *BlockPRF) SumAllInto(out, in []byte, k int) {
+	w := len(out)
+	if k != 1 && k > 0 {
+		w /= k
 	}
-	s := f.state[0][:]
+	if k < 0 || len(in) != k*f.inputLen || len(out) != k*w || w > BlockPRFSize {
+		panic(fmt.Sprintf("crypto: blockprf: %d inputs of %d bytes into %d output bytes on a PRF of %d-byte inputs and at most %d-byte outputs",
+			k, len(in), len(out), f.inputLen, BlockPRFSize))
+	}
+	for i, tag := range f.tags(in, k) {
+		copy(out[i*w:(i+1)*w], tag[:])
+	}
+}
+
+// tags runs the k CBC-MAC chains over in, one EncryptBlocks call per
+// chaining step, and returns the chaining blocks, which then hold the k
+// full tags. Its caller has checked the lengths.
+func (f *BlockPRF) tags(in []byte, k int) [][BlockPRFSize]byte {
+	s := f.state[:min(k, len(f.state))]
+	if k > len(f.state) {
+		if cap(f.many) < k {
+			f.many = make([][BlockPRFSize]byte, k)
+		}
+		s = f.many[:k]
+	}
 	clear(s)
-	for {
-		n := subtle.XORBytes(s, s, input)
-		f.aes.EncryptBlocks(f.state[:])
-		if input = input[n:]; len(input) == 0 {
-			break
+	n := f.inputLen
+	for off := 0; ; off += BlockPRFSize {
+		end := min(off+BlockPRFSize, n)
+		for i := range s {
+			xorBlock(&s[i], in[i*n+off:i*n+end])
+		}
+		f.aes.EncryptBlocks(s)
+		if end == n {
+			return s
 		}
 	}
-	copy(dst, s)
+}
+
+// xorBlock XORs src, at most one block, into b: two 64-bit XORs for a
+// whole block, which is every step of a chain but its last.
+func xorBlock(b *[BlockPRFSize]byte, src []byte) {
+	if len(src) == BlockPRFSize {
+		lo := binary.LittleEndian.Uint64(b[:8]) ^ binary.LittleEndian.Uint64(src[:8])
+		hi := binary.LittleEndian.Uint64(b[8:]) ^ binary.LittleEndian.Uint64(src[8:])
+		binary.LittleEndian.PutUint64(b[:8], lo)
+		binary.LittleEndian.PutUint64(b[8:], hi)
+		return
+	}
+	for i, v := range src {
+		b[i] ^= v
+	}
 }

@@ -10,21 +10,28 @@
 // Everything is built on the Go standard library. The constructions are the
 // textbook ones the paper's building blocks assume: Song–Wagner–Perrig's
 // searchable encryption (internal/swp) is specified in terms of a
-// pseudorandom generator G (PRG), pseudorandom functions f (WidePRF) and F
+// pseudorandom generator G, pseudorandom functions f (WidePRF) and F
 // (BlockPRF), and a deterministic pre-encryption E (PRP); this package
-// supplies all four, all on AES-256 — it is assumed a pseudorandom
-// permutation, and every CBC-MAC instance fixes its message length, which
-// is where CBC-MAC is a PRF. HMAC (PRF) is for inputs of no fixed length
-// and for work done once: key derivation and per-document seeds.
+// supplies them all on AES-256 — it is assumed a pseudorandom permutation,
+// and every CBC-MAC instance fixes its message length, which is where
+// CBC-MAC is a PRF. The final scheme's G is a CBC-MAC too (swp.Codec);
+// PRG is the precursor schemes'. HMAC (PRF) is for inputs of no fixed
+// length and for work done once: key derivation.
 //
-// All four run on one AES: AES256, an expanded key held by value. On
+// BlockPRF, WidePRF and PRP each have a batch form — SumAllInto,
+// EncryptAllInto, DecryptAllInto — that evaluates k inputs under the one
+// key together, each CBC-MAC chaining step or Feistel round one call over
+// all k blocks, so a batch runs at AES's throughput rather than its
+// latency. The one-input methods are their k = 1 case.
+//
+// All of them run on one AES: AES256, an expanded key held by value. On
 // amd64 with AES-NI it is this package's assembly — the key expanded in
 // place with AESKEYGENASSIST, independent blocks encrypted eight at a
-// time — so re-keying G per document or F per word allocates nothing.
-// That path lies outside Go's FIPS 140-3 module; in FIPS 140-3 mode
-// (GODEBUG=fips140=on), under the purego build tag and on other
-// architectures AES256 is a loop over a crypto/aes cipher, one allocation
-// per key. crypto/cipher appears elsewhere only in the AEAD.
+// time — so re-keying F per word allocates nothing. That path lies
+// outside Go's FIPS 140-3 module; in FIPS 140-3 mode (GODEBUG=fips140=on),
+// under the purego build tag and on other architectures AES256 is a loop
+// over a crypto/aes cipher, one allocation per key. crypto/cipher appears
+// elsewhere only in the AEAD.
 package crypto
 
 import (

@@ -9,19 +9,15 @@ import (
 )
 
 // PRG is a seekable pseudorandom generator built from AES-256 in counter
-// mode. It plays the role of the stream generator G in the Song–Wagner–
-// Perrig scheme: chunk i of the keystream can be generated independently
-// of every other (needed because decryption must regenerate the stream
-// value S_i for arbitrary word positions).
-//
-// Its AES is an AES256 value, and Rekey expands a new seed in place: on
-// the AES-NI path a PRG moved from seed to seed allocates nothing; under
-// FIPS 140-3 mode, purego and on other architectures each seed is one
-// crypto/aes cipher (see AES256).
+// mode. It plays the role of the stream generator G in the three
+// precursor Song–Wagner–Perrig schemes (swp's variants.go): chunk i of the
+// keystream can be generated independently of every other. The final
+// scheme's stream is not a PRG of its own per document but CBC-MAC under
+// one key (see swp.Codec).
 //
 // A PRG is NOT safe for concurrent use: the counter block, encrypted in
 // place into keystream, lives in the struct so that BlockInto allocates
-// nothing. The zero PRG has no seed until Rekey.
+// nothing.
 type PRG struct {
 	aes   AES256
 	block [1][aes.BlockSize]byte // the counter block, as a run of one
@@ -29,15 +25,8 @@ type PRG struct {
 
 // NewPRG constructs a PRG seeded with the given key.
 func NewPRG(seed Key) *PRG {
-	g := &PRG{}
-	g.Rekey(seed)
-	return g
+	return &PRG{aes: NewAES256(seed)}
 }
-
-// Rekey re-seeds the generator in place, so a caller that moves one PRG
-// from seed to seed (swp.Codec, document to document) pays only the new
-// key expansion.
-func (g *PRG) Rekey(seed Key) { g.aes.Rekey(seed) }
 
 // BlockInto fills dst with the chunk of len(dst) pseudorandom bytes at
 // logical index i, without allocating. Chunks at distinct indices are

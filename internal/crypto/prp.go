@@ -18,16 +18,21 @@ import (
 // — typically not a cipher block size — so a block cipher alone does not
 // fit; a Feistel network over an arbitrary split does.
 //
-// A PRP is NOT safe for concurrent use (the halves and the round output
-// live in scratch the instance owns, so EncryptInto and DecryptInto
-// allocate nothing); Clone hands each goroutine its own, with copies of
-// the four key schedules.
+// EncryptAllInto and DecryptAllInto permute k strings at once, each
+// Feistel round one batched WidePRF call over all k halves, so a batch
+// runs at AES's throughput rather than its latency; EncryptInto and
+// DecryptInto are their k = 1 case.
+//
+// A PRP is NOT safe for concurrent use (the halves and the round outputs
+// live in scratch the instance owns, so a call allocates nothing once the
+// scratch has grown to its batch); Clone hands each goroutine its own,
+// with copies of the four key schedules.
 type PRP struct {
 	rounds [4]*WidePRF
 	n      int // permuted string length in bytes
 	lsize  int // left half size; right half is n-lsize
-	// scratch: the two halves and one round output, each as wide as the
-	// wider half.
+	// scratch: the k left halves, the k right halves and k round outputs,
+	// each packed at its half's width in a buffer sized for the wider half.
 	a, b, f []byte
 }
 
@@ -48,12 +53,13 @@ func NewPRP(key Key, n int) (*PRP, error) {
 		}
 		p.rounds[i] = NewWidePRF(master.DeriveKey(fmt.Sprintf("prp/round/%d", i), nil), in, out)
 	}
-	p.newScratch()
+	p.grow(1)
 	return p, nil
 }
 
-func (p *PRP) newScratch() {
-	half := p.n - p.lsize
+// grow sizes the scratch for a batch of k strings.
+func (p *PRP) grow(k int) {
+	half := k * (p.n - p.lsize)
 	buf := make([]byte, 3*half)
 	p.a, p.b, p.f = buf[:half:half], buf[half:2*half:2*half], buf[2*half:]
 }
@@ -64,7 +70,7 @@ func (p *PRP) Clone() *PRP {
 	for i, r := range p.rounds {
 		c.rounds[i] = r.Clone()
 	}
-	c.newScratch()
+	c.grow(1)
 	return c
 }
 
@@ -74,40 +80,51 @@ func (p *PRP) Length() int { return p.n }
 // EncryptInto applies the permutation to src and writes the result to dst,
 // without allocating. Both must have length Length() — anything else is a
 // bug in the caller, as in BlockPRF — and they may be the same slice.
-func (p *PRP) EncryptInto(dst, src []byte) {
-	l, r := p.load(dst, src)
-	for i := 0; i < 4; i++ {
-		// (l, r) -> (r, l xor F_i(r))
-		f := p.f[:len(l)]
-		p.rounds[i].SumInto(f, r)
-		subtle.XORBytes(l, l, f)
-		l, r = r, l
-	}
-	copy(dst[copy(dst, l):], r)
-}
+func (p *PRP) EncryptInto(dst, src []byte) { p.feistel(dst, src, 1, false) }
 
 // DecryptInto inverts EncryptInto, under the same contract.
-func (p *PRP) DecryptInto(dst, src []byte) {
-	l, r := p.load(dst, src)
-	for i := 3; i >= 0; i-- {
-		// (r, l xor F_i(r)) -> (l, r)
-		f := p.f[:len(r)]
-		p.rounds[i].SumInto(f, l)
-		subtle.XORBytes(r, r, f)
-		l, r = r, l
-	}
-	copy(dst[copy(dst, l):], r)
-}
+func (p *PRP) DecryptInto(dst, src []byte) { p.feistel(dst, src, 1, true) }
 
-// load checks the lengths and copies src's halves into the scratch.
-func (p *PRP) load(dst, src []byte) (l, r []byte) {
-	if len(src) != p.n || len(dst) != p.n {
-		panic(fmt.Sprintf("crypto: prp: %d bytes into %d on a permutation of %d-byte strings", len(src), len(dst), p.n))
+// EncryptAllInto applies the permutation to each of the k strings packed
+// back to back in src and writes the results, packed the same way, to
+// dst. Both must be k·Length() bytes; they may be the same slice.
+func (p *PRP) EncryptAllInto(dst, src []byte, k int) { p.feistel(dst, src, k, false) }
+
+// DecryptAllInto inverts EncryptAllInto, under the same contract.
+func (p *PRP) DecryptAllInto(dst, src []byte, k int) { p.feistel(dst, src, k, true) }
+
+// feistel runs the four rounds over k strings, forwards or inverted.
+// Forwards a round maps (l, r) to (r, l ⊕ F_i(r)); inverted, round i
+// maps (l, r) to (r ⊕ F_i(l), l) for i = 3 … 0. Each half is packed k
+// strings wide, so a round is one SumAllInto and one XOR.
+func (p *PRP) feistel(dst, src []byte, k int, inverse bool) {
+	if k < 0 || len(src) != k*p.n || len(dst) != k*p.n {
+		panic(fmt.Sprintf("crypto: prp: %d bytes into %d as %d strings on a permutation of %d-byte strings", len(src), len(dst), k, p.n))
 	}
-	l, r = p.a[:p.lsize], p.b[:p.n-p.lsize]
-	copy(l, src[:p.lsize])
-	copy(r, src[p.lsize:])
-	return l, r
+	if len(p.a) < k*(p.n-p.lsize) {
+		p.grow(k)
+	}
+	ls, rs := p.lsize, p.n-p.lsize
+	l, r := p.a[:k*ls], p.b[:k*rs]
+	for i := 0; i < k; i++ {
+		s := src[i*p.n : (i+1)*p.n]
+		copy(l[i*ls:], s[:ls])
+		copy(r[i*rs:], s[ls:])
+	}
+	for i := 0; i < 4; i++ {
+		round, in, out := i, r, l
+		if inverse {
+			round, in, out = 3-i, l, r
+		}
+		f := p.f[:len(out)]
+		p.rounds[round].SumAllInto(f, in, k)
+		subtle.XORBytes(out, out, f)
+		l, r, ls, rs = r, l, rs, ls
+	}
+	for i := 0; i < k; i++ {
+		d := dst[i*p.n : (i+1)*p.n]
+		copy(d[copy(d, l[i*ls:(i+1)*ls]):], r[i*rs:(i+1)*rs])
+	}
 }
 
 // Encrypt applies the permutation to src and returns the result. src must

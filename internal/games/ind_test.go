@@ -49,7 +49,8 @@ func swpWordFactory() (Encryptor, error) {
 	ctr := 0
 	return func(pt []byte) ([]byte, error) {
 		ctr++
-		docID := []byte{byte(ctr), byte(ctr >> 8)}
+		docID := make([]byte, swp.DocIDLen)
+		docID[0], docID[1] = byte(ctr), byte(ctr>>8)
 		return s.EncryptWord(docID, 0, pt)
 	}, nil
 }

@@ -16,6 +16,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -257,16 +258,26 @@ func (v Value) CheckAgainst(c Column) error {
 	}
 	n := len(v.s)
 	if v.typ == TypeInt {
-		// len(v.Encode()), without allocating the digits: Table.Insert
-		// checks every value it stores.
-		var digits [20]byte // "-9223372036854775808"
-		n = len(strconv.AppendInt(digits[:0], v.i, 10))
+		n = decimalLen(v.i)
 	}
 	if n > c.EncodedWidth() {
 		return fmt.Errorf("relation: value %s overflows column %s (encoded %d bytes, max %d)",
 			v, c, n, c.EncodedWidth())
 	}
 	return nil
+}
+
+// decimalLen is len(strconv.FormatInt(i, 10)), counted rather than
+// formatted: Table.Insert checks every value it stores.
+func decimalLen(i int64) int {
+	n, u := 1, uint64(i)
+	if i < 0 {
+		n, u = 2, -u // -u is |i| even for math.MinInt64
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }
 
 // Tuple is an ordered list of values matching a schema's columns.
@@ -337,8 +348,16 @@ func (t *Table) Tuple(i int) Tuple { return t.tuples[i] }
 // Tuples returns the backing slice of tuples. Callers must not mutate it.
 func (t *Table) Tuples() []Tuple { return t.tuples }
 
-// Insert validates the tuple against the schema and appends it.
+// Insert validates the tuple against the schema and appends a copy of it.
 func (t *Table) Insert(tp Tuple) error {
+	return t.Adopt(tp.Clone())
+}
+
+// Adopt validates the tuple against the schema and appends it as it is,
+// without a copy: the table takes ownership, and the caller must not
+// modify tp afterwards. A decoder that cuts its tuples from one slab of
+// values adds them this way.
+func (t *Table) Adopt(tp Tuple) error {
 	if len(tp) != len(t.schema.Columns) {
 		return fmt.Errorf("relation: table %q: tuple has %d values, schema has %d columns",
 			t.schema.Name, len(tp), len(t.schema.Columns))
@@ -348,8 +367,14 @@ func (t *Table) Insert(tp Tuple) error {
 			return fmt.Errorf("relation: table %q: %w", t.schema.Name, err)
 		}
 	}
-	t.tuples = append(t.tuples, tp.Clone())
+	t.tuples = append(t.tuples, tp)
 	return nil
+}
+
+// Grow reserves room for n more tuples, so that adding them does not
+// reallocate the table's tuple list.
+func (t *Table) Grow(n int) {
+	t.tuples = slices.Grow(t.tuples, n)
 }
 
 // MustInsert inserts values, panicking on validation failure. Intended for

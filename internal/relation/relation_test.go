@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -89,6 +90,36 @@ func TestValueBasics(t *testing.T) {
 	}
 	if !String("a").Less(String("b")) {
 		t.Fatal("Less misbehaves on strings")
+	}
+}
+
+// TestDecimalLenIsFormatInt: CheckAgainst counts an int's digits instead
+// of formatting them; the count is len(strconv.FormatInt) at every power
+// of ten's edge and at both ends of int64.
+func TestDecimalLenIsFormatInt(t *testing.T) {
+	for _, v := range []int64{0, 9, -9, 10, -10, 99999, -99999, 100000, -100000, math.MinInt64, math.MaxInt64, math.MinInt64 + 1} {
+		if got, want := decimalLen(v), len(strconv.FormatInt(v, 10)); got != want {
+			t.Errorf("decimalLen(%d) = %d, want %d", v, got, want)
+		}
+	}
+}
+
+// TestTableAdoptKeepsTheTuple: Adopt validates as Insert does but stores
+// the tuple itself, so tuples cut from one slab stay where they were cut.
+func TestTableAdoptKeepsTheTuple(t *testing.T) {
+	s := MustSchema("r", Column{Name: "a", Type: TypeInt, Width: 3})
+	tab := NewTable(s)
+	slab := []Value{Int(1), Int(2), Int(50000)}
+	for i := range slab[:2] {
+		if err := tab.Adopt(slab[i : i+1 : i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tab.Adopt(slab[2:3]); err == nil {
+		t.Fatal("Adopt accepted a value wider than its column")
+	}
+	if tab.Len() != 2 || &tab.Tuple(1)[0] != &slab[1] {
+		t.Fatalf("Adopt stored %d tuples, the second not the slab's own", tab.Len())
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/crypto"
+	"repro/internal/swp/swptest"
 )
 
 // codecFixture is a few documents of distinct words under one scheme.
@@ -15,8 +17,7 @@ func codecFixture(t *testing.T, p Params) (s *Scheme, docIDs [][]byte, docs [][]
 	t.Helper()
 	s = newTestScheme(t, p)
 	for d := 0; d < 4; d++ {
-		// Identifiers of several lengths: a document identifier has none fixed.
-		docIDs = append(docIDs, bytes.Repeat([]byte{byte(d + 1)}, 1+7*d))
+		docIDs = append(docIDs, bytes.Repeat([]byte{byte(d + 1)}, DocIDLen))
 		words := make([][]byte, 5)
 		for i := range words {
 			words[i] = make([]byte, p.WordLen)
@@ -44,7 +45,9 @@ func TestCodecIsTheWrappers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.SetDocument(docIDs[d])
+			if err := c.SetDocument(docIDs[d]); err != nil {
+				t.Fatal(err)
+			}
 			for i := len(docs[d]) - 1; i >= 0; i-- { // positions in any order
 				if err := c.EncryptWordInto(cw, uint64(i), docs[d][i]); err != nil {
 					t.Fatal(err)
@@ -175,13 +178,34 @@ func TestCodecRejectsMisuse(t *testing.T) {
 	if err := c.EncryptWordInto(w, 0, w); err == nil {
 		t.Error("EncryptWordInto worked before SetDocument")
 	}
-	c.SetDocument([]byte("d"))
+	if err := c.QueueWord(w, 0, w); err == nil {
+		t.Error("QueueWord worked before SetDocument")
+	}
+	// A document identifier is one AES block, never hashed or padded.
+	for _, id := range [][]byte{nil, testDoc("d")[:DocIDLen-1], append(testDoc("d"), 0)} {
+		if err := c.SetDocument(id); err == nil {
+			t.Errorf("SetDocument accepted a %d-byte identifier", len(id))
+		}
+		if _, err := s.EncryptDocument(id, [][]byte{w}); err == nil {
+			t.Errorf("EncryptDocument accepted a %d-byte identifier", len(id))
+		}
+		if _, err := s.DecryptWord(id, 0, w); err == nil {
+			t.Errorf("DecryptWord accepted a %d-byte identifier", len(id))
+		}
+	}
+	if err := c.EncryptWordInto(w, 0, w); err == nil {
+		t.Error("EncryptWordInto worked after refused identifiers only")
+	}
+	if err := c.SetDocument(testDoc("d")); err != nil {
+		t.Fatal(err)
+	}
 	for name, err := range map[string]error{
 		"short word":       c.EncryptWordInto(w, 0, w[:7]),
 		"short dst":        c.EncryptWordInto(w[:7], 0, w),
 		"long cipherword":  c.DecryptWordInto(w, 0, make([]byte, 9)),
 		"short plain dst":  c.DecryptWordInto(w[:7], 0, w),
 		"empty cipherword": c.DecryptWordInto(w, 0, nil),
+		"short queued":     c.QueueWord(w, 0, w[:7]),
 	} {
 		if err == nil {
 			t.Errorf("%s accepted", name)
@@ -263,13 +287,18 @@ func katWord(n, salt int) []byte {
 	return b
 }
 
+// katDoc is the document the known-answer vectors are taken in.
+var katDoc = []byte("kat-document-id!")
+
 // TestCodecKnownAnswers pins a codec's words and a trapdoor, under the
 // test scheme's key at a one-block (n = 11) and a CBC-MAC (n = 42) stream
-// width, to the bytes the crypto/aes-based instantiation produced before
-// crypto.AES256 carried G, f, F and E: EncryptWordInto of katWord(n, pos)
-// and DecryptWordInto of katWord(n, pos+10) at positions 0..2 of one
-// document, and the trapdoor of katWord(n, 0). CI runs it on both AES256
-// paths (the purego step takes crypto/aes).
+// width: EncryptWordInto of katWord(n, pos) and DecryptWordInto of
+// katWord(n, pos+10) at positions 0..2 of katDoc, and the trapdoor of
+// katWord(n, 0). The word vectors were taken from swptest's textbook
+// reference when the stream became CBC-MAC under one key (metaVersion
+// 5); the trapdoors, which involve no stream, are the ones pinned before
+// that change. CI runs it on both AES256 paths (the purego step takes
+// crypto/aes).
 func TestCodecKnownAnswers(t *testing.T) {
 	for _, c := range []struct {
 		n        int
@@ -278,22 +307,22 @@ func TestCodecKnownAnswers(t *testing.T) {
 	}{
 		{
 			n:   11,
-			enc: [3]string{"2c56834e74c78d39c868d0", "a6200dc986cf76ac139a93", "daccc2903b7c0f7102b5c7"},
-			dec: [3]string{"891e63cbd22b9b8e9dcea3", "cd1e0f35fefdfe0feea34c", "626002aaf664beafd797df"},
+			enc: [3]string{"2b91682c98440e939176f4", "8622698bc3a5d26843a73a", "5dc88e18a8bb072ffea0ff"},
+			dec: [3]string{"9002055ee587251116bfcb", "49fc1ffbe016bd74ec5596", "24f13be98ac2a5bcc472bf"},
 			x:   "991da4540f32480290aee9",
 			k:   "d35c96184d36b88b7f95cb0d2539e84d2234ecdbfcb395dfbc14a53ef685e071",
 		},
 		{
 			n: 42,
 			enc: [3]string{
-				"033917e10b871e934d107d93db5f4afb558a6a13740c4e760b4c5184546de6cf9075419a7d4d5919c1b9",
-				"e5bf4a29992cc3262303b33b2137af47f2d4edd8f737c067f42dee8e9ee91dde71c029e4439e0ce39fb7",
-				"03f2e8610423333665427c3bb6036360e677ed75e1f2fce64ab0a92032e584e107169ac20d611c68279a",
+				"04fefc83e7049d39148dfec4a65ad21a75880e513166eab25b49a61a56755f8017710d12ee8a51474a18",
+				"069d5cd1ea1d7adf351adfc485d83c4e8e703155b6aedf49ab30bd1652a0e4a1a55aca5a4ccd083a11ad",
+				"78b2692ac59494d22adb8f732111e7503a32c127dbdf694a08e2987504c30e0e0d443b3504fcbcae56cb",
 			},
 			dec: [3]string{
-				"c078a52168208527b891cc625b2a1d53be53fad8dbdd164113dd37a3b1290bc2727402fa00fa98fa3cf1",
-				"7a75ba5e2f24607a49c54da9c5fdf4ab5b3fccefb562b2a5df9499d96151aa7e4a9d2e1caae344493cd4",
-				"ccaad442e8ddc187ddefea4d87330afea7caf89826b5ef3036397e35d1d88888c0d7d25ff26b330bb9f1",
+				"079fdb06fb69406004360dad28a8dfdf62247fb4f6d63e5c442d241b616d7dfe6f79c614361ebe182648",
+				"5b2102e27a3f0ae7fd759a3835999b8ebe6a21f6b9bb913156691d86f7e19e31189eb43b572617551745",
+				"92a65363b54ec0ab9ef92742ef908bf8fb9462d6e6f77af7adeeb8e78e953311826e73a283c480d5cf2f",
 			},
 			x: "b67230fb7072dba815bb721a63f00259813cc0e483f3a7869747d6894a0f99b7efca3f0505419251fbdb",
 			k: "e1b0ed126dd8e00da7f7b7b872bdc632c0021cded45edcc764f5f00e6082489b",
@@ -301,7 +330,9 @@ func TestCodecKnownAnswers(t *testing.T) {
 	} {
 		s := newTestScheme(t, Params{WordLen: c.n, ChecksumLen: 2})
 		codec := s.NewCodec()
-		codec.SetDocument([]byte("kat-document-id"))
+		if err := codec.SetDocument(katDoc); err != nil {
+			t.Fatal(err)
+		}
 		cw, pt := make([]byte, c.n), make([]byte, c.n)
 		for pos := 0; pos < 3; pos++ {
 			if err := codec.EncryptWordInto(cw, uint64(pos), katWord(c.n, pos)); err != nil {
@@ -320,6 +351,246 @@ func TestCodecKnownAnswers(t *testing.T) {
 		}
 		if hex.EncodeToString(td.X) != c.x || hex.EncodeToString(td.K) != c.k {
 			t.Errorf("n=%d: trapdoor %x|%x, want %s|%s", c.n, td.X, td.K, c.x, c.k)
+		}
+	}
+}
+
+// TestStreamKnownAnswers pins the stream function — S_i of positions 0..3
+// of katDoc under the test scheme's stream key, at a one-block (n−m = 9)
+// and a two-block (n−m = 17) width — to vectors taken from swptest's
+// textbook reference, on the codec's own path (CBC-MAC of docID‖⟨j⟩
+// batched through AES256). A 9-byte chunk at position 2 and a 17-byte
+// one at position 1 share their counter block j = 2, so their first nine
+// bytes agree.
+func TestStreamKnownAnswers(t *testing.T) {
+	for nm, want := range map[int][4]string{
+		9:  {"b28ccc789776469101", "f4b4ceb5b2954d34cc", "f8bb3217ebcbc316ca", "98718f6ecd468d869f"},
+		17: {"b28ccc789776469101368cdec5aad043f4", "f8bb3217ebcbc316ca9510387aa2e0da98", "1b3fabfddd906183860b836dc6ec09fdaf", "9bc84e8d2e0d5e9be0c02b08b7e40cb5c8"},
+	} {
+		c := newTestScheme(t, Params{WordLen: nm + 2, ChecksumLen: 2}).NewCodec()
+		if err := c.SetDocument(katDoc); err != nil {
+			t.Fatal(err)
+		}
+		c.encryptDocs()
+		for pos, w := range want {
+			blocks := make([][crypto.BlockPRFSize]byte, c.nb)
+			c.streamBlocks(blocks, &c.docs[0], uint64(pos))
+			c.s.stream.EncryptBlocks(blocks)
+			got := make([]byte, nm)
+			chunk(got, blocks)
+			if hex.EncodeToString(got) != w {
+				t.Errorf("n−m=%d position %d: stream %x, want %s", nm, pos, got, w)
+			}
+		}
+	}
+}
+
+// slotState renders what a memo slot holds: its L_i if used, its X_i and
+// W_i if it holds a decryption.
+func slotState(s *memoSlot) string {
+	out := fmt.Sprintf("used=%v hasW=%v", s.used, s.hasW)
+	if s.used {
+		out += fmt.Sprintf(" l=%x", s.l)
+	}
+	if s.hasW {
+		out += fmt.Sprintf(" x=%x w=%x", s.x, s.w)
+	}
+	return out
+}
+
+// memoState renders a codec's first slot and, once it exists, its memo.
+func memoState(c *Codec) []string {
+	out := []string{slotState(&c.first)}
+	if c.memo != nil {
+		for i := range c.memo {
+			out = append(out, slotState(&c.memo[i]))
+		}
+	}
+	return out
+}
+
+// collidingValues returns two distinct words whose L_i share a memo slot,
+// so that alternating them makes each evict the other.
+func collidingValues(t *testing.T, ref *swptest.Ref, p Params) (a, b []byte) {
+	t.Helper()
+	seen := map[byte][]byte{}
+	for v := 0; v < 1000; v++ {
+		w := katWord(p.WordLen, 1000+v)
+		x, _ := ref.Trapdoor(w)
+		if other, ok := seen[x[0]%memoSlots]; ok {
+			return other, w
+		}
+		seen[x[0]%memoSlots] = w
+	}
+	t.Fatal("no two values share a memo slot")
+	return nil, nil
+}
+
+// memoModel is the word memo's specification, kept apart from the codec:
+// words in order, the first slot until a second document, then slot
+// L_i[0] mod memoSlots; a slot that meets another L_i takes it and forgets
+// its W; a word whose whole X_i is in its slot is a W hit.
+type memoModel struct {
+	first            memoSlot
+	slots            [memoSlots]memoSlot
+	docs             int
+	lHits, lEvicts   int
+	wHits, wRefusals int // refusals: the slot's L_i matched, its X_i did not
+}
+
+func (m *memoModel) word(l, x, w []byte) {
+	slot := &m.first
+	if m.docs > 1 {
+		slot = &m.slots[l[0]%memoSlots]
+	}
+	switch {
+	case slot.used && bytes.Equal(slot.l, l):
+		m.lHits++
+	case slot.used:
+		m.lEvicts++
+		fallthrough
+	default:
+		slot.l, slot.used, slot.hasW = bytes.Clone(l), true, false
+	}
+	switch {
+	case slot.hasW && bytes.Equal(slot.x, x):
+		m.wHits++
+	case slot.hasW:
+		m.wRefusals++
+		fallthrough
+	default:
+		slot.x, slot.w, slot.hasW = bytes.Clone(x), bytes.Clone(w), true
+	}
+}
+
+// state renders the model as memoState renders a codec.
+func (m *memoModel) state() []string {
+	out := []string{slotState(&m.first)}
+	if m.docs > 1 {
+		for i := range m.slots {
+			out = append(out, slotState(&m.slots[i]))
+		}
+	}
+	return out
+}
+
+// TestRunMatchesTextbook is the differential test of DecryptRun against
+// swptest's textbook reference, at stream widths of one block (9), two
+// (17) and three (40): runs of 0 to RunDocs+3 documents — past RunDocs
+// SetDocument starts a new run itself — whose words repeat values within
+// the run, alternate two values that share a memo slot and so evict each
+// other, and carry a flipped bit in an L or an R part. Every word comes
+// out as the reference has it, one run or one word at a time, and the
+// memo ends as memoModel, fed the reference's X_i and W_i in word order,
+// says: the run takes the sequential decisions.
+func TestRunMatchesTextbook(t *testing.T) {
+	for _, nm := range []int{9, 17, 40} {
+		p := Params{WordLen: nm + 2, ChecksumLen: 2}
+		s := newTestScheme(t, p)
+		ref := swptest.New(testKey(9), p.WordLen, p.ChecksumLen)
+		a, b := collidingValues(t, ref, p)
+		values := [][]byte{a, b, katWord(p.WordLen, 1), katWord(p.WordLen, 2)}
+		for _, docs := range []int{0, 1, 2, 5, RunDocs, RunDocs + 3} {
+			var ids [][]byte
+			var cws [][][]byte
+			for d := 0; d < docs; d++ {
+				id := testDoc(fmt.Sprintf("run-%d", d))
+				words := [][]byte{values[d%2], values[2+d%2], values[(d/3)%4], katWord(p.WordLen, 100+d)}
+				cw := make([][]byte, len(words))
+				for i, w := range words {
+					var err error
+					if cw[i], err = ref.EncryptWord(id, uint64(i), w); err != nil {
+						t.Fatal(err)
+					}
+				}
+				switch d % 5 {
+				case 3:
+					cw[2][0] ^= 0x40 // in L_i
+				case 4:
+					cw[2][p.WordLen-1] ^= 0x01 // in R_i
+				}
+				ids, cws = append(ids, id), append(cws, cw)
+			}
+			run, seq := s.NewCodec(), s.NewCodec()
+			var model memoModel
+			got := make([][][]byte, docs)
+			for d := range ids {
+				if err := run.SetDocument(ids[d]); err != nil {
+					t.Fatal(err)
+				}
+				got[d] = make([][]byte, len(cws[d]))
+				for i, cw := range cws[d] {
+					got[d][i] = make([]byte, p.WordLen)
+					if err := run.QueueWord(got[d][i], uint64(i), cw); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			run.DecryptRun()
+			for d := range ids {
+				if err := seq.SetDocument(ids[d]); err != nil {
+					t.Fatal(err)
+				}
+				model.docs++
+				for i, cw := range cws[d] {
+					one := make([]byte, p.WordLen)
+					if err := seq.DecryptWordInto(one, uint64(i), cw); err != nil {
+						t.Fatal(err)
+					}
+					want, err := ref.DecryptWord(ids[d], uint64(i), cw)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got[d][i], want) || !bytes.Equal(one, want) {
+						t.Fatalf("n−m=%d, %d documents, document %d word %d: run %x, word at a time %x, reference %x", nm, docs, d, i, got[d][i], one, want)
+					}
+					x, err := ref.X(ids[d], uint64(i), cw)
+					if err != nil {
+						t.Fatal(err)
+					}
+					model.word(x[:nm], x, want)
+				}
+			}
+			want := model.state()
+			for name, c := range map[string]*Codec{"run": run, "word at a time": seq} {
+				if got := memoState(c); !slices.Equal(got, want) {
+					t.Fatalf("n−m=%d, %d documents: the %s codec's memo\n%v\ndiffers from the model's\n%v", nm, docs, name, got, want)
+				}
+			}
+			if docs == RunDocs+3 && (model.lHits == 0 || model.lEvicts == 0 || model.wHits == 0 || model.wRefusals == 0) {
+				t.Fatalf("n−m=%d: the inputs exercise too little of the memo: %+v", nm, model)
+			}
+		}
+	}
+}
+
+// TestRunMemoIsLazy: a codec that decrypts no document, or one — what a
+// pooled codec does for an empty or a one-tuple answer — allocates no
+// memo; a second document does.
+func TestRunMemoIsLazy(t *testing.T) {
+	p := Params{WordLen: 11, ChecksumLen: 2}
+	s, docIDs, docs := codecFixture(t, p)
+	c := s.NewCodec()
+	c.DecryptRun()
+	if c.memo != nil {
+		t.Fatal("an empty run allocated the memo")
+	}
+	for d := 0; d < 2; d++ {
+		cws, err := s.EncryptDocument(docIDs[d], docs[d])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetDocument(docIDs[d]); err != nil {
+			t.Fatal(err)
+		}
+		for i, cw := range cws {
+			if err := c.QueueWord(make([]byte, p.WordLen), uint64(i), cw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.DecryptRun()
+		if (c.memo != nil) != (d == 1) {
+			t.Fatalf("after %d documents the memo is allocated: %v", d+1, c.memo != nil)
 		}
 	}
 }

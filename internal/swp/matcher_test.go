@@ -41,7 +41,7 @@ func matcherFixture(t testing.TB, p Params) (*Scheme, [][]byte, Trapdoor) {
 	for _, pos := range []int{3, 77, 200} {
 		words[pos] = needle
 	}
-	cws, err := s.EncryptDocument([]byte("doc"), words)
+	cws, err := s.EncryptDocument(testDoc("doc"), words)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,13 @@ func testKey(b byte) crypto.Key {
 	return k
 }
 
+// testDoc is a DocIDLen-byte document identifier holding label.
+func testDoc(label string) []byte {
+	id := make([]byte, DocIDLen)
+	copy(id, label)
+	return id
+}
+
 func newTestScheme(t *testing.T, p Params) *Scheme {
 	t.Helper()
 	s, err := New(testKey(9), p)
@@ -64,7 +71,7 @@ func TestFalsePositiveRateFormula(t *testing.T) {
 
 func TestDocumentRoundTrip(t *testing.T) {
 	s := newTestScheme(t, Params{WordLen: 11, ChecksumLen: 2})
-	docID := []byte("doc-1")
+	docID := testDoc("doc-1")
 	words := [][]byte{
 		[]byte("MontgomeryN"),
 		[]byte("HR########D"),
@@ -88,11 +95,11 @@ func TestDocumentRoundTrip(t *testing.T) {
 func TestSingleWordRoundTrip(t *testing.T) {
 	s := newTestScheme(t, Params{WordLen: 8, ChecksumLen: 2})
 	w := []byte("word0001")
-	cw, err := s.EncryptWord([]byte("d"), 5, w)
+	cw, err := s.EncryptWord(testDoc("d"), 5, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.DecryptWord([]byte("d"), 5, cw)
+	got, err := s.DecryptWord(testDoc("d"), 5, cw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +110,7 @@ func TestSingleWordRoundTrip(t *testing.T) {
 
 func TestRoundTripProperty(t *testing.T) {
 	s := newTestScheme(t, Params{WordLen: 10, ChecksumLen: 2})
-	f := func(raw [10]byte, docID [8]byte, pos uint16) bool {
+	f := func(raw [10]byte, docID [DocIDLen]byte, pos uint16) bool {
 		cw, err := s.EncryptWord(docID[:], uint64(pos), raw[:])
 		if err != nil {
 			return false
@@ -128,7 +135,7 @@ func TestRoundTripProperty(t *testing.T) {
 // two.
 func TestEveryGeometryRoundTripsAndMatches(t *testing.T) {
 	boundaries := map[int]bool{15: false, 16: false, 17: false, 32: false, 33: false}
-	docID := []byte("geometry")
+	docID := testDoc("geometry")
 	lengths := []int{64, 100}
 	for n := 2; n <= 48; n++ {
 		lengths = append(lengths, n)
@@ -183,7 +190,7 @@ func TestSearchFindsAllOccurrences(t *testing.T) {
 	words := [][]byte{
 		[]byte("word01"), target, []byte("word02"), target, []byte("word03"),
 	}
-	cws, err := s.EncryptDocument([]byte("doc"), words)
+	cws, err := s.EncryptDocument(testDoc("doc"), words)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +217,7 @@ func TestSearchFindsAllOccurrences(t *testing.T) {
 
 func TestSearchNoFalseNegativesProperty(t *testing.T) {
 	s := newTestScheme(t, Params{WordLen: 8, ChecksumLen: 2})
-	f := func(raw [8]byte, docID [4]byte, filler [8]byte) bool {
+	f := func(raw [8]byte, docID [DocIDLen]byte, filler [8]byte) bool {
 		words := [][]byte{filler[:], raw[:], filler[:]}
 		cws, err := s.EncryptDocument(docID[:], words)
 		if err != nil {
@@ -238,7 +245,7 @@ func TestTrapdoorDoesNotMatchOtherWords(t *testing.T) {
 	for i := range words {
 		words[i] = []byte{byte(i), 1, 2, 3, 4, 5, 6, 7}
 	}
-	cws, err := s.EncryptDocument([]byte("doc"), words)
+	cws, err := s.EncryptDocument(testDoc("doc"), words)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +275,7 @@ func TestFalsePositiveRateRoughlyMatchesTheory(t *testing.T) {
 		for i := range words {
 			words[i] = []byte{byte(d), byte(d >> 8), byte(i), 3, 4, 5, 6, 7}
 		}
-		cws, err := s.EncryptDocument([]byte{byte(d), byte(d >> 8)}, words)
+		cws, err := s.EncryptDocument(testDoc(string([]byte{byte(d), byte(d >> 8)})), words)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +294,7 @@ func TestCipherwordsDifferAcrossPositions(t *testing.T) {
 	// (stream dependence), or equality patterns would leak.
 	s := newTestScheme(t, Params{WordLen: 8, ChecksumLen: 2})
 	w := []byte("samesame")
-	cws, err := s.EncryptDocument([]byte("doc"), [][]byte{w, w, w})
+	cws, err := s.EncryptDocument(testDoc("doc"), [][]byte{w, w, w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +306,11 @@ func TestCipherwordsDifferAcrossPositions(t *testing.T) {
 func TestCipherwordsDifferAcrossDocuments(t *testing.T) {
 	s := newTestScheme(t, Params{WordLen: 8, ChecksumLen: 2})
 	w := [][]byte{[]byte("samesame")}
-	c1, err := s.EncryptDocument([]byte("doc-1"), w)
+	c1, err := s.EncryptDocument(testDoc("doc-1"), w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := s.EncryptDocument([]byte("doc-2"), w)
+	c2, err := s.EncryptDocument(testDoc("doc-2"), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +328,7 @@ func TestTrapdoorMatchesAcrossDocuments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, docID := range [][]byte{[]byte("a"), []byte("b"), []byte("c")} {
+	for _, docID := range [][]byte{testDoc("a"), testDoc("b"), testDoc("c")} {
 		cws, err := s.EncryptDocument(docID, [][]byte{[]byte("other000"), w})
 		if err != nil {
 			t.Fatal(err)
@@ -343,7 +350,7 @@ func TestKeySeparation(t *testing.T) {
 	s1, _ := New(testKey(1), p)
 	s2, _ := New(testKey(2), p)
 	w := []byte("whatever")
-	cws, err := s1.EncryptDocument([]byte("doc"), [][]byte{w})
+	cws, err := s1.EncryptDocument(testDoc("doc"), [][]byte{w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +364,7 @@ func TestKeySeparation(t *testing.T) {
 		t.Fatalf("trapdoor under wrong key matched: %v", hits)
 	}
 	// And decryption under the wrong key must not return the plaintext.
-	got, err := s2.DecryptDocument([]byte("doc"), cws)
+	got, err := s2.DecryptDocument(testDoc("doc"), cws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,13 +375,13 @@ func TestKeySeparation(t *testing.T) {
 
 func TestWordLengthValidation(t *testing.T) {
 	s := newTestScheme(t, Params{WordLen: 8, ChecksumLen: 2})
-	if _, err := s.EncryptWord([]byte("d"), 0, []byte("short")); err == nil {
+	if _, err := s.EncryptWord(testDoc("d"), 0, []byte("short")); err == nil {
 		t.Fatal("EncryptWord accepted a short word")
 	}
-	if _, err := s.EncryptDocument([]byte("d"), [][]byte{[]byte("toolongword")}); err == nil {
+	if _, err := s.EncryptDocument(testDoc("d"), [][]byte{[]byte("toolongword")}); err == nil {
 		t.Fatal("EncryptDocument accepted an over-long word")
 	}
-	if _, err := s.DecryptWord([]byte("d"), 0, []byte("bad")); err == nil {
+	if _, err := s.DecryptWord(testDoc("d"), 0, []byte("bad")); err == nil {
 		t.Fatal("DecryptWord accepted a short cipherword")
 	}
 	if _, err := s.NewTrapdoor([]byte("no")); err == nil {

@@ -185,7 +185,7 @@ func TestFinalSchemeClosesTheLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	word := []byte("secret00")
-	cws, err := s.EncryptDocument([]byte("doc"), [][]byte{word})
+	cws, err := s.EncryptDocument(testDoc("doc"), [][]byte{word})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestFinalSchemeClosesTheLoop(t *testing.T) {
 	if !Match(s.Params(), cws[0], td) {
 		t.Fatal("final search missed its word")
 	}
-	got, err := s.DecryptDocument([]byte("doc"), cws)
+	got, err := s.DecryptDocument(testDoc("doc"), cws)
 	if err != nil {
 		t.Fatal(err)
 	}
