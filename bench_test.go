@@ -295,7 +295,7 @@ func BenchmarkSWPMatch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !swp.Match(p, cw, td) {
+		if !swp.NewMatcher(p, td).Match(cw) {
 			b.Fatal("match failed")
 		}
 	}

@@ -1,6 +1,6 @@
-// Command experiments regenerates every evaluation artifact of the
-// reproduction (experiments E1–E20 of DESIGN.md) and prints the result
-// tables, optionally as markdown for EXPERIMENTS.md.
+// Command experiments runs the reproduction's experiments — the paper's
+// evaluation E1–E12 and the system gates E17–E20 of DESIGN.md — and
+// prints the result tables, as text, markdown or JSON.
 //
 // Usage:
 //
@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/bench"
@@ -21,7 +22,7 @@ import (
 
 func main() {
 	var (
-		expFlag  = flag.String("exp", "", "comma-separated experiment ids (e1..e20); empty = all")
+		expFlag  = flag.String("exp", "", "comma-separated experiment ids (e1..e12, e17..e20); empty = all")
 		outPath  = flag.String("o", "", "also write the output to this file")
 		trials   = flag.Int("trials", 200, "game trials per cell (E1, E4)")
 		patients = flag.Int("patients", 400, "patients per hospital table (E2, E3)")
@@ -42,17 +43,12 @@ func main() {
 	}
 	sizes := []int{100, 1000, 10000}
 	e8sizes := []int{100, 1000, 10000, 100000}
-	e13Tuples := 10000
-	e14Clients := 8
-	e15Writers, e15Ops := 8, 60
 	e18Tuples := 2000
 	e19Tuples := 400
 	e20Tuples := 2000
 	if *quick {
 		sizes = []int{100, 1000}
 		e8sizes = []int{100, 1000}
-		e13Tuples = 8192
-		e15Ops = 15
 		e18Tuples = 1000
 		e19Tuples = 200
 		e20Tuples = 1000
@@ -61,7 +57,9 @@ func main() {
 	want := map[string]bool{}
 	if *expFlag != "" {
 		for _, id := range strings.Split(*expFlag, ",") {
-			want[strings.ToLower(strings.TrimSpace(id))] = true
+			if id = strings.ToLower(strings.TrimSpace(id)); id != "" {
+				want[id] = true
+			}
 		}
 	}
 	selected := func(id string) bool { return len(want) == 0 || want[strings.ToLower(id)] }
@@ -83,16 +81,18 @@ func main() {
 		{"e10", func() (*bench.Table, error) { return bench.RunE10(*patients, *trials, *seed) }},
 		{"e11", func() (*bench.Table, error) { return bench.RunE11(*patients, *infTr, *seed) }},
 		{"e12", func() (*bench.Table, error) { return bench.RunE12(*patients, 20, *seed) }},
-		{"e13", func() (*bench.Table, error) { return bench.RunE13(e13Tuples, *seed) }},
-		{"e14", func() (*bench.Table, error) { return bench.RunE14(e13Tuples, e14Clients, *seed) }},
-		{"e15", func() (*bench.Table, error) { return bench.RunE15(e15Writers, e15Ops, *seed) }},
-		{"e16", func() (*bench.Table, error) { return bench.RunE16(e13Tuples, *seed) }},
 		// E17 ignores -quick sizing: its ≥5x gate is specified at ≥10k
 		// tuples and RunE17 clamps up to that floor anyway.
 		{"e17", func() (*bench.Table, error) { return bench.RunE17(10000, *seed) }},
 		{"e18", func() (*bench.Table, error) { return bench.RunE18(e18Tuples, *seed) }},
 		{"e19", func() (*bench.Table, error) { return bench.RunE19(e19Tuples, *seed) }},
 		{"e20", func() (*bench.Table, error) { return bench.RunE20(e20Tuples, *seed) }},
+	}
+	for id := range want {
+		if !slices.ContainsFunc(runners, func(r runner) bool { return r.id == id }) {
+			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", id)
+			os.Exit(2)
+		}
 	}
 	var out io.Writer = os.Stdout
 	if *outPath != "" {

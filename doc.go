@@ -18,10 +18,10 @@
 // merged in table order), and storage.Store locks per table so concurrent
 // clients' queries never serialise on unrelated tables. See DESIGN.md
 // ("Search engine & performance architecture") for the design and for how
-// to read the allocs/op numbers experiment E13 reports.
+// to read the allocs/op numbers its package benchmarks report.
 //
-// See README.md for a tour, DESIGN.md for the system inventory and
-// experiment index, and EXPERIMENTS.md for paper-vs-measured results. The
-// root-level benchmarks (bench_test.go) regenerate every evaluation
-// artifact; cmd/experiments prints them as tables.
+// See DESIGN.md for the system inventory and experiment index. The
+// root-level benchmarks (bench_test.go) time the schemes' primitives and
+// the paper's experiments; go run ./benchmark times the served path end
+// to end; cmd/experiments prints the experiments as tables.
 package repro

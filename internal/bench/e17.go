@@ -138,7 +138,7 @@ func RunE17(tuples int, seed int64) (*Table, error) {
 	if err := db.CreateTable(table); err != nil {
 		return nil, err
 	}
-	db.PinRoot(nil, 0) // measure the plain paths; E16 covers verification
+	db.PinRoot(nil, 0) // measure the plain, unverified paths
 
 	conj := []relation.Eq{
 		{Column: "grp", Value: relation.String("A")},

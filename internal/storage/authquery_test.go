@@ -131,7 +131,8 @@ func TestQueryVerifiedConsistentSnapshot(t *testing.T) {
 }
 
 // TestQueryVerifiedUsesCache: the verified path must go through the same
-// result cache as the plain query path.
+// result cache as the plain query path, and an answer served from the
+// cache must verify against the root it carries.
 func TestQueryVerifiedUsesCache(t *testing.T) {
 	s := NewMemory()
 	if err := s.Put("emp", authTable(2048)); err != nil {
@@ -141,12 +142,19 @@ func TestQueryVerifiedUsesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.CacheStats()
-	if _, err := s.QueryVerified("emp", authQuery(2)); err != nil {
+	vr, err := s.QueryVerified("emp", authQuery(2))
+	if err != nil {
 		t.Fatal(err)
 	}
 	after := s.CacheStats()
 	if after.Hits != before.Hits+1 {
 		t.Fatalf("second verified query was not a cache hit (hits %d -> %d)", before.Hits, after.Hits)
+	}
+	if len(vr.Result.Tuples) == 0 {
+		t.Fatal("the cache hit's answer is empty, so nothing was verified")
+	}
+	if err := authindex.VerifyAnswer(vr.Root, vr.Leaves, vr.Result.Positions, vr.Result.Tuples, vr.Multiproof); err != nil {
+		t.Fatalf("cache hit's answer of %d tuples rejected: %v", len(vr.Result.Tuples), err)
 	}
 }
 

@@ -319,12 +319,20 @@ func TestCacheConcurrentMutations(t *testing.T) {
 	}
 }
 
-// TestCacheDisabled pins the opt-out: with the cache removed the store
-// still answers correctly and reports zero stats.
+// disableCache removes s's result cache, so every read takes the
+// uncached path.
+func disableCache(s *Store) {
+	s.mu.Lock()
+	s.cache = nil
+	s.mu.Unlock()
+}
+
+// TestCacheDisabled pins the uncached path: with the cache removed the
+// store still answers correctly and reports zero stats.
 func TestCacheDisabled(t *testing.T) {
 	f := newSWPFixture(t, 64, 6)
 	s := NewMemory()
-	s.SetResultCache(nil)
+	disableCache(s)
 	if err := s.Put("emp", f.ct); err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +372,7 @@ func BenchmarkQueryUncached(b *testing.B) {
 	f := newSWPFixture(b, 4096, 1)
 	q := f.query(b, "FIN")
 	s := NewMemory()
-	s.SetResultCache(nil)
+	disableCache(s)
 	if err := s.Put("emp", f.ct); err != nil {
 		b.Fatal(err)
 	}

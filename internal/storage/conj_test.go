@@ -147,7 +147,7 @@ func TestQueryConjLearnsSelectivity(t *testing.T) {
 	if _, err := s.Query("emp", rare); err != nil {
 		t.Fatal(err)
 	}
-	s.SetResultCache(nil)
+	disableCache(s)
 	_, info, err := s.QueryConj("emp", []*ph.EncryptedQuery{broad, rare})
 	if err != nil {
 		t.Fatal(err)

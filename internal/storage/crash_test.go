@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -446,12 +447,36 @@ func TestCloseIsDurableUnderNever(t *testing.T) {
 	}
 }
 
-// TestGroupCommitSharesFsyncsOnDisk is the on-disk counterpart of the
-// fake-file sharing test: 8 writers, one table each, SyncAlways; the
-// LogStats fsync count must come in well under one per record.
+// heldSyncLog is a LogFile whose first fsync after armed is set blocks
+// until held is closed, so a test can stage records behind one fsync in
+// flight. It counts the fsyncs it sees while armed.
+type heldSyncLog struct {
+	LogFile
+	held  chan struct{}
+	armed atomic.Bool
+	syncs atomic.Int64
+}
+
+func (f *heldSyncLog) Sync() error {
+	if f.armed.Load() && f.syncs.Add(1) == 1 {
+		<-f.held
+	}
+	return f.LogFile.Sync()
+}
+
+// TestGroupCommitSharesFsyncsOnDisk runs 8 writers, one table each,
+// under SyncAlways on a real log file. The first round logs the
+// records/fsync ratio that disk timing happens to give. The second is
+// the gate: it holds the first fsync until all 8 writers' records are
+// staged behind it, so group commit must cover them with that fsync and
+// at most one more, where fsync-per-record pays 8.
 func TestGroupCommitSharesFsyncsOnDisk(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.log")
-	s, err := Open(path)
+	hold := &heldSyncLog{held: make(chan struct{})}
+	s, err := OpenOptions(path, Options{Sync: SyncAlways, WrapLog: func(f LogFile) LogFile {
+		hold.LogFile = f
+		return hold
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,22 +487,26 @@ func TestGroupCommitSharesFsyncsOnDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	base := s.LogStats()
-	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			name := fmt.Sprintf("t%d", g)
-			for j := 0; j < perWriter; j++ {
-				if err := s.Append(name, fakeTable(1).Tuples); err != nil {
-					t.Errorf("append %s: %v", name, err)
-					return
+	appendAll := func(n int) {
+		var wg sync.WaitGroup
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				name := fmt.Sprintf("t%d", g)
+				for j := 0; j < n; j++ {
+					if err := s.Append(name, fakeTable(1).Tuples); err != nil {
+						t.Errorf("append %s: %v", name, err)
+						return
+					}
 				}
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+
+	base := s.LogStats()
+	appendAll(perWriter)
 	if t.Failed() {
 		return
 	}
@@ -492,4 +521,35 @@ func TestGroupCommitSharesFsyncsOnDisk(t *testing.T) {
 	}
 	t.Logf("group commit: %d records over %d fsyncs (%.1f records/fsync)",
 		records, syncs, float64(records)/float64(syncs))
+
+	// Gated round. Armed only now: OpenOptions and Put fsync too. The
+	// hold is released once every writer's record is staged; the
+	// backstop releases it if a writer is stuck behind the held fsync,
+	// which fails the test instead of hanging it.
+	base = s.LogStats()
+	hold.armed.Store(true)
+	var once sync.Once
+	release := func() { once.Do(func() { close(hold.held) }) }
+	var stuck atomic.Bool
+	backstop := time.AfterFunc(10*time.Second, func() { stuck.Store(true); release() })
+	defer backstop.Stop()
+	go func() {
+		for !stuck.Load() {
+			if s.LogStats().Records-base.Records >= writers {
+				release()
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	appendAll(1)
+	if t.Failed() {
+		return
+	}
+	if stuck.Load() {
+		t.Fatalf("the %d writers could not all stage a record while the first fsync was held", writers)
+	}
+	if records, syncs := s.LogStats().Records-base.Records, hold.syncs.Load(); records != writers || syncs > 2 {
+		t.Fatalf("%d records over %d fsyncs behind one held fsync, want %d over ≤ 2", records, syncs, writers)
+	}
 }

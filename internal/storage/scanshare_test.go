@@ -70,7 +70,7 @@ func serialGroundTruth(t testing.TB, et *ph.EncryptedTable, q *ph.EncryptedQuery
 func TestQuerySharedScanMatchesSerial(t *testing.T) {
 	f := newShareFixture(t, 2000, 11)
 	s := NewMemory()
-	s.SetResultCache(nil)
+	disableCache(s)
 	if err := s.Put("emp", f.et); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestSharedScanDuringAppends(t *testing.T) {
 func TestConjDriverRidesSharedPass(t *testing.T) {
 	f := newShareFixture(t, 2000, 13)
 	s := NewMemory()
-	s.SetResultCache(nil)
+	disableCache(s)
 	if err := s.Put("emp", f.et); err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestConjDriverRidesSharedPass(t *testing.T) {
 func TestQueryVerifiedThroughSharer(t *testing.T) {
 	f := newShareFixture(t, 1500, 17)
 	s := NewMemory()
-	s.SetResultCache(nil)
+	disableCache(s)
 	if err := s.Put("emp", f.et); err != nil {
 		t.Fatal(err)
 	}

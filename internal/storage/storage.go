@@ -343,15 +343,6 @@ func (s *Store) entry(name string) (*tableEntry, *cache.Cache, error) {
 	return e, c, nil
 }
 
-// SetResultCache installs (or, with nil, disables) the query result
-// cache. Intended for tests and benchmarks that need the uncached path;
-// stores come with a default-sized cache out of the box.
-func (s *Store) SetResultCache(c *cache.Cache) {
-	s.mu.Lock()
-	s.cache = c
-	s.mu.Unlock()
-}
-
 // ShareStats returns the scan sharer's counters.
 func (s *Store) ShareStats() scanshare.Stats { return s.share.Stats() }
 

@@ -125,8 +125,7 @@ func TestWALSyncBeforeAck(t *testing.T) {
 }
 
 // TestWALSingleWriterAlwaysSyncsEachRecord: with no concurrency there is
-// nothing to share, so every acknowledged record pays its own fsync —
-// the naive baseline E15 compares group commit against.
+// nothing to share, so every acknowledged record pays its own fsync.
 func TestWALSingleWriterAlwaysSyncsEachRecord(t *testing.T) {
 	f := &fakeLogFile{}
 	w := newWALWriter(f, 0, 0, Options{Sync: SyncAlways})

@@ -116,7 +116,7 @@ func (f *field) cut(v uint64, h int) uint64 {
 
 // NewMatcher builds a Matcher for the trapdoor. An ill-formed pair (bad
 // trapdoor lengths, bad parameters) yields a Matcher whose Match always
-// reports false, mirroring the behaviour of the package-level Match.
+// reports false.
 func NewMatcher(p Params, td Trapdoor) *Matcher {
 	m := &Matcher{p: p}
 	if p.Validate() != nil || len(td.X) != p.WordLen || len(td.K) != crypto.KeySize {

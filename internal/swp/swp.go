@@ -646,17 +646,6 @@ func (s *Scheme) NewTrapdoor(word []byte) (Trapdoor, error) {
 	return Trapdoor{X: x, K: k}, nil
 }
 
-// Match is the server-side test: it reports whether the ciphertext word
-// matches the trapdoor. It uses no secret keys — only the trapdoor and the
-// public parameters — which is what makes the scheme outsourceable. A
-// non-matching word passes with probability 2^(-8m) (a false positive).
-//
-// Match constructs a fresh Matcher per call; callers testing one trapdoor
-// against many words should build a Matcher once instead.
-func Match(p Params, cipherword []byte, td Trapdoor) bool {
-	return NewMatcher(p, td).Match(cipherword)
-}
-
 // SearchDocument returns the positions of all cipherwords in the document
 // that match the trapdoor. Server-side, key-free.
 func SearchDocument(p Params, cipherwords [][]byte, td Trapdoor) []int {

@@ -163,7 +163,7 @@ func TestEveryGeometryRoundTripsAndMatches(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%+v: %v", p, err)
 			}
-			if !Match(p, cw, td) {
+			if !NewMatcher(p, td).Match(cw) {
 				t.Fatalf("%+v: a word's own trapdoor does not match its cipherword", p)
 			}
 			if m < 4 {
@@ -172,7 +172,7 @@ func TestEveryGeometryRoundTripsAndMatches(t *testing.T) {
 			if td, err = s.NewTrapdoor(other); err != nil {
 				t.Fatalf("%+v: %v", p, err)
 			}
-			if Match(p, cw, td) {
+			if NewMatcher(p, td).Match(cw) {
 				t.Fatalf("%+v: another word's trapdoor matched", p)
 			}
 		}
@@ -391,13 +391,13 @@ func TestWordLengthValidation(t *testing.T) {
 
 func TestMatchRejectsMalformedInputs(t *testing.T) {
 	p := Params{WordLen: 8, ChecksumLen: 2}
-	if Match(p, make([]byte, 7), Trapdoor{X: make([]byte, 8), K: make([]byte, crypto.KeySize)}) {
+	if NewMatcher(p, Trapdoor{X: make([]byte, 8), K: make([]byte, crypto.KeySize)}).Match(make([]byte, 7)) {
 		t.Fatal("Match accepted short cipherword")
 	}
-	if Match(p, make([]byte, 8), Trapdoor{X: make([]byte, 7), K: make([]byte, crypto.KeySize)}) {
+	if NewMatcher(p, Trapdoor{X: make([]byte, 7), K: make([]byte, crypto.KeySize)}).Match(make([]byte, 8)) {
 		t.Fatal("Match accepted short trapdoor X")
 	}
-	if Match(p, make([]byte, 8), Trapdoor{X: make([]byte, 8), K: make([]byte, 3)}) {
+	if NewMatcher(p, Trapdoor{X: make([]byte, 8), K: make([]byte, 3)}).Match(make([]byte, 8)) {
 		t.Fatal("Match accepted short trapdoor key")
 	}
 }

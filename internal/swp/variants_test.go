@@ -196,7 +196,7 @@ func TestFinalSchemeClosesTheLoop(t *testing.T) {
 	if bytes.Contains(td.X, []byte("secret")) {
 		t.Fatal("final trapdoor leaks plaintext")
 	}
-	if !Match(s.Params(), cws[0], td) {
+	if !NewMatcher(s.Params(), td).Match(cws[0]) {
 		t.Fatal("final search missed its word")
 	}
 	got, err := s.DecryptDocument(testDoc("doc"), cws)
