@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -307,10 +308,15 @@ func BenchmarkMerkleBuild1k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var before, after runtime.MemStats
+	b.ReportAllocs()
 	b.ResetTimer()
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
 		authindex.Build(ct)
 	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/1000, "B/leaf")
 }
 
 func BenchmarkMerkleVerify(b *testing.B) {
@@ -359,6 +365,10 @@ func BenchmarkProveAnswer(b *testing.B) {
 	b.ReportMetric(float64(len(res.Positions)), "tuples/op")
 }
 
+// BenchmarkVerifyAnswer checks one answer against its root: cold is the
+// full fold, warm the same answer re-verified through a leaf cache an
+// earlier verification of it filled, as a client's pin re-verifies a
+// repeated answer.
 func BenchmarkVerifyAnswer(b *testing.B) {
 	tree, res := answerFixture(b)
 	root := tree.Root()
@@ -366,15 +376,22 @@ func BenchmarkVerifyAnswer(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := authindex.VerifyAnswer(root, 20_000, res.Positions, res.Tuples, proof); err != nil {
+	run := func(b *testing.B, verify func(root []byte, leafCount int, positions []int, tuples []ph.EncryptedTuple, proof authindex.MultiProof) error) {
+		if err := verify(root, 20_000, res.Positions, res.Tuples, proof); err != nil {
 			b.Fatal(err)
 		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := verify(root, 20_000, res.Positions, res.Tuples, proof); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(res.Tuples)), "tuples/op")
+		b.ReportMetric(float64(len(proof))/float64(len(res.Tuples)), "proof-B/tuple")
 	}
-	b.ReportMetric(float64(len(res.Tuples)), "tuples/op")
-	b.ReportMetric(float64(len(proof))/float64(len(res.Tuples)), "proof-B/tuple")
+	b.Run("cold", func(b *testing.B) { run(b, authindex.VerifyAnswer) })
+	b.Run("warm", func(b *testing.B) { run(b, authindex.NewLeafCache().VerifyAnswer) })
 }
 
 func BenchmarkDef21GameTrial(b *testing.B) {

@@ -40,6 +40,16 @@
 // its pinned root from the leaf hashes of its own appends, with no
 // re-download.
 //
+// Memory is laid out for the hot paths. A Tree holds each level as one
+// flat buffer of 32-byte hashes, so a node is its hash and nothing else,
+// ProveAnswer copies siblings out of contiguous rows, and ExtendFlat
+// takes appended leaf hashes as one buffer. A Frontier holds its subtree
+// roots by value. The client pairs each pinned root with a LeafCache of
+// the leaves answers have verified under it, so a repeated answer is
+// checked by its leaf hashes without a fold; the cache is sound only for
+// roots the client derives from that pin by its own appends (see
+// LeafCache).
+//
 // Scope note (recorded in DESIGN.md): inclusion proofs authenticate
 // *integrity* of returned tuples, not *completeness* of search results — a
 // malicious server may still withhold matches. Completeness for
@@ -48,7 +58,10 @@
 package authindex
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"math/bits"
+	"slices"
 
 	"repro/internal/ph"
 	"repro/internal/wire"
@@ -69,21 +82,35 @@ const (
 // proof shape is fully determined by (positions, leaf count) and proofs
 // can consist of bare sibling hashes.
 //
+// Each level is one flat buffer: node i of level l is
+// levels[l][i*HashSize : (i+1)*HashSize]. A node costs its 32 bytes and
+// nothing else — no slice header, no heap object of its own — and a
+// proof's siblings are copied out of contiguous rows.
+//
 // A Tree is not safe for concurrent mutation: callers interleaving Extend
 // with Root/ProveAnswer must serialise externally (internal/storage does,
 // under the table lock). Root and the provers hand out copies, so a proof
 // taken before an Extend stays valid for the snapshot it was cut from.
 type Tree struct {
-	n      int        // real leaf count (0 for an empty table's sentinel tree)
-	levels [][][]byte // levels[0] = leaf hashes, last level = [root]
+	n      int      // real leaf count (0 for an empty table's sentinel tree)
+	levels [][]byte // levels[0] = leaf hashes, last level = the root alone
 }
 
 // LeafHash hashes one encrypted tuple into its leaf. Every field is
 // length-prefixed so the encoding is injective.
-func LeafHash(t ph.EncryptedTuple) []byte {
+func LeafHash(t ph.EncryptedTuple) []byte { return AppendLeafHash(nil, t) }
+
+// AppendLeafHash appends the leaf hash of one encrypted tuple to dst, so
+// a caller hashing many tuples fills one buffer.
+func AppendLeafHash(dst []byte, t ph.EncryptedTuple) []byte {
+	h := leafHash(t)
+	return append(dst, h[:]...)
+}
+
+// leafHash is the leaf hash by value.
+func leafHash(t ph.EncryptedTuple) [HashSize]byte {
 	var enc [256]byte // a typical tuple's encoding fits; longer ones spill to the heap
-	h := sha256.Sum256(appendLeaf(enc[:0], t))
-	return h[:]
+	return sha256.Sum256(appendLeaf(enc[:0], t))
 }
 
 // appendLeaf appends the preimage of a tuple's leaf hash.
@@ -98,9 +125,8 @@ func appendLeaf(dst []byte, t ph.EncryptedTuple) []byte {
 	return dst
 }
 
-// interiorHash combines two child hashes. It returns an array so that a
-// caller folding hashes in place (VerifyAnswer) allocates nothing; one
-// that stores the node (Build, Extend, Frontier) pays the one slice.
+// interiorHash combines two child hashes. It returns an array so that no
+// caller — a fold in place, a flat level, a Frontier — allocates a node.
 func interiorHash(left, right []byte) [HashSize]byte {
 	var buf [1 + 2*HashSize]byte
 	buf[0] = interiorPrefix
@@ -109,18 +135,12 @@ func interiorHash(left, right []byte) [HashSize]byte {
 	return sha256.Sum256(buf[:])
 }
 
-// interiorNode is interiorHash as a stored tree node.
-func interiorNode(left, right []byte) []byte {
-	h := interiorHash(left, right)
-	return h[:]
-}
-
 // Build constructs the tree for an encrypted table. An empty table yields a
 // tree whose root is the hash of the empty string under the leaf prefix.
 func Build(t *ph.EncryptedTable) *Tree {
-	leaves := make([][]byte, len(t.Tuples))
-	for i, tp := range t.Tuples {
-		leaves[i] = LeafHash(tp)
+	leaves := make([]byte, 0, len(t.Tuples)*HashSize)
+	for _, tp := range t.Tuples {
+		leaves = AppendLeafHash(leaves, tp)
 	}
 	return fromLeaves(leaves)
 }
@@ -132,72 +152,74 @@ func emptyRoot() []byte {
 	return h[:]
 }
 
-// fromLeaves builds the level structure bottom-up.
-func fromLeaves(leaves [][]byte) *Tree {
-	tr := &Tree{n: len(leaves)}
-	if len(leaves) == 0 {
-		leaves = [][]byte{emptyRoot()}
+// fromLeaves builds the level structure bottom-up over a flat buffer of
+// leaf hashes, which the tree keeps as its level 0.
+func fromLeaves(leaves []byte) *Tree {
+	tr := &Tree{n: len(leaves) / HashSize}
+	if tr.n == 0 {
+		leaves = emptyRoot()
 	}
-	tr.levels = [][][]byte{leaves}
-	cur := leaves
-	for len(cur) > 1 {
-		next := make([][]byte, 0, (len(cur)+1)/2)
-		for i := 0; i < len(cur); i += 2 {
-			if i+1 < len(cur) {
-				next = append(next, interiorNode(cur[i], cur[i+1]))
-			} else {
-				next = append(next, cur[i]) // odd node promoted
-			}
-		}
+	tr.levels = make([][]byte, 1, bits.Len(uint(tr.n))+1)
+	tr.levels[0] = leaves
+	for cur := leaves; len(cur) > HashSize; {
+		next := make([]byte, (len(cur)/HashSize+1)/2*HashSize)
+		pairUp(next, cur, 0)
 		tr.levels = append(tr.levels, next)
 		cur = next
 	}
 	return tr
 }
 
-// Extend appends leaf hashes (LeafHash of the appended tuples, in table
-// order) to the tree and repairs the level structure incrementally. Only
-// the new leaves' ancestors and the old rightmost path are recomputed:
-// O(k + log n) hashes for k appended leaves, against the O(n) full
-// rebuild of Build. Extending the sentinel tree of an empty table
-// replaces it with a real tree over the new leaves.
-func (t *Tree) Extend(leaves [][]byte) {
-	if len(leaves) == 0 {
+// pairUp writes into next, from node from on, the parents of the level
+// cur: each pair hashed, an odd trailing node promoted unchanged.
+func pairUp(next, cur []byte, from int) {
+	for j := from * HashSize; j < len(next); j += HashSize {
+		l := 2 * j
+		if r := l + HashSize; r < len(cur) {
+			h := interiorHash(cur[l:r], cur[r:r+HashSize])
+			copy(next[j:], h[:])
+		} else {
+			copy(next[j:j+HashSize], cur[l:]) // odd node promoted
+		}
+	}
+}
+
+// Extend appends leaf hashes given one slice per leaf. It is ExtendFlat
+// over their concatenation, kept for callers that hold leaves that way.
+func (t *Tree) Extend(leaves [][]byte) { t.ExtendFlat(bytes.Join(leaves, nil)) }
+
+// ExtendFlat appends leaf hashes (LeafHash of the appended tuples, in
+// table order, back to back in one buffer) to the tree and repairs the
+// level structure incrementally. Only the new leaves' ancestors and the
+// old rightmost path are recomputed: O(k + log n) hashes for k appended
+// leaves, against the O(n) full rebuild of Build. Extending the sentinel
+// tree of an empty table replaces it with a real tree over the new
+// leaves. The tree copies the hashes; the caller keeps its buffer.
+func (t *Tree) ExtendFlat(hashes []byte) {
+	if len(hashes) == 0 {
 		return
 	}
 	if t.n == 0 {
-		*t = *fromLeaves(leaves)
+		*t = *fromLeaves(bytes.Clone(hashes))
 		return
 	}
-	first := t.n // leftmost changed index, per level
-	t.levels[0] = append(t.levels[0], leaves...)
-	t.n += len(leaves)
-	for lvl := 0; len(t.levels[lvl]) > 1; lvl++ {
+	first := t.n // leftmost changed node, per level
+	t.levels[0] = append(t.levels[0], hashes...)
+	t.n += len(hashes) / HashSize
+	for lvl := 0; len(t.levels[lvl]) > HashSize; lvl++ {
 		cur := t.levels[lvl]
-		parentW := (len(cur) + 1) / 2
 		if lvl+1 == len(t.levels) {
-			t.levels = append(t.levels, make([][]byte, parentW))
+			t.levels = append(t.levels, nil)
 		}
+		// Grown by append's rule, so a run of small appends reallocates
+		// each level O(log growth) times, not once per Extend.
 		next := t.levels[lvl+1]
-		if cap(next) < parentW {
-			// Grow with slack so a run of small appends reallocates each
-			// level O(log growth) times, not once per Extend.
-			grown := make([][]byte, parentW, parentW+parentW/2+8)
-			copy(grown, next)
-			next = grown
-		} else {
-			next = next[:parentW]
-		}
+		width := (len(cur)/HashSize + 1) / 2 * HashSize
+		next = slices.Grow(next, width-len(next))[:width]
 		// Repair from the parent of the leftmost changed node: when first
 		// is odd this also re-hashes the pair whose left half was
 		// previously a promoted odd node.
-		for j := first / 2; j < parentW; j++ {
-			if 2*j+1 < len(cur) {
-				next[j] = interiorNode(cur[2*j], cur[2*j+1])
-			} else {
-				next[j] = cur[2*j] // odd node promoted
-			}
-		}
+		pairUp(next, cur, first/2)
 		t.levels[lvl+1] = next
 		first /= 2
 	}
@@ -205,9 +227,8 @@ func (t *Tree) Extend(leaves [][]byte) {
 
 // Root returns the 32-byte tree root.
 func (t *Tree) Root() []byte {
-	top := t.levels[len(t.levels)-1]
-	return append([]byte(nil), top[0]...)
+	return bytes.Clone(t.levels[len(t.levels)-1])
 }
 
 // LeafCount returns the number of leaves.
-func (t *Tree) LeafCount() int { return len(t.levels[0]) }
+func (t *Tree) LeafCount() int { return len(t.levels[0]) / HashSize }

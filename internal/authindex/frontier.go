@@ -16,11 +16,13 @@ import (
 // table. A Frontier built over the same leaves as Build yields the
 // identical root at every prefix length.
 //
+// The roots are held by value, so appending a leaf and merging subtrees
+// allocates no node; only the root stack itself grows, O(log n) times.
+//
 // A Frontier is not safe for concurrent use.
 type Frontier struct {
 	n     int
-	roots [][]byte // perfect-subtree roots, sizes strictly descending
-	sizes []int    // leaf count under roots[i]
+	roots [][HashSize]byte // perfect-subtree roots, one per set bit of n, largest first
 }
 
 // NewFrontier returns the frontier of an empty tree.
@@ -38,22 +40,18 @@ func FrontierOf(t *ph.EncryptedTable) *Frontier {
 // Count returns the number of leaves the frontier summarises.
 func (f *Frontier) Count() int { return f.n }
 
-// AppendTuple appends the leaf hash of one encrypted tuple.
-func (f *Frontier) AppendTuple(tp ph.EncryptedTuple) { f.AppendLeaf(LeafHash(tp)) }
-
-// AppendLeaf appends one leaf hash (as produced by LeafHash). Equal-sized
-// trailing subtrees merge immediately, so the stack depth stays at the
-// popcount of the leaf count.
-func (f *Frontier) AppendLeaf(h []byte) {
-	f.roots = append(f.roots, h)
-	f.sizes = append(f.sizes, 1)
-	f.n++
-	for k := len(f.sizes); k >= 2 && f.sizes[k-1] == f.sizes[k-2]; k = len(f.sizes) {
-		f.roots[k-2] = interiorNode(f.roots[k-2], f.roots[k-1])
-		f.sizes[k-2] *= 2
-		f.roots = f.roots[:k-1]
-		f.sizes = f.sizes[:k-1]
+// AppendTuple appends the leaf hash of one encrypted tuple. Equal-sized
+// trailing subtrees merge first — one merge per trailing one bit of the
+// old count — so the stack depth stays at the popcount of the leaf count.
+func (f *Frontier) AppendTuple(tp ph.EncryptedTuple) {
+	h := leafHash(tp)
+	for m := f.n; m&1 == 1; m >>= 1 {
+		last := len(f.roots) - 1
+		h = interiorHash(f.roots[last][:], h[:])
+		f.roots = f.roots[:last]
 	}
+	f.roots = append(f.roots, h)
+	f.n++
 }
 
 // Root returns the tree root for the current leaf count: the
@@ -63,10 +61,9 @@ func (f *Frontier) Root() []byte {
 	if f.n == 0 {
 		return emptyRoot()
 	}
-	var acc [HashSize]byte
-	copy(acc[:], f.roots[len(f.roots)-1])
+	acc := f.roots[len(f.roots)-1]
 	for i := len(f.roots) - 2; i >= 0; i-- {
-		acc = interiorHash(f.roots[i], acc[:])
+		acc = interiorHash(f.roots[i][:], acc[:])
 	}
 	return append([]byte(nil), acc[:]...)
 }

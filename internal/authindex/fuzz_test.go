@@ -2,8 +2,10 @@ package authindex
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
+	"repro/internal/ph"
 	"repro/internal/wire"
 )
 
@@ -89,7 +91,7 @@ func FuzzDecodeProofsVerify(f *testing.F) {
 		honest, herr := tree.ProveAnswer(positions)
 		genuine := herr == nil && len(tuples) == len(positions) && bytes.Equal(vr.Multiproof, honest)
 		for i := 0; genuine && i < len(tuples); i++ {
-			genuine = bytes.Equal(LeafHash(tuples[i]), tree.levels[0][positions[i]])
+			genuine = bytes.Equal(LeafHash(tuples[i]), tree.levels[0][positions[i]*HashSize:][:HashSize])
 		}
 		if genuine && err != nil {
 			t.Fatalf("honest answer at %v of %d leaves rejected: %v", positions, n, err)
@@ -98,4 +100,109 @@ func FuzzDecodeProofsVerify(f *testing.F) {
 			t.Fatalf("forged answer at %v of %d leaves accepted (%d proof bytes, honest %d, prover: %v)", positions, n, len(vr.Multiproof), len(honest), herr)
 		}
 	})
+}
+
+// FuzzVerifyCached drives one LeafCache through a script of appends and
+// reads over a growing table. Each read is a random position subset of
+// the current tree, served honestly or with one thing bent — a tuple
+// byte, a tuple swapped for another genuine one, a position, the leaf
+// count or a sibling byte — and checked both through the cache, which
+// earlier reads seeded, and by VerifyAnswer. Two properties hold on
+// every read:
+//   - soundness: if the cached path accepts, every tuple is the genuine
+//     tuple at its position;
+//   - no lost answers: if VerifyAnswer accepts, the cached path accepts.
+func FuzzVerifyCached(f *testing.F) {
+	// Script bytes: the initial size, then ops. An op byte ≡ 0 (mod 4)
+	// appends; any other reads, followed by two bytes of subset seed, a
+	// tamper kind and the tamper's own bytes.
+	f.Add([]byte{9, 1, 0, 1, 0, 1, 0, 1, 0})
+	for tamper := byte(1); tamper < 6; tamper++ {
+		f.Add([]byte{17, 1, 7, 3, 0, 1, 7, 3, tamper, 0, 5, 1})
+		f.Add([]byte{12, 1, 2, 9, 0, 4, 5, 1, 2, 9, tamper, 1, 3, 7})
+	}
+	f.Add([]byte{33, 1, 0, 0, 0, 4, 7, 1, 0, 0, 0, 4, 1, 1, 0, 0, 4, 2})
+	// A substituted tuple refused, then the honest answer at the same
+	// positions: it must not meet the refused leaf in the cache.
+	f.Add([]byte("01102001"))
+	const most = 80
+	full := tableOf(most)
+	f.Fuzz(func(t *testing.T, script []byte) {
+		next := func() int {
+			if len(script) == 0 {
+				return 0
+			}
+			b := script[0]
+			script = script[1:]
+			return int(b)
+		}
+		n := next()%40 + 1
+		tree := Build(&ph.EncryptedTable{Tuples: full.Tuples[:n]})
+		cache := NewLeafCache()
+		for ops := 0; len(script) > 0 && ops < 64; ops++ { // a long script is many short ones
+			if next()%4 == 0 {
+				k := min(next()%8+1, most-n)
+				var hashes []byte
+				for _, tp := range full.Tuples[n : n+k] {
+					hashes = AppendLeafHash(hashes, tp)
+				}
+				tree.ExtendFlat(hashes)
+				n += k
+				continue
+			}
+			// About a third of the positions, picked by a xorshift
+			// generator seeded from the script.
+			x := uint32(next()<<8|next()) | 1
+			var positions []int
+			for p := 0; p < n; p++ {
+				x ^= x << 13
+				x ^= x >> 17
+				x ^= x << 5
+				if x%3 == 0 {
+					positions = append(positions, p)
+				}
+			}
+			tuples := tuplesAt(full, positions)
+			proof, err := tree.ProveAnswer(positions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root, leafCount := tree.Root(), n
+			switch tamper := next() % 6; {
+			case tamper == 1 && len(tuples) > 0:
+				i := next() % len(tuples)
+				tp := tuples[i]
+				tp.Blob = bytes.Clone(tp.Blob)
+				tp.Blob[next()%len(tp.Blob)] ^= byte(1 + next()%255)
+				tuples[i] = tp
+			case tamper == 2 && len(tuples) > 0:
+				tuples[next()%len(tuples)] = full.Tuples[next()%n]
+			case tamper == 3 && len(positions) > 0:
+				positions[next()%len(positions)] = next() % (n + 2)
+			case tamper == 4:
+				leafCount = max(1, n+next()%5-2)
+			case tamper == 5 && len(proof) > 0:
+				proof[next()%len(proof)] ^= byte(1 << (next() % 8))
+			}
+			plain := VerifyAnswer(root, leafCount, positions, tuples, proof)
+			cached := cache.VerifyAnswer(root, leafCount, positions, tuples, proof)
+			if plain == nil && cached != nil {
+				t.Fatalf("answer at %v of %d leaves verified, refused through the cache: %v", positions, leafCount, cached)
+			}
+			if cached != nil {
+				continue
+			}
+			for i, p := range positions {
+				if p >= n || !sameTuple(tuples[i], full.Tuples[p]) {
+					t.Fatalf("cached path accepted a tuple that is not the one at position %d of %d", p, n)
+				}
+			}
+		}
+	})
+}
+
+// sameTuple reports whether two encrypted tuples are byte for byte equal.
+func sameTuple(a, b ph.EncryptedTuple) bool {
+	return bytes.Equal(a.ID, b.ID) && bytes.Equal(a.Blob, b.Blob) &&
+		slices.EqualFunc(a.Words, b.Words, bytes.Equal)
 }

@@ -2,8 +2,9 @@ package authindex
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/ph"
 	"repro/internal/wire"
@@ -37,8 +38,9 @@ const (
 // by join j from slot i of level lvl (slots i and i+1 for joinPair).
 // out <= i, so a caller folding values in place never overwrites a slot it
 // has yet to read, and idx[i] is still node i's index in level lvl while
-// visit runs.
-func ascend(idx []int, width int, visit func(lvl, out, i int, j join)) {
+// visit runs. ascend returns how many siblings the walk took from a
+// proof (its joinLeft and joinRight parents); a nil visit only counts.
+func ascend(idx []int, width int, visit func(lvl, out, i int, j join)) (siblings int) {
 	for lvl := 0; width > 1; lvl++ {
 		out := 0
 		for i := 0; i < len(idx); out++ {
@@ -53,26 +55,24 @@ func ascend(idx []int, width int, visit func(lvl, out, i int, j join)) {
 			case i+1 < len(idx) && idx[i+1] == p+1:
 				j, step = joinPair, 2
 			}
-			visit(lvl, out, i, j)
+			if j == joinLeft || j == joinRight {
+				siblings++
+			}
+			if visit != nil {
+				visit(lvl, out, i, j)
+			}
 			idx[out] = p >> 1
 			i += step
 		}
 		idx = idx[:out]
 		width = (width + 1) / 2
 	}
+	return siblings
 }
 
 // siblingsNeeded counts the hashes a proof for the positions in idx must
 // carry. It consumes idx.
-func siblingsNeeded(idx []int, leafCount int) int {
-	n := 0
-	ascend(idx, leafCount, func(_, _, _ int, j join) {
-		if j == joinLeft || j == joinRight {
-			n++
-		}
-	})
-	return n
-}
+func siblingsNeeded(idx []int, leafCount int) int { return ascend(idx, leafCount, nil) }
 
 // checkPositions refuses a position set ascend cannot walk: out of range,
 // repeated or descending. Strictness is also what stops a server listing
@@ -89,19 +89,43 @@ func checkPositions(positions []int, leafCount int) error {
 	return nil
 }
 
+// proveScratch is ProveAnswer's working memory: ascend's slots, and the
+// siblings to copy, each as its level << 48 | its index in the level.
+type proveScratch struct {
+	idx  []int
+	sibs []uint64
+}
+
+var provePool = sync.Pool{New: func() any { return new(proveScratch) }}
+
 // ProveAnswer cuts the multiproof for a strictly ascending position set.
+// One walk lists the siblings, which sizes the proof exactly; then a
+// tight loop copies each from its level's row. The copies do not depend
+// on each other, so on a tree larger than the CPU's caches their misses
+// overlap instead of queueing behind the walk.
 func (t *Tree) ProveAnswer(positions []int) (MultiProof, error) {
 	if err := checkPositions(positions, t.n); err != nil {
 		return nil, err
 	}
-	idx := append([]int(nil), positions...)
-	proof := make(MultiProof, 0, siblingsNeeded(idx, t.n)*HashSize)
-	copy(idx, positions)
+	sc := provePool.Get().(*proveScratch)
+	defer provePool.Put(sc)
+	// A position takes at most one sibling per level: one growth covers
+	// the walk.
+	idx := append(sc.idx[:0], positions...)
+	sibs := slices.Grow(sc.sibs[:0], len(positions)*(len(t.levels)-1))
 	ascend(idx, t.n, func(lvl, _, i int, j join) {
 		if j == joinLeft || j == joinRight {
-			proof = append(proof, t.levels[lvl][idx[i]^1]...)
+			sibs = append(sibs, uint64(lvl)<<48|uint64(idx[i]^1))
 		}
 	})
+	sc.idx, sc.sibs = idx, sibs
+	proof := make(MultiProof, len(sibs)*HashSize)
+	for k, s := range sibs {
+		// Through a temporary, which compiles to register moves; a copy
+		// between the two slices would call memmove per sibling.
+		h := [HashSize]byte(t.levels[s>>48][int(s&(1<<48-1))*HashSize:])
+		*(*[HashSize]byte)(proof[k*HashSize:]) = h
+	}
 	return proof, nil
 }
 
@@ -112,31 +136,46 @@ func (t *Tree) ProveAnswer(positions []int) (MultiProof, error) {
 // exactly the siblings the position set needs — none for an empty answer,
 // which authenticates nothing and is accepted as such.
 func VerifyAnswer(root []byte, leafCount int, positions []int, tuples []ph.EncryptedTuple, proof MultiProof) error {
+	idx := make([]int, len(positions))
+	if err := checkAnswer(leafCount, positions, tuples, proof, idx); err != nil {
+		return err
+	}
+	if len(positions) == 0 {
+		return nil
+	}
+	hashes := make([]byte, 0, len(positions)*HashSize)
+	for _, tp := range tuples {
+		hashes = AppendLeafHash(hashes, tp)
+	}
+	return fold(root, leafCount, positions, idx, hashes, proof)
+}
+
+// checkAnswer holds an answer to the shape its position set dictates: a
+// tuple per position, positions strictly ascending and in range, and a
+// proof of exactly the siblings they need. idx is len(positions) of
+// scratch.
+func checkAnswer(leafCount int, positions []int, tuples []ph.EncryptedTuple, proof MultiProof, idx []int) error {
 	if len(tuples) != len(positions) {
 		return fmt.Errorf("authindex: %d tuples at %d positions", len(tuples), len(positions))
 	}
 	if err := checkPositions(positions, leafCount); err != nil {
 		return err
 	}
-	idx := append([]int(nil), positions...)
+	copy(idx, positions)
 	if need := siblingsNeeded(idx, leafCount); len(proof) != need*HashSize {
 		return fmt.Errorf("authindex: proof carries %d bytes, %d positions of %d leaves need exactly %d siblings (%d bytes)",
 			len(proof), len(positions), leafCount, need, need*HashSize)
 	}
-	if len(positions) == 0 {
-		return nil
-	}
+	return nil
+}
+
+// fold recomputes the root from a checked answer's leaf hashes (one per
+// position, back to back in hashes) and the proof's siblings, and
+// compares it with root. It folds hashes in place — hashes[i*HashSize:]
+// is the hash of the known node in slot i of the current level — up to
+// the root in slot 0. idx is len(positions) of scratch.
+func fold(root []byte, leafCount int, positions, idx []int, hashes []byte, proof MultiProof) error {
 	copy(idx, positions)
-	// hashes[i*HashSize:] is the hash of the known node in slot i of the
-	// current level; ascend folds it in place up to the root in slot 0.
-	hashes := make([]byte, len(positions)*HashSize)
-	var stack [256]byte
-	enc := stack[:0]
-	for i, tp := range tuples {
-		enc = appendLeaf(enc[:0], tp)
-		h := sha256.Sum256(enc)
-		copy(hashes[i*HashSize:], h[:])
-	}
 	ascend(idx, leafCount, func(_, out, i int, j join) {
 		at := hashes[i*HashSize:]
 		var h [HashSize]byte

@@ -38,7 +38,8 @@ func refRoot(leaves [][]byte) []byte {
 	for k*2 < len(leaves) {
 		k *= 2
 	}
-	return interiorNode(refRoot(leaves[:k]), refRoot(leaves[k:]))
+	h := interiorHash(refRoot(leaves[:k]), refRoot(leaves[k:]))
+	return h[:]
 }
 
 // subset returns the positions whose bit is set in mask, ascending.
@@ -311,8 +312,8 @@ func TestVerifyAnswerAllocs(t *testing.T) {
 	}
 }
 
-// TestProveAnswerAllocs: cutting a proof is one index scratch and one
-// exactly sized block.
+// TestProveAnswerAllocs: cutting a proof is one exactly sized block,
+// plus the walk's scratch when the pool has none to lend.
 func TestProveAnswerAllocs(t *testing.T) {
 	const n = 20_000
 	tree := Build(tableOf(n))

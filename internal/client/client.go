@@ -294,10 +294,25 @@ type DB struct {
 // re-download. The frontier is nil after PinRoot / PinShardRoots (only
 // the 32-byte anchor was persisted); the first insert then rebuilds it
 // from a fetch *verified against the pinned root* (ensureFrontiers).
+//
+// cache holds the leaves answers have verified under this pin, so a
+// repeated answer is checked by its leaf hashes without a fold
+// (authindex.LeafCache). It is sound because writeBack is the one place
+// a pin moves in place: it derives the new root from the old by the
+// client's own appends, which change no existing leaf. Every other pin
+// — CreateTable, PinRoot, PinShardRoots, RepinRoot, the ensureFrontiers
+// rebuild — is made by newPin with an empty cache, and each shard's pin
+// has its own.
 type pin struct {
 	root     []byte
 	tuples   int
 	frontier *authindex.Frontier
+	cache    *authindex.LeafCache
+}
+
+// newPin pins a root with an empty leaf cache.
+func newPin(root []byte, tuples int, frontier *authindex.Frontier) pin {
+	return pin{root: root, tuples: tuples, frontier: frontier, cache: authindex.NewLeafCache()}
 }
 
 // NewDB binds a scheme to a connection and remote table name.
@@ -332,7 +347,7 @@ func (db *DB) Root() (root []byte, tuples int) {
 func (db *DB) PinRoot(root []byte, tuples int) {
 	db.pins = nil
 	if root != nil {
-		db.pins = []pin{{root: bytes.Clone(root), tuples: tuples}}
+		db.pins = []pin{newPin(bytes.Clone(root), tuples, nil)}
 	}
 }
 
@@ -341,7 +356,7 @@ func pinsOf(parts []*ph.EncryptedTable) []pin {
 	pins := make([]pin, len(parts))
 	for i, part := range parts {
 		f := authindex.FrontierOf(part)
-		pins[i] = pin{root: f.Root(), tuples: f.Count(), frontier: f}
+		pins[i] = newPin(f.Root(), f.Count(), f)
 	}
 	return pins
 }
@@ -500,11 +515,11 @@ func (db *DB) writeBack(placed []placement) error {
 		if len(p.tuples) == 0 {
 			continue
 		}
-		f := db.pins[p.node].frontier
+		pn := &db.pins[p.node] // in place: the leaf cache stays valid
 		for _, tp := range p.tuples {
-			f.AppendTuple(tp)
+			pn.frontier.AppendTuple(tp)
 		}
-		db.pins[p.node] = pin{root: f.Root(), tuples: f.Count(), frontier: f}
+		pn.root, pn.tuples = pn.frontier.Root(), pn.frontier.Count()
 	}
 	return nil
 }
@@ -811,7 +826,8 @@ func (db *DB) check(node int, vr *authindex.VerifiedResult) error {
 	if vr == nil {
 		return fmt.Errorf("client: %sverified read answered without proofs", db.node(node))
 	}
-	if err := checkVerifiedAgainst(db.pins[node].root, db.pins[node].tuples, vr); err != nil {
+	p := &db.pins[node]
+	if err := checkVerifiedAgainst(p.root, p.tuples, p.cache, vr); err != nil {
 		return fmt.Errorf("%s%w", db.node(node), err)
 	}
 	return nil
@@ -908,15 +924,16 @@ func (db *DB) bindWhere(q *sqlmini.Query) ([]relation.Eq, error) {
 // (root, leaf count) pin: root and leaf count must match the pin, and
 // the returned tuples, at their strictly ascending positions, must
 // recompute that root with the answer's multiproof — one recomputation
-// per answer. DB.check holds every node's answer to that node's entry of
-// the pinned vector this way (the root-of-roots argument: trusting the
-// vector is trusting every shard's tree, so one mutated tuple on one
-// shard fails its entry and with it the whole read).
-func checkVerifiedAgainst(root []byte, tuples int, vr *authindex.VerifiedResult) error {
+// per answer, skipped when cache already holds every returned leaf.
+// DB.check holds every node's answer to that node's entry of the pinned
+// vector this way (the root-of-roots argument: trusting the vector is
+// trusting every shard's tree, so one mutated tuple on one shard fails
+// its entry and with it the whole read).
+func checkVerifiedAgainst(root []byte, tuples int, cache *authindex.LeafCache, vr *authindex.VerifiedResult) error {
 	if !bytes.Equal(vr.Root, root) || vr.Leaves != tuples {
 		return fmt.Errorf("client: verification failed: server root does not match the pinned root (server %d tuples, pinned %d) — tampering or unacknowledged external writes", vr.Leaves, tuples)
 	}
-	if err := authindex.VerifyAnswer(root, tuples, vr.Result.Positions, vr.Result.Tuples, vr.Multiproof); err != nil {
+	if err := cache.VerifyAnswer(root, tuples, vr.Result.Positions, vr.Result.Tuples, vr.Multiproof); err != nil {
 		return fmt.Errorf("client: verification failed: %w", err)
 	}
 	return nil

@@ -126,7 +126,7 @@ func (db *DB) PinShardRoots(roots [][]byte, tuples []int) error {
 	}
 	pins := make([]pin, len(roots))
 	for i := range roots {
-		pins[i] = pin{root: bytes.Clone(roots[i]), tuples: tuples[i]}
+		pins[i] = newPin(bytes.Clone(roots[i]), tuples[i], nil)
 	}
 	db.pins = pins
 	return nil

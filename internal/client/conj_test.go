@@ -181,7 +181,7 @@ func verifiedAnswer(t *testing.T, db *DB, conn *Conn, dept string) *authindex.Ve
 	if len(vr.Result.Positions) < 1 {
 		t.Fatal("fixture query matched nothing")
 	}
-	if err := checkVerifiedAgainst(db.pins[0].root, db.pins[0].tuples, vr); err != nil {
+	if err := checkVerifiedAgainst(db.pins[0].root, db.pins[0].tuples, authindex.NewLeafCache(), vr); err != nil {
 		t.Fatalf("honest answer rejected: %v", err)
 	}
 	return vr
@@ -201,7 +201,7 @@ func TestCheckVerifiedRejectsDuplicatedPositions(t *testing.T) {
 	// Malicious inflation: repeat the first tuple and its position.
 	vr.Result.Positions = append([]int{vr.Result.Positions[0]}, vr.Result.Positions...)
 	vr.Result.Tuples = append([]ph.EncryptedTuple{vr.Result.Tuples[0]}, vr.Result.Tuples...)
-	err := checkVerifiedAgainst(db.pins[0].root, db.pins[0].tuples, vr)
+	err := checkVerifiedAgainst(db.pins[0].root, db.pins[0].tuples, authindex.NewLeafCache(), vr)
 	if err == nil || !strings.Contains(err.Error(), "strictly ascending") {
 		t.Fatalf("duplicated position accepted: %v", err)
 	}
@@ -246,7 +246,7 @@ func TestCheckVerifiedRejectsForgedAnswers(t *testing.T) {
 			}
 			vr := verifiedAnswer(t, db, conn, "HR")
 			tc.forge(t, db, conn, vr)
-			err := checkVerifiedAgainst(db.pins[0].root, db.pins[0].tuples, vr)
+			err := checkVerifiedAgainst(db.pins[0].root, db.pins[0].tuples, authindex.NewLeafCache(), vr)
 			if err == nil || !strings.Contains(err.Error(), "verification failed") || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("forged answer: %v, want a verification failure naming %q", err, tc.want)
 			}

@@ -190,11 +190,12 @@ func (e *tableEntry) authTree() *authindex.Tree {
 // hold treeMu and e.mu (read suffices: the tuple slice cannot change).
 func (e *tableEntry) catchUpTree() {
 	if n := len(e.t.Tuples); e.treeN < n {
-		leaves := make([][]byte, 0, n-e.treeN)
+		var stack [8 * authindex.HashSize]byte // a typical tail fits; longer ones spill to the heap
+		hashes := stack[:0]
 		for _, tp := range e.t.Tuples[e.treeN:] {
-			leaves = append(leaves, authindex.LeafHash(tp))
+			hashes = authindex.AppendLeafHash(hashes, tp)
 		}
-		e.tree.Extend(leaves)
+		e.tree.ExtendFlat(hashes)
 		e.treeN = n
 	}
 }
