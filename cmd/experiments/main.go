@@ -1,6 +1,6 @@
-// Command experiments runs the reproduction's experiments — the paper's
-// evaluation E1–E12 and the system gates E17–E20 of DESIGN.md — and
-// prints the result tables, as text, markdown or JSON.
+// Command experiments regenerates the paper's evaluation, experiments
+// E1–E12 of DESIGN.md, and prints the result tables, as text, markdown
+// or JSON.
 //
 // Usage:
 //
@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		expFlag  = flag.String("exp", "", "comma-separated experiment ids (e1..e12, e17..e20); empty = all")
+		expFlag  = flag.String("exp", "", "comma-separated experiment ids (e1..e12); empty = all")
 		outPath  = flag.String("o", "", "also write the output to this file")
 		trials   = flag.Int("trials", 200, "game trials per cell (E1, E4)")
 		patients = flag.Int("patients", 400, "patients per hospital table (E2, E3)")
@@ -35,23 +35,15 @@ func main() {
 	)
 	flag.Parse()
 
+	sizes := []int{100, 1000, 10000}
+	e8sizes := []int{100, 1000, 10000, 100000}
 	if *quick {
 		*trials = 40
 		*patients = 200
 		*infTr = 10
 		*slots = 20000
-	}
-	sizes := []int{100, 1000, 10000}
-	e8sizes := []int{100, 1000, 10000, 100000}
-	e18Tuples := 2000
-	e19Tuples := 400
-	e20Tuples := 2000
-	if *quick {
 		sizes = []int{100, 1000}
 		e8sizes = []int{100, 1000}
-		e18Tuples = 1000
-		e19Tuples = 200
-		e20Tuples = 1000
 	}
 
 	want := map[string]bool{}
@@ -81,12 +73,6 @@ func main() {
 		{"e10", func() (*bench.Table, error) { return bench.RunE10(*patients, *trials, *seed) }},
 		{"e11", func() (*bench.Table, error) { return bench.RunE11(*patients, *infTr, *seed) }},
 		{"e12", func() (*bench.Table, error) { return bench.RunE12(*patients, 20, *seed) }},
-		// E17 ignores -quick sizing: its ≥5x gate is specified at ≥10k
-		// tuples and RunE17 clamps up to that floor anyway.
-		{"e17", func() (*bench.Table, error) { return bench.RunE17(10000, *seed) }},
-		{"e18", func() (*bench.Table, error) { return bench.RunE18(e18Tuples, *seed) }},
-		{"e19", func() (*bench.Table, error) { return bench.RunE19(e19Tuples, *seed) }},
-		{"e20", func() (*bench.Table, error) { return bench.RunE20(e20Tuples, *seed) }},
 	}
 	for id := range want {
 		if !slices.ContainsFunc(runners, func(r runner) bool { return r.id == id }) {

@@ -127,7 +127,8 @@ func main() {
 	}
 
 	// The pushdown must agree with the selection run on the plaintext
-	// (Definition 1.1) — the equivalence the E17 gate also enforces.
+	// (Definition 1.1), as client.TestConjPushdownShipsTheIntersection
+	// also requires.
 	conj := []relation.Eq{
 		{Column: "dept", Value: relation.String("HR")},
 		{Column: "salary", Value: relation.Int(pickSalary(emp))},

@@ -283,78 +283,6 @@ func TestE12Shapes(t *testing.T) {
 	}
 }
 
-func TestE17Shapes(t *testing.T) {
-	// RunE17 self-gates hard: it errors unless the pushdown answers are
-	// byte-identical to the client-side intersection AND the plaintext
-	// reference, and unless both the bytes-over-wire and the end-to-end
-	// latency improvements reach 5x. The shape asserted here is just
-	// that both rows exist with positive, sane cells.
-	tab, err := RunE17(10000, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clientSide := findRow(t, tab, "client-side: SelectMany + Intersect")
-	push := findRow(t, tab, "pushdown: one-plan planner")
-	for _, row := range []int{clientSide, push} {
-		if ns := cell(t, tab, row, 2); ns <= 0 {
-			t.Errorf("E17 row %d: non-positive ns/op %v", row, ns)
-		}
-		if by := cell(t, tab, row, 3); by <= 0 {
-			t.Errorf("E17 row %d: non-positive bytes/op %v", row, by)
-		}
-	}
-	if cell(t, tab, clientSide, 3) <= cell(t, tab, push, 3) {
-		t.Error("E17: client-side path should move more bytes than pushdown")
-	}
-}
-
-func TestE18Shapes(t *testing.T) {
-	// RunE18 self-gates hard: it errors unless every routed read is a
-	// plaintext-correct follower read, and unless both the
-	// kill-a-replica and Byzantine-replica drills end with answers
-	// bit-identical to the primary's. The shape asserted here is the
-	// counts each row reports (columns: reads, replica reads, primary
-	// reads, failovers, replica failures).
-	tab, err := RunE18(1000, 18)
-	if err != nil {
-		t.Fatal(err)
-	}
-	routed := findRow(t, tab, "primary + 2 followers")
-	if reads := cell(t, tab, routed, 1); reads != e18Reads || cell(t, tab, routed, 2) != reads || cell(t, tab, routed, 3) != 0 {
-		t.Errorf("E18 routing row %v: want %d reads, all from replicas", tab.Rows[routed], e18Reads)
-	}
-	if kill := findRow(t, tab, "kill-a-replica drill"); cell(t, tab, kill, 2) == 0 || cell(t, tab, kill, 4) == 0 {
-		t.Errorf("E18 kill drill row %v: want replica reads before the kill and failovers after", tab.Rows[kill])
-	}
-	if byz := findRow(t, tab, "Byzantine replica drill"); cell(t, tab, byz, 2) != 0 || cell(t, tab, byz, 5) == 0 {
-		t.Errorf("E18 Byzantine drill row %v: want no replica read accepted and a replica failure", tab.Rows[byz])
-	}
-}
-
-func TestE20Shapes(t *testing.T) {
-	// RunE20 self-gates hard: it errors unless the sharded answers are
-	// bit-identical to the oracle's (and plaintext), and unless both
-	// halves of the Byzantine-shard drill land (tampered follower
-	// quarantined with reads still serving; tampered primary failing the
-	// whole read). The shape asserted here is the counts each row reports
-	// (columns: sharded reads, oracle-identical, refused, replica
-	// failures).
-	tab, err := RunE20(1000, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweep := findRow(t, tab, "equivalence sweep")
-	if reads := cell(t, tab, sweep, 1); reads != e20Codes || cell(t, tab, sweep, 2) != reads {
-		t.Errorf("E20 sweep row %v: want %d oracle-identical reads", tab.Rows[sweep], e20Codes)
-	}
-	if fol := findRow(t, tab, "Byzantine-follower drill"); cell(t, tab, fol, 2) != cell(t, tab, fol, 1) || cell(t, tab, fol, 4) == 0 {
-		t.Errorf("E20 follower drill row %v: want every read oracle-identical and the tampered follower rejected", tab.Rows[fol])
-	}
-	if prim := findRow(t, tab, "Byzantine-primary drill"); cell(t, tab, prim, 3) != 1 {
-		t.Errorf("E20 primary drill row %v: want the tampered read refused", tab.Rows[prim])
-	}
-}
-
 func TestTableJSON(t *testing.T) {
 	tab := &Table{ID: "EX", Title: "t", Header: []string{"a"}, Notes: []string{"n"}}
 	tab.AddRow("1")

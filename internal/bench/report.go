@@ -87,7 +87,7 @@ func (t *Table) Markdown(w io.Writer) {
 }
 
 // JSON renders the table as an indented JSON object, for machine-read
-// artifacts (e.g. the CI-uploaded E17–E20 reports).
+// artifacts (experiments -json).
 func (t *Table) JSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

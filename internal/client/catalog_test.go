@@ -193,8 +193,8 @@ func TestShardedDBRefusesReplicas(t *testing.T) {
 	db := NewShardedDB(cl, newScheme(t), "emp")
 	refused := func(label string, err error) {
 		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), "AddShardReplicas") {
-			t.Fatalf("%s on a sharded DB: %v, want an error naming AddShardReplicas", label, err)
+		if err == nil || !strings.Contains(err.Error(), "ShardConfig.Replicas") {
+			t.Fatalf("%s on a sharded DB: %v, want an error naming ShardConfig.Replicas", label, err)
 		}
 	}
 	refused("AddReplica", db.AddReplica(func() (*Conn, error) { return nil, fmt.Errorf("never dialed") }))

@@ -5,11 +5,14 @@ import (
 	"bytes"
 	"fmt"
 	"log"
+	"math/rand"
 	"net"
 	"strings"
 	"testing"
 
 	"repro/internal/authindex"
+	"repro/internal/core"
+	"repro/internal/crypto"
 	"repro/internal/ph"
 	"repro/internal/relation"
 	"repro/internal/server"
@@ -101,6 +104,88 @@ func TestQueryConjPushdownMatchesPlaintext(t *testing.T) {
 	}
 	if n := fc.count(wire.CmdQuery); n != 3 {
 		t.Fatalf("3 conjunctive queries sent %d read requests, want one each", n)
+	}
+}
+
+// shippedCounter is a scheme that tallies the answer tuples the client
+// decrypts: every tuple a read ships.
+type shippedCounter struct {
+	ph.Scheme
+	tuples int
+}
+
+func (s *shippedCounter) DecryptResult(q relation.Eq, r *ph.Result) (*relation.Table, error) {
+	s.tuples += len(r.Tuples)
+	return s.Scheme.DecryptResult(q, r)
+}
+
+// TestConjPushdownShipsTheIntersection: on a conjunction of a ~50 %
+// conjunct and a ~0.5 % one, the one-plan pushdown answers exactly what
+// the client-side arm (SelectMany, then relation.Intersect) and the
+// plaintext selection answer, while receiving at most a fifth of that
+// arm's response bytes and answer tuples: the arm pays for its least
+// selective conjunct, the pushdown only for the intersection.
+func TestConjPushdownShipsTheIntersection(t *testing.T) {
+	schema := relation.MustSchema("pairs",
+		relation.Column{Name: "grp", Type: relation.TypeString, Width: 1},
+		relation.Column{Name: "code", Type: relation.TypeString, Width: 4},
+	)
+	rng := rand.New(rand.NewSource(17))
+	plain := relation.NewTable(schema)
+	for i := 0; i < 2000; i++ {
+		plain.MustInsert(relation.String([]string{"A", "B"}[rng.Intn(2)]), relation.String(fmt.Sprintf("c%03d", rng.Intn(200))))
+	}
+	key, err := crypto.RandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheme, err := core.New(key, schema, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped := &shippedCounter{Scheme: scheme}
+	conn, fc := startCountingPipe(t, storage.NewMemory())
+	db := NewDB(conn, shipped, "pairs")
+	if err := db.CreateTable(plain); err != nil {
+		t.Fatal(err)
+	}
+	db.PinRoot(nil, 0)
+
+	// The first row's values, so the intersection is never empty.
+	first := plain.Tuple(0)
+	conj := []relation.Eq{{Column: "grp", Value: first[0]}, {Column: "code", Value: first[1]}}
+	want, err := relation.Select(plain, relation.And{Preds: []relation.Pred{conj[0], conj[1]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bytes0, tuples0 := fc.responseBytes(), shipped.tuples
+	parts, err := db.SelectMany(conj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arm, err := relation.Intersect(parts[0], parts[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	armBytes, armTuples := fc.responseBytes()-bytes0, shipped.tuples-tuples0
+
+	bytes0, tuples0 = fc.responseBytes(), shipped.tuples
+	push, err := db.SelectConj(conj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushBytes, pushTuples := fc.responseBytes()-bytes0, shipped.tuples-tuples0
+
+	if got, w := sortedRows(t, push), sortedRows(t, want); got != w || sortedRows(t, arm) != w {
+		t.Fatalf("answers differ:\npushdown:\n%s\nclient-side:\n%s\nplaintext:\n%s", got, sortedRows(t, arm), w)
+	}
+	t.Logf("response bytes %d vs %d, answer tuples %d vs %d", pushBytes, armBytes, pushTuples, armTuples)
+	if 5*pushBytes > armBytes {
+		t.Errorf("pushdown received %d response bytes, client-side arm %d: want at most a fifth", pushBytes, armBytes)
+	}
+	if 5*pushTuples > armTuples {
+		t.Errorf("pushdown shipped %d answer tuples, client-side arm %d: want at most a fifth", pushTuples, armTuples)
 	}
 }
 

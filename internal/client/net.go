@@ -242,7 +242,7 @@ func (c *Conn) ShipSnapshot(epoch, seq, offset uint64, maxBytes uint32) (*Snapsh
 }
 
 // ReadStats counts where a DB's reads were served and how often replicas
-// failed, for observability and for the E18 failover drill.
+// failed, for observability and for the failover tests.
 type ReadStats struct {
 	// ReplicaReads is the number of reads answered by a replica.
 	ReplicaReads uint64
@@ -485,7 +485,7 @@ func (db *DB) AddReplicas(cfg DialConfig, addrs ...string) error {
 	return nil
 }
 
-var errShardedReplicas = errors.New("client: a sharded DB attaches read replicas per shard (Coordinator.AddShardReplicas)")
+var errShardedReplicas = errors.New("client: a sharded DB attaches read replicas per shard (ShardConfig.Replicas)")
 
 // ReadStats returns the DB's read-routing counters. For a sharded DB
 // the per-shard counters live with the cluster (e.g. the coordinator's

@@ -19,12 +19,28 @@ import (
 
 // frameCounter wraps the client side of a pipe and tallies outbound
 // frames by command byte, reassembling the stream so buffering and write
-// chunking cannot hide a frame.
+// chunking cannot hide a frame, and inbound (response) bytes.
 type frameCounter struct {
 	net.Conn
-	mu     sync.Mutex
-	buf    []byte
-	counts map[byte]int
+	mu       sync.Mutex
+	buf      []byte
+	counts   map[byte]int
+	received int
+}
+
+func (f *frameCounter) Read(p []byte) (int, error) {
+	n, err := f.Conn.Read(p)
+	f.mu.Lock()
+	f.received += n
+	f.mu.Unlock()
+	return n, err
+}
+
+// responseBytes returns how many bytes the server has sent so far.
+func (f *frameCounter) responseBytes() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.received
 }
 
 func (f *frameCounter) Write(p []byte) (int, error) {

@@ -156,8 +156,8 @@ func Project(t *Table, cols ...string) (*Table, error) {
 
 // Intersect returns the multiset intersection of two tables over the same
 // schema: the relational-algebra counterpart of the server's
-// position-set intersection, and the client-side arm experiment E17
-// measures the conjunctive pushdown against.
+// position-set intersection, and the client-side arm the conjunctive
+// pushdown is measured against in internal/client's tests.
 func Intersect(a, b *Table) (*Table, error) {
 	if !a.Schema().Equal(b.Schema()) {
 		return nil, fmt.Errorf("relation: intersect over different schemas %q and %q",

@@ -144,6 +144,80 @@ func TestChaosPartitionMidBootstrap(t *testing.T) {
 	}
 }
 
+// TestChaosDiskFullFollowerConverges: the primary's disk fills mid-churn
+// (fault.File fails the write that crosses its byte budget), the
+// primary reopens without the fault and replays its durable prefix, and
+// a fresh follower converges to that state: its roots equal the
+// primary's, and a verified read it serves against the root pinned
+// before the overflow is the plaintext answer.
+func TestChaosDiskFullFollowerConverges(t *testing.T) {
+	p := newPrimaryOptions(t, storage.Options{WrapLog: func(lf storage.LogFile) storage.LogFile {
+		return fault.NewFile(lf, fault.FilePlan{FailWriteAfterBytes: 16 << 10})
+	}})
+	s := newScheme(t)
+	conn, err := p.dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedDB := client.NewDB(conn, s, "emp")
+	plain := relation.NewTable(empSchema())
+	plain.MustInsert(relation.String("Ada"), relation.String("IT"))
+	plain.MustInsert(relation.String("Grace"), relation.String("HR"))
+	plain.MustInsert(relation.String("Lin"), relation.String("HR"))
+	if err := seedDB.CreateTable(plain); err != nil {
+		t.Fatal(err)
+	}
+	root, n := seedDB.Root()
+	conn.Close()
+
+	churn := relation.NewTable(empSchema())
+	churn.MustInsert(relation.String("churn"), relation.String("OPS"))
+	ct, err := s.EncryptTable(churn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.store.Put("churn", ct); err != nil {
+		t.Fatal(err)
+	}
+	full := false
+	for i := 0; i < 10000 && !full; i++ {
+		full = p.store.Append("churn", ct.Tuples) != nil
+	}
+	if !full {
+		t.Fatal("churn never filled the disk")
+	}
+
+	p.restart() // space freed: the log reopens without the fault
+
+	f := New(p.dial, fastOpts())
+	defer f.Close()
+	waitConverged(t, p, f)
+
+	conn, err = p.dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	db := client.NewDB(conn, s, "emp")
+	db.PinRoot(root, n)
+	db.AddReplica(srvDial(server.NewWithOptions(f.Store(), nil, server.Options{ReadOnly: true, Ready: f.Ready})))
+	hr := relation.Eq{Column: "dept", Value: relation.String("HR")}
+	got, err := db.Select(hr)
+	if err != nil {
+		t.Fatalf("verified read from the converged follower: %v", err)
+	}
+	want, err := relation.Select(plain, hr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Sorted().String() != want.Sorted().String() {
+		t.Fatalf("follower answered\n%s\nwant\n%s", got.Sorted(), want.Sorted())
+	}
+	if st := db.ReadStats(); st.ReplicaReads != 1 || st.PrimaryReads != 0 {
+		t.Fatalf("read was not served by the follower: %+v", st)
+	}
+}
+
 // TestChaosResetWindowUnverifiedReads is the not-yet-caught-up follower
 // read window, repro and fix. Repro: an unverified Select routed to a
 // replica whose store is behind the primary returns a short answer with

@@ -32,8 +32,15 @@ type primary struct {
 
 func newPrimary(t *testing.T) *primary {
 	t.Helper()
+	return newPrimaryOptions(t, storage.Options{})
+}
+
+// newPrimaryOptions is newPrimary with its store opened under opts; a
+// restart reopens the log with none.
+func newPrimaryOptions(t *testing.T, opts storage.Options) *primary {
+	t.Helper()
 	p := &primary{t: t, path: filepath.Join(t.TempDir(), "wal.log")}
-	st, err := storage.Open(p.path)
+	st, err := storage.OpenOptions(p.path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,4 +352,37 @@ func TestFollowerAppliesConcurrentWrites(t *testing.T) {
 		}
 	}
 	waitConverged(t, p, f)
+}
+
+// TestSnapshotCostFlatAsLogGrows: churn re-stores one table, so the
+// primary's log grows with the rounds while its state does not. A fresh
+// follower pays for the state, not the log: exactly one snapshot
+// install, no log record replayed, and snapshot bytes flat across a
+// ≥ 8× longer log, ending in the primary's roots.
+func TestSnapshotCostFlatAsLogGrows(t *testing.T) {
+	s := newScheme(t)
+	rounds := []int{1, 4, 16}
+	heads := make([]uint64, len(rounds))
+	snapBytes := make([]uint64, len(rounds))
+	for i, w := range rounds {
+		p := newPrimary(t)
+		for range w {
+			seed(t, p, s, "emp", 200)
+		}
+		_, heads[i] = p.store.LogHead()
+		f := New(p.dial, fastOpts())
+		waitConverged(t, p, f)
+		st := f.Status()
+		f.Close()
+		if st.Snapshots != 1 || st.RecordsApplied != 0 {
+			t.Fatalf("%d rounds: follower installed %d snapshots and applied %d log records, want 1 and 0", w, st.Snapshots, st.RecordsApplied)
+		}
+		snapBytes[i] = st.SnapshotBytes
+	}
+	if heads[2] < 8*heads[0] {
+		t.Fatalf("churn grew the log only %d -> %d records, want >= 8x", heads[0], heads[2])
+	}
+	if 2*snapBytes[2] > 3*snapBytes[0] {
+		t.Fatalf("snapshot bytes grew %d -> %d over a %dx longer log, want <= 1.5x", snapBytes[0], snapBytes[2], heads[2]/heads[0])
+	}
 }

@@ -95,15 +95,6 @@ func (co *Coordinator) ShardStats() []client.ReadStats {
 	return stats
 }
 
-// AddShardReplicas attaches read replicas to one shard's pool.
-func (co *Coordinator) AddShardReplicas(shard int, cfg client.DialConfig, addrs ...string) error {
-	if shard < 0 || shard >= len(co.pools) {
-		return fmt.Errorf("shard: no shard %d in a %d-shard map", shard, len(co.pools))
-	}
-	co.pools[shard].AddReplicas(cfg, addrs...)
-	return nil
-}
-
 // scatter runs fn once per shard, concurrently, and waits for all of
 // them. When several shards fail the lowest shard's error wins, so the
 // reported failure is deterministic regardless of goroutine timing.

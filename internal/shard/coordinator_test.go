@@ -392,28 +392,31 @@ func TestKillShardMidQuery(t *testing.T) {
 //
 // Sole-primary variant: the pinned root vector rejects the shard's
 // sub-answer and the whole read fails loudly — the merge is never
-// poisoned. Byzantine-follower variant: the verification callback runs
-// inside the shard's read routing, so the lying follower is quarantined
-// like a dead one, the shard's primary serves the retry, and the read
-// succeeds while the failure is counted.
+// poisoned — and once the honest partition is restored the tier serves
+// the plaintext answer again. Byzantine-follower variant: the
+// verification callback runs inside the shard's read routing, so the
+// lying follower is quarantined like a dead one, the shard's primary
+// serves the retry, and the read succeeds while the failure is counted.
 func TestByzantineShardDrill(t *testing.T) {
 	co, stores := newCluster(t, 4)
 	scheme := shardScheme(t)
 	db := client.NewShardedDB(co, scheme, "emp")
-	if err := db.CreateTable(shardTable()); err != nil {
+	plain := shardTable()
+	if err := db.CreateTable(plain); err != nil {
 		t.Fatal(err)
 	}
 
 	// Find a shard that actually holds tuples and flip one ciphertext
 	// byte behind the authenticated index.
 	target := -1
+	var honest *ph.EncryptedTable
 	for i, st := range stores {
 		ct, err := st.Get("emp")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(ct.Tuples) > 0 {
-			target = i
+			target, honest = i, ct
 			mutated := ct.Clone()
 			mutated.Tuples[0].ID[0] ^= 0xFF
 			if err := st.Put("emp", mutated); err != nil {
@@ -426,13 +429,29 @@ func TestByzantineShardDrill(t *testing.T) {
 		t.Fatal("no shard holds tuples")
 	}
 
-	_, err := db.Select(relation.Eq{Column: "dept", Value: relation.String("HR")})
+	hr := relation.Eq{Column: "dept", Value: relation.String("HR")}
+	_, err := db.Select(hr)
 	if err == nil {
 		t.Fatal("verified scatter accepted a mutated shard")
 	}
 	if !strings.Contains(err.Error(), "shard") {
 		t.Fatalf("rejection does not name the shard: %v", err)
 	}
+
+	// Restore the honest partition: the refusal was the forged bytes',
+	// not the tier's, so the next verified read is the plaintext answer.
+	if err := stores[target].Put("emp", honest); err != nil {
+		t.Fatal(err)
+	}
+	got, err := db.Select(hr)
+	if err != nil {
+		t.Fatalf("verified scatter after restoring shard %d: %v", target, err)
+	}
+	want, err := relation.Select(plain, hr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, "post-restore read", got, want)
 }
 
 func TestByzantineFollowerQuarantinedShardKeepsServing(t *testing.T) {
@@ -441,7 +460,8 @@ func TestByzantineFollowerQuarantinedShardKeepsServing(t *testing.T) {
 	co, stores := newCluster(t, 3)
 	scheme := shardScheme(t)
 	db := client.NewShardedDB(co, scheme, "emp")
-	if err := db.CreateTable(shardTable()); err != nil {
+	plain := shardTable()
+	if err := db.CreateTable(plain); err != nil {
 		t.Fatal(err)
 	}
 
@@ -462,13 +482,11 @@ func TestByzantineFollowerQuarantinedShardKeepsServing(t *testing.T) {
 			t.Fatal(err)
 		}
 		evilSrv := server.New(evil, nil)
-		if err := co.AddShardReplicas(i, client.DialConfig{DialFunc: func(string) (net.Conn, error) {
+		co.pools[i].AddReplicas(client.DialConfig{DialFunc: func(string) (net.Conn, error) {
 			cliSide, srvSide := net.Pipe()
 			go evilSrv.ServeConn(srvSide)
 			return cliSide, nil
-		}}, "byzantine"); err != nil {
-			t.Fatal(err)
-		}
+		}}, "byzantine")
 		break
 	}
 	if target < 0 {
@@ -478,13 +496,16 @@ func TestByzantineFollowerQuarantinedShardKeepsServing(t *testing.T) {
 	// The read succeeds: the follower's mutated sub-answer fails the
 	// pinned vector inside the routing, quarantines it, and the shard's
 	// primary answers the retry.
-	got, err := db.Select(relation.Eq{Column: "dept", Value: relation.String("HR")})
+	hr := relation.Eq{Column: "dept", Value: relation.String("HR")}
+	got, err := db.Select(hr)
 	if err != nil {
 		t.Fatalf("verified scatter with Byzantine follower: %v", err)
 	}
-	if got.Len() == 0 {
-		t.Fatal("verified scatter returned nothing")
+	want, err := relation.Select(plain, hr)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sameRows(t, "read past the Byzantine follower", got, want)
 	stats := co.ShardStats()
 	if stats[target].ReplicaFailures == 0 {
 		t.Fatalf("Byzantine follower was not detected: %+v", stats[target])
