@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -38,11 +39,28 @@ func evalOnFixture(t *testing.T, n int, dept string) (*ph.EncryptedTable, *ph.En
 }
 
 // TestEvaluateOnMatchesEvaluate checks the narrowing invariant on tables
-// both below and above the parallel threshold: for any candidate set,
+// both below and above the parallel threshold, and on the int table,
+// whose words take more than one stream block: for any candidate set,
 // EvaluateOn(candidates) == Evaluate() ∩ candidates.
 func TestEvaluateOnMatchesEvaluate(t *testing.T) {
+	type input struct {
+		name string
+		et   *ph.EncryptedTable
+		q    *ph.EncryptedQuery
+	}
+	var inputs []input
 	for _, n := range []int{64, 3000} {
 		et, q := evalOnFixture(t, n, "HR")
+		inputs = append(inputs, input{fmt.Sprintf("emp n=%d", n), et, q})
+	}
+	ints := intsTable(t, benchTuples)
+	q, err := ints.p.EncryptQuery(relation.Eq{Column: "k", Value: ints.t.Tuple(benchTuples / 2)[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs = append(inputs, input{"ints", ints.ct, q})
+	for _, in := range inputs {
+		et, q := in.et, in.q
 		full, err := Evaluate(et, q)
 		if err != nil {
 			t.Fatal(err)
@@ -59,7 +77,7 @@ func TestEvaluateOnMatchesEvaluate(t *testing.T) {
 		for ci, cands := range candidateSets {
 			got, err := EvaluateOn(et, q, cands)
 			if err != nil {
-				t.Fatalf("n=%d case %d: %v", n, ci, err)
+				t.Fatalf("%s case %d: %v", in.name, ci, err)
 			}
 			// Nil selects the whole table; anything else intersects.
 			want := full.Positions
@@ -67,7 +85,7 @@ func TestEvaluateOnMatchesEvaluate(t *testing.T) {
 				want = ph.IntersectPositions(cands, full.Positions)
 			}
 			if !reflect.DeepEqual(normalize(got), normalize(want)) {
-				t.Fatalf("n=%d case %d: EvaluateOn = %v, want %v", n, ci, got, want)
+				t.Fatalf("%s case %d: EvaluateOn = %v, want %v", in.name, ci, got, want)
 			}
 		}
 	}

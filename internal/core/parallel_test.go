@@ -14,50 +14,74 @@ import (
 )
 
 // bigFixture encrypts one table large enough to engage the parallel path,
-// shared across the tests and benchmarks in this file.
+// shared across the tests and benchmarks of the package; absent selects
+// no tuple of it.
 type bigFixture struct {
-	p  *PH
-	ct *ph.EncryptedTable
-	t  *relation.Table
+	p      *PH
+	ct     *ph.EncryptedTable
+	t      *relation.Table
+	absent relation.Eq
 }
 
-var (
-	bigOnce sync.Once
-	bigFix  *bigFixture
-	bigErr  error
-)
+// fixtureOnce builds a bigFixture once per test binary.
+type fixtureOnce struct {
+	once sync.Once
+	fix  *bigFixture
+	err  error
+}
 
-func bigTable(tb testing.TB, n int) *bigFixture {
+var bigFix, intsFix fixtureOnce
+
+// get encrypts the table gen makes on first use.
+func (f *fixtureOnce) get(tb testing.TB, n int, absent relation.Eq, gen func() (*relation.Table, error)) *bigFixture {
 	tb.Helper()
-	bigOnce.Do(func() {
+	f.once.Do(func() {
 		var key crypto.Key
 		for i := range key {
 			key[i] = byte(i)
 		}
-		t, err := workload.Employees(n, 7)
+		t, err := gen()
 		if err != nil {
-			bigErr = err
+			f.err = err
 			return
 		}
 		p, err := New(key, t.Schema(), Options{})
 		if err != nil {
-			bigErr = err
+			f.err = err
 			return
 		}
 		ct, err := p.EncryptTable(t)
 		if err != nil {
-			bigErr = err
+			f.err = err
 			return
 		}
-		bigFix = &bigFixture{p: p, ct: ct, t: t}
+		f.fix = &bigFixture{p: p, ct: ct, t: t, absent: absent}
 	})
-	if bigErr != nil {
-		tb.Fatal(bigErr)
+	if f.err != nil {
+		tb.Fatal(f.err)
 	}
-	if len(bigFix.ct.Tuples) < n {
-		tb.Fatalf("fixture has %d tuples, want ≥ %d", len(bigFix.ct.Tuples), n)
+	if len(f.fix.ct.Tuples) < n {
+		tb.Fatalf("fixture has %d tuples, want ≥ %d", len(f.fix.ct.Tuples), n)
 	}
-	return bigFix
+	return f.fix
+}
+
+// bigTable is the emp table: 11-byte words, one stream block each.
+func bigTable(tb testing.TB, n int) *bigFixture {
+	return bigFix.get(tb, n, relation.Eq{Column: "name", Value: relation.String("zz-absent")},
+		func() (*relation.Table, error) { return workload.Employees(n, 7) })
+}
+
+// intsTable is one int column 19 digits wide: its 21-byte words take ψ's
+// kernel through two stream blocks (n − m = 19 at m = 2). Its values
+// repeat, about ten tuples each, so an answer has more than one hit.
+func intsTable(tb testing.TB, n int) *bigFixture {
+	fix := intsFix.get(tb, n, relation.Eq{Column: "k", Value: relation.Int(-1)},
+		func() (*relation.Table, error) { return workload.UniformInts(n, int64(n/10), 7) })
+	if wl := len(fix.ct.Tuples[0].Words[0]); wl != 21 {
+		tb.Fatalf("int fixture has %d-byte words, want 21", wl)
+	}
+	return fix
 }
 
 // benchTuples exceeds parallelThreshold, so Evaluate shards it — the
@@ -68,38 +92,52 @@ func fixtureQueries(tb testing.TB, fix *bigFixture) []relation.Eq {
 	tb.Helper()
 	qs := workload.QueryMix(fix.t, 6, 11)
 	// Add an absent value: the all-miss scan is the worst case.
-	qs = append(qs, relation.Eq{Column: "name", Value: relation.String("zz-absent")})
-	return qs
+	return append(qs, fix.absent)
 }
 
+// TestEvaluateParallelMatchesSerial runs on the emp table and on the int
+// table, whose words take more than one stream block: the sharded scan,
+// the serial one and, once decrypted, σ on the plaintext agree.
 func TestEvaluateParallelMatchesSerial(t *testing.T) {
-	fix := bigTable(t, benchTuples)
-	for _, q := range fixtureQueries(t, fix) {
-		eq, err := fix.p.EncryptQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial, err := EvaluateSerial(fix.ct, eq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := Evaluate(fix.ct, eq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(serial.Positions) != len(parallel.Positions) {
-			t.Fatalf("%s: serial %d hits, parallel %d", q, len(serial.Positions), len(parallel.Positions))
-		}
-		for i := range serial.Positions {
-			if serial.Positions[i] != parallel.Positions[i] {
-				t.Fatalf("%s: position %d: serial %d, parallel %d (order must be identical)",
-					q, i, serial.Positions[i], parallel.Positions[i])
+	for _, fix := range []*bigFixture{bigTable(t, benchTuples), intsTable(t, benchTuples)} {
+		for _, q := range fixtureQueries(t, fix) {
+			eq, err := fix.p.EncryptQuery(q)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// Sanity: the merged order is the table order.
-		for i := 1; i < len(parallel.Positions); i++ {
-			if parallel.Positions[i] <= parallel.Positions[i-1] {
-				t.Fatalf("%s: positions not strictly increasing: %v", q, parallel.Positions)
+			serial, err := EvaluateSerial(fix.ct, eq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parallel, err := Evaluate(fix.ct, eq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(serial.Positions) != len(parallel.Positions) {
+				t.Fatalf("%s: serial %d hits, parallel %d", q, len(serial.Positions), len(parallel.Positions))
+			}
+			for i := range serial.Positions {
+				if serial.Positions[i] != parallel.Positions[i] {
+					t.Fatalf("%s: position %d: serial %d, parallel %d (order must be identical)",
+						q, i, serial.Positions[i], parallel.Positions[i])
+				}
+			}
+			// Sanity: the merged order is the table order.
+			for i := 1; i < len(parallel.Positions); i++ {
+				if parallel.Positions[i] <= parallel.Positions[i-1] {
+					t.Fatalf("%s: positions not strictly increasing: %v", q, parallel.Positions)
+				}
+			}
+			got, err := fix.p.DecryptResult(q, parallel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := relation.Select(fix.t, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("%s: the scan's answer decrypts to %d tuples, σ on the plaintext has %d", q, got.Len(), want.Len())
 			}
 		}
 	}

@@ -13,10 +13,10 @@ const aes256RoundKeys = 15
 // AES256 is an expanded AES-256 key that encrypts many independent blocks
 // in one call. It is the one AES under every primitive of this package
 // but the AEAD: G (PRG), F (BlockPRF) and through F the word-key function
-// f (WidePRF) and the pre-encryption E (PRP), and the one-block instance
-// of F in ψ's scan. Every block ψ encrypts is independent of the others,
-// and AES's throughput on independent blocks is several times its
-// latency on one.
+// f (WidePRF) and the pre-encryption E (PRP), and F's CBC-MAC chains in
+// ψ's scan, one per cipherword of a run. The blocks of one call are
+// independent of each other, and AES's throughput on independent blocks
+// is several times its latency on one.
 //
 // On amd64 with AES-NI it holds its own round keys, expanded with
 // AESKEYGENASSIST, and EncryptBlocks runs eight blocks at a time through
@@ -29,10 +29,10 @@ const aes256RoundKeys = 15
 // block for block (TestEncryptBlocksIsAES).
 //
 // It is a value, so a caller decides where the schedule lives
-// (swp.Matcher keeps it beside the blocks it encrypts, inside one
-// cache-line-padded allocation), and Rekey expands a new key into it in
-// place: on the AES-NI path neither allocates. EncryptBlocks only reads
-// it.
+// (swp.Matcher keeps it beside the run whose chains it advances, inside
+// one cache-line-padded allocation), and Rekey expands a new key into it
+// in place: on the AES-NI path neither allocates. EncryptBlocks only
+// reads it.
 type AES256 struct {
 	rk    [aes256RoundKeys * aes.BlockSize]byte // round keys, AES-NI path
 	block cipher.Block                          // the crypto/aes path; nil on the AES-NI one

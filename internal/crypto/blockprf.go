@@ -24,7 +24,8 @@ const BlockPRFSize = aes.BlockSize
 // SumAllInto evaluates it on k inputs at once: the k chains advance
 // together, each chaining step one AES256.EncryptBlocks call over all k
 // blocks, so a batch runs at AES's throughput rather than its latency.
-// SumInto is its k = 1 case.
+// SumInto is its k = 1 case. swp.Matcher advances the same chains over a
+// scan's run of cipherwords, in its own blocks and on its own AES256.
 //
 // Its AES is an AES256 value held in the struct, so NewBlockPRF and Rekey
 // expand the key in place: on the AES-NI path neither allocates, and
@@ -36,8 +37,7 @@ const BlockPRFSize = aes.BlockSize
 // grown to its batch); Clone hands each goroutine its own, with a copy of
 // the key schedule. It is a value so that a caller who evaluates it side
 // by side with other goroutines can place it — and with it the chaining
-// block every call rewrites — on memory of its own choosing (swp.Matcher
-// keeps it off its neighbours' cache lines).
+// block every call rewrites — on memory of its own choosing.
 type BlockPRF struct {
 	aes      AES256
 	inputLen int

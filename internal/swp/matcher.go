@@ -1,8 +1,6 @@
 package swp
 
 import (
-	"crypto/hmac"
-	"crypto/subtle"
 	"encoding/binary"
 
 	"repro/internal/crypto"
@@ -17,38 +15,34 @@ import (
 // exactly the server's hot path: every exact-select tests one trapdoor
 // against every cipherword of every tuple.
 //
-// Streams of at most one AES block (n−m <= 16) take the run kernel: F is
-// a single AES call on the zero-padded chunk, built straight from 64-bit
-// loads of the cipherword, and MatchRun fills a run of blocks from the
-// words of consecutive documents and encrypts the whole run in one
-// crypto.AES256 call. Wider streams run F's CBC-MAC loop over t and got.
+// One kernel serves every stream width. F is CBC-MAC over the stream
+// chunk: a word's first stream block, built straight from 64-bit loads of
+// the cipherword, fills the next block of a run from the words of
+// consecutive documents, and a full run is encrypted in one crypto.AES256
+// call per stream block, each block taking its word's next chunk of C ⊕ X
+// between calls, as BlockPRF.SumAllInto advances its chains. A stream of
+// at most one AES block (n−m <= 16) is one call per run.
 //
-// A Matcher is NOT safe for concurrent use (the scratch and the PRF's
-// chaining block are reused across calls); hand each worker goroutine its
-// own instance via Clone. Everything a match writes — the run's blocks
-// and owners, or t, got and the PRF's chaining block — sits on cache
-// lines no other Matcher touches (see kernel, isolate and newScratch), so
-// workers scanning side by side never take a line from each other.
+// A Matcher is NOT safe for concurrent use (the run is reused across
+// calls); hand each worker goroutine its own instance via Clone.
+// Everything a match writes — the run's blocks, owners and words — sits
+// on cache lines no other Matcher touches (see kernel), so workers
+// scanning side by side never take a line from each other.
 type Matcher struct {
-	p     Params
-	valid bool // geometry checks passed at construction
+	p Params
 
-	// Run kernel: where a word's stream and checksum parts lie, whether
+	// Where a word's first stream block and its checksum lie, whether
 	// both lie in the word's first and last eight bytes (8 <= n <= 16 and
-	// m <= 8, emp's shape among them), X's parts as the fields load them,
-	// and the padded allocation holding F's key schedule and the run; k is
-	// nil on a wide stream.
+	// m <= 8, emp's shape among them), X (the trapdoor's own slice, which
+	// a stream's later blocks are read from) and its parts as the fields
+	// load them, and the padded allocation holding F's key schedule and
+	// the run; k is nil on an ill-formed pair.
 	stream, sum field
 	short       bool
-	x0, x1      uint64 // X's stream part
+	x           []byte
+	x0, x1      uint64 // X's first stream block
 	xs0, xs1    uint64 // X's checksum part
 	k           *kernel
-
-	// CBC-MAC path, streams wider than one block.
-	x    []byte           // trapdoor pre-encryption, WordLen bytes
-	kprf *crypto.BlockPRF // checksum PRF F keyed by the trapdoor word key
-	t    []byte           // scratch: C ⊕ X = ⟨candidate stream chunk, implied checksum⟩
-	got  []byte           // scratch: recomputed checksum, m bytes
 }
 
 // runBlocks is how many blocks the run kernel encrypts in one call: four
@@ -56,15 +50,16 @@ type Matcher struct {
 // and an emp tuple's three words rarely straddle a flush.
 const runBlocks = 32
 
-// kernel is the run kernel's one allocation: F's key schedule, which
-// every match reads, and the run it encrypts, which every match writes,
-// with a cache line of padding on each side so that no other Matcher's
-// state shares a line with either.
+// kernel is the Matcher's one allocation: F's key schedule, which every
+// match reads, and the run it encrypts, which every match writes, with a
+// cache line of padding on each side so that no other Matcher's state
+// shares a line with either.
 type kernel struct {
 	_      [cacheLine]byte
 	aes    crypto.AES256
 	blocks [runBlocks][crypto.BlockPRFSize]byte
 	owner  [runBlocks]owner
+	word   [runBlocks][]byte // the cipherword behind a block, for the stream's later blocks
 	_      [cacheLine]byte
 }
 
@@ -122,23 +117,16 @@ func NewMatcher(p Params, td Trapdoor) *Matcher {
 	if p.Validate() != nil || len(td.X) != p.WordLen || len(td.K) != crypto.KeySize {
 		return m
 	}
-	m.valid = true
-	key := crypto.KeyFromBytes(td.K)
 	nm := p.streamLen()
-	if nm > crypto.BlockPRFSize {
-		m.x = td.X
-		m.kprf = isolate(crypto.NewBlockPRF(key, nm))
-		m.newScratch()
-		return m
-	}
-	m.stream, m.sum = newField(p.WordLen, 0, nm), newField(p.WordLen, nm, p.ChecksumLen)
+	m.stream, m.sum = newField(p.WordLen, 0, min(nm, crypto.BlockPRFSize)), newField(p.WordLen, nm, p.ChecksumLen)
 	last := p.WordLen - 8
 	m.short = p.WordLen >= 8 && m.stream.off == [2]int{0, last} && m.sum.off == [2]int{last, last}
 	var pad [16]byte
+	m.x = td.X
 	x := m.padded(td.X, &pad)
 	m.x0, m.x1 = m.stream.load(x)
 	m.xs0, m.xs1 = m.sum.load(x)
-	m.k = &kernel{aes: crypto.NewAES256(key)}
+	m.k = &kernel{aes: crypto.NewAES256(crypto.KeyFromBytes(td.K))}
 	return m
 }
 
@@ -156,43 +144,14 @@ func (m *Matcher) padded(w []byte, pad *[16]byte) []byte {
 // bytes on amd64 and arm64.
 const cacheLine = 64
 
-// isolate moves a PRF — whose chaining block every wide-stream match
-// rewrites — to the middle of an allocation with a cache line of padding
-// on each side. The allocator packs small objects back to back, so
-// without the pads one worker's chaining block lands on the line its
-// neighbour reads its own PRF from, and every AES call takes that line
-// away from the other core. A full line on each side keeps every line the
-// PRF occupies inside this allocation however the allocator aligns it.
-func isolate(f crypto.BlockPRF) *crypto.BlockPRF {
-	p := &struct {
-		_ [cacheLine]byte
-		f crypto.BlockPRF
-		_ [cacheLine]byte
-	}{f: f}
-	return &p.f
-}
-
-// newScratch allocates a wide-stream Matcher's t and got in a single
-// allocation padded the same way.
-func (m *Matcher) newScratch() {
-	n, cs := m.p.WordLen, m.p.ChecksumLen
-	buf := make([]byte, cacheLine+n+cs+cacheLine)
-	m.t = buf[cacheLine : cacheLine+n : cacheLine+n]
-	m.got = buf[cacheLine+n:][:cs:cs]
-}
-
 // Clone returns an independent Matcher for the same trapdoor. It copies
 // or shares the trapdoor's expanded AES key and allocates only its own
-// scratch, so provisioning one per worker goroutine of a table scan is
+// run, so provisioning one per worker goroutine of a table scan is
 // nearly free.
 func (m *Matcher) Clone() *Matcher {
 	c := *m
-	switch {
-	case m.k != nil:
+	if m.k != nil {
 		c.k = &kernel{aes: m.k.aes}
-	case m.kprf != nil:
-		c.kprf = isolate(m.kprf.Clone())
-		c.newScratch()
 	}
 	return &c
 }
@@ -203,12 +162,12 @@ func (m *Matcher) Clone() *Matcher {
 // with probability 2^(-8m) (a false positive). It is MatchRun on one
 // one-word document.
 func (m *Matcher) Match(cipherword []byte) bool {
-	if !m.valid {
+	if m.k == nil {
 		return false
 	}
 	r := run{m: m, last: -1}
 	r.add(0, [][]byte{cipherword})
-	r.close()
+	r.flush()
 	return r.last == 0
 }
 
@@ -216,27 +175,27 @@ func (m *Matcher) Match(cipherword []byte) bool {
 // words: it appends to hits, once each and in ascending order, the index
 // i of every document any of whose words matches the trapdoor. Words of
 // another length than the trapdoor's never match, which is how a
-// mixed-width document skips the columns it cannot hold. On a one-block
-// stream it fills up to runBlocks blocks from the words of consecutive
-// documents, whatever document boundaries fall between them, and
-// encrypts each full run in one call before comparing any checksum. It
-// allocates nothing beyond growing hits.
+// mixed-width document skips the columns it cannot hold. It fills up to
+// runBlocks blocks from the words of consecutive documents, whatever
+// document boundaries fall between them, and runs F over each full run
+// before comparing any checksum. It allocates nothing beyond growing
+// hits.
 func (m *Matcher) MatchRun(n int, doc func(i int) [][]byte, hits []int) []int {
-	if !m.valid {
+	if m.k == nil {
 		return hits
 	}
 	r := run{m: m, hits: hits, keep: true, last: -1}
 	for i := 0; i < n; i++ {
 		r.add(i, doc(i))
 	}
-	r.close()
+	r.flush()
 	return r.hits
 }
 
 // run is one pass of the kernel over a valid Matcher: the document
-// reported last, the hits so far if it keeps them, and on a one-block
-// stream the number of blocks filled. Match keeps no hits — last says
-// whether its one word matched — so its stack slice never escapes.
+// reported last, the hits so far if it keeps them, and the number of
+// blocks filled. Match keeps no hits — last says whether its one word
+// matched — so its stack slice never escapes.
 type run struct {
 	m    *Matcher
 	hits []int
@@ -246,23 +205,16 @@ type run struct {
 	pad  [16]byte
 }
 
-// add tests the words of document doc: each at once on a wide stream;
-// on a one-block one, each fills the next block of the run.
+// add queues the words of document doc: each of the trapdoor's length
+// fills the next block of the run with its first stream block.
 func (r *run) add(doc int, words [][]byte) {
 	m, k := r.m, r.m.k
 	wl := m.p.WordLen
-	if k == nil {
-		for _, w := range words {
-			if len(w) == wl && m.matchWide(w) {
-				r.hit(doc)
-			}
-		}
-		return
-	}
 	for _, w := range words {
 		if len(w) != wl {
 			continue
 		}
+		j := r.j
 		var s0, s1, c0, c1 uint64
 		if m.short {
 			// The fields read only the first and last eight bytes: the
@@ -274,11 +226,15 @@ func (r *run) add(doc int, words [][]byte) {
 			a, z := binary.LittleEndian.Uint64(w), binary.LittleEndian.Uint64(w[len(w)-8:])
 			s0, s1, c0 = a&m.stream.mask[0], m.stream.cut(z, 1), z>>(m.sum.shift[0]&63)
 		} else {
-			w = m.padded(w, &r.pad)
-			s0, s1 = m.stream.load(w)
-			c0, c1 = m.sum.load(w)
+			// Every stream wider than a block takes this branch (n >= 18),
+			// so the two-load path need not keep its word. The kept word
+			// is the caller's, never the padded copy, so r stays on the
+			// stack.
+			k.word[j] = w
+			pw := m.padded(w, &r.pad)
+			s0, s1 = m.stream.load(pw)
+			c0, c1 = m.sum.load(pw)
 		}
-		j := r.j
 		binary.LittleEndian.PutUint64(k.blocks[j][:8], s0^m.x0)
 		binary.LittleEndian.PutUint64(k.blocks[j][8:], s1^m.x1)
 		k.owner[j] = owner{doc: doc, want0: c0 ^ m.xs0, want1: c1 ^ m.xs1}
@@ -301,43 +257,38 @@ func (r *run) hit(doc int) {
 	}
 }
 
-// flush runs F over the filled blocks in one call and reports the
-// document of every block whose output's first m bytes, masked as the
-// sum field masks a checksum, equal its word's. The compare is two
-// whole-word XORs ORed together, with no branch on any byte: F's output
-// derives from trapdoor key material, and an early exit would leak how
-// many leading checksum bytes a crafted cipherword matched, giving an
-// adaptive adversary a byte-at-a-time oracle against F_k.
+// flush runs F over the filled blocks, one EncryptBlocks call per stream
+// block: after each call but the last, every block takes its word's next
+// chunk of C ⊕ X, zero-padded to a block. It then reports the document of
+// every block whose output's first m bytes, masked as the sum field masks
+// a checksum, equal its word's. The compare is two whole-word XORs ORed
+// together, with no branch on any byte: F's output derives from trapdoor
+// key material, and an early exit would leak how many leading checksum
+// bytes a crafted cipherword matched, giving an adaptive adversary a
+// byte-at-a-time oracle against F_k.
 func (r *run) flush() {
 	m, k := r.m, r.m.k
-	k.aes.EncryptBlocks(k.blocks[:r.j])
-	for b := range k.blocks[:r.j] {
+	blocks := k.blocks[:r.j]
+	k.aes.EncryptBlocks(blocks)
+	for at, nm := crypto.BlockPRFSize, m.p.streamLen(); at < nm; at += crypto.BlockPRFSize {
+		f := newField(m.p.WordLen, at, min(nm-at, crypto.BlockPRFSize))
+		x0, x1 := f.load(m.x)
+		for b := range blocks {
+			s0, s1 := f.load(k.word[b])
+			binary.LittleEndian.PutUint64(blocks[b][:8], binary.LittleEndian.Uint64(blocks[b][:8])^s0^x0)
+			binary.LittleEndian.PutUint64(blocks[b][8:], binary.LittleEndian.Uint64(blocks[b][8:])^s1^x1)
+		}
+		k.aes.EncryptBlocks(blocks)
+	}
+	for b := range blocks {
 		o := &k.owner[b]
-		f0 := binary.LittleEndian.Uint64(k.blocks[b][:8]) & m.sum.mask[0]
-		f1 := binary.LittleEndian.Uint64(k.blocks[b][8:]) & m.sum.mask[1]
+		f0 := binary.LittleEndian.Uint64(blocks[b][:8]) & m.sum.mask[0]
+		f1 := binary.LittleEndian.Uint64(blocks[b][8:]) & m.sum.mask[1]
 		if (f0^o.want0)|(f1^o.want1) == 0 {
 			r.hit(o.doc)
 		}
 	}
 	r.j = 0
-}
-
-// close flushes a one-block run's last blocks.
-func (r *run) close() {
-	if r.m.k != nil {
-		r.flush()
-	}
-}
-
-// matchWide is the match test on a stream wider than one block: F's
-// CBC-MAC loop over C ⊕ X in t.
-func (m *Matcher) matchWide(cipherword []byte) bool {
-	subtle.XORBytes(m.t, cipherword, m.x)
-	nm := len(m.t) - len(m.got)
-	m.kprf.SumInto(m.got, m.t[:nm])
-	// Constant-time for the reason flush gives; hmac.Equal (crypto/subtle
-	// underneath) examines every byte and allocates nothing.
-	return hmac.Equal(m.got, m.t[nm:])
 }
 
 // Search appends the positions of all cipherwords matching the trapdoor to

@@ -6,9 +6,9 @@ import (
 	"crypto/hmac"
 	"crypto/subtle"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -164,12 +164,10 @@ func TestMatchZeroAllocs(t *testing.T) {
 }
 
 // TestMatcherSetupAllocs holds a scan's per-trapdoor setup to its budget
-// on both paths. On the CBC-MAC path NewMatcher is the Matcher, AES's key
-// schedule, the isolated PRF and the scratch, and Clone shares the key
-// schedule. On the run kernel it is the Matcher and the kernel, which
+// at every stream width: NewMatcher is the Matcher and the kernel, which
 // holds the key schedule (plus crypto/aes's cipher where AES256 falls
-// back to it) beside the run's blocks and owners, not in allocations of
-// their own.
+// back to it) beside the run's blocks, owners and words, not in
+// allocations of their own, and Clone is the same less the cipher.
 func TestMatcherSetupAllocs(t *testing.T) {
 	const newMatcherAllocs, cloneAllocs = 4, 3
 	for _, nm := range benchStreamWidths {
@@ -216,8 +214,8 @@ func refMatch(t *testing.T, p Params, td Trapdoor, w []byte) bool {
 	return hmac.Equal(refChecksum(t, td.K, c[:nm], p.ChecksumLen), c[nm:])
 }
 
-// TestMatchKernelDifferential holds both kernels — one AES block for every
-// stream width 1..16, CBC-MAC at 17 and 40 — to refMatch, at every
+// TestMatchKernelDifferential holds the kernel — one AES block for every
+// stream width 1..16, two at 17 and three at 40 — to refMatch, at every
 // checksum width m: genuine words match, a flip of any one checksum byte
 // never does, random words agree with the reference, words of another
 // length never match, and MatchRun on one document of 0..9 mixed-length
@@ -303,12 +301,12 @@ func TestMatchKernelDifferential(t *testing.T) {
 // TestMatchRunDifferential holds the run kernel to refMatch over runs of
 // documents that fill many flushes, as a full scan and through candidate
 // lists, at every stream width 1..16 (words of 2 to 32 bytes) and every
-// checksum width m, and at 17 and 40 on the CBC-MAC path. Documents hold
-// 0..9 words: genuine ones, misses and words of other lengths. Each run
-// puts a genuine word on the last block of a flush and another on the
-// first block of the next, once in two documents and once in one, and
-// gives documents two genuine words inside one flush; a document is
-// reported once however many of its words match.
+// checksum width m, and at 17 and 40, two and three stream blocks.
+// Documents hold 0..9 words: genuine ones, misses and words of other
+// lengths. Each run puts a genuine word on the last block of a flush and
+// another on the first block of the next, once in two documents and once
+// in one, and gives documents two genuine words inside one flush; a
+// document is reported once however many of its words match.
 func TestMatchRunDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	randBytes := func(n int) []byte {
@@ -423,29 +421,147 @@ func TestMatchRunDifferential(t *testing.T) {
 	}
 }
 
-// BenchmarkMatchRun measures ψ per tuple over a 10,000-tuple run of the
-// emp table's shape — three words each, n = 11, m = 2, every word its own
-// allocation as EncryptTable lays them out — through one MatchRun, the
-// call MatchTuples makes per scan chunk. Must report 0 allocs/op.
-func BenchmarkMatchRun(b *testing.B) {
-	p := Params{WordLen: 11, ChecksumLen: 2}
-	_, cws, td := matcherFixture(b, p)
-	rng := rand.New(rand.NewSource(31))
-	docs := make([][][]byte, 10000)
-	for i := range docs {
-		docs[i] = make([][]byte, 3)
-		for j := range docs[i] {
-			docs[i][j] = slices.Clone(cws[rng.Intn(len(cws))])
+// FuzzMatchRun holds MatchRun, Match and a Clone's MatchRun to refMatch
+// at stream widths 1..48 and checksum widths 1..16. The inputs pick the
+// width, m, the key, X and a layout: one byte per step, ≡ 0 (mod 8) ends
+// the document, 1 and 2 add a genuine word, 3 a genuine word with
+// checksum byte (b>>3) mod m flipped, 4 and 5 a random word of the
+// trapdoor's length, 6 and 7 a word one byte short and one byte long.
+// Documents hold at most nine words and runs at most 40 documents, so
+// genuine words can sit on either side of a flush, the blocks the seeds
+// name: 31, 32 and 33 of a run.
+func FuzzMatchRun(f *testing.F) {
+	// 31 trapdoor-length words, in documents of three with a short and a
+	// long word between them, so the next word lands on block 31.
+	var toFlush []byte
+	for i := 0; i < 31; i++ {
+		toFlush = append(toFlush, 4+byte(i%2), 6+byte(i%2))
+		if i%3 == 2 {
+			toFlush = append(toFlush, 0)
 		}
 	}
-	m := NewMatcher(p, td)
-	doc := func(i int) [][]byte { return docs[i] }
-	hits := m.MatchRun(len(docs), doc, nil)
-	b.ReportAllocs()
-	for b.Loop() {
-		hits = m.MatchRun(len(docs), doc, hits[:0])
+	// Genuine words alone in their documents on blocks 31 and 32, then
+	// two in one; then one document across the flush whose one genuine
+	// word is block 32. Flipped checksum bytes reach past m = 8.
+	flush := append(slices.Clone(toFlush), 1, 0, 2, 0, 1, 2, 0, 0, 3|9<<3, 3|15<<3, 5, 0, 3|2<<3, 1)
+	across := append(slices.Clone(toFlush), 4, 1, 5, 0, 1, 0, 3|12<<3, 6, 7, 0, 3|7<<3)
+	key := []byte("fuzz-matchrun-key")
+	for _, s := range []struct{ nm, cs uint8 }{{1, 16}, {8, 9}, {9, 2}, {16, 12}, {17, 1}, {32, 10}, {33, 16}, {40, 2}, {48, 9}} {
+		f.Add(s.nm-1, s.cs-1, key, []byte{s.nm, s.cs, 0xa5}, flush)
+		f.Add(s.nm-1, s.cs-1, key, []byte{s.cs}, across)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(docs)), "ns/tuple")
+	f.Fuzz(func(t *testing.T, nm, cs uint8, key, x, layout []byte) {
+		p := Params{WordLen: int(nm%48) + 1 + int(cs%16) + 1, ChecksumLen: int(cs%16) + 1}
+		stretch := func(b []byte, n int) []byte {
+			out := make([]byte, n)
+			for i := range out {
+				if len(b) > 0 {
+					out[i] = b[i%len(b)] ^ byte(i/len(b))
+				}
+			}
+			return out
+		}
+		td := Trapdoor{X: stretch(x, p.WordLen), K: stretch(key, crypto.KeySize)}
+		h := fnv.New64a()
+		h.Write(slices.Concat(key, x, layout))
+		rng := rand.New(rand.NewSource(int64(h.Sum64())))
+		randBytes := func(n int) []byte {
+			b := make([]byte, n)
+			rng.Read(b)
+			return b
+		}
+		nml := p.streamLen()
+		genuine := func() []byte {
+			s := randBytes(nml)
+			w := append(s, refChecksum(t, td.K, s, p.ChecksumLen)...)
+			subtle.XORBytes(w, w, td.X)
+			return w
+		}
+		docs := [][][]byte{nil}
+		for _, b := range layout {
+			last := len(docs) - 1
+			if b%8 == 0 || len(docs[last]) == 9 {
+				if len(docs) == 40 {
+					break
+				}
+				docs = append(docs, nil)
+				last++
+				if b%8 == 0 {
+					continue
+				}
+			}
+			var w []byte
+			switch b % 8 {
+			case 1, 2:
+				w = genuine()
+			case 3:
+				w = genuine()
+				w[nml+int(b>>3)%p.ChecksumLen] ^= 1 + byte(rng.Intn(255))
+			case 4, 5:
+				w = randBytes(p.WordLen)
+			case 6:
+				w = randBytes(p.WordLen - 1)
+			case 7:
+				w = randBytes(p.WordLen + 1)
+			}
+			docs[last] = append(docs[last], w)
+		}
+		var want []int
+		m := NewMatcher(p, td)
+		for i, doc := range docs {
+			found := false
+			for _, w := range doc {
+				ref := refMatch(t, p, td, w)
+				if m.Match(w) != ref {
+					t.Fatalf("%+v: Match(%x) = %v, reference %v", p, w, !ref, ref)
+				}
+				found = found || ref
+			}
+			if found {
+				want = append(want, i)
+			}
+		}
+		doc := func(i int) [][]byte { return docs[i] }
+		if got := m.MatchRun(len(docs), doc, nil); !slices.Equal(got, want) {
+			t.Fatalf("%+v: MatchRun over %d documents found %v, want %v", p, len(docs), got, want)
+		}
+		if got := m.Clone().MatchRun(len(docs), doc, nil); !slices.Equal(got, want) {
+			t.Fatalf("%+v: a clone's MatchRun over %d documents found %v, want %v", p, len(docs), got, want)
+		}
+	})
+}
+
+// BenchmarkMatchRun measures ψ per tuple over a 10,000-tuple run of
+// three-word tuples, every word its own allocation as EncryptTable lays
+// them out, through one MatchRun, the call MatchTuples makes per scan
+// chunk: emp is the emp table's shape (n = 11, m = 2, one stream block),
+// wide a 19-digit int column's (n = 21, m = 2, two stream blocks). Each
+// must report 0 allocs/op.
+func BenchmarkMatchRun(b *testing.B) {
+	for _, arm := range []struct {
+		name string
+		p    Params
+	}{{"emp", Params{WordLen: 11, ChecksumLen: 2}}, {"wide", Params{WordLen: 21, ChecksumLen: 2}}} {
+		b.Run(arm.name, func(b *testing.B) {
+			_, cws, td := matcherFixture(b, arm.p)
+			rng := rand.New(rand.NewSource(31))
+			docs := make([][][]byte, 10000)
+			for i := range docs {
+				docs[i] = make([][]byte, 3)
+				for j := range docs[i] {
+					docs[i][j] = slices.Clone(cws[rng.Intn(len(cws))])
+				}
+			}
+			m := NewMatcher(arm.p, td)
+			doc := func(i int) [][]byte { return docs[i] }
+			hits := m.MatchRun(len(docs), doc, nil)
+			b.ReportAllocs()
+			for b.Loop() {
+				hits = m.MatchRun(len(docs), doc, hits[:0])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(docs)), "ns/tuple")
+		})
+	}
 }
 
 // BenchmarkMatchTuple measures ψ on one tuple of the emp table's shape —
@@ -468,18 +584,14 @@ func BenchmarkMatchTuple(b *testing.B) {
 
 // TestWorkerStateCacheLineDisjoint pins the layout the scan's worker pool
 // depends on: nothing a match writes on one worker's Matcher — the run's
-// blocks and owners on the run kernel, or t, got and the PRF's chaining
-// block on the CBC-MAC path — shares a 64-byte line with what it writes on
-// another's, nor with what another worker reads on every match: its
-// Matcher and PRF structs and its AES key schedule. Otherwise every match
-// on one core invalidates a line the other core needs for its next one,
-// and two workers scan slower than one.
+// blocks, owners and word slots — shares a 64-byte line with what it
+// writes on another's, nor with what another worker reads on every match:
+// its Matcher struct and its AES key schedule. Otherwise every match on
+// one core invalidates a line the other core needs for its next one, and
+// two workers scan slower than one. It runs at one stream block and at
+// three.
 func TestWorkerStateCacheLineDisjoint(t *testing.T) {
 	type span struct{ lo, hi uintptr } // [lo, hi) in bytes
-	bytesOf := func(b []byte) span {
-		lo := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
-		return span{lo, lo + uintptr(len(b))}
-	}
 	spanOf := func(p unsafe.Pointer, size uintptr) span {
 		return span{uintptr(p), uintptr(p) + size}
 	}
@@ -495,25 +607,18 @@ func TestWorkerStateCacheLineDisjoint(t *testing.T) {
 	for _, p := range []Params{{WordLen: 11, ChecksumLen: 2}, {WordLen: 42, ChecksumLen: 16}} {
 		_, _, td := matcherFixture(t, p)
 		base := NewMatcher(p, td)
-		if oneBlock := p.streamLen() <= crypto.BlockPRFSize; (base.k != nil) != oneBlock || (base.t != nil) == oneBlock {
-			t.Fatalf("%+v: matcher has run kernel %v, t %v; want the run kernel %v", p, base.k != nil, base.t != nil, oneBlock)
+		if base.k == nil {
+			t.Fatalf("%+v: matcher has no kernel", p)
 		}
 		workers := []*Matcher{base, base.Clone(), base.Clone(), base.Clone()}
 		written := make([]map[uintptr]bool, len(workers))
 		read := make([]map[uintptr]bool, len(workers))
 		for i, m := range workers {
-			var w, r []span
-			if k := m.k; k != nil {
-				w = append(w, spanOf(unsafe.Pointer(&k.blocks), unsafe.Sizeof(k.blocks)),
-					spanOf(unsafe.Pointer(&k.owner), unsafe.Sizeof(k.owner)))
-				r = append(r, spanOf(unsafe.Pointer(&k.aes), unsafe.Sizeof(k.aes)))
-			} else {
-				state := reflect.ValueOf(m.kprf).Elem().FieldByName("state")
-				w = append(w, bytesOf(m.t), bytesOf(m.got), span{state.UnsafeAddr(), state.UnsafeAddr() + state.Type().Size()})
-				r = append(r, spanOf(unsafe.Pointer(m.kprf), unsafe.Sizeof(*m.kprf)))
-			}
-			written[i] = lines(w...)
-			read[i] = lines(append(r, spanOf(unsafe.Pointer(m), unsafe.Sizeof(*m)))...)
+			k := m.k
+			written[i] = lines(spanOf(unsafe.Pointer(&k.blocks), unsafe.Sizeof(k.blocks)),
+				spanOf(unsafe.Pointer(&k.owner), unsafe.Sizeof(k.owner)),
+				spanOf(unsafe.Pointer(&k.word), unsafe.Sizeof(k.word)))
+			read[i] = lines(spanOf(unsafe.Pointer(&k.aes), unsafe.Sizeof(k.aes)), spanOf(unsafe.Pointer(m), unsafe.Sizeof(*m)))
 		}
 		for i := range workers {
 			for j := range workers {
@@ -525,7 +630,7 @@ func TestWorkerStateCacheLineDisjoint(t *testing.T) {
 						t.Errorf("%+v: workers %d and %d both write cache line %#x", p, i, j, l*cacheLine)
 					}
 					if read[j][l] {
-						t.Errorf("%+v: worker %d writes cache line %#x, which holds worker %d's Matcher, PRF or key schedule", p, i, l*cacheLine, j)
+						t.Errorf("%+v: worker %d writes cache line %#x, which holds worker %d's Matcher or key schedule", p, i, l*cacheLine, j)
 					}
 				}
 			}
