@@ -154,6 +154,22 @@ func BenchmarkEncryptTable1k(b *testing.B) {
 	b.ReportMetric(float64(t.Len()), "tuples/op")
 }
 
+// BenchmarkEncryptInsertBatch encrypts one 4-tuple batch: the batch
+// DB.Insert sends on every insert of every benchmark workload, which
+// EncryptTable keeps on the caller's goroutine.
+func BenchmarkEncryptInsertBatch(b *testing.B) {
+	s := benchScheme(b)
+	t := benchTable(b, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.EncryptTable(t); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(t.Len()), "tuples/op")
+}
+
 func BenchmarkTrapdoor(b *testing.B) {
 	s := benchScheme(b)
 	q := relation.Eq{Column: "dept", Value: relation.String("HR")}

@@ -373,15 +373,20 @@ func (db *DB) node(i int) string {
 // CreateTable encrypts and uploads the plaintext table, pinning the
 // authenticated-index root of every node's share of the ciphertext and
 // keeping the frontiers so later inserts advance the roots incrementally.
+// The roots are hashed while the upload is in flight; they are pinned only
+// once the store has succeeded.
 func (db *DB) CreateTable(t *relation.Table) error {
 	ct, err := db.scheme.EncryptTable(t)
 	if err != nil {
 		return err
 	}
+	pins := make(chan []pin, 1)
+	go func() { pins <- pinsOf(db.split(ct)) }()
 	if err := db.store(ct); err != nil {
+		<-pins
 		return err
 	}
-	db.pins = pinsOf(db.split(ct))
+	db.pins = <-pins
 	return nil
 }
 

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -111,6 +112,23 @@ func (*splitShards) Split(tuples []ph.EncryptedTuple) [][]ph.EncryptedTuple {
 func (c *splitShards) Store(_ string, t *ph.EncryptedTable) error {
 	c.stored = t
 	return nil
+}
+
+// refusingShards is splitShards whose store always fails.
+type refusingShards struct{ splitShards }
+
+func (*refusingShards) Store(string, *ph.EncryptedTable) error { return errors.New("disk full") }
+
+// TestCreateTablePinsOnlyWhatWasStored: CreateTable hashes the roots while
+// the upload is in flight, and a failed upload pins none of them.
+func TestCreateTablePinsOnlyWhatWasStored(t *testing.T) {
+	db := NewShardedDB(&refusingShards{}, newScheme(t), "emp")
+	if err := db.CreateTable(empTable()); err == nil {
+		t.Fatal("CreateTable succeeded on a store that refuses it")
+	}
+	if db.pins != nil {
+		t.Fatalf("a failed CreateTable pinned %d roots", len(db.pins))
+	}
 }
 
 // TestLeafCachePerShard: each shard's pin keeps its own cache. Shard 0's

@@ -7,6 +7,7 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/ph"
 	"repro/internal/relation"
+	"repro/internal/swp"
 )
 
 // newTestPH builds a PH over the paper's employee schema with a fresh key.
@@ -126,12 +127,15 @@ func TestPaddingSymbolRejected(t *testing.T) {
 	}
 }
 
-// TestRandomPermUniform: randomPerm draws each of the n! permutations of
-// 3 and of 5 equally often — a chi-square test over 20,000 and 24,000
-// draws, failing by chance with probability 10⁻⁶ — so word and tuple
-// order carry nothing of the rejection sampling. At this many draws a
-// shuffle that picks j from [0, n) at every step instead of [0, i] (9
-// equally likely paths onto 6 permutations) scores ~2,000 against 35.9.
+// TestRandomPermUniform: the word permutations an encryption run draws —
+// drawRun's one crypto/rand read for the run, then shuffle over each
+// tuple's share of it — are each of the n! permutations of 3 and of 5
+// equally often: a chi-square test over 20,000 and 24,000 draws, failing
+// by chance with probability 10⁻⁶, so word order carries nothing of the
+// rejection sampling (EncryptTable's tuple order is the same shuffle). At
+// this many draws a shuffle that picks j from [0, n) at every step
+// instead of [0, i] (9 equally likely paths onto 6 permutations) scores
+// ~2,000 against 35.9.
 func TestRandomPermUniform(t *testing.T) {
 	for _, c := range []struct {
 		n, perms, draws int
@@ -140,13 +144,20 @@ func TestRandomPermUniform(t *testing.T) {
 		{3, 6, 20_000, 35.89},
 		{5, 120, 24_000, 207.20},
 	} {
+		tc := &tupleCodec{perm: make([]int, c.n)}
+		stride := docIDLen + 8*(c.n-1)
 		counts := map[string]int{}
-		for i := 0; i < c.draws; i++ {
-			perm, err := randomPerm(c.n)
+		for drawn := 0; drawn < c.draws; drawn += swp.RunDocs {
+			rnd, err := tc.drawRun(swp.RunDocs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			counts[fmt.Sprint(perm)]++
+			for i := 0; i < swp.RunDocs && drawn+i < c.draws; i++ {
+				if err := shuffle(tc.perm, rnd[i*stride+docIDLen:(i+1)*stride]); err != nil {
+					t.Fatal(err)
+				}
+				counts[fmt.Sprint(tc.perm)]++
+			}
 		}
 		if len(counts) != c.perms {
 			t.Fatalf("n=%d: %d distinct permutations drawn, want %d", c.n, len(counts), c.perms)

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/crypto"
 	"repro/internal/ph"
 	"repro/internal/relation"
+	"repro/internal/sched"
 )
 
 // randTable builds a random employee table from quick-generated material,
@@ -34,8 +37,14 @@ func randTable(rng *rand.Rand, rows int) *relation.Table {
 }
 
 // TestPropertyRoundTripRandomTables: D(E(R)) = R for random relations, in
-// both layout modes.
+// both layout modes: small ones, and tables on both sides of
+// encryptThreshold and of 20,000 tuples. From encryptThreshold on,
+// EncryptTable fans out over every worker of the process budget, each
+// with randomness of its own, so every document ID of the table must
+// still be distinct; and every ID, word list and cipherword, cut from a
+// run's slabs, must own its bytes (checkOwnsItsBytes).
 func TestPropertyRoundTripRandomTables(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, perCol := range []bool{false, true} {
 		key, err := crypto.RandomKey()
 		if err != nil {
@@ -60,6 +69,72 @@ func TestPropertyRoundTripRandomTables(t *testing.T) {
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 			t.Fatalf("perColumn=%v: %v", perCol, err)
+		}
+		for _, n := range []int{encryptThreshold - 1, encryptThreshold, encryptThreshold + 1, 20_000} {
+			tab := randTable(rand.New(rand.NewSource(int64(n))), n)
+			budget := sched.NewBudget(4)
+			old := sched.SetProcess(budget)
+			ct, err := p.EncryptTable(tab)
+			sched.SetProcess(old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sched.Stats{}
+			if n >= encryptThreshold {
+				want = sched.Stats{Acquires: 1, Extras: 3, Releases: 1}
+			}
+			if st := budget.Stats(); st != want {
+				t.Fatalf("perColumn=%v, %d tuples: budget stats %+v, want %+v", perCol, n, st, want)
+			}
+			pt, err := p.DecryptTable(ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !pt.Equal(tab) {
+				t.Fatalf("perColumn=%v, %d tuples: D(E(R)) differs from R", perCol, n)
+			}
+			ids := make(map[string]bool, n)
+			for _, etp := range ct.Tuples {
+				if len(etp.ID) != docIDLen || ids[string(etp.ID)] {
+					t.Fatalf("perColumn=%v, %d tuples: document ID %x repeated or not %d bytes", perCol, n, etp.ID, docIDLen)
+				}
+				ids[string(etp.ID)] = true
+			}
+			checkOwnsItsBytes(t, ct)
+		}
+	}
+}
+
+// checkOwnsItsBytes appends to every document ID, word list and
+// cipherword of ct and fails unless the rest of ct is unchanged: each must
+// be capped at its own length, so that an append reallocates instead of
+// writing into its neighbour.
+func checkOwnsItsBytes(t *testing.T, ct *ph.EncryptedTable) {
+	t.Helper()
+	want := make([]ph.EncryptedTuple, len(ct.Tuples))
+	for i, etp := range ct.Tuples {
+		want[i] = ph.EncryptedTuple{ID: bytes.Clone(etp.ID)}
+		for _, w := range etp.Words {
+			want[i].Words = append(want[i].Words, bytes.Clone(w))
+		}
+	}
+	for _, etp := range ct.Tuples {
+		if grown := append(etp.Words, nil); len(grown) != len(etp.Words)+1 {
+			t.Fatal("append lost a word")
+		}
+		for _, b := range append([][]byte{etp.ID}, etp.Words...) {
+			if grown := append(b, 0xa5); grown[len(b)] != 0xa5 {
+				t.Fatal("append lost a byte")
+			}
+		}
+	}
+	for i, etp := range ct.Tuples {
+		same := bytes.Equal(etp.ID, want[i].ID) && len(etp.Words) == len(want[i].Words)
+		for j := 0; same && j < len(etp.Words); j++ {
+			same = bytes.Equal(etp.Words[j], want[i].Words[j])
+		}
+		if !same {
+			t.Fatalf("tuple %d changed when its neighbours were appended to: %x %x, was %x %x", i, etp.ID, etp.Words, want[i].ID, want[i].Words)
 		}
 	}
 }

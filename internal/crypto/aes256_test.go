@@ -74,6 +74,44 @@ func TestEncryptBlocksIsAES(t *testing.T) {
 	}
 }
 
+// FuzzEncryptBlocks: under any 32-byte key (the input's first 32 bytes,
+// zero-padded), a run of 0 to 40 blocks (the input's whole blocks) encrypts
+// on every path of paths() block for block as crypto/aes does, so that the
+// AES-NI kernel's eight-block body and its four- and one-block tails all
+// meet odd lengths. The seeds sit on and around every edge between them.
+func FuzzEncryptBlocks(f *testing.F) {
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 31, 32, 33, 40} {
+		key, data := make([]byte, KeySize), make([]byte, n*aes.BlockSize)
+		rng.Read(key)
+		rng.Read(data)
+		f.Add(key, data)
+	}
+	f.Fuzz(func(t *testing.T, keyBytes, data []byte) {
+		var key Key
+		copy(key[:], keyBytes)
+		ref, err := aes.NewCipher(key[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := min(len(data)/aes.BlockSize, 40)
+		for name, a := range kernels(key) {
+			blocks := make([][aes.BlockSize]byte, n)
+			for i := range blocks {
+				copy(blocks[i][:], data[i*aes.BlockSize:])
+			}
+			a.EncryptBlocks(blocks)
+			for i := range blocks {
+				var want [aes.BlockSize]byte
+				ref.Encrypt(want[:], data[i*aes.BlockSize:])
+				if blocks[i] != want {
+					t.Fatalf("%s, key %x, %d blocks: block %d is %x, crypto/aes says %x", name, key, n, i, blocks[i], want)
+				}
+			}
+		}
+	})
+}
+
 // TestEncryptBlocksFIPS197 pins both paths to the FIPS-197 appendix C.3
 // AES-256 example vector, in every slot of a run that takes all three
 // loops, at 0 allocations.

@@ -1,11 +1,13 @@
-// Package sched provides the server-wide parallelism budget: a weighted
-// semaphore sized to runtime.GOMAXPROCS that every scan in the process
-// that is large enough to shard draws its goroutines from.
+// Package sched provides the process-wide parallelism budget: a weighted
+// semaphore sized to runtime.GOMAXPROCS that every job in the process
+// large enough to fan out draws its goroutines from — a server's scans
+// that shard, and a client's bulk encryption (core.EncryptTable of a
+// large table).
 //
-// The budget counts scanning goroutines, the caller's included: a scan
+// The budget counts working goroutines, the caller's included: a job
 // that finds the budget untouched fans out over every core, and one that
-// arrives while another scan holds the budget runs on its caller's
-// goroutine alone, with no fork and no join — so k concurrent scans run
+// arrives while another job holds the budget runs on its caller's
+// goroutine alone, with no fork and no join — so k concurrent jobs run
 // on about GOMAXPROCS goroutines, not k + GOMAXPROCS.
 //
 // Deadlock freedom: Acquire never blocks. The calling goroutine exists
@@ -19,7 +21,7 @@ import (
 	"sync/atomic"
 )
 
-// Budget is a weighted semaphore handing out scan workers. The zero value
+// Budget is a weighted semaphore handing out workers. The zero value
 // is not usable; construct with NewBudget.
 type Budget struct {
 	capacity int64
@@ -33,8 +35,9 @@ type Budget struct {
 }
 
 // Stats are a budget's monotonic accounting counters. They exist so tests
-// can assert allotment discipline: one allotment per scan, none for a
-// query that shares another's scan. Acquires == Releases at quiescence.
+// can assert allotment discipline: one allotment per sharded scan or
+// fanned-out encryption, none for a query that shares another's scan.
+// Acquires == Releases at quiescence.
 type Stats struct {
 	// Acquires counts Acquire calls (each is one allotment, whatever its
 	// size).
@@ -98,9 +101,10 @@ func (b *Budget) Release(granted int) {
 	b.releases.Add(1)
 }
 
-// process is the shared process-wide budget. Everything that scans in
-// parallel — core's shardScan today — takes workers from here, which is
-// what bounds total scan parallelism across concurrent clients.
+// process is the shared process-wide budget. Everything that fans out —
+// core's fork, under its sharded scans and its bulk encryption — takes
+// workers from here, which is what bounds total parallelism across
+// concurrent clients.
 var process atomic.Pointer[Budget]
 
 func init() {

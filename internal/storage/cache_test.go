@@ -200,7 +200,10 @@ func TestCacheMatchesSerialAcrossMutations(t *testing.T) {
 // During the run each result must be internally consistent (ascending
 // positions, hit count within the append envelope); after the dust
 // settles every query must be byte-identical to EvaluateSerial ground
-// truth.
+// truth. Cache reuse happens by construction, not by timing: the appender
+// starts only once a query has cached the hot word, and querier 0's last
+// round waits for the last append, so the first query after that append
+// is a delta and the check after the run a hit.
 func TestCacheConcurrentMutations(t *testing.T) {
 	f := newSWPFixture(t, 120, 3)
 	base, err := core.EvaluateSerial(f.ct, f.q)
@@ -230,10 +233,14 @@ func TestCacheConcurrentMutations(t *testing.T) {
 	for i := range batches {
 		batches[i] = f.encryptBatch(t, perBatch, int64(20+i))
 	}
+	cached, appended := make(chan struct{}), make(chan struct{})
+	var cachedOnce sync.Once
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // appender on the hot table
 		defer wg.Done()
+		defer close(appended)
+		<-cached
 		for _, b := range batches {
 			if err := s.Append("emp", b); err != nil {
 				t.Errorf("append: %v", err)
@@ -285,13 +292,18 @@ func TestCacheConcurrentMutations(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			defer cachedOnce.Do(func() { close(cached) })
 			last := minHits
 			for i := 0; i < rounds; i++ {
+				if g == 0 && i == rounds-1 {
+					<-appended
+				}
 				res, err := s.Query("emp", f.q)
 				if err != nil {
 					t.Errorf("querier %d: %v", g, err)
 					return
 				}
+				cachedOnce.Do(func() { close(cached) })
 				for j := 1; j < len(res.Positions); j++ {
 					if res.Positions[j] <= res.Positions[j-1] {
 						t.Errorf("querier %d: positions not ascending: %v", g, res.Positions)

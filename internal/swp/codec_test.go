@@ -476,8 +476,8 @@ func (m *memoModel) state() []string {
 
 // TestRunMatchesTextbook is the differential test of DecryptRun against
 // swptest's textbook reference, at stream widths of one block (9), two
-// (17) and three (40): runs of 0 to RunDocs+3 documents — past RunDocs
-// SetDocument starts a new run itself — whose words repeat values within
+// (17) and three (40): runs of 0 to RunDocs+3 documents — past RunDocs, a
+// run longer than core ever queues — whose words repeat values within
 // the run, alternate two values that share a memo slot and so evict each
 // other, and carry a flipped bit in an L or an R part. Every word comes
 // out as the reference has it, one run or one word at a time, and the
@@ -593,4 +593,129 @@ func TestRunMemoIsLazy(t *testing.T) {
 			t.Fatalf("after %d documents the memo is allocated: %v", d+1, c.memo != nil)
 		}
 	}
+}
+
+// FuzzCodecRun is the differential target of both run directions against
+// swptest's textbook reference. The input picks the stream width n−m
+// (1..48), the checksum width m (1..16) and a script of two bytes a word:
+// up to RunDocs+3 documents of 0 to 6 words, each word one of a pool of
+// eight values (two of which share a memo slot, so that memo hits,
+// evictions and slot collisions all happen) at the position its second
+// byte names, with a bit of its L or R part flipped or not, and run
+// boundaries between them. One codec encrypts the script, run by run, and
+// every cipherword must be Ref.EncryptWord's byte for byte; a second
+// decrypts the cipherwords, flipped ones included, with the same run
+// boundaries, and every word must come back as Ref.DecryptWord has it —
+// the word itself where nothing was flipped.
+func FuzzCodecRun(f *testing.F) {
+	// Value codes 0..7 are the pool, 8 starts a document, 9 ends a run; a
+	// code's /10 picks no flip, a flipped L bit or a flipped R bit.
+	collide := []byte{0, 0, 1, 1, 8, 0, 0, 1, 1, 0, 2, 8, 0, 0, 11, 1, 21, 2, 1, 3}
+	var long []byte
+	for d := 0; d < RunDocs+3; d++ {
+		long = append(long, 8, 0, byte(d%8), 0, byte((d+1)%8), 1, byte(10*(d%3)+(d+2)%8), 2)
+		if d%11 == 10 {
+			long = append(long, 9, 0)
+		}
+	}
+	for _, s := range []struct{ nm, cs uint8 }{{1, 1}, {9, 2}, {16, 16}, {17, 2}, {40, 9}, {48, 16}} {
+		f.Add(s.nm-1, s.cs-1, collide)
+		f.Add(s.nm-1, s.cs-1, long)
+	}
+	f.Fuzz(func(t *testing.T, nm, cs uint8, script []byte) {
+		p := Params{WordLen: int(nm%48) + 1 + int(cs%16) + 1, ChecksumLen: int(cs%16) + 1}
+		s := newTestScheme(t, p)
+		ref := swptest.New(testKey(9), p.WordLen, p.ChecksumLen)
+		a, b := collidingValues(t, ref, p)
+		pool := [][]byte{a, b}
+		for v := 0; v < 6; v++ {
+			pool = append(pool, katWord(p.WordLen, v))
+		}
+		type word struct {
+			doc         int
+			pos         uint64
+			plain       []byte
+			flip        int // 0: none, 1: a bit of L, 2: a bit of R
+			bit         int
+			cw, got, pt []byte
+		}
+		// The script becomes words and ops: i >= 0 queues words[i],
+		// newDoc-d positions the codec on document d, endRun runs.
+		const endRun, newDoc = -1, -2
+		var words []word
+		var ops []int
+		docs, inDoc := 0, 0
+		for i := 0; i+1 < len(script); i += 2 {
+			code, arg := script[i]%30, script[i+1]
+			v := code % 10
+			if v == 9 {
+				ops = append(ops, endRun)
+				continue
+			}
+			if v == 8 || docs == 0 || inDoc == 6 {
+				if docs == RunDocs+3 {
+					break
+				}
+				ops = append(ops, newDoc-docs)
+				docs, inDoc = docs+1, 0
+			}
+			if v < 8 {
+				ops = append(ops, len(words))
+				words = append(words, word{doc: docs - 1, pos: uint64(arg), plain: pool[v], flip: int(code / 10), bit: int(arg)})
+				inDoc++
+			}
+		}
+		ids := make([][]byte, docs)
+		for d := range ids {
+			ids[d] = testDoc(fmt.Sprintf("fuzz-%d", d))
+		}
+		replay := func(c *Codec, queue func(w *word) error, run func()) {
+			for _, o := range ops {
+				switch {
+				case o == endRun:
+					run()
+				case o < 0:
+					if err := c.SetDocument(ids[newDoc-o]); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					if err := queue(&words[o]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			run()
+		}
+		enc, dec := s.NewCodec(), s.NewCodec()
+		replay(enc, func(w *word) error {
+			w.cw = make([]byte, p.WordLen)
+			return enc.QueueWord(w.cw, w.pos, w.plain)
+		}, enc.EncryptRun)
+		replay(dec, func(w *word) error {
+			w.got = bytes.Clone(w.cw)
+			switch nml := p.streamLen(); w.flip {
+			case 1:
+				w.got[w.bit%nml] ^= 1 << (w.bit % 8)
+			case 2:
+				w.got[nml+w.bit%p.ChecksumLen] ^= 1 << (w.bit % 8)
+			}
+			w.pt = make([]byte, p.WordLen)
+			return dec.QueueWord(w.pt, w.pos, w.got)
+		}, dec.DecryptRun)
+		for i, w := range words {
+			want, err := ref.EncryptWord(ids[w.doc], w.pos, w.plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(w.cw, want) {
+				t.Fatalf("%+v word %d (document %d, position %d): EncryptRun wrote %x, reference %x", p, i, w.doc, w.pos, w.cw, want)
+			}
+			if want, err = ref.DecryptWord(ids[w.doc], w.pos, w.got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(w.pt, want) || (w.flip == 0 && !bytes.Equal(w.pt, w.plain)) {
+				t.Fatalf("%+v word %d (document %d, position %d, flip %d): DecryptRun gave %x, reference %x, plaintext %x", p, i, w.doc, w.pos, w.flip, w.pt, want, w.plain)
+			}
+		}
+	})
 }

@@ -48,8 +48,8 @@
 // functions are WidePRFs under independent keys. All of them — the
 // client's G, f, F and E as much as the server's F — run on
 // crypto.AES256, so the codec's per-word key expansions happen in place
-// and its batches (Codec.DecryptRun) run at AES's throughput. The
-// assumptions are the textbook reductions:
+// and its batches (Codec.EncryptRun, Codec.DecryptRun) run at AES's
+// throughput. The assumptions are the textbook reductions:
 // AES-256 is a pseudorandom permutation; the PRP/PRF switching lemma;
 // CBC-MAC is a PRF on messages of one fixed length (Bellare–Kilian–
 // Rogaway) — every BlockPRF and WidePRF instance fixes its input length,
@@ -123,12 +123,11 @@ func (p Params) FalsePositiveRate() float64 {
 // length is refused, never hashed or padded.
 const DocIDLen = 16
 
-// RunDocs is the most documents one decryption run holds: Codec starts a
-// new run when SetDocument would exceed it, and internal/core cuts an
-// answer into runs of RunDocs tuples. At three words a document, a run's
-// stream, f and E⁻¹ batches are ~96 blocks, twelve of AES256's eight-block
-// groups, and the codec's run scratch stays that size whatever the
-// answer's.
+// RunDocs is the most documents internal/core puts in one run of a
+// Codec: it cuts a table it encrypts and an answer it decrypts into runs
+// of RunDocs tuples. At three words a document, a run's stream, E, f and
+// E⁻¹ batches are ~96 blocks, twelve of AES256's eight-block groups, and
+// a codec's run scratch stays that size whatever the table's or answer's.
 const RunDocs = 32
 
 // Scheme holds the secret keys and parameters of one SWP instance. It is
@@ -166,10 +165,11 @@ func New(master crypto.Key, p Params) (*Scheme, error) {
 func (s *Scheme) Params() Params { return s.params }
 
 // Codec encrypts and decrypts words. It is the scheme's only
-// implementation of both directions. SetDocument positions it on a
-// document; EncryptWordInto then encrypts that document's words one at a
-// time, and QueueWord queues them for decryption, which DecryptRun
-// performs for every queued word of every document at once.
+// implementation of both directions, and both run the same way:
+// SetDocument positions it on a document, QueueWord queues that
+// document's words, and EncryptRun or DecryptRun then performs every
+// queued word of every document at once. A run is whatever was queued
+// since the last one; internal/core cuts its runs at RunDocs documents.
 //
 // The stream. Word position pos of document docID is masked by the
 // ⌈(n−m)/16⌉ blocks S_{doc,j} = AES_K(AES_K(docID) ⊕ ⟨j⟩), j =
@@ -179,19 +179,24 @@ func (s *Scheme) Params() Params { return s.params }
 // (Bellare–Kilian–Rogaway) under the assumption F, f and E already make,
 // and no key is expanded per document.
 //
-// The run. DecryptRun works in passes, so that AES meets independent
-// blocks in batches instead of one dependent block at a time:
+// The run. A run works in passes, so that AES meets independent blocks
+// in batches instead of one dependent block at a time:
 //  1. every queued document's AES_K(docID) in one call, then every
 //     word's stream blocks in one call;
-//  2. L_i = C_i's left part ⊕ S_i for every word, each looked up in the
-//     memo in word order, and f_{k'} of every L_i the memo lacks in one
-//     batched call;
-//  3. in word order: F re-keyed to k_i where the memo lacked it,
-//     F_{k_i}(S_i) (one block under its own key), R_i;
-//  4. E⁻¹ in one batch over every X_i = ⟨L_i, R_i⟩ the memo lacks.
+//  2. encrypting only: X_i = E_{k”}(W_i) of every word in one batched
+//     call;
+//  3. L_i — X_i's left part, or decrypting C_i's left part ⊕ S_i —
+//     looked up in the memo in word order, and f_{k'} of every L_i the
+//     memo lacks in one batched call;
+//  4. in word order: F re-keyed to k_i where the memo lacked it, and
+//     F_{k_i}(S_i) (one block under its own key); encrypting, C_i = X_i ⊕
+//     ⟨S_i, F_{k_i}(S_i)⟩; decrypting, R_i = C_i's right part ⊕
+//     F_{k_i}(S_i);
+//  5. decrypting only: E⁻¹ in one batch over every X_i = ⟨L_i, R_i⟩ the
+//     memo lacks.
 //
-// DecryptWordInto is a run of one word, and DecryptDocument a run of one
-// document.
+// EncryptWordInto and DecryptWordInto are runs of one word, and
+// EncryptDocument and DecryptDocument runs of one document.
 //
 // The memo. k_i = f_{k'}(L_i) and W_i = E⁻¹(X_i) are functions of the word
 // value alone (L_i and X_i are E's output on it), so a codec remembers, in
@@ -226,37 +231,35 @@ type Codec struct {
 	nb    int  // stream blocks per word, ⌈(n−m)/16⌉
 	onDoc bool // SetDocument has positioned the codec
 
-	// The run: the documents since the last DecryptRun, the current one
-	// last — docs[:enc] already AES_K(docID), the rest still docID — and
-	// the words queued on them.
+	// The run: the documents since the last run, the current one last —
+	// docs[:enc] already AES_K(docID), the rest still docID — and the
+	// words queued on them.
 	docs  [][crypto.BlockPRFSize]byte
 	enc   int
 	words []runWord
 
 	// Pass scratch, each packed and grown to the largest run: the words'
 	// stream blocks, S_i and X_i; the L_i the memo lacks and their k_i;
-	// the X_i the memo lacks and their W_i.
+	// the words E encrypts, or the X_i the memo lacks and their W_i.
 	blocks [][crypto.BlockPRFSize]byte
 	sw, xw []byte
 	ls, ks []byte
 	xs, ws []byte
 
-	ki    crypto.Key           // k_i of a word being encrypted
-	t     []byte               // T_i of a word being encrypted, WordLen bytes
 	first memoSlot             // the only slot until a second document
 	memo  *[memoSlots]memoSlot // nil until a second document
 }
 
-// runWord is one queued word and, once DecryptRun has looked it up, its
+// runWord is one queued word and, once its run has looked it up, its
 // memo decisions.
 type runWord struct {
-	dst, cw []byte
-	doc     int // its document's index in docs
-	pos     uint64
-	first   bool      // queued before the memo existed: decided by the first slot
-	slot    *memoSlot // the slot its L_i lives in
-	key     int       // index of its k_i among the run's f outputs; -1: the slot held L_i
-	from    int       // index of its W_i among the run's E⁻¹ outputs; -1: copied from the slot
+	dst, src []byte
+	doc      int // its document's index in docs
+	pos      uint64
+	first    bool      // queued before the memo existed: decided by the first slot
+	slot     *memoSlot // the slot its L_i lives in
+	key      int       // index of its k_i among the run's f outputs; -1: the slot held L_i
+	from     int       // index of its W_i among the run's E⁻¹ outputs; -1: copied from the slot
 }
 
 // memoSlots is the size of a codec's word memo: a power of two up to 256,
@@ -277,9 +280,8 @@ type memoSlot struct {
 // NewCodec returns a codec for the scheme, not yet on any document.
 func (s *Scheme) NewCodec() *Codec {
 	n, nm := s.params.WordLen, s.params.streamLen()
-	buf := make([]byte, n+nm+2*n)
-	c := &Codec{s: s, pre: s.pre.Clone(), f: s.f.Clone(), nb: (nm + crypto.BlockPRFSize - 1) / crypto.BlockPRFSize, t: buf[:n:n]}
-	c.first = newSlot(buf[n:], nm, n, crypto.NewBlockPRF(crypto.Key{}, nm))
+	c := &Codec{s: s, pre: s.pre.Clone(), f: s.f.Clone(), nb: (nm + crypto.BlockPRFSize - 1) / crypto.BlockPRFSize}
+	c.first = newSlot(make([]byte, nm+2*n), nm, n, crypto.NewBlockPRF(crypto.Key{}, nm))
 	return c
 }
 
@@ -309,9 +311,6 @@ func (c *Codec) Reset() {
 func (c *Codec) SetDocument(docID []byte) error {
 	if len(docID) != DocIDLen {
 		return fmt.Errorf("swp: document identifier must be %d bytes, got %d", DocIDLen, len(docID))
-	}
-	if len(c.docs) == RunDocs {
-		c.DecryptRun()
 	}
 	if len(c.words) == 0 {
 		c.docs, c.enc = c.docs[:0], 0
@@ -361,40 +360,26 @@ func chunk(s []byte, blocks [][crypto.BlockPRFSize]byte) {
 	}
 }
 
-// EncryptWordInto encrypts the word at position pos of the current
-// document into dst. Both must be exactly WordLen bytes.
-func (c *Codec) EncryptWordInto(dst []byte, pos uint64, word []byte) error {
-	if err := c.check(dst, word); err != nil {
+// QueueWord queues the word at position pos of the current document for
+// the next run, which writes the word's image into dst: its cipherword
+// under EncryptRun, its plaintext under DecryptRun. Both must be exactly
+// WordLen bytes, and both must stay untouched until then.
+func (c *Codec) QueueWord(dst []byte, pos uint64, src []byte) error {
+	if err := c.check(dst, src); err != nil {
 		return err
 	}
-	nm := c.s.params.streamLen()
-	c.encryptDocs()
-	blocks := grow(&c.blocks, c.nb)
-	c.streamBlocks(blocks, &c.docs[len(c.docs)-1], pos)
-	c.s.stream.EncryptBlocks(blocks)
-	stream := c.t[:nm]
-	chunk(stream, blocks)
-	x := grow(&c.xw, len(dst))
-	c.pre.EncryptInto(x, word)
-	slot, miss := c.lookup(x[:nm], c.memo == nil)
-	if miss {
-		c.f.SumInto(c.ki[:], slot.l)
-		slot.kprf.Rekey(c.ki)
-		slot.hasW = false
-	}
-	slot.kprf.SumInto(c.t[nm:], stream)
-	subtle.XORBytes(dst, x, c.t)
+	c.words = append(c.words, runWord{dst: dst, src: src, doc: len(c.docs) - 1, pos: pos, first: c.memo == nil})
 	return nil
 }
 
-// QueueWord queues the cipherword at position pos of the current document
-// for the next DecryptRun, which writes its plaintext into dst. Both must
-// be exactly WordLen bytes, and dst must stay untouched until then.
-func (c *Codec) QueueWord(dst []byte, pos uint64, cipherword []byte) error {
-	if err := c.check(dst, cipherword); err != nil {
+// EncryptWordInto encrypts the word at position pos of the current
+// document into dst — a run of one word. Both must be exactly WordLen
+// bytes.
+func (c *Codec) EncryptWordInto(dst []byte, pos uint64, word []byte) error {
+	if err := c.QueueWord(dst, pos, word); err != nil {
 		return err
 	}
-	c.words = append(c.words, runWord{dst: dst, cw: cipherword, doc: len(c.docs) - 1, pos: pos, first: c.memo == nil})
+	c.EncryptRun()
 	return nil
 }
 
@@ -409,10 +394,18 @@ func (c *Codec) DecryptWordInto(dst []byte, pos uint64, cipherword []byte) error
 	return nil
 }
 
-// DecryptRun decrypts every queued word into its dst, in the four passes
-// the type's comment lists, and empties the queue; the codec stays on its
+// EncryptRun encrypts every queued word into its dst, in the passes the
+// type's comment lists, and empties the queue; the codec stays on its
 // current document.
-func (c *Codec) DecryptRun() {
+func (c *Codec) EncryptRun() { c.run(true) }
+
+// DecryptRun decrypts every queued word into its dst, in the passes the
+// type's comment lists, and empties the queue; the codec stays on its
+// current document.
+func (c *Codec) DecryptRun() { c.run(false) }
+
+// run is the one body of both directions.
+func (c *Codec) run(encrypt bool) {
 	k := len(c.words)
 	if k == 0 {
 		return
@@ -427,17 +420,29 @@ func (c *Codec) DecryptRun() {
 		c.streamBlocks(blocks[i*nb:(i+1)*nb], &c.docs[c.words[i].doc], c.words[i].pos)
 	}
 	c.s.stream.EncryptBlocks(blocks)
+	sw, xw, xs := grow(&c.sw, k*nm), grow(&c.xw, k*n), grow(&c.xs, k*n)
+	for i := range c.words {
+		chunk(sw[i*nm:(i+1)*nm], blocks[i*nb:(i+1)*nb])
+	}
 
-	// Pass 2: L_i, its memo lookup in word order, and f of every L_i the
-	// memo lacks in one call.
-	sw, xw := grow(&c.sw, k*nm), grow(&c.xw, k*n)
+	// Pass 2: encrypting, X_i = E(W_i) of every word in one call.
+	if encrypt {
+		for i := range c.words {
+			copy(xs[i*n:], c.words[i].src)
+		}
+		c.pre.EncryptAllInto(xw, xs, k)
+	}
+
+	// Pass 3: L_i — decrypting, C_i's left part ⊕ S_i — looked up in the
+	// memo in word order, then f of every L_i the memo lacks in one call.
 	ls := grow(&c.ls, k*nm)
 	misses := 0
 	for i := range c.words {
 		w := &c.words[i]
-		s, l := sw[i*nm:(i+1)*nm], xw[i*n:i*n+nm]
-		chunk(s, blocks[i*nb:(i+1)*nb])
-		xor(l, w.cw[:nm], s)
+		l := xw[i*n : i*n+nm]
+		if !encrypt {
+			xor(l, w.src[:nm], sw[i*nm:(i+1)*nm])
+		}
 		var miss bool
 		w.slot, miss = c.lookup(l, w.first)
 		w.key = -1
@@ -452,23 +457,46 @@ func (c *Codec) DecryptRun() {
 		c.f.SumAllInto(ks, ls[:misses*nm], misses)
 	}
 
-	// Pass 3: in word order, F re-keyed where the memo lacked k_i, then
-	// R_i = C_i's right part ⊕ F_{k_i}(S_i).
+	// Pass 4: in word order, F re-keyed where the memo lacked k_i, then
+	// F_{k_i}(S_i): encrypting, into C_i = X_i ⊕ ⟨S_i, F_{k_i}(S_i)⟩, where
+	// a slot that took a new L_i forgets its W; decrypting, into R_i = C_i's
+	// right part ⊕ F_{k_i}(S_i).
 	for i := range c.words {
 		w := &c.words[i]
 		if w.key >= 0 {
 			w.slot.kprf.Rekey(crypto.Key(ks[w.key*crypto.KeySize:]))
 		}
-		r := xw[i*n+nm : (i+1)*n]
-		w.slot.kprf.SumInto(r, sw[i*nm:(i+1)*nm])
-		xor(r, r, w.cw[nm:])
+		s, x := sw[i*nm:(i+1)*nm], xw[i*n:(i+1)*n]
+		if encrypt {
+			if w.key >= 0 {
+				w.slot.hasW = false
+			}
+			xor(w.dst[:nm], x[:nm], s)
+			w.slot.kprf.SumInto(w.dst[nm:], s)
+			xor(w.dst[nm:], w.dst[nm:], x[nm:])
+			continue
+		}
+		w.slot.kprf.SumInto(x[nm:], s)
+		xor(x[nm:], x[nm:], w.src[nm:])
 	}
 
-	// Pass 4: the W decisions replayed in word order — a slot that took a
-	// new L_i forgets its W — then E⁻¹ of every X_i the memo lacks in one
-	// call.
-	xs := grow(&c.xs, k*n)
-	misses = 0
+	if !encrypt {
+		c.invert(xw, xs)
+	}
+
+	// The current document stays, its AES_K(docID) computed.
+	c.docs[0] = c.docs[len(c.docs)-1]
+	c.docs, c.enc = c.docs[:1], 1
+	clear(c.words) // drop the references to the caller's buffers
+	c.words = c.words[:0]
+}
+
+// invert is a decryption run's pass 5: the W decisions replayed in word
+// order — a slot that took a new L_i forgets its W — then E⁻¹ of every
+// X_i (packed in xw) the memo lacks in one call, through xs.
+func (c *Codec) invert(xw, xs []byte) {
+	n := c.s.params.WordLen
+	misses := 0
 	for i := range c.words {
 		w := &c.words[i]
 		slot, x := w.slot, xw[i*n:(i+1)*n]
@@ -500,12 +528,6 @@ func (c *Codec) DecryptRun() {
 			slot.pend = -1
 		}
 	}
-
-	// The current document stays, its AES_K(docID) computed.
-	c.docs[0] = c.docs[len(c.docs)-1]
-	c.docs, c.enc = c.docs[:1], 1
-	clear(c.words) // drop the references to the caller's buffers
-	c.words = c.words[:0]
 }
 
 // lookup returns the memo slot for the word value whose L_i is l — the

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ph"
 )
@@ -106,8 +107,18 @@ func carve(region []byte, off int, src []byte) ([]byte, int) {
 	return region[off:end:end], end
 }
 
-// EncodeTable serialises an encrypted table.
+// EncodeTable serialises an encrypted table. It grows dst once, to the
+// encoding's exact size: a bulk load is megabytes, and growing by appends
+// would copy it about twice over.
 func EncodeTable(dst []byte, t *ph.EncryptedTable) []byte {
+	n := 12 + len(t.SchemeID) + len(t.Meta)
+	for _, tp := range t.Tuples {
+		n += 12 + len(tp.ID) + len(tp.Blob) + 4*len(tp.Words)
+		for _, w := range tp.Words {
+			n += len(w)
+		}
+	}
+	dst = slices.Grow(dst, n)
 	dst = AppendString(dst, t.SchemeID)
 	dst = AppendBytes(dst, t.Meta)
 	dst = AppendU32(dst, uint32(len(t.Tuples)))
