@@ -124,7 +124,7 @@ type LogChunk struct {
 	// Epoch names the log file the records belong to; it changes when
 	// the primary compacts.
 	Epoch uint64
-	// Start is the sequence of the first record in Records. When it (or
+	// Start is the sequence of the first record in Log. When it (or
 	// Epoch) differs from the cursor the follower asked with, the
 	// follower's history is gone and it must reset and re-apply from
 	// Start.
@@ -132,8 +132,9 @@ type LogChunk struct {
 	// Head is the primary's record count; the follower is caught up when
 	// its cursor reaches it.
 	Head uint64
-	// Records are the shipped records, in log order.
-	Records []wire.LogRecord
+	// Log is the shipped records, whole and in log order, exactly as the
+	// primary's log file holds them (storage.ApplyShipped's input).
+	Log []byte
 }
 
 // ShipLog requests log records from the follower's cursor (epoch, from),
@@ -160,24 +161,8 @@ func (c *Conn) ShipLog(epoch, from uint64, maxBytes uint32) (*LogChunk, error) {
 	if ch.Head, err = r.U64(); err != nil {
 		return nil, fmt.Errorf("client: log chunk head: %w", err)
 	}
-	n, err := r.U32()
-	if err != nil {
-		return nil, fmt.Errorf("client: log chunk count: %w", err)
-	}
-	if int(n) > r.Remaining() {
-		return nil, fmt.Errorf("client: log chunk count %d exceeds remaining payload", n)
-	}
-	ch.Records = make([]wire.LogRecord, 0, wire.ClampCount(n, r.Remaining()/5))
-	for i := uint32(0); i < n; i++ {
-		op, err := r.U8()
-		if err != nil {
-			return nil, fmt.Errorf("client: log record %d op: %w", i, err)
-		}
-		p, err := r.Bytes()
-		if err != nil {
-			return nil, fmt.Errorf("client: log record %d payload: %w", i, err)
-		}
-		ch.Records = append(ch.Records, wire.LogRecord{Op: op, Payload: p})
+	if ch.Log, err = r.Bytes(); err != nil {
+		return nil, fmt.Errorf("client: log chunk records: %w", err)
 	}
 	return ch, nil
 }

@@ -5,8 +5,21 @@ import (
 	"testing"
 )
 
+// registerForTest registers ev under id until the test ends, so a
+// re-run (-count) registers afresh instead of tripping the duplicate
+// panic.
+func registerForTest(t *testing.T, id string, ev Evaluator) {
+	t.Helper()
+	RegisterEvaluator(id, ev)
+	t.Cleanup(func() {
+		evalMu.Lock()
+		delete(evaluators, id)
+		evalMu.Unlock()
+	})
+}
+
 func TestRegistryDispatch(t *testing.T) {
-	RegisterEvaluator("test-dispatch", func(et *EncryptedTable, q *EncryptedQuery) (*Result, error) {
+	registerForTest(t, "test-dispatch", func(et *EncryptedTable, q *EncryptedQuery) (*Result, error) {
 		return SelectPositions(et, []int{0}), nil
 	})
 	et := &EncryptedTable{
@@ -40,7 +53,7 @@ func TestApplyUnknownScheme(t *testing.T) {
 }
 
 func TestRegisterDuplicatePanics(t *testing.T) {
-	RegisterEvaluator("test-dup", func(*EncryptedTable, *EncryptedQuery) (*Result, error) { return nil, nil })
+	registerForTest(t, "test-dup", func(*EncryptedTable, *EncryptedQuery) (*Result, error) { return nil, nil })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
@@ -59,8 +72,8 @@ func TestRegisterNilPanics(t *testing.T) {
 }
 
 func TestEvaluatorsSorted(t *testing.T) {
-	RegisterEvaluator("test-zz", func(*EncryptedTable, *EncryptedQuery) (*Result, error) { return nil, nil })
-	RegisterEvaluator("test-aa", func(*EncryptedTable, *EncryptedQuery) (*Result, error) { return nil, nil })
+	registerForTest(t, "test-zz", func(*EncryptedTable, *EncryptedQuery) (*Result, error) { return nil, nil })
+	registerForTest(t, "test-aa", func(*EncryptedTable, *EncryptedQuery) (*Result, error) { return nil, nil })
 	ids := Evaluators()
 	for i := 1; i < len(ids); i++ {
 		if ids[i-1] > ids[i] {

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -45,11 +44,11 @@ func srvDial(srv *server.Server) func() (*client.Conn, error) {
 // mid-transfer assertions.
 func snapshotTotal(t *testing.T, p *primary) uint64 {
 	t.Helper()
-	var buf bytes.Buffer
-	if _, err := p.store.WriteSnapshot(&buf); err != nil {
+	_, _, _, total, _, err := p.store.ReadSnapshot(0, 0, 0, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return uint64(buf.Len())
+	return total
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {

@@ -423,15 +423,14 @@ func (f *Follower) apply(epoch, seq uint64, ch *client.LogChunk) (behind bool, e
 		f.logf("replica: cursor (%d,%d) rotated away (primary at epoch %d); snapshot bootstrap", epoch, seq, ch.Epoch)
 		return true, nil
 	}
-	for i, rec := range ch.Records {
-		if aerr := f.store.ApplyShipped(rec); aerr != nil {
-			f.invalidate()
-			return true, fmt.Errorf("replica: applying record %d of (%d,%d): %w", i, ch.Epoch, ch.Start, aerr)
-		}
-		seq++
-		f.mu.Lock()
-		f.appliedRecs++
-		f.mu.Unlock()
+	applied, aerr := f.store.ApplyShipped(ch.Log)
+	seq += uint64(applied)
+	f.mu.Lock()
+	f.appliedRecs += uint64(applied)
+	f.mu.Unlock()
+	if aerr != nil {
+		f.invalidate()
+		return true, fmt.Errorf("replica: applying chunk (%d,%d): %w", ch.Epoch, ch.Start, aerr)
 	}
 	f.mu.Lock()
 	f.epoch, f.seq, f.head = epoch, seq, ch.Head

@@ -155,11 +155,12 @@ func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 		return wire.Frame{Type: wire.RespList, Payload: wire.EncodeList(scratch, b.store.List())}, nil
 
 	case wire.CmdShipLog:
-		// Log shipping for read replicas: answer with records of the
-		// current log file from the follower's cursor. The store clamps
-		// everything hostile — an unknown epoch or a sequence past the
-		// head is answered from the log's origin, and the byte budget caps
-		// the answer regardless of what the peer asked for.
+		// Log shipping for read replicas: answer with whole records of the
+		// current log file, as the file holds them, from the follower's
+		// cursor. The store clamps everything hostile — an unknown epoch
+		// or a sequence past the head is answered from the log's origin,
+		// and the byte budget caps the answer regardless of what the peer
+		// asked for.
 		reqEpoch, err := r.U64()
 		if err != nil {
 			return wire.Frame{}, err
@@ -175,18 +176,14 @@ func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 		if err != nil {
 			return wire.Frame{}, err
 		}
-		recs, epoch, start, head, err := b.store.ReadLog(reqEpoch, from, maxBytes)
+		log, epoch, start, head, err := b.store.ReadLog(reqEpoch, from, maxBytes)
 		if err != nil {
 			return wire.Frame{}, err
 		}
 		payload := wire.AppendU64(scratch, epoch)
 		payload = wire.AppendU64(payload, start)
 		payload = wire.AppendU64(payload, head)
-		payload = wire.AppendU32(payload, uint32(len(recs)))
-		for _, rec := range recs {
-			payload = wire.AppendU8(payload, rec.Op)
-			payload = wire.AppendBytes(payload, rec.Payload)
-		}
+		payload = wire.AppendBytes(payload, log)
 		return wire.Frame{Type: wire.RespLogChunk, Payload: payload}, nil
 
 	case wire.CmdShipSnapshot:

@@ -2,9 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -233,6 +235,38 @@ func TestRecoveryCorruptLengthDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	reopenExpect(t, path, want)
+}
+
+// TestRecoveryLengthBeyondFileAllocatesNothing: a torn record whose
+// length field declares 60 MiB — under the frame cap, far past the
+// bytes the file holds — is refused before its payload is allocated,
+// and replay truncates it away as before.
+func TestRecoveryLengthBeyondFileAllocatesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.log")
+	data := appendWALRecord(nil, opStore, fuzzStorePayload("emp", 1))
+	keep := len(data)
+	data = binary.BigEndian.AppendUint32(append(data, walMagic, opStore), 60<<20)
+	data = append(data, make([]byte, 100-len(data))...)
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := OpenOptions(path, Options{Sync: SyncNever})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("replaying a %d-byte log allocated %d bytes", len(data), n)
+	}
+	if _, err := s.Get("emp"); err != nil {
+		t.Fatalf("the record before the torn one was lost: %v", err)
+	}
+	if size, err := s.LogSize(); err != nil || size != int64(keep) {
+		t.Fatalf("log is %d bytes after replay (err %v), want it truncated to %d", size, err, keep)
+	}
 }
 
 // TestRecoveryRejectsRecordWithoutMagic: a record boundary that does not

@@ -41,9 +41,10 @@ func v0Record(op byte, payload []byte) []byte {
 // and must stop-and-truncate at the first record it cannot vouch for:
 // after a successful open, a reopen must reproduce exactly the same
 // state, and the on-disk tail it truncated must stay truncated. And
-// because replay and log shipping read the log through one iterator,
-// the records Open keeps must be exactly — count, op, payload — the
-// records ReadLog then ships from sequence 0.
+// because replay and log shipping read the log through one reader, the
+// chunks ReadLog ships from sequence 0, concatenated, must be exactly
+// the file replay kept — and that file must be exactly what the log
+// writer frames.
 func FuzzReplay(f *testing.F) {
 	store := fuzzStorePayload("emp", 3)
 	insert := fuzzInsertPayload("emp", 2)
@@ -97,6 +98,12 @@ func FuzzReplay(f *testing.F) {
 	hostile := wire.AppendU32(wire.AppendString(nil, "emp"), 0xFFFFFFFF)
 	f.Add(append(appendWALRecord(nil, opStore, store), appendWALRecord(nil, opInsert, hostile)...))
 
+	// A stored checksum flipped on a record whose bytes would otherwise
+	// apply cleanly: only the CRC check keeps it out of the store.
+	badCRC := append([]byte(nil), valid...)
+	badCRC[len(appendWALRecord(nil, opStore, store))+7] ^= 0x01
+	f.Add(badCRC)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "wal.log")
 		if err := os.WriteFile(path, data, 0o600); err != nil {
@@ -109,25 +116,27 @@ func FuzzReplay(f *testing.F) {
 		list1 := s.List()
 		epoch, head1 := s.LogHead()
 		// Replay truncated the file to exactly the records it kept, so
-		// re-framing what ReadLog ships must reproduce the file.
+		// what ReadLog ships must be the file, byte for byte.
 		kept, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !bytes.Equal(reframed(t, kept), kept) {
+			t.Fatal("replay kept record bytes the log writer would not have framed")
+		}
 		var shipped []byte
 		var seq uint64
 		for seq < head1 {
-			recs, _, start, _, err := s.ReadLog(epoch, seq, 1<<20)
+			log, _, start, _, err := s.ReadLog(epoch, seq, 1<<20)
 			if err != nil {
 				t.Fatalf("ReadLog at %d: %v", seq, err)
 			}
-			if start != seq || len(recs) == 0 {
-				t.Fatalf("ReadLog at %d of %d answered from %d with %d records", seq, head1, start, len(recs))
+			n := shippedRecords(t, log)
+			if start != seq || n == 0 {
+				t.Fatalf("ReadLog at %d of %d answered from %d with %d records", seq, head1, start, n)
 			}
-			for _, rec := range recs {
-				shipped = appendWALRecord(shipped, rec.Op, rec.Payload)
-			}
-			seq += uint64(len(recs))
+			shipped = append(shipped, log...)
+			seq += uint64(n)
 		}
 		if seq != head1 || !bytes.Equal(shipped, kept) {
 			t.Fatalf("replay kept %d records (%d bytes), shipping served %d (%d bytes): the two readers disagree", head1, len(kept), seq, len(shipped))

@@ -8,9 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
-
-	"repro/internal/wire"
 )
 
 // Log shipping: the surface a read replica tails a primary through
@@ -18,17 +15,20 @@ import (
 //
 // The write-ahead log is a total order of mutations starting from the
 // empty store, and a follower stays current by polling for records past
-// its cursor. A cursor is the pair (epoch, seq): seq indexes records of
-// the current log file, and the epoch — a random identifier persisted
-// in a sidecar next to the log — names which file that sequence space
-// belongs to. Compact rewrites the file, making old sequence numbers
-// meaningless, so it rotates the epoch; a follower presenting a cursor
-// from a rotated (or otherwise unknown) epoch is answered from
-// (currentEpoch, 0), telling it to re-bootstrap instead of silently
-// diverging. A follower bootstraps by installing a checksummed snapshot
-// that embeds the cursor it corresponds to (see snapshot.go) — O(state)
-// work however long the log is. A durable follower additionally persists
-// its cursor's provenance in a ship-base sidecar so a restart resumes
+// its cursor. What it receives is log bytes — whole records exactly as
+// the primary's file holds them — read on both sides by the one log
+// reader, so the follower checks the CRC the primary wrote. A cursor is
+// the pair (epoch, seq): seq indexes records of the current log file,
+// and the epoch — a random identifier persisted in a sidecar next to the
+// log — names which file that sequence space belongs to. Compact
+// rewrites the file, making old sequence numbers meaningless, so it
+// rotates the epoch; a follower presenting a cursor from a rotated (or
+// otherwise unknown) epoch is answered from (currentEpoch, 0), telling
+// it to re-bootstrap instead of silently diverging. A follower
+// bootstraps by installing a snapshot — a compacted log behind the
+// cursor it corresponds to (see snapshot.go) — O(state) work however
+// long the log is. A durable follower additionally persists its
+// cursor's provenance in a ship-base sidecar so a restart resumes
 // tailing where it left off.
 //
 // Trust model: replication adds nothing for Eve to learn — shipped
@@ -261,15 +261,16 @@ func (s *Store) LogHead() (epoch, head uint64) {
 	return s.epoch, s.wal.records()
 }
 
-// ReadLog serves one log-shipping poll: records of the current log file
-// starting at the cursor (reqEpoch, from), at most maxBytes of payload
-// (clamped; at least one record is shipped when any is available, so a
-// single huge record cannot stall a follower forever). It returns the
-// epoch and start sequence actually served, plus the log's record head.
-// A cursor ReadLog cannot honour — a rotated epoch, or a sequence past
-// the head — is answered from (currentEpoch, 0), telling the follower
-// to re-bootstrap; a follower therefore fetches a snapshot whenever the
-// reply's epoch or start differs from its cursor.
+// ReadLog serves one log-shipping poll: whole records of the current log
+// file starting at the cursor (reqEpoch, from), exactly as the file holds
+// them, at most maxBytes of them (clamped; at least one record is
+// shipped when any is available, so a single huge record cannot stall a
+// follower forever). It returns the epoch and start sequence actually
+// served, plus the log's record head. A cursor ReadLog cannot honour — a
+// rotated epoch, or a sequence past the head — is answered from
+// (currentEpoch, 0), telling the follower to re-bootstrap; a follower
+// therefore fetches a snapshot whenever the reply's epoch or start
+// differs from its cursor.
 //
 // Concurrency: the epoch is read under the store's read lock before and
 // after the file scan. Compact holds the store lock exclusively across
@@ -281,7 +282,7 @@ func (s *Store) LogHead() (epoch, head uint64) {
 // are safe: the scanner stops at the first torn or CRC-failing record,
 // and the head it reports never exceeds what the writer had accepted at
 // lock time.
-func (s *Store) ReadLog(reqEpoch, from uint64, maxBytes uint32) (recs []wire.LogRecord, epoch, start, head uint64, err error) {
+func (s *Store) ReadLog(reqEpoch, from uint64, maxBytes uint32) (log []byte, epoch, start, head uint64, err error) {
 	s.mu.RLock()
 	if s.wal == nil {
 		s.mu.RUnlock()
@@ -310,11 +311,10 @@ func (s *Store) ReadLog(reqEpoch, from uint64, maxBytes uint32) (recs []wire.Log
 	}
 	s.shipMu.Unlock()
 
-	want := head - from
-	if want > maxShipRecords {
-		want = maxShipRecords
+	log, n, nextOff, err := scanShipRecords(f, off, skip, min(head-from, maxShipRecords), maxBytes)
+	if err != nil {
+		return nil, 0, 0, 0, err
 	}
-	recs, nextOff := scanShipRecords(f, off, skip, want, maxBytes)
 
 	// Re-check the epoch: if Compact swapped the file mid-scan, the bytes
 	// read may straddle two files. Discard and tell the follower to
@@ -326,96 +326,78 @@ func (s *Store) ReadLog(reqEpoch, from uint64, maxBytes uint32) (recs []wire.Log
 	if e2 != e1 {
 		return nil, e2, 0, head2, nil
 	}
-	if len(recs) > 0 {
+	if n > 0 {
 		s.shipMu.Lock()
-		s.shipEpoch, s.shipSeq, s.shipOff = e1, from+uint64(len(recs)), nextOff
+		s.shipEpoch, s.shipSeq, s.shipOff = e1, from+n, nextOff
 		s.shipMu.Unlock()
 	}
-	return recs, e1, start, head, nil
+	return log, e1, start, head, nil
 }
 
 // scanShipRecords reads up to want records from the log file starting
 // at byte offset off, first skipping skip records, stopping early once
-// maxBytes of payload are exceeded (but never before the first record).
-// The log reader ends the scan at anything it cannot vouch for — a torn
+// the records exceed maxBytes (but never before the first one). The
+// log reader ends the scan at anything it cannot vouch for — a torn
 // header, a CRC mismatch, a concurrent append's half-written tail; the
-// follower just gets a shorter chunk and polls again. nextOff is the
-// byte offset one past the last record returned.
-func scanShipRecords(f *os.File, off int64, skip, want uint64, maxBytes uint32) (recs []wire.LogRecord, nextOff int64) {
-	budget := max(int64(maxBytes), 1)
-	br := bufio.NewReaderSize(io.NewSectionReader(f, off, 1<<62), 1<<16)
-	nextOff = off
-	var spent int64
-	for uint64(len(recs)) < want {
-		op, payload, ok := readWALRecord(br)
+// follower just gets a shorter chunk and polls again. It returns the
+// records as the file holds them, how many there are, and the byte
+// offset one past the last.
+func scanShipRecords(f *os.File, off int64, skip, want uint64, maxBytes uint32) (log []byte, n uint64, nextOff int64, err error) {
+	info, err := f.Stat()
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("storage: stat log for shipping: %w", err)
+	}
+	size, budget := info.Size(), max(int(maxBytes), 1)
+	br := bufio.NewReaderSize(io.NewSectionReader(f, off, max(size-off, 0)), 1<<16)
+	for nextOff = off; n < want; {
+		next, ok := readWALRecord(br, size-nextOff, log)
 		if !ok {
 			break
 		}
-		recLen := walV1HdrLen + int64(len(payload))
 		if skip > 0 {
 			skip--
-			nextOff += recLen
+			nextOff += int64(len(next)) // nothing is kept while skipping
+			log = next[:0]
 			continue
 		}
-		if len(recs) > 0 && spent+recLen > budget {
+		if n > 0 && len(next) > budget {
 			break
 		}
-		recs = append(recs, wire.LogRecord{Op: op, Payload: payload})
-		spent += recLen
-		nextOff += recLen
+		nextOff += int64(len(next) - len(log))
+		log, n = next, n+1
 	}
-	return recs, nextOff
+	return log, n, nextOff, nil
 }
 
-// ApplyShipped applies one shipped log record through the store's
-// normal mutation paths — Put, Append, Drop — so locking, versioning,
-// cache invalidation and incremental authenticated-index maintenance
-// all behave exactly as if the mutation arrived from a client. That is
-// what makes a follower's Merkle roots bit-identical to the primary's:
-// same tuple bytes, same leaf hashes, same tree. Any error (malformed
-// payload, insert into a table the follower does not have) means the
-// follower's view has diverged and it must re-bootstrap.
-func (s *Store) ApplyShipped(rec wire.LogRecord) error {
-	m, err := decodeRecord(rec.Op, rec.Payload)
-	if err != nil {
-		return fmt.Errorf("storage: shipped record: %w", err)
-	}
-	switch rec.Op {
-	case opStore:
-		return s.Put(m.name, m.table)
-	case opInsert:
-		return s.Append(m.name, m.tuples)
-	default:
-		return s.Drop(m.name)
-	}
-}
-
-// lockAllEntries write-locks every catalogued entry in sorted name
-// order (the store lock is held exclusively, so the set is stable).
-func (s *Store) lockAllEntries() []*tableEntry {
-	names := make([]string, 0, len(s.tables))
-	for name := range s.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	entries := make([]*tableEntry, 0, len(names))
-	for _, name := range names {
-		e := s.tables[name]
-		e.mu.Lock()
-		entries = append(entries, e)
-	}
-	return entries
-}
-
-// unlockEntries releases lockAllEntries, marking the entries stale when
-// the catalogue is about to replace them (retire=true). On an aborted
-// swap the entries stay live — leaving them marked stale while still
-// catalogued would send retrying appenders into a spin.
-func unlockEntries(entries []*tableEntry, retire bool) {
-	for _, e := range entries {
-		if retire {
-			e.stale = true
+// ApplyShipped applies a shipped chunk (whole log records, as ReadLog
+// returns them) one record at a time through the store's normal
+// mutation paths — Put, Append, Drop — so locking, versioning, cache
+// invalidation and incremental authenticated-index maintenance all
+// behave exactly as if the mutation arrived from a client. That is what
+// makes a follower's Merkle roots bit-identical to the primary's: same
+// tuple bytes, same leaf hashes, same tree. The chunk is read with the
+// log's own reader, so the CRC the primary wrote is checked here. It
+// returns how many records were applied; any error (a byte the reader
+// cannot vouch for, a malformed payload, an insert into a table the
+// follower does not have) means the follower's view has diverged and it
+// must re-bootstrap.
+func (s *Store) ApplyShipped(log []byte) (applied int, err error) {
+	applied, err = eachWALRecord(log, func(op byte, payload []byte) error {
+		m, err := decodeRecord(op, payload)
+		if err != nil {
+			return err
 		}
-		e.mu.Unlock()
+		switch op {
+		case opStore:
+			return s.Put(m.name, m.table)
+		case opInsert:
+			return s.Append(m.name, m.tuples)
+		default:
+			return s.Drop(m.name)
+		}
+	})
+	if err != nil {
+		return applied, fmt.Errorf("storage: shipped chunk: %w", err)
 	}
+	return applied, nil
 }

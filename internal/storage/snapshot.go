@@ -1,24 +1,21 @@
 package storage
 
 // Snapshot shipping: how followers bootstrap, in O(state) work however
-// long the primary's log is. A snapshot is a self-verifying byte string
-// — every field that steers decoding is checksummed before it is
-// believed — that captures the catalogue at one shipping cursor and
-// embeds that cursor, so the installer knows exactly where to resume
-// tailing.
+// long the primary's log is. A snapshot is a compacted log behind a
+// cursor header — the exact bytes Compact would write, one opStore WAL
+// record per table in name order, prefixed by the shipping cursor they
+// correspond to and sealed by a CRC — so the installer knows exactly
+// where to resume tailing, and a durable installer's new log is the
+// snapshot's body verbatim.
 //
 // Format (all integers big-endian):
 //
-//	header:   magic "PHSNAP1\x00" | epoch:u64 | seq:u64 | count:u32 | hdrCRC:u32
-//	records:  count × ( len:u32 | payload | payCRC:u32 )
-//	trailer:  totalCRC:u32
+//	magic "PHSNAP2\x00" | epoch:u64 | seq:u64 | opStore WAL records | totalCRC:u32
 //
-// hdrCRC (Castagnoli, like the WAL's) covers the header bytes before
-// it; payCRC covers one record's payload; totalCRC covers every byte
-// before itself, sealing the whole string. A record payload is exactly
-// an opStore WAL payload — name then encoded table — which is what lets
-// a durable installer write the snapshot's tables straight back out as
-// its own fresh log.
+// totalCRC (Castagnoli, like the WAL's) covers every byte before itself,
+// sealing the cursor; each record carries its own WAL CRC and is read by
+// the log's own reader (readWALRecord), so a snapshot has no framing of
+// its own to parse.
 //
 // Transfer is chunked and resumable: ReadSnapshot serves byte ranges of
 // one immutable encoded snapshot, identified by its embedded cursor. A
@@ -31,16 +28,12 @@ package storage
 // worst fail the install, never corrupt it.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"os"
-	"sort"
 
 	"repro/internal/cache"
-	"repro/internal/ph"
-	"repro/internal/wire"
 )
 
 // ShipCursor names a position in a primary's shipping stream: seq
@@ -51,16 +44,12 @@ type ShipCursor struct {
 }
 
 const (
-	snapMagic  = "PHSNAP1\x00"
-	snapHdrLen = 8 + 8 + 8 + 4 + 4 // magic, epoch, seq, count, hdrCRC
+	snapMagic  = "PHSNAP2\x00"
+	snapHdrLen = 8 + 8 + 8 // magic, epoch, seq
 	// snapMinLen is the smallest well-formed snapshot: empty catalogue,
 	// header plus trailer CRC.
 	snapMinLen = snapHdrLen + 4
 
-	// maxSnapTables caps the declared table count before any allocation
-	// trusts it. The real bound is maxSnapshotBytes / bytes-per-record;
-	// this just keeps a hostile count from sizing slices.
-	maxSnapTables = 1 << 20
 	// maxSnapChunk caps the bytes one ReadSnapshot answer carries,
 	// whatever budget the (possibly hostile) peer asked for.
 	maxSnapChunk = 4 << 20
@@ -69,75 +58,30 @@ const (
 	maxSnapshotBytes = 1 << 30
 )
 
-// snapRecord is one decoded snapshot record: the table, its name, and
-// the raw payload bytes (reused verbatim as an opStore WAL payload by
-// the durable install path).
-type snapRecord struct {
-	name    string
-	table   *ph.EncryptedTable
-	payload []byte
-}
-
 // buildSnapshot encodes the current catalogue under the store's read
-// lock plus every table's read lock (sorted): Put/Drop/Compact are held
-// off by the store lock, appends by the table locks, so the state
-// captured and the cursor stamped into the header are one consistent
-// cut. Queries proceed throughout.
+// lock plus every table's read lock: Put/Drop/Compact are held off by
+// the store lock, appends by the table locks, so the state captured and
+// the cursor stamped into the header are one consistent cut. Queries
+// proceed throughout.
 func (s *Store) buildSnapshot() ([]byte, ShipCursor, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.tables))
-	for name := range s.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		e := s.tables[name]
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-	}
+	names, unlock := s.lockCatalog(false)
+	defer unlock()
 	cur := ShipCursor{Epoch: s.epoch}
 	if s.wal != nil {
 		cur.Seq = s.wal.records()
 	}
-	buf := make([]byte, 0, snapMinLen)
-	buf = append(buf, snapMagic...)
-	buf = binary.BigEndian.AppendUint64(buf, cur.Epoch)
-	buf = binary.BigEndian.AppendUint64(buf, cur.Seq)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(names)))
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-	for _, name := range names {
-		e := s.tables[name]
-		payload := wire.AppendString(nil, name)
-		payload = wire.EncodeTable(payload, e.t)
-		// The same cap Compact enforces: a record above the frame cap
-		// would be rejected on decode, so refuse to emit it.
-		if len(payload) > wire.MaxFrameSize {
-			return nil, ShipCursor{}, fmt.Errorf("storage: table %q snapshots to %d bytes, above the %d-byte record cap", name, len(payload), wire.MaxFrameSize)
-		}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-		buf = append(buf, payload...)
-		buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
+	buf := binary.BigEndian.AppendUint64([]byte(snapMagic), cur.Epoch)
+	w := bytes.NewBuffer(binary.BigEndian.AppendUint64(buf, cur.Seq))
+	if _, err := s.writeCatalog(w, names); err != nil {
+		return nil, ShipCursor{}, err
 	}
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	buf = binary.BigEndian.AppendUint32(w.Bytes(), crc32.Checksum(w.Bytes(), castagnoli))
 	if len(buf) > maxSnapshotBytes {
 		return nil, ShipCursor{}, fmt.Errorf("storage: snapshot of %d bytes exceeds maximum %d", len(buf), maxSnapshotBytes)
 	}
 	return buf, cur, nil
-}
-
-// WriteSnapshot encodes a consistent snapshot of the catalogue to w and
-// returns the shipping cursor it corresponds to. The write happens
-// outside all store locks.
-func (s *Store) WriteSnapshot(w io.Writer) (ShipCursor, error) {
-	buf, cur, err := s.buildSnapshot()
-	if err != nil {
-		return ShipCursor{}, err
-	}
-	if _, err := w.Write(buf); err != nil {
-		return ShipCursor{}, fmt.Errorf("storage: writing snapshot: %w", err)
-	}
-	return cur, nil
 }
 
 // ReadSnapshot serves one chunk of an encoded snapshot for a
@@ -192,80 +136,51 @@ func (s *Store) ReadSnapshot(reqEpoch, reqSeq, offset uint64, maxBytes uint32) (
 	return buf[offset : offset+budget], e, q, total, offset, nil
 }
 
-// decodeSnapshot verifies and decodes a fully reassembled snapshot.
-// Everything is checked before anything is returned — magic, header
-// CRC, declared count against hard caps, every record's length and
-// payload CRC, the sealing total CRC, exact end-of-input, and that
-// every payload decodes to a well-formed named table with no trailing
-// bytes — so an installer can swap state on success knowing no field
-// was believed unchecked. Install soundness beyond well-formedness
-// (a cursor from the future) is the caller's to judge: the cursor is
-// data here.
-func decodeSnapshot(b []byte) ([]snapRecord, ShipCursor, error) {
+// decodeSnapshot verifies and decodes a fully reassembled snapshot,
+// returning its tables in record order, its body — a compacted log —
+// and its cursor. Everything is checked before anything is returned:
+// the size cap, the magic and the sealing total CRC, then the body
+// through the log's own reader — every record a whole opStore record
+// that decodeRecord accepts, naming a non-empty table no earlier record
+// named, the last one ending exactly at the trailer — so an installer
+// can swap state on success knowing no field was believed unchecked.
+// Install soundness beyond well-formedness (a cursor from the future)
+// is the caller's to judge: the cursor is data here.
+func decodeSnapshot(b []byte) (tables []mutation, log []byte, cur ShipCursor, err error) {
 	if len(b) > maxSnapshotBytes {
-		return nil, ShipCursor{}, fmt.Errorf("storage: snapshot of %d bytes exceeds maximum %d", len(b), maxSnapshotBytes)
+		return nil, nil, ShipCursor{}, fmt.Errorf("storage: snapshot of %d bytes exceeds maximum %d", len(b), maxSnapshotBytes)
 	}
 	if len(b) < snapMinLen {
-		return nil, ShipCursor{}, fmt.Errorf("storage: snapshot truncated: %d bytes", len(b))
+		return nil, nil, ShipCursor{}, fmt.Errorf("storage: snapshot truncated: %d bytes", len(b))
 	}
 	if string(b[:8]) != snapMagic {
-		return nil, ShipCursor{}, fmt.Errorf("storage: bad snapshot magic")
-	}
-	if crc32.Checksum(b[:snapHdrLen-4], castagnoli) != binary.BigEndian.Uint32(b[snapHdrLen-4:]) {
-		return nil, ShipCursor{}, fmt.Errorf("storage: snapshot header checksum mismatch")
-	}
-	cur := ShipCursor{Epoch: binary.BigEndian.Uint64(b[8:]), Seq: binary.BigEndian.Uint64(b[16:])}
-	count := binary.BigEndian.Uint32(b[24:])
-	if count > maxSnapTables {
-		return nil, ShipCursor{}, fmt.Errorf("storage: snapshot declares %d tables, above the %d cap", count, maxSnapTables)
+		return nil, nil, ShipCursor{}, fmt.Errorf("storage: bad snapshot magic")
 	}
 	if crc32.Checksum(b[:len(b)-4], castagnoli) != binary.BigEndian.Uint32(b[len(b)-4:]) {
-		return nil, ShipCursor{}, fmt.Errorf("storage: snapshot total checksum mismatch")
+		return nil, nil, ShipCursor{}, fmt.Errorf("storage: snapshot checksum mismatch")
 	}
-	body := b[snapHdrLen : len(b)-4]
-	recs := make([]snapRecord, 0, wire.ClampCount(count, 1024))
-	seen := make(map[string]bool, wire.ClampCount(count, 1024))
-	for i := uint32(0); i < count; i++ {
-		if len(body) < 4 {
-			return nil, ShipCursor{}, fmt.Errorf("storage: snapshot record %d: truncated length", i)
+	log = b[snapHdrLen : len(b)-4]
+	seen := make(map[string]bool)
+	if _, err := eachWALRecord(log, func(op byte, payload []byte) error {
+		if op != opStore {
+			return fmt.Errorf("op %#x is not a table", op)
 		}
-		n := binary.BigEndian.Uint32(body)
-		if n > wire.MaxFrameSize {
-			return nil, ShipCursor{}, fmt.Errorf("storage: snapshot record %d: %d bytes exceeds the %d-byte record cap", i, n, wire.MaxFrameSize)
+		m, err := decodeRecord(op, payload)
+		switch {
+		case err != nil:
+			return err
+		case m.name == "":
+			return fmt.Errorf("empty table name")
+		case seen[m.name]:
+			return fmt.Errorf("table %q repeated", m.name)
 		}
-		if uint64(len(body)) < 4+uint64(n)+4 {
-			return nil, ShipCursor{}, fmt.Errorf("storage: snapshot record %d: truncated payload", i)
-		}
-		payload := body[4 : 4+n]
-		if crc32.Checksum(payload, castagnoli) != binary.BigEndian.Uint32(body[4+n:]) {
-			return nil, ShipCursor{}, fmt.Errorf("storage: snapshot record %d: payload checksum mismatch", i)
-		}
-		body = body[4+n+4:]
-		r := wire.NewBuffer(payload)
-		name, err := r.String()
-		if err != nil {
-			return nil, ShipCursor{}, fmt.Errorf("storage: snapshot record %d: %w", i, err)
-		}
-		if name == "" {
-			return nil, ShipCursor{}, fmt.Errorf("storage: snapshot record %d: empty table name", i)
-		}
-		if seen[name] {
-			return nil, ShipCursor{}, fmt.Errorf("storage: snapshot repeats table %q", name)
-		}
-		seen[name] = true
-		t, err := wire.DecodeTable(r)
-		if err != nil {
-			return nil, ShipCursor{}, fmt.Errorf("storage: snapshot record %d (%q): %w", i, name, err)
-		}
-		if r.Remaining() != 0 {
-			return nil, ShipCursor{}, fmt.Errorf("storage: snapshot record %d (%q): %d trailing payload bytes", i, name, r.Remaining())
-		}
-		recs = append(recs, snapRecord{name: name, table: t, payload: payload})
+		seen[m.name] = true
+		tables = append(tables, m)
+		return nil
+	}); err != nil {
+		return nil, nil, ShipCursor{}, fmt.Errorf("storage: snapshot body: %w", err)
 	}
-	if len(body) != 0 {
-		return nil, ShipCursor{}, fmt.Errorf("storage: %d snapshot bytes past the declared %d records", len(body), count)
-	}
-	return recs, cur, nil
+	return tables, log, ShipCursor{Epoch: binary.BigEndian.Uint64(b[8:]), Seq: binary.BigEndian.Uint64(b[16:])}, nil
 }
 
 // InstallSnapshot verifies data as a complete encoded snapshot and, on
@@ -275,59 +190,38 @@ func decodeSnapshot(b []byte) ([]snapRecord, ShipCursor, error) {
 // a log rewrite that cannot complete — the store keeps its previous
 // state and log, exactly as Compact does.
 //
-// For a durable store the snapshot's tables are first written out as a
-// fresh log (one store record each) and swapped in under the rotate
-// discipline of Compact: temp file, fsync, epoch rotation, rename. Only
-// after the swap is the in-memory catalogue replaced and the shipping
-// base recorded, so a crash at any point leaves either the old durable
-// state or the new one — never a blend.
+// For a durable store the snapshot's body — already a compacted log —
+// is swapped in verbatim as the new log under Compact's rotate
+// discipline (temp file, fsync, epoch rotation, rename). Only after the
+// swap is the in-memory catalogue replaced and the shipping base
+// recorded, so a crash at any point leaves either the old durable state
+// or the new one — never a blend.
 func (s *Store) InstallSnapshot(data []byte) (ShipCursor, error) {
-	recs, cur, err := decodeSnapshot(data)
+	tables, log, cur, err := decodeSnapshot(data)
 	if err != nil {
 		return ShipCursor{}, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	entries := s.lockAllEntries()
+	_, unlock := s.lockCatalog(true)
 	if s.wal != nil {
-		tmpPath := s.path + ".snapinstall"
-		tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o600)
-		if err != nil {
-			unlockEntries(entries, false)
-			return ShipCursor{}, fmt.Errorf("storage: creating snapshot-install log: %w", err)
-		}
-		var buf []byte
-		var size int64
-		for _, rec := range recs {
-			buf = appendWALRecord(buf[:0], opStore, rec.payload)
-			if _, err := tmp.Write(buf); err != nil {
-				_ = tmp.Close()
-				os.Remove(tmpPath)
-				unlockEntries(entries, false)
-				return ShipCursor{}, fmt.Errorf("storage: writing snapshot-install log: %w", err)
-			}
-			size += int64(len(buf))
-		}
 		//phlint:ignore lockio log rotation is stop-the-world by design: every table is quiesced and the swap must be atomic with the catalogue
-		if err := s.rotateLog(tmp, tmpPath, size, uint64(len(recs))); err != nil {
-			unlockEntries(entries, false)
+		if err := s.rotateLog(uint64(len(tables)), bytes.NewReader(log).WriteTo); err != nil {
+			unlock() // the swap was aborted: the entries stay live
 			return ShipCursor{}, err
 		}
 	}
-	unlockEntries(entries, true)
-	m := make(map[string]*tableEntry, len(recs))
-	for _, rec := range recs {
-		m[rec.name] = newTableEntry(rec.table, s.clock.Add(1))
+	for _, e := range s.tables {
+		e.stale = true // an appender that looked one up retries against the new catalogue
+	}
+	unlock()
+	m := make(map[string]*tableEntry, len(tables))
+	for _, t := range tables {
+		m[t.name] = newTableEntry(t.table, s.clock.Add(1))
 	}
 	s.tables = m
 	if s.cache != nil {
 		s.cache = cache.New(0)
-	}
-	if s.wal == nil {
-		// The durable path's rotateLog already dropped the serving cache.
-		s.snapMu.Lock()
-		s.snapBuf = nil
-		s.snapMu.Unlock()
 	}
 	// A failed sidecar write only costs a re-bootstrap after the next
 	// restart; the in-memory base is sound for this process.

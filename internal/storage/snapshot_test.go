@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -60,8 +62,7 @@ func assertSameRoots(t *testing.T, a, b *Store) {
 
 func TestSnapshotRoundTripMemory(t *testing.T) {
 	p, _ := buildPrimary(t)
-	var buf bytes.Buffer
-	cur, err := p.WriteSnapshot(&buf)
+	snap, cur, err := p.buildSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestSnapshotRoundTripMemory(t *testing.T) {
 		t.Fatalf("snapshot cursor (%d,%d), want the log head (%d,%d)", cur.Epoch, cur.Seq, wantEpoch, wantHead)
 	}
 	f := NewMemory()
-	got, err := f.InstallSnapshot(buf.Bytes())
+	got, err := f.InstallSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,13 +84,66 @@ func TestSnapshotRoundTripMemory(t *testing.T) {
 	}
 }
 
+// The byte format of buildPrimary's catalogue: its log as written, and
+// its log after Compact. Both are pinned so a change to the record
+// format — or to which records Compact writes — cannot pass unnoticed.
+const (
+	primaryLogSHA256       = "68f19405a25ffaa100d307ca8d7e46a0349bc458f25ffd760438639ae3f42f39"
+	primaryCompactedSHA256 = "9e05c0dcd7bf3cf0c15a98bc18c3c0f72262e74f4bb957a41df2a2eda5e0cea0"
+)
+
+// TestSnapshotBodyIsCompactedLog pins the single record format: for one
+// catalogue, the primary's log after Compact is exactly the record
+// section of its snapshot, and a durable follower that installs that
+// snapshot holds a log byte-identical to it — and to the pinned bytes.
+func TestSnapshotBodyIsCompactedLog(t *testing.T) {
+	p, path := buildPrimary(t)
+	digest := func(what, path, want string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+			t.Fatalf("%s: %d bytes with SHA-256 %s, want %s", what, len(b), got, want)
+		}
+		return b
+	}
+	digest("primary log", path, primaryLogSHA256)
+	if err := p.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	compacted := digest("compacted log", path, primaryCompactedSHA256)
+	snap, _, err := p.buildSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := snap[snapHdrLen : len(snap)-4]; !bytes.Equal(body, compacted) {
+		t.Fatalf("snapshot body (%d bytes) differs from the compacted log (%d bytes)", len(body), len(compacted))
+	}
+
+	fpath := filepath.Join(t.TempDir(), "follower.log")
+	f, err := Open(fpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.Put("stale", fakeTable(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.InstallSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	digest("follower log after install", fpath, primaryCompactedSHA256)
+	assertSameRoots(t, p, f)
+}
+
 // TestSnapshotInstallDurable pins the durable follower path: the
 // snapshot's contents survive the follower's own restart, and so does
 // the resume cursor — advanced by the records applied after install.
 func TestSnapshotInstallDurable(t *testing.T) {
 	p, _ := buildPrimary(t)
-	var buf bytes.Buffer
-	cur, err := p.WriteSnapshot(&buf)
+	snap, cur, err := p.buildSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +155,7 @@ func TestSnapshotInstallDurable(t *testing.T) {
 	if err := f.Put("stale", fakeTable(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.InstallSnapshot(buf.Bytes()); err != nil {
+	if _, err := f.InstallSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Get("stale"); err == nil {
@@ -113,15 +167,12 @@ func TestSnapshotInstallDurable(t *testing.T) {
 	if err := p.Append("dept", fakeTable(1).Tuples); err != nil {
 		t.Fatal(err)
 	}
-	recs, _, _, _, err := p.ReadLog(cur.Epoch, cur.Seq, 1<<20)
+	log, _, _, _, err := p.ReadLog(cur.Epoch, cur.Seq, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 {
-		t.Fatalf("shipped %d records from the snapshot cursor, want 1", len(recs))
-	}
-	if err := f.ApplyShipped(recs[0]); err != nil {
-		t.Fatal(err)
+	if n, err := f.ApplyShipped(log); err != nil || n != 1 {
+		t.Fatalf("applied %d records shipped from the snapshot cursor (err %v), want 1", n, err)
 	}
 	assertSameRoots(t, p, f)
 	if err := f.Close(); err != nil {
@@ -142,11 +193,10 @@ func TestSnapshotInstallDurable(t *testing.T) {
 // a corrupted snapshot must not disturb the store, in memory or on disk.
 func TestSnapshotInstallAtomic(t *testing.T) {
 	p, _ := buildPrimary(t)
-	var buf bytes.Buffer
-	if _, err := p.WriteSnapshot(&buf); err != nil {
+	good, _, err := p.buildSnapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
-	good := buf.Bytes()
 	fpath := filepath.Join(t.TempDir(), "follower.log")
 	f, err := Open(fpath)
 	if err != nil {

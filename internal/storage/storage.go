@@ -84,25 +84,29 @@
 // Drop retire the tree with the entry they retire; Compact leaves tuples
 // (and therefore trees) untouched.
 //
-// Log shipping: the WAL doubles as the replication stream. ReadLog
-// serves records to followers from an (epoch, seq) cursor — epoch names
-// the current log file via a fsynced sidecar, rotated by Compact so a
-// follower whose cursor predates the rotation is told to re-bootstrap
-// rather than silently diverge — and ApplyShipped replays shipped
-// records through the normal Put/Append/Drop, producing bit-identical
-// tuples and therefore the primary's Merkle roots. A follower whose
-// cursor no longer resolves bootstraps from a checksummed snapshot of
-// the live state (snapshot.go), and a durable follower persists its
+// Log shipping: the WAL doubles as the replication stream, and its
+// record is the package's only record format. ReadLog serves followers
+// whole records, as the file holds them, from an (epoch, seq) cursor —
+// epoch names the current log file via a fsynced sidecar, rotated by
+// Compact so a follower whose cursor predates the rotation is told to
+// re-bootstrap rather than silently diverge — and ApplyShipped reads
+// them with the log's own reader and applies each through the normal
+// Put/Append/Drop, producing bit-identical tuples and therefore the
+// primary's Merkle roots. A follower whose cursor no longer resolves
+// bootstraps from a snapshot (snapshot.go): the log Compact would
+// write, behind a cursor header. A durable follower persists its
 // shipping base in a sidecar so it resumes tailing across its own
-// restarts. See ship.go, snapshot.go and
-// internal/replica for the follower side.
+// restarts. See ship.go, snapshot.go and internal/replica.
 package storage
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -376,26 +380,27 @@ func (s *Store) replay(path string) (uint64, error) {
 		return 0, fmt.Errorf("storage: opening log %s for replay: %w", path, err)
 	}
 	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("storage: stat log %s: %w", path, err)
+	}
 	br := bufio.NewReaderSize(f, 1<<16)
 	var validOffset int64
 	var recs uint64
+	var rec []byte
 	for {
-		op, payload, ok := readWALRecord(br)
-		if !ok {
+		var ok bool
+		if rec, ok = readWALRecord(br, info.Size()-validOffset, rec[:0]); !ok {
 			break
 		}
-		if err := s.applyRecord(op, payload); err != nil {
+		if err := s.applyRecord(rec[1], rec[walV1HdrLen:]); err != nil {
 			return 0, fmt.Errorf("storage: replaying log %s at offset %d: %w", path, validOffset, err)
 		}
-		validOffset += walV1HdrLen + int64(len(payload))
+		validOffset += int64(len(rec))
 		recs++
 	}
 	// Truncate any torn or corrupt tail so the next append starts at a
 	// clean boundary.
-	info, err := os.Stat(path)
-	if err != nil {
-		return 0, fmt.Errorf("storage: stat log %s: %w", path, err)
-	}
 	if info.Size() > validOffset {
 		if err := os.Truncate(path, validOffset); err != nil {
 			return 0, fmt.Errorf("storage: truncating torn log tail of %s: %w", path, err)
@@ -814,12 +819,11 @@ func (s *Store) Drop(name string) error {
 
 // Compact rewrites the log so it holds exactly one store record per live
 // table, discarding superseded stores, appended-tuple records and dropped
-// tables. It is a no-op for in-memory stores. The rewrite goes through a
-// temporary file and an atomic rename; the store keeps a usable log on
-// EVERY failure path: the new file is opened for appending before the
-// rename, so the old log is replaced only once its successor is fully
-// written, fsynced and renamed into place. A crash mid-compaction leaves
-// either the old or the new log intact.
+// tables. It is a no-op for in-memory stores. The new log is exactly a
+// snapshot's body (writeCatalog), streamed a record at a time into
+// rotateLog's temp file — so the extra memory is one table's encoding —
+// and the store keeps a usable log on EVERY failure path: a crash
+// mid-compaction leaves either the old or the new log intact.
 //
 // Compact holds the store lock and every table's read lock for the
 // duration, so mutations pause but queries proceed. Quiescing writers
@@ -833,69 +837,86 @@ func (s *Store) Compact() error {
 	if s.wal == nil {
 		return nil
 	}
-	// Take every table's read lock (sorted, for determinism): appenders
-	// past their catalogue lookup hold or await the table write lock, so
-	// once these are held no log write is in flight and none can start.
-	names := make([]string, 0, len(s.tables))
-	for name := range s.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		e := s.tables[name]
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-	}
-	tmpPath := s.path + ".compact"
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o600)
-	if err != nil {
-		return fmt.Errorf("storage: creating compaction file: %w", err)
-	}
-	abort := func(e error) error {
-		_ = tmp.Close()
-		os.Remove(tmpPath)
-		return e
-	}
-	var buf []byte
-	var size int64
-	for _, name := range names {
-		e := s.tables[name]
-		payload := wire.AppendString(nil, name)
-		payload = wire.EncodeTable(payload, e.t)
-		// A table grown past the frame cap cannot be represented as one
-		// store record; writing it anyway would replay as corruption and
-		// silently drop the table. Keep the old (valid) log instead.
-		if len(payload) > wire.MaxFrameSize {
-			return abort(fmt.Errorf("storage: table %q compacts to %d bytes, above the %d-byte record cap", name, len(payload), wire.MaxFrameSize))
-		}
-		buf = appendWALRecord(buf[:0], opStore, payload)
-		if _, err := tmp.Write(buf); err != nil {
-			return abort(fmt.Errorf("storage: writing compacted record: %w", err))
-		}
-		size += int64(len(buf))
-	}
+	names, unlock := s.lockCatalog(false)
+	defer unlock()
 	//phlint:ignore lockio log rotation is stop-the-world by design: every table is quiesced and the swap must be atomic with the catalogue
-	return s.rotateLog(tmp, tmpPath, size, uint64(len(names)))
+	return s.rotateLog(uint64(len(names)), func(w io.Writer) (int64, error) { return s.writeCatalog(w, names) })
 }
 
-// rotateLog swaps a fully written replacement log file into place under
-// Compact's crash discipline, shared by Compact and InstallSnapshot.
-// The caller holds s.mu exclusively and has quiesced
-// every table (so the log writer has nothing in flight), and has
-// written tmp's records but not synced them. On any failure before the
-// rename the temp file is removed and the old log — still valid — stays
-// in force. The local shipping epoch is rotated BEFORE the swap: a
-// follower cursor minted against the old file must never resolve into
-// the replacement (same sequence number, different record). The sidecar
-// is written and fsynced first, so a crash between the two steps leaves
-// a new epoch over the old log — followers re-bootstrap needlessly,
-// which is safe; the reverse order could pair the old epoch with the
-// new file, which silently diverges.
-func (s *Store) rotateLog(tmp *os.File, tmpPath string, size int64, recs uint64) error {
+// lockCatalog takes every catalogued table's lock in name order — the
+// write lock when write is set, else the read lock — and returns the
+// names in that order with the matching unlock. The caller holds s.mu,
+// so the set is stable; appenders past their catalogue lookup hold or
+// await a table write lock, so once these are held no log write is in
+// flight and none can start until unlock.
+func (s *Store) lockCatalog(write bool) (names []string, unlock func()) {
+	names = slices.Sorted(maps.Keys(s.tables))
+	lock, release := (*sync.RWMutex).RLock, (*sync.RWMutex).RUnlock
+	if write {
+		lock, release = (*sync.RWMutex).Lock, (*sync.RWMutex).Unlock
+	}
+	entries := make([]*tableEntry, len(names))
+	for i, name := range names {
+		entries[i] = s.tables[name]
+		lock(&entries[i].mu)
+	}
+	return names, func() {
+		for _, e := range entries {
+			release(&e.mu)
+		}
+	}
+}
+
+// writeCatalog writes one opStore record per named table, in the order
+// given, to w, returning the bytes written: the log Compact writes and
+// the body a snapshot seals behind its cursor, so the two are the same
+// bytes. A table past the frame cap cannot be one record — replay would
+// reject it as corruption and drop the table — so it is refused instead.
+// The caller holds the tables' locks (lockCatalog).
+func (s *Store) writeCatalog(w io.Writer, names []string) (size int64, err error) {
+	var payload, rec []byte
+	for _, name := range names {
+		payload = wire.EncodeTable(wire.AppendString(payload[:0], name), s.tables[name].t)
+		if len(payload) > wire.MaxFrameSize {
+			return size, fmt.Errorf("storage: table %q encodes to %d bytes, above the %d-byte record cap", name, len(payload), wire.MaxFrameSize)
+		}
+		rec = appendWALRecord(rec[:0], opStore, payload)
+		n, err := w.Write(rec)
+		if size += int64(n); err != nil {
+			return size, err
+		}
+	}
+	return size, nil
+}
+
+// rotateLog swaps in the log that write produces — recs whole records,
+// write returning their byte count — as the store's log, under
+// Compact's crash discipline; Compact and InstallSnapshot share it. The
+// caller holds s.mu exclusively and every table lock (lockCatalog), so
+// the log writer has nothing in flight. write fills a temp file, which
+// is then fsynced; on any failure before the rename the temp file is
+// removed and the old log — still valid — stays in force. The local
+// shipping epoch is rotated BEFORE the swap: a follower cursor
+// minted against the old file must never resolve into the replacement
+// (same sequence number, different record). The sidecar is written and
+// fsynced first, so a crash between the two steps leaves a new epoch
+// over the old log — followers re-bootstrap needlessly, which is safe;
+// the reverse order could pair the old epoch with the new file, which
+// silently diverges.
+func (s *Store) rotateLog(recs uint64, write func(io.Writer) (int64, error)) error {
+	tmpPath := s.path + ".rotate"
+	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o600)
+	if err != nil {
+		return fmt.Errorf("storage: creating replacement log: %w", err)
+	}
 	abort := func(e error) error {
 		_ = tmp.Close()
 		os.Remove(tmpPath)
 		return e
+	}
+	size, err := write(tmp)
+	if err != nil {
+		return abort(fmt.Errorf("storage: writing replacement log: %w", err))
 	}
 	if err := tmp.Sync(); err != nil {
 		return abort(fmt.Errorf("storage: syncing replacement log: %w", err))

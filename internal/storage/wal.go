@@ -1,13 +1,14 @@
 package storage
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,34 +108,62 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// readWALRecord returns the next record of a log byte stream. It is the
-// one place log framing is parsed: replay and log shipping both iterate
-// with it, so they can differ in what they do with a record but never in
-// what they take a record to be. ok is false at the end of the log: a
-// clean EOF, or the first record the format cannot vouch for — a byte
-// that is not walMagic at a record boundary, a torn header or payload
-// (crash mid-append, or a concurrent append's half-written tail), a
-// length above the frame cap, or a CRC that disowns its bytes. A record
-// occupies walV1HdrLen + len(payload) bytes of the stream.
-func readWALRecord(br *bufio.Reader) (op byte, payload []byte, ok bool) {
+// readWALRecord reads the next record of a log byte stream that holds
+// left more bytes and appends it to dst — header and payload, exactly as
+// the stream holds them — returning the grown slice. The record is
+// out[len(dst):]: its op is byte 1 and its payload starts at
+// walV1HdrLen. It is the one place a record is parsed: replay, log
+// shipping, a snapshot's body and a shipped chunk all go through it, so
+// they can differ in what they do with a record but never in what they
+// take a record to be. ok is false at the end of the log: a clean EOF,
+// or the first record the format cannot vouch for — a byte that is not
+// walMagic at a record boundary, a torn header or payload (crash
+// mid-append, or a concurrent append's half-written tail), a length
+// above the frame cap or beyond the bytes left, or a CRC that disowns
+// its bytes. A length is checked against left before anything is
+// allocated, so a torn length field costs nothing.
+func readWALRecord(r io.Reader, left int64, dst []byte) (out []byte, ok bool) {
 	var hdr [walV1HdrLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil || hdr[0] != walMagic {
-		return 0, nil, false
+	if left < walV1HdrLen {
+		return dst, false
 	}
-	n := binary.BigEndian.Uint32(hdr[2:6])
-	if n > wire.MaxFrameSize {
-		return 0, nil, false
+	if _, err := io.ReadFull(r, hdr[:]); err != nil || hdr[0] != walMagic {
+		return dst, false
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return 0, nil, false
+	n := int(binary.BigEndian.Uint32(hdr[2:6]))
+	if n > wire.MaxFrameSize || int64(n) > left-walV1HdrLen {
+		return dst, false
+	}
+	out = append(slices.Grow(dst, walV1HdrLen+n), hdr[:]...)
+	payload := out[len(out) : len(out)+n]
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return dst, false
 	}
 	crc := crc32.Update(0, castagnoli, hdr[1:6])
 	crc = crc32.Update(crc, castagnoli, payload)
 	if crc != binary.BigEndian.Uint32(hdr[6:10]) {
-		return 0, nil, false
+		return dst, false
 	}
-	return hdr[1], payload, true
+	return out[:len(out)+n], true
+}
+
+// eachWALRecord calls fn on every record of log, which must be whole
+// records and nothing else — a snapshot's body, a shipped chunk. The
+// payload is only valid until fn returns. It returns how many records
+// fn accepted; a byte the reader cannot vouch for is an error, not an
+// end.
+func eachWALRecord(log []byte, fn func(op byte, payload []byte) error) (n int, err error) {
+	r := bytes.NewReader(log)
+	for rec := []byte(nil); r.Len() > 0; n++ {
+		off, ok := len(log)-r.Len(), false
+		if rec, ok = readWALRecord(r, int64(r.Len()), rec[:0]); !ok {
+			return n, fmt.Errorf("no whole record at byte %d of %d", off, len(log))
+		}
+		if err := fn(rec[1], rec[walV1HdrLen:]); err != nil {
+			return n, fmt.Errorf("record %d: %w", n, err)
+		}
+	}
+	return n, nil
 }
 
 // appendWALRecord appends one v1 record to dst and returns the grown

@@ -70,13 +70,13 @@ const (
 	// CmdShipLog tails the server's write-ahead log (replication;
 	// internal/replica). Payload: epoch:u64 | from:u64 | maxBytes:u32 —
 	// the follower's cursor (log epoch and record sequence) plus a byte
-	// budget for the answer. The server replies with RespLogChunk
-	// starting at the cursor; a cursor from a rotated log (epoch
-	// mismatch, or a sequence past the log's head) is answered from
-	// (currentEpoch, 0) so the follower re-bootstraps instead of
-	// silently diverging. The records shipped are ciphertext-domain
-	// mutations the follower's client already sent — replication adds
-	// nothing to Eve's view.
+	// budget for the answer. The server replies with RespLogChunk:
+	// whole log records from the cursor, as its log file holds them. A
+	// cursor from a rotated log (epoch mismatch, or a sequence past the
+	// log's head) is answered from (currentEpoch, 0) so the follower
+	// re-bootstraps instead of silently diverging. The records shipped
+	// are ciphertext-domain mutations the follower's client already
+	// sent — replication adds nothing to Eve's view.
 	CmdShipLog byte = 0x0D
 	// CmdShipSnapshot fetches one chunk of an encoded storage snapshot
 	// (replication bootstrap; internal/replica). Payload: epoch:u64 |
@@ -126,12 +126,14 @@ const (
 	// authenticated root incrementally (extension).
 	RespInserted byte = 0x89
 	// RespLogChunk answers CmdShipLog with a slice of the log:
-	// epoch:u64 | start:u64 | head:u64 | count:u32 | records, each
-	// record op:u8 | payload (u32-length-prefixed). start is the
-	// sequence of the first record shipped (0 instead of the requested
-	// cursor when the cursor belongs to a rotated log), head is the
-	// server's current record count — the follower is caught up when its
-	// cursor reaches it.
+	// epoch:u64 | start:u64 | head:u64 | log (u32-length-prefixed),
+	// where log is whole write-ahead-log records exactly as the
+	// primary's file holds them — each with the CRC the primary wrote,
+	// which the follower checks as it applies. start is the sequence of
+	// the first record shipped (0 instead of the requested cursor when
+	// the cursor belongs to a rotated log), head is the server's current
+	// record count — the follower is caught up when its cursor reaches
+	// it.
 	RespLogChunk byte = 0x8C
 	// RespSnapshotChunk answers CmdShipSnapshot with one byte range of
 	// an encoded snapshot: epoch:u64 | seq:u64 | total:u64 | offset:u64
@@ -155,18 +157,6 @@ const (
 	// shard shard:u32 | base:u32 | tuples:u32 | version:u64.
 	RespInsertedShard byte = 0x8F
 )
-
-// LogRecord is one replicated write-ahead-log record as it crosses the
-// wire: the storage op code and the record payload exactly as the
-// primary logged them. The follower applies records in sequence order,
-// which reproduces the primary's state because the log is a total order
-// of mutations.
-type LogRecord struct {
-	// Op is the storage log op code (store, insert, drop).
-	Op byte
-	// Payload is the record body, in the storage log's encoding.
-	Payload []byte
-}
 
 // Read request flag bits (CmdQuery, CmdShardQuery). A request carries at
 // most one of them.
