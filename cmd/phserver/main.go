@@ -31,10 +31,14 @@
 // With -coordinator the server holds no store at all: it is the
 // scatter-gather tier over the -shards backends (comma-separated
 // addresses, whose *order is the partition map* — it must match the
-// clients' shards config, as must -shard-map-version). Reads scatter to
-// every shard and come back framed per shard, so verifying clients
-// check each sub-answer against their pinned per-shard root vector; a
-// coordinator remains exactly as untrusted as any single server.
+// clients' shards config, as must -shard-map-version). It takes the
+// ordinary commands and answers each in one envelope, framed per shard:
+// reads and fetches scatter to every shard and come back as per-shard
+// sub-answers, inserts as per-shard placement acks, so verifying clients
+// check each sub-answer against their pinned per-shard root vector. A
+// single-server client pointed at it fails loudly on every read and
+// insert; clients reach it through shard.Remote. A coordinator remains
+// exactly as untrusted as any single server.
 // -shard-replicas attaches read replicas per shard index, e.g.
 // "0=r1:7633,r2:7633;2=r3:7633" (followers attach per shard — the
 // coordinator itself cannot be tailed).

@@ -5,7 +5,6 @@
 package attacks
 
 import (
-	"bytes"
 	"math/rand"
 
 	"repro/internal/games"
@@ -135,20 +134,6 @@ func wordLen(tr *games.Transcript) int {
 		}
 	}
 	return 0
-}
-
-// FirstWordsEqual is a helper used in tests: it reports whether two
-// encrypted tables share any identical word bytes (they never should, for
-// probabilistic schemes under independent keys).
-func FirstWordsEqual(a, b [][]byte) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if bytes.Equal(x, y) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // ensure interface compliance at compile time.

@@ -34,9 +34,6 @@ func FromBytes(b []byte, m uint32) (*Filter, error) {
 	return &Filter{bits: b, m: m}, nil
 }
 
-// Bits returns the number of bits m.
-func (f *Filter) Bits() uint32 { return f.m }
-
 // Bytes returns the backing bytes (not a copy).
 func (f *Filter) Bytes() []byte { return f.bits }
 

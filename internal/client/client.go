@@ -141,31 +141,17 @@ type InsertAck struct {
 	Version uint64
 }
 
-// Insert appends encrypted tuples to a stored table via CmdInsert (bare
-// RespOK ack) — what a DB without a pinned root sends.
-func (c *Conn) Insert(name string, tuples []ph.EncryptedTuple) error {
+// Insert appends encrypted tuples to a stored table via CmdInsert and
+// returns the server's placement ack, from which a verifying client
+// advances its pinned authenticated root incrementally (the leaves are
+// the client's own tuples; the ack says where they went).
+func (c *Conn) Insert(name string, tuples []ph.EncryptedTuple) (InsertAck, error) {
 	resp, err := c.roundTrip(wire.Frame{Type: wire.CmdInsert, Payload: wire.EncodeInsert(nil, name, tuples)})
-	if err != nil {
-		return err
-	}
-	if resp.Type != wire.RespOK {
-		return fmt.Errorf("client: unexpected response %#x to insert", resp.Type)
-	}
-	return nil
-}
-
-// InsertStamped appends encrypted tuples to a stored table via
-// CmdInsertStamped and returns the server's placement ack, from which a
-// verifying client advances its pinned authenticated root incrementally
-// (the leaves are the client's own tuples; the ack says where they
-// went).
-func (c *Conn) InsertStamped(name string, tuples []ph.EncryptedTuple) (InsertAck, error) {
-	resp, err := c.roundTrip(wire.Frame{Type: wire.CmdInsertStamped, Payload: wire.EncodeInsert(nil, name, tuples)})
 	if err != nil {
 		return InsertAck{}, err
 	}
 	if resp.Type != wire.RespInserted {
-		return InsertAck{}, fmt.Errorf("client: unexpected response %#x to stamped insert", resp.Type)
+		return InsertAck{}, fmt.Errorf("client: unexpected response %#x to insert", resp.Type)
 	}
 	r := wire.NewBuffer(resp.Payload)
 	base, err := r.U32()
@@ -582,8 +568,7 @@ func (db *DB) InsertBatch(dial func() (*Conn, error), workers, chunk int, tuples
 
 // insert is the write transport: it appends tuples on the nodes they
 // belong to and reports what landed where — one placement per shard on a
-// cluster, one per acked chunk on a single server. A single server
-// without a pin takes the bare-ack CmdInsert and reports nothing.
+// cluster, one per acked chunk on a single server.
 func (db *DB) insert(tuples []ph.EncryptedTuple, dial func() (*Conn, error), workers, chunk int) ([]placement, error) {
 	switch {
 	case db.cluster != nil:
@@ -604,10 +589,8 @@ func (db *DB) insert(tuples []ph.EncryptedTuple, dial func() (*Conn, error), wor
 		return placed, nil
 	case dial != nil:
 		return db.insertChunks(tuples, dial, workers, chunk)
-	case !db.pinned():
-		return nil, db.conn.Insert(db.table, tuples)
 	}
-	ack, err := db.conn.InsertStamped(db.table, tuples)
+	ack, err := db.conn.Insert(db.table, tuples)
 	if err != nil {
 		return nil, err
 	}
@@ -650,7 +633,7 @@ func (db *DB) insertChunks(tuples []ph.EncryptedTuple, dial func() (*Conn, error
 			}
 			defer conn.Close()
 			for i := range work {
-				ack, err := conn.InsertStamped(db.table, chunks[i])
+				ack, err := conn.Insert(db.table, chunks[i])
 				if err != nil {
 					errs[w] = fmt.Errorf("client: batch insert worker %d: %w", w, err)
 					return

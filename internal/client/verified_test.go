@@ -259,7 +259,7 @@ func TestInsertDetectsForeignWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.Insert("emp", foreign.Tuples); err != nil {
+	if _, err := other.Insert("emp", foreign.Tuples); err != nil {
 		t.Fatal(err)
 	}
 	err = db.Insert(relation.Tuple{
@@ -311,7 +311,7 @@ func TestInsertBatchForeignWriterNoSilentRepin(t *testing.T) {
 				ferr = err
 				return
 			}
-			ferr = other.Insert("emp", foreign.Tuples)
+			_, ferr = other.Insert("emp", foreign.Tuples)
 		})
 		if ferr != nil {
 			return nil, ferr

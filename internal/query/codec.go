@@ -62,9 +62,9 @@ func (resp Response) Matches() *ph.Result {
 // maxCount is the largest plan or conjunct count the u16 fields carry.
 const maxCount = 1<<16 - 1
 
-// EncodeRequest serialises a read request (wire.CmdQuery,
-// wire.CmdShardQuery): table name, flags (wire.ReadFlag*), plan count,
-// then per plan its conjunct count and encrypted queries.
+// EncodeRequest serialises a read request (wire.CmdQuery): table name,
+// flags (wire.ReadFlag*), plan count, then per plan its conjunct count
+// and encrypted queries.
 func EncodeRequest(dst []byte, name string, flags byte, plans [][]*ph.EncryptedQuery) ([]byte, error) {
 	if len(plans) > maxCount {
 		return nil, fmt.Errorf("query: %d plans exceed the %d a request carries", len(plans), maxCount)
@@ -85,10 +85,10 @@ func EncodeRequest(dst []byte, name string, flags byte, plans [][]*ph.EncryptedQ
 }
 
 // DecodeRequest parses a read request, which must fill the payload
-// exactly. Flags must be known and mutually exclusive; a fetch carries no
-// plans, every other request at least one, and every plan at least one
-// conjunct. Counts are clamped against what the payload could hold
-// before anything is allocated.
+// exactly. Flags must be known and mutually exclusive; a request carries
+// at least one plan, and every plan at least one conjunct. Counts are
+// clamped against what the payload could hold before anything is
+// allocated.
 func DecodeRequest(payload []byte) (name string, flags byte, plans [][]*ph.EncryptedQuery, err error) {
 	r := wire.NewBuffer(payload)
 	if name, err = r.String(); err != nil {
@@ -98,7 +98,7 @@ func DecodeRequest(payload []byte) (name string, flags byte, plans [][]*ph.Encry
 		return "", 0, nil, fmt.Errorf("query: request flags: %w", err)
 	}
 	switch flags {
-	case 0, wire.ReadFlagVerified, wire.ReadFlagExplain, wire.ReadFlagFetch:
+	case 0, wire.ReadFlagVerified, wire.ReadFlagExplain:
 	default:
 		return "", 0, nil, fmt.Errorf("query: request flags %#x: unknown or combined", flags)
 	}
@@ -106,8 +106,8 @@ func DecodeRequest(payload []byte) (name string, flags byte, plans [][]*ph.Encry
 	if err != nil {
 		return "", 0, nil, fmt.Errorf("query: request plan count: %w", err)
 	}
-	if (n == 0) != (flags == wire.ReadFlagFetch) {
-		return "", 0, nil, fmt.Errorf("query: request with flags %#x carries %d plans", flags, n)
+	if n == 0 {
+		return "", 0, nil, fmt.Errorf("query: request carries no plans")
 	}
 	// A plan is at least its conjunct count and one query of two
 	// length-prefixed fields.

@@ -115,7 +115,8 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"unknown flag":       append(head(1<<5, 1), good[len(head(0, 1)):]...),
 		"combined flags":     append(head(wire.ReadFlagVerified|wire.ReadFlagExplain, 1), good[len(head(0, 1)):]...),
 		"no plans":           head(0, 0),
-		"fetch with a plan":  append(head(wire.ReadFlagFetch, 1), good[len(head(0, 1)):]...),
+		"retired fetch flag": head(1<<2, 0),
+		"fetch with a plan":  append(head(1<<2, 1), good[len(head(0, 1)):]...),
 		"empty conjunction":  wire.AppendU16(head(0, 1), 0),
 		"plan-count bomb":    head(0, 0xFFFF),
 		"conjunct-count bom": wire.AppendU16(head(0, 1), 0xFFFF),
@@ -130,9 +131,6 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			t.Fatalf("request with %s cost %.0f allocations", name, allocs)
 		}
 	}
-	if _, flags, plans, err := DecodeRequest(head(wire.ReadFlagFetch, 0)); err != nil || flags != wire.ReadFlagFetch || len(plans) != 0 {
-		t.Fatalf("bare fetch request: flags %#x, %d plans, %v", flags, len(plans), err)
-	}
 
 	explain := func(steps uint32, est uint64) []byte {
 		p := wire.AppendU16(wire.AppendU8(nil, wire.ReadFlagExplain), 1)
@@ -146,7 +144,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"trailing byte":       append(append([]byte(nil), plain...), 0),
 		"truncated":           plain[:len(plain)/2],
 		"unknown flag":        append([]byte{1 << 5}, plain[1:]...),
-		"fetch flag":          append([]byte{wire.ReadFlagFetch}, plain[1:]...),
+		"fetch flag":          append([]byte{1 << 2}, plain[1:]...),
 		"answer-count bomb":   wire.AppendU16(wire.AppendU8(nil, 0), 0xFFFF),
 		"step-count bomb":     explain(0xFFFFFFFF, 0),
 		"NaN estimate":        explain(1, 0x7FF8000000000001),

@@ -48,7 +48,7 @@ func FuzzDecodeResponses(f *testing.F) {
 }
 
 // FuzzDecodeRequest drives the read-request decoder — the one every
-// backend runs on CmdQuery and CmdShardQuery — the same way.
+// backend runs on CmdQuery — the same way.
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte{})
 	qs := sampleQueries()
@@ -56,7 +56,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		0:                     {qs[:1]},
 		wire.ReadFlagVerified: {qs, qs[:1], qs[1:]},
 		wire.ReadFlagExplain:  {qs},
-		wire.ReadFlagFetch:    nil,
+		1 << 2:                nil, // the retired fetch flag, refused
 	} {
 		full, _ := EncodeRequest(nil, "emp", flags, plans)
 		f.Add(full)

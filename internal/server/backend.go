@@ -92,7 +92,7 @@ func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 		}
 		return wire.Frame{Type: wire.RespOK}, nil
 
-	case wire.CmdInsert, wire.CmdInsertStamped:
+	case wire.CmdInsert:
 		name, tuples, err := wire.DecodeInsert(f.Payload)
 		if err != nil {
 			return wire.Frame{}, err
@@ -100,11 +100,6 @@ func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 		base, version, err := b.store.AppendStamped(name, tuples)
 		if err != nil {
 			return wire.Frame{}, err
-		}
-		if f.Type == wire.CmdInsert {
-			// The unpinned client's ack: it keeps no root to advance, so
-			// it needs no placement.
-			return wire.Frame{Type: wire.RespOK}, nil
 		}
 		// The placement ack lets a verifying client advance its pinned
 		// root from its own leaf hashes instead of re-downloading.
@@ -117,9 +112,6 @@ func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 		name, flags, plans, err := query.DecodeRequest(f.Payload)
 		if err != nil {
 			return wire.Frame{}, err
-		}
-		if flags == wire.ReadFlagFetch {
-			return wire.Frame{}, fmt.Errorf("server: a partition fetch is a coordinator's CmdShardQuery; use CmdFetchAll")
 		}
 		resps, err := b.read(name, flags, plans)
 		if err != nil {

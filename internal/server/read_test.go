@@ -99,7 +99,7 @@ func TestDispatchRead(t *testing.T) {
 		{"explain", "emp", wire.ReadFlagExplain, [][]string{{"even", "odd"}, {"even"}}, [][]int{nil, nil}},
 		{"unknown table", "missing", 0, [][]string{{"even"}}, nil},
 		{"unknown table fails a batch as a unit", "missing", 0, [][]string{{"even"}, {"odd"}}, nil},
-		{"partition fetch is not a store's", "emp", wire.ReadFlagFetch, nil, nil},
+		{"partition fetch is not a store's", "emp", 1 << 2, nil, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New(testStore(t), nil)
@@ -198,7 +198,6 @@ func TestTrailingBytesRejected(t *testing.T) {
 	frames := []wire.Frame{
 		storeFrame("other", conjTable(2)),
 		insertFrame("emp", conjTable(1).Tuples),
-		{Type: wire.CmdInsert, Payload: insertFrame("emp", conjTable(1).Tuples).Payload},
 		readFrame(t, "emp", 0, []string{"even"}),
 		readFrame(t, "emp", wire.ReadFlagVerified, []string{"even"}, []string{"odd", id(1)}),
 		{Type: wire.CmdFetchAll, Payload: wire.AppendString(nil, "emp")},

@@ -118,7 +118,6 @@ func TestReadOnlyRejectsMutations(t *testing.T) {
 	for _, f := range []wire.Frame{
 		storeFrame("emp", encTable(1)),
 		{Type: wire.CmdInsert, Payload: wire.AppendU32(wire.AppendString(nil, "emp"), 0)},
-		{Type: wire.CmdInsertStamped, Payload: wire.AppendU32(wire.AppendString(nil, "emp"), 0)},
 		{Type: wire.CmdDrop, Payload: wire.AppendString(nil, "emp")},
 	} {
 		if resp := s.dispatch(f, nil); resp.Type != wire.RespError {

@@ -25,7 +25,9 @@
 // evaluated it — the proof always verifies against the root it travels
 // with, so a mutation racing the request can never make an honest
 // answer look tampered. wire.ReadFlagExplain returns the plans instead
-// of running them.
+// of running them. Every command has one answer shape: CmdInsert is
+// always acked with its placement (RespInserted: base, count, version),
+// whether or not the client keeps a root to advance with it.
 //
 // Operationally the server takes Options for robustness under hostile
 // or flaky peers — per-connection idle and write deadlines and a
@@ -89,11 +91,12 @@ type Options struct {
 // Backend executes one decoded command frame and builds the response
 // frame. The canonical backend is the store-backed command set
 // (storeBackend, what New installs); a shard coordinator
-// (internal/shard) implements the same surface so phserver can serve a
-// scatter-gather tier through the identical connection machinery —
-// deadlines, caps, the Ready gate — without the transport knowing which
-// it fronts. HandleFrame must be safe for concurrent use; scratch is a
-// zero-length reusable buffer the response payload may build on.
+// (internal/shard) takes the same commands and answers each in its one
+// per-shard envelope, so phserver can serve a scatter-gather tier
+// through the identical connection machinery — deadlines, caps, the
+// Ready gate — without the transport knowing which it fronts.
+// HandleFrame must be safe for concurrent use; scratch is a zero-length
+// reusable buffer the response payload may build on.
 type Backend interface {
 	HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, error)
 	// Sync flushes whatever durable state the backend owns; Server.Close
@@ -284,7 +287,7 @@ func (s *Server) handle(f wire.Frame, scratch []byte) (wire.Frame, error) {
 	}
 	if s.opts.ReadOnly {
 		switch f.Type {
-		case wire.CmdStore, wire.CmdInsert, wire.CmdInsertStamped, wire.CmdDrop, wire.CmdShardInsert:
+		case wire.CmdStore, wire.CmdInsert, wire.CmdDrop:
 			return wire.Frame{}, fmt.Errorf("server: read-only replica: mutations go to the primary")
 		}
 	}

@@ -54,18 +54,29 @@ func TestDispatchStoreAndFetch(t *testing.T) {
 	}
 }
 
+// TestDispatchUnknownCommand: an unknown command byte is an error
+// answer whatever the payload, and that includes the retired bytes
+// 0x0B, 0x0F and 0x10, which a peer built before their retirement may
+// still send.
 func TestDispatchUnknownCommand(t *testing.T) {
 	s := New(testStore(t), nil)
-	resp := s.dispatch(wire.Frame{Type: 0x7F}, nil)
-	if resp.Type != wire.RespError {
-		t.Fatalf("unknown command response %#x", resp.Type)
+	if resp := s.dispatch(storeFrame("emp", encTable(1)), nil); resp.Type != wire.RespOK {
+		t.Fatal("store failed")
+	}
+	insert := wire.EncodeInsert(nil, "emp", encTable(1).Tuples)
+	for _, cmd := range []byte{0x7F, 0x0B, 0x0F, 0x10} {
+		for _, payload := range [][]byte{nil, insert} {
+			if resp := s.dispatch(wire.Frame{Type: cmd, Payload: payload}, nil); resp.Type != wire.RespError {
+				t.Fatalf("unknown command %#x answered %#x", cmd, resp.Type)
+			}
+		}
 	}
 }
 
 func TestDispatchMalformedPayload(t *testing.T) {
 	s := New(testStore(t), nil)
 	for _, cmd := range []byte{wire.CmdStore, wire.CmdInsert, wire.CmdQuery, wire.CmdFetchAll,
-		wire.CmdDrop, wire.CmdShardQuery} {
+		wire.CmdDrop} {
 		resp := s.dispatch(wire.Frame{Type: cmd, Payload: []byte{0xFF}}, nil)
 		if resp.Type != wire.RespError {
 			t.Errorf("command %#x with garbage payload returned %#x, want error", cmd, resp.Type)
@@ -167,38 +178,33 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-// insertFrame builds a CmdInsertStamped frame.
+// insertFrame builds a CmdInsert frame.
 func insertFrame(name string, tuples []ph.EncryptedTuple) wire.Frame {
-	payload := wire.AppendString(nil, name)
-	payload = wire.AppendU32(payload, uint32(len(tuples)))
-	for _, tp := range tuples {
-		payload = wire.EncodeTuple(payload, tp)
-	}
-	return wire.Frame{Type: wire.CmdInsertStamped, Payload: payload}
+	return wire.Frame{Type: wire.CmdInsert, Payload: wire.EncodeInsert(nil, name, tuples)}
 }
 
-// TestInsertAckCompat: CmdInsert answers bare RespOK (the unpinned
-// client's ack), while CmdInsertStamped carries the placement ack.
+// TestInsertAckCompat: every CmdInsert is acked with its placement
+// (RespInserted), whether or not the sending client keeps a pinned
+// root, and consecutive acks tile the table.
 func TestInsertAckCompat(t *testing.T) {
 	s := New(testStore(t), nil)
 	if resp := s.dispatch(storeFrame("emp", encTable(2)), nil); resp.Type != wire.RespOK {
 		t.Fatal("store failed")
 	}
-	plain := insertFrame("emp", encTable(1).Tuples)
-	plain.Type = wire.CmdInsert
-	if resp := s.dispatch(plain, nil); resp.Type != wire.RespOK {
-		t.Fatalf("CmdInsert answered %#x, want bare RespOK", resp.Type)
-	}
-	resp := s.dispatch(insertFrame("emp", encTable(1).Tuples), nil)
-	if resp.Type != wire.RespInserted {
-		t.Fatalf("CmdInsertStamped answered %#x, want RespInserted", resp.Type)
-	}
-	r := wire.NewBuffer(resp.Payload)
-	base, err := r.U32()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base != 3 {
-		t.Fatalf("stamped insert base %d, want 3 (2 stored + 1 plain insert)", base)
+	for i, n := range []int{1, 3} {
+		resp := s.dispatch(insertFrame("emp", encTable(n).Tuples), nil)
+		if resp.Type != wire.RespInserted {
+			t.Fatalf("CmdInsert answered %#x, want RespInserted", resp.Type)
+		}
+		r := wire.NewBuffer(resp.Payload)
+		base, _ := r.U32()
+		count, _ := r.U32()
+		version, _ := r.U64()
+		if err := r.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if want := 2 + i; int(base) != want || int(count) != n || version == 0 {
+			t.Fatalf("insert %d acked base %d count %d version %d, want base %d count %d", i, base, count, version, want, n)
+		}
 	}
 }

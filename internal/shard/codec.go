@@ -8,9 +8,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Wire codec for the shard-framed commands. A RespResultShard keeps the
-// per-shard sub-answers separate — framed by shard id, in strictly
-// ascending shard order — because the verifying client checks each one
+// Wire codec for a coordinator's answers (RespResultShard,
+// RespInsertedShard). A RespResultShard keeps the per-shard sub-answers
+// separate — framed by shard id, in strictly ascending shard order —
+// because the verifying client checks each one
 // against its own entry of the pinned root vector; a pre-merged answer
 // would have nothing to verify against. Every count decoded here is
 // clamped against what the payload could possibly hold *before* any

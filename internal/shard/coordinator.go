@@ -142,7 +142,7 @@ func (co *Coordinator) Store(name string, t *ph.EncryptedTable) error {
 }
 
 // Insert partitions the tuples and appends each non-empty part through
-// its shard's stamped write path, returning one placement ack per shard
+// its shard's CmdInsert, returning one placement ack per shard
 // (zero-valued for untouched shards).
 func (co *Coordinator) Insert(name string, tuples []ph.EncryptedTuple) ([]client.InsertAck, error) {
 	parts := co.m.Split(tuples)
@@ -152,7 +152,7 @@ func (co *Coordinator) Insert(name string, tuples []ph.EncryptedTuple) ([]client
 			return nil
 		}
 		return pool.DoPrimary(func(c *client.Conn) error {
-			ack, err := c.InsertStamped(name, parts[i])
+			ack, err := c.Insert(name, parts[i])
 			if err != nil {
 				return err
 			}

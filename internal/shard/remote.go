@@ -10,14 +10,15 @@ import (
 )
 
 // Remote implements client.Cluster over one connection to a coordinator
-// process (`phserver -coordinator`), speaking the shard-framed commands
-// so per-shard sub-answers — and with them per-shard verifiability —
-// survive the extra hop. The remote coordinator is exactly as untrusted
-// as a single server: every sub-answer is held to the client's pinned
-// root vector — by the VerifyCheck Remote runs on it, which is the
-// client's own check — and Remote's own checks (map version echo, full
-// shard coverage, ascending framing) only turn a lying coordinator
-// into a loud failure instead of a wrong answer.
+// process (`phserver -coordinator`), speaking the ordinary commands the
+// coordinator answers framed per shard, so per-shard sub-answers — and
+// with them per-shard verifiability — survive the extra hop. The remote
+// coordinator is exactly as untrusted as a single server: every
+// sub-answer is held to the client's pinned root vector — by the
+// VerifyCheck Remote runs on it, which is the client's own check — and
+// Remote's own checks (map version echo, full shard coverage, ascending
+// framing) only turn a lying coordinator into a loud failure instead of
+// a wrong answer.
 type Remote struct {
 	reads
 	conn *client.Conn
@@ -53,10 +54,11 @@ func (rc *Remote) Store(name string, t *ph.EncryptedTable) error {
 	return rc.conn.Store(name, t)
 }
 
-// Insert appends tuples through CmdShardInsert and expands the wire
-// acks (touched shards only) into the full per-shard vector.
+// Insert appends tuples through CmdInsert and expands the coordinator's
+// RespInsertedShard acks (touched shards only) into the full per-shard
+// vector.
 func (rc *Remote) Insert(name string, tuples []ph.EncryptedTuple) ([]client.InsertAck, error) {
-	resp, err := rc.conn.RoundTrip(wire.Frame{Type: wire.CmdShardInsert, Payload: wire.EncodeInsert(nil, name, tuples)})
+	resp, err := rc.conn.RoundTrip(wire.Frame{Type: wire.CmdInsert, Payload: wire.EncodeInsert(nil, name, tuples)})
 	if err != nil {
 		return nil, err
 	}
@@ -77,22 +79,18 @@ func (rc *Remote) Insert(name string, tuples []ph.EncryptedTuple) ([]client.Inse
 	return acks, nil
 }
 
-// roundTripShard sends one shard-framed read and decodes the per-shard
-// sub-answers, requiring the map version to match, every shard to
-// answer (a verifying client cannot merge a partial scatter: a missing
-// shard's matches would silently vanish) and every sub-answer to be of
-// the kind asked for.
-func (rc *Remote) roundTripShard(name string, flags byte, plans [][]*ph.EncryptedQuery, kind byte) ([]Sub, error) {
-	payload, err := query.EncodeRequest(nil, name, flags, plans)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := rc.conn.RoundTrip(wire.Frame{Type: wire.CmdShardQuery, Payload: payload})
+// roundTripShard sends one read (CmdQuery or CmdFetchAll) and decodes
+// the per-shard sub-answers, requiring the map version to match, every
+// shard to answer (a verifying client cannot merge a partial scatter: a
+// missing shard's matches would silently vanish) and every sub-answer to
+// be of the kind asked for.
+func (rc *Remote) roundTripShard(f wire.Frame, kind byte) ([]Sub, error) {
+	resp, err := rc.conn.RoundTrip(f)
 	if err != nil {
 		return nil, err
 	}
 	if resp.Type != wire.RespResultShard {
-		return nil, fmt.Errorf("shard: unexpected response %#x to sharded query", resp.Type)
+		return nil, fmt.Errorf("shard: unexpected response %#x to sharded read", resp.Type)
 	}
 	mapVersion, subs, err := DecodeResponse(resp.Payload, rc.m.Count)
 	if err != nil {
@@ -115,11 +113,15 @@ func (rc *Remote) roundTripShard(name string, flags byte, plans [][]*ph.Encrypte
 	return subs, nil
 }
 
-// read is the remote scatter: one CmdShardQuery round trip; every
-// shard's sub-answer must hold one answer per plan, in the shape asked
-// for, and carries that shard's proofs and root for check to verify.
+// read is the remote scatter: one CmdQuery round trip; every shard's
+// sub-answer must hold one answer per plan, in the shape asked for, and
+// carries that shard's proofs and root for check to verify.
 func (rc *Remote) read(name string, flags byte, plans [][]*ph.EncryptedQuery, check client.VerifyCheck) ([][]query.Response, error) {
-	subs, err := rc.roundTripShard(name, flags, plans, KindRead)
+	payload, err := query.EncodeRequest(nil, name, flags, plans)
+	if err != nil {
+		return nil, err
+	}
+	subs, err := rc.roundTripShard(wire.Frame{Type: wire.CmdQuery, Payload: payload}, KindRead)
 	if err != nil {
 		return nil, err
 	}
@@ -136,10 +138,10 @@ func (rc *Remote) read(name string, flags byte, plans [][]*ph.EncryptedQuery, ch
 	return out, nil
 }
 
-// Fetch downloads every shard's partition, framed per shard so the
-// caller can rebuild per-shard Merkle frontiers.
+// Fetch downloads every shard's partition through CmdFetchAll, framed
+// per shard so the caller can rebuild per-shard Merkle frontiers.
 func (rc *Remote) Fetch(name string) ([]*ph.EncryptedTable, error) {
-	subs, err := rc.roundTripShard(name, wire.ReadFlagFetch, nil, KindTable)
+	subs, err := rc.roundTripShard(wire.Frame{Type: wire.CmdFetchAll, Payload: wire.AppendString(nil, name)}, KindTable)
 	if err != nil {
 		return nil, err
 	}

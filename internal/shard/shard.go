@@ -11,11 +11,12 @@
 //     shard keeps its own followers, quarantine backoff and failover).
 //     It implements client.Cluster for a local client and server.Backend
 //     so `phserver -coordinator -shards ...` can serve the same wire
-//     protocol to remote clients.
+//     commands to remote clients. It answers each in one envelope, framed
+//     per shard: CmdQuery and CmdFetchAll with wire.RespResultShard,
+//     CmdInsert with wire.RespInsertedShard. There is no merged answer.
 //   - Remote implements client.Cluster over one connection to such a
-//     coordinator process, using the shard-framed commands
-//     (wire.CmdShardQuery / CmdShardInsert) that preserve per-shard
-//     sub-answers instead of a pre-merged whole.
+//     coordinator process: it sends those ordinary commands and keeps
+//     the per-shard sub-answers apart.
 //
 // The per-shard framing is what keeps the trust model intact: each
 // shard maintains its own authenticated index, the client pins the
@@ -46,7 +47,7 @@ import (
 type Map struct {
 	// Version stamps the placement epoch. It is mixed into the
 	// placement hash, so bumping it reshuffles tuples (a reshard), and
-	// it is echoed on every shard-framed response so a stale client
+	// it is echoed on every coordinator response so a stale client
 	// fails loudly instead of merging mis-routed answers.
 	Version uint64
 	// Count is the number of shards. Must be at least 1.

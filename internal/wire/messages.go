@@ -174,9 +174,8 @@ func DecodeStore(payload []byte) (string, *ph.EncryptedTable, error) {
 	return name, t, r.Err()
 }
 
-// EncodeInsert serialises the insert payload shared by CmdInsert,
-// CmdInsertStamped, CmdShardInsert and the storage log's insert record:
-// name | count:u32 | tuples.
+// EncodeInsert serialises the insert payload shared by CmdInsert and the
+// storage log's insert record: name | count:u32 | tuples.
 func EncodeInsert(dst []byte, name string, tuples []ph.EncryptedTuple) []byte {
 	dst = AppendString(dst, name)
 	dst = AppendU32(dst, uint32(len(tuples)))

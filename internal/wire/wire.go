@@ -16,8 +16,10 @@
 // There is one read message. CmdQuery carries a list of plans, each a
 // conjunction of one or more encrypted selects, and ReadFlag* bits that
 // shape the answer (verified, explain); RespResult answers every plan in
-// order. Through a shard coordinator the same request travels as
-// CmdShardQuery and comes back framed per shard. Its codec lives in
+// order. Every command has exactly one answer shape per peer: a store
+// answers CmdQuery with RespResult and CmdInsert with RespInserted, and a
+// shard coordinator answers the same commands framed per shard
+// (RespResultShard, RespInsertedShard). Its codec lives in
 // internal/query, next to the planner and above internal/authindex,
 // whose types the answers carry; this package holds the pieces it is
 // built from (EncodeQuery, EncodeResult) and the mutation payloads
@@ -47,7 +49,9 @@ const (
 	// CmdStore uploads a complete encrypted table under a name,
 	// replacing any previous table of that name.
 	CmdStore byte = 0x01
-	// CmdInsert appends encrypted tuples to an existing table.
+	// CmdInsert appends encrypted tuples to an existing table. Payload:
+	// name | count:u32 | tuples. A store answers RespInserted, a shard
+	// coordinator RespInsertedShard.
 	CmdInsert byte = 0x02
 	// CmdQuery is the one read request: name | flags:u8 (ReadFlag*) |
 	// plans:u16 | per plan conjuncts:u16 | queries. A plan is a
@@ -55,18 +59,23 @@ const (
 	// select is a one-conjunct plan, a batch is a list of plans — and the
 	// server evaluates each plan under one read-locked snapshot of the
 	// table through the selectivity-ordered planner (internal/query),
-	// which also owns the codec. The answer is a RespResult.
+	// which also owns the codec. A store answers RespResult; a shard
+	// coordinator scatters the request to every shard and answers
+	// RespResultShard, the per-shard sub-answers framed by shard id. The
+	// per-shard framing exists for the trust model: each shard keeps its
+	// own authenticated index, so a verifying client needs each shard's
+	// (result, proofs, root) separately to check it against its pinned
+	// root *vector* — a merged answer would have no root to verify
+	// against.
 	CmdQuery byte = 0x03
-	// CmdFetchAll downloads a complete encrypted table.
+	// CmdFetchAll downloads a complete encrypted table: a store answers
+	// RespTable, a shard coordinator RespResultShard with each shard's
+	// partition, from which a client rebuilds per-shard Merkle frontiers.
 	CmdFetchAll byte = 0x04
 	// CmdDrop removes a named table.
 	CmdDrop byte = 0x05
 	// CmdList enumerates stored tables.
 	CmdList byte = 0x06
-	// CmdInsertStamped is CmdInsert answered with a RespInserted
-	// placement ack instead of a bare RespOK (extension): a client with
-	// a pinned root sends this one, a client without sends CmdInsert.
-	CmdInsertStamped byte = 0x0B
 	// CmdShipLog tails the server's write-ahead log (replication;
 	// internal/replica). Payload: epoch:u64 | from:u64 | maxBytes:u32 —
 	// the follower's cursor (log epoch and record sequence) plus a byte
@@ -87,21 +96,6 @@ const (
 	// holds the identified snapshot it serves a fresh one from offset 0
 	// under the new identity, and the follower restarts reassembly.
 	CmdShipSnapshot byte = 0x0E
-	// CmdShardQuery asks a shard coordinator (internal/shard) to scatter
-	// a read to every shard and answer with the per-shard sub-answers,
-	// framed by shard id, instead of a merged whole. The payload is
-	// CmdQuery's. The per-shard framing exists for the trust model: each
-	// shard keeps its own authenticated index, so a verifying client
-	// needs each shard's (result, proofs, root) separately to check it
-	// against its pinned root *vector* — a merged answer would have no
-	// root to verify against.
-	CmdShardQuery byte = 0x0F
-	// CmdShardInsert appends encrypted tuples through a shard
-	// coordinator, which hash-partitions them over its shards, and
-	// answers with one placement ack per shard touched (RespInsertedShard)
-	// so a verifying client can advance its per-shard pinned roots from
-	// local leaf hashes. Payload: as CmdInsertStamped.
-	CmdShardInsert byte = 0x10
 
 	// RespOK acknowledges a command with no payload.
 	RespOK byte = 0x81
@@ -120,7 +114,7 @@ const (
 	RespTable byte = 0x84
 	// RespList carries the table directory.
 	RespList byte = 0x85
-	// RespInserted acknowledges CmdInsertStamped with the append's
+	// RespInserted acknowledges a store's CmdInsert with the append's
 	// placement: base tuple index, appended count and the table version
 	// installed — exactly what a client needs to advance an
 	// authenticated root incrementally (extension).
@@ -144,22 +138,24 @@ const (
 	// verified as a unit by the installer (storage.InstallSnapshot), so
 	// transfer corruption can fail an install but never corrupt one.
 	RespSnapshotChunk byte = 0x8D
-	// RespResultShard answers CmdShardQuery with the partition-map
-	// version and one sub-answer per shard in strictly ascending shard
-	// order: mapVersion:u64 | count:u32 | per shard shard:u32 | kind:u8 |
-	// payload (u32-length-prefixed). kind selects the sub-payload codec:
-	// a RespResult payload, or (ReadFlagFetch) the shard's partition as
-	// a ph.EncryptedTable. See internal/shard for the codec.
-	RespResultShard byte = 0x8E
-	// RespInsertedShard answers CmdShardInsert with the partition-map
-	// version and one placement ack per shard that received tuples, in
+	// RespResultShard answers a coordinator's CmdQuery or CmdFetchAll
+	// with the partition-map version and one sub-answer per shard in
 	// strictly ascending shard order: mapVersion:u64 | count:u32 | per
-	// shard shard:u32 | base:u32 | tuples:u32 | version:u64.
+	// shard shard:u32 | kind:u8 | payload (u32-length-prefixed). kind
+	// selects the sub-payload codec: a RespResult payload (CmdQuery), or
+	// the shard's partition as a ph.EncryptedTable (CmdFetchAll). See
+	// internal/shard for the codec.
+	RespResultShard byte = 0x8E
+	// RespInsertedShard answers a coordinator's CmdInsert with the
+	// partition-map version and one placement ack per shard that received
+	// tuples, in strictly ascending shard order: mapVersion:u64 |
+	// count:u32 | per shard shard:u32 | base:u32 | tuples:u32 |
+	// version:u64.
 	RespInsertedShard byte = 0x8F
 )
 
-// Read request flag bits (CmdQuery, CmdShardQuery). A request carries at
-// most one of them.
+// Read request flag bits (CmdQuery). A request carries at most one of
+// them.
 const (
 	// ReadFlagVerified asks for every plan's answer as a verified
 	// result: tuples, one multiproof, root, leaf count and version cut from the
@@ -168,11 +164,6 @@ const (
 	// ReadFlagExplain asks for every plan's conjunct order, estimates
 	// and predicted serving paths without executing anything.
 	ReadFlagExplain byte = 1 << 1
-	// ReadFlagFetch (CmdShardQuery only; no plans in the payload)
-	// downloads each shard's full partition. Clients use it to rebuild
-	// per-shard Merkle frontiers against a pinned root vector, so
-	// partitions must come back whole and in shard order.
-	ReadFlagFetch byte = 1 << 2
 )
 
 // Frame is one protocol message.
