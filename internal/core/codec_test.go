@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/ph"
 	"repro/internal/relation"
+	"repro/internal/swp"
 	"repro/internal/workload"
 )
 
@@ -402,14 +404,15 @@ func TestClientCodecAllocs(t *testing.T) {
 		}
 	}) / float64(tab.Len())
 	t.Logf("EncryptTable: %.2f allocations per tuple (%v per key expansion)", perTuple, perKey)
-	// Per tuple the salary's encoded int. Everything else is per run or
-	// per call: a run of swp.RunDocs tuples cuts its document IDs and
+	// Nothing per tuple: every word, the salary's digits included, is
+	// written in place into the codec's scratch. What is left is per run
+	// or per call: a run of swp.RunDocs tuples cuts its document IDs and
 	// cipherwords from one slab and its word lists from another, and draws
 	// its document IDs and word permutations in one crypto/rand read into
 	// the codec's scratch; a call allocates the table, its tuple list and
 	// its tuple order. On crypto/aes up to three word keys (names are
 	// unique).
-	if limit := 1.1 + 3*perKey; perTuple > limit {
+	if limit := 0.2 + 3*perKey; perTuple > limit {
 		t.Errorf("EncryptTable allocates %.2f objects per tuple, want at most %v", perTuple, limit)
 	}
 
@@ -433,23 +436,26 @@ func TestClientCodecAllocs(t *testing.T) {
 	}
 	perTuple = perCall / float64(got.Len())
 	t.Logf("DecryptResult: %.2f allocations per returned tuple", perTuple)
-	// Two strings, the tuple's slot in a slab shared by the answer; on
+	// Nothing per tuple: what is left is one string per run of
+	// swp.RunDocs tuples, which every string value of the run shares, and
+	// per call the slab of values, the table and its tuple list. On
 	// crypto/aes the name's key and, unless the memo holds them, the
 	// salary's and the department's.
-	if limit := 2.5 + 3*perKey; perTuple > limit {
+	if limit := 0.2 + 3*perKey; perTuple > limit {
 		t.Errorf("DecryptResult allocates %.2f objects per returned tuple, want at most %v", perTuple, limit)
 	}
 }
 
 // TestDecryptBandAllocs gates the hot read's answer shape — one salary,
-// seven departments, unique names — where the codec's memo leaves a tuple
-// the two strings that are its output (its values sit in one slab per
-// answer, which the table adopts without a copy), at most 2.5 objects,
-// plus on the crypto/aes path the cipher of its name's k_i and of the
-// values a memo collision evicted. A one-tuple answer, where the memo
-// saves nothing, costs its output — strings, slab, table, tuple list —
-// and, on crypto/aes, three ciphers: the pooled codec it runs on is not
-// rebuilt.
+// seven departments, unique names — where a tuple allocates nothing of
+// its own: what is left is the run's string, one per swp.RunDocs tuples,
+// whose substrings its string values are, and per answer the slab its
+// values sit in (which the table adopts without a copy), the table and
+// its tuple list, at most 0.2 objects a tuple at 100 tuples, plus on the
+// crypto/aes path the cipher of its name's k_i and of the values a memo
+// collision evicted. A one-tuple answer, where the memo saves nothing,
+// costs exactly those four objects and, on crypto/aes, three ciphers: the
+// pooled codec it runs on is not rebuilt.
 func TestDecryptBandAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation moves allocation counts")
@@ -468,7 +474,7 @@ func TestDecryptBandAllocs(t *testing.T) {
 	for _, c := range []struct {
 		tuples   int
 		perTuple float64
-	}{{100, 2.5 + 2*perKey}, {1, 5 + 3*perKey}} {
+	}{{100, 0.2 + 2*perKey}, {1, 4 + 3*perKey}} {
 		res := &ph.Result{Tuples: ct.Tuples[:c.tuples]}
 		var got *relation.Table
 		perCall := testing.AllocsPerRun(20, func() {
@@ -482,6 +488,148 @@ func TestDecryptBandAllocs(t *testing.T) {
 		t.Logf("%d-tuple band answer: %.2f allocations per tuple (%v per key expansion)", c.tuples, perCall/float64(c.tuples), perKey)
 		if perCall/float64(c.tuples) > c.perTuple {
 			t.Errorf("a %d-tuple band answer allocates %.2f objects per tuple, want at most %v", c.tuples, perCall/float64(c.tuples), c.perTuple)
+		}
+	}
+}
+
+// TestDecryptResultAllocsFlat: a band answer's allocations do not grow
+// with the answer. A 1,000-tuple answer may allocate one string more than
+// a 10-tuple one per run of swp.RunDocs tuples, ⌈1000/RunDocs⌉ in all,
+// and on the crypto/aes path the ciphers of its 990 extra names' keys and
+// of the values a memo collision evicted, 2·perKey a tuple; nothing else.
+func TestDecryptResultAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation moves allocation counts")
+	}
+	perKey := keyAllocs()
+	var key crypto.Key
+	p, err := New(key, workload.EmployeeSchema(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const small, large = 10, 1000
+	ct, err := p.EncryptTable(bandTable(t, large, 7500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := relation.Eq{Column: "salary", Value: relation.Int(7500)}
+	allocs := func(n int) float64 {
+		res := &ph.Result{Tuples: ct.Tuples[:n]}
+		var got *relation.Table
+		perCall := testing.AllocsPerRun(10, func() {
+			if got, err = p.DecryptResult(q, res); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got.Len() != n {
+			t.Fatalf("answer of %d tuples decrypted to %d", n, got.Len())
+		}
+		return perCall
+	}
+	a, b := allocs(small), allocs(large)
+	limit := a + float64((large+swp.RunDocs-1)/swp.RunDocs) + (large-small)*2*perKey
+	t.Logf("%d tuples: %v allocations, %d tuples: %v (limit %v, %v per key expansion)", small, a, large, b, limit, perKey)
+	if b > limit {
+		t.Errorf("a %d-tuple answer allocates %v objects, a %d-tuple one %v: want at most %v", large, b, small, a, limit)
+	}
+}
+
+// lastWord decrypts the last word of a tuple on its own and parses it.
+func lastWord(t *testing.T, p *PH, etp ph.EncryptedTuple) (int, relation.Value) {
+	t.Helper()
+	pos := len(etp.Words) - 1
+	cw := etp.Words[pos]
+	c := p.schemes[len(cw)].NewCodec()
+	w := make([]byte, len(cw))
+	if err := c.SetDocument(etp.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DecryptWordInto(w, uint64(pos), cw); err != nil {
+		t.Fatal(err)
+	}
+	col, v, err := p.layout.parseWord(string(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return col, v
+}
+
+// TestDecryptedValuesOutliveTheCodec: the values a call returns are the
+// caller's, not views of the codec's scratch. Tables decrypted from
+// answer A — by DecryptTable and by DecryptResult — are kept while the
+// same PH decrypts answers B and C, whose runs overwrite the pooled
+// codec's plaintext buffer slot for slot, and a collection runs; A's
+// tables must still hold A's plaintext. Both layouts, answers of more
+// than two runs, empty strings, and names filling their column; A is
+// ordered so that every run of it ends in such a name, the last bytes
+// the run's string holds before its final identifier.
+func TestDecryptedValuesOutliveTheCodec(t *testing.T) {
+	for _, perCol := range []bool{false, true} {
+		p := newTestPH(t, Options{PerColumnWidth: perCol})
+		depts := []string{"", "HR", "SALES", "R&D"}
+		var plain []*relation.Table
+		var cts []*ph.EncryptedTable
+		for k := range 3 {
+			tab := relation.NewTable(empSchema())
+			for i := range 2*swp.RunDocs + 5 {
+				name := fmt.Sprintf("%c%09d", 'a'+k, i) // 10 bytes: the column's width
+				if i%5 == 0 {
+					name = ""
+				}
+				tab.MustInsert(relation.String(name), relation.String(depts[(i+k)%len(depts)]), relation.Int(int64(100*k+i)))
+			}
+			ct, err := p.EncryptTable(tab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, cts = append(plain, tab), append(cts, ct)
+		}
+		var fit, rest []ph.EncryptedTuple
+		for _, etp := range cts[0].Tuples {
+			if col, v := lastWord(t, p, etp); col == 0 && len(v.Str()) == 10 {
+				fit = append(fit, etp)
+			} else {
+				rest = append(rest, etp)
+			}
+		}
+		n := len(cts[0].Tuples)
+		cts[0].Tuples = cts[0].Tuples[:0]
+		for i := range n {
+			if end := (i+1)%swp.RunDocs == 0 || i == n-1; end && len(fit) == 0 {
+				t.Fatalf("perColumn=%v: no tuple left ending in a full name for the end of run %d", perCol, i/swp.RunDocs)
+			} else if end || len(rest) == 0 {
+				cts[0].Tuples, fit = append(cts[0].Tuples, fit[0]), fit[1:]
+			} else {
+				cts[0].Tuples, rest = append(cts[0].Tuples, rest[0]), rest[1:]
+			}
+		}
+		q := relation.Eq{Column: "dept", Value: relation.String("")}
+		want, err := relation.Select(plain[0], q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aTable, err := p.DecryptTable(cts[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		aAnswer, err := p.DecryptResult(q, &ph.Result{Tuples: cts[0].Tuples})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ct := range cts[1:] {
+			if _, err := p.DecryptTable(ct); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.DecryptResult(q, &ph.Result{Tuples: ct.Tuples}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		if !aTable.Equal(plain[0]) {
+			t.Errorf("perColumn=%v: DecryptTable's values changed under later calls:\n%v\nwant\n%v", perCol, aTable, plain[0])
+		}
+		if !aAnswer.Equal(want) {
+			t.Errorf("perColumn=%v: DecryptResult's values changed under later calls:\n%v\nwant\n%v", perCol, aAnswer, want)
 		}
 	}
 }

@@ -137,11 +137,12 @@ type tupleCodec struct {
 	rnd    []byte         // an encryption run's randomness (drawRun)
 
 	// A run's plaintext words, cut back to back from plain; decrypting,
-	// also listed in queue order in words, cols per tuple, and at[n] is
-	// the tuple the codec for words of n bytes was last positioned on.
-	plain []byte
-	words [][]byte
-	at    []int
+	// bounds[k] and bounds[k+1] delimit the k-th word queued (cols per
+	// tuple) in plain, and at[n] is the tuple the codec for words of n
+	// bytes was last positioned on.
+	plain  []byte
+	bounds []int
+	at     []int
 }
 
 // codec takes an idle tuple codec and resets it, or builds one. Callers
@@ -183,7 +184,7 @@ func (p *PH) newTupleCodec() *tupleCodec {
 		seen:   make([]bool, cols),
 		perm:   make([]int, cols),
 		plain:  make([]byte, swp.RunDocs*cols*widest),
-		words:  make([][]byte, 0, swp.RunDocs*cols),
+		bounds: make([]int, 0, swp.RunDocs*cols+1),
 		at:     make([]int, widest+1),
 	}
 	for n, s := range p.schemes {
@@ -358,7 +359,11 @@ func (p *PH) EncryptQuery(q relation.Eq) (*ph.EncryptedQuery, error) {
 	return &ph.EncryptedQuery{SchemeID: SchemeID, Token: encodeTrapdoor(td)}, nil
 }
 
-// DecryptTable implements D of Definition 1.1 on whole tables.
+// DecryptTable implements D of Definition 1.1 on whole tables. A string
+// value of the table shares the plaintext of the run of swp.RunDocs tuples
+// it was decrypted in: one string of at most RunDocs times a tuple's word
+// bytes (1,056 B for the employee table's 3 words of 11), which one value
+// kept alive keeps alive whole.
 func (p *PH) DecryptTable(ct *ph.EncryptedTable) (*relation.Table, error) {
 	if ct.SchemeID != SchemeID {
 		return nil, fmt.Errorf("core: cannot decrypt table of scheme %q", ct.SchemeID)
@@ -370,7 +375,8 @@ func (p *PH) DecryptTable(ct *ph.EncryptedTable) (*relation.Table, error) {
 
 // DecryptResult decrypts the server's answer to query q and filters false
 // positives by re-evaluating the plaintext predicate, exactly as §3
-// prescribes ("Alex needs to run a filter on the output").
+// prescribes ("Alex needs to run a filter on the output"). A string value
+// of the answer shares its run's plaintext string, as DecryptTable's do.
 func (p *PH) DecryptResult(q relation.Eq, r *ph.Result) (*relation.Table, error) {
 	tc := p.codec()
 	defer p.release(tc)
@@ -380,8 +386,11 @@ func (p *PH) DecryptResult(q relation.Eq, r *ph.Result) (*relation.Table, error)
 // decrypt is D over tuples, keeping those that satisfy q (all of them if
 // q is nil); what names a tuple in errors. It cuts the tuples into runs of
 // swp.RunDocs: it queues every word of a run on the codec for its length
-// and decrypts each codec's words as one swp run, then parses, filters
-// and adds the run's tuples in order. A kept tuple is copied into a slab
+// and decrypts each codec's words as one swp run, turns the run's
+// plaintext into one string, then parses, filters and adds the run's
+// tuples in order, every string value a substring of the run's string —
+// a copy, so the codec's scratch is free for the next run and the next
+// call the moment it is made. A kept tuple is copied into a slab
 // of values allocated at the first one for all that may follow, and the
 // table takes it from there with no further copy, so an answer of false
 // positives alone allocates neither. A tuple's shape — its word count,
@@ -402,8 +411,9 @@ func (tc *tupleCodec) decrypt(tuples []ph.EncryptedTuple, q *relation.Eq, what s
 				c.DecryptRun()
 			}
 		}
+		text := string(tc.plain[:tc.bounds[queued*cols]])
 		for i := 0; i < queued; i++ {
-			if err := tc.parse(tc.words[i*cols : (i+1)*cols]); err != nil {
+			if err := tc.parse(text, tc.bounds[i*cols:(i+1)*cols+1]); err != nil {
 				return nil, fmt.Errorf("core: decrypting %s %d: %w", what, lo+i, err)
 			}
 			if q != nil {
@@ -435,12 +445,13 @@ func (tc *tupleCodec) decrypt(tuples []ph.EncryptedTuple, q *relation.Eq, what s
 }
 
 // queue queues every word of the run's tuples on the codec for its
-// length, into plaintext slots cut from tc.plain, and returns how many
-// tuples it queued: all of them, or those before the first whose shape is
-// wrong, with that tuple's error.
+// length, into plaintext slots cut back to back from tc.plain and
+// delimited in tc.bounds, and returns how many tuples it queued: all of
+// them, or those before the first whose shape is wrong, with that tuple's
+// error.
 func (tc *tupleCodec) queue(run []ph.EncryptedTuple) (int, error) {
 	cols := len(tc.seen)
-	tc.words = tc.words[:0]
+	tc.bounds = append(tc.bounds[:0], 0)
 	off := 0
 	clear(tc.at)
 	for i, etp := range run {
@@ -465,19 +476,19 @@ func (tc *tupleCodec) queue(run []ph.EncryptedTuple) (int, error) {
 			if err := c.QueueWord(w, uint64(pos), cw); err != nil {
 				return i, err // unreachable: the codec was chosen by the word's length
 			}
-			tc.words = append(tc.words, w)
+			tc.bounds = append(tc.bounds, off)
 		}
 	}
 	return len(run), nil
 }
 
-// parse fills tc.tuple from one decrypted tuple's words. As many words as
-// columns and no column twice: every slot is written, so nothing of the
-// previous tuple is left.
-func (tc *tupleCodec) parse(words [][]byte) error {
+// parse fills tc.tuple from one decrypted tuple's words, text[bounds[j]:
+// bounds[j+1]] for each j. As many words as columns and no column twice:
+// every slot is written, so nothing of the previous tuple is left.
+func (tc *tupleCodec) parse(text string, bounds []int) error {
 	clear(tc.seen)
-	for _, w := range words {
-		col, v, err := tc.l.parseWord(w)
+	for j := range len(bounds) - 1 {
+		col, v, err := tc.l.parseWord(text[bounds[j]:bounds[j+1]])
 		if err != nil {
 			return err
 		}

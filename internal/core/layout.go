@@ -140,23 +140,30 @@ func (l *layout) pickID(name string) (byte, error) {
 
 // makeWord builds the word value|padding|id for column col, padded to the
 // column's word length under the layout mode. The word is written into buf
-// when buf is wide enough to hold it and into a fresh slice otherwise.
+// when buf is wide enough to hold it and into a fresh slice otherwise. The
+// value — a string's bytes, an int's decimal digits — is written in place,
+// capped at the value width: one too wide spills into a fresh array, never
+// into the padding, the identifier or buf beyond the word, and is refused.
 func (l *layout) makeWord(buf []byte, col int, v relation.Value) ([]byte, error) {
-	enc := v.Encode()
 	width := l.valueWidthFor(col)
-	if len(enc) > width {
-		return nil, fmt.Errorf("core: value %s too wide for layout (%d > %d)", v, len(enc), width)
-	}
-	for i := 0; i < len(enc); i++ {
-		if enc[i] == PadByte {
-			return nil, fmt.Errorf("core: value %s contains the padding symbol %q", v, PadByte)
-		}
-	}
 	if len(buf) < width+idWidth {
 		buf = make([]byte, width+idWidth)
 	}
 	w := buf[:width+idWidth]
-	copy(w, enc)
+	enc := w[:0:width]
+	if v.Type() == relation.TypeInt {
+		enc = strconv.AppendInt(enc, v.Integer(), 10)
+	} else {
+		enc = append(enc, v.Str()...)
+	}
+	if len(enc) > width {
+		return nil, fmt.Errorf("core: value %s too wide for layout (%d > %d)", v, len(enc), width)
+	}
+	for _, b := range enc {
+		if b == PadByte {
+			return nil, fmt.Errorf("core: value %s contains the padding symbol %q", v, PadByte)
+		}
+	}
 	for i := len(enc); i < width; i++ {
 		w[i] = PadByte
 	}
@@ -165,8 +172,8 @@ func (l *layout) makeWord(buf []byte, col int, v relation.Value) ([]byte, error)
 }
 
 // parseWord inverts makeWord: it extracts the column index and value from a
-// decrypted word.
-func (l *layout) parseWord(w []byte) (col int, v relation.Value, err error) {
+// decrypted word. A string value is a substring of w, sharing its bytes.
+func (l *layout) parseWord(w string) (col int, v relation.Value, err error) {
 	if len(w) < 2 {
 		return 0, relation.Value{}, fmt.Errorf("core: word of %d bytes too short", len(w))
 	}
@@ -185,11 +192,9 @@ func (l *layout) parseWord(w []byte) (col int, v relation.Value, err error) {
 	}
 	switch c := l.schema.Columns[col]; c.Type {
 	case relation.TypeString:
-		v = relation.String(string(w[:end]))
+		v = relation.String(w[:end])
 	case relation.TypeInt:
-		// ParseInt keeps no reference to its argument, so the conversion
-		// stays off the heap.
-		i, perr := strconv.ParseInt(string(w[:end]), 10, 64)
+		i, perr := strconv.ParseInt(w[:end], 10, 64)
 		if perr != nil {
 			return 0, relation.Value{}, fmt.Errorf("core: word for int column %q holds %q: %w", c.Name, w[:end], perr)
 		}

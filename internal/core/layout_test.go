@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/relation"
@@ -41,33 +44,82 @@ func TestLayoutPaperExample(t *testing.T) {
 	}
 }
 
+// pow10 is 10^n, exact in a float64 for every n this file uses.
+func pow10(n int) int64 { return int64(math.Pow10(n)) }
+
+// TestLayoutParseWordInverts: parseWord(makeWord(v)) is v in both
+// layouts, for empty strings, values filling their width and ints of
+// exactly the value width (the fixed layout's 10 bytes, the per-column
+// salary's 6), positive and negative.
 func TestLayoutParseWordInverts(t *testing.T) {
-	l, err := newLayout(empSchema(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		col int
-		v   relation.Value
-	}{
-		{0, relation.String("Montgomery")},
-		{0, relation.String("")},
-		{1, relation.String("HR")},
-		{2, relation.Int(7500)},
-		{2, relation.Int(-42)},
-		{2, relation.Int(0)},
-	}
-	for _, c := range cases {
-		w, err := l.makeWord(nil, c.col, c.v)
+	for _, perCol := range []bool{false, true} {
+		l, err := newLayout(empSchema(), perCol)
 		if err != nil {
-			t.Fatalf("makeWord: %v", err)
+			t.Fatal(err)
 		}
-		col, v, err := l.parseWord(w)
+		width := l.valueWidthFor(2)
+		cases := []struct {
+			col int
+			v   relation.Value
+		}{
+			{0, relation.String("Montgomery")},
+			{0, relation.String("")},
+			{1, relation.String("HR")},
+			{1, relation.String("")},
+			{1, relation.String("Sales")},
+			{2, relation.Int(7500)},
+			{2, relation.Int(-42)},
+			{2, relation.Int(0)},
+			{2, relation.Int(pow10(width) - 1)},
+			{2, relation.Int(-(pow10(width-1) - 1))},
+		}
+		for _, c := range cases {
+			w, err := l.makeWord(nil, c.col, c.v)
+			if err != nil {
+				t.Fatalf("perColumn=%v makeWord(%d, %v): %v", perCol, c.col, c.v, err)
+			}
+			col, v, err := l.parseWord(string(w))
+			if err != nil {
+				t.Fatalf("perColumn=%v parseWord(%q): %v", perCol, w, err)
+			}
+			if col != c.col || !v.Equal(c.v) {
+				t.Errorf("perColumn=%v parseWord(%q) = (%d, %v), want (%d, %v)", perCol, w, col, v, c.col, c.v)
+			}
+		}
+	}
+}
+
+// TestLayoutRejectsWideValues: a value one byte past its width — an int one
+// digit past it, either sign, or a string — or holding the padding symbol
+// is refused, and a refused value wrote nothing past its word's value
+// width into the buffer it was given, however much room the buffer had.
+func TestLayoutRejectsWideValues(t *testing.T) {
+	for _, perCol := range []bool{false, true} {
+		l, err := newLayout(empSchema(), perCol)
 		if err != nil {
-			t.Fatalf("parseWord(%q): %v", w, err)
+			t.Fatal(err)
 		}
-		if col != c.col || !v.Equal(c.v) {
-			t.Errorf("parseWord(%q) = (%d, %v), want (%d, %v)", w, col, v, c.col, c.v)
+		intWidth, nameWidth := l.valueWidthFor(2), l.valueWidthFor(0)
+		cases := []struct {
+			col     int
+			v       relation.Value
+			wantErr string
+		}{
+			{2, relation.Int(pow10(intWidth)), "too wide"},
+			{2, relation.Int(-pow10(intWidth - 1)), "too wide"},
+			{0, relation.String(strings.Repeat("x", nameWidth+1)), "too wide"},
+			{0, relation.String("a#b"), "padding symbol"},
+			{0, relation.String(strings.Repeat("#", nameWidth)), "padding symbol"},
+		}
+		for _, c := range cases {
+			buf := bytes.Repeat([]byte{0xaa}, 2*l.wordLenFor(c.col))
+			w, err := l.makeWord(buf, c.col, c.v)
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("perColumn=%v makeWord(%d, %v) = (%q, %v), want an error mentioning %q", perCol, c.col, c.v, w, err, c.wantErr)
+			}
+			if slices.ContainsFunc(buf[l.valueWidthFor(c.col):], func(b byte) bool { return b != 0xaa }) {
+				t.Errorf("perColumn=%v makeWord(%d, %v) wrote past the value width: %q", perCol, c.col, c.v, buf)
+			}
 		}
 	}
 }
@@ -106,27 +158,17 @@ func TestLayoutIDCollisionFallback(t *testing.T) {
 	}
 }
 
-func TestLayoutRejectsWideValues(t *testing.T) {
-	l, err := newLayout(empSchema(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.makeWord(nil, 0, relation.String("ElevenChars")); err == nil {
-		t.Fatal("over-wide value accepted")
-	}
-}
-
 func TestLayoutParseErrors(t *testing.T) {
 	l, err := newLayout(empSchema(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.parseWord([]byte("short")); err == nil {
+	if _, _, err := l.parseWord("short"); err == nil {
 		t.Fatal("short word parsed")
 	}
 	bad := bytes.Repeat([]byte{'x'}, l.wordLenFor(0))
 	bad[len(bad)-1] = 0x00 // unknown id
-	if _, _, err := l.parseWord(bad); err == nil {
+	if _, _, err := l.parseWord(string(bad)); err == nil {
 		t.Fatal("unknown identifier parsed")
 	}
 	// Garbage in an int column.
@@ -135,7 +177,7 @@ func TestLayoutParseErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	w[0] = 'x'
-	if _, _, err := l.parseWord(w); err == nil {
+	if _, _, err := l.parseWord(string(w)); err == nil {
 		t.Fatal("non-numeric int word parsed")
 	}
 }

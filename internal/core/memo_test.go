@@ -56,7 +56,7 @@ func refDecrypt(p *PH, master crypto.Key, etp ph.EncryptedTuple) (relation.Tuple
 		if err != nil {
 			return nil, err
 		}
-		col, v, err := p.layout.parseWord(w)
+		col, v, err := p.layout.parseWord(string(w))
 		if err != nil {
 			return nil, err
 		}
