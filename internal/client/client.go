@@ -55,6 +55,12 @@ type Conn struct {
 	conn net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
+	// rbuf and wbuf are the connection's read and encode buffers: every
+	// response is read into rbuf and every command's payload appended to
+	// wbuf, for the Conn's whole life (see keep). Reuse is sound because
+	// the decoders copy what they keep — one copy per message, never an
+	// alias — so nothing a command returns points into either buffer.
+	rbuf, wbuf []byte
 	// ioTimeout, when positive, bounds every round trip (request write +
 	// response read) so a wedged server cannot pin the caller forever.
 	// Set it via DialConfig.IOTimeout or SetIOTimeout.
@@ -79,8 +85,25 @@ func NewConn(c net.Conn) *Conn {
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.conn.Close() }
 
-// roundTrip sends a command frame and reads the response, converting
-// RespError into a Go error.
+// maxKeptBuf bounds the buffers a Conn keeps between round trips. A
+// read answer or an insert batch fits many times over, while a table
+// upload or download (CmdStore, CmdFetchAll) runs to megabytes: keeping
+// the buffer such a frame grew would pin it for the connection's life
+// on every pooled connection that ever carried one.
+const maxKeptBuf = 64 << 10
+
+// keep returns b emptied for reuse, or nil when it has grown past
+// maxKeptBuf.
+func keep(b []byte) []byte {
+	if cap(b) > maxKeptBuf {
+		return nil
+	}
+	return b[:0]
+}
+
+// roundTrip sends a command frame and reads the response into the
+// connection's read buffer, converting RespError into a Go error. The
+// response payload is valid until the next round trip.
 func (c *Conn) roundTrip(f wire.Frame) (wire.Frame, error) {
 	if c.ioTimeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.ioTimeout))
@@ -89,10 +112,8 @@ func (c *Conn) roundTrip(f wire.Frame) (wire.Frame, error) {
 	if err := wire.WriteFrame(c.w, f); err != nil {
 		return wire.Frame{}, err
 	}
-	if err := c.w.Flush(); err != nil {
-		return wire.Frame{}, fmt.Errorf("client: flushing: %w", err)
-	}
-	resp, err := wire.ReadFrame(c.r)
+	resp, buf, err := wire.ReadFrameReuse(c.r, c.rbuf)
+	c.rbuf = keep(buf)
 	if err != nil {
 		return wire.Frame{}, err
 	}
@@ -109,17 +130,27 @@ func (c *Conn) roundTrip(f wire.Frame) (wire.Frame, error) {
 
 // RoundTrip sends one command frame and returns the response frame,
 // with the connection's I/O deadline applied and RespError converted to
-// a Go error. It exists for protocol extensions that live outside this
-// package (internal/shard's coordinator framing) so they can speak new
-// commands over the managed connection without duplicating its
-// transport discipline.
+// a Go error. The response payload is read into the connection's
+// reused buffer, so it is valid until the next call on the Conn: decode
+// it — the decoders copy what they keep — before making another. It
+// exists for protocol extensions that live outside this package
+// (internal/shard's coordinator framing) so they can speak new commands
+// over the managed connection without duplicating its transport
+// discipline.
 func (c *Conn) RoundTrip(f wire.Frame) (wire.Frame, error) { return c.roundTrip(f) }
+
+// send is roundTrip for a command whose payload was appended to the
+// connection's encode buffer (c.wbuf[:0]); the buffer, grown or not, is
+// kept for the next command.
+func (c *Conn) send(typ byte, payload []byte) (wire.Frame, error) {
+	c.wbuf = keep(payload)
+	return c.roundTrip(wire.Frame{Type: typ, Payload: payload})
+}
 
 // Store uploads an encrypted table under the given name.
 func (c *Conn) Store(name string, t *ph.EncryptedTable) error {
-	payload := wire.AppendString(nil, name)
-	payload = wire.EncodeTable(payload, t)
-	resp, err := c.roundTrip(wire.Frame{Type: wire.CmdStore, Payload: payload})
+	payload := wire.AppendString(c.wbuf[:0], name)
+	resp, err := c.send(wire.CmdStore, wire.EncodeTable(payload, t))
 	if err != nil {
 		return err
 	}
@@ -146,7 +177,7 @@ type InsertAck struct {
 // advances its pinned authenticated root incrementally (the leaves are
 // the client's own tuples; the ack says where they went).
 func (c *Conn) Insert(name string, tuples []ph.EncryptedTuple) (InsertAck, error) {
-	resp, err := c.roundTrip(wire.Frame{Type: wire.CmdInsert, Payload: wire.EncodeInsert(nil, name, tuples)})
+	resp, err := c.send(wire.CmdInsert, wire.EncodeInsert(c.wbuf[:0], name, tuples))
 	if err != nil {
 		return InsertAck{}, err
 	}
@@ -181,11 +212,11 @@ func (c *Conn) Insert(name string, tuples []ph.EncryptedTuple) (InsertAck, error
 // without executing it. Read returns only answers of the shape asked
 // for, one per plan.
 func (c *Conn) Read(name string, flags byte, plans [][]*ph.EncryptedQuery) ([]query.Response, error) {
-	payload, err := query.EncodeRequest(nil, name, flags, plans)
+	payload, err := query.EncodeRequest(c.wbuf[:0], name, flags, plans)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.roundTrip(wire.Frame{Type: wire.CmdQuery, Payload: payload})
+	resp, err := c.send(wire.CmdQuery, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +235,7 @@ func (c *Conn) Read(name string, flags byte, plans [][]*ph.EncryptedQuery) ([]qu
 
 // FetchAll downloads a complete encrypted table.
 func (c *Conn) FetchAll(name string) (*ph.EncryptedTable, error) {
-	resp, err := c.roundTrip(wire.Frame{Type: wire.CmdFetchAll, Payload: wire.AppendString(nil, name)})
+	resp, err := c.send(wire.CmdFetchAll, wire.AppendString(c.wbuf[:0], name))
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +247,7 @@ func (c *Conn) FetchAll(name string) (*ph.EncryptedTable, error) {
 
 // Drop removes a stored table.
 func (c *Conn) Drop(name string) error {
-	resp, err := c.roundTrip(wire.Frame{Type: wire.CmdDrop, Payload: wire.AppendString(nil, name)})
+	resp, err := c.send(wire.CmdDrop, wire.AppendString(c.wbuf[:0], name))
 	if err != nil {
 		return err
 	}
@@ -409,11 +440,14 @@ func (db *DB) split(ct *ph.EncryptedTable) []*ph.EncryptedTable {
 }
 
 // encryptTuples builds a single-use table from the plaintext tuples and
-// encrypts it under the DB's scheme.
+// encrypts it under the DB's scheme. The table adopts the caller's
+// tuples without a copy: it is read once, by EncryptTable, which keeps
+// no plaintext.
 func (db *DB) encryptTuples(tuples []relation.Tuple) (*ph.EncryptedTable, error) {
 	t := relation.NewTable(db.scheme.Schema())
+	t.Grow(len(tuples))
 	for _, tp := range tuples {
-		if err := t.Insert(tp); err != nil {
+		if err := t.Adopt(tp); err != nil {
 			return nil, err
 		}
 	}
@@ -721,9 +755,9 @@ func (db *DB) SelectConj(eqs []relation.Eq) (*relation.Table, error) {
 
 // selectPlans answers each plan — a conjunction of one or more exact
 // selects — with its plaintext selection: one read, verified when a root
-// is pinned, then per plan decrypt every node's matches, filter false
-// positives against every conjunct (DecryptResult re-evaluates the
-// first, relation.Select the rest) and union.
+// is pinned, then per plan one decryption of every node's matches, node
+// 0's first, and the false-positive filter against every conjunct
+// (DecryptResult re-evaluates the first, relation.Select the rest).
 func (db *DB) selectPlans(plans [][]relation.Eq) ([]*relation.Table, error) {
 	var flags byte
 	if db.pinned() {
@@ -735,28 +769,42 @@ func (db *DB) selectPlans(plans [][]relation.Eq) ([]*relation.Table, error) {
 	}
 	out := make([]*relation.Table, len(plans))
 	for j, eqs := range plans {
-		for _, resps := range nodes {
-			t, err := db.scheme.DecryptResult(eqs[0], resps[j].Matches())
-			if err != nil {
-				return nil, err
+		t, err := db.scheme.DecryptResult(eqs[0], matches(nodes, j))
+		if err != nil {
+			return nil, err
+		}
+		if len(eqs) > 1 {
+			rest := make([]relation.Pred, len(eqs)-1)
+			for i, eq := range eqs[1:] {
+				rest[i] = eq
 			}
-			if len(eqs) > 1 {
-				rest := make([]relation.Pred, len(eqs)-1)
-				for i, eq := range eqs[1:] {
-					rest[i] = eq
-				}
-				if t, err = relation.Select(t, relation.And{Preds: rest}); err != nil {
-					return nil, err
-				}
-			}
-			if out[j] == nil {
-				out[j] = t
-			} else if err := union(out[j], t); err != nil {
+			if t, err = relation.Select(t, relation.And{Preds: rest}); err != nil {
 				return nil, err
 			}
 		}
+		out[j] = t
 	}
 	return out, nil
+}
+
+// matches is plan j's matches on every node as one result: a single
+// server's as they came, a cluster's concatenated in node order. The
+// concatenation copies tuple headers, not their bytes, and carries no
+// positions: each node numbers its own table, and decryption reads the
+// tuples only.
+func matches(nodes [][]query.Response, j int) *ph.Result {
+	if len(nodes) == 1 {
+		return nodes[0][j].Matches()
+	}
+	n := 0
+	for _, resps := range nodes {
+		n += len(resps[j].Matches().Tuples)
+	}
+	all := make([]ph.EncryptedTuple, 0, n)
+	for _, resps := range nodes {
+		all = append(all, resps[j].Matches().Tuples...)
+	}
+	return &ph.Result{Tuples: all}
 }
 
 // read is the one read path behind every select and Explain: encrypt one
@@ -834,25 +882,28 @@ func (db *DB) fetch() ([]*ph.EncryptedTable, error) {
 }
 
 // SelectAll downloads and decrypts the whole table (every shard's
-// partition, concatenated, on a sharded DB).
+// partition, concatenated in shard order, on a sharded DB) with one
+// decryption.
 func (db *DB) SelectAll() (*relation.Table, error) {
 	parts, err := db.fetch()
 	if err != nil {
 		return nil, err
 	}
-	out := relation.NewTable(db.scheme.Schema())
-	for _, part := range parts {
-		t, err := db.scheme.DecryptTable(part)
-		if err != nil {
-			return nil, err
+	all := *parts[0]
+	if len(parts) > 1 {
+		n := 0
+		for _, part := range parts {
+			n += len(part.Tuples)
 		}
-		if out.Len() == 0 {
-			out = t // nothing to copy into yet: take the node's table as is
-		} else if err := union(out, t); err != nil {
-			return nil, err
+		all.Tuples = make([]ph.EncryptedTuple, 0, n)
+		for i, part := range parts {
+			if part.SchemeID != all.SchemeID {
+				return nil, fmt.Errorf("client: shard %d's partition is of scheme %q, shard 0's of %q", i, part.SchemeID, all.SchemeID)
+			}
+			all.Tuples = append(all.Tuples, part.Tuples...)
 		}
 	}
-	return out, nil
+	return db.scheme.DecryptTable(&all)
 }
 
 // Query executes a mini-SQL statement. A single equality runs as one

@@ -8,7 +8,6 @@ import (
 	"repro/internal/authindex"
 	"repro/internal/ph"
 	"repro/internal/query"
-	"repro/internal/relation"
 	"repro/internal/wire"
 )
 
@@ -129,16 +128,6 @@ func (db *DB) PinShardRoots(roots [][]byte, tuples []int) error {
 		pins[i] = newPin(bytes.Clone(roots[i]), tuples[i], nil)
 	}
 	db.pins = pins
-	return nil
-}
-
-// union appends every tuple of src to dst.
-func union(dst, src *relation.Table) error {
-	for _, tp := range src.Tuples() {
-		if err := dst.Insert(tp); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

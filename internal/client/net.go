@@ -140,10 +140,9 @@ type LogChunk struct {
 // ShipLog requests log records from the follower's cursor (epoch, from),
 // with maxBytes bounding the answer (the server clamps it regardless).
 func (c *Conn) ShipLog(epoch, from uint64, maxBytes uint32) (*LogChunk, error) {
-	payload := wire.AppendU64(nil, epoch)
+	payload := wire.AppendU64(c.wbuf[:0], epoch)
 	payload = wire.AppendU64(payload, from)
-	payload = wire.AppendU32(payload, maxBytes)
-	resp, err := c.roundTrip(wire.Frame{Type: wire.CmdShipLog, Payload: payload})
+	resp, err := c.send(wire.CmdShipLog, wire.AppendU32(payload, maxBytes))
 	if err != nil {
 		return nil, err
 	}
@@ -192,11 +191,10 @@ type SnapshotChunk struct {
 // internal consistency here, and the reassembled snapshot is verified
 // end to end by storage.InstallSnapshot.
 func (c *Conn) ShipSnapshot(epoch, seq, offset uint64, maxBytes uint32) (*SnapshotChunk, error) {
-	payload := wire.AppendU64(nil, epoch)
+	payload := wire.AppendU64(c.wbuf[:0], epoch)
 	payload = wire.AppendU64(payload, seq)
 	payload = wire.AppendU64(payload, offset)
-	payload = wire.AppendU32(payload, maxBytes)
-	resp, err := c.roundTrip(wire.Frame{Type: wire.CmdShipSnapshot, Payload: payload})
+	resp, err := c.send(wire.CmdShipSnapshot, wire.AppendU32(payload, maxBytes))
 	if err != nil {
 		return nil, err
 	}

@@ -104,19 +104,30 @@ func (a And) String() string {
 	return strings.Join(parts, " ∧ ")
 }
 
-// Select evaluates σ_pred(t) and returns the matching tuples as a new table.
+// Select evaluates σ_pred(t) and returns the matching tuples as a new
+// table. The new table shares t's tuples rather than copying them —
+// nothing writes a tuple once it is in a table — and its tuple list is
+// sized by a first pass that counts the matches, so a select costs a
+// fixed number of allocations whatever it keeps.
 func Select(t *Table, pred Pred) (*Table, error) {
 	if err := pred.Validate(t.Schema()); err != nil {
 		return nil, err
 	}
-	out := NewTable(t.Schema())
+	n := 0
 	for _, tp := range t.Tuples() {
 		ok, err := pred.Eval(t.Schema(), tp)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			out.tuples = append(out.tuples, tp.Clone())
+			n++
+		}
+	}
+	out := &Table{schema: t.Schema(), tuples: make([]Tuple, 0, n)}
+	for _, tp := range t.Tuples() {
+		// The first pass evaluated every tuple without an error.
+		if ok, _ := pred.Eval(t.Schema(), tp); ok {
+			out.tuples = append(out.tuples, tp)
 		}
 	}
 	return out, nil

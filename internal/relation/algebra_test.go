@@ -33,6 +33,18 @@ func TestSelectEq(t *testing.T) {
 			t.Fatalf("non-matching tuple in result: %v", tp)
 		}
 	}
+	// Select shares the input's tuples: on a table whose every tuple
+	// matches, it allocates the result table and its tuple list, at any k.
+	var hr Pred = Eq{Column: "dept", Value: String("HR")}
+	for _, k := range []int{10, 1000} {
+		all := NewTable(tab.Schema())
+		for i := 0; i < k; i++ {
+			all.MustInsert(String("Bob"), String("HR"), Int(4000))
+		}
+		if allocs := testing.AllocsPerRun(20, func() { Select(all, hr) }); allocs > 2 {
+			t.Fatalf("Select keeping all %d tuples allocates %v objects, want at most 2", k, allocs)
+		}
+	}
 }
 
 func TestSelectEmptyResult(t *testing.T) {

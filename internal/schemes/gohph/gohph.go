@@ -192,7 +192,7 @@ func (s *Scheme) DecryptTable(ct *ph.EncryptedTable) (*relation.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("gohph: decrypting tuple %d: %w", i, err)
 		}
-		if err := t.Insert(tp); err != nil {
+		if err := t.Adopt(tp); err != nil { // tp is freshly decoded: no copy
 			return nil, err
 		}
 	}
@@ -215,7 +215,7 @@ func (s *Scheme) DecryptResult(q relation.Eq, r *ph.Result) (*relation.Table, er
 		if !ok {
 			continue // Bloom false positive; drop
 		}
-		if err := t.Insert(tp); err != nil {
+		if err := t.Adopt(tp); err != nil { // tp is freshly decoded: no copy
 			return nil, err
 		}
 	}

@@ -130,7 +130,7 @@ func (s *Scheme) DecryptTable(ct *ph.EncryptedTable) (*relation.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: decrypting tuple %d: %w", s.id, i, err)
 		}
-		if err := t.Insert(tp); err != nil {
+		if err := t.Adopt(tp); err != nil { // tp is freshly decoded: no copy
 			return nil, err
 		}
 	}
@@ -154,7 +154,7 @@ func (s *Scheme) DecryptResult(q relation.Eq, r *ph.Result) (*relation.Table, er
 		if !ok {
 			continue // bucket collision; drop
 		}
-		if err := t.Insert(tp); err != nil {
+		if err := t.Adopt(tp); err != nil { // tp is freshly decoded: no copy
 			return nil, err
 		}
 	}

@@ -250,6 +250,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		if s.opts.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
 		}
+		// WriteFrame flushes w: the response is on the wire when it returns.
 		if err := wire.WriteFrame(w, resp); err != nil {
 			s.logger.Printf("server: connection %s: %v", conn.RemoteAddr(), err)
 			return
@@ -259,10 +260,6 @@ func (s *Server) ServeConn(conn net.Conn) {
 		// tens of megabytes for the rest of the connection's life.
 		if cap(resp.Payload) > cap(encBuf) && cap(resp.Payload) <= wire.MaxPooledBuf {
 			encBuf = resp.Payload
-		}
-		if err := w.Flush(); err != nil {
-			s.logger.Printf("server: connection %s: flush: %v", conn.RemoteAddr(), err)
-			return
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/ph"
+	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/server"
 	"repro/internal/storage"
@@ -228,6 +229,54 @@ func TestReadEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// firstConjunct is a coordinator that answers a conjunction with its
+// first conjunct's matches alone: every tuple genuine and, on a verified
+// read, proved against its shard's root — a superset that only the
+// client's filter, which re-evaluates every conjunct on the plaintext,
+// cuts back to the selection.
+type firstConjunct struct{ *Coordinator }
+
+func (f firstConjunct) QueryConj(name string, qs []*ph.EncryptedQuery, verified bool, check client.VerifyCheck) ([]*query.Response, error) {
+	return f.Coordinator.QueryConj(name, qs[:1], verified, check)
+}
+
+// TestConjFilterCutsASupersetAnswer: Definition 1.1 is the client's to
+// keep, not the server's intersection — a sharded conjunction answered
+// with its first conjunct's matches still decrypts to exactly the
+// selection, plain and verified.
+func TestConjFilterCutsASupersetAnswer(t *testing.T) {
+	scheme := shardScheme(t)
+	conj := []relation.Eq{
+		{Column: "dept", Value: relation.String("IT")},
+		{Column: "salary", Value: relation.Int(5100)},
+	}
+	plain := shardTable()
+	want, err := relation.Select(plain, relation.And{Preds: []relation.Pred{conj[0], conj[1]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide, err := relation.Select(plain, conj[0]); err != nil || wide.Len() <= want.Len() {
+		t.Fatalf("fixture: the first conjunct alone selects no more than the conjunction (%v)", err)
+	}
+	for _, verified := range []bool{false, true} {
+		co, _ := newCluster(t, 2)
+		db := client.NewShardedDB(firstConjunct{co}, scheme, "emp")
+		if err := db.CreateTable(plain); err != nil {
+			t.Fatal(err)
+		}
+		if !verified {
+			if err := db.PinShardRoots(nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := db.SelectConj(conj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, fmt.Sprintf("verified=%v", verified), got, want)
 	}
 }
 

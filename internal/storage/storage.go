@@ -535,7 +535,10 @@ func (s *Store) Append(name string, tuples []ph.EncryptedTuple) error {
 func (s *Store) AppendStamped(name string, tuples []ph.EncryptedTuple) (base int, version uint64, err error) {
 	var payload []byte
 	if s.wal != nil {
-		payload = wire.EncodeInsert(nil, name, tuples)
+		// A pooled buffer: walWriter.write copies the record out of it
+		// before it returns.
+		payload = wire.EncodeInsert(wire.GetBuf(), name, tuples)
+		defer wire.PutBuf(payload)
 	}
 	for {
 		s.mu.RLock()

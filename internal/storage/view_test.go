@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -32,6 +33,36 @@ func TestReadHitAllocs(t *testing.T) {
 			t.Fatalf("a %d-tuple cache hit allocates %v objects, want at most 16", k, allocs)
 		}
 	}
+}
+
+// TestAppendStampedAllocsFlat: an append encodes its log record into a
+// pooled buffer, so a logged append of 256 tuples allocates what one of 4
+// does.
+func TestAppendStampedAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	counts := map[int]float64{}
+	for _, k := range []int{4, 256} {
+		s, err := OpenOptions(filepath.Join(t.TempDir(), "store.log"), Options{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put("t", concTable(8, 0xAA)); err != nil {
+			t.Fatal(err)
+		}
+		batch := concTable(k, 0xBB).Tuples
+		counts[k] = testing.AllocsPerRun(50, func() {
+			if _, _, err := s.AppendStamped("t", batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		s.Close()
+	}
+	if counts[4] != counts[256] {
+		t.Fatalf("AppendStamped allocates %v objects for 4 tuples, %v for 256", counts[4], counts[256])
+	}
+	t.Logf("allocs per append: %v", counts[4])
 }
 
 // TestReadViewDuringAppends runs appends beside reads whose answers are

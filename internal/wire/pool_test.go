@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"testing"
 )
 
@@ -63,6 +65,22 @@ func TestReadFrameReuseSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state ReadFrameReuse allocates %.0f times per frame, want 0", allocs)
+	}
+}
+
+// TestWriteFrameSteadyStateZeroAlloc: the 5-byte header goes through
+// the *bufio.Writer's own free space, so writing a frame allocates
+// nothing.
+func TestWriteFrameSteadyStateZeroAlloc(t *testing.T) {
+	w := bufio.NewWriter(io.Discard)
+	f := Frame{Type: RespResult, Payload: bytes.Repeat([]byte("p"), 512)}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := WriteFrame(w, f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("WriteFrame to a *bufio.Writer allocates %.0f times per frame, want 0", allocs)
 	}
 }
 

@@ -174,15 +174,22 @@ type Frame struct {
 	Payload []byte
 }
 
-// WriteFrame writes a frame to w.
+// WriteFrame writes a frame to w, and flushes w when it is a
+// *bufio.Writer.
 func WriteFrame(w io.Writer, f Frame) error {
 	if len(f.Payload)+1 > MaxFrameSize {
 		return fmt.Errorf("wire: frame of %d bytes exceeds maximum %d", len(f.Payload)+1, MaxFrameSize)
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(f.Payload)+1))
-	hdr[4] = f.Type
-	if _, err := w.Write(hdr[:]); err != nil {
+	// The header goes through the writer's own free space when it has
+	// some (*bufio.Writer, *bytes.Buffer): a local array would escape
+	// through the io.Writer call and cost one heap allocation per frame.
+	var hdr []byte
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		hdr = ab.AvailableBuffer()
+	}
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(f.Payload)+1))
+	hdr = append(hdr, f.Type)
+	if _, err := w.Write(hdr); err != nil {
 		return fmt.Errorf("wire: writing frame header: %w", err)
 	}
 	// Skip the payload write for empty payloads: a zero-byte Write is a
@@ -211,11 +218,13 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // ReadFrameReuse reads one frame from r, decoding the payload into buf
 // (grown as needed) instead of a fresh allocation. It returns the frame
 // and the possibly-grown buffer for the next call; the frame's payload
-// aliases that buffer, so the caller must be done with the frame — and
-// with anything that aliases its payload — before reusing the buffer.
-// Decoders defend this discipline by copying what they keep: one copy
+// aliases that buffer, so it is valid only until the buffer is reused,
+// and the caller must be done with the raw payload by then. What a
+// decoder returns outlives it: decoders copy what they keep — one copy
 // per message, never an alias (Buffer.Bytes copies out of the payload,
-// and a run of tuples is copied into one region of its own).
+// and a run of tuples is copied into one region of its own) — which is
+// what lets a server connection and a client.Conn each read every frame
+// into one buffer for their whole life.
 func ReadFrameReuse(r io.Reader, buf []byte) (Frame, []byte, error) {
 	// The header is read through the reusable buffer too: a local array
 	// would escape through the io.Reader interface call and cost one heap
