@@ -113,7 +113,10 @@ func leafHash(t ph.EncryptedTuple) [HashSize]byte {
 	return sha256.Sum256(appendLeaf(enc[:0], t))
 }
 
-// appendLeaf appends the preimage of a tuple's leaf hash.
+// appendLeaf appends the preimage of a tuple's leaf hash. It keeps a
+// length before every field, although the wire and the log say a tuple
+// run's shape once: the preimage must be injective on its own, and
+// keeping it keeps every root and proof byte.
 func appendLeaf(dst []byte, t ph.EncryptedTuple) []byte {
 	dst = append(dst, leafPrefix)
 	dst = wire.AppendBytes(dst, t.ID)

@@ -4,6 +4,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/swp"
+	"repro/internal/workload"
 )
 
 // These tests run every experiment at reduced size and assert the *shapes*
@@ -273,6 +277,18 @@ func TestE12Shapes(t *testing.T) {
 		if tok := cell(t, tab, row, 3); tok <= 0 || tok > 1024 {
 			t.Errorf("E12 %s token bytes %v implausible", name, tok)
 		}
+	}
+	// An SWP tuple is a document ID and one word per column, all of one
+	// length, so a table's tuples are one run: the upload is the
+	// ciphertext and at most a byte more a tuple, not a length per field.
+	schema := workload.EmployeeSchema()
+	wordLen, err := core.WordLen(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := float64(swp.DocIDLen + schema.NumColumns()*wordLen + 1)
+	if up := cell(t, tab, findRow(t, tab, core.SchemeID), 1); up > limit {
+		t.Errorf("E12 %s upload %v B a tuple, above the ciphertext's %v + 1", core.SchemeID, up, limit-1)
 	}
 	// Bucketization ships false positives: its per-true-tuple result
 	// bytes must exceed detph's (no false positives, same blob format).

@@ -57,9 +57,10 @@ type Conn struct {
 	w    *bufio.Writer
 	// rbuf and wbuf are the connection's read and encode buffers: every
 	// response is read into rbuf and every command's payload appended to
-	// wbuf, for the Conn's whole life (see keep). Reuse is sound because
-	// the decoders copy what they keep — one copy per message, never an
-	// alias — so nothing a command returns points into either buffer.
+	// wbuf, for the Conn's whole life (see wire.KeepBuf). Reuse is sound
+	// because the decoders copy what they keep — one copy per message,
+	// never an alias — so nothing a command returns points into either
+	// buffer.
 	rbuf, wbuf []byte
 	// ioTimeout, when positive, bounds every round trip (request write +
 	// response read) so a wedged server cannot pin the caller forever.
@@ -85,22 +86,6 @@ func NewConn(c net.Conn) *Conn {
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.conn.Close() }
 
-// maxKeptBuf bounds the buffers a Conn keeps between round trips. A
-// read answer or an insert batch fits many times over, while a table
-// upload or download (CmdStore, CmdFetchAll) runs to megabytes: keeping
-// the buffer such a frame grew would pin it for the connection's life
-// on every pooled connection that ever carried one.
-const maxKeptBuf = 64 << 10
-
-// keep returns b emptied for reuse, or nil when it has grown past
-// maxKeptBuf.
-func keep(b []byte) []byte {
-	if cap(b) > maxKeptBuf {
-		return nil
-	}
-	return b[:0]
-}
-
 // roundTrip sends a command frame and reads the response into the
 // connection's read buffer, converting RespError into a Go error. The
 // response payload is valid until the next round trip.
@@ -113,7 +98,7 @@ func (c *Conn) roundTrip(f wire.Frame) (wire.Frame, error) {
 		return wire.Frame{}, err
 	}
 	resp, buf, err := wire.ReadFrameReuse(c.r, c.rbuf)
-	c.rbuf = keep(buf)
+	c.rbuf = wire.KeepBuf(buf)
 	if err != nil {
 		return wire.Frame{}, err
 	}
@@ -143,7 +128,7 @@ func (c *Conn) RoundTrip(f wire.Frame) (wire.Frame, error) { return c.roundTrip(
 // connection's encode buffer (c.wbuf[:0]); the buffer, grown or not, is
 // kept for the next command.
 func (c *Conn) send(typ byte, payload []byte) (wire.Frame, error) {
-	c.wbuf = keep(payload)
+	c.wbuf = wire.KeepBuf(payload)
 	return c.roundTrip(wire.Frame{Type: typ, Payload: payload})
 }
 

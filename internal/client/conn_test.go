@@ -15,7 +15,7 @@ import (
 )
 
 // TestConnKeepsNoBufferPastTheBound: a Conn reuses its read and encode
-// buffers, but a table upload or download larger than maxKeptBuf must
+// buffers, but a table upload or download larger than wire.MaxKeptBuf must
 // not stay pinned by them for the connection's life.
 func TestConnKeepsNoBufferPastTheBound(t *testing.T) {
 	conn := startPipe(t, storage.NewMemory())
@@ -32,8 +32,8 @@ func TestConnKeepsNoBufferPastTheBound(t *testing.T) {
 	}
 	kept := func(after string) {
 		t.Helper()
-		if cap(conn.rbuf) > maxKeptBuf || cap(conn.wbuf) > maxKeptBuf {
-			t.Fatalf("after %s the Conn keeps a %d-byte read and a %d-byte encode buffer, bound %d", after, cap(conn.rbuf), cap(conn.wbuf), maxKeptBuf)
+		if cap(conn.rbuf) > wire.MaxKeptBuf || cap(conn.wbuf) > wire.MaxKeptBuf {
+			t.Fatalf("after %s the Conn keeps a %d-byte read and a %d-byte encode buffer, bound %d", after, cap(conn.rbuf), cap(conn.wbuf), wire.MaxKeptBuf)
 		}
 	}
 	kept("a Store")
@@ -41,8 +41,8 @@ func TestConnKeepsNoBufferPastTheBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(wire.EncodeTable(nil, ct)); n <= maxKeptBuf {
-		t.Fatalf("fixture table encodes to %d bytes, not past the %d-byte bound", n, maxKeptBuf)
+	if n := len(wire.EncodeTable(nil, ct)); n <= wire.MaxKeptBuf {
+		t.Fatalf("fixture table encodes to %d bytes, not past the %d-byte bound", n, wire.MaxKeptBuf)
 	}
 	kept("a FetchAll")
 	// Frames within the bound are still read and encoded in place.
@@ -181,7 +181,7 @@ func fakeTuples(k int) []ph.EncryptedTuple {
 // not per tuple — an insert of 256 tuples costs what one of 4 does, and
 // a 1,000-tuple answer what a 10-tuple one does — and its transport adds
 // nothing: an insert allocates nothing at all, a read only what decoding
-// its answer does. Both answers fit within maxKeptBuf; one past it costs
+// its answer does. Both answers fit within wire.MaxKeptBuf; one past it costs
 // the one buffer more it is read into.
 func TestConnSteadyStateAllocs(t *testing.T) {
 	count := func(conn *Conn, op func(*Conn)) float64 {
@@ -212,8 +212,8 @@ func TestConnSteadyStateAllocs(t *testing.T) {
 			positions[i] = i
 		}
 		answer := query.EncodeResponses(nil, 0, []query.Response{{Result: &ph.Result{Positions: positions, Tuples: tuples}}})
-		if len(answer) > maxKeptBuf {
-			t.Fatalf("fixture: a %d-tuple answer of %d bytes is past the %d-byte bound", k, len(answer), maxKeptBuf)
+		if len(answer) > wire.MaxKeptBuf {
+			t.Fatalf("fixture: a %d-tuple answer of %d bytes is past the %d-byte bound", k, len(answer), wire.MaxKeptBuf)
 		}
 		reads[k] = count(cannedConn(t, wire.Frame{Type: wire.RespResult, Payload: answer}), func(c *Conn) {
 			resps, err := c.Read("emp", 0, plans)

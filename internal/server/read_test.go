@@ -165,9 +165,12 @@ func TestHostileCountsDoNotAllocate(t *testing.T) {
 	}
 	name := wire.AppendString(nil, "emp")
 	for what, f := range map[string]wire.Frame{
-		"tuples":    {Type: wire.CmdInsert, Payload: wire.AppendU32(name, 0xFFFFFFFF)},
-		"plans":     {Type: wire.CmdQuery, Payload: wire.AppendU16(wire.AppendU8(name, 0), 0xFFFF)},
-		"conjuncts": {Type: wire.CmdQuery, Payload: wire.AppendU16(wire.AppendU16(wire.AppendU8(name, 0), 1), 0xFFFF)},
+		"tuples": {Type: wire.CmdInsert, Payload: wire.AppendU32(name, 0xFFFFFFFF)},
+		// One run of 2^32-1 tuples of no bytes: ID, blob and word count
+		// all 0.
+		"zero-byte run": {Type: wire.CmdInsert, Payload: append(wire.AppendU32(name, 0xFFFFFFFF), 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0)},
+		"plans":         {Type: wire.CmdQuery, Payload: wire.AppendU16(wire.AppendU8(name, 0), 0xFFFF)},
+		"conjuncts":     {Type: wire.CmdQuery, Payload: wire.AppendU16(wire.AppendU16(wire.AppendU8(name, 0), 1), 0xFFFF)},
 	} {
 		allocs := testing.AllocsPerRun(5, func() {
 			if resp := s.dispatch(f, nil); resp.Type != wire.RespError {

@@ -218,50 +218,69 @@ func (s *Server) ServeConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	// Steady-state request handling reuses two pooled buffers per
-	// connection — one for the inbound frame payload, one for encoding the
-	// response — so the per-frame hot path stops allocating. Decoded
-	// objects copy what they keep (wire.Buffer.Bytes copies), so recycling
-	// the payload after the response is written is safe.
-	readBuf := wire.GetBuf()
-	encBuf := wire.GetBuf()
+	c := newServerConn(conn)
 	defer func() {
-		wire.PutBuf(readBuf)
-		wire.PutBuf(encBuf)
+		wire.PutBuf(c.read)
+		wire.PutBuf(c.enc)
 	}()
-	for {
-		// The idle deadline covers the wait for the next frame AND the
-		// frame's own bytes: a peer that wedges mid-frame is as stuck as
-		// one that never speaks, and both must release this goroutine.
-		if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
-		f, buf, err := wire.ReadFrameReuse(r, readBuf)
-		readBuf = buf
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.logger.Printf("server: connection %s: %v", conn.RemoteAddr(), err)
-			}
-			return
-		}
-		resp := s.dispatch(f, encBuf[:0])
-		if s.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		}
-		// WriteFrame flushes w: the response is on the wire when it returns.
-		if err := wire.WriteFrame(w, resp); err != nil {
-			s.logger.Printf("server: connection %s: %v", conn.RemoteAddr(), err)
-			return
-		}
-		// Keep a grown encode buffer for the next response, but never one
-		// past the pool threshold: a single huge CmdFetchAll must not pin
-		// tens of megabytes for the rest of the connection's life.
-		if cap(resp.Payload) > cap(encBuf) && cap(resp.Payload) <= wire.MaxPooledBuf {
-			encBuf = resp.Payload
-		}
+	for s.serveFrame(c) {
 	}
+}
+
+// serverConn is one connection's buffered reader and writer and the two
+// buffers it reuses — one for the inbound frame payload, one for
+// encoding the response — so the per-frame hot path stops allocating.
+// Decoded objects copy what they keep (wire.Buffer.Bytes copies), so
+// recycling the payload after the response is written is safe.
+type serverConn struct {
+	conn      net.Conn
+	r         *bufio.Reader
+	w         *bufio.Writer
+	read, enc []byte
+}
+
+// newServerConn wraps conn with its reader, writer and pooled buffers.
+func newServerConn(conn net.Conn) *serverConn {
+	return &serverConn{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), read: wire.GetBuf(), enc: wire.GetBuf()}
+}
+
+// serveFrame reads one frame from c, answers it and keeps c's buffers
+// for the next; it reports whether the connection goes on.
+func (s *Server) serveFrame(c *serverConn) bool {
+	// The idle deadline covers the wait for the next frame AND the
+	// frame's own bytes: a peer that wedges mid-frame is as stuck as one
+	// that never speaks, and both must release this goroutine.
+	if s.opts.IdleTimeout > 0 {
+		c.conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+	}
+	f, buf, err := wire.ReadFrameReuse(c.r, c.read)
+	c.read = buf
+	if err != nil {
+		if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+			s.logger.Printf("server: connection %s: %v", c.conn.RemoteAddr(), err)
+		}
+		return false
+	}
+	resp := s.dispatch(f, c.enc[:0])
+	if s.opts.WriteTimeout > 0 {
+		c.conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
+	}
+	// WriteFrame flushes w: the response is on the wire when it returns.
+	if err := wire.WriteFrame(c.w, resp); err != nil {
+		s.logger.Printf("server: connection %s: %v", c.conn.RemoteAddr(), err)
+		return false
+	}
+	// A table upload grows the read buffer to megabytes: drop it past
+	// the bound a client.Conn keeps, rather than pin it for the
+	// connection's life and pool it when the connection closes.
+	c.read = wire.KeepBuf(c.read)
+	// Keep a grown encode buffer for the next response, but never one
+	// past the pool threshold: a single huge CmdFetchAll must not pin
+	// tens of megabytes for the rest of the connection's life.
+	if cap(resp.Payload) > cap(c.enc) && cap(resp.Payload) <= wire.MaxPooledBuf {
+		c.enc = resp.Payload
+	}
+	return true
 }
 
 // dispatch applies the server-side policy gates — the Ready gate and

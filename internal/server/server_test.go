@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -101,6 +102,51 @@ func TestServeConnClosesOnGarbage(t *testing.T) {
 		t.Fatal("server did not close the connection on a malformed frame")
 	}
 	cli.Close()
+}
+
+// TestServeConnKeepsNoBufferPastTheBound: a server connection reuses
+// its read buffer, but one a table upload past wire.MaxKeptBuf grew
+// must not stay pinned for the connection's life (the bound a
+// client.Conn keeps, TestConnKeepsNoBufferPastTheBound in client).
+func TestServeConnKeepsNoBufferPastTheBound(t *testing.T) {
+	s := New(testStore(t), nil)
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	c := newServerConn(srv)
+	serve := func(f wire.Frame, want byte) {
+		t.Helper()
+		errs := make(chan error, 1)
+		go func() {
+			err := wire.WriteFrame(cli, f)
+			if err == nil {
+				var resp wire.Frame
+				if resp, err = wire.ReadFrame(cli); err == nil && resp.Type != want {
+					err = fmt.Errorf("command %#x answered %#x: %s", f.Type, resp.Type, resp.Payload)
+				}
+			}
+			errs <- err
+		}()
+		if !s.serveFrame(c) {
+			t.Fatalf("command %#x ended the connection", f.Type)
+		}
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	store := storeFrame("emp", encTable(30000))
+	if len(store.Payload) <= wire.MaxKeptBuf {
+		t.Fatalf("fixture store frame is %d bytes, not past the %d-byte bound", len(store.Payload), wire.MaxKeptBuf)
+	}
+	serve(store, wire.RespOK)
+	if cap(c.read) > wire.MaxKeptBuf {
+		t.Fatalf("after a %d-byte store the connection keeps a %d-byte read buffer, bound %d", len(store.Payload), cap(c.read), wire.MaxKeptBuf)
+	}
+	// A frame within the bound is still read in place and kept.
+	serve(wire.Frame{Type: wire.CmdList}, wire.RespList)
+	serve(insertFrame("emp", encTable(4).Tuples), wire.RespInserted)
+	if c.read == nil || cap(c.read) > wire.MaxKeptBuf {
+		t.Fatalf("after an insert the connection keeps a %d-byte read buffer (nil: %v)", cap(c.read), c.read == nil)
+	}
 }
 
 func TestCloseIsIdempotentAndStopsServe(t *testing.T) {

@@ -3,10 +3,12 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -301,6 +303,45 @@ func TestRecoveryRejectsRecordWithoutMagic(t *testing.T) {
 		t.Fatal(err)
 	}
 	reopenExpect(t, path, 3)
+}
+
+// perTupleInsertRecord is a CRC-valid insert record of two fakeTable
+// tuples into "emp" in the tuple format that framed every ID, blob, word
+// count and word with its own u32 length, as a build of that format
+// wrote it.
+const perTupleInsertRecord = "d10200000035da84478400000003656d7000000002000000010000000002b0000000000100000002a000000000010100000002b0010000000100000002a001"
+
+// TestReplayRefusesPerTupleFormat: a record whose checksum holds but
+// whose tuples are in a format this build does not know is a hard
+// error naming its offset, not a torn tail: Open fails and the file
+// keeps every byte.
+func TestReplayRefusesPerTupleFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.log")
+	old, err := hex.DecodeString(perTupleInsertRecord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := appendWALRecord(nil, opStore, fuzzStorePayload("emp", 2))
+	offset := len(log)
+	log = append(log, old...)
+	if err := os.WriteFile(path, log, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path)
+	if err == nil {
+		s.Close()
+		t.Fatal("a log with a per-tuple-format record opened")
+	}
+	if !strings.Contains(err.Error(), fmt.Sprintf("at offset %d", offset)) {
+		t.Fatalf("error %q does not name offset %d", err, offset)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() != int64(len(log)) {
+		t.Fatalf("log is %d bytes after a refused replay, want all %d kept", info.Size(), len(log))
+	}
 }
 
 // TestConcurrentMutationsReplayConsistent is the -race ordering test for

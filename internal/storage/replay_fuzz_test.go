@@ -19,12 +19,7 @@ func fuzzStorePayload(name string, tuples int) []byte {
 
 // fuzzInsertPayload builds a valid opInsert payload.
 func fuzzInsertPayload(name string, tuples int) []byte {
-	p := wire.AppendString(nil, name)
-	p = wire.AppendU32(p, uint32(tuples))
-	for _, tp := range fakeTable(tuples).Tuples {
-		p = wire.EncodeTuple(p, tp)
-	}
-	return p
+	return wire.EncodeInsert(nil, name, fakeTable(tuples).Tuples)
 }
 
 // v0Record frames bytes in the shape len:u32 | op:u8 | payload — no

@@ -88,8 +88,8 @@ func TestSnapshotRoundTripMemory(t *testing.T) {
 // its log after Compact. Both are pinned so a change to the record
 // format — or to which records Compact writes — cannot pass unnoticed.
 const (
-	primaryLogSHA256       = "68f19405a25ffaa100d307ca8d7e46a0349bc458f25ffd760438639ae3f42f39"
-	primaryCompactedSHA256 = "9e05c0dcd7bf3cf0c15a98bc18c3c0f72262e74f4bb957a41df2a2eda5e0cea0"
+	primaryLogSHA256       = "a47f96e9d04d64ae7ee49d88dc702553c9c7d4f90af962f6485ac8298e0ee94b"
+	primaryCompactedSHA256 = "dfe76c250c9fb15b8f2da3d0b3de93c2df2f3e45930a81c97efa25fd6ed67356"
 )
 
 // TestSnapshotBodyIsCompactedLog pins the single record format: for one

@@ -6,7 +6,10 @@
 // Durability model: each mutation (store, insert, drop) is framed as a
 // checksummed log record (format v1: magic, op, length, CRC32C) and
 // appended through a dedicated log writer before it is applied in memory
-// and acknowledged.
+// and acknowledged. A record's payload is the wire payload of its
+// command, so the tuples of a store or insert record are the wire's
+// tuple runs: each run's shape said once, then its tuples' bytes back to
+// back.
 // The sync policy decides what "acknowledged" promises: under SyncAlways
 // (the default) the record is fsynced first, with concurrent writers
 // sharing one fsync through group commit; SyncInterval fsyncs in the

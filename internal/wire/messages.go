@@ -1,131 +1,268 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/ph"
 )
 
-// EncodeTuple serialises one encrypted tuple: id, blob, word count, words.
-func EncodeTuple(dst []byte, t ph.EncryptedTuple) []byte {
-	dst = AppendBytes(dst, t.ID)
-	dst = AppendBytes(dst, t.Blob)
-	dst = AppendU32(dst, uint32(len(t.Words)))
-	for _, w := range t.Words {
-		dst = AppendBytes(dst, w)
+// A tuple list — the body of every message and log record that carries
+// encrypted tuples — is count:u32 followed by runs. A run is tuples of
+// one shape, the shape said once:
+//
+//	n | idLen | blobLen | k | wordLen × k    (uvarints)
+//	n × stride bytes                         (stride = idLen + blobLen + Σ wordLen)
+//
+// each tuple's ID, blob and words back to back. The paper's SWP tuples
+// all share one shape (a 16-byte document ID and one word of the same
+// length per attribute), so a served table's list is one run. A run
+// must hold at least one byte per tuple and per word, header included:
+// that keeps what a decoder allocates within a constant multiple of the
+// payload whatever the counts say, so the encoder gives a tuple shorter
+// than its word count plus one a run of its own. A run of 0 tuples is
+// refused: it is also how the old per-tuple-prefixed format (a u32
+// length whose high byte is 0) reads, so such bytes fail rather than
+// decode as something else.
+
+// appendTuples appends a tuple list: count, then runs.
+func appendTuples(dst []byte, tuples []ph.EncryptedTuple) []byte {
+	dst = AppendU32(dst, uint32(len(tuples)))
+	for len(tuples) > 0 {
+		n := runLen(tuples)
+		t := tuples[0]
+		dst = binary.AppendUvarint(dst, uint64(n))
+		dst = binary.AppendUvarint(dst, uint64(len(t.ID)))
+		dst = binary.AppendUvarint(dst, uint64(len(t.Blob)))
+		dst = binary.AppendUvarint(dst, uint64(len(t.Words)))
+		for _, w := range t.Words {
+			dst = binary.AppendUvarint(dst, uint64(len(w)))
+		}
+		for _, t := range tuples[:n] {
+			dst = append(dst, t.ID...)
+			dst = append(dst, t.Blob...)
+			for _, w := range t.Words {
+				dst = append(dst, w...)
+			}
+		}
+		tuples = tuples[n:]
 	}
 	return dst
 }
 
-// DecodeTuple parses one encrypted tuple from the buffer.
-func DecodeTuple(r *Buffer) (ph.EncryptedTuple, error) {
-	tuples, err := decodeTuples(r, 1)
-	if err != nil {
-		return ph.EncryptedTuple{}, err
+// tuplesLen is the length appendTuples appends.
+func tuplesLen(tuples []ph.EncryptedTuple) int {
+	size := 4
+	for len(tuples) > 0 {
+		n := runLen(tuples)
+		t := tuples[0]
+		size += uvarintLen(n) + uvarintLen(len(t.ID)) + uvarintLen(len(t.Blob)) + uvarintLen(len(t.Words))
+		for _, w := range t.Words {
+			size += uvarintLen(len(w))
+		}
+		size += n * stride(t)
+		tuples = tuples[n:]
 	}
-	return tuples[0], nil
+	return size
 }
 
-// decodeTuples parses a run of n encrypted tuples — the body of every
-// message that carries tuples — in two walks of one loop. The first
-// validates the whole run against the payload and measures it, so a
-// hostile count or length fails before anything is allocated; the second
-// copies the run's byte strings, without their length prefixes, into one
-// allocation and its word headers into a second. Every slice handed out
-// is a three-index slice of those two, so an append to one tuple's ID or
-// Words can never write into its neighbour's, and none aliases the
-// payload (ReadFrameReuse's contract).
+// runLen is how many tuples, from the first, one run carries: every one
+// of the first's shape, or the first alone when it is shorter than its
+// word count plus one (a run holds a byte per tuple and per word).
+func runLen(tuples []ph.EncryptedTuple) int {
+	t := tuples[0]
+	if stride(t) <= len(t.Words) {
+		return 1
+	}
+	n := 1
+	for n < len(tuples) && sameShape(t, tuples[n]) {
+		n++
+	}
+	return n
+}
+
+// stride is a tuple's length in a run: its ID, blob and words.
+func stride(t ph.EncryptedTuple) int {
+	n := len(t.ID) + len(t.Blob)
+	for _, w := range t.Words {
+		n += len(w)
+	}
+	return n
+}
+
+// sameShape reports whether two tuples' IDs, blobs and words have the
+// same lengths.
+func sameShape(a, b ph.EncryptedTuple) bool {
+	if len(a.ID) != len(b.ID) || len(a.Blob) != len(b.Blob) || len(a.Words) != len(b.Words) {
+		return false
+	}
+	for i, w := range a.Words {
+		if len(w) != len(b.Words[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// uvarintLen is the length of v's uvarint encoding: 7 bits a byte.
+func uvarintLen(v int) int { return (bits.Len(uint(v)|1) + 6) / 7 }
+
+// decodeTuples parses the runs of a list of n tuples in two walks of one
+// loop. The first validates every run header against the payload and
+// measures the list, so a hostile count or length fails before anything
+// is allocated; the second copies each run's body into one allocation
+// with one copy and cuts its tuples out at the stride, and their word
+// headers out of a second. Every slice handed out is a three-index
+// slice of those two, so an append to one tuple's ID or Words can never
+// write into its neighbour's, and none aliases the payload
+// (ReadFrameReuse's contract).
 func decodeTuples(r *Buffer, n uint32) ([]ph.EncryptedTuple, error) {
 	start := r.off
-	size, words, err := walkTuples(r, n, nil, nil, nil)
+	size, words, err := walkRuns(r, n, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	// The walk read n tuples of at least 12 bytes each out of the
-	// payload, so n, size and words are all bounded by its length.
+	// The walk found n tuples and their words at a byte each at least
+	// in the payload, so n, size and words are all bounded by its length.
 	tuples := make([]ph.EncryptedTuple, n)
 	r.off = start
-	if _, _, err := walkTuples(r, n, tuples, make([]byte, size), make([][]byte, words)); err != nil {
+	if _, _, err := walkRuns(r, n, tuples, make([]byte, size), make([][]byte, words)); err != nil {
 		return nil, err
 	}
 	return tuples, nil
 }
 
-// walkTuples reads n encoded tuples from r: id, blob, word count, words.
-// With tuples nil it only validates them and returns the bytes their
-// strings hold and their total word count; otherwise it also fills
-// tuples, carving the strings out of region and the word lists out of
-// words, which a measuring walk over the same bytes sized.
-func walkTuples(r *Buffer, n uint32, tuples []ph.EncryptedTuple, region []byte, words [][]byte) (size, nwords int, err error) {
-	for i := uint32(0); i < n; i++ {
-		id, err := r.span()
+// walkRuns reads the runs of n tuples from r. With tuples nil it only
+// validates them and returns the bytes their bodies hold and their
+// total word count; otherwise it also fills tuples, copying the bodies
+// into region and cutting the word lists out of words, which a
+// measuring walk over the same bytes sized.
+func walkRuns(r *Buffer, n uint32, tuples []ph.EncryptedTuple, region []byte, words [][]byte) (size, nwords int, err error) {
+	for done := 0; done < int(n); {
+		h, err := r.runHeader(int(n) - done)
 		if err != nil {
-			return 0, 0, fmt.Errorf("wire: tuple %d id: %w", i, err)
+			return 0, 0, fmt.Errorf("wire: tuple %d: %w", done, err)
 		}
-		blob, err := r.span()
-		if err != nil {
-			return 0, 0, fmt.Errorf("wire: tuple %d blob: %w", i, err)
-		}
-		k, err := r.U32()
-		if err != nil {
-			return 0, 0, fmt.Errorf("wire: tuple %d word count: %w", i, err)
-		}
-		// A word is at least its length prefix.
-		if int64(k) > int64(r.Remaining()/4) {
-			return 0, 0, fmt.Errorf("wire: tuple %d word count %d exceeds remaining payload", i, k)
-		}
-		var t *ph.EncryptedTuple
+		body := r.b[r.off : r.off+h.n*h.stride]
+		r.off += len(body)
 		if tuples != nil {
-			t = &tuples[i]
-			t.ID, size = carve(region, size, id)
-			t.Blob, size = carve(region, size, blob)
-			t.Words = words[nwords : nwords+int(k) : nwords+int(k)]
-		} else {
-			size += len(id) + len(blob)
+			copy(region[size:], body)
+			h.cut(tuples[done:done+h.n], region[size:size+len(body)], words[nwords:nwords+h.n*h.k])
 		}
-		for j := 0; j < int(k); j++ {
-			w, err := r.span()
-			if err != nil {
-				return 0, 0, fmt.Errorf("wire: tuple %d word %d: %w", i, j, err)
-			}
-			if t != nil {
-				t.Words[j], size = carve(region, size, w)
-			} else {
-				size += len(w)
-			}
-		}
-		nwords += int(k)
+		size += len(body)
+		nwords += h.n * h.k
+		done += h.n
 	}
 	return size, nwords, nil
 }
 
-// carve copies src into region at off and returns the copy, capped at
-// its own length, and the offset past it.
-func carve(region []byte, off int, src []byte) ([]byte, int) {
-	end := off + copy(region[off:], src)
-	return region[off:end:end], end
+// run is one run's header: its tuple count and the shape they share.
+type run struct {
+	n, id, blob, k, stride int
+	// lens is the k word lengths, still uvarints in the payload.
+	lens []byte
+}
+
+// runHeader reads and validates a run header of at most left tuples:
+// every length fits the payload, the body is there, and the run holds a
+// byte per tuple and per word.
+func (r *Buffer) runHeader(left int) (run, error) {
+	start := r.off
+	var h run
+	n, err := r.uvarint()
+	if err != nil {
+		return h, fmt.Errorf("run length: %w", err)
+	}
+	if n == 0 {
+		return h, fmt.Errorf("run of 0 tuples, not a tuple format this build knows")
+	}
+	if n > uint64(left) {
+		return h, fmt.Errorf("run of %d tuples past the %d the list has left", n, left)
+	}
+	h.n = int(n)
+	id, err := r.length(0)
+	if err != nil {
+		return h, fmt.Errorf("id: %w", err)
+	}
+	blob, err := r.length(id)
+	if err != nil {
+		return h, fmt.Errorf("blob: %w", err)
+	}
+	h.id, h.blob = int(id), int(blob)
+	stride := id + blob
+	k, err := r.uvarint()
+	if err != nil {
+		return h, fmt.Errorf("run word count: %w", err)
+	}
+	// A word length is at least one byte of header.
+	if k > uint64(r.Remaining()) {
+		return h, fmt.Errorf("run word count %d exceeds remaining payload", k)
+	}
+	h.k = int(k)
+	lens := r.off
+	for j := 0; j < h.k; j++ {
+		l, err := r.length(stride)
+		if err != nil {
+			return h, fmt.Errorf("word %d: %w", j, err)
+		}
+		stride += l
+	}
+	h.lens, h.stride = r.b[lens:r.off], int(stride)
+	if stride > 0 && n > uint64(r.Remaining())/stride {
+		return h, fmt.Errorf("run of %d tuples of %d bytes exceeds remaining payload %d", n, stride, r.Remaining())
+	}
+	if runBytes := uint64(r.off-start) + n*stride; n > runBytes/(k+1) {
+		return h, fmt.Errorf("run of %d tuples of %d words in %d bytes", n, k, runBytes)
+	}
+	return h, nil
+}
+
+// length reads one length of a run's shape, which with the stride so
+// far must fit the remaining payload.
+func (r *Buffer) length(stride uint64) (uint64, error) {
+	l, err := r.uvarint()
+	if err != nil {
+		return 0, fmt.Errorf("run shape: %w", err)
+	}
+	if l > uint64(r.Remaining()) || stride+l > uint64(r.Remaining()) {
+		return 0, fmt.Errorf("run shape length %d exceeds remaining payload %d", l, r.Remaining())
+	}
+	return l, nil
+}
+
+// cut fills the run's tuples from body, a copy of its bytes, and words,
+// their word headers.
+func (h run) cut(tuples []ph.EncryptedTuple, body []byte, words [][]byte) {
+	for j := range tuples {
+		b := body[j*h.stride : (j+1)*h.stride]
+		tuples[j] = ph.EncryptedTuple{
+			ID:    b[:h.id:h.id],
+			Blob:  b[h.id : h.id+h.blob : h.id+h.blob],
+			Words: words[j*h.k : (j+1)*h.k : (j+1)*h.k],
+		}
+	}
+	off, lens := h.id+h.blob, h.lens
+	for w := 0; w < h.k; w++ {
+		l, m := binary.Uvarint(lens)
+		lens = lens[m:]
+		for j := range tuples {
+			at := j*h.stride + off
+			tuples[j].Words[w] = body[at : at+int(l) : at+int(l)]
+		}
+		off += int(l)
+	}
 }
 
 // EncodeTable serialises an encrypted table. It grows dst once, to the
 // encoding's exact size: a bulk load is megabytes, and growing by appends
 // would copy it about twice over.
 func EncodeTable(dst []byte, t *ph.EncryptedTable) []byte {
-	n := 12 + len(t.SchemeID) + len(t.Meta)
-	for _, tp := range t.Tuples {
-		n += 12 + len(tp.ID) + len(tp.Blob) + 4*len(tp.Words)
-		for _, w := range tp.Words {
-			n += len(w)
-		}
-	}
-	dst = slices.Grow(dst, n)
+	dst = slices.Grow(dst, 8+len(t.SchemeID)+len(t.Meta)+tuplesLen(t.Tuples))
 	dst = AppendString(dst, t.SchemeID)
 	dst = AppendBytes(dst, t.Meta)
-	dst = AppendU32(dst, uint32(len(t.Tuples)))
-	for _, tp := range t.Tuples {
-		dst = EncodeTuple(dst, tp)
-	}
-	return dst
+	return appendTuples(dst, t.Tuples)
 }
 
 // DecodeTable parses an encrypted table from the buffer.
@@ -178,11 +315,7 @@ func DecodeStore(payload []byte) (string, *ph.EncryptedTable, error) {
 // storage log's insert record: name | count:u32 | tuples.
 func EncodeInsert(dst []byte, name string, tuples []ph.EncryptedTuple) []byte {
 	dst = AppendString(dst, name)
-	dst = AppendU32(dst, uint32(len(tuples)))
-	for _, tp := range tuples {
-		dst = EncodeTuple(dst, tp)
-	}
-	return dst
+	return appendTuples(dst, tuples)
 }
 
 // DecodeInsert parses an insert payload, which must hold nothing else.
@@ -228,11 +361,7 @@ func EncodeResult(dst []byte, res *ph.Result) []byte {
 	for _, p := range res.Positions {
 		dst = AppendU32(dst, uint32(p))
 	}
-	dst = AppendU32(dst, uint32(len(res.Tuples)))
-	for _, tp := range res.Tuples {
-		dst = EncodeTuple(dst, tp)
-	}
-	return dst
+	return appendTuples(dst, res.Tuples)
 }
 
 // DecodeResult parses a query result from the buffer. Its positions and

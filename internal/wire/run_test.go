@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"testing"
@@ -150,18 +151,55 @@ func bytesAllocated(runs int, f func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
-// TestTupleRunHostileCounts: a tuple or word count the payload cannot
-// hold fails before anything that size is allocated.
-func TestTupleRunHostileCounts(t *testing.T) {
-	good := EncodeTuple(nil, runTuples(2)[1])
-	wordBomb := AppendU32(AppendBytes(AppendBytes(nil, []byte("id")), nil), 0xFFFFFFFF)
-	cases := map[string][]byte{
-		"result tuple count": append(AppendU32(AppendU32(AppendU32(nil, 1), 0), 0xFFFFFFFF), good...),
-		"table tuple count":  append(AppendU32(AppendBytes(AppendString(AppendString(nil, "emp"), "swp-ph"), nil), 0xFFFFFFFF), good...),
-		"insert tuple count": append(AppendU32(AppendString(nil, "emp"), 0xFFFFFFFF), good...),
-		"word count":         append(AppendU32(AppendString(nil, "emp"), 1), wordBomb...),
+// runHeader is a run header: n tuples of the given ID, blob and word
+// lengths.
+func runHeader(n, id, blob uint64, words ...uint64) []byte {
+	b := binary.AppendUvarint(nil, n)
+	b = binary.AppendUvarint(b, id)
+	b = binary.AppendUvarint(b, blob)
+	b = binary.AppendUvarint(b, uint64(len(words)))
+	for _, w := range words {
+		b = binary.AppendUvarint(b, w)
 	}
-	for name, payload := range cases {
+	return b
+}
+
+// hostileRuns are insert payloads whose counts or run headers the bytes
+// cannot hold, by name.
+func hostileRuns() map[string][]byte {
+	good := appendTuples(nil, runTuples(2)[1:])[4:] // one run of one tuple
+	insert := func(count uint32, runs ...[]byte) []byte {
+		b := AppendU32(AppendString(nil, "emp"), count)
+		for _, r := range runs {
+			b = append(b, r...)
+		}
+		return b
+	}
+	body := bytes.Repeat([]byte{0x5A}, 49)
+	return map[string][]byte{
+		"result tuple count":     append(AppendU32(AppendU32(AppendU32(nil, 1), 0), 0xFFFFFFFF), good...),
+		"table tuple count":      append(AppendU32(AppendBytes(AppendString(AppendString(nil, "emp"), "swp-ph"), nil), 0xFFFFFFFF), good...),
+		"insert tuple count":     insert(0xFFFFFFFF, good),
+		"word count":             insert(1, runHeader(1, 2, 0), binary.AppendUvarint(nil, 0xFFFFFFFF)),
+		"run of 0":               insert(1, runHeader(0, 16, 0, 11, 11, 11), runHeader(1, 16, 0, 11, 11, 11), body),
+		"run past the count":     insert(1, runHeader(2, 16, 0, 11, 11, 11), body, body),
+		"zero-byte tuples":       insert(0xFFFFFFFF, runHeader(0xFFFFFFFF, 0, 0)),
+		"zero-byte words":        insert(0xFFFFFFFF, runHeader(0xFFFFFFFF, 0, 0, 0, 0, 0, 0)),
+		"word length":            insert(1, runHeader(1, 0, 0, 1<<40)),
+		"id length":              insert(1, runHeader(1, 0xFFFFFFFF, 0)),
+		"n × stride overflows":   insert(0xFFFFFFFF, runHeader(0xFFFFFFFF, 1<<62, 1<<62, 1<<62)),
+		"shape with no body":     insert(3, runHeader(3, 16, 0, 11, 11, 11)),
+		"body one tuple short":   insert(3, runHeader(3, 16, 0, 11, 11, 11), body, body),
+		"truncated run header":   insert(1, runHeader(1, 16, 0, 11, 11, 11)[:4]),
+		"overlong uvarint count": insert(1, bytes.Repeat([]byte{0xFF}, 11)),
+	}
+}
+
+// TestTupleRunHostileCounts: a tuple count, run length, word count or
+// length the payload cannot hold fails before anything that size is
+// allocated.
+func TestTupleRunHostileCounts(t *testing.T) {
+	for name, payload := range hostileRuns() {
 		var err error
 		n := bytesAllocated(50, func() {
 			for _, m := range runMessages {

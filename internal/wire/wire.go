@@ -9,9 +9,11 @@
 //
 // where length counts type+payload and is capped at MaxFrameSize. All
 // integers are big-endian. Variable-length byte strings inside payloads are
-// u32-length-prefixed. A request payload must be consumed exactly: every
-// request decoder ends with Buffer.Err, so trailing bytes are a protocol
-// error.
+// u32-length-prefixed, except inside a list of encrypted tuples (a table,
+// an insert, a result): that is a count and runs of tuples of one shape,
+// the shape's lengths said once per run (messages.go). A request payload
+// must be consumed exactly: every request decoder ends with Buffer.Err,
+// so trailing bytes are a protocol error.
 //
 // There is one read message. CmdQuery carries a list of plans, each a
 // conjunction of one or more encrypted selects, and ReadFlag* bits that
@@ -269,10 +271,26 @@ var bufPool = sync.Pool{New: func() any {
 }}
 
 // MaxPooledBuf caps what PutBuf will retain: one request with a huge
-// frame must not pin tens of megabytes in the pool forever. Callers that
-// hold a reusable buffer across requests (server connections) use the
-// same threshold to decide whether a grown buffer is worth keeping.
+// frame must not pin tens of megabytes in the pool forever. A server
+// connection uses the same threshold to decide whether a grown encode
+// buffer is worth keeping.
 const MaxPooledBuf = 1 << 20
+
+// MaxKeptBuf bounds the buffers a connection keeps between frames: a
+// client.Conn's read and encode buffers and a server connection's read
+// buffer. A read answer or an insert batch fits many times over, while
+// a table upload or download runs to megabytes: keeping the buffer such
+// a frame grew would pin it for the connection's life.
+const MaxKeptBuf = 64 << 10
+
+// KeepBuf returns b emptied for reuse, or nil when it has grown past
+// MaxKeptBuf.
+func KeepBuf(b []byte) []byte {
+	if cap(b) > MaxKeptBuf {
+		return nil
+	}
+	return b[:0]
+}
 
 // GetBuf returns a zero-length scratch buffer from the frame-buffer pool.
 // Grow it with append (or hand it to ReadFrameReuse) and return the grown
@@ -351,16 +369,19 @@ func (r *Buffer) U64() (uint64, error) {
 	return v, nil
 }
 
-// Bytes reads a u32-length-prefixed byte string into a fresh slice.
-func (r *Buffer) Bytes() ([]byte, error) {
-	b, err := r.span()
-	return append(make([]byte, 0, len(b)), b...), err
+// uvarint reads an unsigned varint.
+func (r *Buffer) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
+		return 0, fmt.Errorf("wire: truncated or overlong uvarint")
+	}
+	r.off += n
+	return v, nil
 }
 
-// span reads a u32-length-prefixed byte string as a slice of the payload
-// itself. Nothing a decoder returns may alias the payload, so callers
-// copy what they keep.
-func (r *Buffer) span() ([]byte, error) {
+// Bytes reads a u32-length-prefixed byte string into a fresh slice:
+// nothing a decoder returns may alias the payload.
+func (r *Buffer) Bytes() ([]byte, error) {
 	n, err := r.U32()
 	if err != nil {
 		return nil, err
@@ -370,7 +391,7 @@ func (r *Buffer) span() ([]byte, error) {
 	}
 	b := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
-	return b, nil
+	return append(make([]byte, 0, len(b)), b...), nil
 }
 
 // String reads a u32-length-prefixed string.

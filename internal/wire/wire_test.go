@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"testing"
 	"testing/quick"
@@ -228,15 +229,42 @@ func TestListCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTupleCodecProperty: n tuples of one shape encode to the count, one
+// run header and n × stride bytes, and lists of any shapes — zero-length
+// IDs, blobs and words among them — round-trip.
 func TestTupleCodecProperty(t *testing.T) {
-	f := func(id, blob []byte, w1, w2 []byte) bool {
+	f := func(id, blob, w1, w2 []byte, n uint8) bool {
 		in := ph.EncryptedTuple{ID: id, Blob: blob, Words: [][]byte{w1, w2}}
-		out, err := DecodeTuple(NewBuffer(EncodeTuple(nil, in)))
-		if err != nil {
+		one := make([]ph.EncryptedTuple, 1+3*int(n)) // past 127: a 2-byte run length
+		for i := range one {
+			one[i] = in
+		}
+		// A tuple shorter than its word count plus one runs alone.
+		runs, stride := len(one), len(id)+len(blob)+len(w1)+len(w2)
+		if stride > len(in.Words) {
+			runs = 1
+		}
+		header := len(runHeader(uint64(len(one)/runs), uint64(len(id)), uint64(len(blob)), uint64(len(w1)), uint64(len(w2))))
+		enc := appendTuples(nil, one)
+		if len(enc) != 4+runs*header+len(one)*stride || len(enc) != tuplesLen(one) {
 			return false
 		}
-		return bytes.Equal(out.ID, id) && bytes.Equal(out.Blob, blob) &&
-			bytes.Equal(out.Words[0], w1) && bytes.Equal(out.Words[1], w2)
+		// Mixed shapes: the same bytes cut differently, and an empty tuple.
+		mixed := append(one, ph.EncryptedTuple{ID: w1, Words: [][]byte{id}}, ph.EncryptedTuple{}, in, ph.EncryptedTuple{Blob: w2})
+		for _, list := range [][]ph.EncryptedTuple{one, mixed} {
+			enc := appendTuples(nil, list)
+			r := NewBuffer(enc[4:])
+			out, err := decodeTuples(r, uint32(len(list)))
+			if err != nil || r.Err() != nil || len(enc) != tuplesLen(list) {
+				return false
+			}
+			for i := range list {
+				if !sameTuple(out[i], list[i]) {
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -275,11 +303,9 @@ func TestMutationPayloadsRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsCorruptCounts(t *testing.T) {
-	// A tuple declaring 2^32-1 words must fail fast.
-	b := AppendBytes(nil, []byte("id"))
-	b = AppendBytes(b, nil)
-	b = AppendU32(b, 0xFFFFFFFF)
-	if _, err := DecodeTuple(NewBuffer(b)); err == nil {
+	// A run declaring 2^32-1 words a tuple must fail fast.
+	b := append(runHeader(1, 2, 0)[:3], binary.AppendUvarint(nil, 0xFFFFFFFF)...)
+	if _, err := decodeTuples(NewBuffer(append(b, "id"...)), 1); err == nil {
 		t.Fatal("absurd word count accepted")
 	}
 }
