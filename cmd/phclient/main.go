@@ -5,10 +5,12 @@
 // Single-table mode:
 //
 //	phclient -addr localhost:7632 -table emp -passphrase 'my secret' \
-//	         [-schema 'name:string:10,dept:string:5,salary:int:5'] [-scheme swp-ph]
+//	         [-schema 'name:string:10,dept:string:5,salary:int:5']
 //
-// Catalog mode (several tables, schemas and schemes from a JSON config;
-// per-table keys are derived from the passphrase, no keys in the file):
+// Tables are encrypted with swp-ph, the one scheme a phserver stores.
+//
+// Catalog mode (several tables and schemas from a JSON config; per-table
+// keys are derived from the passphrase, no keys in the file):
 //
 //	phclient -addr localhost:7632 -config client.json -passphrase 'my secret'
 //
@@ -52,12 +54,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/crypto"
-	"repro/internal/ph"
 	"repro/internal/relation"
-	"repro/internal/schemes/bucket"
-	"repro/internal/schemes/damiani"
-	"repro/internal/schemes/detph"
-	"repro/internal/schemes/gohph"
 	"repro/internal/shard"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -69,7 +66,6 @@ func main() {
 		table      = flag.String("table", "emp", "remote table name (single-table mode)")
 		passphrase = flag.String("passphrase", "", "secret the keys are derived from (required)")
 		schemaDDL  = flag.String("schema", "", "schema as col:type:width,... (default: the demo employee schema)")
-		schemeName = flag.String("scheme", core.SchemeID, "scheme: swp-ph | goh-ph | bucket | damiani | detph")
 		configPath = flag.String("config", "", "catalog config JSON (enables multi-table mode)")
 		explain    = flag.Bool("explain", false, "print the server's query plan for SQL statements instead of executing them")
 	)
@@ -155,7 +151,7 @@ func main() {
 				os.Exit(2)
 			}
 		}
-		scheme, err := makeScheme(*schemeName, master, schema)
+		scheme, err := core.New(master, schema, core.Options{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "phclient: %v\n", err)
 			os.Exit(2)
@@ -354,24 +350,6 @@ func (sh *shell) execute(line string) error {
 		fmt.Print(t.Sorted())
 		fmt.Printf("(%d tuples)\n", t.Len())
 		return nil
-	}
-}
-
-// makeScheme instantiates the selected scheme.
-func makeScheme(name string, key crypto.Key, schema *relation.Schema) (ph.Scheme, error) {
-	switch name {
-	case core.SchemeID:
-		return core.New(key, schema, core.Options{})
-	case bucket.SchemeID:
-		return bucket.New(key, schema, bucket.Options{})
-	case damiani.SchemeID:
-		return damiani.New(key, schema, damiani.Options{})
-	case detph.SchemeID:
-		return detph.New(key, schema)
-	case gohph.SchemeID:
-		return gohph.New(key, schema, gohph.Options{})
-	default:
-		return nil, fmt.Errorf("unknown scheme %q", name)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Command phserver runs Eve: the untrusted database service provider. It
 // stores encrypted tables and evaluates encrypted queries without ever
-// holding keys.
+// holding keys. It stores tables of the paper's construction (swp-ph)
+// only, and refuses a table of any other scheme.
 //
 // Usage:
 //
@@ -64,14 +65,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/storage"
-
-	// Register the key-free evaluators for every scheme this server can
-	// evaluate queries for (database/sql-driver style).
-	_ "repro/internal/core"
-	_ "repro/internal/schemes/bucket"
-	_ "repro/internal/schemes/damiani"
-	_ "repro/internal/schemes/detph"
-	_ "repro/internal/schemes/gohph"
 )
 
 func main() {

@@ -1,8 +1,8 @@
-// Catalog: several outsourced tables, several schemes, one passphrase.
-// A JSON config (no keys inside — per-table keys are derived from the
-// master passphrase) attaches an employee table under the paper's SWP
-// construction and a patient table under the Goh instantiation; SQL is
-// routed to the right table and scheme by its FROM clause.
+// Catalog: several outsourced tables, one passphrase. A JSON config (no
+// keys inside — per-table keys are derived from the master passphrase)
+// attaches an employee table and a patient table, each under the paper's
+// SWP construction and its own key; SQL is routed to the right table by
+// its FROM clause.
 package main
 
 import (
@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/relation"
-	"repro/internal/schemes/gohph"
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/storage"
@@ -55,7 +54,7 @@ func main() {
 		},
 		{
 			Remote: "clinic",
-			Scheme: gohph.SchemeID,
+			Scheme: core.SchemeID,
 			Schema: client.SchemaConfigOf(workload.HospitalSchema()),
 		},
 	}}
@@ -156,7 +155,7 @@ func main() {
 	fmt.Print(plan)
 	fmt.Println()
 
-	// The server directory shows two differently encrypted tables.
+	// The server directory shows the two tables, both swp-ph.
 	infos, err := conn.List()
 	if err != nil {
 		log.Fatal(err)

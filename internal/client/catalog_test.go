@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/relation"
-	"repro/internal/schemes/bucket"
 	"repro/internal/server"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -101,13 +100,11 @@ func TestConfigRoundTripAndAttach(t *testing.T) {
 			Schema: SchemaConfigOf(empSchema()),
 		},
 		{
-			Remote:  "pat",
-			Scheme:  bucket.SchemeID,
-			Schema:  SchemaConfigOf(workload.HospitalSchema()),
-			Buckets: 8,
-			IntDomains: map[string]bucket.Domain{
-				"hospital": {Min: 1, Max: 3},
-			},
+			Remote:         "pat",
+			Scheme:         core.SchemeID,
+			Schema:         SchemaConfigOf(workload.HospitalSchema()),
+			ChecksumLen:    4,
+			PerColumnWidth: true,
 		},
 	}}
 	path := filepath.Join(t.TempDir(), "client.json")
@@ -118,7 +115,7 @@ func TestConfigRoundTripAndAttach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded.Tables) != 2 || loaded.Tables[1].Buckets != 8 {
+	if len(loaded.Tables) != 2 || loaded.Tables[1].ChecksumLen != 4 || !loaded.Tables[1].PerColumnWidth {
 		t.Fatalf("loaded config: %+v", loaded)
 	}
 
@@ -276,10 +273,14 @@ func TestLoadConfigValidation(t *testing.T) {
 	}
 }
 
+// TestBuildSchemeUnknown: every scheme but the paper's construction is
+// refused, the comparators by name.
 func TestBuildSchemeUnknown(t *testing.T) {
-	tc := TableConfig{Remote: "x", Scheme: "nope", Schema: SchemaConfigOf(empSchema())}
-	if _, err := tc.BuildScheme(crypto.Key{}); err == nil {
-		t.Fatal("unknown scheme built")
+	for _, id := range []string{"nope", "", "bucket", "damiani", "detph", "goh-ph"} {
+		tc := TableConfig{Remote: "x", Scheme: id, Schema: SchemaConfigOf(empSchema())}
+		if _, err := tc.BuildScheme(crypto.Key{}); err == nil || !strings.Contains(err.Error(), "Definition 2.1") {
+			t.Fatalf("scheme %q: BuildScheme error %v, want a refusal naming Definition 2.1", id, err)
+		}
 	}
 }
 

@@ -10,10 +10,6 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/ph"
 	"repro/internal/relation"
-	"repro/internal/schemes/bucket"
-	"repro/internal/schemes/damiani"
-	"repro/internal/schemes/detph"
-	"repro/internal/schemes/gohph"
 )
 
 // Config is the client-side description of an outsourcing setup: which
@@ -92,20 +88,15 @@ func (nc NetConfig) DialConfig() DialConfig {
 type TableConfig struct {
 	// Remote is the table name at the server.
 	Remote string `json:"remote"`
-	// Scheme is the scheme ID (swp-ph, bucket, damiani, detph).
+	// Scheme is the scheme ID. It must be swp-ph, the paper's
+	// construction: the only scheme a server stores.
 	Scheme string `json:"scheme"`
 	// Schema describes the plaintext relation.
 	Schema SchemaConfig `json:"schema"`
-	// ChecksumLen is the SWP checksum width for swp-ph (0 = default).
+	// ChecksumLen is the SWP checksum width (0 = default).
 	ChecksumLen int `json:"checksum_len,omitempty"`
-	// PerColumnWidth enables the variable-length layout for swp-ph.
+	// PerColumnWidth enables the variable-length layout.
 	PerColumnWidth bool `json:"per_column_width,omitempty"`
-	// Buckets is the bucket count for bucket/damiani (0 = default).
-	Buckets int `json:"buckets,omitempty"`
-	// IntDomains declares integer domains for the bucket scheme.
-	IntDomains map[string]bucket.Domain `json:"int_domains,omitempty"`
-	// FPRate is the Bloom false-positive target for goh-ph (0 = default).
-	FPRate float64 `json:"fp_rate,omitempty"`
 }
 
 // SchemaConfig is the JSON form of a relation schema.
@@ -153,32 +144,24 @@ func (sc SchemaConfig) Build() (*relation.Schema, error) {
 	return relation.NewSchema(sc.Name, cols...)
 }
 
-// BuildScheme instantiates the table's privacy homomorphism. The table key
-// is derived from the master key and the remote table name, so one
-// passphrase serves a whole catalog without key reuse across tables.
+// BuildScheme instantiates the table's privacy homomorphism, refusing any
+// Scheme but swp-ph. The table key is derived from the master key and the
+// remote table name, so one passphrase serves a whole catalog without key
+// reuse across tables.
 func (tc TableConfig) BuildScheme(master crypto.Key) (ph.Scheme, error) {
+	if tc.Scheme != core.SchemeID {
+		return nil, fmt.Errorf("client: table %q has scheme %q: a server stores only %s, the construction Definition 2.1 is proved for",
+			tc.Remote, tc.Scheme, core.SchemeID)
+	}
 	schema, err := tc.Schema.Build()
 	if err != nil {
 		return nil, err
 	}
 	key := crypto.NewPRF(master).DeriveKey("client/table-key", []byte(tc.Remote))
-	switch tc.Scheme {
-	case core.SchemeID:
-		return core.New(key, schema, core.Options{
-			ChecksumLen:    tc.ChecksumLen,
-			PerColumnWidth: tc.PerColumnWidth,
-		})
-	case bucket.SchemeID:
-		return bucket.New(key, schema, bucket.Options{Buckets: tc.Buckets, IntDomains: tc.IntDomains})
-	case damiani.SchemeID:
-		return damiani.New(key, schema, damiani.Options{Buckets: tc.Buckets})
-	case detph.SchemeID:
-		return detph.New(key, schema)
-	case gohph.SchemeID:
-		return gohph.New(key, schema, gohph.Options{FPRate: tc.FPRate})
-	default:
-		return nil, fmt.Errorf("client: unknown scheme %q for table %q", tc.Scheme, tc.Remote)
-	}
+	return core.New(key, schema, core.Options{
+		ChecksumLen:    tc.ChecksumLen,
+		PerColumnWidth: tc.PerColumnWidth,
+	})
 }
 
 // AttachAll builds every table in the config and attaches it to a catalog

@@ -615,10 +615,11 @@ func EvaluateSerial(et *ph.EncryptedTable, q *ph.EncryptedQuery) (*ph.Result, er
 // O(len(candidates)) match tests instead of a full table scan, which is
 // what turns a k-conjunct query from k full scans into one full scan
 // plus narrowing passes over the survivors. Nil candidates select the
-// whole table (the Narrower contract): a positions-only scan with no
-// candidate list materialised or validated — Evaluate's scan without
-// the tuple cloning its Result carries. Both shapes run through
-// shardScan, so the output is deterministic.
+// whole table: a positions-only scan with no candidate list materialised
+// or validated — Evaluate's scan without the tuple cloning its Result
+// carries. Both shapes run through shardScan, so the output is
+// deterministic. It is the store's only scan, and does not check q's
+// scheme ID: its caller does.
 func EvaluateOn(et *ph.EncryptedTable, q *ph.EncryptedQuery, candidates []int) ([]int, error) {
 	base, err := TokenMatcher(et.Meta, q.Token)
 	if err != nil {
@@ -682,7 +683,6 @@ func PositionsCap(n int) int {
 
 func init() {
 	ph.RegisterEvaluator(SchemeID, Evaluate)
-	ph.RegisterNarrower(SchemeID, EvaluateOn)
 }
 
 // metaVersion tags the table-metadata encoding and, with it, the

@@ -66,7 +66,7 @@ func TestEvaluateOnMatchesEvaluate(t *testing.T) {
 			t.Fatal(err)
 		}
 		candidateSets := [][]int{
-			nil,                                   // whole table (Narrower contract)
+			nil,                                   // whole table
 			[]int{},                               // no candidates at all
 			ascendingRange(0, len(et.Tuples)),     // everything, explicitly
 			ascendingRange(0, len(et.Tuples)/2),   // first half
@@ -88,24 +88,6 @@ func TestEvaluateOnMatchesEvaluate(t *testing.T) {
 				t.Fatalf("%s case %d: EvaluateOn = %v, want %v", in.name, ci, got, want)
 			}
 		}
-	}
-}
-
-// TestEvaluateOnViaRegistry checks ph.ApplyOn dispatches to the
-// registered narrower for the paper's scheme.
-func TestEvaluateOnViaRegistry(t *testing.T) {
-	et, q := evalOnFixture(t, 200, "IT")
-	full, err := Evaluate(et, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cands := ascendingRange(0, len(et.Tuples))
-	got, err := ph.ApplyOn(et, q, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(normalize(got), normalize(full.Positions)) {
-		t.Fatalf("ApplyOn via registry = %v, want %v", got, full.Positions)
 	}
 }
 

@@ -17,8 +17,9 @@
 // The server side ψ is exposed as an Evaluator: a function that needs no
 // secret keys, only the encrypted table's public metadata and the encrypted
 // query token. Schemes register their evaluator under their scheme ID
-// (database/sql-driver style), so a server binary can evaluate queries for
-// any scheme it links in without ever holding keys.
+// (database/sql-driver style), so Apply runs ψ for any scheme linked in:
+// the experiments, games and attacks run the comparators that way. The
+// served store scans the paper's construction alone (core.EvaluateOn).
 package ph
 
 import (
@@ -133,21 +134,9 @@ type Scheme interface {
 // maps an encrypted table and an encrypted query to the matching tuples.
 type Evaluator func(et *EncryptedTable, q *EncryptedQuery) (*Result, error)
 
-// Narrower is the restricted form of ψ the conjunctive planner uses: it
-// evaluates the query only at the candidate positions (ascending indices
-// into et.Tuples) and returns the ascending subsequence that matched.
-// A nil candidates slice means the WHOLE table — a positions-only full
-// scan with no candidate list materialised (an empty, non-nil slice
-// still means no candidates). Like Evaluator it needs no keys. Schemes
-// register one when they can test a single tuple cheaper than scanning
-// the table; schemes without one still work through ApplyOn's full-scan
-// fallback.
-type Narrower func(et *EncryptedTable, q *EncryptedQuery, candidates []int) ([]int, error)
-
 var (
 	evalMu     sync.RWMutex
 	evaluators = make(map[string]Evaluator)
-	narrowers  = make(map[string]Narrower)
 )
 
 // RegisterEvaluator installs the evaluator for a scheme ID. It is intended
@@ -177,48 +166,6 @@ func Evaluators() []string {
 	return ids
 }
 
-// RegisterNarrower installs the candidate-restricted evaluator for a
-// scheme ID. Like RegisterEvaluator it is called from scheme package init
-// functions and panics on duplicate registration.
-func RegisterNarrower(id string, nr Narrower) {
-	evalMu.Lock()
-	defer evalMu.Unlock()
-	if nr == nil {
-		panic("ph: RegisterNarrower with nil narrower")
-	}
-	if _, dup := narrowers[id]; dup {
-		panic("ph: RegisterNarrower called twice for scheme " + id)
-	}
-	narrowers[id] = nr
-}
-
-// ApplyOn narrows candidates by q: it returns the ascending subsequence
-// of candidates whose tuples match. Nil candidates request a
-// positions-only full scan of the whole table (see Narrower). Schemes
-// with a registered Narrower pay O(len(candidates)) match tests; for
-// the rest ApplyOn falls back to a full Apply and intersects the
-// positions, so every scheme that can serve single selects can serve
-// pushed-down conjunctions.
-func ApplyOn(et *EncryptedTable, q *EncryptedQuery, candidates []int) ([]int, error) {
-	if et.SchemeID != q.SchemeID {
-		return nil, fmt.Errorf("ph: query for scheme %q applied to table of scheme %q", q.SchemeID, et.SchemeID)
-	}
-	evalMu.RLock()
-	nr := narrowers[et.SchemeID]
-	evalMu.RUnlock()
-	if nr != nil {
-		return nr(et, q, candidates)
-	}
-	res, err := Apply(et, q)
-	if err != nil {
-		return nil, err
-	}
-	if candidates == nil {
-		return res.Positions, nil
-	}
-	return IntersectPositions(candidates, res.Positions), nil
-}
-
 // IntersectPositions returns the intersection of two ascending position
 // lists, ascending. It is the planner's merge primitive.
 func IntersectPositions(a, b []int) []int {
@@ -239,9 +186,8 @@ func IntersectPositions(a, b []int) []int {
 	return out
 }
 
-// Apply evaluates ψ: it dispatches to the registered evaluator for the
-// table's scheme. This is the only query path the server has — it never
-// holds keys.
+// Apply evaluates ψ, keylessly: it dispatches to the registered evaluator
+// for the table's scheme.
 func Apply(et *EncryptedTable, q *EncryptedQuery) (*Result, error) {
 	if et.SchemeID != q.SchemeID {
 		return nil, fmt.Errorf("ph: query for scheme %q applied to table of scheme %q", q.SchemeID, et.SchemeID)

@@ -2,6 +2,7 @@ package ph
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -113,5 +114,20 @@ func TestSelectPositionsCopies(t *testing.T) {
 	}
 	if fmt.Sprint(res.Positions) != "[1 2]" {
 		t.Fatalf("positions: %v", res.Positions)
+	}
+}
+
+func TestIntersectPositions(t *testing.T) {
+	cases := []struct{ a, b, want []int }{
+		{[]int{1, 3, 5}, []int{2, 3, 5, 7}, []int{3, 5}},
+		{nil, []int{1}, []int{}},
+		{[]int{1}, nil, []int{}},
+		{[]int{1, 2, 3}, []int{1, 2, 3}, []int{1, 2, 3}},
+		{[]int{1, 2}, []int{3, 4}, []int{}},
+	}
+	for _, c := range cases {
+		if got := IntersectPositions(c.a, c.b); !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("IntersectPositions(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
 	}
 }

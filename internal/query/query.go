@@ -16,8 +16,8 @@
 //   - execution evaluates the cheapest conjunct first (one full scan at
 //     most, and none when a conjunct is cached) and *narrows*: every
 //     later conjunct is tested only at the surviving positions through
-//     ph.ApplyOn, so a k-conjunct query costs O(n + Σ|survivors|) match
-//     tests instead of k·O(n) scans plus k result transfers;
+//     the caller's scan, so a k-conjunct query costs O(n + Σ|survivors|)
+//     match tests instead of k·O(n) scans plus k result transfers;
 //   - a plan reports, per conjunct, where its positions come from and
 //     how many tests it runs, which is what a read request with
 //     wire.ReadFlagExplain returns and what phclient's -explain renders.
@@ -28,10 +28,11 @@
 // is a Plan. This package also owns the codec of the one read request
 // and its answer (codec.go).
 //
-// The storage layer owns the locks, the cache and the sketch; it
-// gathers the per-conjunct cache state into Conjunct values, calls
-// Build, runs the plan under its read-locked snapshot, and feeds the
-// fresh full-table position sets back into cache and sketch.
+// The storage layer owns the locks, the cache, the sketch and the scan
+// (core.EvaluateOn); it gathers the per-conjunct cache state into
+// Conjunct values, calls Build, runs the plan under its read-locked
+// snapshot, and feeds the fresh full-table position sets back into
+// cache and sketch.
 package query
 
 import (
@@ -59,7 +60,7 @@ const (
 type Source int
 
 const (
-	// SourceScan: full table scan through the scheme's evaluator.
+	// SourceScan: full table scan.
 	SourceScan Source = iota
 	// SourceHit: answered entirely from the result cache.
 	SourceHit
@@ -196,11 +197,11 @@ func Build(table string, tuples int, conjs []Conjunct) (*Plan, error) {
 // write to them. The caller holds whatever lock makes et stable; Run
 // itself takes none.
 //
-// fullScan, when non-nil, stands in for ph.ApplyOn(et, q, nil) on the
-// driver conjunct's uncached full-table scan — the storage layer points
-// it at the scan-sharing layer, so identical cold drivers in flight at
-// once cost one scan.
-func (p *Plan) Run(et *ph.EncryptedTable, fullScan func(q *ph.EncryptedQuery) ([]int, error)) ([]int, error) {
+// scan runs every evaluation of the plan: it returns the ascending
+// positions among candidates whose tuples match q, or among all of et's
+// tuples when candidates is nil. Its et is Run's, or for a cached
+// prefix's delta a table of the appended tail alone.
+func (p *Plan) Run(et *ph.EncryptedTable, scan func(et *ph.EncryptedTable, q *ph.EncryptedQuery, candidates []int) ([]int, error)) ([]int, error) {
 	if len(et.Tuples) != p.Tuples {
 		return nil, fmt.Errorf("query: plan built for %d tuples run against %d", p.Tuples, len(et.Tuples))
 	}
@@ -223,18 +224,15 @@ func (p *Plan) Run(et *ph.EncryptedTable, fullScan func(q *ph.EncryptedQuery) ([
 		case step == 0:
 			// Driver: this conjunct must produce a full-table position
 			// set. A cached prefix means only the appended tail needs
-			// scanning — every evaluator is a tuple-local scan, so
+			// scanning — the scan is tuple-local, so
 			// evaluating Tuples[Scanned:] and offsetting the positions is
-			// exact; the completed set is cacheable either way. Both
-			// shapes go through ApplyOn rather than Apply: only the
-			// positions are needed here, and Apply would deep-clone every
-			// matching tuple just for them to be discarded. Nil candidates
-			// = whole table (the Narrower contract): a positions-only
-			// scan, no candidate list built.
+			// exact; the completed set is cacheable either way. Nil
+			// candidates = whole table: a positions-only scan, no
+			// candidate list built.
 			var full []int
 			if cj.Cached == CachedPrefix {
 				tail := &ph.EncryptedTable{SchemeID: et.SchemeID, Meta: et.Meta, Tuples: et.Tuples[cj.Scanned:]}
-				hits, err := ph.ApplyOn(tail, cj.Q, nil)
+				hits, err := scan(tail, cj.Q, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -246,12 +244,7 @@ func (p *Plan) Run(et *ph.EncryptedTable, fullScan func(q *ph.EncryptedQuery) ([
 				cj.Tested = n - cj.Scanned
 			} else {
 				var err error
-				if fullScan != nil {
-					full, err = fullScan(cj.Q)
-				} else {
-					full, err = ph.ApplyOn(et, cj.Q, nil)
-				}
-				if err != nil {
+				if full, err = scan(et, cj.Q, nil); err != nil {
 					return nil, err
 				}
 				cj.Source = SourceScan
@@ -267,7 +260,7 @@ func (p *Plan) Run(et *ph.EncryptedTable, fullScan func(q *ph.EncryptedQuery) ([
 			if cj.Cached == CachedPrefix {
 				cut := sort.SearchInts(surv, cj.Scanned)
 				pre := ph.IntersectPositions(surv[:cut], cj.Positions)
-				tail, err := ph.ApplyOn(et, cj.Q, surv[cut:])
+				tail, err := scan(et, cj.Q, surv[cut:])
 				if err != nil {
 					return nil, err
 				}
@@ -276,7 +269,7 @@ func (p *Plan) Run(et *ph.EncryptedTable, fullScan func(q *ph.EncryptedQuery) ([
 				cj.NarrowHits = len(tail)
 				surv = append(pre, tail...)
 			} else {
-				narrowed, err := ph.ApplyOn(et, cj.Q, surv)
+				narrowed, err := scan(et, cj.Q, surv)
 				if err != nil {
 					return nil, err
 				}

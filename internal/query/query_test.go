@@ -9,28 +9,17 @@ import (
 	"repro/internal/ph"
 )
 
-// The test scheme matches a tuple when any word equals the token. A full
-// scan and a narrowed pass both count their tested tuples, so tests can
+// The test scan matches a tuple when any word equals the token. It
+// counts its whole-table passes and the tuples it tests, so tests can
 // assert the planner's O(n + Σ|survivors|) shape, not just its answers.
 var (
 	fullScans   atomic.Int64
 	testedCount atomic.Int64
 )
 
-func testEval(et *ph.EncryptedTable, q *ph.EncryptedQuery) (*ph.Result, error) {
-	fullScans.Add(1)
-	testedCount.Add(int64(len(et.Tuples)))
-	var pos []int
-	for i := range et.Tuples {
-		if tupleMatches(et.Tuples[i], q.Token) {
-			pos = append(pos, i)
-		}
-	}
-	return ph.SelectPositions(et, pos), nil
-}
-
-func testNarrow(et *ph.EncryptedTable, q *ph.EncryptedQuery, candidates []int) ([]int, error) {
-	if candidates == nil { // Narrower contract: nil = whole table
+func testScan(et *ph.EncryptedTable, q *ph.EncryptedQuery, candidates []int) ([]int, error) {
+	if candidates == nil { // nil = whole table
+		fullScans.Add(1)
 		testedCount.Add(int64(len(et.Tuples)))
 		var pos []int
 		for i := range et.Tuples {
@@ -57,11 +46,6 @@ func tupleMatches(tp ph.EncryptedTuple, token []byte) bool {
 		}
 	}
 	return false
-}
-
-func init() {
-	ph.RegisterEvaluator("plan-test", testEval)
-	ph.RegisterNarrower("plan-test", testNarrow)
 }
 
 // testTable builds a table whose tuple i carries one word per column
@@ -126,7 +110,7 @@ func runPlan(t *testing.T, et *ph.EncryptedTable, conjs []Conjunct) ([]int, *Pla
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plan.Run(et, nil)
+	got, err := plan.Run(et, testScan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +203,7 @@ func TestRunMatchesNaiveIntersection(t *testing.T) {
 
 // TestRunScansOnceAndNarrows asserts the cost shape the planner exists
 // for: one full-width driver pass (the most selective estimate) and
-// only narrowed passes for the rest — never the scheme's cloning
-// full-table evaluator.
+// only narrowed passes for the rest.
 func TestRunScansOnceAndNarrows(t *testing.T) {
 	et := fixture(1000)
 	conjs := []Conjunct{
@@ -233,11 +216,9 @@ func TestRunScansOnceAndNarrows(t *testing.T) {
 	if want := naiveConj(et, []*ph.EncryptedQuery{q("even"), q("rare")}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Run = %v, want %v", got, want)
 	}
-	// The driver runs through the narrower over the full position range
-	// (positions only, no tuple cloning), so the evaluator proper is
-	// never called.
-	if n := fullScans.Load(); n != 0 {
-		t.Fatalf("plan invoked the cloning evaluator %d times, want 0", n)
+	// The driver is the one whole-table pass.
+	if n := fullScans.Load(); n != 1 {
+		t.Fatalf("plan ran %d whole-table passes, want 1", n)
 	}
 	// Driver pass tests n positions; the broad conjunct is then tested
 	// only at the single survivor: n + 1 total.
@@ -303,8 +284,10 @@ func TestRunCachedPrefixDriver(t *testing.T) {
 	if want := naiveConj(et, []*ph.EncryptedQuery{q("rare"), q("even")}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Run = %v, want %v", got, want)
 	}
-	if fullScans.Load() != 0 {
-		t.Fatal("prefix driver must not full-scan")
+	// The driver scans the 10-tuple tail and the second conjunct tests
+	// its one survivor: 11 positions, no pass over the whole table.
+	if n := testedCount.Load(); n != 11 {
+		t.Fatalf("prefix driver plan tested %d positions, want 11: it must not full-scan", n)
 	}
 	driver := plan.Conjuncts[0]
 	if driver.Source != SourceDelta || driver.Tested != 10 {
@@ -377,7 +360,7 @@ func TestRunRejectsStaleSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.Run(et, nil); err == nil {
+	if _, err := plan.Run(et, testScan); err == nil {
 		t.Fatal("plan for a different tuple count must refuse to run")
 	}
 }

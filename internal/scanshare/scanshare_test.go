@@ -53,7 +53,7 @@ func (f *fixture) query(t testing.TB, col, val string) *ph.EncryptedQuery {
 }
 
 // scan runs q through the sharer the way storage does: over the whole
-// fixture table, the scan itself being ph.ApplyOn. before, when non-nil,
+// fixture table, the scan itself being core.EvaluateOn. before, when non-nil,
 // runs first on whichever goroutine leads — the tests' handle for holding
 // a leader while followers arrive.
 func (f *fixture) scan(s *Sharer, table any, q *ph.EncryptedQuery, before func()) ([]int, error) {
@@ -61,7 +61,7 @@ func (f *fixture) scan(s *Sharer, table any, q *ph.EncryptedQuery, before func()
 		if before != nil {
 			before()
 		}
-		return ph.ApplyOn(f.et, q, nil)
+		return core.EvaluateOn(f.et, q, nil)
 	})
 }
 

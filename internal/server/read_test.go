@@ -4,51 +4,33 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
-	"sync"
+	"strconv"
 	"testing"
 
 	"repro/internal/authindex"
 	"repro/internal/ph"
 	"repro/internal/query"
+	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
 
-var conjRegisterOnce sync.Once
+// conjTable: tuple i carries parity "even" or "odd" and id i.
+func conjTable(n int) *ph.EncryptedTable { return fixtureTable(n) }
 
-// conjScheme registers a word-equality evaluator so the read tests'
-// plans do real scans and narrowing.
-func conjScheme() {
-	conjRegisterOnce.Do(func() {
-		ph.RegisterEvaluator("server-conj", func(et *ph.EncryptedTable, q *ph.EncryptedQuery) (*ph.Result, error) {
-			var pos []int
-			for i, tp := range et.Tuples {
-				for _, w := range tp.Words {
-					if bytes.Equal(w, q.Token) {
-						pos = append(pos, i)
-						break
-					}
-				}
-			}
-			return ph.SelectPositions(et, pos), nil
-		})
-	})
-}
-
-// conjTable: tuple i carries words "even"/"odd" and a per-tuple id word.
-func conjTable(n int) *ph.EncryptedTable {
-	et := &ph.EncryptedTable{SchemeID: "server-conj"}
-	for i := 0; i < n; i++ {
-		parity := []byte("odd")
-		if i%2 == 0 {
-			parity = []byte("even")
-		}
-		et.Tuples = append(et.Tuples, ph.EncryptedTuple{
-			ID:    []byte{byte(i)},
-			Words: [][]byte{parity, {0xB0, byte(i)}},
-		})
+// fixtureQuery encrypts one token of a read test: an id written by id,
+// or a parity.
+func fixtureQuery(t *testing.T, tok string) *ph.EncryptedQuery {
+	t.Helper()
+	eq := relation.Eq{Column: "parity", Value: relation.String(tok)}
+	if i, err := strconv.Atoi(tok); err == nil {
+		eq = relation.Eq{Column: "id", Value: relation.Int(int64(i))}
 	}
-	return et
+	q, err := fixturePH().EncryptQuery(eq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
 }
 
 // readFrame builds the one read request: each plan is a list of tokens.
@@ -57,7 +39,7 @@ func readFrame(t *testing.T, name string, flags byte, plans ...[]string) wire.Fr
 	qs := make([][]*ph.EncryptedQuery, len(plans))
 	for i, tokens := range plans {
 		for _, tok := range tokens {
-			qs[i] = append(qs[i], &ph.EncryptedQuery{SchemeID: "server-conj", Token: []byte(tok)})
+			qs[i] = append(qs[i], fixtureQuery(t, tok))
 		}
 	}
 	payload, err := query.EncodeRequest(nil, name, flags, qs)
@@ -68,7 +50,7 @@ func readFrame(t *testing.T, name string, flags byte, plans ...[]string) wire.Fr
 }
 
 // id is the token matching only tuple i of conjTable.
-func id(i int) string { return string([]byte{0xB0, byte(i)}) }
+func id(i int) string { return strconv.Itoa(i) }
 
 // TestDispatchRead drives the one read command through every request
 // shape and answer mode: plan order is kept, a conjunction answers its
@@ -76,7 +58,6 @@ func id(i int) string { return string([]byte{0xB0, byte(i)}) }
 // verify the returned tuples against the returned root, which is a
 // rebuild's — and explain reports a plan without executing it.
 func TestDispatchRead(t *testing.T) {
-	conjScheme()
 	et := conjTable(8)
 	wantRoot := authindex.Build(et).Root()
 	many := make([][]string, 9) // more plans than the scheduler budget's capacity
@@ -187,7 +168,6 @@ func TestHostileCountsDoNotAllocate(t *testing.T) {
 // exactly — one stray byte after a well-formed request is a protocol
 // error, answered as such with nothing applied.
 func TestTrailingBytesRejected(t *testing.T) {
-	conjScheme()
 	store, err := storage.Open(filepath.Join(t.TempDir(), "wal.log"))
 	if err != nil {
 		t.Fatal(err)

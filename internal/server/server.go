@@ -1,8 +1,9 @@
 // Package server implements Eve: the untrusted database service provider.
 // It accepts client connections, stores encrypted tables, and evaluates
-// encrypted queries through the key-free evaluator registry (ph.Apply). It
-// never holds keys and never sees plaintext — its entire view is the view
-// the paper's security games grant the adversary.
+// encrypted queries with the store's one key-free scan, core.EvaluateOn:
+// it stores the paper's construction only. It never holds keys and never
+// sees plaintext — its entire view is the view the paper's security
+// games grant the adversary.
 //
 // The server is intentionally honest-but-curious infrastructure: it follows
 // the protocol (the trust model of §2's "Alex trusts Eve to behave

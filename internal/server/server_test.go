@@ -7,7 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/crypto"
 	"repro/internal/ph"
+	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
@@ -17,18 +20,61 @@ func testStore(t *testing.T) *storage.Store {
 	return storage.NewMemory()
 }
 
-// encTable builds a table to store; its scheme has no evaluator, so it
-// serves the tests that never read.
-func encTable(n int) *ph.EncryptedTable {
-	et := &ph.EncryptedTable{SchemeID: "server-test"}
-	for i := 0; i < n; i++ {
-		et.Tuples = append(et.Tuples, ph.EncryptedTuple{
-			ID:    []byte{byte(i)},
-			Words: [][]byte{{0xA0, byte(i)}},
-		})
+// fixtureChecksumLen is the SWP checksum width m of every fixture
+// table: a per-slot false-positive rate of 2^-64 ≈ 5.4·10^-20. The
+// package's tests evaluate fixture queries over far fewer than 10^10
+// word slots, so a false positive anywhere in a run has probability
+// below 10^-9, and assertions on exact positions cannot flake on one
+// (the default m = 2 is 2^-16 a slot).
+const fixtureChecksumLen = 8
+
+// fixturePH is the instance of the paper's construction every fixture
+// table and query of the package's tests is encrypted under, with a
+// fixed key: a parity and an id column, both of width 8, so every word
+// is 10 bytes, room for m = 8.
+var fixturePH = sync.OnceValue(func() *core.PH {
+	schema := relation.MustSchema("fix",
+		relation.Column{Name: "parity", Type: relation.TypeString, Width: 8},
+		relation.Column{Name: "id", Type: relation.TypeInt, Width: 8},
+	)
+	p, err := core.New(crypto.KeyFromBytes([]byte("server fixtures")), schema, core.Options{ChecksumLen: fixtureChecksumLen})
+	if err != nil {
+		panic(err)
 	}
+	return p
+})
+
+// fixtureTable encrypts n tuples — "even" or "odd", then i — and puts
+// tuple i back at position i, undoing EncryptTable's shuffle, so a
+// query's positions are its plaintext matches.
+func fixtureTable(n int) *ph.EncryptedTable {
+	p := fixturePH()
+	plain := relation.NewTable(p.Schema())
+	for i := range n {
+		parity := "odd"
+		if i%2 == 0 {
+			parity = "even"
+		}
+		plain.MustInsert(relation.String(parity), relation.Int(int64(i)))
+	}
+	et, err := p.EncryptTable(plain)
+	if err != nil {
+		panic(err)
+	}
+	dec, err := p.DecryptTable(et)
+	if err != nil {
+		panic(err)
+	}
+	tuples := make([]ph.EncryptedTuple, n)
+	for j, tp := range dec.Tuples() {
+		tuples[tp[1].Integer()] = et.Tuples[j]
+	}
+	et.Tuples = tuples
 	return et
 }
+
+// encTable builds a table of n tuples to store; tuple i has id i.
+func encTable(n int) *ph.EncryptedTable { return fixtureTable(n) }
 
 func storeFrame(name string, et *ph.EncryptedTable) wire.Frame {
 	payload := wire.AppendString(nil, name)

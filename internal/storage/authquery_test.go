@@ -10,36 +10,11 @@ import (
 	"repro/internal/ph"
 )
 
-// authRegisterOnce registers an evaluator with real selection semantics:
-// it matches every tuple whose first ID byte equals the token byte.
-var authRegisterOnce sync.Once
+// authTable builds n fixture tuples; authQuery(b) matches every tuple
+// i with i % 3 == b.
+func authTable(n int) *ph.EncryptedTable { return fixtureTable(n, 0) }
 
-func authTable(n int) *ph.EncryptedTable {
-	authRegisterOnce.Do(func() {
-		ph.RegisterEvaluator("authq-test", func(et *ph.EncryptedTable, q *ph.EncryptedQuery) (*ph.Result, error) {
-			var positions []int
-			for i, tp := range et.Tuples {
-				if len(tp.ID) > 0 && len(q.Token) > 0 && tp.ID[0] == q.Token[0] {
-					positions = append(positions, i)
-				}
-			}
-			return ph.SelectPositions(et, positions), nil
-		})
-	})
-	t := &ph.EncryptedTable{SchemeID: "authq-test", Meta: []byte{1}}
-	for i := 0; i < n; i++ {
-		t.Tuples = append(t.Tuples, ph.EncryptedTuple{
-			ID:    []byte{byte(i % 3), byte(i), byte(i >> 8)},
-			Blob:  []byte{0xB0, byte(i)},
-			Words: [][]byte{{0xA0, byte(i)}},
-		})
-	}
-	return t
-}
-
-func authQuery(b byte) *ph.EncryptedQuery {
-	return &ph.EncryptedQuery{SchemeID: "authq-test", Token: []byte{b}}
-}
+func authQuery(b byte) *ph.EncryptedQuery { return fixtureQuery("g", int64(b)) }
 
 // TestRootIncrementalMatchesRebuild: the store-maintained root must equal
 // a from-scratch rebuild of the current table after every append.
@@ -162,15 +137,16 @@ func TestQueryVerifiedUsesCache(t *testing.T) {
 // root must describe the new tuples, not the old tree.
 func TestPutReplacesTree(t *testing.T) {
 	s := NewMemory()
-	if err := s.Put("emp", authTable(8)); err != nil {
+	orig := authTable(8)
+	if err := s.Put("emp", orig); err != nil {
 		t.Fatal(err)
 	}
 	r1, _, _, err := s.Root("emp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	repl := authTable(8)
-	repl.Tuples[3].Blob[1] ^= 0xFF
+	repl := orig.Clone()
+	repl.Tuples[3].Words[0][1] ^= 0xFF
 	if err := s.Put("emp", repl); err != nil {
 		t.Fatal(err)
 	}

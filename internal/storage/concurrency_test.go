@@ -8,32 +8,11 @@ import (
 	"repro/internal/ph"
 )
 
-// The storage layer is scheme-agnostic, so these tests register a tiny
-// evaluator of their own: a tuple "matches" when its first word starts
-// with the query token's first byte.
-func init() {
-	ph.RegisterEvaluator("storage-concurrency-test", func(et *ph.EncryptedTable, q *ph.EncryptedQuery) (*ph.Result, error) {
-		var positions []int
-		for i, tp := range et.Tuples {
-			if len(tp.Words) > 0 && len(q.Token) > 0 && len(tp.Words[0]) > 0 && tp.Words[0][0] == q.Token[0] {
-				positions = append(positions, i)
-			}
-		}
-		return ph.SelectPositions(et, positions), nil
-	})
-}
+// concTable builds n fixture tuples of one tag; concQuery(tag) matches
+// them all.
+func concTable(n int, tag byte) *ph.EncryptedTable { return fixtureTable(n, tag) }
 
-// concTable builds a table of n tuples whose first word starts with tag.
-func concTable(n int, tag byte) *ph.EncryptedTable {
-	t := &ph.EncryptedTable{SchemeID: "storage-concurrency-test"}
-	for i := 0; i < n; i++ {
-		t.Tuples = append(t.Tuples, ph.EncryptedTuple{
-			ID:    []byte{byte(i), byte(i >> 8)},
-			Words: [][]byte{{tag, byte(i)}},
-		})
-	}
-	return t
-}
+func concQuery(tag byte) *ph.EncryptedQuery { return fixtureQuery("tag", int64(tag)) }
 
 // TestConcurrentQueryDuringAppend is the satellite regression for the
 // per-table locking rework: N goroutines query a table while another
@@ -49,7 +28,7 @@ func TestConcurrentQueryDuringAppend(t *testing.T) {
 	if err := s.Put("other", concTable(8, 0xBB)); err != nil {
 		t.Fatal(err)
 	}
-	q := &ph.EncryptedQuery{SchemeID: "storage-concurrency-test", Token: []byte{0xAA}}
+	q := concQuery(0xAA)
 
 	const (
 		queriers = 6
@@ -128,7 +107,7 @@ func TestConcurrentQueryAcrossTables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q := &ph.EncryptedQuery{SchemeID: "storage-concurrency-test", Token: []byte{0xAA}}
+	q := concQuery(0xAA)
 	var wg sync.WaitGroup
 	for g := 0; g < tables; g++ {
 		wg.Add(1)

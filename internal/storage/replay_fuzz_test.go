@@ -92,6 +92,8 @@ func FuzzReplay(f *testing.F) {
 	f.Add(appendWALRecord(nil, 0x7F, []byte("junk")))
 	hostile := wire.AppendU32(wire.AppendString(nil, "emp"), 0xFFFFFFFF)
 	f.Add(append(appendWALRecord(nil, opStore, store), appendWALRecord(nil, opInsert, hostile)...))
+	// And a table of a scheme this store does not serve.
+	f.Add(append(appendWALRecord(nil, opStore, store), comparatorRecord()...))
 
 	// A stored checksum flipped on a record whose bytes would otherwise
 	// apply cleanly: only the CRC check keeps it out of the store.

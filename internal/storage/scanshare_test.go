@@ -296,26 +296,23 @@ func TestQueryVerifiedThroughSharer(t *testing.T) {
 	}
 }
 
-// heldScheme is the paper's construction under another name, with one
-// difference: while hold is set, a scan announces itself on entered and
-// then waits for release. Only a scan gets here — a query that attaches to
-// one never calls the scheme — which is what lets TestColdHerdCounts park
-// a leader until its whole herd has attached. That a relabelled scheme is
-// served at all is the single-flight working for any registered scheme.
-const heldScheme = "storage-held"
-
+// hold, while set, makes a scan announce itself on entered and then wait
+// for release before it runs. Only a scan gets there — a query that
+// attaches to one never calls evaluateOn — which is what lets
+// TestColdHerdCounts park a leader until its whole herd has attached.
 var hold *struct{ entered, release chan struct{} }
 
-func init() {
-	ph.RegisterNarrower(heldScheme, func(et *ph.EncryptedTable, q *ph.EncryptedQuery, candidates []int) ([]int, error) {
+// holdScans routes the store's scan through hold until the test ends.
+func holdScans(t *testing.T) {
+	t.Helper()
+	evaluateOn = func(et *ph.EncryptedTable, q *ph.EncryptedQuery, candidates []int) ([]int, error) {
 		if h := hold; h != nil {
 			h.entered <- struct{}{}
 			<-h.release
 		}
-		return core.EvaluateOn(
-			&ph.EncryptedTable{SchemeID: core.SchemeID, Meta: et.Meta, Tuples: et.Tuples},
-			&ph.EncryptedQuery{SchemeID: core.SchemeID, Token: q.Token}, candidates)
-	})
+		return core.EvaluateOn(et, q, candidates)
+	}
+	t.Cleanup(func() { evaluateOn = core.EvaluateOn })
 }
 
 // TestColdHerdCounts is the count gate that replaced E21's wall-clock
@@ -327,9 +324,10 @@ func TestColdHerdCounts(t *testing.T) {
 	f := newShareFixture(t, 8192, 23)
 	table, scheme, et := f.table, f.scheme, f.et
 	s := NewMemory()
-	if err := s.Put("emp", &ph.EncryptedTable{SchemeID: heldScheme, Meta: et.Meta, Tuples: et.Tuples}); err != nil {
+	if err := s.Put("emp", et); err != nil {
 		t.Fatal(err)
 	}
+	holdScans(t)
 	budget := sched.NewBudget(runtime.GOMAXPROCS(0))
 	defer sched.SetProcess(sched.SetProcess(budget))
 
@@ -351,7 +349,7 @@ func TestColdHerdCounts(t *testing.T) {
 			go func(i int, q *ph.EncryptedQuery) {
 				defer wg.Done()
 				results[i], errs[i] = s.Query("emp", q)
-			}(i, &ph.EncryptedQuery{SchemeID: heldScheme, Token: q.Token})
+			}(i, q)
 			if hold != nil && i == 0 {
 				<-hold.entered // the leader is inside its scan; the rest can only attach
 			}

@@ -121,11 +121,13 @@ func FuzzDecodeSnapshot(f *testing.F) {
 
 	// Whole, CRC-valid records the snapshot format still refuses: a
 	// table twice, a record that is not a table, a table with no name,
-	// and junk between the last record and the trailer.
+	// junk between the last record and the trailer, and a table of a
+	// scheme the store does not serve.
 	f.Add(sealSnapshot(append(append([]byte(nil), body...), body...)))
 	f.Add(sealSnapshot(appendWALRecord(append([]byte(nil), body...), opDrop, wire.AppendString(nil, "zzz"))))
 	f.Add(sealSnapshot(appendWALRecord(nil, opStore, fuzzStorePayload("", 1))))
 	f.Add(sealSnapshot(append(append([]byte(nil), body...), walMagic)))
+	f.Add(sealSnapshot(append(append([]byte(nil), body...), comparatorRecord()...)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tables, log, cur, err := decodeSnapshot(data)

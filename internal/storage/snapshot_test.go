@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/ph"
 )
 
 // buildPrimary opens a durable store at a fresh path and loads it with
@@ -88,8 +87,8 @@ func TestSnapshotRoundTripMemory(t *testing.T) {
 // its log after Compact. Both are pinned so a change to the record
 // format — or to which records Compact writes — cannot pass unnoticed.
 const (
-	primaryLogSHA256       = "a47f96e9d04d64ae7ee49d88dc702553c9c7d4f90af962f6485ac8298e0ee94b"
-	primaryCompactedSHA256 = "dfe76c250c9fb15b8f2da3d0b3de93c2df2f3e45930a81c97efa25fd6ed67356"
+	primaryLogSHA256       = "1d36f6ffa346817f33da127222c12899983b5c5f1bc667fd931e0d9318063567"
+	primaryCompactedSHA256 = "d4cd4fe993586744b60b21e4b800e056cee6fd3915c02822520c176444c6c052"
 )
 
 // TestSnapshotBodyIsCompactedLog pins the single record format: for one
@@ -529,7 +528,7 @@ func TestDiskFullDegradation(t *testing.T) {
 	if len(after.Tuples) != len(before.Tuples) {
 		t.Fatalf("refused mutation leaked into memory: %d tuples then %d", len(before.Tuples), len(after.Tuples))
 	}
-	if _, err := p.Query("emp", &ph.EncryptedQuery{SchemeID: "storage-test"}); err != nil {
+	if _, err := p.Query("emp", fixtureQuery("n", 0)); err != nil {
 		t.Fatalf("read refused on a full disk: %v", err)
 	}
 	p.Close()

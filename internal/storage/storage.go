@@ -70,9 +70,14 @@
 // sketch (stats.QuerySketch, fed by every scan) order the conjuncts, at
 // most one full-width pass runs (the driver's, which for a one-conjunct
 // plan is the whole read), and later conjuncts only test surviving
-// positions via ph.ApplyOn. Fresh full-table position sets are written
+// positions via core.EvaluateOn. Fresh full-table position sets are written
 // back to the cache per conjunct, so a repeated conjunct hits even
 // inside a new combination.
+//
+// One served scheme: the store holds and scans the paper's construction
+// (core, swp-ph) alone. Put and the record decoder refuse a table of any
+// other scheme, and Read a token of one, so a comparator reaches neither
+// memory, the log, a shipped chunk nor a snapshot.
 //
 // Authenticated index: each table entry owns a version-stamped Merkle
 // tree (internal/authindex) over its tuples, built lazily on the first
@@ -116,6 +121,7 @@ import (
 
 	"repro/internal/authindex"
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/ph"
 	"repro/internal/query"
 	"repro/internal/scanshare"
@@ -129,6 +135,20 @@ const (
 	opInsert byte = 0x02
 	opDrop   byte = 0x03
 )
+
+// evaluateOn is the store's one scan, a variable only so that a test can
+// hold a scan open.
+var evaluateOn = core.EvaluateOn
+
+// servedScheme refuses a table the paper's construction did not encrypt,
+// from Put and decodeRecord: CmdStore, replay, shipping and snapshots.
+func servedScheme(name string, t *ph.EncryptedTable) error {
+	if t.SchemeID != core.SchemeID {
+		return fmt.Errorf("storage: table %q is of scheme %q: this server stores only %s, the construction Definition 2.1 is proved for",
+			name, t.SchemeID, core.SchemeID)
+	}
+	return nil
+}
 
 // tableEntry is one catalogued table with its own reader/writer lock.
 type tableEntry struct {
@@ -420,13 +440,15 @@ type mutation struct {
 	tuples []ph.EncryptedTuple
 }
 
-// decodeRecord decodes one log record payload. Replay and ApplyShipped
-// both go through it, so a record means the same mutation whether it is
-// read back from the local log or shipped from a primary's.
+// decodeRecord decodes one log record payload. Replay, ApplyShipped and
+// decodeSnapshot all go through it, so a record means the same mutation
+// whether it is read back from the local log, shipped or installed.
 func decodeRecord(op byte, payload []byte) (m mutation, err error) {
 	switch op {
 	case opStore:
-		m.name, m.table, err = wire.DecodeStore(payload)
+		if m.name, m.table, err = wire.DecodeStore(payload); err == nil {
+			err = servedScheme(m.name, m.table)
+		}
 	case opInsert:
 		m.name, m.tuples, err = wire.DecodeInsert(payload)
 	case opDrop:
@@ -472,6 +494,9 @@ func (s *Store) applyRecord(op byte, payload []byte) error {
 func (s *Store) Put(name string, t *ph.EncryptedTable) error {
 	if name == "" {
 		return fmt.Errorf("storage: empty table name")
+	}
+	if err := servedScheme(name, t); err != nil {
+		return err
 	}
 	clone := t.Clone()
 	var payload []byte
@@ -662,7 +687,7 @@ func (e *tableEntry) planConj(c *cache.Cache, name string, qs []*ph.EncryptedQue
 // estimate and run through internal/query: its driver step is a cache
 // hit (no tuple touched), a delta (only the tail appended since the
 // entry was stored is scanned) or a miss, and later steps narrow the
-// survivors. A miss is a full-table scan on this goroutine (ph.ApplyOn,
+// survivors. A miss is a full-table scan on this goroutine (core.EvaluateOn,
 // fanned out over whatever the scheduler budget has idle), unless an
 // identical scan — same entry, token and tuple count — is already in
 // flight, in which case this read waits for it and shares its positions
@@ -690,8 +715,15 @@ func (e *tableEntry) planConj(c *cache.Cache, name string, qs []*ph.EncryptedQue
 // bytes with the table. That is safe after the lock drops — the server
 // encodes the answer then — for the reason Get's snapshot is: nothing
 // ever writes Tuples[0:len] in place, so bytes a view holds never change.
-// A caller that wants to modify an answer must copy it first.
+// A caller that wants to modify an answer must copy it first. A token of
+// another scheme is refused before planning: EvaluateOn takes any token
+// as an SWP trapdoor.
 func (s *Store) Read(name string, qs []*ph.EncryptedQuery, flags byte) (query.Response, *query.Plan, error) {
+	for i, q := range qs {
+		if q.SchemeID != core.SchemeID {
+			return query.Response{}, nil, fmt.Errorf("storage: conjunct %d is a query of scheme %q: this server evaluates only %s", i, q.SchemeID, core.SchemeID)
+		}
+	}
 	e, c, err := s.entry(name)
 	if err != nil {
 		return query.Response{}, nil, err
@@ -707,8 +739,11 @@ func (s *Store) Read(name string, qs []*ph.EncryptedQuery, flags byte) (query.Re
 		return query.Response{Plan: plan.Info()}, plan, nil
 	}
 	n := len(e.t.Tuples)
-	positions, err := plan.Run(e.t, func(q *ph.EncryptedQuery) ([]int, error) {
-		return s.share.Scan(e, n, q, func() ([]int, error) { return ph.ApplyOn(e.t, q, nil) })
+	positions, err := plan.Run(e.t, func(et *ph.EncryptedTable, q *ph.EncryptedQuery, candidates []int) ([]int, error) {
+		if et != e.t || candidates != nil {
+			return evaluateOn(et, q, candidates) // a tail delta or a narrowing pass
+		}
+		return s.share.Scan(e, n, q, func() ([]int, error) { return evaluateOn(et, q, nil) })
 	})
 	if err != nil {
 		return query.Response{}, nil, err

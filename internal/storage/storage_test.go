@@ -1,33 +1,121 @@
 package storage
 
 import (
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/crypto"
 	"repro/internal/ph"
+	"repro/internal/relation"
+	"repro/internal/swp"
 )
 
-// fakeEvaluator registers a trivial evaluator once for query tests.
-var registerOnce sync.Once
+// fixtureChecksumLen is the SWP checksum width m of every fixture
+// table: a per-slot false-positive rate of 2^-64 ≈ 5.4·10^-20. The
+// package's tests evaluate fixture queries over far fewer than 10^10
+// word slots, so a false positive anywhere in a run has probability
+// below 10^-9, and assertions on exact positions cannot flake on one
+// (the default m = 2 is 2^-16 a slot).
+const fixtureChecksumLen = 8
 
-func fakeTable(n int) *ph.EncryptedTable {
-	registerOnce.Do(func() {
-		ph.RegisterEvaluator("storage-test", func(et *ph.EncryptedTable, q *ph.EncryptedQuery) (*ph.Result, error) {
-			return ph.SelectPositions(et, []int{0}), nil
-		})
-	})
-	t := &ph.EncryptedTable{SchemeID: "storage-test", Meta: []byte{1}}
-	for i := 0; i < n; i++ {
-		t.Tuples = append(t.Tuples, ph.EncryptedTuple{
-			ID:    []byte{byte(i)},
-			Blob:  []byte{0xB0, byte(i)},
-			Words: [][]byte{{0xA0, byte(i)}},
-		})
+// fixture is the one instance of the paper's construction every fixture
+// table and query of the package's tests is encrypted under: three int
+// columns n, g and tag of width 8, so every word is 10 bytes (9 of
+// value and padding, one attribute identifier), room for m = 8. sw is
+// the SWP instance core derives for that word length, and meta the
+// table metadata core writes.
+var fixture = sync.OnceValue(func() (f struct {
+	p    *core.PH
+	sw   *swp.Scheme
+	meta []byte
+}) {
+	schema := relation.MustSchema("fix",
+		relation.Column{Name: "n", Type: relation.TypeInt, Width: 8},
+		relation.Column{Name: "g", Type: relation.TypeInt, Width: 8},
+		relation.Column{Name: "tag", Type: relation.TypeInt, Width: 8},
+	)
+	key := crypto.KeyFromBytes([]byte("storage fixtures"))
+	var err error
+	if f.p, err = core.New(key, schema, core.Options{ChecksumLen: fixtureChecksumLen}); err != nil {
+		panic(err)
 	}
-	return t
+	params := f.p.Params()[0]
+	if f.sw, err = swp.New(crypto.NewPRF(key).DeriveKey(fmt.Sprintf("core/len/%d", params.WordLen), nil), params); err != nil {
+		panic(err)
+	}
+	empty, err := f.p.EncryptTable(relation.NewTable(schema))
+	if err != nil {
+		panic(err)
+	}
+	f.meta = empty.Meta
+	return f
+})
+
+// fixtureTable encrypts n tuples (n = i, g = i % 3, tag) the way
+// core.EncryptTable does, but deterministically: tuple i sits at
+// position i, its document ID encodes (tag, i) and its words keep
+// column order — one draw of the permutations EncryptTable picks at
+// random. The same arguments always give the same bytes, which is what
+// lets tests pin log bytes; TestFixtureIsCoreEncryption holds the
+// tables to core's decryption.
+func fixtureTable(n int, tag byte) *ph.EncryptedTable {
+	f := fixture()
+	et := &ph.EncryptedTable{SchemeID: core.SchemeID, Meta: append([]byte(nil), f.meta...), Tuples: make([]ph.EncryptedTuple, n)}
+	for i := range n {
+		id := make([]byte, swp.DocIDLen)
+		id[0] = tag
+		binary.BigEndian.PutUint64(id[swp.DocIDLen-8:], uint64(i))
+		words := make([][]byte, 3)
+		for col, v := range []int64{int64(i), int64(i % 3), int64(tag)} {
+			w := strconv.AppendInt(nil, v, 10)
+			for len(w) < 9 {
+				w = append(w, core.PadByte)
+			}
+			words[col] = append(w, "NGT"[col])
+		}
+		cws, err := f.sw.EncryptDocument(id, words)
+		if err != nil {
+			panic(err)
+		}
+		et.Tuples[i] = ph.EncryptedTuple{ID: id, Words: cws}
+	}
+	return et
 }
+
+// TestFixtureIsCoreEncryption: a fixture table decrypts, under the
+// fixture's core instance, to the plaintext it was built from.
+func TestFixtureIsCoreEncryption(t *testing.T) {
+	p := fixture().p
+	got, err := p.DecryptTable(fixtureTable(5, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := relation.NewTable(p.Schema())
+	for i := range 5 {
+		want.MustInsert(relation.Int(int64(i)), relation.Int(int64(i%3)), relation.Int(7))
+	}
+	if !got.Equal(want) {
+		t.Fatalf("fixture decrypts to\n%v\nwant\n%v", got, want)
+	}
+}
+
+// fixtureQuery encrypts the select col = v against fixture tables.
+func fixtureQuery(col string, v int64) *ph.EncryptedQuery {
+	q, err := fixture().p.EncryptQuery(relation.Eq{Column: col, Value: relation.Int(v)})
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
+
+// fakeTable builds n fixture tuples; the query n = i matches tuple i.
+func fakeTable(n int) *ph.EncryptedTable { return fixtureTable(n, 0) }
 
 func TestMemoryPutGet(t *testing.T) {
 	s := NewMemory()
@@ -91,14 +179,14 @@ func TestQueryDispatch(t *testing.T) {
 	if err := s.Put("emp", fakeTable(2)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Query("emp", &ph.EncryptedQuery{SchemeID: "storage-test"})
+	res, err := s.Query("emp", fixtureQuery("n", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Positions) != 1 || res.Positions[0] != 0 {
 		t.Fatalf("query result: %+v", res)
 	}
-	if _, err := s.Query("none", &ph.EncryptedQuery{SchemeID: "storage-test"}); err == nil {
+	if _, err := s.Query("none", fixtureQuery("n", 0)); err == nil {
 		t.Fatal("query on unknown table accepted")
 	}
 }
@@ -111,7 +199,7 @@ func TestList(t *testing.T) {
 	if len(infos) != 2 || infos[0].Name != "alpha" || infos[1].Name != "zeta" {
 		t.Fatalf("list: %+v", infos)
 	}
-	if infos[1].Tuples != 1 || infos[0].SchemeID != "storage-test" {
+	if infos[1].Tuples != 1 || infos[0].SchemeID != core.SchemeID {
 		t.Fatalf("list detail: %+v", infos)
 	}
 }

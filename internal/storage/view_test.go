@@ -15,7 +15,7 @@ import (
 // headers copied by value, their bytes shared — so it costs a handful of
 // allocations whatever the answer's size.
 func TestReadHitAllocs(t *testing.T) {
-	q := &ph.EncryptedQuery{SchemeID: "storage-concurrency-test", Token: []byte{0xAA}}
+	q := concQuery(0xAA)
 	for _, k := range []int{10, 400} {
 		s := NewMemory()
 		if err := s.Put("hot", concTable(k, 0xAA)); err != nil {
@@ -76,7 +76,7 @@ func TestReadViewDuringAppends(t *testing.T) {
 	if err := s.Put("hot", concTable(64, 0xAA)); err != nil {
 		t.Fatal(err)
 	}
-	q := &ph.EncryptedQuery{SchemeID: "storage-concurrency-test", Token: []byte{0xAA}}
+	q := concQuery(0xAA)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

@@ -233,14 +233,16 @@ func (r *Buffer) length(stride uint64) (uint64, error) {
 }
 
 // cut fills the run's tuples from body, a copy of its bytes, and words,
-// their word headers.
+// their word headers. A blob of no bytes stays nil, as core writes it.
 func (h run) cut(tuples []ph.EncryptedTuple, body []byte, words [][]byte) {
 	for j := range tuples {
 		b := body[j*h.stride : (j+1)*h.stride]
 		tuples[j] = ph.EncryptedTuple{
 			ID:    b[:h.id:h.id],
-			Blob:  b[h.id : h.id+h.blob : h.id+h.blob],
 			Words: words[j*h.k : (j+1)*h.k : (j+1)*h.k],
+		}
+		if h.blob > 0 {
+			tuples[j].Blob = b[h.id : h.id+h.blob : h.id+h.blob]
 		}
 	}
 	off, lens := h.id+h.blob, h.lens
