@@ -381,25 +381,25 @@ func BenchmarkProveAnswer(b *testing.B) {
 	b.ReportMetric(float64(len(res.Positions)), "tuples/op")
 }
 
-// BenchmarkVerifyAnswer checks one answer against its root: cold is the
-// full fold, warm the same answer re-verified through a leaf cache an
-// earlier verification of it filled, as a client's pin re-verifies a
-// repeated answer.
+// BenchmarkVerifyAnswer checks one answer against its tree's cap row:
+// cold is the full fold up to the cap, warm the same answer re-verified
+// through a leaf cache an earlier verification of it filled, as a
+// client's pin re-verifies a repeated answer.
 func BenchmarkVerifyAnswer(b *testing.B) {
 	tree, res := answerFixture(b)
-	root := tree.Root()
+	row := tree.CapRow()
 	proof, err := tree.ProveAnswer(res.Positions)
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, verify func(root []byte, leafCount int, positions []int, tuples []ph.EncryptedTuple, proof authindex.MultiProof) error) {
-		if err := verify(root, 20_000, res.Positions, res.Tuples, proof); err != nil {
+	run := func(b *testing.B, verify func(row []byte, leafCount int, positions []int, tuples []ph.EncryptedTuple, proof authindex.MultiProof) error) {
+		if err := verify(row, 20_000, res.Positions, res.Tuples, proof); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := verify(root, 20_000, res.Positions, res.Tuples, proof); err != nil {
+			if err := verify(row, 20_000, res.Positions, res.Tuples, proof); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -6,24 +6,28 @@
 // The paper's trust model assumes Eve follows the protocol; its
 // construction protects *confidentiality* only. If Eve turns actively
 // malicious she could substitute or corrupt ciphertexts. With an
-// authenticated index Alex remembers only the 32-byte root of the table he
-// uploaded; every answer comes with one inclusion proof for all of its
-// tuples, which he checks against the root.
+// authenticated index Alex persists only the 32-byte root of the table he
+// uploaded. Beside it he holds the tree's cap row — its first level of at
+// most CapNodes nodes, at most 128 KiB, which he hashes from his own
+// upload or rebuilds from one fetch checked against the root — and every
+// answer comes with one inclusion proof for all of its tuples, which he
+// folds up to that level and checks against the cap row.
 //
 // A verified answer carries its result (positions and tuples), the root,
 // leaf count and version of the snapshot it was cut from, and one
 // MultiProof: the minimal set of sibling hashes that, with the answer's
-// own leaf hashes, recomputes the root once. The siblings travel as raw
-// 32-byte hashes in one canonical order — level by level bottom-up, left
-// to right within a level; a promoted odd node contributes nothing — so
-// (positions, leaf count) alone determine which sibling is consumed
-// where. The proof therefore needs no positions or lengths of its own,
+// own leaf hashes, recomputes the answer's nodes of the cap level once —
+// none at all on a tree of at most CapNodes leaves. The siblings travel
+// as raw 32-byte hashes in one canonical order — level by level
+// bottom-up, left to right within a level; a promoted odd node
+// contributes nothing — so (positions, leaf count) alone determine which
+// sibling is consumed where. The proof therefore needs no positions or lengths of its own,
 // and its shape tells Eve nothing she did not already choose: she picked
 // the positions and she holds the tree. Tree.ProveAnswer cuts it,
 // VerifyAnswer checks it, and the single-leaf Proof/Prove/Verify are the
-// one-position case of the same walk (for one position the canonical
-// order is the bottom-up audit path), so the package recomputes a root
-// in exactly one place.
+// one-position case of the same walk carried up to the root (for one
+// position the canonical order is the bottom-up audit path), so the
+// package folds a proof in exactly one place.
 //
 // The tree shape is RFC-6962-compatible: leaves in table order, each
 // level pairing left-to-right with an odd trailing node promoted
@@ -36,9 +40,9 @@
 // Frontier: the O(log n) stack of perfect-subtree roots (the binary
 // decomposition of n) from which the root is a right-to-left fold. The
 // server maintains a Tree per table (storage keeps it version-stamped
-// under the table lock); the client carries only a Frontier and advances
-// its pinned root from the leaf hashes of its own appends, with no
-// re-download.
+// under the table lock); the client carries only a Cap — a Frontier and
+// the cap row — and advances its pinned root and row from the leaf hashes
+// of its own appends, with no re-download.
 //
 // Memory is laid out for the hot paths. A Tree holds each level as one
 // flat buffer of 32-byte hashes, so a node is its hash and nothing else,
@@ -235,3 +239,19 @@ func (t *Tree) Root() []byte {
 
 // LeafCount returns the number of leaves.
 func (t *Tree) LeafCount() int { return len(t.levels[0]) / HashSize }
+
+// CapRow returns a copy of the tree's cap row: its level c(n), the
+// lowest at most CapNodes nodes wide, which served multiproofs climb to
+// (empty for an empty table). A Cap over the same leaves holds the same
+// bytes.
+func (t *Tree) CapRow() []byte { return bytes.Clone(t.row(CapNodes)) }
+
+// row is the tree's level a walk with stop width stop ends at, not
+// copied.
+func (t *Tree) row(stop int) []byte {
+	if t.n == 0 {
+		return nil
+	}
+	level, _ := capLevel(t.n, stop)
+	return t.levels[level]
+}

@@ -178,14 +178,16 @@ func TestLeafHashInjectiveAcrossFieldBoundaries(t *testing.T) {
 	}
 }
 
-// TestProofCodecRoundTrip: the multiproof a store cuts and the fold of
-// the per-leaf proofs for the same positions are the same bytes on the
-// wire, and decoding yields that block and never per-leaf proofs.
+// TestProofCodecRoundTrip: the fold of the per-leaf proofs for a position
+// set is on the wire the same bytes as that set's cut up to the root, and
+// decoding a served answer yields its block, cut at the cap, and never
+// per-leaf proofs.
 func TestProofCodecRoundTrip(t *testing.T) {
-	tab := tableOf(9)
+	const n = CapNodes + 9
+	tab := tableOf(n)
 	tree := Build(tab)
-	positions := []int{0, 4, 8}
-	proof, err := tree.ProveAnswer(positions)
+	positions := []int{0, 4, n - 1}
+	toRoot, err := tree.proveAnswer(positions, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,16 +196,20 @@ func TestProofCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := ph.SelectPositions(tab, positions)
-	direct := EncodeVerifiedResult(nil, &VerifiedResult{Result: res, Root: tree.Root(), Leaves: 9, Multiproof: proof})
-	folded := EncodeVerifiedResult(nil, &VerifiedResult{Result: res, Root: tree.Root(), Leaves: 9, Proofs: perLeaf})
+	direct := EncodeVerifiedResult(nil, &VerifiedResult{Result: res, Root: tree.Root(), Leaves: n, Multiproof: toRoot})
+	folded := EncodeVerifiedResult(nil, &VerifiedResult{Result: res, Root: tree.Root(), Leaves: n, Proofs: perLeaf})
 	if !bytes.Equal(direct, folded) {
-		t.Fatal("folded per-leaf proofs encode differently from the cut multiproof")
+		t.Fatal("folded per-leaf proofs encode differently from the cut to the root")
 	}
-	out, err := DecodeVerifiedResult(wire.NewBuffer(direct))
+	proof, err := tree.ProveAnswer(positions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out.Multiproof, proof) || out.Proofs != nil {
+	out, err := DecodeVerifiedResult(wire.NewBuffer(EncodeVerifiedResult(nil, &VerifiedResult{Result: res, Root: tree.Root(), Leaves: n, Multiproof: proof})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(proof) == 0 || !bytes.Equal(out.Multiproof, proof) || out.Proofs != nil {
 		t.Fatalf("decoded %d proof bytes and %d per-leaf proofs, want %d and none", len(out.Multiproof), len(out.Proofs), len(proof))
 	}
 }

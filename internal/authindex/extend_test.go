@@ -126,6 +126,46 @@ func TestFrontierOf(t *testing.T) {
 	}
 }
 
+// TestCapMatchesBuild: the incremental cap holds the row of the cap level
+// and the root that Build makes of the same leaves, at every leaf count in
+// [0, 3 × CapNodes] — across CapNodes and 2 × CapNodes, where the row
+// pairs up — and at CapNodes × 2^j ± 1 for j ≤ 3. Every count is held to
+// a tree grown leaf by leaf beside it (TestExtendMatchesBuild holds
+// Extend to Build); the boundary counts and every 1,000th to Build
+// itself.
+func TestCapMatchesBuild(t *testing.T) {
+	const most = 8*CapNodes + 1
+	tab := tableOf(most)
+	leaves := make([]byte, 0, most*HashSize)
+	for _, tp := range tab.Tuples {
+		leaves = AppendLeafHash(leaves, tp)
+	}
+	boundary := make(map[int]bool)
+	for j := 0; j <= 3; j++ {
+		boundary[CapNodes<<j-1], boundary[CapNodes<<j+1] = true, true
+	}
+	c, grown := new(Cap), fromLeaves(nil)
+	for n := 0; n <= most; n++ {
+		if n > 0 {
+			c.AppendTuple(tab.Tuples[n-1])
+			grown.ExtendFlat(leaves[(n-1)*HashSize : n*HashSize])
+		}
+		if n > 3*CapNodes && !boundary[n] {
+			continue
+		}
+		trees := []*Tree{grown}
+		if boundary[n] || n%1000 == 0 {
+			trees = append(trees, fromLeaves(bytes.Clone(leaves[:n*HashSize])))
+		}
+		for _, tree := range trees {
+			if c.Count() != n || !bytes.Equal(c.Row(), tree.row(CapNodes)) || !bytes.Equal(c.Root(), tree.Root()) {
+				t.Fatalf("n=%d: cap of %d leaves, %d row bytes, root %x; tree has %d row bytes, root %x",
+					n, c.Count(), len(c.Row()), c.Root(), len(tree.row(CapNodes)), tree.Root())
+			}
+		}
+	}
+}
+
 // TestVerifiedResultCodecRoundTrip round-trips the verified
 // answer.
 func TestVerifiedResultCodecRoundTrip(t *testing.T) {
@@ -153,7 +193,7 @@ func TestVerifiedResultCodecRoundTrip(t *testing.T) {
 	if len(out.Result.Tuples) != len(positions) {
 		t.Fatalf("shape mangled: %d tuples", len(out.Result.Tuples))
 	}
-	if err := VerifyAnswer(out.Root, out.Leaves, out.Result.Positions, out.Result.Tuples, out.Multiproof); err != nil {
+	if err := VerifyAnswer(tree.CapRow(), out.Leaves, out.Result.Positions, out.Result.Tuples, out.Multiproof); err != nil {
 		t.Fatalf("decoded answer rejected: %v", err)
 	}
 }

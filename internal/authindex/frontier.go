@@ -1,6 +1,8 @@
 package authindex
 
 import (
+	"math/bits"
+
 	"repro/internal/ph"
 )
 
@@ -43,8 +45,10 @@ func (f *Frontier) Count() int { return f.n }
 // AppendTuple appends the leaf hash of one encrypted tuple. Equal-sized
 // trailing subtrees merge first — one merge per trailing one bit of the
 // old count — so the stack depth stays at the popcount of the leaf count.
-func (f *Frontier) AppendTuple(tp ph.EncryptedTuple) {
-	h := leafHash(tp)
+func (f *Frontier) AppendTuple(tp ph.EncryptedTuple) { f.appendLeaf(leafHash(tp)) }
+
+// appendLeaf appends one leaf hash.
+func (f *Frontier) appendLeaf(h [HashSize]byte) {
 	for m := f.n; m&1 == 1; m >>= 1 {
 		last := len(f.roots) - 1
 		h = interiorHash(f.roots[last][:], h[:])
@@ -66,4 +70,63 @@ func (f *Frontier) Root() []byte {
 		acc = interiorHash(f.roots[i][:], acc[:])
 	}
 	return append([]byte(nil), acc[:]...)
+}
+
+// Cap is a verifier's copy of a tree's cap row (see CapNodes), kept with
+// the Frontier of the same leaves and advanced with it, leaf by leaf. The
+// row is the roots of the complete 2^c-leaf blocks, then the node of the
+// trailing partial block, if any: the fold of the frontier's subtrees
+// smaller than a block, which is what the tree's pairing with odd nodes
+// promoted makes of that block. When the leaf count passes
+// CapNodes × 2^c, the row of CapNodes complete blocks pairs up once into
+// level c+1. The root still comes from the Frontier — nothing folds the
+// row — so an append costs O(log n) hashes, and the row is at most
+// CapNodes × HashSize = 128 KiB.
+//
+// A Cap is not safe for concurrent use.
+type Cap struct {
+	f     Frontier
+	level int    // c(n)
+	row   []byte // level c's nodes, HashSize bytes each
+}
+
+// CapOf builds the cap of an encrypted table's tree.
+func CapOf(t *ph.EncryptedTable) *Cap {
+	c := new(Cap)
+	for _, tp := range t.Tuples {
+		c.AppendTuple(tp)
+	}
+	return c
+}
+
+// Count returns the number of leaves the cap summarises.
+func (c *Cap) Count() int { return c.f.n }
+
+// Root returns the tree root for the current leaf count (Frontier.Root).
+func (c *Cap) Root() []byte { return c.f.Root() }
+
+// Row returns the cap row, which VerifyAnswer takes. It is the Cap's
+// own: the caller must not modify it, and the next append may.
+func (c *Cap) Row() []byte { return c.row }
+
+// AppendTuple appends the leaf hash of one encrypted tuple.
+func (c *Cap) AppendTuple(tp ph.EncryptedTuple) {
+	if c.f.n == CapNodes<<c.level { // CapNodes complete blocks: pair them
+		half := c.row[:len(c.row)/2]
+		pairUp(half, c.row, 0)
+		c.row = half
+		c.level++
+	}
+	h := leafHash(tp)
+	node := h
+	inBlock := c.f.n & (1<<c.level - 1) // leaves before h in its block
+	for i := len(c.f.roots) - 1; i >= len(c.f.roots)-bits.OnesCount(uint(inBlock)); i-- {
+		node = interiorHash(c.f.roots[i][:], node[:])
+	}
+	if inBlock == 0 {
+		c.row = append(c.row, node[:]...)
+	} else {
+		copy(c.row[len(c.row)-HashSize:], node[:])
+	}
+	c.f.appendLeaf(h)
 }

@@ -15,7 +15,7 @@ const LeafCacheCap = 1 << 16
 
 // LeafCache is a verifier's memory of leaves it has already verified: a
 // bounded map from position to leaf hash, filled only by answers whose
-// multiproof folded up to the root they were checked against. Its
+// multiproof folded up to the cap row they were checked against. Its
 // VerifyAnswer stops at data already verified (Gassend et al., "Caches
 // and Hash Trees for Efficient Memory Integrity Verification", HPCA
 // 2003), at leaf granularity: an answer whose every leaf is cached is
@@ -52,15 +52,16 @@ func (c *LeafCache) Len() int { return len(c.leaves) }
 //   - if every leaf is cached, the answer is accepted without a fold:
 //     the siblings were counted, not hashed, and each tuple is
 //     authenticated by its cached leaf;
-//   - otherwise the root is recomputed exactly as VerifyAnswer does, and
-//     only an answer that reaches root caches its leaves.
-func (c *LeafCache) VerifyAnswer(root []byte, leafCount int, positions []int, tuples []ph.EncryptedTuple, proof MultiProof) error {
+//   - otherwise the answer is folded up to the cap level exactly as
+//     VerifyAnswer folds it, and only an answer whose nodes match row
+//     caches its leaves.
+func (c *LeafCache) VerifyAnswer(row []byte, leafCount int, positions []int, tuples []ph.EncryptedTuple, proof MultiProof) error {
 	if uint64(leafCount) > math.MaxUint32 { // positions key the map as uint32
-		return VerifyAnswer(root, leafCount, positions, tuples, proof)
+		return VerifyAnswer(row, leafCount, positions, tuples, proof)
 	}
 	k := len(positions)
 	c.idx = slices.Grow(c.idx[:0], k)[:k]
-	if err := checkAnswer(leafCount, positions, tuples, proof, c.idx); err != nil {
+	if err := checkAnswer(row, leafCount, CapNodes, positions, tuples, proof, c.idx); err != nil {
 		return err
 	}
 	c.hashes = c.hashes[:0]
@@ -83,7 +84,7 @@ func (c *LeafCache) VerifyAnswer(root []byte, leafCount int, positions []int, tu
 		return nil
 	}
 	c.work = append(c.work[:0], c.hashes...)
-	if err := fold(root, leafCount, positions, c.idx, c.work, proof); err != nil {
+	if err := fold(row, leafCount, CapNodes, positions, c.idx, c.work, proof); err != nil {
 		return err
 	}
 	if len(c.leaves)+misses > LeafCacheCap {

@@ -23,7 +23,7 @@ func TestLeafCacheEmptiesAtCap(t *testing.T) {
 	n := LeafCacheCap + LeafCacheCap/2
 	tab := tableOf(n)
 	tree := Build(tab)
-	root := tree.Root()
+	row := tree.CapRow()
 	c := NewLeafCache()
 	verify := func(positions []int) {
 		t.Helper()
@@ -31,7 +31,7 @@ func TestLeafCacheEmptiesAtCap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.VerifyAnswer(root, n, positions, tuplesAt(tab, positions), proof); err != nil {
+		if err := c.VerifyAnswer(row, n, positions, tuplesAt(tab, positions), proof); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func TestLeafCacheHitAllocs(t *testing.T) {
 	const n = 20_000
 	tab := tableOf(n)
 	tree := Build(tab)
-	root := tree.Root()
+	row := tree.CapRow()
 	positions := randomPositions(rand.New(rand.NewSource(5)), 100, n)
 	tuples := ph.SelectPositions(tab, positions).Tuples
 	proof, err := tree.ProveAnswer(positions)
@@ -64,7 +64,7 @@ func TestLeafCacheHitAllocs(t *testing.T) {
 	}
 	c := NewLeafCache()
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := c.VerifyAnswer(root, n, positions, tuples, proof); err != nil {
+		if err := c.VerifyAnswer(row, n, positions, tuples, proof); err != nil {
 			t.Fatal(err)
 		}
 	})

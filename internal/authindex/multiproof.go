@@ -12,12 +12,32 @@ import (
 
 // MultiProof is the inclusion proof for one answer: the minimal set of
 // sibling hashes that, together with the answer's own leaf hashes,
-// recomputes the root once. It is the raw HashSize-byte hashes
-// concatenated in canonical order — level by level bottom-up, left to
-// right within a level — so (positions, leaf count) alone determine
-// which sibling is consumed where, and the proof needs neither
-// positions nor lengths of its own.
+// recomputes the answer's nodes of the cap level once (see CapNodes). It
+// is the raw HashSize-byte hashes concatenated in canonical order —
+// level by level bottom-up, left to right within a level — so
+// (positions, leaf count) alone determine which sibling is consumed
+// where, and the proof needs neither positions nor lengths of its own.
 type MultiProof []byte
+
+// CapNodes is the widest level a served multiproof climbs to. Both sides
+// derive the cap level c(n) — the lowest level of an n-leaf tree at most
+// CapNodes nodes wide — from the leaf count alone, so c = 0 for
+// n <= CapNodes and such an answer carries no siblings at all. The
+// verifier holds that level, the cap row (Cap, Tree.CapRow), at most
+// CapNodes × HashSize = 128 KiB, and compares the answer's folded nodes
+// with it in place of the root. It is a format constant: a server and a
+// client that disagree on it cannot check each other's answers.
+const CapNodes = 4096
+
+// capLevel is the level at which a walk over an n-leaf tree with stop
+// width stop ends — the lowest level at most stop nodes wide — and that
+// level's width. Stop width 1 is the root; CapNodes the served cap.
+func capLevel(n, stop int) (level, width int) {
+	for width = n; width > stop; width = (width + 1) / 2 {
+		level++
+	}
+	return level, width
+}
 
 // join says how ascend forms one parent from the known nodes of a level.
 type join int
@@ -29,19 +49,21 @@ const (
 	joinNone              // odd trailing node, promoted unchanged
 )
 
-// ascend is the package's one walk from a set of nodes to the root. idx
+// ascend is the package's one walk from a set of nodes up the tree. idx
 // holds the strictly ascending indices of the known nodes of a level
 // width nodes wide (level 0 first: the answer's positions among the
 // leaves); level by level it reports how each parent is formed and
-// rewrites idx in place to the parents' indices, until the level is the
-// root. visit(lvl, out, i, j) means: slot out of the next level is formed
-// by join j from slot i of level lvl (slots i and i+1 for joinPair).
+// rewrites idx in place to the parents' indices, until the level is at
+// most stop nodes wide (1: the root; CapNodes: the served cap).
+// visit(lvl, out, i, j) means: slot out of the next level is formed by
+// join j from slot i of level lvl (slots i and i+1 for joinPair).
 // out <= i, so a caller folding values in place never overwrites a slot it
 // has yet to read, and idx[i] is still node i's index in level lvl while
-// visit runs. ascend returns how many siblings the walk took from a
+// visit runs. ascend returns how many slots the last level has — idx[:top]
+// are their indices in it — and how many siblings the walk took from a
 // proof (its joinLeft and joinRight parents); a nil visit only counts.
-func ascend(idx []int, width int, visit func(lvl, out, i int, j join)) (siblings int) {
-	for lvl := 0; width > 1; lvl++ {
+func ascend(idx []int, width, stop int, visit func(lvl, out, i int, j join)) (top, siblings int) {
+	for lvl := 0; width > stop; lvl++ {
 		out := 0
 		for i := 0; i < len(idx); out++ {
 			p, j, step := idx[i], joinLeft, 1
@@ -67,12 +89,15 @@ func ascend(idx []int, width int, visit func(lvl, out, i int, j join)) (siblings
 		idx = idx[:out]
 		width = (width + 1) / 2
 	}
-	return siblings
+	return len(idx), siblings
 }
 
 // siblingsNeeded counts the hashes a proof for the positions in idx must
-// carry. It consumes idx.
-func siblingsNeeded(idx []int, leafCount int) int { return ascend(idx, leafCount, nil) }
+// carry up to stop width stop. It consumes idx.
+func siblingsNeeded(idx []int, leafCount, stop int) int {
+	_, siblings := ascend(idx, leafCount, stop, nil)
+	return siblings
+}
 
 // checkPositions refuses a position set ascend cannot walk: out of range,
 // repeated or descending. Strictness is also what stops a server listing
@@ -98,12 +123,19 @@ type proveScratch struct {
 
 var provePool = sync.Pool{New: func() any { return new(proveScratch) }}
 
-// ProveAnswer cuts the multiproof for a strictly ascending position set.
-// One walk lists the siblings, which sizes the proof exactly; then a
-// tight loop copies each from its level's row. The copies do not depend
-// on each other, so on a tree larger than the CPU's caches their misses
-// overlap instead of queueing behind the walk.
+// ProveAnswer cuts the multiproof for a strictly ascending position set,
+// up to the cap level: only the siblings below it, none at all on a tree
+// of at most CapNodes leaves.
 func (t *Tree) ProveAnswer(positions []int) (MultiProof, error) {
+	return t.proveAnswer(positions, CapNodes)
+}
+
+// proveAnswer cuts the multiproof up to stop width stop. One walk lists
+// the siblings, which sizes the proof exactly; then a tight loop copies
+// each from its level's row. The copies do not depend on each other, so
+// on a tree larger than the CPU's caches their misses overlap instead of
+// queueing behind the walk.
+func (t *Tree) proveAnswer(positions []int, stop int) (MultiProof, error) {
 	if err := checkPositions(positions, t.n); err != nil {
 		return nil, err
 	}
@@ -113,7 +145,7 @@ func (t *Tree) ProveAnswer(positions []int) (MultiProof, error) {
 	// the walk.
 	idx := append(sc.idx[:0], positions...)
 	sibs := slices.Grow(sc.sibs[:0], len(positions)*(len(t.levels)-1))
-	ascend(idx, t.n, func(lvl, _, i int, j join) {
+	ascend(idx, t.n, stop, func(lvl, _, i int, j join) {
 		if j == joinLeft || j == joinRight {
 			sibs = append(sibs, uint64(lvl)<<48|uint64(idx[i]^1))
 		}
@@ -130,14 +162,22 @@ func (t *Tree) ProveAnswer(positions []int) (MultiProof, error) {
 }
 
 // VerifyAnswer checks that tuples are the leaves at the given positions of
-// the tree with the given root and leaf count: it recomputes the root
-// once from the tuples' leaf hashes and the proof's siblings. Positions
-// must be strictly ascending and in range, and the proof must carry
-// exactly the siblings the position set needs — none for an empty answer,
-// which authenticates nothing and is accepted as such.
-func VerifyAnswer(root []byte, leafCount int, positions []int, tuples []ph.EncryptedTuple, proof MultiProof) error {
+// the tree with the given cap row and leaf count: it folds the tuples'
+// leaf hashes with the proof's siblings once, up to the cap level, and
+// compares each node it reaches with the cap row's. Positions must be
+// strictly ascending and in range, the cap row exactly the cap level's
+// width, and the proof must carry exactly the siblings the position set
+// needs — none for an empty answer, which authenticates nothing and is
+// accepted as such.
+func VerifyAnswer(row []byte, leafCount int, positions []int, tuples []ph.EncryptedTuple, proof MultiProof) error {
+	return verifyAnswer(row, leafCount, CapNodes, positions, tuples, proof)
+}
+
+// verifyAnswer is VerifyAnswer up to stop width stop, against that
+// level's row (the root alone for stop width 1).
+func verifyAnswer(row []byte, leafCount, stop int, positions []int, tuples []ph.EncryptedTuple, proof MultiProof) error {
 	idx := make([]int, len(positions))
-	if err := checkAnswer(leafCount, positions, tuples, proof, idx); err != nil {
+	if err := checkAnswer(row, leafCount, stop, positions, tuples, proof, idx); err != nil {
 		return err
 	}
 	if len(positions) == 0 {
@@ -147,36 +187,41 @@ func VerifyAnswer(root []byte, leafCount int, positions []int, tuples []ph.Encry
 	for _, tp := range tuples {
 		hashes = AppendLeafHash(hashes, tp)
 	}
-	return fold(root, leafCount, positions, idx, hashes, proof)
+	return fold(row, leafCount, stop, positions, idx, hashes, proof)
 }
 
 // checkAnswer holds an answer to the shape its position set dictates: a
-// tuple per position, positions strictly ascending and in range, and a
-// proof of exactly the siblings they need. idx is len(positions) of
-// scratch.
-func checkAnswer(leafCount int, positions []int, tuples []ph.EncryptedTuple, proof MultiProof, idx []int) error {
+// tuple per position, positions strictly ascending and in range, a cap
+// row as wide as the level the walk stops at, and a proof of exactly the
+// siblings they need. idx is len(positions) of scratch.
+func checkAnswer(row []byte, leafCount, stop int, positions []int, tuples []ph.EncryptedTuple, proof MultiProof, idx []int) error {
 	if len(tuples) != len(positions) {
 		return fmt.Errorf("authindex: %d tuples at %d positions", len(tuples), len(positions))
 	}
 	if err := checkPositions(positions, leafCount); err != nil {
 		return err
 	}
+	if level, width := capLevel(leafCount, stop); len(row) != width*HashSize {
+		return fmt.Errorf("authindex: cap row of %d bytes, level %d of %d leaves is %d nodes (%d bytes)",
+			len(row), level, leafCount, width, width*HashSize)
+	}
 	copy(idx, positions)
-	if need := siblingsNeeded(idx, leafCount); len(proof) != need*HashSize {
+	if need := siblingsNeeded(idx, leafCount, stop); len(proof) != need*HashSize {
 		return fmt.Errorf("authindex: proof carries %d bytes, %d positions of %d leaves need exactly %d siblings (%d bytes)",
 			len(proof), len(positions), leafCount, need, need*HashSize)
 	}
 	return nil
 }
 
-// fold recomputes the root from a checked answer's leaf hashes (one per
-// position, back to back in hashes) and the proof's siblings, and
-// compares it with root. It folds hashes in place — hashes[i*HashSize:]
-// is the hash of the known node in slot i of the current level — up to
-// the root in slot 0. idx is len(positions) of scratch.
-func fold(root []byte, leafCount int, positions, idx []int, hashes []byte, proof MultiProof) error {
+// fold recomputes the answer's nodes of the cap level from a checked
+// answer's leaf hashes (one per position, back to back in hashes) and the
+// proof's siblings, and compares each with its node in row. It folds
+// hashes in place — hashes[i*HashSize:] is the hash of the known node in
+// slot i of the current level — up to the cap level. idx is
+// len(positions) of scratch.
+func fold(row []byte, leafCount, stop int, positions, idx []int, hashes []byte, proof MultiProof) error {
 	copy(idx, positions)
-	ascend(idx, leafCount, func(_, out, i int, j join) {
+	top, _ := ascend(idx, leafCount, stop, func(_, out, i int, j join) {
 		at := hashes[i*HashSize:]
 		var h [HashSize]byte
 		switch j {
@@ -193,18 +238,23 @@ func fold(root []byte, leafCount int, positions, idx []int, hashes []byte, proof
 		}
 		copy(hashes[out*HashSize:], h[:])
 	})
-	//phlint:ignore ctcompare Merkle roots are public commitments published to every client, not secrets
-	if !bytes.Equal(hashes[:HashSize], root) {
-		return fmt.Errorf("authindex: root mismatch: computed %x, want %x", hashes[:HashSize], root)
+	for i, p := range idx[:top] {
+		got, want := hashes[i*HashSize:(i+1)*HashSize], row[p*HashSize:(p+1)*HashSize]
+		//phlint:ignore ctcompare Merkle nodes are public commitments the server holds, not secrets
+		if !bytes.Equal(got, want) {
+			level, _ := capLevel(leafCount, stop)
+			return fmt.Errorf("authindex: cap mismatch: node %d of level %d computed %x, want %x", p, level, got, want)
+		}
 	}
 	return nil
 }
 
 // Proof is the inclusion proof for one leaf: the sibling hashes from the
-// leaf level upward — the multiproof of a one-position answer, whose
-// canonical order is the bottom-up path. Served answers carry one
-// MultiProof; Proof, Prove, Verify and EncodeProofs remain for callers
-// that speak about a single leaf (E8, the benchmark's ladder).
+// leaf level up to the root — the multiproof of a one-position answer cut
+// with stop width 1, whose canonical order is the bottom-up path. Served
+// answers carry one capped MultiProof; Proof, Prove, Verify and
+// EncodeProofs remain for callers that speak about a single leaf under
+// the root (E8, the benchmark's ladder).
 type Proof struct {
 	// Position is the leaf index the proof speaks about.
 	Position int
@@ -216,7 +266,7 @@ type Proof struct {
 func (t *Tree) Prove(positions []int) ([]Proof, error) {
 	out := make([]Proof, len(positions))
 	for k := range positions {
-		block, err := t.ProveAnswer(positions[k : k+1])
+		block, err := t.proveAnswer(positions[k:k+1], 1)
 		if err != nil {
 			return nil, err
 		}
@@ -232,7 +282,7 @@ func (t *Tree) Prove(positions []int) ([]Proof, error) {
 // Verify checks that tuple is the leaf at proof.Position of the tree with
 // the given root and leaf count.
 func Verify(root []byte, leafCount int, tuple ph.EncryptedTuple, proof Proof) error {
-	return VerifyAnswer(root, leafCount, []int{proof.Position}, []ph.EncryptedTuple{tuple}, bytes.Join(proof.Siblings, nil))
+	return verifyAnswer(root, leafCount, 1, []int{proof.Position}, []ph.EncryptedTuple{tuple}, bytes.Join(proof.Siblings, nil))
 }
 
 // EncodeProofs serialises single-leaf proofs. Nothing decodes this
@@ -251,7 +301,8 @@ func EncodeProofs(dst []byte, proofs []Proof) []byte {
 }
 
 // foldProofs merges the single-leaf proofs Prove returned for a strictly
-// ascending position set into that set's multiproof: each sibling the
+// ascending position set into that set's multiproof up to the root (stop
+// width 1, as the paths it merges): each sibling the
 // multiproof needs is read off the path of a leaf below it. It is the one
 // piece of glue between the two proof shapes — EncodeVerifiedResult uses
 // it for a value that carries only per-leaf Proofs, which is what
@@ -267,7 +318,7 @@ func foldProofs(leafCount int, proofs []Proof) MultiProof {
 		idx[i], rep[i] = p.Position, i
 	}
 	var proof MultiProof
-	ascend(idx, leafCount, func(_, out, i int, j join) {
+	ascend(idx, leafCount, 1, func(_, out, i int, j join) {
 		r, u := rep[i], used[i]
 		if j == joinLeft || j == joinRight {
 			proof = append(proof, proofs[r].Siblings[u]...)

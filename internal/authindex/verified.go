@@ -2,7 +2,6 @@ package authindex
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/ph"
 	"repro/internal/wire"
@@ -13,9 +12,12 @@ import (
 // multiproof, root, leaf count and store version of the *same* table
 // snapshot, taken under a single lock acquisition server-side. Because
 // everything is cut from one snapshot, the proof always verifies against
-// the root it travels with — a mutation racing the query cannot separate
-// them. The client still decides whether to trust the snapshot by
-// comparing Root against its pinned root.
+// the tree whose root it travels with — a mutation racing the query
+// cannot separate them. The client still decides whether to trust the
+// snapshot by comparing Root and Leaves against its pin, and then checks
+// the proof against its own cap row of that tree: the multiproof stops
+// at the cap level (CapNodes), so it carries no siblings at all on a
+// tree of at most CapNodes leaves.
 type VerifiedResult struct {
 	// Result holds the matching positions and encrypted tuples.
 	Result *ph.Result
@@ -26,13 +28,14 @@ type VerifiedResult struct {
 	// Version is the store's monotonic version stamp for the snapshot.
 	Version uint64
 	// Multiproof is the inclusion proof for Result's tuples at
-	// Result.Positions: what the store cuts, the wire carries and the
-	// client checks.
+	// Result.Positions up to the cap level: what the store cuts, the
+	// wire carries and the client checks against its cap row.
 	Multiproof MultiProof
 	// Proofs are per-leaf proofs aligned with Result.Positions. Nothing
 	// served fills them and decoding never does; a value that carries
 	// them in place of Multiproof (the benchmark ladder's) is folded into
-	// the same block on encode.
+	// one block up to the root on encode — a size measure only, since a
+	// served answer's block stops at the cap level.
 	Proofs []Proof
 }
 
@@ -53,7 +56,8 @@ func EncodeVerifiedResult(dst []byte, vr *VerifiedResult) []byte {
 
 // DecodeVerifiedResult parses a verified result from a wire buffer. The
 // sibling block is refused unless it is whole hashes and no more of them
-// than positions × tree height, the most any position set can need.
+// than positions × c(leaves), the most any position set can need below
+// the cap level.
 func DecodeVerifiedResult(r *wire.Buffer) (*VerifiedResult, error) {
 	res, err := wire.DecodeResult(r)
 	if err != nil {
@@ -75,7 +79,8 @@ func DecodeVerifiedResult(r *wire.Buffer) (*VerifiedResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("authindex: verified result proof: %w", err)
 	}
-	if most := len(res.Positions) * bits.Len32(max(leaves, 1)-1); len(proof)%HashSize != 0 || len(proof)/HashSize > most {
+	level, _ := capLevel(int(leaves), CapNodes)
+	if most := len(res.Positions) * level; len(proof)%HashSize != 0 || len(proof)/HashSize > most {
 		return nil, fmt.Errorf("authindex: verified result proof of %d bytes: want whole %d-byte hashes, at most %d for %d positions of %d leaves",
 			len(proof), HashSize, most, len(res.Positions), leaves)
 	}

@@ -37,7 +37,10 @@ func newCatalog(open func(scheme ph.Scheme, remote string) *DB) *Catalog {
 
 // Attach registers a scheme for a remote table name and returns its DB
 // handle. Attaching an already attached name replaces the handle (e.g.
-// after a key rotation).
+// after a key rotation). The handle pins nothing: an application
+// reinstalls the 32-byte root it persisted (Root, ShardRoots) with
+// PinRoot or PinShardRoots, and the first verified read rebuilds the cap
+// row behind it from one verified fetch.
 func (c *Catalog) Attach(remote string, scheme ph.Scheme) (*DB, error) {
 	if remote == "" {
 		return nil, fmt.Errorf("client: catalog table name must not be empty")

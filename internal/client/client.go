@@ -290,12 +290,15 @@ type DB struct {
 }
 
 // pin is one entry of the pinned root vector: a node's
-// authenticated-index root and leaf count, and the O(log n) Merkle
-// frontier behind them. While the frontier is present, the client's own
-// inserts advance the root from their local leaf hashes — no
-// re-download. The frontier is nil after PinRoot / PinShardRoots (only
-// the 32-byte anchor was persisted); the first insert then rebuilds it
-// from a fetch *verified against the pinned root* (ensureFrontiers).
+// authenticated-index root and leaf count, and the Merkle cap behind
+// them — the node tree's O(log n) frontier and its cap row, the level of
+// at most authindex.CapNodes nodes that served multiproofs stop at. A
+// verified answer is checked against the cap row; the client's own
+// inserts advance the root and the row from their local leaf hashes — no
+// re-download. The cap is nil after PinRoot / PinShardRoots (only the
+// 32-byte anchor was persisted); the first verified read or insert then
+// rebuilds it from one fetch *verified against the pinned root*
+// (ensureFrontiers).
 //
 // cache holds the leaves answers have verified under this pin, so a
 // repeated answer is checked by its leaf hashes without a fold
@@ -306,15 +309,15 @@ type DB struct {
 // rebuild — is made by newPin with an empty cache, and each shard's pin
 // has its own.
 type pin struct {
-	root     []byte
-	tuples   int
-	frontier *authindex.Frontier
-	cache    *authindex.LeafCache
+	root   []byte
+	tuples int
+	cap    *authindex.Cap
+	cache  *authindex.LeafCache
 }
 
 // newPin pins a root with an empty leaf cache.
-func newPin(root []byte, tuples int, frontier *authindex.Frontier) pin {
-	return pin{root: root, tuples: tuples, frontier: frontier, cache: authindex.NewLeafCache()}
+func newPin(root []byte, tuples int, c *authindex.Cap) pin {
+	return pin{root: root, tuples: tuples, cap: c, cache: authindex.NewLeafCache()}
 }
 
 // NewDB binds a scheme to a connection and remote table name.
@@ -332,7 +335,8 @@ func (db *DB) pinned() bool { return len(db.pins) > 0 }
 // single-server DB — the one entry of its vector — or nil if none is
 // pinned (a sharded DB pins one root per shard: see ShardRoots).
 // Applications persist this across restarts — it is the only trust
-// anchor needed to verify future answers.
+// anchor needed to verify future answers: the cap row the answers are
+// checked against is rebuilt from it (see PinRoot), never persisted.
 func (db *DB) Root() (root []byte, tuples int) {
 	if len(db.pins) != 1 {
 		return nil, 0
@@ -343,9 +347,10 @@ func (db *DB) Root() (root []byte, tuples int) {
 // PinRoot installs a previously persisted root (e.g. after a client
 // restart) as a single-server DB's vector; a sharded DB reinstalls its
 // vector with PinShardRoots. Passing a nil root disables verification.
-// Only the anchor is installed: the Merkle frontier behind it is rebuilt
-// lazily — and verified against this root — on the first insert that
-// needs it.
+// Only the 32-byte anchor is installed: the Merkle cap behind it — the
+// frontier and the cap row, up to authindex.CapNodes × 32 bytes — is
+// rebuilt lazily from one full fetch, verified against this root, by the
+// first verified read or insert.
 func (db *DB) PinRoot(root []byte, tuples int) {
 	db.pins = nil
 	if root != nil {
@@ -353,12 +358,12 @@ func (db *DB) PinRoot(root []byte, tuples int) {
 	}
 }
 
-// pinsOf pins the root of every node's table, keeping each frontier.
+// pinsOf pins the root of every node's table, keeping each cap.
 func pinsOf(parts []*ph.EncryptedTable) []pin {
 	pins := make([]pin, len(parts))
 	for i, part := range parts {
-		f := authindex.FrontierOf(part)
-		pins[i] = newPin(f.Root(), f.Count(), f)
+		c := authindex.CapOf(part)
+		pins[i] = newPin(c.Root(), c.Count(), c)
 	}
 	return pins
 }
@@ -374,7 +379,8 @@ func (db *DB) node(i int) string {
 
 // CreateTable encrypts and uploads the plaintext table, pinning the
 // authenticated-index root of every node's share of the ciphertext and
-// keeping the frontiers so later inserts advance the roots incrementally.
+// keeping the caps, which answers are checked against and later inserts
+// advance incrementally.
 // The roots are hashed while the upload is in flight; they are pinned only
 // once the store has succeeded.
 func (db *DB) CreateTable(t *relation.Table) error {
@@ -440,7 +446,7 @@ func (db *DB) encryptTuples(tuples []relation.Tuple) (*ph.EncryptedTable, error)
 }
 
 // RepinRoot re-pins the authenticated-index root vector (and rebuilds
-// the frontiers) from a full fetch of the server's current table — every
+// the caps) from a full fetch of the server's current table — every
 // shard's partition on a sharded DB. This is the explicit recovery path
 // — it *trusts* the fetched ciphertext exactly as CreateTable trusts the
 // upload — for when the client knowingly lost sync with the table
@@ -456,14 +462,14 @@ func (db *DB) RepinRoot() error {
 	return nil
 }
 
-// ensureFrontiers makes the frontier behind every pinned root available,
+// ensureFrontiers makes the cap behind every pinned root available,
 // rebuilding them from one full fetch when only the anchors were
 // persisted (PinRoot / PinShardRoots after a restart). Unlike RepinRoot,
 // the rebuild is *verified*: every node's fetched table must hash back
 // to its pinned root, so a tampering server cannot use the rebuild to
 // swap the anchor from under the client.
 func (db *DB) ensureFrontiers() error {
-	if !slices.ContainsFunc(db.pins, func(p pin) bool { return p.frontier == nil }) {
+	if !slices.ContainsFunc(db.pins, func(p pin) bool { return p.cap == nil }) {
 		return nil
 	}
 	parts, err := db.fetch()
@@ -496,7 +502,7 @@ type placement struct {
 // an ack only has to confirm *where* they landed. Every placement is
 // validated before any pin moves: its ack must count exactly the tuples
 // sent (an untouched shard's is zero-valued), and per node the bases, in
-// landing order, must tile the frontier from its leaf count. Anything
+// landing order, must tile the cap from its leaf count. Anything
 // else — a foreign writer, an unacked chunk landed between acked ones,
 // an ack claiming tuples never sent — leaves the caller's explicit
 // RepinRoot as the only sound continuation: re-pinning silently would
@@ -508,7 +514,7 @@ func (db *DB) writeBack(placed []placement) error {
 	})
 	next := make([]int, len(db.pins))
 	for i, p := range db.pins {
-		next[i] = p.frontier.Count()
+		next[i] = p.cap.Count()
 	}
 	for _, p := range placed {
 		switch {
@@ -527,9 +533,9 @@ func (db *DB) writeBack(placed []placement) error {
 		}
 		pn := &db.pins[p.node] // in place: the leaf cache stays valid
 		for _, tp := range p.tuples {
-			pn.frontier.AppendTuple(tp)
+			pn.cap.AppendTuple(tp)
 		}
-		pn.root, pn.tuples = pn.frontier.Root(), pn.frontier.Count()
+		pn.root, pn.tuples = pn.cap.Root(), pn.cap.Count()
 	}
 	return nil
 }
@@ -684,7 +690,8 @@ func (db *DB) Select(q relation.Eq) (*relation.Table, error) {
 // refuses without a pinned root. The server answers with (result,
 // multiproof, root, leaf count, version) cut from a single table snapshot,
 // in the same round trip. The returned tuples are verified against the
-// *pinned* root — one root recomputation per answer — before decryption;
+// *pinned* root — one fold up to the pin's cap row per answer — before
+// decryption;
 // any mismatch — wrong root, wrong count, repeated or misplaced tuple,
 // a sibling too few or too many, failed hash chain — refuses the
 // answer. Because the proof travels with the root it belongs to, a mutation
@@ -747,6 +754,9 @@ func (db *DB) selectPlans(plans [][]relation.Eq) ([]*relation.Table, error) {
 	var flags byte
 	if db.pinned() {
 		flags = wire.ReadFlagVerified
+		if err := db.ensureFrontiers(); err != nil {
+			return nil, err
+		}
 	}
 	nodes, err := db.read(flags, plans)
 	if err != nil {
@@ -847,8 +857,7 @@ func (db *DB) check(node int, vr *authindex.VerifiedResult) error {
 	if vr == nil {
 		return fmt.Errorf("client: %sverified read answered without proofs", db.node(node))
 	}
-	p := &db.pins[node]
-	if err := checkVerifiedAgainst(p.root, p.tuples, p.cache, vr); err != nil {
+	if err := checkVerifiedAgainst(db.pins[node], vr); err != nil {
 		return fmt.Errorf("%s%w", db.node(node), err)
 	}
 	return nil
@@ -944,20 +953,23 @@ func (db *DB) bindWhere(q *sqlmini.Query) ([]relation.Eq, error) {
 	return eqs, nil
 }
 
-// checkVerifiedAgainst verifies a verified answer against an explicit
-// (root, leaf count) pin: root and leaf count must match the pin, and
-// the returned tuples, at their strictly ascending positions, must
-// recompute that root with the answer's multiproof — one recomputation
-// per answer, skipped when cache already holds every returned leaf.
+// checkVerifiedAgainst verifies a verified answer against a pin: root
+// and leaf count must match the pin, and the returned tuples, at their
+// strictly ascending positions, must fold with the answer's multiproof
+// into the pin's cap row — one fold per answer, skipped when the pin's
+// cache already holds every returned leaf.
 // DB.check holds every node's answer to that node's entry of the pinned
 // vector this way (the root-of-roots argument: trusting the vector is
 // trusting every shard's tree, so one mutated tuple on one shard fails
 // its entry and with it the whole read).
-func checkVerifiedAgainst(root []byte, tuples int, cache *authindex.LeafCache, vr *authindex.VerifiedResult) error {
-	if !bytes.Equal(vr.Root, root) || vr.Leaves != tuples {
-		return fmt.Errorf("client: verification failed: server root does not match the pinned root (server %d tuples, pinned %d) — tampering or unacknowledged external writes", vr.Leaves, tuples)
+func checkVerifiedAgainst(p pin, vr *authindex.VerifiedResult) error {
+	if !bytes.Equal(vr.Root, p.root) || vr.Leaves != p.tuples {
+		return fmt.Errorf("client: verification failed: server root does not match the pinned root (server %d tuples, pinned %d) — tampering or unacknowledged external writes", vr.Leaves, p.tuples)
 	}
-	if err := cache.VerifyAnswer(root, tuples, vr.Result.Positions, vr.Result.Tuples, vr.Multiproof); err != nil {
+	if p.cap == nil {
+		return fmt.Errorf("client: verification failed: the pin has no cap row yet")
+	}
+	if err := p.cache.VerifyAnswer(p.cap.Row(), p.tuples, vr.Result.Positions, vr.Result.Tuples, vr.Multiproof); err != nil {
 		return fmt.Errorf("client: verification failed: %w", err)
 	}
 	return nil

@@ -55,7 +55,7 @@ type Cluster interface {
 	// Split partitions tuples with the cluster's deterministic
 	// content-hash map; the result always has NumShards() entries. The
 	// client uses it to know which leaves advance which shard's pinned
-	// frontier — it must agree with how Store/Insert place tuples.
+	// cap — it must agree with how Store/Insert place tuples.
 	Split(tuples []ph.EncryptedTuple) [][]ph.EncryptedTuple
 	// Store partitions the table and installs each part on its shard.
 	Store(name string, t *ph.EncryptedTable) error
@@ -99,9 +99,10 @@ func NewShardedDB(cl Cluster, scheme ph.Scheme, table string) *DB {
 func (db *DB) Cluster() Cluster { return db.cluster }
 
 // ShardRoots returns the pinned per-shard roots and tuple counts — the
-// root-of-roots vector an application persists across restarts (nil if
-// none is pinned; a single server's vector is the one entry Root
-// returns). Reinstall it with PinShardRoots.
+// root-of-roots vector an application persists across restarts, and the
+// only state it need persist (nil if none is pinned; a single server's
+// vector is the one entry Root returns). Reinstall it with
+// PinShardRoots.
 func (db *DB) ShardRoots() (roots [][]byte, tuples []int) {
 	for _, p := range db.pins {
 		roots = append(roots, bytes.Clone(p.root))
@@ -112,9 +113,10 @@ func (db *DB) ShardRoots() (roots [][]byte, tuples []int) {
 
 // PinShardRoots installs a previously persisted root vector (one root
 // and leaf count per shard; a single server's vector is its one root).
-// Only the anchors are installed: the frontiers behind them are rebuilt
-// lazily — verified against these roots — by the first insert that
-// needs them. Passing nil roots disables verification.
+// Only the 32-byte anchors are installed: the caps behind them (see
+// PinRoot) are rebuilt lazily from one fetch per shard — verified
+// against these roots — by the first verified read or insert. Passing
+// nil roots disables verification.
 func (db *DB) PinShardRoots(roots [][]byte, tuples []int) error {
 	if roots == nil {
 		db.pins = nil

@@ -266,7 +266,7 @@ func verifiedAnswer(t *testing.T, db *DB, conn *Conn, dept string) *authindex.Ve
 	if len(vr.Result.Positions) < 1 {
 		t.Fatal("fixture query matched nothing")
 	}
-	if err := checkVerifiedAgainst(db.pins[0].root, db.pins[0].tuples, authindex.NewLeafCache(), vr); err != nil {
+	if err := checkVerifiedAgainst(newPin(db.pins[0].root, db.pins[0].tuples, db.pins[0].cap), vr); err != nil {
 		t.Fatalf("honest answer rejected: %v", err)
 	}
 	return vr
@@ -286,15 +286,26 @@ func TestCheckVerifiedRejectsDuplicatedPositions(t *testing.T) {
 	// Malicious inflation: repeat the first tuple and its position.
 	vr.Result.Positions = append([]int{vr.Result.Positions[0]}, vr.Result.Positions...)
 	vr.Result.Tuples = append([]ph.EncryptedTuple{vr.Result.Tuples[0]}, vr.Result.Tuples...)
-	err := checkVerifiedAgainst(db.pins[0].root, db.pins[0].tuples, authindex.NewLeafCache(), vr)
+	err := checkVerifiedAgainst(newPin(db.pins[0].root, db.pins[0].tuples, db.pins[0].cap), vr)
 	if err == nil || !strings.Contains(err.Error(), "strictly ascending") {
 		t.Fatalf("duplicated position accepted: %v", err)
 	}
 }
 
+// wideEmpTable is empTable grown past authindex.CapNodes tuples with OPS
+// staff, so its answers carry siblings below the cap level.
+func wideEmpTable() *relation.Table {
+	t := empTable()
+	for i := t.Len(); i <= authindex.CapNodes; i++ {
+		t.MustInsert(relation.String(fmt.Sprintf("ops%d", i)), relation.String("OPS"), relation.Int(int64(i)))
+	}
+	return t
+}
+
 // TestCheckVerifiedRejectsForgedAnswers: the other ways a server can bend
 // an answer whose every tuple is genuine somewhere — each refused with an
-// error that names what failed.
+// error that names what failed. The table is above the cap, so answers
+// carry siblings to keep or drop.
 func TestCheckVerifiedRejectsForgedAnswers(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -304,10 +315,10 @@ func TestCheckVerifiedRejectsForgedAnswers(t *testing.T) {
 		{"two tuples swapped", func(t *testing.T, db *DB, conn *Conn, vr *authindex.VerifiedResult) {
 			tp := vr.Result.Tuples
 			tp[0], tp[1] = tp[1], tp[0]
-		}, "root mismatch"},
+		}, "cap mismatch"},
 		{"a tuple substituted from another position", func(t *testing.T, db *DB, conn *Conn, vr *authindex.VerifiedResult) {
 			vr.Result.Tuples[0] = verifiedAnswer(t, db, conn, "IT").Result.Tuples[0]
-		}, "root mismatch"},
+		}, "cap mismatch"},
 		{"one tuple dropped, its siblings kept", func(t *testing.T, db *DB, conn *Conn, vr *authindex.VerifiedResult) {
 			vr.Result.Positions, vr.Result.Tuples = vr.Result.Positions[:1], vr.Result.Tuples[:1]
 		}, "need exactly"},
@@ -326,12 +337,12 @@ func TestCheckVerifiedRejectsForgedAnswers(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			conn := startPipe(t, storage.NewMemory())
 			db := NewDB(conn, newScheme(t), "emp")
-			if err := db.CreateTable(empTable()); err != nil {
+			if err := db.CreateTable(wideEmpTable()); err != nil {
 				t.Fatal(err)
 			}
 			vr := verifiedAnswer(t, db, conn, "HR")
 			tc.forge(t, db, conn, vr)
-			err := checkVerifiedAgainst(db.pins[0].root, db.pins[0].tuples, authindex.NewLeafCache(), vr)
+			err := checkVerifiedAgainst(newPin(db.pins[0].root, db.pins[0].tuples, db.pins[0].cap), vr)
 			if err == nil || !strings.Contains(err.Error(), "verification failed") || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("forged answer: %v, want a verification failure naming %q", err, tc.want)
 			}
@@ -428,10 +439,10 @@ func TestReadErrorSurfaces(t *testing.T) {
 			if err := db.CreateTable(empTable()); err != nil {
 				t.Fatal(err)
 			}
-			root, tuples := db.Root()
+			pins := db.pins // with their caps: an anchor alone would fetch first
 			db = NewDB(conn, db.Scheme(), tc.table)
 			if tc.pin {
-				db.PinRoot(root, tuples)
+				db.pins = pins
 			}
 			before := fc.total()
 			err := tc.read(db)

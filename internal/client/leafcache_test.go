@@ -21,7 +21,7 @@ func refused(t *testing.T, what string, err error) {
 }
 
 // TestLeafCacheRefusesForgedAnswerTwice: a leaf enters a pin's cache only
-// after its answer's fold reached the pinned root. A forged answer
+// after its answer's fold matched the pin's cap row. A forged answer
 // served twice is refused twice — the first refusal must not have cached
 // the forged leaf for the second to hit — and once the honest leaves are
 // cached, the forgery is refused against them by name.
@@ -54,7 +54,8 @@ func TestLeafCacheRefusesForgedAnswerTwice(t *testing.T) {
 // TestLeafCacheEmptiedOnPinRoot: a pin the client did not derive itself
 // starts with an empty cache. Table A's leaves, cached under A's root,
 // must not vouch for A's tuples replayed under table B's root, although
-// B has the same size and so the same sibling count at every position.
+// B has the same size and so the same sibling count at every position:
+// they are held to B's cap row, and refused by it.
 func TestLeafCacheEmptiedOnPinRoot(t *testing.T) {
 	st := storage.NewMemory()
 	conn := startPipe(t, st)
@@ -88,7 +89,12 @@ func TestLeafCacheEmptiedOnPinRoot(t *testing.T) {
 	replayed.Root, replayed.Leaves, replayed.Multiproof = rootB, nB, proofB
 
 	db.PinRoot(rootB, nB)
-	refused(t, "table A's answer replayed under table B's root", db.check(0, replayed))
+	db.pins[0].cap = authindex.CapOf(full) // what the first verified read rebuilds
+	err = db.check(0, replayed)
+	refused(t, "table A's answer replayed under table B's root", err)
+	if !strings.Contains(err.Error(), "cap mismatch") {
+		t.Fatalf("table A's answer under table B's pin refused as %v, want its leaves held to B's cap row", err)
+	}
 }
 
 // splitShards is a two-shard Cluster that deals tuples alternately and
@@ -166,8 +172,8 @@ func TestLeafCachePerShard(t *testing.T) {
 
 // TestLeafCacheKeptOnlyAcrossOwnInserts: the client's own inserts move a
 // pin in place and keep its cache; every other way a pin is made —
-// CreateTable, PinRoot, PinShardRoots, RepinRoot, and the frontier
-// rebuild the first insert after a bare PinRoot runs — starts empty.
+// CreateTable, PinRoot, PinShardRoots, RepinRoot, and the cap rebuild the
+// first insert after a bare PinRoot runs — starts empty.
 func TestLeafCacheKeptOnlyAcrossOwnInserts(t *testing.T) {
 	conn := startPipe(t, storage.NewMemory())
 	db := NewDB(conn, newScheme(t), "emp")
@@ -204,11 +210,10 @@ func TestLeafCacheKeptOnlyAcrossOwnInserts(t *testing.T) {
 		{"PinRoot", func() error { root, n := db.Root(); db.PinRoot(root, n); return nil }},
 		{"PinShardRoots", func() error { roots, ns := db.ShardRoots(); return db.PinShardRoots(roots, ns) }},
 		{"RepinRoot", db.RepinRoot},
-		{"frontier rebuild", func() error {
+		{"cap rebuild", func() error {
 			root, n := db.Root()
 			db.PinRoot(root, n)
-			fill() // a pin without a frontier still caches
-			insert()
+			insert() // rebuilds the cap; a verified read would rebuild it first too
 			return nil
 		}},
 	} {

@@ -34,7 +34,7 @@ func sampleVerified() *authindex.VerifiedResult {
 	return &authindex.VerifiedResult{
 		Result:     sampleResult(),
 		Root:       []byte("0123456789abcdef0123456789abcdef"),
-		Leaves:     10,
+		Leaves:     10_000, // above the cap, so two positions may carry siblings
 		Version:    42,
 		Multiproof: []byte("0123456789abcdef0123456789abcdeffedcba9876543210fedcba9876543210"),
 	}

@@ -54,12 +54,14 @@ func id(i int) string { return strconv.Itoa(i) }
 
 // TestDispatchRead drives the one read command through every request
 // shape and answer mode: plan order is kept, a conjunction answers its
-// intersection, verified answers are internally consistent — proofs
-// verify the returned tuples against the returned root, which is a
-// rebuild's — and explain reports a plan without executing it.
+// intersection, verified answers are internally consistent — the
+// returned root is a rebuild's, and proofs fold the returned tuples into
+// the rebuild's cap row — and explain reports a plan without executing
+// it.
 func TestDispatchRead(t *testing.T) {
 	et := conjTable(8)
-	wantRoot := authindex.Build(et).Root()
+	tree := authindex.Build(et)
+	wantRoot := tree.Root()
 	many := make([][]string, 9) // more plans than the scheduler budget's capacity
 	for i := range many {
 		many[i] = []string{id(i % 8)}
@@ -126,7 +128,7 @@ func TestDispatchRead(t *testing.T) {
 					if vr.Leaves != 8 || vr.Version == 0 || !bytes.Equal(vr.Root, wantRoot) || vr.Proofs != nil {
 						t.Fatalf("snapshot metadata: %d leaves, version %d, %d per-leaf proofs", vr.Leaves, vr.Version, len(vr.Proofs))
 					}
-					if err := authindex.VerifyAnswer(vr.Root, vr.Leaves, vr.Result.Positions, vr.Result.Tuples, vr.Multiproof); err != nil {
+					if err := authindex.VerifyAnswer(tree.CapRow(), vr.Leaves, vr.Result.Positions, vr.Result.Tuples, vr.Multiproof); err != nil {
 						t.Fatalf("answer of %d tuples rejected: %v", len(vr.Result.Tuples), err)
 					}
 				}

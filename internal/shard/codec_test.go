@@ -106,7 +106,7 @@ func TestShardResponseVerifiedExplainAndTable(t *testing.T) {
 		if len(d.Result.Tuples) != 2 {
 			t.Fatalf("verified sub-answer %d carries %d tuples, want 2", i, len(d.Result.Tuples))
 		}
-		if err := authindex.VerifyAnswer(d.Root, d.Leaves, d.Result.Positions, d.Result.Tuples, d.Multiproof); err != nil {
+		if err := authindex.VerifyAnswer(tree.CapRow(), d.Leaves, d.Result.Positions, d.Result.Tuples, d.Multiproof); err != nil {
 			t.Fatalf("verified sub-answer %d no longer verifies after the shard framing: %v", i, err)
 		}
 	}

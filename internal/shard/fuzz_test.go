@@ -49,10 +49,11 @@ func FuzzDecodeShardResponse(f *testing.F) {
 	f.Add(append(append([]byte(nil), valid...), 0xFF))
 	f.Add(subFrame(version, KindRead, append(query.EncodeResponses(nil, 0, nil), 0xAB)))
 	// A verified sub-answer: its sibling block whole, then off the hash
-	// grid, then longer than its one position of 3 leaves can need.
+	// grid, then longer than its one position of 4 × CapNodes leaves (cap
+	// level 2) can need.
 	for _, block := range []int{2 * authindex.HashSize, authindex.HashSize + 1, 3 * authindex.HashSize} {
 		vr := &authindex.VerifiedResult{Result: readSub(0, []int{1}, 1).Reads[0].Result,
-			Root: make([]byte, authindex.HashSize), Leaves: 3, Version: 1, Multiproof: make([]byte, block)}
+			Root: make([]byte, authindex.HashSize), Leaves: 4 * authindex.CapNodes, Version: 1, Multiproof: make([]byte, block)}
 		f.Add(subFrame(version, KindRead, query.EncodeResponses(nil, wire.ReadFlagVerified, []query.Response{{Verified: vr}})))
 	}
 

@@ -139,7 +139,7 @@ func (rc *Remote) read(name string, flags byte, plans [][]*ph.EncryptedQuery, ch
 }
 
 // Fetch downloads every shard's partition through CmdFetchAll, framed
-// per shard so the caller can rebuild per-shard Merkle frontiers.
+// per shard so the caller can rebuild per-shard Merkle caps.
 func (rc *Remote) Fetch(name string) ([]*ph.EncryptedTable, error) {
 	subs, err := rc.roundTripShard(wire.Frame{Type: wire.CmdFetchAll, Payload: wire.AppendString(nil, name)}, KindTable)
 	if err != nil {

@@ -81,7 +81,7 @@ func (m Map) Route(tp ph.EncryptedTuple) int {
 // entries (possibly empty), indexed by shard, with each part preserving
 // the input order — so a split of an append batch is exactly the
 // per-shard append order, which is what lets a client advance per-shard
-// Merkle frontiers from its own leaf hashes.
+// Merkle caps from its own leaf hashes.
 func (m Map) Split(tuples []ph.EncryptedTuple) [][]ph.EncryptedTuple {
 	n := m.Count
 	if n < 1 {

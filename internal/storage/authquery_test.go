@@ -16,6 +16,25 @@ func authTable(n int) *ph.EncryptedTable { return fixtureTable(n, 0) }
 
 func authQuery(b byte) *ph.EncryptedQuery { return fixtureQuery("g", int64(b)) }
 
+// verifyAt checks a verified answer as a client pinned to its snapshot
+// does: the first vr.Leaves tuples of the stored table (appends only
+// extend it) must hash to the root the answer carries, and its proof must
+// fold its tuples into their cap row.
+func verifyAt(s *Store, name string, vr *authindex.VerifiedResult) error {
+	tab, err := s.Get(name)
+	if err != nil {
+		return err
+	}
+	if vr.Leaves > len(tab.Tuples) {
+		return fmt.Errorf("answer cut from %d leaves, the table holds %d", vr.Leaves, len(tab.Tuples))
+	}
+	c := authindex.CapOf(&ph.EncryptedTable{Tuples: tab.Tuples[:vr.Leaves]})
+	if !bytes.Equal(c.Root(), vr.Root) {
+		return fmt.Errorf("answer's root is not that of the table's first %d tuples", vr.Leaves)
+	}
+	return authindex.VerifyAnswer(c.Row(), vr.Leaves, vr.Result.Positions, vr.Result.Tuples, vr.Multiproof)
+}
+
 // TestRootIncrementalMatchesRebuild: the store-maintained root must equal
 // a from-scratch rebuild of the current table after every append.
 func TestRootIncrementalMatchesRebuild(t *testing.T) {
@@ -86,8 +105,9 @@ func TestAppendStampedPlacement(t *testing.T) {
 }
 
 // TestQueryVerifiedConsistentSnapshot: every component of a verified
-// answer must be internally consistent — proofs verify the returned
-// tuples against the returned root at the returned leaf count.
+// answer must be internally consistent — the returned root is that of
+// the returned leaf count's tuples, and proofs fold the returned tuples
+// into their cap row.
 func TestQueryVerifiedConsistentSnapshot(t *testing.T) {
 	s := NewMemory()
 	if err := s.Put("emp", authTable(50)); err != nil {
@@ -100,14 +120,14 @@ func TestQueryVerifiedConsistentSnapshot(t *testing.T) {
 	if len(vr.Result.Positions) == 0 {
 		t.Fatal("query matched nothing; test table broken")
 	}
-	if err := authindex.VerifyAnswer(vr.Root, vr.Leaves, vr.Result.Positions, vr.Result.Tuples, vr.Multiproof); err != nil {
+	if err := verifyAt(s, "emp", vr); err != nil {
 		t.Fatalf("answer of %d tuples rejected: %v", len(vr.Result.Tuples), err)
 	}
 }
 
 // TestQueryVerifiedUsesCache: the verified path must go through the same
 // result cache as the plain query path, and an answer served from the
-// cache must verify against the root it carries.
+// cache must verify against the snapshot whose root it carries.
 func TestQueryVerifiedUsesCache(t *testing.T) {
 	s := NewMemory()
 	if err := s.Put("emp", authTable(2048)); err != nil {
@@ -128,7 +148,7 @@ func TestQueryVerifiedUsesCache(t *testing.T) {
 	if len(vr.Result.Tuples) == 0 {
 		t.Fatal("the cache hit's answer is empty, so nothing was verified")
 	}
-	if err := authindex.VerifyAnswer(vr.Root, vr.Leaves, vr.Result.Positions, vr.Result.Tuples, vr.Multiproof); err != nil {
+	if err := verifyAt(s, "emp", vr); err != nil {
 		t.Fatalf("cache hit's answer of %d tuples rejected: %v", len(vr.Result.Tuples), err)
 	}
 }
@@ -165,8 +185,9 @@ func TestPutReplacesTree(t *testing.T) {
 
 // TestConcurrentAppendVerifiedQuery is the -race gate for the versioned
 // index: writers append while readers run verified queries; every answer
-// must be internally consistent (proofs verify against the root cut from
-// the same snapshot), whatever interleaving the scheduler picks.
+// must be internally consistent (proofs verify against the cap row of the
+// snapshot whose root they carry), whatever interleaving the scheduler
+// picks.
 func TestConcurrentAppendVerifiedQuery(t *testing.T) {
 	s := NewMemory()
 	if err := s.Put("emp", authTable(64)); err != nil {
@@ -207,7 +228,7 @@ func TestConcurrentAppendVerifiedQuery(t *testing.T) {
 					errs <- fmt.Errorf("query %d matched nothing; nothing was verified", i)
 					return
 				}
-				if err := authindex.VerifyAnswer(vr.Root, vr.Leaves, vr.Result.Positions, vr.Result.Tuples, vr.Multiproof); err != nil {
+				if err := verifyAt(s, "emp", vr); err != nil {
 					errs <- err
 					return
 				}

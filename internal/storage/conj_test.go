@@ -206,8 +206,8 @@ func TestQueryConjDeltaAfterAppend(t *testing.T) {
 }
 
 // TestVerifiedConjSnapshotConsistent: the verified variant's
-// proofs always verify against the root they travel with, and the
-// result equals the plain conjunctive result.
+// proofs always verify against the snapshot whose root they travel
+// with, and the result equals the plain conjunctive result.
 func TestVerifiedConjSnapshotConsistent(t *testing.T) {
 	s, _, token := conjFixture(t, 200)
 	// A conjunction that matches — HR and the salary of one of its own
@@ -233,7 +233,7 @@ func TestVerifiedConjSnapshotConsistent(t *testing.T) {
 	if len(vr.Result.Tuples) == 0 {
 		t.Fatal("the conjunction matched nothing; nothing to verify")
 	}
-	if err := authindex.VerifyAnswer(vr.Root, vr.Leaves, vr.Result.Positions, vr.Result.Tuples, vr.Multiproof); err != nil {
+	if err := verifyAt(s, "emp", vr); err != nil {
 		t.Fatalf("answer of %d tuples rejected: %v", len(vr.Result.Tuples), err)
 	}
 	et, err := s.Get("emp")
@@ -294,7 +294,7 @@ func TestQueryConjErrors(t *testing.T) {
 // queries (plain and verified) under -race: every answer must be
 // internally consistent — a prefix of the reference intersection
 // computed over some append boundary — and verified answers must verify
-// against the root they carry.
+// against the snapshot whose root they carry.
 func TestConcurrentAppendConjQuery(t *testing.T) {
 	s, scheme, token := conjFixture(t, 256)
 	qs := []*ph.EncryptedQuery{token("dept", relation.String("HR")), token("dept", relation.String("HR"))}
@@ -350,7 +350,7 @@ func TestConcurrentAppendConjQuery(t *testing.T) {
 						t.Error("racing verified answer is empty; nothing was verified")
 						return
 					}
-					if err := authindex.VerifyAnswer(vr.Root, vr.Leaves, vr.Result.Positions, vr.Result.Tuples, vr.Multiproof); err != nil {
+					if err := verifyAt(s, "emp", vr); err != nil {
 						t.Errorf("racing verified answer of %d tuples rejected: %v", len(vr.Result.Tuples), err)
 						return
 					}

@@ -701,8 +701,9 @@ func (e *tableEntry) planConj(c *cache.Cache, name string, qs []*ph.EncryptedQue
 // actually wants).
 //
 // flags (wire.ReadFlag*) shapes the answer. With none it is the matching
-// tuples. With ReadFlagVerified they travel with one multiproof, root,
-// leaf count and version cut under the same lock acquisition that
+// tuples. With ReadFlagVerified they travel with one multiproof — cut at
+// the tree's cap level (authindex.CapNodes), whose row the client holds —
+// root, leaf count and version cut under the same lock acquisition that
 // evaluated the plan — mutually consistent by construction, so a
 // mutation racing the request can never make an honest answer fail
 // verification. With ReadFlagExplain nothing is evaluated: the answer is

@@ -72,7 +72,7 @@ const (
 	CmdQuery byte = 0x03
 	// CmdFetchAll downloads a complete encrypted table: a store answers
 	// RespTable, a shard coordinator RespResultShard with each shard's
-	// partition, from which a client rebuilds per-shard Merkle frontiers.
+	// partition, from which a client rebuilds per-shard Merkle caps.
 	CmdFetchAll byte = 0x04
 	// CmdDrop removes a named table.
 	CmdDrop byte = 0x05
@@ -108,9 +108,11 @@ const (
 	// or with ReadFlagVerified an authindex.VerifiedResult (result |
 	// root | leaves:u32 | version:u64 | one length-prefixed block of raw
 	// 32-byte sibling hashes — the answer's multiproof, whose positions
-	// are the result's — all cut from the same snapshot, so a mutation
-	// racing the request cannot make an honest answer fail), or with
-	// ReadFlagExplain the plan summary.
+	// are the result's, up to the tree's first level of at most
+	// authindex.CapNodes nodes, which the client holds: none on a table
+	// of at most that many tuples — all cut from the same snapshot, so a
+	// mutation racing the request cannot make an honest answer fail), or
+	// with ReadFlagExplain the plan summary.
 	RespResult byte = 0x83
 	// RespTable carries a ph.EncryptedTable.
 	RespTable byte = 0x84
