@@ -1,39 +1,31 @@
 // Package cache implements the server-side query result cache: a bounded
-// LRU mapping (table, trapdoor digest) to the hit positions of a previous
-// scan, together with the table version and prefix length that scan
+// LRU mapping a Key — (table entry, trapdoor digest) — to the hit
+// positions of a previous scan, together with the prefix length that scan
 // covered.
 //
-// Why caching is sound: the paper's trapdoors (and every other scheme's
-// search tokens in this repository) are deterministic per plaintext word,
-// and the server-side evaluator ψ is a deterministic, tuple-local scan.
-// Repeating a hot query is therefore pure recomputation, and the server
-// may memoise it without learning anything it was not already shown — the
-// result positions ARE the access pattern the scheme reveals per query by
-// construction (ph.Result carries them on the wire). The cache key is a
-// SHA-256 digest of the opaque token, so the cache stores no more of the
-// token than the server already holds, and colliding keys would require
-// colliding digests.
+// Why caching is sound: the paper's trapdoors are deterministic per
+// plaintext word, and the server-side evaluator ψ is a deterministic,
+// tuple-local scan. Repeating a hot query is therefore pure
+// recomputation, and the server may memoise it without learning anything
+// it was not already shown — the result positions ARE the access pattern
+// the scheme reveals per query by construction (ph.Result carries them on
+// the wire). The key's token half is a SHA-256 digest of the opaque
+// token, so the cache stores no more of the token than the server already
+// holds, and colliding keys would require colliding digests.
 //
-// Delta scans: entries record how many tuples of the table they scanned
-// (Scanned) and at which table version (Version). Tables mutate in two
-// ways only — destructive replacement (storage.Put/Drop, which invalidates
-// the table's entries) and append (which bumps the version but leaves the
-// scanned prefix intact). After appends, a cached entry's positions are
-// still exact for the first Scanned tuples, so the caller re-scans only
-// tuples[Scanned:] and merges — O(tail) instead of O(n). The lineage
-// check entry.Version >= base (the version at which the current table
-// object was installed) rejects entries that survived a racing
-// replacement: an in-flight query on a replaced snapshot may still store
-// its result after the invalidation, but it stores it with a pre-
-// replacement version, which the base check discards.
+// Delta scans: entries record how many tuples they scanned (Scanned).
+// The key's table half names one installed table object, which only
+// ever grows: a replacement is a new object under a new key, so no
+// lookup of it reaches an entry of the old one, whenever that entry was
+// stored. After appends, an entry's positions are still exact for the
+// first Scanned tuples, so the caller re-scans only tuples[Scanned:] and
+// merges — O(tail) instead of O(n).
 package cache
 
 import (
 	"container/list"
 	"crypto/sha256"
 	"sync"
-
-	"repro/internal/ph"
 )
 
 // DefaultMaxBytes is the default cache capacity: roughly the memory the
@@ -62,8 +54,6 @@ type Entry struct {
 	Positions []int
 	// Scanned is the number of leading tuples the positions cover.
 	Scanned int
-	// Version is the table version at which the prefix was scanned.
-	Version uint64
 }
 
 // Stats are the cache's monotonic counters.
@@ -80,15 +70,19 @@ type Stats struct {
 	Invalidations uint64
 }
 
-// key identifies one cached result.
-type key struct {
-	table  string
-	digest [sha256.Size]byte
+// Key identifies one cached result: the installed table object it was
+// scanned from and the SHA-256 digest of the query token.
+type Key struct {
+	// Table names one installed table object; it must change whenever the
+	// table's contents are replaced rather than appended to.
+	Table uint64
+	// Token is sha256.Sum256 of the opaque query token.
+	Token [sha256.Size]byte
 }
 
 // item is the LRU list payload.
 type item struct {
-	k     key
+	k     Key
 	entry Entry
 }
 
@@ -98,7 +92,7 @@ type Cache struct {
 	maxBytes int64
 	size     int64
 	ll       *list.List // front = most recently used
-	items    map[string]map[[sha256.Size]byte]*list.Element
+	items    map[uint64]map[[sha256.Size]byte]*list.Element
 	stats    Stats
 }
 
@@ -111,93 +105,68 @@ func New(maxBytes int64) *Cache {
 	return &Cache{
 		maxBytes: maxBytes,
 		ll:       list.New(),
-		items:    make(map[string]map[[sha256.Size]byte]*list.Element),
+		items:    make(map[uint64]map[[sha256.Size]byte]*list.Element),
 	}
 }
 
-// digest derives the cache key digest from a query: the scheme ID (the
-// evaluator namespace) and the opaque token, length-separated.
-func digest(q *ph.EncryptedQuery) [sha256.Size]byte {
-	h := sha256.New()
-	var n [4]byte
-	n[0], n[1], n[2], n[3] = byte(len(q.SchemeID)>>24), byte(len(q.SchemeID)>>16), byte(len(q.SchemeID)>>8), byte(len(q.SchemeID))
-	h.Write(n[:])
-	h.Write([]byte(q.SchemeID))
-	h.Write(q.Token)
-	var d [sha256.Size]byte
-	h.Sum(d[:0])
-	return d
-}
-
 // entryBytes approximates an entry's memory footprint for the size bound.
-func entryBytes(k key, e Entry) int64 {
-	return int64(len(e.Positions)*8 + len(k.table) + sha256.Size + 64)
+func entryBytes(e Entry) int64 {
+	return int64(len(e.Positions)*8 + sha256.Size + 64)
 }
 
-// Lookup returns the cached entry for q against the named table, given
-// the table's current lineage base, version and tuple count. The returned
-// positions are a private copy the caller may append to. Outcome Hit
-// means the positions are exact for the whole table; Delta means they are
-// exact for the first entry.Scanned tuples and the caller must scan the
-// tail; Miss means no usable entry survived the lineage check.
-func (c *Cache) Lookup(table string, q *ph.EncryptedQuery, base uint64, tupleCount int) (Entry, Outcome) {
-	d := digest(q)
+// Lookup returns the cached entry for k, given the table's current tuple
+// count. The returned positions are a private copy the caller may append
+// to. Outcome Hit means the positions are exact for the whole table;
+// Delta means they are exact for the first entry.Scanned tuples and the
+// caller must scan the tail; Miss means there is no entry, or one that
+// claims more tuples than the table holds.
+func (c *Cache) Lookup(k Key, tupleCount int) (Entry, Outcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[table][d]
-	if !ok {
+	el, ok := c.items[k.Table][k.Token]
+	if !ok || el.Value.(*item).entry.Scanned > tupleCount {
 		c.stats.Misses++
 		return Entry{}, Miss
 	}
 	e := el.Value.(*item).entry
-	// Lineage check: an entry stored against a replaced table object (or a
-	// snapshot that somehow claims more tuples than exist) is unusable.
-	if e.Version < base || e.Scanned > tupleCount {
-		c.stats.Misses++
-		return Entry{}, Miss
-	}
 	c.ll.MoveToFront(el)
-	out := Entry{
-		Positions: append(make([]int, 0, len(e.Positions)+8), e.Positions...),
-		Scanned:   e.Scanned,
-		Version:   e.Version,
-	}
+	e.Positions = append(make([]int, 0, len(e.Positions)+8), e.Positions...)
 	if e.Scanned == tupleCount {
 		c.stats.Hits++
-		return out, Hit
+		return e, Hit
 	}
 	c.stats.Deltas++
-	return out, Delta
+	return e, Delta
 }
 
-// Store caches an entry for q against the named table, copying the
-// positions. If an entry with a newer version is already present (a
-// concurrent query got there first), the newer entry wins and Store is a
-// no-op. Entries larger than the whole cache are not stored.
-func (c *Cache) Store(table string, q *ph.EncryptedQuery, e Entry) {
-	k := key{table: table, digest: digest(q)}
+// Store caches an entry under k, copying the positions. A table object
+// only grows, so of two entries for one key the one that scanned more
+// tuples is the fresher: if it is already present (a concurrent query got
+// there first), Store is a no-op. Entries larger than the whole cache are
+// not stored.
+func (c *Cache) Store(k Key, e Entry) {
 	e.Positions = append([]int(nil), e.Positions...)
-	sz := entryBytes(k, e)
+	sz := entryBytes(e)
 	if sz > c.maxBytes {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[table][k.digest]; ok {
+	if el, ok := c.items[k.Table][k.Token]; ok {
 		old := el.Value.(*item)
-		if old.entry.Version > e.Version {
-			return // a fresher result is already cached
+		if old.entry.Scanned > e.Scanned {
+			return // a longer scan is already cached
 		}
-		c.size += sz - entryBytes(old.k, old.entry)
+		c.size += sz - entryBytes(old.entry)
 		old.entry = e
 		c.ll.MoveToFront(el)
 	} else {
-		byDigest := c.items[table]
-		if byDigest == nil {
-			byDigest = make(map[[sha256.Size]byte]*list.Element)
-			c.items[table] = byDigest
+		byToken := c.items[k.Table]
+		if byToken == nil {
+			byToken = make(map[[sha256.Size]byte]*list.Element)
+			c.items[k.Table] = byToken
 		}
-		byDigest[k.digest] = c.ll.PushFront(&item{k: k, entry: e})
+		byToken[k.Token] = c.ll.PushFront(&item{k: k, entry: e})
 		c.size += sz
 	}
 	for c.size > c.maxBytes {
@@ -220,19 +189,20 @@ func (c *Cache) evictOldest() {
 func (c *Cache) removeLocked(el *list.Element) {
 	it := el.Value.(*item)
 	c.ll.Remove(el)
-	byDigest := c.items[it.k.table]
-	delete(byDigest, it.k.digest)
-	if len(byDigest) == 0 {
-		delete(c.items, it.k.table)
+	byToken := c.items[it.k.Table]
+	delete(byToken, it.k.Token)
+	if len(byToken) == 0 {
+		delete(c.items, it.k.Table)
 	}
-	c.size -= entryBytes(it.k, it.entry)
+	c.size -= entryBytes(it.entry)
 }
 
-// InvalidateTable drops every entry cached for the named table. Called on
-// destructive mutations (replace, drop); compaction deliberately does
-// not invalidate — it rewrites the durable log, not the tuples, so
-// cached positions stay exact.
-func (c *Cache) InvalidateTable(table string) {
+// InvalidateTable drops every entry cached under the given Key.Table.
+// Called when that table object is retired (replace, drop, snapshot
+// install): its entries can no longer be looked up, so this reclaims
+// their memory. Compaction does not invalidate — it rewrites the durable
+// log, not the tuples, so cached positions stay exact.
+func (c *Cache) InvalidateTable(table uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, el := range c.items[table] {

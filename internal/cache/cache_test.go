@@ -1,43 +1,44 @@
 package cache
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sync"
 	"testing"
-
-	"repro/internal/ph"
 )
 
-func q(token string) *ph.EncryptedQuery {
-	return &ph.EncryptedQuery{SchemeID: "test", Token: []byte(token)}
+// k is the key of token on the table object installed at version table.
+func k(table uint64, token string) Key {
+	return Key{Table: table, Token: sha256.Sum256([]byte(token))}
 }
 
 func TestLookupOutcomes(t *testing.T) {
 	c := New(0)
-	if _, out := c.Lookup("t", q("a"), 1, 10); out != Miss {
+	if _, out := c.Lookup(k(1, "a"), 10); out != Miss {
 		t.Fatalf("empty cache lookup = %v, want Miss", out)
 	}
-	c.Store("t", q("a"), Entry{Positions: []int{1, 4}, Scanned: 10, Version: 3})
+	c.Store(k(1, "a"), Entry{Positions: []int{1, 4}, Scanned: 10})
 
 	// Exact coverage: hit.
-	e, out := c.Lookup("t", q("a"), 1, 10)
+	e, out := c.Lookup(k(1, "a"), 10)
 	if out != Hit || len(e.Positions) != 2 || e.Positions[0] != 1 || e.Positions[1] != 4 {
 		t.Fatalf("lookup = %v %v, want Hit [1 4]", out, e.Positions)
 	}
 	// Table grew (appends): delta.
-	if e, out = c.Lookup("t", q("a"), 1, 15); out != Delta || e.Scanned != 10 {
+	if e, out = c.Lookup(k(1, "a"), 15); out != Delta || e.Scanned != 10 {
 		t.Fatalf("grown-table lookup = %v scanned %d, want Delta 10", out, e.Scanned)
 	}
-	// Lineage base beyond the entry's version (table was replaced): miss.
-	if _, out = c.Lookup("t", q("a"), 5, 10); out != Miss {
+	// The table was replaced: its successor is another entry, another key.
+	if _, out = c.Lookup(k(5, "a"), 10); out != Miss {
 		t.Fatalf("replaced-table lookup = %v, want Miss", out)
 	}
-	// Different token, different table: misses.
-	if _, out = c.Lookup("t", q("b"), 1, 10); out != Miss {
-		t.Fatalf("other-token lookup = %v, want Miss", out)
+	// An entry claiming more tuples than the table holds is unusable.
+	if _, out = c.Lookup(k(1, "a"), 9); out != Miss {
+		t.Fatalf("shrunk-table lookup = %v, want Miss", out)
 	}
-	if _, out = c.Lookup("u", q("a"), 1, 10); out != Miss {
-		t.Fatalf("other-table lookup = %v, want Miss", out)
+	// Different token: miss.
+	if _, out = c.Lookup(k(1, "b"), 10); out != Miss {
+		t.Fatalf("other-token lookup = %v, want Miss", out)
 	}
 
 	s := c.Stats()
@@ -48,41 +49,43 @@ func TestLookupOutcomes(t *testing.T) {
 
 func TestLookupReturnsPrivateCopy(t *testing.T) {
 	c := New(0)
-	c.Store("t", q("a"), Entry{Positions: []int{7}, Scanned: 3, Version: 1})
-	e, _ := c.Lookup("t", q("a"), 1, 3)
+	c.Store(k(1, "a"), Entry{Positions: []int{7}, Scanned: 3})
+	e, _ := c.Lookup(k(1, "a"), 3)
 	e.Positions[0] = 99
 	e.Positions = append(e.Positions, 100)
-	if e2, _ := c.Lookup("t", q("a"), 1, 3); e2.Positions[0] != 7 || len(e2.Positions) != 1 {
+	if e2, _ := c.Lookup(k(1, "a"), 3); e2.Positions[0] != 7 || len(e2.Positions) != 1 {
 		t.Fatalf("cache entry mutated through a lookup result: %v", e2.Positions)
 	}
 }
 
+// TestStoreNewerVersionWins: a table object only grows, so of two entries
+// for one key the longer scan is the newer one.
 func TestStoreNewerVersionWins(t *testing.T) {
 	c := New(0)
-	c.Store("t", q("a"), Entry{Positions: []int{1, 2}, Scanned: 20, Version: 9})
-	// A straggler from an older snapshot must not clobber the newer entry.
-	c.Store("t", q("a"), Entry{Positions: []int{1}, Scanned: 10, Version: 4})
-	e, out := c.Lookup("t", q("a"), 1, 20)
-	if out != Hit || e.Version != 9 || len(e.Positions) != 2 {
-		t.Fatalf("lookup after stale store = %v %+v, want the version-9 entry", out, e)
+	c.Store(k(1, "a"), Entry{Positions: []int{1, 2}, Scanned: 20})
+	// A straggler from a shorter snapshot must not clobber the longer entry.
+	c.Store(k(1, "a"), Entry{Positions: []int{1}, Scanned: 10})
+	e, out := c.Lookup(k(1, "a"), 20)
+	if out != Hit || e.Scanned != 20 || len(e.Positions) != 2 {
+		t.Fatalf("lookup after stale store = %v %+v, want the 20-tuple entry", out, e)
 	}
-	// Same or newer version replaces.
-	c.Store("t", q("a"), Entry{Positions: []int{1, 2, 3}, Scanned: 30, Version: 12})
-	if e, _ := c.Lookup("t", q("a"), 1, 30); e.Version != 12 || len(e.Positions) != 3 {
-		t.Fatalf("newer store did not replace: %+v", e)
+	// An equal or longer scan replaces.
+	c.Store(k(1, "a"), Entry{Positions: []int{1, 2, 3}, Scanned: 30})
+	if e, _ := c.Lookup(k(1, "a"), 30); e.Scanned != 30 || len(e.Positions) != 3 {
+		t.Fatalf("longer store did not replace: %+v", e)
 	}
 }
 
 func TestInvalidateTable(t *testing.T) {
 	c := New(0)
-	c.Store("t", q("a"), Entry{Positions: []int{1}, Scanned: 5, Version: 1})
-	c.Store("t", q("b"), Entry{Positions: []int{2}, Scanned: 5, Version: 1})
-	c.Store("u", q("a"), Entry{Positions: []int{3}, Scanned: 5, Version: 1})
-	c.InvalidateTable("t")
-	if _, out := c.Lookup("t", q("a"), 1, 5); out != Miss {
+	c.Store(k(1, "a"), Entry{Positions: []int{1}, Scanned: 5})
+	c.Store(k(1, "b"), Entry{Positions: []int{2}, Scanned: 5})
+	c.Store(k(2, "a"), Entry{Positions: []int{3}, Scanned: 5})
+	c.InvalidateTable(1)
+	if _, out := c.Lookup(k(1, "a"), 5); out != Miss {
 		t.Fatal("invalidated entry still served")
 	}
-	if _, out := c.Lookup("u", q("a"), 1, 5); out != Hit {
+	if _, out := c.Lookup(k(2, "a"), 5); out != Hit {
 		t.Fatal("unrelated table's entry was invalidated")
 	}
 	if n := c.Len(); n != 1 {
@@ -98,7 +101,7 @@ func TestEvictionBound(t *testing.T) {
 	c := New(3 * 900)
 	for i := 0; i < 10; i++ {
 		positions := make([]int, 100)
-		c.Store("t", q(fmt.Sprintf("tok%d", i)), Entry{Positions: positions, Scanned: 100, Version: uint64(i)})
+		c.Store(k(1, fmt.Sprintf("tok%d", i)), Entry{Positions: positions, Scanned: 100})
 	}
 	if sz := c.SizeBytes(); sz > 3*900 {
 		t.Fatalf("SizeBytes %d exceeds bound", sz)
@@ -110,10 +113,10 @@ func TestEvictionBound(t *testing.T) {
 		t.Fatal("no evictions counted despite overflow")
 	}
 	// The most recently stored entry must have survived; the oldest gone.
-	if _, out := c.Lookup("t", q("tok9"), 1, 100); out != Hit {
+	if _, out := c.Lookup(k(1, "tok9"), 100); out != Hit {
 		t.Fatal("most recent entry was evicted")
 	}
-	if _, out := c.Lookup("t", q("tok0"), 1, 100); out != Miss {
+	if _, out := c.Lookup(k(1, "tok0"), 100); out != Miss {
 		t.Fatal("oldest entry survived past the bound")
 	}
 }
@@ -121,24 +124,24 @@ func TestEvictionBound(t *testing.T) {
 func TestLRUOrderRespectsLookups(t *testing.T) {
 	c := New(3 * 900)
 	for i := 0; i < 3; i++ {
-		c.Store("t", q(fmt.Sprintf("tok%d", i)), Entry{Positions: make([]int, 100), Scanned: 100, Version: 1})
+		c.Store(k(1, fmt.Sprintf("tok%d", i)), Entry{Positions: make([]int, 100), Scanned: 100})
 	}
 	// Touch tok0 so tok1 becomes the LRU victim.
-	if _, out := c.Lookup("t", q("tok0"), 1, 100); out != Hit {
+	if _, out := c.Lookup(k(1, "tok0"), 100); out != Hit {
 		t.Fatal("warm entry missing")
 	}
-	c.Store("t", q("tok3"), Entry{Positions: make([]int, 100), Scanned: 100, Version: 1})
-	if _, out := c.Lookup("t", q("tok0"), 1, 100); out != Hit {
+	c.Store(k(1, "tok3"), Entry{Positions: make([]int, 100), Scanned: 100})
+	if _, out := c.Lookup(k(1, "tok0"), 100); out != Hit {
 		t.Fatal("recently used entry evicted before the LRU one")
 	}
-	if _, out := c.Lookup("t", q("tok1"), 1, 100); out != Miss {
+	if _, out := c.Lookup(k(1, "tok1"), 100); out != Miss {
 		t.Fatal("LRU entry survived")
 	}
 }
 
 func TestOversizedEntryNotStored(t *testing.T) {
 	c := New(100)
-	c.Store("t", q("big"), Entry{Positions: make([]int, 1000), Scanned: 1000, Version: 1})
+	c.Store(k(1, "big"), Entry{Positions: make([]int, 1000), Scanned: 1000})
 	if n := c.Len(); n != 0 {
 		t.Fatalf("oversized entry stored, Len = %d", n)
 	}
@@ -152,15 +155,15 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tok := q(fmt.Sprintf("tok%d", i%16))
-				table := fmt.Sprintf("t%d", g%4)
+				table := uint64(g % 4)
+				key := k(table, fmt.Sprintf("tok%d", i%16))
 				switch i % 4 {
 				case 0:
-					c.Store(table, tok, Entry{Positions: []int{i}, Scanned: i + 1, Version: uint64(i)})
+					c.Store(key, Entry{Positions: []int{i}, Scanned: i + 1})
 				case 3:
 					c.InvalidateTable(table)
 				default:
-					c.Lookup(table, tok, 0, i+1)
+					c.Lookup(key, i+1)
 				}
 			}
 		}(g)

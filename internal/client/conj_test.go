@@ -324,7 +324,7 @@ func TestCheckVerifiedRejectsForgedAnswers(t *testing.T) {
 		}, "need exactly"},
 		{"one tuple dropped, its position kept", func(t *testing.T, db *DB, conn *Conn, vr *authindex.VerifiedResult) {
 			vr.Result.Tuples = vr.Result.Tuples[:1]
-		}, "1 tuples at 2 positions"},
+		}, "1 tuples at %d positions"},
 		{"cut from an older snapshot", func(t *testing.T, db *DB, conn *Conn, vr *authindex.VerifiedResult) {
 			if err := db.Insert(relation.Tuple{relation.String("Edsger"), relation.String("HR"), relation.Int(9900)}); err != nil {
 				t.Fatal(err)
@@ -343,8 +343,14 @@ func TestCheckVerifiedRejectsForgedAnswers(t *testing.T) {
 			vr := verifiedAnswer(t, db, conn, "HR")
 			tc.forge(t, db, conn, vr)
 			err := checkVerifiedAgainst(newPin(db.pins[0].root, db.pins[0].tuples, db.pins[0].cap), vr)
-			if err == nil || !strings.Contains(err.Error(), "verification failed") || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("forged answer: %v, want a verification failure naming %q", err, tc.want)
+			want := tc.want
+			if strings.Contains(want, "%d") {
+				// The forged answer's own position count: SWP false
+				// positives make it vary from run to run.
+				want = fmt.Sprintf(want, len(vr.Result.Positions))
+			}
+			if err == nil || !strings.Contains(err.Error(), "verification failed") || !strings.Contains(err.Error(), want) {
+				t.Fatalf("forged answer: %v, want a verification failure naming %q", err, want)
 			}
 		})
 	}

@@ -39,21 +39,8 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/cache"
 	"repro/internal/ph"
-)
-
-// CachedState describes what the result cache held for a conjunct when
-// the plan was built.
-type CachedState int
-
-const (
-	// CachedNone: no usable cache entry; the conjunct must be evaluated.
-	CachedNone CachedState = iota
-	// CachedPrefix: Positions are exact for the first Scanned tuples
-	// only (the table has been appended to since the entry was stored).
-	CachedPrefix
-	// CachedFull: Positions are exact for the whole table.
-	CachedFull
 )
 
 // Source records how a conjunct was (or would be) served.
@@ -99,14 +86,15 @@ type Conjunct struct {
 	Index int
 	// Q is the encrypted query token.
 	Q *ph.EncryptedQuery
+	// Key names the conjunct's answer in the result cache, the scan
+	// single-flight and the selectivity sketch.
+	Key cache.Key
 
 	// Cached classifies the result-cache entry found at plan time.
-	Cached CachedState
-	// Positions holds the cached hit positions (whole table for
-	// CachedFull, the first Scanned tuples for CachedPrefix).
-	Positions []int
-	// Scanned is the prefix length Positions covers.
-	Scanned int
+	Cached cache.Outcome
+	// Entry holds the cached hit positions: the whole table's for a Hit,
+	// the first Scanned tuples' for a Delta.
+	cache.Entry
 	// Est is the estimated selectivity in [0, 1] used for ordering.
 	Est float64
 	// EstKnown reports whether Est comes from observations of this very
@@ -148,9 +136,9 @@ type Plan struct {
 // full cache entry.
 func (c *Conjunct) scanCost(tuples int) int {
 	switch c.Cached {
-	case CachedFull:
+	case cache.Hit:
 		return 0
-	case CachedPrefix:
+	case cache.Delta:
 		return tuples - c.Scanned
 	default:
 		return tuples
@@ -180,10 +168,10 @@ func Build(table string, tuples int, conjs []Conjunct) (*Plan, error) {
 	ordered := append([]Conjunct(nil), conjs...)
 	sort.SliceStable(ordered, func(i, j int) bool {
 		a, b := &ordered[i], &ordered[j]
-		if (a.Cached == CachedFull) != (b.Cached == CachedFull) {
-			return a.Cached == CachedFull
+		if (a.Cached == cache.Hit) != (b.Cached == cache.Hit) {
+			return a.Cached == cache.Hit
 		}
-		if a.Cached == CachedFull { // both cached: smallest set first
+		if a.Cached == cache.Hit { // both cached: smallest set first
 			return len(a.Positions) < len(b.Positions)
 		}
 		return cost(a) < cost(b)
@@ -200,7 +188,8 @@ func Build(table string, tuples int, conjs []Conjunct) (*Plan, error) {
 // scan runs every evaluation of the plan: it returns the ascending
 // positions among candidates whose tuples match q, or among all of et's
 // tuples when candidates is nil. Its et is Run's, or for a cached
-// prefix's delta a table of the appended tail alone.
+// prefix's delta a table of the appended tail alone. A whole-table scan
+// (Run's et, nil candidates) is only ever the first conjunct's.
 func (p *Plan) Run(et *ph.EncryptedTable, scan func(et *ph.EncryptedTable, q *ph.EncryptedQuery, candidates []int) ([]int, error)) ([]int, error) {
 	if len(et.Tuples) != p.Tuples {
 		return nil, fmt.Errorf("query: plan built for %d tuples run against %d", p.Tuples, len(et.Tuples))
@@ -214,7 +203,7 @@ func (p *Plan) Run(et *ph.EncryptedTable, scan func(et *ph.EncryptedTable, q *ph
 			continue
 		}
 		switch {
-		case cj.Cached == CachedFull:
+		case cj.Cached == cache.Hit:
 			cj.Source = SourceHit
 			if step == 0 {
 				surv = cj.Positions
@@ -230,7 +219,7 @@ func (p *Plan) Run(et *ph.EncryptedTable, scan func(et *ph.EncryptedTable, q *ph
 			// candidates = whole table: a positions-only scan, no
 			// candidate list built.
 			var full []int
-			if cj.Cached == CachedPrefix {
+			if cj.Cached == cache.Delta {
 				tail := &ph.EncryptedTable{SchemeID: et.SchemeID, Meta: et.Meta, Tuples: et.Tuples[cj.Scanned:]}
 				hits, err := scan(tail, cj.Q, nil)
 				if err != nil {
@@ -257,7 +246,7 @@ func (p *Plan) Run(et *ph.EncryptedTable, scan func(et *ph.EncryptedTable, q *ph
 			// prefix splits the work — survivors inside the prefix
 			// intersect the cached positions for free, only survivors in
 			// the appended tail are actually tested.
-			if cj.Cached == CachedPrefix {
+			if cj.Cached == cache.Delta {
 				cut := sort.SearchInts(surv, cj.Scanned)
 				pre := ph.IntersectPositions(surv[:cut], cj.Positions)
 				tail, err := scan(et, cj.Q, surv[cut:])
@@ -294,16 +283,16 @@ func (p *Plan) Annotate() {
 	for step := range p.Conjuncts {
 		cj := &p.Conjuncts[step]
 		switch {
-		case cj.Cached == CachedFull:
+		case cj.Cached == cache.Hit:
 			cj.Source = SourceHit
 		case step == 0:
-			if cj.Cached == CachedPrefix {
+			if cj.Cached == cache.Delta {
 				cj.Source = SourceDelta
 			} else {
 				cj.Source = SourceScan
 			}
 		default:
-			if cj.Cached == CachedPrefix {
+			if cj.Cached == cache.Delta {
 				cj.Source = SourceDelta
 			} else {
 				cj.Source = SourceNarrow

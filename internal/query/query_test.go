@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/ph"
 )
 
@@ -139,8 +140,8 @@ func TestBuildOrdersBySelectivity(t *testing.T) {
 func TestBuildPutsCachedFirst(t *testing.T) {
 	conjs := []Conjunct{
 		{Index: 0, Q: q("a"), Est: 0.001},
-		{Index: 1, Q: q("b"), Est: 0.9, Cached: CachedFull, Positions: []int{1, 2, 3}},
-		{Index: 2, Q: q("c"), Est: 0.9, Cached: CachedFull, Positions: []int{1}},
+		{Index: 1, Q: q("b"), Est: 0.9, Cached: cache.Hit, Entry: cache.Entry{Positions: []int{1, 2, 3}}},
+		{Index: 2, Q: q("c"), Est: 0.9, Cached: cache.Hit, Entry: cache.Entry{Positions: []int{1}}},
 	}
 	plan, err := Build("t", 100, conjs)
 	if err != nil {
@@ -162,8 +163,8 @@ func TestBuildPutsCachedFirst(t *testing.T) {
 // uncached conjunct that would have to scan the whole table.
 func TestBuildPrefersCheapPrefixDriver(t *testing.T) {
 	conjs := []Conjunct{
-		{Index: 0, Q: q("a"), Est: 0.009},                                     // uncached: driver cost 1000 + 9
-		{Index: 1, Q: q("b"), Est: 0.010, Cached: CachedPrefix, Scanned: 990}, // tail cost 10 + 10
+		{Index: 0, Q: q("a"), Est: 0.009}, // uncached: driver cost 1000 + 9
+		{Index: 1, Q: q("b"), Est: 0.010, Cached: cache.Delta, Entry: cache.Entry{Scanned: 990}}, // tail cost 10 + 10
 	}
 	plan, err := Build("t", 1000, conjs)
 	if err != nil {
@@ -243,8 +244,8 @@ func TestRunUsesCachedPositions(t *testing.T) {
 	evens := naiveConj(et, []*ph.EncryptedQuery{q("even")})
 	rare := naiveConj(et, []*ph.EncryptedQuery{q("rare")})
 	conjs := []Conjunct{
-		{Index: 0, Q: q("even"), Cached: CachedFull, Positions: evens, Scanned: 100, Est: 0.5, EstKnown: true},
-		{Index: 1, Q: q("rare"), Cached: CachedFull, Positions: rare, Scanned: 100, Est: 0.01, EstKnown: true},
+		{Index: 0, Q: q("even"), Cached: cache.Hit, Entry: cache.Entry{Positions: evens, Scanned: 100}, Est: 0.5, EstKnown: true},
+		{Index: 1, Q: q("rare"), Cached: cache.Hit, Entry: cache.Entry{Positions: rare, Scanned: 100}, Est: 0.01, EstKnown: true},
 	}
 	fullScans.Store(0)
 	testedCount.Store(0)
@@ -275,7 +276,7 @@ func TestRunCachedPrefixDriver(t *testing.T) {
 		}
 	}
 	conjs := []Conjunct{
-		{Index: 0, Q: q("rare"), Cached: CachedPrefix, Positions: rarePrefix, Scanned: 90, Est: 0.01, EstKnown: true},
+		{Index: 0, Q: q("rare"), Cached: cache.Delta, Entry: cache.Entry{Positions: rarePrefix, Scanned: 90}, Est: 0.01, EstKnown: true},
 		{Index: 1, Q: q("even"), Est: 0.5},
 	}
 	fullScans.Store(0)
@@ -315,7 +316,7 @@ func TestRunDeltaNarrowReportsTailHits(t *testing.T) {
 	// above the rare driver's (100 + 0.1), so it narrows second.
 	conjs := []Conjunct{
 		{Index: 0, Q: q("rare"), Est: 0.001},
-		{Index: 1, Q: q("even"), Est: 0.95, Cached: CachedPrefix, Positions: evensPrefix, Scanned: 90},
+		{Index: 1, Q: q("even"), Est: 0.95, Cached: cache.Delta, Entry: cache.Entry{Positions: evensPrefix, Scanned: 90}},
 	}
 	got, plan := runPlan(t, et, conjs)
 	if want := []int{98}; !reflect.DeepEqual(got, want) {
@@ -367,9 +368,9 @@ func TestRunRejectsStaleSnapshot(t *testing.T) {
 
 func TestAnnotatePredictsSources(t *testing.T) {
 	conjs := []Conjunct{
-		{Index: 0, Q: q("a"), Est: 0.9, Cached: CachedFull},
+		{Index: 0, Q: q("a"), Est: 0.9, Cached: cache.Hit},
 		{Index: 1, Q: q("b"), Est: 0.1},
-		{Index: 2, Q: q("c"), Est: 0.5, Cached: CachedPrefix},
+		{Index: 2, Q: q("c"), Est: 0.5, Cached: cache.Delta},
 	}
 	plan, err := Build("t", 100, conjs)
 	if err != nil {

@@ -21,7 +21,7 @@ func benchRiders(b *testing.B, identical bool) {
 		}
 		queries[i] = f.query(b, "name", name)
 	}
-	table := new(int)
+	table := uint64(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := New()

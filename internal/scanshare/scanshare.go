@@ -7,13 +7,14 @@
 // first arrival runs it, on its own goroutine, and identical arrivals
 // while it runs wait and share its position slice.
 //
-// Identical means the same table entry, the same scheme and token bytes
-// and the same snapshot length: trapdoors are deterministic per plaintext
-// word, so this is pure recomputation avoidance, the same argument as
-// the result cache. Queries with *distinct* trapdoors share nothing — ψ
-// is one PRF evaluation per (trapdoor, cipherword), so there is no work
-// to share — and each scans on its caller's goroutine under
-// internal/sched's budget like any other scan.
+// Identical means the same cache.Key — the same table entry and the same
+// token digest — and the same snapshot length: trapdoors are
+// deterministic per plaintext word, so this is pure recomputation
+// avoidance, the same argument as the result cache, under the same key.
+// Queries with *distinct* trapdoors share nothing — ψ is one PRF
+// evaluation per (trapdoor, cipherword), so there is no work to share —
+// and each scans on its caller's goroutine under internal/sched's budget
+// like any other scan.
 //
 // Leakage: sharing reveals nothing to the server it could not already
 // see. Which trapdoors are in flight at once — co-arrival of identical
@@ -23,11 +24,10 @@
 package scanshare
 
 import (
-	"crypto/sha256"
 	"errors"
 	"sync"
 
-	"repro/internal/ph"
+	"repro/internal/cache"
 )
 
 // Stats are the sharer's monotonic counters.
@@ -46,12 +46,11 @@ type Stats struct {
 	Inline uint64
 }
 
-// flightKey identifies one scan: who asks what of which snapshot.
+// flightKey identifies one scan: which token over which entry's first n
+// tuples.
 type flightKey struct {
-	table  any
-	scheme string
-	token  [sha256.Size]byte
-	n      int
+	key cache.Key
+	n   int
 }
 
 // errAborted is what waiters read if the leader's scan panics: they must
@@ -67,8 +66,8 @@ type flight struct {
 }
 
 // Sharer is a single-flight over full-table scans. One Sharer serves a
-// whole store; tables are told apart by an opaque key (pointer identity
-// of the store's table entry).
+// whole store; tables are told apart by the key's table half, as in the
+// result cache.
 type Sharer struct {
 	mu       sync.Mutex
 	inflight map[flightKey]*flight
@@ -87,17 +86,17 @@ func (s *Sharer) Stats() Stats {
 	return s.stats
 }
 
-// Scan returns scan()'s ascending match positions of q over the first n
-// tuples of the table, running scan on the calling goroutine unless an
-// identical one is in flight, in which case it waits for that one and
-// returns its outcome — positions or error alike. The slice is shared
+// Scan returns scan()'s ascending match positions of key's token over the
+// first n tuples of key's table, running scan on the calling goroutine
+// unless an identical one is in flight, in which case it waits for that
+// one and returns its outcome — positions or error alike. The slice is shared
 // between the leader and every attached query and must not be mutated.
 //
 // A flight leaves the map before its waiters are released, so a query
 // that arrives once an answer exists always starts afresh and can never
 // be handed a scan of an older snapshot.
-func (s *Sharer) Scan(table any, n int, q *ph.EncryptedQuery, scan func() ([]int, error)) ([]int, error) {
-	k := flightKey{table: table, scheme: q.SchemeID, token: sha256.Sum256(q.Token), n: n}
+func (s *Sharer) Scan(key cache.Key, n int, scan func() ([]int, error)) ([]int, error) {
+	k := flightKey{key: key, n: n}
 	s.mu.Lock()
 	if f := s.inflight[k]; f != nil {
 		s.stats.Attached++

@@ -1,6 +1,7 @@
 package scanshare
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/ph"
@@ -56,13 +58,19 @@ func (f *fixture) query(t testing.TB, col, val string) *ph.EncryptedQuery {
 // fixture table, the scan itself being core.EvaluateOn. before, when non-nil,
 // runs first on whichever goroutine leads — the tests' handle for holding
 // a leader while followers arrive.
-func (f *fixture) scan(s *Sharer, table any, q *ph.EncryptedQuery, before func()) ([]int, error) {
-	return s.Scan(table, len(f.et.Tuples), q, func() ([]int, error) {
+func (f *fixture) scan(s *Sharer, table uint64, q *ph.EncryptedQuery, before func()) ([]int, error) {
+	return s.Scan(key(table, q), len(f.et.Tuples), func() ([]int, error) {
 		if before != nil {
 			before()
 		}
 		return core.EvaluateOn(f.et, q, nil)
 	})
+}
+
+// key is q's cache key on the table object numbered table, the key
+// storage hands the sharer.
+func key(table uint64, q *ph.EncryptedQuery) cache.Key {
+	return cache.Key{Table: table, Token: sha256.Sum256(q.Token)}
 }
 
 // serialPositions is the ground truth: EvaluateSerial over the table.
@@ -110,7 +118,7 @@ func swapBudget(t *testing.T) *sched.Budget {
 func TestSingleRiderMatchesSerial(t *testing.T) {
 	f := newFixture(t, 8300, 1)
 	s := New()
-	table := new(int)
+	table := uint64(1)
 	for _, dept := range []string{"HR", "FIN", "IT"} {
 		q := f.query(t, "dept", dept)
 		got, err := f.scan(s, table, q, nil)
@@ -130,7 +138,7 @@ func TestSingleRiderMatchesSerial(t *testing.T) {
 func TestManyRidersMatchSerial(t *testing.T) {
 	f := newFixture(t, 8300, 2)
 	s := New()
-	table := new(int)
+	table := uint64(1)
 	queries := make([]*ph.EncryptedQuery, 24)
 	for i := range queries {
 		if i%3 == 0 { // departments repeat, so some of these are identical
@@ -172,7 +180,7 @@ func TestManyRidersMatchSerial(t *testing.T) {
 func TestAttachedRidersShareOneScan(t *testing.T) {
 	f := newFixture(t, 8300, 3)
 	s := New()
-	table := new(int)
+	table := uint64(1)
 	q := f.query(t, "dept", "SALES")
 	budget := swapBudget(t)
 
@@ -195,7 +203,7 @@ func TestAttachedRidersShareOneScan(t *testing.T) {
 	waitAttached(t, s, 1)
 
 	shorter := len(f.et.Tuples) - 1
-	if _, err := s.Scan(table, shorter, q, func() ([]int, error) { return []int{}, nil }); err != nil {
+	if _, err := s.Scan(key(table, q), shorter, func() ([]int, error) { return []int{}, nil }); err != nil {
 		t.Fatal(err)
 	}
 	close(release)
@@ -222,7 +230,7 @@ func TestAttachedRidersShareOneScan(t *testing.T) {
 func TestBadTokenFailsLikeEvaluate(t *testing.T) {
 	f := newFixture(t, 1200, 4)
 	s := New()
-	table := new(int)
+	table := uint64(1)
 	bad := &ph.EncryptedQuery{SchemeID: core.SchemeID, Token: []byte{1, 2, 3}}
 	_, wantErr := core.EvaluateSerial(f.et, bad)
 	if wantErr == nil {
@@ -274,7 +282,7 @@ func TestBadTokenFailsLikeEvaluate(t *testing.T) {
 func TestFlightRemovedBeforeWaitersReleased(t *testing.T) {
 	f := newFixture(t, 1200, 5)
 	s := New()
-	table := new(int)
+	table := uint64(1)
 	q := f.query(t, "dept", "OPS")
 
 	started, release := make(chan struct{}), make(chan struct{})
@@ -313,7 +321,7 @@ func TestSmallTableServedInline(t *testing.T) {
 	s := New()
 	budget := swapBudget(t)
 	q := f.query(t, "dept", "IT")
-	got, err := f.scan(s, new(int), q, nil)
+	got, err := f.scan(s, 1, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +336,7 @@ func TestSmallTableServedInline(t *testing.T) {
 func TestEmptySnapshot(t *testing.T) {
 	f := newFixture(t, 10, 7)
 	f.et.Tuples = nil
-	got, err := f.scan(New(), new(int), f.query(t, "dept", "FIN"), nil)
+	got, err := f.scan(New(), 1, f.query(t, "dept", "FIN"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +351,7 @@ func TestEmptySnapshot(t *testing.T) {
 func TestSixteenRidersOneAllotment(t *testing.T) {
 	f := newFixture(t, 8192, 9)
 	s := New()
-	table := new(int)
+	table := uint64(1)
 	budget := swapBudget(t)
 	const riders = 16
 	results := make([][]int, riders)

@@ -1,18 +1,16 @@
 package stats
 
-import (
-	"hash/fnv"
-	"sync"
-)
+import "sync"
 
 // QuerySketch is the planner's per-table selectivity sketch: a cheap,
 // bounded record of how selective each observed search token was, plus a
 // running prior for tokens never seen before. The server cannot inspect
 // plaintext columns — trapdoors are opaque — so the sketch keys on a
-// 64-bit token digest and buckets its priors by token word length, which
-// is the per-column signal ciphertext actually carries (in PerColumnWidth
-// layouts the word length identifies the column group; in the fixed
-// layout there is a single bucket). Everything recorded is a function of
+// 64-bit token digest (storage passes the first 8 bytes of the result
+// cache key's SHA-256 token digest) and buckets its priors by token word
+// length, which is the per-column signal ciphertext actually carries (in
+// PerColumnWidth layouts the word length identifies the column group; in
+// the fixed layout there is a single bucket). Everything recorded is a function of
 // the access pattern the scheme already reveals per query (ph.Result
 // carries hit positions on the wire), so the sketch learns nothing Eve
 // does not hold by construction.
@@ -65,17 +63,6 @@ func NewQuerySketch() *QuerySketch {
 		byToken: make(map[uint64]tokenStat),
 		byLen:   make(map[int]lenStat),
 	}
-}
-
-// TokenDigest derives the sketch key for a search token: FNV-1a over the
-// scheme ID and the opaque token bytes. It is a grouping key, not a
-// security boundary — the server already holds the full token.
-func TokenDigest(schemeID string, token []byte) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(schemeID))
-	h.Write([]byte{0})
-	h.Write(token)
-	return h.Sum64()
 }
 
 // Observe records one scan of a token: it tested scanned positions and

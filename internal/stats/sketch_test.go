@@ -1,15 +1,14 @@
 package stats
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 )
 
 func TestQuerySketchEstimates(t *testing.T) {
 	s := NewQuerySketch()
-	d1 := TokenDigest("swp-ph", []byte("token-1"))
-	d2 := TokenDigest("swp-ph", []byte("token-2"))
+	// Any 64-bit values serve as token digests.
+	d1, d2 := uint64(1), uint64(2)
 
 	// Unobserved token, empty length bucket: the default prior.
 	if sel, known := s.Estimate(d1, 8); known || sel != defaultPrior {
@@ -40,7 +39,7 @@ func TestQuerySketchEstimates(t *testing.T) {
 
 func TestQuerySketchRejectsBadObservations(t *testing.T) {
 	s := NewQuerySketch()
-	d := TokenDigest("x", []byte("t"))
+	d := uint64(7)
 	s.Observe(d, 4, -1, 10)
 	s.Observe(d, 4, 5, 0)
 	s.Observe(d, 4, 11, 10)
@@ -52,17 +51,17 @@ func TestQuerySketchRejectsBadObservations(t *testing.T) {
 func TestQuerySketchEvictionBounded(t *testing.T) {
 	s := NewQuerySketch()
 	for i := 0; i < maxTrackedTokens+100; i++ {
-		s.Observe(TokenDigest("x", []byte(fmt.Sprintf("t%d", i))), 4, 1, 10)
+		s.Observe(uint64(i), 4, 1, 10)
 	}
 	if got := len(s.byToken); got > maxTrackedTokens {
 		t.Fatalf("sketch tracks %d tokens, cap is %d", got, maxTrackedTokens)
 	}
 	// The newest token survived; the oldest was evicted back to the prior.
-	newest := TokenDigest("x", []byte(fmt.Sprintf("t%d", maxTrackedTokens+99)))
+	newest := uint64(maxTrackedTokens + 99)
 	if _, known := s.Estimate(newest, 4); !known {
 		t.Fatal("newest token evicted")
 	}
-	oldest := TokenDigest("x", []byte("t0"))
+	oldest := uint64(0)
 	if _, known := s.Estimate(oldest, 4); known {
 		t.Fatal("oldest token still tracked past the cap")
 	}
@@ -75,7 +74,7 @@ func TestQuerySketchConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			d := TokenDigest("x", []byte{byte(g)})
+			d := uint64(g)
 			for i := 0; i < 200; i++ {
 				s.Observe(d, 4, 1, 100)
 				s.Estimate(d, 4)
@@ -85,7 +84,7 @@ func TestQuerySketchConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	for g := 0; g < 8; g++ {
-		d := TokenDigest("x", []byte{byte(g)})
+		d := uint64(g)
 		if sel, known := s.Estimate(d, 4); !known || sel != 0.01 {
 			t.Fatalf("goroutine %d estimate: got (%v, %v), want (0.01, true)", g, sel, known)
 		}

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/crypto"
@@ -331,13 +332,72 @@ func TestCacheConcurrentMutations(t *testing.T) {
 	}
 }
 
-// disableCache removes s's result cache, so every read takes the
-// uncached path.
-func disableCache(s *Store) {
-	s.mu.Lock()
-	s.cache = nil
-	s.mu.Unlock()
+// TestReplacedTableNeverServesItsCache: a cold read held inside its scan
+// while its table is replaced writes its answer back under the old
+// entry's key; the replacement, which has the same tuple count and other
+// contents, must answer with a fresh scan of its own tuples — a miss,
+// never a hit on the straggler. Once through Put, once through
+// InstallSnapshot.
+func TestReplacedTableNeverServesItsCache(t *testing.T) {
+	f := newSWPFixture(t, 64, 1)
+	s := NewMemory()
+	if err := s.Put("emp", f.ct); err != nil {
+		t.Fatal(err)
+	}
+	holdScans(t)
+	// other is a table of f.ct's size under f's scheme, with other contents.
+	other := func(seed int64) *ph.EncryptedTable {
+		return &ph.EncryptedTable{SchemeID: f.ct.SchemeID, Meta: f.ct.Meta, Tuples: f.encryptBatch(t, len(f.ct.Tuples), seed)}
+	}
+	replaceDuringRead := func(how string, q *ph.EncryptedQuery, replace func() error) {
+		t.Helper()
+		h := &struct{ entered, release chan struct{} }{make(chan struct{}), make(chan struct{})}
+		hold = h
+		read := make(chan error, 1)
+		go func() { _, err := s.Query("emp", q); read <- err }()
+		select {
+		case <-h.entered: // the cold read holds the old entry's read lock
+		case err := <-read:
+			t.Fatalf("%s: the read never scanned (%v): its token was cached", how, err)
+		}
+		hold = nil
+		replaced := make(chan error, 1)
+		go func() { replaced <- replace() }()
+		for s.mu.TryRLock() { // wait until the replacement holds the store lock
+			s.mu.RUnlock()
+			time.Sleep(time.Millisecond)
+		}
+		close(h.release)
+		if err := <-read; err != nil {
+			t.Fatalf("%s: held read: %v", how, err)
+		}
+		if err := <-replaced; err != nil {
+			t.Fatalf("%s: %v", how, err)
+		}
+		before := s.CacheStats()
+		assertMatchesSerial(t, s, "emp", q, how)
+		if after := s.CacheStats(); after.Hits != before.Hits || after.Misses != before.Misses+1 {
+			t.Fatalf("%s: cache stats went %+v -> %+v, want one miss and no hit", how, before, after)
+		}
+	}
+
+	replaceDuringRead("Put", f.q, func() error { return s.Put("emp", other(2)) })
+
+	src := NewMemory()
+	if err := src.Put("emp", other(3)); err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := src.buildSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replaceDuringRead("InstallSnapshot", f.query(t, "FIN"), func() error { _, err := s.InstallSnapshot(snap); return err })
 }
+
+// disableCache removes s's result cache, so every read takes the
+// uncached path. The cache is fixed once reads run concurrently, so
+// callers do this while no read is in flight.
+func disableCache(s *Store) { s.cache = nil }
 
 // TestCacheDisabled pins the uncached path: with the cache removed the
 // store still answers correctly and reports zero stats.

@@ -32,8 +32,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-
-	"repro/internal/cache"
 )
 
 // ShipCursor names a position in a primary's shipping stream: seq
@@ -213,6 +211,9 @@ func (s *Store) InstallSnapshot(data []byte) (ShipCursor, error) {
 	}
 	for _, e := range s.tables {
 		e.stale = true // an appender that looked one up retries against the new catalogue
+		if s.cache != nil {
+			s.cache.InvalidateTable(e.base)
+		}
 	}
 	unlock()
 	m := make(map[string]*tableEntry, len(tables))
@@ -220,9 +221,6 @@ func (s *Store) InstallSnapshot(data []byte) (ShipCursor, error) {
 		m[t.name] = newTableEntry(t.table, s.clock.Add(1))
 	}
 	s.tables = m
-	if s.cache != nil {
-		s.cache = cache.New(0)
-	}
 	// A failed sidecar write only costs a re-bootstrap after the next
 	// restart; the in-memory base is sound for this process.
 	//phlint:ignore lockio the sidecar fsync must run while s.mu freezes the base/log state it records

@@ -34,10 +34,9 @@
 // checksums vouch for. Recovery from a cleared condition (space freed)
 // is by reopening the store.
 //
-// Locking model: the store-level RWMutex guards only the catalogue map
-// and the cache pointer; each table carries its own RWMutex guarding its
-// tuple data, and the log writer serialises record framing under its own
-// internal mutex. A mutation stages its log record while holding the
+// Locking model: the store-level RWMutex guards only the catalogue map;
+// each table carries its own RWMutex guarding its tuple data, and the log
+// writer serialises record framing under its own internal mutex. A mutation stages its log record while holding the
 // lock that orders it — the table lock for Append, the store lock (plus
 // the outgoing table's lock) for Put and Drop — and then waits for
 // durability with no locks held. Mutations of distinct tables therefore
@@ -52,17 +51,16 @@
 //
 // Versioning and the result cache: every table carries a monotonic
 // version drawn from a store-wide clock, bumped on Put, Append and Drop,
-// plus the lineage base — the version at which the current table object
-// was installed. Read consults a bounded LRU result cache
-// (internal/cache) keyed by (table, trapdoor digest) under the table's
-// read lock: a current entry answers without scanning; an entry that
-// covers a prefix (the table has only been appended to since) triggers a
-// delta scan of just the appended tail; anything else is a miss and a
-// full scan. Destructive mutations invalidate the table's entries, and
-// the lineage base rejects entries a racing in-flight query stored
-// against a replaced snapshot. Caching leaks nothing: positions returned
-// per trapdoor are exactly the access pattern every query already reveals
-// to the server by construction.
+// plus its base — the version at which the table object was installed.
+// Read hashes each conjunct's token once into cache.Key{base, SHA-256 of
+// the token}, the one key of the LRU result cache (internal/cache), the
+// scan single-flight (internal/scanshare) and the selectivity sketch.
+// Under the table's read lock a whole-table entry answers without
+// scanning; a prefix entry (the table has been appended to since) costs
+// a delta scan of the tail; anything else is a full scan. A replacement
+// has another base, so no read of it reaches an old entry, even one a
+// racing read stores late. Caching leaks nothing: positions per trapdoor
+// are exactly the access pattern every query already reveals.
 //
 // One read path: Read evaluates a plan — a conjunction of one or more
 // encrypted selects — through internal/query under a single read-lock
@@ -109,6 +107,8 @@ package storage
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -168,8 +168,8 @@ type tableEntry struct {
 	tree   *authindex.Tree
 	treeN  int
 	// base is the store-clock version at which this table object was
-	// installed (Put or replayed store record). Cache entries from before
-	// base belong to a replaced snapshot and are unusable.
+	// installed, so no two entries share it: the table half of the
+	// cache.Key of every read against this entry.
 	base uint64
 	// version is bumped from the store clock on every mutation touching
 	// this table. Between base and version the only mutations are appends
@@ -189,7 +189,7 @@ type tableEntry struct {
 }
 
 // newTableEntry creates a catalogued entry for a freshly installed table
-// at lineage base/version v.
+// at base/version v.
 func newTableEntry(t *ph.EncryptedTable, v uint64) *tableEntry {
 	return &tableEntry{t: t, base: v, version: v, sketch: stats.NewQuerySketch()}
 }
@@ -229,12 +229,12 @@ func (e *tableEntry) catchUpTree() {
 
 // Store is the server-side catalogue of encrypted tables.
 type Store struct {
-	mu     sync.RWMutex // guards tables (the map itself), cache ptr and epoch
+	mu     sync.RWMutex // guards tables (the map itself) and epoch
 	tables map[string]*tableEntry
 	wal    *walWriter // immutable after Open; nil for pure in-memory stores
 	path   string
 	clock  atomic.Uint64 // monotonic version source for all tables
-	cache  *cache.Cache  // nil disables result caching
+	cache  *cache.Cache  // immutable after construction; nil disables result caching
 	// share deduplicates identical cold full-table scans in flight
 	// (layer 14): a cache-miss query waits on an identical scan already
 	// running instead of starting its own. Immutable after construction.
@@ -358,17 +358,15 @@ func (s *Store) LogStats() LogStats {
 // entry looks up a table's entry under the store read lock. The returned
 // entry stays valid after the store lock is released: a concurrent Drop or
 // Put only unlinks it from the map, and readers still holding it finish
-// against the snapshot they found. The result cache pointer is read
-// under the same lock so Read sees a consistent pair.
-func (s *Store) entry(name string) (*tableEntry, *cache.Cache, error) {
+// against the snapshot they found.
+func (s *Store) entry(name string) (*tableEntry, error) {
 	s.mu.RLock()
 	e, ok := s.tables[name]
-	c := s.cache
 	s.mu.RUnlock()
 	if !ok {
-		return nil, nil, fmt.Errorf("storage: unknown table %q", name)
+		return nil, fmt.Errorf("storage: unknown table %q", name)
 	}
-	return e, c, nil
+	return e, nil
 }
 
 // ShareStats returns the scan sharer's counters.
@@ -377,13 +375,10 @@ func (s *Store) ShareStats() scanshare.Stats { return s.share.Stats() }
 // CacheStats returns the result cache's counters (zero if caching is
 // disabled).
 func (s *Store) CacheStats() cache.Stats {
-	s.mu.RLock()
-	c := s.cache
-	s.mu.RUnlock()
-	if c == nil {
+	if s.cache == nil {
 		return cache.Stats{}
 	}
-	return c.Stats()
+	return s.cache.Stats()
 }
 
 // replay loads the log at path into memory. Replay stops at the first
@@ -483,10 +478,10 @@ func (s *Store) applyRecord(op byte, payload []byte) error {
 }
 
 // Put stores (or replaces) the encrypted table under name. Replacement
-// installs a fresh entry at a fresh lineage base and invalidates the
-// table's cached results; queries still running against a replaced table
-// finish on the snapshot they started with, and any result they cache
-// afterwards carries a pre-replacement version the lineage check rejects.
+// installs a fresh entry at a fresh base and invalidates the old base's
+// cached results; queries still running against a replaced table finish
+// on the snapshot they started with, and any result they cache
+// afterwards lands under the old base, which no read looks up again.
 //
 // The deep copy and the record encoding run before any lock is taken;
 // the store lock covers only the log staging and the catalogue install,
@@ -529,8 +524,8 @@ func (s *Store) Put(name string, t *ph.EncryptedTable) error {
 	}
 	v := s.clock.Add(1)
 	s.tables[name] = newTableEntry(clone, v)
-	if s.cache != nil {
-		s.cache.InvalidateTable(name)
+	if old != nil && s.cache != nil {
+		s.cache.InvalidateTable(old.base)
 	}
 	s.mu.Unlock()
 	if s.wal != nil {
@@ -621,7 +616,7 @@ func (e *tableEntry) extendTreeLocked() {
 // the snapshotted length (or reallocates), Put installs a fresh entry,
 // and nothing ever mutates Tuples[0:len] in place.
 func (s *Store) Get(name string) (*ph.EncryptedTable, error) {
-	e, _, err := s.entry(name)
+	e, err := s.entry(name)
 	if err != nil {
 		return nil, err
 	}
@@ -631,46 +626,47 @@ func (s *Store) Get(name string) (*ph.EncryptedTable, error) {
 	return snap.Clone(), nil
 }
 
+// sketchDigest is a conjunct's sketch key, 8 bytes of its cache key.
+func sketchDigest(cj *query.Conjunct) uint64 {
+	return binary.BigEndian.Uint64(cj.Key.Token[:8])
+}
+
 // observeScan feeds one scan's outcome into the entry's selectivity
 // sketch. The token length buckets the prior — the closest thing to a
 // per-column signal the ciphertext carries (PerColumnWidth layouts give
 // each column group its own token length).
-func (e *tableEntry) observeScan(q *ph.EncryptedQuery, hits, scanned int) {
-	e.sketch.Observe(stats.TokenDigest(q.SchemeID, q.Token), len(q.Token), hits, scanned)
+func (e *tableEntry) observeScan(cj *query.Conjunct, hits, scanned int) {
+	e.sketch.Observe(sketchDigest(cj), len(cj.Q.Token), hits, scanned)
 }
 
 // planConj gathers the planner inputs for one plan under the caller's
-// read lock: per conjunct, the result-cache state (a hit makes the
-// conjunct free; a prefix entry halves its cost) and the sketch's
-// selectivity estimate, then orders everything into a Plan.
+// read lock: per conjunct, its cache key — the only hash of its token
+// the read computes — the result-cache state (a hit makes the conjunct
+// free; a prefix entry halves its cost) and the sketch's selectivity
+// estimate, then orders everything into a Plan.
 func (e *tableEntry) planConj(c *cache.Cache, name string, qs []*ph.EncryptedQuery) (*query.Plan, error) {
 	n := len(e.t.Tuples)
 	conjs := make([]query.Conjunct, len(qs))
 	for i, q := range qs {
 		cj := &conjs[i]
 		cj.Index, cj.Q = i, q
-		outcome := cache.Miss
-		var ent cache.Entry
+		cj.Key = cache.Key{Table: e.base, Token: sha256.Sum256(q.Token)}
 		if c != nil {
-			ent, outcome = c.Lookup(name, q, e.base, n)
+			cj.Entry, cj.Cached = c.Lookup(cj.Key, n)
 		}
-		switch outcome {
+		switch cj.Cached {
 		case cache.Hit:
-			cj.Cached = query.CachedFull
-			cj.Positions, cj.Scanned = ent.Positions, ent.Scanned
 			cj.EstKnown = true
 			if n > 0 {
-				cj.Est = float64(len(ent.Positions)) / float64(n)
+				cj.Est = float64(len(cj.Positions)) / float64(n)
 			}
 		case cache.Delta:
-			cj.Cached = query.CachedPrefix
-			cj.Positions, cj.Scanned = ent.Positions, ent.Scanned
-			if ent.Scanned > 0 {
+			if cj.Scanned > 0 {
 				cj.EstKnown = true
-				cj.Est = float64(len(ent.Positions)) / float64(ent.Scanned)
+				cj.Est = float64(len(cj.Positions)) / float64(cj.Scanned)
 			}
 		default:
-			cj.Est, cj.EstKnown = e.sketch.Estimate(stats.TokenDigest(q.SchemeID, q.Token), len(q.Token))
+			cj.Est, cj.EstKnown = e.sketch.Estimate(sketchDigest(cj), len(q.Token))
 		}
 	}
 	return query.Build(name, n, conjs)
@@ -689,14 +685,14 @@ func (e *tableEntry) planConj(c *cache.Cache, name string, qs []*ph.EncryptedQue
 // entry was stored is scanned) or a miss, and later steps narrow the
 // survivors. A miss is a full-table scan on this goroutine (core.EvaluateOn,
 // fanned out over whatever the scheduler budget has idle), unless an
-// identical scan — same entry, token and tuple count — is already in
+// identical scan — same cache key and tuple count — is already in
 // flight, in which case this read waits for it and shares its positions
 // (internal/scanshare). Every full-table position set the run produced
 // is then written back to the result cache, per conjunct and under THIS
-// read's lock with the snapshot's tuple count and version — whoever ran
-// the scan, each reader holds its own table read lock across the scan or
-// the wait, so appends cannot move the version under it and no writeback
-// can be stale — and every evaluation feeds the selectivity sketch
+// read's lock with the snapshot's tuple count — whoever ran the scan,
+// each reader holds its own table read lock across the scan or the wait,
+// so appends cannot move the tuple count under it and no writeback can
+// be stale — and every evaluation feeds the selectivity sketch
 // (narrowed steps record the conditional selectivity the ordering
 // actually wants).
 //
@@ -725,13 +721,13 @@ func (s *Store) Read(name string, qs []*ph.EncryptedQuery, flags byte) (query.Re
 			return query.Response{}, nil, fmt.Errorf("storage: conjunct %d is a query of scheme %q: this server evaluates only %s", i, q.SchemeID, core.SchemeID)
 		}
 	}
-	e, c, err := s.entry(name)
+	e, err := s.entry(name)
 	if err != nil {
 		return query.Response{}, nil, err
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	plan, err := e.planConj(c, name, qs)
+	plan, err := e.planConj(s.cache, name, qs)
 	if err != nil {
 		return query.Response{}, nil, err
 	}
@@ -740,26 +736,28 @@ func (s *Store) Read(name string, qs []*ph.EncryptedQuery, flags byte) (query.Re
 		return query.Response{Plan: plan.Info()}, plan, nil
 	}
 	n := len(e.t.Tuples)
+	driver := &plan.Conjuncts[0]
 	positions, err := plan.Run(e.t, func(et *ph.EncryptedTable, q *ph.EncryptedQuery, candidates []int) ([]int, error) {
 		if et != e.t || candidates != nil {
 			return evaluateOn(et, q, candidates) // a tail delta or a narrowing pass
 		}
-		return s.share.Scan(e, n, q, func() ([]int, error) { return evaluateOn(et, q, nil) })
+		return s.share.Scan(driver.Key, n, func() ([]int, error) { return evaluateOn(et, q, nil) })
 	})
 	if err != nil {
 		return query.Response{}, nil, err
 	}
-	for _, cj := range plan.Conjuncts {
+	for i := range plan.Conjuncts {
+		cj := &plan.Conjuncts[i]
 		if cj.FullPositions != nil {
-			if c != nil {
-				c.Store(name, cj.Q, cache.Entry{Positions: cj.FullPositions, Scanned: n, Version: e.version})
+			if s.cache != nil {
+				s.cache.Store(cj.Key, cache.Entry{Positions: cj.FullPositions, Scanned: n})
 			}
-			e.observeScan(cj.Q, len(cj.FullPositions), n)
+			e.observeScan(cj, len(cj.FullPositions), n)
 		} else if cj.Tested > 0 {
 			// Narrowed step — plain or over a cached prefix's tail: its
 			// hits among the tested positions are the conjunct's
 			// selectivity conditioned on the predicates before it.
-			e.observeScan(cj.Q, cj.NarrowHits, cj.Tested)
+			e.observeScan(cj, cj.NarrowHits, cj.Tested)
 		}
 	}
 	res := &ph.Result{Positions: positions, Tuples: make([]ph.EncryptedTuple, len(positions))}
@@ -816,7 +814,7 @@ func (s *Store) QueryConj(name string, qs []*ph.EncryptedQuery) (*ph.Result, *qu
 // first use and extended incrementally afterwards, so this is O(1)
 // hashing on a quiescent table and O(tail) after appends.
 func (s *Store) Root(name string) (root []byte, tuples int, version uint64, err error) {
-	e, _, err := s.entry(name)
+	e, err := s.entry(name)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -850,7 +848,7 @@ func (s *Store) Drop(name string) error {
 	s.clock.Add(1)
 	delete(s.tables, name)
 	if s.cache != nil {
-		s.cache.InvalidateTable(name)
+		s.cache.InvalidateTable(e.base)
 	}
 	s.mu.Unlock()
 	if s.wal != nil {
@@ -870,9 +868,9 @@ func (s *Store) Drop(name string) error {
 // Compact holds the store lock and every table's read lock for the
 // duration, so mutations pause but queries proceed. Quiescing writers
 // this way also guarantees the log writer has nothing in flight when the
-// file is swapped. Compaction does not bump table versions: the tuples
-// are untouched, and cache validity is keyed on lineage base and scanned
-// prefix, so cached results keep hitting.
+// file is swapped. Compaction does not bump table versions or bases: the
+// tuples are untouched, and a cache key names the table by its base, so
+// cached results keep hitting.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
