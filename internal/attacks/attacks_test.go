@@ -1,6 +1,8 @@
 package attacks
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -11,7 +13,36 @@ import (
 	"repro/internal/schemes/bucket"
 	"repro/internal/schemes/damiani"
 	"repro/internal/schemes/detph"
+	"repro/internal/stats"
+	"repro/internal/workload"
 )
+
+// gateAlpha bounds both error rates of every statistical gate below: a
+// correct attack fails it, and a broken one passes it, each with
+// probability at most 10⁻⁶.
+const gateAlpha = 1e-6
+
+// minRate is the least share of trials any attack here must win: the
+// gates below count trials to make a flake rare, never to ask less.
+const minRate = 0.9
+
+// winGate returns the least number of wins out of trials an attack must
+// reach: minRate of them, and no fewer than a blind adversary — one
+// winning each trial with probability blind, as every adversary does
+// against a scheme that randomises what it attacks — reaches with
+// probability gateAlpha. It stops the test unless an attack winning
+// each trial with probability honest (a bound under the rate measured
+// for it) reaches the gate with probability at least 1 − gateAlpha too:
+// then trials is too small to tell the two apart.
+func winGate(t *testing.T, trials int, blind, honest float64) int {
+	t.Helper()
+	c := max(stats.BinomialCritical(trials, blind, gateAlpha), int(math.Ceil(minRate*float64(trials))))
+	if miss := 1 - stats.BinomialTail(trials, honest, c); miss > gateAlpha {
+		t.Fatalf("%d trials cannot gate: an attack winning %v of them falls short of %d with probability %v",
+			trials, honest, c, miss)
+	}
+	return c
+}
 
 func factory(name string) games.SchemeFactory {
 	return func(s *relation.Schema) (ph.Scheme, error) {
@@ -45,15 +76,23 @@ func TestSalaryTablesMatchPaper(t *testing.T) {
 	}
 }
 
+// TestSalaryPairBreaksDeterministicSchemes: the salary-pair adversary
+// wins against every deterministic comparator (paper §1) — more often
+// than any adversary can against a scheme that randomises its
+// ciphertexts, and in at least minRate of trials. It wins 0.955 of
+// trials against damiani (40,000 trials measured) and all of them
+// against bucket and detph; the gate assumes 0.94.
 func TestSalaryPairBreaksDeterministicSchemes(t *testing.T) {
+	const trials = 1000
+	gate := winGate(t, trials, 0.5, 0.94)
 	for _, name := range []string{bucket.SchemeID, damiani.SchemeID, detph.SchemeID} {
 		g := games.Def21{Factory: factory(name), Q: 0, Mode: games.Passive}
-		res, err := g.Run(SalaryPair{}, 60, 3)
+		res, err := g.Run(SalaryPair{}, trials, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if res.Advantage() < 0.8 {
-			t.Errorf("%s: salary-pair advantage %v, expected near 1 (paper §1)", name, res.Advantage())
+		if res.Wins < gate {
+			t.Errorf("%s: salary-pair adversary won %v, want at least %d of %d (paper §1)", name, res, gate, trials)
 		}
 	}
 }
@@ -122,16 +161,23 @@ func TestTheorem21HarmlessAtQZero(t *testing.T) {
 	}
 }
 
+// TestTheorem21BreaksEverySchemeWithOracle: the theorem is universal, so
+// its adversary must break the comparators too, with one oracle query —
+// winning more often than any adversary can against a scheme that
+// randomises its ciphertexts, and in at least minRate of trials. It
+// wins 0.972 of trials against bucket (20,000 trials measured), ≥ 0.99
+// against damiani and detph; the gate assumes 0.94.
 func TestTheorem21BreaksEverySchemeWithOracle(t *testing.T) {
-	// The theorem is universal: it must break the comparators too.
+	const trials = 1000
+	gate := winGate(t, trials, 0.5, 0.94)
 	for _, name := range []string{bucket.SchemeID, damiani.SchemeID, detph.SchemeID} {
 		g := games.Def21{Factory: factory(name), Q: 1, Mode: games.Active}
-		res, err := g.Run(Theorem21{Rows: 16}, 40, 12)
+		res, err := g.Run(Theorem21{Rows: 16}, trials, 12)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if res.Rate() < 0.9 {
-			t.Errorf("%s: Theorem 2.1 adversary rate %v with q=1", name, res.Rate())
+		if res.Wins < gate {
+			t.Errorf("%s: Theorem 2.1 adversary won %v with q=1, want at least %d of %d", name, res, gate, trials)
 		}
 	}
 }
@@ -162,16 +208,26 @@ func TestHospitalInferenceValidation(t *testing.T) {
 	}
 }
 
+// TestJohnAttackRecoversEverything: the active attack recovers John's
+// hospital and outcome in at least minRate of trials, and more often
+// than the best blind guess does — the busiest hospital (half the
+// patients) and "healthy" (1 − the fatality rate). Measured over 3,000 trials it recovers 0.997 of hospitals and
+// 0.9997 of outcomes, an SWP false positive in John's answer costing the
+// rest; the gates assume 0.98 and 0.985.
 func TestJohnAttackRecoversEverything(t *testing.T) {
-	rep, err := JohnAttack(factory(core.SchemeID), 300, 12, 31)
+	const trials = 900
+	hospitalGate := winGate(t, trials, slices.Max(workload.HospitalFlows), 0.98)
+	outcomeGate := winGate(t, trials, 1-workload.OutcomeFatalRate, 0.985)
+	rep, err := JohnAttack(factory(core.SchemeID), 300, trials, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.HospitalRate < 0.9 {
-		t.Fatalf("hospital recovery rate %v; active attack should almost always succeed", rep.HospitalRate)
+	wins := func(rate float64) int { return int(math.Round(rate * trials)) }
+	if wins(rep.HospitalRate) < hospitalGate {
+		t.Fatalf("hospital recovered in %d of %d trials, want at least %d: the attack guesses", wins(rep.HospitalRate), trials, hospitalGate)
 	}
-	if rep.OutcomeRate < 0.9 {
-		t.Fatalf("outcome recovery rate %v", rep.OutcomeRate)
+	if wins(rep.OutcomeRate) < outcomeGate {
+		t.Fatalf("outcome recovered in %d of %d trials, want at least %d: the attack guesses", wins(rep.OutcomeRate), trials, outcomeGate)
 	}
 	if rep.OracleCalls != 5 {
 		t.Fatalf("oracle calls = %d, want 5 (name + 3 hospitals + outcome)", rep.OracleCalls)

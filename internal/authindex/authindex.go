@@ -149,7 +149,7 @@ func Build(t *ph.EncryptedTable) *Tree {
 	for _, tp := range t.Tuples {
 		leaves = AppendLeafHash(leaves, tp)
 	}
-	return fromLeaves(leaves)
+	return BuildLeaves(leaves)
 }
 
 // emptyRoot is the root of a zero-leaf tree: the hash of the empty string
@@ -159,9 +159,10 @@ func emptyRoot() []byte {
 	return h[:]
 }
 
-// fromLeaves builds the level structure bottom-up over a flat buffer of
-// leaf hashes, which the tree keeps as its level 0.
-func fromLeaves(leaves []byte) *Tree {
+// BuildLeaves builds the level structure bottom-up over a flat buffer of
+// leaf hashes — LeafHash of each tuple, in table order — which the tree
+// keeps as its level 0.
+func BuildLeaves(leaves []byte) *Tree {
 	tr := &Tree{n: len(leaves) / HashSize}
 	if tr.n == 0 {
 		leaves = emptyRoot()
@@ -207,7 +208,7 @@ func (t *Tree) ExtendFlat(hashes []byte) {
 		return
 	}
 	if t.n == 0 {
-		*t = *fromLeaves(bytes.Clone(hashes))
+		*t = *BuildLeaves(bytes.Clone(hashes))
 		return
 	}
 	first := t.n // leftmost changed node, per level

@@ -144,7 +144,7 @@ func TestCapMatchesBuild(t *testing.T) {
 	for j := 0; j <= 3; j++ {
 		boundary[CapNodes<<j-1], boundary[CapNodes<<j+1] = true, true
 	}
-	c, grown := new(Cap), fromLeaves(nil)
+	c, grown := new(Cap), BuildLeaves(nil)
 	for n := 0; n <= most; n++ {
 		if n > 0 {
 			c.AppendTuple(tab.Tuples[n-1])
@@ -155,7 +155,7 @@ func TestCapMatchesBuild(t *testing.T) {
 		}
 		trees := []*Tree{grown}
 		if boundary[n] || n%1000 == 0 {
-			trees = append(trees, fromLeaves(bytes.Clone(leaves[:n*HashSize])))
+			trees = append(trees, BuildLeaves(bytes.Clone(leaves[:n*HashSize])))
 		}
 		for _, tree := range trees {
 			if c.Count() != n || !bytes.Equal(c.Row(), tree.row(CapNodes)) || !bytes.Equal(c.Root(), tree.Root()) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 	"repro/internal/swp"
 	"repro/internal/workload"
 )
@@ -129,10 +130,24 @@ func TestE5Shapes(t *testing.T) {
 	if m1 < 1.0/256/3 || m1 > 3.0/256 {
 		t.Errorf("E5 swp m=1 measured %v, want ≈ %v", m1, 1.0/256)
 	}
-	// SWP m=3, m=4: zero false hits at this probe count.
-	for _, param := range []string{"m=3", "m=4"} {
-		if hits := cell(t, tab, rowOf("swp", param), 4); hits != 0 {
-			t.Errorf("E5 swp %s: %v false hits, want 0", param, hits)
+	// SWP m=3, m=4: over 2^21 probes, at most the false hits their
+	// checksums produce with probability 1 − 10⁻⁶ — for m = 3 few enough
+	// that an m = 2 checksum, 256 times as many, is caught with
+	// probability 1 − 10⁻⁶.
+	const probes, alpha = 1 << 21, 1e-6
+	for _, m := range []int{3, 4} {
+		hits, theo, err := SWPFalseHits(m, probes, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		most := stats.BinomialCritical(probes, theo, alpha) - 1
+		if m == 3 {
+			if pass := 1 - stats.BinomialTail(probes, 1.0/(1<<16), most+1); pass > alpha {
+				t.Fatalf("E5 swp m=3: %d probes cannot gate: an m=2 checksum stays within %d false hits with probability %v", probes, most, pass)
+			}
+		}
+		if hits > most {
+			t.Errorf("E5 swp m=%d: %d false hits in %d probes, want at most %d (rate %v)", m, hits, probes, most, theo)
 		}
 	}
 	// Goh 1e-2 target: measured within a factor 4 of theory.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"fmt"
 	mrand "math/rand"
 	"time"
@@ -34,48 +35,12 @@ func RunE5(slots int, seed int64) (*Table, error) {
 			"SWP: trapdoor for an absent word vs random-word documents (per word slot); Goh: absent-value queries vs encrypted tables (per tuple)",
 		},
 	}
-	const wordLen = 8
 	rng := mrand.New(mrand.NewSource(seed))
 	for _, m := range []int{1, 2, 3, 4} {
-		key, err := crypto.RandomKey()
+		falseHits, theo, err := SWPFalseHits(m, slots, rng.Int63())
 		if err != nil {
 			return nil, err
 		}
-		scheme, err := swp.New(key, swp.Params{WordLen: wordLen, ChecksumLen: m})
-		if err != nil {
-			return nil, err
-		}
-		// Absent word: all 0xFF never produced by the generator below.
-		absent := make([]byte, wordLen)
-		for i := range absent {
-			absent[i] = 0xFF
-		}
-		td, err := scheme.NewTrapdoor(absent)
-		if err != nil {
-			return nil, err
-		}
-		falseHits := 0
-		const docSize = 64
-		for probed := 0; probed < slots; probed += docSize {
-			docID := make([]byte, swp.DocIDLen)
-			if _, err := rand.Read(docID); err != nil {
-				return nil, err
-			}
-			words := make([][]byte, docSize)
-			for i := range words {
-				w := make([]byte, wordLen)
-				for j := range w {
-					w[j] = byte(rng.Intn(255)) // never 0xFF in every byte
-				}
-				words[i] = w
-			}
-			cws, err := scheme.EncryptDocument(docID, words)
-			if err != nil {
-				return nil, err
-			}
-			falseHits += len(swp.SearchDocument(scheme.Params(), cws, td))
-		}
-		theo := scheme.Params().FalsePositiveRate()
 		t.AddRow("swp", fmt.Sprintf("m=%d", m), formatRate(theo),
 			formatRate(float64(falseHits)/float64(slots)), fmt.Sprintf("%d", falseHits))
 	}
@@ -90,6 +55,64 @@ func RunE5(slots int, seed int64) (*Table, error) {
 			formatRate(float64(hits)/float64(probes)), fmt.Sprintf("%d", hits))
 	}
 	return t, nil
+}
+
+// SWPFalseHits counts the false hits of SWP with an m-byte checksum
+// over probes word slots, and returns them with the theoretical rate
+// per slot. One corpus of random-word documents is encrypted and probed
+// with absent-word trapdoors until probes slots have been tested. Each
+// (trapdoor, cipherword) pair is one probe: a false hit needs the word's
+// checksum to match F under the trapdoor's own key, so distinct
+// trapdoors test the same cipherwords independently. The probes run
+// through Matcher.MatchRun, the server's scan kernel, each cipherword a
+// one-word document so that every matching slot counts.
+func SWPFalseHits(m, probes int, seed int64) (hits int, theo float64, err error) {
+	const wordLen, docSize, corpusDocs = 8, 64, 256
+	key, err := crypto.RandomKey()
+	if err != nil {
+		return 0, 0, err
+	}
+	scheme, err := swp.New(key, swp.Params{WordLen: wordLen, ChecksumLen: m})
+	if err != nil {
+		return 0, 0, err
+	}
+	rng := mrand.New(mrand.NewSource(seed))
+	var corpus [][]byte
+	for d := 0; d < corpusDocs && len(corpus) < probes; d++ {
+		docID := make([]byte, swp.DocIDLen)
+		if _, err := rand.Read(docID); err != nil {
+			return 0, 0, err
+		}
+		words := make([][]byte, docSize)
+		for i := range words {
+			w := make([]byte, wordLen)
+			for j := range w {
+				w[j] = byte(rng.Intn(255)) // never 0xFF
+			}
+			words[i] = w
+		}
+		cws, err := scheme.EncryptDocument(docID, words)
+		if err != nil {
+			return 0, 0, err
+		}
+		corpus = append(corpus, cws...)
+	}
+	var found []int
+	for t, probed := uint64(0), 0; probed < probes; t++ {
+		// Absent word: t behind a 0xFF byte the generator never
+		// produces.
+		absent := binary.BigEndian.AppendUint64(nil, t)
+		absent[0] = 0xFF
+		td, err := scheme.NewTrapdoor(absent)
+		if err != nil {
+			return 0, 0, err
+		}
+		n := min(len(corpus), probes-probed)
+		found = swp.NewMatcher(scheme.Params(), td).MatchRun(n, func(i int) [][]byte { return corpus[i : i+1 : i+1] }, found[:0])
+		hits += len(found)
+		probed += n
+	}
+	return hits, scheme.Params().FalsePositiveRate(), nil
 }
 
 // measureGohFP counts Bloom false positives of the Goh instantiation: an

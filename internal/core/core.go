@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 
 	"repro/internal/crypto"
@@ -503,7 +504,7 @@ func (tc *tupleCodec) parse(text string, bounds []int) error {
 
 // parallelThreshold is the tuple count below which a scan stays on its
 // caller's goroutine without consulting the budget. At ~0.025 µs per emp
-// tuple (the run kernel), two-way sharded EvaluateOn against serial on a
+// tuple (the run kernel), a two-way sharded scan against serial on a
 // 2-vCPU box measured 1.05–1.15× at 2048 tuples, 0.95–1.07× at 4096,
 // 0.74–1.05× at 8192 and 0.57–0.84× at 16384 (medians of 15 interleaved
 // runs, three sets of three taken while the box had a second core free):
@@ -516,10 +517,13 @@ const parallelThreshold = 8192
 // The scan runs through shardScan, so the output is byte-identical to
 // EvaluateSerial's.
 func Evaluate(et *ph.EncryptedTable, q *ph.EncryptedQuery) (*ph.Result, error) {
-	positions, err := EvaluateOn(et, q, nil)
+	base, err := TokenMatcher(et.Meta, q.Token)
 	if err != nil {
 		return nil, err
 	}
+	positions := shardScan(len(et.Tuples), base, func(lo, hi int, m *swp.Matcher) []int {
+		return MatchTuples(et.Tuples[lo:hi], lo, m, make([]int, 0, PositionsCap(hi-lo)))
+	})
 	return ph.SelectPositions(et, positions), nil
 }
 
@@ -609,27 +613,31 @@ func EvaluateSerial(et *ph.EncryptedTable, q *ph.EncryptedQuery) (*ph.Result, er
 	return ph.SelectPositions(et, positions), nil
 }
 
-// EvaluateOn is the candidate-restricted ψ behind the conjunctive
-// planner: it tests only the tuples at the given ascending candidate
-// positions and returns the ascending subsequence that matched. Cost is
-// O(len(candidates)) match tests instead of a full table scan, which is
-// what turns a k-conjunct query from k full scans into one full scan
-// plus narrowing passes over the survivors. Nil candidates select the
-// whole table: a positions-only scan with no candidate list materialised
-// or validated — Evaluate's scan without the tuple cloning its Result
-// carries. Both shapes run through shardScan, so the output is
-// deterministic. It is the store's only scan, and does not check q's
-// scheme ID: its caller does.
-func EvaluateOn(et *ph.EncryptedTable, q *ph.EncryptedQuery, candidates []int) ([]int, error) {
-	base, err := TokenMatcher(et.Meta, q.Token)
+// EvaluateSlab is the candidate-restricted ψ behind the conjunctive
+// planner, over a slab, the store's resident form of a table: it tests
+// only the tuples at the given ascending candidate positions and returns
+// the ascending subsequence that matched. Cost is O(len(candidates))
+// match tests instead of a full table scan, which is what turns a
+// k-conjunct query from k full scans into one full scan plus narrowing
+// passes over the survivors. Nil candidates select every position from
+// from on — the whole table from 0, an appended tail from a cached
+// prefix's length: a positions-only scan with no candidate list
+// materialised or validated. Both shapes run through shardScan, so the
+// output is deterministic. It is the store's only scan, and does not
+// check q's scheme ID: its caller does.
+func EvaluateSlab(s *ph.Slab, q *ph.EncryptedQuery, from int, candidates []int) ([]int, error) {
+	base, err := TokenMatcher(s.Meta, q.Token)
 	if err != nil {
 		return nil, err
 	}
-	n := len(et.Tuples)
+	n := s.Len()
 	if candidates == nil {
-		return shardScan(n, base,
+		if from < 0 || from > n {
+			return nil, fmt.Errorf("core: scan from position %d of a %d-tuple table", from, n)
+		}
+		return shardScan(n-from, base,
 			func(lo, hi int, m *swp.Matcher) []int {
-				return MatchTuples(et.Tuples[lo:hi], lo, m, make([]int, 0, PositionsCap(hi-lo)))
+				return matchSlab(s, from+lo, hi-lo, nil, m, make([]int, 0, PositionsCap(hi-lo)))
 			}), nil
 	}
 	for i, p := range candidates {
@@ -642,20 +650,96 @@ func EvaluateOn(et *ph.EncryptedTable, q *ph.EncryptedQuery, candidates []int) (
 	}
 	return shardScan(len(candidates), base,
 		func(lo, hi int, m *swp.Matcher) []int {
-			return scanCandidates(et.Tuples, candidates[lo:hi], m, make([]int, 0, (hi-lo)/2+4))
+			return matchSlab(s, 0, hi-lo, candidates[lo:hi], m, make([]int, 0, (hi-lo)/2+4))
 		}), nil
 }
 
-// scanCandidates appends every candidate position whose tuple matches:
-// one kernel run over the candidates' documents, whose indices map back
-// through candidates.
-func scanCandidates(tuples []ph.EncryptedTuple, candidates []int, m *swp.Matcher, hits []int) []int {
-	from := len(hits)
-	hits = m.MatchRun(len(candidates), func(i int) [][]byte { return tuples[candidates[i]].Words }, hits)
-	for j, i := range hits[from:] {
-		hits[from+j] = candidates[i]
+// scanScratch is the word headers a slab scan cuts its documents into.
+// A doc callback's result escapes, so it is pooled, one per worker: a
+// scan allocates nothing for a run of at most scratchWords words. Every
+// document writes its words, so they are padded onto cache lines of
+// their own, as swp pads a Matcher's run: workers scanning side by side
+// never take a line from each other.
+type scanScratch struct {
+	_     [64]byte
+	words [scratchWords][]byte
+	_     [64]byte
+}
+
+const scratchWords = 8
+
+// span is a word's bytes [lo, hi) in its tuple.
+type span struct{ lo, hi int }
+
+var scratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
+
+// matchSlab appends the slab position of every document i < n whose
+// tuple matches, document i being the tuple at position lo+i, or at
+// candidates[i] when candidates is not nil: one kernel run per slab run
+// the documents fall in.
+func matchSlab(s *ph.Slab, lo, n int, candidates []int, m *swp.Matcher, hits []int) []int {
+	sc := scratchPool.Get().(*scanScratch)
+	defer func() { *sc = scanScratch{}; scratchPool.Put(sc) }()
+	for n > 0 {
+		p := lo
+		if candidates != nil {
+			p = candidates[0]
+		}
+		r := s.Run(p)
+		k := min(n, r.Start+r.N-lo) // the documents in r
+		if candidates != nil {
+			k = sort.SearchInts(candidates, r.Start+r.N)
+		}
+		from := len(hits)
+		hits = matchRun(r, lo-r.Start, k, candidates[:min(k, len(candidates))], sc, m, hits)
+		for j, i := range hits[from:] {
+			if hits[from+j] = lo + i; candidates != nil {
+				hits[from+j] = candidates[i]
+			}
+		}
+		lo, n = lo+k, n-k
+		if candidates != nil {
+			candidates = candidates[k:]
+		}
 	}
 	return hits
+}
+
+// matchRun is matchSlab over the documents in run r: its tuples first+i
+// for i < n, or candidates[i] − r.Start when candidates is not nil. Each
+// document's words are cut from its stride into sc, or into arrays of
+// their own when the run is wider, at spans worked out once for the run.
+func matchRun(r *ph.Run, first, n int, candidates []int, sc *scanScratch, m *swp.Matcher, hits []int) []int {
+	k := len(r.Words)
+	var stack [scratchWords]span
+	words, spans := sc.words[:], stack[:]
+	if k > len(words) {
+		words, spans = make([][]byte, k), make([]span, k)
+	}
+	words, spans = words[:k], spans[:k]
+	at := r.ID + r.Blob
+	for w, l := range r.Words {
+		spans[w] = span{at, at + l}
+		at += l
+	}
+	if candidates != nil {
+		body, stride, start := r.Body, r.Stride, r.Start
+		return m.MatchRun(n, func(i int) [][]byte {
+			b := body[(candidates[i]-start)*stride:]
+			for w, sp := range spans {
+				words[w] = b[sp.lo:sp.hi:sp.hi]
+			}
+			return words
+		}, hits)
+	}
+	body, stride := r.Body[first*r.Stride:], r.Stride
+	return m.MatchRun(n, func(i int) [][]byte {
+		b := body[i*stride:]
+		for w, sp := range spans {
+			words[w] = b[sp.lo:sp.hi:sp.hi]
+		}
+		return words
+	}, hits)
 }
 
 // MatchTuples appends base+i to hits for every tuple in tuples whose

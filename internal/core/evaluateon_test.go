@@ -41,7 +41,7 @@ func evalOnFixture(t *testing.T, n int, dept string) (*ph.EncryptedTable, *ph.En
 // TestEvaluateOnMatchesEvaluate checks the narrowing invariant on tables
 // both below and above the parallel threshold, and on the int table,
 // whose words take more than one stream block: for any candidate set,
-// EvaluateOn(candidates) == Evaluate() ∩ candidates.
+// EvaluateSlab(candidates) == Evaluate() ∩ candidates.
 func TestEvaluateOnMatchesEvaluate(t *testing.T) {
 	type input struct {
 		name string
@@ -75,7 +75,7 @@ func TestEvaluateOnMatchesEvaluate(t *testing.T) {
 			ascendingRange(len(et.Tuples)-1, len(et.Tuples)),
 		}
 		for ci, cands := range candidateSets {
-			got, err := EvaluateOn(et, q, cands)
+			got, err := EvaluateSlab(ph.NewSlab(et), q, 0, cands)
 			if err != nil {
 				t.Fatalf("%s case %d: %v", in.name, ci, err)
 			}
@@ -85,7 +85,7 @@ func TestEvaluateOnMatchesEvaluate(t *testing.T) {
 				want = ph.IntersectPositions(cands, full.Positions)
 			}
 			if !reflect.DeepEqual(normalize(got), normalize(want)) {
-				t.Fatalf("%s case %d: EvaluateOn = %v, want %v", in.name, ci, got, want)
+				t.Fatalf("%s case %d: EvaluateSlab = %v, want %v", in.name, ci, got, want)
 			}
 		}
 	}
@@ -94,7 +94,7 @@ func TestEvaluateOnMatchesEvaluate(t *testing.T) {
 func TestEvaluateOnRejectsBadCandidates(t *testing.T) {
 	et, q := evalOnFixture(t, 32, "HR")
 	for _, cands := range [][]int{{-1}, {32}, {5, 5}, {7, 3}} {
-		if _, err := EvaluateOn(et, q, cands); err == nil {
+		if _, err := EvaluateSlab(ph.NewSlab(et), q, 0, cands); err == nil {
 			t.Fatalf("candidates %v must be rejected", cands)
 		}
 	}

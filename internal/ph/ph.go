@@ -19,7 +19,7 @@
 // query token. Schemes register their evaluator under their scheme ID
 // (database/sql-driver style), so Apply runs ψ for any scheme linked in:
 // the experiments, games and attacks run the comparators that way. The
-// served store scans the paper's construction alone (core.EvaluateOn).
+// served store scans the paper's construction alone (core.EvaluateSlab).
 package ph
 
 import (
@@ -51,19 +51,6 @@ type EncryptedTuple struct {
 	Words [][]byte
 }
 
-// clone returns a deep copy.
-func (t EncryptedTuple) clone() EncryptedTuple {
-	out := EncryptedTuple{
-		ID:    append([]byte(nil), t.ID...),
-		Blob:  append([]byte(nil), t.Blob...),
-		Words: make([][]byte, len(t.Words)),
-	}
-	for i, w := range t.Words {
-		out.Words[i] = append([]byte(nil), w...)
-	}
-	return out
-}
-
 // EncryptedTable is E_k(R): the complete server-side representation of an
 // encrypted relation.
 type EncryptedTable struct {
@@ -77,17 +64,11 @@ type EncryptedTable struct {
 	Tuples []EncryptedTuple
 }
 
-// Clone returns a deep copy of the encrypted table.
+// Clone returns a deep copy of the encrypted table, its tuples views of
+// a fresh slab.
 func (t *EncryptedTable) Clone() *EncryptedTable {
-	out := &EncryptedTable{
-		SchemeID: t.SchemeID,
-		Meta:     append([]byte(nil), t.Meta...),
-		Tuples:   make([]EncryptedTuple, len(t.Tuples)),
-	}
-	for i, tp := range t.Tuples {
-		out.Tuples[i] = tp.clone()
-	}
-	return out
+	s := NewSlab(t)
+	return &EncryptedTable{SchemeID: t.SchemeID, Meta: s.Meta, Tuples: s.tuples()}
 }
 
 // EncryptedQuery is ψ = Eq_k(σ): the encrypted form of an exact select that
@@ -202,11 +183,12 @@ func Apply(et *EncryptedTable, q *EncryptedQuery) (*Result, error) {
 }
 
 // SelectPositions is a helper for evaluators: it builds a Result from the
-// encrypted table and the sorted list of matching positions.
+// encrypted table and the sorted list of matching positions, its tuples
+// a copy in a fresh slab.
 func SelectPositions(et *EncryptedTable, positions []int) *Result {
-	r := &Result{Positions: positions, Tuples: make([]EncryptedTuple, len(positions))}
+	picked := &EncryptedTable{Tuples: make([]EncryptedTuple, len(positions))}
 	for i, p := range positions {
-		r.Tuples[i] = et.Tuples[p].clone()
+		picked.Tuples[i] = et.Tuples[p]
 	}
-	return r
+	return &Result{Positions: positions, Tuples: NewSlab(picked).tuples()}
 }

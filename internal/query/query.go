@@ -29,7 +29,7 @@
 // and its answer (codec.go).
 //
 // The storage layer owns the locks, the cache, the sketch and the scan
-// (core.EvaluateOn); it gathers the per-conjunct cache state into
+// (core.EvaluateSlab); it gathers the per-conjunct cache state into
 // Conjunct values, calls Build, runs the plan under its read-locked
 // snapshot, and feeds the fresh full-table position sets back into
 // cache and sketch.
@@ -37,6 +37,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cache"
@@ -128,6 +129,9 @@ type Plan struct {
 	Tuples int
 	// Conjuncts are the predicates in execution order.
 	Conjuncts []Conjunct
+	// one holds a one-conjunct plan's conjunct, so that plan is one
+	// allocation.
+	one [1]Conjunct
 }
 
 // scanCost approximates the positions this conjunct must test to
@@ -145,29 +149,28 @@ func (c *Conjunct) scanCost(tuples int) int {
 	}
 }
 
-// Build orders the conjuncts into a plan: fully cached conjuncts first
-// (their positions are free — intersecting them costs no cryptography),
-// smallest cached set leading; the rest ascend by estimated cost
-// scanCost + Est·tuples — the positions a conjunct would test as driver
-// plus the survivors it would hand to the next step. For equally cached
-// conjuncts this reduces to ordering by selectivity; a cached prefix
-// needing only a small tail scan beats a marginally more selective
-// uncached conjunct that would full-scan. The sort is stable, so ties
-// keep request order and plans are deterministic. A one-conjunct plan —
-// a single select — has nothing to order and takes conjs as it is.
+// Build orders the conjuncts into a plan, taking ownership of conjs:
+// fully cached conjuncts first (their positions are free — intersecting
+// them costs no cryptography), smallest cached set leading; the rest
+// ascend by estimated cost scanCost + Est·tuples — the positions a
+// conjunct would test as driver plus the survivors it would hand to the
+// next step. For equally cached conjuncts this reduces to ordering by
+// selectivity; a cached prefix needing only a small tail scan beats a
+// marginally more selective uncached conjunct that would full-scan. The
+// sort is stable and in place, so ties keep request order and plans are
+// deterministic. A one-conjunct plan — a single select — has nothing to
+// order: it is Single's.
 func Build(table string, tuples int, conjs []Conjunct) (*Plan, error) {
-	if len(conjs) == 0 {
+	switch len(conjs) {
+	case 0:
 		return nil, fmt.Errorf("query: empty conjunction")
+	case 1:
+		return Single(table, tuples, conjs[0]), nil
 	}
 	cost := func(c *Conjunct) float64 {
 		return float64(c.scanCost(tuples)) + c.Est*float64(tuples)
 	}
-	if len(conjs) == 1 {
-		return &Plan{Table: table, Tuples: tuples, Conjuncts: conjs}, nil
-	}
-	ordered := append([]Conjunct(nil), conjs...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		a, b := &ordered[i], &ordered[j]
+	less := func(a, b *Conjunct) bool {
 		if (a.Cached == cache.Hit) != (b.Cached == cache.Hit) {
 			return a.Cached == cache.Hit
 		}
@@ -175,24 +178,41 @@ func Build(table string, tuples int, conjs []Conjunct) (*Plan, error) {
 			return len(a.Positions) < len(b.Positions)
 		}
 		return cost(a) < cost(b)
+	}
+	slices.SortStableFunc(conjs, func(a, b Conjunct) int {
+		switch {
+		case less(&a, &b):
+			return -1
+		case less(&b, &a):
+			return 1
+		}
+		return 0
 	})
-	return &Plan{Table: table, Tuples: tuples, Conjuncts: ordered}, nil
+	return &Plan{Table: table, Tuples: tuples, Conjuncts: conjs}, nil
 }
 
-// Run executes the plan against the snapshot it was built for. The
-// returned positions are the conjunction's intersection, ascending, and
-// may alias a conjunct's Positions or FullPositions: the caller must not
-// write to them. The caller holds whatever lock makes et stable; Run
-// itself takes none.
+// Single is the plan of one select, its conjunct held in the plan's own
+// allocation.
+func Single(table string, tuples int, c Conjunct) *Plan {
+	p := &Plan{Table: table, Tuples: tuples, one: [1]Conjunct{c}}
+	p.Conjuncts = p.one[:]
+	return p
+}
+
+// Run executes the plan against the snapshot it was built for, of
+// tuples tuples. The returned positions are the conjunction's
+// intersection, ascending, and may alias a conjunct's Positions or
+// FullPositions: the caller must not write to them. The caller holds
+// whatever lock keeps the snapshot stable; Run itself takes none.
 //
 // scan runs every evaluation of the plan: it returns the ascending
-// positions among candidates whose tuples match q, or among all of et's
-// tuples when candidates is nil. Its et is Run's, or for a cached
-// prefix's delta a table of the appended tail alone. A whole-table scan
-// (Run's et, nil candidates) is only ever the first conjunct's.
-func (p *Plan) Run(et *ph.EncryptedTable, scan func(et *ph.EncryptedTable, q *ph.EncryptedQuery, candidates []int) ([]int, error)) ([]int, error) {
-	if len(et.Tuples) != p.Tuples {
-		return nil, fmt.Errorf("query: plan built for %d tuples run against %d", p.Tuples, len(et.Tuples))
+// positions among candidates whose tuples match q, or with nil
+// candidates among every position from from on — 0 for the whole table,
+// a cached prefix's length for the appended tail alone. A whole-table
+// scan (from 0, nil candidates) is only ever the first conjunct's.
+func (p *Plan) Run(tuples int, scan func(q *ph.EncryptedQuery, from int, candidates []int) ([]int, error)) ([]int, error) {
+	if tuples != p.Tuples {
+		return nil, fmt.Errorf("query: plan built for %d tuples run against %d", p.Tuples, tuples)
 	}
 	n := p.Tuples
 	var surv []int
@@ -213,32 +233,25 @@ func (p *Plan) Run(et *ph.EncryptedTable, scan func(et *ph.EncryptedTable, q *ph
 		case step == 0:
 			// Driver: this conjunct must produce a full-table position
 			// set. A cached prefix means only the appended tail needs
-			// scanning — the scan is tuple-local, so
-			// evaluating Tuples[Scanned:] and offsetting the positions is
-			// exact; the completed set is cacheable either way. Nil
-			// candidates = whole table: a positions-only scan, no
-			// candidate list built.
-			var full []int
+			// scanning — the scan is tuple-local, so the tail's hits
+			// complete the cached positions exactly; the completed set is
+			// cacheable either way.
+			from := 0
 			if cj.Cached == cache.Delta {
-				tail := &ph.EncryptedTable{SchemeID: et.SchemeID, Meta: et.Meta, Tuples: et.Tuples[cj.Scanned:]}
-				hits, err := scan(tail, cj.Q, nil)
-				if err != nil {
-					return nil, err
-				}
-				full = cj.Positions
-				for _, p := range hits {
-					full = append(full, p+cj.Scanned)
-				}
-				cj.Source = SourceDelta
-				cj.Tested = n - cj.Scanned
-			} else {
-				var err error
-				if full, err = scan(et, cj.Q, nil); err != nil {
-					return nil, err
-				}
-				cj.Source = SourceScan
-				cj.Tested = n
+				from = cj.Scanned
 			}
+			hits, err := scan(cj.Q, from, nil)
+			if err != nil {
+				return nil, err
+			}
+			full := hits
+			if cj.Cached == cache.Delta {
+				full = append(cj.Positions, hits...)
+				cj.Source = SourceDelta
+			} else {
+				cj.Source = SourceScan
+			}
+			cj.Tested = n - from
 			cj.FullPositions = full
 			surv = full
 		default:
@@ -249,7 +262,7 @@ func (p *Plan) Run(et *ph.EncryptedTable, scan func(et *ph.EncryptedTable, q *ph
 			if cj.Cached == cache.Delta {
 				cut := sort.SearchInts(surv, cj.Scanned)
 				pre := ph.IntersectPositions(surv[:cut], cj.Positions)
-				tail, err := scan(et, cj.Q, surv[cut:])
+				tail, err := scan(cj.Q, 0, surv[cut:])
 				if err != nil {
 					return nil, err
 				}
@@ -258,7 +271,7 @@ func (p *Plan) Run(et *ph.EncryptedTable, scan func(et *ph.EncryptedTable, q *ph
 				cj.NarrowHits = len(tail)
 				surv = append(pre, tail...)
 			} else {
-				narrowed, err := scan(et, cj.Q, surv)
+				narrowed, err := scan(cj.Q, 0, surv)
 				if err != nil {
 					return nil, err
 				}

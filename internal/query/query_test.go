@@ -18,26 +18,31 @@ var (
 	testedCount atomic.Int64
 )
 
-func testScan(et *ph.EncryptedTable, q *ph.EncryptedQuery, candidates []int) ([]int, error) {
-	if candidates == nil { // nil = whole table
-		fullScans.Add(1)
-		testedCount.Add(int64(len(et.Tuples)))
+// testScan is the scan over et a Plan runs.
+func testScan(et *ph.EncryptedTable) func(q *ph.EncryptedQuery, from int, candidates []int) ([]int, error) {
+	return func(q *ph.EncryptedQuery, from int, candidates []int) ([]int, error) {
+		if candidates == nil { // nil = every position from from on
+			if from == 0 {
+				fullScans.Add(1)
+			}
+			testedCount.Add(int64(len(et.Tuples) - from))
+			var pos []int
+			for i := from; i < len(et.Tuples); i++ {
+				if tupleMatches(et.Tuples[i], q.Token) {
+					pos = append(pos, i)
+				}
+			}
+			return pos, nil
+		}
+		testedCount.Add(int64(len(candidates)))
 		var pos []int
-		for i := range et.Tuples {
-			if tupleMatches(et.Tuples[i], q.Token) {
-				pos = append(pos, i)
+		for _, p := range candidates {
+			if tupleMatches(et.Tuples[p], q.Token) {
+				pos = append(pos, p)
 			}
 		}
 		return pos, nil
 	}
-	testedCount.Add(int64(len(candidates)))
-	var pos []int
-	for _, p := range candidates {
-		if tupleMatches(et.Tuples[p], q.Token) {
-			pos = append(pos, p)
-		}
-	}
-	return pos, nil
 }
 
 func tupleMatches(tp ph.EncryptedTuple, token []byte) bool {
@@ -111,7 +116,7 @@ func runPlan(t *testing.T, et *ph.EncryptedTable, conjs []Conjunct) ([]int, *Pla
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plan.Run(et, testScan)
+	got, err := plan.Run(len(et.Tuples), testScan(et))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +366,7 @@ func TestRunRejectsStaleSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.Run(et, testScan); err == nil {
+	if _, err := plan.Run(len(et.Tuples), testScan(et)); err == nil {
 		t.Fatal("plan for a different tuple count must refuse to run")
 	}
 }

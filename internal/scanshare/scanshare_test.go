@@ -55,7 +55,7 @@ func (f *fixture) query(t testing.TB, col, val string) *ph.EncryptedQuery {
 }
 
 // scan runs q through the sharer the way storage does: over the whole
-// fixture table, the scan itself being core.EvaluateOn. before, when non-nil,
+// fixture table, the scan itself being core.EvaluateSlab. before, when non-nil,
 // runs first on whichever goroutine leads — the tests' handle for holding
 // a leader while followers arrive.
 func (f *fixture) scan(s *Sharer, table uint64, q *ph.EncryptedQuery, before func()) ([]int, error) {
@@ -63,7 +63,7 @@ func (f *fixture) scan(s *Sharer, table uint64, q *ph.EncryptedQuery, before fun
 		if before != nil {
 			before()
 		}
-		return core.EvaluateOn(f.et, q, nil)
+		return core.EvaluateSlab(ph.NewSlab(f.et), q, 0, nil)
 	})
 }
 

@@ -83,28 +83,30 @@ func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 	r := wire.NewBuffer(f.Payload)
 	switch f.Type {
 	case wire.CmdStore:
-		name, t, err := wire.DecodeStore(f.Payload)
+		name, slab, err := wire.DecodeStoreSlab(f.Payload)
 		if err != nil {
 			return wire.Frame{}, err
 		}
-		if err := b.store.Put(name, t); err != nil {
+		if err := b.store.PutSlab(name, slab); err != nil {
 			return wire.Frame{}, err
 		}
 		return wire.Frame{Type: wire.RespOK}, nil
 
 	case wire.CmdInsert:
-		name, tuples, err := wire.DecodeInsert(f.Payload)
+		// The runs are validated, then copied from the frame straight
+		// into the table's slab: no tuple is decoded.
+		name, runs, err := wire.DecodeInsertRuns(f.Payload)
 		if err != nil {
 			return wire.Frame{}, err
 		}
-		base, version, err := b.store.AppendStamped(name, tuples)
+		base, version, err := b.store.AppendRuns(name, runs)
 		if err != nil {
 			return wire.Frame{}, err
 		}
 		// The placement ack lets a verifying client advance its pinned
 		// root from its own leaf hashes instead of re-downloading.
 		payload := wire.AppendU32(scratch, uint32(base))
-		payload = wire.AppendU32(payload, uint32(len(tuples)))
+		payload = wire.AppendU32(payload, uint32(runs.Len()))
 		payload = wire.AppendU64(payload, version)
 		return wire.Frame{Type: wire.RespInserted, Payload: payload}, nil
 
@@ -124,11 +126,11 @@ func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 		if err != nil {
 			return wire.Frame{}, err
 		}
-		t, err := b.store.Get(name)
+		payload, err := b.store.AppendTable(scratch, name)
 		if err != nil {
 			return wire.Frame{}, err
 		}
-		return wire.Frame{Type: wire.RespTable, Payload: wire.EncodeTable(scratch, t)}, nil
+		return wire.Frame{Type: wire.RespTable, Payload: payload}, nil
 
 	case wire.CmdDrop:
 		name, err := wire.DecodeName(f.Payload)

@@ -1,6 +1,6 @@
 // Package server implements Eve: the untrusted database service provider.
 // It accepts client connections, stores encrypted tables, and evaluates
-// encrypted queries with the store's one key-free scan, core.EvaluateOn:
+// encrypted queries with the store's one key-free scan, core.EvaluateSlab:
 // it stores the paper's construction only. It never holds keys and never
 // sees plaintext — its entire view is the view the paper's security
 // games grant the adversary.

@@ -113,6 +113,55 @@ func (b Binomial) HoeffdingRadius(delta float64) float64 {
 	return math.Sqrt(math.Log(2/delta) / (2 * float64(b.Trials)))
 }
 
+// BinomialTail returns P[X ≥ k] for X ~ Binomial(n, p), exactly: the
+// sum of the probability mass on the side of k away from the mean, each
+// term from its neighbour by the pmf's ratio, so a tail of 10⁻⁹ is
+// summed, not found as the difference of two numbers near 1.
+func BinomialTail(n int, p float64, k int) float64 {
+	switch {
+	case k <= 0:
+		return 1
+	case k > n:
+		return 0
+	case p <= 0:
+		return 0
+	case p >= 1:
+		return 1
+	}
+	q := 1 - p
+	pmf := func(i int) float64 {
+		lg := func(x int) float64 { v, _ := math.Lgamma(float64(x) + 1); return v }
+		return math.Exp(lg(n) - lg(i) - lg(n-i) + float64(i)*math.Log(p) + float64(n-i)*math.Log1p(-p))
+	}
+	if float64(k) > float64(n)*p {
+		// Upper tail: terms fall from k on.
+		sum := 0.0
+		for i, t := k, pmf(k); i <= n && t > sum*1e-17; i++ {
+			sum += t
+			t *= float64(n-i) / float64(i+1) * p / q
+		}
+		return math.Min(sum, 1)
+	}
+	// The lower tail P[X ≤ k−1]: terms fall from k−1 down.
+	sum := 0.0
+	for i, t := k-1, pmf(k-1); i >= 0 && t > sum*1e-17; i-- {
+		sum += t
+		t *= float64(i) / float64(n-i+1) * q / p
+	}
+	return math.Max(1-sum, 0)
+}
+
+// BinomialCritical returns the least c with P[X ≥ c] ≤ alpha for X ~
+// Binomial(n, p): a count an adversary of success rate p reaches, or a
+// scheme of false-hit rate p produces, with probability at most alpha.
+func BinomialCritical(n int, p, alpha float64) int {
+	c := int(float64(n) * p)
+	for c <= n && BinomialTail(n, p, c) > alpha {
+		c++
+	}
+	return c
+}
+
 // String renders the binomial as "wins/trials (rate)".
 func (b Binomial) String() string {
 	return fmt.Sprintf("%d/%d (%.3f)", b.Wins, b.Trials, b.Rate())

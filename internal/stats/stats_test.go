@@ -140,3 +140,45 @@ func TestTotalVariation(t *testing.T) {
 		t.Fatal("empty distribution accepted")
 	}
 }
+
+// TestBinomialTail: the tail is exact against sums computed by hand, far
+// out in both tails, and within 10⁻⁴ of the Poisson limit where that is
+// the known form; BinomialCritical is the least count whose tail is
+// within alpha.
+func TestBinomialTail(t *testing.T) {
+	l := 0.125 // λ of Binomial(2^21, 2^-24)
+	for _, c := range []struct {
+		n        int
+		p        float64
+		k        int
+		want     float64
+		relative float64
+	}{
+		{10, 0.5, 8, 56.0 / 1024, 1e-12},            // C(10,8)+C(10,9)+C(10,10) = 45+10+1
+		{10, 0.5, 3, 1 - 56.0/1024, 1e-12},          // symmetric
+		{10, 0.5, 0, 1, 0},                          // everything
+		{10, 0.5, 11, 0, 0},                         // nothing
+		{20, 0.1, 1, 1 - math.Pow(0.9, 20), 1e-12},  // at least one
+		{20, 0.9, 20, math.Pow(0.9, 20), 1e-12},     // all of them
+		{60, 0.5, 60, math.Pow(0.5, 60), 1e-12},     // far upper tail
+		{60, 0.5, 1, 1 - math.Pow(0.5, 60), 1e-12},  // far lower tail
+		{4, 0.25, 2, 1 - (81.0+108.0)/256.0, 1e-12}, // 1 − P[0] − P[1]
+		{1 << 21, 1.0 / (1 << 24), 5, 1 - math.Exp(-l)*(1+l+l*l/2+l*l*l/6+l*l*l*l/24), 1e-4},
+	} {
+		got := BinomialTail(c.n, c.p, c.k)
+		if math.Abs(got-c.want) > c.relative*c.want {
+			t.Errorf("BinomialTail(%d, %v, %d) = %v, want %v", c.n, c.p, c.k, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		n     int
+		p     float64
+		alpha float64
+	}{{100, 0.5, 1e-6}, {900, 0.92, 1e-6}, {1 << 21, 1.0 / (1 << 24), 1e-6}} {
+		k := BinomialCritical(c.n, c.p, c.alpha)
+		if BinomialTail(c.n, c.p, k) > c.alpha || BinomialTail(c.n, c.p, k-1) <= c.alpha {
+			t.Errorf("BinomialCritical(%d, %v, %v) = %d: tails %v and %v", c.n, c.p, c.alpha, k,
+				BinomialTail(c.n, c.p, k-1), BinomialTail(c.n, c.p, k))
+		}
+	}
+}

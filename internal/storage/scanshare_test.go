@@ -305,14 +305,14 @@ var hold *struct{ entered, release chan struct{} }
 // holdScans routes the store's scan through hold until the test ends.
 func holdScans(t *testing.T) {
 	t.Helper()
-	evaluateOn = func(et *ph.EncryptedTable, q *ph.EncryptedQuery, candidates []int) ([]int, error) {
+	evaluateOn = func(slab *ph.Slab, q *ph.EncryptedQuery, from int, candidates []int) ([]int, error) {
 		if h := hold; h != nil {
 			h.entered <- struct{}{}
 			<-h.release
 		}
-		return core.EvaluateOn(et, q, candidates)
+		return core.EvaluateSlab(slab, q, from, candidates)
 	}
-	t.Cleanup(func() { evaluateOn = core.EvaluateOn })
+	t.Cleanup(func() { evaluateOn = core.EvaluateSlab })
 }
 
 // TestColdHerdCounts is the count gate that replaced E21's wall-clock

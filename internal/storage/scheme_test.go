@@ -62,7 +62,7 @@ func TestPutRefusesComparatorTable(t *testing.T) {
 }
 
 // TestReadRefusesSchemeMismatch: a conjunct of another scheme is refused
-// before anything is planned — core.EvaluateOn would read its token as
+// before anything is planned — core.EvaluateSlab would read its token as
 // an SWP trapdoor — whether it drives the plan or narrows it.
 func TestReadRefusesSchemeMismatch(t *testing.T) {
 	s := NewMemory()

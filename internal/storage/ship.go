@@ -371,7 +371,7 @@ func scanShipRecords(f *os.File, off int64, skip, want uint64, maxBytes uint32) 
 
 // ApplyShipped applies a shipped chunk (whole log records, as ReadLog
 // returns them) one record at a time through the store's normal
-// mutation paths — Put, Append, Drop — so locking, versioning, cache
+// mutation paths — PutSlab, AppendRuns, Drop — so locking, versioning, cache
 // invalidation and incremental authenticated-index maintenance all
 // behave exactly as if the mutation arrived from a client. That is what
 // makes a follower's Merkle roots bit-identical to the primary's: same
@@ -389,9 +389,10 @@ func (s *Store) ApplyShipped(log []byte) (applied int, err error) {
 		}
 		switch op {
 		case opStore:
-			return s.Put(m.name, m.table)
+			return s.PutSlab(m.name, m.slab)
 		case opInsert:
-			return s.Append(m.name, m.tuples)
+			_, _, err := s.AppendRuns(m.name, m.runs)
+			return err
 		default:
 			return s.Drop(m.name)
 		}

@@ -218,7 +218,7 @@ func (s *Store) InstallSnapshot(data []byte) (ShipCursor, error) {
 	unlock()
 	m := make(map[string]*tableEntry, len(tables))
 	for _, t := range tables {
-		m[t.name] = newTableEntry(t.table, s.clock.Add(1))
+		m[t.name] = newTableEntry(t.slab, s.clock.Add(1))
 	}
 	s.tables = m
 	// A failed sidecar write only costs a re-bootstrap after the next

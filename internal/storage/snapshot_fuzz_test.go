@@ -150,7 +150,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatal("decode accepted record bytes the log writer would not have framed")
 		}
 		for _, rec := range tables {
-			if rec.name == "" || rec.table == nil {
+			if rec.name == "" || rec.slab == nil {
 				t.Fatalf("decode accepted a record that is not a named table: %q", rec.name)
 			}
 		}
@@ -172,7 +172,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			if gerr != nil {
 				t.Fatalf("decoded table %q missing after install: %v", rec.name, gerr)
 			}
-			if !reflect.DeepEqual(got, rec.table) {
+			if !reflect.DeepEqual(got, rec.slab.Table()) {
 				t.Fatalf("table %q differs between decode and install", rec.name)
 			}
 		}

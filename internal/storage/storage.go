@@ -9,7 +9,10 @@
 // and acknowledged. A record's payload is the wire payload of its
 // command, so the tuples of a store or insert record are the wire's
 // tuple runs: each run's shape said once, then its tuples' bytes back to
-// back.
+// back. That is also how a table lives in memory (ph.Slab): a run of the
+// resident slab is a run of the log, and a record is encoded from the
+// slab — a store record from the whole of it, an insert record from the
+// tail the insert appended.
 // The sync policy decides what "acknowledged" promises: under SyncAlways
 // (the default) the record is fsynced first, with concurrent writers
 // sharing one fsync through group commit; SyncInterval fsyncs in the
@@ -24,8 +27,10 @@
 // the log writer's first failure is sticky. The failing record is
 // truncated back out of the file so the log never ends in bytes that
 // were acknowledged to nobody, the error is returned to the caller, and
-// every later mutation is refused with the same error BEFORE touching
-// memory — the store degrades to a read-only catalogue rather than
+// every later mutation is refused with the same error BEFORE it is
+// visible in memory (an append's tail, copied into the slab so its
+// record can be encoded from it, is truncated away under the table's
+// write lock) — the store degrades to a read-only catalogue rather than
 // letting memory and log fork. One asymmetry is inherent to group
 // commit: the mutation that first hits a failing fsync has already
 // applied in memory when the durability wait reports the error, so that
@@ -68,7 +73,7 @@
 // sketch (stats.QuerySketch, fed by every scan) order the conjuncts, at
 // most one full-width pass runs (the driver's, which for a one-conjunct
 // plan is the whole read), and later conjuncts only test surviving
-// positions via core.EvaluateOn. Fresh full-table position sets are written
+// positions via core.EvaluateSlab. Fresh full-table position sets are written
 // back to the cache per conjunct, so a repeated conjunct hits even
 // inside a new combination.
 //
@@ -138,28 +143,36 @@ const (
 
 // evaluateOn is the store's one scan, a variable only so that a test can
 // hold a scan open.
-var evaluateOn = core.EvaluateOn
+var evaluateOn = core.EvaluateSlab
 
 // servedScheme refuses a table the paper's construction did not encrypt,
-// from Put and decodeRecord: CmdStore, replay, shipping and snapshots.
-func servedScheme(name string, t *ph.EncryptedTable) error {
-	if t.SchemeID != core.SchemeID {
+// from PutSlab and decodeRecord: CmdStore, replay, shipping and
+// snapshots.
+func servedScheme(name, scheme string) error {
+	if scheme != core.SchemeID {
 		return fmt.Errorf("storage: table %q is of scheme %q: this server stores only %s, the construction Definition 2.1 is proved for",
-			name, t.SchemeID, core.SchemeID)
+			name, scheme, core.SchemeID)
 	}
 	return nil
 }
 
 // tableEntry is one catalogued table with its own reader/writer lock.
+// Its tuples live in a run slab (ph.Slab): each run says its shape once
+// and holds its tuples' bytes back to back, the layout of a tuple run on
+// the wire and in the log, so a resident emp tuple is its 49 ciphertext
+// bytes and no header. Appends grow the last run or open one under the
+// write lock; readers cut views out of it under the read lock, which
+// stay valid after it drops because no byte below a run's length is
+// ever written again.
 type tableEntry struct {
-	mu sync.RWMutex
-	t  *ph.EncryptedTable
+	mu   sync.RWMutex
+	slab *ph.Slab
 	// tree is the table's authenticated index (Merkle tree over the
 	// tuples), built lazily on the first Root or verified Read and
 	// extended incrementally on Append. treeN is the tuple count the tree
 	// covers; treeMu serialises catch-up between concurrent readers.
 	// Invariant: the tree is only ever a prefix view (treeN <=
-	// len(t.Tuples)) of the entry it lives in, so whoever brings it to
+	// slab.Len()) of the entry it lives in, so whoever brings it to
 	// the locked tuple count serves a tree consistent with the tuples
 	// served. Destructive mutations never touch it: Put and Drop install
 	// or unlink whole entries, so a replaced table's tree dies with its
@@ -188,10 +201,10 @@ type tableEntry struct {
 	sketch *stats.QuerySketch
 }
 
-// newTableEntry creates a catalogued entry for a freshly installed table
+// newTableEntry creates a catalogued entry for a freshly installed slab
 // at base/version v.
-func newTableEntry(t *ph.EncryptedTable, v uint64) *tableEntry {
-	return &tableEntry{t: t, base: v, version: v, sketch: stats.NewQuerySketch()}
+func newTableEntry(slab *ph.Slab, v uint64) *tableEntry {
+	return &tableEntry{slab: slab, base: v, version: v, sketch: stats.NewQuerySketch()}
 }
 
 // authTree returns the entry's authenticated index, built or extended to
@@ -205,8 +218,9 @@ func (e *tableEntry) authTree() *authindex.Tree {
 	e.treeMu.Lock()
 	defer e.treeMu.Unlock()
 	if e.tree == nil {
-		e.tree = authindex.Build(e.t)
-		e.treeN = len(e.t.Tuples)
+		n := e.slab.Len()
+		e.tree = authindex.BuildLeaves(appendLeafHashes(make([]byte, 0, n*authindex.HashSize), e.slab, 0, n))
+		e.treeN = n
 		return e.tree
 	}
 	e.catchUpTree()
@@ -214,17 +228,24 @@ func (e *tableEntry) authTree() *authindex.Tree {
 }
 
 // catchUpTree extends a materialised tree over any appended tail. Callers
-// hold treeMu and e.mu (read suffices: the tuple slice cannot change).
+// hold treeMu and e.mu (read suffices: the slab cannot change).
 func (e *tableEntry) catchUpTree() {
-	if n := len(e.t.Tuples); e.treeN < n {
+	if n := e.slab.Len(); e.treeN < n {
 		var stack [8 * authindex.HashSize]byte // a typical tail fits; longer ones spill to the heap
-		hashes := stack[:0]
-		for _, tp := range e.t.Tuples[e.treeN:] {
-			hashes = authindex.AppendLeafHash(hashes, tp)
-		}
-		e.tree.ExtendFlat(hashes)
+		e.tree.ExtendFlat(appendLeafHashes(stack[:0], e.slab, e.treeN, n))
 		e.treeN = n
 	}
+}
+
+// appendLeafHashes appends the leaf hashes of the slab's tuples at
+// positions [lo, hi) to dst: each tuple cut from its run as a view, so
+// the preimage is the one authindex.LeafHash takes.
+func appendLeafHashes(dst []byte, slab *ph.Slab, lo, hi int) []byte {
+	var stack [8][]byte
+	for p := lo; p < hi; p++ {
+		dst = authindex.AppendLeafHash(dst, slab.Tuple(p, stack[:0]))
+	}
+	return dst
 }
 
 // Store is the server-side catalogue of encrypted tables.
@@ -428,11 +449,12 @@ func (s *Store) replay(path string) (uint64, error) {
 }
 
 // mutation is one decoded log record: the table it names, plus the
-// table stored (opStore) or the tuples appended (opInsert).
+// table stored (opStore), as a fresh slab, or the runs appended
+// (opInsert), validated and still a view of the record.
 type mutation struct {
-	name   string
-	table  *ph.EncryptedTable
-	tuples []ph.EncryptedTuple
+	name string
+	slab *ph.Slab
+	runs wire.Runs
 }
 
 // decodeRecord decodes one log record payload. Replay, ApplyShipped and
@@ -441,11 +463,11 @@ type mutation struct {
 func decodeRecord(op byte, payload []byte) (m mutation, err error) {
 	switch op {
 	case opStore:
-		if m.name, m.table, err = wire.DecodeStore(payload); err == nil {
-			err = servedScheme(m.name, m.table)
+		if m.name, m.slab, err = wire.DecodeStoreSlab(payload); err == nil {
+			err = servedScheme(m.name, m.slab.SchemeID)
 		}
 	case opInsert:
-		m.name, m.tuples, err = wire.DecodeInsert(payload)
+		m.name, m.runs, err = wire.DecodeInsertRuns(payload)
 	case opDrop:
 		m.name, err = wire.DecodeName(payload)
 	default:
@@ -463,13 +485,13 @@ func (s *Store) applyRecord(op byte, payload []byte) error {
 	}
 	switch op {
 	case opStore:
-		s.tables[m.name] = newTableEntry(m.table, s.clock.Add(1))
+		s.tables[m.name] = newTableEntry(m.slab, s.clock.Add(1))
 	case opInsert:
 		e, ok := s.tables[m.name]
 		if !ok {
 			return fmt.Errorf("storage: insert into unknown table %q", m.name)
 		}
-		e.t.Tuples = append(e.t.Tuples, m.tuples...)
+		m.runs.AppendTo(e.slab)
 		e.version = s.clock.Add(1)
 	case opDrop:
 		delete(s.tables, m.name)
@@ -477,27 +499,33 @@ func (s *Store) applyRecord(op byte, payload []byte) error {
 	return nil
 }
 
-// Put stores (or replaces) the encrypted table under name. Replacement
-// installs a fresh entry at a fresh base and invalidates the old base's
-// cached results; queries still running against a replaced table finish
-// on the snapshot they started with, and any result they cache
-// afterwards lands under the old base, which no read looks up again.
-//
-// The deep copy and the record encoding run before any lock is taken;
-// the store lock covers only the log staging and the catalogue install,
-// and the durability wait holds no locks at all.
+// Put stores (or replaces) the encrypted table under name: PutSlab of a
+// copy of t in a fresh slab.
 func (s *Store) Put(name string, t *ph.EncryptedTable) error {
+	return s.PutSlab(name, ph.NewSlab(t))
+}
+
+// PutSlab stores (or replaces) the table slab holds under name, taking
+// ownership of slab: the server hands over the slab wire.DecodeStoreSlab
+// copied a CmdStore frame into. Replacement installs a fresh entry at a
+// fresh base and invalidates the old base's cached results; queries
+// still running against a replaced table finish on the snapshot they
+// started with, and any result they cache afterwards lands under the old
+// base, which no read looks up again.
+//
+// The record is encoded from the slab before any lock is taken; the
+// store lock covers only the log staging and the catalogue install, and
+// the durability wait holds no locks at all.
+func (s *Store) PutSlab(name string, slab *ph.Slab) error {
 	if name == "" {
 		return fmt.Errorf("storage: empty table name")
 	}
-	if err := servedScheme(name, t); err != nil {
+	if err := servedScheme(name, slab.SchemeID); err != nil {
 		return err
 	}
-	clone := t.Clone()
 	var payload []byte
 	if s.wal != nil {
-		payload = wire.AppendString(nil, name)
-		payload = wire.EncodeTable(payload, t)
+		payload = wire.EncodeSlab(wire.AppendString(nil, name), slab)
 	}
 	s.mu.Lock()
 	old := s.tables[name]
@@ -523,7 +551,7 @@ func (s *Store) Put(name string, t *ph.EncryptedTable) error {
 		old.mu.Unlock()
 	}
 	v := s.clock.Add(1)
-	s.tables[name] = newTableEntry(clone, v)
+	s.tables[name] = newTableEntry(slab, v)
 	if old != nil && s.cache != nil {
 		s.cache.InvalidateTable(old.base)
 	}
@@ -550,19 +578,28 @@ func (s *Store) Append(name string, tuples []ph.EncryptedTuple) error {
 // and the table version the append installed. A client maintaining the
 // table's authenticated root incrementally needs exactly this pair: base
 // tells it where its leaves went, version stamps the snapshot.
+func (s *Store) AppendStamped(name string, tuples []ph.EncryptedTuple) (base int, version uint64, err error) {
+	return s.appendTo(name, func(slab *ph.Slab) { slab.AppendTuples(tuples) })
+}
+
+// AppendRuns is AppendStamped for the runs of a CmdInsert frame, which
+// wire.DecodeInsertRuns validated: their bytes are copied from the
+// frame straight into the table's slab.
+func (s *Store) AppendRuns(name string, runs wire.Runs) (base int, version uint64, err error) {
+	return s.appendTo(name, runs.AppendTo)
+}
+
+// appendTo runs add on the named table's slab under its write lock and
+// logs what add appended. The insert record is encoded from the slab's
+// new tail into a pooled buffer — the bytes wire.EncodeInsert writes for
+// the same tuples — and if the log refuses it the tail is truncated away
+// before anyone can see it.
 //
 // If the entry's authenticated index has been materialised, the append
 // extends it in place (O(k + log n) hashes under the table's write lock)
 // instead of invalidating it; a never-requested index stays unbuilt and
 // costs appends nothing.
-func (s *Store) AppendStamped(name string, tuples []ph.EncryptedTuple) (base int, version uint64, err error) {
-	var payload []byte
-	if s.wal != nil {
-		// A pooled buffer: walWriter.write copies the record out of it
-		// before it returns.
-		payload = wire.EncodeInsert(wire.GetBuf(), name, tuples)
-		defer wire.PutBuf(payload)
-	}
+func (s *Store) appendTo(name string, add func(*ph.Slab)) (base int, version uint64, err error) {
 	for {
 		s.mu.RLock()
 		e, ok := s.tables[name]
@@ -577,15 +614,21 @@ func (s *Store) AppendStamped(name string, tuples []ph.EncryptedTuple) (base int
 			e.mu.Unlock()
 			continue
 		}
+		base = e.slab.Len()
+		add(e.slab)
 		var seq uint64
 		if s.wal != nil {
-			if seq, err = s.wal.write(opInsert, payload); err != nil {
+			// walWriter.write copies the record out of the buffer before
+			// it returns.
+			payload := wire.AppendSlab(wire.AppendString(wire.GetBuf(), name), e.slab, base, e.slab.Len())
+			seq, err = s.wal.write(opInsert, payload)
+			wire.PutBuf(payload)
+			if err != nil {
+				e.slab.Truncate(base)
 				e.mu.Unlock()
 				return 0, 0, err
 			}
 		}
-		base = len(e.t.Tuples)
-		e.t.Tuples = append(e.t.Tuples, tuples...)
 		version = s.clock.Add(1)
 		e.version = version
 		e.extendTreeLocked()
@@ -608,22 +651,41 @@ func (e *tableEntry) extendTreeLocked() {
 	}
 }
 
-// Get returns a deep copy of the named table. Only the slice header (and
-// the immutable scheme/meta fields) are snapshotted under the table's
-// read lock; the deep copy runs outside it, so exporting a large table no
-// longer stalls writers for the whole copy. This is safe because stored
-// tuples are immutable once appended: Append only grows the slice beyond
-// the snapshotted length (or reallocates), Put installs a fresh entry,
-// and nothing ever mutates Tuples[0:len] in place.
+// Get returns a deep copy of the named table. Only the slab's run
+// headers are snapshotted under the table's read lock; the copy runs
+// outside it, so exporting a large table does not stall writers for the
+// whole copy. This is safe because no byte below a run's length is ever
+// written again: an append grows the last run past the snapshotted
+// length (or reallocates it), and Put installs a fresh entry.
 func (s *Store) Get(name string) (*ph.EncryptedTable, error) {
+	snap, err := s.snapshot(name)
+	if err != nil {
+		return nil, err
+	}
+	return snap.Table(), nil
+}
+
+// AppendTable appends the named table's encoding, as wire.EncodeTable
+// writes it, to dst: the answer to CmdFetchAll, encoded straight from a
+// snapshot of the slab as Get copies it.
+func (s *Store) AppendTable(dst []byte, name string) ([]byte, error) {
+	snap, err := s.snapshot(name)
+	if err != nil {
+		return dst, err
+	}
+	return wire.EncodeSlab(dst, snap), nil
+}
+
+// snapshot returns the named table's slab as of now, for reading
+// without a lock.
+func (s *Store) snapshot(name string) (*ph.Slab, error) {
 	e, err := s.entry(name)
 	if err != nil {
 		return nil, err
 	}
 	e.mu.RLock()
-	snap := ph.EncryptedTable{SchemeID: e.t.SchemeID, Meta: e.t.Meta, Tuples: e.t.Tuples}
-	e.mu.RUnlock()
-	return snap.Clone(), nil
+	defer e.mu.RUnlock()
+	return e.slab.Snapshot(), nil
 }
 
 // sketchDigest is a conjunct's sketch key, 8 bytes of its cache key.
@@ -643,33 +705,43 @@ func (e *tableEntry) observeScan(cj *query.Conjunct, hits, scanned int) {
 // read lock: per conjunct, its cache key — the only hash of its token
 // the read computes — the result-cache state (a hit makes the conjunct
 // free; a prefix entry halves its cost) and the sketch's selectivity
-// estimate, then orders everything into a Plan.
+// estimate, then orders everything into a Plan. A single select is one
+// allocation, its conjunct held in the plan.
 func (e *tableEntry) planConj(c *cache.Cache, name string, qs []*ph.EncryptedQuery) (*query.Plan, error) {
-	n := len(e.t.Tuples)
+	n := e.slab.Len()
+	if len(qs) == 1 {
+		var cj query.Conjunct
+		e.conjunct(c, &cj, 0, qs[0], n)
+		return query.Single(name, n, cj), nil
+	}
 	conjs := make([]query.Conjunct, len(qs))
 	for i, q := range qs {
-		cj := &conjs[i]
-		cj.Index, cj.Q = i, q
-		cj.Key = cache.Key{Table: e.base, Token: sha256.Sum256(q.Token)}
-		if c != nil {
-			cj.Entry, cj.Cached = c.Lookup(cj.Key, n)
-		}
-		switch cj.Cached {
-		case cache.Hit:
-			cj.EstKnown = true
-			if n > 0 {
-				cj.Est = float64(len(cj.Positions)) / float64(n)
-			}
-		case cache.Delta:
-			if cj.Scanned > 0 {
-				cj.EstKnown = true
-				cj.Est = float64(len(cj.Positions)) / float64(cj.Scanned)
-			}
-		default:
-			cj.Est, cj.EstKnown = e.sketch.Estimate(sketchDigest(cj), len(q.Token))
-		}
+		e.conjunct(c, &conjs[i], i, q, n)
 	}
 	return query.Build(name, n, conjs)
+}
+
+// conjunct fills cj, conjunct i of a plan over n tuples, from q.
+func (e *tableEntry) conjunct(c *cache.Cache, cj *query.Conjunct, i int, q *ph.EncryptedQuery, n int) {
+	cj.Index, cj.Q = i, q
+	cj.Key = cache.Key{Table: e.base, Token: sha256.Sum256(q.Token)}
+	if c != nil {
+		cj.Entry, cj.Cached = c.Lookup(cj.Key, n)
+	}
+	switch cj.Cached {
+	case cache.Hit:
+		cj.EstKnown = true
+		if n > 0 {
+			cj.Est = float64(len(cj.Positions)) / float64(n)
+		}
+	case cache.Delta:
+		if cj.Scanned > 0 {
+			cj.EstKnown = true
+			cj.Est = float64(len(cj.Positions)) / float64(cj.Scanned)
+		}
+	default:
+		cj.Est, cj.EstKnown = e.sketch.Estimate(sketchDigest(cj), len(q.Token))
+	}
 }
 
 // Read evaluates one plan — a conjunction of one or more encrypted
@@ -683,7 +755,7 @@ func (e *tableEntry) planConj(c *cache.Cache, name string, qs []*ph.EncryptedQue
 // estimate and run through internal/query: its driver step is a cache
 // hit (no tuple touched), a delta (only the tail appended since the
 // entry was stored is scanned) or a miss, and later steps narrow the
-// survivors. A miss is a full-table scan on this goroutine (core.EvaluateOn,
+// survivors. A miss is a full-table scan on this goroutine (core.EvaluateSlab,
 // fanned out over whatever the scheduler budget has idle), unless an
 // identical scan — same cache key and tuple count — is already in
 // flight, in which case this read waits for it and shares its positions
@@ -707,13 +779,14 @@ func (e *tableEntry) planConj(c *cache.Cache, name string, qs []*ph.EncryptedQue
 // cache is consulted, which counts in its statistics, but no tuple is
 // scanned). The plan itself is returned for callers that report on it.
 //
-// The answer is a read-only view: its tuples are the stored headers
-// copied by value under the read lock, sharing their ID, Blob and word
-// bytes with the table. That is safe after the lock drops — the server
-// encodes the answer then — for the reason Get's snapshot is: nothing
-// ever writes Tuples[0:len] in place, so bytes a view holds never change.
-// A caller that wants to modify an answer must copy it first. A token of
-// another scheme is refused before planning: EvaluateOn takes any token
+// The answer is a read-only view of the slab (ph.Slab.Answer): each
+// tuple's ID and words are sub-slices of its run's bytes, and the word
+// headers of the whole answer are cut from one array under the read
+// lock. That is safe after the lock drops — the server encodes the
+// answer then — for the reason Get's snapshot is: no byte below a run's
+// length is ever written again, so bytes a view holds never change. A
+// caller that wants to modify an answer must copy it first. A token of
+// another scheme is refused before planning: EvaluateSlab takes any token
 // as an SWP trapdoor.
 func (s *Store) Read(name string, qs []*ph.EncryptedQuery, flags byte) (query.Response, *query.Plan, error) {
 	for i, q := range qs {
@@ -735,13 +808,13 @@ func (s *Store) Read(name string, qs []*ph.EncryptedQuery, flags byte) (query.Re
 		plan.Annotate()
 		return query.Response{Plan: plan.Info()}, plan, nil
 	}
-	n := len(e.t.Tuples)
+	n := e.slab.Len()
 	driver := &plan.Conjuncts[0]
-	positions, err := plan.Run(e.t, func(et *ph.EncryptedTable, q *ph.EncryptedQuery, candidates []int) ([]int, error) {
-		if et != e.t || candidates != nil {
-			return evaluateOn(et, q, candidates) // a tail delta or a narrowing pass
+	positions, err := plan.Run(n, func(q *ph.EncryptedQuery, from int, candidates []int) ([]int, error) {
+		if from > 0 || candidates != nil {
+			return evaluateOn(e.slab, q, from, candidates) // a tail delta or a narrowing pass
 		}
-		return s.share.Scan(driver.Key, n, func() ([]int, error) { return evaluateOn(et, q, nil) })
+		return s.share.Scan(driver.Key, n, func() ([]int, error) { return evaluateOn(e.slab, q, 0, nil) })
 	})
 	if err != nil {
 		return query.Response{}, nil, err
@@ -760,10 +833,7 @@ func (s *Store) Read(name string, qs []*ph.EncryptedQuery, flags byte) (query.Re
 			e.observeScan(cj, cj.NarrowHits, cj.Tested)
 		}
 	}
-	res := &ph.Result{Positions: positions, Tuples: make([]ph.EncryptedTuple, len(positions))}
-	for i, p := range positions {
-		res.Tuples[i] = e.t.Tuples[p]
-	}
+	res := e.slab.Answer(positions)
 	if flags&wire.ReadFlagVerified == 0 {
 		return query.Response{Result: res}, plan, nil
 	}
@@ -820,7 +890,7 @@ func (s *Store) Root(name string) (root []byte, tuples int, version uint64, err 
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.authTree().Root(), len(e.t.Tuples), e.version, nil
+	return e.authTree().Root(), e.slab.Len(), e.version, nil
 }
 
 // Drop removes the named table. Like Put, the record is staged while
@@ -916,7 +986,7 @@ func (s *Store) lockCatalog(write bool) (names []string, unlock func()) {
 func (s *Store) writeCatalog(w io.Writer, names []string) (size int64, err error) {
 	var payload, rec []byte
 	for _, name := range names {
-		payload = wire.EncodeTable(wire.AppendString(payload[:0], name), s.tables[name].t)
+		payload = wire.EncodeSlab(wire.AppendString(payload[:0], name), s.tables[name].slab)
 		if len(payload) > wire.MaxFrameSize {
 			return size, fmt.Errorf("storage: table %q encodes to %d bytes, above the %d-byte record cap", name, len(payload), wire.MaxFrameSize)
 		}
@@ -1022,7 +1092,7 @@ func (s *Store) List() []wire.TableInfo {
 	infos := make([]wire.TableInfo, 0, len(s.tables))
 	for name, e := range s.tables {
 		e.mu.RLock()
-		infos = append(infos, wire.TableInfo{Name: name, SchemeID: e.t.SchemeID, Tuples: len(e.t.Tuples)})
+		infos = append(infos, wire.TableInfo{Name: name, SchemeID: e.slab.SchemeID, Tuples: e.slab.Len()})
 		e.mu.RUnlock()
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })

@@ -201,6 +201,11 @@ var errLogClosed = errors.New("storage: log closed")
 // implements the sync policies, including leader-based group commit for
 // SyncAlways.
 //
+// The staging buffers (pending, spare, scratch) grow as large as one
+// batch needs but are kept across commits only while within
+// wire.MaxKeptBuf (wire.KeepBuf): a bulk store record must not stay
+// pinned for the store's life.
+//
 // Lock order: wr.mu and wr.sm are leaves; nothing is acquired while
 // holding them. Callers may hold store or table locks when calling
 // write, but never when calling waitDurable (the fsync wait must not
@@ -295,7 +300,9 @@ func (w *walWriter) write(op byte, payload []byte) (uint64, error) {
 		return w.wseq, nil
 	}
 	w.scratch = appendWALRecord(w.scratch[:0], op, payload)
-	if err := w.writeLocked(w.scratch); err != nil {
+	err := w.writeLocked(w.scratch)
+	w.scratch = wire.KeepBuf(w.scratch)
+	if err != nil {
 		return 0, err
 	}
 	w.wseq++
@@ -418,19 +425,13 @@ func (w *walWriter) flushAndSync() (uint64, error) {
 			w.syncs.Add(1)
 		}
 	}
-	// Recycle the flushed buffer as the next spare, unless one huge
-	// batch grew it past what is worth pinning.
-	if cap(buf) <= maxPendingBuf {
-		w.mu.Lock()
-		w.spare = buf[:0]
-		w.mu.Unlock()
-	}
+	// Recycle the flushed buffer as the next spare, unless a bulk record
+	// grew it past what is worth pinning.
+	w.mu.Lock()
+	w.spare = wire.KeepBuf(buf)
+	w.mu.Unlock()
 	return upto, err
 }
-
-// maxPendingBuf caps the staging buffers the writer keeps across
-// commits (the buffers still grow arbitrarily within one batch).
-const maxPendingBuf = 1 << 20
 
 // syncLoop is the SyncInterval background fsync. It reuses the group
 // commit path so a concurrent Compact or Close coordinates with it the
@@ -497,7 +498,7 @@ func (w *walWriter) installFile(f LogFile, size int64, recs uint64) error {
 	w.f = f
 	w.off = size
 	w.recs = recs
-	w.pending = w.pending[:0]
+	w.pending = wire.KeepBuf(w.pending)
 	w.werr = nil
 	seq := w.wseq
 	w.mu.Unlock()

@@ -2,11 +2,13 @@ package storage
 
 import (
 	"errors"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/ph"
 	"repro/internal/wire"
 )
 
@@ -295,5 +297,51 @@ func TestWALSyncErrorSticky(t *testing.T) {
 	}
 	if _, err := w.write(opInsert, []byte{2}); err == nil {
 		t.Fatal("writer accepted a record after an unresolved fsync failure")
+	}
+}
+
+// TestWALKeepsNoBulkBuffer: after store records of more than 2 MiB and
+// of half a MiB, and the flush that commits them, no staging buffer the
+// log writer keeps is larger than wire.MaxKeptBuf, under any sync
+// policy — a bulk upload must not stay pinned for the store's life.
+func TestWALKeepsNoBulkBuffer(t *testing.T) {
+	bulk := func(kib int) *ph.EncryptedTable {
+		et := fixtureTable(4, 0xAA)
+		for i := 0; i < kib; i++ {
+			et.Tuples = append(et.Tuples, ph.EncryptedTuple{ID: et.Tuples[0].ID, Words: [][]byte{make([]byte, 1024), {byte(i)}}})
+		}
+		return et
+	}
+	for _, p := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
+		t.Run(p.String(), func(t *testing.T) {
+			s, err := OpenOptions(filepath.Join(t.TempDir(), "store.log"), Options{Sync: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Put("bulk", bulk(2048)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put("half", bulk(512)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Append("bulk", fixtureTable(2, 0xBB).Tuples); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if size, _ := s.LogSize(); size < 5<<19 {
+				t.Fatalf("log of %d bytes: the store records are not bulk", size)
+			}
+			w := s.wal
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			for name, b := range map[string][]byte{"pending": w.pending, "spare": w.spare, "scratch": w.scratch} {
+				if cap(b) > wire.MaxKeptBuf {
+					t.Errorf("%s keeps a %d-byte buffer, above wire.MaxKeptBuf = %d", name, cap(b), wire.MaxKeptBuf)
+				}
+			}
+		})
 	}
 }

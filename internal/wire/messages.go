@@ -30,16 +30,10 @@ import (
 // appendTuples appends a tuple list: count, then runs.
 func appendTuples(dst []byte, tuples []ph.EncryptedTuple) []byte {
 	dst = AppendU32(dst, uint32(len(tuples)))
+	var lens [16]int
 	for len(tuples) > 0 {
-		n := runLen(tuples)
-		t := tuples[0]
-		dst = binary.AppendUvarint(dst, uint64(n))
-		dst = binary.AppendUvarint(dst, uint64(len(t.ID)))
-		dst = binary.AppendUvarint(dst, uint64(len(t.Blob)))
-		dst = binary.AppendUvarint(dst, uint64(len(t.Words)))
-		for _, w := range t.Words {
-			dst = binary.AppendUvarint(dst, uint64(len(w)))
-		}
+		sh, n := runLen(tuples, lens[:])
+		dst = appendRunHeader(dst, n, sh)
 		for _, t := range tuples[:n] {
 			dst = append(dst, t.ID...)
 			dst = append(dst, t.Blob...)
@@ -55,107 +49,136 @@ func appendTuples(dst []byte, tuples []ph.EncryptedTuple) []byte {
 // tuplesLen is the length appendTuples appends.
 func tuplesLen(tuples []ph.EncryptedTuple) int {
 	size := 4
+	var lens [16]int
 	for len(tuples) > 0 {
-		n := runLen(tuples)
-		t := tuples[0]
-		size += uvarintLen(n) + uvarintLen(len(t.ID)) + uvarintLen(len(t.Blob)) + uvarintLen(len(t.Words))
-		for _, w := range t.Words {
-			size += uvarintLen(len(w))
-		}
-		size += n * stride(t)
+		sh, n := runLen(tuples, lens[:])
+		size += runHeaderLen(n, sh) + n*sh.Stride()
 		tuples = tuples[n:]
 	}
 	return size
 }
 
-// runLen is how many tuples, from the first, one run carries: every one
-// of the first's shape, or the first alone when it is shorter than its
-// word count plus one (a run holds a byte per tuple and per word).
-func runLen(tuples []ph.EncryptedTuple) int {
-	t := tuples[0]
-	if stride(t) <= len(t.Words) {
-		return 1
-	}
-	n := 1
-	for n < len(tuples) && sameShape(t, tuples[n]) {
+// runLen returns the shape of the first tuple, its word lengths in
+// lens, and how many tuples from the first one run carries: every one of
+// that shape, up to runOf's bound.
+func runLen(tuples []ph.EncryptedTuple, lens []int) (ph.Shape, int) {
+	sh := ph.ShapeOf(tuples[0], lens)
+	n, most := 1, runOf(len(tuples), sh)
+	for n < most && sh.Fits(tuples[n]) {
 		n++
 	}
+	return sh, n
+}
+
+// runOf is how many of n tuples of shape sh one run may carry: all of
+// them, or one when a tuple is no longer than its word count (a run
+// holds a byte per tuple and per word). It is the encoders' one rule for
+// cutting runs.
+func runOf(n int, sh ph.Shape) int {
+	if sh.Stride() <= len(sh.Words) {
+		return 1
+	}
 	return n
 }
 
-// stride is a tuple's length in a run: its ID, blob and words.
-func stride(t ph.EncryptedTuple) int {
-	n := len(t.ID) + len(t.Blob)
-	for _, w := range t.Words {
-		n += len(w)
+// appendRunHeader appends the header of a run of n tuples of shape sh.
+func appendRunHeader(dst []byte, n int, sh ph.Shape) []byte {
+	dst = binary.AppendUvarint(dst, uint64(n))
+	dst = binary.AppendUvarint(dst, uint64(sh.ID))
+	dst = binary.AppendUvarint(dst, uint64(sh.Blob))
+	dst = binary.AppendUvarint(dst, uint64(len(sh.Words)))
+	for _, l := range sh.Words {
+		dst = binary.AppendUvarint(dst, uint64(l))
 	}
-	return n
+	return dst
 }
 
-// sameShape reports whether two tuples' IDs, blobs and words have the
-// same lengths.
-func sameShape(a, b ph.EncryptedTuple) bool {
-	if len(a.ID) != len(b.ID) || len(a.Blob) != len(b.Blob) || len(a.Words) != len(b.Words) {
-		return false
+// runHeaderLen is the length appendRunHeader appends.
+func runHeaderLen(n int, sh ph.Shape) int {
+	size := uvarintLen(n) + uvarintLen(sh.ID) + uvarintLen(sh.Blob) + uvarintLen(len(sh.Words))
+	for _, l := range sh.Words {
+		size += uvarintLen(l)
 	}
-	for i, w := range a.Words {
-		if len(w) != len(b.Words[i]) {
-			return false
-		}
-	}
-	return true
+	return size
 }
 
 // uvarintLen is the length of v's uvarint encoding: 7 bits a byte.
 func uvarintLen(v int) int { return (bits.Len(uint(v)|1) + 6) / 7 }
 
-// decodeTuples parses the runs of a list of n tuples in two walks of one
-// loop. The first validates every run header against the payload and
-// measures the list, so a hostile count or length fails before anything
-// is allocated; the second copies each run's body into one allocation
-// with one copy and cuts its tuples out at the stride, and their word
-// headers out of a second. Every slice handed out is a three-index
-// slice of those two, so an append to one tuple's ID or Words can never
-// write into its neighbour's, and none aliases the payload
-// (ReadFrameReuse's contract).
+// decodeTuples parses the runs of a list of n tuples.
 func decodeTuples(r *Buffer, n uint32) ([]ph.EncryptedTuple, error) {
-	start := r.off
-	size, words, err := walkRuns(r, n, nil, nil, nil)
+	ts, err := r.readRuns(n)
 	if err != nil {
 		return nil, err
 	}
-	// The walk found n tuples and their words at a byte each at least
-	// in the payload, so n, size and words are all bounded by its length.
-	tuples := make([]ph.EncryptedTuple, n)
-	r.off = start
-	if _, _, err := walkRuns(r, n, tuples, make([]byte, size), make([][]byte, words)); err != nil {
-		return nil, err
-	}
-	return tuples, nil
+	return ts.tuples(), nil
 }
 
-// walkRuns reads the runs of n tuples from r. With tuples nil it only
-// validates them and returns the bytes their bodies hold and their
-// total word count; otherwise it also fills tuples, copying the bodies
-// into region and cutting the word lists out of words, which a
-// measuring walk over the same bytes sized.
-func walkRuns(r *Buffer, n uint32, tuples []ph.EncryptedTuple, region []byte, words [][]byte) (size, nwords int, err error) {
-	for done := 0; done < int(n); {
-		h, err := r.runHeader(int(n) - done)
+// tuples decodes the list: each run's body is copied into one
+// allocation and its tuples cut out at the stride, their word headers
+// out of a second. readRuns found n tuples and their words at a byte
+// each at least in the payload, so what this allocates is bounded by its
+// length. Every slice handed out is a three-index slice of those two, so
+// an append to one tuple's ID or Words can never write into its
+// neighbour's, and none aliases the payload (ReadFrameReuse's contract).
+func (ts Runs) tuples() []ph.EncryptedTuple {
+	tuples := make([]ph.EncryptedTuple, ts.n)
+	region, words := make([]byte, 0, ts.size), make([][]byte, ts.words)
+	done, w := 0, 0
+	ts.each(func(h run, body []byte) {
+		region = append(region, body...)
+		h.cut(tuples[done:done+h.n], region[len(region)-len(body):], words[w:w+h.n*h.k])
+		done, w = done+h.n, w+h.n*h.k
+	})
+	return tuples
+}
+
+// Runs is a tuple list whose runs a decoder has validated, as a view of
+// the payload it was read from: it is valid only while the payload is.
+type Runs struct {
+	n, size, words int // tuples, body bytes, words
+	b              []byte
+}
+
+// Len is the list's tuple count.
+func (ts Runs) Len() int { return ts.n }
+
+// readRuns validates the runs of a list of n tuples against the payload
+// and returns them, measured: a hostile count or length fails before
+// anything is allocated.
+func (r *Buffer) readRuns(n uint32) (Runs, error) {
+	ts := Runs{n: int(n)}
+	start := r.off
+	for done := 0; done < ts.n; {
+		h, err := r.runHeader(ts.n - done)
 		if err != nil {
-			return 0, 0, fmt.Errorf("wire: tuple %d: %w", done, err)
+			return Runs{}, fmt.Errorf("wire: tuple %d: %w", done, err)
 		}
-		body := r.b[r.off : r.off+h.n*h.stride]
-		r.off += len(body)
-		if tuples != nil {
-			copy(region[size:], body)
-			h.cut(tuples[done:done+h.n], region[size:size+len(body)], words[nwords:nwords+h.n*h.k])
-		}
-		size += len(body)
-		nwords += h.n * h.k
+		r.off += h.n * h.stride
+		ts.size += h.n * h.stride
+		ts.words += h.n * h.k
 		done += h.n
 	}
-	return size, nwords, nil
+	ts.b = r.b[start:r.off]
+	return ts, nil
+}
+
+// each calls fn on every run of the list with its body.
+func (ts Runs) each(fn func(h run, body []byte)) {
+	r := NewBuffer(ts.b)
+	for done := 0; done < ts.n; {
+		h, _ := r.runHeader(ts.n - done) // readRuns validated it
+		fn(h, r.b[r.off:r.off+h.n*h.stride])
+		r.off += h.n * h.stride
+		done += h.n
+	}
+}
+
+// AppendTo copies the list's tuples onto the end of s, straight from the
+// payload, run by run (ph.Slab.AppendRun).
+func (ts Runs) AppendTo(s *ph.Slab) {
+	var lens [16]int
+	ts.each(func(h run, body []byte) { s.AppendRun(h.shape(lens[:]), h.n, body) })
 }
 
 // run is one run's header: its tuple count and the shape they share.
@@ -269,22 +292,33 @@ func EncodeTable(dst []byte, t *ph.EncryptedTable) []byte {
 
 // DecodeTable parses an encrypted table from the buffer.
 func DecodeTable(r *Buffer) (*ph.EncryptedTable, error) {
-	t := &ph.EncryptedTable{}
-	var err error
-	if t.SchemeID, err = r.String(); err != nil {
-		return nil, fmt.Errorf("wire: table scheme id: %w", err)
+	s, ts, err := r.table()
+	if err != nil {
+		return nil, err
 	}
-	if t.Meta, err = r.Bytes(); err != nil {
-		return nil, fmt.Errorf("wire: table meta: %w", err)
+	return &ph.EncryptedTable{SchemeID: s.SchemeID, Meta: s.Meta, Tuples: ts.tuples()}, nil
+}
+
+// table reads a table's scheme ID and meta into an empty slab and
+// validates its runs.
+func (r *Buffer) table() (*ph.Slab, Runs, error) {
+	s := &ph.Slab{}
+	var err error
+	if s.SchemeID, err = r.String(); err != nil {
+		return nil, Runs{}, fmt.Errorf("wire: table scheme id: %w", err)
+	}
+	if s.Meta, err = r.Bytes(); err != nil {
+		return nil, Runs{}, fmt.Errorf("wire: table meta: %w", err)
 	}
 	n, err := r.U32()
 	if err != nil {
-		return nil, fmt.Errorf("wire: table tuple count: %w", err)
+		return nil, Runs{}, fmt.Errorf("wire: table tuple count: %w", err)
 	}
-	if t.Tuples, err = decodeTuples(r, n); err != nil {
-		return nil, fmt.Errorf("wire: table: %w", err)
+	ts, err := r.readRuns(n)
+	if err != nil {
+		return nil, Runs{}, fmt.Errorf("wire: table: %w", err)
 	}
-	return t, nil
+	return s, ts, nil
 }
 
 // DecodeName parses a payload that is exactly one table name (CmdFetchAll,
@@ -322,20 +356,98 @@ func EncodeInsert(dst []byte, name string, tuples []ph.EncryptedTuple) []byte {
 
 // DecodeInsert parses an insert payload, which must hold nothing else.
 func DecodeInsert(payload []byte) (string, []ph.EncryptedTuple, error) {
+	name, ts, err := DecodeInsertRuns(payload)
+	if err != nil {
+		return "", nil, err
+	}
+	return name, ts.tuples(), nil
+}
+
+// shape is the run's shape, its word lengths in lens when it has the
+// room.
+func (h run) shape(lens []int) ph.Shape {
+	sh := ph.Shape{ID: h.id, Blob: h.blob, Words: lens[:0]}
+	for b := h.lens; len(b) > 0; {
+		l, m := binary.Uvarint(b)
+		sh.Words = append(sh.Words, int(l))
+		b = b[m:]
+	}
+	return sh
+}
+
+// DecodeInsertRuns parses an insert payload, which must hold nothing
+// else, validating its runs without decoding a tuple: the runs are a
+// view of payload.
+func DecodeInsertRuns(payload []byte) (string, Runs, error) {
 	r := NewBuffer(payload)
 	name, err := r.String()
 	if err != nil {
-		return "", nil, fmt.Errorf("wire: insert table name: %w", err)
+		return "", Runs{}, fmt.Errorf("wire: insert table name: %w", err)
 	}
 	n, err := r.U32()
 	if err != nil {
-		return "", nil, fmt.Errorf("wire: insert tuple count: %w", err)
+		return "", Runs{}, fmt.Errorf("wire: insert tuple count: %w", err)
 	}
-	tuples, err := decodeTuples(r, n)
+	ts, err := r.readRuns(n)
 	if err != nil {
-		return "", nil, fmt.Errorf("wire: insert: %w", err)
+		return "", Runs{}, fmt.Errorf("wire: insert: %w", err)
 	}
-	return name, tuples, r.Err()
+	return name, ts, r.Err()
+}
+
+// DecodeStoreSlab parses a payload that is exactly name | table into a
+// fresh slab: every run is validated before any is copied, then each
+// run's bytes are copied once, into the slab.
+func DecodeStoreSlab(payload []byte) (string, *ph.Slab, error) {
+	r := NewBuffer(payload)
+	name, err := r.String()
+	if err != nil {
+		return "", nil, fmt.Errorf("wire: store table name: %w", err)
+	}
+	s, ts, err := r.table()
+	if err == nil {
+		err = r.Err()
+	}
+	if err != nil {
+		return "", nil, err
+	}
+	ts.AppendTo(s)
+	return name, s, nil
+}
+
+// EncodeSlab serialises a slab as an encrypted table: the bytes
+// EncodeTable writes for the table it holds. It grows dst once, to the
+// encoding's exact size.
+func EncodeSlab(dst []byte, s *ph.Slab) []byte {
+	size := 8 + len(s.SchemeID) + len(s.Meta)
+	eachPiece(s, 0, s.Len(), func(r *ph.Run, _, n int) { size += runHeaderLen(n, r.Shape) + n*r.Stride })
+	dst = slices.Grow(dst, size)
+	dst = AppendString(dst, s.SchemeID)
+	dst = AppendBytes(dst, s.Meta)
+	return AppendSlab(dst, s, 0, s.Len())
+}
+
+// AppendSlab appends the tuple list of the slab's tuples at positions
+// [lo, hi): the bytes appendTuples writes for those tuples.
+func AppendSlab(dst []byte, s *ph.Slab, lo, hi int) []byte {
+	dst = AppendU32(dst, uint32(hi-lo))
+	eachPiece(s, lo, hi, func(r *ph.Run, at, n int) {
+		dst = appendRunHeader(dst, n, r.Shape)
+		dst = append(dst, r.Body[at*r.Stride:(at+n)*r.Stride]...)
+	})
+	return dst
+}
+
+// eachPiece calls fn on each wire run of the slab's tuples at positions
+// [lo, hi): n tuples of run r from its tuple at on, a piece of r as
+// runOf cuts it.
+func eachPiece(s *ph.Slab, lo, hi int, fn func(r *ph.Run, at, n int)) {
+	for lo < hi {
+		r := s.Run(lo)
+		n := runOf(min(hi, r.Start+r.N)-lo, r.Shape)
+		fn(r, lo-r.Start, n)
+		lo += n
+	}
 }
 
 // EncodeQuery serialises an encrypted query.

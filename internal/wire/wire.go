@@ -25,7 +25,11 @@
 // internal/query, next to the planner and above internal/authindex,
 // whose types the answers carry; this package holds the pieces it is
 // built from (EncodeQuery, EncodeResult) and the mutation payloads
-// (EncodeInsert, DecodeStore, DecodeName).
+// (EncodeInsert, DecodeStore, DecodeName). A store reads a mutation
+// without decoding a tuple: DecodeStoreSlab copies a table's runs into a
+// ph.Slab, DecodeInsertRuns validates an insert's runs for the store to
+// copy, and EncodeSlab and AppendSlab write a slab's tuples back out as
+// the bytes EncodeTable and EncodeInsert write for them.
 //
 // The protocol deliberately carries only ciphertext-domain objects —
 // encrypted tables, encrypted queries, result position sets. The server
@@ -228,7 +232,9 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // per message, never an alias (Buffer.Bytes copies out of the payload,
 // and a run of tuples is copied into one region of its own) — which is
 // what lets a server connection and a client.Conn each read every frame
-// into one buffer for their whole life.
+// into one buffer for their whole life. The one view is
+// DecodeInsertRuns' Runs, which the store copies into the table before
+// the connection reads its next frame.
 func ReadFrameReuse(r io.Reader, buf []byte) (Frame, []byte, error) {
 	// The header is read through the reusable buffer too: a local array
 	// would escape through the io.Reader interface call and cost one heap
