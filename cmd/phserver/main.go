@@ -8,6 +8,7 @@
 //	phserver [-addr :7632] [-log /path/to/store.log] [-sync always|interval|never] [-sync-interval 100ms]
 //	phserver [-addr :7633] -replica-of primary:7632 [-poll 100ms] [-log /path/to/replica.log]
 //	phserver [-addr :7640] -coordinator -shards host1:7632,host2:7632 [-shard-map-version 1]
+//	phserver ... [-debug-addr 127.0.0.1:7700]
 //
 // With -log the store is durable: mutations are appended to a
 // checksummed write-ahead log and replayed on restart (torn or corrupt
@@ -46,6 +47,16 @@
 //
 // -idle-timeout, -write-timeout and -max-conns bound per-connection
 // I/O and the connection count on any server (0 = unlimited).
+//
+// -debug-addr ADDR (off by default) serves, on a listener of its own:
+// /metrics, the Prometheus text format of the counters the layers keep
+// — result-cache lookups by outcome, scans started and attached to, log
+// records and fsyncs, scheduler allotments, tables, tuples, open
+// connections and, on a coordinator, per-shard read routing — read at
+// scrape time; /healthz, 200 while the process runs; /readyz, 503 while
+// a replica has not caught up or after a log failure has left the store
+// read-only, 200 otherwise; and /debug/pprof/. Keep it on a loopback or
+// otherwise private address: it serves profiles of the process.
 package main
 
 import (
@@ -82,6 +93,7 @@ func main() {
 		idleTO    = flag.Duration("idle-timeout", 0, "per-connection idle deadline between frames (0 = none)")
 		writeTO   = flag.Duration("write-timeout", 0, "per-response write deadline (0 = none)")
 		maxConns  = flag.Int("max-conns", 0, "maximum concurrent connections (0 = unlimited)")
+		debugAddr = flag.String("debug-addr", "", "serve /metrics, /healthz, /readyz and /debug/pprof/ on this address (empty = off)")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "phserver: ", log.LstdFlags)
@@ -104,6 +116,9 @@ func main() {
 		defer co.Close()
 		srv := server.NewProxy(co, logger, opts)
 		logger.Printf("coordinator over %d shards (partition map v%d); no local store", co.NumShards(), co.MapVersion())
+		if *debugAddr != "" {
+			serveDebug(*debugAddr, &debug{srv: srv, co: co}, logger)
+		}
 		serve(srv, *addr, logger)
 		return
 	}
@@ -156,6 +171,9 @@ func main() {
 	srv := server.NewWithOptions(store, logger, opts)
 	for _, info := range store.List() {
 		logger.Printf("replayed table %q (%s, %d tuples)", info.Name, info.SchemeID, info.Tuples)
+	}
+	if *debugAddr != "" {
+		serveDebug(*debugAddr, &debug{srv: srv, store: store, ready: opts.Ready}, logger)
 	}
 	serve(srv, *addr, logger)
 }

@@ -98,6 +98,11 @@ const (
 type Tree struct {
 	n      int      // real leaf count (0 for an empty table's sentinel tree)
 	levels [][]byte // levels[0] = leaf hashes, last level = the root alone
+	// root is the last level's hash, published as a slice of its own
+	// whenever the tree is built or extended and never written again, so
+	// that Root can hand it out without a copy while extensions rewrite
+	// the levels in place.
+	root []byte
 }
 
 // LeafHash hashes one encrypted tuple into its leaf. Every field is
@@ -175,8 +180,13 @@ func BuildLeaves(leaves []byte) *Tree {
 		tr.levels = append(tr.levels, next)
 		cur = next
 	}
+	tr.publishRoot()
 	return tr
 }
+
+// publishRoot copies the last level into a fresh root slice: readers
+// holding the previous one keep it unchanged.
+func (t *Tree) publishRoot() { t.root = bytes.Clone(t.levels[len(t.levels)-1]) }
 
 // pairUp writes into next, from node from on, the parents of the level
 // cur: each pair hashed, an odd trailing node promoted unchanged.
@@ -231,12 +241,13 @@ func (t *Tree) ExtendFlat(hashes []byte) {
 		t.levels[lvl+1] = next
 		first /= 2
 	}
+	t.publishRoot()
 }
 
-// Root returns the 32-byte tree root.
-func (t *Tree) Root() []byte {
-	return bytes.Clone(t.levels[len(t.levels)-1])
-}
+// Root returns the 32-byte tree root. It is shared, not copied: the
+// tree never writes to it again (an extension publishes a new one), and
+// the caller must not write to it either.
+func (t *Tree) Root() []byte { return t.root }
 
 // LeafCount returns the number of leaves.
 func (t *Tree) LeafCount() int { return len(t.levels[0]) / HashSize }

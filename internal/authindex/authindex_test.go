@@ -90,7 +90,7 @@ func TestWrongRootFails(t *testing.T) {
 	tab := tableOf(5)
 	tree := Build(tab)
 	proofs, _ := tree.Prove([]int{0})
-	badRoot := tree.Root()
+	badRoot := bytes.Clone(tree.Root())
 	badRoot[0] ^= 1
 	if err := Verify(badRoot, 5, tab.Tuples[0], proofs[0]); err == nil {
 		t.Fatal("wrong root accepted")

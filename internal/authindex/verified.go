@@ -57,32 +57,46 @@ func EncodeVerifiedResult(dst []byte, vr *VerifiedResult) []byte {
 // DecodeVerifiedResult parses a verified result from a wire buffer. The
 // sibling block is refused unless it is whole hashes and no more of them
 // than positions × c(leaves), the most any position set can need below
-// the cap level.
+// the cap level. The result and its Result are one allocation, and the
+// root and proof are Kept: views of an owned payload.
 func DecodeVerifiedResult(r *wire.Buffer) (*VerifiedResult, error) {
-	res, err := wire.DecodeResult(r)
-	if err != nil {
-		return nil, fmt.Errorf("authindex: verified result: %w", err)
+	a := new(struct {
+		vr  VerifiedResult
+		res ph.Result
+	})
+	if err := DecodeVerifiedResultInto(r, &a.vr, &a.res); err != nil {
+		return nil, err
 	}
-	root, err := r.Bytes()
+	return &a.vr, nil
+}
+
+// DecodeVerifiedResultInto is DecodeVerifiedResult into memory the
+// caller allocated, as part of a larger answer: vr, whose Result is res.
+func DecodeVerifiedResultInto(r *wire.Buffer, vr *VerifiedResult, res *ph.Result) error {
+	if err := wire.DecodeResultInto(r, res); err != nil {
+		return fmt.Errorf("authindex: verified result: %w", err)
+	}
+	root, err := r.Kept()
 	if err != nil {
-		return nil, fmt.Errorf("authindex: verified result root: %w", err)
+		return fmt.Errorf("authindex: verified result root: %w", err)
 	}
 	leaves, err := r.U32()
 	if err != nil {
-		return nil, fmt.Errorf("authindex: verified result leaf count: %w", err)
+		return fmt.Errorf("authindex: verified result leaf count: %w", err)
 	}
 	version, err := r.U64()
 	if err != nil {
-		return nil, fmt.Errorf("authindex: verified result version: %w", err)
+		return fmt.Errorf("authindex: verified result version: %w", err)
 	}
-	proof, err := r.Bytes()
+	proof, err := r.Kept()
 	if err != nil {
-		return nil, fmt.Errorf("authindex: verified result proof: %w", err)
+		return fmt.Errorf("authindex: verified result proof: %w", err)
 	}
 	level, _ := capLevel(int(leaves), CapNodes)
 	if most := len(res.Positions) * level; len(proof)%HashSize != 0 || len(proof)/HashSize > most {
-		return nil, fmt.Errorf("authindex: verified result proof of %d bytes: want whole %d-byte hashes, at most %d for %d positions of %d leaves",
+		return fmt.Errorf("authindex: verified result proof of %d bytes: want whole %d-byte hashes, at most %d for %d positions of %d leaves",
 			len(proof), HashSize, most, len(res.Positions), leaves)
 	}
-	return &VerifiedResult{Result: res, Root: root, Leaves: int(leaves), Version: version, Multiproof: proof}, nil
+	*vr = VerifiedResult{Result: res, Root: root, Leaves: int(leaves), Version: version, Multiproof: proof}
+	return nil
 }

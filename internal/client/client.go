@@ -810,9 +810,13 @@ func matches(nodes [][]query.Response, j int) *ph.Result {
 // withRead, so a stale or Byzantine replica fails like a dead one:
 // quarantined, and the read retried elsewhere.
 func (db *DB) read(flags byte, plans [][]relation.Eq) ([][]query.Response, error) {
-	tokens := make([][]*ph.EncryptedQuery, len(plans))
+	total := 0
+	for _, eqs := range plans {
+		total += len(eqs)
+	}
+	tokens, flat := make([][]*ph.EncryptedQuery, len(plans)), make([]*ph.EncryptedQuery, total)
 	for i, eqs := range plans {
-		tokens[i] = make([]*ph.EncryptedQuery, len(eqs))
+		tokens[i], flat = flat[:len(eqs):len(eqs)], flat[len(eqs):]
 		for j, eq := range eqs {
 			q, err := db.scheme.EncryptQuery(eq)
 			if err != nil {

@@ -161,8 +161,9 @@ func (db *DB) readSharded(flags byte, tokens [][]*ph.EncryptedQuery) ([][]query.
 		batch = batch && len(qs) == 1
 	}
 	out := make([][]query.Response, n)
+	cells := make([]query.Response, n*len(tokens))
 	for i := range out {
-		out[i] = make([]query.Response, len(tokens))
+		out[i] = cells[i*len(tokens) : (i+1)*len(tokens) : (i+1)*len(tokens)]
 	}
 	if batch {
 		flat := make([]*ph.EncryptedQuery, len(tokens))
@@ -187,9 +188,10 @@ func (db *DB) readSharded(flags byte, tokens [][]*ph.EncryptedQuery) ([][]query.
 	} else {
 		for j, qs := range tokens {
 			var check VerifyCheck
-			var passed func(shard int, vr *authindex.VerifiedResult) bool
+			var checks *scatterChecks
 			if verified {
-				check, passed = db.scatterCheck(n)
+				checks = db.scatterChecks(n)
+				check = checks.check
 			}
 			resps, err := db.cluster.QueryConj(db.table, qs, verified, check)
 			if err != nil {
@@ -202,7 +204,7 @@ func (db *DB) readSharded(flags byte, tokens [][]*ph.EncryptedQuery) ([][]query.
 				if resp == nil {
 					return nil, fmt.Errorf("client: shard %d answered nothing", i)
 				}
-				if verified && !passed(i, resp.Verified) {
+				if verified && !checks.passed(i, resp.Verified) {
 					if err := db.check(i, resp.Verified); err != nil {
 						return nil, fmt.Errorf("client: %w", err)
 					}
@@ -221,25 +223,38 @@ func (db *DB) readSharded(flags byte, tokens [][]*ph.EncryptedQuery) ([][]query.
 	return out, nil
 }
 
-// scatterCheck binds db.check to one scatter as its VerifyCheck, which
+// scatterChecks binds db.check to one scatter as its VerifyCheck, which
 // records per shard index the exact answer it passed; passed reports
 // whether vr is that answer for the shard (see VerifyCheck).
-func (db *DB) scatterCheck(shards int) (check VerifyCheck, passed func(shard int, vr *authindex.VerifiedResult) bool) {
-	var mu sync.Mutex
-	checked := make([]*authindex.VerifiedResult, shards)
-	check = func(shard int, vr *authindex.VerifiedResult) error {
-		if err := db.check(shard, vr); err != nil {
-			return err
-		}
-		mu.Lock()
-		checked[shard] = vr
-		mu.Unlock()
-		return nil
+type scatterChecks struct {
+	db      *DB
+	mu      sync.Mutex
+	checked []*authindex.VerifiedResult
+	few     [4]*authindex.VerifiedResult // checked's memory on a cluster of at most four shards
+}
+
+// scatterChecks returns the checks of one scatter over shards shards.
+func (db *DB) scatterChecks(shards int) *scatterChecks {
+	sc := &scatterChecks{db: db}
+	sc.checked = sc.few[:0]
+	sc.checked = append(sc.checked, make([]*authindex.VerifiedResult, shards)...)
+	return sc
+}
+
+// check is the scatter's VerifyCheck.
+func (sc *scatterChecks) check(shard int, vr *authindex.VerifiedResult) error {
+	if err := sc.db.check(shard, vr); err != nil {
+		return err
 	}
-	passed = func(shard int, vr *authindex.VerifiedResult) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return vr != nil && checked[shard] == vr
-	}
-	return check, passed
+	sc.mu.Lock()
+	sc.checked[shard] = vr
+	sc.mu.Unlock()
+	return nil
+}
+
+// passed reports whether check passed vr for shard.
+func (sc *scatterChecks) passed(shard int, vr *authindex.VerifiedResult) bool {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return vr != nil && sc.checked[shard] == vr
 }

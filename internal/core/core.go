@@ -521,38 +521,75 @@ func Evaluate(et *ph.EncryptedTable, q *ph.EncryptedQuery) (*ph.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	positions := shardScan(len(et.Tuples), base, func(lo, hi int, m *swp.Matcher) []int {
+	defer base.Release()
+	positions := shardScan(len(et.Tuples), base, scanFunc(func(lo, hi int, m *swp.Matcher) []int {
 		return MatchTuples(et.Tuples[lo:hi], lo, m, make([]int, 0, PositionsCap(hi-lo)))
-	})
+	}))
 	return ph.SelectPositions(et, positions), nil
+}
+
+// chunkScan is a scan shardScan cuts into chunks: scan(lo, hi, m) is the
+// ascending hit list of documents [lo, hi), found with m.
+type chunkScan interface {
+	scan(lo, hi int, m *swp.Matcher) []int
+}
+
+// scanFunc is a chunkScan written as a function.
+type scanFunc func(lo, hi int, m *swp.Matcher) []int
+
+func (f scanFunc) scan(lo, hi int, m *swp.Matcher) []int { return f(lo, hi, m) }
+
+// slabScan is EvaluateSlab's chunkScan, a value, so that a scan that
+// stays on its caller's goroutine puts nothing on the heap: the documents
+// from from on, or at candidates when they are not nil.
+type slabScan struct {
+	s          *ph.Slab
+	from       int
+	candidates []int
+}
+
+func (sc slabScan) scan(lo, hi int, m *swp.Matcher) []int {
+	if sc.candidates == nil {
+		return matchSlab(sc.s, sc.from+lo, hi-lo, nil, m, make([]int, 0, PositionsCap(hi-lo)))
+	}
+	return matchSlab(sc.s, 0, hi-lo, sc.candidates[lo:hi], m, make([]int, 0, (hi-lo)/2+4))
 }
 
 // shardScan runs scan over contiguous chunks of [0, n) and merges the
 // per-chunk hit lists in chunk order, so the output is byte-identical to
 // scan(0, n, base). Inputs below parallelThreshold stay on the caller's
 // goroutine; larger ones fork, the caller scanning chunk 0 with the base
-// Matcher and every other chunk getting its own allocation-free clone,
-// whose mutable state shares no cache line with any other worker's (see
-// swp.Matcher).
-func shardScan(n int, base *swp.Matcher, scan func(lo, hi int, m *swp.Matcher) []int) []int {
+// Matcher and every other chunk getting its own pooled clone, whose
+// mutable state shares no cache line with any other worker's (see
+// swp.Matcher) and which goes back to the pool once every chunk is
+// done.
+func shardScan[S chunkScan](n int, base *swp.Matcher, sc S) []int {
 	if n < parallelThreshold {
-		return scan(0, n, base)
+		return sc.scan(0, n, base)
 	}
-	results := make([][]int, runtime.GOMAXPROCS(0))
-	fork(n, len(results), func(w, lo, hi int) {
+	forked := sc // only a forked scan's copy goes to the heap
+	chunks := make([]struct {
+		hits []int
+		m    *swp.Matcher
+	}, runtime.GOMAXPROCS(0))
+	fork(n, len(chunks), func(w, lo, hi int) {
 		m := base
 		if w > 0 {
 			m = base.Clone()
+			chunks[w].m = m
 		}
-		results[w] = scan(lo, hi, m)
+		chunks[w].hits = forked.scan(lo, hi, m)
 	})
 	total := 0
-	for _, r := range results {
-		total += len(r)
+	for _, c := range chunks {
+		total += len(c.hits)
+		if c.m != nil {
+			c.m.Release()
+		}
 	}
 	hits := make([]int, 0, total)
-	for _, r := range results {
-		hits = append(hits, r...)
+	for _, c := range chunks {
+		hits = append(hits, c.hits...)
 	}
 	return hits
 }
@@ -588,11 +625,13 @@ func fork(n, want int, run func(w, lo, hi int)) {
 }
 
 // TokenMatcher decodes an encrypted query's token against a table's
-// metadata and returns the ready-to-scan ψ matcher. The matcher (like the
-// trapdoor it wraps) aliases the token, so the caller must keep the token
-// alive for the matcher's life; a Matcher is not goroutine-safe — Clone
-// per extra worker. Every scan in this package starts here; it is
-// exported so a benchmark can time the kernel under the same matcher.
+// metadata and returns the ready-to-scan ψ matcher, with its AES kernel,
+// from swp's pool. The matcher (like the trapdoor it wraps) aliases the
+// token, so the caller must keep the token alive for the matcher's life;
+// a Matcher is not goroutine-safe — Clone per extra worker. Every scan
+// in this package starts here and Releases the matcher when it ends, so
+// no pooled matcher holds a token past the scan; it is exported so a
+// benchmark can time the kernel under the same matcher.
 func TokenMatcher(meta, token []byte) (*swp.Matcher, error) {
 	td, params, err := decodeQueryToken(meta, token)
 	if err != nil {
@@ -609,6 +648,7 @@ func EvaluateSerial(et *ph.EncryptedTable, q *ph.EncryptedQuery) (*ph.Result, er
 	if err != nil {
 		return nil, err
 	}
+	defer m.Release()
 	positions := MatchTuples(et.Tuples, 0, m, make([]int, 0, PositionsCap(len(et.Tuples))))
 	return ph.SelectPositions(et, positions), nil
 }
@@ -630,15 +670,13 @@ func EvaluateSlab(s *ph.Slab, q *ph.EncryptedQuery, from int, candidates []int) 
 	if err != nil {
 		return nil, err
 	}
+	defer base.Release()
 	n := s.Len()
 	if candidates == nil {
 		if from < 0 || from > n {
 			return nil, fmt.Errorf("core: scan from position %d of a %d-tuple table", from, n)
 		}
-		return shardScan(n-from, base,
-			func(lo, hi int, m *swp.Matcher) []int {
-				return matchSlab(s, from+lo, hi-lo, nil, m, make([]int, 0, PositionsCap(hi-lo)))
-			}), nil
+		return shardScan(n-from, base, slabScan{s: s, from: from}), nil
 	}
 	for i, p := range candidates {
 		if p < 0 || p >= n {
@@ -648,10 +686,7 @@ func EvaluateSlab(s *ph.Slab, q *ph.EncryptedQuery, from int, candidates []int) 
 			return nil, fmt.Errorf("core: candidate positions not strictly ascending at index %d", i)
 		}
 	}
-	return shardScan(len(candidates), base,
-		func(lo, hi int, m *swp.Matcher) []int {
-			return matchSlab(s, 0, hi-lo, candidates[lo:hi], m, make([]int, 0, (hi-lo)/2+4))
-		}), nil
+	return shardScan(len(candidates), base, slabScan{s: s, candidates: candidates}), nil
 }
 
 // scanScratch is the word headers a slab scan cuts its documents into.

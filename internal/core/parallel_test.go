@@ -157,7 +157,7 @@ func TestShardScanCoversEveryIndexOnce(t *testing.T) {
 			old := sched.SetProcess(budget)
 			var mu sync.Mutex
 			matchers := map[*swp.Matcher]bool{}
-			got := shardScan(n, base, func(lo, hi int, m *swp.Matcher) []int {
+			got := shardScan(n, base, scanFunc(func(lo, hi int, m *swp.Matcher) []int {
 				mu.Lock()
 				defer mu.Unlock()
 				if matchers[m] {
@@ -169,7 +169,7 @@ func TestShardScanCoversEveryIndexOnce(t *testing.T) {
 					idx = append(idx, i)
 				}
 				return idx
-			})
+			}))
 			sched.SetProcess(old)
 			if len(got) != n {
 				t.Fatalf("n=%d capacity=%d: %d indices scanned", n, capacity, len(got))

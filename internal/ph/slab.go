@@ -210,9 +210,16 @@ func (s *Slab) Tuple(p int, words [][]byte) EncryptedTuple {
 // range, as views of the slab: IDs and words are sub-slices of the runs'
 // bytes, and every tuple's word headers are cut from one array.
 func (s *Slab) Answer(positions []int) *Result {
-	res := &Result{Positions: positions, Tuples: make([]EncryptedTuple, len(positions))}
-	s.cutAll(res.Tuples, positions)
+	res := new(Result)
+	s.AnswerInto(res, positions)
 	return res
+}
+
+// AnswerInto is Answer into a Result the caller allocated, as part of a
+// larger answer: two allocations, or none for an empty one.
+func (s *Slab) AnswerInto(res *Result, positions []int) {
+	*res = Result{Positions: positions, Tuples: make([]EncryptedTuple, len(positions))}
+	s.cutAll(res.Tuples, positions)
 }
 
 // Table returns a deep copy of the slab as an EncryptedTable: a copy of

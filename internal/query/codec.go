@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -89,7 +90,18 @@ func EncodeRequest(dst []byte, name string, flags byte, plans [][]*ph.EncryptedQ
 // at least one plan, and every plan at least one conjunct. Counts are
 // clamped against what the payload could hold before anything is
 // allocated.
-func DecodeRequest(payload []byte) (name string, flags byte, plans [][]*ph.EncryptedQuery, err error) {
+//
+// What it returns is the name and three allocations, whatever the
+// request holds — one for a request of at most smallRequest conjuncts:
+// every conjunct of every plan shares one []ph.EncryptedQuery, and
+// their pointers one []*ph.EncryptedQuery that the plans are cut from.
+// Each token is a view of payload (wire.DecodeQuery), valid for as long
+// as the payload is — for a server, until it has written the answer and
+// reads the next frame into the same buffer — so nothing may keep a
+// token past the request (see storage.Store.Read). A conjunct of
+// scheme, the scheme the caller serves, carries that string, any other
+// a copy of its own.
+func DecodeRequest(payload []byte, scheme string) (name string, flags byte, plans [][]*ph.EncryptedQuery, err error) {
 	r := wire.NewBuffer(payload)
 	if name, err = r.String(); err != nil {
 		return "", 0, nil, fmt.Errorf("query: request table name: %w", err)
@@ -109,28 +121,82 @@ func DecodeRequest(payload []byte) (name string, flags byte, plans [][]*ph.Encry
 	if n == 0 {
 		return "", 0, nil, fmt.Errorf("query: request carries no plans")
 	}
-	// A plan is at least its conjunct count and one query of two
-	// length-prefixed fields.
-	plans = make([][]*ph.EncryptedQuery, 0, wire.ClampCount(uint32(n), r.Remaining()/10))
-	for i := 0; i < int(n); i++ {
+	// The first pass validates the plans and counts their conjuncts, the
+	// second fills what the count sized. Every conjunct is two
+	// length-prefixed fields, so the count is bounded by the payload.
+	body := *r
+	total, err := readPlans(r, int(n), nil, scheme)
+	if err != nil {
+		return "", 0, nil, err
+	}
+	if err := r.Err(); err != nil {
+		return "", 0, nil, err
+	}
+	var d decoded
+	if total <= smallRequest {
+		sm := new(small)
+		d = decoded{qs: sm.qs[:total], ptrs: sm.ptrs[:total], plans: sm.plans[:0:n]}
+	} else {
+		d = decoded{qs: make([]ph.EncryptedQuery, total), ptrs: make([]*ph.EncryptedQuery, total), plans: make([][]*ph.EncryptedQuery, 0, n)}
+	}
+	if _, err := readPlans(&body, int(n), &d, scheme); err != nil {
+		return "", 0, nil, err // unreachable: the first pass read the same bytes
+	}
+	return name, flags, d.plans, nil
+}
+
+// decoded is what the second pass of DecodeRequest fills: the shared
+// conjuncts, their pointers and the plans cut from them.
+type decoded struct {
+	qs    []ph.EncryptedQuery
+	ptrs  []*ph.EncryptedQuery
+	plans [][]*ph.EncryptedQuery
+}
+
+// smallRequest is the most conjuncts a request decodes into one
+// allocation, small: a select, a conjunction of a few predicates, or a
+// batch of a few selects — nearly every request.
+const smallRequest = 4
+
+// small is the backing of a decoded request of at most smallRequest
+// conjuncts, and so at most as many plans.
+type small struct {
+	qs    [smallRequest]ph.EncryptedQuery
+	ptrs  [smallRequest]*ph.EncryptedQuery
+	plans [smallRequest][]*ph.EncryptedQuery
+}
+
+// readPlans reads n plans from r and returns how many conjuncts they
+// hold; with d it also decodes them into d, which has room for them.
+func readPlans(r *wire.Buffer, n int, d *decoded, scheme string) (int, error) {
+	total := 0
+	for i := 0; i < n; i++ {
 		k, err := r.U16()
 		if err != nil {
-			return "", 0, nil, fmt.Errorf("query: plan %d conjunct count: %w", i, err)
+			return 0, fmt.Errorf("query: plan %d conjunct count: %w", i, err)
 		}
 		if k == 0 {
-			return "", 0, nil, fmt.Errorf("query: plan %d is an empty conjunction", i)
+			return 0, fmt.Errorf("query: plan %d is an empty conjunction", i)
 		}
-		qs := make([]*ph.EncryptedQuery, 0, wire.ClampCount(uint32(k), r.Remaining()/8))
 		for j := 0; j < int(k); j++ {
-			q, err := wire.DecodeQuery(r)
-			if err != nil {
-				return "", 0, nil, fmt.Errorf("query: plan %d conjunct %d: %w", i, j, err)
+			var err error
+			if d == nil {
+				var q ph.EncryptedQuery
+				err = wire.DecodeQuery(r, &q, scheme)
+			} else {
+				d.ptrs[total+j] = &d.qs[total+j]
+				err = wire.DecodeQuery(r, d.ptrs[total+j], scheme)
 			}
-			qs = append(qs, q)
+			if err != nil {
+				return 0, fmt.Errorf("query: plan %d conjunct %d: %w", i, j, err)
+			}
 		}
-		plans = append(plans, qs)
+		if d != nil {
+			d.plans = append(d.plans, d.ptrs[total:total+int(k):total+int(k)])
+		}
+		total += int(k)
 	}
-	return name, flags, plans, r.Err()
+	return total, nil
 }
 
 // EncodeResponses serialises the answer to a read request
@@ -161,8 +227,16 @@ func EncodeResponses(dst []byte, flags byte, resps []Response) []byte {
 // table (or, behind a coordinator, into one shard of it), and an answer
 // that repeats or reorders them is malformed, not something for the
 // caller to sort into shape.
+//
+// The answers own their memory, and it is one copy of the payload: the
+// tuples, roots and proofs are views of it (wire.NewOwnedBuffer), so the
+// caller may reuse payload at once. A one-plan answer's Response and the
+// Result or VerifiedResult it points to are one allocation; past one
+// plan every plain answer's Result comes from one array, and a verified
+// answer and its Result are one allocation
+// (authindex.DecodeVerifiedResult).
 func DecodeResponses(payload []byte) (flags byte, resps []Response, err error) {
-	r := wire.NewBuffer(payload)
+	r := wire.NewOwnedBuffer(bytes.Clone(payload))
 	if flags, err = r.U8(); err != nil {
 		return 0, nil, fmt.Errorf("query: response flags: %w", err)
 	}
@@ -174,16 +248,35 @@ func DecodeResponses(payload []byte) (flags byte, resps []Response, err error) {
 		return 0, nil, fmt.Errorf("query: response plan count: %w", err)
 	}
 	// The smallest answer is a plain result's two zero counts.
-	resps = make([]Response, 0, wire.ClampCount(uint32(n), r.Remaining()/8))
+	var one *oneAnswer
+	var results []ph.Result
+	if n == 1 {
+		one = new(oneAnswer)
+		resps = one.resp[:0]
+	} else {
+		most := wire.ClampCount(uint32(n), r.Remaining()/8)
+		resps = make([]Response, 0, most)
+		if flags == 0 {
+			results = make([]ph.Result, 0, most)
+		}
+	}
 	for i := 0; i < int(n); i++ {
 		var resp Response
-		switch flags {
-		case wire.ReadFlagExplain:
+		switch {
+		case flags == wire.ReadFlagExplain:
 			resp.Plan, err = decodePlan(r)
-		case wire.ReadFlagVerified:
+		case flags == wire.ReadFlagVerified && one != nil:
+			resp.Verified = &one.vr
+			err = authindex.DecodeVerifiedResultInto(r, &one.vr, &one.res)
+		case flags == wire.ReadFlagVerified:
 			resp.Verified, err = authindex.DecodeVerifiedResult(r)
+		case one != nil:
+			resp.Result = &one.res
+			err = wire.DecodeResultInto(r, resp.Result)
 		default:
-			resp.Result, err = wire.DecodeResult(r)
+			results = append(results, ph.Result{})
+			resp.Result = &results[len(results)-1]
+			err = wire.DecodeResultInto(r, resp.Result)
 		}
 		if err == nil && resp.Plan == nil {
 			err = checkPositions(resp.Matches().Positions)
@@ -194,6 +287,14 @@ func DecodeResponses(payload []byte) (flags byte, resps []Response, err error) {
 		resps = append(resps, resp)
 	}
 	return flags, resps, r.Err()
+}
+
+// oneAnswer is the memory of a one-plan answer: its Response and the
+// Result, and for a verified answer the VerifiedResult, it points to.
+type oneAnswer struct {
+	resp [1]Response
+	res  ph.Result
+	vr   authindex.VerifiedResult
 }
 
 // checkPositions rejects positions that are negative or not strictly

@@ -87,7 +87,7 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	name, flags, got, err := DecodeRequest(payload)
+	name, flags, got, err := DecodeRequest(payload, "swp-ph")
 	if err != nil || name != "emp" || flags != wire.ReadFlagVerified || !reflect.DeepEqual(got, plans) {
 		t.Fatalf("decoded %q, flags %#x, %d plans, %v", name, flags, len(got), err)
 	}
@@ -123,7 +123,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 	for name, payload := range requests {
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, _, _, err := DecodeRequest(payload); err == nil {
+			if _, _, _, err := DecodeRequest(payload, "swp-ph"); err == nil {
 				t.Fatalf("request with %s accepted", name)
 			}
 		})

@@ -68,7 +68,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(wire.AppendU16(wire.AppendU16(head, 1), 0xFFFF))      // conjunct-count bomb
 	f.Add(wire.AppendU32(wire.AppendString(nil, "emp"), 1<<31)) // the retired u32 count where the flags now sit
 	f.Fuzz(func(t *testing.T, data []byte) {
-		name, flags, plans, err := DecodeRequest(data)
+		name, flags, plans, err := DecodeRequest(data, "swp-ph")
 		if err != nil {
 			return
 		}

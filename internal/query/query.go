@@ -159,13 +159,23 @@ func (c *Conjunct) scanCost(tuples int) int {
 // marginally more selective uncached conjunct that would full-scan. The
 // sort is stable and in place, so ties keep request order and plans are
 // deterministic. A one-conjunct plan — a single select — has nothing to
-// order: it is Single's.
+// order: it is InitSingle's.
 func Build(table string, tuples int, conjs []Conjunct) (*Plan, error) {
+	p := new(Plan)
+	if err := p.Build(table, tuples, conjs); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Build is the function Build into p's own memory.
+func (p *Plan) Build(table string, tuples int, conjs []Conjunct) error {
 	switch len(conjs) {
 	case 0:
-		return nil, fmt.Errorf("query: empty conjunction")
+		return fmt.Errorf("query: empty conjunction")
 	case 1:
-		return Single(table, tuples, conjs[0]), nil
+		*p.InitSingle(table, tuples) = conjs[0]
+		return nil
 	}
 	cost := func(c *Conjunct) float64 {
 		return float64(c.scanCost(tuples)) + c.Est*float64(tuples)
@@ -188,15 +198,18 @@ func Build(table string, tuples int, conjs []Conjunct) (*Plan, error) {
 		}
 		return 0
 	})
-	return &Plan{Table: table, Tuples: tuples, Conjuncts: conjs}, nil
+	*p = Plan{Table: table, Tuples: tuples, Conjuncts: conjs}
+	return nil
 }
 
-// Single is the plan of one select, its conjunct held in the plan's own
-// allocation.
-func Single(table string, tuples int, c Conjunct) *Plan {
-	p := &Plan{Table: table, Tuples: tuples, one: [1]Conjunct{c}}
+// InitSingle makes p the plan of one select over a snapshot of tuples
+// tuples, in p's own memory, and returns its conjunct for the caller to
+// fill: a plan that lives in a larger allocation of the caller's costs
+// none of its own.
+func (p *Plan) InitSingle(table string, tuples int) *Conjunct {
+	*p = Plan{Table: table, Tuples: tuples}
 	p.Conjuncts = p.one[:]
-	return p
+	return &p.one[0]
 }
 
 // Run executes the plan against the snapshot it was built for, of

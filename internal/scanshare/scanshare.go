@@ -58,9 +58,9 @@ type flightKey struct {
 var errAborted = errors.New("scanshare: the scan this query was waiting on did not complete")
 
 // flight is one scan in progress; positions and err are written by the
-// leader before done is closed.
+// leader before done is released.
 type flight struct {
-	done      chan struct{}
+	done      sync.WaitGroup
 	positions []int
 	err       error
 }
@@ -101,10 +101,11 @@ func (s *Sharer) Scan(key cache.Key, n int, scan func() ([]int, error)) ([]int, 
 	if f := s.inflight[k]; f != nil {
 		s.stats.Attached++
 		s.mu.Unlock()
-		<-f.done
+		f.done.Wait()
 		return f.positions, f.err
 	}
-	f := &flight{done: make(chan struct{}), err: errAborted}
+	f := &flight{err: errAborted}
+	f.done.Add(1)
 	s.inflight[k] = f
 	s.stats.Passes++
 	s.stats.Riders++
@@ -114,7 +115,7 @@ func (s *Sharer) Scan(key cache.Key, n int, scan func() ([]int, error)) ([]int, 
 		s.mu.Lock()
 		delete(s.inflight, k)
 		s.mu.Unlock()
-		close(f.done)
+		f.done.Done()
 	}()
 	f.positions, f.err = scan()
 	return f.positions, f.err

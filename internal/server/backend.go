@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/ph"
 	"repro/internal/query"
 	"repro/internal/sched"
@@ -28,12 +29,14 @@ func (b *storeBackend) Sync() error { return b.store.Sync() }
 // read.
 const maxReadFanout = 64
 
-// read evaluates the plans of one read request against one table, each
-// plan under its own read-locked snapshot. The fanout over plans is
-// sized well above the scheduler budget's capacity on purpose: most
-// plans of a batch do not scan — cache hits copy, and identical cold
-// plans wait on one scan (internal/scanshare) — so capping fanout at CPU
-// count would queue them behind the few that do. A plan that does scan
+// read evaluates the plans of a read request of more than one plan
+// against one table, each plan under its own read-locked snapshot (a
+// one-plan request is one Store.Read on the connection's goroutine).
+// The fanout over plans is sized well above the scheduler budget's
+// capacity on purpose: most plans of a batch do not scan — cache hits
+// copy, and identical cold plans wait on one scan (internal/scanshare) —
+// so capping fanout at CPU count would queue them behind the few that
+// do. A plan that does scan
 // runs the scan on its own worker here, and the sched budget, which
 // counts that worker, decides whether it may fork any further: the
 // first cold plan of a batch takes the idle cores, the rest scan
@@ -46,11 +49,6 @@ const maxReadFanout = 64
 // request fails as a unit.
 func (b *storeBackend) read(name string, flags byte, plans [][]*ph.EncryptedQuery) ([]query.Response, error) {
 	resps := make([]query.Response, len(plans))
-	if len(plans) == 1 {
-		var err error
-		resps[0], _, err = b.store.Read(name, plans[0], flags)
-		return resps, err
-	}
 	errs := make([]error, len(plans))
 	workers := min(len(plans), max(maxReadFanout, sched.Process().Capacity()))
 	work := make(chan int)
@@ -111,9 +109,19 @@ func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 		return wire.Frame{Type: wire.RespInserted, Payload: payload}, nil
 
 	case wire.CmdQuery:
-		name, flags, plans, err := query.DecodeRequest(f.Payload)
+		// The tokens are views of f.Payload: they are done with once the
+		// answer is encoded (see storage.Store.Read).
+		name, flags, plans, err := query.DecodeRequest(f.Payload, core.SchemeID)
 		if err != nil {
 			return wire.Frame{}, err
+		}
+		if len(plans) == 1 {
+			// One plan runs on this goroutine, its answer on the stack.
+			resp, _, err := b.store.Read(name, plans[0], flags)
+			if err != nil {
+				return wire.Frame{}, err
+			}
+			return wire.Frame{Type: wire.RespResult, Payload: query.EncodeResponses(scratch, flags, []query.Response{resp})}, nil
 		}
 		resps, err := b.read(name, flags, plans)
 		if err != nil {

@@ -1,0 +1,6 @@
+//go:build !race
+
+package server
+
+// raceEnabled reports that the race detector is on (see race_on_test.go).
+const raceEnabled = false

@@ -182,6 +182,13 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
+// Conns returns the number of connections Serve is serving.
+func (s *Server) Conns() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}
+
 // Close stops accepting, closes all connections, waits for handlers and
 // syncs the store's log: a graceful server shutdown is durable even
 // under the interval/never sync policies and even if the owner never

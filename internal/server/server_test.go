@@ -47,8 +47,11 @@ var fixturePH = sync.OnceValue(func() *core.PH {
 // fixtureTable encrypts n tuples — "even" or "odd", then i — and puts
 // tuple i back at position i, undoing EncryptTable's shuffle, so a
 // query's positions are its plaintext matches.
-func fixtureTable(n int) *ph.EncryptedTable {
-	p := fixturePH()
+func fixtureTable(n int) *ph.EncryptedTable { return encryptFixture(fixturePH(), n) }
+
+// encryptFixture is fixtureTable under the instance p, whose schema is
+// a parity and an id column.
+func encryptFixture(p *core.PH, n int) *ph.EncryptedTable {
 	plain := relation.NewTable(p.Schema())
 	for i := range n {
 		parity := "odd"

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/wire"
 )
@@ -22,7 +23,7 @@ func (co *Coordinator) Sync() error { return nil }
 func (co *Coordinator) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, error) {
 	switch f.Type {
 	case wire.CmdQuery:
-		name, flags, plans, err := query.DecodeRequest(f.Payload)
+		name, flags, plans, err := query.DecodeRequest(f.Payload, core.SchemeID)
 		if err != nil {
 			return wire.Frame{}, err
 		}

@@ -112,7 +112,8 @@ func DecodeResponse(payload []byte, maxShards int) (mapVersion uint64, subs []Su
 		if err != nil {
 			return 0, nil, fmt.Errorf("shard: sub-answer %d kind: %w", i, err)
 		}
-		body, err := r.Bytes()
+		// A view: both sub-decoders copy what they keep.
+		body, err := r.View()
 		if err != nil {
 			return 0, nil, fmt.Errorf("shard: sub-answer %d payload: %w", i, err)
 		}

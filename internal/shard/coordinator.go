@@ -95,26 +95,58 @@ func (co *Coordinator) ShardStats() []client.ReadStats {
 	return stats
 }
 
-// scatter runs fn once per shard, concurrently, and waits for all of
-// them. When several shards fail the lowest shard's error wins, so the
-// reported failure is deterministic regardless of goroutine timing.
+// scatter runs fn once per shard, concurrently — the last shard's leg
+// on the calling goroutine, every other on one of its own — and waits
+// for all of them. When several shards fail the lowest shard's error
+// wins, so the reported failure is deterministic regardless of
+// goroutine timing. Its bookkeeping comes from a pool: a scatter
+// allocates one goroutine's closure per shard past the first.
 func (co *Coordinator) scatter(fn func(shard int, pool *client.ReadPool) error) error {
-	errs := make([]error, len(co.pools))
-	var wg sync.WaitGroup
-	for i := range co.pools {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i, co.pools[i])
-		}(i)
+	sc := scatterCalls.Get().(*scatterCall)
+	*sc = scatterCall{co: co, fn: fn, shard: len(co.pools)}
+	last := len(co.pools) - 1
+	sc.wg.Add(last)
+	for i := range last {
+		go func() {
+			defer sc.wg.Done()
+			sc.leg(i)
+		}()
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
+	sc.leg(last)
+	sc.wg.Wait()
+	shard, err := sc.shard, sc.err
+	*sc = scatterCall{}
+	scatterCalls.Put(sc)
+	if err != nil {
+		return fmt.Errorf("shard %d: %w", shard, err)
 	}
 	return nil
+}
+
+// scatterCall is one scatter's state: the legs to wait for and the
+// lowest failed shard with its error (shard is len(co.pools) while none
+// has failed).
+type scatterCall struct {
+	co    *Coordinator
+	fn    func(shard int, pool *client.ReadPool) error
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	shard int
+	err   error
+}
+
+var scatterCalls = sync.Pool{New: func() any { return new(scatterCall) }}
+
+// leg runs the scatter's fn for shard i and keeps its error if no lower
+// shard's is kept.
+func (sc *scatterCall) leg(i int) {
+	if err := sc.fn(i, sc.co.pools[i]); err != nil {
+		sc.mu.Lock()
+		if i < sc.shard {
+			sc.shard, sc.err = i, err
+		}
+		sc.mu.Unlock()
+	}
 }
 
 // NumShards returns the partition map's shard count.

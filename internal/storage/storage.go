@@ -376,6 +376,17 @@ func (s *Store) LogStats() LogStats {
 	return s.wal.stats()
 }
 
+// LogErr returns the log's sticky failure (a full disk, a failed fsync,
+// a torn record it could not repair), or nil. While it is set the store
+// refuses every mutation and still serves reads; Compact, or reopening
+// the log, clears it. In-memory stores never have one.
+func (s *Store) LogErr() error {
+	if s.wal == nil {
+		return nil
+	}
+	return s.wal.failure()
+}
+
 // entry looks up a table's entry under the store read lock. The returned
 // entry stays valid after the store lock is released: a concurrent Drop or
 // Put only unlinks it from the map, and readers still holding it finish
@@ -705,20 +716,19 @@ func (e *tableEntry) observeScan(cj *query.Conjunct, hits, scanned int) {
 // read lock: per conjunct, its cache key — the only hash of its token
 // the read computes — the result-cache state (a hit makes the conjunct
 // free; a prefix entry halves its cost) and the sketch's selectivity
-// estimate, then orders everything into a Plan. A single select is one
-// allocation, its conjunct held in the plan.
-func (e *tableEntry) planConj(c *cache.Cache, name string, qs []*ph.EncryptedQuery) (*query.Plan, error) {
+// estimate, then orders everything into p. A single select allocates
+// nothing here, its conjunct held in the plan.
+func (e *tableEntry) planConj(p *query.Plan, c *cache.Cache, name string, qs []*ph.EncryptedQuery) error {
 	n := e.slab.Len()
 	if len(qs) == 1 {
-		var cj query.Conjunct
-		e.conjunct(c, &cj, 0, qs[0], n)
-		return query.Single(name, n, cj), nil
+		e.conjunct(c, p.InitSingle(name, n), 0, qs[0], n)
+		return nil
 	}
 	conjs := make([]query.Conjunct, len(qs))
 	for i, q := range qs {
 		e.conjunct(c, &conjs[i], i, q, n)
 	}
-	return query.Build(name, n, conjs)
+	return p.Build(name, n, conjs)
 }
 
 // conjunct fills cj, conjunct i of a plan over n tuples, from q.
@@ -785,9 +795,21 @@ func (e *tableEntry) conjunct(c *cache.Cache, cj *query.Conjunct, i int, q *ph.E
 // lock. That is safe after the lock drops — the server encodes the
 // answer then — for the reason Get's snapshot is: no byte below a run's
 // length is ever written again, so bytes a view holds never change. A
-// caller that wants to modify an answer must copy it first. A token of
-// another scheme is refused before planning: EvaluateSlab takes any token
-// as an SWP trapdoor.
+// caller that wants to modify an answer must copy it first. The plan,
+// the answer's Result and a verified answer's VerifiedResult share one
+// allocation, and the root is the tree's published one, not a copy. A
+// token of another scheme is refused before planning: EvaluateSlab
+// takes any token as an SWP trapdoor.
+//
+// The tokens may be views of the request frame they arrived in
+// (query.DecodeRequest), which the connection overwrites with its next
+// request once this one is answered. So a token is read here — hashed
+// into its cache key, and scanned by a matcher that goes back to its
+// pool when the scan ends — and kept nowhere that outlives the read: the
+// result cache, the scan single-flight and the selectivity sketch key on
+// the SHA-256 digest, and a scan another read attaches to runs on its
+// leader's goroutine, inside the leader's read. Anything that must keep
+// a token past the read copies it first.
 func (s *Store) Read(name string, qs []*ph.EncryptedQuery, flags byte) (query.Response, *query.Plan, error) {
 	for i, q := range qs {
 		if q.SchemeID != core.SchemeID {
@@ -800,8 +822,9 @@ func (s *Store) Read(name string, qs []*ph.EncryptedQuery, flags byte) (query.Re
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	plan, err := e.planConj(s.cache, name, qs)
-	if err != nil {
+	rd := new(read)
+	plan := &rd.plan
+	if err := e.planConj(plan, s.cache, name, qs); err != nil {
 		return query.Response{}, nil, err
 	}
 	if flags&wire.ReadFlagExplain != 0 {
@@ -833,22 +856,31 @@ func (s *Store) Read(name string, qs []*ph.EncryptedQuery, flags byte) (query.Re
 			e.observeScan(cj, cj.NarrowHits, cj.Tested)
 		}
 	}
-	res := e.slab.Answer(positions)
+	e.slab.AnswerInto(&rd.res, positions)
 	if flags&wire.ReadFlagVerified == 0 {
-		return query.Response{Result: res}, plan, nil
+		return query.Response{Result: &rd.res}, plan, nil
 	}
 	tree := e.authTree()
 	proof, err := tree.ProveAnswer(positions)
 	if err != nil {
 		return query.Response{}, nil, err
 	}
-	return query.Response{Verified: &authindex.VerifiedResult{
-		Result:     res,
+	rd.vr = authindex.VerifiedResult{
+		Result:     &rd.res,
 		Root:       tree.Root(),
 		Leaves:     n,
 		Version:    e.version,
 		Multiproof: proof,
-	}}, plan, nil
+	}
+	return query.Response{Verified: &rd.vr}, plan, nil
+}
+
+// read is what one Read allocates for itself: its plan, its answer's
+// Result and, for a verified read, the VerifiedResult around it.
+type read struct {
+	plan query.Plan
+	res  ph.Result
+	vr   authindex.VerifiedResult
 }
 
 // Query is Read for a single select.

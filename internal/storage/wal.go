@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -580,6 +581,18 @@ func (w *walWriter) Close() error {
 		return fmt.Errorf("storage: closing log: %w", cerr)
 	}
 	return nil
+}
+
+// failure returns the writer's sticky error, if any: a torn record it
+// could not repair, or a failed write or fsync. While one is set every
+// mutation is refused.
+func (w *walWriter) failure() error {
+	w.mu.Lock()
+	werr := w.werr
+	w.mu.Unlock()
+	w.sm.Lock()
+	defer w.sm.Unlock()
+	return cmp.Or(werr, w.serr)
 }
 
 // stats returns the writer's activity counters.

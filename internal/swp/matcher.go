@@ -2,6 +2,7 @@ package swp
 
 import (
 	"encoding/binary"
+	"sync"
 
 	"repro/internal/crypto"
 )
@@ -43,7 +44,17 @@ type Matcher struct {
 	x0, x1      uint64 // X's first stream block
 	xs0, xs1    uint64 // X's checksum part
 	k           *kernel
+	// own is the kernel this Matcher came from the pool with, kept
+	// whether or not the pair is well-formed, so that Release hands
+	// both back together.
+	own *kernel
 }
+
+// matcherPool recycles Matchers with their kernels: a scan's setup is
+// then a key expansion into memory that is already there, and its
+// per-worker clones cost nothing. It holds a few kilobytes a worker —
+// never a token or a cipherword, which Release clears.
+var matcherPool = sync.Pool{New: func() any { return &Matcher{own: new(kernel)} }}
 
 // runBlocks is how many blocks the run kernel encrypts in one call: four
 // of AES256's eight-block groups, so a call's fixed cost is spread thin
@@ -109,11 +120,15 @@ func (f *field) cut(v uint64, h int) uint64 {
 	return v >> (f.shift[h] & 63) & f.mask[h]
 }
 
-// NewMatcher builds a Matcher for the trapdoor. An ill-formed pair (bad
-// trapdoor lengths, bad parameters) yields a Matcher whose Match always
-// reports false.
+// NewMatcher builds a Matcher for the trapdoor, from a pool: Release
+// returns it once its scan is over. An ill-formed pair (bad trapdoor
+// lengths, bad parameters) yields a Matcher whose Match always reports
+// false. The Matcher keeps td.X as it is, not a copy, so the trapdoor
+// must outlive it — until Release, or for good when it is never
+// released.
 func NewMatcher(p Params, td Trapdoor) *Matcher {
-	m := &Matcher{p: p}
+	m := matcherPool.Get().(*Matcher)
+	*m = Matcher{p: p, own: m.own}
 	if p.Validate() != nil || len(td.X) != p.WordLen || len(td.K) != crypto.KeySize {
 		return m
 	}
@@ -126,8 +141,25 @@ func NewMatcher(p Params, td Trapdoor) *Matcher {
 	x := m.padded(td.X, &pad)
 	m.x0, m.x1 = m.stream.load(x)
 	m.xs0, m.xs1 = m.sum.load(x)
-	m.k = &kernel{aes: crypto.NewAES256(crypto.KeyFromBytes(td.K))}
+	m.k = m.own
+	m.k.aes.Rekey(crypto.KeyFromBytes(td.K))
 	return m
+}
+
+// Release returns the Matcher to the pool NewMatcher and Clone draw
+// from. The caller must be done with it; its clones are Matchers of
+// their own, released or not on their own. It drops what the Matcher
+// saw — the trapdoor and the last run's cipherwords — so that the pool
+// keeps no view of a request or a table alive. A Matcher that is never
+// released is garbage like any other.
+func (m *Matcher) Release() {
+	own := m.own
+	if own == nil {
+		return
+	}
+	clear(own.word[:])
+	*m = Matcher{own: own}
+	matcherPool.Put(m)
 }
 
 // padded returns w, or — for a word under eight bytes — w copied into
@@ -144,16 +176,20 @@ func (m *Matcher) padded(w []byte, pad *[16]byte) []byte {
 // bytes on amd64 and arm64.
 const cacheLine = 64
 
-// Clone returns an independent Matcher for the same trapdoor. It copies
-// or shares the trapdoor's expanded AES key and allocates only its own
-// run, so provisioning one per worker goroutine of a table scan is
-// nearly free.
+// Clone returns an independent Matcher for the same trapdoor, from the
+// pool NewMatcher draws from. It copies the trapdoor's expanded AES key
+// into a run of its own, so provisioning one per worker goroutine of a
+// table scan costs a copy and, once the pool holds one, no allocation.
 func (m *Matcher) Clone() *Matcher {
-	c := *m
+	c := matcherPool.Get().(*Matcher)
+	own := c.own
+	*c = *m
+	c.own = own
 	if m.k != nil {
-		c.k = &kernel{aes: m.k.aes}
+		c.k = own
+		own.aes = m.k.aes
 	}
-	return &c
+	return c
 }
 
 // Match reports whether the ciphertext word matches the trapdoor: whether

@@ -105,29 +105,42 @@ func runHeaderLen(n int, sh ph.Shape) int {
 // uvarintLen is the length of v's uvarint encoding: 7 bits a byte.
 func uvarintLen(v int) int { return (bits.Len(uint(v)|1) + 6) / 7 }
 
-// decodeTuples parses the runs of a list of n tuples.
+// decodeTuples parses the runs of a list of n tuples: views of an owned
+// payload, copies of any other.
 func decodeTuples(r *Buffer, n uint32) ([]ph.EncryptedTuple, error) {
 	ts, err := r.readRuns(n)
 	if err != nil {
 		return nil, err
 	}
-	return ts.tuples(), nil
+	return ts.cutTuples(!r.owned), nil
 }
 
-// tuples decodes the list: each run's body is copied into one
-// allocation and its tuples cut out at the stride, their word headers
-// out of a second. readRuns found n tuples and their words at a byte
-// each at least in the payload, so what this allocates is bounded by its
-// length. Every slice handed out is a three-index slice of those two, so
-// an append to one tuple's ID or Words can never write into its
-// neighbour's, and none aliases the payload (ReadFrameReuse's contract).
-func (ts Runs) tuples() []ph.EncryptedTuple {
+// tuples decodes the list into memory of its own (ReadFrameReuse's
+// contract): cutTuples with the bodies copied.
+func (ts Runs) tuples() []ph.EncryptedTuple { return ts.cutTuples(true) }
+
+// cutTuples decodes the list: its tuples cut out of each run's body at
+// the stride, their word headers out of one allocation. With copied,
+// the bodies are first copied into one allocation of their own;
+// without, the tuples are views of the payload. readRuns found n tuples
+// and their words at a byte each at least in the payload, so what this
+// allocates is bounded by its length. Every slice handed out is a
+// three-index slice, so an append to one tuple's ID or Words can never
+// write into its neighbour's.
+func (ts Runs) cutTuples(copied bool) []ph.EncryptedTuple {
 	tuples := make([]ph.EncryptedTuple, ts.n)
-	region, words := make([]byte, 0, ts.size), make([][]byte, ts.words)
+	words := make([][]byte, ts.words)
+	var region []byte
+	if copied {
+		region = make([]byte, 0, ts.size)
+	}
 	done, w := 0, 0
 	ts.each(func(h run, body []byte) {
-		region = append(region, body...)
-		h.cut(tuples[done:done+h.n], region[len(region)-len(body):], words[w:w+h.n*h.k])
+		if copied {
+			region = append(region, body...)
+			body = region[len(region)-len(body):]
+		}
+		h.cut(tuples[done:done+h.n], body, words[w:w+h.n*h.k])
 		done, w = done+h.n, w+h.n*h.k
 	})
 	return tuples
@@ -456,17 +469,23 @@ func EncodeQuery(dst []byte, q *ph.EncryptedQuery) []byte {
 	return AppendBytes(dst, q.Token)
 }
 
-// DecodeQuery parses an encrypted query from the buffer.
-func DecodeQuery(r *Buffer) (*ph.EncryptedQuery, error) {
-	q := &ph.EncryptedQuery{}
-	var err error
-	if q.SchemeID, err = r.String(); err != nil {
-		return nil, fmt.Errorf("wire: query scheme id: %w", err)
+// DecodeQuery parses an encrypted query from the buffer into q. The
+// token is a view of the payload, not a copy: a request's tokens live
+// as long as the request frame they came in (see ReadFrameReuse). A
+// scheme ID equal to scheme — the one the caller serves — is given
+// that string; any other is copied, for the refusal to name it.
+func DecodeQuery(r *Buffer, q *ph.EncryptedQuery, scheme string) error {
+	id, err := r.View()
+	if err != nil {
+		return fmt.Errorf("wire: query scheme id: %w", err)
 	}
-	if q.Token, err = r.Bytes(); err != nil {
-		return nil, fmt.Errorf("wire: query token: %w", err)
+	if q.SchemeID = scheme; string(id) != scheme {
+		q.SchemeID = string(id)
 	}
-	return q, nil
+	if q.Token, err = r.View(); err != nil {
+		return fmt.Errorf("wire: query token: %w", err)
+	}
+	return nil
 }
 
 // EncodeResult serialises a query result.
@@ -483,32 +502,41 @@ func EncodeResult(dst []byte, res *ph.Result) []byte {
 // other is refused.
 func DecodeResult(r *Buffer) (*ph.Result, error) {
 	res := &ph.Result{}
+	if err := DecodeResultInto(r, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// DecodeResultInto is DecodeResult into a Result the caller allocated,
+// as part of a larger answer.
+func DecodeResultInto(r *Buffer, res *ph.Result) error {
 	np, err := r.U32()
 	if err != nil {
-		return nil, fmt.Errorf("wire: result position count: %w", err)
+		return fmt.Errorf("wire: result position count: %w", err)
 	}
 	if int(np) > r.Remaining()/4+1 {
-		return nil, fmt.Errorf("wire: position count %d exceeds remaining payload", np)
+		return fmt.Errorf("wire: position count %d exceeds remaining payload", np)
 	}
 	res.Positions = make([]int, np)
 	for i := range res.Positions {
 		p, err := r.U32()
 		if err != nil {
-			return nil, fmt.Errorf("wire: result position %d: %w", i, err)
+			return fmt.Errorf("wire: result position %d: %w", i, err)
 		}
 		res.Positions[i] = int(p)
 	}
 	nt, err := r.U32()
 	if err != nil {
-		return nil, fmt.Errorf("wire: result tuple count: %w", err)
+		return fmt.Errorf("wire: result tuple count: %w", err)
 	}
 	if nt != np {
-		return nil, fmt.Errorf("wire: result carries %d positions and %d tuples", np, nt)
+		return fmt.Errorf("wire: result carries %d positions and %d tuples", np, nt)
 	}
 	if res.Tuples, err = decodeTuples(r, nt); err != nil {
-		return nil, fmt.Errorf("wire: result: %w", err)
+		return fmt.Errorf("wire: result: %w", err)
 	}
-	return res, nil
+	return nil
 }
 
 // TableInfo is one directory entry in a CmdList response.

@@ -230,11 +230,15 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // and the caller must be done with the raw payload by then. What a
 // decoder returns outlives it: decoders copy what they keep — one copy
 // per message, never an alias (Buffer.Bytes copies out of the payload,
-// and a run of tuples is copied into one region of its own) — which is
-// what lets a server connection and a client.Conn each read every frame
-// into one buffer for their whole life. The one view is
-// DecodeInsertRuns' Runs, which the store copies into the table before
-// the connection reads its next frame.
+// a run of tuples is copied into one region of its own, and an answer
+// decoder copies the whole payload once, into a NewOwnedBuffer its
+// values are views of) — which is what lets a server connection and a
+// client.Conn each read every frame into one buffer for their whole
+// life. Two decoders hand out views of the frame instead, each for a
+// request the server has answered before it reads the next frame:
+// DecodeInsertRuns' Runs, which the store copies into the table, and
+// DecodeQuery's token, which the read evaluates and hashes but never
+// keeps.
 func ReadFrameReuse(r io.Reader, buf []byte) (Frame, []byte, error) {
 	// The header is read through the reusable buffer too: a local array
 	// would escape through the io.Reader interface call and cost one heap
@@ -321,10 +325,21 @@ func PutBuf(b []byte) {
 type Buffer struct {
 	b   []byte
 	off int
+	// owned marks a payload handed over for good (NewOwnedBuffer): what
+	// is decoded from it may be a view of it.
+	owned bool
 }
 
-// NewBuffer wraps a payload for decoding.
+// NewBuffer wraps a payload for decoding. Nothing a decoder reads from
+// it aliases it (Bytes and tuple lists copy), so the caller may reuse
+// the payload once decoding returns.
 func NewBuffer(b []byte) *Buffer { return &Buffer{b: b} }
+
+// NewOwnedBuffer wraps a payload that belongs to what is decoded from
+// it: a private copy of a message, made once, whose tuple bodies and
+// Kept fields the decoded values hold as views — one copy per message
+// instead of one per field. The caller must not write to b again.
+func NewOwnedBuffer(b []byte) *Buffer { return &Buffer{b: b, owned: true} }
 
 // Remaining returns the number of unread bytes.
 func (r *Buffer) Remaining() int { return len(r.b) - r.off }
@@ -387,9 +402,12 @@ func (r *Buffer) uvarint() (uint64, error) {
 	return v, nil
 }
 
-// Bytes reads a u32-length-prefixed byte string into a fresh slice:
-// nothing a decoder returns may alias the payload.
-func (r *Buffer) Bytes() ([]byte, error) {
+// View reads a u32-length-prefixed byte string as a view of the
+// payload, capped at its own length so that an append to it cannot
+// write into the next field. It is valid only while the payload is: a
+// decoder hands it out only where the caller has promised to keep the
+// payload alive and unchanged for as long as the value is used.
+func (r *Buffer) View() ([]byte, error) {
 	n, err := r.U32()
 	if err != nil {
 		return nil, err
@@ -397,14 +415,34 @@ func (r *Buffer) Bytes() ([]byte, error) {
 	if int64(n) > int64(r.Remaining()) {
 		return nil, fmt.Errorf("wire: byte string of %d exceeds remaining payload %d", n, r.Remaining())
 	}
-	b := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
+	end := r.off + int(n)
+	b := r.b[r.off:end:end]
+	r.off = end
+	return b, nil
+}
+
+// Bytes reads a u32-length-prefixed byte string into a fresh slice:
+// nothing a decoder returns may alias the payload.
+func (r *Buffer) Bytes() ([]byte, error) {
+	b, err := r.View()
+	if err != nil {
+		return nil, err
+	}
 	return append(make([]byte, 0, len(b)), b...), nil
 }
 
-// String reads a u32-length-prefixed string.
+// Kept reads a u32-length-prefixed byte string a decoded value keeps: a
+// view of an owned payload (NewOwnedBuffer), a copy of any other.
+func (r *Buffer) Kept() ([]byte, error) {
+	if r.owned {
+		return r.View()
+	}
+	return r.Bytes()
+}
+
+// String reads a u32-length-prefixed string: one copy, the string's own.
 func (r *Buffer) String() (string, error) {
-	b, err := r.Bytes()
+	b, err := r.View()
 	return string(b), err
 }
 

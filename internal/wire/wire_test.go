@@ -186,14 +186,28 @@ func TestTableCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQueryCodecRoundTrip: a query decodes to what was encoded, the
+// served scheme's ID as the caller's string and any other as a copy,
+// and the token as a view of the payload that an append cannot write
+// past.
 func TestQueryCodecRoundTrip(t *testing.T) {
-	in := &ph.EncryptedQuery{SchemeID: "bucket", Token: []byte{0, 2, 9, 9}}
-	out, err := DecodeQuery(NewBuffer(EncodeQuery(nil, in)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.SchemeID != in.SchemeID || !bytes.Equal(out.Token, in.Token) {
-		t.Fatalf("query mismatch: %+v", out)
+	for _, served := range []string{"bucket", "swp-ph"} {
+		in := &ph.EncryptedQuery{SchemeID: "bucket", Token: []byte{0, 2, 9, 9}}
+		payload := append(EncodeQuery(nil, in), 7)
+		r := NewBuffer(payload)
+		var out ph.EncryptedQuery
+		if err := DecodeQuery(r, &out, served); err != nil {
+			t.Fatal(err)
+		}
+		if out.SchemeID != in.SchemeID || !bytes.Equal(out.Token, in.Token) {
+			t.Fatalf("query mismatch: %+v", out)
+		}
+		if &out.Token[0] != &payload[len(payload)-5] || cap(out.Token) != len(in.Token) {
+			t.Fatal("the token is not a capped view of the payload")
+		}
+		if b, err := r.U8(); err != nil || b != 7 {
+			t.Fatalf("the byte after the query reads %d, %v", b, err)
+		}
 	}
 }
 
