@@ -139,13 +139,14 @@ func (c *Cache) Lookup(k Key, tupleCount int) (Entry, Outcome) {
 	return e, Delta
 }
 
-// Store caches an entry under k, copying the positions. A table object
-// only grows, so of two entries for one key the one that scanned more
-// tuples is the fresher: if it is already present (a concurrent query got
-// there first), Store is a no-op. Entries larger than the whole cache are
-// not stored.
+// Store caches an entry under k. The cache adopts e.Positions without a
+// copy: the caller does not write to them after the call, and neither
+// does the cache (Lookup hands out a copy). A table object only grows,
+// so of two entries for one key the one that scanned more tuples is the
+// fresher: if it is already present (a concurrent query got there
+// first), Store is a no-op. Entries larger than the whole cache are not
+// stored.
 func (c *Cache) Store(k Key, e Entry) {
-	e.Positions = append([]int(nil), e.Positions...)
 	sz := entryBytes(e)
 	if sz > c.maxBytes {
 		return

@@ -16,7 +16,6 @@ import (
 	"repro/internal/ph"
 	"repro/internal/relation"
 	"repro/internal/server"
-	"repro/internal/sqlmini"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
@@ -56,55 +55,6 @@ func conjDB(t *testing.T, pin bool) (*DB, *frameCounter, *storage.Store) {
 func sortedRows(t *testing.T, tbl *relation.Table) string {
 	t.Helper()
 	return tbl.Sorted().String()
-}
-
-// TestQueryConjPushdownMatchesPlaintext: the pushdown path must answer
-// exactly what relation.Select with relation.And answers on the
-// plaintext (Definition 1.1), for overlapping, disjoint and triple
-// conjunctions.
-func TestQueryConjPushdownMatchesPlaintext(t *testing.T) {
-	db, fc, _ := conjDB(t, false)
-	plain, err := db.SelectAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sql := range []string{
-		"SELECT * FROM emp WHERE dept = 'HR' AND salary = 7500",
-		"SELECT * FROM emp WHERE dept = 'IT' AND salary = 8800",
-		"SELECT name FROM emp WHERE dept = 'HR' AND salary = 7500 AND name = 'Barbara'",
-	} {
-		q, err := db.Query(sql)
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
-		parsed, err := sqlmini.Parse(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eqs, err := db.bindWhere(parsed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		preds := make([]relation.Pred, len(eqs))
-		for i, eq := range eqs {
-			preds[i] = eq
-		}
-		want, err := relation.Select(plain, relation.And{Preds: preds})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parsed.Projection != nil {
-			if want, err = relation.Project(want, parsed.Projection...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if sortedRows(t, q) != sortedRows(t, want) {
-			t.Fatalf("%s:\npushdown:\n%splaintext:\n%s", sql, sortedRows(t, q), sortedRows(t, want))
-		}
-	}
-	if n := fc.count(wire.CmdQuery); n != 3 {
-		t.Fatalf("3 conjunctive queries sent %d read requests, want one each", n)
-	}
 }
 
 // shippedCounter is a scheme that tallies the answer tuples the client

@@ -36,3 +36,6 @@ func CheckUncached(db *DB, node int, vr *authindex.VerifiedResult) error {
 	p := db.pins[node]
 	return checkVerifiedAgainst(newPin(p.root, p.tuples, p.cap), vr)
 }
+
+// EmpTable is the three-employee table of the package's own tests.
+var EmpTable = empTable

@@ -106,8 +106,8 @@ func TestDispatchReadSteadyStateAllocs(t *testing.T) {
 	const runs = 50
 	pins := map[string]uint64{
 		"cache hit":     6,
-		"cold scan":     10,
-		"delta":         8,
+		"cold scan":     9,
+		"delta":         7,
 		"verified":      6,
 		"two conjuncts": 9,
 	}

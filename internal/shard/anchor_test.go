@@ -2,17 +2,13 @@ package shard
 
 import (
 	"bytes"
-	"fmt"
-	"net"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/client"
 	"repro/internal/ph"
 	"repro/internal/query"
 	"repro/internal/relation"
-	"repro/internal/server"
 	"repro/internal/storage"
 )
 
@@ -181,149 +177,6 @@ func TestShardedInsertRefusesStrayAck(t *testing.T) {
 	for i := range roots {
 		if !bytes.Equal(after[i], roots[i]) || afterTuples[i] != tuples[i] {
 			t.Fatalf("shard %d's pin moved on a refused insert", i)
-		}
-	}
-}
-
-// replayScheme wraps a scheme so that encrypting the same plaintext
-// tuples twice yields the same ciphertext: two DBs fed the same tuples
-// then hold identical tables, and their roots can be compared.
-type replayScheme struct {
-	ph.Scheme
-	mu   sync.Mutex
-	seen map[string]*ph.EncryptedTable
-}
-
-func (s *replayScheme) EncryptTable(t *relation.Table) (*ph.EncryptedTable, error) {
-	key := fmt.Sprint(t.Tuples())
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ct, ok := s.seen[key]; ok {
-		return ct.Clone(), nil
-	}
-	ct, err := s.Scheme.EncryptTable(t)
-	if err != nil {
-		return nil, err
-	}
-	s.seen[key] = ct.Clone()
-	return ct, nil
-}
-
-// TestOneNodeIsOneShard: a single server is the one-node case of the
-// pinned root vector. Fed the same ciphertext, a single-server DB and a
-// DB over a 1-shard coordinator pin the same root through CreateTable,
-// Insert and InsertBatch, across a restart from the persisted anchor
-// (the frontier rebuild verified) and a RepinRoot; they give the same
-// answers, and the same refusals once both stores are tampered with.
-func TestOneNodeIsOneShard(t *testing.T) {
-	scheme := &replayScheme{Scheme: shardScheme(t), seen: map[string]*ph.EncryptedTable{}}
-	st := storage.NewMemory()
-	srv := server.New(st, nil)
-	dial := func() (*client.Conn, error) {
-		cliSide, srvSide := net.Pipe()
-		go srv.ServeConn(srvSide)
-		return client.NewConn(cliSide), nil
-	}
-	open := func() *client.DB {
-		conn, _ := dial()
-		t.Cleanup(func() { conn.Close() })
-		return client.NewDB(conn, scheme, "emp")
-	}
-	co, stores := newCluster(t, 1)
-	single, one := open(), client.NewShardedDB(co, scheme, "emp")
-	both := func(label string, op func(db *client.DB) error) {
-		t.Helper()
-		for _, db := range []*client.DB{single, one} {
-			if err := op(db); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-		}
-		root, n := single.Root()
-		roots, ns := one.ShardRoots()
-		if root == nil || len(roots) != 1 || !bytes.Equal(root, roots[0]) || n != ns[0] {
-			t.Fatalf("%s: single-server root (%d tuples) is not the 1-shard vector's entry (%v)", label, n, ns)
-		}
-	}
-	hires := func(prefix string, k int) []relation.Tuple {
-		out := make([]relation.Tuple, k)
-		for i := range out {
-			out[i] = relation.Tuple{relation.String(fmt.Sprintf("%s%d", prefix, i)), relation.String("IT"), relation.Int(int64(7000 + i))}
-		}
-		return out
-	}
-	both("create", func(db *client.DB) error { return db.CreateTable(shardTable()) })
-	both("insert", func(db *client.DB) error { return db.Insert(hires("ins", 3)...) })
-	// One worker keeps the chunks in order, as the cluster's one insert does.
-	both("insert batch", func(db *client.DB) error { return db.InsertBatch(dial, 1, 2, hires("batch", 7)...) })
-
-	// Restart from the persisted anchors: the next insert rebuilds the
-	// frontier from a fetch verified against them.
-	root, n := single.Root()
-	roots, ns := one.ShardRoots()
-	restart := func() {
-		single, one = open(), client.NewShardedDB(co, scheme, "emp")
-		single.PinRoot(root, n)
-		if err := one.PinShardRoots(roots, ns); err != nil {
-			t.Fatal(err)
-		}
-	}
-	restart()
-	both("insert after restart", func(db *client.DB) error { return db.Insert(hires("late", 1)...) })
-	both("repin", func(db *client.DB) error { return db.RepinRoot() })
-	root, n = single.Root()
-	roots, ns = one.ShardRoots()
-
-	plans := [][]relation.Eq{
-		{{Column: "dept", Value: relation.String("IT")}},
-		{{Column: "dept", Value: relation.String("IT")}, {Column: "salary", Value: relation.Int(7001)}},
-		{{Column: "name", Value: relation.String("emp07")}},
-	}
-	for _, eqs := range plans {
-		a, err := single.SelectConj(eqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := one.SelectConj(eqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRows(t, fmt.Sprint(eqs), b, a)
-	}
-
-	// Tamper with the same tuple of both (identical) tables.
-	for _, s := range []*storage.Store{st, stores[0]} {
-		ct, err := s.Get("emp")
-		if err != nil {
-			t.Fatal(err)
-		}
-		mutated := ct.Clone()
-		mutated.Tuples[0].ID[0] ^= 0xFF
-		if err := s.Put("emp", mutated); err != nil {
-			t.Fatal(err)
-		}
-	}
-	refused := 0
-	for _, dept := range []string{"HR", "IT", "OPS"} {
-		q := relation.Eq{Column: "dept", Value: relation.String(dept)}
-		_, errSingle := single.Select(q)
-		_, errOne := one.Select(q)
-		if (errSingle == nil) != (errOne == nil) {
-			t.Fatalf("dept %s: single server %v, one shard %v", dept, errSingle, errOne)
-		}
-		if errSingle != nil {
-			if !strings.Contains(errSingle.Error(), "verification failed") || !strings.Contains(errOne.Error(), "verification failed") {
-				t.Fatalf("dept %s: refusals differ: %v / %v", dept, errSingle, errOne)
-			}
-			refused++
-		}
-	}
-	if refused == 0 {
-		t.Fatal("no select touched the tampered tuple")
-	}
-	restart()
-	for _, db := range []*client.DB{single, one} {
-		if err := db.Insert(hires("after", 1)...); err == nil || !strings.Contains(err.Error(), "verification failed") {
-			t.Fatalf("frontier rebuild over a tampered store not refused: %v", err)
 		}
 	}
 }

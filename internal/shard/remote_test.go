@@ -26,84 +26,6 @@ func startProxy(t *testing.T, co *Coordinator) *client.Conn {
 	return conn
 }
 
-// TestRemoteEndToEnd drives the full remote stack — sharded DB over a
-// Remote cluster over the wire to a proxied coordinator — through
-// create, verified reads, conjunctions, inserts with per-shard acks,
-// and the Byzantine rejection, so the shard framing is exercised
-// end-to-end rather than in-process.
-func TestRemoteEndToEnd(t *testing.T) {
-	co, stores := newCluster(t, 4)
-	conn := startProxy(t, co)
-	remote, err := NewRemote(conn, Map{Version: 1, Count: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheme := shardScheme(t)
-	db := client.NewShardedDB(remote, scheme, "emp")
-	if err := db.CreateTable(shardTable()); err != nil {
-		t.Fatal(err)
-	}
-
-	// Verified point read and conjunction over the wire.
-	got, err := db.Select(relation.Eq{Column: "dept", Value: relation.String("HR")})
-	if err != nil {
-		t.Fatalf("remote verified select: %v", err)
-	}
-	if got.Len() != 8 {
-		t.Fatalf("remote select returned %d rows, want 8", got.Len())
-	}
-	got, err = db.Query("SELECT * FROM emp WHERE dept = 'IT' AND salary = 5100")
-	if err != nil {
-		t.Fatalf("remote verified conjunction: %v", err)
-	}
-	if got.Len() != 1 {
-		t.Fatalf("remote conjunction returned %d rows, want 1", got.Len())
-	}
-
-	// Insert travels as CmdInsert; the coordinator's per-shard acks
-	// advance the pinned vector, so the next verified read still passes.
-	if err := db.Insert(relation.Tuple{relation.String("remote1"), relation.String("HR"), relation.Int(1)}); err != nil {
-		t.Fatalf("remote insert: %v", err)
-	}
-	got, err = db.Select(relation.Eq{Column: "name", Value: relation.String("remote1")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 1 {
-		t.Fatalf("inserted row not found over remote: %d rows", got.Len())
-	}
-
-	// SelectAll fetches per-shard partitions through the shard framing.
-	all, err := db.SelectAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if all.Len() != 25 {
-		t.Fatalf("remote select-all returned %d rows, want 25", all.Len())
-	}
-
-	// Byzantine shard: one flipped ciphertext byte fails the read
-	// across the whole remote stack.
-	for _, st := range stores {
-		ct, err := st.Get("emp")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ct.Tuples) == 0 {
-			continue
-		}
-		mutated := ct.Clone()
-		mutated.Tuples[0].ID[0] ^= 0xFF
-		if err := st.Put("emp", mutated); err != nil {
-			t.Fatal(err)
-		}
-		break
-	}
-	if _, err := db.Select(relation.Eq{Column: "dept", Value: relation.String("HR")}); err == nil {
-		t.Fatal("remote verified scatter accepted a mutated shard")
-	}
-}
-
 // TestRemoteMapVersionMismatch: a client on a stale partition map fails
 // loudly instead of merging mis-routed answers.
 func TestRemoteMapVersionMismatch(t *testing.T) {

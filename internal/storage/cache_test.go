@@ -124,77 +124,6 @@ func assertMatchesSerial(t *testing.T, s *Store, name string, q *ph.EncryptedQue
 	}
 }
 
-// TestCacheMatchesSerialAcrossMutations drives a deterministic
-// interleaving of every mutation kind against repeated cached queries,
-// asserting after each step that the cached answer stays byte-identical
-// to the serial reference evaluation. This is the correctness spine of
-// the result cache: hits, delta scans after appends, invalidation after
-// replace/drop, and version bumps after compaction all happen on this
-// path.
-func TestCacheMatchesSerialAcrossMutations(t *testing.T) {
-	f := newSWPFixture(t, 120, 1)
-	s, err := Open(filepath.Join(t.TempDir(), "store.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Put("emp", f.ct); err != nil {
-		t.Fatal(err)
-	}
-
-	assertMatchesSerial(t, s, "emp", f.q, "cold miss")
-	assertMatchesSerial(t, s, "emp", f.q, "warm hit")
-	if st := s.CacheStats(); st.Hits == 0 {
-		t.Fatalf("no cache hit recorded after repeat query: %+v", st)
-	}
-
-	// Append twice: first batch is guaranteed to contain HR rows (seed 1
-	// reuses the base distribution), second batch exercises a second
-	// consecutive delta.
-	for round, seed := range []int64{7, 8} {
-		if err := s.Append("emp", f.encryptBatch(t, 30, seed)); err != nil {
-			t.Fatal(err)
-		}
-		assertMatchesSerial(t, s, "emp", f.q, "after append (delta)")
-		if st := s.CacheStats(); st.Deltas == 0 {
-			t.Fatalf("append round %d produced no delta scan: %+v", round, st)
-		}
-	}
-
-	// Compaction bumps versions but must not disturb cached answers.
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesSerial(t, s, "emp", f.q, "after compact")
-
-	// Replacement must invalidate: the answer tracks the new table.
-	repl := newSWPFixture(t, 90, 2)
-	if err := s.Put("emp", repl.ct); err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesSerial(t, s, "emp", repl.q, "after replace")
-
-	// Drop then recreate under the same name: no ghost of the old cache.
-	if err := s.Drop("emp"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("emp", f.ct); err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesSerial(t, s, "emp", f.q, "after drop+recreate")
-
-	// The log replays into an equivalent store; queries there agree too.
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(s.path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	assertMatchesSerial(t, s2, "emp", f.q, "after replay")
-}
-
 // TestCacheConcurrentMutations is the -race satellite: queriers hammer a
 // cached hot-word query while one writer appends matching tuples, one
 // compacts, and one churns an unrelated table with Put/Drop cycles.

@@ -1,16 +1,12 @@
 package storage
 
 import (
-	"bytes"
-	"reflect"
 	"sync"
 	"testing"
 
-	"repro/internal/authindex"
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/ph"
-	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -50,88 +46,6 @@ func conjFixture(t *testing.T, tuples int) (*Store, ph.Scheme, func(col string, 
 	return s, scheme, token
 }
 
-// naiveConjPositions intersects per-query evaluator results — the
-// reference the planner must reproduce byte for byte.
-func naiveConjPositions(t *testing.T, s *Store, qs []*ph.EncryptedQuery) []int {
-	t.Helper()
-	et, err := s.Get("emp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []int
-	for i, q := range qs {
-		res, err := ph.Apply(et, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			out = res.Positions
-		} else {
-			out = ph.IntersectPositions(out, res.Positions)
-		}
-	}
-	if out == nil {
-		out = []int{}
-	}
-	return out
-}
-
-func TestQueryConjMatchesIntersection(t *testing.T) {
-	s, _, token := conjFixture(t, 300)
-	cases := [][]*ph.EncryptedQuery{
-		{token("dept", relation.String("HR")), token("salary", relation.Int(1234))},
-		{token("dept", relation.String("HR")), token("dept", relation.String("IT"))},
-		{token("dept", relation.String("HR")), token("dept", relation.String("HR"))},
-		{token("dept", relation.String("IT")), token("name", relation.String("nobody")), token("salary", relation.Int(1))},
-		{token("dept", relation.String("FIN"))},
-	}
-	for ci, qs := range cases {
-		want := naiveConjPositions(t, s, qs)
-		res, info, err := s.QueryConj("emp", qs)
-		if err != nil {
-			t.Fatalf("case %d: %v", ci, err)
-		}
-		if !reflect.DeepEqual(res.Positions, want) {
-			t.Fatalf("case %d: positions %v, want %v", ci, res.Positions, want)
-		}
-		if len(res.Tuples) != len(want) {
-			t.Fatalf("case %d: %d tuples for %d positions", ci, len(res.Tuples), len(want))
-		}
-		if info == nil || len(info.Steps) != len(qs) {
-			t.Fatalf("case %d: plan info %+v, want %d steps", ci, info, len(qs))
-		}
-	}
-}
-
-// TestQueryConjCachesConjuncts: the driver's full position set lands in
-// the result cache, so a repeated conjunct is a hit even in a brand-new
-// combination.
-func TestQueryConjCachesConjuncts(t *testing.T) {
-	s, _, token := conjFixture(t, 200)
-	hr := token("dept", relation.String("HR"))
-	it := token("dept", relation.String("IT"))
-	if _, _, err := s.QueryConj("emp", []*ph.EncryptedQuery{hr, it}); err != nil {
-		t.Fatal(err)
-	}
-	// The driver (whichever the planner picked) was cached; in a new
-	// combination it must be served from the cache.
-	before := s.CacheStats()
-	_, info, err := s.QueryConj("emp", []*ph.EncryptedQuery{hr, token("salary", relation.Int(99))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := s.CacheStats()
-	hadHit := false
-	for _, st := range info.Steps {
-		if st.Source == query.SourceHit {
-			hadHit = true
-		}
-	}
-	if !hadHit && after.Hits == before.Hits {
-		t.Fatalf("repeated conjunct not served from cache; plan %+v, stats %+v -> %+v", info, before, after)
-	}
-}
-
 // TestQueryConjLearnsSelectivity: after the sketch observes both
 // conjuncts, a fresh store-side combination orders the selective one
 // first.
@@ -162,118 +76,6 @@ func TestQueryConjLearnsSelectivity(t *testing.T) {
 	}
 	if !first.EstKnown {
 		t.Fatal("driver estimate should be marked observed after prior scans")
-	}
-}
-
-// TestQueryConjDeltaAfterAppend: a conjunct cached before an append is
-// completed by scanning only the tail.
-func TestQueryConjDeltaAfterAppend(t *testing.T) {
-	s, scheme, token := conjFixture(t, 128)
-	hr := token("dept", relation.String("HR"))
-	it := token("dept", relation.String("IT"))
-	// Cache both conjuncts' full position sets via single queries.
-	if _, err := s.Query("emp", hr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Query("emp", it); err != nil {
-		t.Fatal(err)
-	}
-	// Append fresh tuples; cached entries become prefixes.
-	extra, err := workload.Employees(32, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ect, err := scheme.EncryptTable(extra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append("emp", ect.Tuples); err != nil {
-		t.Fatal(err)
-	}
-	want := naiveConjPositions(t, s, []*ph.EncryptedQuery{hr, it})
-	res, info, err := s.QueryConj("emp", []*ph.EncryptedQuery{hr, it})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Positions, want) {
-		t.Fatalf("positions after append %v, want %v", res.Positions, want)
-	}
-	for _, st := range info.Steps {
-		if st.Source == query.SourceScan {
-			t.Fatalf("conjunct %d full-scanned after append despite cached prefix; plan %+v", st.Index, info)
-		}
-	}
-}
-
-// TestVerifiedConjSnapshotConsistent: the verified variant's
-// proofs always verify against the snapshot whose root they travel
-// with, and the result equals the plain conjunctive result.
-func TestVerifiedConjSnapshotConsistent(t *testing.T) {
-	s, _, token := conjFixture(t, 200)
-	// A conjunction that matches — HR and the salary of one of its own
-	// employees — so there are tuples for the proof to authenticate.
-	plain, err := workload.Employees(200, 5) // conjFixture's table
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr, err := relation.Select(plain, relation.Eq{Column: "dept", Value: relation.String("HR")})
-	if err != nil || hr.Len() == 0 {
-		t.Fatalf("fixture has no HR employee (%v)", err)
-	}
-	qs := []*ph.EncryptedQuery{token("dept", relation.String("HR")), token("salary", hr.Tuples()[0][2])}
-	want := naiveConjPositions(t, s, qs)
-	resp, _, err := s.Read("emp", qs, wire.ReadFlagVerified)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vr := resp.Verified
-	if !reflect.DeepEqual(vr.Result.Positions, want) {
-		t.Fatalf("verified positions %v, want %v", vr.Result.Positions, want)
-	}
-	if len(vr.Result.Tuples) == 0 {
-		t.Fatal("the conjunction matched nothing; nothing to verify")
-	}
-	if err := verifyAt(s, "emp", vr); err != nil {
-		t.Fatalf("answer of %d tuples rejected: %v", len(vr.Result.Tuples), err)
-	}
-	et, err := s.Get("emp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := authindex.Build(et).Root(); !bytes.Equal(vr.Root, want) {
-		t.Fatal("verified root differs from a rebuild of the served table")
-	}
-}
-
-func TestExplainDoesNotExecute(t *testing.T) {
-	s, _, token := conjFixture(t, 256)
-	qs := []*ph.EncryptedQuery{token("dept", relation.String("HR")), token("salary", relation.Int(1234))}
-	resp, _, err := s.Read("emp", qs, wire.ReadFlagExplain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := resp.Plan
-	if resp.Result != nil || resp.Verified != nil || len(info.Steps) != 2 || info.Tuples != 256 {
-		t.Fatalf("explain info %+v", info)
-	}
-	for _, st := range info.Steps {
-		if st.Tested != 0 || st.Hits != 0 {
-			t.Fatalf("explain must not execute; step %+v reports work", st)
-		}
-	}
-	// Nothing was scanned, so nothing entered the result cache.
-	if n := 0; s.CacheStats().Hits != uint64(n) {
-		t.Fatalf("explain produced cache hits: %+v", s.CacheStats())
-	}
-	// And a subsequent real run is still a miss-driven execution that
-	// matches the reference.
-	want := naiveConjPositions(t, s, qs)
-	res, _, err := s.QueryConj("emp", qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Positions, want) {
-		t.Fatalf("positions after explain %v, want %v", res.Positions, want)
 	}
 }
 

@@ -43,43 +43,6 @@ func tablesEqual(a, b *ph.EncryptedTable) error {
 	return nil
 }
 
-// TestCrashRecoveryNoAckedLoss is the acceptance crash test for
-// SyncAlways: every acknowledged mutation survives an abrupt process
-// death. The "crash" reopens the log without ever calling Close — no
-// user-space flush can save the day, so the test fails if any
-// acknowledged record was still sitting in a buffer the moment the
-// store was abandoned.
-func TestCrashRecoveryNoAckedLoss(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.log")
-	s, err := OpenOptions(path, Options{Sync: SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("emp", fakeTable(4)); err != nil {
-		t.Fatal(err)
-	}
-	acked := 0
-	for i := 0; i < 17; i++ {
-		if err := s.Append("emp", fakeTable(1).Tuples); err != nil {
-			t.Fatal(err)
-		}
-		acked++
-	}
-	// Crash: no Close, no Sync — the store object is simply abandoned.
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatalf("reopen after crash: %v", err)
-	}
-	defer s2.Close()
-	got, err := s2.Get("emp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Tuples) != 4+acked {
-		t.Fatalf("lost acknowledged appends: replayed %d tuples, want %d", len(got.Tuples), 4+acked)
-	}
-}
-
 // corruptSetup writes a small store and returns its log path plus the
 // table state at the point of corruption.
 func corruptSetup(t *testing.T) (string, int) {

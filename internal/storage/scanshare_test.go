@@ -63,42 +63,6 @@ func serialGroundTruth(t testing.TB, et *ph.EncryptedTable, q *ph.EncryptedQuery
 	return res.Positions
 }
 
-// TestQuerySharedScanMatchesSerial drives repeated cold queries through
-// the store's single-flight miss path (cache disabled so every query is
-// a miss; one per department in flight at once) and checks each answer
-// against the serial evaluator.
-func TestQuerySharedScanMatchesSerial(t *testing.T) {
-	f := newShareFixture(t, 2000, 11)
-	s := NewMemory()
-	disableCache(s)
-	if err := s.Put("emp", f.et); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for round := 0; round < 3; round++ {
-		for _, dept := range workload.Departments {
-			wg.Add(1)
-			go func(dept string) {
-				defer wg.Done()
-				q := f.query(t, "dept", dept)
-				res, err := s.Query("emp", q)
-				if err != nil {
-					t.Errorf("Query(%s): %v", dept, err)
-					return
-				}
-				want := serialGroundTruth(t, f.et, q)
-				if !reflect.DeepEqual(res.Positions, want) {
-					t.Errorf("Query(%s): %d positions, serial says %d", dept, len(res.Positions), len(want))
-				}
-			}(dept)
-		}
-		wg.Wait()
-	}
-	if st := s.ShareStats(); st.Passes+st.Attached != uint64(3*len(workload.Departments)) {
-		t.Fatalf("share stats = %+v, want every miss to have scanned or attached", st)
-	}
-}
-
 // stripedEmployees builds a table where dept == "FIN" exactly at
 // positions that are multiples of stride, so any snapshot prefix has a
 // predictable match set.
@@ -231,68 +195,6 @@ func TestSharedScanDuringAppends(t *testing.T) {
 	}
 	if want := serialGroundTruth(t, full, q); !reflect.DeepEqual(res.Positions, want) {
 		t.Fatal("post-quiesce query diverges from serial scan of the final table")
-	}
-}
-
-// TestConjDriverRidesSharedPass checks that a cold conjunctive query's
-// driver-conjunct full scan — and no narrowing step — goes through the
-// sharer, and that the answer matches the intersection of the serial
-// per-conjunct scans.
-func TestConjDriverRidesSharedPass(t *testing.T) {
-	f := newShareFixture(t, 2000, 13)
-	s := NewMemory()
-	disableCache(s)
-	if err := s.Put("emp", f.et); err != nil {
-		t.Fatal(err)
-	}
-	qs := []*ph.EncryptedQuery{
-		f.query(t, "dept", "IT"),
-		f.query(t, "name", "Alan001"),
-	}
-	res, _, err := s.QueryConj("emp", qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inter := map[int]int{}
-	for _, q := range qs {
-		for _, p := range serialGroundTruth(t, f.et, q) {
-			inter[p]++
-		}
-	}
-	var want []int
-	for p := 0; p < len(f.et.Tuples); p++ {
-		if inter[p] == len(qs) {
-			want = append(want, p)
-		}
-	}
-	if len(res.Positions) != len(want) || (want != nil && !reflect.DeepEqual(res.Positions, want)) {
-		t.Fatalf("conj positions = %v, want %v", res.Positions, want)
-	}
-	if st := s.ShareStats(); st.Passes != 1 {
-		t.Fatalf("share stats = %+v, want the driver's scan — and only it — through the sharer", st)
-	}
-}
-
-// TestQueryVerifiedThroughSharer checks the verified-read path still
-// answers correctly when its miss goes through the sharer.
-func TestQueryVerifiedThroughSharer(t *testing.T) {
-	f := newShareFixture(t, 1500, 17)
-	s := NewMemory()
-	disableCache(s)
-	if err := s.Put("emp", f.et); err != nil {
-		t.Fatal(err)
-	}
-	q := f.query(t, "dept", "SALES")
-	vr, err := s.QueryVerified("emp", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := serialGroundTruth(t, f.et, q)
-	if !reflect.DeepEqual(vr.Result.Positions, want) {
-		t.Fatalf("verified positions diverge from serial (%d vs %d)", len(vr.Result.Positions), len(want))
-	}
-	if st := s.ShareStats(); st.Passes != 1 {
-		t.Fatalf("share stats = %+v, verified miss bypassed the sharer", st)
 	}
 }
 

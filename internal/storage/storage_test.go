@@ -151,46 +151,6 @@ func TestGetUnknown(t *testing.T) {
 	}
 }
 
-func TestAppendAndDrop(t *testing.T) {
-	s := NewMemory()
-	if err := s.Append("emp", fakeTable(1).Tuples); err == nil {
-		t.Fatal("append to unknown table accepted")
-	}
-	if err := s.Put("emp", fakeTable(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append("emp", fakeTable(3).Tuples); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := s.Get("emp")
-	if len(got.Tuples) != 5 {
-		t.Fatalf("after append: %d tuples, want 5", len(got.Tuples))
-	}
-	if err := s.Drop("emp"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Drop("emp"); err == nil {
-		t.Fatal("double drop accepted")
-	}
-}
-
-func TestQueryDispatch(t *testing.T) {
-	s := NewMemory()
-	if err := s.Put("emp", fakeTable(2)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Query("emp", fixtureQuery("n", 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Positions) != 1 || res.Positions[0] != 0 {
-		t.Fatalf("query result: %+v", res)
-	}
-	if _, err := s.Query("none", fixtureQuery("n", 0)); err == nil {
-		t.Fatal("query on unknown table accepted")
-	}
-}
-
 func TestList(t *testing.T) {
 	s := NewMemory()
 	s.Put("zeta", fakeTable(1))
@@ -201,46 +161,6 @@ func TestList(t *testing.T) {
 	}
 	if infos[1].Tuples != 1 || infos[0].SchemeID != core.SchemeID {
 		t.Fatalf("list detail: %+v", infos)
-	}
-}
-
-func TestPersistenceReplay(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.log")
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("emp", fakeTable(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append("emp", fakeTable(1).Tuples); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("tmp", fakeTable(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Drop("tmp"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	got, err := s2.Get("emp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Tuples) != 3 {
-		t.Fatalf("replayed table has %d tuples, want 3", len(got.Tuples))
-	}
-	if _, err := s2.Get("tmp"); err == nil {
-		t.Fatal("dropped table survived replay")
 	}
 }
 
@@ -292,72 +212,6 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 	if len(got.Tuples) != 3 {
 		t.Fatalf("after recovery+append: %d tuples, want 3", len(got.Tuples))
-	}
-}
-
-func TestCompactShrinksAndPreserves(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.log")
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Churn: repeated stores of the same table, appends, a dropped table.
-	for i := 0; i < 10; i++ {
-		if err := s.Put("emp", fakeTable(4)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Append("emp", fakeTable(2).Tuples); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("tmp", fakeTable(8)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Drop("tmp"); err != nil {
-		t.Fatal(err)
-	}
-	before, err := s.LogSize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := s.LogSize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after >= before {
-		t.Fatalf("compaction did not shrink the log: %d -> %d", before, after)
-	}
-	// State survives both in memory and across a reopen.
-	got, err := s.Get("emp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Tuples) != 6 {
-		t.Fatalf("after compaction: %d tuples, want 6", len(got.Tuples))
-	}
-	// The compacted log must still accept appends.
-	if err := s.Append("emp", fakeTable(1).Tuples); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	got, err = s2.Get("emp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Tuples) != 7 {
-		t.Fatalf("after reopen: %d tuples, want 7", len(got.Tuples))
-	}
-	if _, err := s2.Get("tmp"); err == nil {
-		t.Fatal("dropped table resurrected by compaction")
 	}
 }
 
