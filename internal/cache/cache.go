@@ -110,8 +110,9 @@ func New(maxBytes int64) *Cache {
 }
 
 // entryBytes approximates an entry's memory footprint for the size bound.
+// An adopted positions slice is held whole, spare capacity included.
 func entryBytes(e Entry) int64 {
-	return int64(len(e.Positions)*8 + sha256.Size + 64)
+	return int64(cap(e.Positions)*8 + sha256.Size + 64)
 }
 
 // Lookup returns the cached entry for k, given the table's current tuple

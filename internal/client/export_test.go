@@ -39,3 +39,6 @@ func CheckUncached(db *DB, node int, vr *authindex.VerifiedResult) error {
 
 // EmpTable is the three-employee table of the package's own tests.
 var EmpTable = empTable
+
+// BigEmpTuples is n employees, a third each in HR, IT and OPS.
+var BigEmpTuples = bigEmpTuples

@@ -11,7 +11,7 @@ import (
 	"repro/internal/storage"
 )
 
-// pipeDialer returns a dial function that serves each accepted pipe from
+// replicaDialer returns a dial function that serves each accepted pipe from
 // srv, plus a kill switch that severs every connection it handed out and
 // makes further dials fail.
 func replicaDialer(t *testing.T, srv *server.Server) (dial func() (*Conn, error), kill func()) {

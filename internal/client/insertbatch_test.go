@@ -3,28 +3,13 @@ package client
 import (
 	"errors"
 	"fmt"
-	"net"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/relation"
-	"repro/internal/server"
 	"repro/internal/storage"
 )
 
-// pipeDialer returns a dial function minting fresh client connections,
-// each served by its own ServeConn goroutine over a net.Pipe — the
-// multi-connection analogue of startPipe.
-func pipeDialer(t *testing.T, srv *server.Server) func() (*Conn, error) {
-	t.Helper()
-	return func() (*Conn, error) {
-		cliSide, srvSide := net.Pipe()
-		go srv.ServeConn(srvSide)
-		return NewConn(cliSide), nil
-	}
-}
-
-// bigEmpTable builds n employee tuples under empSchema.
+// bigEmpTuples builds n employee tuples under empSchema.
 func bigEmpTuples(n int) []relation.Tuple {
 	out := make([]relation.Tuple, 0, n)
 	depts := []string{"HR", "IT", "OPS"}
@@ -36,100 +21,6 @@ func bigEmpTuples(n int) []relation.Tuple {
 		})
 	}
 	return out
-}
-
-// TestInsertBatchDurable drives the client batch-insert path against a
-// durable group-commit store: parallel chunked inserts over several
-// connections, then a simulated crash (no Close) and replay, asserting
-// every acknowledged chunk survived and the data is queryable.
-func TestInsertBatchDurable(t *testing.T) {
-	dir := t.TempDir()
-	logPath := filepath.Join(dir, "store.log")
-	st, err := storage.OpenOptions(logPath, storage.Options{Sync: storage.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(st, nil)
-	dial := pipeDialer(t, srv)
-	conn, err := dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	scheme := newScheme(t)
-	db := NewDB(conn, scheme, "emp")
-	if err := db.CreateTable(empTable()); err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 120
-	if err := db.InsertBatch(dial, 4, 10, bigEmpTuples(n)...); err != nil {
-		t.Fatal(err)
-	}
-	got, err := db.SelectAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 3+n {
-		t.Fatalf("after batch insert: %d tuples, want %d", got.Len(), 3+n)
-	}
-	if st.LogStats().Syncs == 0 {
-		t.Fatal("batch insert under SyncAlways recorded no fsyncs")
-	}
-
-	// Crash: abandon the server and store without Close, then replay.
-	srv.Close()
-	st2, err := storage.Open(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	ct, err := st2.Get("emp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ct.Tuples) != 3+n {
-		t.Fatalf("crash lost acknowledged batch inserts: replayed %d tuples, want %d", len(ct.Tuples), 3+n)
-	}
-	// The replayed ciphertext decrypts to the full data set.
-	got2, err := scheme.DecryptTable(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.Len() != 3+n {
-		t.Fatalf("replayed table decrypts to %d tuples, want %d", got2.Len(), 3+n)
-	}
-}
-
-// TestInsertBatchVerifiedRoot: with a pinned root, InsertBatch refreshes
-// it so verified selects keep working afterwards.
-func TestInsertBatchVerifiedRoot(t *testing.T) {
-	st := storage.NewMemory()
-	srv := server.New(st, nil)
-	dial := pipeDialer(t, srv)
-	conn, err := dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	db := NewDB(conn, newScheme(t), "emp")
-	if err := db.CreateTable(empTable()); err != nil {
-		t.Fatal(err)
-	}
-	if root, _ := db.Root(); root == nil {
-		t.Fatal("no root pinned after create")
-	}
-	if err := db.InsertBatch(dial, 3, 7, bigEmpTuples(40)...); err != nil {
-		t.Fatal(err)
-	}
-	got, err := db.Select(relation.Eq{Column: "dept", Value: relation.String("HR")})
-	if err != nil {
-		t.Fatalf("verified select after batch insert: %v", err)
-	}
-	// 2 HR rows in empTable, plus every i%3==0 row of the batch.
-	if want := 2 + (40+2)/3; got.Len() != want {
-		t.Fatalf("verified select returned %d rows, want %d", got.Len(), want)
-	}
 }
 
 // TestInsertBatchDialFailure: a dial error surfaces and the feeder does
@@ -145,25 +36,5 @@ func TestInsertBatchDialFailure(t *testing.T) {
 	err := db.InsertBatch(func() (*Conn, error) { return nil, boom }, 2, 4, bigEmpTuples(30)...)
 	if !errors.Is(err, boom) {
 		t.Fatalf("dial failure not surfaced: %v", err)
-	}
-}
-
-// TestInsertBatchNilDialFallsBack: the serial path over the DB's own
-// connection still works.
-func TestInsertBatchNilDialFallsBack(t *testing.T) {
-	conn := startPipe(t, storage.NewMemory())
-	db := NewDB(conn, newScheme(t), "emp")
-	if err := db.CreateTable(empTable()); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.InsertBatch(nil, 0, 0, bigEmpTuples(5)...); err != nil {
-		t.Fatal(err)
-	}
-	got, err := db.SelectAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 8 {
-		t.Fatalf("fallback insert: %d tuples, want 8", got.Len())
 	}
 }

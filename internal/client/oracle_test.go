@@ -30,7 +30,7 @@ func TestQueryConjPushdownMatchesPlaintext(t *testing.T) {
 	r.Do(oracle.Put([]relation.Tuple{row("Montgomery", "HR", 7500), row("Ada", "IT", 9100), row("Grace", "HR", 8800),
 		row("Barbara", "HR", 7500), row("Alan", "IT", 7500), row("Edsger", "OPS", 7500)}))
 	reads := 0
-	r.Tap(0).Rewrite(func(byte, []query.Response) { reads++ })
+	r.Tap(0, 0).Rewrite(func([]query.Response) { reads++ })
 	r.Do(oracle.Conj(false, hr, hrs), oracle.Conj(false, it, oracle.Eq("salary", 8800)),
 		oracle.Conj(false, hr, hrs, oracle.Eq("name", "Barbara")))
 	if reads != 3 {
@@ -122,4 +122,32 @@ func TestDurableRestartEndToEnd(t *testing.T) {
 	}
 	r := oracle.New(t, scheme, oracle.Durable())
 	r.Do(oracle.Put(client.EmpTable().Tuples()), oracle.Reopen(fault.FilePlan{}), oracle.Select(true, hr).Tampered(), oracle.All())
+}
+
+// TestInsertBatchDurable drives the client batch-insert path against a
+// durable group-commit store: parallel chunked inserts over several
+// connections, then a crash (no Close) and replay, asserting every
+// acknowledged chunk survived and the data is queryable.
+func TestInsertBatchDurable(t *testing.T) {
+	r := oracle.New(t, nil, oracle.Durable())
+	r.Do(oracle.Put(client.EmpTable().Tuples()), oracle.Append(client.BigEmpTuples(120)...).Batched(4, 10), oracle.All())
+	if r.Stores(0)[0].LogStats().Syncs == 0 {
+		t.Fatal("batch insert under SyncAlways recorded no fsyncs")
+	}
+	r.Do(oracle.Reopen(fault.FilePlan{}), oracle.All(), oracle.Select(true, hr))
+}
+
+// TestInsertBatchVerifiedRoot: with a pinned root, InsertBatch refreshes
+// it so verified selects keep working afterwards.
+func TestInsertBatchVerifiedRoot(t *testing.T) {
+	r := oracle.New(t, nil, oracle.Memory())
+	r.Do(oracle.Put(client.EmpTable().Tuples()), oracle.Append(client.BigEmpTuples(40)...).Batched(3, 7),
+		oracle.Select(true, hr).Tampered())
+}
+
+// TestInsertBatchNilDialFallsBack: the serial path over the DB's own
+// connection still works.
+func TestInsertBatchNilDialFallsBack(t *testing.T) {
+	r := oracle.New(t, nil, oracle.Memory())
+	r.Do(oracle.Put(client.EmpTable().Tuples()), oracle.Append(client.BigEmpTuples(5)...), oracle.All())
 }

@@ -48,7 +48,7 @@ func TestKnownGapWithheldTuple(t *testing.T) {
 	r := New(t, nil, Memory())
 	hr := relation.Tuple{relation.String("Ada"), relation.String("HR"), relation.Int(1000)}
 	r.Do(Put([]relation.Tuple{hr, hr, hr}))
-	r.Tap(0).Rewrite(func(_ byte, resps []query.Response) {
+	r.Tap(0, 0).Rewrite(func(resps []query.Response) {
 		vr := resps[0].Verified
 		n := len(vr.Result.Tuples) - 1
 		vr.Result.Positions, vr.Result.Tuples = vr.Result.Positions[:n], vr.Result.Tuples[:n]

@@ -44,7 +44,7 @@ func New(tb testing.TB, scheme ph.Scheme, topos ...Topology) *Runner {
 	r := &Runner{tb: tb, scheme: scheme, Seen: Tally{}}
 	tb.Cleanup(r.Close)
 	for _, topo := range topos {
-		t := &tier{Topology: topo, tb: tb, scheme: scheme, table: scheme.Schema().Name, tap: new(Tap), model: model{nil}}
+		t := &tier{Topology: topo, tb: tb, scheme: scheme, table: scheme.Schema().Name, model: model{nil}}
 		r.tiers = append(r.tiers, t)
 		if err := t.start(); err != nil {
 			tb.Fatal(err)
@@ -98,8 +98,12 @@ func (r *Runner) Stores(i int) []*storage.Store { return r.tiers[i].stores }
 // DB returns topology i's client that pins the roots.
 func (r *Runner) DB(i int) *client.DB { return r.tiers[i].db }
 
-// Tap returns the tap on topology i's connections.
-func (r *Runner) Tap(i int) *Tap { return r.tiers[i].tap }
+// Plain returns topology i's client that pins no root.
+func (r *Runner) Plain(i int) *client.DB { return r.tiers[i].plain }
+
+// Tap returns the tap on topology i's connections to its node (shard)
+// n; a single server is node 0.
+func (r *Runner) Tap(i, n int) *Tap { return r.tiers[i].taps[n] }
 
 // model is what a topology's table may be: one table, or — after a
 // fault left a mutation unacknowledged — each table it may have become.
@@ -136,7 +140,11 @@ func (r *Runner) mutate(t *tier, op Op) error {
 		}
 		err, apply = t.db.CreateTable(tbl), func(*relation.Table) *relation.Table { return tbl }
 	case OpAppend:
-		err = t.db.Insert(op.Rows...)
+		var dial func() (*client.Conn, error)
+		if op.Workers > 0 {
+			dial = func() (*client.Conn, error) { return t.dial(0) }
+		}
+		err = t.db.InsertBatch(dial, op.Workers, op.Chunk, op.Rows...)
 		apply = func(old *relation.Table) *relation.Table {
 			if old != nil {
 				old = old.Clone()
@@ -215,12 +223,17 @@ func (r *Runner) read(op Op) error {
 		case diff(got, first) != nil:
 			return fmt.Errorf("%s and %s disagree: %w", from, t.Name, diff(got, first))
 		}
-		if op.Tamper && op.Verified {
-			t.tap.Rewrite(Tamper)
+		if !op.Tamper || !op.Verified {
+			continue
+		}
+		// Each node lies alone in turn: the client must check every
+		// node's answer, not some.
+		for n, tap := range t.taps {
+			tap.Rewrite(Tamper)
 			_, err := t.ask(op, true)
-			t.tap.Rewrite(nil)
-			if err == nil {
-				return fmt.Errorf("%s: a tampered answer verified", t.Name)
+			tap.Rewrite(nil)
+			if err == nil || !strings.Contains(err.Error(), "verification failed") {
+				return fmt.Errorf("%s: an answer tampered by node %d was not refused by verification: %v", t.Name, n, err)
 			}
 			c.Rejected++
 		}

@@ -69,8 +69,9 @@ type tier struct {
 	tb        testing.TB
 	scheme    ph.Scheme
 	table     string
-	tap       *Tap
+	taps      []*Tap // one per node, on both clients' connections to it
 	stores    []*storage.Store
+	abandoned []*storage.Store // durable stores left behind by a crash
 	servers   []*server.Server
 	dials     []func() (net.Conn, error)
 	conns     []*client.Conn
@@ -88,6 +89,7 @@ func (t *tier) start() error {
 	n := max(t.shards, 1)
 	t.stores, t.servers, t.dials = make([]*storage.Store, n), make([]*server.Server, n), make([]func() (net.Conn, error), n)
 	for i := range n {
+		t.taps = append(t.taps, new(Tap))
 		st := storage.NewMemory()
 		if t.durable {
 			var err error
@@ -125,12 +127,12 @@ func (t *tier) connect() error {
 	}
 	t.hangUp()
 	conn := func(i int) *client.Conn {
-		c, err := t.dials[i]()
+		c, err := t.dial(i)
 		if err != nil {
 			t.tb.Fatal(err)
 		}
-		t.conns = append(t.conns, client.NewConn(t.tap.wrap(c)))
-		return t.conns[len(t.conns)-1]
+		t.conns = append(t.conns, c)
+		return c
 	}
 	if t.shards == 0 {
 		t.db, t.plain = client.NewDB(conn(0), t.scheme, t.table), client.NewDB(conn(0), t.scheme, t.table)
@@ -151,6 +153,15 @@ func (t *tier) connect() error {
 	return t.db.PinShardRoots(roots, counts)
 }
 
+// dial opens a connection to node i through its tap.
+func (t *tier) dial(i int) (*client.Conn, error) {
+	c, err := t.dials[i]()
+	if err != nil {
+		return nil, err
+	}
+	return client.NewConn(t.taps[i].wrap(c)), nil
+}
+
 func (t *tier) hangUp() {
 	for _, c := range t.conns {
 		c.Close()
@@ -159,14 +170,16 @@ func (t *tier) hangUp() {
 }
 
 // reopen restarts the clients. A durable store crashes first: it is
-// abandoned, never closed, so whatever it has not synced is lost; it is
-// reopened with plan's faults and held to the model (recover).
+// abandoned, not closed until the history ends, so whatever it has not
+// synced is lost; it is reopened with plan's faults and held to the
+// model (recover).
 func (t *tier) reopen(plan fault.FilePlan) error {
 	if !t.durable {
 		return t.connect()
 	}
 	t.hangUp()
 	t.servers[0].Close()
+	t.abandoned = append(t.abandoned, t.stores[0])
 	st, err := t.open(plan)
 	if err != nil {
 		return fmt.Errorf("reopening after a crash: %w", err)
@@ -215,18 +228,23 @@ func (t *tier) close() {
 		srv.Close()
 		t.stores[i].Close()
 	}
+	for _, st := range t.abandoned {
+		st.Close() // the history is over: what this writes, no one reads
+	}
+	t.abandoned = nil
 }
 
-// Tap sits on the client side of every connection of one topology.
-// While a rewrite is set, it decodes each read answer, lets the rewrite
-// change it and re-encodes it: a lying server, played by the wire.
+// Tap sits on the client side of every connection to one node of a
+// topology. While a rewrite is set, it decodes each read answer, lets
+// the rewrite change it and re-encodes it: a lying node, played by the
+// wire.
 type Tap struct {
-	rewrite atomic.Pointer[func(flags byte, resps []query.Response)]
+	rewrite atomic.Pointer[func(resps []query.Response)]
 }
 
 // Rewrite sets the rewrite of every read answer from now on; nil stops
 // rewriting.
-func (p *Tap) Rewrite(f func(flags byte, resps []query.Response)) {
+func (p *Tap) Rewrite(f func(resps []query.Response)) {
 	if f == nil {
 		p.rewrite.Store(nil)
 	} else {
@@ -253,7 +271,7 @@ func (c *tapped) Read(b []byte) (int, error) {
 			if err != nil {
 				return 0, err
 			}
-			(*rw)(flags, resps)
+			(*rw)(resps)
 			f.Payload = query.EncodeResponses(nil, flags, resps)
 		}
 		if err := wire.WriteFrame(&c.buf, f); err != nil {
@@ -264,8 +282,10 @@ func (c *tapped) Read(b []byte) (int, error) {
 }
 
 // Tamper breaks every verified answer: the first tuple's ID, which its
-// leaf hash covers and no search reads, or an empty answer's root.
-func Tamper(_ byte, resps []query.Response) {
+// leaf hash covers, or an empty answer's root. The ID also keys the
+// tuple's decryption, so a client that skipped the proof would still
+// fail — which is why only a failed verification counts as refusing.
+func Tamper(resps []query.Response) {
 	for _, r := range resps {
 		switch vr := r.Verified; {
 		case vr == nil:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/relation"
 	"repro/internal/server"
 	"repro/internal/shard"
+	"repro/internal/storage"
 )
 
 // remote serves the coordinator as a phserver -coordinator does and
@@ -153,9 +155,10 @@ func (s *replayScheme) EncryptTable(t *relation.Table) (*ph.EncryptedTable, erro
 // TestOneNodeIsOneShard: a single server is the one-node case of the
 // pinned root vector. Fed the same ciphertext, a single-server DB and a
 // DB over a 1-shard coordinator pin the same root through CreateTable,
-// Insert, a restart from the persisted anchor (the frontier rebuild
-// verified) and a RepinRoot; they give the same answers, and both
-// refuse the same tampered answers.
+// Insert and InsertBatch, across a restart from the persisted anchor
+// (the frontier rebuild verified) and a RepinRoot; they give the same
+// answers, refuse the same tampered answers, and refuse alike once both
+// stores are tampered with.
 func TestOneNodeIsOneShard(t *testing.T) {
 	scheme := &replayScheme{Scheme: shard.ShardScheme(t), seen: map[string]*ph.EncryptedTable{}}
 	r := oracle.New(t, scheme, oracle.Memory(), oracle.Sharded(1))
@@ -167,14 +170,21 @@ func TestOneNodeIsOneShard(t *testing.T) {
 			t.Fatalf("%s: single-server root (%d tuples) is not the 1-shard vector's entry (%v)", label, n, ns)
 		}
 	}
-	hire := func(name string) relation.Tuple {
-		return relation.Tuple{relation.String(name), relation.String("IT"), relation.Int(7001)}
+	hires := func(prefix string, k int) []relation.Tuple {
+		out := make([]relation.Tuple, k)
+		for i := range out {
+			out[i] = relation.Tuple{relation.String(fmt.Sprintf("%s%d", prefix, i)), relation.String("IT"), relation.Int(int64(7000 + i))}
+		}
+		return out
 	}
 	r.Do(oracle.Put(shard.ShardTable().Tuples()))
 	sameRoot("create")
-	r.Do(oracle.Append(hire("ins0"), hire("ins1"), hire("ins2")))
+	r.Do(oracle.Append(hires("ins", 3)...))
 	sameRoot("insert")
-	r.Do(oracle.Reopen(fault.FilePlan{}), oracle.Append(hire("late")))
+	// One worker keeps the chunks in order, as the cluster's one insert does.
+	r.Do(oracle.Append(hires("batch", 7)...).Batched(1, 2))
+	sameRoot("insert batch")
+	r.Do(oracle.Reopen(fault.FilePlan{}), oracle.Append(hires("late", 1)...))
 	sameRoot("insert after restart")
 	for i := range 2 {
 		if err := r.DB(i).RepinRoot(); err != nil {
@@ -184,6 +194,50 @@ func TestOneNodeIsOneShard(t *testing.T) {
 	sameRoot("repin")
 	r.Do(oracle.Conj(true, it).Tampered(), oracle.Conj(true, it, oracle.Eq("salary", 7001)).Tampered(),
 		oracle.Conj(true, oracle.Eq("name", "emp07")).Tampered(), oracle.Select(true, hr).Tampered())
+
+	// Tamper with the same stored tuple of both (identical) tables.
+	for i := range 2 {
+		mutateFirstTuple(t, r.Stores(i)[0])
+	}
+	refused := 0
+	for _, dept := range []string{"HR", "IT", "OPS"} {
+		_, errSingle := r.DB(0).Select(oracle.Eq("dept", dept))
+		_, errOne := r.DB(1).Select(oracle.Eq("dept", dept))
+		if (errSingle == nil) != (errOne == nil) {
+			t.Fatalf("dept %s: single server %v, one shard %v", dept, errSingle, errOne)
+		}
+		if errSingle != nil {
+			if !strings.Contains(errSingle.Error(), "verification failed") || !strings.Contains(errOne.Error(), "verification failed") {
+				t.Fatalf("dept %s: refusals differ: %v / %v", dept, errSingle, errOne)
+			}
+			refused++
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no select touched the tampered tuple")
+	}
+	r.Do(oracle.Reopen(fault.FilePlan{}))
+	for i := range 2 {
+		if err := r.DB(i).Insert(hires("after", 1)...); err == nil || !strings.Contains(err.Error(), "verification failed") {
+			t.Fatalf("frontier rebuild over a tampered store not refused: %v", err)
+		}
+	}
+}
+
+// mutateFirstTuple flips a byte of the stored table's first tuple behind
+// the authenticated index, and returns the honest table.
+func mutateFirstTuple(t *testing.T, st *storage.Store) *ph.EncryptedTable {
+	t.Helper()
+	honest, err := st.Get("emp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutated := honest.Clone()
+	mutated.Tuples[0].ID[0] ^= 0xFF
+	if err := st.Put("emp", mutated); err != nil {
+		t.Fatal(err)
+	}
+	return honest
 }
 
 // TestRemoteEndToEnd drives the full remote stack — sharded DB over a
@@ -198,17 +252,40 @@ func TestRemoteEndToEnd(t *testing.T) {
 		oracle.Select(true, oracle.Eq("name", "remote1")), oracle.All(), oracle.Select(true, hr).Tampered())
 }
 
-// TestByzantineShardDrill: a tampered shard answer fails the verified
-// scatter, naming the shard; once the shard answers honestly again the
-// refusal was the forged bytes', not the tier's, and the next verified
-// read is the plaintext answer.
+// TestByzantineShardDrill: a shard that lies fails the verified
+// scatter, and the refusal names that shard — so the other shards'
+// answers verified. Each shard lies in turn on the wire, and then one
+// shard holding tuples serves a mutated stored tuple. Once the shard
+// answers honestly again the refusal was the forged bytes', not the
+// tier's, and the next verified read is the plaintext answer.
 func TestByzantineShardDrill(t *testing.T) {
 	r := oracle.New(t, shard.ShardScheme(t), oracle.Sharded(4))
 	r.Do(oracle.Put(shard.ShardTable().Tuples()))
-	r.Tap(0).Rewrite(oracle.Tamper)
-	if _, err := r.DB(0).Select(hr); err == nil || !strings.Contains(err.Error(), "shard") {
-		t.Fatalf("verified scatter of a tampered shard: %v, want a refusal naming the shard", err)
+	refused := func(label string, s int) {
+		t.Helper()
+		_, err := r.DB(0).Select(hr)
+		if err == nil || !strings.Contains(err.Error(), "verification failed") || !strings.Contains(err.Error(), fmt.Sprintf("shard %d:", s)) {
+			t.Fatalf("%s: verified scatter: %v, want a verification failure naming shard %d", label, err, s)
+		}
 	}
-	r.Tap(0).Rewrite(nil)
+	for s := range 4 {
+		r.Tap(0, s).Rewrite(oracle.Tamper)
+		refused("answer tampered on the wire", s)
+		r.Tap(0, s).Rewrite(nil)
+		r.Do(oracle.Select(true, hr))
+	}
+	stores := r.Stores(0)
+	target := slices.IndexFunc(stores, func(st *storage.Store) bool {
+		ct, err := st.Get("emp")
+		return err == nil && len(ct.Tuples) > 0
+	})
+	if target < 0 {
+		t.Fatal("no shard holds tuples")
+	}
+	honest := mutateFirstTuple(t, stores[target])
+	refused("stored tuple mutated", target)
+	if err := stores[target].Put("emp", honest); err != nil {
+		t.Fatal(err)
+	}
 	r.Do(oracle.Select(true, hr))
 }

@@ -1,6 +1,7 @@
 package storage_test
 
 import (
+	"bytes"
 	"slices"
 	"strings"
 	"testing"
@@ -277,4 +278,71 @@ func TestRootSurvivesReplay(t *testing.T) {
 func TestQueryDispatch(t *testing.T) {
 	r := oracle.New(t, nil, oracle.Memory())
 	r.Do(oracle.Put(employees(t, 2, 1)), oracle.Select(false, hr), oracle.Drop(), oracle.Select(false, hr))
+}
+
+// TestDiskFullDegradation is the chaos drill for the disk-full
+// contract: when the log cannot grow, the store degrades to refusing
+// mutations — before they touch memory — and keeps serving reads; it
+// must not corrupt, and what was durable must replay.
+func TestDiskFullDegradation(t *testing.T) {
+	r := oracle.New(t, nil, oracle.Durable())
+	r.Do(oracle.Reopen(fault.FilePlan{FailWriteAfterBytes: 1024}), oracle.Put(employees(t, 3, 1)))
+	wantRoot, _, _, err := r.Stores(0)[0].Root("emp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Blow the budget with a batch far larger than the remaining space;
+	// the next append is refused without touching memory.
+	r.Do(oracle.Append(employees(t, 200, 2)...))
+	before, err := r.Stores(0)[0].Get("emp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Do(oracle.Append(employees(t, 1, 3)...))
+	if after, err := r.Stores(0)[0].Get("emp"); err != nil || len(after.Tuples) != len(before.Tuples) {
+		t.Fatalf("refused mutation leaked into memory: %d tuples then %v (%v)", len(before.Tuples), after, err)
+	}
+	if c := r.Seen[oracle.Cell{Kind: oracle.OpAppend, Topology: "durable"}]; c == nil || c.Faulted != 2 {
+		t.Fatalf("appends past the disk accepted: %+v", c)
+	}
+	if _, err := r.Plain(0).Select(hr); err != nil {
+		t.Fatalf("read refused on a full disk: %v", err)
+	}
+	// Recovery: reopen with space freed. Only what the log's checksums
+	// vouch for comes back — the table before the overflow — and it
+	// takes appends again.
+	r.Do(oracle.Reopen(fault.FilePlan{}))
+	if root, n, _, err := r.Stores(0)[0].Root("emp"); err != nil || n != 3 || !bytes.Equal(root, wantRoot) {
+		t.Fatalf("recovered root diverges: %d tuples %x (%v), want 3 tuples %x", n, root, err, wantRoot)
+	}
+	r.Do(oracle.Append(employees(t, 1, 4)...), oracle.All())
+}
+
+// TestWALCrashMidAppend: a crash at a seeded byte of the log, during a
+// put and an append, leaves a torn tail that replay truncates; the
+// reopened store is exactly the durable prefix — no table, the put, or
+// both — and takes appends if it has the table.
+func TestWALCrashMidAppend(t *testing.T) {
+	put, add := oracle.Put(employees(t, 3, 1)), oracle.Append(employees(t, 4, 2)...)
+	r := oracle.New(t, nil, oracle.Durable())
+	start, err := r.Stores(0)[0].LogSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Do(put, add)
+	full, err := r.Stores(0)[0].LogSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full -= start
+	for seed := uint64(1); seed <= 5; seed++ {
+		r := oracle.New(t, nil, oracle.Durable())
+		r.Do(oracle.Reopen(fault.FilePlan{CrashAtByte: fault.Point(seed, full-1)}), put, add)
+		if c := r.Seen[oracle.Cell{Kind: oracle.OpPut, Topology: "durable"}]; c == nil {
+			if c = r.Seen[oracle.Cell{Kind: oracle.OpAppend, Topology: "durable"}]; c == nil {
+				t.Fatalf("seed %d: a crash inside the log's %d bytes never surfaced", seed, full)
+			}
+		}
+		r.Do(oracle.Reopen(fault.FilePlan{}), oracle.Append(employees(t, 1, 3)...), oracle.All())
+	}
 }

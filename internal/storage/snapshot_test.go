@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/fault"
 )
 
 // buildPrimary opens a durable store at a fresh path and loads it with
@@ -482,137 +480,5 @@ func TestShipBaseSidecarCorruption(t *testing.T) {
 	defer r.Close()
 	if e, s, ok := r.ResumeCursor(); !ok || e != 42 || s != 7 {
 		t.Fatalf("intact sidecar: ResumeCursor = (%d,%d,%v), want (42,7,true)", e, s, ok)
-	}
-}
-
-// TestDiskFullDegradation is the chaos drill for the disk-full
-// contract: when the log cannot grow, the store degrades to refusing
-// mutations — it must not corrupt, and what was durable must replay.
-func TestDiskFullDegradation(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	var ff *fault.File
-	opts := Options{WrapLog: func(f LogFile) LogFile {
-		ff = fault.NewFile(f, fault.FilePlan{FailWriteAfterBytes: 1024})
-		return ff
-	}}
-	p, err := OpenOptions(path, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Put("emp", fakeTable(3)); err != nil {
-		t.Fatalf("put within space: %v", err)
-	}
-	wantRoot, wantN, _, err := p.Root("emp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Blow the budget: a batch far larger than the remaining space.
-	if err := p.Append("emp", fakeTable(200).Tuples); err == nil {
-		t.Fatal("append past the disk accepted")
-	}
-	// Every further mutation must be refused BEFORE touching memory.
-	before, err := p.Get("emp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Append("emp", fakeTable(1).Tuples); err == nil {
-		t.Fatal("mutation accepted on a full disk")
-	}
-	if err := p.Put("dept", fakeTable(1)); err == nil {
-		t.Fatal("put accepted on a full disk")
-	}
-	after, err := p.Get("emp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after.Tuples) != len(before.Tuples) {
-		t.Fatalf("refused mutation leaked into memory: %d tuples then %d", len(before.Tuples), len(after.Tuples))
-	}
-	if _, err := p.Query("emp", fixtureQuery("n", 0)); err != nil {
-		t.Fatalf("read refused on a full disk: %v", err)
-	}
-	p.Close()
-
-	// Recovery: reopen (space "freed": no fault). Only what the log's
-	// checksums vouch for comes back — bit-identical to pre-overflow.
-	r, err := Open(path)
-	if err != nil {
-		t.Fatalf("reopening after disk-full: %v", err)
-	}
-	defer r.Close()
-	root, n, _, err := r.Root("emp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != wantN || !bytes.Equal(root, wantRoot) {
-		t.Fatalf("recovered root diverges: %d tuples %x, want %d tuples %x", n, root, wantN, wantRoot)
-	}
-	if err := r.Append("emp", fakeTable(1).Tuples); err != nil {
-		t.Fatalf("store did not recover after reopen: %v", err)
-	}
-}
-
-// TestWALCrashMidAppend: a crash-at-offset mid-record leaves a torn
-// tail that replay truncates; the reopened store is exactly the durable
-// prefix.
-func TestWALCrashMidAppend(t *testing.T) {
-	for seed := uint64(1); seed <= 5; seed++ {
-		path := filepath.Join(t.TempDir(), "wal.log")
-		// First pass un-faulted, to learn the full log size.
-		p, err := Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Put("emp", fakeTable(3)); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Append("emp", fakeTable(4).Tuples); err != nil {
-			t.Fatal(err)
-		}
-		full, err := p.LogSize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Close()
-		os.Remove(path)
-		os.Remove(path + epochSuffix)
-
-		// Second pass: crash at a seeded offset inside the log.
-		crashAt := fault.Point(seed, full-1)
-		p, err = OpenOptions(path, Options{WrapLog: func(f LogFile) LogFile {
-			return fault.NewFile(f, fault.FilePlan{CrashAtByte: crashAt})
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		perr := p.Put("emp", fakeTable(3))
-		var aerr error
-		if perr == nil {
-			aerr = p.Append("emp", fakeTable(4).Tuples)
-		}
-		if perr == nil && aerr == nil {
-			t.Fatalf("seed %d: crash at byte %d of %d never surfaced", seed, crashAt, full)
-		}
-		p.Close()
-
-		r, err := Open(path)
-		if err != nil {
-			t.Fatalf("seed %d: reopen after crash at %d: %v", seed, crashAt, err)
-		}
-		// Whatever survived must be a clean record prefix: either no
-		// table, the bare put, or put+append — and the log must end at
-		// a record boundary (replay truncated the torn tail).
-		if tbl, err := r.Get("emp"); err == nil {
-			if n := len(tbl.Tuples); n != 3 && n != 7 {
-				t.Fatalf("seed %d: recovered %d tuples, want a record-aligned 3 or 7", seed, n)
-			}
-		}
-		if err := r.Append("emp", fakeTable(1).Tuples); err != nil {
-			// Acceptable only if the table itself did not survive.
-			if _, gerr := r.Get("emp"); gerr == nil {
-				t.Fatalf("seed %d: recovered store refuses appends: %v", seed, err)
-			}
-		}
-		r.Close()
 	}
 }
