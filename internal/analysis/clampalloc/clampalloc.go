@@ -35,7 +35,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "make() sized by a wire-decoded count must flow through wire.ClampCount, " +
 		"min(), or a validated guard before allocating (hostile-count allocation bombs)",
 	Match: func(path string) bool {
-		return analysis.PathHasAnySegment(path, "wire", "query", "authindex", "storage", "server", "client", "replica", "shard", "scanshare")
+		return analysis.PathHasAnySegment(path, "wire", "query", "authindex", "storage", "server", "client", "replica", "shard", "cache")
 	},
 	Run: run,
 }

@@ -38,7 +38,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "no fsync, network I/O, or sleeping while a storage or shard lock is held; " +
 		"stage under the lock, flush outside it",
 	Match: func(path string) bool {
-		return analysis.PathHasAnySegment(path, "storage", "shard", "scanshare")
+		return analysis.PathHasAnySegment(path, "storage", "shard", "cache")
 	},
 	Run: run,
 }

@@ -12,12 +12,15 @@ func k(table uint64, token string) Key {
 	return Key{Table: table, Token: sha256.Sum256([]byte(token))}
 }
 
+// put stores positions as k's prefix over scanned tuples, observing nothing.
+func put(c *Cache, k Key, positions []int, scanned int) { c.Store(k, positions, scanned, 0, 0, 0) }
+
 func TestLookupOutcomes(t *testing.T) {
 	c := New(0)
 	if _, out := c.Lookup(k(1, "a"), 10); out != Miss {
-		t.Fatalf("empty cache lookup = %v, want Miss", out)
+		t.Fatalf("empty memo lookup = %v, want Miss", out)
 	}
-	c.Store(k(1, "a"), Entry{Positions: []int{1, 4}, Scanned: 10})
+	put(c, k(1, "a"), []int{1, 4}, 10)
 
 	// Exact coverage: hit.
 	e, out := c.Lookup(k(1, "a"), 10)
@@ -32,63 +35,74 @@ func TestLookupOutcomes(t *testing.T) {
 	if _, out = c.Lookup(k(5, "a"), 10); out != Miss {
 		t.Fatalf("replaced-table lookup = %v, want Miss", out)
 	}
-	// An entry claiming more tuples than the table holds is unusable.
+	// A prefix claiming more tuples than the table holds is unusable.
 	if _, out = c.Lookup(k(1, "a"), 9); out != Miss {
 		t.Fatalf("shrunk-table lookup = %v, want Miss", out)
 	}
-	// Different token: miss.
-	if _, out = c.Lookup(k(1, "b"), 10); out != Miss {
-		t.Fatalf("other-token lookup = %v, want Miss", out)
+	// A token only observed, never scanned whole, and another token: miss.
+	c.Store(k(1, "b"), nil, 0, 4, 1, 10)
+	for _, tok := range []string{"b", "c"} {
+		if _, out = c.Lookup(k(1, tok), 10); out != Miss {
+			t.Fatalf("token %s lookup = %v, want Miss", tok, out)
+		}
 	}
 
 	s := c.Stats()
-	if s.Hits != 1 || s.Deltas != 1 || s.Misses != 4 {
-		t.Fatalf("stats = %+v, want 1 hit, 1 delta, 4 misses", s)
+	if s.Hits != 1 || s.Deltas != 1 || s.Misses != 5 {
+		t.Fatalf("stats = %+v, want 1 hit, 1 delta, 5 misses", s)
 	}
 }
 
+// TestLookupReturnsPrivateCopy: a lookup shares the memo's positions,
+// held with cap == len, so a delta's append to them copies and the
+// memo's prefix is never written through a lookup.
 func TestLookupReturnsPrivateCopy(t *testing.T) {
 	c := New(0)
-	c.Store(k(1, "a"), Entry{Positions: []int{7}, Scanned: 3})
+	put(c, k(1, "a"), append(make([]int, 0, 8), 7), 3)
 	e, _ := c.Lookup(k(1, "a"), 3)
-	e.Positions[0] = 99
-	e.Positions = append(e.Positions, 100)
-	if e2, _ := c.Lookup(k(1, "a"), 3); e2.Positions[0] != 7 || len(e2.Positions) != 1 {
-		t.Fatalf("cache entry mutated through a lookup result: %v", e2.Positions)
+	grown := append(e.Positions, 100)
+	grown[0] = 99
+	if e2, _ := c.Lookup(k(1, "a"), 3); e2.Positions[0] != 7 || len(e2.Positions) != 1 || cap(e2.Positions) != 1 {
+		t.Fatalf("memo prefix written through a lookup result: %v (cap %d)", e2.Positions, cap(e2.Positions))
 	}
 }
 
-// TestStoreNewerVersionWins: a table object only grows, so of two entries
+// TestStoreNewerVersionWins: a table object only grows, so of two prefixes
 // for one key the longer scan is the newer one.
 func TestStoreNewerVersionWins(t *testing.T) {
 	c := New(0)
-	c.Store(k(1, "a"), Entry{Positions: []int{1, 2}, Scanned: 20})
-	// A straggler from a shorter snapshot must not clobber the longer entry.
-	c.Store(k(1, "a"), Entry{Positions: []int{1}, Scanned: 10})
+	put(c, k(1, "a"), []int{1, 2}, 20)
+	// A straggler from a shorter snapshot must not clobber the longer prefix.
+	put(c, k(1, "a"), []int{1}, 10)
 	e, out := c.Lookup(k(1, "a"), 20)
 	if out != Hit || e.Scanned != 20 || len(e.Positions) != 2 {
-		t.Fatalf("lookup after stale store = %v %+v, want the 20-tuple entry", out, e)
+		t.Fatalf("lookup after stale store = %v %+v, want the 20-tuple prefix", out, e)
 	}
 	// An equal or longer scan replaces.
-	c.Store(k(1, "a"), Entry{Positions: []int{1, 2, 3}, Scanned: 30})
+	put(c, k(1, "a"), []int{1, 2, 3}, 30)
 	if e, _ := c.Lookup(k(1, "a"), 30); e.Scanned != 30 || len(e.Positions) != 3 {
 		t.Fatalf("longer store did not replace: %+v", e)
 	}
 }
 
+// TestInvalidateTable: retiring a table object drops its entries and its
+// prior, and nothing of another table's.
 func TestInvalidateTable(t *testing.T) {
 	c := New(0)
-	c.Store(k(1, "a"), Entry{Positions: []int{1}, Scanned: 5})
-	c.Store(k(1, "b"), Entry{Positions: []int{2}, Scanned: 5})
-	c.Store(k(2, "a"), Entry{Positions: []int{3}, Scanned: 5})
+	c.Store(k(1, "a"), []int{1}, 5, 4, 1, 5)
+	put(c, k(1, "b"), []int{2}, 5)
+	put(c, k(2, "a"), []int{3}, 5)
 	c.InvalidateTable(1)
 	if _, out := c.Lookup(k(1, "a"), 5); out != Miss {
 		t.Fatal("invalidated entry still served")
 	}
+	if sel, known := c.Estimate(k(1, "z"), 4); known || sel != defaultPrior {
+		t.Fatalf("invalidated table's prior survived: (%v, %v)", sel, known)
+	}
 	if _, out := c.Lookup(k(2, "a"), 5); out != Hit {
 		t.Fatal("unrelated table's entry was invalidated")
 	}
-	if n := c.Len(); n != 1 {
+	if n := c.ll.Len(); n != 1 {
 		t.Fatalf("Len = %d, want 1", n)
 	}
 	if s := c.Stats(); s.Invalidations != 2 {
@@ -100,13 +114,12 @@ func TestEvictionBound(t *testing.T) {
 	// Each entry: 100 positions ≈ 800 B + overhead. Bound at ~3 entries.
 	c := New(3 * 900)
 	for i := 0; i < 10; i++ {
-		positions := make([]int, 100)
-		c.Store(k(1, fmt.Sprintf("tok%d", i)), Entry{Positions: positions, Scanned: 100})
+		put(c, k(1, fmt.Sprintf("tok%d", i)), make([]int, 100), 100)
 	}
-	if sz := c.SizeBytes(); sz > 3*900 {
+	if sz := c.size; sz > 3*900 {
 		t.Fatalf("SizeBytes %d exceeds bound", sz)
 	}
-	if n := c.Len(); n == 0 || n > 3 {
+	if n := c.ll.Len(); n == 0 || n > 3 {
 		t.Fatalf("Len = %d, want 1..3", n)
 	}
 	if s := c.Stats(); s.Evictions == 0 {
@@ -124,13 +137,13 @@ func TestEvictionBound(t *testing.T) {
 func TestLRUOrderRespectsLookups(t *testing.T) {
 	c := New(3 * 900)
 	for i := 0; i < 3; i++ {
-		c.Store(k(1, fmt.Sprintf("tok%d", i)), Entry{Positions: make([]int, 100), Scanned: 100})
+		put(c, k(1, fmt.Sprintf("tok%d", i)), make([]int, 100), 100)
 	}
 	// Touch tok0 so tok1 becomes the LRU victim.
 	if _, out := c.Lookup(k(1, "tok0"), 100); out != Hit {
 		t.Fatal("warm entry missing")
 	}
-	c.Store(k(1, "tok3"), Entry{Positions: make([]int, 100), Scanned: 100})
+	put(c, k(1, "tok3"), make([]int, 100), 100)
 	if _, out := c.Lookup(k(1, "tok0"), 100); out != Hit {
 		t.Fatal("recently used entry evicted before the LRU one")
 	}
@@ -139,11 +152,20 @@ func TestLRUOrderRespectsLookups(t *testing.T) {
 	}
 }
 
+// TestOversizedEntryNotStored: a prefix larger than the whole memo is not
+// held; the selectivity observed with it is.
 func TestOversizedEntryNotStored(t *testing.T) {
-	c := New(100)
-	c.Store(k(1, "big"), Entry{Positions: make([]int, 1000), Scanned: 1000})
-	if n := c.Len(); n != 0 {
-		t.Fatalf("oversized entry stored, Len = %d", n)
+	c := New(200)
+	put(c, k(1, "big"), make([]int, 1000), 1000)
+	if n := c.ll.Len(); n != 0 {
+		t.Fatalf("oversized prefix stored, Len = %d", n)
+	}
+	c.Store(k(1, "big"), make([]int, 1000), 1000, 4, 1000, 1000)
+	if _, out := c.Lookup(k(1, "big"), 1000); out != Miss {
+		t.Fatalf("oversized prefix served: %v", out)
+	}
+	if sel, known := c.Estimate(k(1, "big"), 4); !known || sel != 1 {
+		t.Fatalf("estimate = (%v, %v), want the observed (1, true)", sel, known)
 	}
 }
 
@@ -157,10 +179,14 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				table := uint64(g % 4)
 				key := k(table, fmt.Sprintf("tok%d", i%16))
-				switch i % 4 {
+				switch i % 5 {
 				case 0:
-					c.Store(key, Entry{Positions: []int{i}, Scanned: i + 1})
-				case 3:
+					c.Store(key, []int{i}, i+1, 4, 1, i+1)
+				case 1:
+					c.Scan(key, i%3, func() ([]int, error) { return []int{i}, nil })
+				case 2:
+					c.Estimate(key, 4)
+				case 4:
 					c.InvalidateTable(table)
 				default:
 					c.Lookup(key, i+1)

@@ -296,16 +296,16 @@ type DB struct {
 // verified answer is checked against the cap row; the client's own
 // inserts advance the root and the row from their local leaf hashes — no
 // re-download. The cap is nil after PinRoot / PinShardRoots (only the
-// 32-byte anchor was persisted); the first verified read or insert then
-// rebuilds it from one fetch *verified against the pinned root*
-// (ensureFrontiers).
+// 32-byte anchor was persisted); the first verified read, insert or full
+// download then rebuilds it from one fetch *verified against the pinned
+// root* (fetchVerified).
 //
 // cache holds the leaves answers have verified under this pin, so a
 // repeated answer is checked by its leaf hashes without a fold
 // (authindex.LeafCache). It is sound because writeBack is the one place
 // a pin moves in place: it derives the new root from the old by the
 // client's own appends, which change no existing leaf. Every other pin
-// — CreateTable, PinRoot, PinShardRoots, RepinRoot, the ensureFrontiers
+// — CreateTable, PinRoot, PinShardRoots, RepinRoot, fetchVerified's
 // rebuild — is made by newPin with an empty cache, and each shard's pin
 // has its own.
 type pin struct {
@@ -463,30 +463,46 @@ func (db *DB) RepinRoot() error {
 }
 
 // ensureFrontiers makes the cap behind every pinned root available,
-// rebuilding them from one full fetch when only the anchors were
-// persisted (PinRoot / PinShardRoots after a restart). Unlike RepinRoot,
-// the rebuild is *verified*: every node's fetched table must hash back
-// to its pinned root, so a tampering server cannot use the rebuild to
-// swap the anchor from under the client.
+// rebuilding them from one verified fetch when only the anchors were
+// persisted (PinRoot / PinShardRoots after a restart).
 func (db *DB) ensureFrontiers() error {
 	if !slices.ContainsFunc(db.pins, func(p pin) bool { return p.cap == nil }) {
 		return nil
 	}
+	_, err := db.fetchVerified()
+	return err
+}
+
+// fetchVerified downloads the table as it lies on the nodes and, on a
+// pinned DB, holds every node's table to its pin before anything reads
+// it: each is hashed — a leaf hash per tuple and the tree above them —
+// and must give the pinned root and count, or the fetch fails naming the
+// node. Unlike RepinRoot, the anchor never moves to what the server
+// sent, so a tampering server can neither slip a table past a full
+// download nor swap the anchor through a rebuild. A pin with no cap yet
+// (anchor only) adopts the one the check built; one that has a cap
+// keeps it, and its leaf cache.
+func (db *DB) fetchVerified() ([]*ph.EncryptedTable, error) {
 	parts, err := db.fetch()
-	if err != nil {
-		return err
+	if err != nil || !db.pinned() {
+		return parts, err
 	}
 	if len(parts) != len(db.pins) {
-		return fmt.Errorf("client: fetched %d partitions, pinned vector covers %d", len(parts), len(db.pins))
+		return nil, fmt.Errorf("client: fetched %d partitions, pinned vector covers %d", len(parts), len(db.pins))
 	}
-	fresh := pinsOf(parts)
-	for i, p := range fresh {
-		if !bytes.Equal(p.root, db.pins[i].root) || p.tuples != db.pins[i].tuples {
-			return fmt.Errorf("client: %sserver table does not match the pinned root (%d tuples fetched, %d pinned) — verification failed; RepinRoot only if the mismatch is expected", db.node(i), p.tuples, db.pins[i].tuples)
+	caps := make([]*authindex.Cap, len(parts))
+	for i, part := range parts {
+		caps[i] = authindex.CapOf(part)
+		if p := db.pins[i]; !bytes.Equal(caps[i].Root(), p.root) || caps[i].Count() != p.tuples {
+			return nil, fmt.Errorf("client: %sverification failed: server table does not match the pinned root (%d tuples fetched, %d pinned) — RepinRoot only if the mismatch is expected", db.node(i), caps[i].Count(), p.tuples)
 		}
 	}
-	db.pins = fresh
-	return nil
+	for i, c := range caps {
+		if db.pins[i].cap == nil {
+			db.pins[i] = newPin(c.Root(), c.Count(), c)
+		}
+	}
+	return parts, nil
 }
 
 // placement is one acknowledged part of an insert: the tuples sent to a
@@ -881,9 +897,10 @@ func (db *DB) fetch() ([]*ph.EncryptedTable, error) {
 
 // SelectAll downloads and decrypts the whole table (every shard's
 // partition, concatenated in shard order, on a sharded DB) with one
-// decryption.
+// decryption. On a pinned DB every node's table is first held to its
+// pinned root (fetchVerified).
 func (db *DB) SelectAll() (*relation.Table, error) {
-	parts, err := db.fetch()
+	parts, err := db.fetchVerified()
 	if err != nil {
 		return nil, err
 	}
@@ -907,11 +924,12 @@ func (db *DB) SelectAll() (*relation.Table, error) {
 // Query executes a mini-SQL statement. A single equality runs as one
 // homomorphic select through Select, a conjunction through SelectConj —
 // the server's planner intersects the per-conjunct position sets and
-// returns only the matching tuples. Both are verified against the
-// pinned root when one is set, so Query never silently downgrades a
-// verified client to an unverified path (see SelectConj for what conjunctive
-// verification does and does not promise). An absent WHERE clause is a
-// full download; projections apply after decryption.
+// returns only the matching tuples. An absent WHERE clause is a full
+// download through SelectAll. All three are verified against the pinned
+// roots when they are set, so Query never silently downgrades a verified
+// client to an unverified path (see SelectConj for what conjunctive
+// verification does and does not promise). Projections apply after
+// decryption.
 func (db *DB) Query(sql string) (*relation.Table, error) {
 	q, err := sqlmini.Parse(sql)
 	if err != nil {
@@ -981,10 +999,10 @@ func checkVerifiedAgainst(p pin, vr *authindex.VerifiedResult) error {
 
 // Explain returns the server's plan for a statement without executing
 // it: conjunct evaluation order, estimated selectivities (from the
-// server's per-table sketch and result cache) and each conjunct's
-// predicted serving path, rendered against the statement's plaintext
-// conditions. Single-equality and full-download statements are described
-// locally — there is nothing to plan.
+// server's memo) and each conjunct's predicted serving path, rendered
+// against the statement's plaintext conditions. Single-equality and
+// full-download statements are described locally — there is nothing to
+// plan.
 func (db *DB) Explain(sql string) (string, error) {
 	q, err := sqlmini.Parse(sql)
 	if err != nil {

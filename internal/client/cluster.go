@@ -78,7 +78,7 @@ type Cluster interface {
 	// intersections.
 	QueryConj(name string, qs []*ph.EncryptedQuery, verified bool, check VerifyCheck) ([]*query.Response, error)
 	// ExplainConj plans the conjunction on every shard (each against
-	// its own sketch) and returns the merged summary.
+	// its own memo) and returns the merged summary.
 	ExplainConj(name string, qs []*ph.EncryptedQuery) (*query.PlanInfo, error)
 	// Fetch downloads every shard's partition, in shard order.
 	Fetch(name string) ([]*ph.EncryptedTable, error)
@@ -139,7 +139,7 @@ func (db *DB) PinShardRoots(roots [][]byte, tuples []int) error {
 // shape, so the request is mapped onto it: unverified single-conjunct
 // plans scatter together as one QueryBatch, anything else one QueryConj
 // per plan (a select is its one-conjunct case; every shard's planner
-// runs the plan against its own sketch, and because the partition is
+// runs the plan against its own memo, and because the partition is
 // disjoint the answer is the union of the per-shard intersections). An
 // explain is one plan, answered as a single node: the cluster's merged
 // summary.

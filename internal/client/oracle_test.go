@@ -2,12 +2,15 @@ package client_test
 
 import (
 	"net"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/client"
 	"repro/internal/crypto"
 	"repro/internal/fault"
 	"repro/internal/oracle"
+	"repro/internal/ph"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/server"
@@ -55,7 +58,7 @@ func TestOverTCP(t *testing.T) {
 		r.Do(oracle.Select(verified, oracle.Eq("salary", 9100)), oracle.Conj(verified, hr, oracle.Eq("salary", 8800)),
 			oracle.Many(verified, hr, it))
 	}
-	r.Do(oracle.All())
+	r.Do(oracle.All(false))
 }
 
 // TestSelectManyBatch: a batch answers each of its selects — two rows,
@@ -98,7 +101,7 @@ func TestEndToEndInsert(t *testing.T) {
 	r := oracle.New(t, nil, oracle.Memory())
 	r.Do(oracle.Put(client.EmpTable().Tuples()),
 		oracle.Append(relation.Tuple{relation.String("Alan"), relation.String("R&D"), relation.Int(7500)}),
-		oracle.Select(true, oracle.Eq("name", "Alan")), oracle.Select(false, hrs), oracle.All())
+		oracle.Select(true, oracle.Eq("name", "Alan")), oracle.Select(false, hrs), oracle.All(false))
 }
 
 // TestVerifiedQueryDetectsTampering: a verified select whose answer was
@@ -121,7 +124,7 @@ func TestDurableRestartEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := oracle.New(t, scheme, oracle.Durable())
-	r.Do(oracle.Put(client.EmpTable().Tuples()), oracle.Reopen(fault.FilePlan{}), oracle.Select(true, hr).Tampered(), oracle.All())
+	r.Do(oracle.Put(client.EmpTable().Tuples()), oracle.Reopen(fault.FilePlan{}), oracle.Select(true, hr).Tampered(), oracle.All(false))
 }
 
 // TestInsertBatchDurable drives the client batch-insert path against a
@@ -130,11 +133,11 @@ func TestDurableRestartEndToEnd(t *testing.T) {
 // acknowledged chunk survived and the data is queryable.
 func TestInsertBatchDurable(t *testing.T) {
 	r := oracle.New(t, nil, oracle.Durable())
-	r.Do(oracle.Put(client.EmpTable().Tuples()), oracle.Append(client.BigEmpTuples(120)...).Batched(4, 10), oracle.All())
+	r.Do(oracle.Put(client.EmpTable().Tuples()), oracle.Append(client.BigEmpTuples(120)...).Batched(4, 10), oracle.All(false))
 	if r.Stores(0)[0].LogStats().Syncs == 0 {
 		t.Fatal("batch insert under SyncAlways recorded no fsyncs")
 	}
-	r.Do(oracle.Reopen(fault.FilePlan{}), oracle.All(), oracle.Select(true, hr))
+	r.Do(oracle.Reopen(fault.FilePlan{}), oracle.All(false), oracle.Select(true, hr))
 }
 
 // TestInsertBatchVerifiedRoot: with a pinned root, InsertBatch refreshes
@@ -149,5 +152,45 @@ func TestInsertBatchVerifiedRoot(t *testing.T) {
 // connection still works.
 func TestInsertBatchNilDialFallsBack(t *testing.T) {
 	r := oracle.New(t, nil, oracle.Memory())
-	r.Do(oracle.Put(client.EmpTable().Tuples()), oracle.Append(client.BigEmpTuples(5)...), oracle.All())
+	r.Do(oracle.Put(client.EmpTable().Tuples()), oracle.Append(client.BigEmpTuples(5)...), oracle.All(false))
+}
+
+// TestVerifiedFullDownloadRefusesTampering: a pinned SelectAll holds
+// every node's table to its pin before decrypting it. A withheld row, a
+// substituted tuple (another row's genuine ciphertext) and a replayed
+// older table, each served by one node alone, are refused as a failed
+// verification on one server and on two shards; an anchor-only pin
+// adopts the cap the download rebuilt.
+func TestVerifiedFullDownloadRefusesTampering(t *testing.T) {
+	for _, topo := range []oracle.Topology{oracle.Memory(), oracle.Sharded(2)} {
+		r := oracle.New(t, nil, topo)
+		r.Do(oracle.Put(client.BigEmpTuples(40)), oracle.Reopen(fault.FilePlan{}), oracle.All(true))
+		if slices.ContainsFunc(client.CapRows(r.DB(0)), func(row []byte) bool { return row == nil }) {
+			t.Fatalf("%s: a verified download left an anchor-only pin without its cap", topo.Name)
+		}
+		var older []*ph.EncryptedTable
+		for _, st := range r.Stores(0) {
+			et, _ := st.Get("emp")
+			older = append(older, et)
+		}
+		r.Do(oracle.Append(client.BigEmpTuples(40)...))
+		sub, err := r.DB(0).Scheme().EncryptTable(client.EmpTable())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for what, lie := range map[string]func(n int, t *ph.EncryptedTable){
+			"withheld row":         func(_ int, t *ph.EncryptedTable) { oracle.TamperTable(t) },
+			"substituted tuple":    func(_ int, t *ph.EncryptedTable) { t.Tuples[0] = sub.Tuples[0] },
+			"replayed older table": func(n int, t *ph.EncryptedTable) { *t = *older[n] },
+		} {
+			for n := range older {
+				r.Tap(0, n).RewriteTable(func(t *ph.EncryptedTable) { lie(n, t) })
+				if _, err := r.DB(0).SelectAll(); err == nil || !strings.Contains(err.Error(), "verification failed") {
+					t.Fatalf("%s: a %s from node %d was not refused by verification: %v", topo.Name, what, n, err)
+				}
+				r.Tap(0, n).RewriteTable(nil)
+			}
+		}
+		r.Do(oracle.All(true))
+	}
 }

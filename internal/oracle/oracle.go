@@ -34,7 +34,7 @@ const (
 	OpSelect              // Select(Eqs[0])
 	OpConj                // SelectConj(Eqs)
 	OpMany                // SelectMany(Eqs): one select per equality
-	OpAll                 // SelectAll, which carries no proof: always plain
+	OpAll                 // SelectAll: a pinned client hashes the download
 )
 
 func (k Kind) String() string {
@@ -92,7 +92,7 @@ func Conj(verified bool, eqs ...relation.Eq) Op {
 func Many(verified bool, eqs ...relation.Eq) Op { return Conj(verified, eqs...).as(OpMany) }
 
 // All downloads the whole table.
-func All() Op { return Op{Kind: OpAll} }
+func All(verified bool) Op { return Op{Kind: OpAll, Verified: verified} }
 
 func (op Op) as(k Kind) Op { op.Kind = k; return op }
 
@@ -184,7 +184,7 @@ func Generate(seed int64, n int) History {
 		case x < 85:
 			op = Many(verified, eqs(rng, 1+rng.Intn(4))...)
 		default:
-			op = All()
+			op = All(verified)
 		}
 		op.Tamper = op.Verified && rng.Intn(3) == 0
 		h = append(h, op)
@@ -218,7 +218,9 @@ func eqs(rng *rand.Rand, n int) []relation.Eq {
 
 // Shrink returns a shorter history that still fails: delta debugging
 // over the operation list, removing ever smaller chunks while fails
-// holds, then halving each put's and append's rows while it holds.
+// holds, then cutting each put's and append's rows to the shortest
+// prefix that still fails, found by bisection — so a failure that needs
+// a table wider than the Merkle cap keeps just one row past it.
 func Shrink(h History, fails func(History) bool) History {
 	for n := 2; len(h) >= 2; {
 		chunk, cut := (len(h)+n-1)/n, false
@@ -235,12 +237,14 @@ func Shrink(h History, fails func(History) bool) History {
 		}
 	}
 	for i := range h {
-		for len(h[i].Rows) > 1 {
+		lo, hi := 1, len(h[i].Rows) // the history fails with hi rows
+		for lo < hi {
 			cand := append(History(nil), h...)
-			if cand[i].Rows = h[i].Rows[:len(h[i].Rows)/2]; !fails(cand) {
-				break
+			if cand[i].Rows = h[i].Rows[:(lo+hi)/2]; fails(cand) {
+				h, hi = cand, len(cand[i].Rows)
+			} else {
+				lo = len(cand[i].Rows) + 1
 			}
-			h = cand
 		}
 	}
 	return h

@@ -24,7 +24,8 @@ func TestDefinition11(t *testing.T) {
 }
 
 // TestShrinkIsMinimal: delta debugging cuts a failing history down to
-// the operations the failure needs, here a drop and two puts.
+// the operations the failure needs, here a drop and two puts; and a put
+// down to the rows it needs, here one past the Merkle cap.
 func TestShrinkIsMinimal(t *testing.T) {
 	needs := func(h History) bool {
 		n := map[Kind]int{}
@@ -33,10 +34,14 @@ func TestShrinkIsMinimal(t *testing.T) {
 		}
 		return n[OpDrop] > 0 && n[OpPut] > 1
 	}
-	if h := Generate(3, 60); !needs(h) {
+	if h := Generate(4, 60); !needs(h) {
 		t.Fatal("fixture: the history has no drop or a single put")
 	} else if small := Shrink(h, needs); len(small) != 3 {
 		t.Fatalf("shrunk to %d operations, want 3:\n%v", len(small), small)
+	}
+	wide := func(h History) bool { return len(h) > 0 && len(h[0].Rows) > authindex.CapNodes }
+	if small := Shrink(History{Put(make([]relation.Tuple, 4142)), Drop()}, wide); len(small) != 1 || len(small[0].Rows) != authindex.CapNodes+1 {
+		t.Fatalf("shrunk to:\n%v want one put of %d rows", small, authindex.CapNodes+1)
 	}
 }
 

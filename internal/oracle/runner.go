@@ -229,9 +229,14 @@ func (r *Runner) read(op Op) error {
 		// Each node lies alone in turn: the client must check every
 		// node's answer, not some.
 		for n, tap := range t.taps {
-			tap.Rewrite(Tamper)
+			if op.Kind == OpAll {
+				tap.RewriteTable(TamperTable)
+			} else {
+				tap.Rewrite(Tamper)
+			}
 			_, err := t.ask(op, true)
 			tap.Rewrite(nil)
+			tap.RewriteTable(nil)
 			if err == nil || !strings.Contains(err.Error(), "verification failed") {
 				return fmt.Errorf("%s: an answer tampered by node %d was not refused by verification: %v", t.Name, n, err)
 			}
@@ -339,7 +344,7 @@ func (s Tally) Vacant(topos ...Topology) error {
 	var gaps []string
 	for _, topo := range topos {
 		for k := OpSelect; k <= OpAll; k++ {
-			for _, verified := range []bool{false, k != OpAll} {
+			for _, verified := range []bool{false, true} {
 				if c := s[Cell{k, verified, topo.Name}]; c == nil || c.NonEmpty == 0 || c.Empty == 0 || verified && c.Rejected == 0 {
 					gaps = append(gaps, fmt.Sprintf("%s %v verified=%v: %+v", topo.Name, k, verified, c))
 				}

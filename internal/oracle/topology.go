@@ -235,11 +235,12 @@ func (t *tier) close() {
 }
 
 // Tap sits on the client side of every connection to one node of a
-// topology. While a rewrite is set, it decodes each read answer, lets
-// the rewrite change it and re-encodes it: a lying node, played by the
-// wire.
+// topology. While a rewrite is set, it decodes each read answer or
+// downloaded table, lets the rewrite change it and re-encodes it: a
+// lying node, played by the wire.
 type Tap struct {
 	rewrite atomic.Pointer[func(resps []query.Response)]
+	table   atomic.Pointer[func(t *ph.EncryptedTable)]
 }
 
 // Rewrite sets the rewrite of every read answer from now on; nil stops
@@ -249,6 +250,16 @@ func (p *Tap) Rewrite(f func(resps []query.Response)) {
 		p.rewrite.Store(nil)
 	} else {
 		p.rewrite.Store(&f)
+	}
+}
+
+// RewriteTable sets the rewrite of every downloaded table (CmdFetchAll)
+// from now on; nil stops rewriting.
+func (p *Tap) RewriteTable(f func(t *ph.EncryptedTable)) {
+	if f == nil {
+		p.table.Store(nil)
+	} else {
+		p.table.Store(&f)
 	}
 }
 
@@ -274,6 +285,14 @@ func (c *tapped) Read(b []byte) (int, error) {
 			(*rw)(resps)
 			f.Payload = query.EncodeResponses(nil, flags, resps)
 		}
+		if rw := c.tap.table.Load(); rw != nil && f.Type == wire.RespTable {
+			t, err := wire.DecodeTable(wire.NewBuffer(f.Payload))
+			if err != nil {
+				return 0, err
+			}
+			(*rw)(t)
+			f.Payload = wire.EncodeTable(nil, t)
+		}
 		if err := wire.WriteFrame(&c.buf, f); err != nil {
 			return 0, err
 		}
@@ -294,5 +313,15 @@ func Tamper(resps []query.Response) {
 		default:
 			vr.Root[0] ^= 1
 		}
+	}
+}
+
+// TamperTable breaks a downloaded table: it withholds the last row, or
+// invents one for an empty table.
+func TamperTable(t *ph.EncryptedTable) {
+	if n := len(t.Tuples); n > 0 {
+		t.Tuples = t.Tuples[:n-1]
+	} else {
+		t.Tuples = []ph.EncryptedTuple{{ID: make([]byte, 16), Words: [][]byte{make([]byte, 16)}}}
 	}
 }

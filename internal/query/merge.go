@@ -2,7 +2,7 @@ package query
 
 // MergePlans folds per-shard plan summaries into one coordinator-side
 // view of a scattered conjunction. Each shard plans independently
-// against its own sketch, so conjunct *order* may differ per shard —
+// against its own memo, so conjunct *order* may differ per shard —
 // that is the point of per-shard planning, a conjunct that is selective
 // on one partition's skew may not be on another's. The merged summary
 // therefore reports per-conjunct totals, ordered by first appearance

@@ -9,10 +9,9 @@
 // batched query already reveals. This package therefore plans and runs
 // the intersection where the data lives:
 //
-//   - a Plan orders the conjuncts by estimated selectivity — cached
+//   - a Plan orders the conjuncts by estimated selectivity — memoised
 //     position sets first (they cost nothing), then ascending estimate,
-//     with estimates fed by the per-table stats.QuerySketch and by the
-//     layer-6 result cache;
+//     with estimates from the per-trapdoor memo (internal/cache);
 //   - execution evaluates the cheapest conjunct first (one full scan at
 //     most, and none when a conjunct is cached) and *narrows*: every
 //     later conjunct is tested only at the surviving positions through
@@ -28,11 +27,11 @@
 // is a Plan. This package also owns the codec of the one read request
 // and its answer (codec.go).
 //
-// The storage layer owns the locks, the cache, the sketch and the scan
-// (core.EvaluateSlab); it gathers the per-conjunct cache state into
+// The storage layer owns the locks, the memo and the scan
+// (core.EvaluateSlab); it gathers the per-conjunct memo state into
 // Conjunct values, calls Build, runs the plan under its read-locked
-// snapshot, and feeds the fresh full-table position sets back into
-// cache and sketch.
+// snapshot, and feeds the fresh full-table position sets and the
+// observed selectivities back into the memo.
 package query
 
 import (
@@ -50,7 +49,7 @@ type Source int
 const (
 	// SourceScan: full table scan.
 	SourceScan Source = iota
-	// SourceHit: answered entirely from the result cache.
+	// SourceHit: answered entirely from a memoised prefix.
 	SourceHit
 	// SourceDelta: cached prefix positions plus a scan of the appended
 	// tail (as driver) or of the surviving tail candidates.
@@ -79,27 +78,28 @@ func (s Source) String() string {
 	return fmt.Sprintf("source(%d)", int(s))
 }
 
-// Conjunct is one predicate of the conjunction, annotated with the cache
-// and sketch state the planner decides on. The storage layer fills the
+// Conjunct is one predicate of the conjunction, annotated with the memo
+// state the planner decides on. The storage layer fills the
 // input fields; Run fills the execution fields.
 type Conjunct struct {
 	// Index is the conjunct's position in the client's request.
 	Index int
 	// Q is the encrypted query token.
 	Q *ph.EncryptedQuery
-	// Key names the conjunct's answer in the result cache, the scan
-	// single-flight and the selectivity sketch.
+	// Key names the conjunct's memo entry: its prefix, its scan in
+	// flight and its selectivity.
 	Key cache.Key
 
-	// Cached classifies the result-cache entry found at plan time.
+	// Cached classifies the memoised prefix found at plan time.
 	Cached cache.Outcome
-	// Entry holds the cached hit positions: the whole table's for a Hit,
-	// the first Scanned tuples' for a Delta.
+	// Entry holds the prefix's positions, shared read-only with the memo:
+	// the whole table's for a Hit, the first Scanned tuples' for a Delta.
 	cache.Entry
 	// Est is the estimated selectivity in [0, 1] used for ordering.
 	Est float64
 	// EstKnown reports whether Est comes from observations of this very
-	// token (cache entry or sketch) rather than from a prior.
+	// token (its prefix or its memoised selectivity) rather than from a
+	// prior.
 	EstKnown bool
 
 	// Source records how the conjunct was served (filled by Run, or by
@@ -113,11 +113,11 @@ type Conjunct struct {
 	// from Hits on delta narrows, where Hits also includes
 	// cached-prefix survivors that were never tested; this is the
 	// numerator of the conditional-selectivity observation the storage
-	// layer feeds back to the sketch.
+	// layer feeds back to the memo.
 	NarrowHits int
 	// FullPositions, when non-nil, is a freshly computed full-table
 	// position set for this conjunct — exactly what the storage layer
-	// writes back to the result cache and the selectivity sketch.
+	// writes back to the memo as the conjunct's prefix.
 	FullPositions []int
 }
 
@@ -259,7 +259,12 @@ func (p *Plan) Run(tuples int, scan func(q *ph.EncryptedQuery, from int, candida
 			}
 			full := hits
 			if cj.Cached == cache.Delta {
-				full = append(cj.Positions, hits...)
+				// The prefix is the memo's, shared: tail hits complete it
+				// in one exact-size copy, which the memo then adopts.
+				full = cj.Positions
+				if len(hits) > 0 {
+					full = append(append(make([]int, 0, len(full)+len(hits)), full...), hits...)
+				}
 				cj.Source = SourceDelta
 			} else {
 				cj.Source = SourceScan

@@ -307,7 +307,7 @@ func TestRunCachedPrefixDriver(t *testing.T) {
 // TestRunDeltaNarrowReportsTailHits: a non-driver conjunct with a
 // cached prefix tests only tail survivors, and NarrowHits reports the
 // hits among exactly those — the conditional-selectivity numerator the
-// storage layer feeds back to the sketch.
+// storage layer feeds back to the memo.
 func TestRunDeltaNarrowReportsTailHits(t *testing.T) {
 	et := fixture(100) // "rare" sits at position 98, an even tuple
 	evensAll := naiveConj(et, []*ph.EncryptedQuery{q("even")})

@@ -1,4 +1,4 @@
-package scanshare
+package scanshare_test
 
 import (
 	"crypto/sha256"
@@ -14,6 +14,7 @@ import (
 	"repro/internal/crypto"
 	"repro/internal/ph"
 	"repro/internal/relation"
+	"repro/internal/scanshare"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -54,23 +55,18 @@ func (f *fixture) query(t testing.TB, col, val string) *ph.EncryptedQuery {
 	return q
 }
 
-// scan runs q through the sharer the way storage does: over the whole
-// fixture table, the scan itself being core.EvaluateSlab. before, when non-nil,
-// runs first on whichever goroutine leads — the tests' handle for holding
-// a leader while followers arrive.
-func (f *fixture) scan(s *Sharer, table uint64, q *ph.EncryptedQuery, before func()) ([]int, error) {
-	return s.Scan(key(table, q), len(f.et.Tuples), func() ([]int, error) {
+// scan runs q through the memo's single-flight the way storage does,
+// under q's key on table object 1: over the whole fixture table, the
+// scan itself being core.EvaluateSlab. before, when non-nil, runs first
+// on whichever goroutine leads — the tests' handle for holding a leader
+// while followers arrive.
+func (f *fixture) scan(s *cache.Cache, q *ph.EncryptedQuery, before func()) ([]int, error) {
+	return s.Scan(cache.Key{Table: 1, Token: sha256.Sum256(q.Token)}, len(f.et.Tuples), func() ([]int, error) {
 		if before != nil {
 			before()
 		}
 		return core.EvaluateSlab(ph.NewSlab(f.et), q, 0, nil)
 	})
-}
-
-// key is q's cache key on the table object numbered table, the key
-// storage hands the sharer.
-func key(table uint64, q *ph.EncryptedQuery) cache.Key {
-	return cache.Key{Table: table, Token: sha256.Sum256(q.Token)}
 }
 
 // serialPositions is the ground truth: EvaluateSerial over the table.
@@ -83,23 +79,61 @@ func serialPositions(t testing.TB, et *ph.EncryptedTable, q *ph.EncryptedQuery) 
 	return res.Positions
 }
 
-// assertIdle checks that no flight outlives its Scan calls.
-func assertIdle(t *testing.T, s *Sharer) {
+// riders scans every query at once, each on its own goroutine, and holds
+// every answer to the serial scan.
+func (f *fixture) riders(t *testing.T, s *cache.Cache, queries ...*ph.EncryptedQuery) {
 	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := len(s.inflight); n != 0 {
-		t.Fatalf("sharer still holds %d flights with no scan running", n)
+	results := make([][]int, len(queries))
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if results[i], err = f.scan(s, q, nil); err != nil {
+				t.Errorf("rider %d: %v", i, err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, q := range queries {
+		if want := serialPositions(t, f.et, q); !reflect.DeepEqual(results[i], want) {
+			t.Fatalf("rider %d diverges from serial (%d vs %d hits)", i, len(results[i]), len(want))
+		}
 	}
 }
 
+// assertIdle checks that no flight of q outlives its Scan calls: the
+// next identical query scans afresh (and counts one pass).
+func (f *fixture) assertIdle(t *testing.T, s *cache.Cache, q *ph.EncryptedQuery) {
+	t.Helper()
+	ran := false
+	if _, err := f.scan(s, q, func() { ran = true }); err == nil && !ran {
+		t.Fatal("an identical query attached to a flight with no scan running")
+	}
+}
+
+// lead starts a scan of q whose leader holds inside its scan, and
+// returns once it is there; release lets it go and returns its outcome.
+func (f *fixture) lead(s *cache.Cache, q *ph.EncryptedQuery) (release func() ([]int, error)) {
+	started, held, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var got []int
+	var err error
+	go func() {
+		defer close(done)
+		got, err = f.scan(s, q, func() { close(started); <-held })
+	}()
+	<-started
+	return func() ([]int, error) { close(held); <-done; return got, err }
+}
+
 // waitAttached polls until want queries are parked on a leader's flight.
-func waitAttached(t *testing.T, s *Sharer, want uint64) {
+func waitAttached(t *testing.T, s *cache.Cache, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Stats().Attached < want {
+	for s.ShareStats().Attached < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d queries attached", s.Stats().Attached, want)
+			t.Fatalf("only %d of %d queries attached", s.ShareStats().Attached, want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -117,28 +151,20 @@ func swapBudget(t *testing.T) *sched.Budget {
 
 func TestSingleRiderMatchesSerial(t *testing.T) {
 	f := newFixture(t, 8300, 1)
-	s := New()
-	table := uint64(1)
+	s := cache.New(0)
 	for _, dept := range []string{"HR", "FIN", "IT"} {
 		q := f.query(t, "dept", dept)
-		got, err := f.scan(s, table, q, nil)
-		if err != nil {
-			t.Fatalf("Scan(%s): %v", dept, err)
-		}
-		if want := serialPositions(t, f.et, q); !reflect.DeepEqual(got, want) {
-			t.Fatalf("dept %s: positions diverge from serial (%d vs %d hits)", dept, len(got), len(want))
-		}
-		assertIdle(t, s)
+		f.riders(t, s, q)
+		f.assertIdle(t, s, q)
 	}
-	if st := s.Stats(); st != (Stats{Passes: 3, Riders: 3}) {
-		t.Fatalf("stats = %+v, want 3 scans and nothing else", st)
+	if st := s.ShareStats(); st != (scanshare.Stats{Passes: 6, Riders: 6}) {
+		t.Fatalf("stats = %+v, want 3 scans, 3 idle probes and nothing else", st)
 	}
 }
 
 func TestManyRidersMatchSerial(t *testing.T) {
 	f := newFixture(t, 8300, 2)
-	s := New()
-	table := uint64(1)
+	s := cache.New(0)
 	queries := make([]*ph.EncryptedQuery, 24)
 	for i := range queries {
 		if i%3 == 0 { // departments repeat, so some of these are identical
@@ -147,29 +173,11 @@ func TestManyRidersMatchSerial(t *testing.T) {
 			queries[i] = f.query(t, "name", fmt.Sprintf("Ada%03d", i))
 		}
 	}
-	results := make([][]int, len(queries))
-	var wg sync.WaitGroup
-	for i, q := range queries {
-		wg.Add(1)
-		go func(i int, q *ph.EncryptedQuery) {
-			defer wg.Done()
-			got, err := f.scan(s, table, q, nil)
-			if err != nil {
-				t.Errorf("rider %d: %v", i, err)
-			}
-			results[i] = got
-		}(i, q)
-	}
-	wg.Wait()
-	for i, q := range queries {
-		if want := serialPositions(t, f.et, q); !reflect.DeepEqual(results[i], want) {
-			t.Fatalf("rider %d diverges from serial (%d vs %d hits)", i, len(results[i]), len(want))
-		}
-	}
-	assertIdle(t, s)
-	if st := s.Stats(); st.Passes+st.Attached != uint64(len(queries)) {
+	f.riders(t, s, queries...)
+	if st := s.ShareStats(); st.Passes+st.Attached != uint64(len(queries)) {
 		t.Fatalf("stats = %+v, want every query to have scanned or attached", st)
 	}
+	f.assertIdle(t, s, queries[0])
 }
 
 // TestAttachedRidersShareOneScan holds a leader inside its scan until an
@@ -179,49 +187,36 @@ func TestManyRidersMatchSerial(t *testing.T) {
 // still held.
 func TestAttachedRidersShareOneScan(t *testing.T) {
 	f := newFixture(t, 8300, 3)
-	s := New()
-	table := uint64(1)
+	s := cache.New(0)
 	q := f.query(t, "dept", "SALES")
 	budget := swapBudget(t)
 
-	started, release := make(chan struct{}), make(chan struct{})
-	results := make([][]int, 2)
+	release := f.lead(s, q)
+	var follower []int
 	var wg sync.WaitGroup
-	run := func(i int, before func()) {
+	wg.Add(1)
+	go func() {
 		defer wg.Done()
-		got, err := f.scan(s, table, q, before)
-		if err != nil {
-			t.Errorf("query %d: %v", i, err)
-		}
-		results[i] = got
-	}
-	wg.Add(1)
-	go run(0, func() { close(started); <-release })
-	<-started
-	wg.Add(1)
-	go run(1, func() { t.Error("an identical query in flight scanned again") })
+		follower, _ = f.scan(s, q, func() { t.Error("an identical query in flight scanned again") })
+	}()
 	waitAttached(t, s, 1)
 
 	shorter := len(f.et.Tuples) - 1
-	if _, err := s.Scan(key(table, q), shorter, func() ([]int, error) { return []int{}, nil }); err != nil {
+	if _, err := s.Scan(cache.Key{Table: 1, Token: sha256.Sum256(q.Token)}, shorter, func() ([]int, error) { return []int{}, nil }); err != nil {
 		t.Fatal(err)
 	}
-	close(release)
+	leader, err := release()
 	wg.Wait()
-
-	want := serialPositions(t, f.et, q)
-	for i := range results {
-		if !reflect.DeepEqual(results[i], want) {
-			t.Fatalf("query %d diverges from serial", i)
-		}
+	if want := serialPositions(t, f.et, q); err != nil || !reflect.DeepEqual(leader, want) || !reflect.DeepEqual(follower, want) {
+		t.Fatalf("leader (%v) or follower diverges from serial", err)
 	}
-	if st := s.Stats(); st != (Stats{Passes: 2, Riders: 2, Attached: 1}) {
+	if st := s.ShareStats(); st != (scanshare.Stats{Passes: 2, Riders: 2, Attached: 1}) {
 		t.Fatalf("stats = %+v, want the leader's and the shorter snapshot's scans and 1 attached", st)
 	}
 	if bst := budget.Stats(); bst.Acquires != 1 || bst.Releases != 1 {
 		t.Fatalf("budget stats = %+v, want one allotment for leader and follower together", bst)
 	}
-	assertIdle(t, s)
+	f.assertIdle(t, s, q)
 }
 
 // TestBadTokenFailsLikeEvaluate: a leader failing the way the evaluator
@@ -229,8 +224,7 @@ func TestAttachedRidersShareOneScan(t *testing.T) {
 // behind — the next identical query scans afresh.
 func TestBadTokenFailsLikeEvaluate(t *testing.T) {
 	f := newFixture(t, 1200, 4)
-	s := New()
-	table := uint64(1)
+	s := cache.New(0)
 	bad := &ph.EncryptedQuery{SchemeID: core.SchemeID, Token: []byte{1, 2, 3}}
 	_, wantErr := core.EvaluateSerial(f.et, bad)
 	if wantErr == nil {
@@ -238,24 +232,18 @@ func TestBadTokenFailsLikeEvaluate(t *testing.T) {
 	}
 
 	const waiters = 3
-	started, release := make(chan struct{}), make(chan struct{})
+	release := f.lead(s, bad)
 	errs := make([]error, 1+waiters)
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, errs[0] = f.scan(s, table, bad, func() { close(started); <-release })
-	}()
-	<-started
 	for i := 1; i <= waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = f.scan(s, table, bad, nil)
+			_, errs[i] = f.scan(s, bad, nil)
 		}(i)
 	}
 	waitAttached(t, s, waiters)
-	close(release)
+	_, errs[0] = release()
 	wg.Wait()
 	for i, err := range errs {
 		if err == nil || err.Error() != wantErr.Error() {
@@ -265,13 +253,12 @@ func TestBadTokenFailsLikeEvaluate(t *testing.T) {
 			t.Fatalf("query %d got its own error value, not the leader's", i)
 		}
 	}
-	assertIdle(t, s)
 
 	ran := false
-	if _, err := f.scan(s, table, bad, func() { ran = true }); err == nil || !ran {
+	if _, err := f.scan(s, bad, func() { ran = true }); err == nil || !ran {
 		t.Fatalf("identical query after the failure: ran=%v err=%v, want a fresh failing scan", ran, err)
 	}
-	if st := s.Stats(); st != (Stats{Passes: 2, Riders: 2, Attached: waiters}) {
+	if st := s.ShareStats(); st != (scanshare.Stats{Passes: 2, Riders: 2, Attached: waiters}) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -281,34 +268,28 @@ func TestBadTokenFailsLikeEvaluate(t *testing.T) {
 // attach to the finished one, whose snapshot is by then history.
 func TestFlightRemovedBeforeWaitersReleased(t *testing.T) {
 	f := newFixture(t, 1200, 5)
-	s := New()
-	table := uint64(1)
+	s := cache.New(0)
 	q := f.query(t, "dept", "OPS")
 
-	started, release := make(chan struct{}), make(chan struct{})
+	release := f.lead(s, q)
 	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		if _, err := f.scan(s, table, q, func() { close(started); <-release }); err != nil {
-			t.Error(err)
-		}
-	}()
-	<-started
+	wg.Add(1)
 	rescanned := false
 	go func() {
 		defer wg.Done()
-		if _, err := f.scan(s, table, q, nil); err != nil {
+		if _, err := f.scan(s, q, nil); err != nil {
 			t.Error(err)
 		}
-		if _, err := f.scan(s, table, q, func() { rescanned = true }); err != nil {
+		if _, err := f.scan(s, q, func() { rescanned = true }); err != nil {
 			t.Error(err)
 		}
 	}()
 	waitAttached(t, s, 1)
-	close(release)
+	if _, err := release(); err != nil {
+		t.Error(err)
+	}
 	wg.Wait()
-	if st := s.Stats(); !rescanned || st.Attached != 1 {
+	if st := s.ShareStats(); !rescanned || st.Attached != 1 {
 		t.Fatalf("rescanned=%v, stats %+v: the waiter's next query attached to a finished scan", rescanned, st)
 	}
 }
@@ -318,16 +299,9 @@ func TestFlightRemovedBeforeWaitersReleased(t *testing.T) {
 // budget allotment.
 func TestSmallTableServedInline(t *testing.T) {
 	f := newFixture(t, 200, 6)
-	s := New()
+	s := cache.New(0)
 	budget := swapBudget(t)
-	q := f.query(t, "dept", "IT")
-	got, err := f.scan(s, 1, q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := serialPositions(t, f.et, q); !reflect.DeepEqual(got, want) {
-		t.Fatalf("small-table scan diverges from serial")
-	}
+	f.riders(t, s, f.query(t, "dept", "IT"))
 	if bst := budget.Stats(); bst.Acquires != 0 {
 		t.Fatalf("budget stats = %+v, want no allotment for a 200-tuple scan", bst)
 	}
@@ -336,7 +310,7 @@ func TestSmallTableServedInline(t *testing.T) {
 func TestEmptySnapshot(t *testing.T) {
 	f := newFixture(t, 10, 7)
 	f.et.Tuples = nil
-	got, err := f.scan(New(), 1, f.query(t, "dept", "FIN"), nil)
+	got, err := f.scan(cache.New(0), f.query(t, "dept", "FIN"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,32 +324,15 @@ func TestEmptySnapshot(t *testing.T) {
 // draws exactly one allotment from the scheduler budget and returns it.
 func TestSixteenRidersOneAllotment(t *testing.T) {
 	f := newFixture(t, 8192, 9)
-	s := New()
-	table := uint64(1)
+	s := cache.New(0)
 	budget := swapBudget(t)
 	const riders = 16
-	results := make([][]int, riders)
 	queries := make([]*ph.EncryptedQuery, riders)
-	var wg sync.WaitGroup
 	for i := range queries {
 		queries[i] = f.query(t, "name", fmt.Sprintf("Grace%02d", i))
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got, err := f.scan(s, table, queries[i], nil)
-			if err != nil {
-				t.Errorf("rider %d: %v", i, err)
-			}
-			results[i] = got
-		}(i)
 	}
-	wg.Wait()
-	for i := range results {
-		if !reflect.DeepEqual(results[i], serialPositions(t, f.et, queries[i])) {
-			t.Fatalf("rider %d diverges from serial", i)
-		}
-	}
-	if st := s.Stats(); st != (Stats{Passes: riders, Riders: riders}) {
+	f.riders(t, s, queries...)
+	if st := s.ShareStats(); st != (scanshare.Stats{Passes: riders, Riders: riders}) {
 		t.Fatalf("stats = %+v, want %d scans and none attached", st, riders)
 	}
 	if bst := budget.Stats(); bst.Acquires != riders || bst.Releases != riders {

@@ -96,20 +96,20 @@ func dispatchAllocs(t *testing.T, s *Server, runs int, before func(i int), frame
 // 64 tuples and one of 1,024, whose answers are 32 and 512 tuples. The
 // counts are the request's name, its decoded plans (one allocation for
 // a request of up to four conjuncts), the read's plan-and-answer, the
-// answer's tuple and word-header arrays, the result cache's private copy
-// of a hit and, where a path scans, its hit list and the cache entry and
-// scan flight it writes.
+// answer's tuple and word-header arrays and, where a path scans, its hit
+// list and the memo entry and scan flight it writes. A hit's positions
+// are the memo's own, shared read-only; a delta's append copies them.
 func TestDispatchReadSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled matchers and buffers at random under the race detector")
 	}
 	const runs = 50
 	pins := map[string]uint64{
-		"cache hit":     6,
+		"cache hit":     5,
 		"cold scan":     9,
-		"delta":         7,
-		"verified":      6,
-		"two conjuncts": 9,
+		"delta":         6,
+		"verified":      5,
+		"two conjuncts": 7,
 	}
 	got := map[string][]uint64{}
 	for _, p := range []*core.PH{fixturePH(), widePH()} {

@@ -34,7 +34,7 @@ const maxReadFanout = 64
 // one-plan request is one Store.Read on the connection's goroutine).
 // The fanout over plans is sized well above the scheduler budget's
 // capacity on purpose: most plans of a batch do not scan — cache hits
-// copy, and identical cold plans wait on one scan (internal/scanshare) —
+// copy, and identical cold plans wait on one scan (the memo's Scan) —
 // so capping fanout at CPU count would queue them behind the few that
 // do. A plan that does scan
 // runs the scan on its own worker here, and the sched budget, which

@@ -107,7 +107,7 @@ func checkAnswer(t *testing.T, what string, et *ph.EncryptedTable, got *ph.Resul
 //     one of other tokens: the id drives and the parity narrows its
 //     survivors, or the cached parity drives and the id narrows.
 //
-// A pool or a sharer that kept a view would see the next request's
+// A pool or a memo that kept a view would see the next request's
 // bytes in place of its own, and answer with another token's matches.
 // The table is past the parallel threshold, so scans fork onto pooled
 // clones too. Run with -race.

@@ -23,7 +23,7 @@ func TestCoordinatorReadSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled matchers and buffers at random under the race detector")
 	}
-	const plainPin, verifiedPin = 29, 29
+	const plainPin, verifiedPin = 27, 27
 	key, err := crypto.RandomKey()
 	if err != nil {
 		t.Fatal(err)

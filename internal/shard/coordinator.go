@@ -199,7 +199,7 @@ func (co *Coordinator) Insert(name string, tuples []ph.EncryptedTuple) ([]client
 }
 
 // read is the coordinator's one scatter: the whole read request goes to
-// every shard — each plans against its own sketch — and the answers
+// every shard — each plans against its own memo — and the answers
 // come back as [shard][plan]. The check callback runs *inside* each
 // shard's read routing: a sub-answer that fails verification is treated
 // exactly like a transport failure — the answering follower is

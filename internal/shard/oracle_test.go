@@ -71,7 +71,7 @@ func TestReadEquivalence(t *testing.T) {
 					relation.Tuple{relation.String("emp07"), relation.String("OPS"), relation.Int(4200)},
 				))
 				r.Do(reads...)
-				r.Do(oracle.All())
+				r.Do(oracle.All(false))
 				info, err := r.DB(0).Explain("SELECT * FROM emp WHERE dept = 'HR'")
 				if err != nil {
 					t.Fatal(err)
@@ -249,7 +249,7 @@ func TestRemoteEndToEnd(t *testing.T) {
 	r := oracle.New(t, shard.ShardScheme(t), oracle.Clustered("remote coordinator", 4, remote))
 	r.Do(oracle.Put(shard.ShardTable().Tuples()), oracle.Select(true, hr), oracle.Conj(true, it, oracle.Eq("salary", 5100)),
 		oracle.Append(relation.Tuple{relation.String("remote1"), relation.String("HR"), relation.Int(1)}),
-		oracle.Select(true, oracle.Eq("name", "remote1")), oracle.All(), oracle.Select(true, hr).Tampered())
+		oracle.Select(true, oracle.Eq("name", "remote1")), oracle.All(false), oracle.Select(true, hr).Tampered())
 }
 
 // TestByzantineShardDrill: a shard that lies fails the verified

@@ -1,21 +1,31 @@
 package stats
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/cache"
 )
 
+// The planner's selectivity sketch is the estimate the per-trapdoor memo
+// keeps (cache.Cache.Estimate); token is the memo key of token d, and
+// 0.5 the memo's estimate before any observation.
+func token(d int) cache.Key { return cache.Key{Table: 1, Token: sha256.Sum256(fmt.Append(nil, d))} }
+
+const defaultPrior = 0.5
+
 func TestQuerySketchEstimates(t *testing.T) {
-	s := NewQuerySketch()
-	// Any 64-bit values serve as token digests.
-	d1, d2 := uint64(1), uint64(2)
+	s := cache.New(0)
+	d1, d2 := token(1), token(2)
 
 	// Unobserved token, empty length bucket: the default prior.
 	if sel, known := s.Estimate(d1, 8); known || sel != defaultPrior {
-		t.Fatalf("fresh sketch: got (%v, %v), want (%v, false)", sel, known, defaultPrior)
+		t.Fatalf("fresh memo: got (%v, %v), want (%v, false)", sel, known, defaultPrior)
 	}
 
-	s.Observe(d1, 8, 5, 1000)
+	s.Store(d1, nil, 0, 8, 5, 1000)
 	sel, known := s.Estimate(d1, 8)
 	if !known || sel != 0.005 {
 		t.Fatalf("observed token: got (%v, %v), want (0.005, true)", sel, known)
@@ -31,61 +41,67 @@ func TestQuerySketchEstimates(t *testing.T) {
 	}
 
 	// Aggregation: a second observation refines the same token.
-	s.Observe(d1, 8, 15, 1000)
+	s.Store(d1, nil, 0, 8, 15, 1000)
 	if sel, _ := s.Estimate(d1, 8); sel != 0.01 {
 		t.Fatalf("aggregated estimate: got %v, want 0.01", sel)
 	}
 }
 
 func TestQuerySketchRejectsBadObservations(t *testing.T) {
-	s := NewQuerySketch()
-	d := uint64(7)
-	s.Observe(d, 4, -1, 10)
-	s.Observe(d, 4, 5, 0)
-	s.Observe(d, 4, 11, 10)
+	s := cache.New(0)
+	d := token(7)
+	s.Store(d, nil, 0, 4, -1, 10)
+	s.Store(d, nil, 0, 4, 5, 0)
+	s.Store(d, nil, 0, 4, 11, 10)
 	if _, known := s.Estimate(d, 4); known {
 		t.Fatal("invalid observations must not register")
 	}
 }
 
+// TestQuerySketchEvictionBounded: observations are memo entries, held
+// within the memo's byte bound (an entry costs more than 64 bytes),
+// least recently used first out.
 func TestQuerySketchEvictionBounded(t *testing.T) {
-	s := NewQuerySketch()
-	for i := 0; i < maxTrackedTokens+100; i++ {
-		s.Observe(uint64(i), 4, 1, 10)
+	const bound = 4 << 10
+	s, kept := cache.New(bound), 0
+	for i := 0; i < 200; i++ {
+		s.Store(token(i), nil, 0, 4, 1, 10)
 	}
-	if got := len(s.byToken); got > maxTrackedTokens {
-		t.Fatalf("sketch tracks %d tokens, cap is %d", got, maxTrackedTokens)
+	for i := 0; i < 200; i++ {
+		if _, known := s.Estimate(token(i), 4); known {
+			kept++
+		}
+	}
+	if kept > bound/64 {
+		t.Fatalf("memo holds %d observed tokens, its bound room for at most %d", kept, bound/64)
 	}
 	// The newest token survived; the oldest was evicted back to the prior.
-	newest := uint64(maxTrackedTokens + 99)
-	if _, known := s.Estimate(newest, 4); !known {
+	if _, known := s.Estimate(token(199), 4); !known {
 		t.Fatal("newest token evicted")
 	}
-	oldest := uint64(0)
-	if _, known := s.Estimate(oldest, 4); known {
-		t.Fatal("oldest token still tracked past the cap")
+	if _, known := s.Estimate(token(0), 4); known {
+		t.Fatal("oldest token still tracked past the bound")
 	}
 }
 
 func TestQuerySketchConcurrent(t *testing.T) {
-	s := NewQuerySketch()
+	s := cache.New(0)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			d := uint64(g)
+			d := token(g)
 			for i := 0; i < 200; i++ {
-				s.Observe(d, 4, 1, 100)
+				s.Store(d, nil, 0, 4, 1, 100)
 				s.Estimate(d, 4)
-				s.Prior(4)
+				s.Estimate(token(-1), 4)
 			}
 		}(g)
 	}
 	wg.Wait()
 	for g := 0; g < 8; g++ {
-		d := uint64(g)
-		if sel, known := s.Estimate(d, 4); !known || sel != 0.01 {
+		if sel, known := s.Estimate(token(g), 4); !known || sel != 0.01 {
 			t.Fatalf("goroutine %d estimate: got (%v, %v), want (0.01, true)", g, sel, known)
 		}
 	}

@@ -1,12 +1,13 @@
 package storage
 
 import (
-	"bytes"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/ph"
@@ -19,6 +20,7 @@ import (
 // cache: deterministic trapdoors over a real scheme, verifiable against
 // core.EvaluateSerial ground truth.
 type swpFixture struct {
+	table  *relation.Table
 	scheme *core.PH
 	ct     *ph.EncryptedTable
 	q      *ph.EncryptedQuery
@@ -46,7 +48,7 @@ func newSWPFixture(tb testing.TB, tuples int, seed int64) *swpFixture {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return &swpFixture{scheme: scheme, ct: ct, q: q}
+	return &swpFixture{table: table, scheme: scheme, ct: ct, q: q}
 }
 
 // query builds a trapdoor for an arbitrary dept value. The benchmarks use
@@ -77,30 +79,6 @@ func (f *swpFixture) encryptBatch(tb testing.TB, n int, seed int64) []ph.Encrypt
 	return ct.Tuples
 }
 
-// resultsEqual reports whether two results are byte-identical.
-func resultsEqual(a, b *ph.Result) bool {
-	if len(a.Positions) != len(b.Positions) || len(a.Tuples) != len(b.Tuples) {
-		return false
-	}
-	for i := range a.Positions {
-		if a.Positions[i] != b.Positions[i] {
-			return false
-		}
-	}
-	for i := range a.Tuples {
-		at, bt := a.Tuples[i], b.Tuples[i]
-		if !bytes.Equal(at.ID, bt.ID) || !bytes.Equal(at.Blob, bt.Blob) || len(at.Words) != len(bt.Words) {
-			return false
-		}
-		for j := range at.Words {
-			if !bytes.Equal(at.Words[j], bt.Words[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // assertMatchesSerial queries the store and checks the result is
 // byte-identical to core.EvaluateSerial run on a fresh snapshot of the
 // same table.
@@ -118,7 +96,7 @@ func assertMatchesSerial(t *testing.T, s *Store, name string, q *ph.EncryptedQue
 	if err != nil {
 		t.Fatalf("%s: serial ground truth: %v", context, err)
 	}
-	if !resultsEqual(got, want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: cached result diverges from EvaluateSerial: got %d hits %v, want %d hits %v",
 			context, len(got.Positions), got.Positions, len(want.Positions), want.Positions)
 	}
@@ -323,13 +301,14 @@ func TestReplacedTableNeverServesItsCache(t *testing.T) {
 	replaceDuringRead("InstallSnapshot", f.query(t, "FIN"), func() error { _, err := s.InstallSnapshot(snap); return err })
 }
 
-// disableCache removes s's result cache, so every read takes the
-// uncached path. The cache is fixed once reads run concurrently, so
-// callers do this while no read is in flight.
-func disableCache(s *Store) { s.cache = nil }
+// disableCache gives s a memo too small to hold any position set, so
+// every read scans; it still learns selectivities, keeping the entry
+// last used. The memo is fixed once reads run concurrently, so callers
+// do this while no read is in flight.
+func disableCache(s *Store) { s.cache = cache.New(1) }
 
-// TestCacheDisabled pins the uncached path: with the cache removed the
-// store still answers correctly and reports zero stats.
+// TestCacheDisabled pins the uncached path: with no position set held
+// the store still answers correctly and never serves a prefix.
 func TestCacheDisabled(t *testing.T) {
 	f := newSWPFixture(t, 64, 6)
 	s := NewMemory()
@@ -339,8 +318,8 @@ func TestCacheDisabled(t *testing.T) {
 	}
 	assertMatchesSerial(t, s, "emp", f.q, "uncached")
 	assertMatchesSerial(t, s, "emp", f.q, "uncached repeat")
-	if st := s.CacheStats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("disabled cache reported activity: %+v", st)
+	if st := s.CacheStats(); st.Hits != 0 || st.Deltas != 0 || st.Misses != 2 {
+		t.Fatalf("disabled memo served a prefix: %+v", st)
 	}
 }
 

@@ -46,22 +46,22 @@ func conjFixture(t *testing.T, tuples int) (*Store, ph.Scheme, func(col string, 
 	return s, scheme, token
 }
 
-// TestQueryConjLearnsSelectivity: after the sketch observes both
+// TestQueryConjLearnsSelectivity: after the memo observes both
 // conjuncts, a fresh store-side combination orders the selective one
 // first.
 func TestQueryConjLearnsSelectivity(t *testing.T) {
 	s, _, token := conjFixture(t, 400)
 	broad := token("dept", relation.String("HR")) // Zipf head: broad
 	rare := token("salary", relation.Int(1234))   // near-unique
-	// Observe both marginals through single queries (cache disabled so
-	// the second round cannot be served without planning).
+	// Observe both marginals through single queries (no position set
+	// held, so the second round cannot be served without planning).
+	disableCache(s)
 	if _, err := s.Query("emp", broad); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Query("emp", rare); err != nil {
 		t.Fatal(err)
 	}
-	disableCache(s)
 	_, info, err := s.QueryConj("emp", []*ph.EncryptedQuery{broad, rare})
 	if err != nil {
 		t.Fatal(err)

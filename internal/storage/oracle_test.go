@@ -69,12 +69,12 @@ func TestQuerySharedScanMatchesSerial(t *testing.T) {
 }
 
 // TestQueryVerifiedThroughSharer checks the verified-read path still
-// answers correctly when its miss goes through the sharer.
+// answers correctly when its miss goes through the single-flight.
 func TestQueryVerifiedThroughSharer(t *testing.T) {
 	r := oracle.New(t, nil, oracle.Memory())
 	r.Do(oracle.Put(employees(t, 1500, 17)), oracle.Select(true, oracle.Eq("dept", "SALES")))
 	if st := r.Stores(0)[0].ShareStats(); st.Passes != 1 {
-		t.Fatalf("share stats = %+v, verified miss bypassed the sharer", st)
+		t.Fatalf("share stats = %+v, verified miss bypassed the single-flight", st)
 	}
 }
 
@@ -125,12 +125,12 @@ func TestVerifiedConjSnapshotConsistent(t *testing.T) {
 
 // TestConjDriverRidesSharedPass checks that a cold conjunctive query's
 // driver-conjunct full scan — and no narrowing step — goes through the
-// sharer, and that the answer is the plaintext intersection.
+// single-flight, and that the answer is the plaintext intersection.
 func TestConjDriverRidesSharedPass(t *testing.T) {
 	r := oracle.New(t, nil, oracle.Memory())
 	r.Do(oracle.Put(employees(t, 2000, 13)), oracle.Conj(false, it, oracle.Eq("name", "Alan001")))
 	if st := r.Stores(0)[0].ShareStats(); st.Passes != 1 {
-		t.Fatalf("share stats = %+v, want the driver's scan — and only it — through the sharer", st)
+		t.Fatalf("share stats = %+v, want the driver's scan — and only it — through the single-flight", st)
 	}
 }
 
@@ -161,7 +161,7 @@ func TestQueryVerifiedUsesCache(t *testing.T) {
 // a crash — appends included, a dropped table staying dropped.
 func TestPersistenceReplay(t *testing.T) {
 	r := oracle.New(t, nil, oracle.Durable())
-	r.Do(oracle.Put(employees(t, 2, 1)), oracle.Append(employees(t, 1, 2)...), oracle.Reopen(fault.FilePlan{}), oracle.All(),
+	r.Do(oracle.Put(employees(t, 2, 1)), oracle.Append(employees(t, 1, 2)...), oracle.Reopen(fault.FilePlan{}), oracle.All(false),
 		oracle.Drop(), oracle.Reopen(fault.FilePlan{}))
 }
 
@@ -176,7 +176,7 @@ func TestCrashRecoveryNoAckedLoss(t *testing.T) {
 	for i := range 17 {
 		r.Do(oracle.Append(employees(t, 1, int64(i))...))
 	}
-	r.Do(oracle.Reopen(fault.FilePlan{}), oracle.All())
+	r.Do(oracle.Reopen(fault.FilePlan{}), oracle.All(false))
 }
 
 // TestCompactShrinksAndPreserves: compaction after churn shrinks the log,
@@ -197,7 +197,7 @@ func TestCompactShrinksAndPreserves(t *testing.T) {
 	if after, err := st.LogSize(); err != nil || after >= before {
 		t.Fatalf("compaction did not shrink the log: %d -> %d (%v)", before, after, err)
 	}
-	r.Do(oracle.All(), oracle.Append(employees(t, 1, 3)...), oracle.Reopen(fault.FilePlan{}), oracle.All(),
+	r.Do(oracle.All(false), oracle.Append(employees(t, 1, 3)...), oracle.Reopen(fault.FilePlan{}), oracle.All(false),
 		oracle.Drop(), oracle.Compact(), oracle.Reopen(fault.FilePlan{}))
 }
 
@@ -235,7 +235,7 @@ func TestQueryConjCachesConjuncts(t *testing.T) {
 func TestAppendAndDrop(t *testing.T) {
 	r := oracle.New(t, nil, oracle.Memory())
 	r.Do(oracle.Append(employees(t, 1, 1)...), oracle.Put(employees(t, 2, 2)), oracle.Append(employees(t, 3, 3)...),
-		oracle.All(), oracle.Drop(), oracle.Drop())
+		oracle.All(false), oracle.Drop(), oracle.Drop())
 }
 
 // TestPutReplacesTree: replacing a table retires its tree — verified
@@ -315,7 +315,7 @@ func TestDiskFullDegradation(t *testing.T) {
 	if root, n, _, err := r.Stores(0)[0].Root("emp"); err != nil || n != 3 || !bytes.Equal(root, wantRoot) {
 		t.Fatalf("recovered root diverges: %d tuples %x (%v), want 3 tuples %x", n, root, err, wantRoot)
 	}
-	r.Do(oracle.Append(employees(t, 1, 4)...), oracle.All())
+	r.Do(oracle.Append(employees(t, 1, 4)...), oracle.All(false))
 }
 
 // TestWALCrashMidAppend: a crash at a seeded byte of the log, during a
@@ -343,6 +343,6 @@ func TestWALCrashMidAppend(t *testing.T) {
 				t.Fatalf("seed %d: a crash inside the log's %d bytes never surfaced", seed, full)
 			}
 		}
-		r.Do(oracle.Reopen(fault.FilePlan{}), oracle.Append(employees(t, 1, 3)...), oracle.All())
+		r.Do(oracle.Reopen(fault.FilePlan{}), oracle.Append(employees(t, 1, 3)...), oracle.All(false))
 	}
 }

@@ -16,44 +16,6 @@ import (
 	"repro/internal/workload"
 )
 
-// shareFixture builds an encrypted employees table plus the scheme to
-// mint trapdoors with.
-type shareFixture struct {
-	table  *relation.Table
-	scheme *core.PH
-	et     *ph.EncryptedTable
-}
-
-func newShareFixture(t testing.TB, tuples int, seed int64) *shareFixture {
-	t.Helper()
-	key, err := crypto.RandomKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, err := workload.Employees(tuples, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheme, err := core.New(key, table.Schema(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	et, err := scheme.EncryptTable(table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &shareFixture{table: table, scheme: scheme, et: et}
-}
-
-func (f *shareFixture) query(t testing.TB, col, val string) *ph.EncryptedQuery {
-	t.Helper()
-	q, err := f.scheme.EncryptQuery(relation.Eq{Column: col, Value: relation.String(val)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return q
-}
-
 func serialGroundTruth(t testing.TB, et *ph.EncryptedTable, q *ph.EncryptedQuery) []int {
 	t.Helper()
 	res, err := core.EvaluateSerial(et, q)
@@ -223,8 +185,8 @@ func holdScans(t *testing.T) {
 // byte-identical to core.EvaluateSerial that decrypt to relation.Select's.
 // Then 16 distinct concurrent cold queries: 16 scans, one allotment each.
 func TestColdHerdCounts(t *testing.T) {
-	f := newShareFixture(t, 8192, 23)
-	table, scheme, et := f.table, f.scheme, f.et
+	f := newSWPFixture(t, 8192, 23)
+	table, scheme, et := f.table, f.scheme, f.ct
 	s := NewMemory()
 	if err := s.Put("emp", et); err != nil {
 		t.Fatal(err)

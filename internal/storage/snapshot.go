@@ -211,9 +211,7 @@ func (s *Store) InstallSnapshot(data []byte) (ShipCursor, error) {
 	}
 	for _, e := range s.tables {
 		e.stale = true // an appender that looked one up retries against the new catalogue
-		if s.cache != nil {
-			s.cache.InvalidateTable(e.base)
-		}
+		s.cache.InvalidateTable(e.base)
 	}
 	unlock()
 	m := make(map[string]*tableEntry, len(tables))

@@ -54,28 +54,27 @@
 // order is strictly store, then table, then log writer; nothing may
 // take an earlier lock while holding a later one.
 //
-// Versioning and the result cache: every table carries a monotonic
-// version drawn from a store-wide clock, bumped on Put, Append and Drop,
-// plus its base — the version at which the table object was installed.
-// Read hashes each conjunct's token once into cache.Key{base, SHA-256 of
-// the token}, the one key of the LRU result cache (internal/cache), the
-// scan single-flight (internal/scanshare) and the selectivity sketch.
-// Under the table's read lock a whole-table entry answers without
-// scanning; a prefix entry (the table has been appended to since) costs
-// a delta scan of the tail; anything else is a full scan. A replacement
-// has another base, so no read of it reaches an old entry, even one a
-// racing read stores late. Caching leaks nothing: positions per trapdoor
-// are exactly the access pattern every query already reveals.
+// Versioning and the memo: every table carries a monotonic version
+// drawn from a store-wide clock, bumped on Put, Append and Drop, plus
+// its base — the version at which the table object was installed. Read
+// hashes each conjunct's token once into cache.Key{base, SHA-256 of the
+// token}, the key of the store's one memo per trapdoor (internal/cache):
+// its prefix, its scan in flight and its selectivity. Under the table's
+// read lock a whole-table prefix answers without scanning; a shorter
+// prefix (the table has been appended to since) costs a delta scan of
+// the tail; anything else is a full scan. A replacement has another
+// base, so no read of it reaches an old entry, even one a racing read
+// stores late. Memoising leaks nothing: positions per trapdoor are
+// exactly the access pattern every query already reveals.
 //
 // One read path: Read evaluates a plan — a conjunction of one or more
 // encrypted selects — through internal/query under a single read-lock
-// acquisition. Per-conjunct cache state and the entry's selectivity
-// sketch (stats.QuerySketch, fed by every scan) order the conjuncts, at
-// most one full-width pass runs (the driver's, which for a one-conjunct
-// plan is the whole read), and later conjuncts only test surviving
-// positions via core.EvaluateSlab. Fresh full-table position sets are written
-// back to the cache per conjunct, so a repeated conjunct hits even
-// inside a new combination.
+// acquisition. Per-conjunct memo state — a prefix, or the selectivity
+// every scan of the token fed — orders the conjuncts, at most one
+// full-width pass runs (the driver's, which for a one-conjunct plan is
+// the whole read), and later conjuncts only test surviving positions via
+// core.EvaluateSlab. Fresh full-table position sets are written back per
+// conjunct, so a repeated conjunct hits even inside a new combination.
 //
 // One served scheme: the store holds and scans the paper's construction
 // (core, swp-ph) alone. Put and the record decoder refuse a table of any
@@ -113,7 +112,6 @@ package storage
 import (
 	"bufio"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -130,7 +128,6 @@ import (
 	"repro/internal/ph"
 	"repro/internal/query"
 	"repro/internal/scanshare"
-	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -182,7 +179,8 @@ type tableEntry struct {
 	treeN  int
 	// base is the store-clock version at which this table object was
 	// installed, so no two entries share it: the table half of the
-	// cache.Key of every read against this entry.
+	// cache.Key of every read against this entry. The memo keeps this
+	// table's entries and selectivity prior under it.
 	base uint64
 	// version is bumped from the store clock on every mutation touching
 	// this table. Between base and version the only mutations are appends
@@ -195,16 +193,12 @@ type tableEntry struct {
 	// — and logging against — a superseded object, which keeps the log
 	// order of same-table records identical to their in-memory order.
 	stale bool
-	// sketch is the conjunctive planner's per-table selectivity sketch,
-	// fed by every scan this entry serves. It has its own internal
-	// mutex, so observing under the table's read lock is safe.
-	sketch *stats.QuerySketch
 }
 
 // newTableEntry creates a catalogued entry for a freshly installed slab
 // at base/version v.
 func newTableEntry(slab *ph.Slab, v uint64) *tableEntry {
-	return &tableEntry{slab: slab, base: v, version: v, sketch: stats.NewQuerySketch()}
+	return &tableEntry{slab: slab, base: v, version: v}
 }
 
 // authTree returns the entry's authenticated index, built or extended to
@@ -255,11 +249,7 @@ type Store struct {
 	wal    *walWriter // immutable after Open; nil for pure in-memory stores
 	path   string
 	clock  atomic.Uint64 // monotonic version source for all tables
-	cache  *cache.Cache  // immutable after construction; nil disables result caching
-	// share deduplicates identical cold full-table scans in flight
-	// (layer 14): a cache-miss query waits on an identical scan already
-	// running instead of starting its own. Immutable after construction.
-	share *scanshare.Sharer
+	cache  *cache.Cache  // the memo per trapdoor; immutable after construction
 
 	// epoch identifies the current log file's record sequence space for
 	// log shipping (see ship.go): loaded from the sidecar on open, rotated
@@ -295,15 +285,15 @@ type Store struct {
 	snapSeq   uint64
 }
 
-// NewMemory creates a volatile in-memory store with result caching
-// enabled at the default size.
+// NewMemory creates a volatile in-memory store with a memo of the
+// default size.
 func NewMemory() *Store {
-	return &Store{tables: make(map[string]*tableEntry), cache: cache.New(0), share: scanshare.New()}
+	return &Store{tables: make(map[string]*tableEntry), cache: cache.New(0)}
 }
 
 // Open creates a durable store backed by the write-ahead log at path
-// with default options (SyncAlways), replaying any existing log. Result
-// caching is enabled at the default size.
+// with default options (SyncAlways), replaying any existing log, with a
+// memo of the default size.
 func Open(path string) (*Store, error) {
 	return OpenOptions(path, Options{})
 }
@@ -316,7 +306,7 @@ func OpenOptions(path string, opts Options) (*Store, error) {
 	default:
 		return nil, fmt.Errorf("storage: invalid sync policy %v", opts.Sync)
 	}
-	s := &Store{tables: make(map[string]*tableEntry), path: path, cache: cache.New(0), share: scanshare.New()}
+	s := &Store{tables: make(map[string]*tableEntry), path: path, cache: cache.New(0)}
 	recs, err := s.replay(path)
 	if err != nil {
 		return nil, err
@@ -401,17 +391,11 @@ func (s *Store) entry(name string) (*tableEntry, error) {
 	return e, nil
 }
 
-// ShareStats returns the scan sharer's counters.
-func (s *Store) ShareStats() scanshare.Stats { return s.share.Stats() }
+// ShareStats returns the memo's scan single-flight counters.
+func (s *Store) ShareStats() scanshare.Stats { return s.cache.ShareStats() }
 
-// CacheStats returns the result cache's counters (zero if caching is
-// disabled).
-func (s *Store) CacheStats() cache.Stats {
-	if s.cache == nil {
-		return cache.Stats{}
-	}
-	return s.cache.Stats()
-}
+// CacheStats returns the memo's prefix counters.
+func (s *Store) CacheStats() cache.Stats { return s.cache.Stats() }
 
 // replay loads the log at path into memory. Replay stops at the first
 // record the log reader cannot vouch for (see readWALRecord) and
@@ -563,7 +547,7 @@ func (s *Store) PutSlab(name string, slab *ph.Slab) error {
 	}
 	v := s.clock.Add(1)
 	s.tables[name] = newTableEntry(slab, v)
-	if old != nil && s.cache != nil {
+	if old != nil {
 		s.cache.InvalidateTable(old.base)
 	}
 	s.mu.Unlock()
@@ -699,25 +683,12 @@ func (s *Store) snapshot(name string) (*ph.Slab, error) {
 	return e.slab.Snapshot(), nil
 }
 
-// sketchDigest is a conjunct's sketch key, 8 bytes of its cache key.
-func sketchDigest(cj *query.Conjunct) uint64 {
-	return binary.BigEndian.Uint64(cj.Key.Token[:8])
-}
-
-// observeScan feeds one scan's outcome into the entry's selectivity
-// sketch. The token length buckets the prior — the closest thing to a
-// per-column signal the ciphertext carries (PerColumnWidth layouts give
-// each column group its own token length).
-func (e *tableEntry) observeScan(cj *query.Conjunct, hits, scanned int) {
-	e.sketch.Observe(sketchDigest(cj), len(cj.Q.Token), hits, scanned)
-}
-
 // planConj gathers the planner inputs for one plan under the caller's
-// read lock: per conjunct, its cache key — the only hash of its token
-// the read computes — the result-cache state (a hit makes the conjunct
-// free; a prefix entry halves its cost) and the sketch's selectivity
-// estimate, then orders everything into p. A single select allocates
-// nothing here, its conjunct held in the plan.
+// read lock: per conjunct, its memo key — the only hash of its token the
+// read computes — its prefix (a hit makes the conjunct free; a shorter
+// prefix halves its cost) or else the memo's selectivity estimate, then
+// orders everything into p. A single select allocates nothing here, its
+// conjunct held in the plan.
 func (e *tableEntry) planConj(p *query.Plan, c *cache.Cache, name string, qs []*ph.EncryptedQuery) error {
 	n := e.slab.Len()
 	if len(qs) == 1 {
@@ -735,9 +706,7 @@ func (e *tableEntry) planConj(p *query.Plan, c *cache.Cache, name string, qs []*
 func (e *tableEntry) conjunct(c *cache.Cache, cj *query.Conjunct, i int, q *ph.EncryptedQuery, n int) {
 	cj.Index, cj.Q = i, q
 	cj.Key = cache.Key{Table: e.base, Token: sha256.Sum256(q.Token)}
-	if c != nil {
-		cj.Entry, cj.Cached = c.Lookup(cj.Key, n)
-	}
+	cj.Entry, cj.Cached = c.Lookup(cj.Key, n)
 	switch cj.Cached {
 	case cache.Hit:
 		cj.EstKnown = true
@@ -750,7 +719,10 @@ func (e *tableEntry) conjunct(c *cache.Cache, cj *query.Conjunct, i int, q *ph.E
 			cj.Est = float64(len(cj.Positions)) / float64(cj.Scanned)
 		}
 	default:
-		cj.Est, cj.EstKnown = e.sketch.Estimate(sketchDigest(cj), len(q.Token))
+		// The token length buckets the prior — the closest thing to a
+		// per-column signal the ciphertext carries (PerColumnWidth
+		// layouts give each column group its own token length).
+		cj.Est, cj.EstKnown = c.Estimate(cj.Key, len(q.Token))
 	}
 }
 
@@ -761,22 +733,22 @@ func (e *tableEntry) conjunct(c *cache.Cache, cj *query.Conjunct, i int, q *ph.E
 // any number of reads on one table, run fully in parallel and never
 // block the catalogue.
 //
-// The plan is built from each conjunct's cache state and selectivity
-// estimate and run through internal/query: its driver step is a cache
-// hit (no tuple touched), a delta (only the tail appended since the
-// entry was stored is scanned) or a miss, and later steps narrow the
-// survivors. A miss is a full-table scan on this goroutine (core.EvaluateSlab,
-// fanned out over whatever the scheduler budget has idle), unless an
-// identical scan — same cache key and tuple count — is already in
-// flight, in which case this read waits for it and shares its positions
-// (internal/scanshare). Every full-table position set the run produced
-// is then written back to the result cache, per conjunct and under THIS
-// read's lock with the snapshot's tuple count — whoever ran the scan,
-// each reader holds its own table read lock across the scan or the wait,
-// so appends cannot move the tuple count under it and no writeback can
-// be stale — and every evaluation feeds the selectivity sketch
-// (narrowed steps record the conditional selectivity the ordering
-// actually wants).
+// The plan is built from each conjunct's memo entry — Lookup for its
+// prefix, Estimate on a miss — and run through internal/query: its
+// driver step is a hit (no tuple touched), a delta (only the tail
+// appended since the prefix was stored is scanned) or a miss, and later
+// steps narrow the survivors. A miss is a full-table scan on this
+// goroutine (core.EvaluateSlab, fanned out over whatever the scheduler
+// budget has idle), unless an identical scan — same key and tuple count
+// — is already in flight, in which case this read waits for it and
+// shares its positions (the memo's Scan). Then each evaluated conjunct
+// is one Store: a full-table position set becomes the key's prefix,
+// written under THIS read's lock with the snapshot's tuple count —
+// whoever ran the scan, each reader holds its own table read lock across
+// the scan or the wait, so appends cannot move the tuple count under it
+// and no writeback can be stale — and every evaluation feeds the
+// token's selectivity (narrowed steps record the conditional
+// selectivity the ordering actually wants).
 //
 // flags (wire.ReadFlag*) shapes the answer. With none it is the matching
 // tuples. With ReadFlagVerified they travel with one multiproof — cut at
@@ -794,8 +766,10 @@ func (e *tableEntry) conjunct(c *cache.Cache, cj *query.Conjunct, i int, q *ph.E
 // headers of the whole answer are cut from one array under the read
 // lock. That is safe after the lock drops — the server encodes the
 // answer then — for the reason Get's snapshot is: no byte below a run's
-// length is ever written again, so bytes a view holds never change. A
-// caller that wants to modify an answer must copy it first. The plan,
+// length is ever written again, so bytes a view holds never change. Its
+// positions are shared the same way: on a hit they are the memo's
+// prefix, and a fresh scan's are adopted by the memo, so no one writes
+// them. A caller that wants to modify an answer must copy it first. The plan,
 // the answer's Result and a verified answer's VerifiedResult share one
 // allocation, and the root is the tree's published one, not a copy. A
 // token of another scheme is refused before planning: EvaluateSlab
@@ -806,9 +780,8 @@ func (e *tableEntry) conjunct(c *cache.Cache, cj *query.Conjunct, i int, q *ph.E
 // request once this one is answered. So a token is read here — hashed
 // into its cache key, and scanned by a matcher that goes back to its
 // pool when the scan ends — and kept nowhere that outlives the read: the
-// result cache, the scan single-flight and the selectivity sketch key on
-// the SHA-256 digest, and a scan another read attaches to runs on its
-// leader's goroutine, inside the leader's read. Anything that must keep
+// memo keys on the SHA-256 digest, and a scan another read attaches to
+// runs on its leader's goroutine, inside the leader's read. Anything that must keep
 // a token past the read copies it first.
 func (s *Store) Read(name string, qs []*ph.EncryptedQuery, flags byte) (query.Response, *query.Plan, error) {
 	for i, q := range qs {
@@ -837,24 +810,22 @@ func (s *Store) Read(name string, qs []*ph.EncryptedQuery, flags byte) (query.Re
 		if from > 0 || candidates != nil {
 			return evaluateOn(e.slab, q, from, candidates) // a tail delta or a narrowing pass
 		}
-		return s.share.Scan(driver.Key, n, func() ([]int, error) { return evaluateOn(e.slab, q, 0, nil) })
+		return s.cache.Scan(driver.Key, n, func() ([]int, error) { return evaluateOn(e.slab, q, 0, nil) })
 	})
 	if err != nil {
 		return query.Response{}, nil, err
 	}
 	for i := range plan.Conjuncts {
+		// A narrowed step — plain or over a prefix's tail — has no full
+		// set: its hits among the tested positions are the conjunct's
+		// selectivity conditioned on the predicates before it. A hit or
+		// a skipped step tested nothing, and the memo ignores it.
 		cj := &plan.Conjuncts[i]
+		hits, tested := cj.NarrowHits, cj.Tested
 		if cj.FullPositions != nil {
-			if s.cache != nil {
-				s.cache.Store(cj.Key, cache.Entry{Positions: cj.FullPositions, Scanned: n})
-			}
-			e.observeScan(cj, len(cj.FullPositions), n)
-		} else if cj.Tested > 0 {
-			// Narrowed step — plain or over a cached prefix's tail: its
-			// hits among the tested positions are the conjunct's
-			// selectivity conditioned on the predicates before it.
-			e.observeScan(cj, cj.NarrowHits, cj.Tested)
+			hits, tested = len(cj.FullPositions), n
 		}
+		s.cache.Store(cj.Key, cj.FullPositions, n, len(cj.Q.Token), hits, tested)
 	}
 	e.slab.AnswerInto(&rd.res, positions)
 	if flags&wire.ReadFlagVerified == 0 {
@@ -949,9 +920,7 @@ func (s *Store) Drop(name string) error {
 	e.mu.Unlock()
 	s.clock.Add(1)
 	delete(s.tables, name)
-	if s.cache != nil {
-		s.cache.InvalidateTable(e.base)
-	}
+	s.cache.InvalidateTable(e.base)
 	s.mu.Unlock()
 	if s.wal != nil {
 		return s.wal.waitDurable(seq)
