@@ -377,6 +377,37 @@ func keyAllocs() float64 {
 	return testing.AllocsPerRun(10, func() { f.Rekey(crypto.Key{}) })
 }
 
+// TestEncryptQueryAllocs pins the query side at two objects a conjunct
+// in steady state: the token, in which the word is padded and then
+// overwritten by the trapdoor's X ‖ K, and the query that carries it —
+// for a string and for an int column, whose digits are written in place.
+func TestEncryptQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation moves allocation counts")
+	}
+	tab, err := workload.Employees(10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(crypto.Key{}, tab.Schema(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []relation.Eq{
+		{Column: "dept", Value: relation.String(workload.Departments[0])},
+		{Column: "salary", Value: relation.Int(4242)},
+	} {
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := p.EncryptQuery(q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > 2 {
+			t.Errorf("EncryptQuery(%v) allocates %v objects, want at most 2", q, got)
+		}
+	}
+}
+
 // TestClientCodecAllocs gates what a tuple costs the client in either
 // direction on the employee table: its output — values, or document ID
 // and cipherwords — plus on the crypto/aes path the cipher of each key SWP

@@ -343,21 +343,24 @@ func (tc *tupleCodec) drawRun(k int) ([]byte, error) {
 }
 
 // EncryptQuery implements Eq of Definition 1.1: the exact select
-// σ_attr:value becomes the SWP search ϕ_{value|pad|attr-id}.
+// σ_attr:value becomes the SWP search ϕ_{value|pad|attr-id}. The word is
+// padded in place in the token it is sent in and overwritten there by
+// the trapdoor's X ‖ K, so a conjunct costs the token and the query.
 func (p *PH) EncryptQuery(q relation.Eq) (*ph.EncryptedQuery, error) {
 	if err := q.Validate(p.layout.schema); err != nil {
 		return nil, err
 	}
 	col := p.layout.schema.ColumnIndex(q.Column)
-	w, err := p.layout.makeWord(nil, col, q.Value)
+	n := p.layout.wordLenFor(col)
+	token := make([]byte, n+crypto.KeySize)
+	w, err := p.layout.makeWord(token[:n], col, q.Value)
 	if err != nil {
 		return nil, err
 	}
-	td, err := p.schemeForCol(col).NewTrapdoor(w)
-	if err != nil {
+	if err := p.schemeForCol(col).TrapdoorInto(token, w); err != nil {
 		return nil, err
 	}
-	return &ph.EncryptedQuery{SchemeID: SchemeID, Token: encodeTrapdoor(td)}, nil
+	return &ph.EncryptedQuery{SchemeID: SchemeID, Token: token}, nil
 }
 
 // DecryptTable implements D of Definition 1.1 on whole tables. A string
@@ -689,92 +692,31 @@ func EvaluateSlab(s *ph.Slab, q *ph.EncryptedQuery, from int, candidates []int) 
 	return shardScan(len(candidates), base, slabScan{s: s, candidates: candidates}), nil
 }
 
-// scanScratch is the word headers a slab scan cuts its documents into.
-// A doc callback's result escapes, so it is pooled, one per worker: a
-// scan allocates nothing for a run of at most scratchWords words. Every
-// document writes its words, so they are padded onto cache lines of
-// their own, as swp pads a Matcher's run: workers scanning side by side
-// never take a line from each other.
-type scanScratch struct {
-	_     [64]byte
-	words [scratchWords][]byte
-	_     [64]byte
-}
-
-const scratchWords = 8
-
-// span is a word's bytes [lo, hi) in its tuple.
-type span struct{ lo, hi int }
-
-var scratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
-
 // matchSlab appends the slab position of every document i < n whose
 // tuple matches, document i being the tuple at position lo+i, or at
-// candidates[i] when candidates is not nil: one kernel run per slab run
-// the documents fall in.
+// candidates[i] when candidates is not nil: one strided kernel call per
+// slab run the documents fall in, which reads their words straight from
+// the run's bytes.
 func matchSlab(s *ph.Slab, lo, n int, candidates []int, m *swp.Matcher, hits []int) []int {
-	sc := scratchPool.Get().(*scanScratch)
-	defer func() { *sc = scanScratch{}; scratchPool.Put(sc) }()
 	for n > 0 {
 		p := lo
 		if candidates != nil {
 			p = candidates[0]
 		}
 		r := s.Run(p)
+		at := r.ID + r.Blob
+		if candidates != nil {
+			k := sort.SearchInts(candidates, r.Start+r.N) // the candidates in r
+			hits = m.MatchStrided(r.Body, r.Stride, at, r.Words, r.Start, candidates[:k], hits)
+			candidates, n = candidates[k:], n-k
+			continue
+		}
 		k := min(n, r.Start+r.N-lo) // the documents in r
-		if candidates != nil {
-			k = sort.SearchInts(candidates, r.Start+r.N)
-		}
-		from := len(hits)
-		hits = matchRun(r, lo-r.Start, k, candidates[:min(k, len(candidates))], sc, m, hits)
-		for j, i := range hits[from:] {
-			if hits[from+j] = lo + i; candidates != nil {
-				hits[from+j] = candidates[i]
-			}
-		}
+		body := r.Body[(lo-r.Start)*r.Stride:][:k*r.Stride]
+		hits = m.MatchStrided(body, r.Stride, at, r.Words, lo, nil, hits)
 		lo, n = lo+k, n-k
-		if candidates != nil {
-			candidates = candidates[k:]
-		}
 	}
 	return hits
-}
-
-// matchRun is matchSlab over the documents in run r: its tuples first+i
-// for i < n, or candidates[i] − r.Start when candidates is not nil. Each
-// document's words are cut from its stride into sc, or into arrays of
-// their own when the run is wider, at spans worked out once for the run.
-func matchRun(r *ph.Run, first, n int, candidates []int, sc *scanScratch, m *swp.Matcher, hits []int) []int {
-	k := len(r.Words)
-	var stack [scratchWords]span
-	words, spans := sc.words[:], stack[:]
-	if k > len(words) {
-		words, spans = make([][]byte, k), make([]span, k)
-	}
-	words, spans = words[:k], spans[:k]
-	at := r.ID + r.Blob
-	for w, l := range r.Words {
-		spans[w] = span{at, at + l}
-		at += l
-	}
-	if candidates != nil {
-		body, stride, start := r.Body, r.Stride, r.Start
-		return m.MatchRun(n, func(i int) [][]byte {
-			b := body[(candidates[i]-start)*stride:]
-			for w, sp := range spans {
-				words[w] = b[sp.lo:sp.hi:sp.hi]
-			}
-			return words
-		}, hits)
-	}
-	body, stride := r.Body[first*r.Stride:], r.Stride
-	return m.MatchRun(n, func(i int) [][]byte {
-		b := body[i*stride:]
-		for w, sp := range spans {
-			words[w] = b[sp.lo:sp.hi:sp.hi]
-		}
-		return words
-	}, hits)
 }
 
 // MatchTuples appends base+i to hits for every tuple in tuples whose
@@ -853,15 +795,7 @@ func metaParam(meta []byte, i int) swp.Params {
 	}
 }
 
-// encodeTrapdoor serialises an SWP trapdoor as X || K; the X length is
-// recovered from the token length (K is fixed-size).
-func encodeTrapdoor(td swp.Trapdoor) []byte {
-	out := make([]byte, 0, len(td.X)+len(td.K))
-	out = append(out, td.X...)
-	return append(out, td.K...)
-}
-
-// decodeQueryToken parses a serialised trapdoor and resolves its
+// decodeQueryToken parses a trapdoor token, X ‖ K, and resolves its
 // parameters directly against the raw table metadata, with no intermediate
 // word-length map — Evaluate runs once per query, and a map would be the
 // query path's last avoidable per-call allocation. The trapdoor aliases

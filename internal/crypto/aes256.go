@@ -60,6 +60,16 @@ func (a *AES256) Rekey(key Key) {
 	a.block = b
 }
 
+// RoundKeys returns the expanded schedule on the AES-NI path, for a
+// fused kernel that runs AES's rounds itself (swp's short-word ψ), and
+// nil on the crypto/aes path, where no caller may bypass crypto/aes.
+func (a *AES256) RoundKeys() *[aes256RoundKeys * aes.BlockSize]byte {
+	if a.block != nil || !aesni {
+		return nil
+	}
+	return &a.rk
+}
+
 // EncryptBlocks encrypts every block in place, without allocating.
 func (a *AES256) EncryptBlocks(blocks [][aes.BlockSize]byte) {
 	if a.block != nil {

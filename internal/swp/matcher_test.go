@@ -15,6 +15,7 @@ import (
 	"unsafe"
 
 	"repro/internal/crypto"
+	"repro/internal/swp/swptest"
 )
 
 func matcherFixture(t testing.TB, p Params) (*Scheme, [][]byte, Trapdoor) {
@@ -421,6 +422,28 @@ func TestMatchRunDifferential(t *testing.T) {
 	}
 }
 
+// TestMatchStridedDifferential runs fuzzStrided's checks of the strided
+// form at every geometry TestMatchRunDifferential covers — stream widths
+// 1..16, 17 and 40 at every checksum width — on two random run shapes
+// each: whole, from a document on and at candidates, against the
+// definition, MatchRun, a clone and, on amd64, the portable pass.
+func TestMatchStridedDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	widths := []int{17, 40}
+	for nm := 1; nm <= crypto.BlockPRFSize; nm++ {
+		widths = append(widths, nm)
+	}
+	for _, nm := range widths {
+		for cs := 1; cs <= MaxChecksumLen; cs++ {
+			for range 2 {
+				var master crypto.Key
+				rng.Read(master[:])
+				fuzzStrided(t, Params{WordLen: nm + cs, ChecksumLen: cs}, master, rng)
+			}
+		}
+	}
+}
+
 // FuzzMatchRun holds MatchRun, Match and a Clone's MatchRun to refMatch
 // at stream widths 1..48 and checksum widths 1..16. The inputs pick the
 // width, m, the key, X and a layout: one byte per step, ≡ 0 (mod 8) ends
@@ -429,7 +452,9 @@ func TestMatchRunDifferential(t *testing.T) {
 // trapdoor's length, 6 and 7 a word one byte short and one byte long.
 // Documents hold at most nine words and runs at most 40 documents, so
 // genuine words can sit on either side of a flush, the blocks the seeds
-// name: 31, 32 and 33 of a run.
+// name: 31, 32 and 33 of a run. Each input then drives fuzzStrided,
+// which holds the strided form to the textbook reference on a run of a
+// random shape.
 func FuzzMatchRun(f *testing.F) {
 	// 31 trapdoor-length words, in documents of three with a short and a
 	// long word between them, so the next word lands on block 31.
@@ -528,30 +553,157 @@ func FuzzMatchRun(f *testing.F) {
 		if got := m.Clone().MatchRun(len(docs), doc, nil); !slices.Equal(got, want) {
 			t.Fatalf("%+v: a clone's MatchRun over %d documents found %v, want %v", p, len(docs), got, want)
 		}
+		fuzzStrided(t, p, crypto.KeyFromBytes(stretch(key, crypto.KeySize)), rng)
 	})
 }
 
+// fuzzStrided holds MatchStrided, on a run of up to 40 documents of one
+// random shape — an ID and a blob of 0..20 bytes each, then 1..10 words,
+// each of the trapdoor's length, shorter than 8, of 8..16 or longer than
+// 16 bytes — to the match test by definition (refMatch) under a trapdoor
+// and cipherwords of swptest's textbook scheme: a trapdoor-length word is
+// the trapdoor's word encrypted at its document and position, that with
+// a checksum byte flipped, another word encrypted or random bytes. It
+// scans the run whole, from a random document on and at a random
+// candidate set, after hits already holding a prefix, and checks MatchRun
+// over the same documents in tuple form; a clone, and on amd64 the
+// portable pass in place of the fused kernel, must agree.
+func fuzzStrided(t *testing.T, p Params, master crypto.Key, rng *rand.Rand) {
+	randBytes := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	ref := swptest.New(master, p.WordLen, p.ChecksumLen)
+	target := randBytes(p.WordLen)
+	x, k := ref.Trapdoor(target)
+	td := Trapdoor{X: x, K: k}
+	idLen, blobLen := rng.Intn(21), rng.Intn(21)
+	lens := make([]int, 1+rng.Intn(10))
+	for i := range lens {
+		switch rng.Intn(4) {
+		case 0:
+			lens[i] = 1 + rng.Intn(7)
+		case 1:
+			lens[i] = 8 + rng.Intn(9)
+		case 2:
+			lens[i] = 17 + rng.Intn(32)
+		default:
+			lens[i] = p.WordLen
+		}
+	}
+	encrypt := func(docID []byte, pos int, w []byte) []byte {
+		c, err := ref.EncryptWord(docID, uint64(pos), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	docs := make([][][]byte, rng.Intn(41))
+	var body []byte
+	var want []int
+	for i := range docs {
+		docID := randBytes(DocIDLen)
+		body = append(body, randBytes(idLen+blobLen)...)
+		for pos, l := range lens {
+			w := randBytes(l)
+			switch r := rng.Intn(8); {
+			case l != p.WordLen:
+			case r < 2:
+				if w = encrypt(docID, pos, target); !refMatch(t, p, td, w) {
+					t.Fatalf("%+v: the reference's cipherword of the trapdoor's word does not match", p)
+				}
+			case r == 2:
+				w = encrypt(docID, pos, target)
+				w[p.streamLen()+rng.Intn(p.ChecksumLen)] ^= 1 + byte(rng.Intn(255))
+			case r == 3:
+				w = encrypt(docID, pos, w)
+			}
+			docs[i] = append(docs[i], w)
+			body = append(body, w...)
+		}
+		if slices.ContainsFunc(docs[i], func(w []byte) bool { return refMatch(t, p, td, w) }) {
+			want = append(want, i)
+		}
+	}
+	n, at, stride := len(docs), idLen+blobLen, idLen+blobLen
+	for _, l := range lens {
+		stride += l
+	}
+	base, lo := rng.Intn(1000), rng.Intn(len(docs)+1)
+	rows := []int{} // not nil: no candidate at all
+	var wantRows, wantFrom []int
+	for i := range docs {
+		if rng.Intn(3) > 0 {
+			rows = append(rows, base+i)
+			if slices.Contains(want, i) {
+				wantRows = append(wantRows, base+i)
+			}
+		}
+		if i >= lo && slices.Contains(want, i) {
+			wantFrom = append(wantFrom, base+i)
+		}
+	}
+	wantAll := make([]int, len(want))
+	for j, i := range want {
+		wantAll[j] = base + i
+	}
+	m := NewMatcher(p, td)
+	matchers := map[string]*Matcher{"matcher": m, "clone": m.Clone()}
+	if m.fused {
+		c := m.Clone()
+		c.fused = false
+		matchers["portable"] = c
+	}
+	prefix := []int{-1, base}
+	for name, mm := range matchers {
+		if n > 0 {
+			if got := mm.MatchStrided(body, stride, at, lens, base, nil, nil); !slices.Equal(got, wantAll) {
+				t.Fatalf("%+v %s: %d documents of shape %d+%d %v found %v, want %v", p, name, n, idLen, blobLen, lens, got, wantAll)
+			}
+			if got := mm.MatchStrided(body[lo*stride:], stride, at, lens, base+lo, nil, slices.Clone(prefix)); !slices.Equal(got, append(slices.Clone(prefix), wantFrom...)) {
+				t.Fatalf("%+v %s: documents from %d of shape %d+%d %v found %v, want %v after %v", p, name, lo, idLen, blobLen, lens, got, wantFrom, prefix)
+			}
+		}
+		if got := mm.MatchStrided(body, stride, at, lens, base, rows, nil); !slices.Equal(got, wantRows) {
+			t.Fatalf("%+v %s: candidates %v of shape %d+%d %v found %v, want %v", p, name, rows, idLen, blobLen, lens, got, wantRows)
+		}
+		if got := mm.MatchRun(n, func(i int) [][]byte { return docs[i] }, nil); !slices.Equal(got, want) {
+			t.Fatalf("%+v %s: MatchRun over the same %d documents found %v, want %v", p, name, n, got, want)
+		}
+	}
+}
+
 // BenchmarkMatchRun measures ψ per tuple over a 10,000-tuple run of
-// three-word tuples, every word its own allocation as EncryptTable lays
-// them out, through one MatchRun, the call MatchTuples makes per scan
-// chunk: emp is the emp table's shape (n = 11, m = 2, one stream block),
-// wide a 19-digit int column's (n = 21, m = 2, two stream blocks). Each
-// must report 0 allocs/op.
+// three-word tuples: emp is the emp table's shape (n = 11, m = 2, one
+// stream block), wide a 19-digit int column's (n = 21, m = 2, two stream
+// blocks). The tuple-form arms hold every word in its own allocation, as
+// EncryptTable lays them out, through one MatchRun, the call MatchTuples
+// makes per scan chunk; the -slab arms hold the same tuples as a slab run
+// does, a 16-byte ID and the words back to back at a constant stride,
+// through one MatchStrided, the store's scan. aes encrypts the emp arms'
+// block count in runs of runBlocks, so the ratio of emp-slab to aes in
+// ns/tuple is ψ's cost over its AES floor on one binary. Each must report
+// 0 allocs/op.
 func BenchmarkMatchRun(b *testing.B) {
+	const tuples = 10000
 	for _, arm := range []struct {
 		name string
 		p    Params
 	}{{"emp", Params{WordLen: 11, ChecksumLen: 2}}, {"wide", Params{WordLen: 21, ChecksumLen: 2}}} {
-		b.Run(arm.name, func(b *testing.B) {
-			_, cws, td := matcherFixture(b, arm.p)
-			rng := rand.New(rand.NewSource(31))
-			docs := make([][][]byte, 10000)
-			for i := range docs {
-				docs[i] = make([][]byte, 3)
-				for j := range docs[i] {
-					docs[i][j] = slices.Clone(cws[rng.Intn(len(cws))])
-				}
+		_, cws, td := matcherFixture(b, arm.p)
+		rng := rand.New(rand.NewSource(31))
+		docs := make([][][]byte, tuples)
+		for i := range docs {
+			docs[i] = make([][]byte, 3)
+			for j := range docs[i] {
+				docs[i][j] = slices.Clone(cws[rng.Intn(len(cws))])
 			}
+		}
+		perTuple := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tuples), "ns/tuple")
+		}
+		b.Run(arm.name, func(b *testing.B) {
 			m := NewMatcher(arm.p, td)
 			doc := func(i int) [][]byte { return docs[i] }
 			hits := m.MatchRun(len(docs), doc, nil)
@@ -559,9 +711,35 @@ func BenchmarkMatchRun(b *testing.B) {
 			for b.Loop() {
 				hits = m.MatchRun(len(docs), doc, hits[:0])
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(docs)), "ns/tuple")
+			perTuple(b)
+		})
+		b.Run(arm.name+"-slab", func(b *testing.B) {
+			lens := []int{arm.p.WordLen, arm.p.WordLen, arm.p.WordLen}
+			var body []byte
+			for _, d := range docs {
+				body = append(append(body, testDoc("id")...), slices.Concat(d...)...)
+			}
+			m := NewMatcher(arm.p, td)
+			stride := len(body) / tuples
+			hits := m.MatchStrided(body, stride, DocIDLen, lens, 0, nil, nil)
+			b.ReportAllocs()
+			for b.Loop() {
+				hits = m.MatchStrided(body, stride, DocIDLen, lens, 0, nil, hits[:0])
+			}
+			perTuple(b)
 		})
 	}
+	b.Run("aes", func(b *testing.B) {
+		a := crypto.NewAES256(crypto.Key{})
+		blocks := make([][crypto.BlockPRFSize]byte, runBlocks)
+		b.ReportAllocs()
+		for b.Loop() {
+			for i := 0; i < 3*tuples; i += runBlocks {
+				a.EncryptBlocks(blocks[:min(runBlocks, 3*tuples-i)])
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tuples), "ns/tuple")
+	})
 }
 
 // BenchmarkMatchTuple measures ψ on one tuple of the emp table's shape —
@@ -583,8 +761,8 @@ func BenchmarkMatchTuple(b *testing.B) {
 }
 
 // TestWorkerStateCacheLineDisjoint pins the layout the scan's worker pool
-// depends on: nothing a match writes on one worker's Matcher — the run's
-// blocks, owners and word slots — shares a 64-byte line with what it
+// depends on: nothing a match writes on one worker's Matcher — the pass's
+// blocks, offsets, word slots and stage — shares a 64-byte line with what it
 // writes on another's, nor with what another worker reads on every match:
 // its Matcher struct and its AES key schedule. Otherwise every match on
 // one core invalidates a line the other core needs for its next one, and
@@ -616,8 +794,9 @@ func TestWorkerStateCacheLineDisjoint(t *testing.T) {
 		for i, m := range workers {
 			k := m.k
 			written[i] = lines(spanOf(unsafe.Pointer(&k.blocks), unsafe.Sizeof(k.blocks)),
-				spanOf(unsafe.Pointer(&k.owner), unsafe.Sizeof(k.owner)),
-				spanOf(unsafe.Pointer(&k.word), unsafe.Sizeof(k.word)))
+				spanOf(unsafe.Pointer(&k.offs), unsafe.Sizeof(k.offs)),
+				spanOf(unsafe.Pointer(&k.word), unsafe.Sizeof(k.word)),
+				spanOf(unsafe.Pointer(&k.stage), unsafe.Sizeof(k.stage)))
 			read[i] = lines(spanOf(unsafe.Pointer(&k.aes), unsafe.Sizeof(k.aes)), spanOf(unsafe.Pointer(m), unsafe.Sizeof(*m)))
 		}
 		for i := range workers {
