@@ -15,9 +15,10 @@
 // custom units (b.ReportMetric's ns/tuple, say).
 //
 // For each benchmark and unit it prints each side's median and
-// quartiles, the ratio of the medians (head over base), the pairs head
-// won, and the two-sided sign-test p of that count. A verdict — "faster"
-// or "slower" for a time, "better" or "worse" for another unit — is
+// quartiles, the median of the per-pair ratios (head over base: a drift
+// of the machine between pairs cancels in each), the pairs head won, and
+// the two-sided sign-test p of that count. A verdict — "faster" or
+// "slower" for a time, "better" or "worse" for another unit — is
 // printed only when at least 80 % of the pairs agree and p <= 0.05; ties
 // count for neither side. A benchmark that ran on one side only is
 // reported as missing on the other. -ledger appends the comparison, with
@@ -119,7 +120,7 @@ func quartiles(xs []float64) quart {
 type row struct {
 	Bench, Unit string
 	Base, Head  quart
-	Ratio       float64 // head's median over base's
+	Ratio       float64 // the median of the pairs' head-over-base ratios
 	Won, Lost   int     // pairs head won and lost
 	Pairs       int
 	P           float64
@@ -147,7 +148,7 @@ func compare(base, head []sample) ([]row, []missing) {
 	var rows []row
 	var gone []missing
 	for _, k := range keys {
-		var b, h []float64
+		var b, h, ratios []float64
 		r := row{Bench: k.Bench, Unit: k.Unit}
 		for i := range base {
 			bv, bok := base[i][k]
@@ -162,6 +163,10 @@ func compare(base, head []sample) ([]row, []missing) {
 				continue
 			}
 			r.Pairs++
+			ratios = append(ratios, 1)
+			if hv != bv {
+				ratios[len(ratios)-1] = hv / bv
+			}
 			better, worse := hv < bv, hv > bv
 			if strings.HasSuffix(k.Unit, "/s") { // a rate: higher is better
 				better, worse = worse, better
@@ -181,9 +186,10 @@ func compare(base, head []sample) ([]row, []missing) {
 			continue
 		}
 		r.Base, r.Head = quartiles(b), quartiles(h)
-		if r.Ratio = 1; r.Base.Median != r.Head.Median {
-			r.Ratio = r.Head.Median / r.Base.Median
+		if len(ratios) == 0 { // no pair measured it on both sides
+			ratios = append(ratios, r.Head.Median/r.Base.Median)
 		}
+		r.Ratio = quartiles(ratios).Median
 		r.P = signTest(r.Won, r.Lost)
 		r.Verdict = verdict(r)
 		rows = append(rows, r)

@@ -90,7 +90,7 @@ func pairs(n int, unit string, base, head func(i int) float64) ([]sample, []samp
 }
 
 // TestVerdicts: a head that wins every pair is "faster" on a time and
-// "better" on a count, the ratio and quartiles come from the medians, a
+// "better" on a count, the ratio is the median of the pairs' ratios, a
 // rate is better higher, 8 of 10 pairs is no verdict, and identical runs
 // give a ratio of 1 and none.
 func TestVerdicts(t *testing.T) {
@@ -101,7 +101,7 @@ func TestVerdicts(t *testing.T) {
 		ratio      float64
 		verdict    string
 	}{
-		{"faster", "ns/op", func(i int) float64 { return 100 + float64(i) }, func(i int) float64 { return 50 + float64(i) }, 54.5 / 104.5, "faster"},
+		{"faster", "ns/op", func(i int) float64 { return 100 + float64(i) }, func(i int) float64 { return 50 + float64(i) }, (54.0/104 + 55.0/105) / 2, "faster"},
 		{"slower", "ns/tuple", func(i int) float64 { return 10 }, func(i int) float64 { return 20 }, 2, "slower"},
 		{"fewer allocs", "allocs/op", func(i int) float64 { return 5 }, func(i int) float64 { return 2 }, 0.4, "better"},
 		{"a rate", "MB/s", func(i int) float64 { return 100 }, func(i int) float64 { return 200 }, 2, "better"},
@@ -120,6 +120,20 @@ func TestVerdicts(t *testing.T) {
 	b := quartiles([]float64{4, 1, 3, 2, 5})
 	if b != (quart{Median: 3, Q1: 2, Q3: 4}) {
 		t.Errorf("quartiles of 1..5 = %+v", b)
+	}
+}
+
+// TestRatioIsPaired: a drift of the machine between pairs — here the
+// second half of the pairs runs 3× slower on both sides — moves the ratio
+// of the two sides' medians but not the median of the per-pair ratios.
+func TestRatioIsPaired(t *testing.T) {
+	for _, c := range []struct{ drift, unpaired float64 }{{1, 1.1}, {3, 1.05}} {
+		at := func(i int) float64 { return 100 * (1 + (c.drift-1)*float64(i/5)) }
+		head := func(i int) float64 { return at(i) * (1 + 0.2*float64(i%2)) } // pairs alternate 1.0× and 1.2×
+		rows, _ := compare(pairs(10, "ns/op", at, head))
+		if r, unpaired := rows[0], rows[0].Head.Median/rows[0].Base.Median; math.Abs(r.Ratio-1.1) > 1e-9 || math.Abs(unpaired-c.unpaired) > 1e-9 {
+			t.Errorf("drift %v×: paired ratio %v, ratio of the medians %v; want 1.1 and %v", c.drift, r.Ratio, unpaired, c.unpaired)
+		}
 	}
 }
 

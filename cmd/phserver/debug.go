@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 
+	"repro/internal/replica"
 	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -19,12 +20,10 @@ import (
 // layers keep anyway, at scrape time; nothing on the request path knows
 // it exists.
 type debug struct {
-	srv   *server.Server
-	store *storage.Store     // nil on a coordinator
-	co    *shard.Coordinator // nil unless -coordinator
-	// ready is the follower's catch-up signal on a replica, nil (always
-	// ready) elsewhere.
-	ready func() bool
+	srv      *server.Server
+	store    *storage.Store     // nil on a coordinator
+	co       *shard.Coordinator // nil unless -coordinator
+	follower *replica.Follower  // nil unless -replica-of
 }
 
 // handler is the debug endpoints' own mux: /metrics, /healthz, /readyz
@@ -57,7 +56,7 @@ func (d *debug) handler() http.Handler {
 // may: a follower that has not installed a consistent cut refuses every
 // request, and a store whose log has failed refuses every mutation.
 func (d *debug) notReady() string {
-	if d.ready != nil && !d.ready() {
+	if d.follower != nil && !d.follower.Ready() {
 		return "not ready: the replica has not caught up with its primary"
 	}
 	if d.store != nil {
@@ -93,6 +92,12 @@ func (d *debug) writeMetrics(w io.Writer) {
 		metric(w, "phserver_shard_replica_reads_total", "counter", "Shard reads answered by a replica.", replica...)
 		metric(w, "phserver_shard_failovers_total", "counter", "Shard reads that fell back to the primary.", failovers...)
 		metric(w, "phserver_shard_replica_failures_total", "counter", "Failed replica attempts, verification mismatches included.", failures...)
+	}
+	if d.follower != nil {
+		st := d.follower.Status()
+		metric(w, "phserver_replica_lag_records", "gauge", "Records the primary's log held at the last poll beyond those applied.", sample{v: st.Head - min(st.Applied, st.Head)})
+		metric(w, "phserver_replica_resets_total", "counter", "Re-bootstraps: the primary compacted, restarted into a new log, or a record failed to apply.", sample{v: st.Resets})
+		metric(w, "phserver_replica_snapshots_total", "counter", "Snapshots installed.", sample{v: st.Snapshots})
 	}
 	if d.store == nil {
 		return

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/core"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/ph"
 	"repro/internal/relation"
+	"repro/internal/replica"
 	"repro/internal/server"
 	"repro/internal/storage"
 )
@@ -155,8 +158,9 @@ func TestMetricsCountRequests(t *testing.T) {
 
 // TestReadyzFollowsTheLog: /readyz answers 200 on a healthy store, 503
 // once a full disk has left the store refusing mutations, 200 again on
-// the store reopened over the same log, and 503 on a follower that has
-// not caught up.
+// the store reopened over the same log; on a follower, 503 while it
+// cannot reach its primary, and 200 with a lag of 0 once it has caught
+// up with that reopened store.
 func TestReadyzFollowsTheLog(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.log")
 	store, err := storage.OpenOptions(path, storage.Options{WrapLog: func(f storage.LogFile) storage.LogFile {
@@ -198,11 +202,31 @@ func TestReadyzFollowsTheLog(t *testing.T) {
 	d = &debug{srv: server.New(reopened, nil), store: reopened}
 	ready(http.StatusOK, "the reopened store")
 
-	caughtUp := false
-	d.ready = func() bool { return caughtUp }
-	ready(http.StatusServiceUnavailable, "a follower catching up")
-	caughtUp = true
+	follow := func(dial func() (*client.Conn, error)) *replica.Follower {
+		f := replica.New(dial, replica.Options{PollInterval: time.Millisecond})
+		t.Cleanup(f.Close)
+		d = &debug{srv: server.NewWithOptions(f.Store(), nil, server.Options{ReadOnly: true, Ready: f.Ready}), store: f.Store(), follower: f}
+		return f
+	}
+	follow(func() (*client.Conn, error) { return nil, errors.New("primary unreachable") })
+	ready(http.StatusServiceUnavailable, "a follower that cannot reach its primary")
+	primary := server.New(reopened, nil)
+	f := follow(func() (*client.Conn, error) {
+		c, s := net.Pipe()
+		go primary.ServeConn(s)
+		return client.NewConn(c), nil
+	})
+	for start := time.Now(); !f.Status().CaughtUp; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("the follower did not catch up: %+v", f.Status())
+		}
+	}
 	ready(http.StatusOK, "a follower caught up")
+	m := scrape(t, d)
+	if m["phserver_replica_lag_records"] != 0 || m["phserver_replica_snapshots_total"] != 1 || m["phserver_replica_resets_total"] != 0 {
+		t.Fatalf("a caught-up follower's lag, snapshots and resets: %d %d %d, want 0 1 0",
+			m["phserver_replica_lag_records"], m["phserver_replica_snapshots_total"], m["phserver_replica_resets_total"])
+	}
 }
 
 func mustQuery(t *testing.T) *ph.EncryptedQuery {

@@ -173,7 +173,7 @@ func main() {
 		logger.Printf("replayed table %q (%s, %d tuples)", info.Name, info.SchemeID, info.Tuples)
 	}
 	if *debugAddr != "" {
-		serveDebug(*debugAddr, &debug{srv: srv, store: store, ready: opts.Ready}, logger)
+		serveDebug(*debugAddr, &debug{srv: srv, store: store, follower: follower}, logger)
 	}
 	serve(srv, *addr, logger)
 }

@@ -196,64 +196,3 @@ func TestFailoverToPrimaryOnReplicaDeath(t *testing.T) {
 		t.Fatalf("quarantined replica was dialed again immediately: %+v", s)
 	}
 }
-
-// TestByzantineReplicaQuarantined is the trust drill: a replica serving a
-// tampered table passes the transport but fails the pinned-root check, so
-// the client quarantines it and gets the true answer from the primary —
-// the read succeeds and stays verified.
-func TestByzantineReplicaQuarantined(t *testing.T) {
-	store := storage.NewMemory()
-	primary := startPipe(t, store)
-	db := NewDB(primary, newScheme(t), "emp")
-	if err := db.CreateTable(empTable()); err != nil {
-		t.Fatal(err)
-	}
-	// Build the evil twin: same ciphertext with one flipped tuple-ID
-	// byte, served read-only from its own store.
-	ct, err := primary.FetchAll("emp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct.Tuples[0].ID[0] ^= 0xFF
-	evil := storage.NewMemory()
-	if err := evil.Put("emp", ct); err != nil {
-		t.Fatal(err)
-	}
-	dial, _ := replicaDialer(t, server.NewWithOptions(evil, nil, server.Options{ReadOnly: true}))
-	db.AddReplica(dial)
-
-	got, err := db.Select(hrQuery())
-	if err != nil {
-		t.Fatalf("read with a Byzantine replica present: %v", err)
-	}
-	want, _ := relation.Select(empTable(), hrQuery())
-	if !got.Equal(want) {
-		t.Fatalf("wrong result:\n%v\nvs\n%v", got, want)
-	}
-	stats := db.ReadStats()
-	if stats.ReplicaFailures == 0 || stats.PrimaryReads != 1 || stats.ReplicaReads != 0 {
-		t.Fatalf("stats %+v: want the lying replica rejected and the primary serving", stats)
-	}
-}
-
-// TestReplicaServesConjunctiveReads: the pushed-down conjunction path
-// routes through replicas with the same verification.
-func TestReplicaServesConjunctiveReads(t *testing.T) {
-	store := storage.NewMemory()
-	db := NewDB(startPipe(t, store), newScheme(t), "emp")
-	if err := db.CreateTable(empTable()); err != nil {
-		t.Fatal(err)
-	}
-	dial, _ := replicaDialer(t, server.NewWithOptions(store, nil, server.Options{ReadOnly: true}))
-	db.AddReplica(dial)
-	got, err := db.Query("SELECT name FROM emp WHERE dept = 'HR' AND salary = 8800")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 1 || got.Tuple(0)[0].Str() != "Grace" {
-		t.Fatalf("conjunctive result: %v", got)
-	}
-	if s := db.ReadStats(); s.ReplicaReads != 1 {
-		t.Fatalf("conjunction not served by the replica: %+v", s)
-	}
-}

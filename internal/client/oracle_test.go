@@ -194,3 +194,60 @@ func TestVerifiedFullDownloadRefusesTampering(t *testing.T) {
 		r.Do(oracle.All(true))
 	}
 }
+
+// TestByzantineReplicaQuarantined is the trust drill, on the oracle's
+// Replicated topology: a follower whose answers are tampered passes the
+// transport but fails the pinned-root check, so the client quarantines
+// it and gets the true answer from the primary — the read succeeds and
+// stays verified.
+func TestByzantineReplicaQuarantined(t *testing.T) {
+	r := oracle.New(t, nil, oracle.Replicated())
+	r.Do(oracle.Put(client.EmpTable().Tuples()), oracle.Heal())
+	r.Tap(0, 1).Rewrite(oracle.Tamper)
+	r.Do(oracle.Select(true, hr))
+	if st := r.DB(0).ReadStats(); st.ReplicaFailures != 1 || st.PrimaryReads != 1 || st.ReplicaReads != 0 {
+		t.Fatalf("stats %+v: want the lying follower refused and the primary serving", st)
+	}
+}
+
+// TestReplicaServesConjunctiveReads: the pushed-down conjunction is
+// routed through the follower, verified like any read.
+func TestReplicaServesConjunctiveReads(t *testing.T) {
+	r := oracle.New(t, nil, oracle.Replicated())
+	r.Do(oracle.Put(client.EmpTable().Tuples()), oracle.Heal())
+	got, err := r.DB(0).Query("SELECT name FROM emp WHERE dept = 'HR' AND salary = 8800")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 1 || got.Tuple(0)[0].Str() != "Grace" {
+		t.Fatalf("conjunctive result: %v", got)
+	}
+	if st := r.DB(0).ReadStats(); st.ReplicaReads != 1 || st.PrimaryReads != 0 {
+		t.Fatalf("the conjunction was not served by the follower: %+v", st)
+	}
+}
+
+// TestSelectManyRoutedThroughReplicas: SelectMany once bypassed the
+// replica-aware routing and went straight to the primary; a batch is
+// served by a caught-up follower, plain or verified. (That a pinned
+// client's batch is verified is TestPinnedReadsAreOneVerifiedRoundTrip's.)
+func TestSelectManyRoutedThroughReplicas(t *testing.T) {
+	r := oracle.New(t, nil, oracle.Replicated())
+	r.Do(oracle.Put(client.EmpTable().Tuples()), oracle.Heal(), oracle.Many(false, hr, it), oracle.Many(true, hr, it))
+	for _, db := range []*client.DB{r.Plain(0), r.DB(0)} {
+		if st := db.ReadStats(); st.ReplicaReads != 1 || st.PrimaryReads != 0 {
+			t.Fatalf("the batch was not served by the follower: %+v", st)
+		}
+	}
+}
+
+// TestSelectManyFailsOverToPrimary: a follower that cannot serve — new,
+// and cut off from its primary — is quarantined, and the batch falls
+// back to the primary instead of failing.
+func TestSelectManyFailsOverToPrimary(t *testing.T) {
+	r := oracle.New(t, nil, oracle.Replicated())
+	r.Do(oracle.Put(client.EmpTable().Tuples()), oracle.Cut(), oracle.Replace(), oracle.Many(false, hr))
+	if st := r.Plain(0).ReadStats(); st.Failovers != 1 || st.PrimaryReads != 1 {
+		t.Fatalf("the follower that cannot serve did not fail over: %+v", st)
+	}
+}

@@ -31,6 +31,10 @@ const (
 	OpDrop                // drop the table on every node
 	OpCompact             // Store.Compact on every store
 	OpReopen              // restart the clients; crash and reopen a durable store
+	OpCut                 // cut the follower's ship link
+	OpHeal                // heal the ship link and catch the follower up
+	OpRestart             // crash the follower and restart it on its own disk
+	OpReplace             // replace the follower with one on an empty disk
 	OpSelect              // Select(Eqs[0])
 	OpConj                // SelectConj(Eqs)
 	OpMany                // SelectMany(Eqs): one select per equality
@@ -38,7 +42,7 @@ const (
 )
 
 func (k Kind) String() string {
-	return [...]string{"put", "append", "drop", "compact", "reopen", "select", "conj", "many", "all"}[k]
+	return [...]string{"put", "append", "drop", "compact", "reopen", "cut", "heal", "restart", "replace", "select", "conj", "many", "all"}[k]
 }
 
 // Op is one step of a history.
@@ -79,6 +83,21 @@ func Compact() Op { return Op{Kind: OpCompact} }
 // Reopen restarts the clients from their persisted roots, and crashes
 // and reopens a durable store with plan's log faults.
 func Reopen(plan fault.FilePlan) Op { return Op{Kind: OpReopen, Fault: plan} }
+
+// Cut tears the follower's ship link and refuses redials: it serves a
+// stale cut.
+func Cut() Op { return Op{Kind: OpCut} }
+
+// Heal heals the ship link and waits until the follower is Ready at the
+// primary's log head with its roots; the clients reconnect.
+func Heal() Op { return Op{Kind: OpHeal} }
+
+// Restart crashes the follower and restarts it on its disk, Ready at once.
+func Restart() Op { return Op{Kind: OpRestart} }
+
+// Replace replaces the follower with one on an empty disk, not Ready
+// until a snapshot bootstrap has caught it up.
+func Replace() Op { return Op{Kind: OpReplace} }
 
 // Select reads one equality.
 func Select(verified bool, eq relation.Eq) Op { return Conj(verified, eq).as(OpSelect) }
@@ -162,7 +181,7 @@ func Generate(seed int64, n int) History {
 	for len(h) < n {
 		verified := rng.Intn(2) == 0
 		var op Op
-		switch x := rng.Intn(100); {
+		switch x := rng.Intn(110); {
 		case x < 5:
 			op = Put(rows(rng, rng.Intn(24)))
 		case x < 20:
@@ -183,8 +202,10 @@ func Generate(seed int64, n int) History {
 			op = Conj(verified, eqs(rng, 2+rng.Intn(2))...)
 		case x < 85:
 			op = Many(verified, eqs(rng, 1+rng.Intn(4))...)
-		default:
+		case x < 100:
 			op = All(verified)
+		default: // three cuts, three heals, two restarts and two replaces
+			op = [...]Op{Cut(), Heal(), Restart(), Replace()}[x%4]
 		}
 		op.Tamper = op.Verified && rng.Intn(3) == 0
 		h = append(h, op)

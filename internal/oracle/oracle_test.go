@@ -5,13 +5,14 @@ import (
 	"time"
 
 	"repro/internal/authindex"
+	"repro/internal/fault"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
 
-var topologies = []Topology{Memory(), Durable(), Sharded(2)}
+var topologies = []Topology{Replicated(), Memory(), Durable(), Sharded(2)}
 
-// TestDefinition11 runs 64 seeded histories on the three topologies and
+// TestDefinition11 runs 64 seeded histories on the four topologies and
 // then checks that every shape × verified × topology cell saw an answer
 // with rows, an empty answer and, verified, a refused tampering.
 func TestDefinition11(t *testing.T) {
@@ -70,4 +71,14 @@ func TestKnownGapWithheldTuple(t *testing.T) {
 	} else {
 		t.Logf("known gap (ROADMAP C): a verified select of 3 matching rows, served with one withheld and the rest proved, verifies with %d rows", got.Len())
 	}
+}
+
+// TestHealOverAFailedLog: a put refused by a full disk that would have
+// left the table as it was keeps the model certain, but the primary's
+// log head counts the record its log never took. Healing the link must
+// not wait for the follower to reach that head.
+func TestHealOverAFailedLog(t *testing.T) {
+	r := New(t, nil, Replicated())
+	hr := []relation.Tuple{{relation.String("Ada"), relation.String("HR"), relation.Int(1000)}}
+	r.Do(Put(hr), Heal(), Reopen(fault.FilePlan{FailWriteAfterBytes: 1}), Put(hr), Heal(), Select(false, Eq("dept", "HR")))
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/ph"
 	"repro/internal/relation"
+	"repro/internal/replica"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -83,6 +84,9 @@ func (r *Runner) run(h History) error {
 					err = fmt.Errorf("%s: %w", t.Name, err)
 					break
 				}
+				if t.f != nil { // the follower may hold any table the model has been
+					t.f.past = slices.Compact(append(t.f.past, t.model...))
+				}
 			}
 		}
 		if err != nil {
@@ -102,8 +106,15 @@ func (r *Runner) DB(i int) *client.DB { return r.tiers[i].db }
 func (r *Runner) Plain(i int) *client.DB { return r.tiers[i].plain }
 
 // Tap returns the tap on topology i's connections to its node (shard)
-// n; a single server is node 0.
+// n; a single server is node 0, and its follower node 1.
 func (r *Runner) Tap(i, n int) *Tap { return r.tiers[i].taps[n] }
+
+// Follower returns Replicated topology i's follower.
+func (r *Runner) Follower(i int) *replica.Follower { return r.tiers[i].f.Follower }
+
+// Link returns the switch that cuts Replicated topology i's ship link,
+// to cut or heal it without the steps' tearing and waiting.
+func (r *Runner) Link(i int) *fault.Switch { return &r.tiers[i].f.cut }
 
 // model is what a topology's table may be: one table, or — after a
 // fault left a mutation unacknowledged — each table it may have become.
@@ -125,9 +136,30 @@ func (m model) then(apply func(*relation.Table) *relation.Table, ok bool) model 
 	return out
 }
 
-func (m model) absent() bool {
-	return !slices.ContainsFunc(m, func(t *relation.Table) bool { return t != nil })
+// answers reports whether got is op's answer on a table m may be, each
+// answer of a batch on a table of its own: a store runs each select of a
+// batch on its own cut, and a follower applies records between them.
+func (m model) answers(op Op, got []*relation.Table) bool {
+	if op.Kind == OpMany && len(got) == len(op.Eqs) && len(got) > 1 {
+		for i, eq := range op.Eqs {
+			if !m.answers(Select(false, eq), got[i:i+1]) {
+				return false
+			}
+		}
+		return true
+	}
+	return slices.ContainsFunc(m, func(t *relation.Table) bool { return t != nil && diff(got, op.want(t)) == nil })
 }
+
+// some is one of the tables m may be, nil if none.
+func (m model) some() *relation.Table {
+	if i := slices.IndexFunc(m, func(t *relation.Table) bool { return t != nil }); i >= 0 {
+		return m[i]
+	}
+	return nil
+}
+
+func (m model) absent() bool { return m.some() == nil }
 
 func (r *Runner) mutate(t *tier, op Op) error {
 	var err error
@@ -165,6 +197,14 @@ func (r *Runner) mutate(t *tier, op Op) error {
 		return nil
 	case OpReopen:
 		return t.reopen(op.Fault)
+	case OpCut, OpHeal:
+		if t.f != nil {
+			t.f.cut.Set(op.Kind == OpCut)
+			t.f.serve(t.servers[0]) // tear the link's connections
+		}
+		return t.catchUp(true) // nothing to catch up over a cut link
+	case OpRestart, OpReplace:
+		return t.restart(op.Kind == OpReplace)
 	}
 	switch {
 	case err == nil && op.Kind != OpPut && t.model.absent():
@@ -188,34 +228,46 @@ func (r *Runner) mutate(t *tier, op Op) error {
 
 // read runs a read on every topology, and again tampered if asked. A
 // topology whose table is certain must answer σ of it; one in doubt may
-// refuse, or answer σ of a table it may be. Certain topologies that no
-// fault has set apart must agree with each other.
+// refuse, or answer σ of a table it may be; a plain answer its follower
+// served may be σ of any table the follower may hold. Certain answers of
+// topologies that no fault has set apart must agree with each other.
 func (r *Runner) read(op Op) error {
 	var first []*relation.Table
 	var from string
 	for _, t := range r.tiers {
-		got, err := t.ask(op, op.Verified)
-		doubt := len(t.model) > 1
+		if err := t.catchUp(false); err != nil {
+			return fmt.Errorf("%s: %w", t.Name, err)
+		}
+		got, byFollower, err := t.ask(op, op.Verified)
+		// A plain answer from the follower may be σ of any table the
+		// follower may hold; so may a verified one while the table may be
+		// gone, for the client has no drop and pins nothing after a reopen
+		// that found no table: its pin is a dropped table's, or none.
+		doubt, may := len(t.model) > 1, t.model
+		stale := byFollower && (!op.Verified || slices.Contains(t.model, nil))
+		if stale {
+			may = t.f.past
+		}
 		switch {
+		case errors.Is(err, errUnready):
+			return fmt.Errorf("%s: %w", t.Name, err)
 		case err != nil && (t.model.absent() || doubt):
 			continue
 		case err != nil:
 			return fmt.Errorf("%s: %w", t.Name, err)
-		case t.model.absent():
+		case may.absent():
 			return fmt.Errorf("%s: answered a read of a table that is not there", t.Name)
-		case !slices.ContainsFunc(t.model, func(m *relation.Table) bool { return m != nil && diff(got, op.want(m)) == nil }):
-			return fmt.Errorf("%s: Definition 1.1: %w", t.Name, diff(got, op.want(t.model[0])))
-		case doubt:
+		case !may.answers(op, got):
+			return fmt.Errorf("%s: Definition 1.1, stale=%v: %w", t.Name, stale, diff(got, op.want(may.some())))
+		}
+		if byFollower {
+			r.Seen.cell(op.Kind, op.Verified, t.Name+" follower").count(got)
+		}
+		if doubt || stale {
 			continue
 		}
 		c := r.Seen.cell(op.Kind, op.Verified, t.Name)
-		for _, a := range got {
-			if a.Len() == 0 {
-				c.Empty++
-			} else {
-				c.NonEmpty++
-			}
-		}
+		c.count(got)
 		switch {
 		case t.diverged:
 		case first == nil:
@@ -228,30 +280,81 @@ func (r *Runner) read(op Op) error {
 		}
 		// Each node lies alone in turn: the client must check every
 		// node's answer, not some.
-		for n, tap := range t.taps {
-			if op.Kind == OpAll {
-				tap.RewriteTable(TamperTable)
-			} else {
-				tap.Rewrite(Tamper)
+		for n := range t.taps {
+			if err := r.lie(t, n, op); err != nil {
+				return fmt.Errorf("%s: %w", t.Name, err)
 			}
-			_, err := t.ask(op, true)
-			tap.Rewrite(nil)
-			tap.RewriteTable(nil)
-			if err == nil || !strings.Contains(err.Error(), "verification failed") {
-				return fmt.Errorf("%s: an answer tampered by node %d was not refused by verification: %v", t.Name, n, err)
-			}
-			c.Rejected++
 		}
 	}
 	return nil
 }
 
-// ask runs op's read on the pinned client or the plain one.
-func (t *tier) ask(op Op, verified bool) ([]*relation.Table, error) {
+// lie serves a verified read again with node n's answers tampered: the
+// client must refuse them by a failed verification or, the follower's
+// alone, by quarantine and the primary's true answer. The follower lies
+// with its primary, or it would answer in its place; alone, it lies only
+// caught up (a stale one is refused anyway) and not for a download (it
+// serves none).
+func (r *Runner) lie(t *tier, n int, op Op) error {
+	liars, cell, alone := t.taps[n:n+1], r.Seen.cell(op.Kind, true, t.Name), t.f != nil && n == 1
+	switch {
+	case t.f != nil && n == 0:
+		liars = t.taps
+	case alone && (op.Kind == OpAll || t.f.cut.On()):
+		return nil
+	case alone:
+		if err := t.catchUp(true); err != nil {
+			return err
+		}
+		cell = r.Seen.cell(op.Kind, true, t.Name+" follower")
+	}
+	for _, l := range liars {
+		if op.Kind == OpAll {
+			l.RewriteTable(TamperTable)
+		} else {
+			l.Rewrite(Tamper)
+		}
+	}
+	got, byFollower, err := t.ask(op, true)
+	for _, l := range liars {
+		l.Rewrite(nil)
+		l.RewriteTable(nil)
+	}
+	switch {
+	case !alone && (err == nil || !strings.Contains(err.Error(), "verification failed")):
+		return fmt.Errorf("an answer tampered by node %d was not refused by verification: %v", n, err)
+	case alone && (err != nil || byFollower || t.db.ReadStats().ReplicaFailures == 0):
+		return fmt.Errorf("an answer the follower tampered was not refused and failed over (accepted from it: %v): %v", byFollower, err)
+	case alone && diff(got, op.want(t.model[0])) != nil:
+		return fmt.Errorf("failed over from a lying follower: %w", diff(got, op.want(t.model[0])))
+	}
+	cell.Rejected++
+	return nil
+}
+
+// errUnready is a follower that passed a read answer and was still not
+// Ready after the read. Ready only goes from false to true in one
+// follower's life, so it answered before it was Ready.
+var errUnready = errors.New("the follower answered a read before it was Ready")
+
+// ask runs op's read on the pinned client or the plain one, and says
+// whether the follower answered it (ReadStats.ReplicaReads).
+func (t *tier) ask(op Op, verified bool) ([]*relation.Table, bool, error) {
 	db := t.plain
 	if verified {
 		db = t.db
 	}
+	tap := t.taps[len(t.taps)-1] // the follower's, on a Replicated topology
+	reads, answers := db.ReadStats().ReplicaReads, tap.answers.Load()
+	got, err := op.on(db)
+	if t.f != nil && tap.answers.Load() > answers && !t.f.Ready() {
+		return nil, false, errUnready
+	}
+	return got, db.ReadStats().ReplicaReads > reads, err
+}
+
+// on runs op's read on db.
+func (op Op) on(db *client.DB) ([]*relation.Table, error) {
 	one := func(t *relation.Table, err error) ([]*relation.Table, error) { return []*relation.Table{t}, err }
 	switch op.Kind {
 	case OpMany:
@@ -301,6 +404,9 @@ func diff(got, want []*relation.Table) error {
 }
 
 func sameRows(a, b *relation.Table) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
 	n := make(map[string]int, a.Len())
 	for _, tp := range a.Tuples() {
 		n[string(relation.EncodeTuple(tp))]++
@@ -312,7 +418,7 @@ func sameRows(a, b *relation.Table) bool {
 		}
 		n[k]--
 	}
-	return a.Len() == b.Len()
+	return true
 }
 
 // Cell is one kind of operation on one topology.
@@ -329,6 +435,16 @@ type Counts struct{ NonEmpty, Empty, Rejected, Faulted int }
 // Tally counts by cell.
 type Tally map[Cell]*Counts
 
+func (c *Counts) count(answers []*relation.Table) {
+	for _, a := range answers {
+		if a.Len() == 0 {
+			c.Empty++
+		} else {
+			c.NonEmpty++
+		}
+	}
+}
+
 func (s Tally) cell(k Kind, verified bool, topo string) *Counts {
 	c := Cell{k, verified, topo}
 	if s[c] == nil {
@@ -339,7 +455,9 @@ func (s Tally) cell(k Kind, verified bool, topo string) *Counts {
 
 // Vacant names the cells of the shape × verified × topology matrix that
 // saw no answer with rows, no empty answer or, verified, no refused
-// tampering.
+// tampering — and, on a topology with a follower, the cells of every
+// shape but downloads (which go to the primary) that the follower served
+// no answer in or, verified, never lied in and was refused.
 func (s Tally) Vacant(topos ...Topology) error {
 	var gaps []string
 	for _, topo := range topos {
@@ -347,6 +465,9 @@ func (s Tally) Vacant(topos ...Topology) error {
 			for _, verified := range []bool{false, true} {
 				if c := s[Cell{k, verified, topo.Name}]; c == nil || c.NonEmpty == 0 || c.Empty == 0 || verified && c.Rejected == 0 {
 					gaps = append(gaps, fmt.Sprintf("%s %v verified=%v: %+v", topo.Name, k, verified, c))
+				}
+				if c := s[Cell{k, verified, topo.Name + " follower"}]; topo.follow && k != OpAll && (c == nil || c.NonEmpty+c.Empty == 0 || verified && c.Rejected == 0) {
+					gaps = append(gaps, fmt.Sprintf("%s follower %v verified=%v: %+v", topo.Name, k, verified, c))
 				}
 			}
 		}

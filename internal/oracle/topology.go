@@ -20,12 +20,13 @@ import (
 	"repro/internal/wire"
 )
 
-// Topology is one way to serve the table: one server, or shards behind
-// a coordinator.
+// Topology is one way to serve the table: one server, with or without a
+// follower, or shards behind a coordinator.
 type Topology struct {
 	Name    string
 	shards  int  // 0: one server
 	durable bool // one server over a log on disk
+	follow  bool // and a follower of its log (node 1)
 	serve   func(tb testing.TB, srv *server.Server) func() (net.Conn, error)
 	wrap    func(tb testing.TB, co *shard.Coordinator) client.Cluster
 }
@@ -37,6 +38,15 @@ func Memory() Topology { return Single("memory", pipe) }
 // log is wrapped in a fault.File with each reopen's fault plan, and
 // every reopen is a crash.
 func Durable() Topology { return Topology{Name: "durable", durable: true, serve: pipe} }
+
+// Replicated is Durable with a follower of its log as node 1: a
+// replica.Follower on a durable store of its own, bootstrapped from a
+// snapshot and fed by WAL shipping over a ship link the history can cut,
+// behind a read-only server gated on the follower's Ready. Both clients
+// read through it (DB.AddReplica) and fail over to the primary.
+func Replicated() Topology {
+	return Topology{Name: "replicated", durable: true, follow: true, serve: pipe}
+}
 
 // Sharded is an in-process shard.Coordinator over n memory stores, each
 // behind its own server.Server over net.Pipe.
@@ -80,7 +90,8 @@ type tier struct {
 	path      string
 	plan      fault.FilePlan // the durable log's faults
 	model     model
-	diverged  bool // a fault may have left the table unlike the other topologies'
+	diverged  bool      // a fault may have left the table unlike the other topologies'
+	f         *follower // a Replicated topology's node 1
 }
 
 func (t *tier) faulty() bool { return t.durable && t.plan != fault.FilePlan{} }
@@ -100,12 +111,19 @@ func (t *tier) start() error {
 		}
 		t.serveStore(i, st)
 	}
+	if t.follow {
+		t.f, t.taps, t.dials = &follower{past: model{nil}, srv: t.servers[0]}, append(t.taps, new(Tap)), append(t.dials, nil)
+		return t.restart(true)
+	}
 	return t.connect()
 }
 
 func (t *tier) serveStore(i int, st *storage.Store) {
 	t.stores[i], t.servers[i] = st, server.New(st, nil)
 	t.dials[i] = t.serve(t.tb, t.servers[i])
+	if t.f != nil {
+		t.f.serve(t.servers[i])
+	}
 }
 
 // open opens the durable store with plan's faults on every log handle it
@@ -136,6 +154,11 @@ func (t *tier) connect() error {
 	}
 	if t.shards == 0 {
 		t.db, t.plain = client.NewDB(conn(0), t.scheme, t.table), client.NewDB(conn(0), t.scheme, t.table)
+		if t.f != nil {
+			follower := func() (*client.Conn, error) { return conn(1), nil }
+			t.db.AddReplica(follower)
+			t.plain.AddReplica(follower)
+		}
 	} else {
 		pools := make([]*client.ReadPool, t.shards)
 		for i := range pools {
@@ -179,6 +202,9 @@ func (t *tier) reopen(plan fault.FilePlan) error {
 	}
 	t.hangUp()
 	t.servers[0].Close()
+	if t.f != nil {
+		t.f.serve(nil) // the ship link goes down with the primary
+	}
 	t.abandoned = append(t.abandoned, t.stores[0])
 	st, err := t.open(plan)
 	if err != nil {
@@ -224,6 +250,10 @@ func (t *tier) drop() error {
 
 func (t *tier) close() {
 	t.hangUp()
+	if t.f != nil && t.f.Follower != nil {
+		t.f.Close() // and with it its ship link
+		t.f.Store().Close()
+	}
 	for i, srv := range t.servers {
 		srv.Close()
 		t.stores[i].Close()
@@ -237,10 +267,11 @@ func (t *tier) close() {
 // Tap sits on the client side of every connection to one node of a
 // topology. While a rewrite is set, it decodes each read answer or
 // downloaded table, lets the rewrite change it and re-encodes it: a
-// lying node, played by the wire.
+// lying node, played by the wire. It counts the read answers it passes.
 type Tap struct {
 	rewrite atomic.Pointer[func(resps []query.Response)]
 	table   atomic.Pointer[func(t *ph.EncryptedTable)]
+	answers atomic.Int64
 }
 
 // Rewrite sets the rewrite of every read answer from now on; nil stops
@@ -276,6 +307,9 @@ func (c *tapped) Read(b []byte) (int, error) {
 		f, err := wire.ReadFrame(c.Conn)
 		if err != nil {
 			return 0, err
+		}
+		if f.Type == wire.RespResult {
+			c.tap.answers.Add(1)
 		}
 		if rw := c.tap.rewrite.Load(); rw != nil && f.Type == wire.RespResult {
 			flags, resps, err := query.DecodeResponses(f.Payload)

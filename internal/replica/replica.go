@@ -46,10 +46,6 @@ import (
 	"repro/internal/storage"
 )
 
-// maxSnapshotBytes caps the encoded snapshot a follower will reassemble
-// from chunks (mirrors storage's installer-side cap).
-const maxSnapshotBytes = 1 << 30
-
 // Options tunes a Follower. The zero value gets sane defaults.
 type Options struct {
 	// PollInterval is the pause between polls once caught up (and after
@@ -205,27 +201,6 @@ func (f *Follower) Status() Status {
 	}
 }
 
-// WaitCaughtUp blocks until a poll finds the follower level with the
-// primary's head, or the timeout expires.
-func (f *Follower) WaitCaughtUp(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		st := f.Status()
-		if st.CaughtUp && st.LastErr == nil {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("replica: not caught up after %v (applied %d/%d, last error: %v)",
-				timeout, st.Applied, st.Head, st.LastErr)
-		}
-		select {
-		case <-f.closed:
-			return fmt.Errorf("replica: follower closed while waiting")
-		case <-time.After(time.Millisecond):
-		}
-	}
-}
-
 // Close stops the poll loop and waits for it to exit.
 func (f *Follower) Close() {
 	f.closeOnce.Do(func() { close(f.closed) })
@@ -299,7 +274,9 @@ func (f *Follower) run() {
 		if err != nil {
 			f.setErr(err)
 			f.logf("replica: %v", err)
-			if !isProtocolError(err) {
+			// A remote error is the primary answering: redialing would
+			// change nothing.
+			if !client.IsRemote(err) {
 				conn.Close()
 				conn = nil
 			}
@@ -310,13 +287,6 @@ func (f *Follower) run() {
 			}
 		}
 	}
-}
-
-// isProtocolError reports whether the primary answered (with an error)
-// rather than the transport failing: the connection is fine, redialing
-// would change nothing.
-func isProtocolError(err error) bool {
-	return client.IsRemote(err)
 }
 
 // needsBootstrap reports whether the next round should fetch a snapshot
@@ -356,10 +326,10 @@ func (f *Follower) bootstrap(conn *client.Conn) (behind bool, err error) {
 	}
 	f.mu.Lock()
 	f.snapBytes += uint64(len(ch.Data))
-	if ch.Total > maxSnapshotBytes {
+	if ch.Total > storage.MaxSnapshotBytes {
 		f.snapBuf = nil
 		f.mu.Unlock()
-		return false, fmt.Errorf("replica: primary offers a %d-byte snapshot, above the %d cap", ch.Total, maxSnapshotBytes)
+		return false, fmt.Errorf("replica: primary offers a %d-byte snapshot, above the %d cap", ch.Total, storage.MaxSnapshotBytes)
 	}
 	if ch.Epoch != e || ch.Seq != q || ch.Offset != off {
 		// A different snapshot (or an offset the primary would not

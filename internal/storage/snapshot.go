@@ -51,9 +51,9 @@ const (
 	// maxSnapChunk caps the bytes one ReadSnapshot answer carries,
 	// whatever budget the (possibly hostile) peer asked for.
 	maxSnapChunk = 4 << 20
-	// maxSnapshotBytes caps the encoded snapshot an installer will
+	// MaxSnapshotBytes caps the encoded snapshot an installer will
 	// accept or a fetcher will reassemble.
-	maxSnapshotBytes = 1 << 30
+	MaxSnapshotBytes = 1 << 30
 )
 
 // buildSnapshot encodes the current catalogue under the store's read
@@ -76,8 +76,8 @@ func (s *Store) buildSnapshot() ([]byte, ShipCursor, error) {
 		return nil, ShipCursor{}, err
 	}
 	buf = binary.BigEndian.AppendUint32(w.Bytes(), crc32.Checksum(w.Bytes(), castagnoli))
-	if len(buf) > maxSnapshotBytes {
-		return nil, ShipCursor{}, fmt.Errorf("storage: snapshot of %d bytes exceeds maximum %d", len(buf), maxSnapshotBytes)
+	if len(buf) > MaxSnapshotBytes {
+		return nil, ShipCursor{}, fmt.Errorf("storage: snapshot of %d bytes exceeds maximum %d", len(buf), MaxSnapshotBytes)
 	}
 	return buf, cur, nil
 }
@@ -100,6 +100,10 @@ func (s *Store) ReadSnapshot(reqEpoch, reqSeq, offset uint64, maxBytes uint32) (
 	s.snapMu.Unlock()
 	fresh := reqEpoch == 0 && reqSeq == 0
 	if buf == nil || (fresh && offset == 0) || (!fresh && (reqEpoch != e || reqSeq != q)) {
+		if err := s.LogErr(); err != nil {
+			// Memory may hold a mutation the log refused, and the head counts it.
+			return nil, 0, 0, 0, 0, fmt.Errorf("storage: no snapshot while the log has failed: %w", err)
+		}
 		// Build outside snapMu: building takes the store and table
 		// locks, and snapMu is ordered after them.
 		var cur ShipCursor
@@ -145,8 +149,8 @@ func (s *Store) ReadSnapshot(reqEpoch, reqSeq, offset uint64, maxBytes uint32) (
 // Install soundness beyond well-formedness (a cursor from the future)
 // is the caller's to judge: the cursor is data here.
 func decodeSnapshot(b []byte) (tables []mutation, log []byte, cur ShipCursor, err error) {
-	if len(b) > maxSnapshotBytes {
-		return nil, nil, ShipCursor{}, fmt.Errorf("storage: snapshot of %d bytes exceeds maximum %d", len(b), maxSnapshotBytes)
+	if len(b) > MaxSnapshotBytes {
+		return nil, nil, ShipCursor{}, fmt.Errorf("storage: snapshot of %d bytes exceeds maximum %d", len(b), MaxSnapshotBytes)
 	}
 	if len(b) < snapMinLen {
 		return nil, nil, ShipCursor{}, fmt.Errorf("storage: snapshot truncated: %d bytes", len(b))
