@@ -129,8 +129,8 @@ func main() {
 	case *replicaOf != "":
 		ropts := replica.Options{PollInterval: *poll, Logf: logger.Printf}
 		if *logPath != "" {
-			// A durable follower: replayed records land in its own WAL
-			// and the ship-base sidecar lets a restart resume tailing
+			// A durable follower: replayed records land in its own WAL,
+			// whose header's ship base lets a restart resume tailing
 			// instead of re-bootstrapping.
 			policy, err := storage.ParseSyncPolicy(*syncMode)
 			if err != nil {

@@ -1,6 +1,7 @@
 package replica_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -73,7 +74,10 @@ func TestChaosPartitionMidBootstrap(t *testing.T) {
 }
 
 // TestChaosDiskFullFollowerConverges: the primary's disk fills under a
-// stream of appends, and a new follower bootstraps while it is full. The
+// stream of appends. While its log has failed, the tailing follower is
+// refused with the failure named and applies nothing, rather than
+// polling without pause for the record the head counts and the log never
+// took. A new follower then bootstraps while the disk is full. The
 // primary reopens without the append its log refused and, one write
 // later, is at the cursor that append would have had: the follower must
 // not hold it, but catch up with the durable state and serve a verified
@@ -90,6 +94,17 @@ func TestChaosDiskFullFollowerConverges(t *testing.T) {
 	}
 	if !full() {
 		t.Fatal("the appends never filled the disk")
+	}
+	f, refused := r.Follower(0), func(err error) bool { return err != nil && strings.Contains(err.Error(), "log has failed") }
+	for start := time.Now(); !refused(f.Status().LastErr); time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("the tailing follower was never refused by the failed log: %+v", f.Status())
+		}
+	}
+	applied := f.Status().RecordsApplied
+	time.Sleep(20 * time.Millisecond)
+	if st := f.Status(); st.RecordsApplied != applied || !refused(st.LastErr) {
+		t.Fatalf("behind a failed log the follower applied %d records, then %d (last error %v)", applied, st.RecordsApplied, st.LastErr)
 	}
 	r.Do(oracle.Replace(), oracle.Reopen(fault.FilePlan{}), oracle.Append(staff(1)...), oracle.Heal(), oracle.Select(true, hr))
 	if st := r.DB(0).ReadStats(); st.ReplicaReads != 1 || st.PrimaryReads != 0 {

@@ -20,8 +20,8 @@
 // as refusals so no client reads an empty or far-behind store.
 //
 // Followers may run durable (Options.Store over a WAL-backed store):
-// applied records land in the local log, and the store's ship-base
-// sidecar records which primary cursor that log corresponds to, so a
+// applied records land in the local log, whose header's ship base
+// records which primary cursor that log corresponds to, so a
 // restarted follower resumes tailing from where it stopped instead of
 // re-bootstrapping.
 //
@@ -148,8 +148,8 @@ type Follower struct {
 // function is invoked whenever the follower needs a (re)connection —
 // pair it with client.DialWithConfig for bounded retry.
 //
-// With Options.Store set to a durable store whose ship-base sidecar
-// survived (see storage.ResumeCursor), the follower adopts the resumed
+// With Options.Store set to a durable store whose log header holds a
+// ship base (see storage.ResumeCursor), the follower adopts the resumed
 // cursor and is Ready immediately: its state is a consistent cut, just
 // possibly stale. Otherwise it starts at the zero cursor and bootstraps.
 func New(dial func() (*client.Conn, error), opts Options) *Follower {

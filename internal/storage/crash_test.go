@@ -100,6 +100,12 @@ func reopenExpect(t *testing.T, path string, want int) {
 	}
 }
 
+// headed returns log behind a valid log header, as a store's log file
+// holds its records.
+func headed(log []byte) []byte {
+	return append(appendLogHeader(nil, 1, shipBase{}), log...)
+}
+
 func appendRaw(t *testing.T, path string, b []byte) {
 	t.Helper()
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o600)
@@ -208,10 +214,10 @@ func TestRecoveryCorruptLengthDetected(t *testing.T) {
 // and replay truncates it away as before.
 func TestRecoveryLengthBeyondFileAllocatesNothing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.log")
-	data := appendWALRecord(nil, opStore, fuzzStorePayload("emp", 1))
+	data := appendWALRecord(headed(nil), opStore, fuzzStorePayload("emp", 1))
 	keep := len(data)
 	data = binary.BigEndian.AppendUint32(append(data, walMagic, opStore), 60<<20)
-	data = append(data, make([]byte, 100-len(data))...)
+	data = append(data, make([]byte, logHdrLen+100-len(data))...)
 	if err := os.WriteFile(path, data, 0o600); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +250,7 @@ func TestRecoveryRejectsRecordWithoutMagic(t *testing.T) {
 	storePayload := wire.AppendString(nil, "emp")
 	storePayload = wire.EncodeTable(storePayload, fakeTable(2))
 	insPayload := fuzzInsertPayload("emp", 1)
-	log := appendWALRecord(nil, opStore, storePayload)
+	log := appendWALRecord(headed(nil), opStore, storePayload)
 	log = appendWALRecord(log, opInsert, insPayload)
 	keep := len(log)
 	log = append(log, v0Record(opInsert, insPayload)...)
@@ -268,6 +274,29 @@ func TestRecoveryRejectsRecordWithoutMagic(t *testing.T) {
 	reopenExpect(t, path, 3)
 }
 
+// TestOpenRefusesHeaderlessLog: a log that starts with a record was
+// written before logs carried their epoch and ship base in a header.
+// Open refuses it, naming the format change, and leaves the file whole.
+func TestOpenRefusesHeaderlessLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.log")
+	log := appendWALRecord(nil, opStore, fuzzStorePayload("emp", 2))
+	log = appendWALRecord(log, opInsert, fuzzInsertPayload("emp", 1))
+	if err := os.WriteFile(path, log, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path)
+	if err == nil {
+		s.Close()
+		t.Fatal("a log without a header opened")
+	}
+	if !strings.Contains(err.Error(), "header") {
+		t.Fatalf("error %q does not name the header", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, log) {
+		t.Fatalf("log changed by the refused open (%d bytes, want the %d written; %v)", len(got), len(log), err)
+	}
+}
+
 // perTupleInsertRecord is a CRC-valid insert record of two fakeTable
 // tuples into "emp" in the tuple format that framed every ID, blob, word
 // count and word with its own u32 length, as a build of that format
@@ -284,7 +313,7 @@ func TestReplayRefusesPerTupleFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := appendWALRecord(nil, opStore, fuzzStorePayload("emp", 2))
+	log := appendWALRecord(headed(nil), opStore, fuzzStorePayload("emp", 2))
 	offset := len(log)
 	log = append(log, old...)
 	if err := os.WriteFile(path, log, 0o600); err != nil {

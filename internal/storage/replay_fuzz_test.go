@@ -38,8 +38,8 @@ func v0Record(op byte, payload []byte) []byte {
 // state, and the on-disk tail it truncated must stay truncated. And
 // because replay and log shipping read the log through one reader, the
 // chunks ReadLog ships from sequence 0, concatenated, must be exactly
-// the file replay kept — and that file must be exactly what the log
-// writer frames.
+// the records replay kept — and they must be exactly what the log
+// writer frames. The bytes are the records behind a valid log header.
 func FuzzReplay(f *testing.F) {
 	store := fuzzStorePayload("emp", 3)
 	insert := fuzzInsertPayload("emp", 2)
@@ -103,7 +103,7 @@ func FuzzReplay(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "wal.log")
-		if err := os.WriteFile(path, data, 0o600); err != nil {
+		if err := os.WriteFile(path, headed(data), 0o600); err != nil {
 			t.Fatal(err)
 		}
 		s, err := OpenOptions(path, Options{Sync: SyncNever})
@@ -113,11 +113,13 @@ func FuzzReplay(f *testing.F) {
 		list1 := s.List()
 		epoch, head1 := s.LogHead()
 		// Replay truncated the file to exactly the records it kept, so
-		// what ReadLog ships must be the file, byte for byte.
+		// what ReadLog ships must be the file past its header, byte for
+		// byte.
 		kept, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		kept = kept[logHdrLen:]
 		if !bytes.Equal(reframed(t, kept), kept) {
 			t.Fatal("replay kept record bytes the log writer would not have framed")
 		}

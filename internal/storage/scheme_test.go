@@ -56,8 +56,8 @@ func TestPutRefusesComparatorTable(t *testing.T) {
 	if infos := s.List(); len(infos) != 0 {
 		t.Fatalf("the store holds %+v after refusing", infos)
 	}
-	if size, err := s.LogSize(); err != nil || size != 0 {
-		t.Fatalf("log is %d bytes (%v) after a refused Put, want 0", size, err)
+	if size, err := s.LogSize(); err != nil || size != logHdrLen {
+		t.Fatalf("log is %d bytes (%v) after a refused Put, want its %d-byte header alone", size, err, logHdrLen)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestReadRefusesSchemeMismatch(t *testing.T) {
 // serve.
 func TestReplayRefusesComparatorTable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.log")
-	log := appendWALRecord(nil, opStore, fuzzStorePayload("emp", 2))
+	log := appendWALRecord(headed(nil), opStore, fuzzStorePayload("emp", 2))
 	offset := len(log)
 	log = append(log, comparatorRecord()...)
 	if err := os.WriteFile(path, log, 0o600); err != nil {

@@ -19,17 +19,16 @@ import (
 // the primary's file holds them — read on both sides by the one log
 // reader, so the follower checks the CRC the primary wrote. A cursor is
 // the pair (epoch, seq): seq indexes records of the current log file,
-// and the epoch — a random identifier persisted in a sidecar next to the
-// log — names which file that sequence space belongs to. Compact
-// rewrites the file, making old sequence numbers meaningless, so it
-// rotates the epoch; a follower presenting a cursor from a rotated (or
-// otherwise unknown) epoch is answered from (currentEpoch, 0), telling
-// it to re-bootstrap instead of silently diverging. A follower
-// bootstraps by installing a snapshot — a compacted log behind the
-// cursor it corresponds to (see snapshot.go) — O(state) work however
-// long the log is. A durable follower additionally persists its
-// cursor's provenance in a ship-base sidecar so a restart resumes
-// tailing where it left off.
+// and the epoch — a random identifier in the file's own header — names
+// which file that sequence space belongs to. Compact rewrites the file,
+// making old sequence numbers meaningless, so it rotates the epoch; a
+// follower presenting a cursor from a rotated (or otherwise unknown)
+// epoch is answered from (currentEpoch, 0), telling it to re-bootstrap
+// instead of silently diverging. A follower bootstraps by installing a
+// snapshot — a compacted log behind the cursor it corresponds to (see
+// snapshot.go) — O(state) work however long the log is. A durable
+// follower's log header also carries that cursor, its ship base, so a
+// restart resumes tailing where it left off.
 //
 // Trust model: replication adds nothing for Eve to learn — shipped
 // records are the ciphertext mutations the client already sent — and a
@@ -37,13 +36,6 @@ import (
 // that replays the same records through the same mutation paths builds
 // the same Merkle roots, and the client verifies every replica answer
 // against its pinned root exactly as it does the primary's.
-
-// epochSuffix names the sidecar file holding the log's shipping epoch.
-const epochSuffix = ".epoch"
-
-// shipBaseSuffix names the sidecar recording where a follower's local
-// log sits in its primary's shipping stream (see setShipBaseLocked).
-const shipBaseSuffix = ".shipbase"
 
 // maxShipRecords bounds the records one ReadLog answer carries,
 // whatever byte budget the (untrusted, possibly hostile) peer asked
@@ -63,166 +55,64 @@ func randomEpoch() (uint64, error) {
 	return e, nil
 }
 
-// Epoch sidecar format v2: magic "EPC2" | epoch:u64 | crc32c:u32, the
-// CRC covering magic+epoch. The checksum is what distinguishes a
-// half-written or bit-flipped sidecar from a legitimate rotation: a
-// corrupt sidecar mints a FRESH epoch (below), so no follower cursor
-// ever resumes against an epoch the disk merely resembles.
-const (
-	epochMagic   = "EPC2"
-	epochV2Len   = 4 + 8 + 4
-	epochTmpName = ".tmp"
-)
-
-// writeSidecar persists small sidecar contents through a temp file,
-// fsync and rename so the sidecar is never half-written in place (a
-// crash leaves either the old sidecar or the new one, or a stray .tmp
-// that is simply overwritten next time).
-func writeSidecar(path string, contents []byte, what string) error {
-	tmp := path + epochTmpName
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
-	if err != nil {
-		return fmt.Errorf("storage: creating %s sidecar: %w", what, err)
-	}
-	if _, err := f.Write(contents); err != nil {
-		_ = f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("storage: writing %s sidecar: %w", what, err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("storage: syncing %s sidecar: %w", what, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: closing %s sidecar: %w", what, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: installing %s sidecar: %w", what, err)
-	}
-	return nil
-}
-
-// writeEpoch persists the epoch sidecar for the log at path.
-func writeEpoch(path string, epoch uint64) error {
-	b := make([]byte, 0, epochV2Len)
-	b = append(b, epochMagic...)
-	b = binary.BigEndian.AppendUint64(b, epoch)
-	crc := crc32.Checksum(b, castagnoli)
-	b = binary.BigEndian.AppendUint32(b, crc)
-	return writeSidecar(path+epochSuffix, b, "epoch")
-}
-
-// loadEpoch reads the log's epoch sidecar, minting (and persisting) a
-// fresh epoch when there is none or its contents are unusable — a
-// missing file, a truncated (half-written) one, or one whose checksum
-// disowns its bytes. A lost or corrupt sidecar therefore just looks
-// like a rotation: followers re-bootstrap, and shipping never resumes
-// under an epoch the store cannot vouch for.
-func loadEpoch(path string) (uint64, error) {
-	b, err := os.ReadFile(path + epochSuffix)
-	if err == nil && len(b) == epochV2Len && string(b[:4]) == epochMagic &&
-		crc32.Checksum(b[:12], castagnoli) == binary.BigEndian.Uint32(b[12:]) {
-		if e := binary.BigEndian.Uint64(b[4:12]); e != 0 {
-			return e, nil
-		}
-	}
-	if err != nil && !os.IsNotExist(err) {
-		return 0, fmt.Errorf("storage: reading epoch sidecar: %w", err)
-	}
-	e, err := randomEpoch()
-	if err != nil {
-		return 0, err
-	}
-	if err := writeEpoch(path, e); err != nil {
-		return 0, err
-	}
-	return e, nil
-}
-
-// Ship-base sidecar format: magic "SBC1" | ownEpoch:u64 |
-// primaryEpoch:u64 | primarySeq:u64 | localRecs:u64 | crc32c:u32.
+// Log header: every log file starts with one fixed block, ahead of its
+// records (all integers big-endian):
 //
-// It records where a follower's own durable log sits in its primary's
-// shipping stream: when the local log held localRecs records, the
-// follower's cursor was (primaryEpoch, primarySeq). Every locally
-// logged record past localRecs is exactly one applied shipped record,
-// so after a restart the cursor resumes at primarySeq + (recs -
-// localRecs). ownEpoch binds the sidecar to the local log file it
-// describes: any swap of the local log (InstallSnapshot, Compact)
-// rotates the local epoch, so a sidecar from a crashed,
-// half-finished swap fails the binding check and the follower
-// re-bootstraps instead of resuming a cursor that matches neither file.
+//	magic "PHL1" | epoch:u64 | baseEpoch:u64 | baseSeq:u64 | baseRecs:u64 | crc32c:u32
+//
+// The CRC covers every byte before it. The ship base says where the
+// file sits in a primary's shipping stream: when it held baseRecs
+// records, a follower's cursor was (baseEpoch, baseSeq), and every
+// record past those is one applied shipped record, so after a restart
+// the cursor resumes at baseSeq + (recs - baseRecs). A base epoch of 0
+// is no base — no primary's epoch is 0. The header is written once, as
+// the file is created (Open, or rotateLog's temp file), so the rename
+// that installs a rotated log swaps epoch, base and records in one
+// step. A header the checksum disowns costs its epoch and base, never
+// its records: they replay, and Open rotates the log under a fresh
+// epoch with no base, so no follower cursor ever resumes against a
+// header the disk merely resembles. The magic's first byte is not
+// walMagic, so a log written before the header — which starts with a
+// record — is told apart and refused.
 const (
-	shipBaseMagic = "SBC1"
-	shipBaseLen   = 4 + 4*8 + 4
+	logMagic  = "PHL1"
+	logHdrLen = 4 + 4*8 + 4
 )
 
-// shipBase is the in-memory form of the ship-base sidecar.
+// shipBase is a log header's ship base.
 type shipBase struct {
 	primaryEpoch uint64
 	primarySeq   uint64
 	localRecs    uint64
 }
 
-func writeShipBase(path string, ownEpoch uint64, b shipBase) error {
-	buf := make([]byte, 0, shipBaseLen)
-	buf = append(buf, shipBaseMagic...)
-	buf = binary.BigEndian.AppendUint64(buf, ownEpoch)
-	buf = binary.BigEndian.AppendUint64(buf, b.primaryEpoch)
-	buf = binary.BigEndian.AppendUint64(buf, b.primarySeq)
-	buf = binary.BigEndian.AppendUint64(buf, b.localRecs)
-	crc := crc32.Checksum(buf, castagnoli)
-	buf = binary.BigEndian.AppendUint32(buf, crc)
-	return writeSidecar(path+shipBaseSuffix, buf, "ship-base")
+// appendLogHeader appends the header of a log with the given epoch and
+// ship base to dst.
+func appendLogHeader(dst []byte, epoch uint64, b shipBase) []byte {
+	dst = append(dst, logMagic...)
+	for _, v := range [...]uint64{epoch, b.primaryEpoch, b.primarySeq, b.localRecs} {
+		dst = binary.BigEndian.AppendUint64(dst, v)
+	}
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[len(dst)-logHdrLen+4:], castagnoli))
 }
 
-// loadShipBase reads the ship-base sidecar, returning ok=false for a
-// missing, torn, checksum-failing or wrong-epoch sidecar — all of which
-// just mean the follower re-bootstraps.
-func loadShipBase(path string, ownEpoch uint64) (shipBase, bool) {
-	b, err := os.ReadFile(path + shipBaseSuffix)
-	if err != nil || len(b) != shipBaseLen || string(b[:4]) != shipBaseMagic {
-		return shipBase{}, false
+// parseLogHeader reads a log header, returning epoch 0 when the magic
+// or the checksum disowns it.
+func parseLogHeader(h [logHdrLen]byte) (epoch uint64, b shipBase) {
+	if string(h[:4]) != logMagic || crc32.Checksum(h[:logHdrLen-4], castagnoli) != binary.BigEndian.Uint32(h[logHdrLen-4:]) {
+		return 0, shipBase{}
 	}
-	if crc32.Checksum(b[:shipBaseLen-4], castagnoli) != binary.BigEndian.Uint32(b[shipBaseLen-4:]) {
-		return shipBase{}, false
-	}
-	if binary.BigEndian.Uint64(b[4:12]) != ownEpoch {
-		return shipBase{}, false
-	}
-	return shipBase{
-		primaryEpoch: binary.BigEndian.Uint64(b[12:20]),
-		primarySeq:   binary.BigEndian.Uint64(b[20:28]),
-		localRecs:    binary.BigEndian.Uint64(b[28:36]),
-	}, true
-}
-
-// setShipBaseLocked records that this store's current contents
-// correspond to the primary cursor (primaryEpoch, primarySeq) —
-// InstallSnapshot calls it with the snapshot's embedded cursor, holding
-// the store lock. For durable stores the base is also persisted in a
-// checksummed sidecar bound to the local log's epoch, so a restarted
-// follower resumes tailing instead of re-bootstrapping; the in-memory
-// base is set whether or not that write succeeds.
-func (s *Store) setShipBaseLocked(primaryEpoch, primarySeq uint64) error {
-	s.base, s.baseValid = shipBase{primaryEpoch: primaryEpoch, primarySeq: primarySeq}, true
-	if s.wal == nil {
-		return nil
-	}
-	s.base.localRecs = s.wal.records()
-	return writeShipBase(s.path, s.epoch, s.base)
+	u := func(i int) uint64 { return binary.BigEndian.Uint64(h[4+8*i:]) }
+	return u(0), shipBase{primaryEpoch: u(1), primarySeq: u(2), localRecs: u(3)}
 }
 
 // ResumeCursor returns the shipping cursor this store's contents are
 // known to correspond to, for a follower deciding where to resume
 // tailing after a restart: (primaryEpoch, primarySeq + records applied
 // since the base was recorded). ok is false when no valid base exists —
-// a fresh store, a torn or stale sidecar, or a local log shorter than
-// the base claims (a torn tail truncated into the snapshot region) —
-// and the follower must re-bootstrap.
+// a fresh or compacted store, a header the checksum disowns, or a local
+// log shorter than the base claims (a torn tail truncated into the
+// snapshot region) — and the follower must re-bootstrap.
 func (s *Store) ResumeCursor() (epoch, seq uint64, ok bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -270,7 +160,8 @@ func (s *Store) LogHead() (epoch, head uint64) {
 // rotated epoch, or a sequence past the head — is answered from
 // (currentEpoch, 0), telling the follower to re-bootstrap; a follower
 // therefore fetches a snapshot whenever the reply's epoch or start
-// differs from its cursor.
+// differs from its cursor. While the log has failed it ships nothing:
+// the head may count a record the log refused, which would never ship.
 //
 // Concurrency: the epoch is read under the store's read lock before and
 // after the file scan. Compact holds the store lock exclusively across
@@ -283,6 +174,9 @@ func (s *Store) LogHead() (epoch, head uint64) {
 // and the head it reports never exceeds what the writer had accepted at
 // lock time.
 func (s *Store) ReadLog(reqEpoch, from uint64, maxBytes uint32) (log []byte, epoch, start, head uint64, err error) {
+	if err := s.LogErr(); err != nil {
+		return nil, 0, 0, 0, fmt.Errorf("storage: no log shipping while the log has failed: %w", err)
+	}
 	s.mu.RLock()
 	if s.wal == nil {
 		s.mu.RUnlock()
@@ -304,7 +198,7 @@ func (s *Store) ReadLog(reqEpoch, from uint64, maxBytes uint32) (log []byte, epo
 	// Resume at the cached byte offset when the cursor matches; offsets
 	// are only valid within one epoch, and a stale one past a torn-tail
 	// truncation just reads EOF and ships nothing this round.
-	off, skip := int64(0), from
+	off, skip := int64(logHdrLen), from
 	s.shipMu.Lock()
 	if s.shipEpoch == e1 && s.shipSeq == from {
 		off, skip = s.shipOff, 0

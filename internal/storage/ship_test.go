@@ -2,13 +2,16 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // shipCursor is a test follower's position in the primary's log.
@@ -80,27 +83,15 @@ func assertSameState(t *testing.T, primary, follower *Store) {
 		t.Fatalf("directories differ:\nprimary:  %v\nfollower: %v", pl, fl)
 	}
 	for _, info := range pl {
-		pt, err := primary.Get(info.Name)
-		if err != nil {
+		pt, perr := primary.Get(info.Name)
+		ft, ferr := follower.Get(info.Name)
+		proot, _, _, prerr := primary.Root(info.Name)
+		froot, _, _, frerr := follower.Root(info.Name)
+		if err := errors.Join(perr, ferr, prerr, frerr); err != nil {
 			t.Fatal(err)
 		}
-		ft, err := follower.Get(info.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(pt, ft) {
-			t.Fatalf("table %q differs between primary and follower", info.Name)
-		}
-		proot, _, _, err := primary.Root(info.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		froot, _, _, err := follower.Root(info.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(proot, froot) {
-			t.Fatalf("table %q: follower root %x != primary root %x", info.Name, froot, proot)
+		if !reflect.DeepEqual(pt, ft) || !bytes.Equal(proot, froot) {
+			t.Fatalf("table %q differs between primary and follower: roots %x, %x", info.Name, proot, froot)
 		}
 	}
 }
@@ -268,27 +259,43 @@ func TestShipEpochSurvivesReopen(t *testing.T) {
 	}
 }
 
+// TestShipLostSidecarRotates: a log whose header was lost — its
+// sector reads back as zeros — reopens under a new epoch, so no stale
+// cursor resolves against it, and keeps its records.
 func TestShipLostSidecarRotates(t *testing.T) {
+	path, epoch, tables := closedLog(t)
+	damageHeader(t, path, func(h []byte) { clear(h) })
+	reopensFresh(t, path, "lost header", epoch, tables)
+}
+
+// TestShipRefusesFailedLog: once the log has failed, its head may count
+// a record the log refused, which will never ship. ReadLog refuses
+// instead of answering short, so a tailing follower backs off with the
+// failure in hand rather than polling without pause.
+func TestShipRefusesFailedLog(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	p, err := Open(path)
+	p, err := OpenOptions(path, Options{WrapLog: func(f LogFile) LogFile {
+		return fault.NewFile(f, fault.FilePlan{FailWriteAfterBytes: 1 << 10})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer p.Close()
 	if err := p.Put("emp", fakeTable(1)); err != nil {
 		t.Fatal(err)
 	}
-	e1 := p.LogEpoch()
-	p.Close()
-	if err := os.Remove(path + epochSuffix); err != nil {
+	epoch, head := p.LogHead()
+	if _, _, _, _, err := p.ReadLog(epoch, 0, 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
+	if err := p.Put("big", fakeTable(100)); err == nil {
+		t.Fatal("a put past the full disk was accepted")
 	}
-	defer p2.Close()
-	if p2.LogEpoch() == e1 {
-		t.Fatal("lost sidecar reused the old epoch; stale cursors could resolve wrongly")
+	if _, h := p.LogHead(); h != head+1 {
+		t.Fatalf("head %d after the refused put, want %d", h, head+1)
+	}
+	if _, _, _, _, err := p.ReadLog(epoch, head, 1<<20); err == nil || !strings.Contains(err.Error(), "log has failed") {
+		t.Fatalf("ReadLog on a failed log answered %v, want a refusal naming the failure", err)
 	}
 }
 

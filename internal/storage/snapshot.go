@@ -193,11 +193,11 @@ func decodeSnapshot(b []byte) (tables []mutation, log []byte, cur ShipCursor, er
 // state and log, exactly as Compact does.
 //
 // For a durable store the snapshot's body — already a compacted log —
-// is swapped in verbatim as the new log under Compact's rotate
-// discipline (temp file, fsync, epoch rotation, rename). Only after the
-// swap is the in-memory catalogue replaced and the shipping base
-// recorded, so a crash at any point leaves either the old durable state
-// or the new one — never a blend.
+// is swapped in verbatim as the new log, behind a header carrying a
+// fresh epoch and the snapshot's cursor as its ship base, under
+// Compact's rotate discipline (temp file, fsync, rename). Only after the
+// swap is the in-memory catalogue replaced, so a crash at any point
+// leaves either the old durable state or the new one — never a blend.
 func (s *Store) InstallSnapshot(data []byte) (ShipCursor, error) {
 	tables, log, cur, err := decodeSnapshot(data)
 	if err != nil {
@@ -206,12 +206,15 @@ func (s *Store) InstallSnapshot(data []byte) (ShipCursor, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, unlock := s.lockCatalog(true)
+	base := shipBase{primaryEpoch: cur.Epoch, primarySeq: cur.Seq, localRecs: uint64(len(tables))}
 	if s.wal != nil {
 		//phlint:ignore lockio log rotation is stop-the-world by design: every table is quiesced and the swap must be atomic with the catalogue
-		if err := s.rotateLog(uint64(len(tables)), bytes.NewReader(log).WriteTo); err != nil {
+		if err := s.rotateLog(base, uint64(len(tables)), bytes.NewReader(log).WriteTo); err != nil {
 			unlock() // the swap was aborted: the entries stay live
 			return ShipCursor{}, err
 		}
+	} else {
+		s.base, s.baseValid = base, true
 	}
 	for _, e := range s.tables {
 		e.stale = true // an appender that looked one up retries against the new catalogue
@@ -223,9 +226,5 @@ func (s *Store) InstallSnapshot(data []byte) (ShipCursor, error) {
 		m[t.name] = newTableEntry(t.slab, s.clock.Add(1))
 	}
 	s.tables = m
-	// A failed sidecar write only costs a re-bootstrap after the next
-	// restart; the in-memory base is sound for this process.
-	//phlint:ignore lockio the sidecar fsync must run while s.mu freezes the base/log state it records
-	_ = s.setShipBaseLocked(cur.Epoch, cur.Seq)
 	return cur, nil
 }

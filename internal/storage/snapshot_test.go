@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // buildPrimary opens a durable store at a fresh path and loads it with
@@ -31,30 +34,42 @@ func buildPrimary(t *testing.T) (*Store, string) {
 	return p, path
 }
 
-// assertSameRoots fails unless both stores serve identical table sets
-// with identical authenticated roots.
-func assertSameRoots(t *testing.T, a, b *Store) {
+// tailedFollower opens a durable follower on a fresh path holding a
+// table of its own, installs p's snapshot and applies the k records p
+// appends after it, returning the follower, its path and the snapshot's
+// cursor.
+func tailedFollower(t *testing.T, p *Store, k int) (*Store, string, ShipCursor) {
 	t.Helper()
-	la, lb := a.List(), b.List()
-	if len(la) != len(lb) {
-		t.Fatalf("table counts differ: %d vs %d", len(la), len(lb))
+	snap, cur, err := p.buildSnapshot()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range la {
-		if la[i] != lb[i] {
-			t.Fatalf("table %d differs: %+v vs %+v", i, la[i], lb[i])
-		}
-		ra, na, _, err := a.Root(la[i].Name)
-		if err != nil {
+	path := filepath.Join(t.TempDir(), "follower.log")
+	f, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	if err := f.Put("stale", fakeTable(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.InstallSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	for range k {
+		if err := p.Append("dept", fakeTable(1).Tuples); err != nil {
 			t.Fatal(err)
 		}
-		rb, nb, _, err := b.Root(lb[i].Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if na != nb || !bytes.Equal(ra, rb) {
-			t.Fatalf("roots of %q diverge: %d tuples %x vs %d tuples %x", la[i].Name, na, ra, nb, rb)
-		}
 	}
+	log, _, _, _, err := p.ReadLog(cur.Epoch, cur.Seq, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := f.ApplyShipped(log); err != nil || n != k {
+		t.Fatalf("applied %d records shipped from the snapshot cursor (%v), want %d", n, err, k)
+	}
+	assertSameState(t, p, f)
+	return f, path, cur
 }
 
 func TestSnapshotRoundTripMemory(t *testing.T) {
@@ -75,14 +90,14 @@ func TestSnapshotRoundTripMemory(t *testing.T) {
 	if got != cur {
 		t.Fatalf("install returned cursor %+v, snapshot embeds %+v", got, cur)
 	}
-	assertSameRoots(t, p, f)
+	assertSameState(t, p, f)
 	if e, s, ok := f.ResumeCursor(); !ok || e != cur.Epoch || s != cur.Seq {
 		t.Fatalf("ResumeCursor = (%d,%d,%v), want (%d,%d,true)", e, s, ok, cur.Epoch, cur.Seq)
 	}
 }
 
-// The byte format of buildPrimary's catalogue: its log as written, and
-// its log after Compact. Both are pinned so a change to the record
+// The byte format of buildPrimary's catalogue: its log's records as
+// written, and after Compact. Both are pinned so a change to the record
 // format — or to which records Compact writes — cannot pass unnoticed.
 const (
 	primaryLogSHA256       = "1d36f6ffa346817f33da127222c12899983b5c5f1bc667fd931e0d9318063567"
@@ -90,9 +105,10 @@ const (
 )
 
 // TestSnapshotBodyIsCompactedLog pins the single record format: for one
-// catalogue, the primary's log after Compact is exactly the record
-// section of its snapshot, and a durable follower that installs that
-// snapshot holds a log byte-identical to it — and to the pinned bytes.
+// catalogue, the primary's log records after Compact are exactly the
+// record section of its snapshot, and a durable follower that installs
+// that snapshot holds log records byte-identical to it — and to the
+// pinned bytes.
 func TestSnapshotBodyIsCompactedLog(t *testing.T) {
 	p, path := buildPrimary(t)
 	digest := func(what, path, want string) []byte {
@@ -101,6 +117,7 @@ func TestSnapshotBodyIsCompactedLog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		b = b[logHdrLen:]
 		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
 			t.Fatalf("%s: %d bytes with SHA-256 %s, want %s", what, len(b), got, want)
 		}
@@ -132,7 +149,7 @@ func TestSnapshotBodyIsCompactedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	digest("follower log after install", fpath, primaryCompactedSHA256)
-	assertSameRoots(t, p, f)
+	assertSameState(t, p, f)
 }
 
 // TestSnapshotInstallDurable pins the durable follower path: the
@@ -140,38 +157,10 @@ func TestSnapshotBodyIsCompactedLog(t *testing.T) {
 // the resume cursor — advanced by the records applied after install.
 func TestSnapshotInstallDurable(t *testing.T) {
 	p, _ := buildPrimary(t)
-	snap, cur, err := p.buildSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fpath := filepath.Join(t.TempDir(), "follower.log")
-	f, err := Open(fpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Put("stale", fakeTable(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.InstallSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
+	f, fpath, cur := tailedFollower(t, p, 1)
 	if _, err := f.Get("stale"); err == nil {
 		t.Fatal("install kept a table the snapshot does not contain")
 	}
-	assertSameRoots(t, p, f)
-
-	// Tail one more record past the snapshot, then restart.
-	if err := p.Append("dept", fakeTable(1).Tuples); err != nil {
-		t.Fatal(err)
-	}
-	log, _, _, _, err := p.ReadLog(cur.Epoch, cur.Seq, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := f.ApplyShipped(log); err != nil || n != 1 {
-		t.Fatalf("applied %d records shipped from the snapshot cursor (err %v), want 1", n, err)
-	}
-	assertSameRoots(t, p, f)
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +169,7 @@ func TestSnapshotInstallDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f2.Close()
-	assertSameRoots(t, p, f2)
+	assertSameState(t, p, f2)
 	if e, s, ok := f2.ResumeCursor(); !ok || e != cur.Epoch || s != cur.Seq+1 {
 		t.Fatalf("restarted ResumeCursor = (%d,%d,%v), want (%d,%d,true)", e, s, ok, cur.Epoch, cur.Seq+1)
 	}
@@ -280,7 +269,7 @@ func TestSnapshotChunkedTransfer(t *testing.T) {
 	if cur.Epoch != e || cur.Seq != q {
 		t.Fatalf("embedded cursor (%d,%d) != served identity (%d,%d)", cur.Epoch, cur.Seq, e, q)
 	}
-	assertSameRoots(t, p, f)
+	assertSameState(t, p, f)
 
 	// Hostile shapes: offset past the end is empty, huge budgets clamp,
 	// a voided identity restarts from 0 under the server's identity.
@@ -327,9 +316,10 @@ func TestSnapshotServesFreshAfterWrites(t *testing.T) {
 	}
 }
 
-// TestEpochSidecarTruncated (satellite): a half-written epoch sidecar
-// must mint a fresh epoch — never resume shipping under it.
-func TestEpochSidecarTruncated(t *testing.T) {
+// closedLog opens a durable store at a fresh path, stores a table and
+// closes it, returning the log's path, epoch and tables.
+func closedLog(t *testing.T) (string, uint64, []wire.TableInfo) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "wal.log")
 	p, err := Open(path)
 	if err != nil {
@@ -338,139 +328,135 @@ func TestEpochSidecarTruncated(t *testing.T) {
 	if err := p.Put("emp", fakeTable(2)); err != nil {
 		t.Fatal(err)
 	}
-	oldEpoch := p.LogEpoch()
+	epoch, tables := p.LogEpoch(), p.List()
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, keep := range []int{0, 3, epochV2Len - 1} {
-		b, err := os.ReadFile(path + epochSuffix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path+epochSuffix, b[:keep], 0o600); err != nil {
-			t.Fatal(err)
-		}
-		r, err := Open(path)
-		if err != nil {
-			t.Fatalf("truncated-to-%d sidecar refused to open: %v", keep, err)
-		}
-		got := r.LogEpoch()
-		r.Close()
-		if got == 0 {
-			t.Fatalf("truncated-to-%d sidecar: epoch 0", keep)
-		}
-		if got == oldEpoch {
-			t.Fatalf("truncated-to-%d sidecar: store resumed epoch %d it cannot vouch for", keep, oldEpoch)
-		}
-		oldEpoch = got
+	return path, epoch, tables
+}
+
+// damageHeader rewrites the log at path with damage done to its header.
+func damageHeader(t *testing.T, path string, damage func(hdr []byte)) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damage(b[:logHdrLen])
+	if err := os.WriteFile(path, b, 0o600); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestEpochSidecarBitFlip (satellite): a bit-flipped sidecar fails its
-// checksum and mints a fresh epoch — shipping never resumes under an
-// epoch the disk merely resembles.
+// reopensFresh opens the log at path, whose header the checksum
+// disowns, and checks that it comes back under a fresh nonzero epoch
+// other than old, with no resume cursor and its tables whole, and that
+// a second open keeps that epoch: the rotation made it durable. It
+// returns the epoch.
+func reopensFresh(t *testing.T, path, what string, old uint64, tables []wire.TableInfo) uint64 {
+	t.Helper()
+	var epochs [2]uint64
+	for i := range epochs {
+		r, err := Open(path)
+		if err != nil {
+			t.Fatalf("%s: refused to open: %v", what, err)
+		}
+		_, _, resumed := r.ResumeCursor()
+		epochs[i] = r.LogEpoch()
+		got := r.List()
+		r.Close()
+		switch {
+		case epochs[i] == 0 || epochs[i] == old:
+			t.Fatalf("%s: epoch %#x, want a fresh nonzero one: the store resumed an epoch it cannot vouch for", what, epochs[i])
+		case resumed:
+			t.Fatalf("%s: store resumed a cursor from a header it cannot vouch for", what)
+		case !reflect.DeepEqual(got, tables):
+			t.Fatalf("%s: the records did not survive: %v, want %v", what, got, tables)
+		}
+	}
+	if epochs[0] != epochs[1] {
+		t.Fatalf("%s: epoch %#x, then %#x on the next open: the fresh header was not written", what, epochs[0], epochs[1])
+	}
+	return epochs[0]
+}
+
+// TestEpochSidecarTruncated: a half-written log header — its tail never
+// reached the disk — mints a fresh epoch, never resuming shipping under
+// it, and the records behind it survive. A new log torn inside its
+// header has nothing behind it, and opens empty under a fresh epoch.
+func TestEpochSidecarTruncated(t *testing.T) {
+	path, epoch, tables := closedLog(t)
+	for _, keep := range []int{0, 3, logHdrLen - 4} {
+		damageHeader(t, path, func(h []byte) { clear(h[keep:]) })
+		epoch = reopensFresh(t, path, fmt.Sprintf("header torn at byte %d", keep), epoch, tables)
+	}
+	for _, keep := range []int{0, 3, logHdrLen - 1} {
+		torn := filepath.Join(t.TempDir(), "new.log")
+		if err := os.WriteFile(torn, appendLogHeader(nil, epoch, shipBase{})[:keep], 0o600); err != nil {
+			t.Fatal(err)
+		}
+		reopensFresh(t, torn, fmt.Sprintf("new log torn at byte %d", keep), epoch, []wire.TableInfo{})
+	}
+}
+
+// TestEpochSidecarBitFlip: a bit flipped anywhere in the log header
+// fails its checksum and mints a fresh epoch — shipping never resumes
+// under an epoch the disk merely resembles — and the records survive.
 func TestEpochSidecarBitFlip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	p, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldEpoch := p.LogEpoch()
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < epochV2Len; i++ {
-		b, err := os.ReadFile(path + epochSuffix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b) != epochV2Len {
-			t.Fatalf("sidecar is %d bytes, want %d", len(b), epochV2Len)
-		}
-		b[i] ^= 0x01
-		if err := os.WriteFile(path+epochSuffix, b, 0o600); err != nil {
-			t.Fatal(err)
-		}
-		r, err := Open(path)
-		if err != nil {
-			t.Fatalf("bit-flipped sidecar (byte %d) refused to open: %v", i, err)
-		}
-		got := r.LogEpoch()
-		r.Close()
-		if got == oldEpoch {
-			t.Fatalf("byte %d flip: store resumed epoch %d from a checksum-failing sidecar", i, oldEpoch)
-		}
-		oldEpoch = got
+	path, epoch, tables := closedLog(t)
+	for i := 0; i < logHdrLen; i++ {
+		damageHeader(t, path, func(h []byte) { h[i] ^= 0x01 })
+		epoch = reopensFresh(t, path, fmt.Sprintf("byte %d flipped", i), epoch, tables)
 	}
 }
 
-// TestEpochSidecarUnchecksummed: an 8-byte sidecar of raw epoch bytes
-// carries no checksum to vouch for it, so it mints a fresh epoch — the
-// same outcome as a torn one.
+// TestEpochSidecarUnchecksummed: a header slot holding raw epoch bytes
+// carries no checksum to vouch for them, so the log opens under a fresh
+// epoch — the same outcome as a torn header — with its records, and
+// its header rewritten whole.
 func TestEpochSidecarUnchecksummed(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	raw := []byte{0, 0, 0, 0, 0, 0, 0xBE, 0xEF}
-	if err := os.WriteFile(path+epochSuffix, raw, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	p, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if got := p.LogEpoch(); got == 0xBEEF || got == 0 {
-		t.Fatalf("unchecksummed sidecar: epoch = %#x, want a fresh nonzero one", got)
-	}
-	if b, _ := os.ReadFile(path + epochSuffix); len(b) != epochV2Len {
-		t.Fatalf("sidecar is %d bytes after open, want it rewritten as %d", len(b), epochV2Len)
+	path, epoch, tables := closedLog(t)
+	damageHeader(t, path, func(h []byte) {
+		clear(h)
+		copy(h, []byte{0, 0, 0, 0, 0, 0, 0xBE, 0xEF})
+	})
+	if got := reopensFresh(t, path, "unchecksummed header", 0xBEEF, tables); got == epoch {
+		t.Fatalf("unchecksummed header: the store kept epoch %#x", got)
 	}
 }
 
-// TestShipBaseSidecarCorruption: a torn or flipped ship-base sidecar
-// yields no resume cursor — the follower re-bootstraps instead of
-// resuming a cursor the disk cannot vouch for.
+// TestShipBaseSidecarCorruption: a torn or flipped ship base in a
+// follower's log header yields no resume cursor — the follower
+// re-bootstraps instead of resuming a cursor the disk cannot vouch
+// for — and the records survive.
 func TestShipBaseSidecarCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	p, err := Open(path)
+	p, _ := buildPrimary(t)
+	f, path, cur := tailedFollower(t, p, 1)
+	epoch, tables := f.LogEpoch(), f.List()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.mu.Lock()
-	err = p.setShipBaseLocked(42, 7)
-	p.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e, s, ok := p.ResumeCursor(); !ok || e != 42 || s != 7 {
-		t.Fatalf("ResumeCursor = (%d,%d,%v), want (42,7,true)", e, s, ok)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	good, err := os.ReadFile(path + shipBaseSuffix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(name string, contents []byte) {
-		t.Helper()
-		if err := os.WriteFile(path+shipBaseSuffix, contents, 0o600); err != nil {
+	for _, c := range []struct {
+		name   string
+		damage func(h []byte)
+	}{
+		{"truncated", func(h []byte) { clear(h[logHdrLen-4:]) }},
+		{"flipped", func(h []byte) { h[20] ^= 0x40 }},
+		{"empty", func(h []byte) { clear(h[12:]) }},
+	} {
+		if err := os.WriteFile(path, good, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		r, err := Open(path)
-		if err != nil {
-			t.Fatalf("%s: refused to open: %v", name, err)
-		}
-		defer r.Close()
-		if _, _, ok := r.ResumeCursor(); ok {
-			t.Fatalf("%s: store resumed a cursor from an unverifiable sidecar", name)
-		}
+		damageHeader(t, path, c.damage)
+		reopensFresh(t, path, c.name, epoch, tables)
 	}
-	check("truncated", good[:len(good)-3])
-	check("flipped", flipByte(good, 20))
-	check("empty", nil)
 
-	// And the intact sidecar must survive a clean reopen.
-	if err := os.WriteFile(path+shipBaseSuffix, good, 0o600); err != nil {
+	// And the intact header must survive a clean reopen.
+	if err := os.WriteFile(path, good, 0o600); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Open(path)
@@ -478,7 +464,56 @@ func TestShipBaseSidecarCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if e, s, ok := r.ResumeCursor(); !ok || e != 42 || s != 7 {
-		t.Fatalf("intact sidecar: ResumeCursor = (%d,%d,%v), want (42,7,true)", e, s, ok)
+	if e, s, ok := r.ResumeCursor(); !ok || e != cur.Epoch || s != cur.Seq+1 || r.LogEpoch() != epoch {
+		t.Fatalf("intact header: ResumeCursor = (%d,%d,%v) under epoch %#x, want (%d,%d,true) under %#x", e, s, ok, r.LogEpoch(), cur.Epoch, cur.Seq+1, epoch)
+	}
+}
+
+// TestLogFileCarriesItsCursor: the log file alone carries a store's
+// shipping epoch and resume cursor. A copy of the log of (a) a
+// compacted primary and (b) a durable follower that installed a
+// snapshot and then applied k records reopens elsewhere under the same
+// epoch and cursor — none, and (epoch, seq + k) — with the same tables.
+// And no store leaves a file beside its log.
+func TestLogFileCarriesItsCursor(t *testing.T) {
+	p, ppath := buildPrimary(t)
+	if err := p.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	const k = 3
+	f, fpath, cur := tailedFollower(t, p, k)
+	for _, c := range []struct {
+		what string
+		st   *Store
+		path string
+		ok   bool
+		seq  uint64
+	}{
+		{"compacted primary", p, ppath, false, 0},
+		{"follower", f, fpath, true, cur.Seq + k},
+	} {
+		if ents, err := os.ReadDir(filepath.Dir(c.path)); err != nil || len(ents) != 1 {
+			t.Fatalf("%s: the log's directory holds %v (%v), want the log alone", c.what, ents, err)
+		}
+		b, err := os.ReadFile(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copied := filepath.Join(t.TempDir(), "copy.log")
+		if err := os.WriteFile(copied, b, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(copied)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if got, want := r.LogEpoch(), c.st.LogEpoch(); got != want {
+			t.Fatalf("%s: the copy opened under epoch %#x, the log's is %#x", c.what, got, want)
+		}
+		if e, s, ok := r.ResumeCursor(); ok != c.ok || ok && (e != cur.Epoch || s != c.seq) {
+			t.Fatalf("%s: the copy resumes at (%d,%d,%v), want (%d,%d,%v)", c.what, e, s, ok, cur.Epoch, c.seq, c.ok)
+		}
+		assertSameState(t, c.st, r)
 	}
 }

@@ -97,16 +97,17 @@
 // Log shipping: the WAL doubles as the replication stream, and its
 // record is the package's only record format. ReadLog serves followers
 // whole records, as the file holds them, from an (epoch, seq) cursor —
-// epoch names the current log file via a fsynced sidecar, rotated by
-// Compact so a follower whose cursor predates the rotation is told to
+// epoch names the current log file via the file's own header, rotated
+// by Compact so a follower whose cursor predates the rotation is told to
 // re-bootstrap rather than silently diverge — and ApplyShipped reads
 // them with the log's own reader and applies each through the normal
 // Put/Append/Drop, producing bit-identical tuples and therefore the
 // primary's Merkle roots. A follower whose cursor no longer resolves
 // bootstraps from a snapshot (snapshot.go): the log Compact would
-// write, behind a cursor header. A durable follower persists its
-// shipping base in a sidecar so it resumes tailing across its own
-// restarts. See ship.go, snapshot.go and internal/replica.
+// write, behind a cursor header. A durable follower's log header
+// carries its shipping base, so it resumes tailing across its own
+// restarts. The log is the store's only file. See ship.go, snapshot.go
+// and internal/replica.
 package storage
 
 import (
@@ -252,8 +253,9 @@ type Store struct {
 	cache  *cache.Cache  // the memo per trapdoor; immutable after construction
 
 	// epoch identifies the current log file's record sequence space for
-	// log shipping (see ship.go): loaded from the sidecar on open, rotated
-	// by Compact under the exclusive store lock, 0 for in-memory stores.
+	// log shipping (see ship.go): read from the log's header on open,
+	// rotated by Compact under the exclusive store lock, 0 for in-memory
+	// stores.
 	epoch uint64
 	// shipMu guards the ReadLog cursor→byte-offset cache, which lets a
 	// tailing follower resume at its cursor without rescanning the file.
@@ -267,11 +269,10 @@ type Store struct {
 	// through the same fault seam as the handle opened at OpenOptions.
 	wrapLog func(LogFile) LogFile
 
-	// base is a durable follower's persisted shipping base (see
-	// ship.go): the primary-side cursor this store's local log was
-	// seeded from, used to recompute the resume cursor across restarts.
-	// Guarded by mu; baseValid is false when no trustworthy sidecar was
-	// found.
+	// base is the log header's shipping base (see ship.go): the
+	// primary-side cursor this store's contents were installed from,
+	// used to recompute the resume cursor across restarts. Guarded by
+	// mu; baseValid is false when there is none.
 	base      shipBase
 	baseValid bool
 
@@ -307,33 +308,42 @@ func OpenOptions(path string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("storage: invalid sync policy %v", opts.Sync)
 	}
 	s := &Store{tables: make(map[string]*tableEntry), path: path, cache: cache.New(0)}
-	recs, err := s.replay(path)
+	recs, size, err := s.replay(path)
 	if err != nil {
 		return nil, err
-	}
-	epoch, err := loadEpoch(path)
-	if err != nil {
-		return nil, err
-	}
-	s.epoch = epoch
-	if b, ok := loadShipBase(path, epoch); ok {
-		s.base, s.baseValid = b, true
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
 	if err != nil {
 		return nil, fmt.Errorf("storage: opening log %s: %w", path, err)
-	}
-	info, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("storage: stat log %s: %w", path, err)
 	}
 	s.wrapLog = opts.WrapLog
 	var lf LogFile = f
 	if s.wrapLog != nil {
 		lf = s.wrapLog(f)
 	}
-	s.wal = newWALWriter(lf, info.Size(), recs, opts)
+	if size == 0 {
+		// A fresh log: its header goes through the handle its records
+		// will, and is durable before Open returns.
+		if s.epoch, err = randomEpoch(); err == nil {
+			if _, err = lf.Write(appendLogHeader(nil, s.epoch, shipBase{})); err == nil {
+				err = lf.Sync()
+			}
+		}
+		if err != nil {
+			_ = lf.Close()
+			return nil, fmt.Errorf("storage: writing header of log %s: %w", path, err)
+		}
+		size = logHdrLen
+	}
+	s.wal = newWALWriter(lf, size, recs, opts)
+	if s.epoch == 0 {
+		// The header failed its check: its records replayed, and the
+		// rotation gives the log a fresh epoch and no base.
+		if err := s.Compact(); err != nil {
+			_ = s.wal.Close()
+			return nil, err
+		}
+	}
 	return s, nil
 }
 
@@ -397,50 +407,59 @@ func (s *Store) ShareStats() scanshare.Stats { return s.cache.ShareStats() }
 // CacheStats returns the memo's prefix counters.
 func (s *Store) CacheStats() cache.Stats { return s.cache.Stats() }
 
-// replay loads the log at path into memory. Replay stops at the first
-// record the log reader cannot vouch for (see readWALRecord) and
-// truncates the log there, so nothing after a torn record, a corrupt
-// length or a flipped byte is ever misapplied. A record that verifies
-// but fails to apply is a hard error: its bytes are what was written, so
-// it indicates a format this build does not know, not corruption. The
-// returned count — how many records survived — seeds the log-shipping
-// sequence (a follower's cursor indexes records of the current file).
-func (s *Store) replay(path string) (uint64, error) {
+// replay loads the log at path into memory, taking the epoch and ship
+// base from its header (see ship.go) — epoch 0 when the header's
+// checksum disowns it. Replay stops at the first record the log reader
+// cannot vouch for (see readWALRecord) and truncates the log there, so
+// nothing after a torn record, a corrupt length or a flipped byte is
+// ever misapplied; a log too short for a whole header is truncated to
+// nothing. A record that verifies but fails to apply is a hard error:
+// its bytes are what was written, so it indicates a format this build
+// does not know, not corruption — as does a log that starts with a
+// record. It returns how many records survived — the seed of the
+// log-shipping sequence (a follower's cursor indexes records of the
+// current file) — and the log's size after truncation.
+func (s *Store) replay(path string) (recs uint64, size int64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return 0, nil
+		return 0, 0, nil
 	}
 	if err != nil {
-		return 0, fmt.Errorf("storage: opening log %s for replay: %w", path, err)
+		return 0, 0, fmt.Errorf("storage: opening log %s for replay: %w", path, err)
 	}
 	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		return 0, fmt.Errorf("storage: stat log %s: %w", path, err)
+		return 0, 0, fmt.Errorf("storage: stat log %s: %w", path, err)
 	}
 	br := bufio.NewReaderSize(f, 1<<16)
-	var validOffset int64
-	var recs uint64
-	var rec []byte
-	for {
-		var ok bool
-		if rec, ok = readWALRecord(br, info.Size()-validOffset, rec[:0]); !ok {
-			break
+	var hdr [logHdrLen]byte
+	if n, _ := io.ReadFull(br, hdr[:]); n > 0 && hdr[0] == walMagic {
+		return 0, 0, fmt.Errorf("storage: log %s starts with a record, not a header: it was written before logs carried their epoch and ship base in a header; rebuild primaries and followers together and start from a new log", path)
+	}
+	if info.Size() >= logHdrLen {
+		size = logHdrLen
+		s.epoch, s.base = parseLogHeader(hdr)
+		s.baseValid = s.base.primaryEpoch != 0
+		for rec := []byte(nil); ; recs++ {
+			var ok bool
+			if rec, ok = readWALRecord(br, info.Size()-size, rec[:0]); !ok {
+				break
+			}
+			if err := s.applyRecord(rec[1], rec[walV1HdrLen:]); err != nil {
+				return 0, 0, fmt.Errorf("storage: replaying log %s at offset %d: %w", path, size, err)
+			}
+			size += int64(len(rec))
 		}
-		if err := s.applyRecord(rec[1], rec[walV1HdrLen:]); err != nil {
-			return 0, fmt.Errorf("storage: replaying log %s at offset %d: %w", path, validOffset, err)
-		}
-		validOffset += int64(len(rec))
-		recs++
 	}
 	// Truncate any torn or corrupt tail so the next append starts at a
 	// clean boundary.
-	if info.Size() > validOffset {
-		if err := os.Truncate(path, validOffset); err != nil {
-			return 0, fmt.Errorf("storage: truncating torn log tail of %s: %w", path, err)
+	if info.Size() > size {
+		if err := os.Truncate(path, size); err != nil {
+			return 0, 0, fmt.Errorf("storage: truncating torn log tail of %s: %w", path, err)
 		}
 	}
-	return recs, nil
+	return recs, size, nil
 }
 
 // mutation is one decoded log record: the table it names, plus the
@@ -951,7 +970,7 @@ func (s *Store) Compact() error {
 	names, unlock := s.lockCatalog(false)
 	defer unlock()
 	//phlint:ignore lockio log rotation is stop-the-world by design: every table is quiesced and the swap must be atomic with the catalogue
-	return s.rotateLog(uint64(len(names)), func(w io.Writer) (int64, error) { return s.writeCatalog(w, names) })
+	return s.rotateLog(shipBase{}, uint64(len(names)), func(w io.Writer) (int64, error) { return s.writeCatalog(w, names) })
 }
 
 // lockCatalog takes every catalogued table's lock in name order — the
@@ -1001,20 +1020,21 @@ func (s *Store) writeCatalog(w io.Writer, names []string) (size int64, err error
 }
 
 // rotateLog swaps in the log that write produces — recs whole records,
-// write returning their byte count — as the store's log, under
-// Compact's crash discipline; Compact and InstallSnapshot share it. The
-// caller holds s.mu exclusively and every table lock (lockCatalog), so
-// the log writer has nothing in flight. write fills a temp file, which
+// write returning their byte count — behind a header with a fresh epoch
+// and the ship base given, as the store's log, under Compact's crash
+// discipline; Compact and InstallSnapshot share it. The caller holds
+// s.mu exclusively and every table lock (lockCatalog), so the log writer
+// has nothing in flight. The header and records fill a temp file, which
 // is then fsynced; on any failure before the rename the temp file is
-// removed and the old log — still valid — stays in force. The local
-// shipping epoch is rotated BEFORE the swap: a follower cursor
-// minted against the old file must never resolve into the replacement
-// (same sequence number, different record). The sidecar is written and
-// fsynced first, so a crash between the two steps leaves a new epoch
-// over the old log — followers re-bootstrap needlessly, which is safe;
-// the reverse order could pair the old epoch with the new file, which
-// silently diverges.
-func (s *Store) rotateLog(recs uint64, write func(io.Writer) (int64, error)) error {
+// removed and the old log — still valid — stays in force. The rename
+// swaps epoch, base and records in one step, so a follower cursor
+// minted against the old file never resolves into the replacement
+// (same sequence number, different record).
+func (s *Store) rotateLog(base shipBase, recs uint64, write func(io.Writer) (int64, error)) error {
+	epoch, err := randomEpoch()
+	if err != nil {
+		return err
+	}
 	tmpPath := s.path + ".rotate"
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o600)
 	if err != nil {
@@ -1025,19 +1045,15 @@ func (s *Store) rotateLog(recs uint64, write func(io.Writer) (int64, error)) err
 		os.Remove(tmpPath)
 		return e
 	}
-	size, err := write(tmp)
+	var size int64
+	if _, err = tmp.Write(appendLogHeader(nil, epoch, base)); err == nil {
+		size, err = write(tmp)
+	}
 	if err != nil {
 		return abort(fmt.Errorf("storage: writing replacement log: %w", err))
 	}
 	if err := tmp.Sync(); err != nil {
 		return abort(fmt.Errorf("storage: syncing replacement log: %w", err))
-	}
-	newEpoch, err := randomEpoch()
-	if err != nil {
-		return abort(err)
-	}
-	if err := writeEpoch(s.path, newEpoch); err != nil {
-		return abort(err)
 	}
 	if err := os.Rename(tmpPath, s.path); err != nil {
 		return abort(fmt.Errorf("storage: swapping replacement log: %w", err))
@@ -1052,20 +1068,18 @@ func (s *Store) rotateLog(recs uint64, write func(io.Writer) (int64, error)) err
 	if s.wrapLog != nil {
 		lf = s.wrapLog(tmp)
 	}
-	ierr := s.wal.installFile(lf, size, recs)
+	ierr := s.wal.installFile(lf, logHdrLen+size, recs)
 	if errors.Is(ierr, errLogClosed) {
 		return ierr
 	}
-	// The swap happened: publish the new epoch (we hold s.mu exclusively,
-	// which is what serialises this against ReadLog's epoch reads),
-	// point the ship cursor cache at the new file's origin, and drop
-	// state bound to the old file: the persisted shipping base (its
-	// ownEpoch binding just broke, by design) and any cached snapshot.
-	s.epoch = newEpoch
+	// The swap happened: publish the new epoch and base (we hold s.mu
+	// exclusively, which is what serialises this against ReadLog's epoch
+	// reads), point the ship cursor cache at the new file's first
+	// record, and drop any cached snapshot of the old file.
+	s.epoch, s.base, s.baseValid = epoch, base, base.primaryEpoch != 0
 	s.shipMu.Lock()
-	s.shipEpoch, s.shipSeq, s.shipOff = newEpoch, 0, 0
+	s.shipEpoch, s.shipSeq, s.shipOff = epoch, 0, logHdrLen
 	s.shipMu.Unlock()
-	s.baseValid = false
 	s.snapMu.Lock()
 	s.snapBuf = nil
 	s.snapMu.Unlock()

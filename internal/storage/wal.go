@@ -78,11 +78,12 @@ type Options struct {
 	// zero selects DefaultSyncInterval. Ignored by the other policies.
 	SyncInterval time.Duration
 	// WrapLog, when set, wraps every append handle the store opens over
-	// its log — the one opened at OpenOptions and every replacement
-	// installed by Compact or InstallSnapshot. It is the fault
-	// seam: internal/fault's File threads ENOSPC, fsync failures, torn
-	// writes and crash points through it. Replay and shipping read the
-	// log through separate read-only handles that are not wrapped.
+	// its log — the one opened at OpenOptions, which writes a new log's
+	// header, and every replacement installed by Compact or
+	// InstallSnapshot. It is the fault seam: internal/fault's File
+	// threads ENOSPC, fsync failures, torn writes and crash points
+	// through it. Replay and shipping read the log through separate
+	// read-only handles that are not wrapped.
 	WrapLog func(LogFile) LogFile
 }
 
