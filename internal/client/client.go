@@ -191,7 +191,7 @@ func (c *Conn) Insert(name string, tuples []ph.EncryptedTuple) (InsertAck, error
 // a single round trip, and answered in order. flags (wire.ReadFlag*)
 // selects the answers' shape: matching tuples; with ReadFlagVerified the
 // tuples with one multiproof, root, leaf count and version cut from
-// the snapshot that evaluated the plan (the proof always verifies against the
+// the one snapshot that evaluated every plan (the proof always verifies against the
 // returned root; trusting that root is the caller's decision — DB
 // compares it against the pinned one); with ReadFlagExplain the plan
 // without executing it. Read returns only answers of the shape asked
@@ -725,8 +725,10 @@ func (db *DB) VerifiedQuery(q relation.Eq) (*relation.Table, error) {
 // SelectMany runs several exact selects and returns the decrypted,
 // filtered result per query (order preserved). Against a single server
 // it is one round trip — one read request carrying one plan per select —
-// pinned or not, with every answer verified against the pin when there
-// is one. On a sharded DB every select scatters to all shards.
+// pinned or not, verified against the pin when there is one, and
+// answered from one snapshot of the table. On a sharded DB every select
+// scatters to all shards: unpinned as one request, one snapshot per
+// shard; pinned as one scatter per select.
 func (db *DB) SelectMany(qs []relation.Eq) ([]*relation.Table, error) {
 	if len(qs) == 0 {
 		return nil, nil

@@ -136,18 +136,9 @@ func (m model) then(apply func(*relation.Table) *relation.Table, ok bool) model 
 	return out
 }
 
-// answers reports whether got is op's answer on a table m may be, each
-// answer of a batch on a table of its own: a store runs each select of a
-// batch on its own cut, and a follower applies records between them.
+// answers reports whether got is op's answer on one table m may be: a
+// store answers every select of a batch from one cut.
 func (m model) answers(op Op, got []*relation.Table) bool {
-	if op.Kind == OpMany && len(got) == len(op.Eqs) && len(got) > 1 {
-		for i, eq := range op.Eqs {
-			if !m.answers(Select(false, eq), got[i:i+1]) {
-				return false
-			}
-		}
-		return true
-	}
 	return slices.ContainsFunc(m, func(t *relation.Table) bool { return t != nil && diff(got, op.want(t)) == nil })
 }
 

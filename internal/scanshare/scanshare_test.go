@@ -338,7 +338,7 @@ func TestSixteenRidersOneAllotment(t *testing.T) {
 	if bst := budget.Stats(); bst.Acquires != riders || bst.Releases != riders {
 		t.Fatalf("budget stats = %+v, want %d allotments drawn and returned", bst, riders)
 	}
-	if idle := budget.Idle(); idle != budget.Capacity() {
-		t.Fatalf("budget idle = %d, want full capacity %d back", idle, budget.Capacity())
+	if idle := budget.Idle(); idle != runtime.GOMAXPROCS(0) {
+		t.Fatalf("budget idle = %d, want full capacity %d back", idle, runtime.GOMAXPROCS(0))
 	}
 }

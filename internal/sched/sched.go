@@ -24,7 +24,6 @@ import (
 // Budget is a weighted semaphore handing out workers. The zero value
 // is not usable; construct with NewBudget.
 type Budget struct {
-	capacity int64
 	// avail is capacity minus the workers granted and not yet released;
 	// negative while callers granted on a drained budget are scanning.
 	avail atomic.Int64
@@ -66,13 +65,10 @@ func NewBudget(capacity int) *Budget {
 	if capacity < 1 {
 		capacity = 1
 	}
-	b := &Budget{capacity: int64(capacity)}
+	b := new(Budget)
 	b.avail.Store(int64(capacity))
 	return b
 }
-
-// Capacity returns the budget's total worker count.
-func (b *Budget) Capacity() int { return int(b.capacity) }
 
 // Idle returns how many workers are currently unclaimed (for tests and
 // introspection; the value may be stale by the time it is read).

@@ -50,11 +50,11 @@ func TestAcquireClampsToWant(t *testing.T) {
 }
 
 func TestNewBudgetClamps(t *testing.T) {
-	if c := NewBudget(0).Capacity(); c != 1 {
-		t.Fatalf("NewBudget(0).Capacity() = %d, want 1", c)
+	if c := NewBudget(0).Idle(); c != 1 {
+		t.Fatalf("NewBudget(0).Idle() = %d, want 1", c)
 	}
-	if c := NewBudget(-5).Capacity(); c != 1 {
-		t.Fatalf("NewBudget(-5).Capacity() = %d, want 1", c)
+	if c := NewBudget(-5).Idle(); c != 1 {
+		t.Fatalf("NewBudget(-5).Idle() = %d, want 1", c)
 	}
 }
 
@@ -100,8 +100,8 @@ func TestConcurrentExtrasNeverExceedCapacity(t *testing.T) {
 
 func TestProcessBudgetSwap(t *testing.T) {
 	orig := Process()
-	if orig.Capacity() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("process budget capacity %d, want GOMAXPROCS %d", orig.Capacity(), runtime.GOMAXPROCS(0))
+	if orig.Idle() != runtime.GOMAXPROCS(0) {
+		t.Fatalf("idle process budget holds %d workers, want GOMAXPROCS %d", orig.Idle(), runtime.GOMAXPROCS(0))
 	}
 	big := NewBudget(64)
 	prev := SetProcess(big)
@@ -116,7 +116,7 @@ func TestProcessBudgetSwap(t *testing.T) {
 	if got := SetProcess(nil); got != prev {
 		t.Fatal("restore lost the original budget")
 	}
-	if c := Process().Capacity(); c != runtime.GOMAXPROCS(0) {
+	if c := Process().Idle(); c != runtime.GOMAXPROCS(0) {
 		t.Fatalf("nil reset capacity %d, want GOMAXPROCS", c)
 	}
 	SetProcess(orig)

@@ -90,26 +90,29 @@ func dispatchAllocs(t *testing.T, s *Server, runs int, before func(i int), frame
 
 // TestDispatchReadSteadyStateAllocs pins what the server allocates to
 // answer one CmdQuery frame on each read path, once warm: a cache hit, a
-// cold scan, a delta over appended tuples, a verified read and a
-// two-conjunct plan. Each count is per request, not per layer or per
-// byte: it is the same for tokens of 42 and 82 bytes, and for a table of
-// 64 tuples and one of 1,024, whose answers are 32 and 512 tuples. The
-// counts are the request's name, its decoded plans (one allocation for
-// a request of up to four conjuncts), the read's plan-and-answer, the
-// answer's tuple and word-header arrays and, where a path scans, its hit
-// list and the memo entry and scan flight it writes. A hit's positions
-// are the memo's own, shared read-only; a delta's append copies them.
+// cold scan, a delta over appended tuples, a verified read, a
+// two-conjunct plan and four hits in one request. Each count is per
+// request, not per layer or per byte: it is the same for tokens of 42
+// and 82 bytes, and for a table of 64 tuples and one of 1,024, whose
+// answers are 32 and 512 tuples. The counts are the request's name, its
+// decoded plans (one allocation for up to four conjuncts), the read's
+// responses and plans (one allocation, two past one plan), each
+// answer's tuple and word-header arrays and, where a path scans, its
+// hit list and the memo entry and scan flight it writes. A hit's
+// positions are the memo's own, shared read-only; a delta's append
+// copies them. A batch starts no goroutine.
 func TestDispatchReadSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled matchers and buffers at random under the race detector")
 	}
 	const runs = 50
 	pins := map[string]uint64{
-		"cache hit":     5,
-		"cold scan":     9,
-		"delta":         6,
-		"verified":      5,
-		"two conjuncts": 7,
+		"cache hit":                5,
+		"cold scan":                9,
+		"delta":                    6,
+		"verified":                 5,
+		"two conjuncts":            7,
+		"four hits in one request": 12,
 	}
 	got := map[string][]uint64{}
 	for _, p := range []*core.PH{fixturePH(), widePH()} {
@@ -132,6 +135,9 @@ func TestDispatchReadSteadyStateAllocs(t *testing.T) {
 
 			conj := requestUnder(t, p, 0, []string{"even", "2"})
 			got["two conjuncts"] = append(got["two conjuncts"], dispatchAllocs(t, s, runs, nil, func(int) wire.Frame { return conj }))
+
+			four := requestUnder(t, p, 0, []string{"even"}, []string{"odd"}, []string{"even"}, []string{"odd"})
+			got["four hits in one request"] = append(got["four hits in one request"], dispatchAllocs(t, s, runs, nil, func(int) wire.Frame { return four }))
 
 			odd := requestUnder(t, p, 0, []string{"odd"})
 			one := encryptFixture(p, 1).Tuples

@@ -2,12 +2,9 @@ package server
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
-	"repro/internal/ph"
 	"repro/internal/query"
-	"repro/internal/sched"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
@@ -22,58 +19,6 @@ type storeBackend struct {
 }
 
 func (b *storeBackend) Sync() error { return b.store.Sync() }
-
-// maxReadFanout caps the goroutines one CmdQuery frame may put in
-// flight. The cap bounds per-frame goroutine count against hostile
-// frames; it deliberately exceeds the scheduler budget's capacity — see
-// read.
-const maxReadFanout = 64
-
-// read evaluates the plans of a read request of more than one plan
-// against one table, each plan under its own read-locked snapshot (a
-// one-plan request is one Store.Read on the connection's goroutine).
-// The fanout over plans is sized well above the scheduler budget's
-// capacity on purpose: most plans of a batch do not scan — cache hits
-// copy, and identical cold plans wait on one scan (the memo's Scan) —
-// so capping fanout at CPU count would queue them behind the few that
-// do. A plan that does scan
-// runs the scan on its own worker here, and the sched budget, which
-// counts that worker, decides whether it may fork any further: the
-// first cold plan of a batch takes the idle cores, the rest scan
-// serially. The workers pull plan indices from a channel, so
-// one stalled evaluation occupies only its own worker and never wedges
-// dispatch of later plans behind it; pulling also bounds live
-// goroutines per frame at the fanout, so a hostile frame declaring
-// thousands of plans cannot spawn thousands of goroutines. Answers keep
-// the request order; on failure the lowest-index error wins and the
-// request fails as a unit.
-func (b *storeBackend) read(name string, flags byte, plans [][]*ph.EncryptedQuery) ([]query.Response, error) {
-	resps := make([]query.Response, len(plans))
-	errs := make([]error, len(plans))
-	workers := min(len(plans), max(maxReadFanout, sched.Process().Capacity()))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				resps[i], _, errs[i] = b.store.Read(name, plans[i], flags)
-			}
-		}()
-	}
-	for i := range plans {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return resps, nil
-}
 
 // HandleFrame implements the command set. Response payloads build on
 // scratch.
@@ -109,21 +54,14 @@ func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 		return wire.Frame{Type: wire.RespInserted, Payload: payload}, nil
 
 	case wire.CmdQuery:
-		// The tokens are views of f.Payload: they are done with once the
-		// answer is encoded (see storage.Store.Read).
+		// One Store.Read answers every plan under one table read lock, on
+		// this goroutine. The tokens are views of f.Payload: they are done
+		// with once the answers are encoded (see storage.Store.Read).
 		name, flags, plans, err := query.DecodeRequest(f.Payload, core.SchemeID)
 		if err != nil {
 			return wire.Frame{}, err
 		}
-		if len(plans) == 1 {
-			// One plan runs on this goroutine, its answer on the stack.
-			resp, _, err := b.store.Read(name, plans[0], flags)
-			if err != nil {
-				return wire.Frame{}, err
-			}
-			return wire.Frame{Type: wire.RespResult, Payload: query.EncodeResponses(scratch, flags, []query.Response{resp})}, nil
-		}
-		resps, err := b.read(name, flags, plans)
+		resps, err := b.store.Read(name, flags, plans)
 		if err != nil {
 			return wire.Frame{}, err
 		}

@@ -62,7 +62,7 @@ func TestDispatchRead(t *testing.T) {
 	et := conjTable(8)
 	tree := authindex.Build(et)
 	wantRoot := tree.Root()
-	many := make([][]string, 9) // more plans than the scheduler budget's capacity
+	many := make([][]string, 9)
 	for i := range many {
 		many[i] = []string{id(i % 8)}
 	}

@@ -12,20 +12,21 @@
 //
 // There is one read command. CmdQuery carries a list of plans, each a
 // conjunction of one or more encrypted selects (a single select is the
-// one-conjunct plan, a batch is several plans), and every plan runs
-// through the selectivity-ordered planner (internal/query) under one
-// read-locked store snapshot: the server intersects the scheme-opaque
-// per-conjunct position sets and returns only the tuples in the
-// intersection. This moves *where* the intersection happens, not what
-// Eve learns: per-conjunct access patterns are her view either way.
+// one-conjunct plan, a batch is several plans), and is one
+// storage.Store.Read: the plans run in order through the planner
+// (internal/query) under one read-locked snapshot of the table, so a
+// batch is σ of one table state, and the server returns only the tuples
+// in each plan's intersection of per-conjunct position sets. This moves
+// *where* the intersection happens, not what Eve learns: per-conjunct
+// access patterns are her view either way.
 //
 // Beyond the paper, the same command serves the authenticated-index
 // extension (internal/authindex) so clients need not extend that trust:
 // with wire.ReadFlagVerified every plan is answered with (result,
-// multiproof, root, leaf count, version) cut from the snapshot that
-// evaluated it — the proof always verifies against the root it travels
-// with, so a mutation racing the request can never make an honest
-// answer look tampered. wire.ReadFlagExplain returns the plans instead
+// multiproof, root, leaf count, version) cut from the one snapshot that
+// evaluated the request — the proof always verifies against the root it
+// travels with, so a mutation racing the request can never make an
+// honest answer look tampered. wire.ReadFlagExplain returns the plans instead
 // of running them. Every command has one answer shape: CmdInsert is
 // always acked with its placement (RespInserted: base, count, version),
 // whether or not the client keeps a root to advance with it.

@@ -251,30 +251,27 @@ func TestReplacedTableNeverServesItsCache(t *testing.T) {
 	if err := s.Put("emp", f.ct); err != nil {
 		t.Fatal(err)
 	}
-	holdScans(t)
 	// other is a table of f.ct's size under f's scheme, with other contents.
 	other := func(seed int64) *ph.EncryptedTable {
 		return &ph.EncryptedTable{SchemeID: f.ct.SchemeID, Meta: f.ct.Meta, Tuples: f.encryptBatch(t, len(f.ct.Tuples), seed)}
 	}
 	replaceDuringRead := func(how string, q *ph.EncryptedQuery, replace func() error) {
 		t.Helper()
-		h := &struct{ entered, release chan struct{} }{make(chan struct{}), make(chan struct{})}
-		hold = h
+		entered, release := holdNextScan(t)
 		read := make(chan error, 1)
 		go func() { _, err := s.Query("emp", q); read <- err }()
 		select {
-		case <-h.entered: // the cold read holds the old entry's read lock
+		case <-entered: // the cold read holds the old entry's read lock
 		case err := <-read:
 			t.Fatalf("%s: the read never scanned (%v): its token was cached", how, err)
 		}
-		hold = nil
 		replaced := make(chan error, 1)
 		go func() { replaced <- replace() }()
 		for s.mu.TryRLock() { // wait until the replacement holds the store lock
 			s.mu.RUnlock()
 			time.Sleep(time.Millisecond)
 		}
-		close(h.release)
+		close(release)
 		if err := <-read; err != nil {
 			t.Fatalf("%s: held read: %v", how, err)
 		}

@@ -1,11 +1,16 @@
 package storage
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/ph"
+	"repro/internal/query"
+	"repro/internal/wire"
 )
 
 // concTable builds n fixture tuples of one tag; concQuery(tag) matches
@@ -143,4 +148,45 @@ func TestConcurrentQueryAcrossTables(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestBatchIsOneCut: a request's plans are answered under one hold of
+// the table's read lock. Plan 0's cold scan is held until an Append of
+// one matching tuple waits on the table's write lock; then plan 1, which
+// matches every tuple, must not see it, and a verified batch's answers
+// must carry one root, leaf count and version.
+func TestBatchIsOneCut(t *testing.T) {
+	const n = 8
+	for _, flags := range []byte{0, wire.ReadFlagVerified} {
+		s := NewMemory()
+		if err := s.Put("hot", concTable(n, 0xAA)); err != nil {
+			t.Fatal(err)
+		}
+		e, _ := s.entry("hot")
+		entered, release := holdNextScan(t)
+		var resps []query.Response
+		read, appended := make(chan error), make(chan error)
+		go func() {
+			var err error
+			resps, err = s.Read("hot", flags, [][]*ph.EncryptedQuery{{fixtureQuery("n", 3)}, {concQuery(0xAA)}})
+			read <- err
+		}()
+		<-entered
+		go func() { appended <- s.Append("hot", concTable(1, 0xAA).Tuples) }()
+		for e.mu.TryRLock() { // fails once the append waits for the batch's lock
+			e.mu.RUnlock()
+			runtime.Gosched()
+		}
+		close(release)
+		if err := errors.Join(<-read, <-appended); err != nil {
+			t.Fatal(err)
+		}
+		if got := resps[1].Matches().Positions; len(got) != n {
+			t.Fatalf("flags %#x: plan 1 answered %d tuples of %d: an append landed inside the batch", flags, len(got), n)
+		}
+		if a, b := resps[0].Verified, resps[1].Verified; a != nil &&
+			(a.Leaves != n || b.Leaves != n || a.Version != b.Version || !bytes.Equal(a.Root, b.Root)) {
+			t.Fatalf("one batch answered from two cuts: (%d leaves, version %d) and (%d leaves, version %d)", a.Leaves, a.Version, b.Leaves, b.Version)
+		}
+	}
 }

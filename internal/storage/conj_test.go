@@ -87,7 +87,7 @@ func TestQueryConjErrors(t *testing.T) {
 	if _, _, err := s.QueryConj("emp", nil); err == nil {
 		t.Fatal("empty conjunction must error")
 	}
-	if _, _, err := s.Read("emp", nil, wire.ReadFlagExplain); err == nil {
+	if _, err := s.Read("emp", wire.ReadFlagExplain, [][]*ph.EncryptedQuery{nil}); err == nil {
 		t.Fatal("empty explain must error")
 	}
 }
@@ -142,12 +142,12 @@ func TestConcurrentAppendConjQuery(t *testing.T) {
 						return
 					}
 				} else {
-					resp, _, err := s.Read("emp", qs, wire.ReadFlagVerified)
+					resps, err := s.Read("emp", wire.ReadFlagVerified, [][]*ph.EncryptedQuery{qs})
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					vr := resp.Verified
+					vr := resps[0].Verified
 					if len(vr.Result.Tuples) == 0 {
 						t.Error("racing verified answer is empty; nothing was verified")
 						return

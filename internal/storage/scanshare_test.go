@@ -160,23 +160,20 @@ func TestSharedScanDuringAppends(t *testing.T) {
 	}
 }
 
-// hold, while set, makes a scan announce itself on entered and then wait
-// for release before it runs. Only a scan gets there — a query that
-// attaches to one never calls evaluateOn — which is what lets
-// TestColdHerdCounts park a leader until its whole herd has attached.
-var hold *struct{ entered, release chan struct{} }
-
-// holdScans routes the store's scan through hold until the test ends.
-func holdScans(t *testing.T) {
-	t.Helper()
+// holdNextScan makes the store's next scan close entered and wait for
+// release before it runs; later scans run at once. Only a scan gets
+// there — a query that attaches to one never calls evaluateOn — which is
+// what lets TestColdHerdCounts park a leader until its whole herd has
+// attached.
+func holdNextScan(t *testing.T) (entered <-chan struct{}, release chan<- struct{}) {
+	in, out := make(chan struct{}), make(chan struct{})
+	var next sync.Once
 	evaluateOn = func(slab *ph.Slab, q *ph.EncryptedQuery, from int, candidates []int) ([]int, error) {
-		if h := hold; h != nil {
-			h.entered <- struct{}{}
-			<-h.release
-		}
+		next.Do(func() { close(in); <-out })
 		return core.EvaluateSlab(slab, q, from, candidates)
 	}
 	t.Cleanup(func() { evaluateOn = core.EvaluateSlab })
+	return in, out
 }
 
 // TestColdHerdCounts is the count gate that replaced E21's wall-clock
@@ -191,12 +188,13 @@ func TestColdHerdCounts(t *testing.T) {
 	if err := s.Put("emp", et); err != nil {
 		t.Fatal(err)
 	}
-	holdScans(t)
+	entered, release := holdNextScan(t)
 	budget := sched.NewBudget(runtime.GOMAXPROCS(0))
 	defer sched.SetProcess(sched.SetProcess(budget))
 
-	// herd sends every query at once and checks every answer.
-	herd := func(eqs []relation.Eq) {
+	// herd sends every query at once, its leader held if it is, and
+	// checks every answer.
+	herd := func(eqs []relation.Eq, held bool) {
 		t.Helper()
 		results := make([]*ph.Result, len(eqs))
 		errs := make([]error, len(eqs))
@@ -214,11 +212,11 @@ func TestColdHerdCounts(t *testing.T) {
 				defer wg.Done()
 				results[i], errs[i] = s.Query("emp", q)
 			}(i, q)
-			if hold != nil && i == 0 {
-				<-hold.entered // the leader is inside its scan; the rest can only attach
+			if held && i == 0 {
+				<-entered // the leader is inside its scan; the rest can only attach
 			}
 		}
-		if hold != nil {
+		if held {
 			deadline := time.Now().Add(10 * time.Second)
 			for s.ShareStats().Attached < uint64(len(eqs)-1) {
 				if time.Now().After(deadline) {
@@ -226,7 +224,7 @@ func TestColdHerdCounts(t *testing.T) {
 				}
 				time.Sleep(time.Millisecond)
 			}
-			close(hold.release)
+			close(release)
 		}
 		wg.Wait()
 		for i, eq := range eqs {
@@ -254,9 +252,7 @@ func TestColdHerdCounts(t *testing.T) {
 	for i := range identical {
 		identical[i] = relation.Eq{Column: "dept", Value: relation.String("FIN")}
 	}
-	hold = &struct{ entered, release chan struct{} }{make(chan struct{}), make(chan struct{})}
-	herd(identical)
-	hold = nil
+	herd(identical, true)
 	if st := s.ShareStats(); st.Passes != 1 || st.Attached != 63 {
 		t.Fatalf("share stats = %+v, want 1 scan and 63 attached", st)
 	}
@@ -268,7 +264,7 @@ func TestColdHerdCounts(t *testing.T) {
 	for i := range distinct {
 		distinct[i] = relation.Eq{Column: "name", Value: table.Tuple(i * 100)[0]}
 	}
-	herd(distinct)
+	herd(distinct, false)
 	st, bst := s.ShareStats(), budget.Stats()
 	if st.Passes+st.Attached != 1+63+16 || bst.Acquires != st.Passes || bst.Releases != bst.Acquires {
 		t.Fatalf("share stats %+v, budget stats %+v: want every query scanned or attached, one allotment per scan", st, bst)

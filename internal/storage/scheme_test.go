@@ -75,7 +75,7 @@ func TestReadRefusesSchemeMismatch(t *testing.T) {
 		{fixtureQuery("n", 1), foreign},
 	} {
 		for _, flags := range []byte{0, wire.ReadFlagVerified, wire.ReadFlagExplain} {
-			if _, _, err := s.Read("emp", qs, flags); err == nil || !strings.Contains(err.Error(), `scheme "bucket"`) {
+			if _, err := s.Read("emp", flags, [][]*ph.EncryptedQuery{qs}); err == nil || !strings.Contains(err.Error(), `scheme "bucket"`) {
 				t.Fatalf("%d conjuncts, flags %#x: Read error %v, want the foreign scheme refused", len(qs), flags, err)
 			}
 		}

@@ -129,11 +129,12 @@ func TestSlabBytesArePinned(t *testing.T) {
 // ph.SelectPositions over a Get snapshot, and not empty.
 func slabRead(t *testing.T, s *Store, name, what string, flags byte, want query.Source, qs ...*ph.EncryptedQuery) query.Response {
 	t.Helper()
-	resp, plan, err := s.Read(name, qs, flags)
+	resps, rds, err := s.readPlans(name, flags, [][]*ph.EncryptedQuery{qs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src := plan.Conjuncts[len(qs)-1].Source; src != want {
+	resp := resps[0]
+	if src := rds[0].plan.Conjuncts[len(qs)-1].Source; src != want {
 		t.Fatalf("%s: served %v, want %v", what, src, want)
 	}
 	res := resp.Matches()

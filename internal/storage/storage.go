@@ -67,13 +67,13 @@
 // stores late. Memoising leaks nothing: positions per trapdoor are
 // exactly the access pattern every query already reveals.
 //
-// One read path: Read evaluates a plan — a conjunction of one or more
-// encrypted selects — through internal/query under a single read-lock
-// acquisition. Per-conjunct memo state — a prefix, or the selectivity
-// every scan of the token fed — orders the conjuncts, at most one
-// full-width pass runs (the driver's, which for a one-conjunct plan is
-// the whole read), and later conjuncts only test surviving positions via
-// core.EvaluateSlab. Fresh full-table position sets are written back per
+// One read path: Read evaluates a request's plans — each a conjunction
+// of one or more encrypted selects — in order through internal/query
+// under a single read-lock acquisition. Per-conjunct memo state — a
+// prefix, or the selectivity every scan of the token fed — orders the
+// conjuncts, at most one full-width pass runs (the driver's, which for a
+// one-conjunct plan is the whole read), and later conjuncts only test
+// surviving positions via core.EvaluateSlab. Fresh full-table position sets are written back per
 // conjunct, so a repeated conjunct hits even inside a new combination.
 //
 // One served scheme: the store holds and scans the paper's construction
@@ -745,127 +745,140 @@ func (e *tableEntry) conjunct(c *cache.Cache, cj *query.Conjunct, i int, q *ph.E
 	}
 }
 
-// Read evaluates one plan — a conjunction of one or more encrypted
-// queries; a single select is the one-conjunct plan — against the named
-// table. It is the store's only read path. Everything happens under one
-// acquisition of the table's read lock, so reads on distinct tables, and
-// any number of reads on one table, run fully in parallel and never
-// block the catalogue.
+// Read answers a read request against the named table: one Response per
+// plan, in request order, where a plan is a conjunction of one or more
+// encrypted queries (a single select is the one-conjunct plan, a batch
+// several plans). It is the store's only read path. The whole request
+// runs under one acquisition of the table's read lock, its plans one
+// after another, so every answer is cut from one state of the table: an
+// append, or a record a follower applies, lands before the request or
+// after it. Reads on distinct tables, and any number on one table, run
+// fully in parallel and never block the catalogue; a writer to the
+// table waits for the whole request, at most 65,535 plans (its u16
+// count). A token of another scheme, in any plan, is refused before
+// anything else — EvaluateSlab takes any token as an SWP trapdoor — and
+// a plan that fails fails the request.
 //
-// The plan is built from each conjunct's memo entry — Lookup for its
+// Each plan is built from its conjuncts' memo entries — Lookup for a
 // prefix, Estimate on a miss — and run through internal/query: its
-// driver step is a hit (no tuple touched), a delta (only the tail
-// appended since the prefix was stored is scanned) or a miss, and later
-// steps narrow the survivors. A miss is a full-table scan on this
-// goroutine (core.EvaluateSlab, fanned out over whatever the scheduler
-// budget has idle), unless an identical scan — same key and tuple count
-// — is already in flight, in which case this read waits for it and
-// shares its positions (the memo's Scan). Then each evaluated conjunct
-// is one Store: a full-table position set becomes the key's prefix,
-// written under THIS read's lock with the snapshot's tuple count —
-// whoever ran the scan, each reader holds its own table read lock across
-// the scan or the wait, so appends cannot move the tuple count under it
-// and no writeback can be stale — and every evaluation feeds the
-// token's selectivity (narrowed steps record the conditional
-// selectivity the ordering actually wants).
+// driver step is a hit, a delta (a scan of the tail appended since the
+// prefix was stored) or a miss, and later steps narrow the survivors. A
+// miss is a full-table scan on this goroutine (core.EvaluateSlab, fanned
+// out over whatever the scheduler budget has idle), unless another read
+// has an identical scan — same key and tuple count — in flight; then
+// this read waits for it and shares its positions (the memo's Scan).
+// Each evaluated conjunct is then one Store, written under THIS read's
+// lock with the snapshot's tuple count — each reader holds its own read
+// lock across the scan or the wait, so no writeback can be stale — and
+// it runs before the next plan's Lookup, so a plan repeated later in a
+// batch is a hit.
 //
-// flags (wire.ReadFlag*) shapes the answer. With none it is the matching
-// tuples. With ReadFlagVerified they travel with one multiproof — cut at
-// the tree's cap level (authindex.CapNodes), whose row the client holds —
-// root, leaf count and version cut under the same lock acquisition that
-// evaluated the plan — mutually consistent by construction, so a
-// mutation racing the request can never make an honest answer fail
-// verification. With ReadFlagExplain nothing is evaluated: the answer is
-// the plan's conjunct order, estimates and predicted serving paths (the
-// cache is consulted, which counts in its statistics, but no tuple is
-// scanned). The plan itself is returned for callers that report on it.
+// flags (wire.ReadFlag*) shapes the answers. With none each is the
+// matching tuples. With ReadFlagVerified they travel with one multiproof
+// — cut at the tree's cap level (authindex.CapNodes), whose row the
+// client holds — and the root, leaf count and version of the locked
+// snapshot, the same in every answer: a mutation racing the request can
+// never make an honest answer fail verification. With ReadFlagExplain
+// each answer is its plan's conjunct order, estimates and predicted
+// serving paths, and no tuple is scanned.
 //
-// The answer is a read-only view of the slab (ph.Slab.Answer): each
-// tuple's ID and words are sub-slices of its run's bytes, and the word
-// headers of the whole answer are cut from one array under the read
-// lock. That is safe after the lock drops — the server encodes the
-// answer then — for the reason Get's snapshot is: no byte below a run's
-// length is ever written again, so bytes a view holds never change. Its
-// positions are shared the same way: on a hit they are the memo's
-// prefix, and a fresh scan's are adopted by the memo, so no one writes
-// them. A caller that wants to modify an answer must copy it first. The plan,
-// the answer's Result and a verified answer's VerifiedResult share one
-// allocation, and the root is the tree's published one, not a copy. A
-// token of another scheme is refused before planning: EvaluateSlab
-// takes any token as an SWP trapdoor.
+// An answer is a read-only view of the slab (ph.Slab.Answer), safe after
+// the lock drops — the server encodes the answers then — for the reason
+// Get's snapshot is: no byte below a run's length is ever written again.
+// Its positions are shared the same way, the memo's prefix on a hit or
+// adopted by the memo after a scan, so a caller that wants to modify an
+// answer must copy it first. A one-plan request's Response, plan, Result
+// and VerifiedResult share one allocation, and the root is the tree's
+// published one, not a copy.
 //
 // The tokens may be views of the request frame they arrived in
 // (query.DecodeRequest), which the connection overwrites with its next
 // request once this one is answered. So a token is read here — hashed
-// into its cache key, and scanned by a matcher that goes back to its
-// pool when the scan ends — and kept nowhere that outlives the read: the
-// memo keys on the SHA-256 digest, and a scan another read attaches to
-// runs on its leader's goroutine, inside the leader's read. Anything that must keep
-// a token past the read copies it first.
-func (s *Store) Read(name string, qs []*ph.EncryptedQuery, flags byte) (query.Response, *query.Plan, error) {
-	for i, q := range qs {
-		if q.SchemeID != core.SchemeID {
-			return query.Response{}, nil, fmt.Errorf("storage: conjunct %d is a query of scheme %q: this server evaluates only %s", i, q.SchemeID, core.SchemeID)
+// into its memo key, and scanned by a matcher that goes back to its pool
+// when the scan ends — and kept nowhere that outlives the read: a scan
+// another read attaches to runs inside its leader's read.
+func (s *Store) Read(name string, flags byte, plans [][]*ph.EncryptedQuery) ([]query.Response, error) {
+	resps, _, err := s.readPlans(name, flags, plans)
+	return resps, err
+}
+
+// readPlans is Read, also returning what each plan answered into, for
+// QueryConj's plan summary.
+func (s *Store) readPlans(name string, flags byte, plans [][]*ph.EncryptedQuery) ([]query.Response, []read, error) {
+	for i, qs := range plans {
+		for j, q := range qs {
+			if q.SchemeID != core.SchemeID {
+				return nil, nil, fmt.Errorf("storage: plan %d, conjunct %d is a query of scheme %q: this server evaluates only %s", i, j, q.SchemeID, core.SchemeID)
+			}
 		}
 	}
 	e, err := s.entry(name)
 	if err != nil {
-		return query.Response{}, nil, err
+		return nil, nil, err
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	rd := new(read)
-	plan := &rd.plan
-	if err := e.planConj(plan, s.cache, name, qs); err != nil {
-		return query.Response{}, nil, err
-	}
-	if flags&wire.ReadFlagExplain != 0 {
-		plan.Annotate()
-		return query.Response{Plan: plan.Info()}, plan, nil
-	}
 	n := e.slab.Len()
-	driver := &plan.Conjuncts[0]
-	positions, err := plan.Run(n, func(q *ph.EncryptedQuery, from int, candidates []int) ([]int, error) {
-		if from > 0 || candidates != nil {
-			return evaluateOn(e.slab, q, from, candidates) // a tail delta or a narrowing pass
+	var tree *authindex.Tree
+	if flags&wire.ReadFlagVerified != 0 {
+		tree = e.authTree()
+	}
+	resps, rds := newReads(len(plans))
+	for i, qs := range plans {
+		rd := &rds[i]
+		plan := &rd.plan
+		if err := e.planConj(plan, s.cache, name, qs); err != nil {
+			return nil, nil, err
 		}
-		return s.cache.Scan(driver.Key, n, func() ([]int, error) { return evaluateOn(e.slab, q, 0, nil) })
-	})
-	if err != nil {
-		return query.Response{}, nil, err
-	}
-	for i := range plan.Conjuncts {
-		// A narrowed step — plain or over a prefix's tail — has no full
-		// set: its hits among the tested positions are the conjunct's
-		// selectivity conditioned on the predicates before it. A hit or
-		// a skipped step tested nothing, and the memo ignores it.
-		cj := &plan.Conjuncts[i]
-		hits, tested := cj.NarrowHits, cj.Tested
-		if cj.FullPositions != nil {
-			hits, tested = len(cj.FullPositions), n
+		if flags&wire.ReadFlagExplain != 0 {
+			plan.Annotate()
+			resps[i].Plan = plan.Info()
+			continue
 		}
-		s.cache.Store(cj.Key, cj.FullPositions, n, len(cj.Q.Token), hits, tested)
+		driver := &plan.Conjuncts[0]
+		positions, err := plan.Run(n, func(q *ph.EncryptedQuery, from int, candidates []int) ([]int, error) {
+			if from > 0 || candidates != nil {
+				return evaluateOn(e.slab, q, from, candidates) // a tail delta or a narrowing pass
+			}
+			return s.cache.Scan(driver.Key, n, func() ([]int, error) { return evaluateOn(e.slab, q, 0, nil) })
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		for j := range plan.Conjuncts {
+			// A narrowed step — plain or over a prefix's tail — has no full
+			// set: its hits among the tested positions are the conjunct's
+			// selectivity conditioned on the predicates before it. A hit or
+			// a skipped step tested nothing, and the memo ignores it.
+			cj := &plan.Conjuncts[j]
+			hits, tested := cj.NarrowHits, cj.Tested
+			if cj.FullPositions != nil {
+				hits, tested = len(cj.FullPositions), n
+			}
+			s.cache.Store(cj.Key, cj.FullPositions, n, len(cj.Q.Token), hits, tested)
+		}
+		e.slab.AnswerInto(&rd.res, positions)
+		if tree == nil {
+			resps[i].Result = &rd.res
+			continue
+		}
+		proof, err := tree.ProveAnswer(positions)
+		if err != nil {
+			return nil, nil, err
+		}
+		rd.vr = authindex.VerifiedResult{
+			Result:     &rd.res,
+			Root:       tree.Root(),
+			Leaves:     n,
+			Version:    e.version,
+			Multiproof: proof,
+		}
+		resps[i].Verified = &rd.vr
 	}
-	e.slab.AnswerInto(&rd.res, positions)
-	if flags&wire.ReadFlagVerified == 0 {
-		return query.Response{Result: &rd.res}, plan, nil
-	}
-	tree := e.authTree()
-	proof, err := tree.ProveAnswer(positions)
-	if err != nil {
-		return query.Response{}, nil, err
-	}
-	rd.vr = authindex.VerifiedResult{
-		Result:     &rd.res,
-		Root:       tree.Root(),
-		Leaves:     n,
-		Version:    e.version,
-		Multiproof: proof,
-	}
-	return query.Response{Verified: &rd.vr}, plan, nil
+	return resps, rds, nil
 }
 
-// read is what one Read allocates for itself: its plan, its answer's
+// read is what one plan of a Read answers into: its plan, its answer's
 // Result and, for a verified read, the VerifiedResult around it.
 type read struct {
 	plan query.Plan
@@ -873,32 +886,45 @@ type read struct {
 	vr   authindex.VerifiedResult
 }
 
+// newReads allocates a request's responses and plan reads: one object
+// for a one-plan request, nearly every request, and two for a batch.
+func newReads(plans int) ([]query.Response, []read) {
+	if plans == 1 {
+		one := new(struct {
+			resp [1]query.Response
+			rd   [1]read
+		})
+		return one.resp[:], one.rd[:]
+	}
+	return make([]query.Response, plans), make([]read, plans)
+}
+
 // Query is Read for a single select.
 func (s *Store) Query(name string, q *ph.EncryptedQuery) (*ph.Result, error) {
-	resp, _, err := s.Read(name, []*ph.EncryptedQuery{q}, 0)
+	resps, err := s.Read(name, 0, [][]*ph.EncryptedQuery{{q}})
 	if err != nil {
 		return nil, err
 	}
-	return resp.Result, nil
+	return resps[0].Result, nil
 }
 
 // QueryVerified is Read for a single verified select.
 func (s *Store) QueryVerified(name string, q *ph.EncryptedQuery) (*authindex.VerifiedResult, error) {
-	resp, _, err := s.Read(name, []*ph.EncryptedQuery{q}, wire.ReadFlagVerified)
+	resps, err := s.Read(name, wire.ReadFlagVerified, [][]*ph.EncryptedQuery{{q}})
 	if err != nil {
 		return nil, err
 	}
-	return resp.Verified, nil
+	return resps[0].Verified, nil
 }
 
 // QueryConj is Read for a conjunction, returning the executed plan's
 // summary beside the intersection.
 func (s *Store) QueryConj(name string, qs []*ph.EncryptedQuery) (*ph.Result, *query.PlanInfo, error) {
-	resp, plan, err := s.Read(name, qs, 0)
+	resps, rds, err := s.readPlans(name, 0, [][]*ph.EncryptedQuery{qs})
 	if err != nil {
 		return nil, nil, err
 	}
-	return resp.Result, plan.Info(), nil
+	return resps[0].Result, rds[0].plan.Info(), nil
 }
 
 // Root returns the named table's authenticated-index root, tuple count

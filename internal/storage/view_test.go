@@ -98,12 +98,12 @@ func TestReadViewDuringAppends(t *testing.T) {
 			defer wg.Done()
 			flags := []byte{0, wire.ReadFlagVerified}[g%2]
 			for i := 0; i < 60; i++ {
-				resp, _, err := s.Read("hot", []*ph.EncryptedQuery{q}, flags)
+				resps, err := s.Read("hot", flags, [][]*ph.EncryptedQuery{{q}})
 				if err != nil {
 					t.Errorf("read: %v", err)
 					return
 				}
-				_, dec, err := query.DecodeResponses(query.EncodeResponses(nil, flags, []query.Response{resp}))
+				_, dec, err := query.DecodeResponses(query.EncodeResponses(nil, flags, resps))
 				if err != nil {
 					t.Errorf("decoding the encoded answer: %v", err)
 					return
@@ -114,9 +114,9 @@ func TestReadViewDuringAppends(t *testing.T) {
 					t.Errorf("get: %v", err)
 					return
 				}
-				want := wire.EncodeResult(nil, ph.SelectPositions(snap, resp.Matches().Positions))
+				want := wire.EncodeResult(nil, ph.SelectPositions(snap, resps[0].Matches().Positions))
 				if !bytes.Equal(got, want) {
-					t.Errorf("reader %d: an answer of %d tuples encodes differently from the snapshot's", g, len(resp.Matches().Positions))
+					t.Errorf("reader %d: an answer of %d tuples encodes differently from the snapshot's", g, len(resps[0].Matches().Positions))
 					return
 				}
 			}

@@ -63,7 +63,7 @@ const (
 	// plans:u16 | per plan conjuncts:u16 | queries. A plan is a
 	// conjunction of one or more encrypted exact selects — a single
 	// select is a one-conjunct plan, a batch is a list of plans — and the
-	// server evaluates each plan under one read-locked snapshot of the
+	// server evaluates all its plans under one read-locked snapshot of the
 	// table through the selectivity-ordered planner (internal/query),
 	// which also owns the codec. A store answers RespResult; a shard
 	// coordinator scatters the request to every shard and answers
