@@ -239,10 +239,10 @@ func (sh *shell) execute(line string) error {
 		}
 		return nil
 	case line == `\drop`:
-		if sh.cluster != nil {
-			return sh.cluster.Drop(sh.currentName)
+		if db == nil {
+			return fmt.Errorf("no current table; use \\use")
 		}
-		return sh.conn.Drop(sh.currentName)
+		return db.Drop()
 	case line == `\all`:
 		if db == nil {
 			return fmt.Errorf("no current table; use \\use")

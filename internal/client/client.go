@@ -398,6 +398,27 @@ func (db *DB) CreateTable(t *relation.Table) error {
 	return nil
 }
 
+// Drop removes the table from every node. A pinned DB then pins every
+// node to no table: the empty table's root and cap under a leaf count of
+// -1, which no answer carries, so no answer cut from the dropped table —
+// a lagging replica's — verifies. Such an answer is refused and its
+// replica quarantined, and the primary answers that the table is
+// unknown. The pins move even when the drop fails, for the table may be
+// gone all the same; CreateTable pins a table again, or RepinRoot the
+// one a failed drop left.
+func (db *DB) Drop() error {
+	if db.pinned() {
+		db.pins = pinsOf(db.split(&ph.EncryptedTable{}))
+		for i := range db.pins {
+			db.pins[i].tuples = -1
+		}
+	}
+	if db.cluster != nil {
+		return db.cluster.Drop(db.table)
+	}
+	return db.conn.Drop(db.table)
+}
+
 // nodes is the number of nodes the table lives on: the length of a full
 // pinned vector.
 func (db *DB) nodes() int {

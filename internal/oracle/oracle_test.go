@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -81,4 +82,24 @@ func TestHealOverAFailedLog(t *testing.T) {
 	r := New(t, nil, Replicated())
 	hr := []relation.Tuple{{relation.String("Ada"), relation.String("HR"), relation.Int(1000)}}
 	r.Do(Put(hr), Heal(), Reopen(fault.FilePlan{FailWriteAfterBytes: 1}), Put(hr), Heal(), Select(false, Eq("dept", "HR")))
+}
+
+// TestDropRefusesLaggingFollower is seed 8's history cut down: a table
+// dropped while the ship link is cut stays on the follower, and a
+// verified select of it must not verify there. The first select, served
+// by the follower, gives the pin its cap, so the last one is routed to
+// the follower too. The pinned client's drop pins every node to no
+// table, so the follower's answer is refused and the follower
+// quarantined, and the primary says the table is unknown.
+func TestDropRefusesLaggingFollower(t *testing.T) {
+	r := New(t, nil, Replicated())
+	hr := Eq("dept", "HR")
+	r.Do(Put([]relation.Tuple{{relation.String("Ada"), relation.String("HR"), relation.Int(1000)}}),
+		Heal(), Select(true, hr), Cut(), Drop(), Select(true, hr))
+	if st := r.DB(0).ReadStats(); st.ReplicaReads != 1 || st.ReplicaFailures != 1 {
+		t.Fatalf("want the select before the drop served by the follower and the one after refused: %+v", st)
+	}
+	if _, err := r.DB(0).Select(hr); err == nil || !strings.Contains(err.Error(), "unknown table") {
+		t.Fatalf("a verified select after the drop: %v, want the primary's unknown table", err)
+	}
 }

@@ -178,7 +178,7 @@ func (r *Runner) mutate(t *tier, op Op) error {
 			return old
 		}
 	case OpDrop:
-		err = t.drop()
+		err = t.db.Drop()
 	case OpCompact:
 		for _, st := range t.stores {
 			if err := st.Compact(); err != nil && !t.faulty() {
@@ -231,11 +231,11 @@ func (r *Runner) read(op Op) error {
 		}
 		got, byFollower, err := t.ask(op, op.Verified)
 		// A plain answer from the follower may be σ of any table the
-		// follower may hold; so may a verified one while the table may be
-		// gone, for the client has no drop and pins nothing after a reopen
-		// that found no table: its pin is a dropped table's, or none.
+		// follower may hold. A verified one is held to the model whoever
+		// served it: after a drop the client's pin verifies no answer
+		// (DB.Drop), and so does the pin it persisted when reopened.
 		doubt, may := len(t.model) > 1, t.model
-		stale := byFollower && (!op.Verified || slices.Contains(t.model, nil))
+		stale := byFollower && !op.Verified
 		if stale {
 			may = t.f.past
 		}

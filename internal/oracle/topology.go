@@ -227,8 +227,8 @@ func (t *tier) recover() error {
 		if !slices.Contains(t.model, nil) {
 			return fmt.Errorf("the table did not survive the reopen: %w", err)
 		}
-		t.model = model{nil}
-		return t.db.PinShardRoots(nil, nil)
+		t.model = model{nil} // the pinned client pins what a drop left, or nothing yet
+		return nil
 	}
 	i := slices.IndexFunc(t.model, func(m *relation.Table) bool { return m != nil && sameRows(got, m) })
 	if i < 0 {
@@ -239,13 +239,6 @@ func (t *tier) recover() error {
 		return t.db.RepinRoot()
 	}
 	return nil
-}
-
-func (t *tier) drop() error {
-	if t.cluster != nil {
-		return t.cluster.Drop(t.table)
-	}
-	return t.conns[0].Drop(t.table)
 }
 
 func (t *tier) close() {

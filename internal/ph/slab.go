@@ -160,20 +160,6 @@ func (s *Slab) runFor(sh Shape, n int) *Run {
 	return s.last()
 }
 
-// Truncate drops every tuple from position n on: the undo of appends no
-// view has seen. Their bytes stay in the last run's capacity, where the
-// next append overwrites them.
-func (s *Slab) Truncate(n int) {
-	for r := s.last(); r != nil && r.Start >= n; r = s.last() {
-		*r = Run{}
-		s.Runs = s.Runs[:len(s.Runs)-1]
-	}
-	if r := s.last(); r != nil && r.Start+r.N > n {
-		r.N = n - r.Start
-		r.Body = r.Body[:r.N*r.Stride]
-	}
-}
-
 // Snapshot returns a slab that holds the first Len() tuples for good:
 // its run headers are copied, its bytes shared. The owner takes it under
 // the lock that orders appends and may read it after releasing that

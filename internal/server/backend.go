@@ -13,7 +13,9 @@ import (
 // against one local storage.Store. It carries no policy — Ready gating,
 // read-only rejection, deadlines and caps all live in Server — so the
 // same command implementations serve primaries, replicas, and the
-// per-shard stores behind a coordinator.
+// per-shard stores behind a coordinator. A mutation's payload goes to
+// Store.Apply undecoded: it is the log record, so only the store reads
+// it.
 type storeBackend struct {
 	store *storage.Store
 }
@@ -25,31 +27,18 @@ func (b *storeBackend) Sync() error { return b.store.Sync() }
 func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, error) {
 	r := wire.NewBuffer(f.Payload)
 	switch f.Type {
-	case wire.CmdStore:
-		name, slab, err := wire.DecodeStoreSlab(f.Payload)
+	case wire.CmdStore, wire.CmdInsert, wire.CmdDrop:
+		base, n, version, err := b.store.Apply(f.Type, f.Payload)
 		if err != nil {
 			return wire.Frame{}, err
 		}
-		if err := b.store.PutSlab(name, slab); err != nil {
-			return wire.Frame{}, err
-		}
-		return wire.Frame{Type: wire.RespOK}, nil
-
-	case wire.CmdInsert:
-		// The runs are validated, then copied from the frame straight
-		// into the table's slab: no tuple is decoded.
-		name, runs, err := wire.DecodeInsertRuns(f.Payload)
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		base, version, err := b.store.AppendRuns(name, runs)
-		if err != nil {
-			return wire.Frame{}, err
+		if f.Type != wire.CmdInsert {
+			return wire.Frame{Type: wire.RespOK}, nil
 		}
 		// The placement ack lets a verifying client advance its pinned
 		// root from its own leaf hashes instead of re-downloading.
 		payload := wire.AppendU32(scratch, uint32(base))
-		payload = wire.AppendU32(payload, uint32(runs.Len()))
+		payload = wire.AppendU32(payload, uint32(n))
 		payload = wire.AppendU64(payload, version)
 		return wire.Frame{Type: wire.RespInserted, Payload: payload}, nil
 
@@ -77,16 +66,6 @@ func (b *storeBackend) HandleFrame(f wire.Frame, scratch []byte) (wire.Frame, er
 			return wire.Frame{}, err
 		}
 		return wire.Frame{Type: wire.RespTable, Payload: payload}, nil
-
-	case wire.CmdDrop:
-		name, err := wire.DecodeName(f.Payload)
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		if err := b.store.Drop(name); err != nil {
-			return wire.Frame{}, err
-		}
-		return wire.Frame{Type: wire.RespOK}, nil
 
 	case wire.CmdList:
 		if err := r.Err(); err != nil {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bufio"
+	"cmp"
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
@@ -33,7 +34,7 @@ import (
 // Trust model: replication adds nothing for Eve to learn — shipped
 // records are the ciphertext mutations the client already sent — and a
 // follower needs no integrity protocol of its own, because a replica
-// that replays the same records through the same mutation paths builds
+// that replays the same records through the same mutation body builds
 // the same Merkle roots, and the client verifies every replica answer
 // against its pinned root exactly as it does the primary's.
 
@@ -264,34 +265,27 @@ func scanShipRecords(f *os.File, off int64, skip, want uint64, maxBytes uint32) 
 }
 
 // ApplyShipped applies a shipped chunk (whole log records, as ReadLog
-// returns them) one record at a time through the store's normal
-// mutation paths — PutSlab, AppendRuns, Drop — so locking, versioning, cache
-// invalidation and incremental authenticated-index maintenance all
-// behave exactly as if the mutation arrived from a client. That is what
-// makes a follower's Merkle roots bit-identical to the primary's: same
-// tuple bytes, same leaf hashes, same tree. The chunk is read with the
-// log's own reader, so the CRC the primary wrote is checked here. It
-// returns how many records were applied; any error (a byte the reader
-// cannot vouch for, a malformed payload, an insert into a table the
-// follower does not have) means the follower's view has diverged and it
-// must re-bootstrap.
+// returns them) one record at a time through the one body every mutation
+// takes (apply), so locking, versioning, cache invalidation and
+// incremental authenticated-index maintenance all behave exactly as if
+// the mutation arrived from a client, and a durable follower logs each
+// record as it arrived. That is what makes a follower's Merkle roots
+// bit-identical to the primary's: same tuple bytes, same leaf hashes,
+// same tree. The chunk is read with the log's own reader, so the CRC
+// the primary wrote is checked here. The chunk waits for durability
+// once, for its last record — group commit covers the ones before it —
+// and returns how many records were applied; any error (a byte the
+// reader cannot vouch for, a malformed payload, an insert into a table
+// the follower does not have, a failed durability wait) means the
+// follower's view has diverged and it must re-bootstrap.
 func (s *Store) ApplyShipped(log []byte) (applied int, err error) {
+	var last uint64
 	applied, err = eachWALRecord(log, func(op byte, payload []byte) error {
-		m, err := decodeRecord(op, payload)
-		if err != nil {
-			return err
-		}
-		switch op {
-		case opStore:
-			return s.PutSlab(m.name, m.slab)
-		case opInsert:
-			_, _, err := s.AppendRuns(m.name, m.runs)
-			return err
-		default:
-			return s.Drop(m.name)
-		}
+		_, seq, err := s.apply(op, payload)
+		last = max(last, seq)
+		return err
 	})
-	if err != nil {
+	if err = cmp.Or(err, s.durable(last)); err != nil {
 		return applied, fmt.Errorf("storage: shipped chunk: %w", err)
 	}
 	return applied, nil

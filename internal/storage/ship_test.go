@@ -136,6 +136,56 @@ func TestShipBootstrapAndRoots(t *testing.T) {
 	assertSameState(t, p, f)
 }
 
+// TestShipChunkSyncsOnce: a durable follower waits for durability once
+// per shipped chunk, for its last record — group commit covers the ones
+// before it — not once per record; and a failed wait still fails the
+// chunk, so the follower re-bootstraps.
+func TestShipChunkSyncsOnce(t *testing.T) {
+	dir := t.TempDir()
+	p, err := OpenOptions(filepath.Join(dir, "primary.log"), Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.Put("emp", fakeTable(4)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 100 {
+		if err := p.Append("emp", fixtureTable(1, byte(i)).Tuples); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log, _, _, _, err := p.ReadLog(p.LogEpoch(), 0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Open(filepath.Join(dir, "follower.log")) // SyncAlways
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	before := f.LogStats().Syncs
+	if n, err := f.ApplyShipped(log); err != nil || n != 101 {
+		t.Fatalf("applied %d of the chunk's 101 records: %v", n, err)
+	}
+	if syncs := f.LogStats().Syncs - before; syncs > 1 {
+		t.Fatalf("applying one 101-record chunk issued %d fsyncs, want at most 1", syncs)
+	}
+	assertSameState(t, p, f)
+
+	// The header's fsync is the first; the chunk's fails.
+	failing, err := OpenOptions(filepath.Join(dir, "failing.log"), Options{WrapLog: func(lf LogFile) LogFile {
+		return fault.NewFile(lf, fault.FilePlan{FailSyncAfter: 2})
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer failing.Close()
+	if _, err := failing.ApplyShipped(log); err == nil || !strings.Contains(err.Error(), "syncing log") {
+		t.Fatalf("a chunk whose fsync failed: %v, want the failure", err)
+	}
+}
+
 func TestShipSmallBudgetResumes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	p, err := Open(path)

@@ -143,8 +143,7 @@ func (s *Store) ReadSnapshot(reqEpoch, reqSeq, offset uint64, maxBytes uint32) (
 // and its cursor. Everything is checked before anything is returned:
 // the size cap, the magic and the sealing total CRC, then the body
 // through the log's own reader — every record a whole opStore record
-// that decodeRecord accepts, naming a non-empty table no earlier record
-// named, the last one ending exactly at the trailer — so an installer
+// that decodeRecord accepts, naming a table no earlier record named, the last one ending exactly at the trailer — so an installer
 // can swap state on success knowing no field was believed unchecked.
 // Install soundness beyond well-formedness (a cursor from the future)
 // is the caller's to judge: the cursor is data here.
@@ -171,8 +170,6 @@ func decodeSnapshot(b []byte) (tables []mutation, log []byte, cur ShipCursor, er
 		switch {
 		case err != nil:
 			return err
-		case m.name == "":
-			return fmt.Errorf("empty table name")
 		case seen[m.name]:
 			return fmt.Errorf("table %q repeated", m.name)
 		}

@@ -3,16 +3,18 @@
 // write-ahead log. The server never sees plaintext; everything stored
 // here is exactly what the wire protocol delivered.
 //
-// Durability model: each mutation (store, insert, drop) is framed as a
-// checksummed log record (format v1: magic, op, length, CRC32C) and
-// appended through a dedicated log writer before it is applied in memory
-// and acknowledged. A record's payload is the wire payload of its
-// command, so the tuples of a store or insert record are the wire's
-// tuple runs: each run's shape said once, then its tuples' bytes back to
-// back. That is also how a table lives in memory (ph.Slab): a run of the
-// resident slab is a run of the log, and a record is encoded from the
-// slab — a store record from the whole of it, an insert record from the
-// tail the insert appended.
+// Durability model: a mutation (store, insert, drop) is its record. It
+// arrives as a frame, and Apply takes the frame's payload, decodes it
+// once, applies it and hands those same bytes to a dedicated log writer,
+// framed as a checksummed log record (format v1: magic, op, length,
+// CRC32C), before acknowledging — so the tuples of a store or insert
+// record are the wire's tuple runs, each run's shape said once, then its
+// tuples' bytes back to back, exactly as they were received. Nothing is
+// re-encoded from what is stored; replay and a shipped chunk apply each
+// record through the same body, and the tuple API (Put, Append, Drop)
+// encodes the payload its command would carry and applies that. A table
+// lives in memory the same way (ph.Slab): a run of the resident slab is
+// a run of some record.
 // The sync policy decides what "acknowledged" promises: under SyncAlways
 // (the default) the record is fsynced first, with concurrent writers
 // sharing one fsync through group commit; SyncInterval fsyncs in the
@@ -27,10 +29,9 @@
 // the log writer's first failure is sticky. The failing record is
 // truncated back out of the file so the log never ends in bytes that
 // were acknowledged to nobody, the error is returned to the caller, and
-// every later mutation is refused with the same error BEFORE it is
-// visible in memory (an append's tail, copied into the slab so its
-// record can be encoded from it, is truncated away under the table's
-// write lock) — the store degrades to a read-only catalogue rather than
+// every later mutation is refused with the same error BEFORE it touches
+// memory (a record is staged in the log before it is applied) — the
+// store degrades to a read-only catalogue rather than
 // letting memory and log fork. One asymmetry is inherent to group
 // commit: the mutation that first hits a failing fsync has already
 // applied in memory when the durability wait reports the error, so that
@@ -41,10 +42,11 @@
 //
 // Locking model: the store-level RWMutex guards only the catalogue map;
 // each table carries its own RWMutex guarding its tuple data, and the log
-// writer serialises record framing under its own internal mutex. A mutation stages its log record while holding the
-// lock that orders it — the table lock for Append, the store lock (plus
-// the outgoing table's lock) for Put and Drop — and then waits for
-// durability with no locks held. Mutations of distinct tables therefore
+// writer serialises record framing under its own internal mutex. A
+// mutation stages its log record while holding the lock that orders it —
+// the table lock for an insert, the store lock (plus the outgoing
+// table's lock) for a store or drop — and then waits for durability with
+// no locks held. Mutations of distinct tables therefore
 // proceed in parallel, paying only for the shared group commit, and a
 // query never waits behind another table's disk I/O. Because the record
 // for every mutation of a given table is framed under that table's
@@ -55,7 +57,7 @@
 // take an earlier lock while holding a later one.
 //
 // Versioning and the memo: every table carries a monotonic version
-// drawn from a store-wide clock, bumped on Put, Append and Drop, plus
+// drawn from a store-wide clock, bumped by every store, insert and drop, plus
 // its base — the version at which the table object was installed. Read
 // hashes each conjunct's token once into cache.Key{base, SHA-256 of the
 // token}, the key of the store's one memo per trapdoor (internal/cache):
@@ -77,21 +79,21 @@
 // conjunct, so a repeated conjunct hits even inside a new combination.
 //
 // One served scheme: the store holds and scans the paper's construction
-// (core, swp-ph) alone. Put and the record decoder refuse a table of any
-// other scheme, and Read a token of one, so a comparator reaches neither
+// (core, swp-ph) alone. The record decoder refuses a table of any other
+// scheme, and Read a token of one, so a comparator reaches neither
 // memory, the log, a shipped chunk nor a snapshot.
 //
 // Authenticated index: each table entry owns a version-stamped Merkle
 // tree (internal/authindex) over its tuples, built lazily on the first
-// Root or verified Read and from then on extended incrementally —
-// Append hashes just the new tuples and repairs the tree in O(k + log n)
+// Root or verified Read and from then on extended incrementally — an
+// insert hashes just the new tuples and repairs the tree in O(k + log n)
 // under the table's write lock (only if the tree was ever materialised;
 // unauthenticated workloads pay nothing). Readers catch the tree up
 // under the table's read lock (serialised on a small internal mutex), so
 // the tree served always covers exactly the tuples served, and a
 // verified Read cuts (result, multiproof, root, count, version) from one
-// read-locked snapshot — mutually consistent by construction. Put and
-// Drop retire the tree with the entry they retire; Compact leaves tuples
+// read-locked snapshot — mutually consistent by construction. A store or
+// drop retires the tree with the entry it retires; Compact leaves tuples
 // (and therefore trees) untouched.
 //
 // Log shipping: the WAL doubles as the replication stream, and its
@@ -100,8 +102,8 @@
 // epoch names the current log file via the file's own header, rotated
 // by Compact so a follower whose cursor predates the rotation is told to
 // re-bootstrap rather than silently diverge — and ApplyShipped reads
-// them with the log's own reader and applies each through the normal
-// Put/Append/Drop, producing bit-identical tuples and therefore the
+// them with the log's own reader and applies each through the one
+// mutation body, producing bit-identical tuples and therefore the
 // primary's Merkle roots. A follower whose cursor no longer resolves
 // bootstraps from a snapshot (snapshot.go): the log Compact would
 // write, behind a cursor header. A durable follower's log header
@@ -144,8 +146,7 @@ const (
 var evaluateOn = core.EvaluateSlab
 
 // servedScheme refuses a table the paper's construction did not encrypt,
-// from PutSlab and decodeRecord: CmdStore, replay, shipping and
-// snapshots.
+// from decodeRecord: CmdStore, Put, replay, shipping and snapshots.
 func servedScheme(name, scheme string) error {
 	if scheme != core.SchemeID {
 		return fmt.Errorf("storage: table %q is of scheme %q: this server stores only %s, the construction Definition 2.1 is proved for",
@@ -413,10 +414,11 @@ func (s *Store) CacheStats() cache.Stats { return s.cache.Stats() }
 // cannot vouch for (see readWALRecord) and truncates the log there, so
 // nothing after a torn record, a corrupt length or a flipped byte is
 // ever misapplied; a log too short for a whole header is truncated to
-// nothing. A record that verifies but fails to apply is a hard error:
-// its bytes are what was written, so it indicates a format this build
-// does not know, not corruption — as does a log that starts with a
-// record. It returns how many records survived — the seed of the
+// nothing. Each record is applied through the one mutation body (apply)
+// before the log writer exists, so nothing replayed is logged again. A
+// record that verifies but fails to apply is a hard error: its bytes are
+// what was written, so it indicates a format this build does not know,
+// not corruption — as does a log that starts with a record. It returns how many records survived — the seed of the
 // log-shipping sequence (a follower's cursor indexes records of the
 // current file) — and the log's size after truncation.
 func (s *Store) replay(path string) (recs uint64, size int64, err error) {
@@ -446,7 +448,7 @@ func (s *Store) replay(path string) (recs uint64, size int64, err error) {
 			if rec, ok = readWALRecord(br, info.Size()-size, rec[:0]); !ok {
 				break
 			}
-			if err := s.applyRecord(rec[1], rec[walV1HdrLen:]); err != nil {
+			if _, _, err := s.apply(rec[1], rec[walV1HdrLen:]); err != nil {
 				return 0, 0, fmt.Errorf("storage: replaying log %s at offset %d: %w", path, size, err)
 			}
 			size += int64(len(rec))
@@ -471,13 +473,16 @@ type mutation struct {
 	runs wire.Runs
 }
 
-// decodeRecord decodes one log record payload. Replay, ApplyShipped and
-// decodeSnapshot all go through it, so a record means the same mutation
-// whether it is read back from the local log, shipped or installed.
+// decodeRecord decodes one log record payload. Every mutation — Apply,
+// the tuple API, replay, ApplyShipped — and decodeSnapshot go through
+// it, so a record means the same mutation whether it arrived in a frame,
+// is read back from the local log, shipped or installed.
 func decodeRecord(op byte, payload []byte) (m mutation, err error) {
 	switch op {
 	case opStore:
-		if m.name, m.slab, err = wire.DecodeStoreSlab(payload); err == nil {
+		if m.name, m.slab, err = wire.DecodeStoreSlab(payload); err == nil && m.name == "" {
+			err = fmt.Errorf("storage: empty table name")
+		} else if err == nil {
 			err = servedScheme(m.name, m.slab.SchemeID)
 		}
 	case opInsert:
@@ -490,90 +495,150 @@ func decodeRecord(op byte, payload []byte) (m mutation, err error) {
 	return m, err
 }
 
-// applyRecord applies one replayed record to the in-memory state. Replay
-// runs before the store is shared, so no table locks are needed.
-func (s *Store) applyRecord(op byte, payload []byte) error {
+// Apply applies one mutation as its frame carried it: cmd is
+// wire.CmdStore, CmdInsert or CmdDrop, and payload that frame's payload,
+// which is the mutation's log record. The payload is decoded once, the
+// mutation applied, and payload itself logged — no record is encoded
+// from what was stored, so the log holds the bytes the wire delivered —
+// and Apply returns once it is durable under the sync policy. An insert
+// returns where its n tuples landed (base, the table's tuple count
+// before it) and the table version it installed. Nothing of payload is
+// kept: the caller may reuse it once Apply returns.
+//
+// A store replaces any table of its name: the new entry has a fresh
+// base, so no read of it reaches the old one's cached results, and reads
+// still running against the old entry finish on the snapshot they began
+// with. An insert extends a materialised authenticated index in place
+// (O(k + log n) hashes under the table's write lock); a never-requested
+// one stays unbuilt and costs appends nothing.
+func (s *Store) Apply(cmd byte, payload []byte) (base, n int, version uint64, err error) {
+	var op byte
+	switch cmd {
+	case wire.CmdStore:
+		op = opStore
+	case wire.CmdInsert:
+		op = opInsert
+	case wire.CmdDrop:
+		op = opDrop
+	default:
+		return 0, 0, 0, fmt.Errorf("storage: command %#x is not a mutation", cmd)
+	}
+	l, err := s.commit(op, payload)
+	return l.base, l.n, l.version, err
+}
+
+// landed is where an insert's tuples went: the table's tuple count
+// before it, the tuples appended, and the version it installed.
+type landed struct {
+	base, n int
+	version uint64
+}
+
+// commit is apply followed by the mutation's one durability wait, which
+// holds no lock.
+func (s *Store) commit(op byte, payload []byte) (landed, error) {
+	l, seq, err := s.apply(op, payload)
+	if err == nil {
+		err = s.durable(seq)
+	}
+	return l, err
+}
+
+// durable waits until the record staged as seq is durable under the
+// sync policy; nothing was staged when seq is 0.
+func (s *Store) durable(seq uint64) error {
+	if s.wal == nil || seq == 0 {
+		return nil
+	}
+	return s.wal.waitDurable(seq)
+}
+
+// apply is the one body through which anything changes a table: Apply,
+// the tuple API, replay and ApplyShipped. It decodes the record, takes
+// the lock that orders it (see the locking model), stages payload as the
+// log record and only then applies it, so a record the log refuses never
+// reaches memory. A store with no log writer — in memory, or replaying
+// its log in Open — logs nothing. It returns the staged sequence number
+// (0 if none) for the caller's durability wait.
+func (s *Store) apply(op byte, payload []byte) (l landed, seq uint64, err error) {
 	m, err := decodeRecord(op, payload)
 	if err != nil {
-		return err
+		return l, 0, err
 	}
-	switch op {
-	case opStore:
-		s.tables[m.name] = newTableEntry(m.slab, s.clock.Add(1))
-	case opInsert:
-		e, ok := s.tables[m.name]
-		if !ok {
-			return fmt.Errorf("storage: insert into unknown table %q", m.name)
+	if op == opInsert {
+		var e *tableEntry
+		if e, err = s.writable(m.name); err != nil {
+			return l, 0, err
 		}
+		defer e.mu.Unlock()
+		if seq, err = s.stage(op, payload); err != nil {
+			return l, 0, err
+		}
+		l = landed{base: e.slab.Len(), n: m.runs.Len(), version: s.clock.Add(1)}
 		m.runs.AppendTo(e.slab)
-		e.version = s.clock.Add(1)
-	case opDrop:
-		delete(s.tables, m.name)
-	}
-	return nil
-}
-
-// Put stores (or replaces) the encrypted table under name: PutSlab of a
-// copy of t in a fresh slab.
-func (s *Store) Put(name string, t *ph.EncryptedTable) error {
-	return s.PutSlab(name, ph.NewSlab(t))
-}
-
-// PutSlab stores (or replaces) the table slab holds under name, taking
-// ownership of slab: the server hands over the slab wire.DecodeStoreSlab
-// copied a CmdStore frame into. Replacement installs a fresh entry at a
-// fresh base and invalidates the old base's cached results; queries
-// still running against a replaced table finish on the snapshot they
-// started with, and any result they cache afterwards lands under the old
-// base, which no read looks up again.
-//
-// The record is encoded from the slab before any lock is taken; the
-// store lock covers only the log staging and the catalogue install, and
-// the durability wait holds no locks at all.
-func (s *Store) PutSlab(name string, slab *ph.Slab) error {
-	if name == "" {
-		return fmt.Errorf("storage: empty table name")
-	}
-	if err := servedScheme(name, slab.SchemeID); err != nil {
-		return err
-	}
-	var payload []byte
-	if s.wal != nil {
-		payload = wire.EncodeSlab(wire.AppendString(nil, name), slab)
+		e.version = l.version
+		e.extendTreeLocked()
+		return l, seq, nil
 	}
 	s.mu.Lock()
-	old := s.tables[name]
+	defer s.mu.Unlock()
+	old := s.tables[m.name]
+	if old == nil && op == opDrop {
+		return l, 0, fmt.Errorf("storage: unknown table %q", m.name)
+	}
 	if old != nil {
 		// Holding the outgoing entry's lock while staging orders this
-		// record after every append already logged against it, and
-		// marking it stale sends later appends to the new entry.
+		// record after every insert logged against it; marking it stale
+		// sends later inserts back to the catalogue.
 		old.mu.Lock()
+		defer old.mu.Unlock()
 	}
-	var seq uint64
-	if s.wal != nil {
-		var err error
-		if seq, err = s.wal.write(opStore, payload); err != nil {
-			if old != nil {
-				old.mu.Unlock()
-			}
-			s.mu.Unlock()
-			return err
-		}
+	if seq, err = s.stage(op, payload); err != nil {
+		return l, 0, err
+	}
+	if v := s.clock.Add(1); op == opStore {
+		s.tables[m.name] = newTableEntry(m.slab, v)
+	} else {
+		delete(s.tables, m.name)
 	}
 	if old != nil {
 		old.stale = true
-		old.mu.Unlock()
-	}
-	v := s.clock.Add(1)
-	s.tables[name] = newTableEntry(slab, v)
-	if old != nil {
 		s.cache.InvalidateTable(old.base)
 	}
-	s.mu.Unlock()
-	if s.wal != nil {
-		return s.wal.waitDurable(seq)
+	return l, seq, nil
+}
+
+// writable returns the named table's current entry, write-locked. An
+// entry replaced or dropped between lookup and lock is stale: it looks
+// again rather than mutate, and log against, a superseded object.
+func (s *Store) writable(name string) (*tableEntry, error) {
+	for {
+		e, err := s.entry(name)
+		if err != nil {
+			return nil, err
+		}
+		e.mu.Lock()
+		if !e.stale {
+			return e, nil
+		}
+		e.mu.Unlock()
 	}
-	return nil
+}
+
+// stage hands one record to the log writer, returning its sequence
+// number; a store with no log writer logs nothing.
+func (s *Store) stage(op byte, payload []byte) (uint64, error) {
+	if s.wal == nil {
+		return 0, nil
+	}
+	return s.wal.write(op, payload)
+}
+
+// Put stores (or replaces) the encrypted table under name: Apply of the
+// CmdStore payload that carries it.
+func (s *Store) Put(name string, t *ph.EncryptedTable) error {
+	_, err := s.commit(opStore, wire.EncodeTable(wire.AppendString(nil, name), t))
+	return err
 }
 
 // Append adds encrypted tuples to an existing table. The tuples must
@@ -591,67 +656,14 @@ func (s *Store) Append(name string, tuples []ph.EncryptedTuple) error {
 // index the batch landed at (the table's tuple count before the append)
 // and the table version the append installed. A client maintaining the
 // table's authenticated root incrementally needs exactly this pair: base
-// tells it where its leaves went, version stamps the snapshot.
+// tells it where its leaves went, version stamps the snapshot. The
+// CmdInsert payload is encoded into a pooled buffer, which nothing keeps
+// once the record is applied.
 func (s *Store) AppendStamped(name string, tuples []ph.EncryptedTuple) (base int, version uint64, err error) {
-	return s.appendTo(name, func(slab *ph.Slab) { slab.AppendTuples(tuples) })
-}
-
-// AppendRuns is AppendStamped for the runs of a CmdInsert frame, which
-// wire.DecodeInsertRuns validated: their bytes are copied from the
-// frame straight into the table's slab.
-func (s *Store) AppendRuns(name string, runs wire.Runs) (base int, version uint64, err error) {
-	return s.appendTo(name, runs.AppendTo)
-}
-
-// appendTo runs add on the named table's slab under its write lock and
-// logs what add appended. The insert record is encoded from the slab's
-// new tail into a pooled buffer — the bytes wire.EncodeInsert writes for
-// the same tuples — and if the log refuses it the tail is truncated away
-// before anyone can see it.
-//
-// If the entry's authenticated index has been materialised, the append
-// extends it in place (O(k + log n) hashes under the table's write lock)
-// instead of invalidating it; a never-requested index stays unbuilt and
-// costs appends nothing.
-func (s *Store) appendTo(name string, add func(*ph.Slab)) (base int, version uint64, err error) {
-	for {
-		s.mu.RLock()
-		e, ok := s.tables[name]
-		s.mu.RUnlock()
-		if !ok {
-			return 0, 0, fmt.Errorf("storage: unknown table %q", name)
-		}
-		e.mu.Lock()
-		if e.stale {
-			// The entry was replaced or dropped between lookup and lock:
-			// retry against the current catalogue state.
-			e.mu.Unlock()
-			continue
-		}
-		base = e.slab.Len()
-		add(e.slab)
-		var seq uint64
-		if s.wal != nil {
-			// walWriter.write copies the record out of the buffer before
-			// it returns.
-			payload := wire.AppendSlab(wire.AppendString(wire.GetBuf(), name), e.slab, base, e.slab.Len())
-			seq, err = s.wal.write(opInsert, payload)
-			wire.PutBuf(payload)
-			if err != nil {
-				e.slab.Truncate(base)
-				e.mu.Unlock()
-				return 0, 0, err
-			}
-		}
-		version = s.clock.Add(1)
-		e.version = version
-		e.extendTreeLocked()
-		e.mu.Unlock()
-		if s.wal != nil {
-			return base, version, s.wal.waitDurable(seq)
-		}
-		return base, version, nil
-	}
+	payload := wire.EncodeInsert(wire.GetBuf(), name, tuples)
+	l, err := s.commit(opInsert, payload)
+	wire.PutBuf(payload)
+	return l.base, l.version, err
 }
 
 // extendTreeLocked brings a materialised authenticated index up to date
@@ -941,36 +953,10 @@ func (s *Store) Root(name string) (root []byte, tuples int, version uint64, err 
 	return e.authTree().Root(), e.slab.Len(), e.version, nil
 }
 
-// Drop removes the named table. Like Put, the record is staged while
-// holding the store lock and the entry's lock (ordering it after every
-// logged append to the entry), and the durability wait is lock-free.
+// Drop removes the named table: Apply of the CmdDrop payload naming it.
 func (s *Store) Drop(name string) error {
-	s.mu.Lock()
-	e, ok := s.tables[name]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("storage: unknown table %q", name)
-	}
-	e.mu.Lock()
-	var seq uint64
-	if s.wal != nil {
-		var err error
-		if seq, err = s.wal.write(opDrop, wire.AppendString(nil, name)); err != nil {
-			e.mu.Unlock()
-			s.mu.Unlock()
-			return err
-		}
-	}
-	e.stale = true
-	e.mu.Unlock()
-	s.clock.Add(1)
-	delete(s.tables, name)
-	s.cache.InvalidateTable(e.base)
-	s.mu.Unlock()
-	if s.wal != nil {
-		return s.wal.waitDurable(seq)
-	}
-	return nil
+	_, err := s.commit(opDrop, wire.AppendString(nil, name))
+	return err
 }
 
 // Compact rewrites the log so it holds exactly one store record per live

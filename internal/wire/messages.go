@@ -433,31 +433,24 @@ func DecodeStoreSlab(payload []byte) (string, *ph.Slab, error) {
 // encoding's exact size.
 func EncodeSlab(dst []byte, s *ph.Slab) []byte {
 	size := 8 + len(s.SchemeID) + len(s.Meta)
-	eachPiece(s, 0, s.Len(), func(r *ph.Run, _, n int) { size += runHeaderLen(n, r.Shape) + n*r.Stride })
+	eachPiece(s, func(r *ph.Run, _, n int) { size += runHeaderLen(n, r.Shape) + n*r.Stride })
 	dst = slices.Grow(dst, size)
 	dst = AppendString(dst, s.SchemeID)
 	dst = AppendBytes(dst, s.Meta)
-	return AppendSlab(dst, s, 0, s.Len())
-}
-
-// AppendSlab appends the tuple list of the slab's tuples at positions
-// [lo, hi): the bytes appendTuples writes for those tuples.
-func AppendSlab(dst []byte, s *ph.Slab, lo, hi int) []byte {
-	dst = AppendU32(dst, uint32(hi-lo))
-	eachPiece(s, lo, hi, func(r *ph.Run, at, n int) {
+	dst = AppendU32(dst, uint32(s.Len()))
+	eachPiece(s, func(r *ph.Run, at, n int) {
 		dst = appendRunHeader(dst, n, r.Shape)
 		dst = append(dst, r.Body[at*r.Stride:(at+n)*r.Stride]...)
 	})
 	return dst
 }
 
-// eachPiece calls fn on each wire run of the slab's tuples at positions
-// [lo, hi): n tuples of run r from its tuple at on, a piece of r as
-// runOf cuts it.
-func eachPiece(s *ph.Slab, lo, hi int, fn func(r *ph.Run, at, n int)) {
-	for lo < hi {
+// eachPiece calls fn on each wire run of the slab's tuples: n tuples of
+// run r from its tuple at on, a piece of r as runOf cuts it.
+func eachPiece(s *ph.Slab, fn func(r *ph.Run, at, n int)) {
+	for lo := 0; lo < s.Len(); {
 		r := s.Run(lo)
-		n := runOf(min(hi, r.Start+r.N)-lo, r.Shape)
+		n := runOf(r.Start+r.N-lo, r.Shape)
 		fn(r, lo-r.Start, n)
 		lo += n
 	}

@@ -28,8 +28,9 @@
 // (EncodeInsert, DecodeStore, DecodeName). A store reads a mutation
 // without decoding a tuple: DecodeStoreSlab copies a table's runs into a
 // ph.Slab, DecodeInsertRuns validates an insert's runs for the store to
-// copy, and EncodeSlab and AppendSlab write a slab's tuples back out as
-// the bytes EncodeTable and EncodeInsert write for them.
+// copy, and the store logs the payload it was sent as it came; EncodeSlab
+// writes a stored slab back out (a download, a compacted log) as the
+// bytes EncodeTable writes for its table.
 //
 // The protocol deliberately carries only ciphertext-domain objects —
 // encrypted tables, encrypted queries, result position sets. The server
