@@ -200,9 +200,12 @@ func BenchmarkServerSearch1k(b *testing.B) {
 	}
 }
 
-// BenchmarkDecryptResult times D and §3's filter on two answer shapes: a
-// department of 1,000 employees, and a salary band — hot_read's shape:
-// 100 tuples of one salary, the generator's departments and names.
+// BenchmarkDecryptResult times D and §3's filter on three answer shapes:
+// a department of 1,000 employees; a salary band — hot_read's shape: 100
+// tuples of one salary, the generator's departments and names; and wide,
+// ~100 tuples of one 19-digit int column (workload.UniformInts over ten
+// values), whose 21-byte words have a 19-byte stream chunk: two stream
+// blocks and a two-block F chain a word.
 func BenchmarkDecryptResult(b *testing.B) {
 	s := benchScheme(b)
 	emp := benchTable(b, 1000)
@@ -211,15 +214,26 @@ func BenchmarkDecryptResult(b *testing.B) {
 		tp := emp.Tuple(i)
 		band.MustInsert(tp[0], tp[1], relation.Int(7500))
 	}
+	ints, err := workload.UniformInts(1000, 10, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wide, err := core.New(crypto.Key{}, ints.Schema(), core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, c := range []struct {
 		name string
+		s    *core.PH
 		t    *relation.Table
 		q    relation.Eq
 	}{
-		{"dept", emp, relation.Eq{Column: "dept", Value: relation.String("HR")}},
-		{"band", band, relation.Eq{Column: "salary", Value: relation.Int(7500)}},
+		{"dept", s, emp, relation.Eq{Column: "dept", Value: relation.String("HR")}},
+		{"band", s, band, relation.Eq{Column: "salary", Value: relation.Int(7500)}},
+		{"wide", wide, ints, relation.Eq{Column: "k", Value: ints.Tuple(0)[0]}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
+			s := c.s
 			ct, err := s.EncryptTable(c.t)
 			if err != nil {
 				b.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/crypto"
@@ -132,18 +133,19 @@ func (p *PH) schemeForCol(col int) *swp.Scheme {
 type tupleCodec struct {
 	l      *layout
 	codecs []*swp.Codec   // word length -> codec; nil where no scheme has it
-	tuple  relation.Tuple // the tuple being parsed
-	seen   []bool         // the columns of tuple already written
+	tuple  relation.Tuple // a tuple parsed before its answer's slab exists
+	seen   []bool         // the columns of the tuple being parsed already written
 	perm   []int          // the word order of the tuple being encrypted
 	rnd    []byte         // an encryption run's randomness (drawRun)
 
-	// A run's plaintext words, cut back to back from plain; decrypting,
-	// bounds[k] and bounds[k+1] delimit the k-th word queued (cols per
-	// tuple) in plain, and at[n] is the tuple the codec for words of n
-	// bytes was last positioned on.
-	plain  []byte
-	bounds []int
-	at     []int
+	// A run's words: plain holds the word encrypt makes; at[n] is the
+	// tuple the codec for words of n bytes was last positioned on,
+	// count[n] the words it was given in the run and base[n] where its
+	// images start in the run's slab or plaintext; offs[k] is the k-th
+	// word's offset among its codec's images (cols words per tuple).
+	plain           []byte
+	at, count, base []int
+	offs            []int32
 }
 
 // codec takes an idle tuple codec and resets it, or builds one. Callers
@@ -184,9 +186,11 @@ func (p *PH) newTupleCodec() *tupleCodec {
 		tuple:  make(relation.Tuple, cols),
 		seen:   make([]bool, cols),
 		perm:   make([]int, cols),
-		plain:  make([]byte, swp.RunDocs*cols*widest),
-		bounds: make([]int, 0, swp.RunDocs*cols+1),
+		plain:  make([]byte, widest),
 		at:     make([]int, widest+1),
+		count:  make([]int, widest+1),
+		base:   make([]int, widest+1),
+		offs:   make([]int32, 0, swp.RunDocs*cols),
 	}
 	for n, s := range p.schemes {
 		tc.codecs[n] = s.NewCodec()
@@ -277,27 +281,34 @@ func (p *PH) encrypt(t *relation.Table, order []int, out []ph.EncryptedTuple) er
 // randomness in one crypto/rand read (drawRun), positions every codec on
 // each tuple in turn and queues the tuple's words, in the order its
 // permutation draws, on the codec for their length, then encrypts each
-// codec's words as one swp run. A run's document IDs and cipherwords are
-// cut from one slab and its word lists from another, each capped at its
-// own length, so appending to one never writes into its neighbour.
+// codec's words as one swp run and copies its images into place. A run's
+// document IDs and cipherwords are cut from one slab — the IDs, then the
+// images of each word length in turn — and its word lists from another,
+// each capped at its own length, so appending to one never writes into
+// its neighbour.
 func (tc *tupleCodec) encrypt(t *relation.Table, order []int, out []ph.EncryptedTuple) error {
 	cols := len(tc.perm)
-	stride, size := docIDLen+8*(cols-1), docIDLen
-	for col := range cols {
-		size += tc.l.wordLenFor(col)
-	}
+	stride := docIDLen + 8*(cols-1)
 	for lo := 0; lo < len(order); lo += swp.RunDocs {
 		run := order[lo:min(lo+swp.RunDocs, len(order))]
 		rnd, err := tc.drawRun(len(run))
 		if err != nil {
 			return err
 		}
-		slab, words := make([]byte, len(run)*size), make([][]byte, len(run)*cols)
-		off, plain := 0, 0
+		clear(tc.count)
+		for col := range cols {
+			tc.count[tc.l.wordLenFor(col)] += len(run)
+		}
+		size := len(run) * docIDLen
+		for n, k := range tc.count {
+			tc.base[n], size = size, size+k*n
+		}
+		clear(tc.count)
+		slab, words := make([]byte, size), make([][]byte, len(run)*cols)
 		for i, ti := range run {
 			tp, r := t.Tuple(ti), rnd[i*stride:(i+1)*stride]
-			id := slab[off : off+docIDLen : off+docIDLen]
-			off += copy(id, r)
+			id := slab[i*docIDLen : (i+1)*docIDLen : (i+1)*docIDLen]
+			copy(id, r)
 			if err := shuffle(tc.perm, r[docIDLen:]); err != nil {
 				return err
 			}
@@ -306,22 +317,24 @@ func (tc *tupleCodec) encrypt(t *relation.Table, order []int, out []ph.Encrypted
 			}
 			cws := words[i*cols : (i+1)*cols : (i+1)*cols]
 			for pos, col := range tc.perm {
-				w, err := tc.l.makeWord(tc.plain[plain:], col, tp[col])
+				w, err := tc.l.makeWord(tc.plain, col, tp[col])
 				if err != nil {
 					return err
 				}
-				plain += len(w)
-				cws[pos] = slab[off : off+len(w) : off+len(w)]
-				off += len(w)
-				if err := tc.codecFor(len(w)).QueueWord(cws[pos], uint64(pos), w); err != nil {
+				n := len(w)
+				at := tc.base[n] + tc.count[n]*n
+				tc.count[n]++
+				cws[pos] = slab[at : at+n : at+n]
+				if err := tc.codecs[n].QueueWord(nil, uint64(pos), w); err != nil {
 					return err
 				}
 			}
 			out[lo+i] = ph.EncryptedTuple{ID: id, Words: cws}
 		}
-		for _, c := range tc.codecs {
+		for n, c := range tc.codecs {
 			if c != nil {
 				c.EncryptRun()
+				copy(slab[tc.base[n]:], c.Out()[:tc.count[n]*n])
 			}
 		}
 	}
@@ -394,9 +407,10 @@ func (p *PH) DecryptResult(q relation.Eq, r *ph.Result) (*relation.Table, error)
 // plaintext into one string, then parses, filters and adds the run's
 // tuples in order, every string value a substring of the run's string —
 // a copy, so the codec's scratch is free for the next run and the next
-// call the moment it is made. A kept tuple is copied into a slab
-// of values allocated at the first one for all that may follow, and the
-// table takes it from there with no further copy, so an answer of false
+// call the moment it is made. A tuple is parsed into the next row of a
+// slab of values allocated at the first kept tuple for all that may
+// follow (that first one is parsed aside and copied in), and the table
+// takes the row from there with no further copy, so an answer of false
 // positives alone allocates neither. A tuple's shape — its word count,
 // identifier and word lengths — is checked before any of its words is
 // queued, and an error about tuple i comes only after tuples 0 … i−1 have
@@ -407,25 +421,28 @@ func (tc *tupleCodec) decrypt(tuples []ph.EncryptedTuple, q *relation.Eq, what s
 	cols := schema.NumColumns()
 	t := relation.NewTable(schema)
 	var slab []relation.Value
+	qcol := -1 // the filter's column, looked up once
+	if q != nil {
+		qcol = schema.ColumnIndex(q.Column)
+	}
 	for lo := 0; lo < len(tuples); lo += swp.RunDocs {
 		run := tuples[lo:min(lo+swp.RunDocs, len(tuples))]
 		queued, qerr := tc.queue(run)
-		for _, c := range tc.codecs {
-			if c != nil {
-				c.DecryptRun()
-			}
-		}
-		text := string(tc.plain[:tc.bounds[queued*cols]])
+		text := tc.text()
 		for i := 0; i < queued; i++ {
-			if err := tc.parse(text, tc.bounds[i*cols:(i+1)*cols+1]); err != nil {
+			tp := tc.tuple
+			if len(slab) > 0 {
+				tp = slab[:cols:cols]
+			}
+			if err := tc.parse(tp, text, run[i].Words, tc.offs[i*cols:(i+1)*cols]); err != nil {
 				return nil, fmt.Errorf("core: decrypting %s %d: %w", what, lo+i, err)
 			}
 			if q != nil {
-				ok, err := q.Eval(schema, tc.tuple)
-				if err != nil {
+				if qcol < 0 {
+					_, err := q.Eval(schema, tp) // names the unknown column
 					return nil, fmt.Errorf("core: filtering %s %d: %w", what, lo+i, err)
 				}
-				if !ok {
+				if !tp[qcol].Equal(q.Value) {
 					continue // false positive from the SWP checksum; drop it
 				}
 			}
@@ -433,9 +450,9 @@ func (tc *tupleCodec) decrypt(tuples []ph.EncryptedTuple, q *relation.Eq, what s
 				rest := len(tuples) - lo - i
 				slab = make([]relation.Value, rest*cols)
 				t.Grow(rest)
+				tp = relation.Tuple(slab[:cols:cols])
+				copy(tp, tc.tuple)
 			}
-			tp := relation.Tuple(slab[:cols:cols])
-			copy(tp, tc.tuple)
 			if err := t.Adopt(tp); err != nil {
 				return nil, fmt.Errorf("core: decrypted %s %d invalid: %w", what, lo+i, err)
 			}
@@ -449,15 +466,14 @@ func (tc *tupleCodec) decrypt(tuples []ph.EncryptedTuple, q *relation.Eq, what s
 }
 
 // queue queues every word of the run's tuples on the codec for its
-// length, into plaintext slots cut back to back from tc.plain and
-// delimited in tc.bounds, and returns how many tuples it queued: all of
-// them, or those before the first whose shape is wrong, with that tuple's
-// error.
+// length, noting in tc.offs where among that codec's images each will be,
+// and returns how many tuples it queued: all of them, or those before the
+// first whose shape is wrong, with that tuple's error.
 func (tc *tupleCodec) queue(run []ph.EncryptedTuple) (int, error) {
 	cols := len(tc.seen)
-	tc.bounds = append(tc.bounds[:0], 0)
-	off := 0
+	tc.offs = tc.offs[:0]
 	clear(tc.at)
+	clear(tc.count)
 	for i, etp := range run {
 		if len(etp.Words) != cols {
 			return i, fmt.Errorf("core: document has %d words, schema has %d columns", len(etp.Words), cols)
@@ -468,31 +484,52 @@ func (tc *tupleCodec) queue(run []ph.EncryptedTuple) (int, error) {
 			}
 		}
 		for pos, cw := range etp.Words {
-			c := tc.codecFor(len(cw))
-			if tc.at[len(cw)] != i+1 {
-				if err := c.SetDocument(etp.ID); err != nil {
+			n := len(cw)
+			if tc.at[n] != i+1 {
+				if err := tc.codecs[n].SetDocument(etp.ID); err != nil {
 					return i, err // the tuple's first word: nothing of it is queued
 				}
-				tc.at[len(cw)] = i + 1
+				tc.at[n] = i + 1
 			}
-			w := tc.plain[off : off+len(cw) : off+len(cw)]
-			off += len(cw)
-			if err := c.QueueWord(w, uint64(pos), cw); err != nil {
+			if err := tc.codecs[n].QueueWord(nil, uint64(pos), cw); err != nil {
 				return i, err // unreachable: the codec was chosen by the word's length
 			}
-			tc.bounds = append(tc.bounds, off)
+			tc.offs = append(tc.offs, int32(tc.count[n]*n))
+			tc.count[n]++
 		}
 	}
 	return len(run), nil
 }
 
-// parse fills tc.tuple from one decrypted tuple's words, text[bounds[j]:
-// bounds[j+1]] for each j. As many words as columns and no column twice:
-// every slot is written, so nothing of the previous tuple is left.
-func (tc *tupleCodec) parse(text string, bounds []int) error {
+// text decrypts each codec's queued words as one swp run and returns the
+// run's plaintext as one string: the images of each word length in turn,
+// those of n-byte words from tc.base[n] on.
+func (tc *tupleCodec) text() string {
+	var b strings.Builder
+	size := 0
+	for n, k := range tc.count {
+		size += k * n
+	}
+	b.Grow(size)
+	for n, c := range tc.codecs {
+		if c != nil {
+			c.DecryptRun()
+			tc.base[n] = b.Len()
+			b.Write(c.Out()[:tc.count[n]*n])
+		}
+	}
+	return b.String()
+}
+
+// parse fills tp from one decrypted tuple, whose cipherwords are words
+// and whose plaintexts start offs[j] past their length's base in text.
+// As many words as columns and no column twice: every slot is written, so
+// nothing of the tuple tp held before is left.
+func (tc *tupleCodec) parse(tp relation.Tuple, text string, words [][]byte, offs []int32) error {
 	clear(tc.seen)
-	for j := range len(bounds) - 1 {
-		col, v, err := tc.l.parseWord(text[bounds[j]:bounds[j+1]])
+	for j, cw := range words {
+		at := tc.base[len(cw)] + int(offs[j])
+		col, v, err := tc.l.parseWord(text[at : at+len(cw)])
 		if err != nil {
 			return err
 		}
@@ -500,7 +537,7 @@ func (tc *tupleCodec) parse(text string, bounds []int) error {
 			return fmt.Errorf("core: document contains column %q twice", tc.l.schema.Columns[col].Name)
 		}
 		tc.seen[col] = true
-		tc.tuple[col] = v
+		tp[col] = v
 	}
 	return nil
 }

@@ -7,10 +7,14 @@ package crypto
 // path; nothing else writes it.
 var aesni = false
 
-func expandKey256(*[aes256RoundKeys * 16]byte, *Key) {
+func expandKeysAESNI(*AES256, *uint32, *byte, int) {
 	panic("crypto: aes256: no AES-NI kernel in this build")
 }
 
 func encryptBlocksAESNI(*[aes256RoundKeys * 16]byte, *[16]byte, int) {
+	panic("crypto: aes256: no AES-NI kernel in this build")
+}
+
+func encryptBlocksKeyedAESNI(*AES256, *uint32, *[16]byte, int) {
 	panic("crypto: aes256: no AES-NI kernel in this build")
 }

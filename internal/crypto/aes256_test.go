@@ -3,6 +3,7 @@ package crypto
 import (
 	"bytes"
 	"crypto/aes"
+	"crypto/cipher"
 	"crypto/fips140"
 	"fmt"
 	"math/rand"
@@ -141,9 +142,9 @@ func TestEncryptBlocksFIPS197(t *testing.T) {
 }
 
 // TestRekeyZeroAllocs: on the AES-NI path every key expansion F performs
-// is in place — AES256.Rekey, NewBlockPRF and BlockPRF.Rekey allocate
-// nothing — and a re-keyed instance computes what a fresh one does. On
-// the crypto/aes path each is one cipher at most.
+// is in place — AES256.Rekey and NewBlockPRF allocate nothing — and a
+// re-keyed instance computes what a fresh one does. On the crypto/aes
+// path each is one cipher at most.
 func TestRekeyZeroAllocs(t *testing.T) {
 	for name, asm := range paths() {
 		onPath(asm, func() {
@@ -154,9 +155,8 @@ func TestRekeyZeroAllocs(t *testing.T) {
 			f := NewBlockPRF(testKey(1), 9)
 			var a AES256
 			for op, call := range map[string]func(){
-				"AES256.Rekey":   func() { a.Rekey(testKey(2)) },
-				"NewBlockPRF":    func() { f = NewBlockPRF(testKey(2), 9) },
-				"BlockPRF.Rekey": func() { f.Rekey(testKey(2)) },
+				"AES256.Rekey": func() { a.Rekey(testKey(2)) },
+				"NewBlockPRF":  func() { f = NewBlockPRF(testKey(2), 9) },
 			} {
 				if allocs := testing.AllocsPerRun(100, call); allocs > want {
 					t.Errorf("%s: %s allocates %v objects, want at most %v", name, op, allocs, want)
@@ -215,4 +215,192 @@ func BenchmarkEncryptBlocks(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/block")
 		})
 	}
+}
+
+// keyTable expands the keys packed 32 bytes apiece in raw (a last short
+// one zero-padded) with ExpandKeys, key i into schedule n−1−i of a table
+// that has one more schedule no index names, and returns the n schedules
+// in key order with crypto/aes ciphers of the same keys. It fails the
+// test if the schedule no index names changed.
+func keyTable(t *testing.T, raw []byte) ([]AES256, []cipher.Block) {
+	n := (len(raw) + KeySize - 1) / KeySize
+	pairs := make([][aes.BlockSize]byte, 2*n)
+	for i := range pairs {
+		copy(pairs[i][:], raw[min(i*aes.BlockSize, len(raw)):])
+	}
+	table, ks := make([]AES256, n+1), make([]uint32, n)
+	for i := range ks {
+		ks[i] = uint32(n - 1 - i)
+	}
+	table[n].Rekey(Key{1})
+	untouched := table[n]
+	ExpandKeys(table, ks, pairs)
+	if table[n] != untouched {
+		t.Fatalf("ExpandKeys of %d keys wrote a schedule no index names", n)
+	}
+	keys, refs := make([]AES256, n), make([]cipher.Block, n)
+	for i := range refs {
+		keys[i] = table[n-1-i]
+		var err error
+		if refs[i], err = aes.NewCipher(append(pairs[2*i][:], pairs[2*i+1][:]...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys, refs
+}
+
+// FuzzExpandKeys: any number of keys (the input's 32-byte pieces, the
+// last zero-padded, at most 40) expands on every path of paths(), each
+// into the schedule its index names and no other, into schedules that
+// encrypt as crypto/aes does under the same key, and on the AES-NI path
+// into the very schedule Rekey writes. The seeds sit on
+// and around the edges of the four-key body and the one-key tail.
+func FuzzExpandKeys(f *testing.F) {
+	rng := rand.New(rand.NewSource(43))
+	for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 16, 17} {
+		raw := make([]byte, n*KeySize)
+		rng.Read(raw)
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		raw = raw[:min(len(raw), 40*KeySize)]
+		raw = append(raw, make([]byte, (KeySize-len(raw)%KeySize)%KeySize)...)
+		for name, asm := range paths() {
+			onPath(asm, func() {
+				keys, refs := keyTable(t, raw)
+				for i := range keys {
+					var one AES256
+					one.Rekey(Key(raw[i*KeySize:]))
+					if asm && keys[i].rk != one.rk {
+						t.Fatalf("%s: key %d of %d: ExpandKeys' schedule differs from Rekey's", name, i, len(keys))
+					}
+					blocks := [][aes.BlockSize]byte{{}, [aes.BlockSize]byte(raw[i*KeySize/2:])}
+					var want [2][aes.BlockSize]byte
+					for j := range blocks {
+						refs[i].Encrypt(want[j][:], blocks[j][:])
+					}
+					keys[i].EncryptBlocks(blocks)
+					if blocks[0] != want[0] || blocks[1] != want[1] {
+						t.Fatalf("%s: key %d of %d encrypts to %x, crypto/aes says %x", name, i, len(keys), blocks, want)
+					}
+				}
+			})
+		}
+	})
+}
+
+// FuzzEncryptBlocksKeyed: a run of 0 to 40 blocks, block i under the key
+// the input's selector byte i picks among up to 17 keys, encrypts on
+// every path of paths() block for block as crypto/aes does under that
+// key — and so does a CBC chain of 1 to 3 such calls, each block XORed
+// with the next input block between them, the way F's chains over a wide
+// stream run. The seeds sit on and around the edges of the eight- and
+// one-block loops, at 1 to 17 keys and chains of 1 to 3 blocks.
+func FuzzEncryptBlocksKeyed(f *testing.F) {
+	rng := rand.New(rand.NewSource(47))
+	for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 16, 17} {
+		for chain := uint8(0); chain < 3; chain++ {
+			raw, sel, data := make([]byte, (n%17+1)*KeySize), make([]byte, n), make([]byte, n*aes.BlockSize)
+			rng.Read(raw)
+			rng.Read(sel)
+			rng.Read(data)
+			f.Add(raw, sel, data, chain)
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw, sel, data []byte, chain uint8) {
+		raw = raw[:min(len(raw), 17*KeySize)]
+		if len(raw) == 0 {
+			raw = make([]byte, KeySize)
+		}
+		n := min(len(data)/aes.BlockSize, len(sel), 40)
+		steps := int(chain%3) + 1
+		input := func(i, step int) [aes.BlockSize]byte {
+			b := [aes.BlockSize]byte(data[i*aes.BlockSize:])
+			b[0] ^= byte(step)
+			return b
+		}
+		for name, asm := range paths() {
+			onPath(asm, func() {
+				keys, refs := keyTable(t, raw)
+				ks, blocks := make([]uint32, n), make([][aes.BlockSize]byte, n)
+				for i := range ks {
+					ks[i] = uint32(int(sel[i]) % len(keys))
+				}
+				for step := range steps {
+					for i := range blocks {
+						in := input(i, step)
+						for j := range in {
+							blocks[i][j] ^= in[j]
+						}
+					}
+					EncryptBlocksKeyed(keys, ks, blocks)
+				}
+				for i := range blocks {
+					var want [aes.BlockSize]byte
+					for step := range steps {
+						in := input(i, step)
+						for j := range in {
+							want[j] ^= in[j]
+						}
+						refs[ks[i]].Encrypt(want[:], want[:])
+					}
+					if blocks[i] != want {
+						t.Fatalf("%s: %d blocks, chain of %d: block %d under key %d is %x, crypto/aes says %x", name, n, steps, i, ks[i], blocks[i], want)
+					}
+				}
+			})
+		}
+	})
+}
+
+// TestKeyedZeroAllocs: on the AES-NI path ExpandKeys expands in place and
+// EncryptBlocksKeyed only reads its schedules, so neither allocates; on
+// the crypto/aes path ExpandKeys is one cipher per key at most.
+func TestKeyedZeroAllocs(t *testing.T) {
+	for name, asm := range paths() {
+		onPath(asm, func() {
+			perKey := 0.0
+			if !asm {
+				perKey = 1
+			}
+			keys, raw, order := make([]AES256, 9), make([][aes.BlockSize]byte, 18), make([]uint32, 9)
+			ks, blocks := make([]uint32, 13), make([][aes.BlockSize]byte, 13)
+			for i := range ks {
+				ks[i] = uint32(i*5) % 9
+			}
+			for i := range order {
+				order[i] = uint32(i*2) % 9
+			}
+			ExpandKeys(keys, order, raw)
+			if allocs := testing.AllocsPerRun(100, func() { ExpandKeys(keys, order, raw) }); allocs > perKey*float64(len(keys)) {
+				t.Errorf("%s: ExpandKeys of %d keys allocates %v objects, want at most %v", name, len(keys), allocs, perKey*float64(len(keys)))
+			}
+			if allocs := testing.AllocsPerRun(100, func() { EncryptBlocksKeyed(keys, ks, blocks) }); allocs != 0 {
+				t.Errorf("%s: EncryptBlocksKeyed allocates %v objects, want 0", name, allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkExpandKeys times one key expansion, alone (Rekey) and four
+// side by side (ExpandKeys of 32 keys).
+func BenchmarkExpandKeys(b *testing.B) {
+	keys, raw, ks := make([]AES256, 32), make([][aes.BlockSize]byte, 64), make([]uint32, 32)
+	for i := range ks {
+		ks[i] = uint32(i)
+	}
+	b.Run("rekey", func(b *testing.B) {
+		for b.Loop() {
+			for i := range keys {
+				keys[i].Rekey(Key{byte(i)})
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/key")
+	})
+	b.Run("expandkeys", func(b *testing.B) {
+		for b.Loop() {
+			ExpandKeys(keys, ks, raw)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/key")
+	})
 }

@@ -26,8 +26,10 @@
 //
 // All of them run on one AES: AES256, an expanded key held by value. On
 // amd64 with AES-NI it is this package's assembly — the key expanded in
-// place with AESKEYGENASSIST, independent blocks encrypted eight at a
-// time — so re-keying F per word allocates nothing. That path lies
+// place on AESENCLAST, independent blocks encrypted eight at a time, for
+// a table of keys ([]AES256) four expansions side by side and eight
+// blocks under eight keys at a time — so a key for F per word value
+// allocates nothing. That path lies
 // outside Go's FIPS 140-3 module; in FIPS 140-3 mode (GODEBUG=fips140=on),
 // under the purego build tag and on other architectures AES256 is a loop
 // over a crypto/aes cipher, one allocation per key. crypto/cipher appears

@@ -1,9 +1,6 @@
 package crypto
 
-import (
-	"crypto/subtle"
-	"fmt"
-)
+import "fmt"
 
 // PRP is a length-preserving pseudorandom permutation over byte strings of a
 // fixed length, built as a four-round Feistel network whose round functions
@@ -21,7 +18,10 @@ import (
 // EncryptAllInto and DecryptAllInto permute k strings at once, each
 // Feistel round one batched WidePRF call over all k halves, so a batch
 // runs at AES's throughput rather than its latency; EncryptInto and
-// DecryptInto are their k = 1 case.
+// DecryptInto are their k = 1 case. The halves are split once into
+// zero-padded 16-byte blocks, the form the round functions MAC them in,
+// and a round XORs its masked tags into the other half's blocks in place:
+// the halves trade roles, not bytes.
 //
 // A PRP is NOT safe for concurrent use (the halves and the round outputs
 // live in scratch the instance owns, so a call allocates nothing once the
@@ -31,9 +31,8 @@ type PRP struct {
 	rounds [4]*WidePRF
 	n      int // permuted string length in bytes
 	lsize  int // left half size; right half is n-lsize
-	// scratch: the k left halves, the k right halves and k round outputs,
-	// each packed at its half's width in a buffer sized for the wider half.
-	a, b, f []byte
+	// scratch: the k left and the k right halves, as zero-padded blocks
+	l, r [][BlockPRFSize]byte
 }
 
 // NewPRP builds a PRP over strings of length n >= 2 bytes, deriving the four
@@ -53,15 +52,7 @@ func NewPRP(key Key, n int) (*PRP, error) {
 		}
 		p.rounds[i] = NewWidePRF(master.DeriveKey(fmt.Sprintf("prp/round/%d", i), nil), in, out)
 	}
-	p.grow(1)
 	return p, nil
-}
-
-// grow sizes the scratch for a batch of k strings.
-func (p *PRP) grow(k int) {
-	half := k * (p.n - p.lsize)
-	buf := make([]byte, 3*half)
-	p.a, p.b, p.f = buf[:half:half], buf[half:2*half:2*half], buf[2*half:]
 }
 
 // Clone returns an independent evaluator of the same permutation.
@@ -70,7 +61,6 @@ func (p *PRP) Clone() *PRP {
 	for i, r := range p.rounds {
 		c.rounds[i] = r.Clone()
 	}
-	c.grow(1)
 	return c
 }
 
@@ -95,35 +85,36 @@ func (p *PRP) DecryptAllInto(dst, src []byte, k int) { p.feistel(dst, src, k, tr
 
 // feistel runs the four rounds over k strings, forwards or inverted.
 // Forwards a round maps (l, r) to (r, l ⊕ F_i(r)); inverted, round i
-// maps (l, r) to (r ⊕ F_i(l), l) for i = 3 … 0. Each half is packed k
-// strings wide, so a round is one SumAllInto and one XOR.
+// maps (l, r) to (r ⊕ F_i(l), l) for i = 3 … 0. Each half is k strings'
+// zero-padded blocks, so a round is one xorSums into the other half.
 func (p *PRP) feistel(dst, src []byte, k int, inverse bool) {
 	if k < 0 || len(src) != k*p.n || len(dst) != k*p.n {
 		panic(fmt.Sprintf("crypto: prp: %d bytes into %d as %d strings on a permutation of %d-byte strings", len(src), len(dst), k, p.n))
 	}
-	if len(p.a) < k*(p.n-p.lsize) {
-		p.grow(k)
-	}
-	ls, rs := p.lsize, p.n-p.lsize
-	l, r := p.a[:k*ls], p.b[:k*rs]
-	for i := 0; i < k; i++ {
-		s := src[i*p.n : (i+1)*p.n]
-		copy(l[i*ls:], s[:ls])
-		copy(r[i*rs:], s[ls:])
-	}
-	for i := 0; i < 4; i++ {
-		round, in, out := i, r, l
-		if inverse {
-			round, in, out = 3-i, l, r
+	ls, lb, rb := p.lsize, messageBlocks(p.lsize), messageBlocks(p.n-p.lsize)
+	l, r := grow(&p.l, k*lb), grow(&p.r, k*rb)
+	lm, rm := LowBytes(ls), LowBytes(p.n-ls)
+	for i := range k {
+		if at := i * p.n; lb == 1 && rb == 1 && at+ls+BlockPRFSize <= len(src) {
+			l[i], r[i] = [BlockPRFSize]byte(src[at:]), [BlockPRFSize]byte(src[at+ls:])
+			ANDBlock(&l[i], &lm)
+			ANDBlock(&r[i], &rm)
+			continue
 		}
-		f := p.f[:len(out)]
-		p.rounds[round].SumAllInto(f, in, k)
-		subtle.XORBytes(out, out, f)
-		l, r, ls, rs = r, l, rs, ls
+		loadBlocks(l[i*lb:(i+1)*lb], src, i*p.n, ls)
+		loadBlocks(r[i*rb:(i+1)*rb], src, i*p.n+ls, p.n-ls)
 	}
-	for i := 0; i < k; i++ {
-		d := dst[i*p.n : (i+1)*p.n]
-		copy(d[copy(d, l[i*ls:(i+1)*ls]):], r[i*rs:(i+1)*rs])
+	for i := range 4 {
+		if inverse {
+			p.rounds[3-i].xorSums(r, l, k)
+		} else {
+			p.rounds[i].xorSums(l, r, k)
+		}
+		l, r = r, l
+	}
+	for i := range k {
+		storeBlocks(dst, i*p.n, ls, l[i*lb:(i+1)*lb])
+		storeBlocks(dst, i*p.n+ls, p.n-ls, r[i*rb:(i+1)*rb])
 	}
 }
 

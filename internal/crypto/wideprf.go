@@ -22,43 +22,49 @@ const wideCounterLen = 2
 // output would MAC messages of two lengths.
 //
 // SumAllInto evaluates it on k inputs at once, every tag of every input
-// one chain of a single BlockPRF batch; SumInto is its k = 1 case.
+// one chain of a single BlockPRF batch; SumInto is its k = 1 case. Both
+// are the byte form of xorSums, which PRP's rounds run on zero-padded
+// blocks.
 //
 // It instantiates the word-key function f of Song–Wagner–Perrig (32-byte
 // output) and the round functions of the Feistel PRP. Like BlockPRF it is
 // NOT safe for concurrent use; Clone hands each goroutine its own.
 type WidePRF struct {
-	f      BlockPRF
-	outLen int
-	tags   int    // tags per output: 1 on the one-tag path
-	msg    []byte // the messages input‖⟨j⟩ of a batch; nil on the one-tag path
+	f       BlockPRF
+	inLen   int
+	outLen  int
+	tags    int                  // tags per output: 1 on the one-tag path
+	ctr     [][BlockPRFSize]byte // ⟨j⟩ in tag j's message blocks; nil on the one-tag path
+	mask    [BlockPRFSize]byte   // the bytes of an output's last tag that are output
+	in, out [][BlockPRFSize]byte // SumAllInto's inputs and outputs as blocks
 }
 
 // NewWidePRF builds the PRF for one key, one input length and one output
 // length.
 func NewWidePRF(key Key, inputLen, outputLen int) *WidePRF {
-	if outputLen <= BlockPRFSize {
-		return &WidePRF{f: NewBlockPRF(key, inputLen), outLen: outputLen, tags: 1}
-	}
 	tags := (outputLen + BlockPRFSize - 1) / BlockPRFSize
 	if tags >= 1<<(8*wideCounterLen) {
 		panic(fmt.Sprintf("crypto: wideprf: a %d-byte output needs %d tags, the counter holds %d", outputLen, tags, 1<<(8*wideCounterLen)-1))
 	}
-	return &WidePRF{
-		f:      NewBlockPRF(key, inputLen+wideCounterLen),
-		outLen: outputLen,
-		tags:   tags,
-		msg:    make([]byte, tags*(inputLen+wideCounterLen)),
+	w := &WidePRF{f: NewBlockPRF(key, inputLen), inLen: inputLen, outLen: outputLen, tags: 1}
+	w.mask = LowBytes(outputLen - BlockPRFSize*(max(tags, 1)-1))
+	if outputLen > BlockPRFSize {
+		w.f.inputLen += wideCounterLen
+		w.tags = tags
+		mb := messageBlocks(w.f.inputLen)
+		w.ctr = make([][BlockPRFSize]byte, tags*mb)
+		var msg []byte
+		for j := range tags {
+			msg = binary.BigEndian.AppendUint16(append(msg[:0], make([]byte, inputLen)...), uint16(j+1))
+			loadBlocks(w.ctr[j*mb:(j+1)*mb], msg, 0, len(msg))
+		}
 	}
+	return w
 }
 
 // Clone returns an independent evaluator of the same function.
 func (w *WidePRF) Clone() *WidePRF {
-	c := &WidePRF{f: w.f.Clone(), outLen: w.outLen, tags: w.tags}
-	if w.tags > 1 {
-		c.msg = make([]byte, w.tags*w.f.inputLen)
-	}
-	return c
+	return &WidePRF{f: w.f.Clone(), inLen: w.inLen, outLen: w.outLen, tags: w.tags, ctr: w.ctr, mask: w.mask}
 }
 
 // SumInto writes the PRF of input into dst, without allocating: SumAllInto
@@ -70,33 +76,78 @@ func (w *WidePRF) SumInto(dst, input []byte) { w.SumAllInto(dst, input, 1) }
 // and writes output i to out[i·outLen:(i+1)·outLen]. It allocates only to
 // grow its scratch to a k larger than any it met before.
 func (w *WidePRF) SumAllInto(out, in []byte, k int) {
-	if len(out) != k*w.outLen {
-		panic(fmt.Sprintf("crypto: wideprf: %d output bytes for %d inputs on a PRF of %d-byte outputs", len(out), k, w.outLen))
+	if k < 0 || len(out) != k*w.outLen || len(in) != k*w.inLen {
+		panic(fmt.Sprintf("crypto: wideprf: %d input and %d output bytes for %d inputs on a PRF of %d-byte inputs and %d-byte outputs", len(in), len(out), k, w.inLen, w.outLen))
 	}
-	if w.tags == 1 {
-		w.f.SumAllInto(out, in, k)
+	ib := messageBlocks(w.inLen)
+	inb, outb := grow(&w.in, k*ib), grow(&w.out, k*w.tags)
+	for i := range k {
+		loadBlocks(inb[i*ib:(i+1)*ib], in, i*w.inLen, w.inLen)
+	}
+	w.SumBlocks(outb, inb, k)
+	for i := range k {
+		storeBlocks(out, i*w.outLen, w.outLen, outb[i*w.tags:(i+1)*w.tags])
+	}
+}
+
+// SumBlocks is SumAllInto on blocks: input i is the zero-padded blocks
+// in[i·ib:(i+1)·ib], ib = ⌈inLen/16⌉, and output i goes to the
+// zero-padded blocks out[i·t:(i+1)·t], t = ⌈outLen/16⌉ — for f, a key's
+// two halves, the form ExpandKeys takes.
+func (w *WidePRF) SumBlocks(out, in [][BlockPRFSize]byte, k int) {
+	if k < 0 || len(in) != k*messageBlocks(w.inLen) || len(out) != k*w.tags {
+		panic(fmt.Sprintf("crypto: wideprf: %d input and %d output blocks for %d inputs on a PRF of %d-byte inputs and %d-byte outputs", len(in), len(out), k, w.inLen, w.outLen))
+	}
+	if w.tags > 1 && len(w.ctr) == w.tags {
+		// Every tag is one block, AES(input ⊕ ⟨j⟩), MACed where it goes.
+		for i := range k {
+			for j, ctr := range w.ctr {
+				t := &out[i*w.tags+j]
+				*t = in[i]
+				XORBlock(t, &ctr)
+			}
+		}
+		w.f.aes.EncryptBlocks(out)
+		for i := w.tags - 1; i < len(out); i += w.tags {
+			ANDBlock(&out[i], &w.mask)
+		}
 		return
 	}
-	ml := w.f.inputLen
-	n := ml - wideCounterLen
-	if k < 0 || len(in) != k*n {
-		panic(fmt.Sprintf("crypto: wideprf: %d input bytes for %d inputs on a PRF of %d-byte inputs", len(in), k, n))
-	}
-	if len(w.msg) < k*w.tags*ml {
-		w.msg = make([]byte, k*w.tags*ml)
-	}
-	for i := 0; i < k; i++ {
-		for j := 0; j < w.tags; j++ {
-			m := w.msg[(i*w.tags+j)*ml:][:ml]
-			copy(m, in[i*n:(i+1)*n])
-			binary.BigEndian.PutUint16(m[n:], uint16(j+1))
+	clear(out)
+	w.xorSums(out, in, k)
+}
+
+// xorSums XORs the PRF of each of k inputs into its output. Input i is
+// the zero-padded blocks in[i·ib:(i+1)·ib], ib = ⌈inLen/16⌉, and output
+// i the blocks out[i·tags:(i+1)·tags], of which only the first outLen
+// bytes change: the zero padding of a half stays zero, which is what
+// lets PRP's rounds run on blocks from the first to the last.
+func (w *WidePRF) xorSums(out, in [][BlockPRFSize]byte, k int) {
+	msg, tags := in[:k*messageBlocks(w.inLen)], grow(&w.f.tag, k*w.tags)
+	if w.tags > 1 {
+		// Tag j of input i MACs input‖⟨j+1⟩: the input's blocks, one more
+		// where the counter spills past them, XORed with the counter's.
+		ib, mb := messageBlocks(w.inLen), messageBlocks(w.f.inputLen)
+		msg = grow(&w.f.msg, k*w.tags*mb)
+		for i := range k {
+			for j := range w.tags {
+				for b := range mb {
+					m := &msg[(i*w.tags+j)*mb+b]
+					*m = [BlockPRFSize]byte{}
+					if b < ib {
+						*m = in[i*ib+b]
+					}
+					XORBlock(m, &w.ctr[j*mb+b])
+				}
+			}
 		}
 	}
-	tags := w.f.tags(w.msg[:k*w.tags*ml], k*w.tags)
-	for i := 0; i < k; i++ {
-		dst := out[i*w.outLen : (i+1)*w.outLen]
-		for j := i * w.tags; len(dst) > 0; j++ {
-			dst = dst[copy(dst, tags[j][:]):]
+	w.f.chains(tags, msg)
+	for i := 0; i < len(tags); i += w.tags {
+		t := tags[i : i+w.tags]
+		ANDBlock(&t[len(t)-1], &w.mask)
+		for j := range t {
+			XORBlock(&out[i+j], &t[j])
 		}
 	}
 }

@@ -74,8 +74,8 @@ func TestCodecIsTheWrappers(t *testing.T) {
 // the crypto/aes cipher elsewhere (FIPS 140-3 mode, purego, other
 // architectures).
 func keyAllocs() float64 {
-	var f crypto.BlockPRF
-	return testing.AllocsPerRun(10, func() { f.Rekey(crypto.Key{}) })
+	var a crypto.AES256
+	return testing.AllocsPerRun(10, func() { a.Rekey(crypto.Key{}) })
 }
 
 // TestCodecWordAllocs: a word costs no allocation in either direction on
@@ -385,9 +385,24 @@ func TestStreamKnownAnswers(t *testing.T) {
 	}
 }
 
+// chunk writes the stream chunk S_i, the first len(s) bytes of blocks,
+// into s.
+func chunk(s []byte, blocks [][crypto.BlockPRFSize]byte) {
+	for b := range blocks {
+		copy(s[b*crypto.BlockPRFSize:], blocks[b][:])
+	}
+}
+
+// modelSlot is what a memo slot holds, in bytes: its L_i, and the last
+// X_i decrypted under it with its W_i.
+type modelSlot struct {
+	l, x, w    []byte
+	used, hasW bool
+}
+
 // slotState renders what a memo slot holds: its L_i if used, its X_i and
 // W_i if it holds a decryption.
-func slotState(s *memoSlot) string {
+func slotState(s *modelSlot) string {
 	out := fmt.Sprintf("used=%v hasW=%v", s.used, s.hasW)
 	if s.used {
 		out += fmt.Sprintf(" l=%x", s.l)
@@ -400,11 +415,19 @@ func slotState(s *memoSlot) string {
 
 // memoState renders a codec's first slot and, once it exists, its memo.
 func memoState(c *Codec) []string {
-	out := []string{slotState(&c.first)}
-	if c.memo != nil {
-		for i := range c.memo {
-			out = append(out, slotState(&c.memo[i]))
+	p := c.s.params
+	bytesOf := func(blocks [][crypto.BlockPRFSize]byte, n int) []byte {
+		b := make([]byte, len(blocks)*crypto.BlockPRFSize)
+		for i := range blocks {
+			copy(b[i*crypto.BlockPRFSize:], blocks[i][:])
 		}
+		return b[:n]
+	}
+	var out []string
+	for i, s := range c.slots {
+		l := bytesOf(c.ml[i*c.nb:(i+1)*c.nb], p.streamLen())
+		x := append(bytes.Clone(l), bytesOf(c.mr[i:i+1], p.ChecksumLen)...)
+		out = append(out, slotState(&modelSlot{l: l, x: x, w: bytesOf(c.mw[i*c.wb:(i+1)*c.wb], p.WordLen), used: s.used, hasW: s.hasW}))
 	}
 	return out
 }
@@ -431,8 +454,8 @@ func collidingValues(t *testing.T, ref *swptest.Ref, p Params) (a, b []byte) {
 // L_i[0] mod memoSlots; a slot that meets another L_i takes it and forgets
 // its W; a word whose whole X_i is in its slot is a W hit.
 type memoModel struct {
-	first            memoSlot
-	slots            [memoSlots]memoSlot
+	first            modelSlot
+	slots            [memoSlots]modelSlot
 	docs             int
 	lHits, lEvicts   int
 	wHits, wRefusals int // refusals: the slot's L_i matched, its X_i did not
@@ -572,7 +595,7 @@ func TestRunMemoIsLazy(t *testing.T) {
 	s, docIDs, docs := codecFixture(t, p)
 	c := s.NewCodec()
 	c.DecryptRun()
-	if c.memo != nil {
+	if len(c.slots) > 1 {
 		t.Fatal("an empty run allocated the memo")
 	}
 	for d := 0; d < 2; d++ {
@@ -589,8 +612,8 @@ func TestRunMemoIsLazy(t *testing.T) {
 			}
 		}
 		c.DecryptRun()
-		if (c.memo != nil) != (d == 1) {
-			t.Fatalf("after %d documents the memo is allocated: %v", d+1, c.memo != nil)
+		if (len(c.slots) > 1) != (d == 1) {
+			t.Fatalf("after %d documents the memo is allocated: %v", d+1, len(c.slots) > 1)
 		}
 	}
 }
@@ -718,4 +741,63 @@ func FuzzCodecRun(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRunSlotRekeyedWithinRun: in one run, words of two values whose L_i
+// share a memo slot take it from each other, and words of the first value
+// hit it in between — a, a, b, a, b, b — so the slot is re-keyed three
+// times while earlier words of the run still need the keys it held. Each
+// word's F must run under the k_i its own lookup found, not under the
+// slot's key when F runs: every cipherword of the encryption run and
+// every word of the decryption run equals the textbook reference's, at
+// one- and two-block stream widths.
+func TestRunSlotRekeyedWithinRun(t *testing.T) {
+	for _, nm := range []int{9, 19} {
+		p := Params{WordLen: nm + 2, ChecksumLen: 2}
+		s := newTestScheme(t, p)
+		ref := swptest.New(testKey(9), p.WordLen, p.ChecksumLen)
+		a, b := collidingValues(t, ref, p)
+		values := [][]byte{a, a, b, a, b, b}
+		ids := [][]byte{testDoc("slot-0"), testDoc("slot-1")}
+		cws, pts := make([][]byte, len(values)), make([][]byte, len(values))
+		for dir, c := range []*Codec{s.NewCodec(), s.NewCodec()} {
+			// The first document opens the memo for the second, whose
+			// words are one run.
+			for _, id := range ids {
+				if err := c.SetDocument(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, w := range values {
+				if dir == 0 {
+					cws[i] = make([]byte, p.WordLen)
+					if err := c.QueueWord(cws[i], uint64(i), w); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					pts[i] = make([]byte, p.WordLen)
+					if err := c.QueueWord(pts[i], uint64(i), cws[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if dir == 0 {
+				c.EncryptRun()
+			} else {
+				c.DecryptRun()
+			}
+		}
+		for i, w := range values {
+			want, err := ref.EncryptWord(ids[1], uint64(i), w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(cws[i], want) {
+				t.Errorf("n−m=%d word %d: EncryptRun wrote %x, reference %x", nm, i, cws[i], want)
+			}
+			if !bytes.Equal(pts[i], w) {
+				t.Errorf("n−m=%d word %d: DecryptRun gave %x, want %x", nm, i, pts[i], w)
+			}
+		}
+	}
 }

@@ -47,9 +47,12 @@
 // four-round Luby–Rackoff Feistel network (crypto.PRP) whose four round
 // functions are WidePRFs under independent keys. All of them — the
 // client's G, f, F and E as much as the server's F — run on
-// crypto.AES256, so the codec's per-word key expansions happen in place
-// and its batches (Codec.EncryptRun, Codec.DecryptRun) run at AES's
-// throughput. The assumptions are the textbook reductions:
+// crypto.AES256, and a codec's run (Codec.EncryptRun, Codec.DecryptRun)
+// gives AES only batches: G, f and E over every word that needs them, the
+// k_i the memo lacks expanded four side by side (crypto.ExpandKeys), and
+// F of every word under its own k_i in one call per block of S_i
+// (crypto.EncryptBlocksKeyed), so client-side no step is an AES call per
+// word. The assumptions are the textbook reductions:
 // AES-256 is a pseudorandom permutation; the PRP/PRF switching lemma;
 // CBC-MAC is a PRF on messages of one fixed length (Bellare–Kilian–
 // Rogaway) — every BlockPRF and WidePRF instance fixes its input length,
@@ -69,10 +72,10 @@
 package swp
 
 import (
-	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/crypto"
@@ -179,21 +182,26 @@ func (s *Scheme) Params() Params { return s.params }
 // (Bellare–Kilian–Rogaway) under the assumption F, f and E already make,
 // and no key is expanded per document.
 //
-// The run. A run works in passes, so that AES meets independent blocks
-// in batches instead of one dependent block at a time:
+// The run. A word is its index: QueueWord copies its source into one
+// packed buffer, and a run writes every image into another, Out, so a
+// queued word holds no pointer. From pass 3 on a word's parts are
+// zero-padded 16-byte blocks, so no pass loops over bytes. A run works in
+// passes, so that AES meets independent blocks in batches instead of one
+// dependent block at a time, and no pass makes a call per word:
 //  1. every queued document's AES_K(docID) in one call, then every
 //     word's stream blocks in one call;
 //  2. encrypting only: X_i = E_{k”}(W_i) of every word in one batched
 //     call;
 //  3. L_i — X_i's left part, or decrypting C_i's left part ⊕ S_i —
-//     looked up in the memo in word order, and f_{k'} of every L_i the
-//     memo lacks in one batched call;
-//  4. in word order: F re-keyed to k_i where the memo lacked it, and
-//     F_{k_i}(S_i) (one block under its own key); encrypting, C_i = X_i ⊕
-//     ⟨S_i, F_{k_i}(S_i)⟩; decrypting, R_i = C_i's right part ⊕
-//     F_{k_i}(S_i);
-//  5. decrypting only: E⁻¹ in one batch over every X_i = ⟨L_i, R_i⟩ the
-//     memo lacks.
+//     looked up in the memo in word order; f_{k'} of every L_i the memo
+//     lacks in one batched call, and their k_i expanded side by side
+//     (crypto.ExpandKeys), each into its slot's schedule;
+//  4. F_{k_i}(S_i) of every word, each under its own k_i, in one
+//     crypto.EncryptBlocksKeyed call per block of S_i; then in word
+//     order, encrypting, C_i = X_i ⊕ ⟨S_i, F_{k_i}(S_i)⟩; decrypting,
+//     R_i = C_i's right part ⊕ F_{k_i}(S_i), and X_i = ⟨L_i, R_i⟩ looked
+//     up in the memo;
+//  5. decrypting only: E⁻¹ in one batch over every X_i the memo lacks.
 //
 // EncryptWordInto and DecryptWordInto are runs of one word, and
 // EncryptDocument and DecryptDocument runs of one document.
@@ -202,18 +210,24 @@ func (s *Scheme) Params() Params { return s.params }
 // value alone (L_i and X_i are E's output on it), so a codec remembers, in
 // a fixed direct-mapped memo of memoSlots slots indexed by L_i's first
 // byte — uniform, since L_i is part of a PRP output — each L_i it met with
-// its expanded F_{k_i}, and the last X_i it decrypted under it with W_i.
-// A word whose L_i is in its slot skips f and the key expansion in either
-// direction; a decrypted word whose whole X_i is there skips E⁻¹ too.
-// Slots are compared in constant time and overwritten on collision. A run
-// takes exactly the decisions a word-at-a-time codec takes in word order
-// — which lookups hit, which slot a word evicts, which tampered R part
-// misses — so the memo changes no output bit. Values repeat across
-// documents, not within one (core's words each carry their column), so a
-// codec's first document runs on one slot of its own and the memo is
-// allocated when a second document begins. It lives until Reset (core
-// resets a pooled codec at the start of every call, so it lives for one
-// call) and never leaves Alex's side.
+// F_{k_i}'s expanded schedule, and the last X_i it decrypted under it
+// with W_i. A word whose L_i is in its slot skips f and the key expansion
+// in either direction; a decrypted word whose whole X_i is there skips
+// E⁻¹ too — its L_i is the slot's, so the slot keeps and compares only
+// X_i's right part. Slots are compared in constant time and overwritten
+// on collision. A run takes exactly the decisions a word-at-a-time codec
+// takes in word order — which lookups hit, which slot a word evicts,
+// which tampered R part misses — and a word's F runs under the schedule
+// its own lookup found: a slot names its schedule by index, and a miss
+// on a slot that an earlier word of the run looked up moves the slot to
+// a spare schedule, freeing the old one only when F has run, so a slot
+// re-keyed later in the run cannot change an earlier word's F. So the
+// memo changes no output bit, and a codec holds one schedule per slot
+// plus one per such re-keying in its busiest run. Values repeat across documents, not within one (core's
+// words each carry their column), so a codec's first document runs on
+// one slot of its own and the memo is allocated when a second document
+// begins. It lives until Reset (core resets a pooled codec at the start
+// of every call, so it lives for one call) and never leaves Alex's side.
 //
 // Every AES key a codec meets — each word's k_i — is expanded in place
 // into a crypto.AES256 the codec already holds, and its run scratch grows
@@ -228,66 +242,110 @@ type Codec struct {
 	s     *Scheme
 	pre   *crypto.PRP
 	f     *crypto.WidePRF
-	nb    int  // stream blocks per word, ⌈(n−m)/16⌉
-	onDoc bool // SetDocument has positioned the codec
+	nb    int                       // stream blocks per word, ⌈(n−m)/16⌉: L_i's blocks too
+	wb    int                       // blocks per word, ⌈n/16⌉
+	lmask [crypto.BlockPRFSize]byte // the bytes of S_i and L_i in their last block
+	rmask [crypto.BlockPRFSize]byte // the m bytes of F_{k_i}(S_i) and R_i
+	wmask [crypto.BlockPRFSize]byte // the bytes of a word in its last block
+	onDoc bool                      // SetDocument has positioned the codec
 
 	// The run: the documents since the last run, the current one last —
-	// docs[:enc] already AES_K(docID), the rest still docID — and the
-	// words queued on them.
+	// docs[:enc] already AES_K(docID), the rest still docID — the words
+	// queued on them, their sources packed WordLen bytes apiece, the
+	// destinations QueueWord was given, and the images of the last run
+	// with a spare block past them.
 	docs  [][crypto.BlockPRFSize]byte
 	enc   int
 	words []runWord
+	in    []byte
+	dsts  [][]byte
+	out   []byte
 
-	// Pass scratch, each packed and grown to the largest run: the words'
-	// stream blocks, S_i and X_i; the L_i the memo lacks and their k_i;
-	// the words E encrypts, or the X_i the memo lacks and their W_i.
-	blocks [][crypto.BlockPRFSize]byte
-	sw, xw []byte
-	ls, ks []byte
-	xs, ws []byte
+	// Pass scratch, grown to the largest run: the words' stream blocks;
+	// each word's left part (L_i, or C_i's) in nb zero-padded blocks and
+	// its right part in one; F's chains; the L_i the memo lacks, their
+	// k_i and the schedule each is expanded into; each word's F schedule;
+	// the X_i the memo lacks and their W_i.
+	blocks, ls, rs, chains [][crypto.BlockPRFSize]byte
+	fl, ks                 [][crypto.BlockPRFSize]byte
+	kdst, ki               []uint32
+	xs, ws                 []byte
 
-	first memoSlot             // the only slot until a second document
-	memo  *[memoSlots]memoSlot // nil until a second document
+	// keys holds F's schedules, each slot naming its own; spare lists
+	// those no slot names, and freed those the run's misses took off
+	// slots whose schedule an earlier word of the run still needs.
+	keys         []crypto.AES256
+	spare, freed []uint32
+
+	// The memo: slot 0 is the first slot, 1+j memo slot j once a second
+	// document has begun. Slot s's L_i is ml[s·nb:(s+1)·nb], the R part of
+	// the last X_i decrypted under it is mr[s] (its left part is L_i), and
+	// that X_i's W_i is mw[s·wb:(s+1)·wb], all zero-padded blocks.
+	slots      []memoSlot
+	ml, mr, mw [][crypto.BlockPRFSize]byte
 }
 
 // runWord is one queued word and, once its run has looked it up, its
-// memo decisions.
+// memo decisions; it holds no pointer.
 type runWord struct {
-	dst, src []byte
-	doc      int // its document's index in docs
-	pos      uint64
-	first    bool      // queued before the memo existed: decided by the first slot
-	slot     *memoSlot // the slot its L_i lives in
-	key      int       // index of its k_i among the run's f outputs; -1: the slot held L_i
-	from     int       // index of its W_i among the run's E⁻¹ outputs; -1: copied from the slot
+	pos   uint64
+	doc   int32 // its document's index in docs
+	dst   int32 // its destination's index in dsts; -1: Out only
+	slot  int32 // its memo slot
+	from  int32 // index of its W_i among the run's E⁻¹ outputs; -1: taken from the slot
+	miss  bool  // its slot did not hold its L_i
+	first bool  // queued before the memo existed: decided by the first slot
 }
 
 // memoSlots is the size of a codec's word memo: a power of two up to 256,
 // so that L_i's first byte modulo it is a uniform index.
 const memoSlots = 64
 
-// memoSlot is one word value a codec has met: its L_i with F_{k_i}, and
-// the last X_i decrypted under that L_i with its W_i.
+// memoSlot is what a memo slot holds besides its blocks.
 type memoSlot struct {
-	l    []byte          // L_i, n−m bytes
-	kprf crypto.BlockPRF // re-keyed in place when the slot takes a word value
-	used bool            // l and kprf hold a word value
-	x, w []byte          // X_i and W_i, WordLen bytes each
-	hasW bool            // x and w hold a decryption under l
-	pend int             // during a run, w's index among the E⁻¹ outputs; else -1
+	used  bool   // it holds an L_i, and its schedule is that k_i's
+	hasW  bool   // it holds an X_i decrypted under that L_i, and its W_i
+	inRun bool   // a word of the current run has looked it up
+	key   uint32 // its schedule's index in keys
+	pend  int32  // during a run, W_i's index among the E⁻¹ outputs; else -1
 }
 
 // NewCodec returns a codec for the scheme, not yet on any document.
 func (s *Scheme) NewCodec() *Codec {
 	n, nm := s.params.WordLen, s.params.streamLen()
-	c := &Codec{s: s, pre: s.pre.Clone(), f: s.f.Clone(), nb: (nm + crypto.BlockPRFSize - 1) / crypto.BlockPRFSize}
-	c.first = newSlot(make([]byte, nm+2*n), nm, n, crypto.NewBlockPRF(crypto.Key{}, nm))
+	c := &Codec{s: s, pre: s.pre.Clone(), f: s.f.Clone(), nb: blocks(nm), wb: blocks(n)}
+	c.lmask = crypto.LowBytes(nm - crypto.BlockPRFSize*(c.nb-1))
+	c.rmask = crypto.LowBytes(s.params.ChecksumLen)
+	c.wmask = crypto.LowBytes(n - crypto.BlockPRFSize*(c.wb-1))
+	c.out = make([]byte, crypto.BlockPRFSize) // no images yet, and the spare block
+	c.growMemo(1)
 	return c
 }
 
-// newSlot cuts a slot's byte fields from buf, which holds n−m + 2n bytes.
-func newSlot(buf []byte, nm, n int, kprf crypto.BlockPRF) memoSlot {
-	return memoSlot{l: buf[:nm:nm], x: buf[nm : nm+n : nm+n], w: buf[nm+n : nm+2*n : nm+2*n], kprf: kprf, pend: -1}
+// blocks is ⌈n/16⌉.
+func blocks(n int) int { return (n + crypto.BlockPRFSize - 1) / crypto.BlockPRFSize }
+
+// growMemo gives the memo n slots, keeping those it has.
+func (c *Codec) growMemo(n int) {
+	c.keys = slices.Grow(c.keys, n-len(c.slots))
+	for len(c.slots) < n {
+		c.slots = append(c.slots, memoSlot{key: c.schedule(), pend: -1})
+	}
+	grow(&c.ml, n*c.nb)
+	grow(&c.mr, n)
+	grow(&c.mw, n*c.wb)
+}
+
+// schedule returns the index of a schedule no slot names: a spare one,
+// or a new one.
+func (c *Codec) schedule() uint32 {
+	if n := len(c.spare); n > 0 {
+		k := c.spare[n-1]
+		c.spare = c.spare[:n-1]
+		return k
+	}
+	c.keys = append(c.keys, crypto.AES256{})
+	return uint32(len(c.keys) - 1)
 }
 
 // Reset takes the codec off its document, drops any queued words and
@@ -295,14 +353,17 @@ func newSlot(buf []byte, nm, n int, kprf crypto.BlockPRF) memoSlot {
 // as a fresh codec does, which is what lets core pool codecs across calls.
 func (c *Codec) Reset() {
 	c.onDoc = false
-	clear(c.words) // drop the references to the caller's buffers
-	c.docs, c.enc, c.words = c.docs[:0], 0, c.words[:0]
-	c.first.used, c.first.hasW = false, false
-	if c.memo != nil {
-		for i := range c.memo {
-			c.memo[i].used, c.memo[i].hasW = false, false
-		}
+	c.drop()
+	c.docs, c.enc = c.docs[:0], 0
+	for i := range c.slots {
+		c.slots[i].used, c.slots[i].hasW = false, false
 	}
+}
+
+// drop empties the queue.
+func (c *Codec) drop() {
+	clear(c.dsts) // drop the references to the caller's buffers
+	c.words, c.in, c.dsts = c.words[:0], c.in[:0], c.dsts[:0]
 }
 
 // SetDocument positions the codec on the document identified by docID,
@@ -316,21 +377,10 @@ func (c *Codec) SetDocument(docID []byte) error {
 		c.docs, c.enc = c.docs[:0], 0
 	}
 	c.docs = append(c.docs, [crypto.BlockPRFSize]byte(docID))
-	if c.onDoc && c.memo == nil {
-		c.memo = newMemo(c.s.params, &c.first.kprf)
+	if c.onDoc && len(c.slots) == 1 {
+		c.growMemo(1 + memoSlots)
 	}
 	c.onDoc = true
-	return nil
-}
-
-// check validates one word call: both slices WordLen bytes, on a document.
-func (c *Codec) check(dst, src []byte) error {
-	if n := c.s.params.WordLen; len(src) != n || len(dst) != n {
-		return fmt.Errorf("swp: word must be %d bytes, got %d (into %d)", n, len(src), len(dst))
-	}
-	if !c.onDoc {
-		return fmt.Errorf("swp: codec used before SetDocument")
-	}
 	return nil
 }
 
@@ -352,25 +402,33 @@ func (c *Codec) streamBlocks(dst [][crypto.BlockPRFSize]byte, doc *[crypto.Block
 	}
 }
 
-// chunk writes the stream chunk S_i, the first len(s) bytes of blocks,
-// into s.
-func chunk(s []byte, blocks [][crypto.BlockPRFSize]byte) {
-	for b := range blocks {
-		copy(s[b*crypto.BlockPRFSize:], blocks[b][:])
-	}
-}
-
 // QueueWord queues the word at position pos of the current document for
-// the next run, which writes the word's image into dst: its cipherword
-// under EncryptRun, its plaintext under DecryptRun. Both must be exactly
-// WordLen bytes, and both must stay untouched until then.
+// the next run, which writes the word's image — its cipherword under
+// EncryptRun, its plaintext under DecryptRun — to Out and, if dst is not
+// nil, into dst. src must be exactly WordLen bytes, and so must dst
+// unless it is nil; src is copied, so it is free again on return, and
+// dst must stay untouched until the run.
 func (c *Codec) QueueWord(dst []byte, pos uint64, src []byte) error {
-	if err := c.check(dst, src); err != nil {
-		return err
+	if n := c.s.params.WordLen; len(src) != n || (dst != nil && len(dst) != n) {
+		return fmt.Errorf("swp: word must be %d bytes, got %d (into %d)", n, len(src), len(dst))
 	}
-	c.words = append(c.words, runWord{dst: dst, src: src, doc: len(c.docs) - 1, pos: pos, first: c.memo == nil})
+	if !c.onDoc {
+		return fmt.Errorf("swp: codec used before SetDocument")
+	}
+	c.words = append(c.words, runWord{})
+	w := &c.words[len(c.words)-1] // filled in place: a word built aside and copied stalls on its own stores
+	w.pos, w.doc, w.dst, w.first = pos, int32(len(c.docs)-1), -1, len(c.slots) == 1
+	if dst != nil {
+		w.dst = int32(len(c.dsts))
+		c.dsts = append(c.dsts, dst)
+	}
+	c.in = append(c.in, src...)
 	return nil
 }
+
+// Out returns the images of the last run's words, WordLen bytes apiece in
+// the order they were queued. It is valid until the next run.
+func (c *Codec) Out() []byte { return c.out[:len(c.out)-crypto.BlockPRFSize] }
 
 // EncryptWordInto encrypts the word at position pos of the current
 // document into dst — a run of one word. Both must be exactly WordLen
@@ -394,185 +452,237 @@ func (c *Codec) DecryptWordInto(dst []byte, pos uint64, cipherword []byte) error
 	return nil
 }
 
-// EncryptRun encrypts every queued word into its dst, in the passes the
-// type's comment lists, and empties the queue; the codec stays on its
-// current document.
+// EncryptRun encrypts every queued word, in the passes the type's comment
+// lists, and empties the queue; the codec stays on its current document.
 func (c *Codec) EncryptRun() { c.run(true) }
 
-// DecryptRun decrypts every queued word into its dst, in the passes the
-// type's comment lists, and empties the queue; the codec stays on its
-// current document.
+// DecryptRun decrypts every queued word, in the passes the type's comment
+// lists, and empties the queue; the codec stays on its current document.
 func (c *Codec) DecryptRun() { c.run(false) }
 
-// run is the one body of both directions.
+// run is the one body of both directions. A word's parts live in
+// zero-padded blocks from pass 3 on, read from and written to its bytes
+// with whole blocks in ascending order, so every buffer that holds words
+// — its input, Out and E⁻¹'s input and output — has a block to spare past
+// its end. Passes 3 to 5 are methods of their own.
 func (c *Codec) run(encrypt bool) {
 	k := len(c.words)
 	if k == 0 {
 		return
 	}
-	n, nm, nb := c.s.params.WordLen, c.s.params.streamLen(), c.nb
+	n := c.s.params.WordLen
+	var pad [crypto.BlockPRFSize]byte
+	c.in = append(c.in, pad[:]...)
+	out, x := grow(&c.out, k*n+len(pad)), c.in
 
 	// Pass 1: AES_K(docID) of the run's documents, then the words' stream
-	// blocks, each in one call.
+	// blocks, each in one call; S_i is their first n−m bytes.
 	c.encryptDocs()
-	blocks := grow(&c.blocks, k*nb)
-	for i := range c.words {
-		c.streamBlocks(blocks[i*nb:(i+1)*nb], &c.docs[c.words[i].doc], c.words[i].pos)
+	blocks := grow(&c.blocks, k*c.nb)
+	for i, w := range c.words {
+		c.streamBlocks(blocks[i*c.nb:(i+1)*c.nb], &c.docs[w.doc], w.pos)
 	}
 	c.s.stream.EncryptBlocks(blocks)
-	sw, xw, xs := grow(&c.sw, k*nm), grow(&c.xw, k*n), grow(&c.xs, k*n)
-	for i := range c.words {
-		chunk(sw[i*nm:(i+1)*nm], blocks[i*nb:(i+1)*nb])
-	}
 
 	// Pass 2: encrypting, X_i = E(W_i) of every word in one call.
 	if encrypt {
-		for i := range c.words {
-			copy(xs[i*n:], c.words[i].src)
-		}
-		c.pre.EncryptAllInto(xw, xs, k)
+		c.pre.EncryptAllInto(out[:k*n], c.in[:k*n], k)
+		x = out
 	}
 
-	// Pass 3: L_i — decrypting, C_i's left part ⊕ S_i — looked up in the
-	// memo in word order, then f of every L_i the memo lacks in one call.
-	ls := grow(&c.ls, k*nm)
-	misses := 0
-	for i := range c.words {
-		w := &c.words[i]
-		l := xw[i*n : i*n+nm]
-		if !encrypt {
-			xor(l, w.src[:nm], sw[i*nm:(i+1)*nm])
-		}
-		var miss bool
-		w.slot, miss = c.lookup(l, w.first)
-		w.key = -1
-		if miss {
-			w.key = misses
-			copy(ls[misses*nm:], l)
-			misses++
-		}
+	// Pass 3: the memo's L_i decisions, then f of every L_i it lacks in
+	// one call and their schedules expanded side by side. A run whose
+	// misses took more spare schedules than the codec had copies the
+	// grown table into one of its length, for a codec keeps its table as
+	// long as it lives.
+	had := len(c.keys)
+	misses := c.split(x, blocks, encrypt)
+	if len(c.keys) > had {
+		c.keys = append([]crypto.AES256(nil), c.keys...)
 	}
-	ks := grow(&c.ks, misses*crypto.KeySize)
-	if misses > 0 {
-		c.f.SumAllInto(ks, ls[:misses*nm], misses)
-	}
+	ks := grow(&c.ks, 2*misses)
+	c.f.SumBlocks(ks, c.fl[:misses*c.nb], misses)
+	crypto.ExpandKeys(c.keys, c.kdst, ks)
 
-	// Pass 4: in word order, F re-keyed where the memo lacked k_i, then
-	// F_{k_i}(S_i): encrypting, into C_i = X_i ⊕ ⟨S_i, F_{k_i}(S_i)⟩, where
-	// a slot that took a new L_i forgets its W; decrypting, into R_i = C_i's
-	// right part ⊕ F_{k_i}(S_i).
-	for i := range c.words {
-		w := &c.words[i]
-		if w.key >= 0 {
-			w.slot.kprf.Rekey(crypto.Key(ks[w.key*crypto.KeySize:]))
-		}
-		s, x := sw[i*nm:(i+1)*nm], xw[i*n:(i+1)*n]
-		if encrypt {
-			if w.key >= 0 {
-				w.slot.hasW = false
-			}
-			xor(w.dst[:nm], x[:nm], s)
-			w.slot.kprf.SumInto(w.dst[nm:], s)
-			xor(w.dst[nm:], w.dst[nm:], x[nm:])
-			continue
-		}
-		w.slot.kprf.SumInto(x[nm:], s)
-		xor(x[nm:], x[nm:], w.src[nm:])
+	// Pass 4: F of every word under its own schedule, after which the
+	// schedules the run's misses took off their slots are spare; then
+	// each word's image or its X_i.
+	chains := c.checksums(blocks)
+	c.spare, c.freed = append(c.spare, c.freed...), c.freed[:0]
+	for _, w := range c.words {
+		c.slots[w.slot].inRun = false
 	}
+	misses = c.join(out, blocks, chains, encrypt)
 
+	// Pass 5: decrypting, E⁻¹ of every X_i the memo lacks in one call.
 	if !encrypt {
-		c.invert(xw, xs)
+		c.invert(out, misses)
+	}
+	c.out = out
+	for i := 0; len(c.dsts) > 0 && i < k; i++ {
+		if w := c.words[i]; w.dst >= 0 {
+			copy(c.dsts[w.dst], out[i*n:(i+1)*n])
+		}
 	}
 
 	// The current document stays, its AES_K(docID) computed.
 	c.docs[0] = c.docs[len(c.docs)-1]
 	c.docs, c.enc = c.docs[:1], 1
-	clear(c.words) // drop the references to the caller's buffers
-	c.words = c.words[:0]
+	c.drop()
 }
 
-// invert is a decryption run's pass 5: the W decisions replayed in word
-// order — a slot that took a new L_i forgets its W — then E⁻¹ of every
-// X_i (packed in xw) the memo lacks in one call, through xs.
-func (c *Codec) invert(xw, xs []byte) {
-	n := c.s.params.WordLen
-	misses := 0
-	for i := range c.words {
-		w := &c.words[i]
-		slot, x := w.slot, xw[i*n:(i+1)*n]
-		if w.key >= 0 {
+// split is pass 3. It reads every word's left part — X_i's, or
+// decrypting C_i's ⊕ S_i, which is L_i — and its right part from x into
+// blocks, then, in word order, looks each L_i up in the memo: the slot is
+// 0 for a word queued before the memo existed, else 1 + L_i's first byte
+// mod memoSlots; a slot that holds another value takes L_i, the word's
+// L_i joins fl for f, and kdst names the schedule its k_i goes into: the
+// slot's, moved first to a spare one if an earlier word of the run
+// looked the slot up. ki[i] names the schedule the word's F runs under,
+// the slot's after its lookup. It returns the number of misses.
+func (c *Codec) split(x []byte, blocks [][crypto.BlockPRFSize]byte, encrypt bool) int {
+	k, n, nm, nb := len(c.words), c.s.params.WordLen, c.s.params.streamLen(), c.nb
+	ls, rs := grow(&c.ls, k*nb), grow(&c.rs, k)
+	lmask, rmask := c.lmask, c.rmask
+	for i := range rs {
+		l, s := ls[i*nb:(i+1)*nb], blocks[i*nb:(i+1)*nb]
+		for b := range l {
+			l[b] = [crypto.BlockPRFSize]byte(x[i*n+b*crypto.BlockPRFSize:])
+			if !encrypt {
+				crypto.XORBlock(&l[b], &s[b])
+			}
+		}
+		crypto.ANDBlock(&s[nb-1], &lmask)
+		crypto.ANDBlock(&l[nb-1], &lmask)
+		rs[i] = [crypto.BlockPRFSize]byte(x[i*n+nm:])
+		crypto.ANDBlock(&rs[i], &rmask)
+	}
+
+	fl, ki, kdst := grow(&c.fl, k*nb), grow(&c.ki, k), c.kdst[:0]
+	words, slots, ml := c.words, c.slots, c.ml
+	for i := range words {
+		w, l := &words[i], ls[i*nb:(i+1)*nb]
+		s := int32(0)
+		if !w.first {
+			s = 1 + int32(l[0][0]%memoSlots)
+		}
+		slot, m := &slots[s], ml[int(s)*nb:int(s+1)*nb]
+		w.slot, w.miss = s, !slot.used || !crypto.EqualBlocks(m, l)
+		if w.miss {
+			if slot.inRun {
+				c.freed = append(c.freed, slot.key)
+				slot.key = c.schedule()
+			}
+			copy(m, l)
+			copy(fl[len(kdst)*nb:], l)
+			kdst = append(kdst, slot.key)
+			slot.used = true
+		}
+		slot.inRun, ki[i] = true, slot.key
+	}
+	c.kdst = kdst
+	return len(kdst)
+}
+
+// checksums is pass 4's F: the CBC-MAC of every word's S_i under the
+// schedule ki names, one EncryptBlocksKeyed call per block of S_i.
+func (c *Codec) checksums(blocks [][crypto.BlockPRFSize]byte) [][crypto.BlockPRFSize]byte {
+	k, nb := len(c.words), c.nb
+	chains, ki := grow(&c.chains, k), c.ki[:k]
+	for b := range nb {
+		for i := range chains {
+			if b == 0 {
+				chains[i] = blocks[i*nb]
+			} else {
+				crypto.XORBlock(&chains[i], &blocks[i*nb+b])
+			}
+		}
+		crypto.EncryptBlocksKeyed(c.keys, ki, chains)
+	}
+	return chains
+}
+
+// join is the rest of pass 4, in word order: a slot that took a new L_i
+// forgets its W; encrypting, C_i = X_i ⊕ ⟨S_i, F_{k_i}(S_i)⟩ goes to out;
+// decrypting, R_i = C_i's right part ⊕ F_{k_i}(S_i), and X_i = ⟨L_i,
+// R_i⟩ is looked up in the slot L_i is in — a hit if the slot holds R_i
+// — where a hit takes the slot's W_i and a miss is set aside in xs for
+// E⁻¹. It returns the number of X_i set aside.
+func (c *Codec) join(out []byte, blocks, chains [][crypto.BlockPRFSize]byte, encrypt bool) int {
+	k, n, nm, nb, wb := len(c.words), c.s.params.WordLen, c.s.params.streamLen(), c.nb, c.wb
+	words, slots, mr, mw, ls, rs := c.words, c.slots, c.mr, c.mw, c.ls, c.rs
+	rmask, xs, misses := c.rmask, grow(&c.xs, k*n+crypto.BlockPRFSize), 0
+	for i := range words {
+		w, l, r := &words[i], ls[i*nb:(i+1)*nb], rs[i:i+1]
+		slot := &slots[w.slot]
+		if w.miss {
 			slot.hasW = false
 		}
-		if slot.hasW && subtle.ConstantTimeCompare(slot.x, x) == 1 {
+		crypto.ANDBlock(&chains[i], &rmask)
+		crypto.XORBlock(&r[0], &chains[i])
+		if encrypt {
+			for b := range l {
+				crypto.XORBlock(&l[b], &blocks[i*nb+b])
+			}
+			store(out, i*n, nm, l, r)
+			continue
+		}
+		m := mr[w.slot : w.slot+1]
+		if slot.hasW && crypto.EqualBlocks(m, r) {
 			if w.from = slot.pend; w.from < 0 {
-				copy(w.dst, slot.w)
+				store(out, i*n, 0, mw[int(w.slot)*wb:int(w.slot+1)*wb], nil)
 			}
 			continue
 		}
-		copy(slot.x, x)
-		slot.hasW, slot.pend, w.from = true, misses, misses
-		copy(xs[misses*n:], x)
+		m[0] = r[0]
+		store(xs, misses*n, nm, l, r)
+		slot.hasW, slot.pend, w.from = true, int32(misses), int32(misses)
 		misses++
 	}
-	ws := grow(&c.ws, misses*n)
-	if misses > 0 {
-		c.pre.DecryptAllInto(ws, xs[:misses*n], misses)
-	}
-	for i := range c.words {
-		w := &c.words[i]
+	return misses
+}
+
+// invert is pass 5: E⁻¹ of the misses X_i set aside in one call, and each
+// W_i into out and into its slot.
+func (c *Codec) invert(out []byte, misses int) {
+	n, wb := c.s.params.WordLen, c.wb
+	ws := grow(&c.ws, misses*n+crypto.BlockPRFSize)
+	c.pre.DecryptAllInto(ws[:misses*n], c.xs[:misses*n], misses)
+	slots, mw, wmask := c.slots, c.mw, c.wmask
+	for i, w := range c.words {
 		if w.from >= 0 {
-			copy(w.dst, ws[w.from*n:])
+			copy(out[i*n:(i+1)*n], ws[int(w.from)*n:])
 		}
-		if slot := w.slot; slot.pend >= 0 {
-			copy(slot.w, ws[slot.pend*n:])
+		if slot := &slots[w.slot]; slot.pend >= 0 {
+			m := mw[int(w.slot)*wb : int(w.slot+1)*wb]
+			for b := range m {
+				m[b] = [crypto.BlockPRFSize]byte(ws[int(slot.pend)*n+b*crypto.BlockPRFSize:])
+			}
+			crypto.ANDBlock(&m[wb-1], &wmask)
 			slot.pend = -1
 		}
 	}
 }
 
-// lookup returns the memo slot for the word value whose L_i is l — the
-// first slot for a word queued before the memo existed — and whether the
-// slot held another value, in which case it now holds l, with F still to
-// be re-keyed to k_i.
-func (c *Codec) lookup(l []byte, first bool) (slot *memoSlot, miss bool) {
-	slot = &c.first
-	if !first {
-		slot = &c.memo[l[0]%memoSlots]
+// store writes a word's image at buf[at:] from zero-padded blocks: the
+// blocks l, then, if there is one, the block r from byte nm on. Each
+// block is written whole, over the padding of the one before and up to a
+// block past the word, which the next word in ascending order, or the
+// spare block at buf's end, takes.
+func store(buf []byte, at, nm int, l, r [][crypto.BlockPRFSize]byte) {
+	for b := range l {
+		*(*[crypto.BlockPRFSize]byte)(buf[at+b*crypto.BlockPRFSize:]) = l[b]
 	}
-	if slot.used && subtle.ConstantTimeCompare(slot.l, l) == 1 {
-		return slot, false
-	}
-	copy(slot.l, l)
-	slot.used = true
-	return slot, true
-}
-
-// newMemo allocates a word memo for the scheme's words: the slots, one
-// buffer their byte fields are cut from, and in each slot a copy of kprf,
-// an F of the codec's input length for the slot to re-key.
-func newMemo(p Params, kprf *crypto.BlockPRF) *[memoSlots]memoSlot {
-	memo := new([memoSlots]memoSlot)
-	nm, size := p.streamLen(), p.streamLen()+2*p.WordLen
-	buf := make([]byte, size*memoSlots)
-	for i := range memo {
-		memo[i] = newSlot(buf[size*i:size*(i+1)], nm, p.WordLen, kprf.Clone())
-	}
-	return memo
-}
-
-// xor sets dst to a ⊕ b, all three of one length: a plain loop, which
-// for the few bytes of a word costs less than a call to subtle.XORBytes.
-func xor(dst, a, b []byte) {
-	for i := range dst {
-		dst[i] = a[i] ^ b[i]
+	for _, b := range r {
+		*(*[crypto.BlockPRFSize]byte)(buf[at+nm:]) = b
 	}
 }
 
 // grow returns the first n elements of *buf, reallocated if it is
-// shorter.
+// shorter, with the elements it had.
 func grow[T any](buf *[]T, n int) []T {
 	if len(*buf) < n {
-		*buf = make([]T, n)
+		*buf = append(*buf, make([]T, n-len(*buf))...)
 	}
 	return (*buf)[:n]
 }
